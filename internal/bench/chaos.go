@@ -74,17 +74,6 @@ func chaosCountersFrom(s *obs.Snapshot) chaosCounters {
 	}
 }
 
-// splitmix64 advances *x and returns the next value of the schedule
-// stream. The schedule has its own generator so it never perturbs the
-// simulator's RNG draws.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // chaosPattern is the deterministic payload byte for message (src,
 // dst, round) at offset j — receivers re-derive it to verify
 // integrity.
@@ -129,17 +118,17 @@ func chaosRun(seed uint64) *chaosResult {
 	res := &chaosResult{}
 	sched := seed
 	for i := 0; i < 6; i++ {
-		kind := splitmix64(&sched) % 4
-		node := int(splitmix64(&sched) % chaosNodes)
-		start := c.Env.Now() + sim.Time(splitmix64(&sched)%uint64(180*sim.Millisecond))
-		dur := 4*sim.Millisecond + sim.Time(splitmix64(&sched)%uint64(8*sim.Millisecond))
+		kind := sim.SplitmixNext(&sched) % 4
+		node := int(sim.SplitmixNext(&sched) % chaosNodes)
+		start := c.Env.Now() + sim.Time(sim.SplitmixNext(&sched)%uint64(180*sim.Millisecond))
+		dur := 4*sim.Millisecond + sim.Time(sim.SplitmixNext(&sched)%uint64(8*sim.Millisecond))
 		switch kind {
 		case 0: // Myrinet link cut: failover keeps the node reachable.
 			hf.Rail(0).LinkDown(node, start, start+dur)
 		case 1: // mesh link cut.
 			hf.Rail(1).LinkDown(node, start, start+dur)
 		case 2: // whole-rail outage.
-			hf.RailDown(int(splitmix64(&sched)%2), start, start+dur)
+			hf.RailDown(int(sim.SplitmixNext(&sched)%2), start, start+dur)
 		case 3: // both rails: the node is unreachable, peers mark it
 			// Dead. Long enough for senders to burn a retry ladder
 			// inside the window, so deaths actually happen.

@@ -187,7 +187,7 @@ func collFaultRun(seed uint64) *collFaultResult {
 		if pkt.Kind != fabric.KindCollMcast && pkt.Kind != fabric.KindCollComb {
 			return fabric.Deliver
 		}
-		switch splitmix64(&sched) % 10 {
+		switch sim.SplitmixNext(&sched) % 10 {
 		case 0:
 			res.drops++
 			return fabric.Drop

@@ -93,8 +93,8 @@ func healthRun(seed uint64, fault bool) *hwResult {
 		// One seeded firmware crash: the watchdog-trip rule must catch
 		// the kernel healing it.
 		sched := seed ^ 0x9e3779b97f4a7c15
-		node := int(splitmix64(&sched) % hwNodes)
-		at := base + 25*sim.Millisecond + sim.Time(splitmix64(&sched)%uint64(8*sim.Millisecond))
+		node := int(sim.SplitmixNext(&sched) % hwNodes)
+		at := base + 25*sim.Millisecond + sim.Time(sim.SplitmixNext(&sched)%uint64(8*sim.Millisecond))
 		c.Nodes[node].NIC.CrashAt(at)
 		// Bit flips on the Myrinet rail: crc-spike must see the drops.
 		if f, ok := hf.Rail(0).(interface{ SetFault(fabric.Fault) }); ok {

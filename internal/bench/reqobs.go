@@ -292,12 +292,7 @@ func exemplarDigest(s *obs.Snapshot) (uint64, int) {
 // reqobsSchedule derives the chaos fault schedule from the seed.
 func reqobsSchedule(seed uint64) (dup int, outAt, outDur sim.Time) {
 	x := seed ^ 0x0b5e55ab1e
-	next := func() uint64 {
-		x += 0x9e3779b97f4a7c15
-		z := (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
+	next := func() uint64 { return sim.SplitmixNext(&x) }
 	dup = 4 + int(next()%4)                                           // every 4th..7th packet
 	outAt = 14*sim.Millisecond + sim.Time(next()%3)*sim.Millisecond   // 14..16 ms
 	outDur = sim.Millisecond + sim.Time(next()%2)*500*sim.Microsecond // 1..1.5 ms

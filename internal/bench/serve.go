@@ -49,19 +49,19 @@ type serveCfg struct {
 	qos bool // NIC QoS WRR (else strict FIFO)
 	hog bool // 32 KB stream hog on driver node 0
 
-	watchdog bool
-	health   bool
-	dupEvery int      // duplicate every nth packet (0 = off)
-	outNode  int      // shard node for the link outage (with outDur > 0)
-	outAt    sim.Time // outage start
-	outDur   sim.Time // outage length (0 = no outage)
-	crashNode int     // shard node whose NIC firmware crashes
-	crashAt  sim.Time // crash instant (0 = no crash)
+	watchdog  bool
+	health    bool
+	dupEvery  int      // duplicate every nth packet (0 = off)
+	outNode   int      // shard node for the link outage (with outDur > 0)
+	outAt     sim.Time // outage start
+	outDur    sim.Time // outage length (0 = no outage)
+	crashNode int      // shard node whose NIC firmware crashes
+	crashAt   sim.Time // crash instant (0 = no crash)
 }
 
 // serveRes is everything a scenario run exposes to the report.
 type serveRes struct {
-	samples  []sim.Time
+	samples        []sim.Time
 	p50, p99, p999 sim.Time
 	reqsPerSec     float64
 
@@ -70,13 +70,13 @@ type serveRes struct {
 	violations, aborts    uint64
 	committed, dedup      uint64
 
-	atomicity bool // every txn pair byte-identical across shards
-	coherent  bool // every cached entry matches its shard's version
-	drained   bool
-	hogDone   uint64
-	sloAlerts int
+	atomicity   bool // every txn pair byte-identical across shards
+	coherent    bool // every cached entry matches its shard's version
+	drained     bool
+	hogDone     uint64
+	sloAlerts   int
 	abortAlerts int
-	digest    uint64
+	digest      uint64
 }
 
 const serveBufSize = 2048
@@ -373,13 +373,8 @@ func serveDigest(res *serveRes, servers []*svc.Server, pa, pb []string, ring *sv
 // and for how long, and when the other shard's firmware dies.
 func serveSchedule(seed uint64) (dup int, outAt, outDur, crashAt sim.Time) {
 	x := seed
-	next := func() uint64 {
-		x += 0x9e3779b97f4a7c15
-		z := (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	dup = 3 + int(next()%5)                                   // every 3rd..7th packet
+	next := func() uint64 { return sim.SplitmixNext(&x) }
+	dup = 3 + int(next()%5)                                         // every 3rd..7th packet
 	outAt = 8*sim.Millisecond + sim.Time(next()%6)*sim.Millisecond  // 8..13 ms
 	outDur = 3*sim.Millisecond + sim.Time(next()%3)*sim.Millisecond // 3..5 ms
 	crashAt = 16*sim.Millisecond + sim.Time(next()%5)*sim.Millisecond
@@ -421,7 +416,7 @@ func ServeSeeded(seed uint64) *Report {
 	chaosCfg := serveCfg{
 		shards: 3, driverNodes: 2, users: 6000, seed: seed,
 		arrivalMean: 160 * sim.Microsecond, bursty: true,
-		start:       10 * sim.Millisecond, window: 25 * sim.Millisecond,
+		start: 10 * sim.Millisecond, window: 25 * sim.Millisecond,
 		getFrac: 0.5, txnFrac: 0.2, pairs: 12,
 		watchdog: true, health: true,
 		dupEvery: dup,

@@ -137,9 +137,9 @@ func survRun(seed uint64) *survResult {
 	res := &survResult{}
 	sched := seed ^ 0xda3e39cb94b95bdb
 	for k := 0; k < survCrashes; k++ {
-		node := int(splitmix64(&sched) % survNodes)
+		node := int(sim.SplitmixNext(&sched) % survNodes)
 		at := base + 25*sim.Millisecond + sim.Time(k)*45*sim.Millisecond +
-			sim.Time(splitmix64(&sched)%uint64(15*sim.Millisecond))
+			sim.Time(sim.SplitmixNext(&sched)%uint64(15*sim.Millisecond))
 		c.Nodes[node].NIC.CrashAt(at)
 	}
 	// Silent corruption on the Myrinet rail: the per-fragment CRC must
@@ -315,7 +315,7 @@ func grayRun(seed uint64, adaptive bool) *grayResult {
 	// The policy rail (Myrinet) turns 24x slower — alive, in order,
 	// nothing lost — for a 60 ms window a seeded jitter into the run.
 	sched := seed ^ 0x6a09e667f3bcc909
-	start := base + 20*sim.Millisecond + sim.Time(splitmix64(&sched)%uint64(8*sim.Millisecond))
+	start := base + 20*sim.Millisecond + sim.Time(sim.SplitmixNext(&sched)%uint64(8*sim.Millisecond))
 	hf.RailSlow(0, start, start+60*sim.Millisecond, 24)
 
 	res := &grayResult{}

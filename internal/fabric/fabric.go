@@ -25,16 +25,16 @@ type PacketKind uint8
 
 // Wire packet kinds.
 const (
-	KindData     PacketKind = iota // message payload fragment
-	KindAck                        // cumulative acknowledgement
-	KindNack                       // receiver cannot accept (no buffer); retransmit later
-	KindRMARead                    // RMA read request (open channel)
-	KindRMAWrite                   // RMA write payload fragment (open channel)
-	KindProbe                      // peer-health probe (firmware liveness check)
-	KindProbeAck                   // probe reply: the peer is reachable again
-	KindCollMcast                  // collective: NIC-forwarded multicast fragment
-	KindCollComb                   // collective: combine contribution toward the root
-	KindResync                     // receiver asks a sender to resynchronize a flow (epoch + expected seq)
+	KindData      PacketKind = iota // message payload fragment
+	KindAck                         // cumulative acknowledgement
+	KindNack                        // receiver cannot accept (no buffer); retransmit later
+	KindRMARead                     // RMA read request (open channel)
+	KindRMAWrite                    // RMA write payload fragment (open channel)
+	KindProbe                       // peer-health probe (firmware liveness check)
+	KindProbeAck                    // probe reply: the peer is reachable again
+	KindCollMcast                   // collective: NIC-forwarded multicast fragment
+	KindCollComb                    // collective: combine contribution toward the root
+	KindResync                      // receiver asks a sender to resynchronize a flow (epoch + expected seq)
 )
 
 func (k PacketKind) String() string {
@@ -105,7 +105,7 @@ type Packet struct {
 	MsgLen  int    // total message length
 	Tag     uint64 // upper-layer immediate word
 
-	AckSeq  uint64 // for ACK/NACK: cumulative sequence
+	AckSeq  uint64  // for ACK/NACK: cumulative sequence
 	Coll    CollHdr // collective header (KindCollMcast/KindCollComb only)
 	Payload []byte
 	CRC     uint32
@@ -343,6 +343,7 @@ func slowAt(ws []slowdown, t sim.Time) int64 {
 type Network struct {
 	env       *sim.Env
 	name      string
+	pktName   string // name+"/pkt", the name of every per-packet process
 	endpoints []*Endpoint
 	links     []*link
 	routes    map[[2]int][]int // (src,dst) -> link ids, including injection link
@@ -370,9 +371,10 @@ type Network struct {
 // NewNetwork returns an empty network for n nodes.
 func NewNetwork(env *sim.Env, name string, n int) *Network {
 	net := &Network{
-		env:    env,
-		name:   name,
-		routes: make(map[[2]int][]int),
+		env:     env,
+		name:    name,
+		pktName: name + "/pkt",
+		routes:  make(map[[2]int][]int),
 	}
 	for i := 0; i < n; i++ {
 		net.endpoints = append(net.endpoints, &Endpoint{
@@ -672,7 +674,7 @@ func (n *Network) inject(p *sim.Proc, src int, pkt *Packet) {
 	// The head is now one hop in; ripple through the remaining links
 	// asynchronously (cut-through). Each link is held for the packet's
 	// serialization time on that link.
-	n.env.Go(fmt.Sprintf("%s/pkt", n.name), func(fp *sim.Proc) {
+	n.env.Go(n.pktName, func(fp *sim.Proc) {
 		fp.Sleep(first.lat * sim.Time(slow))
 		for _, id := range route[1:] {
 			l := n.links[id]

@@ -91,6 +91,7 @@ type layer struct {
 	nextSeq uint64
 	asm     map[asmKey]*message
 	mtu     int
+	isrName string // process name of every interrupt this layer takes
 }
 
 type asmKey struct {
@@ -126,6 +127,7 @@ func newLayer(s *System, nd *node.Node) *layer {
 		kbufs:   make(map[mem.VAddr]*kbuf),
 		asm:     make(map[asmKey]*message),
 		mtu:     nd.Prof.MaxPacket - HeaderBytes,
+		isrName: fmt.Sprintf("klc%d/isr", nd.ID),
 	}
 	l.port = nd.NIC.RegisterPort(KernelPort)
 	// Preposted kernel receive ring: pinned sk_buffs on the NIC's
@@ -181,7 +183,7 @@ func (l *layer) repost(p *sim.Proc, b *kbuf) {
 // datagram. It parses the socket header, reassembles, and wakes the
 // receiver when a message completes.
 func (l *layer) interrupt(ev *nic.Event) {
-	l.node.Kernel.Interrupt(fmt.Sprintf("klc%d/isr", l.node.ID), func(p *sim.Proc) {
+	l.node.Kernel.Interrupt(l.isrName, func(p *sim.Proc) {
 		if ev.Type != nic.EvRecvDone {
 			return // send completions need no kernel action here
 		}

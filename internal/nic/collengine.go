@@ -87,7 +87,7 @@ type ownContrib struct {
 	born    sim.Time
 	payload []byte
 	sram    int
-	timer   *sim.Timer
+	timer   sim.Timer
 	round   int
 }
 
@@ -173,9 +173,7 @@ func (n *NIC) CloseCollCtx(id int) {
 	}
 	for _, seq := range sortedKeys(ctx.own) {
 		oc := ctx.own[seq]
-		if oc.timer != nil {
-			oc.timer.Cancel()
-		}
+		oc.timer.Cancel()
 		if oc.sram > 0 {
 			n.sram.Release(oc.sram)
 		}
@@ -443,9 +441,7 @@ func (n *NIC) collPacket(p *sim.Proc, pkt *fabric.Packet) {
 func (n *NIC) collRelease(p *sim.Proc, ctx *CollCtx, pkt *fabric.Packet) {
 	seq := pkt.Coll.Seq
 	if oc, ok := ctx.own[seq]; ok {
-		if oc.timer != nil {
-			oc.timer.Cancel()
-		}
+		oc.timer.Cancel()
 		if oc.sram > 0 {
 			n.sram.Release(oc.sram)
 		}
@@ -627,7 +623,7 @@ func (n *NIC) armCollRetry(ctx *CollCtx, seq uint64) {
 	}
 	id := ctx.ID
 	oc.timer = n.env.After(n.collRetryDelay(seq, oc.round), func() {
-		oc.timer = nil
+		oc.timer = sim.Timer{}
 		n.collQ.Post(collJob{kind: collJobRetry, ctxID: id, seq: seq, epoch: n.bootEpoch})
 	})
 }

@@ -45,7 +45,7 @@ type txFlow struct {
 	nextSeq uint64
 	unacked []*pending
 	retries int
-	timer   *sim.Timer
+	timer   sim.Timer
 	window  *sim.Cond
 
 	// Peer-health state machine: Up -> Suspect on the first retransmit
@@ -53,7 +53,7 @@ type txFlow struct {
 	// liveness probes start, Probing -> Up on a probe ACK (or any
 	// genuine ACK progress).
 	health     PeerHealth
-	probeTimer *sim.Timer
+	probeTimer sim.Timer
 	// failed records MsgIDs already reported by failFlow so the
 	// fail-fast path does not post a second EvSendFailed for trailing
 	// fragments of the same message.
@@ -70,11 +70,11 @@ type txFlow struct {
 	order    []uint64
 
 	// Adaptive-RTO estimator state (Config.AdaptiveRTO).
-	srtt    sim.Time // smoothed RTT
-	rttvar  sim.Time // mean deviation
-	baseRTT sim.Time // best RTT observed (gray-failure baseline)
-	grayOn  bool     // currently steered onto the alternate rail
-	grayTimer *sim.Timer
+	srtt      sim.Time // smoothed RTT
+	rttvar    sim.Time // mean deviation
+	baseRTT   sim.Time // best RTT observed (gray-failure baseline)
+	grayOn    bool     // currently steered onto the alternate rail
+	grayTimer sim.Timer
 }
 
 // rxFlow is the receiver-side sequencing state from one remote node.
@@ -558,7 +558,7 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 	flow.unacked = append(flow.unacked, &pending{
 		pkt: pkt, desc: d, lastFrag: lastFrag, sram: sram, sentAt: p.Now(),
 	})
-	if flow.timer == nil {
+	if flow.timer == (sim.Timer{}) {
 		n.armTimer(flow)
 	}
 	n.inject(p, wireCopy(pkt))
@@ -582,11 +582,9 @@ func wireCopy(pkt *fabric.Packet) *fabric.Packet {
 }
 
 func (n *NIC) armTimer(f *txFlow) {
-	if f.timer != nil {
-		f.timer.Cancel()
-	}
+	f.timer.Cancel()
 	f.timer = n.env.After(n.retxDelay(f), func() {
-		f.timer = nil
+		f.timer = sim.Timer{}
 		n.retxQ.Post(f)
 	})
 }
@@ -641,11 +639,7 @@ func detJitter(node, dst, round int, span sim.Time) sim.Time {
 	if span <= 0 {
 		return 0
 	}
-	x := uint64(node)<<42 ^ uint64(dst)<<21 ^ uint64(round)
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
+	x := sim.Splitmix64(uint64(node)<<42 ^ uint64(dst)<<21 ^ uint64(round))
 	return sim.Time(x % uint64(span))
 }
 
@@ -752,10 +746,8 @@ func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
 	}
 	f.unacked = nil
 	f.retries = 0
-	if f.timer != nil {
-		f.timer.Cancel()
-		f.timer = nil
-	}
+	f.timer.Cancel()
+	f.timer = sim.Timer{}
 	if f.health != PeerDead && f.health != PeerProbing {
 		f.health = PeerDead
 		n.stats.PeerDeaths++
@@ -769,11 +761,9 @@ func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
 
 // armProbe schedules the next liveness probe toward a dead peer.
 func (n *NIC) armProbe(f *txFlow) {
-	if f.probeTimer != nil {
-		f.probeTimer.Cancel()
-	}
+	f.probeTimer.Cancel()
 	f.probeTimer = n.env.After(n.probeInterval(), func() {
-		f.probeTimer = nil
+		f.probeTimer = sim.Timer{}
 		n.retxQ.Post(f)
 	})
 }
@@ -801,10 +791,8 @@ func (n *NIC) markPeerUp(f *txFlow) {
 	}
 	f.health = PeerUp
 	f.retries = 0
-	if f.probeTimer != nil {
-		f.probeTimer.Cancel()
-		f.probeTimer = nil
-	}
+	f.probeTimer.Cancel()
+	f.probeTimer = sim.Timer{}
 	n.wakeWindow(f)
 }
 
@@ -907,10 +895,8 @@ func (n *NIC) handleAck(p *sim.Proc, pkt *fabric.Packet) {
 	if progress {
 		n.markPeerUp(f)
 	}
-	if f.timer != nil {
-		f.timer.Cancel()
-		f.timer = nil
-	}
+	f.timer.Cancel()
+	f.timer = sim.Timer{}
 	if len(f.unacked) > 0 {
 		n.armTimer(f)
 	}
@@ -928,11 +914,9 @@ func (n *NIC) handleNack(p *sim.Proc, pkt *fabric.Packet) {
 	}
 	// Back off briefly, then go-back-N from the NACKed point; the
 	// receiver's expected sequence has not advanced.
-	if f.timer != nil {
-		f.timer.Cancel()
-	}
+	f.timer.Cancel()
 	f.timer = n.env.After(n.prof.RetransmitTimeout/4, func() {
-		f.timer = nil
+		f.timer = sim.Timer{}
 		n.retxQ.Post(f)
 	})
 }
@@ -1105,14 +1089,17 @@ func (n *NIC) assemblyFor(p *sim.Proc, f *rxFlow, pkt *fabric.Packet) (*rxAssemb
 		// RMA fragments carry absolute buffer offsets already.
 		asm.baseOffset = 0
 	case pkt.Channel == 0:
-		// Channel 0 is the system channel: grab a pool buffer.
-		d, okb := port.system.TryRecv()
+		// Channel 0 is the system channel: grab a pool buffer. The size
+		// check comes before the take: a rejected message is NACKed and
+		// retransmitted, and each retry would otherwise eat a buffer.
+		d, okb := port.system.Peek()
 		if !okb {
 			return nil, fmt.Errorf("nic%d: system pool empty on port %d", n.node, pkt.DstPort)
 		}
 		if pkt.MsgLen > d.Len {
 			return nil, fmt.Errorf("nic%d: message too large for system buffer", n.node)
 		}
+		port.system.TryRecv()
 		asm.desc = d
 		asm.sysBuf = true
 	default:

@@ -360,6 +360,58 @@ func TestSystemChannelPool(t *testing.T) {
 	}
 }
 
+// An oversized system-channel message is NACKed and retransmitted; no
+// retry may take a buffer out of the pool, or unrelated traffic starves
+// once the pool is empty.
+func TestOversizeSystemMessageLeavesPoolIntact(t *testing.T) {
+	cfg := bclConfig()
+	cfg.MaxRetries = 4
+	r := newRig(t, cfg)
+	sp := r.nics[0].RegisterPort(1)
+	rp := r.nics[1].RegisterPort(2)
+	var bufs []mem.VAddr
+	for i := 0; i < 2; i++ {
+		va, segs := r.recvBuf(t, 1, 64)
+		bufs = append(bufs, va)
+		r.nics[1].AddSystemBuffer(2, &RecvDesc{Len: 64, Segs: segs, VA: va})
+	}
+	send := func(p *sim.Proc, id uint64, data []byte) {
+		_, segs := r.pinnedSegs(t, 0, data)
+		r.nics[0].PostSend(p, &SendDesc{
+			Kind: DescData, MsgID: id, SrcPort: 1,
+			DstNode: 1, DstPort: 2, Channel: 0, Len: len(data), Segs: segs,
+		})
+	}
+	var failed, fit *Event
+	depthAfterOversize := -1
+	r.env.Go("sender", func(p *sim.Proc) {
+		send(p, 1, make([]byte, 200))
+		failed = sp.SendEvQ.Recv(p)
+		depthAfterOversize = rp.system.Len()
+		// Retry exhaustion declared the peer dead; a probe revives it.
+		p.Sleep(2 * r.nics[0].probeInterval())
+		send(p, 2, []byte("fits"))
+	})
+	r.env.Go("receiver", func(p *sim.Proc) { fit = rp.RecvEvQ.Recv(p) })
+	r.env.RunUntil(sim.Second)
+
+	if failed == nil || failed.Type != EvSendFailed {
+		t.Fatalf("oversize send event = %+v, want EvSendFailed", failed)
+	}
+	if drops := r.nics[1].Stats().NoBufferDrops; drops <= 2 {
+		t.Fatalf("oversize message rejected %d times, want more arrivals than pool buffers", drops)
+	}
+	if depthAfterOversize != 2 {
+		t.Fatalf("pool depth after the oversize arrivals = %d, want 2", depthAfterOversize)
+	}
+	if fit == nil || fit.Type != EvRecvDone || fit.VA != bufs[0] {
+		t.Fatalf("fitting message event = %+v, want EvRecvDone into the first pool buffer", fit)
+	}
+	if got, _ := r.space[1].Read(bufs[0], 4); !bytes.Equal(got, []byte("fits")) {
+		t.Fatalf("first pool buffer holds %q", got)
+	}
+}
+
 func TestRMAWrite(t *testing.T) {
 	r := newRig(t, bclConfig())
 	r.nics[0].RegisterPort(1)

@@ -84,18 +84,12 @@ func (n *NIC) CrashFirmware() {
 	n.Obs.Event(now, n.node, "nic", "nic-crash", 0, fmt.Sprintf("epoch=%d", n.bootEpoch))
 	for _, dst := range sortedInts(n.tx) {
 		f := n.tx[dst]
-		if f.timer != nil {
-			f.timer.Cancel()
-			f.timer = nil
-		}
-		if f.probeTimer != nil {
-			f.probeTimer.Cancel()
-			f.probeTimer = nil
-		}
-		if f.grayTimer != nil {
-			f.grayTimer.Cancel()
-			f.grayTimer = nil
-		}
+		f.timer.Cancel()
+		f.timer = sim.Timer{}
+		f.probeTimer.Cancel()
+		f.probeTimer = sim.Timer{}
+		f.grayTimer.Cancel()
+		f.grayTimer = sim.Timer{}
 		if f.grayOn {
 			// The steering preference is firmware state; the fabric-side
 			// entry would otherwise outlive the estimator that set it.
@@ -108,10 +102,9 @@ func (n *NIC) CrashFirmware() {
 	for _, id := range sortedInts(n.colls) {
 		ctx := n.colls[id]
 		for _, seq := range sortedKeys(ctx.own) {
-			if oc := ctx.own[seq]; oc.timer != nil {
-				oc.timer.Cancel()
-				oc.timer = nil
-			}
+			oc := ctx.own[seq]
+			oc.timer.Cancel()
+			oc.timer = sim.Timer{}
 		}
 	}
 }
@@ -160,15 +153,9 @@ func (n *NIC) StartHeartbeat() {
 func (n *NIC) BeginReboot() {
 	for _, dst := range sortedInts(n.tx) {
 		f := n.tx[dst]
-		if f.timer != nil {
-			f.timer.Cancel()
-		}
-		if f.probeTimer != nil {
-			f.probeTimer.Cancel()
-		}
-		if f.grayTimer != nil {
-			f.grayTimer.Cancel()
-		}
+		f.timer.Cancel()
+		f.probeTimer.Cancel()
+		f.grayTimer.Cancel()
 		for _, pd := range f.unacked {
 			if pd.sram > 0 {
 				n.sram.Release(pd.sram)
@@ -190,9 +177,7 @@ func (n *NIC) BeginReboot() {
 		}
 		for _, seq := range sortedKeys(ctx.own) {
 			oc := ctx.own[seq]
-			if oc.timer != nil {
-				oc.timer.Cancel()
-			}
+			oc.timer.Cancel()
 			if oc.sram > 0 {
 				n.sram.Release(oc.sram)
 			}
@@ -418,10 +403,8 @@ func (n *NIC) resyncFlow(p *sim.Proc, f *txFlow) {
 	n.Tracer.Add("nic: epoch resync", n.where(), now, now)
 	n.Obs.Event(now, n.node, "nic", "resync-rewind", 0,
 		fmt.Sprintf("dst=%d epoch=%d msgs=%d", f.dst, f.peerEpoch, len(f.inflight)))
-	if f.timer != nil {
-		f.timer.Cancel()
-		f.timer = nil
-	}
+	f.timer.Cancel()
+	f.timer = sim.Timer{}
 	f.retries = 0
 	var resend []*pending
 	for _, pd := range f.unacked {
@@ -513,7 +496,7 @@ func (n *NIC) grayCheck(f *txFlow) {
 		hold = 10 * sim.Millisecond
 	}
 	f.grayTimer = n.env.After(hold, func() {
-		f.grayTimer = nil
+		f.grayTimer = sim.Timer{}
 		f.grayOn = false
 		f.srtt, f.rttvar = 0, 0 // re-learn on the restored primary
 		n.Steer.PreferAlternate(n.node, f.dst, false)

@@ -37,7 +37,7 @@ type Obs struct {
 
 	samples    []Sample
 	keep       int
-	sampler    *sim.Timer
+	sampler    sim.Timer
 	samplerEnv *sim.Env
 }
 
@@ -137,7 +137,7 @@ func (o *Obs) StartSampler(env *sim.Env, every sim.Time, keep int) {
 		if env.Idle() {
 			// Nothing else is scheduled: re-arming would keep the event
 			// queue non-empty forever.
-			o.sampler = nil
+			o.sampler = sim.Timer{}
 			return
 		}
 		o.sampler = env.After(every, tick)
@@ -147,11 +147,11 @@ func (o *Obs) StartSampler(env *sim.Env, every sim.Time, keep int) {
 
 // StopSampler cancels a pending sampler tick (the series is kept).
 func (o *Obs) StopSampler() {
-	if o == nil || o.sampler == nil {
+	if o == nil {
 		return
 	}
 	o.sampler.Cancel()
-	o.sampler = nil
+	o.sampler = sim.Timer{}
 }
 
 func (o *Obs) addSample(s Sample) {

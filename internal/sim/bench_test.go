@@ -26,7 +26,7 @@ func BenchmarkHeapPushPop(b *testing.B) {
 
 // BenchmarkWakeSoonHandoff measures the scheduler<->process handoff:
 // each iteration is one zero-length sleep, i.e. one wakeSoon event plus
-// two channel transfers.
+// a coroutine switch each way.
 func BenchmarkWakeSoonHandoff(b *testing.B) {
 	e := NewEnv(1)
 	b.ReportAllocs()
@@ -43,6 +43,20 @@ func BenchmarkWakeSoonHandoff(b *testing.B) {
 	<-done
 }
 
+// BenchmarkGoAndFinish measures a short-lived process from Go to the
+// end of its body, the life of a per-packet fabric process: one start
+// event, one sleep, and (after the first iteration) a recycled carrier.
+func BenchmarkGoAndFinish(b *testing.B) {
+	e := NewEnv(1)
+	body := func(p *Proc) { p.Sleep(1) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Go("short", body)
+		e.Run()
+	}
+}
+
 // BenchmarkTimerCancelChurn measures the schedule-then-cancel pattern
 // that timeout guards produce (Queue.RecvTimeout, retransmit timers):
 // most timers are cancelled before firing and their dead events must be
@@ -52,7 +66,7 @@ func BenchmarkTimerCancelChurn(b *testing.B) {
 	nop := func() {}
 	const batch = 64
 	b.ReportAllocs()
-	var timers [batch]*Timer
+	var timers [batch]Timer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base := e.Now()

@@ -11,8 +11,8 @@ func TestAtOnClosedEnvIsCountedNoop(t *testing.T) {
 
 	ran := false
 	tm := e.At(100, func() { ran = true })
-	if tm == nil {
-		t.Fatalf("At on closed env must still return a usable Timer")
+	if tm != (Timer{}) {
+		t.Fatalf("At on closed env must return the zero Timer")
 	}
 	if tm.Cancel() {
 		t.Fatalf("Cancel on a closed-env timer must report false")

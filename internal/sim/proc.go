@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // killedError is the sentinel panic value used to unwind parked
 // processes when the environment is closed.
@@ -8,22 +11,75 @@ type killedError struct{ name string }
 
 func (k killedError) Error() string { return "sim: process " + k.name + " killed" }
 
-// Proc is a simulated process: a goroutine whose blocking operations
-// are mediated by the simulation kernel. A Proc may only call kernel
-// primitives from its own goroutine, and only while it is the running
+// Proc is a simulated process: a body whose blocking operations are
+// mediated by the simulation kernel. A Proc may only call kernel
+// primitives from its own body, and only while it is the running
 // process (which is guaranteed if it sticks to kernel primitives for
 // all blocking).
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	killed bool
-	done   *Signal
+	env  *Env
+	name string
+	fn   func(p *Proc) // the body; nil once it has returned
+	c    *carrier      // held from the first wake until the body returns
+	done Signal
 
 	// wakeFn is the one closure allocated per process; every wake-up
 	// (wakeSoon, Sleep, the start event) schedules it through the
 	// pooled event queue, so process handoffs allocate nothing.
 	wakeFn func()
+
+	// Wait state. A process blocks on one primitive at a time, so the
+	// record of that wait lives here instead of in a per-wait
+	// allocation. next links the process into a Signal's or Cond's
+	// waiter list. waitGen numbers Queue receive waits: whoever ends
+	// one (a sender or the timeout) bumps it, which both claims the
+	// wake-up and turns the queue's record of the wait stale.
+	// timeoutFn is RecvTimeout's timer callback, built on first use;
+	// armedGen is the wait it guards and timedOut its verdict.
+	next      *Proc
+	waitGen   uint64
+	timeoutFn func()
+	armedGen  uint64
+	timedOut  bool
+}
+
+// carrier is a coroutine that runs process bodies, one after another.
+// Creating one costs a goroutine and a dozen allocations, so a carrier
+// whose body has returned waits on the environment's free list for the
+// next process to start: per-packet and per-interrupt processes reuse
+// the same few carriers (and their grown stacks) for a whole run.
+type carrier struct {
+	p     *Proc // the process whose body is running; nil while free
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+}
+
+// start gives p a carrier, a recycled one if any is free.
+func (e *Env) start(p *Proc) {
+	if p.fn == nil {
+		panic("sim: wake of finished process " + p.name)
+	}
+	var c *carrier
+	if n := len(e.free); n > 0 {
+		c = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		c = &carrier{}
+		c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+			c.yield = yield
+			for {
+				c.p.run()
+				c.p.c, c.p = nil, nil
+				e.free = append(e.free, c)
+				if !yield(struct{}{}) {
+					return // Close stopped the carrier
+				}
+			}
+		})
+		e.carriers = append(e.carriers, c)
+	}
+	c.p, p.c = p, c
 }
 
 // Go creates a process named name running fn and schedules it to start
@@ -35,35 +91,28 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 
 // GoAt is Go with an explicit absolute start time.
 func (e *Env) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		env:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		done:   NewSignal(e),
-	}
+	p := &Proc{env: e, name: name, fn: fn, done: Signal{env: e}}
 	p.wakeFn = func() { e.wake(p) }
-	go p.run(fn)
 	e.at(t, p.wakeFn)
 	return p
 }
 
-// run is the process trampoline: it waits for its first wake, executes
-// the body, and hands control back to the scheduler when the body
-// returns or the process is killed.
-func (p *Proc) run(fn func(p *Proc)) {
-	<-p.resume
+// run is the process trampoline: it executes the body on the carrier
+// and fires Done when the body returns (or calls runtime.Goexit). A
+// process killed by Close unwinds to here and stops silently; any other
+// panic carries on, through the carrier, to the caller of Run/RunUntil.
+func (p *Proc) run() {
 	defer func() {
+		p.fn = nil
 		if r := recover(); r != nil {
 			if _, ok := r.(killedError); ok {
-				p.env.yield <- struct{}{}
 				return
 			}
 			panic(r)
 		}
 		p.done.Fire()
-		p.env.yield <- struct{}{}
 	}()
-	fn(p)
+	p.fn(p)
 }
 
 // Env returns the environment the process belongs to.
@@ -77,16 +126,13 @@ func (p *Proc) Now() Time { return p.env.now }
 
 // Done returns a signal fired when the process body returns; other
 // processes can Join on it.
-func (p *Proc) Done() *Signal { return p.done }
+func (p *Proc) Done() *Signal { return &p.done }
 
 // park blocks the process until something wakes it. Whatever parks the
 // process is responsible for arranging the wake-up (via env.wakeSoon
 // or env.wake from an event callback).
 func (p *Proc) park() {
-	p.env.parked[p] = struct{}{}
-	p.env.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.c.yield(struct{}{}) { // Close stopped the carrier
 		panic(killedError{p.name})
 	}
 }
@@ -121,12 +167,37 @@ func (p *Proc) SleepUntil(t Time) {
 // the signal has already fired.
 func (p *Proc) Join(s *Signal) { s.Wait(p) }
 
+// waitList is a FIFO of parked processes linked through Proc.next, so
+// joining and leaving it allocates nothing.
+type waitList struct{ head, tail *Proc }
+
+func (l *waitList) add(p *Proc) {
+	if l.tail == nil {
+		l.head = p
+	} else {
+		l.tail.next = p
+	}
+	l.tail = p
+}
+
+// wakeAll empties the list, scheduling a wake-up for each process in
+// the order they joined.
+func (l *waitList) wakeAll(e *Env) {
+	for p := l.head; p != nil; {
+		next := p.next
+		p.next = nil
+		e.wakeSoon(p)
+		p = next
+	}
+	l.head, l.tail = nil, nil
+}
+
 // Cond parks processes until a broadcast, like sync.Cond without the
 // lock (the simulation is single-threaded). Waiters must re-check
 // their predicate in a loop.
 type Cond struct {
 	env     *Env
-	waiters []*Proc
+	waiters waitList
 }
 
 // NewCond returns a condition bound to env.
@@ -134,24 +205,19 @@ func NewCond(env *Env) *Cond { return &Cond{env: env} }
 
 // Wait parks p until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.waiters.add(p)
 	p.park()
 }
 
 // Broadcast wakes every currently parked waiter.
-func (c *Cond) Broadcast() {
-	for _, w := range c.waiters {
-		c.env.wakeSoon(w)
-	}
-	c.waiters = nil
-}
+func (c *Cond) Broadcast() { c.waiters.wakeAll(c.env) }
 
 // Signal is a one-shot broadcast event: processes Wait on it, Fire
 // releases all current and future waiters.
 type Signal struct {
 	env     *Env
 	fired   bool
-	waiters []*Proc
+	waiters waitList
 }
 
 // NewSignal returns an unfired signal bound to env.
@@ -166,10 +232,7 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	for _, w := range s.waiters {
-		s.env.wakeSoon(w)
-	}
-	s.waiters = nil
+	s.waiters.wakeAll(s.env)
 }
 
 // Wait blocks p until the signal fires.
@@ -177,6 +240,6 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	s.waiters.add(p)
 	p.park()
 }

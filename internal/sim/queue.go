@@ -2,6 +2,43 @@ package sim
 
 import "fmt"
 
+// ring is a growable FIFO over a power-of-two circular buffer. Unlike
+// append plus reslicing from the front, which reallocates whenever the
+// window reaches the end of the backing array, a ring that has grown to
+// its working size never allocates again.
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+func (r *ring[T]) len() int { return r.n }
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(2*len(r.buf), 4))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// front returns the oldest element, which must exist.
+func (r *ring[T]) front() *T { return &r.buf[r.head] }
+
+// pop removes and returns the oldest element, which must exist.
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
 // Queue is a FIFO message queue between processes. With capacity <= 0
 // the queue is unbounded and Send never blocks; with a positive
 // capacity Send blocks while the queue is full (useful to model
@@ -10,9 +47,9 @@ type Queue[T any] struct {
 	env      *Env
 	name     string
 	cap      int
-	buf      []T
-	recvWait []*recvWaiter
-	sendWait []sendWaiter[T]
+	buf      ring[T]
+	recvWait ring[recvWaiter]
+	sendWait ring[sendWaiter[T]]
 
 	// Stats.
 	sent     uint64
@@ -20,14 +57,18 @@ type Queue[T any] struct {
 	maxDepth int
 }
 
-// recvWaiter tracks a parked receiver. claimed arbitrates between a
-// sender's wake-up and a timeout firing at the same timestamp: exactly
-// one of them claims the waiter and performs the wake.
+// recvWaiter records one parked receiver. The record is live while gen
+// is still the process's waitGen. Ending the wait bumps that counter,
+// which arbitrates between a sender's wake-up and a timeout firing at
+// the same timestamp (exactly one of them finds the record live) and
+// leaves a timed-out receiver's record behind as a stale entry for
+// push to skip.
 type recvWaiter struct {
-	p       *Proc
-	claimed bool
-	expired bool
+	p   *Proc
+	gen uint64
 }
+
+func (w recvWaiter) live() bool { return w.gen == w.p.waitGen }
 
 type sendWaiter[T any] struct {
 	p *Proc
@@ -44,7 +85,7 @@ func NewQueue[T any](env *Env, name string, capacity int) *Queue[T] {
 func (q *Queue[T]) Name() string { return q.name }
 
 // Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.buf) }
+func (q *Queue[T]) Len() int { return q.buf.len() }
 
 // MaxDepth returns the high-water mark of buffered items.
 func (q *Queue[T]) MaxDepth() int { return q.maxDepth }
@@ -52,28 +93,37 @@ func (q *Queue[T]) MaxDepth() int { return q.maxDepth }
 // Counts returns the totals of items sent and received.
 func (q *Queue[T]) Counts() (sent, received uint64) { return q.sent, q.received }
 
+func (q *Queue[T]) full() bool { return q.cap > 0 && q.buf.len() >= q.cap }
+
 func (q *Queue[T]) push(v T) {
-	q.buf = append(q.buf, v)
+	q.buf.push(v)
 	q.sent++
-	if len(q.buf) > q.maxDepth {
-		q.maxDepth = len(q.buf)
+	if q.buf.len() > q.maxDepth {
+		q.maxDepth = q.buf.len()
 	}
-	for len(q.recvWait) > 0 {
-		w := q.recvWait[0]
-		q.recvWait = q.recvWait[1:]
-		if w.claimed {
-			continue
+	for q.recvWait.len() > 0 {
+		if w := q.recvWait.pop(); w.live() {
+			w.p.waitGen++
+			q.env.wakeSoon(w.p)
+			break
 		}
-		w.claimed = true
-		q.env.wakeSoon(w.p)
-		break
 	}
+}
+
+// await records p as a receiver waiting for the next push. Stale
+// records at the front are dropped first, so a receiver that keeps
+// timing out on an idle queue does not grow the list.
+func (q *Queue[T]) await(p *Proc) {
+	for q.recvWait.len() > 0 && !q.recvWait.front().live() {
+		q.recvWait.pop()
+	}
+	q.recvWait.push(recvWaiter{p: p, gen: p.waitGen})
 }
 
 // Send enqueues v, blocking p while the queue is full.
 func (q *Queue[T]) Send(p *Proc, v T) {
-	if q.cap > 0 && len(q.buf) >= q.cap {
-		q.sendWait = append(q.sendWait, sendWaiter[T]{p: p, v: v})
+	if q.full() {
+		q.sendWait.push(sendWaiter[T]{p: p, v: v})
 		p.park()
 		return // our value was pushed by the receiver that freed space
 	}
@@ -84,7 +134,7 @@ func (q *Queue[T]) Send(p *Proc, v T) {
 // blocks; on a full bounded queue it returns false (models hardware
 // queues that drop or NACK).
 func (q *Queue[T]) TrySend(v T) bool {
-	if q.cap > 0 && len(q.buf) >= q.cap {
+	if q.full() {
 		return false
 	}
 	q.push(v)
@@ -95,7 +145,7 @@ func (q *Queue[T]) TrySend(v T) bool {
 // panics if the queue is bounded and full; bounded queues fed from
 // callbacks should use TrySend and model the drop.
 func (q *Queue[T]) Post(v T) {
-	if q.cap > 0 && len(q.buf) >= q.cap {
+	if q.full() {
 		panic(fmt.Sprintf("sim: Post to full bounded queue %q", q.name))
 	}
 	q.push(v)
@@ -103,9 +153,8 @@ func (q *Queue[T]) Post(v T) {
 
 // Recv dequeues the oldest item, blocking p while the queue is empty.
 func (q *Queue[T]) Recv(p *Proc) T {
-	for len(q.buf) == 0 {
-		w := &recvWaiter{p: p}
-		q.recvWait = append(q.recvWait, w)
+	for q.buf.len() == 0 {
+		q.await(p)
 		p.park()
 	}
 	return q.pop()
@@ -113,34 +162,36 @@ func (q *Queue[T]) Recv(p *Proc) T {
 
 // TryRecv dequeues if an item is available.
 func (q *Queue[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(q.buf) == 0 {
+	if q.buf.len() == 0 {
+		var zero T
 		return zero, false
 	}
 	return q.pop(), true
+}
+
+// Peek returns the oldest item without dequeuing it.
+func (q *Queue[T]) Peek() (T, bool) {
+	if q.buf.len() == 0 {
+		var zero T
+		return zero, false
+	}
+	return *q.buf.front(), true
 }
 
 // RecvTimeout dequeues, giving up after d nanoseconds of virtual time.
 // ok reports whether a value was received.
 func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {
 	deadline := q.env.now + d
-	for len(q.buf) == 0 {
+	for q.buf.len() == 0 {
 		if q.env.now >= deadline {
 			var zero T
 			return zero, false
 		}
-		w := &recvWaiter{p: p}
-		q.recvWait = append(q.recvWait, w)
-		timer := q.env.At(deadline, func() {
-			if w.claimed {
-				return // a sender won the race; let its wake proceed
-			}
-			w.claimed = true
-			w.expired = true
-			q.env.wake(p)
-		})
+		q.await(p)
+		p.armedGen, p.timedOut = p.waitGen, false
+		timer := q.env.At(deadline, p.recvTimeoutFn())
 		p.park()
-		if w.expired {
+		if p.timedOut {
 			var zero T
 			return zero, false
 		}
@@ -151,15 +202,29 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {
 	return q.pop(), true
 }
 
+// recvTimeoutFn returns the callback RecvTimeout schedules at its
+// deadline. One closure per process serves every timeout: the process
+// stays parked from arming until the timer fires or is cancelled, so
+// armedGen cannot be overwritten while a callback is pending.
+func (p *Proc) recvTimeoutFn() func() {
+	if p.timeoutFn == nil {
+		p.timeoutFn = func() {
+			if p.armedGen != p.waitGen {
+				return // a sender won the race; let its wake proceed
+			}
+			p.waitGen++
+			p.timedOut = true
+			p.env.wake(p)
+		}
+	}
+	return p.timeoutFn
+}
+
 func (q *Queue[T]) pop() T {
-	v := q.buf[0]
-	var zero T
-	q.buf[0] = zero
-	q.buf = q.buf[1:]
+	v := q.buf.pop()
 	q.received++
-	if len(q.sendWait) > 0 {
-		w := q.sendWait[0]
-		q.sendWait = q.sendWait[1:]
+	if q.sendWait.len() > 0 {
+		w := q.sendWait.pop()
 		q.push(w.v)
 		q.env.wakeSoon(w.p)
 	}

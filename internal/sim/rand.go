@@ -11,16 +11,8 @@ type Rand struct {
 // NewRand returns a generator seeded from seed via splitmix64.
 func NewRand(seed uint64) *Rand {
 	r := &Rand{}
-	sm := seed
-	next := func() uint64 {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
 	for i := range r.s {
-		r.s[i] = next()
+		r.s[i] = SplitmixNext(&seed)
 	}
 	return r
 }
@@ -34,6 +26,16 @@ func Splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
+}
+
+// SplitmixNext advances the splitmix64 stream whose state is *s and
+// returns its next value. Harnesses give each seeded schedule or
+// workload generator a stream of its own, so drawing from it never
+// perturbs the environment's Rand.
+func SplitmixNext(s *uint64) uint64 {
+	v := Splitmix64(*s)
+	*s += 0x9e3779b97f4a7c15
+	return v
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

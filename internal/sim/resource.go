@@ -11,7 +11,7 @@ type Resource struct {
 	name    string
 	cap     int
 	inUse   int
-	waiters []resWaiter
+	waiters ring[resWaiter]
 
 	// Stats.
 	acquires  uint64
@@ -48,11 +48,11 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if n <= 0 || n > r.cap {
 		panic(fmt.Sprintf("sim: acquire %d of %q (cap %d)", n, r.name, r.cap))
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.cap {
+	if r.waiters.len() == 0 && r.inUse+n <= r.cap {
 		r.grant(n, 0)
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n, since: r.env.now})
+	r.waiters.push(resWaiter{p: p, n: n, since: r.env.now})
 	p.park()
 }
 
@@ -62,7 +62,7 @@ func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 || n > r.cap {
 		panic(fmt.Sprintf("sim: try-acquire %d of %q (cap %d)", n, r.name, r.cap))
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.cap {
+	if r.waiters.len() == 0 && r.inUse+n <= r.cap {
 		r.grant(n, 0)
 		return true
 	}
@@ -88,12 +88,8 @@ func (r *Resource) Release(n int) {
 	if r.inUse == 0 {
 		r.busyTotal += r.env.now - r.lastBusy
 	}
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
-		if r.inUse+w.n > r.cap {
-			break
-		}
-		r.waiters = r.waiters[1:]
+	for r.waiters.len() > 0 && r.inUse+r.waiters.front().n <= r.cap {
+		w := r.waiters.pop()
 		r.grant(w.n, r.env.now-w.since)
 		r.env.wakeSoon(w.p)
 	}
@@ -108,7 +104,7 @@ func (r *Resource) Use(p *Proc, n int, d Time) {
 }
 
 // QueueLen returns the number of waiting processes.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // Stats returns (acquisitions, total wait time, total busy time).
 // Busy time counts intervals during which at least one unit was held.

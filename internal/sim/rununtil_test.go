@@ -67,7 +67,7 @@ func TestRunUntilEmptyQueueHoldsClock(t *testing.T) {
 // must not inflate it, across interleaved RunUntil windows.
 func TestStepsExcludesCancelledAcrossWindows(t *testing.T) {
 	e := NewEnv(1)
-	var timers []*Timer
+	var timers []Timer
 	for i := Time(1); i <= 10; i++ {
 		timers = append(timers, e.At(i*10, func() {}))
 	}

@@ -4,25 +4,35 @@
 // The kernel maintains a virtual clock in integer nanoseconds and an
 // event queue ordered by (time, insertion sequence). Simulated
 // activities are either plain callbacks (Env.At / Env.After) or
-// processes: goroutines created with Env.Go that may block on the
-// kernel's synchronization primitives (Proc.Sleep, Queue.Recv,
+// processes: sequential bodies started with Env.Go that may block on
+// the kernel's synchronization primitives (Proc.Sleep, Queue.Recv,
 // Resource.Acquire, Signal.Wait, ...).
 //
-// Exactly one process goroutine runs at a time; the scheduler and the
-// running process hand control back and forth over channels, so there
-// is never concurrent access to simulation state and every run with
-// the same inputs produces the identical event order. Wall-clock time
-// plays no role: a simulated microsecond costs whatever the host needs
-// to execute the model code.
+// A process is a coroutine of the scheduler, not a scheduled goroutine.
+// Its body runs on a carrier (an iter.Pull coroutine); waking a process
+// is a direct switch into its carrier and parking is a direct switch
+// back, so a handoff never passes through the Go scheduler and exactly
+// one of {scheduler, one process} runs at any instant. There is never
+// concurrent access to simulation state and every run with the same
+// inputs produces the identical event order. Carriers are recycled: a
+// process takes one at its first wake and returns it when its body
+// ends, so an environment holds as many goroutines as it ever had
+// processes alive at once, however many it starts. A panic in a process
+// body surfaces, with its original value, from Run/RunUntil on the
+// goroutine that called it; runtime.Goexit in a body (t.FailNow) ends
+// that goroutine the same way. Wall-clock time plays no role: a
+// simulated microsecond costs whatever the host needs to execute the
+// model code.
 //
 // The hot path is allocation-free in steady state: executed events are
 // recycled through a per-environment pool (Timers detect recycled
 // events through a generation counter), the event heap is a hand-rolled
 // binary heap over concrete *event values (no container/heap interface
-// boxing), and arg-carrying events (Env.AtArg) let callers dispatch
+// boxing), arg-carrying events (Env.AtArg) let callers dispatch
 // through a long-lived function value instead of a fresh closure per
-// event. The parallel shard engine in sim/par builds on exactly these
-// properties.
+// event, and the blocking primitives keep their buffers and waiter
+// lists in rings or in the waiting Proc itself. The parallel shard
+// engine in sim/par builds on exactly these properties.
 package sim
 
 import "fmt"
@@ -65,18 +75,20 @@ type event struct {
 // Env is a simulation environment: one virtual clock, one event queue,
 // and the set of processes and primitives attached to it. An Env is
 // not safe for concurrent use from goroutines outside its control; all
-// interaction must happen from process goroutines it scheduled or from
-// the goroutine that calls Run.
+// interaction must happen from process bodies it scheduled or from the
+// goroutine that calls Run.
 type Env struct {
-	now     Time
-	seq     uint64
-	pq      []*event      // binary heap ordered by (t, seq)
-	yield   chan struct{} // running proc -> scheduler
-	parked  map[*Proc]struct{}
-	current *Proc
-	closed  bool
-	steps   uint64
-	rng     *Rand
+	now    Time
+	seq    uint64
+	pq     []*event // binary heap ordered by (t, seq)
+	closed bool
+	steps  uint64
+	rng    *Rand
+
+	// carriers is every coroutine this environment created, free lists
+	// the ones whose last body has returned (see carrier).
+	carriers []*carrier
+	free     []*carrier
 
 	// Event pool. poolHits counts allocations served from the
 	// freelist, poolMisses counts fresh heap allocations; their ratio
@@ -93,11 +105,7 @@ type Env struct {
 // NewEnv returns an environment with the clock at zero and the given
 // RNG seed (the seed fully determines any randomized model behaviour).
 func NewEnv(seed uint64) *Env {
-	return &Env{
-		yield:  make(chan struct{}),
-		parked: make(map[*Proc]struct{}),
-		rng:    NewRand(seed),
-	}
+	return &Env{rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -211,7 +219,8 @@ func (e *Env) recycle(ev *event) {
 // Timer is a handle to a scheduled callback; it can be cancelled
 // before it fires. Timers snapshot the event's generation, so holding
 // a Timer past its firing is safe even though the underlying event
-// object is recycled for later schedules.
+// object is recycled for later schedules. The zero Timer is a timer
+// that was never armed: Cancel reports false.
 type Timer struct {
 	ev  *event
 	gen uint64
@@ -221,8 +230,8 @@ type Timer struct {
 // whether the callback was still pending (false if it already ran,
 // was already cancelled, or the environment was closed when the timer
 // was created).
-func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil || t.ev.gen != t.gen || t.ev.dead {
+func (t Timer) Cancel() bool {
+	if t.ev == nil || t.ev.gen != t.gen || t.ev.dead {
 		return false
 	}
 	t.ev.dead = true
@@ -247,17 +256,17 @@ func (e *Env) schedule(t Time) *event {
 // mirroring how After still panics on a negative delay even when the
 // environment is closed (a bad duration is a model bug regardless of
 // lifecycle; a late schedule during teardown is not).
-func (e *Env) At(t Time, fn func()) *Timer {
+func (e *Env) At(t Time, fn func()) Timer {
 	if e.closed {
 		e.closedSchedules++
-		return &Timer{}
+		return Timer{}
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
 	ev := e.schedule(t)
 	ev.fn = fn
-	return &Timer{ev: ev, gen: ev.gen}
+	return Timer{ev: ev, gen: ev.gen}
 }
 
 // at is At without the Timer allocation, for internal callers that
@@ -294,7 +303,7 @@ func (e *Env) AtArg(t Time, fn func(a, b uint64), a, b uint64) {
 
 // After schedules fn to run d nanoseconds from now. A negative delay
 // panics even on a closed environment (see At).
-func (e *Env) After(d Time, fn func()) *Timer {
+func (e *Env) After(d Time, fn func()) Timer {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
@@ -357,11 +366,14 @@ func (e *Env) NextEventAt() (Time, bool) {
 	return e.pq[0].t, true
 }
 
-// Close terminates the simulation: pending events are dropped and all
-// parked process goroutines are unwound (their blocking calls panic
-// with a private sentinel recovered by the process trampoline). After
-// Close, scheduling calls are counted no-ops (see At) and the
-// environment must not otherwise be used.
+// Close terminates the simulation: pending events are dropped, every
+// process parked in a blocking call is unwound (the call panics with a
+// private sentinel that the process trampoline recovers, so the body's
+// deferred functions run) and every carrier goroutine exits. A process
+// that never started holds no carrier and needs no unwinding. Close
+// must be called from outside any process body. After Close,
+// scheduling calls are counted no-ops (see At) and the environment must
+// not otherwise be used.
 func (e *Env) Close() {
 	if e.closed {
 		return
@@ -369,23 +381,21 @@ func (e *Env) Close() {
 	e.closed = true
 	e.pq = nil
 	e.pool = nil
-	for p := range e.parked {
-		delete(e.parked, p)
-		p.killed = true
-		p.resume <- struct{}{}
-		<-e.yield
+	for _, c := range e.carriers {
+		c.stop() // a parked process sees its yield fail and unwinds
 	}
+	e.carriers, e.free = nil, nil
 }
 
 // wake transfers control to p immediately (we are inside the
 // scheduler's event callback) and returns when p blocks or finishes.
+// A body that panics or calls runtime.Goexit does so out of next, on
+// the goroutine running the scheduler.
 func (e *Env) wake(p *Proc) {
-	delete(e.parked, p)
-	prev := e.current
-	e.current = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.current = prev
+	if p.c == nil {
+		e.start(p)
+	}
+	p.c.next()
 }
 
 // wakeSoon schedules p to be woken by a fresh event at the current

@@ -56,10 +56,10 @@ type Driver struct {
 type DriverConfig struct {
 	Shards   []bcl.Addr
 	Ring     *Ring
-	Users    int     // simulated users (uch values); <= MaxUsersPerDriver
-	UserName string  // credential base; user i authenticates as UserName
-	AuthSeed uint64  // must match the servers'
-	Seed     uint64  // all driver randomness derives from this
+	Users    int    // simulated users (uch values); <= MaxUsersPerDriver
+	UserName string // credential base; user i authenticates as UserName
+	AuthSeed uint64 // must match the servers'
+	Seed     uint64 // all driver randomness derives from this
 	Arrivals Arrivals
 	Sizes    Sizes
 	Keys     int      // keyspace size for get/put traffic
@@ -172,7 +172,7 @@ func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driv
 		invVer:  make(map[string]uint64),
 		nextArr: cfg.Start,
 		genOn:   cfg.Arrivals != nil,
-		rng:     mix(cfg.Seed ^ 0xd1e5c0de),
+		rng:     sim.Splitmix64(cfg.Seed ^ 0xd1e5c0de),
 	}
 	if cfg.Trace {
 		d.tr = port.Tracer()
@@ -206,7 +206,7 @@ func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driv
 }
 
 func (d *Driver) rand() uint64 {
-	d.rng = mix(d.rng)
+	d.rng = sim.Splitmix64(d.rng)
 	return d.rng
 }
 
@@ -380,9 +380,9 @@ func (d *Driver) makeVal() []byte {
 	seed := d.rand()
 	for i := range val {
 		if i&7 == 0 {
-			seed = mix(seed)
+			seed = sim.Splitmix64(seed)
 		}
-		val[i] = byte(seed >> uint((i & 7) * 8))
+		val[i] = byte(seed >> uint((i&7)*8))
 	}
 	return val
 }

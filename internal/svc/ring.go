@@ -1,6 +1,10 @@
 package svc
 
-import "sort"
+import (
+	"sort"
+
+	"bcl/internal/sim"
+)
 
 // Ring maps keys to shards by consistent hashing: every shard projects
 // vnodes points onto a 64-bit circle and a key belongs to the first
@@ -27,7 +31,7 @@ func NewRing(shards, vnodes int) *Ring {
 	r := &Ring{shards: shards, points: make([]ringPoint, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, ringPoint{hash: mix(uint64(s)<<20 | uint64(v)), shard: s})
+			r.points = append(r.points, ringPoint{hash: sim.Splitmix64(uint64(s)<<20 | uint64(v)), shard: s})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {

@@ -215,7 +215,7 @@ func NewServer(p *sim.Proc, port *bcl.Port, bufSize int, cfg ServerConfig) *Serv
 		coord:      make(map[uint64]*cTxn),
 		staged:     make(map[uint64]*pTxn),
 		applied:    make(map[uint64]struct{}),
-		rng:        mix(cfg.Seed ^ uint64(cfg.Index)<<32),
+		rng:        sim.Splitmix64(cfg.Seed ^ uint64(cfg.Index)<<32),
 	}
 	node := s.node
 	port.Node().Obs.RegisterCollector(func(set obs.Set) {
@@ -262,7 +262,7 @@ func (s *Server) Stats() (committed, aborted, invsSent uint64) {
 func (s *Server) DedupReplays() uint64 { return s.stats.dedupReplays }
 
 func (s *Server) rand() uint64 {
-	s.rng = mix(s.rng)
+	s.rng = sim.Splitmix64(s.rng)
 	return s.rng
 }
 

@@ -20,7 +20,11 @@
 // the fault vocabulary.
 package svc
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"bcl/internal/sim"
+)
 
 // Message kinds (tag bits [58, 64)).
 const (
@@ -142,15 +146,6 @@ func (r *reader) byte() byte {
 	return v
 }
 
-// mix is the shared splitmix64 step used for auth hashing, challenge
-// generation and value fingerprints.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // hashKey is FNV-1a over the key bytes.
 func hashKey(s string) uint64 {
 	h := uint64(1469598103934665603)
@@ -164,12 +159,12 @@ func hashKey(s string) uint64 {
 // userSecret derives a user's shared secret from the deployment's auth
 // seed (the simulated stand-in for a provisioned credential).
 func userSecret(user string, authSeed uint64) uint64 {
-	return mix(hashKey(user) ^ authSeed)
+	return sim.Splitmix64(hashKey(user) ^ authSeed)
 }
 
 // authResponse is the challenge/response function: both sides compute
 // it from the challenge and the user's secret (ninjam-style
 // challenge-response, with a mixing hash standing in for SHA1).
 func authResponse(challenge, secret uint64) uint64 {
-	return mix(challenge ^ secret)
+	return sim.Splitmix64(challenge ^ secret)
 }

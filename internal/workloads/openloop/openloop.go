@@ -19,13 +19,7 @@ import (
 // olRand is a tiny private splitmix64 stream.
 type olRand struct{ s uint64 }
 
-func (r *olRand) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func (r *olRand) next() uint64 { return sim.SplitmixNext(&r.s) }
 
 // float returns a uniform draw in (0, 1]: never zero, so it is safe
 // under a logarithm.
