@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test race short bench experiments chaos survival collectives metrics profile multitenant healthwatch serve reqobs simbench baseline check examples tools clean
+.PHONY: all test race short bench experiments chaos survival collectives metrics profile multitenant healthwatch serve reqobs baseline check examples tools clean
 
 all: test
 
@@ -108,17 +108,6 @@ reqobs:
 	$(GO) run ./cmd/bclbench -seed $(REQOBS_SEED) reqobs
 	$(GO) run ./cmd/bclbench -seed $(REQOBS_SEED) -watch reqobs
 	$(GO) run ./cmd/bcltrace -slow -seed $(REQOBS_SEED)
-
-# Sharded parallel simulation core: the simbench storm runs the same
-# 64-node workload sequentially and at SIM_SHARDS shards, gating the
-# correctness invariants (identical event counts and model digests,
-# deterministic double runs) exactly; the -wallclock run attaches the
-# informational (never gated) host-speed section. Override the
-# partition with SIM_SHARDS=<n> and the workload with SIM_SEED=<n>.
-SIM_SHARDS ?= 4
-SIM_SEED ?= 1
-simbench:
-	$(GO) run ./cmd/bclbench -seed $(SIM_SEED) -shards $(SIM_SHARDS) -wallclock simbench
 
 # Continuous benchmark gate. `make baseline` (re)writes
 # baselines/BENCH_*.json from a fresh run of the gated experiments;

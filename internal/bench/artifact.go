@@ -51,21 +51,6 @@ type LogPDigest struct {
 	BandwidthMBps float64 `json:"fit_bw_mbps"`
 }
 
-// WallClock is the informational host-speed section of the simbench
-// artifact: real elapsed time, never simulated time. Check does not
-// compare it — the numbers vary with the host — so it can be written
-// (bclbench -wallclock) without perturbing gating or the double-run
-// byte-identity contract of the default configuration.
-type WallClock struct {
-	Shards          int     `json:"shards"`
-	SeqSec          float64 `json:"seq_sec"`
-	ParSec          float64 `json:"par_sec"`
-	SeqEventsPerSec float64 `json:"seq_events_per_sec"`
-	ParEventsPerSec float64 `json:"par_events_per_sec"`
-	WallPerSimSec   float64 `json:"wall_per_sim_sec"`
-	Speedup         float64 `json:"speedup"`
-}
-
 // Artifact is one experiment's benchmark record.
 type Artifact struct {
 	Schema  string `json:"schema"`
@@ -83,10 +68,6 @@ type Artifact struct {
 	Latency     *LatencyDigest   `json:"latency,omitempty"`
 	LogP        *LogPDigest      `json:"logp,omitempty"`
 	Attribution []AttributionRow `json:"attribution,omitempty"`
-
-	// Wallclock is informational host-speed data (simbench only, and
-	// only under -wallclock); Check ignores it entirely.
-	Wallclock *WallClock `json:"wallclock,omitempty"`
 }
 
 // GatedExperiments maps artifact names (BENCH_<name>.json) to the
@@ -104,7 +85,6 @@ var GatedExperiments = []struct{ Name, ID string }{
 	{"healthwatch", "healthwatch"},
 	{"serve", "serve"},
 	{"reqobs", "reqobs"},
-	{"simbench", "simbench"},
 }
 
 // ArtifactFile returns the artifact filename for a gate entry name.
@@ -156,9 +136,6 @@ func FromReport(r *Report) *Artifact {
 			BandwidthMBps: round6(r.LogP.BandwidthMBps),
 		}
 	}
-	if r.Wallclock != nil {
-		a.Wallclock = r.Wallclock
-	}
 	if r.Attribution != nil {
 		for _, row := range r.Attribution.Rows {
 			a.Attribution = append(a.Attribution, AttributionRow{
@@ -205,6 +182,7 @@ var exactMetrics = map[string]bool{
 	"deterministic":   true,
 	"deadlocked":      true,
 	"corrupt":         true,
+	"delivered":       true, // soaks: every message arrives, none extra
 	"byte_errors":     true,
 	"registry_agrees": true,
 	"finished":        true,
@@ -262,19 +240,6 @@ var exactMetrics = map[string]bool{
 	"exemplar_deterministic":   true,
 	"sampling_deterministic":   true,
 	"drained":                  true,
-	// Parallel-core correctness: the sharded engine must execute the
-	// exact event count and model digest of the sequential kernel, the
-	// sequential runs must agree on the order-sensitive digest, and
-	// the window/exchange machinery counts are fully deterministic.
-	"events_seq":    true,
-	"events_par":    true,
-	"events_equal":  true,
-	"digest_equal":  true,
-	"order_equal":   true,
-	"barriers":      true,
-	"cross_batches": true,
-	"cross_msgs":    true,
-	"pool_hit_pct":  true,
 }
 
 // tolFor picks the acceptance band for one metric.
@@ -426,8 +391,6 @@ func ByIDSeeded(id string, seed uint64) *Report {
 		return runExperiment(func() *Report { return ServeSeeded(seed) })
 	case "reqobs":
 		return runExperiment(func() *Report { return ReqObsSeeded(seed) })
-	case "simbench", "par":
-		return runExperiment(func() *Report { return SimBenchSeeded(seed) })
 	}
 	return ByID(id)
 }

@@ -2,8 +2,46 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+// TestGateSetMatchesBaselines holds the gate set and baselines/
+// one-to-one: every GatedExperiments entry names a registered
+// experiment (List is the table ByID resolves against, consulted here
+// without running anything) and has a committed BENCH_<name>.json, and
+// every committed BENCH_*.json has an entry — so removing an
+// experiment cannot strand a baseline, or the reverse, silently.
+func TestGateSetMatchesBaselines(t *testing.T) {
+	registered := make(map[string]bool)
+	for _, e := range List() {
+		registered[e.ID] = true
+	}
+	const dir = "../../baselines"
+	want := make(map[string]bool, len(GatedExperiments))
+	for _, g := range GatedExperiments {
+		if !registered[g.ID] {
+			t.Errorf("gate %q names experiment %q, which ByID does not know", g.Name, g.ID)
+		}
+		if want[ArtifactFile(g.Name)] {
+			t.Errorf("gate name %q appears twice in GatedExperiments", g.Name)
+		}
+		want[ArtifactFile(g.Name)] = true
+		if _, err := os.Stat(filepath.Join(dir, ArtifactFile(g.Name))); err != nil {
+			t.Errorf("gate %q has no committed baseline: %v", g.Name, err)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, ArtifactFile("*")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !want[filepath.Base(f)] {
+			t.Errorf("%s has no GatedExperiments entry", f)
+		}
+	}
+}
 
 // TestArtifactDeterminism demands byte-identical BENCH_*.json bytes
 // across two same-seed runs of the fast gated experiments (the slow

@@ -49,11 +49,6 @@ type Report struct {
 	// embeds them.
 	Attribution *prof.Profile
 	LogP        *prof.LogGP
-
-	// Wallclock carries simbench's informational host-speed section
-	// (nil unless RecordWallclock); the artifact embeds but never
-	// gates it.
-	Wallclock *WallClock
 }
 
 func (r *Report) String() string {
@@ -108,7 +103,6 @@ var experiments = []struct {
 	{id: "healthwatch", aliases: []string{"health"}, title: "Cluster health engine: clean silence, fault alerts, postmortem bundles", seeded: true, fn: HealthWatch},
 	{id: "serve", aliases: []string{"svc"}, title: "Service tier: sharded RPC/KV, transactions, open-loop swarm", seeded: true, fn: Serve},
 	{id: "reqobs", aliases: []string{"reqtrace"}, title: "Request-level observability: tail-sampled traces, exemplars, heavy hitters, slow log", seeded: true, fn: ReqObs},
-	{id: "simbench", aliases: []string{"par"}, title: "Sharded parallel simulation core: lookahead windows vs the sequential kernel", seeded: true, fn: SimBench},
 	{id: "rpcflow", title: "Causal flow trace of one cross-shard transaction (2PC over BCL)", fn: RPCFlow},
 }
 

@@ -26,27 +26,22 @@ import (
 // with the same seed must produce identical digests.
 
 const (
-	chaosNodes   = 4
+	soakNodes = 4 // the rig chaos and survival share
+
 	chaosRounds  = 12
 	chaosMsgSize = 1536
 )
 
 // chaosResult is everything one soak run produces.
 type chaosResult struct {
-	digest      uint64
-	delivered   int
-	duplicates  int
-	corrupt     int
-	deadlocked  bool
+	soakResult
 	outages     int
-	resends     int
 	recoveries  int
 	recSum      sim.Time
 	recMax      sim.Time
 	failovers   uint64
 	outageDrops uint64
 	stats       chaosCounters
-	finished    sim.Time
 	snap        *obs.Snapshot
 	timeline    string
 	flight      string
@@ -86,40 +81,180 @@ func chaosTag(src, dst, round int) uint64 {
 	return uint64(src)<<32 | uint64(round)<<8 | uint64(dst)
 }
 
-// chaosRun executes one seeded soak.
-func chaosRun(seed uint64) *chaosResult {
-	cfg := ibcl.DefaultNICConfig()
-	cfg.MaxRetries = 4 // peer death in ~6 ms of virtual time
-	c := newCluster(cluster.Config{
-		Nodes: chaosNodes, Fabric: cluster.Hetero, NIC: cfg, Seed: seed,
-	})
-	hf := c.Fabric.(*hetero.Fabric)
-	sys := ibcl.NewSystem(c)
+// soakResult is what one soakRig run counts, whatever faults it ran
+// under.
+type soakResult struct {
+	digest     uint64 // per-port arrival digests and the three counts below, folded in fixed order
+	delivered  int    // distinct messages received
+	duplicates int    // copies dropped by tag (ACK lost, sender resent)
+	corrupt    int    // payloads with a wrong byte or a wrong length
+	resends    int    // sends repeated after EvSendFailed
+	deadlocked bool   // some sender never finished
+}
 
-	ports := make([]*ibcl.Port, chaosNodes)
+// soakRig is the workload the chaos and survival soaks share: a 4-node
+// dual-rail cluster with one BCL port per node, booted and sampled
+// every 20 ms of virtual time, ready for the caller's fault schedule.
+type soakRig struct {
+	c     *cluster.Cluster
+	hf    *hetero.Fabric
+	ports []*ibcl.Port
+}
+
+// newSoakRig builds the rig; cfg supplies what the soaks differ in
+// (NIC config, profile, seed, watchdog).
+func newSoakRig(cfg cluster.Config) *soakRig {
+	cfg.Nodes, cfg.Fabric = soakNodes, cluster.Hetero
+	c := newCluster(cfg)
+	r := &soakRig{c: c, hf: c.Fabric.(*hetero.Fabric), ports: make([]*ibcl.Port, soakNodes)}
+	sys := ibcl.NewSystem(c)
 	c.Env.Go("setup", func(p *sim.Proc) {
-		for i := 0; i < chaosNodes; i++ {
+		for i := range r.ports {
 			proc := c.Nodes[i].Kernel.Spawn()
-			ports[i], _ = sys.Open(p, c.Nodes[i], proc, ibcl.Options{SystemBuffers: 64})
+			r.ports[i], _ = sys.Open(p, c.Nodes[i], proc, ibcl.Options{SystemBuffers: 64})
 		}
 	})
 	c.Env.RunUntil(20 * sim.Millisecond)
-	for _, pt := range ports {
+	for _, pt := range r.ports {
 		if pt == nil {
-			panic("bench: chaos rig setup failed")
+			panic("bench: soak rig setup failed")
 		}
 	}
 	// Metrics sampler: one registry snapshot every 20 ms of virtual
 	// time, so the report can show the fault counters advancing through
-	// the outage windows.
+	// the fault windows.
 	c.Obs.StartSampler(c.Env, 20*sim.Millisecond, 32)
+	return r
+}
+
+// run soaks the rig for horizon with paced all-to-all traffic: rounds
+// of one msgSize message to every peer, 15 ms apart. Senders treat
+// EvSendFailed as transient — wait for the peer-health machine to
+// re-admit the destination, then resend (at-least-once; onResend, if
+// non-nil, is told how long the wait was). Receivers verify every
+// byte, deduplicate by tag and fold arrivals into a per-port
+// order-dependent digest. Processes are named prefix-rx<i>/-tx<i>.
+func (r *soakRig) run(prefix string, msgSize, rounds int, horizon sim.Time, onResend func(wait sim.Time)) soakResult {
+	const prime = 0x100000001b3
+	c, ports := r.c, r.ports
+	var res soakResult
+
+	digests := make([]uint64, soakNodes)
+	expected := (soakNodes - 1) * rounds // per receiver, after dedup
+	for i := 0; i < soakNodes; i++ {
+		i := i
+		pt := ports[i]
+		seen := make(map[uint64]bool)
+		c.Env.Go(fmt.Sprintf("%s-rx%d", prefix, i), func(p *sim.Proc) {
+			digests[i] = 0xcbf29ce484222325
+			for len(seen) < expected {
+				ev, ok := pt.TryRecv(p)
+				if !ok {
+					p.Sleep(200 * sim.Microsecond)
+					continue
+				}
+				if seen[ev.Tag] {
+					res.duplicates++ // ACK lost, sender resent: drop the copy
+					continue
+				}
+				seen[ev.Tag] = true
+				src := int(ev.Tag >> 32)
+				round := int(ev.Tag >> 8 & 0xffffff)
+				data, _ := pt.Process().Space.Read(ev.VA, ev.Len)
+				sum := uint64(0)
+				bad := ev.Len != msgSize
+				for j, bb := range data {
+					if bb != chaosPattern(src, i, round, j) {
+						bad = true
+						break
+					}
+					sum += uint64(bb)
+				}
+				if bad {
+					res.corrupt++
+				}
+				res.delivered++
+				digests[i] = (digests[i] ^ ev.Tag) * prime
+				digests[i] = (digests[i] ^ uint64(ev.Len)) * prime
+				digests[i] = (digests[i] ^ sum) * prime
+			}
+		})
+	}
+
+	sendersDone := make([]bool, soakNodes)
+	for i := 0; i < soakNodes; i++ {
+		i := i
+		pt := ports[i]
+		c.Env.Go(fmt.Sprintf("%s-tx%d", prefix, i), func(p *sim.Proc) {
+			va := pt.Process().Space.Alloc(msgSize)
+			buf := make([]byte, msgSize)
+			p.Sleep(sim.Time(i) * sim.Millisecond) // de-lockstep the senders
+			for round := 0; round < rounds; round++ {
+				// Pace the rounds so the soak spans the whole fault
+				// schedule instead of finishing before it starts.
+				p.Sleep(15 * sim.Millisecond)
+				for d := 1; d < soakNodes; d++ {
+					dst := (i + d) % soakNodes
+					for j := range buf {
+						buf[j] = chaosPattern(i, dst, round, j)
+					}
+					pt.Process().Space.Write(va, buf)
+					for {
+						_, err := pt.Send(p, ports[dst].Addr(), ibcl.SystemChannel,
+							va, msgSize, chaosTag(i, dst, round))
+						if err != nil {
+							panic(err)
+						}
+						if pt.WaitSend(p).Type == nic.EvSendDone {
+							break
+						}
+						// The peer is Dead. Wait for probe-driven
+						// recovery, then resend (at-least-once).
+						t0 := p.Now()
+						for !pt.PeerHealthy(ports[dst].Addr().Node) {
+							p.Sleep(500 * sim.Microsecond)
+						}
+						res.resends++
+						if onResend != nil {
+							onResend(p.Now() - t0)
+						}
+					}
+				}
+			}
+			sendersDone[i] = true
+		})
+	}
+
+	c.Env.RunUntil(c.Env.Now() + horizon)
+	for _, d := range sendersDone {
+		if !d {
+			res.deadlocked = true
+		}
+	}
+	h := uint64(0xcbf29ce484222325)
+	for _, d := range digests {
+		h = (h ^ d) * prime
+	}
+	h = (h ^ uint64(res.delivered)) * prime
+	h = (h ^ uint64(res.duplicates)) * prime
+	h = (h ^ uint64(res.corrupt)) * prime
+	res.digest = h
+	return res
+}
+
+// chaosRun executes one seeded soak.
+func chaosRun(seed uint64) *chaosResult {
+	cfg := ibcl.DefaultNICConfig()
+	cfg.MaxRetries = 4 // peer death in ~6 ms of virtual time
+	rig := newSoakRig(cluster.Config{NIC: cfg, Seed: seed})
+	c, hf := rig.c, rig.hf
 
 	// Seeded fault schedule: six outage windows in [20ms, 200ms).
 	res := &chaosResult{}
 	sched := seed
 	for i := 0; i < 6; i++ {
 		kind := sim.SplitmixNext(&sched) % 4
-		node := int(sim.SplitmixNext(&sched) % chaosNodes)
+		node := int(sim.SplitmixNext(&sched) % soakNodes)
 		start := c.Env.Now() + sim.Time(sim.SplitmixNext(&sched)%uint64(180*sim.Millisecond))
 		dur := 4*sim.Millisecond + sim.Time(sim.SplitmixNext(&sched)%uint64(8*sim.Millisecond))
 		switch kind {
@@ -143,117 +278,13 @@ func chaosRun(seed uint64) *chaosResult {
 		f.SetFault(fabric.RandomLoss(0.02))
 	}
 
-	// Receivers: verify payload bytes, dedup by tag, fold arrivals
-	// into a per-port order-dependent digest.
-	digests := make([]uint64, chaosNodes)
-	seen := make([]map[uint64]bool, chaosNodes)
-	for i := range seen {
-		seen[i] = make(map[uint64]bool)
-	}
-	expected := (chaosNodes - 1) * chaosRounds // per receiver, after dedup
-	for i := 0; i < chaosNodes; i++ {
-		i := i
-		pt := ports[i]
-		c.Env.Go(fmt.Sprintf("chaos-rx%d", i), func(p *sim.Proc) {
-			const prime = 0x100000001b3
-			digests[i] = 0xcbf29ce484222325
-			for len(seen[i]) < expected {
-				ev, ok := pt.TryRecv(p)
-				if !ok {
-					p.Sleep(200 * sim.Microsecond)
-					continue
-				}
-				if seen[i][ev.Tag] {
-					res.duplicates++ // ACK lost, sender resent: drop the copy
-					continue
-				}
-				seen[i][ev.Tag] = true
-				src := int(ev.Tag >> 32)
-				round := int(ev.Tag >> 8 & 0xffffff)
-				data, _ := pt.Process().Space.Read(ev.VA, ev.Len)
-				sum := uint64(0)
-				for j, bb := range data {
-					if bb != chaosPattern(src, i, round, j) {
-						res.corrupt++
-						break
-					}
-					sum += uint64(bb)
-				}
-				res.delivered++
-				digests[i] = (digests[i] ^ ev.Tag) * prime
-				digests[i] = (digests[i] ^ uint64(ev.Len)) * prime
-				digests[i] = (digests[i] ^ sum) * prime
-			}
-		})
-	}
-
-	// Senders: all-to-all rounds with wait-for-recovery resend on
-	// failure.
-	sendersDone := make([]bool, chaosNodes)
-	for i := 0; i < chaosNodes; i++ {
-		i := i
-		pt := ports[i]
-		c.Env.Go(fmt.Sprintf("chaos-tx%d", i), func(p *sim.Proc) {
-			va := pt.Process().Space.Alloc(chaosMsgSize)
-			buf := make([]byte, chaosMsgSize)
-			p.Sleep(sim.Time(i) * sim.Millisecond) // de-lockstep the senders
-			for round := 0; round < chaosRounds; round++ {
-				// Pace the rounds so the soak spans the whole fault
-				// schedule instead of finishing before it starts.
-				p.Sleep(15 * sim.Millisecond)
-				for d := 1; d < chaosNodes; d++ {
-					dst := (i + d) % chaosNodes
-					for j := range buf {
-						buf[j] = chaosPattern(i, dst, round, j)
-					}
-					pt.Process().Space.Write(va, buf)
-					for {
-						_, err := pt.Send(p, ports[dst].Addr(), ibcl.SystemChannel,
-							va, chaosMsgSize, chaosTag(i, dst, round))
-						if err != nil {
-							panic(err)
-						}
-						if pt.WaitSend(p).Type == nic.EvSendDone {
-							break
-						}
-						// The peer is Dead. Wait for probe-driven
-						// recovery, then resend (at-least-once).
-						t0 := p.Now()
-						for !pt.PeerHealthy(ports[dst].Addr().Node) {
-							p.Sleep(500 * sim.Microsecond)
-						}
-						rec := p.Now() - t0
-						res.recoveries++
-						res.recSum += rec
-						if rec > res.recMax {
-							res.recMax = rec
-						}
-						res.resends++
-					}
-				}
-			}
-			sendersDone[i] = true
-		})
-	}
-
-	c.Env.RunUntil(c.Env.Now() + 2*sim.Second)
-	res.finished = c.Env.Now()
-
-	for _, d := range sendersDone {
-		if !d {
-			res.deadlocked = true
+	res.soakResult = rig.run("chaos", chaosMsgSize, chaosRounds, 2*sim.Second, func(wait sim.Time) {
+		res.recoveries++
+		res.recSum += wait
+		if wait > res.recMax {
+			res.recMax = wait
 		}
-	}
-	// Fold the per-port digests and run totals in fixed order.
-	const prime = 0x100000001b3
-	h := uint64(0xcbf29ce484222325)
-	for _, d := range digests {
-		h = (h ^ d) * prime
-	}
-	h = (h ^ uint64(res.delivered)) * prime
-	h = (h ^ uint64(res.duplicates)) * prime
-	h = (h ^ uint64(res.corrupt)) * prime
-	res.digest = h
+	})
 	// Everything below reads from the registry snapshot — the same
 	// source cmd/bclbench -metrics prints — not from per-package Stats.
 	res.snap = c.Obs.Snapshot(c.Env.Now())
@@ -284,9 +315,9 @@ func ChaosSeeded(seed uint64) *Report {
 		a.resends == b.resends && a.stats == b.stats
 
 	var sb strings.Builder
-	total := chaosNodes * (chaosNodes - 1) * chaosRounds
+	total := soakNodes * (soakNodes - 1) * chaosRounds
 	fmt.Fprintf(&sb, "workload: %d nodes all-to-all, %d rounds x %dB = %d messages\n",
-		chaosNodes, chaosRounds, chaosMsgSize, total)
+		soakNodes, chaosRounds, chaosMsgSize, total)
 	fmt.Fprintf(&sb, "faults:   %d outage windows + 2%% loss on the Myrinet rail\n\n", a.outages)
 	fmt.Fprintf(&sb, "%-28s %12s\n", "", "run")
 	fmt.Fprintf(&sb, "%-28s %12d\n", "delivered (deduped)", a.delivered)

@@ -17,7 +17,7 @@ func TestChaosDeterministic(t *testing.T) {
 	if r.Metrics["corrupt"] != 0 {
 		t.Fatalf("%v corrupt payloads", r.Metrics["corrupt"])
 	}
-	want := float64(chaosNodes * (chaosNodes - 1) * chaosRounds)
+	want := float64(soakNodes * (soakNodes - 1) * chaosRounds)
 	if r.Metrics["delivered"] != want {
 		t.Fatalf("delivered %v messages, want %v", r.Metrics["delivered"], want)
 	}

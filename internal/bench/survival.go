@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 
 	ibcl "bcl/internal/bcl"
@@ -11,7 +9,6 @@ import (
 	"bcl/internal/fabric"
 	"bcl/internal/fabric/hetero"
 	"bcl/internal/hw"
-	"bcl/internal/nic"
 	"bcl/internal/obs"
 	"bcl/internal/sim"
 )
@@ -41,7 +38,6 @@ import (
 // experiment twice and the two digests must match bit-for-bit.
 
 const (
-	survNodes   = 4
 	survRounds  = 10
 	survMsgSize = 1536
 	survCrashes = 3
@@ -91,12 +87,7 @@ func survProfile() *hw.Profile {
 
 // survResult is everything one Phase A soak produces.
 type survResult struct {
-	digest        uint64
-	delivered     int
-	duplicates    int
-	byteErrors    int
-	resends       int
-	deadlocked    bool
+	soakResult
 	stats         survCounters
 	recoveryMaxUs float64
 	snap          *obs.Snapshot
@@ -108,27 +99,10 @@ type survResult struct {
 func survRun(seed uint64) *survResult {
 	cfg := ibcl.DefaultNICConfig()
 	cfg.AdaptiveRTO = true
-	c := newCluster(cluster.Config{
-		Nodes: survNodes, Fabric: cluster.Hetero, Profile: survProfile(),
-		NIC: cfg, Seed: seed, Watchdog: true,
+	rig := newSoakRig(cluster.Config{
+		Profile: survProfile(), NIC: cfg, Seed: seed, Watchdog: true,
 	})
-	hf := c.Fabric.(*hetero.Fabric)
-	sys := ibcl.NewSystem(c)
-
-	ports := make([]*ibcl.Port, survNodes)
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i := 0; i < survNodes; i++ {
-			proc := c.Nodes[i].Kernel.Spawn()
-			ports[i], _ = sys.Open(p, c.Nodes[i], proc, ibcl.Options{SystemBuffers: 64})
-		}
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	for _, pt := range ports {
-		if pt == nil {
-			panic("bench: survival rig setup failed")
-		}
-	}
-	c.Obs.StartSampler(c.Env, 20*sim.Millisecond, 32)
+	c, hf := rig.c, rig.hf
 	base := c.Env.Now()
 
 	// Seeded crash schedule: three staggered firmware crashes, far
@@ -137,7 +111,7 @@ func survRun(seed uint64) *survResult {
 	res := &survResult{}
 	sched := seed ^ 0xda3e39cb94b95bdb
 	for k := 0; k < survCrashes; k++ {
-		node := int(sim.SplitmixNext(&sched) % survNodes)
+		node := int(sim.SplitmixNext(&sched) % soakNodes)
 		at := base + 25*sim.Millisecond + sim.Time(k)*45*sim.Millisecond +
 			sim.Time(sim.SplitmixNext(&sched)%uint64(15*sim.Millisecond))
 		c.Nodes[node].NIC.CrashAt(at)
@@ -150,113 +124,14 @@ func survRun(seed uint64) *survResult {
 	// A gray window on top: the policy rail runs 8x slow mid-soak.
 	hf.RailSlow(0, base+60*sim.Millisecond, base+95*sim.Millisecond, 8)
 
-	// Receivers: verify payload bytes, dedup by tag, fold arrivals into
-	// a per-port order-dependent digest.
-	digests := make([]uint64, survNodes)
-	seen := make([]map[uint64]bool, survNodes)
-	for i := range seen {
-		seen[i] = make(map[uint64]bool)
-	}
-	expected := (survNodes - 1) * survRounds // per receiver, after dedup
-	for i := 0; i < survNodes; i++ {
-		i := i
-		pt := ports[i]
-		c.Env.Go(fmt.Sprintf("surv-rx%d", i), func(p *sim.Proc) {
-			const prime = 0x100000001b3
-			digests[i] = 0xcbf29ce484222325
-			for len(seen[i]) < expected {
-				ev, ok := pt.TryRecv(p)
-				if !ok {
-					p.Sleep(200 * sim.Microsecond)
-					continue
-				}
-				if seen[i][ev.Tag] {
-					res.duplicates++
-					continue
-				}
-				seen[i][ev.Tag] = true
-				src := int(ev.Tag >> 32)
-				round := int(ev.Tag >> 8 & 0xffffff)
-				data, _ := pt.Process().Space.Read(ev.VA, ev.Len)
-				sum := uint64(0)
-				bad := false
-				for j, bb := range data {
-					if bb != chaosPattern(src, i, round, j) {
-						bad = true
-						break
-					}
-					sum += uint64(bb)
-				}
-				if bad || ev.Len != survMsgSize {
-					res.byteErrors++
-				}
-				res.delivered++
-				digests[i] = (digests[i] ^ ev.Tag) * prime
-				digests[i] = (digests[i] ^ uint64(ev.Len)) * prime
-				digests[i] = (digests[i] ^ sum) * prime
-			}
-		})
-	}
-
-	// Senders: paced all-to-all rounds spanning the whole fault
-	// schedule. Recovery is supposed to keep every send succeeding; the
-	// wait-and-resend arm is a backstop that (if ever taken) shows up
-	// in the resends metric and, via duplicates, breaks exactly_once.
-	sendersDone := make([]bool, survNodes)
-	for i := 0; i < survNodes; i++ {
-		i := i
-		pt := ports[i]
-		c.Env.Go(fmt.Sprintf("surv-tx%d", i), func(p *sim.Proc) {
-			va := pt.Process().Space.Alloc(survMsgSize)
-			buf := make([]byte, survMsgSize)
-			p.Sleep(sim.Time(i) * sim.Millisecond) // de-lockstep the senders
-			for round := 0; round < survRounds; round++ {
-				p.Sleep(15 * sim.Millisecond)
-				for d := 1; d < survNodes; d++ {
-					dst := (i + d) % survNodes
-					for j := range buf {
-						buf[j] = chaosPattern(i, dst, round, j)
-					}
-					pt.Process().Space.Write(va, buf)
-					for {
-						_, err := pt.Send(p, ports[dst].Addr(), ibcl.SystemChannel,
-							va, survMsgSize, chaosTag(i, dst, round))
-						if err != nil {
-							panic(err)
-						}
-						if pt.WaitSend(p).Type == nic.EvSendDone {
-							break
-						}
-						for !pt.PeerHealthy(ports[dst].Addr().Node) {
-							p.Sleep(500 * sim.Microsecond)
-						}
-						res.resends++
-					}
-				}
-			}
-			sendersDone[i] = true
-		})
-	}
-
-	// The workload spans ~175 ms; 400 ms leaves room for stragglers and
+	// Recovery is supposed to keep every send succeeding; the rig's
+	// wait-and-resend arm is a backstop that (if ever taken) shows up in
+	// the resends metric and, via duplicates, breaks exactly_once. The
+	// workload spans ~175 ms; 400 ms leaves room for stragglers and
 	// keeps the fault window inside the timeline ring.
-	c.Env.RunUntil(c.Env.Now() + 400*sim.Millisecond)
-	for _, d := range sendersDone {
-		if !d {
-			res.deadlocked = true
-		}
-	}
-
+	res.soakResult = rig.run("surv", survMsgSize, survRounds, 400*sim.Millisecond, nil)
 	const prime = 0x100000001b3
-	h := uint64(0xcbf29ce484222325)
-	for _, d := range digests {
-		h = (h ^ d) * prime
-	}
-	h = (h ^ uint64(res.delivered)) * prime
-	h = (h ^ uint64(res.duplicates)) * prime
-	h = (h ^ uint64(res.byteErrors)) * prime
-	h = (h ^ uint64(res.resends)) * prime
-	res.digest = h
+	res.digest = (res.digest ^ uint64(res.resends)) * prime
 
 	res.snap = c.Obs.Snapshot(c.Env.Now())
 	res.stats = survCountersFrom(res.snap)
@@ -342,27 +217,13 @@ func grayRun(seed uint64, adaptive bool) *grayResult {
 
 	res.rounds = len(durations)
 	res.deadlocked = res.rounds != grayRounds
-	res.p50 = pctile(durations, 0.50)
-	res.p999 = pctile(durations, 0.999)
+	res.p50 = quantileNS(durations, 0.50)
+	res.p999 = quantileNS(durations, 0.999)
 	snap := c.Obs.Snapshot(c.Env.Now())
 	res.grayFailovers = snap.SumCounter("nic", "gray_failovers")
 	res.retransmits = snap.SumCounter("nic", "retransmits")
 	res.graySteers = hf.GraySteers()
 	return res
-}
-
-// pctile returns the q-quantile of d (nearest-rank, q in (0,1]).
-func pctile(d []sim.Time, q float64) sim.Time {
-	if len(d) == 0 {
-		return 0
-	}
-	s := append([]sim.Time(nil), d...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(math.Ceil(q*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s[idx]
 }
 
 // survivalOnce runs both phases for one seed and folds everything into
@@ -406,20 +267,20 @@ func SurvivalSeeded(seed uint64) *Report {
 		x.soak.delivered == y.soak.delivered && x.soak.resends == y.soak.resends
 
 	a := x.soak
-	total := survNodes * (survNodes - 1) * survRounds
-	exactlyOnce := a.delivered == total && a.duplicates == 0 && a.byteErrors == 0
+	total := soakNodes * (soakNodes - 1) * survRounds
+	exactlyOnce := a.delivered == total && a.duplicates == 0 && a.corrupt == 0
 	deadlocked := a.deadlocked || x.adaptive.deadlocked || x.fixed.deadlocked
 	adBeatsFixed := x.adaptive.p999 < x.fixed.p999
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "phase A: %d nodes all-to-all, %d rounds x %dB = %d messages\n",
-		survNodes, survRounds, survMsgSize, total)
+		soakNodes, survRounds, survMsgSize, total)
 	fmt.Fprintf(&sb, "faults:  %d firmware crashes + 1.5%% bit flips (Myrinet rail) + 8x slow window\n\n",
 		survCrashes)
 	fmt.Fprintf(&sb, "%-28s %12s\n", "", "run")
 	fmt.Fprintf(&sb, "%-28s %12d\n", "delivered (of total)", a.delivered)
 	fmt.Fprintf(&sb, "%-28s %12d\n", "app-level duplicates", a.duplicates)
-	fmt.Fprintf(&sb, "%-28s %12d\n", "payload byte errors", a.byteErrors)
+	fmt.Fprintf(&sb, "%-28s %12d\n", "payload byte errors", a.corrupt)
 	fmt.Fprintf(&sb, "%-28s %12d\n", "library-level resends", a.resends)
 	fmt.Fprintf(&sb, "%-28s %12v\n", "exactly-once", exactlyOnce)
 	fmt.Fprintf(&sb, "%-28s %12d\n", "firmware crashes", a.stats.fwCrashes)
@@ -463,7 +324,7 @@ func SurvivalSeeded(seed uint64) *Report {
 
 	r.metric("delivered", float64(a.delivered))
 	r.metric("duplicates", float64(a.duplicates))
-	r.metric("byte_errors", float64(a.byteErrors))
+	r.metric("byte_errors", float64(a.corrupt))
 	r.metric("resends", float64(a.resends))
 	r.metric("fw_crashes", float64(a.stats.fwCrashes))
 	r.metric("watchdog_trips", float64(a.stats.watchdogTrips))

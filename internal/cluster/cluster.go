@@ -16,7 +16,6 @@ import (
 	"bcl/internal/obs"
 	"bcl/internal/obs/health"
 	"bcl/internal/sim"
-	"bcl/internal/sim/par"
 	"bcl/internal/trace"
 )
 
@@ -56,14 +55,6 @@ type Config struct {
 	// to the sampler: start one with Obs.StartSampler and alerts,
 	// timelines and postmortem bundles appear on Cluster.Health.
 	Health bool
-
-	// Shards partitions the nodes for the parallel simulation engine
-	// (internal/sim/par): the cluster derives a contiguous shard map
-	// and the matching lookahead from the fabric's minimum cross-shard
-	// link latency. 0 means par.DefaultShards() (the BCL_SHARDS env
-	// var, else 1). ShardOf overrides the contiguous default.
-	Shards  int
-	ShardOf par.ShardMap
 }
 
 // Cluster is a running simulated machine.
@@ -82,11 +73,6 @@ type Cluster struct {
 	// was set. It rides the sampler: derived series, alert timeline and
 	// postmortem bundles all come from here.
 	Health *health.Engine
-
-	// ShardMap is the node partition for the parallel simulation
-	// engine (Config.Shards / Config.ShardOf). With 1 shard it is all
-	// zeros and Lookahead() is the fabric-wide minimum latency.
-	ShardMap par.ShardMap
 }
 
 // New builds a cluster. Zero-value config fields get DAWNING-3000
@@ -150,38 +136,7 @@ func New(cfg Config) *Cluster {
 		c.Health = health.NewEngine(health.DefaultRules())
 		c.Health.Attach(o)
 	}
-	c.ShardMap = cfg.ShardOf
-	if c.ShardMap == nil {
-		shards := cfg.Shards
-		if shards == 0 {
-			shards = par.DefaultShards()
-		}
-		c.ShardMap = par.Contiguous(cfg.Nodes, shards)
-	}
-	if len(c.ShardMap) != cfg.Nodes {
-		panic(fmt.Sprintf("cluster: shard map covers %d nodes, cluster has %d", len(c.ShardMap), cfg.Nodes))
-	}
 	return c
-}
-
-// Shards returns the shard count of the cluster's partition.
-func (c *Cluster) Shards() int { return c.ShardMap.Shards() }
-
-// Lookahead returns the conservative parallel-simulation window for
-// the cluster's shard map: the minimum cut-through latency of any
-// route crossing shards (the fabric-wide minimum when the map has a
-// single shard — still the right bound, just unused). Zero when the
-// fabric cannot report latencies.
-func (c *Cluster) Lookahead() sim.Time {
-	lr, ok := c.Fabric.(fabric.LatencyReporter)
-	if !ok {
-		return 0
-	}
-	if c.Shards() <= 1 {
-		return lr.MinLatency()
-	}
-	m := c.ShardMap
-	return lr.MinCrossLatency(func(node int) int { return m[node] })
 }
 
 // SetTracer attaches one tracer to the fabric and every NIC, so host,

@@ -522,66 +522,6 @@ func (n *Network) slowFactor(src, dst int) int64 {
 	return f
 }
 
-// LinkLatency returns the cut-through hop latency of one link.
-func (n *Network) LinkLatency(id int) sim.Time { return n.links[id].lat }
-
-// RouteLatency returns the end-to-end cut-through latency from src to
-// dst: the sum of hop latencies along the route (zero for loopback or
-// when no route exists). Serialization and contention are on top; this
-// is the floor a packet's head can never beat — the quantity a
-// conservative parallel simulation may safely use as lookahead.
-func (n *Network) RouteLatency(src, dst int) sim.Time {
-	var lat sim.Time
-	for _, id := range n.routes[[2]int{src, dst}] {
-		lat += n.links[id].lat
-	}
-	return lat
-}
-
-// MinLatency returns the smallest non-loopback route latency in the
-// fabric (0 if it has no routes).
-func (n *Network) MinLatency() sim.Time {
-	return n.minLatencyWhere(func(int, int) bool { return true })
-}
-
-// MinCrossLatency returns the smallest route latency between nodes in
-// *different* partitions of the given partition map — the lookahead
-// bound for a sharded simulation: no message between shards can arrive
-// sooner. Zero when every route stays inside one partition.
-func (n *Network) MinCrossLatency(partOf func(node int) int) sim.Time {
-	return n.minLatencyWhere(func(src, dst int) bool { return partOf(src) != partOf(dst) })
-}
-
-// minLatencyWhere is the shared scan behind MinLatency and
-// MinCrossLatency: the smallest non-loopback route latency among pairs
-// the predicate admits.
-func (n *Network) minLatencyWhere(want func(src, dst int) bool) sim.Time {
-	var min sim.Time
-	for key, route := range n.routes {
-		src, dst := key[0], key[1]
-		if src == dst || len(route) == 0 || !want(src, dst) {
-			continue
-		}
-		var lat sim.Time
-		for _, id := range route {
-			lat += n.links[id].lat
-		}
-		if min == 0 || lat < min {
-			min = lat
-		}
-	}
-	return min
-}
-
-// LatencyReporter is the optional fabric capability behind lookahead
-// derivation: a fabric that knows its minimum cut-through latencies.
-// *Network implements it; composites (hetero) delegate to their rails.
-type LatencyReporter interface {
-	RouteLatency(src, dst int) sim.Time
-	MinLatency() sim.Time
-	MinCrossLatency(partOf func(node int) int) sim.Time
-}
-
 // Stats returns delivered and dropped packet counts.
 func (n *Network) Stats() (delivered, dropped uint64) { return n.delivered, n.dropped }
 

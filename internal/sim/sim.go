@@ -31,8 +31,7 @@
 // boxing), arg-carrying events (Env.AtArg) let callers dispatch
 // through a long-lived function value instead of a fresh closure per
 // event, and the blocking primitives keep their buffers and waiter
-// lists in rings or in the waiting Proc itself. The parallel shard
-// engine in sim/par builds on exactly these properties.
+// lists in rings or in the waiting Proc itself.
 package sim
 
 import "fmt"
@@ -91,8 +90,7 @@ type Env struct {
 	free     []*carrier
 
 	// Event pool. poolHits counts allocations served from the
-	// freelist, poolMisses counts fresh heap allocations; their ratio
-	// is the pool hit rate the simbench experiment gates.
+	// freelist, poolMisses counts fresh heap allocations (PoolStats).
 	pool       []*event
 	poolHits   uint64
 	poolMisses uint64
@@ -285,8 +283,9 @@ func (e *Env) at(t Time, fn func()) {
 // AtArg schedules an arg-carrying event: at time t, fn(a, b) runs.
 // Passing a long-lived function value (a field initialized once, not a
 // fresh closure) makes the call allocation-free — the two words ride
-// in the pooled event itself. This is the hot-path scheduling form the
-// sharded parallel engine (sim/par) uses for message delivery. Closed
+// in the pooled event itself. This is the scheduling form ROADMAP's
+// "Hot paths as events" item is written against: always-on service
+// loops become AtArg callbacks instead of parked processes. Closed
 // environments drop the event exactly like At.
 func (e *Env) AtArg(t Time, fn func(a, b uint64), a, b uint64) {
 	if e.closed {
@@ -353,18 +352,6 @@ func (e *Env) RunUntil(deadline Time) Time {
 
 // Idle reports whether no events are pending.
 func (e *Env) Idle() bool { return len(e.pq) == 0 }
-
-// NextEventAt returns the timestamp of the earliest pending event and
-// whether one exists. Cancelled events still waiting to be popped are
-// included, so the bound is conservative (never later than the next
-// live event). The parallel engine uses this to fast-forward over
-// empty synchronization windows.
-func (e *Env) NextEventAt() (Time, bool) {
-	if len(e.pq) == 0 {
-		return 0, false
-	}
-	return e.pq[0].t, true
-}
 
 // Close terminates the simulation: pending events are dropped, every
 // process parked in a blocking call is unwound (the call panics with a

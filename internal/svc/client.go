@@ -333,7 +333,7 @@ func (d *Driver) makeOp(arrival sim.Time) op {
 		i := int(d.rand() % uint64(len(d.cfg.PairA)))
 		o.key = d.cfg.PairA[i]
 		o.keyB = d.cfg.PairB[i]
-		o.val = d.makeVal()
+		o.val = d.makeVal(&o)
 	default:
 		o.kind = kindPut
 		if len(d.keys) == 0 {
@@ -342,7 +342,7 @@ func (d *Driver) makeOp(arrival sim.Time) op {
 			break
 		}
 		o.key = d.keys[int(d.rand()%uint64(len(d.keys)))]
-		o.val = d.makeVal()
+		o.val = d.makeVal(&o)
 	}
 	if d.cfg.HotFrac > 0 && o.kind != kindTxn && len(d.keys) > 0 {
 		if float64(d.rand()%1_000_000)/1_000_000 < d.cfg.HotFrac {
@@ -365,12 +365,21 @@ func kindName(kind uint8) string {
 	return fmt.Sprintf("k%d", kind)
 }
 
-func (d *Driver) makeVal() []byte {
+// makeVal draws the value for o, whose keys are already chosen,
+// clamped so that every message carrying it fits one system buffer: a
+// request longer than the shards' pool buffers can never be accepted.
+func (d *Driver) makeVal(o *op) []byte {
 	n := 8
 	if d.cfg.Sizes != nil {
 		n = d.cfg.Sizes.Next()
 	}
-	if max := d.ep.bufSize - 96; n > max {
+	// One copy plus any message's framing and key.
+	max := d.ep.bufSize - 96
+	if o.kind == kindTxn {
+		// The request carries the value once per key (encodeOp).
+		max = (d.ep.bufSize - txnFraming - len(o.key) - len(o.keyB)) / 2
+	}
+	if n > max {
 		n = max
 	}
 	if n < 1 {
@@ -429,6 +438,11 @@ func (d *Driver) issueNext(p *sim.Proc, u *user) {
 func reqKey(sess uint16, uch uint16, seq uint32) uint64 {
 	return packTag(0, sess, uch, seq)
 }
+
+// txnFraming is what encodeOp adds to a transaction besides its two
+// keys and two copies of the value: flow id, pair count and four
+// 2-byte length prefixes.
+const txnFraming = 8 + 1 + 4*2
 
 func (d *Driver) encodeOp(o op) []byte {
 	pay := putU64(nil, o.flow)

@@ -1,6 +1,8 @@
 package svc
 
 import (
+	"fmt"
+
 	"bcl/internal/bcl"
 	"bcl/internal/mem"
 	"bcl/internal/nic"
@@ -74,8 +76,14 @@ func (e *endpoint) getBuf(p *sim.Proc) mem.VAddr {
 }
 
 // send frames and transmits one service message: the header rides the
-// tag, the payload is copied into a pool-owned send buffer.
+// tag, the payload is copied into a pool-owned send buffer. A payload
+// longer than a buffer is refused: the peer's pool buffers are the same
+// size, so its NIC would NACK the message forever and go-back-N would
+// stall everything queued behind it.
 func (e *endpoint) send(p *sim.Proc, dst bcl.Addr, kind uint8, sess, uch uint16, seq uint32, payload []byte) error {
+	if len(payload) > e.bufSize {
+		return fmt.Errorf("svc: %d-byte payload exceeds the %d-byte system buffer", len(payload), e.bufSize)
+	}
 	va := e.getBuf(p)
 	if len(payload) > 0 {
 		if err := e.port.Process().Space.Write(va, payload); err != nil {

@@ -216,6 +216,49 @@ func TestTxnCommitAtomic(t *testing.T) {
 	}
 }
 
+// TestOversizeTxnValuesClamped draws every value at half a system
+// buffer: a transaction encodes its value once per key, so unclamped it
+// is a request longer than any shard's pool buffer — NACKed forever,
+// with go-back-N stalling every request behind it. The driver must size
+// the value to the copies it sends, commit every transaction and drain.
+// One user keeps the transactions sequential, so none aborts on a
+// prepare-lock conflict.
+func TestOversizeTxnValuesClamped(t *testing.T) {
+	ring := NewRing(3, 64)
+	pa, pb := crossShardPairs(ring, 8)
+	tr := buildTier(t, cluster.Config{}, 3, DriverConfig{
+		Users: 1, Seed: 5,
+		Arrivals: fixedGap(100 * sim.Microsecond), Sizes: fixedSize(tbBufSize / 2),
+		GetFrac: 0, TxnFrac: 1, PairA: pa, PairB: pb,
+		Start: sim.Millisecond, Duration: 10 * sim.Millisecond,
+	})
+	tr.runDrained(t, 300*sim.Millisecond)
+	st := tr.driver.Stats()
+	if st.Done == 0 || st.Done != st.Issued {
+		t.Fatalf("issued %d done %d", st.Issued, st.Done)
+	}
+	var committed, aborted uint64
+	for _, s := range tr.servers {
+		c, a, _ := s.Stats()
+		committed += c
+		aborted += a
+	}
+	if committed != st.Issued || aborted != 0 {
+		t.Errorf("committed %d aborted %d of %d transactions", committed, aborted, st.Issued)
+	}
+	tr.checkAtomicity(t, pa, pb)
+
+	// The layer below refuses what the clamp exists to prevent.
+	var err error
+	tr.c.Env.Go("oversize", func(p *sim.Proc) {
+		err = tr.driver.ep.send(p, tr.servers[0].ep.port.Addr(), kindPut, 0, 0, 0, make([]byte, tbBufSize+1))
+	})
+	tr.c.Env.RunUntil(tr.c.Env.Now() + sim.Millisecond)
+	if err == nil {
+		t.Error("endpoint.send accepted a payload longer than its system buffer")
+	}
+}
+
 // TestTxnSurvivesDuplicates floods the fabric with duplicated packets:
 // every service message (including PREPARE/COMMIT/acks) arrives twice
 // every few packets, so server dedup and 2PC idempotence both carry
