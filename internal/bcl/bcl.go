@@ -114,6 +114,7 @@ type Port struct {
 	addr  Addr
 	tr    *trace.Tracer
 	label string // owning job's label ("" = unlabeled)
+	row   string // "host<node>" or "host<node>[<label>]", the trace row
 
 	nicPort *nic.Port
 	events  *sim.Queue[*nic.Event] // merged receive events (NIC + intra)
@@ -153,6 +154,10 @@ func (s *System) Open(p *sim.Proc, n *node.Node, proc *oskernel.Process, opts Op
 		sendEvs:  sim.NewQueue[*nic.Event](n.Env, "bcl/sendevs", 0),
 		intraQ:   sim.NewQueue[*intraFrag](n.Env, "bcl/intra", 0),
 		nextChan: 1,
+	}
+	pt.row = fmt.Sprintf("host%d", n.ID)
+	if pt.label != "" {
+		pt.row += "[" + pt.label + "]"
 	}
 	err := n.Kernel.Trap(p, func() error {
 		if err := n.Kernel.CheckRequest(p, proc.PID, 0, 0, n.ID, s.Cluster.Size()); err != nil {

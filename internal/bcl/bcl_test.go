@@ -640,3 +640,34 @@ func TestManyProcessesPerNode(t *testing.T) {
 		t.Fatalf("port 0 received %d messages, want %d", msgs, len(tb.ports))
 	}
 }
+
+// Span labels are arguments to nil-safe tracer calls, so they are paid
+// with tracing off too: they must be built once, not per span.
+func TestHostLabelIsPrecomputed(t *testing.T) {
+	c := cluster.New(cluster.Config{Nodes: 2, Fabric: cluster.Myrinet, NIC: DefaultNICConfig()})
+	sys := NewSystem(c)
+	var ports []*Port
+	c.Env.Go("setup", func(p *sim.Proc) {
+		for i, label := range []string{"swarm", ""} {
+			pt, err := sys.Open(p, c.Nodes[i], c.Nodes[i].Kernel.Spawn(), Options{Label: label})
+			if err != nil {
+				t.Errorf("open on node %d: %v", i, err)
+				return
+			}
+			ports = append(ports, pt)
+		}
+	})
+	c.Env.RunUntil(10 * sim.Millisecond)
+	if len(ports) != 2 {
+		t.Fatal("setup did not finish")
+	}
+	for i, want := range []string{"host0[swarm]", "host1"} {
+		pt := ports[i]
+		if got := host(pt); got != want {
+			t.Fatalf("host(port %d) = %q, want %q", i, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = host(pt) }); n != 0 {
+			t.Fatalf("host(port %d) allocates %v times per call", i, n)
+		}
+	}
+}

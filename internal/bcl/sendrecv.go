@@ -257,12 +257,8 @@ func (pt *Port) WaitSend(p *sim.Proc) *nic.Event {
 	return ev
 }
 
-func host(pt *Port) string {
-	if pt.label != "" {
-		return fmt.Sprintf("host%d[%s]", pt.addr.Node, pt.label)
-	}
-	return fmt.Sprintf("host%d", pt.addr.Node)
-}
+// host labels this port's process in trace spans.
+func host(pt *Port) string { return pt.row }
 
 // checkOwner is the cross-endpoint half of the kernel's send-path
 // security check: the calling process must still own this port's NIC

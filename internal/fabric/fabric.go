@@ -35,6 +35,7 @@ const (
 	KindCollMcast                   // collective: NIC-forwarded multicast fragment
 	KindCollComb                    // collective: combine contribution toward the root
 	KindResync                      // receiver asks a sender to resynchronize a flow (epoch + expected seq)
+	numKinds                        // count of the kinds above
 )
 
 func (k PacketKind) String() string {
@@ -344,6 +345,8 @@ type Network struct {
 	env       *sim.Env
 	name      string
 	pktName   string // name+"/pkt", the name of every per-packet process
+	wireRow   string // "wire:"+name, this fabric's trace row
+	obsLayer  string // "fabric:"+name, this fabric's metrics layer
 	endpoints []*Endpoint
 	links     []*link
 	routes    map[[2]int][]int // (src,dst) -> link ids, including injection link
@@ -371,10 +374,12 @@ type Network struct {
 // NewNetwork returns an empty network for n nodes.
 func NewNetwork(env *sim.Env, name string, n int) *Network {
 	net := &Network{
-		env:     env,
-		name:    name,
-		pktName: name + "/pkt",
-		routes:  make(map[[2]int][]int),
+		env:      env,
+		name:     name,
+		pktName:  name + "/pkt",
+		wireRow:  "wire:" + name,
+		obsLayer: "fabric:" + name,
+		routes:   make(map[[2]int][]int),
 	}
 	for i := 0; i < n; i++ {
 		net.endpoints = append(net.endpoints, &Endpoint{
@@ -427,7 +432,7 @@ func (n *Network) SetTracer(tr *trace.Tracer) { n.tr = tr }
 // Collect implements Fabric, publishing packet counters under the
 // "fabric:<name>" layer (node -1: link counters are cluster-wide).
 func (n *Network) Collect(set obs.Set) {
-	l := "fabric:" + n.name
+	l := n.obsLayer
 	set(-1, l, "delivered", n.delivered)
 	set(-1, l, "dropped", n.dropped)
 	set(-1, l, "duplicated", n.duplicated)
@@ -438,7 +443,7 @@ func (n *Network) Collect(set obs.Set) {
 // CollectGauges publishes per-node RX queue depths (packets delivered
 // by the fabric but not yet consumed by the NIC's receive engine).
 func (n *Network) CollectGauges(set obs.GaugeSet) {
-	l := "fabric:" + n.name
+	l := n.obsLayer
 	for _, ep := range n.endpoints {
 		set(ep.Node, l, "rx_queued", int64(ep.RX.Len()))
 	}
@@ -448,15 +453,31 @@ func (n *Network) CollectGauges(set obs.GaugeSet) {
 // the cluster-wide "fabric:<name>"/wire_ns transit histogram.
 func (n *Network) SetObs(o *obs.Obs) { n.obs = o }
 
-// wireRow labels this fabric's trace row.
-func (n *Network) wireRow() string { return "wire:" + n.name }
+// wireOutcome is how a packet's wire span ended.
+type wireOutcome uint8
+
+const (
+	wireDelivered wireOutcome = iota
+	wireFaultDrop
+	wireOutageDrop
+	numWireOutcomes
+)
+
+// wireStages interns the stage label of every (kind, outcome) wire
+// span, so tracing a packet builds no string.
+var wireStages = func() (t [numKinds][numWireOutcomes]string) {
+	suffix := [numWireOutcomes]string{"", " dropped (fault)", " dropped (outage)"}
+	for k := range t {
+		for o, what := range suffix {
+			t[k][o] = "wire: " + PacketKind(k).String() + what
+		}
+	}
+	return t
+}()
 
 // traceWire records one wire span (delivery or drop) for a packet.
-func (n *Network) traceWire(pkt *Packet, what string, start, end sim.Time) {
-	if n.tr == nil {
-		return
-	}
-	n.tr.AddFlow("wire: "+pkt.Kind.String()+what, n.wireRow(), pkt.Trace, start, end)
+func (n *Network) traceWire(pkt *Packet, how wireOutcome, start, end sim.Time) {
+	n.tr.AddFlow(wireStages[pkt.Kind][how], n.wireRow, pkt.Trace, start, end)
 }
 
 // LinkDown schedules an outage of node's fabric attachment over the
@@ -566,7 +587,7 @@ func (n *Network) inject(p *sim.Proc, src int, pkt *Packet) {
 		case Drop:
 			n.dropped++
 			n.payInjection(p, src, pkt)
-			n.traceWire(pkt, " dropped (fault)", t0, n.env.Now())
+			n.traceWire(pkt, wireFaultDrop, t0, n.env.Now())
 			return
 		case Duplicate:
 			dup = true
@@ -592,7 +613,7 @@ func (n *Network) inject(p *sim.Proc, src int, pkt *Packet) {
 		n.dropped++
 		n.outageDrops++
 		n.payInjection(p, src, pkt)
-		n.traceWire(pkt, " dropped (outage)", t0, n.env.Now())
+		n.traceWire(pkt, wireOutageDrop, t0, n.env.Now())
 		return
 	}
 
@@ -630,15 +651,15 @@ func (n *Network) inject(p *sim.Proc, src int, pkt *Packet) {
 		if n.NodeDown(pkt.Dst) {
 			n.dropped++
 			n.outageDrops++
-			n.traceWire(pkt, " dropped (outage)", t0, fp.Now())
+			n.traceWire(pkt, wireOutageDrop, t0, fp.Now())
 			return
 		}
 		// With equal link bandwidths the tail follows the head
 		// continuously, so after the last hop latency the whole packet
 		// has arrived (its serialization was paid once, at injection).
 		n.delivered++
-		n.traceWire(pkt, "", t0, fp.Now())
-		n.obs.Observe(-1, "fabric:"+n.name, "wire_ns", int64(fp.Now()-t0))
+		n.traceWire(pkt, wireDelivered, t0, fp.Now())
+		n.obs.Observe(-1, n.obsLayer, "wire_ns", int64(fp.Now()-t0))
 		n.endpoints[pkt.Dst].RX.Post(pkt)
 		if dup {
 			n.delivered++

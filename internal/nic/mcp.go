@@ -114,7 +114,7 @@ type rxAssembly struct {
 }
 
 // where labels this NIC in trace spans.
-func (n *NIC) where() string { return fmt.Sprintf("nic%d", n.node) }
+func (n *NIC) where() string { return n.row }
 
 func (n *NIC) flowTo(dst int) *txFlow {
 	f, ok := n.tx[dst]

@@ -316,6 +316,7 @@ type NIC struct {
 	prof *hw.Profile
 	cfg  Config
 	node int
+	row  string // "nic<node>", this NIC's trace row
 	ep   *fabric.Endpoint
 	hmem *mem.Memory
 
@@ -399,6 +400,7 @@ func New(env *sim.Env, prof *hw.Profile, cfg Config, node int, ep *fabric.Endpoi
 		prof:   prof,
 		cfg:    cfg,
 		node:   node,
+		row:    fmt.Sprintf("nic%d", node),
 		ep:     ep,
 		hmem:   hostMem,
 		Bus:    sim.NewResource(env, fmt.Sprintf("pci%d", node), 1),

@@ -726,3 +726,15 @@ func TestDuplicateSuppression(t *testing.T) {
 		t.Fatal("no duplicate drops recorded despite ACK loss")
 	}
 }
+
+// Span labels are arguments to nil-safe tracer calls, so they are paid
+// with tracing off too: they must be built once, not per span.
+func TestWhereLabelIsPrecomputed(t *testing.T) {
+	r := newRig(t, bclConfig())
+	if got := r.nics[1].where(); got != "nic1" {
+		t.Fatalf("where() = %q, want nic1", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = r.nics[1].where() }); n != 0 {
+		t.Fatalf("where() allocates %v times per call", n)
+	}
+}

@@ -1,8 +1,10 @@
 package health
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -148,31 +150,38 @@ func flightEvents(evs []obs.Event) []FlightEvent {
 // duration, then id, and dumps the top n with their spans — "which
 // messages suffered most" in one glance.
 func WorstFlows(t *trace.Tracer, n int) []Flow {
-	ids := t.Flows()
-	if len(ids) == 0 || n <= 0 {
+	if t == nil || n <= 0 {
 		return nil
 	}
-	flows := make([]Flow, 0, len(ids))
-	for _, id := range ids {
-		spans := t.FlowSpans(id)
-		node, msg := trace.IDParts(id)
-		f := Flow{ID: fmt.Sprintf("%x", id), Node: node, Msg: msg}
-		var lo, hi sim.Time
-		for i, s := range spans {
-			if strings.Contains(s.Stage, "retransmit") {
-				f.Retx++
-			}
-			if i == 0 || s.Start < lo {
-				lo = s.Start
-			}
-			if s.End > hi {
-				hi = s.End
-			}
-			f.Spans = append(f.Spans, FlowSpan{Stage: s.Stage, Where: s.Where,
-				StartNs: int64(s.Start), EndNs: int64(s.End)})
+	// One pass groups the spans by flow, flows in first-span order.
+	var flows []Flow
+	index := make(map[uint64]int)
+	for _, s := range t.Spans {
+		if s.Flow == 0 {
+			continue
 		}
-		f.DurNs = int64(hi - lo)
-		flows = append(flows, f)
+		i, ok := index[s.Flow]
+		if !ok {
+			i = len(flows)
+			index[s.Flow] = i
+			node, msg := trace.IDParts(s.Flow)
+			flows = append(flows, Flow{ID: fmt.Sprintf("%x", s.Flow), Node: node, Msg: msg})
+		}
+		f := &flows[i]
+		if strings.Contains(s.Stage, "retransmit") {
+			f.Retx++
+		}
+		f.Spans = append(f.Spans, FlowSpan{Stage: s.Stage, Where: s.Where,
+			StartNs: int64(s.Start), EndNs: int64(s.End)})
+	}
+	for i := range flows {
+		f := &flows[i]
+		slices.SortStableFunc(f.Spans, func(a, b FlowSpan) int { return cmp.Compare(a.StartNs, b.StartNs) })
+		var hi int64
+		for _, s := range f.Spans {
+			hi = max(hi, s.EndNs)
+		}
+		f.DurNs = hi - f.Spans[0].StartNs
 	}
 	sort.SliceStable(flows, func(i, j int) bool {
 		if flows[i].Retx != flows[j].Retx {

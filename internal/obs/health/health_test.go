@@ -6,6 +6,7 @@ import (
 
 	"bcl/internal/obs"
 	"bcl/internal/sim"
+	"bcl/internal/trace"
 )
 
 // stepper feeds an engine synthetic sampler ticks from one registry,
@@ -229,5 +230,45 @@ func TestTimelineTextEmpty(t *testing.T) {
 	}
 	if e.FiredCount("") != 0 || len(e.Firing()) != 0 {
 		t.Fatal("fresh engine not silent")
+	}
+}
+
+// WorstFlows groups the tracer's spans in one pass; each flow must come
+// out exactly as Tracer.FlowSpans defines it (start-sorted, ties in
+// recording order), ranked by retransmits, then duration, then id.
+func TestWorstFlowsGroupsAndRanks(t *testing.T) {
+	tr := trace.New()
+	a, b, c := trace.ID(0, 1), trace.ID(1, 2), trace.ID(2, 3)
+	tr.AddFlow("send", "host0", a, 10, 20)
+	tr.AddFlow("send", "host1", b, 0, 5)
+	tr.Add("flowless", "host0", 0, 1000)
+	tr.AddFlow("wire", "wire:myrinet", a, 5, 10) // recorded late, starts first
+	tr.AddFlow("nic: retransmit", "nic1", b, 5, 6)
+	tr.AddFlow("tie", "nic1", b, 5, 9)
+	tr.AddFlow("send", "host2", c, 0, 100)
+
+	got := WorstFlows(tr, 10)
+	if len(got) != 3 || got[0].Msg != 2 || got[1].Msg != 3 || got[2].Msg != 1 {
+		t.Fatalf("ranking = %+v, want b (1 retransmit), c (100ns), a (15ns)", got)
+	}
+	if got[0].Retx != 1 || got[0].DurNs != 9 || got[1].DurNs != 100 || got[2].DurNs != 15 {
+		t.Fatalf("retx/dur = %+v", got)
+	}
+	for _, f := range got {
+		want := tr.FlowSpans(trace.ID(f.Node, f.Msg))
+		if len(f.Spans) != len(want) {
+			t.Fatalf("flow %s: %d spans, want %d", f.ID, len(f.Spans), len(want))
+		}
+		for i, s := range want {
+			if f.Spans[i] != (FlowSpan{Stage: s.Stage, Where: s.Where, StartNs: int64(s.Start), EndNs: int64(s.End)}) {
+				t.Fatalf("flow %s span %d = %+v, want %+v", f.ID, i, f.Spans[i], s)
+			}
+		}
+	}
+	if top := WorstFlows(tr, 1); len(top) != 1 || top[0].Msg != 2 {
+		t.Fatalf("top 1 = %+v", top)
+	}
+	if WorstFlows(trace.New(), 3) != nil || WorstFlows(nil, 3) != nil || WorstFlows(tr, 0) != nil {
+		t.Fatal("empty, nil or n=0 must yield nil")
 	}
 }

@@ -57,6 +57,7 @@ type Kernel struct {
 	env   *sim.Env
 	prof  *hw.Profile
 	node  int
+	row   string // "kernel<node>", this kernel's trace row
 	mem   *mem.Memory
 	pins  *mem.PinTable
 	procs map[int]*Process
@@ -80,6 +81,7 @@ func New(env *sim.Env, prof *hw.Profile, node int, m *mem.Memory) *Kernel {
 		env:   env,
 		prof:  prof,
 		node:  node,
+		row:   fmt.Sprintf("kernel%d", node),
 		mem:   m,
 		pins:  mem.NewPinTable(cap),
 		procs: make(map[int]*Process),

@@ -299,7 +299,7 @@ func (k *Kernel) StartWatchdog(n *nic.NIC) {
 func (k *Kernel) recoverNIC(p *sim.Proc, n *nic.NIC) {
 	k.stats.WatchdogTrips++
 	start := p.Now()
-	n.Tracer.Add("kernel: watchdog trip", fmt.Sprintf("kernel%d", k.node), start, start)
+	n.Tracer.Add("kernel: watchdog trip", k.row, start, start)
 	reboot := k.prof.MCPRebootTime
 	if reboot <= 0 {
 		reboot = 2 * sim.Millisecond
@@ -309,7 +309,7 @@ func (k *Kernel) recoverNIC(p *sim.Proc, n *nic.NIC) {
 	k.replayNIC(p, n)
 	n.FinishReboot()
 	k.stats.NICRecoveries++
-	n.Tracer.Add("kernel: NIC recovery", fmt.Sprintf("kernel%d", k.node), start, p.Now())
+	n.Tracer.Add("kernel: NIC recovery", k.row, start, p.Now())
 }
 
 // replayNIC reprograms a wiped firmware from the journal at ordinary
@@ -394,5 +394,5 @@ func (k *Kernel) replayNIC(p *sim.Proc, n *nic.NIC) {
 		records++
 	}
 	k.stats.ReplayedRecords += records
-	n.Tracer.Add("kernel: replay NIC state", fmt.Sprintf("kernel%d", k.node), start, p.Now())
+	n.Tracer.Add("kernel: replay NIC state", k.row, start, p.Now())
 }

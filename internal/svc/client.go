@@ -30,6 +30,7 @@ type Driver struct {
 	ep   *endpoint
 	env  *sim.Env
 	node int
+	row  string // "host<node>", the trace row of this process
 	tr   *trace.Tracer
 	rt   *reqtrace.Recorder
 
@@ -167,6 +168,7 @@ func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driv
 		ep:      newEndpoint(p, port, 64, bufSize),
 		env:     port.Node().Env,
 		node:    port.Addr().Node,
+		row:     fmt.Sprintf("host%d", port.Addr().Node),
 		pending: make(map[uint64]*pendingReq),
 		cache:   make(map[string]*cacheEntry),
 		invVer:  make(map[string]uint64),
@@ -691,9 +693,7 @@ func (d *Driver) traceFlow(p *sim.Proc, flow uint64, stage string) {
 	if flow == 0 || (d.tr == nil && d.rt == nil) {
 		return
 	}
-	where := fmt.Sprintf("host%d", d.node)
-	if d.tr != nil {
-		d.tr.DoFlow(p, stage, where, flow, func() {})
-	}
-	d.rt.Mark(flow, stage, where, p.Now())
+	now := p.Now()
+	d.tr.AddFlow(stage, d.row, flow, now, now)
+	d.rt.Mark(flow, stage, d.row, now)
 }

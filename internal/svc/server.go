@@ -29,6 +29,7 @@ type Server struct {
 	ep   *endpoint
 	env  *sim.Env
 	node int
+	row  string // "host<node>", the trace row of this process
 	tr   *trace.Tracer
 	rt   *reqtrace.Recorder
 
@@ -204,6 +205,7 @@ func NewServer(p *sim.Proc, port *bcl.Port, bufSize int, cfg ServerConfig) *Serv
 		ep:         newEndpoint(p, port, 64, bufSize),
 		env:        port.Node().Env,
 		node:       port.Addr().Node,
+		row:        fmt.Sprintf("host%d", port.Addr().Node),
 		tr:         port.Tracer(),
 		rt:         cfg.ReqObs,
 		store:      make(map[string]*entry),
@@ -265,8 +267,6 @@ func (s *Server) rand() uint64 {
 	s.rng = sim.Splitmix64(s.rng)
 	return s.rng
 }
-
-func (s *Server) where() string { return fmt.Sprintf("host%d", s.node) }
 
 // Run is the shard's event loop; it never returns.
 func (s *Server) Run(p *sim.Proc) {
@@ -995,8 +995,7 @@ func (s *Server) trace(p *sim.Proc, flow uint64, stage string) {
 	if flow == 0 || (s.tr == nil && s.rt == nil) {
 		return
 	}
-	if s.tr != nil {
-		s.tr.DoFlow(p, stage, s.where(), flow, func() {})
-	}
-	s.rt.Mark(flow, stage, s.where(), p.Now())
+	now := p.Now()
+	s.tr.AddFlow(stage, s.row, flow, now, now)
+	s.rt.Mark(flow, stage, s.row, now)
 }

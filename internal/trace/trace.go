@@ -47,13 +47,23 @@ func (s Span) Dur() sim.Time { return s.End - s.Start }
 //
 // By default the span slice grows without bound — right for short
 // experiment runs that post-process every span. Always-on tracing at
-// service scale sets a cap with SetCap: once full, recording a new
-// span evicts the oldest one (mirroring the obs flight recorder), and
-// Dropped reports how many were lost to eviction.
+// service scale sets a cap with SetCap: Spans is then the most recent
+// ≤ cap spans, oldest first, and Dropped counts exactly the spans that
+// fell off the front.
+//
+// Window invariant: a capped tracer keeps Spans as a window sliding
+// over one backing array of 2·cap spans, allocated once. Evicting the
+// oldest span reslices the window forward; when the window reaches the
+// end of the array the ≤ cap-1 live spans are copied back to the front,
+// which buys cap+1 further appends. Recording a span is therefore a
+// store plus, amortised, less than one span copied — O(1) and
+// allocation-free in steady state — and Spans stays what every reader
+// indexes: one contiguous []Span, valid until the next Add.
 type Tracer struct {
 	Spans   []Span
 	cap     int
 	dropped uint64
+	window  []Span // capped: the 2·cap backing array Spans slides over
 }
 
 // New returns an empty unbounded tracer.
@@ -67,17 +77,21 @@ func NewCapped(n int) *Tracer {
 }
 
 // SetCap bounds the tracer to at most n retained spans; n <= 0 removes
-// the bound. Shrinking below the current length evicts the oldest
-// spans immediately. Nil-safe.
+// the bound, keeping the retained spans and going back to plain
+// append. Shrinking below the current length evicts the oldest spans
+// immediately. Nil-safe.
 func (t *Tracer) SetCap(n int) {
 	if t == nil {
 		return
 	}
 	t.cap = n
-	if n > 0 && len(t.Spans) > n {
-		evict := len(t.Spans) - n
+	if n <= 0 {
+		t.window = nil
+		return
+	}
+	if evict := len(t.Spans) - n; evict > 0 {
 		t.dropped += uint64(evict)
-		t.Spans = append(t.Spans[:0], t.Spans[evict:]...)
+		t.Spans = t.Spans[evict:]
 	}
 }
 
@@ -107,15 +121,24 @@ func (t *Tracer) AddFlow(stage, where string, flow uint64, start, end sim.Time) 
 	if t == nil {
 		return
 	}
-	s := Span{Stage: stage, Where: where, Start: start, End: end, Flow: flow}
-	if t.cap > 0 && len(t.Spans) >= t.cap {
-		// Oldest-first eviction keeps the most recent window, the
-		// part a postmortem actually wants.
-		evict := len(t.Spans) - t.cap + 1
-		t.dropped += uint64(evict)
-		t.Spans = append(t.Spans[:0], t.Spans[evict:]...)
+	if t.cap > 0 {
+		if len(t.Spans) >= t.cap {
+			// Oldest-first eviction keeps the most recent window, the
+			// part a postmortem actually wants.
+			evict := len(t.Spans) - t.cap + 1
+			t.dropped += uint64(evict)
+			t.Spans = t.Spans[evict:]
+		}
+		if len(t.Spans) == cap(t.Spans) {
+			// No room behind the window (or no window yet): move the
+			// live spans to the front of the backing array.
+			if cap(t.window) != 2*t.cap {
+				t.window = make([]Span, 0, 2*t.cap)
+			}
+			t.Spans = append(t.window, t.Spans...)
+		}
 	}
-	t.Spans = append(t.Spans, s)
+	t.Spans = append(t.Spans, Span{Stage: stage, Where: where, Start: start, End: end, Flow: flow})
 }
 
 // Do runs fn and records its duration as a span (using the process
@@ -135,7 +158,8 @@ func (t *Tracer) DoFlow(p *sim.Proc, stage, where string, flow uint64, fn func()
 	t.AddFlow(stage, where, flow, start, p.Now())
 }
 
-// Reset drops all recorded spans.
+// Reset drops all recorded spans; the backing array, the cap and the
+// Dropped count stay.
 func (t *Tracer) Reset() {
 	if t != nil {
 		t.Spans = t.Spans[:0]

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -317,5 +318,157 @@ func TestSetCapShrinkAndUnbound(t *testing.T) {
 	nilTr.SetCap(5)
 	if nilTr.Cap() != 0 || nilTr.Dropped() != 0 {
 		t.Fatal("nil tracer cap state")
+	}
+}
+
+// refTracer is the capped tracer as it was before the sliding window:
+// evict by shifting every retained span down one slot. O(cap) per span,
+// obviously right, and kept here as the model the real one must match.
+type refTracer struct {
+	spans   []Span
+	cap     int
+	dropped uint64
+}
+
+func (r *refTracer) setCap(n int) {
+	r.cap = n
+	if n > 0 && len(r.spans) > n {
+		evict := len(r.spans) - n
+		r.dropped += uint64(evict)
+		r.spans = append(r.spans[:0], r.spans[evict:]...)
+	}
+}
+
+func (r *refTracer) addFlow(s Span) {
+	if r.cap > 0 && len(r.spans) >= r.cap {
+		evict := len(r.spans) - r.cap + 1
+		r.dropped += uint64(evict)
+		r.spans = append(r.spans[:0], r.spans[evict:]...)
+	}
+	r.spans = append(r.spans, s)
+}
+
+func (r *refTracer) reset() { r.spans = r.spans[:0] }
+
+// Tracer ops for the model-equivalence tests, one byte each; the
+// SetCap argument is the following byte.
+const (
+	opReset  = 0xff
+	opUncap  = 0xfe
+	opSetCap = 0xfd // anything below records a span
+)
+
+// checkAgainstModel replays ops on a Tracer and on the reference model,
+// comparing every observable after every step.
+func checkAgainstModel(t *testing.T, ops []byte) {
+	t.Helper()
+	tr, ref := New(), &refTracer{}
+	var seq uint64
+	for i := 0; i < len(ops); i++ {
+		switch op := ops[i]; {
+		case op == opReset:
+			tr.Reset()
+			ref.reset()
+		case op == opUncap:
+			tr.SetCap(0)
+			ref.setCap(0)
+		case op == opSetCap && i+1 < len(ops):
+			i++
+			n := int(ops[i]%9) + 1 // 1..9: small, so windows wrap often
+			tr.SetCap(n)
+			ref.setCap(n)
+		default:
+			seq++
+			s := Span{Stage: "s", Where: "w", Start: sim.Time(seq), End: sim.Time(seq + uint64(op)), Flow: seq}
+			tr.AddFlow(s.Stage, s.Where, s.Flow, s.Start, s.End)
+			ref.addFlow(s)
+		}
+		if tr.Cap() != ref.cap || tr.Dropped() != ref.dropped || len(tr.Spans) != len(ref.spans) {
+			t.Fatalf("step %d (op %#x): cap/dropped/len = %d/%d/%d, model %d/%d/%d",
+				i, ops[i], tr.Cap(), tr.Dropped(), len(tr.Spans), ref.cap, ref.dropped, len(ref.spans))
+		}
+		for j := range ref.spans {
+			if tr.Spans[j] != ref.spans[j] {
+				t.Fatalf("step %d (op %#x): Spans[%d] = %+v, model %+v", i, ops[i], j, tr.Spans[j], ref.spans[j])
+			}
+		}
+	}
+}
+
+// adds is n span-recording ops; setCap is SetCap(n) for n in 1..9.
+func adds(n int) []byte   { return make([]byte, n) }
+func setCap(n int) []byte { return []byte{opSetCap, byte(n - 1)} }
+
+var cappedTracerCases = []struct {
+	name string
+	ops  []byte
+}{
+	{"cap 1", slices.Concat(setCap(1), adds(7))},
+	{"wrap at exactly 2*cap", slices.Concat(setCap(3), adds(4*2*3+2))},
+	{"shrink while full", slices.Concat(setCap(7), adds(20), setCap(2), adds(9), setCap(1), adds(5))},
+	{"grow while full", slices.Concat(setCap(2), adds(11), setCap(8), adds(30))},
+	{"cap an unbounded tracer below its length", slices.Concat(adds(25), setCap(4), adds(25))},
+	{"cap an unbounded tracer above its length", slices.Concat(adds(3), setCap(5), adds(25))},
+	{"uncap keeps the retained spans", slices.Concat(setCap(3), adds(10), []byte{opUncap}, adds(40), setCap(3), adds(10))},
+	{"reset mid-window", slices.Concat(setCap(4), adds(7), []byte{opReset}, adds(3), []byte{opReset}, adds(30))},
+	{"reset then recap", slices.Concat(setCap(8), adds(20), []byte{opReset}, setCap(2), adds(9))},
+	{"same cap again", slices.Concat(setCap(4), adds(9), setCap(4), adds(9))},
+}
+
+func TestCappedTracerMatchesShiftModel(t *testing.T) {
+	for _, tc := range cappedTracerCases {
+		t.Run(tc.name, func(t *testing.T) { checkAgainstModel(t, tc.ops) })
+	}
+}
+
+func FuzzCappedTracer(f *testing.F) {
+	for _, tc := range cappedTracerCases {
+		f.Add(tc.ops)
+	}
+	f.Fuzz(checkAgainstModel)
+}
+
+func TestCappedAddFlowDoesNotAllocate(t *testing.T) {
+	// From empty: the Tracer and its window, not append growing 1 -> cap.
+	if n := testing.AllocsPerRun(10, func() {
+		tr := NewCapped(64)
+		for i := 0; i < 200; i++ {
+			tr.AddFlow("s", "x", 1, 0, 1)
+		}
+	}); n > 2 {
+		t.Fatalf("filling a fresh capped tracer allocates %v times, want the window once", n)
+	}
+	tr := NewCapped(64)
+	for i := 0; i < 200; i++ {
+		tr.AddFlow("s", "x", 1, 0, 1)
+	}
+	// 1000 runs cross the copy-back seven times.
+	if n := testing.AllocsPerRun(1000, func() { tr.AddFlow("s", "x", 1, 0, 1) }); n != 0 {
+		t.Fatalf("steady-state capped AddFlow allocates %v times per span", n)
+	}
+	tr.Reset()
+	if n := testing.AllocsPerRun(1000, func() { tr.AddFlow("s", "x", 1, 0, 1) }); n != 0 {
+		t.Fatalf("capped AddFlow after Reset allocates %v times per span", n)
+	}
+}
+
+func BenchmarkAddFlow(b *testing.B) {
+	tr := New()
+	for i := 0; i < b.N; i++ {
+		if len(tr.Spans) == 1<<16 {
+			tr.Reset() // bound memory; keeps the grown array
+		}
+		tr.AddFlow("s", "x", 1, 0, 1)
+	}
+}
+
+func BenchmarkAddFlowCapped(b *testing.B) {
+	tr := NewCapped(4096)
+	for i := 0; i < 4096; i++ {
+		tr.AddFlow("s", "x", 1, 0, 1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.AddFlow("s", "x", 1, 0, 1)
 	}
 }
