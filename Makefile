@@ -3,11 +3,16 @@
 
 GO ?= go
 
+# Fault/traffic-schedule seed of the seeded experiments (chaos,
+# survival, collectives, healthwatch, serve, reqobs): `make chaos SEED=7`.
+SEED ?= 1
+
 .PHONY: all test race short bench experiments chaos survival collectives metrics profile multitenant healthwatch serve reqobs baseline check examples tools clean
 
 all: test
 
 test:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . is not empty:"; gofmt -l .; exit 1; }
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 race:
@@ -26,28 +31,26 @@ experiments:
 
 # Deterministic chaos soak: seeded outage schedule over a dual-rail
 # cluster; the report runs the simulation twice and checks the digests
-# match. Override the schedule with CHAOS_SEED=<n>.
-CHAOS_SEED ?= 1
+# match. Override the schedule with SEED=<n>.
 chaos:
-	$(GO) run ./cmd/bclbench -seed $(CHAOS_SEED) chaos
+	$(GO) run ./cmd/bclbench -seed $(SEED) chaos
 
 # Survivable-NIC gauntlet: firmware crashes healed by the kernel
 # watchdog (journal replay + epoch resync, exactly-once delivery),
 # random bit corruption caught by the per-fragment CRC, and a gray
 # slow-rail window where the adaptive RTO must beat fixed backoff on
 # the P99.9 tail. Runs twice, digests must match. Override the crash
-# schedule with SURVIVAL_SEED=<n>; the crash flow trace shows one
-# message crossing a firmware reboot.
-SURVIVAL_SEED ?= 1
+# schedule with SEED=<n>; the crash flow trace shows one message
+# crossing a firmware reboot.
 survival:
-	$(GO) run ./cmd/bclbench -seed $(SURVIVAL_SEED) survival
+	$(GO) run ./cmd/bclbench -seed $(SEED) survival
 	$(GO) run ./cmd/bcltrace -crash
 
 # NIC-offloaded collectives: host vs offload latency/trap table at
 # 2-64 ranks, the seeded fault soak (run twice, digests must match),
 # and the causal flow trace of one offloaded broadcast + barrier.
 collectives:
-	$(GO) run ./cmd/bclbench -seed $(CHAOS_SEED) collectives
+	$(GO) run ./cmd/bclbench -seed $(SEED) collectives
 	$(GO) run ./cmd/bcltrace -coll
 
 # Metrics registry showcase: the metered ping-pong (registry snapshot
@@ -76,11 +79,10 @@ multitenant:
 # and rail-divergence at byte-identical virtual times across a double
 # run), the bcltop replay of the fault phase, and the pretty-printed
 # postmortem bundle of its first alert. Override the fault schedule
-# with HEALTH_SEED=<n>.
-HEALTH_SEED ?= 1
+# with SEED=<n>.
 healthwatch:
-	$(GO) run ./cmd/bclbench -seed $(HEALTH_SEED) healthwatch
-	$(GO) run ./cmd/bclbench -seed $(HEALTH_SEED) -watch
+	$(GO) run ./cmd/bclbench -seed $(SEED) healthwatch
+	$(GO) run ./cmd/bclbench -seed $(SEED) -watch
 	$(GO) run ./cmd/bcltrace -health
 
 # Service tier: the sharded RPC/KV store with sessions, client caches
@@ -88,11 +90,9 @@ healthwatch:
 # baseline throughput/tail, QoS-vs-FIFO under a stream hog, and the
 # seeded chaos phase (duplicates + link outage + firmware crash, run
 # twice, digests must match), plus the causal flow trace of one
-# cross-shard transaction. Override the fault schedule with
-# SERVE_SEED=<n>.
-SERVE_SEED ?= 1
+# cross-shard transaction. Override the fault schedule with SEED=<n>.
 serve:
-	$(GO) run ./cmd/bclbench -seed $(SERVE_SEED) serve
+	$(GO) run ./cmd/bclbench -seed $(SEED) serve
 	$(GO) run ./cmd/bcltrace -rpc
 
 # Request-level observability: the reqobs gauntlet (tail-sampled
@@ -102,12 +102,11 @@ serve:
 # deterministic slow-request log — every phase run twice, digests must
 # match), the bcltop replay of the hot-key phase, and the ranked
 # slow-request log of the chaos phase. Override the fault schedule
-# with REQOBS_SEED=<n>.
-REQOBS_SEED ?= 1
+# with SEED=<n>.
 reqobs:
-	$(GO) run ./cmd/bclbench -seed $(REQOBS_SEED) reqobs
-	$(GO) run ./cmd/bclbench -seed $(REQOBS_SEED) -watch reqobs
-	$(GO) run ./cmd/bcltrace -slow -seed $(REQOBS_SEED)
+	$(GO) run ./cmd/bclbench -seed $(SEED) reqobs
+	$(GO) run ./cmd/bclbench -seed $(SEED) -watch reqobs
+	$(GO) run ./cmd/bcltrace -slow -seed $(SEED)
 
 # Continuous benchmark gate. `make baseline` (re)writes
 # baselines/BENCH_*.json from a fresh run of the gated experiments;

@@ -19,7 +19,7 @@ import (
 func runReport(b *testing.B, id string) {
 	var r *bench.Report
 	for i := 0; i < b.N; i++ {
-		r = bench.ByID(id)
+		r = bench.Run(id, 1)
 	}
 	if r == nil {
 		b.Fatalf("unknown experiment %q", id)

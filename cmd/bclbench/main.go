@@ -36,7 +36,7 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	seed := flag.Uint64("seed", 1, "fault-schedule seed for the chaos and collectives experiments")
+	seed := flag.Uint64("seed", 1, "fault/traffic-schedule seed for the seeded experiments (marked in -list), also under all, -check and -watch")
 	metrics := flag.Bool("metrics", false, "print each experiment's metrics registry snapshot (text and JSON)")
 	check := flag.Bool("check", false, "run the gated experiments and compare against committed baselines (exit 1 on regression)")
 	baseline := flag.Bool("baseline", false, "run the gated experiments and (re)write the baselines")
@@ -59,8 +59,8 @@ func main() {
 			if e.Seeded {
 				marks = append(marks, "seeded: varies with -seed N")
 			}
-			if e.Gated {
-				marks = append(marks, "gated: baselines/"+bench.ArtifactFile(artifactName(e.ID)))
+			if e.Gate != "" {
+				marks = append(marks, "gated: baselines/"+bench.ArtifactFile(e.Gate))
 			}
 			suffix := ""
 			if len(marks) > 0 {
@@ -105,10 +105,10 @@ func main() {
 	}
 	var reports []*bench.Report
 	if len(args) == 1 && args[0] == "all" {
-		reports = bench.All()
+		reports = bench.All(*seed)
 	} else {
 		for _, id := range args {
-			r := bench.ByIDSeeded(id, *seed)
+			r := bench.Run(id, *seed)
 			if r == nil {
 				fmt.Fprintf(os.Stderr, "bclbench: unknown experiment %q\n", id)
 				os.Exit(2)
@@ -123,7 +123,7 @@ func main() {
 		fmt.Print(r.String())
 		fmt.Println(r.Summary)
 		if *out != "" {
-			if err := writeArtifact(*out, artifactName(r.ID), r); err != nil {
+			if err := writeArtifact(*out, r); err != nil {
 				fmt.Fprintf(os.Stderr, "bclbench: %v\n", err)
 				os.Exit(1)
 			}
@@ -142,18 +142,7 @@ func main() {
 	}
 }
 
-// artifactName maps an experiment id to the gate's artifact name (the
-// id itself when the experiment is not in the gated set).
-func artifactName(id string) string {
-	for _, g := range bench.GatedExperiments {
-		if g.ID == id {
-			return g.Name
-		}
-	}
-	return id
-}
-
-func writeArtifact(dir, name string, r *bench.Report) error {
+func writeArtifact(dir string, r *bench.Report) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -161,7 +150,7 @@ func writeArtifact(dir, name string, r *bench.Report) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, bench.ArtifactFile(name)), b, 0o644)
+	return os.WriteFile(filepath.Join(dir, bench.ArtifactFile(r.Artifact)), b, 0o644)
 }
 
 // runGate runs every gated experiment once and either rewrites the
@@ -169,53 +158,52 @@ func writeArtifact(dir, name string, r *bench.Report) error {
 // Returns the process exit code.
 func runGate(check bool, dir, out, post string, seed uint64) int {
 	failed := false
-	for _, g := range bench.GatedExperiments {
-		r := bench.ByIDSeeded(g.ID, seed)
-		if r == nil {
-			fmt.Fprintf(os.Stderr, "bclbench: unknown gated experiment %q\n", g.ID)
-			return 2
+	for _, e := range bench.List() {
+		if e.Gate == "" {
+			continue
 		}
+		r := bench.Run(e.ID, seed)
 		fresh := bench.FromReport(r)
 		if out != "" {
-			if err := writeArtifact(out, g.Name, r); err != nil {
+			if err := writeArtifact(out, r); err != nil {
 				fmt.Fprintf(os.Stderr, "bclbench: %v\n", err)
 				return 1
 			}
 		}
-		path := filepath.Join(dir, bench.ArtifactFile(g.Name))
+		path := filepath.Join(dir, bench.ArtifactFile(e.Gate))
 		if !check {
-			if err := writeArtifact(dir, g.Name, r); err != nil {
+			if err := writeArtifact(dir, r); err != nil {
 				fmt.Fprintf(os.Stderr, "bclbench: %v\n", err)
 				return 1
 			}
-			fmt.Printf("baseline %-12s -> %s (%d metrics)\n", g.Name, path, len(fresh.Metrics))
+			fmt.Printf("baseline %-12s -> %s (%d metrics)\n", e.Gate, path, len(fresh.Metrics))
 			continue
 		}
 		raw, err := os.ReadFile(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bclbench: %s: %v (run `bclbench -baseline` to create it)\n", g.Name, err)
+			fmt.Fprintf(os.Stderr, "bclbench: %s: %v (run `bclbench -baseline` to create it)\n", e.Gate, err)
 			failed = true
-			writePostmortem(post, g.Name, r, []string{err.Error()})
+			writePostmortem(post, r, []string{err.Error()})
 			continue
 		}
 		base, err := bench.DecodeArtifact(raw)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bclbench: %s: bad baseline: %v\n", g.Name, err)
+			fmt.Fprintf(os.Stderr, "bclbench: %s: bad baseline: %v\n", e.Gate, err)
 			failed = true
-			writePostmortem(post, g.Name, r, []string{err.Error()})
+			writePostmortem(post, r, []string{err.Error()})
 			continue
 		}
 		bad := bench.Check(fresh, base)
 		if len(bad) == 0 {
-			fmt.Printf("check %-12s PASS (%d metrics within tolerance)\n", g.Name, len(base.Metrics))
+			fmt.Printf("check %-12s PASS (%d metrics within tolerance)\n", e.Gate, len(base.Metrics))
 			continue
 		}
 		failed = true
-		fmt.Printf("check %-12s FAIL\n", g.Name)
+		fmt.Printf("check %-12s FAIL\n", e.Gate)
 		for _, m := range bad {
 			fmt.Printf("  regression: %s\n", m)
 		}
-		writePostmortem(post, g.Name, r, bad)
+		writePostmortem(post, r, bad)
 	}
 	if failed {
 		return 1
@@ -227,7 +215,7 @@ func runGate(check bool, dir, out, post string, seed uint64) int {
 // reasons, the experiment's final registry snapshot, and its flight
 // recorder) as POSTMORTEM_<name>.json, so CI can attach it to the
 // failing run. A no-op when -postmortem was not given.
-func writePostmortem(dir, name string, r *bench.Report, reasons []string) {
+func writePostmortem(dir string, r *bench.Report, reasons []string) {
 	if dir == "" {
 		return
 	}
@@ -235,19 +223,19 @@ func writePostmortem(dir, name string, r *bench.Report, reasons []string) {
 	if r.Snap != nil {
 		atNs = int64(r.Snap.At)
 	}
-	b := health.GateBundle(name, atNs, reasons, r.Snap, r.Flight)
+	b := health.GateBundle(r.Artifact, atNs, reasons, r.Snap, r.Flight)
 	data, err := b.Encode()
 	if err == nil {
 		err = os.MkdirAll(dir, 0o755)
 	}
 	if err == nil {
-		err = os.WriteFile(filepath.Join(dir, "POSTMORTEM_"+name+".json"), data, 0o644)
+		err = os.WriteFile(filepath.Join(dir, "POSTMORTEM_"+r.Artifact+".json"), data, 0o644)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bclbench: postmortem %s: %v\n", name, err)
+		fmt.Fprintf(os.Stderr, "bclbench: postmortem %s: %v\n", r.Artifact, err)
 		return
 	}
-	fmt.Printf("  postmortem -> %s\n", filepath.Join(dir, "POSTMORTEM_"+name+".json"))
+	fmt.Printf("  postmortem -> %s\n", filepath.Join(dir, "POSTMORTEM_"+r.Artifact+".json"))
 }
 
 // faultVocabulary documents every fault injector the seeded

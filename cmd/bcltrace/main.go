@@ -93,25 +93,28 @@ func main() {
 		fmt.Print(b.Text())
 		return
 	}
-	if *profFlag {
-		fmt.Print(bench.ByID("profile").String())
-		return
+	id := "fig7"
+	switch {
+	case *profFlag:
+		id = "profile"
+	case *coll:
+		id = "collflow"
+	case *crash:
+		id = "crashflow"
+	case *rpc:
+		id = "rpcflow"
+	case *flow:
+		id = "flowtrace"
+	case *side == "send":
+		id = "fig5"
+	case *side == "recv":
+		id = "fig6"
+	case *side != "both":
+		fmt.Fprintf(os.Stderr, "bcltrace: -side must be send, recv or both\n")
+		os.Exit(2)
 	}
-	if *chrome {
-		gen := bench.ChromeTraceJSON
-		if *flow {
-			gen = bench.FlowChromeJSON
-		}
-		if *coll {
-			gen = bench.CollFlowChromeJSON
-		}
-		if *crash {
-			gen = bench.CrashFlowChromeJSON
-		}
-		if *rpc {
-			gen = bench.RPCFlowChromeJSON
-		}
-		out, err := gen()
+	if *chrome && !*profFlag {
+		out, err := bench.ChromeJSON(id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bcltrace: %v\n", err)
 			os.Exit(1)
@@ -120,33 +123,5 @@ func main() {
 		fmt.Println()
 		return
 	}
-	if *coll {
-		fmt.Print(bench.ByID("collflow").String())
-		return
-	}
-	if *crash {
-		fmt.Print(bench.ByID("crashflow").String())
-		return
-	}
-	if *rpc {
-		fmt.Print(bench.ByID("rpcflow").String())
-		return
-	}
-	if *flow {
-		fmt.Print(bench.ByID("flowtrace").String())
-		return
-	}
-	var id string
-	switch *side {
-	case "send":
-		id = "fig5"
-	case "recv":
-		id = "fig6"
-	case "both":
-		id = "fig7"
-	default:
-		fmt.Fprintf(os.Stderr, "bcltrace: -side must be send, recv or both\n")
-		os.Exit(2)
-	}
-	fmt.Print(bench.ByID(id).String())
+	fmt.Print(bench.Run(id, 1).String())
 }

@@ -108,8 +108,8 @@ func DefaultNICConfig() nic.Config {
 
 // Port is one process's BCL endpoint.
 type Port struct {
-	sys  *System
-	node *node.Node
+	sys   *System
+	node  *node.Node
 	proc  *oskernel.Process
 	addr  Addr
 	tr    *trace.Tracer
@@ -117,9 +117,9 @@ type Port struct {
 	row   string // "host<node>" or "host<node>[<label>]", the trace row
 
 	nicPort *nic.Port
-	events  *sim.Queue[*nic.Event] // merged receive events (NIC + intra)
-	sendEvs *sim.Queue[*nic.Event] // merged send events
-	pending []*nic.Event           // receive events set aside by selective waits
+	events  *sim.Queue[*nic.Event]         // merged receive events (NIC + intra)
+	sendEvs *sim.Queue[*nic.Event]         // merged send events
+	pending []*nic.Event                   // receive events set aside by selective waits
 	routes  map[int]*sim.Queue[*nic.Event] // per-channel demux diversions (see route.go)
 
 	intraQ   *sim.Queue[*intraFrag]

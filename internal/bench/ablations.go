@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"strings"
 
-	ibcl "bcl/internal/bcl"
 	"bcl/internal/cluster"
 	"bcl/internal/hw"
 	"bcl/internal/nic"
-	"bcl/internal/sim"
 )
 
-// AblationPIO sweeps the PCI programmed-IO word cost: the paper's
+// ablationPIO sweeps the PCI programmed-IO word cost: the paper's
 // discussion notes that filling the send request is limited by PCI IO
 // performance and "a good motherboard can improve the I/O performance
 // heavily".
-func AblationPIO() *Report {
+func ablationPIO() *Report {
 	r := newReport("ablation-pio", "PIO cost sweep (paper: send-request fill is PCI-IO bound)")
 	var b strings.Builder
 	fmt.Fprintf(&b, "%12s %16s %16s\n", "PIO scale", "0B latency", "128KB bandwidth")
@@ -36,9 +34,9 @@ func AblationPIO() *Report {
 	return r
 }
 
-// AblationCPU sweeps host CPU speed: "a faster CPU will reduce these
+// ablationCPU sweeps host CPU speed: "a faster CPU will reduce these
 // [checking and trap] overheads".
-func AblationCPU() *Report {
+func ablationCPU() *Report {
 	r := newReport("ablation-cpu", "Host CPU speed sweep (paper: checks and traps scale with CPU)")
 	var b strings.Builder
 	fmt.Fprintf(&b, "%12s %16s %18s\n", "CPU scale", "0B latency", "semi-user extra")
@@ -60,10 +58,10 @@ func AblationCPU() *Report {
 	return r
 }
 
-// AblationReliability removes the firmware reliability protocol: the
+// ablationReliability removes the firmware reliability protocol: the
 // paper attributes 5.65 µs of the NIC time to reliable transmission
 // ("to reduce the protocol overhead is a way to improve performance").
-func AblationReliability() *Report {
+func ablationReliability() *Report {
 	r := newReport("ablation-reliability", "Reliable vs raw firmware (paper: 5.65 µs of NIC time is the reliable protocol)")
 	reliable := bclLatency(hw.DAWNING3000(), false, 0)
 
@@ -71,45 +69,8 @@ func AblationReliability() *Report {
 	// stripped out of the per-message processing.
 	prof := hw.DAWNING3000().Clone()
 	prof.MCPSendProc -= 5650 - 2200 // keep basic dispatch, drop the protocol machine
-	lat := func() sim.Time {
-		nodes := 2
-		c := newCluster(cluster.Config{Nodes: nodes, Profile: prof,
-			NIC: nic.Config{Translate: nic.HostTranslated, Completion: nic.UserEventQueue, Reliable: false}})
-		sys := ibcl.NewSystem(c)
-		var a, bp *ibcl.Port
-		c.Env.Go("setup", func(p *sim.Proc) {
-			a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64})
-			bp, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64})
-		})
-		c.Env.RunUntil(20 * sim.Millisecond)
-		const iters = 4
-		sendAt := make([]sim.Time, iters)
-		var warm sim.Time
-		ch := bp.CreateChannel()
-		c.Env.Go("recv", func(p *sim.Proc) {
-			rva := bp.Process().Space.Alloc(64)
-			bp.PostRecv(p, ch, rva, 64)
-			for i := 0; i < iters; i++ {
-				bp.WaitRecv(p)
-				warm = p.Now() - sendAt[i]
-				if i < iters-1 {
-					bp.PostRecv(p, ch, rva, 64)
-				}
-			}
-		})
-		c.Env.Go("send", func(p *sim.Proc) {
-			va := a.Process().Space.Alloc(64)
-			p.Sleep(100 * sim.Microsecond)
-			for i := 0; i < iters; i++ {
-				sendAt[i] = p.Now()
-				a.Send(p, bp.Addr(), ch, va, 0, 0)
-				a.WaitSend(p)
-				p.Sleep(300 * sim.Microsecond)
-			}
-		})
-		c.Env.RunUntil(c.Env.Now() + sim.Second)
-		return warm
-	}()
+	lat := pairRig(cluster.Config{Nodes: 2, Profile: prof,
+		NIC: nic.Config{Translate: nic.HostTranslated, Completion: nic.UserEventQueue, Reliable: false}}, false).pair().warmLatency(0)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-36s %12s\n", "firmware", "0B latency")
@@ -122,17 +83,17 @@ func AblationReliability() *Report {
 	return r
 }
 
-// AblationKernelPath confirms the paper's bandwidth claim: the extra
+// ablationKernelPath confirms the paper's bandwidth claim: the extra
 // kernel trap is ~0.4% of a 128 KB transfer, so semi-user and
 // user-level bandwidth are the same.
-func AblationKernelPath() *Report {
+func ablationKernelPath() *Report {
 	r := newReport("ablation-kernelpath", "Kernel path vs bandwidth (paper: +4.17 µs is ~0.4% at 128 KB)")
 	prof := hw.DAWNING3000()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%10s %16s %16s\n", "bytes", "semi-user MB/s", "user-level MB/s")
 	for _, size := range []int{4096, 32768, 131072} {
 		semi := bclBandwidth(prof, false, size, 8)
-		user := ulcBandwidth(prof, size, 8, nil)
+		user := ulcPair(gmConfig(prof)).stream(size, 8)
 		fmt.Fprintf(&b, "%10d %16.1f %16.1f\n", size, semi, user)
 		if size == 131072 {
 			r.metric("semi_128k_mbps", semi)
@@ -144,13 +105,13 @@ func AblationKernelPath() *Report {
 	return r
 }
 
-// AblationPipeline compares the pipelined intra-node shared-memory
+// ablationPipeline compares the pipelined intra-node shared-memory
 // path against a store-and-forward variant (one giant chunk): the
 // paper says BCL "reduced the extra overhead by using the pipeline
 // message passing technique". The benefit is single-message latency:
 // with pipelining the copy-out overlaps the copy-in chunk by chunk;
 // without it the second copy waits for the whole first.
-func AblationPipeline() *Report {
+func ablationPipeline() *Report {
 	r := newReport("ablation-pipeline", "Intra-node pipelining (paper: pipelined shm copies hide the extra copy)")
 	pipelined := hw.DAWNING3000()
 	storeFwd := hw.DAWNING3000().Clone()

@@ -68,26 +68,15 @@ type Artifact struct {
 	Latency     *LatencyDigest   `json:"latency,omitempty"`
 	LogP        *LogPDigest      `json:"logp,omitempty"`
 	Attribution []AttributionRow `json:"attribution,omitempty"`
+
+	// exact names the metrics the experiment declared exact when it
+	// emitted them. It is not serialized: Check takes it from the fresh
+	// run, so a decoded baseline needs none.
+	exact map[string]bool
 }
 
-// GatedExperiments maps artifact names (BENCH_<name>.json) to the
-// experiment ids the continuous-benchmark gate runs.
-var GatedExperiments = []struct{ Name, ID string }{
-	{"pingpong", "pingpong"},
-	{"scale", "scale"},
-	{"intrapath", "ablation-intrapath"},
-	{"chaos", "chaos"},
-	{"survival", "survival"},
-	{"collectives", "collectives"},
-	{"profile", "profile"},
-	{"logp", "logp"},
-	{"multitenant", "multitenant"},
-	{"healthwatch", "healthwatch"},
-	{"serve", "serve"},
-	{"reqobs", "reqobs"},
-}
-
-// ArtifactFile returns the artifact filename for a gate entry name.
+// ArtifactFile returns the artifact filename for a Report.Artifact or
+// Info.Gate name.
 func ArtifactFile(name string) string { return "BENCH_" + name + ".json" }
 
 // round6 fixes float metrics at micro precision so artifacts are
@@ -109,6 +98,7 @@ func FromReport(r *Report) *Artifact {
 		Title:   r.Title,
 		Summary: r.Summary,
 		Metrics: make(map[string]float64, len(r.Metrics)),
+		exact:   r.exactKeys,
 	}
 	for k, v := range r.Metrics {
 		a.Metrics[k] = round6(v)
@@ -176,75 +166,11 @@ type tolerance struct {
 	exact bool    // must match bit-for-bit (correctness flags)
 }
 
-// exactMetrics are correctness indicators: any drift is a regression,
-// however small.
-var exactMetrics = map[string]bool{
-	"deterministic":   true,
-	"deadlocked":      true,
-	"corrupt":         true,
-	"delivered":       true, // soaks: every message arrives, none extra
-	"byte_errors":     true,
-	"registry_agrees": true,
-	"finished":        true,
-	// Multi-tenant correctness: every staged attack must be rejected,
-	// teardown must unbind, and the QoS/backfill wins must hold.
-	"security_rejects":    true,
-	"teardown_ok":         true,
-	"qos_beats_fifo":      true,
-	"backfill_beats_fifo": true,
-	// Survivability correctness: exactly-once delivery through crash +
-	// corruption + gray chaos, the faults must actually have fired, and
-	// the adaptive-RTO tail must strictly beat fixed backoff.
-	"exactly_once":          true,
-	"crc_drops_nonzero":     true,
-	"nic_reboots_nonzero":   true,
-	"adaptive_beats_fixed":  true,
-	"gray_failover_nonzero": true,
-	// Health-engine correctness: the clean phase must stay silent, the
-	// fault phase must fire the expected rules, and the alert timeline
-	// and bundle bytes must be identical across the double run.
-	"clean_alerts":           true,
-	"fired_crc_spike":        true,
-	"fired_watchdog_trip":    true,
-	"fired_rail_divergence":  true,
-	"bundle_deterministic":   true,
-	"timeline_deterministic": true,
-	// Service-tier correctness: no half-applied transaction pair, no
-	// monotonic-read violation, caches coherent at quiesce, the swarm
-	// fully drained, and the chaos phase's faults actually exercised
-	// the dedup/retransmit machinery.
-	"atomicity_ok":        true,
-	"linearizable_ok":     true,
-	"coherent_caches":     true,
-	"swarm_drained":       true,
-	"dedup_nonzero":       true,
-	"retrans_nonzero":     true,
-	"txn_commits_nonzero": true,
-	// Request-observability correctness: sampling must retain every
-	// abort and SLO breach within budget, the hot-shard rule must fire
-	// on the skewed phase only, and slow logs, exemplar sets and
-	// sampling decisions must be byte-identical across double runs.
-	"hot_rule_fired":           true,
-	"hot_rule_silent_baseline": true,
-	"bundle_has_slowlog":       true,
-	"aborts_all_retained":      true,
-	"slo_all_retained":         true,
-	"chaos_aborts_nonzero":     true,
-	"chaos_slo_nonzero":        true,
-	"budget_respected":         true,
-	"budget_dropped_nonzero":   true,
-	"exemplars_nonzero":        true,
-	"trace_cap_respected":      true,
-	"trace_evictions_nonzero":  true,
-	"slowlog_deterministic":    true,
-	"exemplar_deterministic":   true,
-	"sampling_deterministic":   true,
-	"drained":                  true,
-}
-
-// tolFor picks the acceptance band for one metric.
-func tolFor(name string) tolerance {
-	if exactMetrics[name] {
+// tolFor picks the acceptance band for one metric of a fresh run:
+// bit-for-bit if the experiment emitted it as a flag or an exact count,
+// else by the unit its name ends in.
+func (a *Artifact) tolFor(name string) tolerance {
+	if a.exact[name] {
 		return tolerance{exact: true}
 	}
 	switch {
@@ -304,7 +230,7 @@ func Check(fresh, base *Artifact) []string {
 			bad = append(bad, fmt.Sprintf("metric %s: missing from fresh run", k))
 			continue
 		}
-		if msg := checkOne("metric "+k, fv, base.Metrics[k], tolFor(k)); msg != "" {
+		if msg := checkOne("metric "+k, fv, base.Metrics[k], fresh.tolFor(k)); msg != "" {
 			bad = append(bad, msg)
 		}
 	}
@@ -369,28 +295,4 @@ func Check(fresh, base *Artifact) []string {
 		}
 	}
 	return bad
-}
-
-// ByIDSeeded runs an experiment through the harness with an explicit
-// fault-schedule seed where the experiment takes one. Unlike calling
-// the seeded constructors directly, this goes through runExperiment,
-// so the report carries its snapshot and one-line summary exactly
-// like an unseeded run — the digest, prose and artifact all come
-// from the same capture.
-func ByIDSeeded(id string, seed uint64) *Report {
-	switch strings.ToLower(id) {
-	case "chaos":
-		return runExperiment(func() *Report { return ChaosSeeded(seed) })
-	case "collectives":
-		return runExperiment(func() *Report { return CollectivesSeeded(seed) })
-	case "survival":
-		return runExperiment(func() *Report { return SurvivalSeeded(seed) })
-	case "healthwatch":
-		return runExperiment(func() *Report { return HealthWatchSeeded(seed) })
-	case "serve":
-		return runExperiment(func() *Report { return ServeSeeded(seed) })
-	case "reqobs":
-		return runExperiment(func() *Report { return ReqObsSeeded(seed) })
-	}
-	return ByID(id)
 }

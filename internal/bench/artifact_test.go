@@ -8,28 +8,24 @@ import (
 )
 
 // TestGateSetMatchesBaselines holds the gate set and baselines/
-// one-to-one: every GatedExperiments entry names a registered
-// experiment (List is the table ByID resolves against, consulted here
-// without running anything) and has a committed BENCH_<name>.json, and
-// every committed BENCH_*.json has an entry — so removing an
-// experiment cannot strand a baseline, or the reverse, silently.
+// one-to-one: every gated experiment in the table (List is the table
+// Run resolves against, consulted here without running anything) has a
+// committed BENCH_<gate>.json, and every committed BENCH_*.json has a
+// gated experiment — so removing an experiment cannot strand a
+// baseline, or the reverse, silently.
 func TestGateSetMatchesBaselines(t *testing.T) {
-	registered := make(map[string]bool)
-	for _, e := range List() {
-		registered[e.ID] = true
-	}
 	const dir = "../../baselines"
-	want := make(map[string]bool, len(GatedExperiments))
-	for _, g := range GatedExperiments {
-		if !registered[g.ID] {
-			t.Errorf("gate %q names experiment %q, which ByID does not know", g.Name, g.ID)
+	want := make(map[string]bool)
+	for _, e := range List() {
+		if e.Gate == "" {
+			continue
 		}
-		if want[ArtifactFile(g.Name)] {
-			t.Errorf("gate name %q appears twice in GatedExperiments", g.Name)
+		if want[ArtifactFile(e.Gate)] {
+			t.Errorf("gate name %q appears twice in the experiments table", e.Gate)
 		}
-		want[ArtifactFile(g.Name)] = true
-		if _, err := os.Stat(filepath.Join(dir, ArtifactFile(g.Name))); err != nil {
-			t.Errorf("gate %q has no committed baseline: %v", g.Name, err)
+		want[ArtifactFile(e.Gate)] = true
+		if _, err := os.Stat(filepath.Join(dir, ArtifactFile(e.Gate))); err != nil {
+			t.Errorf("gate %q has no committed baseline: %v", e.Gate, err)
 		}
 	}
 	files, err := filepath.Glob(filepath.Join(dir, ArtifactFile("*")))
@@ -38,7 +34,7 @@ func TestGateSetMatchesBaselines(t *testing.T) {
 	}
 	for _, f := range files {
 		if !want[filepath.Base(f)] {
-			t.Errorf("%s has no GatedExperiments entry", f)
+			t.Errorf("%s has no gated experiment", f)
 		}
 	}
 }
@@ -50,7 +46,7 @@ func TestGateSetMatchesBaselines(t *testing.T) {
 func TestArtifactDeterminism(t *testing.T) {
 	for _, id := range []string{"pingpong", "profile", "logp"} {
 		encode := func() []byte {
-			b, err := FromReport(ByIDSeeded(id, 1)).Encode()
+			b, err := FromReport(Run(id, 1)).Encode()
 			if err != nil {
 				t.Fatalf("%s: encode: %v", id, err)
 			}
@@ -94,7 +90,7 @@ func TestLogPFitStable(t *testing.T) {
 // profiler: an 8-byte eager send must show kernel time on the send
 // side (the one trap) and none on the receive side.
 func TestProfileAttribution(t *testing.T) {
-	r := ByID("profile")
+	r := Run("profile", 1)
 	if got := r.Metrics["send_kernel_us"]; got <= 0 {
 		t.Errorf("send-side kernel time = %v µs, want > 0 (the send trap)", got)
 	}
@@ -112,7 +108,7 @@ func TestProfileAttribution(t *testing.T) {
 // TestCheckPassesOnSelf runs Check(fresh, fresh-as-baseline): a run
 // compared against its own artifact must pass.
 func TestCheckPassesOnSelf(t *testing.T) {
-	r := ByIDSeeded("pingpong", 1)
+	r := Run("pingpong", 1)
 	fresh := FromReport(r)
 	raw, err := fresh.Encode()
 	if err != nil {
@@ -131,7 +127,7 @@ func TestCheckPassesOnSelf(t *testing.T) {
 // metric beyond its tolerance band, one exact-match flag minimally,
 // and one counter, and Check must flag each.
 func TestCheckCatchesPerturbation(t *testing.T) {
-	fresh := FromReport(ByIDSeeded("pingpong", 1))
+	fresh := FromReport(Run("pingpong", 1))
 	reload := func() *Artifact {
 		raw, err := fresh.Encode()
 		if err != nil {

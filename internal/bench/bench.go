@@ -7,6 +7,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -14,7 +15,6 @@ import (
 	ibcl "bcl/internal/bcl"
 	"bcl/internal/bip"
 	"bcl/internal/cluster"
-	"bcl/internal/eadi"
 	"bcl/internal/hw"
 	"bcl/internal/klc"
 	"bcl/internal/mem"
@@ -23,6 +23,7 @@ import (
 	"bcl/internal/obs/prof"
 	"bcl/internal/pvm"
 	"bcl/internal/sim"
+	"bcl/internal/trace"
 	"bcl/internal/ulc"
 )
 
@@ -33,9 +34,18 @@ type Report struct {
 	Text    string
 	Metrics map[string]float64
 
+	// Artifact names the report's benchmark artifact,
+	// BENCH_<Artifact>.json: the gate name of a gated experiment, the
+	// id of any other. Run sets it.
+	Artifact string
+
+	// exactKeys are the metrics declared exact where they were emitted
+	// (flag, exact): -check compares them bit for bit.
+	exactKeys map[string]bool
+
 	// Snap is the merged registry snapshot over every cluster the
-	// experiment built (captured by All/ByID when the experiment did not
-	// set one itself). Summary is its one-line digest.
+	// experiment built (captured by Run when the experiment did not set
+	// one itself). Summary is its one-line digest.
 	Snap    *obs.Snapshot
 	Summary string
 
@@ -55,55 +65,75 @@ func (r *Report) String() string {
 	return fmt.Sprintf("== %s: %s ==\n%s", r.ID, r.Title, r.Text)
 }
 
-// metric records a key number.
+// metric records a key number; -check holds it to a tolerance band
+// around its baseline.
 func (r *Report) metric(k string, v float64) { r.Metrics[k] = v }
 
-func newReport(id, title string) *Report {
-	return &Report{ID: id, Title: title, Metrics: make(map[string]float64)}
+// exact records a count that is a correctness indicator: any drift from
+// the baseline is a regression, however small.
+func (r *Report) exact(k string, v float64) {
+	r.Metrics[k] = v
+	r.exactKeys[k] = true
 }
 
-// experiments maps every experiment id (and alias) to its constructor,
-// in paper order. seeded marks the experiments whose fault/traffic
-// schedule honors -seed (ByIDSeeded runs their seed-taking variant).
+// flag records a pass/fail correctness indicator as 0/1. Flags are
+// always exact, so a new one can never silently get a tolerance band.
+func (r *Report) flag(k string, ok bool) {
+	v := 0.0
+	if ok {
+		v = 1
+	}
+	r.exact(k, v)
+}
+
+func newReport(id, title string) *Report {
+	return &Report{ID: id, Title: title, Metrics: make(map[string]float64), exactKeys: make(map[string]bool)}
+}
+
+// experiments is every experiment in paper order: id, aliases, listing
+// title, the artifact name -check gates it under ("" = not gated), and
+// its constructor — run, or seeded for the experiments whose
+// fault/traffic schedule honors -seed. Exactly one of the two is set.
 var experiments = []struct {
 	id      string
 	aliases []string
 	title   string
-	seeded  bool
-	fn      func() *Report
+	gate    string
+	run     func() *Report
+	seeded  func(seed uint64) *Report
 }{
-	{id: "table1", title: "Comparison of three communication architectures", fn: Table1},
-	{id: "overheads", title: "Processor overheads (send/completion/receive)", fn: Overheads},
-	{id: "fig5", aliases: []string{"figure5"}, title: "Transmission timeline for a BCL message", fn: Figure5},
-	{id: "fig6", aliases: []string{"figure6"}, title: "Reception timeline for a BCL message", fn: Figure6},
-	{id: "fig7", aliases: []string{"figure7"}, title: "One-way latency timeline, 0-length message", fn: Figure7},
-	{id: "fig8", aliases: []string{"figure8"}, title: "Latency vs message size", fn: Figure8},
-	{id: "fig9", aliases: []string{"figure9"}, title: "Bandwidth vs message size", fn: Figure9},
-	{id: "table2", title: "Comparison of communication protocols", fn: Table2},
-	{id: "table3", title: "Performance of BCL and MPI/PVM over BCL", fn: Table3},
-	{id: "fabrics", title: "BCL over Myrinet, nwrc mesh, and the composite", fn: Fabrics},
-	{id: "scale", title: "Collective scaling to the full 70-node machine", fn: Scale},
-	{id: "pingpong", title: "BCL ping-pong with cluster-wide metrics registry", fn: PingPong},
-	{id: "flowtrace", title: "Causal flow trace of one message (forced retransmission)", fn: FlowTrace},
-	{id: "ablation-pio", title: "PIO cost sweep", fn: AblationPIO},
-	{id: "ablation-cpu", title: "Host CPU speed sweep", fn: AblationCPU},
-	{id: "ablation-reliability", title: "Reliable vs raw firmware", fn: AblationReliability},
-	{id: "ablation-kernelpath", title: "Kernel path vs bandwidth", fn: AblationKernelPath},
-	{id: "ablation-pipeline", title: "Intra-node pipelining", fn: AblationPipeline},
-	{id: "ablation-window", title: "Go-back-N window sweep", fn: AblationWindow},
-	{id: "ablation-intrapath", title: "Intra-node strategies: loopback vs shm vs direct", fn: AblationIntraPath},
-	{id: "chaos", title: "Deterministic chaos soak", seeded: true, fn: Chaos},
-	{id: "survival", title: "Survivable NIC gauntlet: crash recovery, corruption, gray failures", seeded: true, fn: Survival},
-	{id: "collectives", title: "NIC-offloaded collectives vs host algorithms", seeded: true, fn: Collectives},
-	{id: "collflow", title: "Causal flow trace of one offloaded broadcast + barrier", fn: CollFlow},
-	{id: "crashflow", title: "Causal flow trace of one message across a firmware crash + recovery", fn: CrashFlow},
-	{id: "profile", title: "Virtual-time attribution of one eager send", fn: Profile},
-	{id: "logp", title: "LogP/LogGP parameters extracted from profiler spans", fn: LogP},
-	{id: "multitenant", aliases: []string{"mt"}, title: "Multi-tenant cluster: scheduler, endpoint isolation, QoS arbitration", fn: Multitenant},
-	{id: "healthwatch", aliases: []string{"health"}, title: "Cluster health engine: clean silence, fault alerts, postmortem bundles", seeded: true, fn: HealthWatch},
-	{id: "serve", aliases: []string{"svc"}, title: "Service tier: sharded RPC/KV, transactions, open-loop swarm", seeded: true, fn: Serve},
-	{id: "reqobs", aliases: []string{"reqtrace"}, title: "Request-level observability: tail-sampled traces, exemplars, heavy hitters, slow log", seeded: true, fn: ReqObs},
-	{id: "rpcflow", title: "Causal flow trace of one cross-shard transaction (2PC over BCL)", fn: RPCFlow},
+	{id: "table1", title: "Comparison of three communication architectures", run: table1},
+	{id: "overheads", title: "Processor overheads (send/completion/receive)", run: overheads},
+	{id: "fig5", aliases: []string{"figure5"}, title: "Transmission timeline for a BCL message", run: figure5},
+	{id: "fig6", aliases: []string{"figure6"}, title: "Reception timeline for a BCL message", run: figure6},
+	{id: "fig7", aliases: []string{"figure7"}, title: "One-way latency timeline, 0-length message", run: figure7},
+	{id: "fig8", aliases: []string{"figure8"}, title: "Latency vs message size", run: figure8},
+	{id: "fig9", aliases: []string{"figure9"}, title: "Bandwidth vs message size", run: figure9},
+	{id: "table2", title: "Comparison of communication protocols", run: table2},
+	{id: "table3", title: "Performance of BCL and MPI/PVM over BCL", run: table3},
+	{id: "fabrics", title: "BCL over Myrinet, nwrc mesh, and the composite", run: fabrics},
+	{id: "scale", title: "Collective scaling to the full 70-node machine", gate: "scale", run: scale},
+	{id: "pingpong", title: "BCL ping-pong with cluster-wide metrics registry", gate: "pingpong", run: pingPong},
+	{id: "flowtrace", title: "Causal flow trace of one message (forced retransmission)", run: flowTrace},
+	{id: "ablation-pio", title: "PIO cost sweep", run: ablationPIO},
+	{id: "ablation-cpu", title: "Host CPU speed sweep", run: ablationCPU},
+	{id: "ablation-reliability", title: "Reliable vs raw firmware", run: ablationReliability},
+	{id: "ablation-kernelpath", title: "Kernel path vs bandwidth", run: ablationKernelPath},
+	{id: "ablation-pipeline", title: "Intra-node pipelining", run: ablationPipeline},
+	{id: "ablation-window", title: "Go-back-N window sweep", run: ablationWindow},
+	{id: "ablation-intrapath", title: "Intra-node strategies: loopback vs shm vs direct", gate: "intrapath", run: ablationIntraPath},
+	{id: "chaos", title: "Deterministic chaos soak", gate: "chaos", seeded: chaos},
+	{id: "survival", title: "Survivable NIC gauntlet: crash recovery, corruption, gray failures", gate: "survival", seeded: survival},
+	{id: "collectives", title: "NIC-offloaded collectives vs host algorithms", gate: "collectives", seeded: collectives},
+	{id: "collflow", title: "Causal flow trace of one offloaded broadcast + barrier", run: collFlow},
+	{id: "crashflow", title: "Causal flow trace of one message across a firmware crash + recovery", run: crashFlow},
+	{id: "profile", title: "Virtual-time attribution of one eager send", gate: "profile", run: profile},
+	{id: "logp", title: "LogP/LogGP parameters extracted from profiler spans", gate: "logp", run: logP},
+	{id: "multitenant", aliases: []string{"mt"}, title: "Multi-tenant cluster: scheduler, endpoint isolation, QoS arbitration", gate: "multitenant", run: multitenant},
+	{id: "healthwatch", aliases: []string{"health"}, title: "Cluster health engine: clean silence, fault alerts, postmortem bundles", gate: "healthwatch", seeded: healthWatch},
+	{id: "serve", aliases: []string{"svc"}, title: "Service tier: sharded RPC/KV, transactions, open-loop swarm", gate: "serve", seeded: serve},
+	{id: "reqobs", aliases: []string{"reqtrace"}, title: "Request-level observability: tail-sampled traces, exemplars, heavy hitters, slow log", gate: "reqobs", seeded: reqObs},
+	{id: "rpcflow", title: "Causal flow trace of one cross-shard transaction (2PC over BCL)", run: rpcFlow},
 }
 
 // Info describes one registered experiment for listings.
@@ -111,50 +141,52 @@ type Info struct {
 	ID      string
 	Aliases []string
 	Title   string
-	Seeded  bool // honors -seed (fault/traffic schedule variants)
-	Gated   bool // compared against a committed baseline by -check
+	Seeded  bool   // honors -seed (fault/traffic schedule variants)
+	Gate    string // -check compares it against baselines/BENCH_<Gate>.json ("" = not gated)
 }
 
 // List returns every registered experiment in paper order.
 func List() []Info {
-	gated := make(map[string]bool, len(GatedExperiments))
-	for _, g := range GatedExperiments {
-		gated[g.ID] = true
-	}
 	var out []Info
 	for _, e := range experiments {
-		out = append(out, Info{
-			ID:      e.id,
-			Aliases: e.aliases,
-			Title:   e.title,
-			Seeded:  e.seeded,
-			Gated:   gated[e.id],
-		})
+		out = append(out, Info{ID: e.id, Aliases: e.aliases, Title: e.title, Seeded: e.seeded != nil, Gate: e.gate})
 	}
 	return out
 }
 
-// All runs every experiment in paper order.
-func All() []*Report {
+// All runs every experiment in paper order, the seeded ones at seed.
+func All(seed uint64) []*Report {
 	var out []*Report
 	for _, e := range experiments {
-		out = append(out, runExperiment(e.fn))
+		out = append(out, Run(e.id, seed))
 	}
 	return out
 }
 
-// ByID returns the named experiment (nil if unknown).
-func ByID(id string) *Report {
+// Run runs the experiment with the given id or alias (nil if unknown),
+// at seed where the experiment takes one. Every report comes through
+// here, so its snapshot, one-line summary, prose and artifact all
+// derive from the same capture.
+func Run(id string, seed uint64) *Report {
 	id = strings.ToLower(id)
 	for _, e := range experiments {
-		if e.id == id {
-			return runExperiment(e.fn)
+		if e.id != id && !slices.Contains(e.aliases, id) {
+			continue
 		}
-		for _, a := range e.aliases {
-			if a == id {
-				return runExperiment(e.fn)
-			}
+		built = nil
+		var r *Report
+		if e.seeded != nil {
+			r = e.seeded(seed)
+		} else {
+			r = e.run()
 		}
+		r.Artifact = e.id
+		if e.gate != "" {
+			r.Artifact = e.gate
+		}
+		capture(r)
+		built = nil
+		return r
 	}
 	return nil
 }
@@ -167,6 +199,29 @@ func IDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
+}
+
+// ChromeJSON reruns the traced scenario behind a timeline or flow
+// experiment and renders its spans as Chrome trace-event JSON (for
+// chrome://tracing / Perfetto; "bcl-flow" arrows follow each message
+// across the host, NIC and wire rows).
+func ChromeJSON(id string) ([]byte, error) {
+	var tr *trace.Tracer
+	switch id {
+	case "fig5", "fig6", "fig7":
+		tr, _, _ = tracedMessage(0, nil)
+	case "flowtrace":
+		tr, _, _ = tracedMessage(0, dropFirstTracedData())
+	case "collflow":
+		tr = collFlowTraced()
+	case "crashflow":
+		tr, _, _ = crashFlowTracedMessage()
+	case "rpcflow":
+		tr, _, _ = rpcFlowRun()
+	default:
+		return nil, fmt.Errorf("bench: experiment %q has no trace to render", id)
+	}
+	return tr.ChromeTrace()
 }
 
 // built tracks every cluster an experiment constructs, so the harness
@@ -182,23 +237,10 @@ func newCluster(cfg cluster.Config) *cluster.Cluster {
 	return c
 }
 
-// runExperiment runs one constructor and captures the merged metrics
-// snapshot of every cluster it built.
-func runExperiment(fn func() *Report) *Report {
-	built = nil
-	r := fn()
-	capture(r)
-	built = nil
-	return r
-}
-
 // capture merges the tracked clusters' registries into the report (if
 // the experiment did not attach a snapshot itself) and derives the
 // one-line summary.
 func capture(r *Report) {
-	if r == nil {
-		return
-	}
 	if r.Snap == nil {
 		snaps := make([]*obs.Snapshot, 0, len(built))
 		for _, c := range built {
@@ -235,114 +277,6 @@ func summaryLine(s *obs.Snapshot) string {
 
 func us(t sim.Time) float64 { return float64(t) / 1000 }
 
-// ------------------------------------------------------ BCL measurers
-
-// bclRig is a 2-port BCL fixture.
-type bclRig struct {
-	c    *cluster.Cluster
-	sys  *ibcl.System
-	a, b *ibcl.Port
-}
-
-func newBCLRig(prof *hw.Profile, intra bool) *bclRig {
-	nodes := 2
-	nodeB := 1
-	if intra {
-		nodeB = 0
-	}
-	c := newCluster(cluster.Config{Nodes: nodes, Profile: prof, NIC: ibcl.DefaultNICConfig()})
-	sys := ibcl.NewSystem(c)
-	r := &bclRig{c: c, sys: sys}
-	c.Env.Go("setup", func(p *sim.Proc) {
-		pa := c.Nodes[0].Kernel.Spawn()
-		pb := c.Nodes[nodeB].Kernel.Spawn()
-		r.a, _ = sys.Open(p, c.Nodes[0], pa, ibcl.Options{SystemBuffers: 64})
-		r.b, _ = sys.Open(p, c.Nodes[nodeB], pb, ibcl.Options{SystemBuffers: 64})
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	if r.a == nil || r.b == nil {
-		panic("bench: BCL rig setup failed")
-	}
-	return r
-}
-
-// bclLatency measures warm one-way latency for size bytes on a normal
-// channel with preposted (and re-posted) buffers.
-func bclLatency(prof *hw.Profile, intra bool, size int) sim.Time {
-	r := newBCLRig(prof, intra)
-	const iters = 4
-	bufN := size
-	if bufN == 0 {
-		bufN = 64
-	}
-	ch := r.b.CreateChannel()
-	sendAt := make([]sim.Time, iters)
-	var warm sim.Time
-	r.c.Env.Go("recv", func(p *sim.Proc) {
-		rva := r.b.Process().Space.Alloc(bufN)
-		r.b.PostRecv(p, ch, rva, bufN)
-		for i := 0; i < iters; i++ {
-			r.b.WaitRecv(p)
-			warm = p.Now() - sendAt[i]
-			if i < iters-1 {
-				r.b.PostRecv(p, ch, rva, bufN)
-			}
-		}
-	})
-	r.c.Env.Go("send", func(p *sim.Proc) {
-		va := r.a.Process().Space.Alloc(bufN)
-		p.Sleep(100 * sim.Microsecond)
-		for i := 0; i < iters; i++ {
-			sendAt[i] = p.Now()
-			r.a.Send(p, r.b.Addr(), ch, va, size, 0)
-			r.a.WaitSend(p)
-			p.Sleep(300 * sim.Microsecond)
-		}
-	})
-	r.c.Env.RunUntil(r.c.Env.Now() + sim.Second)
-	return warm
-}
-
-// bclBandwidth measures streaming bandwidth in MB/s at the given
-// message size.
-func bclBandwidth(prof *hw.Profile, intra bool, size, msgs int) float64 {
-	r := newBCLRig(prof, intra)
-	var start, end sim.Time
-	ready := false
-	r.c.Env.Go("recv", func(p *sim.Proc) {
-		for i := 0; i < msgs; i++ {
-			va := r.b.Process().Space.Alloc(size)
-			r.b.PostRecv(p, i+1, va, size)
-		}
-		ready = true
-		// The first message is warm-up: the clock starts when it has
-		// fully arrived, so pin-table misses stay off the measurement.
-		r.b.WaitRecv(p)
-		start = p.Now()
-		for i := 1; i < msgs; i++ {
-			r.b.WaitRecv(p)
-		}
-		end = p.Now()
-	})
-	r.c.Env.Go("send", func(p *sim.Proc) {
-		va := r.a.Process().Space.Alloc(size)
-		for !ready {
-			p.Sleep(50 * sim.Microsecond)
-		}
-		for i := 0; i < msgs; i++ {
-			r.a.Send(p, r.b.Addr(), i+1, va, size, 0)
-		}
-		for i := 0; i < msgs; i++ {
-			r.a.WaitSend(p)
-		}
-	})
-	r.c.Env.RunUntil(r.c.Env.Now() + 10*sim.Second)
-	if end <= start {
-		return 0
-	}
-	return mbps((msgs-1)*size, end-start)
-}
-
 func mbps(bytes int, d sim.Time) float64 {
 	if d <= 0 {
 		return 0
@@ -350,205 +284,136 @@ func mbps(bytes int, d sim.Time) float64 {
 	return float64(bytes) / (float64(d) / float64(sim.Second)) / 1e6
 }
 
-// bclPingPong measures RTT/2 with receive re-posting inside the loop —
-// the Figure 7 methodology that exposes the full semi-user-level
-// kernel cost (send trap + re-posting trap).
-func bclPingPong(prof *hw.Profile, size int) sim.Time {
-	r := newBCLRig(prof, false)
-	const iters = 6
-	bufN := size
-	if bufN == 0 {
-		bufN = 64
+// digest is the word-at-a-time FNV-1a fold behind every same-seed
+// determinism check.
+type digest uint64
+
+func newDigest() digest { return 0xcbf29ce484222325 }
+
+func (d *digest) mix(vs ...uint64) {
+	for _, v := range vs {
+		*d = (*d ^ digest(v)) * 0x100000001b3
 	}
-	chA := r.a.CreateChannel()
-	chB := r.b.CreateChannel()
-	var rtt sim.Time
-	r.c.Env.Go("a", func(p *sim.Proc) {
-		va := r.a.Process().Space.Alloc(bufN)
-		r.a.PostRecv(p, chA, va, bufN)
-		p.Sleep(200 * sim.Microsecond)
-		// Warm-up round.
-		r.a.Send(p, r.b.Addr(), chB, va, size, 0)
-		r.a.WaitRecv(p)
-		r.a.PostRecv(p, chA, va, bufN)
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			r.a.Send(p, r.b.Addr(), chB, va, size, 0)
-			r.a.WaitRecv(p)
-			r.a.PostRecv(p, chA, va, bufN)
+}
+
+// counterRow is one registry counter an experiment reads back at the
+// end of a run (one source of truth: the same snapshot the -metrics
+// flag prints): where it lives, the report's label for it ("" = not
+// printed) and whether it is emitted as a metric under its own name.
+type counterRow struct {
+	layer, name, label string
+	metric             bool
+}
+
+// counters are the cluster-wide sums of a row table, in table order.
+type counters struct {
+	rows []counterRow
+	vals []uint64
+}
+
+func readCounters(s *obs.Snapshot, rows []counterRow) counters {
+	c := counters{rows: rows, vals: make([]uint64, len(rows))}
+	for i, row := range rows {
+		c.vals[i] = s.SumCounter(row.layer, row.name)
+	}
+	return c
+}
+
+// equal reports whether two reads of one row table agree.
+func (c counters) equal(o counters) bool { return slices.Equal(c.vals, o.vals) }
+
+func (c counters) get(name string) uint64 {
+	for i, row := range c.rows {
+		if row.name == name {
+			return c.vals[i]
 		}
-		rtt = (p.Now() - start) / iters
-	})
-	r.c.Env.Go("b", func(p *sim.Proc) {
-		va := r.b.Process().Space.Alloc(bufN)
-		r.b.PostRecv(p, chB, va, bufN)
-		for i := 0; i < iters+1; i++ {
-			r.b.WaitRecv(p)
-			r.b.PostRecv(p, chB, va, bufN)
-			r.b.Send(p, r.a.Addr(), chA, va, size, 0)
+	}
+	panic("bench: counter " + name + " is not in the row table")
+}
+
+// text renders the labelled rows as report lines.
+func (c counters) text(b *strings.Builder) {
+	for i, row := range c.rows {
+		if row.label != "" {
+			fmt.Fprintf(b, "%-28s %12d\n", row.label, c.vals[i])
 		}
-	})
-	r.c.Env.RunUntil(r.c.Env.Now() + sim.Second)
-	return rtt / 2
+	}
+}
+
+// emit records the metric rows on the report.
+func (c counters) emit(r *Report) {
+	for i, row := range c.rows {
+		if row.metric {
+			r.metric(row.name, float64(c.vals[i]))
+		}
+	}
+}
+
+// ------------------------------------------------------ BCL measurers
+
+// bclLatency, bclBandwidth and bclPingPong apply the three
+// methodologies to a fresh stock BCL pair.
+func bclLatency(prof *hw.Profile, intra bool, size int) sim.Time {
+	return bclPair(prof, intra).pair().warmLatency(size)
+}
+
+func bclBandwidth(prof *hw.Profile, intra bool, size, msgs int) float64 {
+	return bclPair(prof, intra).pair().stream(size, msgs)
+}
+
+func bclPingPong(prof *hw.Profile, size int) sim.Time {
+	return bclPair(prof, false).pair().pingPong(size, 1, 6)
 }
 
 // ------------------------------------------------------ ULC measurers
 
-type ulcRig struct {
-	c    *cluster.Cluster
-	a, b *ulc.Port
-}
-
-func newULCRig(prof *hw.Profile, cfg func() (c cluster.Config)) *ulcRig {
-	conf := cluster.Config{Nodes: 2, Profile: prof, NIC: ulc.NICConfig()}
-	if cfg != nil {
-		conf = cfg()
-	}
-	c := newCluster(conf)
+// ulcPair boots two user-level ports on cfg's cluster (the GM-like
+// library, and BIP through its own NIC config and profile).
+func ulcPair(cfg cluster.Config) pair {
+	c := newCluster(cfg)
 	sys := ulc.NewSystem(c)
-	r := &ulcRig{c: c}
+	var pa, pb *ulc.Port
 	c.Env.Go("setup", func(p *sim.Proc) {
-		r.a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), 64)
-		r.b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), 64)
+		pa, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), 64)
+		pb, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), 64)
 	})
 	c.Env.RunUntil(20 * sim.Millisecond)
-	if r.a == nil || r.b == nil {
+	if pa == nil || pb == nil {
 		panic("bench: ULC rig setup failed")
 	}
-	return r
+	a, b := ulcSides(pa, pb)
+	return pair{c, a, b}
 }
 
-// ulcPingPong mirrors bclPingPong on the user-level library.
+func gmConfig(prof *hw.Profile) cluster.Config {
+	return cluster.Config{Nodes: 2, Profile: prof, NIC: ulc.NICConfig()}
+}
+
+func bipConfig() cluster.Config {
+	return cluster.Config{Nodes: 2, Profile: bip.Profile(), NIC: bip.NICConfig()}
+}
+
 func ulcPingPong(prof *hw.Profile, size int) sim.Time {
-	r := newULCRig(prof, nil)
-	const iters = 6
-	bufN := size
-	if bufN == 0 {
-		bufN = 64
-	}
-	chA := r.a.CreateChannel()
-	chB := r.b.CreateChannel()
-	var rtt sim.Time
-	r.c.Env.Go("a", func(p *sim.Proc) {
-		va := r.a.Process().Space.Alloc(bufN)
-		r.a.Register(p, va, bufN)
-		r.a.PostRecv(p, chA, va, bufN)
-		p.Sleep(200 * sim.Microsecond)
-		r.a.Send(p, r.b.Addr(), chB, va, size, 0)
-		r.a.WaitRecv(p)
-		r.a.PostRecv(p, chA, va, bufN)
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			r.a.Send(p, r.b.Addr(), chB, va, size, 0)
-			r.a.WaitRecv(p)
-			r.a.PostRecv(p, chA, va, bufN)
-		}
-		rtt = (p.Now() - start) / iters
-	})
-	r.c.Env.Go("b", func(p *sim.Proc) {
-		va := r.b.Process().Space.Alloc(bufN)
-		r.b.Register(p, va, bufN)
-		r.b.PostRecv(p, chB, va, bufN)
-		for i := 0; i < iters+1; i++ {
-			r.b.WaitRecv(p)
-			r.b.PostRecv(p, chB, va, bufN)
-			r.b.Send(p, r.a.Addr(), chA, va, size, 0)
-		}
-	})
-	r.c.Env.RunUntil(r.c.Env.Now() + sim.Second)
-	return rtt / 2
-}
-
-// ulcLatency is the warm one-way measurement on the user-level port.
-func ulcLatency(prof *hw.Profile, size int, nicCfg func() cluster.Config) sim.Time {
-	r := newULCRig(prof, nicCfg)
-	const iters = 4
-	bufN := size
-	if bufN == 0 {
-		bufN = 64
-	}
-	ch := r.b.CreateChannel()
-	sendAt := make([]sim.Time, iters)
-	var warm sim.Time
-	r.c.Env.Go("recv", func(p *sim.Proc) {
-		rva := r.b.Process().Space.Alloc(bufN)
-		r.b.Register(p, rva, bufN)
-		r.b.PostRecv(p, ch, rva, bufN)
-		for i := 0; i < iters; i++ {
-			r.b.WaitRecv(p)
-			warm = p.Now() - sendAt[i]
-			if i < iters-1 {
-				r.b.PostRecv(p, ch, rva, bufN)
-			}
-		}
-	})
-	r.c.Env.Go("send", func(p *sim.Proc) {
-		va := r.a.Process().Space.Alloc(bufN)
-		r.a.Register(p, va, bufN)
-		p.Sleep(100 * sim.Microsecond)
-		for i := 0; i < iters; i++ {
-			sendAt[i] = p.Now()
-			r.a.Send(p, r.b.Addr(), ch, va, size, 0)
-			r.a.WaitSend(p)
-			p.Sleep(300 * sim.Microsecond)
-		}
-	})
-	r.c.Env.RunUntil(r.c.Env.Now() + sim.Second)
-	return warm
-}
-
-// ulcBandwidth measures user-level streaming bandwidth.
-func ulcBandwidth(prof *hw.Profile, size, msgs int, nicCfg func() cluster.Config) float64 {
-	r := newULCRig(prof, nicCfg)
-	var start, end sim.Time
-	ready := false
-	r.c.Env.Go("recv", func(p *sim.Proc) {
-		va := r.b.Process().Space.Alloc(size)
-		r.b.Register(p, va, size)
-		for i := 0; i < msgs; i++ {
-			r.b.PostRecv(p, i+1, va, size)
-		}
-		ready = true
-		r.b.WaitRecv(p) // warm-up message
-		start = p.Now()
-		for i := 1; i < msgs; i++ {
-			r.b.WaitRecv(p)
-		}
-		end = p.Now()
-	})
-	r.c.Env.Go("send", func(p *sim.Proc) {
-		va := r.a.Process().Space.Alloc(size)
-		r.a.Register(p, va, size)
-		for !ready {
-			p.Sleep(50 * sim.Microsecond)
-		}
-		for i := 0; i < msgs; i++ {
-			r.a.Send(p, r.b.Addr(), i+1, va, size, 0)
-		}
-		for i := 0; i < msgs; i++ {
-			r.a.WaitSend(p)
-		}
-	})
-	r.c.Env.RunUntil(r.c.Env.Now() + 10*sim.Second)
-	return mbps((msgs-1)*size, end-start)
+	return ulcPair(gmConfig(prof)).pingPong(size, 1, 6)
 }
 
 // ------------------------------------------------------ KLC measurers
 
-func klcLatency(prof *hw.Profile, size int) sim.Time {
-	c := newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: klc.NICConfig()})
+func klcPair(prof *hw.Profile) (c *cluster.Cluster, a, b *klc.Socket) {
+	c = newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: klc.NICConfig()})
 	sys := klc.NewSystem(c)
-	var a, b *klc.Socket
 	c.Env.Go("setup", func(p *sim.Proc) {
 		a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn())
 		b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn())
 	})
 	c.Env.RunUntil(20 * sim.Millisecond)
+	return c, a, b
+}
+
+func klcLatency(prof *hw.Profile, size int) sim.Time {
+	c, a, b := klcPair(prof)
 	const iters = 4
-	bufN := size
-	if bufN == 0 {
-		bufN = 64
-	}
+	bufN := bufFor(size)
 	sendAt := make([]sim.Time, iters)
 	var warm sim.Time
 	c.Env.Go("send", func(p *sim.Proc) {
@@ -571,14 +436,7 @@ func klcLatency(prof *hw.Profile, size int) sim.Time {
 }
 
 func klcBandwidth(prof *hw.Profile, size, msgs int) float64 {
-	c := newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: klc.NICConfig()})
-	sys := klc.NewSystem(c)
-	var a, b *klc.Socket
-	c.Env.Go("setup", func(p *sim.Proc) {
-		a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn())
-		b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn())
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
+	c, a, b := klcPair(prof)
 	var start, end sim.Time
 	c.Env.Go("send", func(p *sim.Proc) {
 		src := a.Space().Alloc(size)
@@ -600,15 +458,19 @@ func klcBandwidth(prof *hw.Profile, size, msgs int) float64 {
 
 // ----------------------------------------------------- AMII measurers
 
-func amiiPingPong(prof *hw.Profile, size int) sim.Time {
-	c := newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: amii.NICConfig()})
+func amiiPair(prof *hw.Profile) (c *cluster.Cluster, a, b *amii.Endpoint) {
+	c = newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: amii.NICConfig()})
 	sys := amii.NewSystem(c)
-	var a, b *amii.Endpoint
 	c.Env.Go("setup", func(p *sim.Proc) {
 		a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), 8)
 		b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), 8)
 	})
 	c.Env.RunUntil(20 * sim.Millisecond)
+	return c, a, b
+}
+
+func amiiPingPong(prof *hw.Profile, size int) sim.Time {
+	c, a, b := amiiPair(prof)
 	const iters = 4
 	var rtt sim.Time
 	c.Env.Go("b", func(p *sim.Proc) {
@@ -644,14 +506,7 @@ func amiiPingPong(prof *hw.Profile, size int) sim.Time {
 }
 
 func amiiBandwidth(prof *hw.Profile, total int) float64 {
-	c := newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: amii.NICConfig()})
-	sys := amii.NewSystem(c)
-	var a, b *amii.Endpoint
-	c.Env.Go("setup", func(p *sim.Proc) {
-		a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), 8)
-		b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), 8)
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
+	c, a, b := amiiPair(prof)
 	received := 0
 	var start, end sim.Time
 	c.Env.Go("b", func(p *sim.Proc) {
@@ -675,45 +530,17 @@ func amiiBandwidth(prof *hw.Profile, total int) float64 {
 	return mbps(total, end-start)
 }
 
-// ------------------------------------------------------ BIP measurers
-
-func bipLatency(size int) sim.Time {
-	return ulcLatencyWith(bip.Profile(), size, func() cluster.Config {
-		return cluster.Config{Nodes: 2, Profile: bip.Profile(), NIC: bip.NICConfig()}
-	})
-}
-
-func bipBandwidth(size, msgs int) float64 {
-	return ulcBandwidth(bip.Profile(), size, msgs, func() cluster.Config {
-		return cluster.Config{Nodes: 2, Profile: bip.Profile(), NIC: bip.NICConfig()}
-	})
-}
-
-func ulcLatencyWith(prof *hw.Profile, size int, cfg func() cluster.Config) sim.Time {
-	return ulcLatency(prof, size, cfg)
-}
-
 // ------------------------------------------------------ MPI/PVM rigs
 
-func mpiJob(prof *hw.Profile, intra bool) (*cluster.Cluster, [2]*mpi.Comm) {
-	nodes := 2
-	nodeB := 1
-	if intra {
-		nodeB = 0
-	}
-	c := newCluster(cluster.Config{Nodes: nodes, Profile: prof, NIC: ibcl.DefaultNICConfig()})
-	sys := ibcl.NewSystem(c)
-	var ports [2]*ibcl.Port
-	c.Env.Go("setup", func(p *sim.Proc) {
-		ports[0], _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-		ports[1], _ = sys.Open(p, c.Nodes[nodeB], c.Nodes[nodeB].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-	})
-	c.Env.RunUntil(50 * sim.Millisecond)
-	addrs := []ibcl.Addr{ports[0].Addr(), ports[1].Addr()}
-	return c, [2]*mpi.Comm{
-		mpi.World(eadi.NewDevice(ports[0], 0, addrs)),
-		mpi.World(eadi.NewDevice(ports[1], 1, addrs)),
-	}
+// pairJob is the cluster config and boot horizon of a two-rank job on
+// the stock machine.
+func pairJob(prof *hw.Profile) (cluster.Config, sim.Time) {
+	return cluster.Config{Nodes: 2, Profile: prof, NIC: ibcl.DefaultNICConfig()}, 50 * sim.Millisecond
+}
+
+func mpiJob(prof *hw.Profile, intra bool) (*cluster.Cluster, []*mpi.Comm) {
+	cfg, boot := pairJob(prof)
+	return mpiComms(cfg, pairPlace(intra), boot)
 }
 
 func mpiLatency(prof *hw.Profile, intra bool) sim.Time {
@@ -768,24 +595,9 @@ func mpiBandwidth(prof *hw.Profile, intra bool, size, msgs int) float64 {
 }
 
 func pvmJob(prof *hw.Profile, intra bool) (*cluster.Cluster, [2]*pvm.Task) {
-	nodes := 2
-	nodeB := 1
-	if intra {
-		nodeB = 0
-	}
-	c := newCluster(cluster.Config{Nodes: nodes, Profile: prof, NIC: ibcl.DefaultNICConfig()})
-	sys := ibcl.NewSystem(c)
-	var ports [2]*ibcl.Port
-	c.Env.Go("setup", func(p *sim.Proc) {
-		ports[0], _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-		ports[1], _ = sys.Open(p, c.Nodes[nodeB], c.Nodes[nodeB].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-	})
-	c.Env.RunUntil(50 * sim.Millisecond)
-	addrs := []ibcl.Addr{ports[0].Addr(), ports[1].Addr()}
-	return c, [2]*pvm.Task{
-		pvm.NewTask(eadi.NewDevice(ports[0], 0, addrs)),
-		pvm.NewTask(eadi.NewDevice(ports[1], 1, addrs)),
-	}
+	cfg, boot := pairJob(prof)
+	c, devs := mpiWorld(cfg, pairPlace(intra), boot)
+	return c, [2]*pvm.Task{pvm.NewTask(devs[0]), pvm.NewTask(devs[1])}
 }
 
 func pvmLatency(prof *hw.Profile, intra bool) sim.Time {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func within(t *testing.T, r *Report, key string, lo, hi float64) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	r := Table1()
+	r := table1()
 	within(t, r, "klc_traps_per_msg", 1.9, 2.1)      // one per send + one per recv
 	within(t, r, "klc_interrupts_per_msg", 0.9, 1.5) // at least one per message
 	within(t, r, "ulc_traps_per_msg", 0, 0.01)
@@ -26,14 +27,14 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestOverheadsMatchPaper(t *testing.T) {
-	r := Overheads()
+	r := overheads()
 	within(t, r, "send_overhead_us", 6.5, 7.6)     // paper 7.04
 	within(t, r, "complete_overhead_us", 0.7, 1.0) // paper 0.82
 	within(t, r, "recv_overhead_us", 0.9, 1.2)     // paper 1.01
 }
 
 func TestFigure5Shape(t *testing.T) {
-	r := Figure5()
+	r := figure5()
 	within(t, r, "host_send_total_us", 6.0, 7.6)
 	// PIO fill is a large fraction of the host path.
 	pio := r.Metrics["pio_fill_us"]
@@ -44,12 +45,12 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	r := Figure6()
+	r := figure6()
 	within(t, r, "host_recv_total_us", 0.9, 1.2) // paper 1.01
 }
 
 func TestFigure7Shape(t *testing.T) {
-	r := Figure7()
+	r := figure7()
 	within(t, r, "oneway_us", 17, 20)  // paper 18.3
 	within(t, r, "extra_pct", 15, 28)  // paper ~22%
 	within(t, r, "extra_us", 2.8, 6.0) // paper 4.17
@@ -59,7 +60,7 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	r := Figure8()
+	r := figure8()
 	within(t, r, "inter_0_us", 17, 20)   // paper 18.3
 	within(t, r, "intra_0_us", 2.2, 3.3) // paper 2.7
 	if r.Metrics["inter_128k_us"] < 800 {
@@ -68,7 +69,7 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	r := Figure9()
+	r := figure9()
 	within(t, r, "peak_inter_mbps", 135, 155) // paper 146
 	within(t, r, "intra_128k_mbps", 340, 430) // paper 391
 	if h := r.Metrics["half_bw_bytes"]; h <= 0 || h >= 4096 {
@@ -77,7 +78,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	r := Table2()
+	r := table2()
 	// Who wins: BIP < GM < BCL < AM-II < kernel-level on latency.
 	bip := r.Metrics["bip_inter_us"]
 	gm := r.Metrics["gm_inter_us"]
@@ -101,7 +102,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	r := Table3()
+	r := table3()
 	within(t, r, "mpi_inter_us", 20, 28)     // paper 23.7
 	within(t, r, "mpi_intra_us", 5, 8.5)     // paper 6.3
 	within(t, r, "mpi_inter_mbps", 120, 142) // paper 131
@@ -111,31 +112,31 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	pio := AblationPIO()
+	pio := ablationPIO()
 	if pio.Metrics["lat_fastpio_us"] >= pio.Metrics["lat_base_us"] {
 		t.Error("faster PIO did not reduce latency")
 	}
-	cpu := AblationCPU()
+	cpu := ablationCPU()
 	if cpu.Metrics["extra_fastcpu_us"] >= cpu.Metrics["extra_base_us"] {
 		t.Error("faster CPU did not shrink the semi-user penalty")
 	}
-	rel := AblationReliability()
+	rel := ablationReliability()
 	if rel.Metrics["raw_us"] >= rel.Metrics["reliable_us"] {
 		t.Error("removing the reliability protocol did not cut latency")
 	}
-	kp := AblationKernelPath()
+	kp := ablationKernelPath()
 	semi, user := kp.Metrics["semi_128k_mbps"], kp.Metrics["user_128k_mbps"]
 	if diff := (user - semi) / user; diff > 0.05 || diff < -0.05 {
 		t.Errorf("bandwidth differs by %.1f%% at 128 KB; paper says it coincides", diff*100)
 	}
-	pl := AblationPipeline()
+	pl := ablationPipeline()
 	if pl.Metrics["pipelined_us"] >= 0.7*pl.Metrics["storefwd_us"] {
 		t.Error("pipelining did not clearly beat store-and-forward")
 	}
 }
 
 func TestFabricsEquivalence(t *testing.T) {
-	r := Fabrics()
+	r := fabrics()
 	within(t, r, "myrinet_us", 17, 20)
 	within(t, r, "mesh_us", 17, 21) // extra router hops
 	within(t, r, "hetero_us", 17, 20)
@@ -145,7 +146,7 @@ func TestFabricsEquivalence(t *testing.T) {
 }
 
 func TestAblationWindow(t *testing.T) {
-	r := AblationWindow()
+	r := ablationWindow()
 	if r.Metrics["bw_w1_mbps"] >= 0.8*r.Metrics["bw_w32_mbps"] {
 		t.Errorf("stop-and-wait (%0.1f) not clearly below windowed (%0.1f)",
 			r.Metrics["bw_w1_mbps"], r.Metrics["bw_w32_mbps"])
@@ -156,7 +157,7 @@ func TestAblationWindow(t *testing.T) {
 }
 
 func TestScaleLogarithmic(t *testing.T) {
-	r := Scale()
+	r := scale()
 	growth := r.Metrics["growth_ratio"]
 	// 70/4 = 17.5x linear; logarithmic is ~3.1x. Anything under 8x is
 	// clearly sublinear.
@@ -169,7 +170,7 @@ func TestScaleLogarithmic(t *testing.T) {
 }
 
 func TestAblationIntraPath(t *testing.T) {
-	r := AblationIntraPath()
+	r := ablationIntraPath()
 	// The paper's §4.2 ordering: direct copy > shared memory >> NIC
 	// loopback on bandwidth; BCL's choice (shm) close to direct copy.
 	if !(r.Metrics["direct_bw_mbps"] >= r.Metrics["shm_bw_mbps"] &&
@@ -186,13 +187,26 @@ func TestAblationIntraPath(t *testing.T) {
 	}
 }
 
-func TestByIDAndAll(t *testing.T) {
+// TestRunAndAll: every listed id resolves, garbage does not, and All
+// hands its seed to the seeded experiments (bclbench -seed 7 all used
+// to run them at seed 1).
+func TestRunAndAll(t *testing.T) {
+	if Run("nope", 1) != nil {
+		t.Error("Run accepted garbage")
+	}
+	byID := make(map[string]*Report)
+	for _, r := range All(7) {
+		byID[r.ID] = r
+	}
 	for _, id := range IDs() {
-		if ByID(id) == nil {
-			t.Errorf("ByID(%q) = nil", id)
+		if byID[id] == nil {
+			t.Errorf("All(7) has no report for %q", id)
 		}
 	}
-	if ByID("nope") != nil {
-		t.Error("ByID accepted garbage")
+	if r := byID["chaos"]; r != nil && !strings.Contains(r.Title, "seed 7") {
+		t.Errorf("All(7) ran chaos as %q, want seed 7", r.Title)
+	}
+	if r := Run("health", 7); r == nil || !strings.Contains(r.Title, "seed 7") {
+		t.Errorf("Run by alias dropped the seed: %v", r)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"bcl/internal/nic"
 	"bcl/internal/obs"
 	"bcl/internal/sim"
+	"bcl/internal/trace"
 )
 
 // The chaos harness soaks a 4-node dual-rail cluster with all-to-all
@@ -30,6 +31,8 @@ const (
 
 	chaosRounds  = 12
 	chaosMsgSize = 1536
+
+	soakPace = 15 * sim.Millisecond // between rounds, for chaos and survival
 )
 
 // chaosResult is everything one soak run produces.
@@ -41,32 +44,22 @@ type chaosResult struct {
 	recMax      sim.Time
 	failovers   uint64
 	outageDrops uint64
-	stats       chaosCounters
+	stats       counters
 	snap        *obs.Snapshot
 	timeline    string
 	flight      string
 }
 
-// chaosCounters are the fault-path counters read back from the metrics
-// registry at the end of the soak (one source of truth: the same
-// snapshot the -metrics flag prints).
-type chaosCounters struct {
-	retransmits, sendFailures, fastFails, backoffs uint64
-	probes, peerDeaths, peerRecoveries             uint64
-}
-
-// chaosCountersFrom pulls the fault-path totals out of a registry
-// snapshot.
-func chaosCountersFrom(s *obs.Snapshot) chaosCounters {
-	return chaosCounters{
-		retransmits:    s.SumCounter("nic", "retransmits"),
-		sendFailures:   s.SumCounter("nic", "send_failures"),
-		fastFails:      s.SumCounter("nic", "fast_fails"),
-		backoffs:       s.SumCounter("nic", "backoffs"),
-		probes:         s.SumCounter("nic", "probes"),
-		peerDeaths:     s.SumCounter("nic", "peer_deaths"),
-		peerRecoveries: s.SumCounter("nic", "peer_recoveries"),
-	}
+// chaosCounterRows are the fault-path counters read back from the
+// metrics registry at the end of the soak.
+var chaosCounterRows = []counterRow{
+	{"nic", "retransmits", "  retransmits", true},
+	{"nic", "send_failures", "  send failures", true},
+	{"nic", "fast_fails", "  fast-fails (peer dead)", true},
+	{"nic", "backoffs", "  backoff arms", true},
+	{"nic", "probes", "  probes", false},
+	{"nic", "peer_deaths", "  peer deaths", true},
+	{"nic", "peer_recoveries", "  peer recoveries", true},
 }
 
 // chaosPattern is the deterministic payload byte for message (src,
@@ -84,7 +77,7 @@ func chaosTag(src, dst, round int) uint64 {
 // soakResult is what one soakRig run counts, whatever faults it ran
 // under.
 type soakResult struct {
-	digest     uint64 // per-port arrival digests and the three counts below, folded in fixed order
+	digest     digest // per-port arrival digests and the three counts below, folded in fixed order
 	delivered  int    // distinct messages received
 	duplicates int    // copies dropped by tag (ACK lost, sender resent)
 	corrupt    int    // payloads with a wrong byte or a wrong length
@@ -92,61 +85,54 @@ type soakResult struct {
 	deadlocked bool   // some sender never finished
 }
 
-// soakRig is the workload the chaos and survival soaks share: a 4-node
-// dual-rail cluster with one BCL port per node, booted and sampled
-// every 20 ms of virtual time, ready for the caller's fault schedule.
+// soakRig is the workload the chaos, survival and healthwatch soaks
+// share: a 4-node dual-rail cluster with one BCL port per node, booted
+// and sampled on the virtual clock, ready for the caller's fault
+// schedule.
 type soakRig struct {
-	c     *cluster.Cluster
-	hf    *hetero.Fabric
-	ports []*ibcl.Port
+	*rig
+	hf *hetero.Fabric
 }
 
-// newSoakRig builds the rig; cfg supplies what the soaks differ in
-// (NIC config, profile, seed, watchdog).
-func newSoakRig(cfg cluster.Config) *soakRig {
+// newSoakRig builds the rig; cfg supplies what the soaks differ in (NIC
+// config, profile, seed, watchdog, health engine). tr, if non-nil, is
+// attached cluster-wide before boot. The metrics sampler takes one
+// registry snapshot every period of virtual time into a ring depth
+// deep, so the report can show the fault counters advancing through
+// the fault windows.
+func newSoakRig(cfg cluster.Config, tr *trace.Tracer, period sim.Time, depth int) *soakRig {
 	cfg.Nodes, cfg.Fabric = soakNodes, cluster.Hetero
 	c := newCluster(cfg)
-	r := &soakRig{c: c, hf: c.Fabric.(*hetero.Fabric), ports: make([]*ibcl.Port, soakNodes)}
-	sys := ibcl.NewSystem(c)
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i := range r.ports {
-			proc := c.Nodes[i].Kernel.Spawn()
-			r.ports[i], _ = sys.Open(p, c.Nodes[i], proc, ibcl.Options{SystemBuffers: 64})
-		}
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	for _, pt := range r.ports {
-		if pt == nil {
-			panic("bench: soak rig setup failed")
-		}
+	if tr != nil {
+		c.SetTracer(tr)
 	}
-	// Metrics sampler: one registry snapshot every 20 ms of virtual
-	// time, so the report can show the fault counters advancing through
-	// the fault windows.
-	c.Obs.StartSampler(c.Env, 20*sim.Millisecond, 32)
+	r := &soakRig{
+		rig: newRig(c, oneRankPerNode(soakNodes), ibcl.Options{SystemBuffers: 64}, 20*sim.Millisecond),
+		hf:  c.Fabric.(*hetero.Fabric),
+	}
+	c.Obs.StartSampler(c.Env, period, depth)
 	return r
 }
 
 // run soaks the rig for horizon with paced all-to-all traffic: rounds
-// of one msgSize message to every peer, 15 ms apart. Senders treat
+// of one msgSize message to every peer, pace apart. Senders treat
 // EvSendFailed as transient — wait for the peer-health machine to
 // re-admit the destination, then resend (at-least-once; onResend, if
 // non-nil, is told how long the wait was). Receivers verify every
 // byte, deduplicate by tag and fold arrivals into a per-port
 // order-dependent digest. Processes are named prefix-rx<i>/-tx<i>.
-func (r *soakRig) run(prefix string, msgSize, rounds int, horizon sim.Time, onResend func(wait sim.Time)) soakResult {
-	const prime = 0x100000001b3
+func (r *soakRig) run(prefix string, msgSize, rounds int, pace, horizon sim.Time, onResend func(wait sim.Time)) soakResult {
 	c, ports := r.c, r.ports
 	var res soakResult
 
-	digests := make([]uint64, soakNodes)
+	digests := make([]digest, soakNodes)
 	expected := (soakNodes - 1) * rounds // per receiver, after dedup
 	for i := 0; i < soakNodes; i++ {
 		i := i
 		pt := ports[i]
 		seen := make(map[uint64]bool)
 		c.Env.Go(fmt.Sprintf("%s-rx%d", prefix, i), func(p *sim.Proc) {
-			digests[i] = 0xcbf29ce484222325
+			digests[i] = newDigest()
 			for len(seen) < expected {
 				ev, ok := pt.TryRecv(p)
 				if !ok {
@@ -174,9 +160,7 @@ func (r *soakRig) run(prefix string, msgSize, rounds int, horizon sim.Time, onRe
 					res.corrupt++
 				}
 				res.delivered++
-				digests[i] = (digests[i] ^ ev.Tag) * prime
-				digests[i] = (digests[i] ^ uint64(ev.Len)) * prime
-				digests[i] = (digests[i] ^ sum) * prime
+				digests[i].mix(ev.Tag, uint64(ev.Len), sum)
 			}
 		})
 	}
@@ -192,7 +176,7 @@ func (r *soakRig) run(prefix string, msgSize, rounds int, horizon sim.Time, onRe
 			for round := 0; round < rounds; round++ {
 				// Pace the rounds so the soak spans the whole fault
 				// schedule instead of finishing before it starts.
-				p.Sleep(15 * sim.Millisecond)
+				p.Sleep(pace)
 				for d := 1; d < soakNodes; d++ {
 					dst := (i + d) % soakNodes
 					for j := range buf {
@@ -231,14 +215,11 @@ func (r *soakRig) run(prefix string, msgSize, rounds int, horizon sim.Time, onRe
 			res.deadlocked = true
 		}
 	}
-	h := uint64(0xcbf29ce484222325)
+	res.digest = newDigest()
 	for _, d := range digests {
-		h = (h ^ d) * prime
+		res.digest.mix(uint64(d))
 	}
-	h = (h ^ uint64(res.delivered)) * prime
-	h = (h ^ uint64(res.duplicates)) * prime
-	h = (h ^ uint64(res.corrupt)) * prime
-	res.digest = h
+	res.digest.mix(uint64(res.delivered), uint64(res.duplicates), uint64(res.corrupt))
 	return res
 }
 
@@ -246,7 +227,7 @@ func (r *soakRig) run(prefix string, msgSize, rounds int, horizon sim.Time, onRe
 func chaosRun(seed uint64) *chaosResult {
 	cfg := ibcl.DefaultNICConfig()
 	cfg.MaxRetries = 4 // peer death in ~6 ms of virtual time
-	rig := newSoakRig(cluster.Config{NIC: cfg, Seed: seed})
+	rig := newSoakRig(cluster.Config{NIC: cfg, Seed: seed}, nil, 20*sim.Millisecond, 32)
 	c, hf := rig.c, rig.hf
 
 	// Seeded fault schedule: six outage windows in [20ms, 200ms).
@@ -274,11 +255,9 @@ func chaosRun(seed uint64) *chaosResult {
 		res.outages++
 	}
 	// Background packet loss on the primary rail for retransmit spice.
-	if f, ok := hf.Rail(0).(interface{ SetFault(fabric.Fault) }); ok {
-		f.SetFault(fabric.RandomLoss(0.02))
-	}
+	hf.Rail(0).SetFault(fabric.RandomLoss(0.02))
 
-	res.soakResult = rig.run("chaos", chaosMsgSize, chaosRounds, 2*sim.Second, func(wait sim.Time) {
+	res.soakResult = rig.run("chaos", chaosMsgSize, chaosRounds, soakPace, 2*sim.Second, func(wait sim.Time) {
 		res.recoveries++
 		res.recSum += wait
 		if wait > res.recMax {
@@ -290,7 +269,7 @@ func chaosRun(seed uint64) *chaosResult {
 	res.snap = c.Obs.Snapshot(c.Env.Now())
 	res.failovers = res.snap.SumCounter("fabric:hetero", "failovers")
 	res.outageDrops = res.snap.SumCounterPrefix("fabric:", "outage_drops")
-	res.stats = chaosCountersFrom(res.snap)
+	res.stats = readCounters(res.snap, chaosCounterRows)
 	res.timeline = c.Obs.TimelineText([]obs.TimelineCol{
 		{Label: "retransmits", Layer: "nic", Name: "retransmits"},
 		{Label: "backoffs", Layer: "nic", Name: "backoffs"},
@@ -302,17 +281,14 @@ func chaosRun(seed uint64) *chaosResult {
 	return res
 }
 
-// Chaos runs the soak with the default seed.
-func Chaos() *Report { return ChaosSeeded(1) }
-
-// ChaosSeeded runs the seeded chaos soak TWICE and checks the two runs
+// chaos runs the seeded chaos soak TWICE and checks the two runs
 // are bit-identical — the determinism the whole simulator promises.
-func ChaosSeeded(seed uint64) *Report {
+func chaos(seed uint64) *Report {
 	r := newReport("chaos", fmt.Sprintf("Deterministic chaos soak (seed %d)", seed))
 	a := chaosRun(seed)
 	b := chaosRun(seed)
 	deterministic := a.digest == b.digest && a.delivered == b.delivered &&
-		a.resends == b.resends && a.stats == b.stats
+		a.resends == b.resends && a.stats.equal(b.stats)
 
 	var sb strings.Builder
 	total := soakNodes * (soakNodes - 1) * chaosRounds
@@ -333,7 +309,8 @@ func ChaosSeeded(seed uint64) *Report {
 		fmt.Fprintf(&sb, "%-28s %10.2fms\n", "max recovery latency",
 			float64(a.recMax)/float64(sim.Millisecond))
 	}
-	sb.WriteString("\n" + faultCountersText(a.stats))
+	fmt.Fprintf(&sb, "\n%-28s %12s\n", "registry counters (nic, all nodes)", "")
+	a.stats.text(&sb)
 	sb.WriteString("\nfault-counter timeline (20ms virtual-time samples, run 1):\n")
 	sb.WriteString(a.timeline)
 	fmt.Fprintf(&sb, "\ndigest: %016x (run 1) / %016x (run 2) -> deterministic: %v\n",
@@ -344,28 +321,17 @@ func ChaosSeeded(seed uint64) *Report {
 	}
 	r.Text = sb.String()
 	r.Snap = a.snap
-	r.metric("delivered", float64(a.delivered))
+	// Every message arrives, none extra, none damaged.
+	r.exact("delivered", float64(a.delivered))
 	r.metric("duplicates", float64(a.duplicates))
-	r.metric("corrupt", float64(a.corrupt))
+	r.exact("corrupt", float64(a.corrupt))
 	r.metric("resends", float64(a.resends))
 	r.metric("failovers", float64(a.failovers))
-	r.metric("peer_deaths", float64(a.stats.peerDeaths))
-	r.metric("peer_recoveries", float64(a.stats.peerRecoveries))
-	r.metric("retransmits", float64(a.stats.retransmits))
-	r.metric("send_failures", float64(a.stats.sendFailures))
-	r.metric("fast_fails", float64(a.stats.fastFails))
-	r.metric("backoffs", float64(a.stats.backoffs))
-	r.metric("deterministic", b2f(deterministic))
-	r.metric("deadlocked", b2f(a.deadlocked))
+	a.stats.emit(r)
+	r.flag("deterministic", deterministic)
+	r.flag("deadlocked", a.deadlocked)
 	if a.recoveries > 0 {
 		r.metric("max_recovery_ms", float64(a.recMax)/float64(sim.Millisecond))
 	}
 	return r
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

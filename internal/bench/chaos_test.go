@@ -7,7 +7,7 @@ import "testing"
 // every message arrives exactly once and intact, and nothing
 // deadlocks — with the full fault machinery demonstrably exercised.
 func TestChaosDeterministic(t *testing.T) {
-	r := ChaosSeeded(1)
+	r := chaos(1)
 	if r.Metrics["deterministic"] != 1 {
 		t.Fatal("two same-seed chaos runs diverged")
 	}

@@ -30,27 +30,8 @@ const collPayload = 1024
 // collRig builds an n-rank MPI world, one rank per node, optionally
 // attaching a NIC collective offload context to every communicator.
 func collRig(n int, offload bool, seed uint64) (*cluster.Cluster, []*mpi.Comm) {
-	c := newCluster(cluster.Config{Nodes: n, NIC: ibcl.DefaultNICConfig(), Seed: seed})
-	sys := ibcl.NewSystem(c)
-	ports := make([]*ibcl.Port, n)
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			nd := c.Nodes[i]
-			ports[i], _ = sys.Open(p, nd, nd.Kernel.Spawn(), ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-		}
-	})
-	c.Env.RunUntil(sim.Time(n) * 5 * sim.Millisecond)
-	addrs := make([]ibcl.Addr, n)
-	for i, pt := range ports {
-		if pt == nil {
-			panic("bench: collectives rig setup failed")
-		}
-		addrs[i] = pt.Addr()
-	}
-	comms := make([]*mpi.Comm, n)
-	for i, pt := range ports {
-		comms[i] = mpi.World(eadi.NewDevice(pt, i, addrs))
-	}
+	c, comms := mpiComms(cluster.Config{Nodes: n, NIC: ibcl.DefaultNICConfig(), Seed: seed},
+		oneRankPerNode(n), sim.Time(n)*5*sim.Millisecond)
 	if offload {
 		for i := range comms {
 			r := i
@@ -165,7 +146,7 @@ const (
 
 // collFaultResult is one seeded soak over the offloaded collectives.
 type collFaultResult struct {
-	digest     uint64
+	digest     digest
 	byteErrors int
 	drops      int
 	dups       int
@@ -247,8 +228,7 @@ func collFaultRun(seed uint64) *collFaultResult {
 	// per-rank completion times) into the digest in fixed (round, rank)
 	// order: correct bytes alone would match across different seeds, so
 	// the determinism check would be vacuous without the timing.
-	const prime = 0x100000001b3
-	h := uint64(0xcbf29ce484222325)
+	h := newDigest()
 	for round := 0; round < collFaultRounds; round++ {
 		root := round % n
 		wantRed := uint64(0)
@@ -266,19 +246,17 @@ func collFaultRun(seed uint64) *collFaultResult {
 					res.byteErrors++
 					break
 				}
-				h = (h ^ uint64(bb)) * prime
+				h.mix(uint64(bb))
 			}
 			if allredGot[round*n+r] != wantRed {
 				res.byteErrors++
 			}
-			h = (h ^ allredGot[round*n+r]) * prime
+			h.mix(allredGot[round*n+r])
 		}
 	}
-	h = (h ^ uint64(res.byteErrors)) * prime
-	h = (h ^ uint64(res.drops)) * prime
-	h = (h ^ uint64(res.dups)) * prime
+	h.mix(uint64(res.byteErrors), uint64(res.drops), uint64(res.dups))
 	for _, at := range doneAt {
-		h = (h ^ uint64(at)) * prime
+		h.mix(uint64(at))
 	}
 	res.digest = h
 	snap := c.Obs.Snapshot(c.Env.Now())
@@ -288,13 +266,10 @@ func collFaultRun(seed uint64) *collFaultResult {
 	return res
 }
 
-// Collectives runs the experiment with the default seed.
-func Collectives() *Report { return CollectivesSeeded(1) }
-
-// CollectivesSeeded measures host vs NIC-offloaded collectives at
+// collectives measures host vs NIC-offloaded collectives at
 // 2..64 nodes and soaks the offloaded paths under a seeded fault
 // schedule — twice, demanding bit-identical digests.
-func CollectivesSeeded(seed uint64) *Report {
+func collectives(seed uint64) *Report {
 	r := newReport("collectives", fmt.Sprintf("NIC-offloaded collectives vs host algorithms (seed %d)", seed))
 	var b strings.Builder
 	sizes := []int{2, 4, 8, 16, 32, 64}
@@ -353,9 +328,9 @@ func CollectivesSeeded(seed uint64) *Report {
 	}
 	r.metric("fault_drops", float64(fa.drops))
 	r.metric("fault_dups", float64(fa.dups))
-	r.metric("byte_errors", float64(fa.byteErrors))
-	r.metric("finished", b2f(fa.finished))
-	r.metric("deterministic", b2f(deterministic))
+	r.exact("byte_errors", float64(fa.byteErrors))
+	r.flag("finished", fa.finished)
+	r.flag("deterministic", deterministic)
 	return r
 }
 
@@ -377,12 +352,12 @@ func collFlowTraced() *trace.Tracer {
 	return tr
 }
 
-// CollFlow renders the causal flow of one NIC-offloaded broadcast and
+// collFlow renders the causal flow of one NIC-offloaded broadcast and
 // barrier: the root's single injection trap, the NIC fanout forwards
 // down the tree, each member's landing-ring DMA delivery, then the
 // combine contributions converging back up and the release multicast
 // (cmd/bcltrace -coll).
-func CollFlow() *Report {
+func collFlow() *Report {
 	r := newReport("collflow", "Causal flow trace of one offloaded broadcast + barrier")
 	tr := collFlowTraced()
 	forwards, dmas := 0, 0
@@ -408,10 +383,4 @@ func CollFlow() *Report {
 	r.metric("coll_forwards", float64(forwards))
 	r.metric("result_dmas", float64(dmas))
 	return r
-}
-
-// CollFlowChromeJSON renders the offloaded-collective flow as Chrome
-// trace-event JSON (cmd/bcltrace -coll -chrome).
-func CollFlowChromeJSON() ([]byte, error) {
-	return collFlowTraced().ChromeTrace()
 }

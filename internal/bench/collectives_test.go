@@ -9,7 +9,7 @@ import "testing"
 // dissemination, and the trap counts show the O(1)-per-root /
 // one-per-rank offload shape instead of the host's per-round traps.
 func TestCollectivesGolden(t *testing.T) {
-	r := CollectivesSeeded(1)
+	r := collectives(1)
 	if r.Metrics["deterministic"] != 1 {
 		t.Fatal("two same-seed collective fault soaks diverged")
 	}
@@ -44,7 +44,7 @@ func TestCollectivesGolden(t *testing.T) {
 // message through the NIC tree: fanout forwards and landing-ring DMAs
 // must appear under the broadcast's trace id.
 func TestCollFlow(t *testing.T) {
-	r := ByID("collflow")
+	r := Run("collflow", 1)
 	if r.Metrics["flows"] == 0 {
 		t.Fatal("no flows traced")
 	}

@@ -11,13 +11,13 @@ import (
 	"bcl/internal/sim"
 )
 
-// Fabrics compares BCL over the three system-area networks the
+// fabrics compares BCL over the three system-area networks the
 // repository models: the Myrinet-like switched fabric, the nwrc 2-D
 // mesh, and the heterogeneous composite (cluster of clusters). The
 // paper's portability claim is that BCL binaries run unmodified over
 // any of them; this report shows they also perform equivalently, since
 // both fabrics carry 160 MB/s channels.
-func Fabrics() *Report {
+func fabrics() *Report {
 	r := newReport("fabrics", "BCL over Myrinet, nwrc mesh, and the heterogeneous composite")
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-22s %14s %16s\n", "fabric", "0B latency", "128KB bandwidth")
@@ -28,8 +28,8 @@ func Fabrics() *Report {
 	}
 	var results []result
 	for _, fk := range []cluster.FabricKind{cluster.Myrinet, cluster.Mesh, cluster.Hetero} {
-		lat := bclLatencyOn(fk, 0)
-		bw := bclBandwidthOn(fk, 131072, 8)
+		lat := fabricPair(fk).pair().warmLatency(0)
+		bw := fabricPair(fk).pair().stream(131072, 8)
 		results = append(results, result{string(fk), lat, bw})
 		fmt.Fprintf(&b, "%-22s %12.2fus %12.1fMB/s\n", string(fk), us(lat), bw)
 	}
@@ -43,123 +43,24 @@ func Fabrics() *Report {
 	return r
 }
 
-// bclLatencyOn is bclLatency with an explicit fabric (nodes 0 and 1
-// always share a rail under the default hetero split, so the composite
-// behaves like its Myrinet half here).
-func bclLatencyOn(fk cluster.FabricKind, size int) sim.Time {
-	prof := hw.DAWNING3000()
-	c := newCluster(cluster.Config{Nodes: 4, Fabric: fk, Profile: prof, NIC: ibcl.DefaultNICConfig()})
-	sys := ibcl.NewSystem(c)
-	var a, bp *ibcl.Port
-	c.Env.Go("setup", func(p *sim.Proc) {
-		a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64})
-		bp, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64})
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	return measureWarmLatency(c, a, bp, size)
+// fabricPair is the stock pair on a 4-node machine with an explicit
+// fabric (nodes 0 and 1 always share a rail under the default hetero
+// split, so the composite behaves like its Myrinet half here).
+func fabricPair(fk cluster.FabricKind) *rig {
+	return pairRig(cluster.Config{Nodes: 4, Fabric: fk, Profile: hw.DAWNING3000(), NIC: ibcl.DefaultNICConfig()}, false)
 }
 
-func bclBandwidthOn(fk cluster.FabricKind, size, msgs int) float64 {
-	prof := hw.DAWNING3000()
-	c := newCluster(cluster.Config{Nodes: 4, Fabric: fk, Profile: prof, NIC: ibcl.DefaultNICConfig()})
-	sys := ibcl.NewSystem(c)
-	var a, bp *ibcl.Port
-	c.Env.Go("setup", func(p *sim.Proc) {
-		a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64})
-		bp, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64})
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	return measureStream(c, a, bp, size, msgs)
-}
-
-// measureWarmLatency and measureStream factor the two standard
-// methodologies over any prepared port pair.
-func measureWarmLatency(c *cluster.Cluster, a, bp *ibcl.Port, size int) sim.Time {
-	const iters = 4
-	bufN := size
-	if bufN == 0 {
-		bufN = 64
-	}
-	ch := bp.CreateChannel()
-	sendAt := make([]sim.Time, iters)
-	var warm sim.Time
-	c.Env.Go("recv", func(p *sim.Proc) {
-		rva := bp.Process().Space.Alloc(bufN)
-		bp.PostRecv(p, ch, rva, bufN)
-		for i := 0; i < iters; i++ {
-			bp.WaitRecv(p)
-			warm = p.Now() - sendAt[i]
-			if i < iters-1 {
-				bp.PostRecv(p, ch, rva, bufN)
-			}
-		}
-	})
-	c.Env.Go("send", func(p *sim.Proc) {
-		va := a.Process().Space.Alloc(bufN)
-		p.Sleep(100 * sim.Microsecond)
-		for i := 0; i < iters; i++ {
-			sendAt[i] = p.Now()
-			a.Send(p, bp.Addr(), ch, va, size, 0)
-			a.WaitSend(p)
-			p.Sleep(300 * sim.Microsecond)
-		}
-	})
-	c.Env.RunUntil(c.Env.Now() + sim.Second)
-	return warm
-}
-
-func measureStream(c *cluster.Cluster, a, bp *ibcl.Port, size, msgs int) float64 {
-	var start, end sim.Time
-	ready := false
-	c.Env.Go("recv", func(p *sim.Proc) {
-		for i := 0; i < msgs; i++ {
-			va := bp.Process().Space.Alloc(size)
-			bp.PostRecv(p, i+1, va, size)
-		}
-		ready = true
-		bp.WaitRecv(p)
-		start = p.Now()
-		for i := 1; i < msgs; i++ {
-			bp.WaitRecv(p)
-		}
-		end = p.Now()
-	})
-	c.Env.Go("send", func(p *sim.Proc) {
-		va := a.Process().Space.Alloc(size)
-		for !ready {
-			p.Sleep(50 * sim.Microsecond)
-		}
-		for i := 0; i < msgs; i++ {
-			a.Send(p, bp.Addr(), i+1, va, size, 0)
-		}
-		for i := 0; i < msgs; i++ {
-			a.WaitSend(p)
-		}
-	})
-	c.Env.RunUntil(c.Env.Now() + 10*sim.Second)
-	return mbps((msgs-1)*size, end-start)
-}
-
-// AblationWindow sweeps the go-back-N window: with a window of 1 the
+// ablationWindow sweeps the go-back-N window: with a window of 1 the
 // firmware degenerates to stop-and-wait and bandwidth collapses to one
 // packet per round trip; a handful of packets of window already covers
 // the bandwidth-delay product of a 160 MB/s, ~30 µs-RTT link.
-func AblationWindow() *Report {
+func ablationWindow() *Report {
 	r := newReport("ablation-window", "Go-back-N window sweep (why the firmware keeps a window)")
 	var b strings.Builder
 	fmt.Fprintf(&b, "%10s %18s\n", "window", "128KB bandwidth")
 	for _, w := range []int{1, 2, 4, 32} {
-		prof := hw.DAWNING3000()
 		cfg := nic.Config{Translate: nic.HostTranslated, Completion: nic.UserEventQueue, Reliable: true, Window: w}
-		c := newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: cfg})
-		sys := ibcl.NewSystem(c)
-		var a, bp *ibcl.Port
-		c.Env.Go("setup", func(p *sim.Proc) {
-			a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64})
-			bp, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64})
-		})
-		c.Env.RunUntil(20 * sim.Millisecond)
-		bw := measureStream(c, a, bp, 131072, 6)
+		bw := pairRig(cluster.Config{Nodes: 2, Profile: hw.DAWNING3000(), NIC: cfg}, false).pair().stream(131072, 6)
 		fmt.Fprintf(&b, "%10d %14.1fMB/s\n", w, bw)
 		r.metric(fmt.Sprintf("bw_w%d_mbps", w), bw)
 	}

@@ -8,8 +8,6 @@ import (
 	ibcl "bcl/internal/bcl"
 	"bcl/internal/cluster"
 	"bcl/internal/fabric"
-	"bcl/internal/fabric/hetero"
-	"bcl/internal/nic"
 	"bcl/internal/obs"
 	"bcl/internal/obs/health"
 	"bcl/internal/sim"
@@ -38,7 +36,6 @@ import (
 // "when did it fire" is reproducible evidence, not a race.
 
 const (
-	hwNodes   = 4
 	hwRounds  = 8
 	hwMsgSize = 1024
 	hwPace    = 8 * sim.Millisecond
@@ -53,121 +50,39 @@ type hwResult struct {
 	bundle      []byte // first postmortem bundle, encoded
 	bundles     int
 	fired       map[string]int // firing-transition count per rule
-	delivered   int
-	resends     int
-	samples     int
-	deadlocked  bool
-	snap        *obs.Snapshot
+	soakResult
+	samples int
+	snap    *obs.Snapshot
 }
 
-// healthRun executes one phase: the shared rig, plus the fault
-// schedule when fault is set.
+// healthRun executes one phase: the shared soak rig with the health
+// engine attached and 5 ms samples, plus the fault schedule when fault
+// is set.
 func healthRun(seed uint64, fault bool) *hwResult {
-	cfg := ibcl.DefaultNICConfig()
-	c := newCluster(cluster.Config{
-		Nodes: hwNodes, Fabric: cluster.Hetero, Profile: survProfile(),
-		NIC: cfg, Seed: seed, Watchdog: true, Health: true,
-	})
-	hf := c.Fabric.(*hetero.Fabric)
-	tr := trace.New()
-	c.SetTracer(tr)
-	sys := ibcl.NewSystem(c)
-
-	ports := make([]*ibcl.Port, hwNodes)
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i := 0; i < hwNodes; i++ {
-			proc := c.Nodes[i].Kernel.Spawn()
-			ports[i], _ = sys.Open(p, c.Nodes[i], proc, ibcl.Options{SystemBuffers: 64})
-		}
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	for _, pt := range ports {
-		if pt == nil {
-			panic("bench: healthwatch rig setup failed")
-		}
-	}
-	c.Obs.StartSampler(c.Env, 5*sim.Millisecond, 64)
+	rig := newSoakRig(cluster.Config{
+		Profile: survProfile(), NIC: ibcl.DefaultNICConfig(), Seed: seed, Watchdog: true, Health: true,
+	}, trace.New(), 5*sim.Millisecond, 64)
+	c, hf := rig.c, rig.hf
 	base := c.Env.Now()
 
 	if fault {
 		// One seeded firmware crash: the watchdog-trip rule must catch
 		// the kernel healing it.
 		sched := seed ^ 0x9e3779b97f4a7c15
-		node := int(sim.SplitmixNext(&sched) % hwNodes)
+		node := int(sim.SplitmixNext(&sched) % soakNodes)
 		at := base + 25*sim.Millisecond + sim.Time(sim.SplitmixNext(&sched)%uint64(8*sim.Millisecond))
 		c.Nodes[node].NIC.CrashAt(at)
 		// Bit flips on the Myrinet rail: crc-spike must see the drops.
-		if f, ok := hf.Rail(0).(interface{ SetFault(fabric.Fault) }); ok {
-			f.SetFault(fabric.RandomCorrupt(0.05))
-		}
+		hf.Rail(0).SetFault(fabric.RandomCorrupt(0.05))
 		// A gray window: the Myrinet rail runs 64x slow but alive, so its
 		// windowed P99 wire time diverges from the mesh rail's.
 		hf.RailSlow(0, base+50*sim.Millisecond, base+80*sim.Millisecond, 64)
 	}
 
-	res := &hwResult{fired: make(map[string]int)}
-	seen := make([]map[uint64]bool, hwNodes)
-	for i := range seen {
-		seen[i] = make(map[uint64]bool)
-	}
-	expected := (hwNodes - 1) * hwRounds
-	for i := 0; i < hwNodes; i++ {
-		i := i
-		pt := ports[i]
-		c.Env.Go(fmt.Sprintf("hw-rx%d", i), func(p *sim.Proc) {
-			for len(seen[i]) < expected {
-				ev, ok := pt.TryRecv(p)
-				if !ok {
-					p.Sleep(200 * sim.Microsecond)
-					continue
-				}
-				if seen[i][ev.Tag] {
-					continue
-				}
-				seen[i][ev.Tag] = true
-				res.delivered++
-			}
-		})
-	}
-	sendersDone := make([]bool, hwNodes)
-	for i := 0; i < hwNodes; i++ {
-		i := i
-		pt := ports[i]
-		c.Env.Go(fmt.Sprintf("hw-tx%d", i), func(p *sim.Proc) {
-			va := pt.Process().Space.Alloc(hwMsgSize)
-			p.Sleep(sim.Time(i) * sim.Millisecond) // de-lockstep the senders
-			for round := 0; round < hwRounds; round++ {
-				p.Sleep(hwPace)
-				for d := 1; d < hwNodes; d++ {
-					dst := (i + d) % hwNodes
-					for {
-						_, err := pt.Send(p, ports[dst].Addr(), ibcl.SystemChannel,
-							va, hwMsgSize, chaosTag(i, dst, round))
-						if err != nil {
-							panic(err)
-						}
-						if pt.WaitSend(p).Type == nic.EvSendDone {
-							break
-						}
-						for !pt.PeerHealthy(ports[dst].Addr().Node) {
-							p.Sleep(500 * sim.Microsecond)
-						}
-						res.resends++
-					}
-				}
-			}
-			sendersDone[i] = true
-		})
-	}
-
 	// Traffic spans ~70 ms; the horizon leaves room for retransmit
 	// stragglers and lets the rule series settle back to healthy.
-	c.Env.RunUntil(c.Env.Now() + 120*sim.Millisecond)
-	for _, d := range sendersDone {
-		if !d {
-			res.deadlocked = true
-		}
-	}
+	res := &hwResult{fired: make(map[string]int)}
+	res.soakResult = rig.run("hw", hwMsgSize, hwRounds, hwPace, 120*sim.Millisecond, nil)
 
 	eng := c.Health
 	res.transitions = append(res.transitions, eng.Transitions()...)
@@ -211,30 +126,31 @@ func runHealthWatchOnce(seed uint64) *hwOnce {
 	return o
 }
 
-// HealthWatch runs the health-engine gauntlet with the default seed.
-func HealthWatch() *Report { return HealthWatchSeeded(1) }
-
-// HealthWatchSeeded runs the two-phase healthwatch experiment TWICE
+// healthWatch runs the two-phase healthwatch experiment TWICE
 // and checks the alert timelines and postmortem bundles are
 // byte-identical.
-func HealthWatchSeeded(seed uint64) *Report {
+func healthWatch(seed uint64) *Report {
+	return healthWatchReport(seed, runHealthWatchOnce(seed), runHealthWatchOnce(seed))
+}
+
+// healthWatchReport renders the verdict over the double run x, y.
+func healthWatchReport(seed uint64, x, y *hwOnce) *Report {
 	r := newReport("healthwatch", fmt.Sprintf("Cluster health engine: clean silence, fault alerts, postmortems (seed %d)", seed))
-	x := runHealthWatchOnce(seed)
-	y := runHealthWatchOnce(seed)
 
 	timelineOK := x.clean.timeline == y.clean.timeline && x.faulty.timeline == y.faulty.timeline
 	bundleOK := string(x.faulty.bundle) == string(y.faulty.bundle) && len(x.faulty.bundle) > 0
 	deterministic := x.digest == y.digest && timelineOK && bundleOK
 
 	cl, fa := x.clean, x.faulty
-	total := hwNodes * (hwNodes - 1) * hwRounds
+	total := soakNodes * (soakNodes - 1) * hwRounds
 	cleanSilent := len(cl.transitions) == 0
 	deadlocked := cl.deadlocked || fa.deadlocked
+	corrupt := cl.corrupt + fa.corrupt
 	mustFire := []string{"crc-spike", "watchdog-trip", "rail-divergence"}
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "rig: %d nodes dual-rail, all-to-all, %d rounds x %dB = %d messages, 5ms samples\n\n",
-		hwNodes, hwRounds, hwMsgSize, total)
+		soakNodes, hwRounds, hwMsgSize, total)
 	fmt.Fprintf(&sb, "clean phase: %d samples, %d/%d delivered, %d alert transitions (want 0)\n",
 		cl.samples, cl.delivered, total, len(cl.transitions))
 	if !cleanSilent {
@@ -259,7 +175,7 @@ func HealthWatchSeeded(seed uint64) *Report {
 	}
 	fmt.Fprintf(&sb, "\ndigest: %016x (run 1) / %016x (run 2) -> deterministic: %v\n",
 		x.digest, y.digest, deterministic)
-	if !cleanSilent || deadlocked || !deterministic {
+	if !cleanSilent || deadlocked || corrupt > 0 || !deterministic {
 		sb.WriteString("\n*** HEALTHWATCH GAUNTLET FAILED ***\n")
 	}
 	r.Text = sb.String()
@@ -273,14 +189,17 @@ func HealthWatchSeeded(seed uint64) *Report {
 	r.metric("fault_bundles", float64(fa.bundles))
 	r.metric("bundle_bytes", float64(len(fa.bundle)))
 
-	r.metric("clean_alerts", float64(len(cl.transitions)))
-	r.metric("fired_crc_spike", b2f(fa.fired["crc-spike"] > 0))
-	r.metric("fired_watchdog_trip", b2f(fa.fired["watchdog-trip"] > 0))
-	r.metric("fired_rail_divergence", b2f(fa.fired["rail-divergence"] > 0))
-	r.metric("timeline_deterministic", b2f(timelineOK))
-	r.metric("bundle_deterministic", b2f(bundleOK))
-	r.metric("deterministic", b2f(deterministic))
-	r.metric("deadlocked", b2f(deadlocked))
+	// The clean phase must stay silent, the fault phase must fire the
+	// expected rules, and the alert timeline and bundle bytes must be
+	// identical across the double run.
+	r.exact("clean_alerts", float64(len(cl.transitions)))
+	r.flag("fired_crc_spike", fa.fired["crc-spike"] > 0)
+	r.flag("fired_watchdog_trip", fa.fired["watchdog-trip"] > 0)
+	r.flag("fired_rail_divergence", fa.fired["rail-divergence"] > 0)
+	r.flag("timeline_deterministic", timelineOK)
+	r.flag("bundle_deterministic", bundleOK)
+	r.flag("deterministic", deterministic)
+	r.flag("deadlocked", deadlocked)
 	return r
 }
 

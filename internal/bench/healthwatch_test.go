@@ -8,7 +8,7 @@ import (
 )
 
 func TestHealthWatchGauntlet(t *testing.T) {
-	r := runExperiment(HealthWatch)
+	r := Run("healthwatch", 1)
 	for _, m := range []string{
 		"clean_alerts", "deadlocked",
 	} {
@@ -39,7 +39,7 @@ func TestHealthWatchGauntlet(t *testing.T) {
 // moves but the rules still catch the injected faults, and the clean
 // phase stays silent.
 func TestHealthWatchSeedRobust(t *testing.T) {
-	r := runExperiment(func() *Report { return HealthWatchSeeded(2) })
+	r := Run("healthwatch", 2)
 	if r.Metrics["clean_alerts"] != 0 || r.Metrics["deterministic"] != 1 ||
 		r.Metrics["fired_watchdog_trip"] != 1 {
 		t.Fatalf("seed 2 gauntlet failed:\n%s", r.Text)

@@ -11,7 +11,7 @@ import (
 	"bcl/internal/sim"
 )
 
-// AblationIntraPath reproduces the argument of the paper's section 4.2:
+// ablationIntraPath reproduces the argument of the paper's section 4.2:
 // there are three ways to move data between two processes on one SMP
 // node —
 //
@@ -24,7 +24,7 @@ import (
 //     cause the target process crashed", so BCL rejects it.
 //
 // The report measures all three on the same node model.
-func AblationIntraPath() *Report {
+func ablationIntraPath() *Report {
 	r := newReport("ablation-intrapath", "Intra-node strategies (paper §4.2): NIC loopback vs shared memory vs direct copy")
 	prof := hw.DAWNING3000()
 

@@ -18,41 +18,17 @@ import (
 // structs, and a causal flow trace following one message (and its
 // forced retransmission) across host, NIC and fabric rows.
 
-// PingPong runs a paced BCL ping-pong with the virtual-time sampler
+// pingPong runs a paced BCL ping-pong with the virtual-time sampler
 // on, then cross-checks every NIC counter in the registry snapshot
 // against nic.Stats for the same run — the two must agree exactly,
 // because the registry pulls the same counters at snapshot time.
-func PingPong() *Report {
+func pingPong() *Report {
 	r := newReport("pingpong", "BCL ping-pong with cluster-wide metrics registry")
-	rg := newBCLRig(hw.DAWNING3000(), false)
+	rg := bclPair(hw.DAWNING3000(), false)
 	rg.c.Obs.StartSampler(rg.c.Env, 250*sim.Microsecond, 64)
 
 	const iters = 32
-	chA := rg.a.CreateChannel()
-	chB := rg.b.CreateChannel()
-	var rtt sim.Time
-	rg.c.Env.Go("a", func(p *sim.Proc) {
-		va := rg.a.Process().Space.Alloc(64)
-		rg.a.PostRecv(p, chA, va, 64)
-		p.Sleep(200 * sim.Microsecond)
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			rg.a.Send(p, rg.b.Addr(), chB, va, 64, 0)
-			rg.a.WaitRecv(p)
-			rg.a.PostRecv(p, chA, va, 64)
-		}
-		rtt = (p.Now() - start) / iters
-	})
-	rg.c.Env.Go("b", func(p *sim.Proc) {
-		va := rg.b.Process().Space.Alloc(64)
-		rg.b.PostRecv(p, chB, va, 64)
-		for i := 0; i < iters; i++ {
-			rg.b.WaitRecv(p)
-			rg.b.PostRecv(p, chB, va, 64)
-			rg.b.Send(p, rg.a.Addr(), chA, va, 64, 0)
-		}
-	})
-	rg.c.Env.RunUntil(rg.c.Env.Now() + sim.Second)
+	halfRTT := rg.pair().pingPong(64, 0, iters)
 
 	snap := rg.c.Obs.Snapshot(rg.c.Env.Now())
 	r.Snap = snap
@@ -82,7 +58,7 @@ func PingPong() *Report {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d ping-pong rounds, 64B payload: half-RTT %.2f µs\n\n", iters, us(rtt/2))
+	fmt.Fprintf(&b, "%d ping-pong rounds, 64B payload: half-RTT %.2f µs\n\n", iters, us(halfRTT))
 	if len(mismatches) == 0 {
 		b.WriteString("registry vs nic.Stats: all counters agree on both nodes\n")
 	} else {
@@ -102,60 +78,33 @@ func PingPong() *Report {
 		{Label: "traps", Layer: "kernel", Name: "traps"},
 	}))
 	r.Text = b.String()
-	r.metric("half_rtt_us", us(rtt/2))
-	r.metric("registry_agrees", b2f(len(mismatches) == 0))
+	r.metric("half_rtt_us", us(halfRTT))
+	r.flag("registry_agrees", len(mismatches) == 0)
 	r.metric("hist_count", float64(h.Count))
 	r.metric("samples", float64(len(rg.c.Obs.Samples())))
 	return r
 }
 
-// flowTracedMessage runs one traced message under a one-shot fault
-// that drops its first DATA packet, so the flow contains the
-// retransmission. Returns the tracer, the cluster's observability
-// bundle and the one-way completion time.
-func flowTracedMessage() (*trace.Tracer, *obs.Obs, sim.Time) {
-	rg := newBCLRig(hw.DAWNING3000(), false)
-	tr := trace.New()
-	var oneWay sim.Time
-	var sentAt sim.Time
-	rg.c.Env.Go("warm", func(p *sim.Proc) {
-		va := rg.a.Process().Space.Alloc(64)
-		rg.a.Send(p, rg.b.Addr(), ibcl.SystemChannel, va, 0, 0)
-		rg.a.WaitSend(p)
-		p.Sleep(300 * sim.Microsecond)
-		// Attach tracers and the fault for the measured message. The
-		// fault drops exactly one traced DATA packet, so the sender's
-		// retransmit timer must fire once before delivery.
-		rg.a.SetTracer(tr)
-		rg.b.SetTracer(tr)
-		rg.c.SetTracer(tr)
-		dropped := false
-		rg.c.Fabric.SetFault(func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
-			if !dropped && pkt.Kind == fabric.KindData && pkt.Trace != 0 {
-				dropped = true
-				return fabric.Drop
-			}
-			return fabric.Deliver
-		})
-		sentAt = p.Now()
-		rg.a.Send(p, rg.b.Addr(), ibcl.SystemChannel, va, 0, 0)
-		rg.a.WaitSend(p)
-	})
-	rg.c.Env.Go("recv", func(p *sim.Proc) {
-		rg.b.WaitRecv(p)
-		rg.b.WaitRecv(p)
-		oneWay = p.Now() - sentAt
-	})
-	rg.c.Env.RunUntil(rg.c.Env.Now() + sim.Second)
-	return tr, rg.c.Obs, oneWay
+// dropFirstTracedData is a one-shot fault that drops the first traced
+// DATA packet it sees, so the sender's retransmit timer must fire once
+// before delivery and the flow contains the retransmission.
+func dropFirstTracedData() fabric.Fault {
+	dropped := false
+	return func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
+		if !dropped && pkt.Kind == fabric.KindData && pkt.Trace != 0 {
+			dropped = true
+			return fabric.Drop
+		}
+		return fabric.Deliver
+	}
 }
 
-// FlowTrace reports the causal flow timeline of one message whose
+// flowTrace reports the causal flow timeline of one message whose
 // first DATA packet the fabric dropped: compose, trap, NIC send,
 // wire, retransmit, receive, completion — all under one trace id.
-func FlowTrace() *Report {
+func flowTrace() *Report {
 	r := newReport("flowtrace", "Causal flow trace of one message (forced retransmission)")
-	tr, o, oneWay := flowTracedMessage()
+	tr, o, oneWay := tracedMessage(0, dropFirstTracedData())
 	flows := tr.Flows()
 	retx := 0
 	wire := 0
@@ -185,14 +134,6 @@ func FlowTrace() *Report {
 	return r
 }
 
-// FlowChromeJSON renders the forced-retransmission flow trace as
-// Chrome trace-event JSON: the "bcl-flow" arrows follow the message
-// across the host, NIC and wire rows (cmd/bcltrace -flow -chrome).
-func FlowChromeJSON() ([]byte, error) {
-	tr, _, _ := flowTracedMessage()
-	return tr.ChromeTrace()
-}
-
 // crashFlowTracedMessage runs one traced multi-fragment message whose
 // receiving NIC's firmware crashes mid-transfer: the kernel watchdog
 // trips, reboots the MCP, replays the journal, and the boot-epoch
@@ -201,21 +142,10 @@ func FlowChromeJSON() ([]byte, error) {
 // completion time (which includes the whole recovery).
 func crashFlowTracedMessage() (*trace.Tracer, *obs.Obs, sim.Time) {
 	const size = 32 * 1024
-	c := newCluster(cluster.Config{
+	rg := newRig(newCluster(cluster.Config{
 		Nodes: 2, Profile: survProfile(), NIC: ibcl.DefaultNICConfig(), Watchdog: true,
-	})
-	sys := ibcl.NewSystem(c)
-	var a, b *ibcl.Port
-	c.Env.Go("setup", func(p *sim.Proc) {
-		pa := c.Nodes[0].Kernel.Spawn()
-		pb := c.Nodes[1].Kernel.Spawn()
-		a, _ = sys.Open(p, c.Nodes[0], pa, ibcl.Options{SystemBuffers: 8})
-		b, _ = sys.Open(p, c.Nodes[1], pb, ibcl.Options{SystemBuffers: 8})
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	if a == nil || b == nil {
-		panic("bench: crash-flow rig setup failed")
-	}
+	}), []int{0, 1}, ibcl.Options{SystemBuffers: 8}, 20*sim.Millisecond)
+	c, a, b := rg.c, rg.ports[0], rg.ports[1]
 	tr := trace.New()
 	var oneWay, sentAt sim.Time
 	ch := b.CreateChannel()
@@ -247,12 +177,12 @@ func crashFlowTracedMessage() (*trace.Tracer, *obs.Obs, sim.Time) {
 	return tr, c.Obs, oneWay
 }
 
-// CrashFlow reports the causal story of one message interrupted by a
+// crashFlow reports the causal story of one message interrupted by a
 // firmware crash: the flow timeline of the message itself (fragments,
 // retransmits, rewound replay, completion) plus the recovery spans —
 // crash, watchdog trip, journal replay, reboot, epoch resync — that
 // carry it across the boundary.
-func CrashFlow() *Report {
+func crashFlow() *Report {
 	r := newReport("crashflow", "Causal flow trace of one message across a firmware crash + recovery")
 	tr, o, oneWay := crashFlowTracedMessage()
 	flows := tr.Flows()
@@ -299,11 +229,4 @@ func CrashFlow() *Report {
 	r.metric("resync_spans", float64(resyncs))
 	r.metric("retransmit_spans", float64(retx))
 	return r
-}
-
-// CrashFlowChromeJSON renders the crash-recovery flow as Chrome
-// trace-event JSON (cmd/bcltrace -crash -chrome).
-func CrashFlowChromeJSON() ([]byte, error) {
-	tr, _, _ := crashFlowTracedMessage()
-	return tr.ChromeTrace()
 }

@@ -11,7 +11,7 @@ import (
 // same run (the experiment cross-checks them field by field and
 // reports the verdict as a metric).
 func TestPingPongRegistryAgrees(t *testing.T) {
-	r := ByID("pingpong")
+	r := Run("pingpong", 1)
 	if r.Metrics["registry_agrees"] != 1 {
 		t.Fatalf("registry disagrees with nic.Stats:\n%s", r.Text)
 	}
@@ -36,7 +36,7 @@ func TestPingPongRegistryAgrees(t *testing.T) {
 // exported snapshot must be byte-identical across runs, in both text
 // and JSON form.
 func TestPingPongSnapshotDeterministic(t *testing.T) {
-	a, b := ByID("pingpong"), ByID("pingpong")
+	a, b := Run("pingpong", 1), Run("pingpong", 1)
 	if a.Snap.Text() != b.Snap.Text() {
 		t.Fatal("snapshot text differs across same-seed runs")
 	}
@@ -57,7 +57,7 @@ func TestPingPongSnapshotDeterministic(t *testing.T) {
 // tracing: one message's flow must include spans on at least three
 // rows (host, NIC, wire) and a retransmission under the injected drop.
 func TestFlowTraceCrossesLayers(t *testing.T) {
-	r := ByID("flowtrace")
+	r := Run("flowtrace", 1)
 	if r.Metrics["flows"] < 1 {
 		t.Fatalf("no flows traced:\n%s", r.Text)
 	}
@@ -79,11 +79,11 @@ func TestFlowTraceCrossesLayers(t *testing.T) {
 // flow (s/t/f) events linking >= 3 rows, and be byte-identical across
 // two same-seed runs.
 func TestFlowChromeJSONGolden(t *testing.T) {
-	a, err := FlowChromeJSON()
+	a, err := ChromeJSON("flowtrace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FlowChromeJSON()
+	b, err := ChromeJSON("flowtrace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestFlowChromeJSONGolden(t *testing.T) {
 // path too: with the fabric tracer attached the plain Chrome trace is
 // still byte-stable.
 func TestFig7ChromeDeterministic(t *testing.T) {
-	a, err := ChromeTraceJSON()
+	a, err := ChromeJSON("fig7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := ChromeTraceJSON()
+	b, _ := ChromeJSON("fig7")
 	if string(a) != string(b) {
 		t.Fatal("fig7 chrome trace differs across same-seed runs")
 	}
@@ -153,7 +153,7 @@ func TestChaosReportsFromRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak is slow")
 	}
-	r := ChaosSeeded(3)
+	r := chaos(3)
 	if r.Snap == nil {
 		t.Fatal("chaos report has no snapshot")
 	}

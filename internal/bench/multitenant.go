@@ -51,38 +51,69 @@ func quantileNS(samples []sim.Time, q float64) sim.Time {
 	return s[idx]
 }
 
+// streamHog is the bandwidth hog of the interference scenarios (here
+// and in the service tier): a two-rank job whose sender posts msgs
+// 32 KB sends back to back — the NIC-side ring backlog is the point —
+// to a sink that has preposted every message's rendezvous buffer.
+type streamHog struct {
+	msgs    int
+	startAt sim.Time   // the sender holds its burst until then
+	sink    *ibcl.Port // set once the sink has preposted
+	live    bool       // the burst is being posted
+}
+
+const hogSize = 32 << 10
+
+// run is the body of one rank of the hog job on its freshly opened port.
+func (h *streamHog) run(p *sim.Proc, pt *ibcl.Port, sink bool) {
+	va := pt.Process().Space.Alloc(hogSize)
+	if sink {
+		for i := 0; i < h.msgs; i++ {
+			if err := pt.PostRecv(p, pt.CreateChannel(), va, hogSize); err != nil {
+				panic(err)
+			}
+		}
+		h.sink = pt
+		for i := 0; i < h.msgs; i++ {
+			pt.WaitRecv(p)
+		}
+		return
+	}
+	for h.sink == nil {
+		p.Sleep(10 * sim.Microsecond)
+	}
+	if wait := h.startAt - p.Now(); wait > 0 {
+		p.Sleep(wait)
+	}
+	h.live = true
+	for i := 0; i < h.msgs; i++ {
+		pt.Send(p, h.sink.Addr(), i+1, va, hogSize, 0)
+	}
+	for i := 0; i < h.msgs; i++ {
+		pt.WaitSend(p)
+	}
+}
+
 // mtInterference runs the pingpong job, optionally next to the stream
 // hog, on a fresh 2-node cluster with QoS arbitration on or off. Both
 // jobs go through the gang scheduler; the pingpong port gets weight 8,
 // the hog weight 1.
 func mtInterference(qos, hog bool) *mtScenario {
-	const (
-		ppIters = 24
-		hogMsgs = 48
-		hogSize = 32 << 10
-	)
+	const ppIters = 24
 	nc := ibcl.DefaultNICConfig()
 	nc.QoS = qos
-	c := newCluster(cluster.Config{Nodes: 2, Profile: hw.DAWNING3000(), NIC: nc})
-	sys := ibcl.NewSystem(c)
+	rg := attach(newCluster(cluster.Config{Nodes: 2, Profile: hw.DAWNING3000(), NIC: nc}))
+	c := rg.c
 	s := sched.New(c.Env, c.Size(), 4, false)
 	c.Obs.RegisterCollector(s.Collect)
 
 	var (
-		ppPorts  [2]*ibcl.Port
-		hogPorts [2]*ibcl.Port
-		hogLive  bool
-		samples  []sim.Time
+		ppPorts [2]*ibcl.Port
+		stream  = streamHog{msgs: 48}
+		samples []sim.Time
 	)
 	open := func(p *sim.Proc, nodeID int, label string, weight int) *ibcl.Port {
-		nd := c.Nodes[nodeID]
-		pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), ibcl.Options{
-			SystemBuffers: 16, Label: label, QoSWeight: weight,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("bench: multitenant open %s: %v", label, err))
-		}
-		return pt
+		return rg.open(p, nodeID, ibcl.Options{SystemBuffers: 16, Label: label, QoSWeight: weight})
 	}
 
 	s.Submit(sched.JobSpec{
@@ -111,7 +142,7 @@ func mtInterference(qos, hog bool) *mtScenario {
 			// Rank 0 measures. Hold until the hog is streaming so every
 			// sample sees contention.
 			if hog {
-				for !hogLive {
+				for !stream.live {
 					p.Sleep(20 * sim.Microsecond)
 				}
 			}
@@ -133,35 +164,7 @@ func mtInterference(qos, hog bool) *mtScenario {
 			Name: "stream", Ranks: 2, Nodes: []int{0, 1}, RanksPerNode: 1,
 			EstRuntime: 50 * sim.Millisecond, QoSWeight: 1,
 			Body: func(p *sim.Proc, ctx *sched.RankCtx) {
-				pt := open(p, ctx.Node, "stream", ctx.Job.Spec.QoSWeight)
-				if ctx.Rank == 1 {
-					// Sink: prepost every message's rendezvous buffer.
-					va := pt.Process().Space.Alloc(hogSize)
-					for i := 0; i < hogMsgs; i++ {
-						if err := pt.PostRecv(p, pt.CreateChannel(), va, hogSize); err != nil {
-							panic(err)
-						}
-					}
-					hogPorts[1] = pt
-					for i := 0; i < hogMsgs; i++ {
-						pt.WaitRecv(p)
-					}
-					return
-				}
-				hogPorts[0] = pt
-				for hogPorts[1] == nil {
-					p.Sleep(10 * sim.Microsecond)
-				}
-				va := pt.Process().Space.Alloc(hogSize)
-				hogLive = true
-				// Post the whole burst back to back: the NIC-side ring
-				// backlog is the point of the experiment.
-				for i := 0; i < hogMsgs; i++ {
-					pt.Send(p, hogPorts[1].Addr(), i+1, va, hogSize, 0)
-				}
-				for i := 0; i < hogMsgs; i++ {
-					pt.WaitSend(p)
-				}
+				stream.run(p, open(p, ctx.Node, "stream", ctx.Job.Spec.QoSWeight), ctx.Rank == 1)
 			},
 		})
 	}
@@ -216,26 +219,16 @@ func mtMakespan(backfill bool) (makespan sim.Time, st sched.Stats) {
 func mtIsolation() (rejects uint64, byteErrors int, agree bool, tornDown bool) {
 	nc := ibcl.DefaultNICConfig()
 	nc.QoS = true
-	c := newCluster(cluster.Config{Nodes: 2, Profile: hw.DAWNING3000(), NIC: nc})
-	sys := ibcl.NewSystem(c)
+	rg := attach(newCluster(cluster.Config{Nodes: 2, Profile: hw.DAWNING3000(), NIC: nc}))
+	c := rg.c
 	const secretLen = 256
 	var done bool
 	c.Env.Go("isolation", func(p *sim.Proc) {
-		n0, n1 := c.Nodes[0], c.Nodes[1]
-		victimProc := n0.Kernel.Spawn()
-		rogueProc := n0.Kernel.Spawn()
-		victim, err := sys.Open(p, n0, victimProc, ibcl.Options{Label: "victim", QoSWeight: 4})
-		if err != nil {
-			panic(err)
-		}
-		rogue, err := sys.Open(p, n0, rogueProc, ibcl.Options{Label: "rogue"})
-		if err != nil {
-			panic(err)
-		}
-		sink, err := sys.Open(p, n1, n1.Kernel.Spawn(), ibcl.Options{Label: "sink"})
-		if err != nil {
-			panic(err)
-		}
+		n0 := c.Nodes[0]
+		victim := rg.open(p, 0, ibcl.Options{Label: "victim", QoSWeight: 4})
+		rogue := rg.open(p, 0, ibcl.Options{Label: "rogue"})
+		sink := rg.open(p, 1, ibcl.Options{Label: "sink"})
+		victimProc, rogueProc := victim.Process(), rogue.Process()
 		// The victim's secret sits far beyond anything the rogue has
 		// mapped, so the VA range is meaningful in the victim's space
 		// only.
@@ -313,17 +306,16 @@ func mtIsolation() (rejects uint64, byteErrors int, agree bool, tornDown bool) {
 }
 
 // digestSamples folds latency samples into a comparable fingerprint.
-func digestSamples(samples []sim.Time) uint64 {
-	h := uint64(1469598103934665603)
+func digestSamples(samples []sim.Time) digest {
+	h := newDigest()
 	for _, s := range samples {
-		h ^= uint64(s)
-		h *= 1099511628211
+		h.mix(uint64(s))
 	}
 	return h
 }
 
-// Multitenant is the gated multi-tenant experiment.
-func Multitenant() *Report {
+// multitenant is the gated multi-tenant experiment.
+func multitenant() *Report {
 	r := newReport("multitenant", "Multi-tenant cluster: scheduler, endpoint isolation, QoS arbitration")
 
 	alone := mtInterference(false, false)
@@ -368,16 +360,18 @@ func Multitenant() *Report {
 	r.metric("p50_qos_us", us(qos.p50))
 	r.metric("p99_qos_us", us(qos.p99))
 	r.metric("qos_frags", float64(qos.qosFrags))
-	r.metric("qos_beats_fifo", b2f(qos.p99 < shared.p99))
+	r.flag("qos_beats_fifo", qos.p99 < shared.p99)
 	r.metric("makespan_fifo_us", us(fifoSpan))
 	r.metric("makespan_backfill_us", us(bfSpan))
 	r.metric("backfills", float64(bfStats.Backfills))
-	r.metric("backfill_beats_fifo", b2f(bfSpan < fifoSpan))
-	r.metric("security_rejects", float64(rejects))
-	r.metric("byte_errors", float64(byteErrors))
-	r.metric("teardown_ok", b2f(tornDown))
-	r.metric("registry_agrees", b2f(agree && alone.agree && shared.agree && qos.agree))
-	r.metric("deterministic", b2f(deterministic))
-	r.metric("finished", float64(finished))
+	// Every staged attack must be rejected, teardown must unbind, every
+	// submitted job must finish, and the QoS/backfill wins must hold.
+	r.flag("backfill_beats_fifo", bfSpan < fifoSpan)
+	r.exact("security_rejects", float64(rejects))
+	r.exact("byte_errors", float64(byteErrors))
+	r.flag("teardown_ok", tornDown)
+	r.flag("registry_agrees", agree && alone.agree && shared.agree && qos.agree)
+	r.flag("deterministic", deterministic)
+	r.exact("finished", float64(finished))
 	return r
 }

@@ -10,7 +10,7 @@ import (
 // arrive exactly, and QoS arbitration keeps the pingpong tail under a
 // concurrent stream hog far below the strict-FIFO tail.
 func TestMultitenantIsolation(t *testing.T) {
-	r := ByID("multitenant")
+	r := Run("multitenant", 1)
 	m := r.Metrics
 
 	if got := m["security_rejects"]; got != 3 {
@@ -65,7 +65,7 @@ func TestMultitenantArtifactDeterminism(t *testing.T) {
 		t.Skip("multitenant runs the interference scenarios four times")
 	}
 	encode := func() []byte {
-		b, err := FromReport(ByIDSeeded("multitenant", 1)).Encode()
+		b, err := FromReport(Run("multitenant", 1)).Encode()
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}

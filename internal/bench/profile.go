@@ -19,13 +19,13 @@ import (
 // a small eager send whose cost is pure protocol overhead.
 const profileSendSize = 8
 
-// Profile runs one traced 8-byte eager send and attributes every
+// profile runs one traced 8-byte eager send and attributes every
 // nanosecond of its one-way path to (node, layer, phase): the
 // semi-user-level claim — kernel trap on the send side, zero kernel
 // time on the receive side — as a measured table.
-func Profile() *Report {
+func profile() *Report {
 	r := newReport("profile", fmt.Sprintf("Virtual-time attribution of one %d-byte eager send", profileSendSize))
-	tr, oneWay := tracedMessageN(profileSendSize)
+	tr, _, oneWay := tracedMessage(profileSendSize, nil)
 	pr := prof.FromSpans(tr.Spans)
 
 	sendKernel := pr.LayerTime(0, "kernel")
@@ -76,29 +76,26 @@ const logpGapMsgs = 8
 // a saturated burst on the system channel, from the first injection
 // to the last completed send.
 func bclGap(prof_ *hw.Profile, size int) sim.Time {
-	rg := newBCLRig(prof_, false)
-	bufN := size
-	if bufN == 0 {
-		bufN = 64
-	}
+	rg := bclPair(prof_, false)
+	a, b := rg.ports[0], rg.ports[1]
 	var gap sim.Time
 	rg.c.Env.Go("recv", func(p *sim.Proc) {
 		for i := 0; i < logpGapMsgs+1; i++ {
-			rg.b.WaitRecv(p)
+			b.WaitRecv(p)
 		}
 	})
 	rg.c.Env.Go("send", func(p *sim.Proc) {
-		va := rg.a.Process().Space.Alloc(bufN)
+		va := a.Process().Space.Alloc(bufFor(size))
 		// Warm-up message: pin tables and peer state off the path.
-		rg.a.Send(p, rg.b.Addr(), ibcl.SystemChannel, va, size, 0)
-		rg.a.WaitSend(p)
+		a.Send(p, b.Addr(), ibcl.SystemChannel, va, size, 0)
+		a.WaitSend(p)
 		p.Sleep(200 * sim.Microsecond)
 		start := p.Now()
 		for i := 0; i < logpGapMsgs; i++ {
-			rg.a.Send(p, rg.b.Addr(), ibcl.SystemChannel, va, size, 0)
+			a.Send(p, b.Addr(), ibcl.SystemChannel, va, size, 0)
 		}
 		for i := 0; i < logpGapMsgs; i++ {
-			rg.a.WaitSend(p)
+			a.WaitSend(p)
 		}
 		gap = (p.Now() - start) / logpGapMsgs
 	})
@@ -112,7 +109,7 @@ func logpFit() *prof.LogGP {
 	hwProf := hw.DAWNING3000()
 	var pts []prof.LogPPoint
 	for _, size := range logpSizes {
-		tr, oneWay := tracedMessageN(size)
+		tr, _, oneWay := tracedMessage(size, nil)
 		attr := prof.FromSpans(tr.Spans)
 		pts = append(pts, prof.LogPPoint{
 			Size:   size,
@@ -125,11 +122,11 @@ func logpFit() *prof.LogGP {
 	return prof.FitLogGP(pts)
 }
 
-// LogP extracts the LogP/LogGP parameters of the BCL stack from
+// logP extracts the LogP/LogGP parameters of the BCL stack from
 // profiler spans: per-size o_s, o_r and L from the attribution of a
 // traced send, g and G from a least-squares fit of the sender-side
 // gap microbenchmark.
-func LogP() *Report {
+func logP() *Report {
 	r := newReport("logp", "LogP/LogGP parameters extracted from profiler spans")
 	m := logpFit()
 	var b strings.Builder

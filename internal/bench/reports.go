@@ -5,20 +5,19 @@ import (
 	"strings"
 
 	ibcl "bcl/internal/bcl"
-	"bcl/internal/cluster"
+	"bcl/internal/fabric"
 	"bcl/internal/hw"
-	"bcl/internal/klc"
+	"bcl/internal/obs"
 	"bcl/internal/sim"
 	"bcl/internal/trace"
-	"bcl/internal/ulc"
 )
 
-// Table1 reproduces the paper's Table 1: the three communication
+// table1 reproduces the paper's Table 1: the three communication
 // architectures compared by OS trappings, interrupt handling, and the
 // location that accesses the NIC on the critical path. The counts are
 // measured, not asserted: each architecture moves the same messages
 // and the kernels count their crossings.
-func Table1() *Report {
+func table1() *Report {
 	r := newReport("table1", "Comparison of three communication architectures")
 	const msgs = 10
 
@@ -31,14 +30,7 @@ func Table1() *Report {
 
 	// Kernel-level.
 	{
-		c := newCluster(cluster.Config{Nodes: 2, NIC: klc.NICConfig()})
-		sys := klc.NewSystem(c)
-		var a, b *klc.Socket
-		c.Env.Go("setup", func(p *sim.Proc) {
-			a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn())
-			b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn())
-		})
-		c.Env.RunUntil(20 * sim.Millisecond)
+		c, a, b := klcPair(nil)
 		t0 := c.Nodes[0].Kernel.Stats().Traps
 		t1 := c.Nodes[1].Kernel.Stats().Traps
 		i1 := c.Nodes[1].Kernel.Stats().Interrupts
@@ -61,65 +53,43 @@ func Table1() *Report {
 		rows = append(rows, row{"kernel-level (TCP-like)", sendTraps + recvTraps, irqs, "kernel"})
 	}
 
-	// User-level.
-	{
-		c := newCluster(cluster.Config{Nodes: 2, NIC: ulc.NICConfig()})
-		sys := ulc.NewSystem(c)
-		var a, b *ulc.Port
-		c.Env.Go("setup", func(p *sim.Proc) {
-			a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), 64)
-			b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), 64)
-		})
-		c.Env.RunUntil(20 * sim.Millisecond)
-		var after func() (float64, float64)
-		c.Env.Go("run", func(p *sim.Proc) {
-			va := a.Process().Space.Alloc(64)
-			a.Register(p, va, 64)
-			t0 := c.Nodes[0].Kernel.Stats().Traps
-			t1 := c.Nodes[1].Kernel.Stats().Traps
-			i1 := c.Nodes[1].Kernel.Stats().Interrupts + c.Nodes[1].NIC.Stats().Interrupts
+	// systemChannel is the workload of the two port libraries: msgs
+	// completed sends into the peer's system-channel pool. It returns
+	// the traps on both nodes and the interrupts (kernel + NIC) on the
+	// receiver, per message, once the send buffer is prepared.
+	systemChannel := func(pr pair) (traps, irqs float64) {
+		c, a, b := pr.c, pr.a, pr.b
+		k0, k1, n1 := c.Nodes[0].Kernel, c.Nodes[1].Kernel, c.Nodes[1].NIC
+		var t0, i0 uint64
+		c.Env.Go("send", func(p *sim.Proc) {
+			va := a.alloc(p, 64)
+			t0 = k0.Stats().Traps + k1.Stats().Traps
+			i0 = k1.Stats().Interrupts + n1.Stats().Interrupts
 			for i := 0; i < msgs; i++ {
-				a.Send(p, b.Addr(), ulc.SystemChannel, va, 64, 0)
-				a.WaitSend(p)
-			}
-			after = func() (float64, float64) {
-				dt := float64(c.Nodes[0].Kernel.Stats().Traps - t0 + c.Nodes[1].Kernel.Stats().Traps - t1)
-				di := float64(c.Nodes[1].Kernel.Stats().Interrupts + c.Nodes[1].NIC.Stats().Interrupts - i1)
-				return dt / msgs, di / msgs
+				a.send(p, ibcl.SystemChannel, va, 64)
+				a.waitSend(p)
 			}
 		})
-		c.Env.Go("drain", func(p *sim.Proc) {
+		c.Env.Go("recv", func(p *sim.Proc) {
 			for i := 0; i < msgs; i++ {
-				b.WaitRecv(p)
+				b.waitRecv(p)
 			}
 		})
 		c.Env.RunUntil(c.Env.Now() + sim.Second)
-		tr, ir := after()
+		return float64(k0.Stats().Traps+k1.Stats().Traps-t0) / msgs,
+			float64(k1.Stats().Interrupts+n1.Stats().Interrupts-i0) / msgs
+	}
+
+	// User-level.
+	{
+		tr, ir := systemChannel(ulcPair(gmConfig(nil)))
 		rows = append(rows, row{"user-level (GM/U-Net-like)", tr, ir, "user"})
 	}
 
 	// Semi-user-level.
 	{
-		rg := newBCLRig(hw.DAWNING3000(), false)
-		t0 := rg.c.Nodes[0].Kernel.Stats().Traps
-		t1 := rg.c.Nodes[1].Kernel.Stats().Traps
-		i1 := rg.c.Nodes[1].Kernel.Stats().Interrupts + rg.c.Nodes[1].NIC.Stats().Interrupts
-		rg.c.Env.Go("send", func(p *sim.Proc) {
-			va := rg.a.Process().Space.Alloc(64)
-			for i := 0; i < msgs; i++ {
-				rg.a.Send(p, rg.b.Addr(), ibcl.SystemChannel, va, 64, 0)
-				rg.a.WaitSend(p)
-			}
-		})
-		rg.c.Env.Go("recv", func(p *sim.Proc) {
-			for i := 0; i < msgs; i++ {
-				rg.b.WaitRecv(p)
-			}
-		})
-		rg.c.Env.RunUntil(rg.c.Env.Now() + sim.Second)
-		dt := float64(rg.c.Nodes[0].Kernel.Stats().Traps - t0 + rg.c.Nodes[1].Kernel.Stats().Traps - t1)
-		di := float64(rg.c.Nodes[1].Kernel.Stats().Interrupts + rg.c.Nodes[1].NIC.Stats().Interrupts - i1)
-		rows = append(rows, row{"semi-user-level (BCL)", dt / msgs, di / msgs, "kernel"})
+		tr, ir := systemChannel(bclPair(hw.DAWNING3000(), false).pair())
+		rows = append(rows, row{"semi-user-level (BCL)", tr, ir, "kernel"})
 	}
 
 	var b strings.Builder
@@ -139,102 +109,95 @@ func Table1() *Report {
 	return r
 }
 
-// Overheads reproduces the section-5 CPU overhead numbers: ~7.04 µs to
+// overheads reproduces the section-5 CPU overhead numbers: ~7.04 µs to
 // push a send, ~0.82 µs to complete it, ~1.01 µs to receive.
-func Overheads() *Report {
+func overheads() *Report {
 	r := newReport("overheads", "Processor overheads (paper: send 7.04 µs, completion 0.82 µs, receive 1.01 µs)")
-	rg := newBCLRig(hw.DAWNING3000(), false)
+	rg := bclPair(hw.DAWNING3000(), false)
+	a, b := rg.ports[0], rg.ports[1]
 	var sendCost, completeCost, recvCost sim.Time
 	rg.c.Env.Go("send", func(p *sim.Proc) {
-		va := rg.a.Process().Space.Alloc(64)
+		va := a.Process().Space.Alloc(64)
 		// Warm the pin-down table.
-		rg.a.Send(p, rg.b.Addr(), ibcl.SystemChannel, va, 0, 0)
-		rg.a.WaitSend(p)
+		a.Send(p, b.Addr(), ibcl.SystemChannel, va, 0, 0)
+		a.WaitSend(p)
 		t0 := p.Now()
-		rg.a.Send(p, rg.b.Addr(), ibcl.SystemChannel, va, 0, 0)
+		a.Send(p, b.Addr(), ibcl.SystemChannel, va, 0, 0)
 		sendCost = p.Now() - t0
 		t0 = p.Now()
-		rg.a.WaitSend(p)
+		a.WaitSend(p)
 		// WaitSend includes queue wait; isolate the processing cost by
 		// measuring a completion that is already queued.
 		p.Sleep(200 * sim.Microsecond)
-		rg.a.Send(p, rg.b.Addr(), ibcl.SystemChannel, va, 0, 0)
+		a.Send(p, b.Addr(), ibcl.SystemChannel, va, 0, 0)
 		p.Sleep(200 * sim.Microsecond) // completion queued by now
 		t0 = p.Now()
-		rg.a.WaitSend(p)
+		a.WaitSend(p)
 		completeCost = p.Now() - t0
 	})
 	rg.c.Env.Go("recv", func(p *sim.Proc) {
-		rg.b.WaitRecv(p)
-		rg.b.WaitRecv(p)
+		b.WaitRecv(p)
+		b.WaitRecv(p)
 		p.Sleep(400 * sim.Microsecond) // third event queued by now
 		t0 := p.Now()
-		rg.b.WaitRecv(p)
+		b.WaitRecv(p)
 		recvCost = p.Now() - t0
 	})
 	rg.c.Env.RunUntil(rg.c.Env.Now() + sim.Second)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-34s %10s %10s\n", "operation", "measured", "paper")
-	fmt.Fprintf(&b, "%-34s %8.2fus %8.2fus\n", "push send into network", us(sendCost), 7.04)
-	fmt.Fprintf(&b, "%-34s %8.2fus %8.2fus\n", "complete send (poll event)", us(completeCost), 0.82)
-	fmt.Fprintf(&b, "%-34s %8.2fus %8.2fus\n", "receive message (poll+decode)", us(recvCost), 1.01)
-	r.Text = b.String()
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-34s %10s %10s\n", "operation", "measured", "paper")
+	fmt.Fprintf(&sb, "%-34s %8.2fus %8.2fus\n", "push send into network", us(sendCost), 7.04)
+	fmt.Fprintf(&sb, "%-34s %8.2fus %8.2fus\n", "complete send (poll event)", us(completeCost), 0.82)
+	fmt.Fprintf(&sb, "%-34s %8.2fus %8.2fus\n", "receive message (poll+decode)", us(recvCost), 1.01)
+	r.Text = sb.String()
 	r.metric("send_overhead_us", us(sendCost))
 	r.metric("complete_overhead_us", us(completeCost))
 	r.metric("recv_overhead_us", us(recvCost))
 	return r
 }
 
-// tracedMessage runs one traced 0-length message and returns the
-// shared tracer plus total one-way time.
-func tracedMessage() (*trace.Tracer, sim.Time) { return tracedMessageN(0) }
-
-// tracedMessageN runs one warm eager send of n payload bytes on the
+// tracedMessage runs one warm eager send of n payload bytes on the
 // system channel with tracers attached only for the measured message,
-// and returns the shared tracer plus total one-way time.
-func tracedMessageN(n int) (*trace.Tracer, sim.Time) {
-	rg := newBCLRig(hw.DAWNING3000(), false)
+// and returns the shared tracer, the cluster's observability bundle
+// and the total one-way time. A non-nil fault is installed on the
+// fabric together with the tracers, so it acts on the measured message
+// alone.
+func tracedMessage(n int, fault fabric.Fault) (*trace.Tracer, *obs.Obs, sim.Time) {
+	rg := bclPair(hw.DAWNING3000(), false)
+	a, b := rg.ports[0], rg.ports[1]
 	tr := trace.New()
 	var oneWay sim.Time
 	var sentAt sim.Time
 	rg.c.Env.Go("warm", func(p *sim.Proc) {
-		bufN := n
-		if bufN == 0 {
-			bufN = 64
-		}
-		va := rg.a.Process().Space.Alloc(bufN)
-		rg.a.Send(p, rg.b.Addr(), ibcl.SystemChannel, va, n, 0)
-		rg.a.WaitSend(p)
+		va := a.Process().Space.Alloc(bufFor(n))
+		a.Send(p, b.Addr(), ibcl.SystemChannel, va, n, 0)
+		a.WaitSend(p)
 		p.Sleep(300 * sim.Microsecond)
 		// Attach tracers for the measured message: ports, NICs and the
 		// fabric, so the flow crosses host, NIC and wire rows.
-		rg.a.SetTracer(tr)
-		rg.b.SetTracer(tr)
+		a.SetTracer(tr)
+		b.SetTracer(tr)
 		rg.c.SetTracer(tr)
+		if fault != nil {
+			rg.c.Fabric.SetFault(fault)
+		}
 		sentAt = p.Now()
-		rg.a.Send(p, rg.b.Addr(), ibcl.SystemChannel, va, n, 0)
-		rg.a.WaitSend(p)
+		a.Send(p, b.Addr(), ibcl.SystemChannel, va, n, 0)
+		a.WaitSend(p)
 	})
 	rg.c.Env.Go("recv", func(p *sim.Proc) {
-		rg.b.WaitRecv(p)
-		rg.b.WaitRecv(p)
+		b.WaitRecv(p)
+		b.WaitRecv(p)
 		oneWay = p.Now() - sentAt
 	})
 	rg.c.Env.RunUntil(rg.c.Env.Now() + sim.Second)
-	return tr, oneWay
+	return tr, rg.c.Obs, oneWay
 }
 
-// ChromeTraceJSON runs one traced message and renders the spans as
-// Chrome trace-event JSON (for chrome://tracing / Perfetto).
-func ChromeTraceJSON() ([]byte, error) {
-	tr, _ := tracedMessage()
-	return tr.ChromeTrace()
-}
-
-// Figure5 reproduces the transmission timeline for a BCL message.
-func Figure5() *Report {
+// figure5 reproduces the transmission timeline for a BCL message.
+func figure5() *Report {
 	r := newReport("fig5", "Transmission timeline for a BCL message (paper Fig. 5)")
-	tr, _ := tracedMessage()
+	tr, _, _ := tracedMessage(0, nil)
 	send := trace.New()
 	for _, s := range tr.Spans {
 		if s.Where == "host0" || s.Where == "nic0" {
@@ -258,20 +221,18 @@ func Figure5() *Report {
 	return r
 }
 
-// Figure6 reproduces the reception timeline.
-func Figure6() *Report {
+// figure6 reproduces the reception timeline.
+func figure6() *Report {
 	r := newReport("fig6", "Reception timeline for a BCL message (paper Fig. 6)")
-	tr, _ := tracedMessage()
+	tr, _, _ := tracedMessage(0, nil)
 	recv := trace.New()
 	for _, s := range tr.Spans {
 		if s.Where == "host1" || s.Where == "nic1" {
 			recv.Spans = append(recv.Spans, s)
 		}
 	}
-	var total sim.Time
 	var hostTotal sim.Time
 	for _, s := range recv.Spans {
-		total += s.Dur()
 		if s.Where == "host1" {
 			hostTotal += s.Dur()
 		}
@@ -284,11 +245,11 @@ func Figure6() *Report {
 	return r
 }
 
-// Figure7 reproduces the one-way latency timeline and the semi-user vs
+// figure7 reproduces the one-way latency timeline and the semi-user vs
 // user-level comparison (paper: extra ~4.17 µs = ~22%).
-func Figure7() *Report {
+func figure7() *Report {
 	r := newReport("fig7", "One-way latency timeline, 0-length message (paper Fig. 7)")
-	tr, oneWay := tracedMessage()
+	tr, _, oneWay := tracedMessage(0, nil)
 	var b strings.Builder
 	b.WriteString(tr.Timeline())
 	fmt.Fprintf(&b, "\ntotal one-way latency: %.2f µs (paper: 18.3 µs)\n", us(oneWay))
@@ -315,8 +276,8 @@ func Figure7() *Report {
 // figSizes are the message sizes swept by Figures 8 and 9.
 var figSizes = []int{0, 64, 256, 1024, 2048, 4096, 16384, 65536, 131072}
 
-// Figure8 reproduces latency vs message size, inter- and intra-node.
-func Figure8() *Report {
+// figure8 reproduces latency vs message size, inter- and intra-node.
+func figure8() *Report {
 	r := newReport("fig8", "Latency vs message size (paper Fig. 8; min 18.3 µs inter, 2.7 µs intra)")
 	prof := hw.DAWNING3000()
 	var b strings.Builder
@@ -337,8 +298,8 @@ func Figure8() *Report {
 	return r
 }
 
-// Figure9 reproduces bandwidth vs message size.
-func Figure9() *Report {
+// figure9 reproduces bandwidth vs message size.
+func figure9() *Report {
 	r := newReport("fig9", "Bandwidth vs message size (paper Fig. 9; 146 MB/s inter, 391 MB/s intra, half-bandwidth < 4 KB)")
 	prof := hw.DAWNING3000()
 	var b strings.Builder
@@ -372,9 +333,9 @@ func Figure9() *Report {
 	return r
 }
 
-// Table2 reproduces the protocol comparison (BCL vs GM-like user-level
+// table2 reproduces the protocol comparison (BCL vs GM-like user-level
 // vs AM-II-like vs BIP-like; the kernel-level row is our addition).
-func Table2() *Report {
+func table2() *Report {
 	r := newReport("table2", "Comparison of communication protocols (paper Table 2)")
 	prof := hw.DAWNING3000()
 	type row struct {
@@ -394,13 +355,13 @@ func Table2() *Report {
 		{
 			name:  "GM-like (user-level)",
 			intra: 0,
-			inter: us(ulcLatency(prof, 0, nil)),
-			bw:    ulcBandwidth(prof, 131072, 8, nil),
+			inter: us(ulcPair(gmConfig(prof)).warmLatency(0)),
+			bw:    ulcPair(gmConfig(prof)).stream(131072, 8),
 			note:  "no SMP support (paper: inter-node only)",
 		},
 		{
 			name:  "AM-II-like (active messages)",
-			intra: us(amiiPingPong(prof, 1)) * 0, // AM has no shm path here
+			intra: 0, // AM has no shm path here
 			inter: us(amiiPingPong(prof, 1)),
 			bw:    amiiBandwidth(prof, 64*1024),
 			note:  "extra copy through staging",
@@ -408,8 +369,8 @@ func Table2() *Report {
 		{
 			name:  "BIP-like (minimal)",
 			intra: 0,
-			inter: us(bipLatency(0)),
-			bw:    bipBandwidth(131072, 8),
+			inter: us(ulcPair(bipConfig()).warmLatency(0)),
+			bw:    ulcPair(bipConfig()).stream(131072, 8),
 			note:  "no flow control / error correction",
 		},
 		{
@@ -446,8 +407,8 @@ func Table2() *Report {
 	return r
 }
 
-// Table3 reproduces MPI and PVM over BCL.
-func Table3() *Report {
+// table3 reproduces MPI and PVM over BCL.
+func table3() *Report {
 	r := newReport("table3", "Performance of BCL and MPI/PVM over BCL (paper Table 3)")
 	prof := hw.DAWNING3000()
 	type row struct {
@@ -494,21 +455,4 @@ func Table3() *Report {
 	r.metric("pvm_intra_us", rows[2].intraL)
 	r.metric("pvm_inter_mbps", rows[2].interBW)
 	return r
-}
-
-// ------------------------------------------------- fault-path counters
-
-// faultCountersText renders the registry-sourced fault counters as a
-// block of report text.
-func faultCountersText(s chaosCounters) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %12s\n", "registry counters (nic, all nodes)", "")
-	fmt.Fprintf(&b, "%-28s %12d\n", "  retransmits", s.retransmits)
-	fmt.Fprintf(&b, "%-28s %12d\n", "  send failures", s.sendFailures)
-	fmt.Fprintf(&b, "%-28s %12d\n", "  fast-fails (peer dead)", s.fastFails)
-	fmt.Fprintf(&b, "%-28s %12d\n", "  backoff arms", s.backoffs)
-	fmt.Fprintf(&b, "%-28s %12d\n", "  probes", s.probes)
-	fmt.Fprintf(&b, "%-28s %12d\n", "  peer deaths", s.peerDeaths)
-	fmt.Fprintf(&b, "%-28s %12d\n", "  peer recoveries", s.peerRecoveries)
-	return b.String()
 }

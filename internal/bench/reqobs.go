@@ -6,7 +6,6 @@ import (
 
 	ibcl "bcl/internal/bcl"
 	"bcl/internal/cluster"
-	"bcl/internal/fabric"
 	"bcl/internal/hw"
 	"bcl/internal/obs"
 	"bcl/internal/obs/health"
@@ -14,7 +13,6 @@ import (
 	"bcl/internal/sim"
 	"bcl/internal/svc"
 	"bcl/internal/trace"
-	"bcl/internal/workloads/openloop"
 )
 
 // This file is the request-level observability experiment: the svc
@@ -39,23 +37,12 @@ import (
 
 // reqobsCfg is one instrumented service-tier scenario.
 type reqobsCfg struct {
-	shards      int
-	users       int
-	seed        uint64
-	arrivalMean sim.Time
-	bursty      bool
-	start       sim.Time
-	window      sim.Time
-	getFrac     float64
-	txnFrac     float64
-	pairs       int
-	keys        int
-	hotFrac     float64
-
-	dupEvery int
-	outNode  int
-	outAt    sim.Time
-	outDur   sim.Time
+	shards int
+	seed   uint64
+	pairs  int
+	swarmCfg
+	hotFrac float64
+	svcFaults
 
 	rec      reqtrace.Config
 	traceCap int // span cap of the shared trace.Tracer
@@ -79,7 +66,7 @@ type reqobsRes struct {
 
 	slowLog        string
 	samplingDigest uint64
-	exemplarDigest uint64
+	exemplarDigest digest
 	exemplarCount  int
 	annotations    int // "# {trace_id=" lines in the OpenMetrics export
 
@@ -89,8 +76,6 @@ type reqobsRes struct {
 	frames  []string
 	drained bool
 }
-
-const reqobsBufSize = 2048
 
 // runReqObs builds a fully instrumented cluster: a capped tracer on
 // every layer (ports, NICs, fabric), the reqtrace recorder wired into
@@ -110,97 +95,19 @@ func runReqObs(cfg reqobsCfg) *reqobsRes {
 	c.Health.Hot = rec.HotLine
 	c.Health.SlowLog = func(n int) []health.SlowEntry { return reqobsSlowEntries(rec, n) }
 
-	sys := ibcl.NewSystem(c)
-	ring := svc.NewRing(cfg.shards, 64)
-	pa, pb := crossShardPairs(ring, cfg.pairs)
-
-	if cfg.dupEvery > 0 {
-		c.Fabric.SetFault(fabric.DuplicateEvery(cfg.dupEvery))
-	}
-	if cfg.outDur > 0 {
-		if ld, ok := c.Fabric.(interface {
-			LinkDown(node int, from, to sim.Time)
-		}); ok {
-			ld.LinkDown(cfg.outNode, cfg.outAt, cfg.outAt+cfg.outDur)
-		}
-	}
-
-	servers := make([]*svc.Server, cfg.shards)
-	var addrs []ibcl.Addr
-	var driver *svc.Driver
-	booted := false
-	c.Env.Go("reqobs-setup", func(p *sim.Proc) {
-		opts := ibcl.Options{SystemBuffers: 256, SystemBufSize: reqobsBufSize, Tracer: tr}
-		var ports []*ibcl.Port
-		for i := 0; i < cfg.shards; i++ {
-			nd := c.Nodes[i]
-			pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), opts)
-			if err != nil {
-				panic(fmt.Sprintf("bench: reqobs shard open: %v", err))
-			}
-			ports = append(ports, pt)
-			addrs = append(addrs, pt.Addr())
-		}
-		for i, pt := range ports {
-			servers[i] = svc.NewServer(p, pt, reqobsBufSize, svc.ServerConfig{
-				Index: i, Shards: addrs, Ring: ring,
-				AuthSeed: 0xbc1, Seed: cfg.seed,
-				ReqObs: rec,
-			})
-			c.Env.Go(fmt.Sprintf("shard%d", i), servers[i].Run)
-		}
-		booted = true
-	})
-	for i := 0; i < 100 && !booted; i++ {
-		c.Env.RunUntil(c.Env.Now() + sim.Millisecond)
-	}
-	if !booted {
-		panic("bench: reqobs shards did not boot")
-	}
+	w := newSvcWorld(c, cfg.shards, cfg.pairs, 1)
+	cfg.svcFaults.install(c)
+	w.bootShards(ibcl.Options{SystemBuffers: 256, Tracer: tr}, svc.ServerConfig{Seed: cfg.seed, ReqObs: rec})
 
 	c.Env.Go("reqobs-driver", func(p *sim.Proc) {
-		nd := c.Nodes[cfg.shards]
-		pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), ibcl.Options{
-			SystemBuffers: 256, SystemBufSize: reqobsBufSize,
-			Label: "reqobs", Tracer: tr,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("bench: reqobs driver open: %v", err))
-		}
-		dseed := cfg.seed ^ 0x9e3779b97f4a7c15
-		var arrivals svc.Arrivals
-		if cfg.bursty {
-			arrivals = openloop.NewBursty(dseed, cfg.arrivalMean/2, cfg.arrivalMean/8, 400, 100)
-		} else {
-			arrivals = openloop.NewPoisson(dseed, cfg.arrivalMean)
-		}
-		driver = svc.NewDriver(p, pt, reqobsBufSize, svc.DriverConfig{
-			Shards: addrs, Ring: ring,
-			Users: cfg.users, UserName: "reqobs",
-			AuthSeed: 0xbc1, Seed: dseed,
-			Arrivals: arrivals,
-			Sizes:    openloop.NewBoundedPareto(dseed^0x5e, 16, 1024, 1.3),
-			Keys:     cfg.keys, GetFrac: cfg.getFrac, TxnFrac: cfg.txnFrac,
-			PairA: pa, PairB: pb,
-			Start: cfg.start, Duration: cfg.window,
-			Trace: true, HotFrac: cfg.hotFrac, ReqObs: rec,
-		})
-		driver.Run(p)
+		dcfg := w.driverConfig(cfg.swarmCfg, "reqobs", cfg.seed^0x9e3779b97f4a7c15)
+		dcfg.Trace, dcfg.HotFrac, dcfg.ReqObs = true, cfg.hotFrac, rec
+		w.drive(p, 0, cfg.shards, ibcl.Options{Label: "reqobs", Tracer: tr}, dcfg)
 	})
+	w.runToDrain(cfg.start + cfg.window)
 
-	horizon := cfg.start + cfg.window + 2*sim.Second
-	for c.Env.Now() < horizon {
-		c.Env.RunUntil(c.Env.Now() + sim.Millisecond)
-		if c.Env.Now() < cfg.start+cfg.window {
-			continue
-		}
-		if driver != nil && !driver.Generating() && driver.Drained() {
-			break
-		}
-	}
-	c.Env.RunUntil(c.Env.Now() + 30*sim.Millisecond)
-
-	res := &reqobsRes{drained: driver != nil && !driver.Generating() && driver.Drained()}
+	driver := w.drivers[0]
+	res := &reqobsRes{drained: w.drained()}
 	st := driver.Stats()
 	res.done = st.Done
 	res.aborts = st.TxnAborts
@@ -264,25 +171,19 @@ func reqobsSlowEntries(rec *reqtrace.Recorder, n int) []health.SlowEntry {
 // exemplarDigest fingerprints every exemplar in the snapshot (key,
 // bucket bound, trace id, value) and counts them. The snapshot is
 // sorted, so the fold order is deterministic.
-func exemplarDigest(s *obs.Snapshot) (uint64, int) {
-	h := uint64(1469598103934665603)
-	mixIn := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
+func exemplarDigest(s *obs.Snapshot) (digest, int) {
+	h := newDigest()
 	count := 0
 	for _, hp := range s.Hists {
 		for _, bk := range hp.Buckets {
 			if bk.Ex == nil {
 				continue
 			}
-			mixIn(uint64(hp.Node))
+			h.mix(uint64(hp.Node))
 			for _, ch := range hp.Layer + "/" + hp.Name {
-				mixIn(uint64(ch))
+				h.mix(uint64(ch))
 			}
-			mixIn(uint64(bk.Le))
-			mixIn(bk.Ex.Trace)
-			mixIn(uint64(bk.Ex.Value))
+			h.mix(uint64(bk.Le), bk.Ex.Trace, uint64(bk.Ex.Value))
 			count++
 		}
 	}
@@ -307,10 +208,12 @@ func reqobsSchedule(seed uint64) (dup int, outAt, outDur sim.Time) {
 // that the divergence rule stays silent until traffic is skewed.
 func reqobsBaseCfg(seed uint64) reqobsCfg {
 	return reqobsCfg{
-		shards: 3, users: 1500, seed: seed,
-		arrivalMean: 50 * sim.Microsecond,
-		start:       10 * sim.Millisecond, window: 12 * sim.Millisecond,
-		getFrac: 0.6, txnFrac: 0.05, pairs: 6, keys: 256,
+		shards: 3, seed: seed, pairs: 6,
+		swarmCfg: swarmCfg{
+			users: 1500, arrivalMean: 50 * sim.Microsecond,
+			start: 10 * sim.Millisecond, window: 12 * sim.Millisecond,
+			getFrac: 0.6, txnFrac: 0.05, keys: 256,
+		},
 		rec: reqtrace.Config{
 			Budget: 48, SlowFactor: 2.0, Quantile: 0.99,
 			Warmup: 32, Shards: 3, TopK: 8,
@@ -339,11 +242,13 @@ func reqobsHotCfg(seed uint64) reqobsCfg {
 func reqobsChaosCfg(seed uint64) reqobsCfg {
 	dup, outAt, outDur := reqobsSchedule(seed)
 	return reqobsCfg{
-		shards: 3, users: 1500, seed: seed,
-		arrivalMean: 120 * sim.Microsecond, bursty: true,
-		start: 10 * sim.Millisecond, window: 12 * sim.Millisecond,
-		getFrac: 0.5, txnFrac: 0.25, pairs: 4, keys: 256,
-		dupEvery: dup, outNode: 1, outAt: outAt, outDur: outDur,
+		shards: 3, seed: seed, pairs: 4,
+		swarmCfg: swarmCfg{
+			users: 1500, arrivalMean: 120 * sim.Microsecond, bursty: true,
+			start: 10 * sim.Millisecond, window: 12 * sim.Millisecond,
+			getFrac: 0.5, txnFrac: 0.25, keys: 256,
+		},
+		svcFaults: svcFaults{dupEvery: dup, outNode: 1, outAt: outAt, outDur: outDur},
 		rec: reqtrace.Config{
 			Budget: 160, SlowFactor: 2.0, Quantile: 0.99,
 			SLO: 10 * sim.Millisecond, Warmup: 32, Shards: 3, TopK: 8,
@@ -365,11 +270,8 @@ func ReqObsFrames(seed uint64) []string {
 	return runReqObs(reqobsHotCfg(seed)).frames
 }
 
-// ReqObs is the gated request-level observability experiment.
-func ReqObs() *Report { return ReqObsSeeded(1) }
-
-// ReqObsSeeded is ReqObs with an explicit schedule seed.
-func ReqObsSeeded(seed uint64) *Report {
+// reqObs is the gated request-level observability experiment.
+func reqObs(seed uint64) *Report {
 	r := newReport("reqobs", "Request-level observability: tail-sampled traces, exemplars, heavy hitters, slow log")
 
 	base := reqobsBaseCfg(seed)
@@ -436,23 +338,27 @@ func ReqObsSeeded(seed uint64) *Report {
 	r.metric("chaos_slo_seen", float64(c1.sloSeen))
 	r.metric("chaos_retained", float64(c1.retained))
 	r.metric("chaos_exemplars", float64(c1.exemplarCount))
-	r.metric("hot_rule_fired", b2f(h1.hotFired > 0))
-	r.metric("hot_rule_silent_baseline", b2f(b1.hotFired == 0))
-	r.metric("bundle_has_slowlog", b2f(h1.bundleSlow))
-	r.metric("aborts_all_retained", b2f(allAborts))
-	r.metric("slo_all_retained", b2f(allSLO))
-	r.metric("chaos_aborts_nonzero", b2f(c1.abortsSeen > 0))
-	r.metric("chaos_slo_nonzero", b2f(c1.sloSeen > 0))
-	r.metric("budget_respected", b2f(inBudget))
-	r.metric("budget_dropped_nonzero", b2f(h1.dropped > 0))
-	r.metric("exemplars_nonzero", b2f(c1.exemplarCount > 0 && c1.annotations > 0))
-	r.metric("trace_cap_respected", b2f(c1.traceSpans <= chaosCfg.traceCap))
-	r.metric("trace_evictions_nonzero", b2f(c1.traceDropped > 0))
-	r.metric("slowlog_deterministic", b2f(sameSlow))
-	r.metric("exemplar_deterministic", b2f(sameEx))
-	r.metric("sampling_deterministic", b2f(sameSamp))
-	r.metric("linearizable_ok", b2f(b1.violations == 0 && h1.violations == 0))
-	r.metric("drained", b2f(drained))
-	r.metric("deterministic", b2f(sameSlow && sameEx && sameSamp))
+	// Sampling must retain every abort and SLO breach within budget, the
+	// hot-shard rule must fire on the skewed phase only, and slow logs,
+	// exemplar sets and sampling decisions must be byte-identical across
+	// double runs.
+	r.flag("hot_rule_fired", h1.hotFired > 0)
+	r.flag("hot_rule_silent_baseline", b1.hotFired == 0)
+	r.flag("bundle_has_slowlog", h1.bundleSlow)
+	r.flag("aborts_all_retained", allAborts)
+	r.flag("slo_all_retained", allSLO)
+	r.flag("chaos_aborts_nonzero", c1.abortsSeen > 0)
+	r.flag("chaos_slo_nonzero", c1.sloSeen > 0)
+	r.flag("budget_respected", inBudget)
+	r.flag("budget_dropped_nonzero", h1.dropped > 0)
+	r.flag("exemplars_nonzero", c1.exemplarCount > 0 && c1.annotations > 0)
+	r.flag("trace_cap_respected", c1.traceSpans <= chaosCfg.traceCap)
+	r.flag("trace_evictions_nonzero", c1.traceDropped > 0)
+	r.flag("slowlog_deterministic", sameSlow)
+	r.flag("exemplar_deterministic", sameEx)
+	r.flag("sampling_deterministic", sameSamp)
+	r.flag("linearizable_ok", b1.violations == 0 && h1.violations == 0)
+	r.flag("drained", drained)
+	r.flag("deterministic", sameSlow && sameEx && sameSamp)
 	return r
 }

@@ -24,43 +24,15 @@ func rpcFlowRun() (*trace.Tracer, []uint64, uint64) {
 		Nodes: 3, Profile: hw.DAWNING3000(), NIC: ibcl.DefaultNICConfig(),
 	})
 	c.SetTracer(tr)
-	sys := ibcl.NewSystem(c)
-	ring := svc.NewRing(2, 64)
-	pa, pb := crossShardPairs(ring, 1)
-
-	servers := make([]*svc.Server, 2)
-	var driver *svc.Driver
+	w := newSvcWorld(c, 2, 1, 0)
 	c.Env.Go("setup", func(p *sim.Proc) {
-		opts := ibcl.Options{SystemBuffers: 64, SystemBufSize: serveBufSize, Tracer: tr}
-		var addrs []ibcl.Addr
-		var ports []*ibcl.Port
-		for i := 0; i < 2; i++ {
-			nd := c.Nodes[i]
-			pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), opts)
-			if err != nil {
-				panic(fmt.Sprintf("bench: rpcflow shard open: %v", err))
-			}
-			pt.SetTracer(tr)
-			ports = append(ports, pt)
-			addrs = append(addrs, pt.Addr())
-		}
-		for i, pt := range ports {
-			servers[i] = svc.NewServer(p, pt, serveBufSize, svc.ServerConfig{
-				Index: i, Shards: addrs, Ring: ring, AuthSeed: 0xbc1, Seed: 1,
-			})
-			c.Env.Go(fmt.Sprintf("shard%d", i), servers[i].Run)
-		}
-		nd := c.Nodes[2]
-		pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), opts)
-		if err != nil {
-			panic(fmt.Sprintf("bench: rpcflow driver open: %v", err))
-		}
-		pt.SetTracer(tr)
-		driver = svc.NewDriver(p, pt, serveBufSize, svc.DriverConfig{
-			Shards: addrs, Ring: ring, Users: 2, UserName: "tracer",
+		opts := ibcl.Options{SystemBuffers: 64, SystemBufSize: svcBufSize, Tracer: tr}
+		w.startShards(p, opts, svc.ServerConfig{Seed: 1})
+		driver := svc.NewDriver(p, w.open(p, 2, opts), svcBufSize, svc.DriverConfig{
+			Shards: w.addrs, Ring: w.ring, Users: 2, UserName: "tracer",
 			AuthSeed: 0xbc1, Seed: 3,
 			Arrivals: rpcGap(2 * sim.Millisecond),
-			Keys:     4, GetFrac: 0, TxnFrac: 1, PairA: pa, PairB: pb,
+			Keys:     4, GetFrac: 0, TxnFrac: 1, PairA: w.pa, PairB: w.pb,
 			Start: sim.Millisecond, Duration: 5 * sim.Millisecond,
 			Trace: true,
 		})
@@ -77,7 +49,7 @@ func rpcFlowRun() (*trace.Tracer, []uint64, uint64) {
 	}
 	sort.Slice(flows, func(i, j int) bool { return flows[i] < flows[j] })
 	var committed uint64
-	for _, sv := range servers {
+	for _, sv := range w.servers {
 		n, _, _ := sv.Stats()
 		committed += n
 	}
@@ -90,11 +62,11 @@ type rpcGap sim.Time
 
 func (g rpcGap) Next() sim.Time { return sim.Time(g) }
 
-// RPCFlow reports the causal service-layer timeline of cross-shard
+// rpcFlow reports the causal service-layer timeline of cross-shard
 // transactions: request issue on the client host, coordinator begin,
 // both participants' prepares, the commit applies, and the reply —
 // one flow id across three hosts.
-func RPCFlow() *Report {
+func rpcFlow() *Report {
 	r := newReport("rpcflow", "Causal flow trace of one cross-shard transaction (2PC over BCL)")
 	tr, flows, committed := rpcFlowRun()
 
@@ -120,11 +92,4 @@ func RPCFlow() *Report {
 	r.metric("commit_spans", float64(stages["svc: commit apply (participant)"]))
 	r.metric("txn_committed", float64(committed))
 	return r
-}
-
-// RPCFlowChromeJSON renders the transaction flow trace as Chrome
-// trace-event JSON (cmd/bcltrace -rpc -chrome).
-func RPCFlowChromeJSON() ([]byte, error) {
-	tr, _, _ := rpcFlowRun()
-	return tr.ChromeTrace()
 }

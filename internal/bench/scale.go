@@ -8,19 +8,18 @@ import (
 
 	ibcl "bcl/internal/bcl"
 	"bcl/internal/cluster"
-	"bcl/internal/eadi"
 	"bcl/internal/hw"
 	"bcl/internal/mpi"
 	"bcl/internal/sim"
 )
 
-// Scale measures MPI collective cost against machine size, up to the
+// scale measures MPI collective cost against machine size, up to the
 // DAWNING-3000's real 70 nodes. The paper does not publish a scaling
 // curve, but the machine's purpose was running MPI jobs at this scale;
 // the expectation asserted here is architectural: barrier and
 // allreduce cost grows logarithmically with ranks (binomial/
 // dissemination algorithms over a constant-latency fabric).
-func Scale() *Report {
+func scale() *Report {
 	r := newReport("scale", "Collective scaling to the full 70-node machine (extension)")
 	var b strings.Builder
 	fmt.Fprintf(&b, "%8s %14s %16s\n", "ranks", "barrier", "allreduce(1KB)")
@@ -51,24 +50,8 @@ func Scale() *Report {
 // collectiveTimes builds an n-rank job on n nodes and times one warm
 // barrier and one warm 1 KB allreduce.
 func collectiveTimes(n int) (barrier, allreduce sim.Time) {
-	c := newCluster(cluster.Config{Nodes: n, Profile: hw.DAWNING3000(), NIC: ibcl.DefaultNICConfig()})
-	sys := ibcl.NewSystem(c)
-	ports := make([]*ibcl.Port, n)
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			nd := c.Nodes[i]
-			ports[i], _ = sys.Open(p, nd, nd.Kernel.Spawn(), ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-		}
-	})
-	c.Env.RunUntil(sim.Time(n) * 5 * sim.Millisecond)
-	addrs := make([]ibcl.Addr, n)
-	for i, pt := range ports {
-		addrs[i] = pt.Addr()
-	}
-	comms := make([]*mpi.Comm, n)
-	for i, pt := range ports {
-		comms[i] = mpi.World(eadi.NewDevice(pt, i, addrs))
-	}
+	c, comms := mpiComms(cluster.Config{Nodes: n, Profile: hw.DAWNING3000(), NIC: ibcl.DefaultNICConfig()},
+		oneRankPerNode(n), sim.Time(n)*5*sim.Millisecond)
 	const count = 128 // 1 KB of float64
 	barrierEnd := make([]sim.Time, n)
 	allredEnd := make([]sim.Time, n)

@@ -32,31 +32,194 @@ import (
 //   (d) determinism: phase (c) twice with the same seed must produce
 //       byte-identical samples, counters and stores.
 
-// serveCfg is one service-tier scenario.
-type serveCfg struct {
-	shards      int
-	driverNodes int
-	users       int // per driver node
-	seed        uint64
-	arrivalMean sim.Time
-	bursty      bool
-	start       sim.Time
-	window      sim.Time
-	getFrac     float64
-	txnFrac     float64
-	pairs       int
+// ------------------------------------------------ the shared service world
+//
+// serve, reqobs and rpcflow all run the svc tier on the same four
+// pieces — shard boot, fault install, open-loop driver config,
+// run-to-drain-then-settle — and differ in how they launch drivers
+// (gang-scheduled ranks, a plain process, a traced fixture) and in what
+// they observe.
 
-	qos bool // NIC QoS WRR (else strict FIFO)
-	hog bool // 32 KB stream hog on driver node 0
+const (
+	svcBufSize = 2048
+	serveKeys  = 96 // keyspace of every serve scenario
+)
 
-	watchdog  bool
-	health    bool
+// svcWorld is a cluster running the service tier: shard servers on
+// nodes 0..shards-1, the ring that places keys on them, transaction key
+// pairs whose halves live on different shards, and the drivers the
+// experiment has started.
+type svcWorld struct {
+	*rig
+	ring    *svc.Ring
+	servers []*svc.Server
+	addrs   []ibcl.Addr
+	pa, pb  []string
+	drivers []*svc.Driver
+}
+
+func newSvcWorld(c *cluster.Cluster, shards, pairs, drivers int) *svcWorld {
+	w := &svcWorld{
+		rig: attach(c), ring: svc.NewRing(shards, 64),
+		servers: make([]*svc.Server, shards), drivers: make([]*svc.Driver, drivers),
+	}
+	w.pa, w.pb = crossShardPairs(w.ring, pairs)
+	return w
+}
+
+// startShards opens every shard's port, then starts the servers: plain
+// processes (they are the service itself, not a scheduled tenant).
+// scfg carries what the experiments differ in (seed, request recorder);
+// it runs inside a setup process.
+func (w *svcWorld) startShards(p *sim.Proc, opts ibcl.Options, scfg svc.ServerConfig) {
+	opts.SystemBufSize = svcBufSize
+	var ports []*ibcl.Port
+	for i := range w.servers {
+		pt := w.open(p, i, opts)
+		ports = append(ports, pt)
+		w.addrs = append(w.addrs, pt.Addr())
+	}
+	scfg.Shards, scfg.Ring, scfg.AuthSeed = w.addrs, w.ring, 0xbc1
+	for i, pt := range ports {
+		scfg.Index = i
+		w.servers[i] = svc.NewServer(p, pt, svcBufSize, scfg)
+		w.c.Env.Go(fmt.Sprintf("shard%d", i), w.servers[i].Run)
+	}
+}
+
+// bootShards starts the shards and advances the clock a millisecond at
+// a time until they are up.
+func (w *svcWorld) bootShards(opts ibcl.Options, scfg svc.ServerConfig) {
+	booted := false
+	w.c.Env.Go("svc-setup", func(p *sim.Proc) {
+		w.startShards(p, opts, scfg)
+		booted = true
+	})
+	for i := 0; i < 100 && !booted; i++ {
+		w.c.Env.RunUntil(w.c.Env.Now() + sim.Millisecond)
+	}
+	if !booted {
+		panic("bench: service shards did not boot")
+	}
+}
+
+// svcFaults is the fault schedule of a service chaos phase.
+type svcFaults struct {
 	dupEvery  int      // duplicate every nth packet (0 = off)
 	outNode   int      // shard node for the link outage (with outDur > 0)
 	outAt     sim.Time // outage start
 	outDur    sim.Time // outage length (0 = no outage)
 	crashNode int      // shard node whose NIC firmware crashes
 	crashAt   sim.Time // crash instant (0 = no crash)
+}
+
+// install arms the schedule on c. A fabric that cannot take the outage
+// is a harness bug and panics: skipping it would let the chaos phase
+// run clean and still report green.
+func (f svcFaults) install(c *cluster.Cluster) {
+	if f.dupEvery > 0 {
+		c.Fabric.SetFault(fabric.DuplicateEvery(f.dupEvery))
+	}
+	if f.outDur > 0 {
+		ld, ok := c.Fabric.(interface {
+			LinkDown(node int, from, to sim.Time)
+		})
+		if !ok {
+			panic(fmt.Sprintf("bench: fabric %s has no LinkDown: the scheduled shard outage cannot be injected", c.Fabric.Name()))
+		}
+		ld.LinkDown(f.outNode, f.outAt, f.outAt+f.outDur)
+	}
+	if f.crashAt > 0 {
+		c.Nodes[f.crashNode].NIC.CrashAt(f.crashAt)
+	}
+}
+
+// swarmCfg is the open-loop traffic one driver generates: a swarm of
+// simulated users, the arrival process, the op mix over the keyspace
+// and the measurement window.
+type swarmCfg struct {
+	users       int
+	arrivalMean sim.Time
+	bursty      bool
+	start       sim.Time
+	window      sim.Time
+	getFrac     float64
+	txnFrac     float64
+	keys        int
+}
+
+// driverConfig is the svc.DriverConfig of one driver of the swarm:
+// Poisson or bursty arrivals and bounded-Pareto value sizes, both
+// seeded from dseed.
+func (w *svcWorld) driverConfig(t swarmCfg, name string, dseed uint64) svc.DriverConfig {
+	var arrivals svc.Arrivals
+	if t.bursty {
+		arrivals = openloop.NewBursty(dseed, t.arrivalMean/2, t.arrivalMean/8, 400, 100)
+	} else {
+		arrivals = openloop.NewPoisson(dseed, t.arrivalMean)
+	}
+	return svc.DriverConfig{
+		Shards: w.addrs, Ring: w.ring,
+		Users: t.users, UserName: name,
+		AuthSeed: 0xbc1, Seed: dseed,
+		Arrivals: arrivals,
+		Sizes:    openloop.NewBoundedPareto(dseed^0x5e, 16, 1024, 1.3),
+		Keys:     t.keys, GetFrac: t.getFrac, TxnFrac: t.txnFrac,
+		PairA: w.pa, PairB: w.pb,
+		Start: t.start, Duration: t.window,
+	}
+}
+
+// drive opens driver i's port on node n and runs the driver to
+// completion in the calling process — a gang-scheduled rank for serve,
+// a plain process for reqobs.
+func (w *svcWorld) drive(p *sim.Proc, i, n int, opts ibcl.Options, dcfg svc.DriverConfig) {
+	opts.SystemBuffers, opts.SystemBufSize = 256, svcBufSize
+	w.drivers[i] = svc.NewDriver(p, w.open(p, n, opts), svcBufSize, dcfg)
+	w.drivers[i].Run(p)
+}
+
+// drained reports whether every driver has started, stopped generating
+// and had every request answered.
+func (w *svcWorld) drained() bool {
+	for _, d := range w.drivers {
+		if d == nil || d.Generating() || !d.Drained() {
+			return false
+		}
+	}
+	return true
+}
+
+// runToDrain runs until the swarm drains (checked every millisecond
+// once the window has closed at end, for at most 2 s more), then
+// settles so trailing invalidations and 2PC acks land (quiesce).
+func (w *svcWorld) runToDrain(end sim.Time) {
+	env := w.c.Env
+	for env.Now() < end+2*sim.Second {
+		env.RunUntil(env.Now() + sim.Millisecond)
+		if env.Now() >= end && w.drained() {
+			break
+		}
+	}
+	env.RunUntil(env.Now() + 30*sim.Millisecond)
+}
+
+// ------------------------------------------------------- serve scenarios
+
+// serveCfg is one service-tier scenario.
+type serveCfg struct {
+	shards      int
+	driverNodes int
+	seed        uint64
+	pairs       int
+	swarmCfg    // per driver node
+
+	qos bool // NIC QoS WRR (else strict FIFO)
+	hog bool // 32 KB stream hog on driver node 0
+
+	watchdog bool
+	health   bool
+	svcFaults
 }
 
 // serveRes is everything a scenario run exposes to the report.
@@ -73,13 +236,10 @@ type serveRes struct {
 	atomicity   bool // every txn pair byte-identical across shards
 	coherent    bool // every cached entry matches its shard's version
 	drained     bool
-	hogDone     uint64
 	sloAlerts   int
 	abortAlerts int
-	digest      uint64
+	digest      digest
 }
-
-const serveBufSize = 2048
 
 // runServe builds a fresh cluster, starts the shard servers, drives
 // the swarm through the gang scheduler, and settles to quiesce.
@@ -93,63 +253,15 @@ func runServe(cfg serveCfg) *serveRes {
 	if cfg.health {
 		c.Obs.StartSampler(c.Env, 5*sim.Millisecond, 64)
 	}
-	sys := ibcl.NewSystem(c)
-	ring := svc.NewRing(cfg.shards, 64)
-	pa, pb := crossShardPairs(ring, cfg.pairs)
-
-	if cfg.dupEvery > 0 {
-		c.Fabric.SetFault(fabric.DuplicateEvery(cfg.dupEvery))
-	}
-	if cfg.outDur > 0 {
-		if ld, ok := c.Fabric.(interface {
-			LinkDown(node int, from, to sim.Time)
-		}); ok {
-			ld.LinkDown(cfg.outNode, cfg.outAt, cfg.outAt+cfg.outDur)
-		}
-	}
-	if cfg.crashAt > 0 {
-		c.Nodes[cfg.crashNode].NIC.CrashAt(cfg.crashAt)
-	}
-
-	// Shard servers: plain processes (they are the service itself, not
-	// a scheduled tenant).
-	servers := make([]*svc.Server, cfg.shards)
-	var addrs []ibcl.Addr
-	booted := false
-	c.Env.Go("svc-setup", func(p *sim.Proc) {
-		opts := ibcl.Options{SystemBuffers: 256, SystemBufSize: serveBufSize}
-		var ports []*ibcl.Port
-		for i := 0; i < cfg.shards; i++ {
-			nd := c.Nodes[i]
-			pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), opts)
-			if err != nil {
-				panic(fmt.Sprintf("bench: serve shard open: %v", err))
-			}
-			ports = append(ports, pt)
-			addrs = append(addrs, pt.Addr())
-		}
-		for i, pt := range ports {
-			servers[i] = svc.NewServer(p, pt, serveBufSize, svc.ServerConfig{
-				Index: i, Shards: addrs, Ring: ring,
-				AuthSeed: 0xbc1, Seed: cfg.seed,
-			})
-			c.Env.Go(fmt.Sprintf("shard%d", i), servers[i].Run)
-		}
-		booted = true
-	})
-	for i := 0; i < 100 && !booted; i++ {
-		c.Env.RunUntil(c.Env.Now() + sim.Millisecond)
-	}
-	if !booted {
-		panic("bench: serve shards did not boot")
-	}
+	w := newSvcWorld(c, cfg.shards, cfg.pairs, cfg.driverNodes)
+	cfg.svcFaults.install(c)
+	w.bootShards(ibcl.Options{SystemBuffers: 256}, svc.ServerConfig{Seed: cfg.seed})
 
 	// The swarm rides the gang scheduler: one rank per driver node,
 	// each multiplexing cfg.users simulated users over a single
 	// QoS-weighted connection per shard.
 	s := sched.New(c.Env, c.Size(), 4, false)
 	c.Obs.RegisterCollector(s.Collect)
-	drivers := make([]*svc.Driver, cfg.driverNodes)
 	driverNodes := make([]int, cfg.driverNodes)
 	for i := range driverNodes {
 		driverNodes[i] = cfg.shards + i
@@ -158,116 +270,37 @@ func runServe(cfg serveCfg) *serveRes {
 		Name: "swarm", Ranks: cfg.driverNodes, Nodes: driverNodes, RanksPerNode: 1,
 		EstRuntime: cfg.window + 100*sim.Millisecond, Priority: 1, QoSWeight: 8,
 		Body: func(p *sim.Proc, ctx *sched.RankCtx) {
-			nd := c.Nodes[ctx.Node]
-			pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), ibcl.Options{
-				SystemBuffers: 256, SystemBufSize: serveBufSize,
-				Label: "swarm", QoSWeight: ctx.Job.Spec.QoSWeight,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("bench: serve driver open: %v", err))
-			}
 			dseed := cfg.seed ^ uint64(ctx.Rank+1)*0x9e3779b97f4a7c15
-			var arrivals svc.Arrivals
-			if cfg.bursty {
-				arrivals = openloop.NewBursty(dseed, cfg.arrivalMean/2, cfg.arrivalMean/8, 400, 100)
-			} else {
-				arrivals = openloop.NewPoisson(dseed, cfg.arrivalMean)
-			}
-			d := svc.NewDriver(p, pt, serveBufSize, svc.DriverConfig{
-				Shards: addrs, Ring: ring,
-				Users: cfg.users, UserName: fmt.Sprintf("swarm%d", ctx.Rank),
-				AuthSeed: 0xbc1, Seed: dseed,
-				Arrivals: arrivals,
-				Sizes:    openloop.NewBoundedPareto(dseed^0x5e, 16, 1024, 1.3),
-				Keys:     96, GetFrac: cfg.getFrac, TxnFrac: cfg.txnFrac,
-				PairA: pa, PairB: pb,
-				Start: cfg.start, Duration: cfg.window,
-			})
-			drivers[ctx.Rank] = d
-			d.Run(p)
+			w.drive(p, ctx.Rank, ctx.Node,
+				ibcl.Options{Label: "swarm", QoSWeight: ctx.Job.Spec.QoSWeight},
+				w.driverConfig(cfg.swarmCfg, fmt.Sprintf("swarm%d", ctx.Rank), dseed))
 		},
 	})
 
-	var hogSent uint64
+	// Stream through the measurement window so every swarm request
+	// contends with a bulk transfer on its NIC.
+	hog := streamHog{msgs: 200, startAt: cfg.start}
 	if cfg.hog {
-		const hogMsgs, hogSize = 200, 32 << 10
 		// Placement sorts the node list, so the rank on the driver node
 		// (the higher id) is the sender: the stream must contend with
 		// swarm requests at the driver NIC's send arbitration.
-		var sinkPort *ibcl.Port
 		s.Submit(sched.JobSpec{
 			Name: "hog", Ranks: 2, Nodes: []int{0, cfg.shards}, RanksPerNode: 1,
 			EstRuntime: cfg.window, QoSWeight: 1,
 			Body: func(p *sim.Proc, ctx *sched.RankCtx) {
-				nd := c.Nodes[ctx.Node]
-				pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), ibcl.Options{
-					SystemBuffers: 16, Label: "hog", QoSWeight: 1,
-				})
-				if err != nil {
-					panic(fmt.Sprintf("bench: serve hog open: %v", err))
-				}
-				if ctx.Node != cfg.shards {
-					va := pt.Process().Space.Alloc(hogSize)
-					for i := 0; i < hogMsgs; i++ {
-						if err := pt.PostRecv(p, pt.CreateChannel(), va, hogSize); err != nil {
-							panic(err)
-						}
-					}
-					sinkPort = pt
-					for i := 0; i < hogMsgs; i++ {
-						pt.WaitRecv(p)
-					}
-					return
-				}
-				for sinkPort == nil {
-					p.Sleep(10 * sim.Microsecond)
-				}
-				// Stream through the measurement window so every swarm
-				// request contends with a bulk transfer on its NIC.
-				if wait := cfg.start - p.Now(); wait > 0 {
-					p.Sleep(wait)
-				}
-				va := pt.Process().Space.Alloc(hogSize)
-				for i := 0; i < hogMsgs; i++ {
-					pt.Send(p, sinkPort.Addr(), i+1, va, hogSize, 0)
-				}
-				for i := 0; i < hogMsgs; i++ {
-					pt.WaitSend(p)
-					hogSent++
-				}
+				pt := w.open(p, ctx.Node, ibcl.Options{SystemBuffers: 16, Label: "hog", QoSWeight: 1})
+				hog.run(p, pt, ctx.Node != cfg.shards)
 			},
 		})
 	}
 
-	// Run until the swarm drains, then settle so trailing
-	// invalidations and 2PC acks land (quiesce).
-	horizon := cfg.start + cfg.window + 2*sim.Second
-	for c.Env.Now() < horizon {
-		c.Env.RunUntil(c.Env.Now() + sim.Millisecond)
-		if c.Env.Now() < cfg.start+cfg.window {
-			continue
-		}
-		allDrained := true
-		for _, d := range drivers {
-			if d == nil || d.Generating() || !d.Drained() {
-				allDrained = false
-				break
-			}
-		}
-		if allDrained {
-			break
-		}
-	}
-	c.Env.RunUntil(c.Env.Now() + 30*sim.Millisecond)
+	w.runToDrain(cfg.start + cfg.window)
 
-	res := &serveRes{atomicity: true, coherent: true, drained: true}
-	for _, d := range drivers {
+	servers, ring := w.servers, w.ring
+	res := &serveRes{atomicity: true, coherent: true, drained: w.drained()}
+	for _, d := range w.drivers {
 		if d == nil {
-			res.drained = false
 			continue
-		}
-		if d.Generating() || !d.Drained() {
-			res.drained = false
 		}
 		st := d.Stats()
 		res.issued += st.Issued
@@ -289,14 +322,13 @@ func runServe(cfg serveCfg) *serveRes {
 	for _, sv := range servers {
 		committed, _, _ := sv.Stats()
 		res.committed += committed
-		_, _, _, dedup := serveServerDedup(sv)
-		res.dedup += dedup
+		res.dedup += sv.DedupReplays()
 	}
 	// Atomicity at quiesce: both halves of every transaction pair hold
 	// identical bytes (or neither exists).
-	for i := range pa {
-		va, vera := servers[ring.Shard(pa[i])].Peek(pa[i])
-		vb, verb := servers[ring.Shard(pb[i])].Peek(pb[i])
+	for i := range w.pa {
+		va, vera := servers[ring.Shard(w.pa[i])].Peek(w.pa[i])
+		vb, verb := servers[ring.Shard(w.pb[i])].Peek(w.pb[i])
 		if (vera == 0) != (verb == 0) || string(va) != string(vb) {
 			res.atomicity = false
 		}
@@ -307,21 +339,12 @@ func runServe(cfg serveCfg) *serveRes {
 	if cfg.window > 0 {
 		res.reqsPerSec = float64(res.done) / (float64(cfg.window) / float64(sim.Second))
 	}
-	res.hogDone = hogSent
 	if c.Health != nil {
 		res.sloAlerts = c.Health.FiredCount("svc-slo-burn")
 		res.abortAlerts = c.Health.FiredCount("txn-abort-rate")
 	}
-	res.digest = serveDigest(res, servers, pa, pb, ring)
+	res.digest = serveDigest(res, w)
 	return res
-}
-
-// serveServerDedup pulls the shard's counters through its stats
-// snapshot (committed, aborted, invs, dedup replays).
-func serveServerDedup(sv *svc.Server) (committed, aborted, invs, dedup uint64) {
-	committed, aborted, invs = sv.Stats()
-	dedup = sv.DedupReplays()
-	return
 }
 
 // crossShardPairs builds transaction key pairs whose halves live on
@@ -341,27 +364,18 @@ func crossShardPairs(ring *svc.Ring, n int) (pa, pb []string) {
 // serveDigest fingerprints a run: every latency sample in completion
 // order, the aggregate counters, and the committed bytes of every
 // transaction pair.
-func serveDigest(res *serveRes, servers []*svc.Server, pa, pb []string, ring *svc.Ring) uint64 {
-	h := uint64(1469598103934665603)
-	mixIn := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
+func serveDigest(res *serveRes, w *svcWorld) digest {
+	h := newDigest()
 	for _, s := range res.samples {
-		mixIn(uint64(s))
+		h.mix(uint64(s))
 	}
-	mixIn(res.issued)
-	mixIn(res.done)
-	mixIn(res.hits)
-	mixIn(res.misses)
-	mixIn(res.committed)
-	mixIn(res.aborts)
-	for i := range pa {
-		for _, key := range []string{pa[i], pb[i]} {
-			val, ver := servers[ring.Shard(key)].Peek(key)
-			mixIn(ver)
+	h.mix(res.issued, res.done, res.hits, res.misses, res.committed, res.aborts)
+	for i := range w.pa {
+		for _, key := range []string{w.pa[i], w.pb[i]} {
+			val, ver := w.servers[w.ring.Shard(key)].Peek(key)
+			h.mix(ver)
 			for _, b := range val {
-				mixIn(uint64(b))
+				h.mix(uint64(b))
 			}
 		}
 	}
@@ -381,28 +395,29 @@ func serveSchedule(seed uint64) (dup int, outAt, outDur, crashAt sim.Time) {
 	return
 }
 
-// Serve is the gated service-tier experiment.
-func Serve() *Report { return ServeSeeded(1) }
-
-// ServeSeeded is Serve with an explicit fault-schedule seed.
-func ServeSeeded(seed uint64) *Report {
+// serve is the gated service-tier experiment.
+func serve(seed uint64) *Report {
 	r := newReport("serve", "Service tier: sharded RPC/KV, transactions, open-loop swarm")
 
 	base := serveCfg{
-		shards: 3, driverNodes: 2, users: 12000, seed: seed,
-		arrivalMean: 60 * sim.Microsecond,
-		start:       10 * sim.Millisecond, window: 25 * sim.Millisecond,
-		getFrac: 0.6, txnFrac: 0.1, pairs: 12,
+		shards: 3, driverNodes: 2, seed: seed, pairs: 12,
+		swarmCfg: swarmCfg{
+			users: 12000, arrivalMean: 60 * sim.Microsecond,
+			start: 10 * sim.Millisecond, window: 25 * sim.Millisecond,
+			getFrac: 0.6, txnFrac: 0.1, keys: serveKeys,
+		},
 	}
 	baseline := runServe(base)
 
 	// Interference: one driver node, faster arrivals, a 32 KB stream
 	// hog sharing its NIC. FIFO vs QoS WRR (weights 8:1).
 	intf := serveCfg{
-		shards: 2, driverNodes: 1, users: 8000, seed: seed,
-		arrivalMean: 50 * sim.Microsecond,
-		start:       10 * sim.Millisecond, window: 20 * sim.Millisecond,
-		getFrac: 0.6, txnFrac: 0, pairs: 2,
+		shards: 2, driverNodes: 1, seed: seed, pairs: 2,
+		swarmCfg: swarmCfg{
+			users: 8000, arrivalMean: 50 * sim.Microsecond,
+			start: 10 * sim.Millisecond, window: 20 * sim.Millisecond,
+			getFrac: 0.6, txnFrac: 0, keys: serveKeys,
+		},
 		hog: true,
 	}
 	fifo := runServe(intf)
@@ -414,14 +429,18 @@ func ServeSeeded(seed uint64) *Report {
 	// determinism gate.
 	dup, outAt, outDur, crashAt := serveSchedule(seed)
 	chaosCfg := serveCfg{
-		shards: 3, driverNodes: 2, users: 6000, seed: seed,
-		arrivalMean: 160 * sim.Microsecond, bursty: true,
-		start: 10 * sim.Millisecond, window: 25 * sim.Millisecond,
-		getFrac: 0.5, txnFrac: 0.2, pairs: 12,
+		shards: 3, driverNodes: 2, seed: seed, pairs: 12,
+		swarmCfg: swarmCfg{
+			users: 6000, arrivalMean: 160 * sim.Microsecond, bursty: true,
+			start: 10 * sim.Millisecond, window: 25 * sim.Millisecond,
+			getFrac: 0.5, txnFrac: 0.2, keys: serveKeys,
+		},
 		watchdog: true, health: true,
-		dupEvery: dup,
-		outNode:  1, outAt: outAt, outDur: outDur,
-		crashNode: 2, crashAt: crashAt,
+		svcFaults: svcFaults{
+			dupEvery: dup,
+			outNode:  1, outAt: outAt, outDur: outDur,
+			crashNode: 2, crashAt: crashAt,
+		},
 	}
 	chaos := runServe(chaosCfg)
 	chaos2 := runServe(chaosCfg)
@@ -467,20 +486,23 @@ func ServeSeeded(seed uint64) *Report {
 	r.metric("txn_committed", float64(baseline.committed))
 	r.metric("p999_fifo_us", us(fifo.p999))
 	r.metric("p999_qos_us", us(qos.p999))
-	r.metric("qos_beats_fifo", b2f(qos.p999 < fifo.p999))
+	r.flag("qos_beats_fifo", qos.p999 < fifo.p999)
 	r.metric("chaos_reqs", float64(chaos.done))
 	r.metric("chaos_p999_us", us(chaos.p999))
 	r.metric("chaos_retransmits", float64(chaos.retrans))
 	r.metric("chaos_txn_committed", float64(chaos.committed))
 	r.metric("chaos_txn_aborted", float64(chaos.aborts))
 	r.metric("slo_alerts", float64(chaos.sloAlerts))
-	r.metric("atomicity_ok", b2f(okAll))
-	r.metric("linearizable_ok", b2f(linAll))
-	r.metric("coherent_caches", b2f(cohAll))
-	r.metric("swarm_drained", b2f(drainedAll))
-	r.metric("dedup_nonzero", b2f(chaos.dedup > 0))
-	r.metric("retrans_nonzero", b2f(chaos.retrans > 0))
-	r.metric("txn_commits_nonzero", b2f(chaos.committed > 0))
-	r.metric("deterministic", b2f(deterministic))
+	// No half-applied transaction pair, no monotonic-read violation,
+	// caches coherent at quiesce, the swarm fully drained, and the chaos
+	// phase's faults actually exercised the dedup/retransmit machinery.
+	r.flag("atomicity_ok", okAll)
+	r.flag("linearizable_ok", linAll)
+	r.flag("coherent_caches", cohAll)
+	r.flag("swarm_drained", drainedAll)
+	r.flag("dedup_nonzero", chaos.dedup > 0)
+	r.flag("retrans_nonzero", chaos.retrans > 0)
+	r.flag("txn_commits_nonzero", chaos.committed > 0)
+	r.flag("deterministic", deterministic)
 	return r
 }

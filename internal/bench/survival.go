@@ -34,7 +34,7 @@ import (
 // with the fixed-backoff baseline. The adaptive tail (P99.9) must
 // strictly beat the fixed one.
 //
-// Everything is driven by the one seed; SurvivalSeeded runs the whole
+// Everything is driven by the one seed; survival runs the whole
 // experiment twice and the two digests must match bit-for-bit.
 
 const (
@@ -46,31 +46,23 @@ const (
 	grayMsgSize = 1024
 )
 
-// survCounters are the survivability counters read back from the
-// registry snapshot at the end of the soak.
-type survCounters struct {
-	fwCrashes, nicReboots, crcDrops, retransmits  uint64
-	resyncsSent, resyncRewinds, dupMsgDrops       uint64
-	epochResets, deadDrops, grayFailovers         uint64
-	watchdogTrips, nicRecoveries, replayedRecords uint64
-}
-
-func survCountersFrom(s *obs.Snapshot) survCounters {
-	return survCounters{
-		fwCrashes:       s.SumCounter("nic", "fw_crashes"),
-		nicReboots:      s.SumCounter("nic", "nic_reboots"),
-		crcDrops:        s.SumCounter("nic", "crc_drops"),
-		retransmits:     s.SumCounter("nic", "retransmits"),
-		resyncsSent:     s.SumCounter("nic", "resyncs_sent"),
-		resyncRewinds:   s.SumCounter("nic", "resync_rewinds"),
-		dupMsgDrops:     s.SumCounter("nic", "dup_msg_drops"),
-		epochResets:     s.SumCounter("nic", "epoch_resets"),
-		deadDrops:       s.SumCounter("nic", "dead_drops"),
-		grayFailovers:   s.SumCounter("nic", "gray_failovers"),
-		watchdogTrips:   s.SumCounter("kernel", "watchdog_trips"),
-		nicRecoveries:   s.SumCounter("kernel", "nic_recoveries"),
-		replayedRecords: s.SumCounter("kernel", "replayed_records"),
-	}
+// survCounterRows are the survivability counters read back from the
+// registry snapshot at the end of the soak, in report order; the
+// unlabelled ones only take part in the determinism comparison.
+var survCounterRows = []counterRow{
+	{"nic", "fw_crashes", "firmware crashes", true},
+	{"kernel", "watchdog_trips", "watchdog trips", true},
+	{"nic", "nic_reboots", "NIC reboots", true},
+	{"kernel", "replayed_records", "journal records replayed", true},
+	{"nic", "resyncs_sent", "epoch resyncs sent", true},
+	{"nic", "resync_rewinds", "resync rewinds", true},
+	{"nic", "dup_msg_drops", "duplicate msgs swallowed", true},
+	{"nic", "crc_drops", "CRC drops", true},
+	{"nic", "retransmits", "retransmits", true},
+	{"kernel", "nic_recoveries", "", true},
+	{"nic", "epoch_resets", "", false},
+	{"nic", "dead_drops", "", false},
+	{"nic", "gray_failovers", "", false},
 }
 
 // survProfile is DAWNING-3000 with fast recovery knobs, so a firmware
@@ -88,7 +80,7 @@ func survProfile() *hw.Profile {
 // survResult is everything one Phase A soak produces.
 type survResult struct {
 	soakResult
-	stats         survCounters
+	stats         counters
 	recoveryMaxUs float64
 	snap          *obs.Snapshot
 	timeline      string
@@ -101,7 +93,7 @@ func survRun(seed uint64) *survResult {
 	cfg.AdaptiveRTO = true
 	rig := newSoakRig(cluster.Config{
 		Profile: survProfile(), NIC: cfg, Seed: seed, Watchdog: true,
-	})
+	}, nil, 20*sim.Millisecond, 32)
 	c, hf := rig.c, rig.hf
 	base := c.Env.Now()
 
@@ -118,9 +110,7 @@ func survRun(seed uint64) *survResult {
 	}
 	// Silent corruption on the Myrinet rail: the per-fragment CRC must
 	// catch every flip and retransmission must heal it.
-	if f, ok := hf.Rail(0).(interface{ SetFault(fabric.Fault) }); ok {
-		f.SetFault(fabric.RandomCorrupt(0.015))
-	}
+	hf.Rail(0).SetFault(fabric.RandomCorrupt(0.015))
 	// A gray window on top: the policy rail runs 8x slow mid-soak.
 	hf.RailSlow(0, base+60*sim.Millisecond, base+95*sim.Millisecond, 8)
 
@@ -129,12 +119,11 @@ func survRun(seed uint64) *survResult {
 	// the resends metric and, via duplicates, breaks exactly_once. The
 	// workload spans ~175 ms; 400 ms leaves room for stragglers and
 	// keeps the fault window inside the timeline ring.
-	res.soakResult = rig.run("surv", survMsgSize, survRounds, 400*sim.Millisecond, nil)
-	const prime = 0x100000001b3
-	res.digest = (res.digest ^ uint64(res.resends)) * prime
+	res.soakResult = rig.run("surv", survMsgSize, survRounds, soakPace, 400*sim.Millisecond, nil)
+	res.digest.mix(uint64(res.resends))
 
 	res.snap = c.Obs.Snapshot(c.Env.Now())
-	res.stats = survCountersFrom(res.snap)
+	res.stats = readCounters(res.snap, survCounterRows)
 	if hist := res.snap.MergedHist("nic", "recovery_latency_ns"); hist.Count > 0 {
 		res.recoveryMaxUs = float64(hist.Max) / 1000
 	}
@@ -168,23 +157,11 @@ func grayRun(seed uint64, adaptive bool) *grayResult {
 	prof.GraySteerHold = 200 * sim.Millisecond
 	cfg := ibcl.DefaultNICConfig()
 	cfg.AdaptiveRTO = adaptive
-	c := newCluster(cluster.Config{
+	rg := newRig(newCluster(cluster.Config{
 		Nodes: 2, Fabric: cluster.Hetero, Profile: prof, NIC: cfg, Seed: seed,
-	})
+	}), []int{0, 1}, ibcl.Options{SystemBuffers: 8}, 10*sim.Millisecond)
+	c, a, b := rg.c, rg.ports[0], rg.ports[1]
 	hf := c.Fabric.(*hetero.Fabric)
-	sys := ibcl.NewSystem(c)
-
-	var a, b *ibcl.Port
-	c.Env.Go("setup", func(p *sim.Proc) {
-		pa := c.Nodes[0].Kernel.Spawn()
-		pb := c.Nodes[1].Kernel.Spawn()
-		a, _ = sys.Open(p, c.Nodes[0], pa, ibcl.Options{SystemBuffers: 8})
-		b, _ = sys.Open(p, c.Nodes[1], pb, ibcl.Options{SystemBuffers: 8})
-	})
-	c.Env.RunUntil(10 * sim.Millisecond)
-	if a == nil || b == nil {
-		panic("bench: gray rig setup failed")
-	}
 	base := c.Env.Now()
 
 	// The policy rail (Myrinet) turns 24x slower — alive, in order,
@@ -232,7 +209,7 @@ type survivalOnce struct {
 	soak     *survResult
 	adaptive *grayResult
 	fixed    *grayResult
-	digest   uint64
+	digest   digest
 }
 
 func runSurvivalOnce(seed uint64) *survivalOnce {
@@ -241,29 +218,20 @@ func runSurvivalOnce(seed uint64) *survivalOnce {
 		adaptive: grayRun(seed, true),
 		fixed:    grayRun(seed, false),
 	}
-	const prime = 0x100000001b3
-	h := o.soak.digest
+	o.digest = o.soak.digest
 	for _, g := range []*grayResult{o.adaptive, o.fixed} {
-		h = (h ^ uint64(g.p50)) * prime
-		h = (h ^ uint64(g.p999)) * prime
-		h = (h ^ g.grayFailovers) * prime
-		h = (h ^ g.graySteers) * prime
-		h = (h ^ g.retransmits) * prime
+		o.digest.mix(uint64(g.p50), uint64(g.p999), g.grayFailovers, g.graySteers, g.retransmits)
 	}
-	o.digest = h
 	return o
 }
 
-// Survival runs the survivability gauntlet with the default seed.
-func Survival() *Report { return SurvivalSeeded(1) }
-
-// SurvivalSeeded runs the two-phase survivability experiment TWICE and
+// survival runs the two-phase survivability experiment TWICE and
 // checks the runs are bit-identical.
-func SurvivalSeeded(seed uint64) *Report {
+func survival(seed uint64) *Report {
 	r := newReport("survival", fmt.Sprintf("Survivable NIC gauntlet: crash + corrupt + gray (seed %d)", seed))
 	x := runSurvivalOnce(seed)
 	y := runSurvivalOnce(seed)
-	deterministic := x.digest == y.digest && x.soak.stats == y.soak.stats &&
+	deterministic := x.digest == y.digest && x.soak.stats.equal(y.soak.stats) &&
 		x.soak.delivered == y.soak.delivered && x.soak.resends == y.soak.resends
 
 	a := x.soak
@@ -283,15 +251,7 @@ func SurvivalSeeded(seed uint64) *Report {
 	fmt.Fprintf(&sb, "%-28s %12d\n", "payload byte errors", a.corrupt)
 	fmt.Fprintf(&sb, "%-28s %12d\n", "library-level resends", a.resends)
 	fmt.Fprintf(&sb, "%-28s %12v\n", "exactly-once", exactlyOnce)
-	fmt.Fprintf(&sb, "%-28s %12d\n", "firmware crashes", a.stats.fwCrashes)
-	fmt.Fprintf(&sb, "%-28s %12d\n", "watchdog trips", a.stats.watchdogTrips)
-	fmt.Fprintf(&sb, "%-28s %12d\n", "NIC reboots", a.stats.nicReboots)
-	fmt.Fprintf(&sb, "%-28s %12d\n", "journal records replayed", a.stats.replayedRecords)
-	fmt.Fprintf(&sb, "%-28s %12d\n", "epoch resyncs sent", a.stats.resyncsSent)
-	fmt.Fprintf(&sb, "%-28s %12d\n", "resync rewinds", a.stats.resyncRewinds)
-	fmt.Fprintf(&sb, "%-28s %12d\n", "duplicate msgs swallowed", a.stats.dupMsgDrops)
-	fmt.Fprintf(&sb, "%-28s %12d\n", "CRC drops", a.stats.crcDrops)
-	fmt.Fprintf(&sb, "%-28s %12d\n", "retransmits", a.stats.retransmits)
+	a.stats.text(&sb)
 	if a.recoveryMaxUs > 0 {
 		fmt.Fprintf(&sb, "%-28s %10.1fus\n", "max crash-to-ready", a.recoveryMaxUs)
 	}
@@ -322,20 +282,12 @@ func SurvivalSeeded(seed uint64) *Report {
 	r.Text = sb.String()
 	r.Snap = a.snap
 
-	r.metric("delivered", float64(a.delivered))
+	// Exactly-once delivery through crash + corruption + gray chaos.
+	r.exact("delivered", float64(a.delivered))
 	r.metric("duplicates", float64(a.duplicates))
-	r.metric("byte_errors", float64(a.corrupt))
+	r.exact("byte_errors", float64(a.corrupt))
 	r.metric("resends", float64(a.resends))
-	r.metric("fw_crashes", float64(a.stats.fwCrashes))
-	r.metric("watchdog_trips", float64(a.stats.watchdogTrips))
-	r.metric("nic_reboots", float64(a.stats.nicReboots))
-	r.metric("nic_recoveries", float64(a.stats.nicRecoveries))
-	r.metric("replayed_records", float64(a.stats.replayedRecords))
-	r.metric("resyncs_sent", float64(a.stats.resyncsSent))
-	r.metric("resync_rewinds", float64(a.stats.resyncRewinds))
-	r.metric("dup_msg_drops", float64(a.stats.dupMsgDrops))
-	r.metric("crc_drops", float64(a.stats.crcDrops))
-	r.metric("retransmits", float64(a.stats.retransmits))
+	a.stats.emit(r)
 	if a.recoveryMaxUs > 0 {
 		r.metric("recovery_max_us", a.recoveryMaxUs)
 	}
@@ -346,12 +298,14 @@ func SurvivalSeeded(seed uint64) *Report {
 	r.metric("gray_failovers", float64(x.adaptive.grayFailovers))
 	r.metric("gray_steers", float64(x.adaptive.graySteers))
 
-	r.metric("exactly_once", b2f(exactlyOnce))
-	r.metric("crc_drops_nonzero", b2f(a.stats.crcDrops > 0))
-	r.metric("nic_reboots_nonzero", b2f(a.stats.nicReboots > 0))
-	r.metric("adaptive_beats_fixed", b2f(adBeatsFixed))
-	r.metric("gray_failover_nonzero", b2f(x.adaptive.grayFailovers > 0))
-	r.metric("deterministic", b2f(deterministic))
-	r.metric("deadlocked", b2f(deadlocked))
+	// The faults must actually have fired, and the adaptive-RTO tail
+	// must strictly beat fixed backoff.
+	r.flag("exactly_once", exactlyOnce)
+	r.flag("crc_drops_nonzero", a.stats.get("crc_drops") > 0)
+	r.flag("nic_reboots_nonzero", a.stats.get("nic_reboots") > 0)
+	r.flag("adaptive_beats_fixed", adBeatsFixed)
+	r.flag("gray_failover_nonzero", x.adaptive.grayFailovers > 0)
+	r.flag("deterministic", deterministic)
+	r.flag("deadlocked", deadlocked)
 	return r
 }

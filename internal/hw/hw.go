@@ -45,29 +45,29 @@ type Profile struct {
 	PageSize    int // bytes
 
 	// Host CPU / OS kernel path costs.
-	UserCompose     sim.Time // user library composes a send request
-	UserPostRecv    sim.Time // user library prepares a receive posting
-	TrapEnter       sim.Time // user -> kernel crossing
-	TrapExit        sim.Time // kernel -> user crossing
-	IoctlDispatch   sim.Time // syscall demux to the BCL kernel module
-	SecurityCheck   sim.Time // validate PID, buffer bounds, target
-	TranslateHit    sim.Time // pin-down page-table hit, per lookup
-	TranslateMiss   sim.Time // page-table walk on miss, per page
-	PinPage         sim.Time // pin one page (on miss)
-	UnpinPage       sim.Time // unpin one page
+	UserCompose   sim.Time // user library composes a send request
+	UserPostRecv  sim.Time // user library prepares a receive posting
+	TrapEnter     sim.Time // user -> kernel crossing
+	TrapExit      sim.Time // kernel -> user crossing
+	IoctlDispatch sim.Time // syscall demux to the BCL kernel module
+	SecurityCheck sim.Time // validate PID, buffer bounds, target
+	TranslateHit  sim.Time // pin-down page-table hit, per lookup
+	TranslateMiss sim.Time // page-table walk on miss, per page
+	PinPage       sim.Time // pin one page (on miss)
+	UnpinPage     sim.Time // unpin one page
 	// PinTableCapacity bounds the kernel's pin-down page table, in
 	// page entries; beyond it the LRU translation is evicted and its
 	// frame unpinned (0 means a default of 8192 entries — the table is
 	// host-resident, but pinned memory is still a finite resource).
 	PinTableCapacity int
-	CompletionPoll  sim.Time // user polls a completion queue slot
-	EventDecode     sim.Time // user decodes a completion event
-	SendComplete    sim.Time // user handles the send-done event (paper: 0.82 µs)
-	InterruptEnter  sim.Time // interrupt dispatch (kernel-level path)
-	InterruptHandle sim.Time // handler body incl. wakeup
-	ContextSwitch   sim.Time // scheduler switch to the woken process
-	SyscallCopy     Bps      // kernel<->user copy bandwidth (kernel-level path)
-	KernelProtoProc sim.Time // kernel protocol processing per datagram (kernel-level path)
+	CompletionPoll   sim.Time // user polls a completion queue slot
+	EventDecode      sim.Time // user decodes a completion event
+	SendComplete     sim.Time // user handles the send-done event (paper: 0.82 µs)
+	InterruptEnter   sim.Time // interrupt dispatch (kernel-level path)
+	InterruptHandle  sim.Time // handler body incl. wakeup
+	ContextSwitch    sim.Time // scheduler switch to the woken process
+	SyscallCopy      Bps      // kernel<->user copy bandwidth (kernel-level path)
+	KernelProtoProc  sim.Time // kernel protocol processing per datagram (kernel-level path)
 
 	// PCI bus.
 	PIOWriteWord  sim.Time // programmed-IO write of one 32-bit word to NIC
@@ -77,22 +77,22 @@ type Profile struct {
 	DoorbellWrite sim.Time // single PIO doorbell strike
 
 	// NIC / firmware (MCP).
-	SendDescWords     int      // descriptor words PIO-filled per send request
-	RecvDescWords     int      // descriptor words per receive posting
-	MCPPollGap        sim.Time // firmware main-loop iteration when idle
-	MCPDescFetch      sim.Time // NIC reads+parses a send descriptor from its queue
-	MCPSendProc       sim.Time // per-message send processing incl. reliable proto
-	MCPPacketProc     sim.Time // per-packet processing (CRC, header) on source
-	MCPRecvProc       sim.Time // per-packet processing on destination
-	MCPChannelLookup  sim.Time // per-message channel-state resolution at destination
-	MCPEventDMA       sim.Time // firmware cost of composing a completion event
-	EventBusTime      sim.Time // bus occupancy DMAing the event record to host
-	MCPAckProc        sim.Time // processing an ACK/NACK
-	MCPCollProc       sim.Time // collective engine per-packet handling (0: MCPPacketProc)
-	MCPCombineProc    sim.Time // combine arithmetic per contribution (0: MCPRecvProc)
+	SendDescWords    int      // descriptor words PIO-filled per send request
+	RecvDescWords    int      // descriptor words per receive posting
+	MCPPollGap       sim.Time // firmware main-loop iteration when idle
+	MCPDescFetch     sim.Time // NIC reads+parses a send descriptor from its queue
+	MCPSendProc      sim.Time // per-message send processing incl. reliable proto
+	MCPPacketProc    sim.Time // per-packet processing (CRC, header) on source
+	MCPRecvProc      sim.Time // per-packet processing on destination
+	MCPChannelLookup sim.Time // per-message channel-state resolution at destination
+	MCPEventDMA      sim.Time // firmware cost of composing a completion event
+	EventBusTime     sim.Time // bus occupancy DMAing the event record to host
+	MCPAckProc       sim.Time // processing an ACK/NACK
+	MCPCollProc      sim.Time // collective engine per-packet handling (0: MCPPacketProc)
+	MCPCombineProc   sim.Time // combine arithmetic per contribution (0: MCPRecvProc)
 	// CollRetryTimeout paces release-mode combine re-contributions while
 	// the result has not come back (0 means 8x RetransmitTimeout).
-	CollRetryTimeout sim.Time
+	CollRetryTimeout  sim.Time
 	MaxPacket         int      // payload bytes per wire packet
 	NICMemBytes       int      // NIC SRAM capacity
 	RetransmitTimeout sim.Time // go-back-N retransmit timer (base, first round)
@@ -141,25 +141,25 @@ func DAWNING3000() *Profile {
 		CPUsPerNode: 4,
 		PageSize:    4096,
 
-		UserCompose:     270,
-		UserPostRecv:    500,
-		TrapEnter:       700,
-		TrapExit:        700,
-		IoctlDispatch:   500,
-		SecurityCheck:   900,
-		TranslateHit:    370,
-		TranslateMiss:   2500,
-		PinPage:         3000,
-		UnpinPage:       1500,
+		UserCompose:      270,
+		UserPostRecv:     500,
+		TrapEnter:        700,
+		TrapExit:         700,
+		IoctlDispatch:    500,
+		SecurityCheck:    900,
+		TranslateHit:     370,
+		TranslateMiss:    2500,
+		PinPage:          3000,
+		UnpinPage:        1500,
 		PinTableCapacity: 8192, // 32 MB of pinned pages per node
-		CompletionPoll:  610,
-		EventDecode:     400,
-		SendComplete:    820,
-		InterruptEnter:  2500,
-		InterruptHandle: 6000,
-		ContextSwitch:   4000,
-		SyscallCopy:     180 * MBps,
-		KernelProtoProc: 12000,
+		CompletionPoll:   610,
+		EventDecode:      400,
+		SendComplete:     820,
+		InterruptEnter:   2500,
+		InterruptHandle:  6000,
+		ContextSwitch:    4000,
+		SyscallCopy:      180 * MBps,
+		KernelProtoProc:  12000,
 
 		PIOWriteWord:  240,
 		PIOReadWord:   980,

@@ -33,8 +33,8 @@ func (j *testJournal) SendPosted(d *SendDesc) {
 	j.sendIdx[d.MsgID] = len(j.sends)
 	j.sends = append(j.sends, d)
 }
-func (j *testJournal) SendRetired(msgID uint64)      { j.retired[msgID] = true }
-func (j *testJournal) RecvConsumed(port, ch int)     {}
+func (j *testJournal) SendRetired(msgID uint64)       { j.retired[msgID] = true }
+func (j *testJournal) RecvConsumed(port, ch int)      {}
 func (j *testJournal) SysConsumed(p int, v mem.VAddr) {}
 func (j *testJournal) MsgDone(src int, msgID uint64) {
 	j.rxDone[src] = append(j.rxDone[src], msgID)

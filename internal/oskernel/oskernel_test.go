@@ -265,8 +265,8 @@ func TestPinTableEviction(t *testing.T) {
 			}
 			return p.Now() - start
 		}
-		pin(va)          // page 0: miss+pin
-		pin(va + page)   // page 1: miss+pin, table now full
+		pin(va)                       // page 0: miss+pin
+		pin(va + page)                // page 1: miss+pin, table now full
 		evictCost := pin(va + 2*page) // page 2: must push out the LRU (page 0)
 		if want := prof.TranslateMiss + prof.PinPage + prof.UnpinPage; evictCost != want {
 			t.Errorf("eviction cost = %d, want miss+pin+unpin = %d", evictCost, want)

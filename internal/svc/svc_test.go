@@ -294,7 +294,7 @@ func TestTxnSurvivesOutage(t *testing.T) {
 		Arrivals: fixedGap(40 * sim.Microsecond), Sizes: fixedSize(48),
 		GetFrac: 0.2, TxnFrac: 0.5, PairA: pa, PairB: pb,
 		Start: sim.Millisecond, Duration: 30 * sim.Millisecond,
-		RTO:   500 * sim.Microsecond,
+		RTO: 500 * sim.Microsecond,
 	})
 	ld, ok := tr.c.Fabric.(interface {
 		LinkDown(node int, from, to sim.Time)
@@ -325,7 +325,7 @@ func TestTxnSurvivesFirmwareCrash(t *testing.T) {
 		Arrivals: fixedGap(40 * sim.Microsecond), Sizes: fixedSize(48),
 		GetFrac: 0.2, TxnFrac: 0.5, PairA: pa, PairB: pb,
 		Start: sim.Millisecond, Duration: 30 * sim.Millisecond,
-		RTO:   500 * sim.Microsecond,
+		RTO: 500 * sim.Microsecond,
 	})
 	tr.c.Nodes[2].NIC.CrashAt(10 * sim.Millisecond)
 	tr.runDrained(t, 600*sim.Millisecond)
