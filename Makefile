@@ -7,7 +7,7 @@ GO ?= go
 # survival, collectives, healthwatch, serve, reqobs): `make chaos SEED=7`.
 SEED ?= 1
 
-.PHONY: all test race short bench experiments chaos survival collectives metrics profile multitenant healthwatch serve reqobs baseline check examples tools clean
+.PHONY: all test race short bench hostbench experiments chaos survival collectives metrics profile multitenant healthwatch serve reqobs baseline check examples tools clean
 
 all: test
 
@@ -23,6 +23,11 @@ short:
 
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x .
+
+# Host-time benchmark (benchmark/README.md): how fast the simulator
+# itself runs, five workloads, every op verified.
+hostbench:
+	$(GO) run ./benchmark
 
 # Regenerate every table and figure of the paper (EXPERIMENTS.md's
 # "Full output" section is this, captured).

@@ -53,6 +53,20 @@ func newTestbed(t *testing.T, fab cluster.FabricKind, nodes int, slots []int) *t
 	return tb
 }
 
+// assertDrained checks resource balance at quiesce on every node: no
+// fragment staged in NIC SRAM, no packet descriptor or payload buffer
+// out of the fabric's pool.
+func (tb *testbed) assertDrained(t *testing.T) {
+	t.Helper()
+	for i, nd := range tb.c.Nodes {
+		descs, bufs := nd.NIC.PoolInUse()
+		if sram := nd.NIC.SRAMInUse(); sram != 0 || descs != 0 || bufs != 0 {
+			t.Errorf("node %d not drained: %d B of NIC SRAM, %d packet descriptors, %d payloads outstanding",
+				i, sram, descs, bufs)
+		}
+	}
+}
+
 func (tb *testbed) run(t *testing.T, d sim.Time) {
 	t.Helper()
 	tb.c.Env.RunUntil(tb.c.Env.Now() + d)

@@ -156,6 +156,7 @@ func TestLinkDownMidStream(t *testing.T) {
 		t.Errorf("health counters: deaths=%d recoveries=%d fastfails=%d probes=%d",
 			st.PeerDeaths, st.PeerRecoveries, st.FastFails, st.Probes)
 	}
+	tb.assertDrained(t) // outage drops, failFlow and fail-fast all returned their packets
 }
 
 // TestHeteroRailFailover kills the Myrinet rail and proves BCL traffic

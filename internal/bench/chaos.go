@@ -215,6 +215,17 @@ func (r *soakRig) run(prefix string, msgSize, rounds int, pace, horizon sim.Time
 			res.deadlocked = true
 		}
 	}
+	if !res.deadlocked {
+		// Resource balance at quiesce: every send completed, so no NIC may
+		// still hold staged SRAM, a packet descriptor or a payload buffer.
+		for i, nd := range c.Nodes {
+			descs, bufs := nd.NIC.PoolInUse()
+			if sram := nd.NIC.SRAMInUse(); sram != 0 || descs != 0 || bufs != 0 {
+				panic(fmt.Sprintf("%s soak: node %d not drained: %d B of NIC SRAM, %d packet descriptors, %d payloads outstanding",
+					prefix, i, sram, descs, bufs))
+			}
+		}
+	}
 	res.digest = newDigest()
 	for _, d := range digests {
 		res.digest.mix(uint64(d))

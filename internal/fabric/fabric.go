@@ -8,6 +8,12 @@
 // switch; each traversed link is occupied for the packet's full
 // serialization time starting when the head reaches it, so bandwidth
 // contention is modelled per link while latency stays cut-through.
+//
+// On the host clock a packet costs no garbage and no process: the
+// descriptor and its payload buffer come from a per-simulation Pool and
+// are shared by reference (see Pool and DESIGN §6, Packet lifetime),
+// and transit past the injection link is a chain of sim.Env.AtArg
+// events over a pooled in-flight record (see Network.launch).
 package fabric
 
 import (
@@ -112,11 +118,19 @@ type Packet struct {
 	CRC     uint32
 
 	Sent sim.Time // injection timestamp (diagnostics)
+
+	// pool is the free list Release returns this descriptor to (nil for
+	// a descriptor built as a literal, which Release leaves to the GC)
+	// and free marks a descriptor sitting on it; buf is the pooled
+	// buffer behind Payload (nil when Payload is GC-owned).
+	pool *Pool
+	free bool
+	buf  *payload
 }
 
 // CollHdr is the collective sub-header carried by KindCollMcast and
-// KindCollComb packets. It is a value field so clonePacket's shallow
-// struct copy duplicates it safely.
+// KindCollComb packets. It is a value field so the struct copy in
+// Pool.Clone and Packet.CopyOut duplicates it safely.
 type CollHdr struct {
 	Ctx     int    // collective context id
 	Seq     uint64 // per-context (combine) or per-origin (mcast) sequence
@@ -137,6 +151,145 @@ func (p *Packet) Seal() { p.CRC = crc32.ChecksumIEEE(p.Payload) }
 // Verify reports whether the payload matches the stored CRC.
 func (p *Packet) Verify() bool { return crc32.ChecksumIEEE(p.Payload) == p.CRC }
 
+// payload is one pooled payload buffer. Every packet whose Payload
+// aliases b holds one of refs; the last Release returns it to pool.
+type payload struct {
+	b    []byte
+	refs int
+	pool *Pool
+}
+
+func (b *payload) ref() {
+	if b.refs <= 0 {
+		panic("fabric: reference to a released payload")
+	}
+	b.refs++
+}
+
+func (b *payload) unref() {
+	if b.refs <= 0 {
+		panic("fabric: payload released more often than referenced")
+	}
+	if b.refs--; b.refs == 0 {
+		b.pool.bufsOut--
+		b.pool.bufs = append(b.pool.bufs, b)
+	}
+}
+
+// Pool recycles packet descriptors and payload buffers for one
+// simulation (every endpoint of a Network shares its pool), so a packet
+// in steady state allocates nothing. The free lists are plain LIFO
+// slices: which object a Get returns depends only on the simulation's
+// own history, so allocation counts repeat exactly and two environments
+// in one process share nothing. A packet that is never released is
+// simply collected by the GC; a second Release of a descriptor, or of a
+// payload reference, panics.
+type Pool struct {
+	pkts []*Packet
+	bufs []*payload
+	// bufCap is the capacity new buffers get: the largest payload asked
+	// for so far, so that after warm-up every free buffer fits every
+	// request.
+	bufCap int
+
+	pktsOut, bufsOut int
+}
+
+// desc takes a descriptor off the free list, or makes one; the caller
+// overwrites its stale contents.
+func (pl *Pool) desc() *Packet {
+	pl.pktsOut++
+	if k := len(pl.pkts); k > 0 {
+		p := pl.pkts[k-1]
+		pl.pkts = pl.pkts[:k-1]
+		return p
+	}
+	return &Packet{}
+}
+
+// Get returns a zeroed descriptor owning a payload of n bytes (nil when
+// n is 0) whose contents are unspecified: the caller fills them.
+func (pl *Pool) Get(n int) *Packet {
+	p := pl.desc()
+	*p = Packet{pool: pl}
+	if n > 0 {
+		p.buf = pl.getBuf(n)
+		p.Payload = p.buf.b[:n]
+	}
+	return p
+}
+
+func (pl *Pool) getBuf(n int) *payload {
+	pl.bufsOut++
+	if n > pl.bufCap {
+		pl.bufCap = n
+	}
+	for k := len(pl.bufs); k > 0; k = len(pl.bufs) {
+		b := pl.bufs[k-1]
+		pl.bufs = pl.bufs[:k-1]
+		if cap(b.b) >= n {
+			b.refs = 1
+			return b
+		}
+		// Allocated before a larger payload was seen: leave it to the GC.
+	}
+	return &payload{b: make([]byte, pl.bufCap), refs: 1, pool: pl}
+}
+
+// Clone returns a descriptor from the pool that copies src's header and
+// shares its payload: by reference when the payload is pooled (the
+// clone holds its own reference), by plain aliasing when it is
+// GC-owned. This is how a packet is retransmitted or duplicated without
+// copying bytes.
+func (pl *Pool) Clone(src *Packet) *Packet {
+	c := pl.desc()
+	*c = *src
+	c.pool, c.free = pl, false
+	if c.buf != nil {
+		c.buf.ref()
+	}
+	return c
+}
+
+// InUse reports the descriptors and payload buffers taken from the pool
+// and not yet released — both zero when the simulation is quiescent,
+// which leak tests assert.
+func (pl *Pool) InUse() (descriptors, payloads int) { return pl.pktsOut, pl.bufsOut }
+
+// Release drops the packet's payload reference and returns a pooled
+// descriptor to its pool. Whoever takes a packet out of the fabric (the
+// receiving NIC, or the fabric itself when it drops one) releases it;
+// the packet must not be touched afterwards. Releasing a literal
+// &Packet{} is a no-op.
+func (p *Packet) Release() {
+	if p.buf != nil {
+		p.buf.unref()
+		p.buf, p.Payload = nil, nil
+	}
+	pl := p.pool
+	if pl == nil {
+		return
+	}
+	if p.free {
+		panic("fabric: packet released twice")
+	}
+	p.free = true
+	pl.pktsOut--
+	pl.pkts = append(pl.pkts, p)
+}
+
+// CopyOut returns a GC-owned copy of the packet that stays valid after
+// p is released: the header is copied; a GC-owned payload is shared, a
+// pooled one is copied.
+func (p *Packet) CopyOut() *Packet {
+	c := *p
+	c.pool, c.free, c.buf = nil, false, nil
+	if p.buf != nil {
+		c.Payload = append([]byte(nil), p.Payload...)
+	}
+	return &c
+}
+
 // Verdict is a fault hook's decision about one packet.
 type Verdict uint8
 
@@ -148,7 +301,10 @@ const (
 )
 
 // Fault is a fault-injection hook. It may mutate the packet (corrupt
-// bytes) and returns a verdict: deliver, drop, or duplicate.
+// bytes) and returns a verdict: deliver, drop, or duplicate. The fabric
+// hands the hook a packet that owns its payload — it copies a payload
+// anyone else still references before the call — so corruption reaches
+// the wire copy only, never a sender's retained retransmission bytes.
 //
 // The full fault vocabulary of the simulator (also listed by
 // `bclbench -list`) spans three mechanisms:
@@ -256,20 +412,27 @@ type Endpoint struct {
 	Node     int
 	RX       *sim.Queue[*Packet]
 	net      *Network
+	pool     *Pool
 	injectFn func(p *sim.Proc, pkt *Packet)
 }
 
 // NewInjectedEndpoint builds an endpoint whose injection path is
 // custom (composite fabrics use it to demultiplex across rails) and
-// whose RX queue is supplied by the caller.
-func NewInjectedEndpoint(node int, rx *sim.Queue[*Packet], inject func(p *sim.Proc, pkt *Packet)) *Endpoint {
-	return &Endpoint{Node: node, RX: rx, injectFn: inject}
+// whose RX queue and packet pool are supplied by the caller.
+func NewInjectedEndpoint(node int, rx *sim.Queue[*Packet], pool *Pool, inject func(p *sim.Proc, pkt *Packet)) *Endpoint {
+	return &Endpoint{Node: node, RX: rx, pool: pool, injectFn: inject}
 }
 
-// Inject sends pkt into the fabric. The calling process (the NIC send
-// engine) is occupied for the packet's serialization time on the
-// injection link — this is what limits a single sender's bandwidth —
-// after which the packet propagates through the route asynchronously.
+// Pool returns the packet pool the NIC on this endpoint builds its
+// packets from.
+func (ep *Endpoint) Pool() *Pool { return ep.pool }
+
+// Inject sends pkt into the fabric, which owns it from here on: it is
+// delivered to the destination's RX queue or released. The calling
+// process (the NIC send engine) is occupied for the packet's
+// serialization time on the injection link — this is what limits a
+// single sender's bandwidth — after which the packet propagates through
+// the route asynchronously.
 func (ep *Endpoint) Inject(p *sim.Proc, pkt *Packet) {
 	if ep.injectFn != nil {
 		ep.injectFn(p, pkt)
@@ -344,7 +507,6 @@ func slowAt(ws []slowdown, t sim.Time) int64 {
 type Network struct {
 	env       *sim.Env
 	name      string
-	pktName   string // name+"/pkt", the name of every per-packet process
 	wireRow   string // "wire:"+name, this fabric's trace row
 	obsLayer  string // "fabric:"+name, this fabric's metrics layer
 	endpoints []*Endpoint
@@ -352,6 +514,17 @@ type Network struct {
 	routes    map[[2]int][]int // (src,dst) -> link ids, including injection link
 	fault     Fault
 	tr        *trace.Tracer
+	pool      *Pool
+
+	// Packets past their injection link: a slab of in-flight records,
+	// the free slots in it, and the long-lived callbacks of the transit
+	// event chain (see launch), which carry a slot index in their a word.
+	flights     []flight
+	freeFlights []uint32
+	startFn     func(id, _ uint64)
+	hopFn       func(id, hop uint64)
+	grantFn     func(id, hop uint64)
+	releaseFn   func(link, _ uint64)
 
 	nodeOut map[int][]outage // per-node link outage windows
 	allOut  []outage         // whole-fabric (switch/rail) outage windows
@@ -376,16 +549,18 @@ func NewNetwork(env *sim.Env, name string, n int) *Network {
 	net := &Network{
 		env:      env,
 		name:     name,
-		pktName:  name + "/pkt",
 		wireRow:  "wire:" + name,
 		obsLayer: "fabric:" + name,
 		routes:   make(map[[2]int][]int),
+		pool:     &Pool{},
 	}
+	net.startFn, net.hopFn, net.grantFn, net.releaseFn = net.start, net.hop, net.grant, net.release
 	for i := 0; i < n; i++ {
 		net.endpoints = append(net.endpoints, &Endpoint{
 			Node: i,
 			RX:   sim.NewQueue[*Packet](env, fmt.Sprintf("%s/rx%d", name, i), 0),
 			net:  net,
+			pool: net.pool,
 		})
 	}
 	return net
@@ -557,13 +732,40 @@ func (n *Network) Duplicated() uint64 { return n.duplicated }
 // gray-failure (slow) window.
 func (n *Network) SlowedPkts() uint64 { return n.slowedPkts }
 
-// clonePacket copies a packet (own payload) for duplicate delivery.
-func clonePacket(pkt *Packet) *Packet {
-	c := *pkt
-	if len(pkt.Payload) > 0 {
-		c.Payload = append([]byte(nil), pkt.Payload...)
+// own gives pkt a payload nobody else references, so a fault hook may
+// corrupt it: a pooled buffer someone else also holds (the sender's
+// retransmit queue) is copied into a fresh one, and a GC-owned payload,
+// whose other holders are invisible, is always copied.
+func own(pkt *Packet) {
+	if len(pkt.Payload) == 0 {
+		return
 	}
-	return &c
+	old := pkt.buf
+	if old == nil {
+		pkt.Payload = append([]byte(nil), pkt.Payload...)
+		return
+	}
+	if old.refs > 1 {
+		pkt.buf = old.pool.getBuf(len(pkt.Payload))
+		pkt.Payload = pkt.buf.b[:copy(pkt.buf.b, pkt.Payload)]
+		old.unref()
+	}
+}
+
+// deliver posts pkt, and for a duplicated packet a second descriptor
+// sharing its payload, to the destination's RX queue.
+func (n *Network) deliver(pkt *Packet, dup bool) {
+	rx := n.endpoints[pkt.Dst].RX
+	n.delivered++
+	rx.Post(pkt)
+	if dup {
+		pl := pkt.pool
+		if pl == nil {
+			pl = n.pool
+		}
+		n.delivered++
+		rx.Post(pl.Clone(pkt))
+	}
 }
 
 // payInjection charges the caller the serialization time on the
@@ -583,11 +785,13 @@ func (n *Network) inject(p *sim.Proc, src int, pkt *Packet) {
 	t0 := pkt.Sent
 	dup := false
 	if n.fault != nil {
+		own(pkt)
 		switch n.fault(n.env, pkt) {
 		case Drop:
 			n.dropped++
 			n.payInjection(p, src, pkt)
 			n.traceWire(pkt, wireFaultDrop, t0, n.env.Now())
+			pkt.Release()
 			return
 		case Duplicate:
 			dup = true
@@ -599,12 +803,7 @@ func (n *Network) inject(p *sim.Proc, src int, pkt *Packet) {
 		panic(fmt.Sprintf("fabric %s: no route %d->%d", n.name, src, pkt.Dst))
 	}
 	if len(route) == 0 { // loopback: never touches the fabric
-		n.delivered++
-		n.endpoints[pkt.Dst].RX.Post(pkt)
-		if dup {
-			n.delivered++
-			n.endpoints[pkt.Dst].RX.Post(clonePacket(pkt))
-		}
+		n.deliver(pkt, dup)
 		return
 	}
 	// Outage: a packet leaving a downed attachment is lost at the first
@@ -614,6 +813,7 @@ func (n *Network) inject(p *sim.Proc, src int, pkt *Packet) {
 		n.outageDrops++
 		n.payInjection(p, src, pkt)
 		n.traceWire(pkt, wireOutageDrop, t0, n.env.Now())
+		pkt.Release()
 		return
 	}
 
@@ -632,38 +832,95 @@ func (n *Network) inject(p *sim.Proc, src int, pkt *Packet) {
 	p.Sleep(txTime)
 	first.res.Release(1)
 
-	// The head is now one hop in; ripple through the remaining links
-	// asynchronously (cut-through). Each link is held for the packet's
-	// serialization time on that link.
-	n.env.Go(n.pktName, func(fp *sim.Proc) {
-		fp.Sleep(first.lat * sim.Time(slow))
-		for _, id := range route[1:] {
-			l := n.links[id]
-			l.res.Acquire(fp, 1)
-			t := hw.TransferTime(pkt.WireSize(), l.bw) * sim.Time(slow)
-			// Hold the link for the tail to pass, but let the head
-			// proceed after the hop latency.
-			n.env.After(t, func() { l.res.Release(1) })
-			fp.Sleep(l.lat * sim.Time(slow))
-		}
-		// Outage: a packet arriving at a downed attachment is lost on
-		// the final hop.
-		if n.NodeDown(pkt.Dst) {
-			n.dropped++
-			n.outageDrops++
-			n.traceWire(pkt, wireOutageDrop, t0, fp.Now())
-			return
-		}
-		// With equal link bandwidths the tail follows the head
-		// continuously, so after the last hop latency the whole packet
-		// has arrived (its serialization was paid once, at injection).
-		n.delivered++
-		n.traceWire(pkt, wireDelivered, t0, fp.Now())
-		n.obs.Observe(-1, n.obsLayer, "wire_ns", int64(fp.Now()-t0))
-		n.endpoints[pkt.Dst].RX.Post(pkt)
-		if dup {
-			n.delivered++
-			n.endpoints[pkt.Dst].RX.Post(clonePacket(pkt))
-		}
-	})
+	// The head is now one hop in; the rest of the route is travelled
+	// asynchronously (cut-through).
+	n.launch(flight{pkt: pkt, route: route, t0: t0, slow: sim.Time(slow), dup: dup})
+}
+
+// flight is one packet between its injection link and its destination.
+type flight struct {
+	pkt   *Packet
+	route []int
+	t0    sim.Time // injection instant
+	slow  sim.Time // gray-failure factor sampled at injection
+	dup   bool     // the fault hook asked for a second delivery
+}
+
+// launch starts a packet's transit as a chain of events, each scheduled
+// exactly where a per-packet process would have been woken:
+//
+//	start  now                 books the first hop
+//	hop    +first-link latency the head reaches the next link: acquire
+//	                           it (queueing behind earlier packets, and
+//	                           then resuming from one grant event)
+//	grant                      book the link's release at +serialization
+//	                           and the next hop at +link latency
+//	hop    ...                 with no link left: outage check, deliver
+//
+// No event is merged or dropped, the start event included although it
+// only books the next: event count and sequence numbers are the model
+// clock's contract (Env.Steps, and through it every baseline).
+func (n *Network) launch(f flight) {
+	var id uint32
+	if k := len(n.freeFlights); k > 0 {
+		id = n.freeFlights[k-1]
+		n.freeFlights = n.freeFlights[:k-1]
+	} else {
+		id = uint32(len(n.flights))
+		n.flights = append(n.flights, flight{})
+	}
+	n.flights[id] = f
+	n.env.AtArg(n.env.Now(), n.startFn, uint64(id), 0)
+}
+
+func (n *Network) start(id, _ uint64) {
+	f := &n.flights[id]
+	n.env.AtArg(n.env.Now()+n.links[f.route[0]].lat*f.slow, n.hopFn, id, 1)
+}
+
+func (n *Network) hop(id, hop uint64) {
+	f := &n.flights[id]
+	if int(hop) == len(f.route) {
+		n.arrive(uint32(id))
+		return
+	}
+	if n.links[f.route[hop]].res.AcquireFn(1, n.grantFn, id, hop) {
+		n.grant(id, hop)
+	}
+}
+
+func (n *Network) grant(id, hop uint64) {
+	f := &n.flights[id]
+	link := f.route[hop]
+	l := n.links[link]
+	now := n.env.Now()
+	// Hold the link for the tail to pass, but let the head proceed after
+	// the hop latency.
+	n.env.AtArg(now+hw.TransferTime(f.pkt.WireSize(), l.bw)*f.slow, n.releaseFn, uint64(link), 0)
+	n.env.AtArg(now+l.lat*f.slow, n.hopFn, id, hop+1)
+}
+
+func (n *Network) release(link, _ uint64) { n.links[link].res.Release(1) }
+
+// arrive ends a transit: the head is through the last link.
+func (n *Network) arrive(id uint32) {
+	f := n.flights[id]
+	n.flights[id] = flight{}
+	n.freeFlights = append(n.freeFlights, id)
+	pkt, now := f.pkt, n.env.Now()
+	// Outage: a packet arriving at a downed attachment is lost on the
+	// final hop.
+	if n.NodeDown(pkt.Dst) {
+		n.dropped++
+		n.outageDrops++
+		n.traceWire(pkt, wireOutageDrop, f.t0, now)
+		pkt.Release()
+		return
+	}
+	// With equal link bandwidths the tail follows the head continuously,
+	// so after the last hop latency the whole packet has arrived (its
+	// serialization was paid once, at injection).
+	n.traceWire(pkt, wireDelivered, f.t0, now)
+	n.obs.Observe(-1, n.obsLayer, "wire_ns", int64(now-f.t0))
+	n.deliver(pkt, f.dup)
 }

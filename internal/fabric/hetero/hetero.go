@@ -105,9 +105,10 @@ func New(env *sim.Env, prof *hw.Profile, n int, policy Policy) *Fabric {
 }
 
 // newEndpoint builds the composite endpoint for a node. It reuses the
-// merged RX queue created in New.
+// merged RX queue created in New; packets for either rail are built
+// from rail 0's pool.
 func (f *Fabric) newEndpoint(node int) *fabric.Endpoint {
-	return fabric.NewInjectedEndpoint(node, f.merged[node], func(p *sim.Proc, pkt *fabric.Packet) {
+	return fabric.NewInjectedEndpoint(node, f.merged[node], f.rails[0].Attach(node).Pool(), func(p *sim.Proc, pkt *fabric.Packet) {
 		rail := f.policy(node, pkt.Dst)
 		if rail < 0 || rail > 1 {
 			panic(fmt.Sprintf("hetero: policy returned rail %d", rail))

@@ -194,6 +194,13 @@ func TestOffloadBcastReduceAllreduce(t *testing.T) {
 	if snap.SumCounter("nic", "coll_mcasts") == 0 || snap.SumCounter("nic", "coll_combines") == 0 {
 		t.Fatal("collectives did not use the NIC offload path")
 	}
+	// Pool balance at quiesce: the collective engine keeps GC-owned
+	// copies, so every pooled descriptor and payload is back. (SRAM is
+	// not asserted: the engine never frees a non-release combine's state
+	// on the non-root members, which is outside the packet path.)
+	if descs, bufs := c.Nodes[0].NIC.PoolInUse(); descs != 0 || bufs != 0 {
+		t.Errorf("packet pool not balanced: %d descriptors, %d payloads outstanding", descs, bufs)
+	}
 }
 
 // TestOffloadFaultDropDup drops and duplicates collective packets in

@@ -259,13 +259,19 @@ func (n *NIC) collEngine(p *sim.Proc) {
 			if j.sram > 0 {
 				n.sram.Release(j.sram)
 			}
+			if j.kind == collJobPkt {
+				j.pkt.Release()
+			}
 			continue
 		}
 		switch j.kind {
 		case collJobLocal:
 			n.collLocal(p, j)
 		case collJobPkt:
+			// Whatever the engine keeps of the packet (a forward down the
+			// tree) is a CopyOut, so the wire descriptor ends here.
 			n.collPacket(p, j.pkt)
+			j.pkt.Release()
 		case collJobRetry:
 			n.collRetry(p, j)
 		case collJobFail:
@@ -281,7 +287,9 @@ func (n *NIC) collEngine(p *sim.Proc) {
 
 // handleCollPkt runs in the receive engine: CRC and go-back-N
 // discipline exactly like data traffic, then hand off to the engine.
-func (n *NIC) handleCollPkt(p *sim.Proc, pkt *fabric.Packet) {
+// It reports whether the packet was handed off (the engine then owns
+// it) or dropped.
+func (n *NIC) handleCollPkt(p *sim.Proc, pkt *fabric.Packet) bool {
 	n.Tracer.DoFlow(p, "nic: coll recv", n.where(), pkt.Trace, func() {
 		n.cpu.Use(p, 1, n.collProc())
 	})
@@ -289,27 +297,28 @@ func (n *NIC) handleCollPkt(p *sim.Proc, pkt *fabric.Packet) {
 		n.stats.CRCDrops++
 		n.Obs.Event(n.env.Now(), n.node, "nic", "crc-drop", pkt.Trace,
 			fmt.Sprintf("src=%d seq=%d coll", pkt.Src, pkt.Seq))
-		return
+		return false
 	}
 	f := n.flowFrom(pkt.Src)
 	if n.cfg.Reliable {
 		if !n.rxEpochAdmit(pkt, f) {
-			return
+			return false
 		}
 		if pkt.Seq < f.expect {
 			n.stats.SeqDrops++
 			n.sendAck(p, pkt.Src, f.expect-1)
-			return
+			return false
 		}
 		if pkt.Seq > f.expect {
 			n.stats.SeqDrops++
 			n.maybeResync(p, f)
-			return
+			return false
 		}
 		f.expect++
 		n.sendAck(p, pkt.Src, pkt.Seq)
 	}
 	n.collQ.Post(collJob{kind: collJobPkt, pkt: pkt, epoch: n.bootEpoch})
+	return true
 }
 
 // ----------------------------------------------------------- local ops
@@ -670,7 +679,7 @@ func (n *NIC) collFail(p *sim.Proc, j collJob) {
 	pkt := j.pkt
 	n.stats.CollReparents++
 	n.collNoteReparent(pkt.Trace, ctx.ID, j.member)
-	pkt = clonePkt(pkt)
+	pkt = pkt.CopyOut()
 	pkt.Coll.Dead |= coll.Bit(j.member)
 	if pkt.Kind == fabric.KindCollComb {
 		// Upward path: re-route the aggregate to the next live ancestor.
@@ -726,7 +735,7 @@ func (n *NIC) collFanout(p *sim.Proc, ctx *CollCtx, proto *fabric.Packet, member
 		}
 		if proto.Coll.Dead&coll.Bit(m) != 0 || !n.PeerHealthy(ctx.Nodes[m]) {
 			// Known-dead member: adopt its children immediately.
-			pkt := clonePkt(proto)
+			pkt := proto.CopyOut()
 			if pkt.Coll.Dead&coll.Bit(m) == 0 {
 				pkt.Coll.Dead |= coll.Bit(m)
 				n.stats.CollReparents++
@@ -744,19 +753,15 @@ func (n *NIC) collFanout(p *sim.Proc, ctx *CollCtx, proto *fabric.Packet, member
 	}
 }
 
-// clonePkt copies a packet header; the payload slice is shared (the
-// engine never mutates payloads once they are on a packet).
-func clonePkt(pkt *fabric.Packet) *fabric.Packet {
-	c := *pkt
-	return &c
-}
-
 // collSend transmits one collective packet to a member over the
 // reliable flow, retaining it for retransmission like any message. A
-// flow failure reparents instead of surfacing a host event.
+// flow failure reparents instead of surfacing a host event. What is
+// retained is a GC-owned copy of proto's header sharing its payload
+// (the engine never mutates a payload once it is on a packet), so it
+// outlives the pooled wire packet proto may be.
 func (n *NIC) collSend(p *sim.Proc, ctx *CollCtx, m int, proto *fabric.Packet) {
 	node := ctx.Nodes[m]
-	pkt := clonePkt(proto)
+	pkt := proto.CopyOut()
 	pkt.Src = n.node
 	pkt.Dst = node
 	pkt.SrcPort = ctx.Ports[ctx.Me]

@@ -55,6 +55,7 @@ func TestDuplicateDeliveredExactlyOnce(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted under duplication")
 	}
+	r.assertDrained(t)
 }
 
 // TestRetransmitBackoffEscalates blackholes all data packets and

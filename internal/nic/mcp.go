@@ -28,8 +28,10 @@ import (
 // resource, so send and receive traffic genuinely contend on the card.
 
 // pending is an unacknowledged transmitted packet retained for
-// retransmission. pkt holds the pristine payload; wire copies are
-// cloned so that in-fabric corruption cannot damage the retained copy.
+// retransmission. pkt is the pristine descriptor; every transmission
+// puts a pool clone of it on the wire, which shares the payload by
+// reference (a fault hook corrupts a private copy, see fabric.Fault),
+// so in-fabric corruption cannot damage the retained bytes.
 type pending struct {
 	pkt      *fabric.Packet
 	desc     *SendDesc
@@ -39,14 +41,71 @@ type pending struct {
 	retx     bool     // retransmitted at least once (Karn: never sample)
 }
 
+// ring is a growable FIFO over a power-of-two circular buffer: the
+// send rings' descriptor queues and the flows' retransmit queues. Once
+// grown to its working size it never allocates, and a popped slot is
+// cleared, so the ring keeps nothing it no longer holds reachable.
+// Entries are numbered by an absolute index that only grows, so a loop
+// that blocks between entries (a retransmit round, failure delivery)
+// can tell whether the entry it is about to touch is still queued.
+type ring[T any] struct {
+	slots []T
+	head  uint64 // absolute index of the oldest entry
+	n     int
+}
+
+func (r *ring[T]) len() int { return r.n }
+
+func (r *ring[T]) slot(abs uint64) *T { return &r.slots[abs&uint64(len(r.slots)-1)] }
+
+// at returns the i-th oldest entry, which must exist.
+func (r *ring[T]) at(i int) *T { return r.slot(r.head + uint64(i)) }
+
+// live returns the entry with absolute index abs, or nil once it has
+// been popped.
+func (r *ring[T]) live(abs uint64) *T {
+	if abs < r.head || abs >= r.head+uint64(r.n) {
+		return nil
+	}
+	return r.slot(abs)
+}
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.slots) {
+		old := *r
+		r.slots = make([]T, max(2*len(old.slots), 4))
+		for i := 0; i < r.n; i++ {
+			*r.at(i) = *old.at(i)
+		}
+	}
+	r.n++
+	*r.at(r.n - 1) = v
+}
+
+// pop removes and returns the oldest entry, which must exist.
+func (r *ring[T]) pop() T {
+	var zero T
+	slot := r.at(0)
+	v := *slot
+	*slot = zero
+	r.head++
+	r.n--
+	return v
+}
+
 // txFlow is the sender-side reliability state toward one remote node.
 type txFlow struct {
 	dst     int
 	nextSeq uint64
-	unacked []*pending
+	unacked ring[pending] // at most Config.Window packets, oldest first
 	retries int
 	timer   sim.Timer
 	window  *sim.Cond
+
+	// Timer callbacks, built once per flow so arming a timer (once per
+	// ACK) allocates nothing: onTimer queues a retransmit round, onProbe
+	// the next liveness probe, onGray ends a rail-steering hold.
+	onTimer, onProbe, onGray func()
 
 	// Peer-health state machine: Up -> Suspect on the first retransmit
 	// round, Suspect -> Dead on retry exhaustion, Dead -> Probing once
@@ -120,6 +179,15 @@ func (n *NIC) flowTo(dst int) *txFlow {
 	f, ok := n.tx[dst]
 	if !ok {
 		f = &txFlow{dst: dst, window: sim.NewCond(n.env)}
+		f.onTimer = func() {
+			f.timer = sim.Timer{}
+			n.retxQ.Post(f)
+		}
+		f.onProbe = func() {
+			f.probeTimer = sim.Timer{}
+			n.retxQ.Post(f)
+		}
+		f.onGray = func() { n.grayRestore(f) }
 		n.tx[dst] = f
 	}
 	return f
@@ -145,11 +213,22 @@ type fetchJob struct {
 	desc     *SendDesc
 	fragIdx  int
 	frags    int
-	payload  []byte
+	pkt      *fabric.Packet // pooled descriptor holding the fetched payload; nil for a read request or a failed fetch
 	sram     int
 	lastFrag bool
 	err      error
 	epoch    uint32 // boot epoch the fragment was staged under
+}
+
+// dropJob releases what a staged fragment holds when the injector
+// discards it.
+func (n *NIC) dropJob(j fetchJob) {
+	if j.sram > 0 {
+		n.sram.Release(j.sram)
+	}
+	if j.pkt != nil {
+		j.pkt.Release()
+	}
 }
 
 func (n *NIC) sendEngine(p *sim.Proc) {
@@ -186,14 +265,17 @@ func (n *NIC) sendEngine(p *sim.Proc) {
 		if hi < lo {
 			hi = lo
 		}
-		buf, err := n.fetchRange(p, d, lo, hi-lo)
-		sram := len(buf)
+		pkt, err := n.fetchRange(p, d, lo, hi-lo)
+		sram := 0
+		if pkt != nil {
+			sram = len(pkt.Payload)
+		}
 		if sram > 0 {
 			n.sram.Acquire(p, sram)
 		}
 		last := idx == r.frags-1
 		n.fetchQ.Send(p, fetchJob{
-			desc: d, fragIdx: idx, frags: r.frags, payload: buf,
+			desc: d, fragIdx: idx, frags: r.frags, pkt: pkt,
 			sram: sram, lastFrag: last, err: err, epoch: epoch,
 		})
 		if err != nil || last {
@@ -227,8 +309,7 @@ func (n *NIC) nextFrag(p *sim.Proc) (*sendRing, *SendDesc, int) {
 			continue
 		}
 		if r.cur == nil {
-			r.cur = r.q[0]
-			r.q = r.q[1:]
+			r.cur = r.q.pop()
 			r.fragIdx = 0
 			r.frags = 1
 			if r.cur.Kind != DescRMARead {
@@ -262,12 +343,12 @@ func (n *NIC) pickFIFO() *sendRing {
 		if r.cur != nil {
 			return r
 		}
-		if len(r.q) == 0 {
+		if r.q.len() == 0 {
 			continue
 		}
-		if best == nil || r.q[0].arrival < bestSeq {
+		if arrival := (*r.q.at(0)).arrival; best == nil || arrival < bestSeq {
 			best = r
-			bestSeq = r.q[0].arrival
+			bestSeq = arrival
 		}
 	}
 	return best
@@ -307,59 +388,49 @@ func (n *NIC) injectEngine(p *sim.Proc) {
 			// Staged under a boot epoch that has since crashed: the
 			// fragment's SRAM was already wiped conceptually; the kernel
 			// journal replay re-issues the message if it still matters.
-			if j.sram > 0 {
-				n.sram.Release(j.sram)
-			}
+			n.dropJob(j)
 			continue
 		}
 		if j.err != nil {
 			// Bad host descriptor (fault/unpinned). Surface a send
 			// failure; the kernel path validates before posting, so
 			// this fires mainly for the user-level architecture.
-			if j.sram > 0 {
-				n.sram.Release(j.sram)
-			}
+			n.dropJob(j)
 			skipMsg = d.MsgID
 			n.failMessage(p, d)
 			continue
 		}
 		if d.MsgID == skipMsg && d.MsgID != 0 {
-			if j.sram > 0 {
-				n.sram.Release(j.sram)
-			}
+			n.dropJob(j)
 			continue
 		}
 		if d.Kind == DescCollMcast || d.Kind == DescCollComb {
 			if j.fragIdx != 0 {
 				// Collective payloads are single-packet by contract (the
 				// library validates); drop stray fragments defensively.
-				if j.sram > 0 {
-					n.sram.Release(j.sram)
-				}
+				n.dropJob(j)
 				continue
 			}
 			// Hand the staged payload (and its SRAM accounting) to the
 			// collective engine: from here on the message fans out over
-			// the tree without re-touching host memory.
-			n.collQ.Post(collJob{kind: collJobLocal, desc: d, payload: j.payload, sram: j.sram, epoch: n.bootEpoch})
+			// the tree without re-touching host memory. The engine keeps
+			// and shares payloads for as long as a collective runs, so it
+			// gets a GC-owned copy, not the pooled buffer.
+			payload := append([]byte(nil), j.pkt.Payload...)
+			j.pkt.Release()
+			n.collQ.Post(collJob{kind: collJobLocal, desc: d, payload: payload, sram: j.sram, epoch: n.bootEpoch})
 			continue
 		}
 		flow := n.flowTo(d.DstNode)
+		pkt := j.pkt
 		if d.Kind == DescRMARead {
 			n.cpu.Use(p, 1, n.prof.MCPSendProc)
-			pkt := &fabric.Packet{
-				Kind: fabric.KindRMARead, Src: n.node, Dst: d.DstNode,
-				SrcPort: d.SrcPort, DstPort: d.DstPort, Channel: d.Channel,
-				MsgID: d.MsgID, Frags: 1, MsgLen: d.Len, Offset: d.Offset,
-				Tag: uint64(d.ReplyChannel), Trace: d.Trace, Born: d.Born,
-			}
-			pkt.Seal()
+			pkt = n.pool.Get(0)
+			pkt.Kind, pkt.Frags, pkt.Offset = fabric.KindRMARead, 1, d.Offset
+			pkt.Tag = uint64(d.ReplyChannel)
+			n.stamp(pkt, d)
 			n.transmit(p, flow, pkt, d, true, 0)
 			continue
-		}
-		kind := fabric.KindData
-		if d.Kind == DescRMAWrite {
-			kind = fabric.KindRMAWrite
 		}
 		cost := n.prof.MCPPacketProc
 		stage := "nic: packet processing"
@@ -368,57 +439,73 @@ func (n *NIC) injectEngine(p *sim.Proc) {
 			stage = "nic: send proc (reliable protocol)"
 		}
 		n.Tracer.DoFlow(p, stage, n.where(), d.Trace, func() { n.cpu.Use(p, 1, cost) })
-		pkt := &fabric.Packet{
-			Kind: kind, Src: n.node, Dst: d.DstNode,
-			SrcPort: d.SrcPort, DstPort: d.DstPort, Channel: d.Channel,
-			MsgID: d.MsgID, FragIdx: j.fragIdx, Frags: j.frags, MsgLen: d.Len,
-			Offset: d.Offset + j.fragIdx*n.prof.MaxPacket, Tag: d.Tag,
-			Payload: j.payload, Trace: d.Trace, Born: d.Born,
+		pkt.Kind = fabric.KindData
+		if d.Kind == DescRMAWrite {
+			pkt.Kind = fabric.KindRMAWrite
 		}
-		pkt.Seal()
+		pkt.FragIdx, pkt.Frags = j.fragIdx, j.frags
+		pkt.Offset = d.Offset + j.fragIdx*n.prof.MaxPacket
+		pkt.Tag = d.Tag
+		n.stamp(pkt, d)
 		n.Tracer.DoFlow(p, "nic: inject to network", n.where(), d.Trace, func() {
 			n.transmit(p, flow, pkt, d, j.lastFrag, j.sram)
 		})
 	}
 }
 
+// stamp fills in the header fields every packet of a message takes
+// from its descriptor and seals the CRC — once: clones carry it.
+func (n *NIC) stamp(pkt *fabric.Packet, d *SendDesc) {
+	pkt.Src, pkt.Dst = n.node, d.DstNode
+	pkt.SrcPort, pkt.DstPort, pkt.Channel = d.SrcPort, d.DstPort, d.Channel
+	pkt.MsgID, pkt.MsgLen = d.MsgID, d.Len
+	pkt.Trace, pkt.Born = d.Trace, d.Born
+	pkt.Seal()
+}
+
 // fetchRange DMAs [lo, lo+ln) of the descriptor's buffer from host
-// memory into a fresh NIC buffer, charging bus time (and, in
-// NIC-translated mode, translation cache costs).
-func (n *NIC) fetchRange(p *sim.Proc, d *SendDesc, lo, ln int) ([]byte, error) {
+// memory into the payload of a pooled packet — the buffer the bytes
+// stay in until the receiving NIC has DMAed them out — charging bus
+// time (and, in NIC-translated mode, translation cache costs).
+func (n *NIC) fetchRange(p *sim.Proc, d *SendDesc, lo, ln int) (*fabric.Packet, error) {
+	pkt := n.pool.Get(ln)
 	if ln == 0 {
-		return nil, nil
+		return pkt, nil
 	}
-	buf := make([]byte, ln)
-	segs, err := n.resolve(p, d.Segs, d.VA, d.Space, lo, ln)
+	segs, err := n.resolve(p, &n.fetchSegs, d.Segs, d.VA, d.Space, lo, ln)
 	if err != nil {
+		pkt.Release()
 		return nil, err
 	}
 	dmaStart := p.Now()
 	done := 0
 	for _, s := range segs {
 		n.busDMA(p, s.Len)
-		if err := n.hmem.DMARead(s.Phys, buf[done:done+s.Len]); err != nil {
+		if err := n.hmem.DMARead(s.Phys, pkt.Payload[done:done+s.Len]); err != nil {
+			pkt.Release()
 			return nil, err
 		}
 		done += s.Len
 	}
 	n.Tracer.AddFlow("nic: host DMA fetch", n.where(), d.Trace, dmaStart, p.Now())
-	return buf, nil
+	return pkt, nil
 }
 
 // resolve produces the physical segments for byte range [lo, lo+ln) of
 // a buffer, either by slicing the host-translated scatter/gather list
-// or by translating on the card.
-func (n *NIC) resolve(p *sim.Proc, segs []mem.Segment, va mem.VAddr, space *mem.AddrSpace, lo, ln int) ([]mem.Segment, error) {
+// or by translating on the card. The result lives in *scratch, the
+// calling engine's own slice, until that engine's next resolve.
+func (n *NIC) resolve(p *sim.Proc, scratch *[]mem.Segment, segs []mem.Segment, va mem.VAddr, space *mem.AddrSpace, lo, ln int) ([]mem.Segment, error) {
+	out := (*scratch)[:0]
 	if n.cfg.Translate == HostTranslated || segs != nil {
-		return sliceSegs(segs, lo, ln), nil
+		out = appendSegs(out, segs, lo, ln)
+		*scratch = out
+		return out, nil
 	}
 	if space == nil {
 		return nil, fmt.Errorf("nic%d: NIC-translated descriptor without address space", n.node)
 	}
 	pageSize := int64(space.Mem().PageSize())
-	var out []mem.Segment
 	addr := int64(va) + int64(lo)
 	left := ln
 	for left > 0 {
@@ -443,13 +530,19 @@ func (n *NIC) resolve(p *sim.Proc, segs []mem.Segment, va mem.VAddr, space *mem.
 		addr += int64(chunk)
 		left -= chunk
 	}
+	*scratch = out
 	return out, nil
 }
 
 // sliceSegs cuts the byte range [lo, lo+ln) out of a scatter/gather
-// list.
+// list into a fresh slice.
 func sliceSegs(segs []mem.Segment, lo, ln int) []mem.Segment {
-	var out []mem.Segment
+	return appendSegs(nil, segs, lo, ln)
+}
+
+// appendSegs appends the byte range [lo, lo+ln) of a scatter/gather
+// list to out.
+func appendSegs(out, segs []mem.Segment, lo, ln int) []mem.Segment {
 	pos := 0
 	for _, s := range segs {
 		if ln <= 0 {
@@ -476,7 +569,9 @@ func sliceSegs(segs []mem.Segment, lo, ln int) []mem.Segment {
 	return out
 }
 
-// transmit runs the reliability window and injects the packet.
+// transmit runs the reliability window and injects the packet. It
+// takes over pkt: the flow's retransmit queue keeps it until the ACK,
+// and every path that does not queue it releases it.
 func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDesc, lastFrag bool, sram int) {
 	pkt.Epoch = n.bootEpoch
 	if !n.cfg.Reliable {
@@ -493,7 +588,7 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 		}
 		return
 	}
-	for len(flow.unacked) >= n.cfg.Window {
+	for flow.unacked.len() >= n.cfg.Window {
 		flow.window.Wait(p)
 		if n.tx[d.DstNode] != flow {
 			// The firmware rebooted while we waited for window space:
@@ -502,6 +597,7 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 			if sram > 0 {
 				n.sram.Release(sram)
 			}
+			pkt.Release()
 			return
 		}
 	}
@@ -519,6 +615,7 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 				n.failMessage(p, d)
 			}
 		}
+		pkt.Release()
 		return
 	}
 	if flow.health == PeerDead || flow.health == PeerProbing {
@@ -538,6 +635,7 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 			}
 			flow.failed[pkt.MsgID] = false // report deferred to lastFrag
 		}
+		pkt.Release()
 		return
 	}
 	// Track the message for rewind replay, on fragment zero only: a
@@ -555,13 +653,13 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 	}
 	pkt.Seq = flow.nextSeq
 	flow.nextSeq++
-	flow.unacked = append(flow.unacked, &pending{
+	flow.unacked.push(pending{
 		pkt: pkt, desc: d, lastFrag: lastFrag, sram: sram, sentAt: p.Now(),
 	})
 	if flow.timer == (sim.Timer{}) {
 		n.armTimer(flow)
 	}
-	n.inject(p, wireCopy(pkt))
+	n.inject(p, n.pool.Clone(pkt))
 }
 
 // inject pushes one packet into the fabric, counting it.
@@ -571,22 +669,9 @@ func (n *NIC) inject(p *sim.Proc, pkt *fabric.Packet) {
 	n.ep.Inject(p, pkt)
 }
 
-// wireCopy clones a packet so in-fabric corruption cannot reach the
-// retained retransmission copy.
-func wireCopy(pkt *fabric.Packet) *fabric.Packet {
-	c := *pkt
-	if len(pkt.Payload) > 0 {
-		c.Payload = append([]byte(nil), pkt.Payload...)
-	}
-	return &c
-}
-
 func (n *NIC) armTimer(f *txFlow) {
 	f.timer.Cancel()
-	f.timer = n.env.After(n.retxDelay(f), func() {
-		f.timer = sim.Timer{}
-		n.retxQ.Post(f)
-	})
+	f.timer = n.env.After(n.retxDelay(f), f.onTimer)
 }
 
 // retxDelay is the adaptive retransmit timeout: the base value for the
@@ -653,6 +738,18 @@ func (n *NIC) probeInterval() sim.Time {
 
 func (n *NIC) wakeWindow(f *txFlow) { f.window.Broadcast() }
 
+// wipeUnacked empties a flow's retransmit queue, returning the SRAM and
+// the packets it holds.
+func (n *NIC) wipeUnacked(f *txFlow) {
+	for f.unacked.len() > 0 {
+		pd := f.unacked.pop()
+		if pd.sram > 0 {
+			n.sram.Release(pd.sram)
+		}
+		pd.pkt.Release()
+	}
+}
+
 // ---------------------------------------------------------- retransmit
 
 func (n *NIC) retxEngine(p *sim.Proc) {
@@ -669,7 +766,7 @@ func (n *NIC) retxEngine(p *sim.Proc) {
 			n.sendProbe(p, f)
 			continue
 		}
-		if len(f.unacked) == 0 {
+		if f.unacked.len() == 0 {
 			continue
 		}
 		f.retries++
@@ -688,19 +785,32 @@ func (n *NIC) retxEngine(p *sim.Proc) {
 			// every packet gets retransmitted before its ACK lands, no
 			// sample is ever clean, and the RTO can never learn an RTT
 			// above its current value.
-			n.rttSample(f, n.env.Now()-f.unacked[0].sentAt)
+			n.rttSample(f, n.env.Now()-f.unacked.at(0).sentAt)
 		}
 		n.Obs.Event(n.env.Now(), n.node, "nic", "retx-round",
-			f.unacked[0].pkt.Trace,
-			fmt.Sprintf("dst=%d round=%d pkts=%d", f.dst, f.retries, len(f.unacked)))
-		for _, pd := range f.unacked {
-			pd.retx = true // Karn's rule: an ambiguous ACK never samples
-			n.Tracer.DoFlow(p, "nic: retransmit", n.where(), pd.pkt.Trace, func() {
+			f.unacked.at(0).pkt.Trace,
+			fmt.Sprintf("dst=%d round=%d pkts=%d", f.dst, f.retries, f.unacked.len()))
+		// The round is the window as it stands now: every packet in it
+		// goes out again even if its ACK lands while an earlier one is
+		// being injected. Cloning up front takes the payload references
+		// that keep those bytes alive past such an ACK.
+		first := f.unacked.head
+		round := n.retxRound[:0]
+		for i := 0; i < f.unacked.len(); i++ {
+			round = append(round, n.pool.Clone(f.unacked.at(i).pkt))
+		}
+		for i, wire := range round {
+			if pd := f.unacked.live(first + uint64(i)); pd != nil {
+				pd.retx = true // Karn's rule: an ambiguous ACK never samples
+			}
+			n.Tracer.DoFlow(p, "nic: retransmit", n.where(), wire.Trace, func() {
 				n.cpu.Use(p, 1, n.prof.MCPPacketProc)
 				n.stats.Retransmits++
-				n.inject(p, wireCopy(pd.pkt))
+				n.inject(p, wire)
 			})
+			round[i] = nil
 		}
+		n.retxRound = round[:0]
 		n.armTimer(f)
 	}
 }
@@ -713,38 +823,49 @@ func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
 		f.failed = make(map[uint64]bool)
 	}
 	complete := make(map[uint64]bool) // lastFrag in window: no trailing frags coming
-	for _, pd := range f.unacked {
-		if pd.lastFrag {
+	first, count := f.unacked.head, f.unacked.len()
+	for i := 0; i < count; i++ {
+		if pd := f.unacked.at(i); pd.lastFrag {
 			complete[pd.pkt.MsgID] = true
 		}
 	}
 	seen := make(map[uint64]bool)
-	for _, pd := range f.unacked {
+	for i := 0; i < count; i++ {
+		// Delivering a failure event blocks, and the window stays queued
+		// meanwhile (so the injector keeps seeing it full): an entry an
+		// ACK retired in that time is skipped, and the fields used after
+		// a blocking call are copied out first.
+		pd := f.unacked.live(first + uint64(i))
+		if pd == nil {
+			continue
+		}
 		if pd.sram > 0 {
 			n.sram.Release(pd.sram)
+			pd.sram = 0
 		}
-		n.retireSend(f, pd.pkt.MsgID) // abandoned: the journal forgets it
-		if pd.desc.OnFail != nil {
+		d, msgID, traceID := pd.desc, pd.pkt.MsgID, pd.pkt.Trace
+		n.retireSend(f, msgID) // abandoned: the journal forgets it
+		if d.OnFail != nil {
 			// Collective forwards: the engine reparents the branch
 			// instead of surfacing a host event.
-			if !seen[pd.pkt.MsgID] {
-				seen[pd.pkt.MsgID] = true
-				pd.desc.OnFail()
+			if !seen[msgID] {
+				seen[msgID] = true
+				d.OnFail()
 			}
 			continue
 		}
-		if !seen[pd.pkt.MsgID] && !pd.desc.NoEvent {
-			seen[pd.pkt.MsgID] = true
-			if !complete[pd.pkt.MsgID] {
-				f.failed[pd.pkt.MsgID] = true // already reported here
+		if !seen[msgID] && !d.NoEvent {
+			seen[msgID] = true
+			if !complete[msgID] {
+				f.failed[msgID] = true // already reported here
 			}
 			n.stats.SendFailures++
-			n.Obs.Event(n.env.Now(), n.node, "nic", "send-failed", pd.pkt.Trace,
-				fmt.Sprintf("dst=%d msg=%d retries exhausted", f.dst, pd.pkt.MsgID))
-			n.postEvent(p, pd.desc.SrcPort, EvSendFailed, pd.desc, 0)
+			n.Obs.Event(n.env.Now(), n.node, "nic", "send-failed", traceID,
+				fmt.Sprintf("dst=%d msg=%d retries exhausted", f.dst, msgID))
+			n.postEvent(p, d.SrcPort, EvSendFailed, d, 0)
 		}
 	}
-	f.unacked = nil
+	n.wipeUnacked(f)
 	f.retries = 0
 	f.timer.Cancel()
 	f.timer = sim.Timer{}
@@ -762,10 +883,7 @@ func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
 // armProbe schedules the next liveness probe toward a dead peer.
 func (n *NIC) armProbe(f *txFlow) {
 	f.probeTimer.Cancel()
-	f.probeTimer = n.env.After(n.probeInterval(), func() {
-		f.probeTimer = sim.Timer{}
-		n.retxQ.Post(f)
-	})
+	f.probeTimer = n.env.After(n.probeInterval(), f.onProbe)
 }
 
 // sendProbe injects one liveness probe and re-arms the probe timer.
@@ -774,9 +892,7 @@ func (n *NIC) sendProbe(p *sim.Proc, f *txFlow) {
 	n.cpu.Use(p, 1, n.prof.MCPAckProc)
 	n.stats.Probes++
 	n.Obs.Event(n.env.Now(), n.node, "nic", "probe", 0, fmt.Sprintf("dst=%d", f.dst))
-	pb := &fabric.Packet{Kind: fabric.KindProbe, Src: n.node, Dst: f.dst}
-	pb.Seal()
-	n.ep.Inject(p, pb)
+	n.ep.Inject(p, n.control(fabric.KindProbe, f.dst, 0, 0))
 	n.armProbe(f)
 }
 
@@ -821,6 +937,7 @@ func (n *NIC) recvEngine(p *sim.Proc) {
 			// Crashed firmware receives nothing; the wire drains into
 			// the void and senders' timers recover after the reboot.
 			n.stats.DeadDrops++
+			pkt.Release()
 			continue
 		}
 		n.stats.PacketsRecv++
@@ -838,10 +955,15 @@ func (n *NIC) recvEngine(p *sim.Proc) {
 		case fabric.KindData, fabric.KindRMAWrite, fabric.KindRMARead:
 			n.handleData(p, pkt)
 		case fabric.KindCollMcast, fabric.KindCollComb:
-			n.handleCollPkt(p, pkt)
+			if n.handleCollPkt(p, pkt) {
+				continue // the collective engine releases it
+			}
 		default:
 			panic(fmt.Sprintf("nic%d: unknown packet kind %v", n.node, pkt.Kind))
 		}
+		// Handled or dropped, this NIC is the packet's last holder: the
+		// descriptor and this reference to the payload go back to the pool.
+		pkt.Release()
 	}
 }
 
@@ -856,7 +978,7 @@ func (n *NIC) handleProbeAck(p *sim.Proc, pkt *fabric.Packet) {
 	if n.noteEpoch(p, f, pkt.Epoch) {
 		return
 	}
-	if len(f.unacked) == 0 {
+	if f.unacked.len() == 0 {
 		f.nextSeq = pkt.AckSeq
 	}
 	n.markPeerUp(f)
@@ -869,9 +991,10 @@ func (n *NIC) handleAck(p *sim.Proc, pkt *fabric.Packet) {
 		return
 	}
 	progress := false
-	for len(f.unacked) > 0 && f.unacked[0].pkt.Seq <= pkt.AckSeq {
-		pd := f.unacked[0]
-		f.unacked = f.unacked[1:]
+	for f.unacked.len() > 0 && f.unacked.at(0).pkt.Seq <= pkt.AckSeq {
+		pd := f.unacked.pop()
+		msgID := pd.pkt.MsgID
+		pd.pkt.Release() // the sender's reference: the bytes are delivered
 		progress = true
 		if pd.sram > 0 {
 			n.sram.Release(pd.sram)
@@ -885,8 +1008,8 @@ func (n *NIC) handleAck(p *sim.Proc, pkt *fabric.Packet) {
 			// inflight. Untracked kinds (RMA reads, collective forwards)
 			// are never replayed, so they complete unconditionally.
 			tracked := pd.desc.Kind == DescData || pd.desc.Kind == DescRMAWrite
-			_, live := f.inflight[pd.pkt.MsgID]
-			n.retireSend(f, pd.pkt.MsgID)
+			_, live := f.inflight[msgID]
+			n.retireSend(f, msgID)
 			if (!tracked || live) && !pd.desc.NoEvent {
 				n.postEvent(p, pd.desc.SrcPort, EvSendDone, pd.desc, 0)
 			}
@@ -897,7 +1020,7 @@ func (n *NIC) handleAck(p *sim.Proc, pkt *fabric.Packet) {
 	}
 	f.timer.Cancel()
 	f.timer = sim.Timer{}
-	if len(f.unacked) > 0 {
+	if f.unacked.len() > 0 {
 		n.armTimer(f)
 	}
 }
@@ -909,16 +1032,13 @@ func (n *NIC) handleNack(p *sim.Proc, pkt *fabric.Packet) {
 	if n.noteEpoch(p, f, pkt.Epoch) {
 		return
 	}
-	if len(f.unacked) == 0 {
+	if f.unacked.len() == 0 {
 		return
 	}
 	// Back off briefly, then go-back-N from the NACKed point; the
 	// receiver's expected sequence has not advanced.
 	f.timer.Cancel()
-	f.timer = n.env.After(n.prof.RetransmitTimeout/4, func() {
-		f.timer = sim.Timer{}
-		n.retxQ.Post(f)
-	})
+	f.timer = n.env.After(n.prof.RetransmitTimeout/4, f.onTimer)
 }
 
 func (n *NIC) handleData(p *sim.Proc, pkt *fabric.Packet) {
@@ -987,7 +1107,7 @@ func (n *NIC) handleData(p *sim.Proc, pkt *fabric.Packet) {
 	// Copy the payload into the host buffer by DMA.
 	if len(pkt.Payload) > 0 {
 		off := asm.baseOffset + pkt.Offset
-		segs, rerr := n.resolve(p, asm.desc.Segs, asm.desc.VA, asm.desc.Space, off, len(pkt.Payload))
+		segs, rerr := n.resolve(p, &n.recvSegs, asm.desc.Segs, asm.desc.VA, asm.desc.Space, off, len(pkt.Payload))
 		if rerr != nil {
 			n.stats.NoBufferDrops++
 			if n.cfg.Reliable {
@@ -1053,7 +1173,28 @@ func (n *NIC) handleData(p *sim.Proc, pkt *fabric.Packet) {
 			}
 			n.deliverEvent(p, asm.port, asm.port.RecvEvQ, ev)
 		}
+		n.asmFree = append(n.asmFree, asm)
 	}
+}
+
+// newAssembly returns a cleared assembly record for a message of frags
+// fragments, reusing one a completed message gave back (handleData).
+func (n *NIC) newAssembly(frags int) *rxAssembly {
+	var asm *rxAssembly
+	if k := len(n.asmFree); k > 0 {
+		asm = n.asmFree[k-1]
+		n.asmFree = n.asmFree[:k-1]
+	} else {
+		asm = &rxAssembly{}
+	}
+	set := asm.gotSet[:0]
+	if cap(set) < frags {
+		set = make([]bool, frags)
+	}
+	set = set[:frags]
+	clear(set)
+	*asm = rxAssembly{frags: frags, gotSet: set}
+	return asm
 }
 
 // assemblyFor finds or creates the assembly record for a message,
@@ -1069,10 +1210,8 @@ func (n *NIC) assemblyFor(p *sim.Proc, f *rxFlow, pkt *fabric.Packet) (*rxAssemb
 	if !ok {
 		return nil, fmt.Errorf("nic%d: port %d not registered", n.node, pkt.DstPort)
 	}
-	asm := &rxAssembly{
-		port: port, channel: pkt.Channel, frags: pkt.Frags,
-		gotSet: make([]bool, pkt.Frags), recvEvent: true,
-	}
+	asm := n.newAssembly(pkt.Frags)
+	asm.port, asm.channel, asm.recvEvent = port, pkt.Channel, true
 
 	switch {
 	case pkt.Kind == fabric.KindRMAWrite:
@@ -1157,24 +1296,24 @@ func (n *NIC) handleRMARead(p *sim.Proc, pkt *fabric.Packet) bool {
 // from the prober so the sender can resync its go-back-N epoch.
 func (n *NIC) handleProbe(p *sim.Proc, pkt *fabric.Packet) {
 	n.cpu.Use(p, 1, n.prof.MCPAckProc)
-	ack := &fabric.Packet{
-		Kind: fabric.KindProbeAck, Src: n.node, Dst: pkt.Src,
-		AckSeq: n.flowFrom(pkt.Src).expect, Epoch: n.bootEpoch,
-	}
-	ack.Seal()
-	n.ep.Inject(p, ack)
+	n.ep.Inject(p, n.control(fabric.KindProbeAck, pkt.Src, n.flowFrom(pkt.Src).expect, n.bootEpoch))
+}
+
+// control builds a payload-free control packet (ACK, NACK, probe,
+// probe ACK, RESYNC) from the pool. An empty payload's CRC is the zero
+// the descriptor already holds, so there is nothing to seal.
+func (n *NIC) control(kind fabric.PacketKind, dst int, ackSeq uint64, epoch uint32) *fabric.Packet {
+	pkt := n.pool.Get(0)
+	pkt.Kind, pkt.Src, pkt.Dst, pkt.AckSeq, pkt.Epoch = kind, n.node, dst, ackSeq, epoch
+	return pkt
 }
 
 func (n *NIC) sendAck(p *sim.Proc, dst int, seq uint64) {
-	ack := &fabric.Packet{Kind: fabric.KindAck, Src: n.node, Dst: dst, AckSeq: seq, Epoch: n.bootEpoch}
-	ack.Seal()
-	n.ep.Inject(p, ack)
+	n.ep.Inject(p, n.control(fabric.KindAck, dst, seq, n.bootEpoch))
 }
 
 func (n *NIC) sendNack(p *sim.Proc, cause *fabric.Packet) {
-	nack := &fabric.Packet{Kind: fabric.KindNack, Src: n.node, Dst: cause.Src, AckSeq: cause.Seq, Epoch: n.bootEpoch}
-	nack.Seal()
-	n.ep.Inject(p, nack)
+	n.ep.Inject(p, n.control(fabric.KindNack, cause.Src, cause.Seq, n.bootEpoch))
 }
 
 // ------------------------------------------------------------- events

@@ -12,7 +12,7 @@ import (
 
 func TestSRAMAccountingReturnsToZero(t *testing.T) {
 	r := newRig(t, bclConfig())
-	payload := make([]byte, 48*1024)
+	payload := make([]byte, 128*1024)
 	r.env.Rand().Fill(payload)
 	_, sseg := r.pinnedSegs(t, 0, payload)
 	rva, rseg := r.recvBuf(t, 1, len(payload))
@@ -28,10 +28,9 @@ func TestSRAMAccountingReturnsToZero(t *testing.T) {
 	})
 	r.env.Go("recv", func(p *sim.Proc) { rp.RecvEvQ.Recv(p) })
 	r.env.RunUntil(100 * sim.Millisecond)
-	// Every staged fragment must have been released on ACK.
-	if got := r.nics[0].sram.InUse(); got != 0 {
-		t.Fatalf("NIC SRAM still holds %d bytes after completion", got)
-	}
+	// Every staged fragment, descriptor and payload must have been
+	// released on ACK.
+	r.assertDrained(t)
 }
 
 func TestCumulativeAckClearsWindow(t *testing.T) {
@@ -66,8 +65,8 @@ func TestCumulativeAckClearsWindow(t *testing.T) {
 	if !done {
 		t.Fatal("send never completed despite cumulative ACKs")
 	}
-	if len(r.nics[0].tx[1].unacked) != 0 {
-		t.Fatalf("%d packets still unacked", len(r.nics[0].tx[1].unacked))
+	if r.nics[0].tx[1].unacked.len() != 0 {
+		t.Fatalf("%d packets still unacked", r.nics[0].tx[1].unacked.len())
 	}
 	// The dropped ACKs may or may not have caused retransmission
 	// (timing); the invariant is full delivery with an empty window.
@@ -225,4 +224,199 @@ func TestFlowSequenceMonotonic(t *testing.T) {
 			t.Fatalf("sequence gap at %d: %v", i, seqs)
 		}
 	}
+}
+
+// streamRig drives one message at a time from node 0 to node 1 over
+// reused descriptors, so what a run allocates is what the NICs and the
+// fabric allocate.
+type streamRig struct {
+	*rig
+	one func() // send one message and run the simulation dry
+}
+
+func newStreamRig(t *testing.T, cfg Config, size int) *streamRig {
+	t.Helper()
+	r := newRig(t, cfg)
+	_, sseg := r.pinnedSegs(t, 0, bytes.Repeat([]byte{0xa5}, size))
+	rva, rseg := r.recvBuf(t, 1, size)
+	sp := r.nics[0].RegisterPort(1)
+	rp := r.nics[1].RegisterPort(2)
+	start := sim.NewQueue[int](r.env, "start", 0)
+	rd := &RecvDesc{Len: size, Segs: rseg, VA: rva}
+	sd := &SendDesc{Kind: DescData, SrcPort: 1, DstNode: 1, DstPort: 2, Channel: 1, Len: size, Segs: sseg}
+	r.env.Go("sender", func(p *sim.Proc) {
+		for {
+			start.Recv(p)
+			if err := r.nics[1].PostRecv(2, 1, rd); err != nil {
+				panic(err)
+			}
+			sd.MsgID = r.nics[0].NextMsgID()
+			r.nics[0].PostSend(p, sd)
+			if ev := sp.SendEvQ.Recv(p); ev.Type != EvSendDone {
+				panic("send failed")
+			}
+		}
+	})
+	r.env.Go("receiver", func(p *sim.Proc) {
+		for {
+			rp.RecvEvQ.Recv(p)
+		}
+	})
+	return &streamRig{rig: r, one: func() {
+		start.Post(1)
+		r.env.Run()
+	}}
+}
+
+// TestFragmentSendAllocations holds the send -> ACK path to its steady
+// state. A packet costs nothing: a 32-fragment message allocates what a
+// one-fragment message does. A message costs its two completion events.
+func TestFragmentSendAllocations(t *testing.T) {
+	perMsg := func(size int) float64 {
+		s := newStreamRig(t, bclConfig(), size)
+		defer s.env.Close()
+		for i := 0; i < 2*rxDoneRing; i++ { // warm pools, maps and the done-ring
+			s.one()
+		}
+		return testing.AllocsPerRun(100, s.one)
+	}
+	one, many := perMsg(4096), perMsg(32*4096)
+	t.Logf("allocs per message: 1 fragment %.2f, 32 fragments %.2f", one, many)
+	if one > 2 {
+		t.Fatalf("a 4 KB message allocates %.2f objects, want <= 2", one)
+	}
+	if many > one {
+		t.Fatalf("31 more fragments allocate %.2f more objects, want 0", many-one)
+	}
+}
+
+// TestReplayOrderStaysBounded: the flow's replay order lists messages in
+// flight, not every message ever sent — it used to grow by one id per
+// message for the life of the flow.
+func TestReplayOrderStaysBounded(t *testing.T) {
+	s := newStreamRig(t, bclConfig(), 64)
+	defer s.env.Close()
+	for i := 0; i < 10000; i++ {
+		s.one()
+	}
+	f := s.nics[0].tx[1]
+	if got := s.nics[1].Stats().MsgsReceived; got != 10000 {
+		t.Fatalf("%d messages delivered, want 10000", got)
+	}
+	if len(f.order) > s.nics[0].cfg.Window || len(f.inflight) != 0 {
+		t.Fatalf("after 10000 acked messages: %d ids in the replay order, %d in flight (window %d)",
+			len(f.order), len(f.inflight), s.nics[0].cfg.Window)
+	}
+	s.assertDrained(t)
+}
+
+// TestRing covers the queue behind the send rings and retransmit
+// windows: FIFO order across growth and wrap-around, absolute indices
+// that go stale on pop, and popped slots cleared so the ring keeps
+// nothing it no longer holds reachable.
+func TestRing(t *testing.T) {
+	var r ring[*int]
+	next, want := 0, 0
+	push := func(k int) {
+		for ; k > 0; k-- {
+			v := next
+			r.push(&v)
+			next++
+		}
+	}
+	pop := func(k int) {
+		for ; k > 0; k-- {
+			abs := r.head
+			if got := *r.pop(); got != want {
+				t.Fatalf("popped %d, want %d", got, want)
+			}
+			if r.live(abs) != nil {
+				t.Fatalf("entry %d still live after its pop", abs)
+			}
+			want++
+		}
+	}
+	push(3)
+	pop(2)
+	push(9) // grows 4 -> 16 with a wrapped window
+	pop(5)
+	push(11)
+	if r.len() != 16 || len(r.slots) != 16 {
+		t.Fatalf("len %d in %d slots, want a full ring of 16", r.len(), len(r.slots))
+	}
+	for i := 0; i < r.len(); i++ {
+		if got := **r.at(i); got != want+i {
+			t.Fatalf("at(%d) = %d, want %d", i, got, want+i)
+		}
+		if r.live(r.head+uint64(i)) != r.at(i) {
+			t.Fatalf("live(%d) is not at(%d)", r.head+uint64(i), i)
+		}
+	}
+	if r.live(r.head+uint64(r.len())) != nil {
+		t.Fatal("index past the tail reported live")
+	}
+	pop(16)
+	for i, p := range r.slots {
+		if p != nil {
+			t.Fatalf("slot %d still holds a popped entry", i)
+		}
+	}
+}
+
+// TestFaultHookNeverTouchesRetainedPayload: a hook that scribbles over
+// every data packet it sees (the bcl/faults_test.go kind, only nastier)
+// gets a private copy from the fabric, so the bytes the sender retains
+// for retransmission — the same buffer the wire clone referenced — stay
+// pristine and the message still arrives byte-exact once the hook
+// relents.
+func TestFaultHookNeverTouchesRetainedPayload(t *testing.T) {
+	r := newRig(t, bclConfig())
+	payload := make([]byte, 24*1024) // 6 fragments
+	r.env.Rand().Fill(payload)
+	scribbled, checked := 0, 0
+	r.fab.SetFault(func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
+		if pkt.Kind != fabric.KindData || scribbled >= 40 {
+			return fabric.Deliver
+		}
+		scribbled++
+		for i := range pkt.Payload {
+			pkt.Payload[i] ^= 0xff
+		}
+		window := &r.nics[0].tx[1].unacked
+		for i := 0; i < window.len(); i++ {
+			kept := window.at(i).pkt
+			if !bytes.Equal(kept.Payload, payload[kept.Offset:kept.Offset+len(kept.Payload)]) {
+				t.Errorf("retained fragment at offset %d changed under the fault hook", kept.Offset)
+			}
+			checked++
+		}
+		return fabric.Deliver
+	})
+	_, sseg := r.pinnedSegs(t, 0, payload)
+	rva, rseg := r.recvBuf(t, 1, len(payload))
+	sp := r.nics[0].RegisterPort(1)
+	r.nics[1].RegisterPort(2)
+	r.nics[1].PostRecv(2, 1, &RecvDesc{Len: len(payload), Segs: rseg, VA: rva})
+	done := false
+	r.env.Go("send", func(p *sim.Proc) {
+		r.nics[0].PostSend(p, &SendDesc{
+			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
+			Channel: 1, Len: len(payload), Segs: sseg,
+		})
+		done = sp.SendEvQ.Recv(p).Type == EvSendDone
+	})
+	r.env.RunUntil(sim.Second)
+	if !done {
+		t.Fatal("send never completed after the hook relented")
+	}
+	if scribbled != 40 || checked == 0 {
+		t.Fatalf("hook scribbled on %d packets and checked %d retained fragments", scribbled, checked)
+	}
+	if st := r.nics[1].Stats(); st.CRCDrops == 0 {
+		t.Fatal("receiver saw no corrupted packet")
+	}
+	if got, _ := r.space[1].Read(rva, len(payload)); !bytes.Equal(got, payload) {
+		t.Fatal("delivered bytes differ from the sender's")
+	}
+	r.assertDrained(t)
 }

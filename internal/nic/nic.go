@@ -318,6 +318,7 @@ type NIC struct {
 	node int
 	row  string // "nic<node>", this NIC's trace row
 	ep   *fabric.Endpoint
+	pool *fabric.Pool // ep's packet pool: every packet this NIC builds comes from it
 	hmem *mem.Memory
 
 	// Shared device resources.
@@ -381,6 +382,14 @@ type NIC struct {
 
 	tlb *nicTLB
 
+	// Scratch the single-process engines reuse from one call to the
+	// next: the scatter/gather slices of the fetch and receive engines'
+	// resolve calls, the retransmit engine's current round, and the
+	// receive engine's spare assembly records.
+	fetchSegs, recvSegs []mem.Segment
+	retxRound           []*fabric.Packet
+	asmFree             []*rxAssembly // assembly records of completed messages, for reuse
+
 	stats Stats
 }
 
@@ -402,6 +411,7 @@ func New(env *sim.Env, prof *hw.Profile, cfg Config, node int, ep *fabric.Endpoi
 		node:   node,
 		row:    fmt.Sprintf("nic%d", node),
 		ep:     ep,
+		pool:   ep.Pool(),
 		hmem:   hostMem,
 		Bus:    sim.NewResource(env, fmt.Sprintf("pci%d", node), 1),
 		cpu:    sim.NewResource(env, fmt.Sprintf("lanai%d", node), 1),
@@ -437,6 +447,12 @@ func (n *NIC) Stats() Stats { return n.stats }
 // buffers of in-flight fragments and collective slots) — zero when the
 // card is quiescent, which leak tests assert.
 func (n *NIC) SRAMInUse() int { return n.sram.InUse() }
+
+// PoolInUse reports the packet descriptors and payload buffers
+// outstanding from the pool this NIC builds packets from, which every
+// NIC on the fabric shares — both zero once the whole fabric is
+// quiescent, which leak tests assert.
+func (n *NIC) PoolInUse() (descriptors, payloads int) { return n.pool.InUse() }
 
 // Collect publishes every NIC counter into a metrics snapshot under
 // layer "nic". Pull-model: the registry calls this at snapshot time,
@@ -500,7 +516,7 @@ func (n *NIC) CollectGauges(set obs.GaugeSet) {
 	depth := 0
 	for _, id := range n.ringOrder {
 		r := n.rings[id]
-		depth += len(r.q)
+		depth += r.q.len()
 		if r.cur != nil {
 			depth++
 		}
@@ -509,7 +525,7 @@ func (n *NIC) CollectGauges(set obs.GaugeSet) {
 	inflight, unacked := 0, 0
 	for _, f := range n.tx {
 		inflight += len(f.inflight)
-		unacked += len(f.unacked)
+		unacked += f.unacked.len()
 	}
 	set(n.node, "nic", "tx_inflight", int64(inflight))
 	set(n.node, "nic", "tx_unacked", int64(unacked))
@@ -620,7 +636,7 @@ type sendRing struct {
 	port    int
 	weight  int // WRR: fragments per arbiter round
 	credits int // WRR: fragments left in the current round
-	q       []*SendDesc
+	q       ring[*SendDesc]
 	cur     *SendDesc // message currently being fragmented
 	fragIdx int       // next fragment of cur to fetch
 	frags   int       // total fragments of cur
@@ -628,7 +644,7 @@ type sendRing struct {
 }
 
 // hasWork reports whether the ring has a message in flight or queued.
-func (r *sendRing) hasWork() bool { return r.cur != nil || len(r.q) > 0 }
+func (r *sendRing) hasWork() bool { return r.cur != nil || r.q.len() > 0 }
 
 // addRing creates a ring and splices its id into the sorted scan order.
 func (n *NIC) addRing(id, weight int) *sendRing {
@@ -673,7 +689,7 @@ func (n *NIC) postDesc(d *SendDesc) {
 	}
 	n.arriveSeq++
 	d.arrival = n.arriveSeq
-	r.q = append(r.q, d)
+	r.q.push(d)
 	// Journal the posting so a firmware reboot can replay it. RMA read
 	// requests are excluded: replaying one would fabricate a second
 	// reply at the target, and the initiator's reply channel is only

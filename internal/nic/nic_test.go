@@ -37,6 +37,21 @@ func newRig(t *testing.T, cfg Config) *rig {
 	return r
 }
 
+// assertDrained checks resource balance at quiesce: no fragment staged
+// in any NIC's SRAM, and no packet descriptor or payload buffer out of
+// the pool the NICs share.
+func (r *rig) assertDrained(t *testing.T) {
+	t.Helper()
+	for i, n := range r.nics {
+		if got := n.SRAMInUse(); got != 0 {
+			t.Errorf("nic%d SRAM leak: %d bytes in use", i, got)
+		}
+	}
+	if d, b := r.nics[0].PoolInUse(); d != 0 || b != 0 {
+		t.Errorf("packet pool not balanced: %d descriptors, %d payloads outstanding", d, b)
+	}
+}
+
 func bclConfig() Config {
 	return Config{Translate: HostTranslated, Completion: UserEventQueue, Reliable: true}
 }
@@ -221,6 +236,7 @@ func TestRetransmitOnDrop(t *testing.T) {
 	if st := r.nics[0].Stats(); st.Retransmits == 0 {
 		t.Fatal("no retransmissions recorded under 33% loss")
 	}
+	r.assertDrained(t)
 }
 
 func TestRetransmitOnCorruption(t *testing.T) {
@@ -253,6 +269,7 @@ func TestRetransmitOnCorruption(t *testing.T) {
 	if st := r.nics[1].Stats(); st.CRCDrops == 0 {
 		t.Fatal("no CRC drops recorded")
 	}
+	r.assertDrained(t)
 }
 
 func TestNackWhenChannelNotArmed(t *testing.T) {
@@ -316,6 +333,7 @@ func TestSendFailedAfterRetriesExhausted(t *testing.T) {
 	if ev == nil || ev.Type != EvSendFailed {
 		t.Fatalf("send event = %+v, want EvSendFailed", ev)
 	}
+	r.assertDrained(t) // failFlow returned what the dead window held
 }
 
 func TestSystemChannelPool(t *testing.T) {

@@ -156,12 +156,7 @@ func (n *NIC) BeginReboot() {
 		f.timer.Cancel()
 		f.probeTimer.Cancel()
 		f.grayTimer.Cancel()
-		for _, pd := range f.unacked {
-			if pd.sram > 0 {
-				n.sram.Release(pd.sram)
-			}
-		}
-		f.unacked = nil
+		n.wipeUnacked(f)
 		// Window waiters blocked on the dead flow re-check flow identity
 		// after waking and bail out (their epoch died with the SRAM).
 		n.wakeWindow(f)
@@ -272,6 +267,17 @@ func cloneDesc(d *SendDesc) *SendDesc {
 func (n *NIC) retireSend(f *txFlow, msgID uint64) {
 	if f != nil && f.inflight != nil {
 		delete(f.inflight, msgID)
+		// Drop retired ids off the head of the replay order, so it holds
+		// the messages in flight and not every message ever sent. Ids
+		// retired out of order wait behind a live head; the replay skips
+		// them either way.
+		k := 0
+		for k < len(f.order) && f.inflight[f.order[k]] == nil {
+			k++
+		}
+		if k > 0 {
+			f.order = f.order[:copy(f.order, f.order[k:])]
+		}
 	}
 	if n.Journal != nil {
 		n.Journal.SendRetired(msgID)
@@ -362,12 +368,7 @@ func (n *NIC) maybeResync(p *sim.Proc, f *rxFlow) {
 	n.stats.ResyncsSent++
 	n.Obs.Event(now, n.node, "nic", "resync", 0,
 		fmt.Sprintf("src=%d expect=%d epoch=%d", f.src, f.expect, n.bootEpoch))
-	rs := &fabric.Packet{
-		Kind: fabric.KindResync, Src: n.node, Dst: f.src,
-		AckSeq: f.expect, Epoch: n.bootEpoch,
-	}
-	rs.Seal()
-	n.ep.Inject(p, rs)
+	n.ep.Inject(p, n.control(fabric.KindResync, f.src, f.expect, n.bootEpoch))
 }
 
 // handleResync services a peer's rewind request at the sender.
@@ -385,7 +386,7 @@ func (n *NIC) handleResync(p *sim.Proc, pkt *fabric.Packet) {
 	// Same epoch: only rewind when our window has genuinely run past
 	// the receiver (a duplicate RESYNC after a completed rewind, or a
 	// lost-RESYNC retry, lands here harmlessly).
-	if len(f.unacked) > 0 && f.unacked[0].pkt.Seq > pkt.AckSeq {
+	if f.unacked.len() > 0 && f.unacked.at(0).pkt.Seq > pkt.AckSeq {
 		n.resyncFlow(p, f)
 	}
 }
@@ -406,17 +407,18 @@ func (n *NIC) resyncFlow(p *sim.Proc, f *txFlow) {
 	f.timer.Cancel()
 	f.timer = sim.Timer{}
 	f.retries = 0
-	var resend []*pending
-	for _, pd := range f.unacked {
+	var resend []pending
+	for f.unacked.len() > 0 {
+		pd := f.unacked.pop()
 		if pd.desc.Kind == DescCollMcast || pd.desc.Kind == DescCollComb {
-			resend = append(resend, pd) // SRAM rides along to the coll engine
+			resend = append(resend, pd) // packet and SRAM ride along to the coll engine
 			continue
 		}
 		if pd.sram > 0 {
 			n.sram.Release(pd.sram)
 		}
+		pd.pkt.Release()
 	}
-	f.unacked = nil
 	f.nextSeq = 0
 	// Re-admit the peer before reposting, or the replay would fail fast
 	// against the Dead belief its own crash produced.
@@ -495,12 +497,15 @@ func (n *NIC) grayCheck(f *txFlow) {
 	if hold <= 0 {
 		hold = 10 * sim.Millisecond
 	}
-	f.grayTimer = n.env.After(hold, func() {
-		f.grayTimer = sim.Timer{}
-		f.grayOn = false
-		f.srtt, f.rttvar = 0, 0 // re-learn on the restored primary
-		n.Steer.PreferAlternate(n.node, f.dst, false)
-		n.Obs.Event(n.env.Now(), n.node, "nic", "gray-restore", 0,
-			fmt.Sprintf("dst=%d", f.dst))
-	})
+	f.grayTimer = n.env.After(hold, f.onGray)
+}
+
+// grayRestore ends a steering hold: back to the primary rail.
+func (n *NIC) grayRestore(f *txFlow) {
+	f.grayTimer = sim.Timer{}
+	f.grayOn = false
+	f.srtt, f.rttvar = 0, 0 // re-learn on the restored primary
+	n.Steer.PreferAlternate(n.node, f.dst, false)
+	n.Obs.Event(n.env.Now(), n.node, "nic", "gray-restore", 0,
+		fmt.Sprintf("dst=%d", f.dst))
 }

@@ -112,11 +112,7 @@ func TestReceiverCrashRecoveryLargeMessage(t *testing.T) {
 	if sst := r.nics[0].Stats(); sst.ResyncRewinds == 0 {
 		t.Fatal("sender never rewound its flow")
 	}
-	for i, n := range r.nics {
-		if got := n.sram.InUse(); got != 0 {
-			t.Fatalf("nic%d SRAM leak: %d bytes in use", i, got)
-		}
-	}
+	r.assertDrained(t)
 }
 
 // TestDoneRingSwallowsReplayAfterCrash covers the nastiest exactly-once
@@ -258,11 +254,7 @@ func TestSenderCrashJournalReplay(t *testing.T) {
 	if st := r.nics[1].Stats(); st.EpochResets == 0 {
 		t.Fatal("receiver never reset the flow for the sender's new epoch")
 	}
-	for i, n := range r.nics {
-		if got := n.sram.InUse(); got != 0 {
-			t.Fatalf("nic%d SRAM leak: %d bytes in use", i, got)
-		}
-	}
+	r.assertDrained(t)
 }
 
 // TestAdaptiveRTOSamplesAndAdapts checks the opt-in Jacobson estimator:
@@ -358,8 +350,8 @@ func TestClosePortMidRetransmitDrains(t *testing.T) {
 	if _, ok := r.nics[0].rings[1]; ok {
 		t.Fatal("closed port's send ring never drained and removed")
 	}
-	if f, ok := r.nics[0].tx[1]; ok && len(f.unacked) != 0 {
-		t.Fatalf("orphaned window entries after close: %d", len(f.unacked))
+	if f, ok := r.nics[0].tx[1]; ok && f.unacked.len() != 0 {
+		t.Fatalf("orphaned window entries after close: %d", f.unacked.len())
 	}
 	for id := range j.sendIdx {
 		if !j.retired[id] {

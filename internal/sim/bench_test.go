@@ -44,8 +44,9 @@ func BenchmarkWakeSoonHandoff(b *testing.B) {
 }
 
 // BenchmarkGoAndFinish measures a short-lived process from Go to the
-// end of its body, the life of a per-packet fabric process: one start
-// event, one sleep, and (after the first iteration) a recycled carrier.
+// end of its body, the life of a per-interrupt or per-job process: one
+// start event, one sleep, and (after the first iteration) a recycled
+// carrier.
 func BenchmarkGoAndFinish(b *testing.B) {
 	e := NewEnv(1)
 	body := func(p *Proc) { p.Sleep(1) }

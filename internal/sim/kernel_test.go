@@ -184,6 +184,30 @@ func TestBlockingPrimitivesDoNotAllocate(t *testing.T) {
 				})
 			}
 		}},
+		{"contended Resource.AcquireFn", func(env *Env) {
+			// Three event-driven users and one process share a unit: a
+			// continuation queues, is granted and reschedules itself
+			// without a closure, a process or a waiter record.
+			r := NewResource(env, "link", 1)
+			var held, release func(a, b uint64)
+			held = func(a, b uint64) { env.AtArg(env.Now()+10, release, a, b) }
+			release = func(a, b uint64) {
+				r.Release(1)
+				if r.AcquireFn(1, held, a, b) {
+					held(a, b)
+				}
+			}
+			for i := uint64(0); i < 3; i++ {
+				if r.AcquireFn(1, held, i, 0) {
+					held(i, 0)
+				}
+			}
+			env.Go("user", func(p *Proc) {
+				for {
+					r.Use(p, 1, 10)
+				}
+			})
+		}},
 		{"Signal.Wait and Cond.Wait", func(env *Env) {
 			c := NewCond(env)
 			env.Go("waiter", func(p *Proc) {

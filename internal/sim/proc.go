@@ -46,8 +46,9 @@ type Proc struct {
 // carrier is a coroutine that runs process bodies, one after another.
 // Creating one costs a goroutine and a dozen allocations, so a carrier
 // whose body has returned waits on the environment's free list for the
-// next process to start: per-packet and per-interrupt processes reuse
-// the same few carriers (and their grown stacks) for a whole run.
+// next process to start: short-lived processes (one per interrupt, per
+// job, per request) reuse the same few carriers and their grown stacks
+// for a whole run.
 type carrier struct {
 	p     *Proc // the process whose body is running; nil while free
 	next  func() (struct{}, bool)

@@ -4,8 +4,10 @@ import "fmt"
 
 // Resource is a counted resource with FIFO admission: a CPU, a bus, a
 // DMA engine. Acquire blocks the calling process until the requested
-// units are available; waiters are admitted strictly in arrival order
-// (head-of-line blocking, like a real bus arbiter).
+// units are available; AcquireFn queues a continuation instead of a
+// process. Both kinds of waiter share one queue and are admitted
+// strictly in arrival order (head-of-line blocking, like a real bus
+// arbiter).
 type Resource struct {
 	env     *Env
 	name    string
@@ -20,8 +22,12 @@ type Resource struct {
 	lastBusy  Time
 }
 
+// resWaiter is one queued request: a parked process (p set) or a
+// continuation fn(a, b) (p nil).
 type resWaiter struct {
 	p     *Proc
+	fn    func(a, b uint64)
+	a, b  uint64
 	n     int
 	since Time
 }
@@ -54,6 +60,22 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	}
 	r.waiters.push(resWaiter{p: p, n: n, since: r.env.now})
 	p.park()
+}
+
+// AcquireFn is Acquire for event-driven callers. If n units are free
+// (and nobody is queued ahead) it takes them and reports true: the
+// caller carries on inline, as a process returning from Acquire would.
+// Otherwise it queues the continuation behind every earlier waiter and
+// reports false; when Release admits it, fn(a, b) runs from one event
+// scheduled at that instant — the event a parked process's wake-up
+// would have been. Pass a long-lived function value and the call
+// allocates nothing.
+func (r *Resource) AcquireFn(n int, fn func(a, b uint64), a, b uint64) bool {
+	if r.TryAcquire(n) {
+		return true
+	}
+	r.waiters.push(resWaiter{fn: fn, a: a, b: b, n: n, since: r.env.now})
+	return false
 }
 
 // TryAcquire takes n units if immediately available, reporting whether
@@ -91,7 +113,11 @@ func (r *Resource) Release(n int) {
 	for r.waiters.len() > 0 && r.inUse+r.waiters.front().n <= r.cap {
 		w := r.waiters.pop()
 		r.grant(w.n, r.env.now-w.since)
-		r.env.wakeSoon(w.p)
+		if w.p != nil {
+			r.env.wakeSoon(w.p)
+		} else {
+			r.env.AtArg(r.env.now, w.fn, w.a, w.b)
+		}
 	}
 }
 
@@ -103,7 +129,8 @@ func (r *Resource) Use(p *Proc, n int, d Time) {
 	r.Release(n)
 }
 
-// QueueLen returns the number of waiting processes.
+// QueueLen returns the number of queued requests (processes and
+// continuations).
 func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // Stats returns (acquisitions, total wait time, total busy time).

@@ -283,10 +283,12 @@ func (e *Env) at(t Time, fn func()) {
 // AtArg schedules an arg-carrying event: at time t, fn(a, b) runs.
 // Passing a long-lived function value (a field initialized once, not a
 // fresh closure) makes the call allocation-free — the two words ride
-// in the pooled event itself. This is the scheduling form ROADMAP's
-// "Hot paths as events" item is written against: always-on service
-// loops become AtArg callbacks instead of parked processes. Closed
-// environments drop the event exactly like At.
+// in the pooled event itself. This is the scheduling form for hot
+// paths that are run-to-completion state machines rather than
+// sequential programs: the fabric moves every packet as a chain of
+// AtArg events (fabric.Network.launch), and Resource.AcquireFn resumes
+// a queued continuation the same way. Closed environments drop the
+// event exactly like At.
 func (e *Env) AtArg(t Time, fn func(a, b uint64), a, b uint64) {
 	if e.closed {
 		e.closedSchedules++

@@ -167,6 +167,58 @@ func TestResourceFIFO(t *testing.T) {
 	}
 }
 
+// TestResourceAcquireFnSharesTheFIFO queues continuations and processes
+// on one unit alternately: they are admitted strictly in arrival order,
+// a free unit is taken inline, and each grant costs exactly the one
+// event a process wake-up costs.
+func TestResourceAcquireFnSharesTheFIFO(t *testing.T) {
+	env := NewEnv(1)
+	link := NewResource(env, "link", 1)
+	var order []string
+	granted := func(a, _ uint64) {
+		order = append(order, fmt.Sprintf("fn%d@%d", a, env.Now()))
+		env.At(env.Now()+100, func() { link.Release(1) })
+	}
+	if !link.AcquireFn(1, granted, 0, 0) {
+		t.Fatal("free unit not taken inline")
+	}
+	granted(0, 0)
+	for i := 1; i <= 4; i++ {
+		if i%2 == 1 {
+			name := fmt.Sprintf("p%d", i)
+			env.GoAt(Time(i), name, func(p *Proc) {
+				link.Acquire(p, 1)
+				order = append(order, fmt.Sprintf("%s@%d", name, p.Now()))
+				p.Sleep(100)
+				link.Release(1)
+			})
+		} else {
+			env.At(Time(i), func() {
+				if link.AcquireFn(1, granted, uint64(i), 0) {
+					t.Errorf("fn%d jumped the queue", i)
+				}
+			})
+		}
+	}
+	env.RunUntil(4)
+	if link.QueueLen() != 4 {
+		t.Fatalf("%d requests queued, want 4", link.QueueLen())
+	}
+	// From here on: per holder one release event (or one sleep wake-up)
+	// and one grant event — 4 grants, 4 releases, 1 release of fn0.
+	before := env.Steps()
+	env.Run()
+	if got := fmt.Sprint(order); got != "[fn0@0 p1@100 fn2@200 p3@300 fn4@400]" {
+		t.Fatalf("admission order = %v, want arrival order", got)
+	}
+	if got := env.Steps() - before; got != 9 {
+		t.Fatalf("%d events after queueing, want 9 (one per grant, one per release)", got)
+	}
+	if acq, wait, _ := link.Stats(); acq != 5 || wait != 99+198+297+396 {
+		t.Fatalf("acquires = %d, total wait = %d; want 5 and %d", acq, wait, 99+198+297+396)
+	}
+}
+
 func TestResourceCounted(t *testing.T) {
 	env := NewEnv(1)
 	r := NewResource(env, "bus", 3)
