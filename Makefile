@@ -115,13 +115,19 @@ reqobs:
 
 # Continuous benchmark gate. `make baseline` (re)writes
 # baselines/BENCH_*.json from a fresh run of the gated experiments;
-# `make check` reruns them and fails on any metric outside its
-# tolerance band. CI runs `check` on every push.
+# `make check` reruns them, fails on any metric outside its tolerance
+# band, and then requires every fresh artifact to be byte-identical to
+# its committed baseline (the event-order oracle; prints the first file
+# that differs). CI runs both steps on every push.
 baseline:
 	$(GO) run ./cmd/bclbench -baseline
 
 check:
-	$(GO) run ./cmd/bclbench -check
+	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+	$(GO) run ./cmd/bclbench -check -out "$$out" && \
+	for f in "$$out"/BENCH_*.json; do \
+		cmp "$$f" "baselines/$$(basename "$$f")" || exit 1; \
+	done && echo "baselines reproduce byte for byte"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -117,10 +117,9 @@ type Port struct {
 	row   string // "host<node>" or "host<node>[<label>]", the trace row
 
 	nicPort *nic.Port
-	events  *sim.Queue[*nic.Event]         // merged receive events (NIC + intra)
-	sendEvs *sim.Queue[*nic.Event]         // merged send events
-	pending []*nic.Event                   // receive events set aside by selective waits
-	routes  map[int]*sim.Queue[*nic.Event] // per-channel demux diversions (see route.go)
+	events  *sim.Queue[*nic.Event] // nicPort.RecvEvQ: the NIC and the intra engine both post here
+	sendEvs *sim.Queue[*nic.Event] // nicPort.SendEvQ, likewise
+	pending []*nic.Event           // receive events set aside by selective waits
 
 	intraQ   *sim.Queue[*intraFrag]
 	nextChan int
@@ -150,8 +149,6 @@ func (s *System) Open(p *sim.Proc, n *node.Node, proc *oskernel.Process, opts Op
 		addr:     Addr{Node: n.ID, Port: s.nextID[n.ID]},
 		tr:       opts.Tracer,
 		label:    opts.Label,
-		events:   sim.NewQueue[*nic.Event](n.Env, "bcl/events", 0),
-		sendEvs:  sim.NewQueue[*nic.Event](n.Env, "bcl/sendevs", 0),
 		intraQ:   sim.NewQueue[*intraFrag](n.Env, "bcl/intra", 0),
 		nextChan: 1,
 	}
@@ -172,6 +169,7 @@ func (s *System) Open(p *sim.Proc, n *node.Node, proc *oskernel.Process, opts Op
 		}
 		p.Sleep(n.Prof.PIOFill(8))
 		pt.nicPort = n.NIC.RegisterPort(pt.addr.Port)
+		pt.events, pt.sendEvs = pt.nicPort.RecvEvQ, pt.nicPort.SendEvQ
 		if opts.QoSWeight > 0 {
 			n.NIC.SetPortWeight(pt.addr.Port, opts.QoSWeight)
 		}
@@ -209,20 +207,9 @@ func (s *System) Open(p *sim.Proc, n *node.Node, proc *oskernel.Process, opts Op
 		}
 	}
 
-	// Event pumps: merge NIC event queues into the library queues so
-	// intra-node and inter-node events share one wait point. Routed
-	// channels (route.go) divert to their own queues at this point.
-	n.Env.Go(fmt.Sprintf("bcl/%v/recv-pump", pt.addr), func(pp *sim.Proc) {
-		for {
-			pt.deliver(pt.nicPort.RecvEvQ.Recv(pp))
-		}
-	})
-	n.Env.Go(fmt.Sprintf("bcl/%v/send-pump", pt.addr), func(pp *sim.Proc) {
-		for {
-			pt.sendEvs.Send(pp, pt.nicPort.SendEvQ.Recv(pp))
-		}
-	})
-	// Intra-node delivery engine.
+	// Intra-node delivery engine: the port's one process. It posts its
+	// completions into the NIC port's event queues, so intra-node and
+	// inter-node events share one wait point with no forwarder.
 	n.Env.Go(fmt.Sprintf("bcl/%v/intra", pt.addr), pt.intraEngine)
 	return pt, nil
 }
@@ -261,13 +248,14 @@ func (pt *Port) CreateChannel() int {
 	return id
 }
 
-// Close tears the port down.
+// Close tears the port down and ends its intra-node engine.
 func (pt *Port) Close(p *sim.Proc) error {
 	if pt.closed {
 		return ErrClosed
 	}
 	pt.closed = true
 	delete(pt.sys.ports, pt.addr)
+	pt.intraQ.Post(nil)
 	return pt.node.Kernel.Trap(p, func() error {
 		pt.node.NIC.ClosePort(pt.addr.Port)
 		pt.node.Kernel.UnbindEndpoint(pt.addr.Port)

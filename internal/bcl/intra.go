@@ -91,7 +91,8 @@ func (pt *Port) sendIntra(p *sim.Proc, dst Addr, channel int, va mem.VAddr, n in
 
 // intraEngine is the receiving half: one process per port draining the
 // shared-memory queue into posted buffers and raising completion
-// events on the merged event queue.
+// events on the port's receive event queue. A nil fragment (posted by
+// Close) ends it.
 func (pt *Port) intraEngine(p *sim.Proc) {
 	prof := pt.node.Prof
 	type state struct {
@@ -101,6 +102,9 @@ func (pt *Port) intraEngine(p *sim.Proc) {
 	open := make(map[uint64]*state)
 	for {
 		f := pt.intraQ.Recv(p)
+		if f == nil {
+			return
+		}
 		st, ok := open[f.msgID]
 		if !ok {
 			// First fragment: notice the message and resolve the
@@ -155,7 +159,7 @@ func (pt *Port) intraEngine(p *sim.Proc) {
 		st.got++
 		if st.got == f.frags {
 			delete(open, f.msgID)
-			pt.deliver(&nic.Event{
+			pt.events.Post(&nic.Event{
 				Type: nic.EvRecvDone, Port: pt.addr.Port, Channel: f.channel,
 				MsgID: f.msgID, Len: f.msgLen, Tag: f.tag,
 				SrcNode: f.src.Node, SrcPort: f.src.Port,

@@ -193,26 +193,32 @@ func (pt *Port) ReturnSystemBuffers(p *sim.Proc, bufs []SystemBuf) error {
 // event was DMAed into user memory by the NIC, and the poll is a pair
 // of cached loads.
 func (pt *Port) WaitRecv(p *sim.Proc) *nic.Event {
-	if len(pt.pending) > 0 {
-		ev := pt.pending[0]
-		pt.pending = pt.pending[1:]
-		return ev
+	if ev, ok := pt.takePending(); ok {
+		return pt.handOver(ev)
 	}
-	ev := pt.events.Recv(p)
-	pt.tr.DoFlow(p, "user: poll+decode event", host(pt), ev.Trace, func() {
-		p.Sleep(pt.node.Prof.CompletionPoll + pt.node.Prof.EventDecode)
-	})
-	pt.received++
-	pt.bytesReceived += uint64(ev.Len)
-	return ev
+	return pt.decode(p, pt.events.Recv(p))
+}
+
+// WaitRecvTimeout is WaitRecv giving up after d of virtual time (an
+// empty poll still costs one completion-poll load). ok reports whether
+// an event arrived. Event-loop layers that own their port block here
+// between timer deadlines.
+func (pt *Port) WaitRecvTimeout(p *sim.Proc, d sim.Time) (*nic.Event, bool) {
+	if ev, ok := pt.takePending(); ok {
+		return pt.handOver(ev), true
+	}
+	ev, ok := pt.events.RecvTimeout(p, d)
+	if !ok {
+		p.Sleep(pt.node.Prof.CompletionPoll)
+		return nil, false
+	}
+	return pt.decode(p, ev), true
 }
 
 // TryRecv polls once without blocking.
 func (pt *Port) TryRecv(p *sim.Proc) (*nic.Event, bool) {
-	if len(pt.pending) > 0 {
-		ev := pt.pending[0]
-		pt.pending = pt.pending[1:]
-		return ev, true
+	if ev, ok := pt.takePending(); ok {
+		return pt.handOver(ev), true
 	}
 	ev, ok := pt.events.TryRecv()
 	if !ok {
@@ -220,41 +226,100 @@ func (pt *Port) TryRecv(p *sim.Proc) (*nic.Event, bool) {
 		return nil, false
 	}
 	p.Sleep(pt.node.Prof.CompletionPoll + pt.node.Prof.EventDecode)
-	pt.received++
-	pt.bytesReceived += uint64(ev.Len)
-	return ev, true
+	return pt.handOver(ev), true
 }
 
 // WaitRecvChannel waits for a completion on one specific channel,
 // setting aside events for other channels (they are returned by later
-// WaitRecv calls in arrival order).
+// WaitRecv calls in arrival order). The set-aside list is the port's
+// one demultiplexer; its poll+decode cost is paid when an event is set
+// aside, its receive count when the event is handed over.
 func (pt *Port) WaitRecvChannel(p *sim.Proc, channel int) *nic.Event {
 	for i, ev := range pt.pending {
 		if ev.Channel == channel {
 			pt.pending = append(pt.pending[:i], pt.pending[i+1:]...)
-			return ev
+			return pt.handOver(ev)
 		}
 	}
 	for {
 		ev := pt.events.Recv(p)
 		p.Sleep(pt.node.Prof.CompletionPoll + pt.node.Prof.EventDecode)
 		if ev.Channel == channel {
-			pt.received++
-			pt.bytesReceived += uint64(ev.Len)
-			return ev
+			return pt.handOver(ev)
 		}
 		pt.pending = append(pt.pending, ev)
 	}
 }
 
+// takePending pops the oldest event a selective wait set aside.
+func (pt *Port) takePending() (*nic.Event, bool) {
+	if len(pt.pending) == 0 {
+		return nil, false
+	}
+	ev := pt.pending[0]
+	pt.pending = pt.pending[1:]
+	return ev, true
+}
+
+// decode charges the traced user-space poll+decode of an event fresh
+// off the queue and hands it over.
+func (pt *Port) decode(p *sim.Proc, ev *nic.Event) *nic.Event {
+	pt.tr.DoFlow(p, "user: poll+decode event", host(pt), ev.Trace, func() {
+		p.Sleep(pt.node.Prof.CompletionPoll + pt.node.Prof.EventDecode)
+	})
+	return pt.handOver(ev)
+}
+
+// handOver counts a receive completion at the one point every event
+// passes exactly once: where it is returned to the caller.
+func (pt *Port) handOver(ev *nic.Event) *nic.Event {
+	pt.received++
+	pt.bytesReceived += uint64(ev.Len)
+	return ev
+}
+
 // WaitSend blocks until the oldest outstanding send completes,
 // returning its completion event (EvSendDone or EvSendFailed).
 func (pt *Port) WaitSend(p *sim.Proc) *nic.Event {
-	ev := pt.sendEvs.Recv(p)
+	return pt.sendDone(p, pt.sendEvs.Recv(p))
+}
+
+// TryWaitSend polls the send event queue without blocking, charging
+// the completion cost only when an event is consumed. Layers that
+// recycle send buffers by message id use this instead of WaitSend.
+func (pt *Port) TryWaitSend(p *sim.Proc) (*nic.Event, bool) {
+	ev, ok := pt.sendEvs.TryRecv()
+	if !ok {
+		return nil, false
+	}
+	return pt.sendDone(p, ev), true
+}
+
+// sendDone charges the traced user-space handling of a send completion.
+func (pt *Port) sendDone(p *sim.Proc, ev *nic.Event) *nic.Event {
 	pt.tr.DoFlow(p, "user: send completion", host(pt), ev.Trace, func() {
 		p.Sleep(pt.node.Prof.SendComplete)
 	})
 	return ev
+}
+
+// DrainSendEvents consumes every queued send-completion event without
+// blocking, charging the per-event completion cost, and reports how
+// many completed vs failed. Event-loop layers that never block in
+// WaitSend use this to keep the send event queue bounded and to notice
+// EvSendFailed (dead peer) outcomes.
+func (pt *Port) DrainSendEvents(p *sim.Proc) (done, failed int) {
+	for {
+		ev, ok := pt.TryWaitSend(p)
+		if !ok {
+			return done, failed
+		}
+		if ev.Type == nic.EvSendFailed {
+			failed++
+		} else {
+			done++
+		}
+	}
 }
 
 // host labels this port's process in trace spans.

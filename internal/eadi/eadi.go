@@ -89,12 +89,6 @@ type Device struct {
 	returns    []returnBuf
 	colls      map[int]*CollContext // offload contexts by id
 
-	// onUnclaimed, when set, receives events whose tag kind this
-	// device's protocol does not own (a co-resident layer demuxing by
-	// tag instead of by bcl channel route). The hook owns pool-buffer
-	// recycling for the events it is handed.
-	onUnclaimed func(p *sim.Proc, ev *nic.Event)
-
 	// Stats.
 	EagerSent, EagerRecv uint64
 	RndvSent, RndvRecv   uint64
@@ -396,22 +390,12 @@ func (d *Device) handle(p *sim.Proc, ev *nic.Event) {
 			d.finishRndv(p, rr, rr.size)
 		}
 	default:
-		// A tag kind this protocol does not own. Hand it to the
-		// unclaimed hook if one is installed; otherwise recycle the
-		// pool buffer so a foreign message cannot leak the eager pool.
-		if d.onUnclaimed != nil {
-			d.onUnclaimed(p, ev)
-			return
-		}
+		// A tag kind this protocol does not own: count it and recycle
+		// the pool buffer so a foreign message cannot leak the eager pool.
 		d.UnclaimedMsgs++
 		d.recycle(p, ev)
 	}
 }
-
-// SetUnclaimed installs the demux hook for events whose tag kind the
-// device's own protocol does not recognize (see Device.onUnclaimed).
-// Pass nil to restore the default recycle-and-count behavior.
-func (d *Device) SetUnclaimed(fn func(p *sim.Proc, ev *nic.Event)) { d.onUnclaimed = fn }
 
 // deliverEager matches an arrived eager message or queues it.
 func (d *Device) deliverEager(p *sim.Proc, ev *nic.Event, src, ctx, tag int) {

@@ -59,7 +59,6 @@ type Fabric struct {
 	policy    Policy
 	rails     [2]Rail
 	endpoints []*fabric.Endpoint
-	merged    []*sim.Queue[*fabric.Packet]
 
 	// Obs, when set (the cluster wires it), records rail failovers in
 	// the flight recorder.
@@ -84,31 +83,23 @@ func New(env *sim.Env, prof *hw.Profile, n int, policy Policy) *Fabric {
 	f := &Fabric{env: env, policy: policy}
 	f.rails[0] = myrinet.New(env, prof, n)
 	f.rails[1] = mesh.New(env, prof, n)
-	for i := 0; i < n; i++ {
-		node := i
-		merged := sim.NewQueue[*fabric.Packet](env, fmt.Sprintf("hetero/rx%d", node), 0)
-		f.merged = append(f.merged, merged)
-		// Pump both rails' receive queues into the merged queue; the
+	for node := 0; node < n; node++ {
+		// Both rails deliver straight into the node's one RX queue; the
 		// NIC above sees one stream (two physical ports feeding one
 		// logical adapter, as dual-rail NICs do).
+		rx := sim.NewQueue[*fabric.Packet](env, fmt.Sprintf("hetero/rx%d", node), 0)
 		for r := 0; r < 2; r++ {
-			rx := f.rails[r].Attach(node).RX
-			env.Go(fmt.Sprintf("hetero/pump%d.%d", node, r), func(p *sim.Proc) {
-				for {
-					merged.Send(p, rx.Recv(p))
-				}
-			})
+			f.rails[r].Attach(node).RX = rx
 		}
-		f.endpoints = append(f.endpoints, f.newEndpoint(node))
+		f.endpoints = append(f.endpoints, f.newEndpoint(node, rx))
 	}
 	return f
 }
 
-// newEndpoint builds the composite endpoint for a node. It reuses the
-// merged RX queue created in New; packets for either rail are built
-// from rail 0's pool.
-func (f *Fabric) newEndpoint(node int) *fabric.Endpoint {
-	return fabric.NewInjectedEndpoint(node, f.merged[node], f.rails[0].Attach(node).Pool(), func(p *sim.Proc, pkt *fabric.Packet) {
+// newEndpoint builds the composite endpoint for a node over its merged
+// RX queue; packets for either rail are built from rail 0's pool.
+func (f *Fabric) newEndpoint(node int, rx *sim.Queue[*fabric.Packet]) *fabric.Endpoint {
+	return fabric.NewInjectedEndpoint(node, rx, f.rails[0].Attach(node).Pool(), func(p *sim.Proc, pkt *fabric.Packet) {
 		rail := f.policy(node, pkt.Dst)
 		if rail < 0 || rail > 1 {
 			panic(fmt.Sprintf("hetero: policy returned rail %d", rail))
@@ -174,15 +165,23 @@ func (f *Fabric) Collect(set obs.Set) {
 
 // CollectGauges publishes the composite's instantaneous state: the
 // gray-steer preference count, per-node merged-queue depth, and both
-// rails' RX queues.
+// rails' gauges. A rail's RX queue is the merged queue, counted once
+// here, so its rx_queued gauge keeps its place in the snapshot but
+// reads zero (bcltop sums rx_queued over every fabric layer).
 func (f *Fabric) CollectGauges(set obs.GaugeSet) {
 	set(-1, "fabric:hetero", "gray_preferred", int64(len(f.prefer)))
-	for node, q := range f.merged {
-		set(node, "fabric:hetero", "rx_queued", int64(q.Len()))
+	for node, ep := range f.endpoints {
+		set(node, "fabric:hetero", "rx_queued", int64(ep.RX.Len()))
+	}
+	railSet := func(node int, layer, name string, v int64) {
+		if name == "rx_queued" {
+			v = 0
+		}
+		set(node, layer, name, v)
 	}
 	for r := 0; r < 2; r++ {
 		if gc, ok := f.rails[r].(interface{ CollectGauges(obs.GaugeSet) }); ok {
-			gc.CollectGauges(set)
+			gc.CollectGauges(railSet)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"bcl/internal/fabric"
+	"bcl/internal/fabric/mesh"
+	"bcl/internal/fabric/myrinet"
 	"bcl/internal/hw"
 	"bcl/internal/sim"
 )
@@ -88,5 +90,62 @@ func TestFailoverToSurvivingRail(t *testing.T) {
 	}
 	if f.Failovers() != 1 {
 		t.Fatalf("failovers = %d, want 1", f.Failovers())
+	}
+}
+
+// TestRailsDeliverIntoMergedQueue: the composite is wiring, not a
+// process. Building it starts no process and schedules no event, and a
+// packet on either rail lands in Attach(dst).RX by the rail's own
+// delivery: carrying it takes exactly the time and the events the bare
+// rail spends (a forwarder between the rail's queue and the node's
+// would add an event per packet).
+func TestRailsDeliverIntoMergedQueue(t *testing.T) {
+	prof := hw.DAWNING3000()
+	// oneWay injects one packet with nobody receiving and runs to idle:
+	// the packet must be sitting in the destination's RX queue.
+	oneWay := func(env *sim.Env, f fabric.Fabric, src, dst int) (at sim.Time, steps uint64) {
+		env.Go("tx", func(p *sim.Proc) {
+			pkt := &fabric.Packet{Kind: fabric.KindData, Src: src, Dst: dst, Payload: []byte{1}}
+			pkt.Seal()
+			f.Attach(src).Inject(p, pkt)
+		})
+		at = env.Run()
+		if n := f.Attach(dst).RX.Len(); n != 1 {
+			t.Fatalf("%s %d->%d: %d packets in the destination RX queue at idle, want 1", f.Name(), src, dst, n)
+		}
+		return at, env.Steps()
+	}
+	for _, tc := range []struct {
+		src, dst int
+		bare     func(env *sim.Env) fabric.Fabric
+	}{
+		{1, 6, func(env *sim.Env) fabric.Fabric { return myrinet.New(env, prof, 8) }}, // cross-cluster
+		{5, 6, func(env *sim.Env) fabric.Fabric { return mesh.New(env, prof, 8) }},    // high half
+	} {
+		bareEnv := sim.NewEnv(1)
+		bare := tc.bare(bareEnv)
+		wantAt, wantSteps := oneWay(bareEnv, bare, tc.src, tc.dst)
+		bareEnv.Close()
+
+		env := sim.NewEnv(1)
+		f := New(env, prof, 8, SplitAt(4))
+		if env.Run(); env.Steps() != 0 {
+			t.Fatalf("building the composite ran %d events, want none (a process costs a start event)", env.Steps())
+		}
+		at, steps := oneWay(env, f, tc.src, tc.dst)
+		env.Close()
+		var queued int64 // as bcltop reads it: rx_queued summed over fabric layers
+		f.CollectGauges(func(node int, layer, name string, v int64) {
+			if node == tc.dst && name == "rx_queued" {
+				queued += v
+			}
+		})
+		if queued != 1 {
+			t.Errorf("%d->%d: rx_queued gauges for node %d sum to %d with one packet waiting", tc.src, tc.dst, tc.dst, queued)
+		}
+		if at != wantAt || steps != wantSteps {
+			t.Errorf("%d->%d: in RX at %d ns after %d events, on a bare %s at %d ns after %d",
+				tc.src, tc.dst, at, steps, bare.Name(), wantAt, wantSteps)
+		}
 	}
 }

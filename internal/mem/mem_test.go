@@ -243,7 +243,7 @@ func TestPagesCount(t *testing.T) {
 func TestQuickReadWriteRoundTrip(t *testing.T) {
 	m := NewMemory(4096)
 	as := NewAddrSpace(m)
-	va := as.Alloc(64 * 1024)
+	va := as.Alloc(96 * 1024) // any uint16 offset plus 32 KB of data fits
 	f := func(off uint16, data []byte) bool {
 		if len(data) > 32*1024 {
 			data = data[:32*1024]

@@ -258,7 +258,7 @@ func (d *Driver) Run(p *sim.Proc) {
 		if dur < sim.Microsecond {
 			dur = sim.Microsecond
 		}
-		ev, ok := d.ep.port.RecvRoutedTimeout(p, d.ep.q, dur)
+		ev, ok := d.ep.port.WaitRecvTimeout(p, dur)
 		if ok {
 			d.handle(p, ev)
 		} else {

@@ -9,14 +9,13 @@ import (
 	"bcl/internal/sim"
 )
 
-// endpoint wraps one BCL port for an event-loop layer: a routed
-// system-channel event queue, a pool of reusable send buffers (a
-// buffer is busy until its send completion drains — the NIC may still
-// DMA or retransmit from it), and batched return of consumed receive
-// pool buffers.
+// endpoint wraps one BCL port for an event-loop layer that owns it (the
+// loop blocks in port.WaitRecvTimeout; nothing else receives on the
+// port): a pool of reusable send buffers (a buffer is busy until its
+// send completion drains — the NIC may still DMA or retransmit from
+// it), and batched return of consumed receive pool buffers.
 type endpoint struct {
 	port    *bcl.Port
-	q       *sim.Queue[*nic.Event]
 	bufSize int
 
 	freeBufs []mem.VAddr
@@ -31,7 +30,6 @@ const returnBatch = 8
 func newEndpoint(p *sim.Proc, port *bcl.Port, sendBufs, bufSize int) *endpoint {
 	e := &endpoint{
 		port:     port,
-		q:        port.RouteChannel(bcl.SystemChannel),
 		bufSize:  bufSize,
 		inflight: make(map[uint64]mem.VAddr),
 	}

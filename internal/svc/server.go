@@ -277,7 +277,7 @@ func (s *Server) Run(p *sim.Proc) {
 		if d < sim.Microsecond {
 			d = sim.Microsecond
 		}
-		ev, ok := s.ep.port.RecvRoutedTimeout(p, s.ep.q, d)
+		ev, ok := s.ep.port.WaitRecvTimeout(p, d)
 		if ok {
 			s.handle(p, ev)
 		} else {

@@ -7,9 +7,9 @@
 // destination port. The 64-bit BCL tag word carries the entire RPC
 // header — kind, session, per-user channel, sequence number — so
 // framing costs no payload bytes and no extra kernel work; bodies are
-// length-prefixed fields in the pool buffer. Ports route channel 0 to
-// a dedicated event queue (bcl.RouteChannel), so the service event
-// loops never contend with other consumers of the port.
+// length-prefixed fields in the pool buffer. Each server and driver
+// owns its port outright — its event loop (bcl.Port.WaitRecvTimeout) is
+// the port's only receiver, so there is nothing to demultiplex.
 //
 // Reliability is end-to-end at the service layer: clients retransmit
 // requests on an exponential-backoff RTO, servers deduplicate by
