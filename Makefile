@@ -118,7 +118,13 @@ reqobs:
 # `make check` reruns them, fails on any metric outside its tolerance
 # band, and then requires every fresh artifact to be byte-identical to
 # its committed baseline (the event-order oracle; prints the first file
-# that differs). CI runs both steps on every push.
+# that differs). Last it runs each host-benchmark workload for a moment
+# and diffs the model line it prints first (ops, events executed, model
+# digest: deterministic per seed and size) against
+# baselines/HOSTBENCH_model.txt, which holds the event order on five
+# workloads the baselines do not reach. A change that removes events on
+# purpose regenerates that file with the same loop and says so. CI runs
+# all of it on every push.
 baseline:
 	$(GO) run ./cmd/bclbench -baseline
 
@@ -127,7 +133,10 @@ check:
 	$(GO) run ./cmd/bclbench -check -out "$$out" && \
 	for f in "$$out"/BENCH_*.json; do \
 		cmp "$$f" "baselines/$$(basename "$$f")" || exit 1; \
-	done && echo "baselines reproduce byte for byte"
+	done && echo "baselines reproduce byte for byte" && \
+	for w in $$(cut -d' ' -f1 baselines/HOSTBENCH_model.txt); do \
+		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 2 --trace 0 | sed -n 1p; \
+	done | diff baselines/HOSTBENCH_model.txt - && echo "host benchmark model lines reproduce"
 
 examples:
 	$(GO) run ./examples/quickstart

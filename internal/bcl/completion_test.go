@@ -128,18 +128,24 @@ func TestPortOwnsOneProcess(t *testing.T) {
 // logged on the commit that still forwarded every completion through a
 // pump process (77) and is exactly the four forwarded events of a round
 // trip lower (two receive and two send completions).
+//
+// Beside it, the coroutine switches those events cost. 57 of the 73 are
+// process wake-ups; under a scheduler goroutine each was a switch in
+// and a switch out, 114 per round trip. A parked process now drives the
+// event loop itself, so only a wake-up of a process that is not on the
+// driving stack switches at all (36 measured here).
 func TestRoundTripEventBudget(t *testing.T) {
 	tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 1})
 	a, b := tb.ports[0], tb.ports[1]
-	const warm, rounds, budget = 8, 64, 73
-	var marks [2]uint64
+	const warm, rounds, budget, switchBudget = 8, 64, 73, 40
+	var marks, switches [2]uint64
 	serve := func(pt *Port, peer Addr, first bool) func(p *sim.Proc) {
 		return func(p *sim.Proc) {
 			va := pt.Process().Space.Alloc(8)
 			for i := 0; i < warm+rounds; i++ {
 				if first {
 					if i == warm {
-						marks[0] = tb.c.Env.Steps()
+						marks[0], switches[0] = tb.c.Env.Steps(), tb.c.Env.Switches()
 					}
 					if _, err := pt.Send(p, peer, SystemChannel, va, 0, 0); err != nil {
 						t.Error(err)
@@ -157,7 +163,7 @@ func TestRoundTripEventBudget(t *testing.T) {
 				pt.WaitSend(p)
 			}
 			if first {
-				marks[1] = tb.c.Env.Steps()
+				marks[1], switches[1] = tb.c.Env.Steps(), tb.c.Env.Switches()
 			}
 		}
 	}
@@ -168,9 +174,13 @@ func TestRoundTripEventBudget(t *testing.T) {
 		t.Fatal("ping-pong did not finish")
 	}
 	perTrip := float64(marks[1]-marks[0]) / rounds
-	t.Logf("%.2f events per round trip", perTrip)
+	swPerTrip := float64(switches[1]-switches[0]) / rounds
+	t.Logf("%.2f events, %.2f coroutine switches per round trip", perTrip, swPerTrip)
 	if perTrip != budget {
 		t.Fatalf("%.2f events per 0-byte round trip, want %d", perTrip, budget)
+	}
+	if swPerTrip > switchBudget {
+		t.Fatalf("%.2f coroutine switches per 0-byte round trip, want at most %d", swPerTrip, switchBudget)
 	}
 }
 

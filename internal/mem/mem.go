@@ -28,12 +28,12 @@ var ErrFault = errors.New("mem: page fault: address not mapped")
 var ErrNotPinned = errors.New("mem: DMA to unpinned frame")
 
 // Memory is one node's physical memory: a set of lazily allocated
-// page frames addressed by physical address.
+// page frames addressed by physical address. Frames are numbered in
+// allocation order, so the frame number indexes both tables.
 type Memory struct {
 	pageSize  int
-	nextFrame int64
-	frames    map[int64][]byte // frame number -> page contents
-	pinned    map[int64]int    // frame number -> pin count
+	frames    [][]byte // frame number -> page contents
+	pinned    []int32  // frame number -> pin count
 	pinnedNow int64
 	pinnedMax int64
 }
@@ -43,11 +43,7 @@ func NewMemory(pageSize int) *Memory {
 	if pageSize <= 0 || pageSize&(pageSize-1) != 0 {
 		panic(fmt.Sprintf("mem: page size %d not a positive power of two", pageSize))
 	}
-	return &Memory{
-		pageSize: pageSize,
-		frames:   make(map[int64][]byte),
-		pinned:   make(map[int64]int),
-	}
+	return &Memory{pageSize: pageSize}
 }
 
 // PageSize returns the page size in bytes.
@@ -55,14 +51,16 @@ func (m *Memory) PageSize() int { return m.pageSize }
 
 // allocFrame grabs a fresh physical frame and returns its number.
 func (m *Memory) allocFrame() int64 {
-	f := m.nextFrame
-	m.nextFrame++
-	m.frames[f] = make([]byte, m.pageSize)
-	return f
+	m.frames = append(m.frames, make([]byte, m.pageSize))
+	m.pinned = append(m.pinned, 0)
+	return int64(len(m.frames) - 1)
 }
 
-func (m *Memory) frameOf(pa PAddr) (frame int64, off int) {
-	return int64(pa) / int64(m.pageSize), int(int64(pa) % int64(m.pageSize))
+// frameOf splits pa into frame number and offset; ok is false if no
+// such frame exists.
+func (m *Memory) frameOf(pa PAddr) (frame int64, off int, ok bool) {
+	frame, off = int64(pa)/int64(m.pageSize), int(int64(pa)%int64(m.pageSize))
+	return frame, off, pa >= 0 && frame < int64(len(m.frames))
 }
 
 // ReadPhys copies len(buf) bytes starting at physical address pa into
@@ -98,11 +96,11 @@ func (m *Memory) DMAWrite(pa PAddr, buf []byte) error {
 func (m *Memory) physOp(pa PAddr, buf []byte, needPin bool, op func(page []byte, off int, b []byte)) error {
 	done := 0
 	for done < len(buf) {
-		frame, off := m.frameOf(pa + PAddr(done))
-		page, ok := m.frames[frame]
+		frame, off, ok := m.frameOf(pa + PAddr(done))
 		if !ok {
 			return fmt.Errorf("%w: phys %#x", ErrFault, int64(pa)+int64(done))
 		}
+		page := m.frames[frame]
 		if needPin && m.pinned[frame] == 0 {
 			return fmt.Errorf("%w: frame %d", ErrNotPinned, frame)
 		}
@@ -118,8 +116,8 @@ func (m *Memory) physOp(pa PAddr, buf []byte, needPin bool, op func(page []byte,
 
 // PinFrame increments the pin count of the frame containing pa.
 func (m *Memory) PinFrame(pa PAddr) error {
-	frame, _ := m.frameOf(pa)
-	if _, ok := m.frames[frame]; !ok {
+	frame, _, ok := m.frameOf(pa)
+	if !ok {
 		return fmt.Errorf("%w: phys %#x", ErrFault, int64(pa))
 	}
 	if m.pinned[frame] == 0 {
@@ -134,13 +132,12 @@ func (m *Memory) PinFrame(pa PAddr) error {
 
 // UnpinFrame decrements the pin count of the frame containing pa.
 func (m *Memory) UnpinFrame(pa PAddr) error {
-	frame, _ := m.frameOf(pa)
-	if m.pinned[frame] == 0 {
+	frame, _, ok := m.frameOf(pa)
+	if !ok || m.pinned[frame] == 0 {
 		return fmt.Errorf("mem: unpin of unpinned frame %d", frame)
 	}
 	m.pinned[frame]--
 	if m.pinned[frame] == 0 {
-		delete(m.pinned, frame)
 		m.pinnedNow--
 	}
 	return nil
@@ -155,7 +152,7 @@ func (m *Memory) PinnedPages() (now, max int64) { return m.pinnedNow, m.pinnedMa
 // so it can serve as a null pointer in tests.
 type AddrSpace struct {
 	mem   *Memory
-	table map[int64]int64 // virtual page -> physical frame
+	table []int64 // virtual page -> physical frame, -1 if unmapped
 	brk   VAddr
 }
 
@@ -163,9 +160,18 @@ type AddrSpace struct {
 func NewAddrSpace(mem *Memory) *AddrSpace {
 	return &AddrSpace{
 		mem:   mem,
-		table: make(map[int64]int64),
+		table: []int64{-1},         // page zero
 		brk:   VAddr(mem.pageSize), // skip page zero
 	}
+}
+
+// frame returns the physical frame backing virtual page vpage, -1 if
+// the page is not mapped.
+func (a *AddrSpace) frame(vpage int64) int64 {
+	if vpage < 0 || vpage >= int64(len(a.table)) {
+		return -1
+	}
+	return a.table[vpage]
 }
 
 // Mem returns the underlying physical memory.
@@ -181,8 +187,7 @@ func (a *AddrSpace) Alloc(n int) VAddr {
 	base := a.brk
 	pages := (n + a.mem.pageSize - 1) / a.mem.pageSize
 	for i := 0; i < pages; i++ {
-		vpage := int64(base)/int64(a.mem.pageSize) + int64(i)
-		a.table[vpage] = a.mem.allocFrame()
+		a.table = append(a.table, a.mem.allocFrame()) // brk is the table's end
 	}
 	a.brk += VAddr(pages * a.mem.pageSize)
 	return base
@@ -196,7 +201,7 @@ func (a *AddrSpace) Mapped(va VAddr, n int) bool {
 	first := int64(va) / int64(a.mem.pageSize)
 	last := (int64(va) + int64(n) - 1) / int64(a.mem.pageSize)
 	for p := first; p <= last; p++ {
-		if _, ok := a.table[p]; !ok {
+		if a.frame(p) < 0 {
 			return false
 		}
 	}
@@ -207,8 +212,8 @@ func (a *AddrSpace) Mapped(va VAddr, n int) bool {
 func (a *AddrSpace) Translate(va VAddr) (PAddr, error) {
 	vpage := int64(va) / int64(a.mem.pageSize)
 	off := int64(va) % int64(a.mem.pageSize)
-	frame, ok := a.table[vpage]
-	if !ok {
+	frame := a.frame(vpage)
+	if frame < 0 {
 		return 0, fmt.Errorf("%w: virt %#x", ErrFault, int64(va))
 	}
 	return PAddr(frame*int64(a.mem.pageSize) + off), nil

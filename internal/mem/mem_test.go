@@ -44,6 +44,25 @@ func TestUnmappedFaults(t *testing.T) {
 	if as.Mapped(va, 4096) != true || as.Mapped(va, 4097) != false {
 		t.Fatal("Mapped bounds wrong")
 	}
+	// Addresses below zero and frames that were never allocated are
+	// faults too, virtual and physical alike.
+	if _, err := as.Translate(-8192); !errors.Is(err, ErrFault) {
+		t.Fatalf("negative translate error = %v, want ErrFault", err)
+	}
+	if as.Mapped(-8192, 1) || as.Mapped(0, 1) {
+		t.Fatal("page zero or a negative page reads as mapped")
+	}
+	for _, pa := range []PAddr{-1, -8192, 4096, 1 << 40} {
+		if err := m.ReadPhys(pa, make([]byte, 1)); !errors.Is(err, ErrFault) {
+			t.Fatalf("ReadPhys(%#x) = %v, want ErrFault", int64(pa), err)
+		}
+		if err := m.PinFrame(pa); !errors.Is(err, ErrFault) {
+			t.Fatalf("PinFrame(%#x) = %v, want ErrFault", int64(pa), err)
+		}
+		if err := m.UnpinFrame(pa); err == nil {
+			t.Fatalf("UnpinFrame(%#x) of a frame that does not exist succeeded", int64(pa))
+		}
+	}
 }
 
 func TestSegmentsSplitAndMerge(t *testing.T) {

@@ -24,23 +24,71 @@ func BenchmarkHeapPushPop(b *testing.B) {
 	b.ReportMetric(float64(hits)/float64(hits+misses)*100, "pool-hit-%")
 }
 
-// BenchmarkWakeSoonHandoff measures the scheduler<->process handoff:
-// each iteration is one zero-length sleep, i.e. one wakeSoon event plus
-// a coroutine switch each way.
-func BenchmarkWakeSoonHandoff(b *testing.B) {
+// sleepBench runs b.N iterations of step inside one process.
+func sleepBench(b *testing.B, step func(e *Env, p *Proc)) {
 	e := NewEnv(1)
 	b.ReportAllocs()
-	done := make(chan struct{})
 	e.Go("bench", func(p *Proc) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.Sleep(0)
+			step(e, p)
 		}
 		b.StopTimer()
-		close(done)
 	})
 	e.Run()
-	<-done
+	b.ReportMetric(float64(e.Switches())/float64(b.N), "switches/op")
+	e.Close()
+}
+
+// BenchmarkWakeSoonHandoff is one zero-length sleep per iteration with
+// nothing else pending. It used to be the price of a handoff (a
+// wakeSoon event and a coroutine switch each way); the sleeper now
+// takes its own wake-up in place, so this is the floor a handoff can
+// fall to.
+func BenchmarkWakeSoonHandoff(b *testing.B) {
+	sleepBench(b, func(e *Env, p *Proc) { p.Sleep(0) })
+}
+
+// BenchmarkSleepAlone: a timed sleep with nothing due before its
+// wake-up, the in-place path.
+func BenchmarkSleepAlone(b *testing.B) {
+	sleepBench(b, func(e *Env, p *Proc) { p.Sleep(10) })
+}
+
+// BenchmarkSleepBehindTimer: an earlier event is pending, so the sleep
+// takes the ordinary path — schedule, park, and the sleeper pops both
+// events on its own carrier: two events, no switch.
+func BenchmarkSleepBehindTimer(b *testing.B) {
+	nop := func(a, b uint64) {}
+	sleepBench(b, func(e *Env, p *Proc) {
+		e.AtArg(e.Now()+5, nop, 0, 0)
+		p.Sleep(10)
+	})
+}
+
+// BenchmarkProcPingPong is one item across a queue and one back between
+// two processes: four events and two wake-ups of a process that is not
+// the one driving, one switch each.
+func BenchmarkProcPingPong(b *testing.B) {
+	e := NewEnv(1)
+	ping, pong := NewQueue[int](e, "ping", 1), NewQueue[int](e, "pong", 1)
+	b.ReportAllocs()
+	e.Go("a", func(p *Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ping.Send(p, i)
+			pong.Recv(p)
+		}
+		b.StopTimer()
+	})
+	e.Go("b", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Send(p, ping.Recv(p))
+		}
+	})
+	e.Run()
+	b.ReportMetric(float64(e.Switches())/float64(b.N), "switches/op")
+	e.Close()
 }
 
 // BenchmarkGoAndFinish measures a short-lived process from Go to the

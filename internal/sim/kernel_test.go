@@ -76,27 +76,141 @@ func TestCloseReleasesEveryGoroutine(t *testing.T) {
 	}
 }
 
+// goroutinesSettleAt polls until the process holds n goroutines more
+// than base: a goroutine that has just run its last deferred function
+// is still counted for an instant.
+func goroutinesSettleAt(base, n int) bool {
+	for i := 0; i < 1000; i++ {
+		if runtime.NumGoroutine()-base == n {
+			return true
+		}
+		runtime.Gosched()
+	}
+	return false
+}
+
 // A panic in a process body comes out of Run on the caller's goroutine
-// carrying the value the body panicked with.
+// carrying the value the body panicked with — and out of nothing else.
+// When it blows, bad is running three carriers deep (the bystanders
+// parked first, so they drive the loop that started it, one nested in
+// the other); both would swallow a panic that unwound through them.
 func TestBodyPanicReachesRunCaller(t *testing.T) {
 	boom := errors.New("boom")
 	env := NewEnv(1)
-	env.Go("bystander", func(p *Proc) { p.Sleep(1000) })
+	swallowed := 0
+	var bystanders []*Proc
+	for i := 0; i < 2; i++ {
+		bystanders = append(bystanders, env.Go("bystander", func(p *Proc) {
+			defer func() {
+				if recover() != nil {
+					swallowed++
+				}
+			}()
+			p.Sleep(1000)
+		}))
+	}
 	env.Go("bad", func(p *Proc) {
 		p.Sleep(10)
+		if !bystanders[0].driving || !bystanders[1].driving {
+			t.Error("bad is not nested under the bystanders; the test is not testing the nested case")
+		}
 		panic(boom)
 	})
-	defer func() {
-		if r := recover(); r != boom {
-			t.Fatalf("recovered %v, want the body's own panic value", r)
-		}
-		if env.Now() != 10 {
-			t.Fatalf("panic surfaced at t=%d, want 10", env.Now())
-		}
-		env.Close() // the bystander is still parked; this must not hang
+	func() {
+		defer func() {
+			if r := recover(); r != boom {
+				t.Fatalf("recovered %v, want the body's own panic value", r)
+			}
+		}()
+		env.Run()
+		t.Fatal("Run returned normally")
 	}()
-	env.Run()
-	t.Fatal("Run returned normally")
+	if env.Now() != 10 || swallowed != 0 {
+		t.Fatalf("panic surfaced at t=%d having unwound %d bystanders, want 10 and 0", env.Now(), swallowed)
+	}
+	// The bystanders are parked where they were, not unwound: the run
+	// picks up again and they finish on their own wake-ups.
+	if end := env.Run(); end != 1000 || !bystanders[0].Done().Fired() || !bystanders[1].Done().Fired() {
+		t.Fatalf("second Run ended at %d with bystanders done = %v, %v; want 1000, true, true",
+			end, bystanders[0].Done().Fired(), bystanders[1].Done().Fired())
+	}
+	env.Close()
+}
+
+// A callback that panics while a process carrier happens to be driving
+// the loop is no more that process's business than another body's
+// panic: Run's caller gets the value, the driver stays parked.
+func TestCallbackPanicReachesRunCaller(t *testing.T) {
+	env := NewEnv(1)
+	swallowed := false
+	driver := env.Go("driver", func(p *Proc) {
+		defer func() { swallowed = recover() != nil }()
+		p.Sleep(1000)
+	})
+	env.At(10, func() {
+		if !driver.driving {
+			t.Error("the callback is not running on the driver's carrier")
+		}
+		panic("callback")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "callback" {
+				t.Fatalf("recovered %v, want the callback's panic value", r)
+			}
+		}()
+		env.Run()
+		t.Fatal("Run returned normally")
+	}()
+	if env.Now() != 10 || swallowed || driver.Done().Fired() {
+		t.Fatalf("t=%d, driver unwound = %v, finished = %v; want 10, false, false", env.Now(), swallowed, driver.Done().Fired())
+	}
+	if end := env.Run(); end != 1000 || !driver.Done().Fired() {
+		t.Fatalf("second Run ended at %d, driver done = %v", end, driver.Done().Fired())
+	}
+	env.Close()
+}
+
+// Close from an event callback runs on whichever carrier is driving,
+// three deep here: it must not stop the coroutine it stands on. Nothing
+// executes after it, the stack unwinds to Run, and Run returns with
+// every process unwound and every goroutine gone.
+func TestCloseFromCallback(t *testing.T) {
+	base := runtime.NumGoroutine()
+	env := NewEnv(1)
+	unwound, later := 0, false
+	var sleepers []*Proc
+	for i := 0; i < 3; i++ {
+		sleepers = append(sleepers, env.Go("sleeper", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Sleep(Time(1000 + i))
+			t.Error("a sleeper resumed after Close")
+		}))
+	}
+	env.At(500, func() {
+		for _, p := range sleepers {
+			if !p.driving {
+				t.Error("Close is not being called from a nested carrier; the test is not testing that")
+			}
+		}
+		env.Close()
+		env.At(500, func() { later = true }) // dropped and counted, like any schedule after Close
+	})
+	env.At(500, func() { later = true })
+	if end := env.Run(); end != 500 {
+		t.Fatalf("Run returned %d, want 500", end)
+	}
+	if later || env.Steps() != 4 || env.ClosedSchedules() != 1 {
+		t.Fatalf("after Close: later event ran = %v, Steps = %d, ClosedSchedules = %d; want false, 4, 1",
+			later, env.Steps(), env.ClosedSchedules())
+	}
+	if unwound != 3 {
+		t.Fatalf("%d sleepers ran their deferred functions, want 3", unwound)
+	}
+	if g := runtime.NumGoroutine() - base; g != 0 {
+		t.Fatalf("%d goroutines left when Run returned", g)
+	}
+	env.Close() // a second Close is a no-op
 }
 
 // runtime.Goexit in a body (what t.FailNow does) ends the goroutine
@@ -122,6 +236,123 @@ func TestBodyGoexitEndsRunCaller(t *testing.T) {
 	}
 	if !worker.Done().Fired() {
 		t.Fatal("Done did not fire for a body that called Goexit")
+	}
+	env.Close()
+}
+
+// The same three carriers down: the Goexit passes through the bodies
+// the quitter is nested in, on its way to the goroutine that called
+// Run. Their deferred functions run, but the simulation is over — a
+// Sleep or Recv in one of them executes no event — and Close afterwards
+// finds nothing it has to wait for.
+func TestNestedGoexitFreezesTheRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	env := NewEnv(1)
+	q := NewQueue[int](env, "never", 0)
+	deferred, pastBlocking := 0, 0
+	var outer []*Proc
+	for i := 0; i < 2; i++ {
+		outer = append(outer, env.Go("outer", func(p *Proc) {
+			defer func() {
+				deferred++
+				if i == 0 {
+					p.Sleep(5)
+				} else {
+					q.Recv(p)
+				}
+				pastBlocking++
+			}()
+			p.Sleep(1000)
+		}))
+	}
+	var frozen uint64
+	later := false
+	quitter := env.Go("quitter", func(p *Proc) {
+		defer func() { deferred++ }()
+		p.Sleep(10)
+		if !outer[0].driving || !outer[1].driving {
+			t.Error("quitter is not nested under the outer processes")
+		}
+		env.At(p.Now(), func() { later = true }) // due this very instant
+		frozen = env.Steps()
+		runtime.Goexit()
+	})
+	env.Go("later", func(p *Proc) {
+		p.Sleep(20)
+		later = true
+	})
+	exited, afterRun := make(chan struct{}), false
+	go func() {
+		defer close(exited)
+		env.Run()
+		afterRun = true
+	}()
+	<-exited
+	if deferred != 3 || pastBlocking != 0 || afterRun {
+		t.Fatalf("%d bodies ran deferred functions, %d got past a blocking call in one, code after Run ran = %v; want 3, 0, false",
+			deferred, pastBlocking, afterRun)
+	}
+	if !quitter.Done().Fired() {
+		t.Fatal("Done did not fire for the body that called Goexit")
+	}
+	if later || env.Steps() != frozen || env.Now() != 10 {
+		t.Fatalf("after Goexit: later event ran = %v, Steps %d (was %d), Now %d; want nothing further", later, env.Steps(), frozen, env.Now())
+	}
+	env.Close()
+	if !goroutinesSettleAt(base, 0) {
+		t.Fatalf("%d goroutines left after Close", runtime.NumGoroutine()-base)
+	}
+}
+
+// An in-place Sleep — nothing else is due before the wake-up — is a
+// step of the clock and nothing more; a Sleep with an earlier event
+// pending takes the ordinary path and, alone on the stack, still comes
+// back without a switch; two processes handing items to each other
+// switch once per item per direction.
+func TestSwitchBudget(t *testing.T) {
+	env := NewEnv(1)
+	env.Go("sleeper", func(p *Proc) {
+		for _, tc := range []struct {
+			name  string
+			sleep func()
+		}{
+			{"Sleep alone", func() { p.Sleep(10) }},
+			{"Sleep(0) alone", func() { p.Sleep(0) }},
+			{"Sleep behind an event", func() {
+				env.AtArg(env.Now()+5, func(a, b uint64) {}, 0, 0)
+				p.Sleep(10)
+			}},
+		} {
+			tc.sleep() // warm the event pool
+			steps, sw := env.Steps(), env.Switches()
+			if allocs := testing.AllocsPerRun(100, tc.sleep); allocs != 0 {
+				t.Errorf("%s: %v allocs, want 0", tc.name, allocs)
+			}
+			if n := env.Switches() - sw; n != 0 {
+				t.Errorf("%s: %d switches over %d events, want 0", tc.name, n, env.Steps()-steps)
+			}
+		}
+	})
+	env.Run()
+
+	const items = 1000
+	ping, pong := NewQueue[int](env, "ping", 1), NewQueue[int](env, "pong", 1)
+	env.Go("a", func(p *Proc) {
+		for i := 0; i < items; i++ {
+			ping.Send(p, i)
+			pong.Recv(p)
+		}
+	})
+	env.Go("b", func(p *Proc) {
+		for i := 0; i < items; i++ {
+			pong.Send(p, ping.Recv(p))
+		}
+	})
+	steps, sw := env.Steps(), env.Switches()
+	env.Run()
+	// Two for each process's start and end, then one per item each way.
+	if n := env.Switches() - sw; n > 2*items+4 {
+		t.Errorf("%d switches for %d items each way (%d wake-ups), want one per item per direction", n, items, env.Steps()-steps)
 	}
 	env.Close()
 }

@@ -23,6 +23,11 @@ type Proc struct {
 	c    *carrier      // held from the first wake until the body returns
 	done Signal
 
+	// driving is set while the process is parked inside Env.drive, that
+	// is, while it is on the driving stack: a wake-up that finds it set
+	// needs no switch.
+	driving bool
+
 	// wakeFn is the one closure allocated per process; every wake-up
 	// (wakeSoon, Sleep, the start event) schedules it through the
 	// pooled event queue, so process handoffs allocate nothing.
@@ -73,6 +78,7 @@ func (e *Env) start(p *Proc) {
 				c.p.run()
 				c.p.c, c.p = nil, nil
 				e.free = append(e.free, c)
+				e.switches++
 				if !yield(struct{}{}) {
 					return // Close stopped the carrier
 				}
@@ -99,21 +105,32 @@ func (e *Env) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
 }
 
 // run is the process trampoline: it executes the body on the carrier
-// and fires Done when the body returns (or calls runtime.Goexit). A
-// process killed by Close unwinds to here and stops silently; any other
-// panic carries on, through the carrier, to the caller of Run/RunUntil.
+// and fires Done when the body returns. Nothing a body throws may leave
+// the carrier, because the level below on the driving stack is usually
+// another process: a process killed by Close unwinds to here and stops
+// silently; any other panic is handed to the environment, which halts
+// the run and raises it again from Run/RunUntil. runtime.Goexit
+// (t.FailNow) cannot be stopped, so it fires Done and closes the
+// environment: while iter.Pull carries it down the stack to the
+// goroutine that called Run, unwinding each body on the way, no event
+// runs for their deferred functions.
 func (p *Proc) run() {
+	returned := false
 	defer func() {
 		p.fn = nil
-		if r := recover(); r != nil {
-			if _, ok := r.(killedError); ok {
-				return
+		switch r := recover().(type) {
+		case nil:
+			p.done.Fire()
+			if !returned {
+				p.env.Close()
 			}
-			panic(r)
+		case killedError:
+		default:
+			p.env.fail(r)
 		}
-		p.done.Fire()
 	}()
 	p.fn(p)
+	returned = true
 }
 
 // Env returns the environment the process belongs to.
@@ -131,27 +148,42 @@ func (p *Proc) Done() *Signal { return &p.done }
 
 // park blocks the process until something wakes it. Whatever parks the
 // process is responsible for arranging the wake-up (via env.wakeSoon
-// or env.wake from an event callback).
+// or env.wake from an event callback). A parked process drives the
+// event loop itself; it yields only when the next thing to happen
+// belongs to a lower level of the driving stack, and is then switched
+// into again by its wake-up and nothing else.
 func (p *Proc) park() {
+	e := p.env
+	if e.drive(p) {
+		return
+	}
+	if e.closed { // Close, or a Goexit passing through: unwind, run nothing
+		panic(killedError{p.name})
+	}
+	e.switches++
 	if !p.c.yield(struct{}{}) { // Close stopped the carrier
 		panic(killedError{p.name})
 	}
 }
 
-// Sleep advances the process by d nanoseconds of virtual time.
+// Sleep advances the process by d nanoseconds of virtual time. Even a
+// zero-length sleep is an event, so that other ready events at the same
+// timestamp (scheduled earlier) run first.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: %s sleeping negative duration %d", p.name, d))
 	}
-	if d == 0 {
-		// Even a zero-length sleep goes through the event queue so
-		// that other ready events at the same timestamp (scheduled
-		// earlier) run first.
-		p.env.wakeSoon(p)
-		p.park()
+	e := p.env
+	if !e.closed && d <= e.deadline-e.now && (len(e.pq) == 0 || e.pq[0].t > e.now+d) {
+		// The wake-up would be the very next event executed: take it in
+		// place. This is what scheduling and popping it would have done
+		// to the sequence, the step count and the clock.
+		e.seq++
+		e.steps++
+		e.now += d
 		return
 	}
-	p.env.at(p.env.now+d, p.wakeFn)
+	e.at(e.now+d, p.wakeFn)
 	p.park()
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Events stamped exactly at the deadline run; events one tick past it
 // stay queued and the clock parks at the deadline.
@@ -118,4 +121,73 @@ func TestEventPoolSteadyState(t *testing.T) {
 	if hits < 990 {
 		t.Fatalf("hits = %d, want steady-state recycling", hits)
 	}
+}
+
+// The cases above again, with a driving stack in flight across each
+// window edge: a, b and c park nested in one another (c on top, popping
+// events on its own carrier), the deadline falls on a's wake-up exactly
+// and one tick before b's, and a cancelled timer sits inside the window.
+// Whatever was on the stack at the deadline resumes, windows later, at
+// its own wake-up time and in heap order, as if one Run had done it all.
+func TestRunUntilBoundaryWithNestedStack(t *testing.T) {
+	e := NewEnv(1)
+	var log []string
+	mark := func(who, what string) { log = append(log, fmt.Sprintf("%d %s %s", e.Now(), who, what)) }
+	var procs []*Proc
+	for i, d := range []Time{100, 101, 250} {
+		procs = append(procs, e.Go(string(rune('a'+i)), func(p *Proc) {
+			p.Sleep(d)
+			mark(p.Name(), "woke")
+			p.Sleep(10)
+			mark(p.Name(), "done")
+		}))
+	}
+	e.At(50, func() {
+		for _, p := range procs {
+			if !p.driving {
+				t.Errorf("%s is not on the driving stack at t=50", p.Name())
+			}
+		}
+		mark("event", "ran")
+	})
+	e.At(90, func() { mark("cancelled", "ran") }).Cancel()
+
+	// Events (and wake-ups) stamped exactly at the deadline run, the one
+	// a tick past it stays queued, the clock parks at the deadline.
+	if got := e.RunUntil(100); got != 100 {
+		t.Fatalf("RunUntil(100) = %d, want 100", got)
+	}
+	if want := "[50 event ran 100 a woke]"; fmt.Sprint(log) != want {
+		t.Fatalf("first window: %v, want %s", log, want)
+	}
+	// Three starts, the event at 50 and a's wake-up; three switches in
+	// and, at the deadline, three back out (a scheduler goroutine would
+	// have made eight).
+	if e.Steps() != 5 || e.Switches() != 6 || e.Idle() {
+		t.Fatalf("first window: Steps %d, Switches %d, Idle %v; want 5, 6, false", e.Steps(), e.Switches(), e.Idle())
+	}
+	for _, p := range procs {
+		if p.driving {
+			t.Fatalf("%s is still on the driving stack after RunUntil returned", p.Name())
+		}
+	}
+	// A repeated, a smaller and a zero-length deadline change nothing.
+	for _, deadline := range []Time{100, 60, 100} {
+		if got := e.RunUntil(deadline); got != 100 || e.Steps() != 5 || e.Switches() != 6 {
+			t.Fatalf("RunUntil(%d) again = %d with Steps %d, Switches %d; want a no-op at 100", deadline, got, e.Steps(), e.Switches())
+		}
+	}
+	// b resumes from exactly where it parked.
+	if got := e.RunUntil(101); got != 101 || log[len(log)-1] != "101 b woke" || e.Steps() != 6 {
+		t.Fatalf("RunUntil(101) = %d, log %v, Steps %d; want 101, ... 101 b woke, 6", got, log, e.Steps())
+	}
+	// An empty queue holds the clock at the last event, and Steps never
+	// counted the cancelled timer.
+	if got := e.RunUntil(1000); got != 260 || e.Steps() != 10 {
+		t.Fatalf("RunUntil(1000) = %d with Steps %d, want 260 and 10", got, e.Steps())
+	}
+	if want := "[50 event ran 100 a woke 101 b woke 110 a done 111 b done 250 c woke 260 c done]"; fmt.Sprint(log) != want {
+		t.Fatalf("log %v, want %s", log, want)
+	}
+	e.Close()
 }

@@ -8,21 +8,53 @@
 // the kernel's synchronization primitives (Proc.Sleep, Queue.Recv,
 // Resource.Acquire, Signal.Wait, ...).
 //
-// A process is a coroutine of the scheduler, not a scheduled goroutine.
-// Its body runs on a carrier (an iter.Pull coroutine); waking a process
-// is a direct switch into its carrier and parking is a direct switch
-// back, so a handoff never passes through the Go scheduler and exactly
-// one of {scheduler, one process} runs at any instant. There is never
-// concurrent access to simulation state and every run with the same
-// inputs produces the identical event order. Carriers are recycled: a
-// process takes one at its first wake and returns it when its body
-// ends, so an environment holds as many goroutines as it ever had
-// processes alive at once, however many it starts. A panic in a process
-// body surfaces, with its original value, from Run/RunUntil on the
-// goroutine that called it; runtime.Goexit in a body (t.FailNow) ends
-// that goroutine the same way. Wall-clock time plays no role: a
-// simulated microsecond costs whatever the host needs to execute the
-// model code.
+// A process is a coroutine, not a scheduled goroutine. Its body runs on
+// a carrier (an iter.Pull coroutine) and there is no scheduler
+// goroutine to switch back to: whoever parks, drives. One function pops
+// and runs events (Env.drive). RunUntil calls it, and so does every
+// blocking call, on the blocked process's own carrier. The processes
+// doing so form the driving stack: RunUntil's caller at the bottom, each
+// process above it switched into from the loop of the one below, the
+// one on top popping events. What it does with a wake-up depends on
+// whose it is:
+//
+//   - its own: the blocking call returns. No switch at all.
+//   - a process not on the stack: the driver switches into that carrier
+//     (one switch), and the woken process, when it blocks, drives in
+//     turn, one level higher.
+//   - a process lower on the stack — or there is nothing to run: the
+//     deadline, an empty queue, Close, a failure: the driver leaves a
+//     note on the Env and yields to the level below, which reads the
+//     note and yields in turn, until the woken process returns from its
+//     blocking call (or RunUntil returns). Whoever yielded is off the
+//     stack, still blocked, and is switched into again by its own
+//     wake-up and nothing else.
+//
+// Every switch in is matched by one switch out, and a wake-up that
+// finds its process on the stack makes neither: a run costs 2 x
+// (off-stack wake-ups) switches, never more than the two per wake-up a
+// scheduler goroutine needs (Env.Switches counts them). A Sleep whose
+// wake-up would be the very next event does not even book it: it steps
+// the sequence, the step count and the clock as the event would have
+// and returns. Exactly one goroutine runs at any instant and a switch
+// is not an event: the heap alone decides what happens next, so every
+// run with the same inputs produces the identical event order,
+// whichever goroutine pops it. It follows that event callbacks run on
+// carrier stacks as well as on the goroutine that called RunUntil.
+//
+// Carriers are recycled: a process takes one at its first wake and
+// returns it when its body ends, so an environment holds as many
+// goroutines as it ever had processes alive at once, however many it
+// starts. Nothing thrown inside the simulation travels down the driving
+// stack through other processes' frames. A panic in a process body, or
+// in a callback that happened to run on a carrier, is caught on that
+// carrier, halts the run like a deadline, and is raised again with its
+// original value by Run/RunUntil on the goroutine that called it (the
+// stack that raised it is not kept); every other process stays parked
+// where it was. runtime.Goexit in a body (t.FailNow) closes the
+// environment and ends that goroutine too, unwinding the bodies it is
+// nested in on the way. Wall-clock time plays no role: a simulated
+// microsecond costs whatever the host needs to execute the model code.
 //
 // The hot path is allocation-free in steady state: executed events are
 // recycled through a per-environment pool (Timers detect recycled
@@ -84,6 +116,21 @@ type Env struct {
 	steps  uint64
 	rng    *Rand
 
+	// The driving stack (package comment). deadline is the current
+	// RunUntil's; running says one is in progress. woken and halt are
+	// the note a driver leaves before yielding to the level below: the
+	// on-stack process whose wake-up was just executed, or that there is
+	// nothing more to execute (deadline, empty queue, Close, failure).
+	// halt stays set once the environment is closed. failure is the
+	// panic value RunUntil owes its caller. switches counts next and
+	// yield calls.
+	deadline Time
+	running  bool
+	woken    *Proc
+	halt     bool
+	failure  any
+	switches uint64
+
 	// carriers is every coroutine this environment created, free lists
 	// the ones whose last body has returned (see carrier).
 	carriers []*carrier
@@ -114,6 +161,11 @@ func (e *Env) Rand() *Rand { return e.rng }
 
 // Steps reports how many events have been executed so far.
 func (e *Env) Steps() uint64 { return e.steps }
+
+// Switches reports how many coroutine switches (into a carrier or back
+// out of one) the environment has made so far. It is at most twice the
+// number of process wake-ups; see the package comment.
+func (e *Env) Switches() uint64 { return e.switches }
 
 // PoolStats reports how many event allocations were served from the
 // recycle pool (hits) versus fresh allocations (misses). In steady
@@ -320,14 +372,79 @@ func (e *Env) Run() Time { return e.RunUntil(Forever) }
 // remain). Events at exactly the deadline do run. A deadline at or
 // before the current time never moves the clock backwards: repeated
 // calls with a non-advancing deadline execute any events at the
-// deadline instant and are otherwise no-ops.
+// deadline instant and are otherwise no-ops. A process that is blocked
+// when the deadline is reached resumes, at a later call, exactly where
+// it stopped. RunUntil may not be called from inside the simulation.
 func (e *Env) RunUntil(deadline Time) Time {
-	for len(e.pq) > 0 {
-		if e.pq[0].t > deadline {
-			if deadline > e.now {
-				e.now = deadline
+	if e.running {
+		panic("sim: RunUntil called from a process body or an event callback")
+	}
+	e.running, e.deadline = true, deadline
+	defer e.settle()
+	e.drive(nil)
+	return e.now
+}
+
+// settle ends a RunUntil once the driving stack has unwound to its
+// caller: it finishes a Close issued inside the run and re-raises a
+// panic caught on a carrier. Deferred, so that it also runs when the
+// caller's goroutine is ended by a body's runtime.Goexit.
+func (e *Env) settle() {
+	e.running = false
+	if e.closed {
+		e.Close()
+	} else {
+		e.halt = false
+	}
+	if r := e.failure; r != nil {
+		e.failure = nil
+		panic(r)
+	}
+}
+
+// fail records a panic that left a process body or an event callback on
+// a carrier and halts the run, so that the stack unwinds to RunUntil by
+// ordinary yields instead of through other processes' frames.
+func (e *Env) fail(r any) {
+	if e.failure == nil {
+		e.failure = r
+	}
+	e.halt = true
+}
+
+// undrive is deferred by drive on a carrier. A callback that panics
+// there is not the driving body's to unwind (or to recover): it goes to
+// RunUntil like a body's own panic, and the driver yields, still parked.
+func (e *Env) undrive(self *Proc) {
+	self.driving = false
+	if r := recover(); r != nil {
+		e.fail(r)
+	}
+}
+
+// drive is the event loop: it pops and runs events on the calling
+// goroutine until the next thing to happen belongs to a lower level of
+// the driving stack. RunUntil calls it with self == nil; a process that
+// blocks calls it from park and so keeps the simulation going on its
+// own carrier. It reports whether it executed self's own wake-up. On
+// false a process must yield: woken names a process lower on the stack
+// or halt is set, and the level below, back from next, re-checks both.
+func (e *Env) drive(self *Proc) (woken bool) {
+	if self != nil {
+		self.driving = true
+		defer e.undrive(self)
+	}
+	for e.woken == nil && !e.halt {
+		if len(e.pq) == 0 {
+			e.halt = true
+			break
+		}
+		if e.pq[0].t > e.deadline {
+			if e.deadline > e.now {
+				e.now = e.deadline
 			}
-			return e.now
+			e.halt = true
+			break
 		}
 		ev := e.heapPop()
 		if ev.dead {
@@ -349,7 +466,11 @@ func (e *Env) RunUntil(deadline Time) Time {
 			fn()
 		}
 	}
-	return e.now
+	if self != nil && e.woken == self {
+		e.woken = nil
+		return true
+	}
+	return false
 }
 
 // Idle reports whether no events are pending.
@@ -359,31 +480,42 @@ func (e *Env) Idle() bool { return len(e.pq) == 0 }
 // process parked in a blocking call is unwound (the call panics with a
 // private sentinel that the process trampoline recovers, so the body's
 // deferred functions run) and every carrier goroutine exits. A process
-// that never started holds no carrier and needs no unwinding. Close
-// must be called from outside any process body. After Close,
-// scheduling calls are counted no-ops (see At) and the environment must
-// not otherwise be used.
+// that never started holds no carrier and needs no unwinding. After
+// Close, scheduling calls are counted no-ops (see At) and the
+// environment must not otherwise be used.
+//
+// Close may be called from an event callback or a process body. The
+// caller may then be standing on one of the carriers Close has to stop,
+// so inside a run Close only drops the events and halts: nothing
+// further executes, the driving stack unwinds to RunUntil, and the
+// carriers are torn down there, before RunUntil returns.
 func (e *Env) Close() {
-	if e.closed {
-		return
+	e.closed, e.halt = true, true
+	e.pq, e.pool = nil, nil
+	if e.running {
+		return // settle calls again from the bottom of the stack
 	}
-	e.closed = true
-	e.pq = nil
-	e.pool = nil
 	for _, c := range e.carriers {
 		c.stop() // a parked process sees its yield fail and unwinds
 	}
 	e.carriers, e.free = nil, nil
 }
 
-// wake transfers control to p immediately (we are inside the
-// scheduler's event callback) and returns when p blocks or finishes.
-// A body that panics or calls runtime.Goexit does so out of next, on
-// the goroutine running the scheduler.
+// wake gives the CPU to p, whose wake-up event is executing. If p is on
+// the driving stack (the driver itself, or lower) that is a note for
+// drive and no switch; otherwise control transfers into p's carrier and
+// comes back when p, having blocked and driven in its turn, yields or
+// its body ends. An event callback wakes at most one process, as its
+// last act.
 func (e *Env) wake(p *Proc) {
+	if p.driving {
+		e.woken = p
+		return
+	}
 	if p.c == nil {
 		e.start(p)
 	}
+	e.switches++
 	p.c.next()
 }
 
