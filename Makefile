@@ -123,8 +123,12 @@ reqobs:
 # digest: deterministic per seed and size) against
 # baselines/HOSTBENCH_model.txt, which holds the event order on five
 # workloads the baselines do not reach. A change that removes events on
-# purpose regenerates that file with the same loop and says so. CI runs
-# all of it on every push.
+# purpose regenerates that file with the same loop and says so. Then it
+# runs mpi_halo70 at four times the work and requires its peak RSS
+# within 1.5x of the short run's (54 -> 63 MB today): memory must not
+# grow with work done — it did, 116 -> 337 MB, while every host
+# collective mapped fresh simulated pages. CI runs all of it on every
+# push.
 baseline:
 	$(GO) run ./cmd/bclbench -baseline
 
@@ -136,7 +140,13 @@ check:
 	done && echo "baselines reproduce byte for byte" && \
 	for w in $$(cut -d' ' -f1 baselines/HOSTBENCH_model.txt); do \
 		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 2 --trace 0 | sed -n 1p; \
-	done | diff baselines/HOSTBENCH_model.txt - && echo "host benchmark model lines reproduce"
+	done | diff baselines/HOSTBENCH_model.txt - && echo "host benchmark model lines reproduce" && \
+	rss() { $(GO) run ./benchmark --workload mpi_halo70 --seed 1 --seconds $$1 --trace 0 | \
+		sed -n '$$s/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p'; } && \
+	short=$$(rss 2) && long=$$(rss 8) && \
+	echo "mpi_halo70 peak RSS: $$short MB at --seconds 2, $$long MB at --seconds 8" && \
+	if awk -v s="$$short" -v l="$$long" 'BEGIN { exit !(s > 0 && l <= 1.5 * s) }'; \
+	then echo "peak RSS is flat in work done"; else echo "peak RSS grows with work done"; exit 1; fi
 
 examples:
 	$(GO) run ./examples/quickstart

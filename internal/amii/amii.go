@@ -98,7 +98,7 @@ func (s *System) Open(p *sim.Proc, nd *node.Node, proc *oskernel.Process, nStagi
 		// Pin the receive staging pool and the outbound staging area.
 		for i := 0; i < nStaging; i++ {
 			va := proc.Space.Alloc(MTU + 64)
-			if _, terr := nd.Kernel.TranslateAndPin(p, proc.PID, proc.Space, va, MTU+64); terr != nil {
+			if _, terr := nd.Kernel.TranslateAndPin(p, proc.PID, proc.Space, va, MTU+64, nil); terr != nil {
 				return terr
 			}
 			if aerr := nd.NIC.AddSystemBuffer(e.addr.Port, &nic.RecvDesc{
@@ -108,7 +108,7 @@ func (s *System) Open(p *sim.Proc, nd *node.Node, proc *oskernel.Process, nStagi
 			}
 		}
 		e.staging = proc.Space.Alloc(MTU)
-		_, terr := nd.Kernel.TranslateAndPin(p, proc.PID, proc.Space, e.staging, MTU)
+		_, terr := nd.Kernel.TranslateAndPin(p, proc.PID, proc.Space, e.staging, MTU, nil)
 		return terr
 	})
 	if err != nil {

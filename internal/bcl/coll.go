@@ -75,7 +75,7 @@ func (pt *Port) RegisterColl(p *sim.Proc, id, me int, members []Addr, plan coll.
 		if cerr := pt.checkOwner(); cerr != nil {
 			return cerr
 		}
-		segs, terr := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, ringLen)
+		segs, terr := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, ringLen, nil)
 		if terr != nil {
 			return terr
 		}
@@ -155,23 +155,23 @@ func (pt *Port) collPost(p *sim.Proc, kind nic.DescKind, ctx *CollCtx, va mem.VA
 			if err := pt.checkOwner(); err != nil {
 				return err
 			}
-			var segs []mem.Segment
+			d := &nic.SendDesc{
+				Kind: kind, MsgID: msgID, SrcPort: pt.addr.Port,
+				DstNode: pt.addr.Node, DstPort: pt.addr.Port, Channel: CollChannel,
+				Len: n, Tag: tag, Coll: hdr,
+				Trace: tid, Born: born,
+			}
 			var err error
 			pt.tr.Do(p, "kernel: pin/translate", host(pt), func() {
-				segs, err = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n)
+				d.Segs, err = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, d.Seg[:0])
 			})
 			if err != nil {
 				return err
 			}
 			pt.tr.Do(p, "kernel: PIO descriptor fill", host(pt), func() {
-				p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords+4, len(segs)))
+				p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords+4, len(d.Segs)))
 			})
-			pt.node.NIC.PostSend(p, &nic.SendDesc{
-				Kind: kind, MsgID: msgID, SrcPort: pt.addr.Port,
-				DstNode: pt.addr.Node, DstPort: pt.addr.Port, Channel: CollChannel,
-				Len: n, Tag: tag, Segs: segs, Coll: hdr,
-				Trace: tid, Born: born,
-			})
+			pt.node.NIC.PostSend(p, d)
 			return nil
 		})
 	})

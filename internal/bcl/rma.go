@@ -32,12 +32,10 @@ func (pt *Port) RegisterOpen(p *sim.Proc, channel int, va mem.VAddr, n int) erro
 		if err := pt.checkOwner(); err != nil {
 			return err
 		}
-		segs, err := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n)
+		d, err := pt.recvDesc(p, va, n)
 		if err != nil {
 			return err
 		}
-		p.Sleep(k.PIOFillCost(pt.node.Prof.RecvDescWords, len(segs)))
-		d := &nic.RecvDesc{Len: n, Segs: segs, VA: va, Space: pt.proc.Space}
 		if rerr := pt.node.NIC.RegisterOpen(pt.addr.Port, channel, d); rerr != nil {
 			return rerr
 		}
@@ -64,16 +62,17 @@ func (pt *Port) RMAWrite(p *sim.Proc, dst Addr, channel, offset int, va mem.VAdd
 		if cerr := pt.checkOwner(); cerr != nil {
 			return cerr
 		}
-		segs, terr := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n)
-		if terr != nil {
-			return terr
-		}
-		p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords, len(segs)))
-		pt.node.NIC.PostSend(p, &nic.SendDesc{
+		d := &nic.SendDesc{
 			Kind: nic.DescRMAWrite, MsgID: msgID, SrcPort: pt.addr.Port,
 			DstNode: dst.Node, DstPort: dst.Port, Channel: channel,
-			Len: n, Offset: offset, Segs: segs,
-		})
+			Len: n, Offset: offset,
+		}
+		var terr error
+		if d.Segs, terr = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, d.Seg[:0]); terr != nil {
+			return terr
+		}
+		p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords, len(d.Segs)))
+		pt.node.NIC.PostSend(p, d)
 		return nil
 	})
 	if err != nil {

@@ -50,23 +50,23 @@ func (pt *Port) Send(p *sim.Proc, dst Addr, channel int, va mem.VAddr, n int, ta
 			if err := pt.checkOwner(); err != nil {
 				return err
 			}
-			var segs []mem.Segment
+			d := &nic.SendDesc{
+				Kind: nic.DescData, MsgID: msgID, SrcPort: pt.addr.Port,
+				DstNode: dst.Node, DstPort: dst.Port, Channel: channel,
+				Len: n, Tag: tag,
+				Trace: tid, Born: born,
+			}
 			var err error
 			pt.tr.Do(p, "kernel: pin/translate", host(pt), func() {
-				segs, err = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n)
+				d.Segs, err = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, d.Seg[:0])
 			})
 			if err != nil {
 				return err
 			}
 			pt.tr.Do(p, "kernel: PIO descriptor fill", host(pt), func() {
-				p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords, len(segs)))
+				p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords, len(d.Segs)))
 			})
-			pt.node.NIC.PostSend(p, &nic.SendDesc{
-				Kind: nic.DescData, MsgID: msgID, SrcPort: pt.addr.Port,
-				DstNode: dst.Node, DstPort: dst.Port, Channel: channel,
-				Len: n, Tag: tag, Segs: segs,
-				Trace: tid, Born: born,
-			})
+			pt.node.NIC.PostSend(p, d)
 			return nil
 		})
 	})
@@ -104,12 +104,10 @@ func (pt *Port) PostRecv(p *sim.Proc, channel int, va mem.VAddr, n int) error {
 			if cerr := pt.checkOwner(); cerr != nil {
 				return cerr
 			}
-			segs, terr := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n)
+			d, terr := pt.recvDesc(p, va, n)
 			if terr != nil {
 				return terr
 			}
-			p.Sleep(k.PIOFillCost(pt.node.Prof.RecvDescWords, len(segs)))
-			d := &nic.RecvDesc{Len: n, Segs: segs, VA: va, Space: pt.proc.Space}
 			if perr := pt.node.NIC.PostRecv(pt.addr.Port, channel, d); perr != nil {
 				return perr
 			}
@@ -118,6 +116,20 @@ func (pt *Port) PostRecv(p *sim.Proc, channel int, va mem.VAddr, n int) error {
 		})
 	})
 	return err
+}
+
+// recvDesc is the kernel half every buffer posting shares: pin and
+// translate [va, va+n) into a fresh receive descriptor, then charge
+// the PIO fill that writes it to the NIC. Runs inside a Trap body.
+func (pt *Port) recvDesc(p *sim.Proc, va mem.VAddr, n int) (*nic.RecvDesc, error) {
+	k := pt.node.Kernel
+	d := &nic.RecvDesc{Len: n, VA: va, Space: pt.proc.Space}
+	var err error
+	if d.Segs, err = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, d.Seg[:0]); err != nil {
+		return nil, err
+	}
+	p.Sleep(k.PIOFillCost(pt.node.Prof.RecvDescWords, len(d.Segs)))
+	return d, nil
 }
 
 // addSystemBuffer pins and appends one buffer to the system-channel
@@ -131,12 +143,10 @@ func (pt *Port) addSystemBuffer(p *sim.Proc, va mem.VAddr, n int) error {
 		if err := pt.checkOwner(); err != nil {
 			return err
 		}
-		segs, err := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n)
+		d, err := pt.recvDesc(p, va, n)
 		if err != nil {
 			return err
 		}
-		p.Sleep(k.PIOFillCost(pt.node.Prof.RecvDescWords, len(segs)))
-		d := &nic.RecvDesc{Len: n, Segs: segs, VA: va, Space: pt.proc.Space}
 		if aerr := pt.node.NIC.AddSystemBuffer(pt.addr.Port, d); aerr != nil {
 			return aerr
 		}
@@ -173,12 +183,10 @@ func (pt *Port) ReturnSystemBuffers(p *sim.Proc, bufs []SystemBuf) error {
 			if err := k.CheckRequest(p, pt.proc.PID, b.VA, b.Len, pt.addr.Node, pt.sys.Cluster.Size()); err != nil {
 				return err
 			}
-			segs, err := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, b.VA, b.Len)
+			d, err := pt.recvDesc(p, b.VA, b.Len)
 			if err != nil {
 				return err
 			}
-			p.Sleep(k.PIOFillCost(pt.node.Prof.RecvDescWords, len(segs)))
-			d := &nic.RecvDesc{Len: b.Len, Segs: segs, VA: b.VA, Space: pt.proc.Space}
 			if err := pt.node.NIC.AddSystemBuffer(pt.addr.Port, d); err != nil {
 				return err
 			}

@@ -209,11 +209,9 @@ func (cc *CollContext) copyOut(p *sim.Proc, ev *nic.Event, va mem.VAddr, n int) 
 	if ev.Len == 0 {
 		return nil
 	}
-	sp := cc.dev.port.Process().Space
-	data, err := sp.Read(ev.VA, ev.Len)
-	if err != nil {
+	if err := cc.dev.port.Process().Space.Copy(va, ev.VA, ev.Len); err != nil {
 		return err
 	}
 	cc.dev.port.Node().Memcpy(p, ev.Len)
-	return sp.Write(va, data)
+	return nil
 }

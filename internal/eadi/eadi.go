@@ -22,6 +22,7 @@
 package eadi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -86,7 +87,9 @@ type Device struct {
 	sends      map[int]*sendState
 	rndvRecvs  map[int]*rndvRecv // keyed by data channel
 	nextID     int
-	returns    []returnBuf
+	hdrs       mem.VAddr            // one page of 8-byte rendezvous header slots
+	nextHdr    int                  // next slot of hdrs, round-robin
+	returns    []bcl.SystemBuf      // consumed pool buffers awaiting one batched return
 	colls      map[int]*CollContext // offload contexts by id
 
 	// Stats.
@@ -131,11 +134,6 @@ type rndvRecv struct {
 	size int
 }
 
-type returnBuf struct {
-	va mem.VAddr
-	n  int
-}
-
 // NewDevice wraps a BCL port as rank `rank` of the job laid out in
 // addrs.
 func NewDevice(port *bcl.Port, rank int, addrs []bcl.Addr) *Device {
@@ -145,6 +143,7 @@ func NewDevice(port *bcl.Port, rank int, addrs []bcl.Addr) *Device {
 		addrs:     addrs,
 		sends:     make(map[int]*sendState),
 		rndvRecvs: make(map[int]*rndvRecv),
+		hdrs:      port.Process().Space.Alloc(hdrSlots * 8),
 	}
 	node := port.Addr().Node
 	port.Node().Obs.RegisterCollector(func(set obs.Set) {
@@ -227,9 +226,7 @@ func (d *Device) sendRndv(p *sim.Proc, dst, ctx, tag int, va mem.VAddr, n int) e
 	defer delete(d.sends, st.id)
 
 	// RTS carries the size in its 8-byte payload.
-	hdr := d.port.Process().Space.Alloc(8)
-	putUint64(d.port.Process().Space, hdr, uint64(n))
-	if _, err := d.port.Send(p, d.addrs[dst], bcl.SystemChannel, hdr, 8,
+	if _, err := d.port.Send(p, d.addrs[dst], bcl.SystemChannel, d.header(uint64(n)), 8,
 		packTag(kindRTS, ctx, tag, st.id)); err != nil {
 		return err
 	}
@@ -274,9 +271,7 @@ func (d *Device) sendRndv(p *sim.Proc, dst, ctx, tag int, va mem.VAddr, n int) e
 			return fmt.Errorf("eadi: rendezvous data to %d failed", dst)
 		}
 	}
-	fin := d.port.Process().Space.Alloc(8)
-	putUint64(d.port.Process().Space, fin, uint64(st.ctsChan))
-	if _, err := d.port.Send(p, d.addrs[dst], bcl.SystemChannel, fin, 8,
+	if _, err := d.port.Send(p, d.addrs[dst], bcl.SystemChannel, d.header(uint64(st.ctsChan)), 8,
 		packTag(kindFIN, ctx, tag, st.id)); err != nil {
 		return err
 	}
@@ -369,21 +364,18 @@ func (d *Device) handle(p *sim.Proc, ev *nic.Event) {
 	case kindEager:
 		d.deliverEager(p, ev, src, ctx, tag)
 	case kindRTS:
-		buf, _ := d.port.Process().Space.Read(ev.VA, 8)
-		size := int(getUint64(buf))
+		size := int(getUint64(d.port.Process().Space, ev.VA))
 		d.recycle(p, ev)
 		d.deliverRTS(p, &rtsInfo{size: size, sendID: id, src: src}, ctx, tag)
 	case kindCTS:
-		buf, _ := d.port.Process().Space.Read(ev.VA, 8)
-		ch := int(getUint64(buf))
+		ch := int(getUint64(d.port.Process().Space, ev.VA))
 		d.recycle(p, ev)
 		if st, ok := d.sends[id]; ok {
 			st.ctsChan = ch
 			st.gotCTS = true
 		}
 	case kindFIN:
-		buf, _ := d.port.Process().Space.Read(ev.VA, 8)
-		ch := int(getUint64(buf))
+		ch := int(getUint64(d.port.Process().Space, ev.VA))
 		d.recycle(p, ev)
 		if rr, ok := d.rndvRecvs[ch]; ok {
 			delete(d.rndvRecvs, ch)
@@ -408,12 +400,11 @@ func (d *Device) deliverEager(p *sim.Proc, ev *nic.Event, src, ctx, tag int) {
 		if ev.Len > pr.n {
 			pr.err = ErrTruncated
 		} else if ev.Len > 0 {
-			data, err := d.port.Process().Space.Read(ev.VA, ev.Len)
-			if err == nil {
+			// Pool buffer to user buffer; a copy that faults moves
+			// nothing and charges nothing.
+			if pr.err = d.port.Process().Space.Copy(pr.va, ev.VA, ev.Len); pr.err == nil {
 				d.port.Node().Memcpy(p, ev.Len)
-				err = d.port.Process().Space.Write(pr.va, data)
 			}
-			pr.err = err
 		}
 		pr.status = Status{Source: src, Tag: tag, Len: ev.Len}
 		pr.done = true
@@ -483,9 +474,7 @@ func (d *Device) acceptRndvInto(p *sim.Proc, rts *rtsInfo, ctx, tag int, pr *pen
 	rr := &rndvRecv{recv: pr, src: rts.src, tag: tag, ctx: ctx, size: rts.size}
 	d.rndvRecvs[ch] = rr
 	// CTS carries the channel id in its payload.
-	hdr := d.port.Process().Space.Alloc(8)
-	putUint64(d.port.Process().Space, hdr, uint64(ch))
-	if _, err := d.port.Send(p, srcAddr, bcl.SystemChannel, hdr, 8,
+	if _, err := d.port.Send(p, srcAddr, bcl.SystemChannel, d.header(uint64(ch)), 8,
 		packTag(kindCTS, ctx, tag, rts.sendID)); err != nil {
 		return nil, err
 	}
@@ -508,7 +497,7 @@ func (d *Device) recycle(p *sim.Proc, ev *nic.Event) {
 	if ev.Channel != bcl.SystemChannel {
 		return
 	}
-	d.returns = append(d.returns, returnBuf{va: ev.VA, n: EagerLimit})
+	d.returns = append(d.returns, bcl.SystemBuf{VA: ev.VA, Len: EagerLimit})
 	if len(d.returns) < returnBatch {
 		return
 	}
@@ -521,26 +510,41 @@ func (d *Device) flushReturns(p *sim.Proc) {
 	if len(d.returns) == 0 {
 		return
 	}
-	bufs := make([]bcl.SystemBuf, len(d.returns))
-	for i, r := range d.returns {
-		bufs[i] = bcl.SystemBuf{VA: r.va, Len: r.n}
-	}
-	d.port.ReturnSystemBuffers(p, bufs)
+	d.port.ReturnSystemBuffers(p, d.returns)
 	d.returns = d.returns[:0]
 }
 
-func putUint64(sp *mem.AddrSpace, va mem.VAddr, v uint64) {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	sp.Write(va, b)
+// hdrSlots is how many rendezvous headers the header page holds, used
+// round-robin. A header's send DMA must happen before its slot is
+// rewritten, and waiting out one send event per header does not by
+// itself promise that: WaitSend retires the oldest completion, which
+// with nonblocking eager sends in flight is one of theirs. So a
+// header's DMA can trail its posting by as many headers as there are
+// eager sends not yet waited for, and a rank would need 512 of those
+// outstanding to come round to a slot still waiting for its DMA. (A
+// fresh page per header made any number safe, at a pin-down miss and a
+// leaked page each.)
+const hdrSlots = 512
+
+// header writes v into the next slot of the header page and returns the
+// slot: the 8-byte payload of an RTS (size) or CTS/FIN (data channel).
+func (d *Device) header(v uint64) mem.VAddr {
+	va := d.hdrs + mem.VAddr(8*(d.nextHdr%hdrSlots))
+	d.nextHdr++
+	putUint64(d.port.Process().Space, va, v)
+	return va
 }
 
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8 && i < len(b); i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
+// putUint64 and getUint64 move the 8-byte little-endian payload of a
+// rendezvous header (RTS: size, CTS/FIN: data channel).
+func putUint64(sp *mem.AddrSpace, va mem.VAddr, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	sp.Write(va, b[:])
+}
+
+func getUint64(sp *mem.AddrSpace, va mem.VAddr) uint64 {
+	var b [8]byte
+	sp.ReadInto(va, b[:]) // an unreadable header reads as zero
+	return binary.LittleEndian.Uint64(b[:])
 }

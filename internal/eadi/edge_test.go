@@ -1,8 +1,12 @@
 package eadi
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
+	"bcl/internal/hw"
+	"bcl/internal/mem"
 	"bcl/internal/sim"
 )
 
@@ -117,5 +121,126 @@ func TestTagPackingRoundTrip(t *testing.T) {
 		if k != c.kind || x != c.ctx || g != c.tag || i != c.id {
 			t.Fatalf("round trip %+v -> %d %d %d %d", c, k, x, g, i)
 		}
+	}
+}
+
+// Rendezvous headers share one page of slots, and a slot must not be
+// rewritten before the header sent from it has been DMAed. The
+// receiver here accepts two handshakes back to back while (1) two
+// finished but unretired eager sends sit in its send event queue, so
+// the WaitSend after each CTS returns at once with one of those, and
+// (2) a backlog of 4 KB eager sends, draining at wire speed, keeps its
+// NIC from fetching the first CTS for several hundred microseconds.
+// Had the two CTS shared a slot (hdrSlots = 1 fails this test), the
+// second channel id would have overwritten the first before its DMA
+// and both senders would have written into one channel.
+func TestRendezvousHeadersSurvivePendingEagerSends(t *testing.T) {
+	const backlog = 32
+	c, devs := world(t, 3, []int{0, 1, 2})
+	b := devs[1]
+	senders := []struct {
+		dev     *Device
+		tag, n  int
+		payload []byte
+	}{{dev: devs[0], tag: 10, n: 20 * 1024}, {dev: devs[2], tag: 11, n: 40*1024 + 3}}
+	for i := range senders {
+		s := &senders[i]
+		s.payload = make([]byte, s.n)
+		c.Env.Rand().Fill(s.payload)
+		c.Env.Go("sender", func(p *sim.Proc) {
+			if err := s.dev.Send(p, 1, 0, s.tag, alloc(s.dev, s.payload), s.n); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	got := make([][]byte, len(senders))
+	c.Env.Go("b", func(p *sim.Proc) {
+		sp := b.Port().Process().Space
+		small, big := alloc(b, []byte("x")), alloc(b, make([]byte, EagerLimit))
+		for i := 0; i < 2; i++ {
+			if err := b.SendEagerNB(p, 0, 0, 1, small, 1); err != nil {
+				t.Error(err)
+			}
+		}
+		// Both RTS onto the unexpected queue; the two small sends finish.
+		for _, s := range senders {
+			for {
+				if _, ok := b.Probe(p, s.dev.Rank(), 0, s.tag); ok {
+					break
+				}
+				p.Sleep(10 * sim.Microsecond)
+			}
+		}
+		p.Sleep(sim.Millisecond)
+		for i := 0; i < backlog; i++ {
+			if err := b.SendEagerNB(p, 0, 0, 2, big, EagerLimit); err != nil {
+				t.Error(err)
+			}
+		}
+		bufs := make([]mem.VAddr, len(senders))
+		handles := make([]*RecvHandle, len(senders))
+		for i, s := range senders {
+			bufs[i] = sp.Alloc(s.n)
+			handles[i] = b.PostRecvNB(p, s.dev.Rank(), 0, s.tag, bufs[i], s.n)
+		}
+		for i, s := range senders {
+			st, err := b.WaitRecvNB(p, handles[i])
+			if err != nil || st.Len != s.n || st.Tag != s.tag || st.Source != s.dev.Rank() {
+				t.Errorf("rendezvous from %d: %+v, %v", s.dev.Rank(), st, err)
+			}
+			got[i], _ = sp.Read(bufs[i], s.n)
+		}
+		// Every eager send and two CTS, two completions retired on the way.
+		for i := 0; i < 2+backlog; i++ {
+			if err := b.WaitEagerNB(p); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	c.Env.RunUntil(sim.Second)
+	for i, s := range senders {
+		if !bytes.Equal(got[i], s.payload) {
+			t.Fatalf("rendezvous from %d (%d bytes) not delivered intact", s.dev.Rank(), s.n)
+		}
+	}
+	if b.nextHdr != 2 || devs[0].nextHdr != 2 || devs[2].nextHdr != 2 {
+		t.Fatalf("header slots used: %d %d %d, want 2 each (two CTS; RTS+FIN)", devs[0].nextHdr, b.nextHdr, devs[2].nextHdr)
+	}
+}
+
+// A posted receive whose buffer is not mapped fails with the fault and
+// is charged no copy: the eager message costs the receiver exactly one
+// Memcpy less than the same message into a mapped buffer.
+func TestFaultingEagerDeliveryChargesNoMemcpy(t *testing.T) {
+	const n = 1000
+	finished := func(mapped bool) (sim.Time, error) {
+		c, devs := world(t, 2, []int{0, 1})
+		a, b := devs[0], devs[1]
+		c.Env.Go("a", func(p *sim.Proc) {
+			p.Sleep(sim.Millisecond) // the receive is posted first
+			a.Send(p, 1, 0, 3, alloc(a, make([]byte, n)), n)
+		})
+		var at sim.Time
+		var err error
+		c.Env.Go("b", func(p *sim.Proc) {
+			buf := mem.VAddr(1 << 40)
+			if mapped {
+				buf = b.Port().Process().Space.Alloc(n)
+			}
+			_, err = b.Recv(p, 0, 0, 3, buf, n)
+			at = p.Now()
+		})
+		c.Env.RunUntil(sim.Second)
+		return at, err
+	}
+	okAt, okErr := finished(true)
+	faultAt, faultErr := finished(false)
+	if okErr != nil || !errors.Is(faultErr, mem.ErrFault) {
+		t.Fatalf("errors = %v (mapped), %v (unmapped); want nil and ErrFault", okErr, faultErr)
+	}
+	prof := hw.DAWNING3000()
+	memcpy := prof.MemcpyOverhead + hw.TransferTime(n, prof.MemcpyBandwidth)
+	if okAt-faultAt != memcpy {
+		t.Fatalf("mapped receive done at %d, faulting at %d: difference %d, want one Memcpy (%d)", okAt, faultAt, okAt-faultAt, memcpy)
 	}
 }

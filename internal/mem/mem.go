@@ -195,17 +195,28 @@ func (a *AddrSpace) Alloc(n int) VAddr {
 
 // Mapped reports whether the whole range [va, va+n) is mapped.
 func (a *AddrSpace) Mapped(va VAddr, n int) bool {
+	_, hole := a.unmapped(va, n)
+	return !hole
+}
+
+// unmapped finds the first address of [va, va+n) that lies on an
+// unmapped page. A zero-length range is its base: it still needs a
+// mapped page, as a zero-length message still needs a descriptor slot.
+func (a *AddrSpace) unmapped(va VAddr, n int) (at VAddr, found bool) {
 	if n <= 0 {
 		n = 1
 	}
-	first := int64(va) / int64(a.mem.pageSize)
-	last := (int64(va) + int64(n) - 1) / int64(a.mem.pageSize)
+	ps := int64(a.mem.pageSize)
+	first, last := int64(va)/ps, (int64(va)+int64(n)-1)/ps
 	for p := first; p <= last; p++ {
 		if a.frame(p) < 0 {
-			return false
+			if p > first {
+				va = VAddr(p * ps)
+			}
+			return va, true
 		}
 	}
-	return true
+	return 0, false
 }
 
 // Translate returns the physical address backing va, or ErrFault.
@@ -261,35 +272,77 @@ func (a *AddrSpace) Segments(va VAddr, n int) ([]Segment, error) {
 	return segs, nil
 }
 
+// fault returns ErrFault naming the first unmapped address of
+// [va, va+n), nil if the whole range is mapped.
+func (a *AddrSpace) fault(va VAddr, n int) error {
+	if at, hole := a.unmapped(va, n); hole {
+		return fmt.Errorf("%w: virt %#x", ErrFault, int64(at))
+	}
+	return nil
+}
+
+// tail returns the mapped page holding va, from va to the page's end.
+func (a *AddrSpace) tail(va VAddr) []byte {
+	ps := int64(a.mem.pageSize)
+	return a.mem.frames[a.table[int64(va)/ps]][int64(va)%ps:]
+}
+
 // Read copies n bytes at virtual address va into a new slice.
 func (a *AddrSpace) Read(va VAddr, n int) ([]byte, error) {
 	buf := make([]byte, n)
-	segs, err := a.Segments(va, n)
-	if err != nil {
+	if err := a.ReadInto(va, buf); err != nil {
 		return nil, err
-	}
-	done := 0
-	for _, s := range segs {
-		if err := a.mem.ReadPhys(s.Phys, buf[done:done+s.Len]); err != nil {
-			return nil, err
-		}
-		done += s.Len
 	}
 	return buf, nil
 }
 
-// Write copies buf into the address space at va.
-func (a *AddrSpace) Write(va VAddr, buf []byte) error {
-	segs, err := a.Segments(va, len(buf))
-	if err != nil {
+// ReadInto copies len(buf) bytes at virtual address va into buf: Read
+// for a caller that owns the storage.
+func (a *AddrSpace) ReadInto(va VAddr, buf []byte) error {
+	if err := a.fault(va, len(buf)); err != nil {
 		return err
 	}
-	done := 0
-	for _, s := range segs {
-		if err := a.mem.WritePhys(s.Phys, buf[done:done+s.Len]); err != nil {
-			return err
+	for done := 0; done < len(buf); {
+		done += copy(buf[done:], a.tail(va+VAddr(done)))
+	}
+	return nil
+}
+
+// Write copies buf into the address space at va. The whole range is
+// checked first: a fault anywhere in it leaves memory untouched.
+func (a *AddrSpace) Write(va VAddr, buf []byte) error {
+	if err := a.fault(va, len(buf)); err != nil {
+		return err
+	}
+	for done := 0; done < len(buf); {
+		done += copy(a.tail(va+VAddr(done)), buf[done:])
+	}
+	return nil
+}
+
+// Copy moves n bytes from src to dst within the address space, page to
+// page, with the outcome of a Read of src followed by a Write to dst:
+// a fault on either side leaves memory untouched, and dst receives the
+// bytes src held before the call even where the ranges overlap.
+func (a *AddrSpace) Copy(dst, src VAddr, n int) error {
+	if err := a.fault(src, n); err != nil {
+		return err
+	}
+	if err := a.fault(dst, n); err != nil {
+		return err
+	}
+	if src < dst+VAddr(n) && dst < src+VAddr(n) {
+		// Overlap: a page-wise copy could read bytes it has already
+		// written, so take the snapshot.
+		buf, _ := a.Read(src, n)
+		return a.Write(dst, buf)
+	}
+	for done := 0; done < n; {
+		from := a.tail(src + VAddr(done))
+		if len(from) > n-done {
+			from = from[:n-done]
 		}
-		done += s.Len
+		done += copy(a.tail(dst+VAddr(done)), from)
 	}
 	return nil
 }

@@ -310,3 +310,274 @@ func TestQuickSegmentsCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refRead and refWrite are AddrSpace.Read and Write as they were while
+// they went through Segments: translate the whole range into a
+// scatter/gather list, then move the bytes segment by segment. Kept
+// here as the model ReadInto, Write and Copy must match.
+func refRead(a *AddrSpace, va VAddr, n int) ([]byte, error) {
+	buf := make([]byte, n)
+	segs, err := a.Segments(va, n)
+	if err != nil {
+		return nil, err
+	}
+	done := 0
+	for _, s := range segs {
+		if err := a.mem.ReadPhys(s.Phys, buf[done:done+s.Len]); err != nil {
+			return nil, err
+		}
+		done += s.Len
+	}
+	return buf, nil
+}
+
+func refWrite(a *AddrSpace, va VAddr, buf []byte) error {
+	segs, err := a.Segments(va, len(buf))
+	if err != nil {
+		return err
+	}
+	done := 0
+	for _, s := range segs {
+		if err := a.mem.WritePhys(s.Phys, buf[done:done+s.Len]); err != nil {
+			return err
+		}
+		done += s.Len
+	}
+	return nil
+}
+
+// refCopy is what every Copy call site did before Copy existed.
+func refCopy(a *AddrSpace, dst, src VAddr, n int) error {
+	buf, err := refRead(a, src, n)
+	if err != nil {
+		return err
+	}
+	return refWrite(a, dst, buf)
+}
+
+// holedSpace maps pages 1..9 of a 64-byte-page space, filled with a
+// pattern, and unmaps page 5: [64,320) and [384,640) are mapped.
+func holedSpace() *AddrSpace {
+	as := NewAddrSpace(NewMemory(64))
+	as.Alloc(9 * 64)
+	pattern := make([]byte, 9*64)
+	for i := range pattern {
+		pattern[i] = byte(i*5 + 1)
+	}
+	if err := as.Write(64, pattern); err != nil {
+		panic(err)
+	}
+	as.table[5] = -1
+	return as
+}
+
+func sameFrames(t *testing.T, what string, got, want *AddrSpace) {
+	t.Helper()
+	if len(got.mem.frames) != len(want.mem.frames) {
+		t.Fatalf("%s: %d frames, model %d", what, len(got.mem.frames), len(want.mem.frames))
+	}
+	for i := range want.mem.frames {
+		if !bytes.Equal(got.mem.frames[i], want.mem.frames[i]) {
+			t.Fatalf("%s: frame %d differs from the model\n got %x\nwant %x", what, i, got.mem.frames[i], want.mem.frames[i])
+		}
+	}
+}
+
+func sameErr(t *testing.T, what string, got, want error) {
+	t.Helper()
+	if (got == nil) != (want == nil) || errors.Is(got, ErrFault) != errors.Is(want, ErrFault) {
+		t.Fatalf("%s: error %v, model %v", what, got, want)
+	}
+	if got != nil && got.Error() != want.Error() {
+		t.Fatalf("%s: error text %q, model %q", what, got, want)
+	}
+}
+
+// Page crossings, unaligned ends, zero lengths and every way a range
+// can touch an unmapped page, each against the Segments-based model on
+// an identical space. A faulting Write or Copy must leave every frame
+// as it was, which the model does by translating before it writes.
+func TestReadIntoWriteCopyMatchModel(t *testing.T) {
+	cases := []struct {
+		name     string
+		dst, src VAddr
+		n        int
+		fault    bool
+	}{
+		{"inside one page", 70, 400, 20, false},
+		{"one whole page", 64, 384, 64, false},
+		{"across a boundary, unaligned both ends", 100, 420, 90, false},
+		{"four pages", 65, 386, 191, false},
+		{"different page phases", 65, 447, 60, false},
+		{"ends exactly at a page end", 120, 400, 8, false},
+		{"zero length, mapped", 64, 384, 0, false},
+		{"zero length, dst at the hole", 320, 64, 0, true},
+		{"zero length, src at the null page", 64, 0, 0, true},
+		{"zero length, src past the break", 64, 640, 0, true},
+		{"dst runs into the hole", 300, 384, 100, true},
+		{"dst spans the hole, mapped on both sides", 310, 64, 100, true},
+		{"src spans the hole", 64, 310, 100, true},
+		{"dst starts in the hole", 330, 64, 10, true},
+		{"src runs past the break", 64, 630, 16, true},
+		{"src negative", 64, -8, 16, true},
+		{"overlap, dst above src", 80, 64, 150, false},
+		{"overlap, dst below src", 64, 80, 150, false},
+		{"overlap by one byte", 163, 64, 100, false},
+		{"dst == src", 70, 70, 120, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want := holedSpace(), holedSpace()
+
+			// ReadInto and Read of the source range.
+			wantBytes, wantErr := refRead(want, tc.src, tc.n)
+			buf := make([]byte, tc.n)
+			sameErr(t, "ReadInto", got.ReadInto(tc.src, buf), wantErr)
+			if wantErr == nil && !bytes.Equal(buf, wantBytes) {
+				t.Fatalf("ReadInto = %x, model %x", buf, wantBytes)
+			}
+			if b, err := got.Read(tc.src, tc.n); (err == nil) != (wantErr == nil) || !bytes.Equal(b, wantBytes) {
+				t.Fatalf("Read = %x, %v; model %x, %v", b, err, wantBytes, wantErr)
+			}
+
+			// Write of fresh bytes to the destination range.
+			data := make([]byte, tc.n)
+			for i := range data {
+				data[i] = byte(200 - i)
+			}
+			gotErr, wantErr := got.Write(tc.dst, data), refWrite(want, tc.dst, data)
+			sameErr(t, "Write", gotErr, wantErr)
+			sameFrames(t, "after Write", got, want)
+			if gotErr != nil {
+				sameFrames(t, "after a faulting Write", got, holedSpace())
+			}
+
+			// Copy, from the same starting state.
+			got, want = holedSpace(), holedSpace()
+			gotErr, wantErr = got.Copy(tc.dst, tc.src, tc.n), refCopy(want, tc.dst, tc.src, tc.n)
+			sameErr(t, "Copy", gotErr, wantErr)
+			if (gotErr != nil) != tc.fault {
+				t.Fatalf("Copy error = %v, want fault %v", gotErr, tc.fault)
+			}
+			sameFrames(t, "after Copy", got, want)
+			if tc.fault {
+				sameFrames(t, "after a faulting Copy", got, holedSpace())
+			}
+		})
+	}
+}
+
+// AddrSpace ops for the model-equivalence fuzz target. An op is one
+// byte (its low two bits) followed by the argument bytes it needs;
+// a sequence that ends mid-op just ends.
+const (
+	opAlloc = iota // pages
+	opWrite        // va(2) n
+	opCopy         // dst(2) src(2) n
+	opUnmap        // page
+)
+
+// checkCopyAgainstModel replays ops on two identical address spaces —
+// one through ReadInto/Write/Copy, one through the Segments-based
+// model — and compares error, returned bytes and every frame after
+// every step. Pages are 64 bytes and lengths run to 255, so most
+// ranges cross boundaries; addresses wrap just past the break, so some
+// reach the null page, an unmapped hole or the end of the space.
+func checkCopyAgainstModel(t *testing.T, ops []byte) {
+	t.Helper()
+	const ps = 64
+	got, want := NewAddrSpace(NewMemory(ps)), NewAddrSpace(NewMemory(ps))
+	var fill byte
+	next := func() (byte, bool) {
+		if len(ops) == 0 {
+			return 0, false
+		}
+		b := ops[0]
+		ops = ops[1:]
+		return b, true
+	}
+	addr := func() (VAddr, bool) {
+		hi, _ := next()
+		lo, ok := next()
+		return VAddr((int(hi)<<8 | int(lo)) % (int(got.brk) + ps)), ok
+	}
+	for step := 0; ; step++ {
+		op, ok := next()
+		if !ok {
+			return
+		}
+		switch op & 3 {
+		case opAlloc:
+			b, ok := next()
+			if !ok || len(got.table) > 64 {
+				continue
+			}
+			n := int(b)%(3*ps) + 1
+			if a, b := got.Alloc(n), want.Alloc(n); a != b {
+				t.Fatalf("step %d: Alloc(%d) = %#x, model %#x", step, n, a, b)
+			}
+		case opWrite:
+			va, _ := addr()
+			n, ok := next()
+			if !ok {
+				return
+			}
+			data := make([]byte, n)
+			for i := range data {
+				fill++
+				data[i] = fill
+			}
+			sameErr(t, "Write", got.Write(va, data), refWrite(want, va, data))
+		case opCopy:
+			dst, _ := addr()
+			src, _ := addr()
+			n, ok := next()
+			if !ok {
+				return
+			}
+			sameErr(t, "Copy", got.Copy(dst, src, int(n)), refCopy(want, dst, src, int(n)))
+			// Read the source back both ways.
+			wantBytes, wantErr := refRead(want, src, int(n))
+			buf := make([]byte, n)
+			sameErr(t, "ReadInto", got.ReadInto(src, buf), wantErr)
+			if wantErr == nil && !bytes.Equal(buf, wantBytes) {
+				t.Fatalf("step %d: ReadInto(%#x, %d) = %x, model %x", step, int64(src), n, buf, wantBytes)
+			}
+			if b, err := got.Read(src, int(n)); (err == nil) != (wantErr == nil) || !bytes.Equal(b, wantBytes) {
+				t.Fatalf("step %d: Read(%#x, %d) = %x, %v; model %x, %v", step, int64(src), n, b, err, wantBytes, wantErr)
+			}
+		case opUnmap:
+			b, ok := next()
+			if !ok {
+				return
+			}
+			page := int(b) % len(got.table)
+			got.table[page], want.table[page] = -1, -1
+		}
+		sameFrames(t, "after the step", got, want)
+	}
+}
+
+var addrSpaceCopyCases = []struct {
+	name string
+	ops  []byte
+}{
+	{"write then copy across pages", []byte{opAlloc, 191, opAlloc, 191, opWrite, 0, 70, 200, opCopy, 0, 250, 0, 75, 180}},
+	{"copy into a hole", []byte{opAlloc, 191, opAlloc, 191, opWrite, 0, 64, 255, opUnmap, 3, opCopy, 0, 130, 1, 10, 100}},
+	{"overlapping copies both ways", []byte{opAlloc, 191, opAlloc, 100, opWrite, 0, 64, 255, opCopy, 0, 100, 0, 64, 200, opCopy, 0, 64, 0, 90, 200}},
+	{"zero lengths at the null page and the break", []byte{opAlloc, 10, opWrite, 0, 0, 0, opCopy, 0, 128, 0, 64, 0, opCopy, 0, 64, 0, 0, 0}},
+	{"nothing mapped", []byte{opWrite, 0, 10, 5, opCopy, 0, 0, 0, 0, 9}},
+}
+
+func TestAddrSpaceCopyMatchesModel(t *testing.T) {
+	for _, tc := range addrSpaceCopyCases {
+		t.Run(tc.name, func(t *testing.T) { checkCopyAgainstModel(t, tc.ops) })
+	}
+}
+
+func FuzzAddrSpaceCopy(f *testing.F) {
+	for _, tc := range addrSpaceCopyCases {
+		f.Add(tc.ops)
+	}
+	f.Fuzz(checkCopyAgainstModel)
+}

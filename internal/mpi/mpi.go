@@ -56,6 +56,16 @@ type Comm struct {
 	dev  *eadi.Device
 	ctx  int
 	coll *eadi.CollContext // NIC offload context, nil = host algorithms
+
+	// Scratch of the host algorithms, in the rank's own memory: mapped
+	// on first use and kept, so after the first collective every send
+	// from it and receive into it hits the pin-down table, as a
+	// registered buffer would (eadi.CollContext and pvm.Task keep theirs
+	// the same way; the address space has no Free).
+	acc      mem.VAddr // reduction accumulator, then the incoming partial: scratchN bytes each
+	scratchN int
+	token    mem.VAddr // barrier notification byte
+	fold     []byte    // combine's two operands, side by side
 }
 
 // World wraps an EADI device as the world communicator (context 0).
@@ -85,13 +95,21 @@ func (c *Comm) Device() *eadi.Device { return c.dev }
 
 func (c *Comm) space() *mem.AddrSpace { return c.dev.Port().Process().Space }
 
-// Send transmits n bytes at va to rank dst with the given tag,
-// blocking until the buffer is reusable.
-func (c *Comm) Send(p *sim.Proc, va mem.VAddr, n, dst, tag int) error {
-	if dst == c.Rank() {
-		// Self-send still goes through the device (intra path).
-		return c.dev.Send(p, dst, c.ctx, tag, va, n)
+// copyLocal is the rank's own memcpy: n bytes from src to dst inside
+// its address space, charged at the node's copy rate. A copy that
+// faults moves nothing and charges nothing.
+func (c *Comm) copyLocal(p *sim.Proc, dst, src mem.VAddr, n int) error {
+	if err := c.space().Copy(dst, src, n); err != nil {
+		return err
 	}
+	c.dev.Port().Node().Memcpy(p, n)
+	return nil
+}
+
+// Send transmits n bytes at va to rank dst with the given tag,
+// blocking until the buffer is reusable. A send to the caller's own
+// rank goes through the device like any other (intra-node path).
+func (c *Comm) Send(p *sim.Proc, va mem.VAddr, n, dst, tag int) error {
 	return c.dev.Send(p, dst, c.ctx, tag, va, n)
 }
 
@@ -135,12 +153,14 @@ func (c *Comm) Barrier(p *sim.Proc) error {
 		return c.coll.Barrier(p)
 	}
 	rank := c.Rank()
-	token := c.space().Alloc(8)
+	if c.token == 0 {
+		c.token = c.space().Alloc(8)
+	}
 	for k := 1; k < size; k <<= 1 {
 		dst := (rank + k) % size
 		src := (rank - k + size) % size
 		tag := internalTag + 1000 + k
-		if _, err := c.Sendrecv(p, token, 1, dst, tag, token, 1, src, tag); err != nil {
+		if _, err := c.Sendrecv(p, c.token, 1, dst, tag, c.token, 1, src, tag); err != nil {
 			return err
 		}
 	}
@@ -161,6 +181,11 @@ func (c *Comm) Bcast(p *sim.Proc, va mem.VAddr, n, root int) error {
 	return c.bcastOn(p, coll.Binomial(size, root), va, n, internalTag+2000)
 }
 
+// maxKids sizes the on-stack child list of a tree walk: a binomial
+// tree over 2^16 ranks has no wider node (a wider one spills to the
+// heap, nothing else changes).
+const maxKids = 16
+
 // bcastOn pushes n bytes at va down the plan's tree: receive from the
 // parent, forward to each child. Shared by Bcast and Allreduce so both
 // walk the exact same topology.
@@ -171,7 +196,8 @@ func (c *Comm) bcastOn(p *sim.Proc, pl coll.Plan, va mem.VAddr, n, tag int) erro
 			return err
 		}
 	}
-	for _, child := range pl.Children(me) {
+	var kids [maxKids]int
+	for _, child := range pl.AppendChildren(kids[:0], me) {
 		if err := c.Send(p, va, n, child, tag); err != nil {
 			return err
 		}
@@ -189,29 +215,33 @@ func (c *Comm) Reduce(p *sim.Proc, sendVA, recvVA mem.VAddr, count int, dt Datat
 	if c.coll != nil && size > 1 && n <= c.coll.MaxPayload() && root == c.coll.Root() {
 		return c.coll.Reduce(p, sendVA, recvVA, n, coll.Op(op), coll.DT(dt))
 	}
-	sp := c.space()
 	// Work in a local accumulator.
-	acc := sp.Alloc(n)
-	buf, err := sp.Read(sendVA, n)
-	if err != nil {
+	acc, tmp := c.scratch(n)
+	if err := c.space().Copy(acc, sendVA, n); err != nil {
 		return err
 	}
-	if err := sp.Write(acc, buf); err != nil {
-		return err
-	}
-	tmp := sp.Alloc(n)
 	if err := c.reduceOn(p, coll.Binomial(size, root), acc, tmp, count, dt, op, internalTag+3000); err != nil {
 		return err
 	}
 	if c.Rank() == root {
-		data, err := sp.Read(acc, n)
-		if err != nil {
-			return err
-		}
-		c.dev.Port().Node().Memcpy(p, n)
-		return sp.Write(recvVA, data)
+		return c.copyLocal(p, recvVA, acc, n)
 	}
 	return nil
+}
+
+// scratch returns the accumulator and the incoming-partial buffer of an
+// n-byte host reduction, each on pages of its own. It maps them when n
+// outgrows what is there: whole pages, and at least twice the last
+// size, so a rank whose vectors keep growing abandons a bounded number
+// of pages.
+func (c *Comm) scratch(n int) (acc, tmp mem.VAddr) {
+	if n > c.scratchN || c.acc == 0 {
+		sp := c.space()
+		page := sp.Mem().PageSize()
+		c.scratchN = max((n+page-1)/page*page, page, 2*c.scratchN)
+		c.acc = sp.Alloc(2 * c.scratchN)
+	}
+	return c.acc, c.acc + mem.VAddr(c.scratchN)
 }
 
 // reduceOn folds contributions up the plan's tree: receive each
@@ -220,7 +250,8 @@ func (c *Comm) Reduce(p *sim.Proc, sendVA, recvVA mem.VAddr, count int, dt Datat
 func (c *Comm) reduceOn(p *sim.Proc, pl coll.Plan, acc, tmp mem.VAddr, count int, dt Datatype, op Op, tag int) error {
 	n := count * dt.Size()
 	me := c.Rank()
-	for _, child := range pl.Children(me) {
+	var kids [maxKids]int
+	for _, child := range pl.AppendChildren(kids[:0], me) {
 		if _, err := c.Recv(p, tmp, n, child, tag); err != nil {
 			return err
 		}
@@ -244,28 +275,17 @@ func (c *Comm) Allreduce(p *sim.Proc, sendVA, recvVA mem.VAddr, count int, dt Da
 	if c.coll != nil && size > 1 && n <= c.coll.MaxPayload() {
 		return c.coll.Allreduce(p, sendVA, recvVA, n, coll.Op(op), coll.DT(dt))
 	}
-	sp := c.space()
-	acc := sp.Alloc(n)
-	buf, err := sp.Read(sendVA, n)
-	if err != nil {
+	acc, tmp := c.scratch(n)
+	if err := c.space().Copy(acc, sendVA, n); err != nil {
 		return err
 	}
-	if err := sp.Write(acc, buf); err != nil {
-		return err
-	}
-	tmp := sp.Alloc(n)
 	pl := coll.Binomial(size, 0)
 	if err := c.reduceOn(p, pl, acc, tmp, count, dt, op, internalTag+3000); err != nil {
 		return err
 	}
 	if c.Rank() == pl.Root {
-		data, rerr := sp.Read(acc, n)
-		if rerr != nil {
-			return rerr
-		}
-		c.dev.Port().Node().Memcpy(p, n)
-		if werr := sp.Write(recvVA, data); werr != nil {
-			return werr
+		if err := c.copyLocal(p, recvVA, acc, n); err != nil {
+			return err
 		}
 	}
 	return c.bcastOn(p, pl, recvVA, n, internalTag+2000)
@@ -279,12 +299,14 @@ func (c *Comm) combine(p *sim.Proc, acc, tmp mem.VAddr, count int, dt Datatype, 
 	n := count * dt.Size()
 	c.dev.Port().Node().Memcpy(p, 2*n) // read both operands, write one
 	sp := c.space()
-	a, err := sp.Read(acc, n)
-	if err != nil {
+	if len(c.fold) < 2*n {
+		c.fold = make([]byte, 2*n)
+	}
+	a, b := c.fold[:n], c.fold[n:2*n]
+	if err := sp.ReadInto(acc, a); err != nil {
 		return err
 	}
-	b, err := sp.Read(tmp, n)
-	if err != nil {
+	if err := sp.ReadInto(tmp, b); err != nil {
 		return err
 	}
 	coll.Combine(a, b, coll.Op(op), coll.DT(dt))
@@ -298,16 +320,10 @@ func (c *Comm) Gather(p *sim.Proc, sendVA mem.VAddr, n int, recvVA mem.VAddr, ro
 	if c.Rank() != root {
 		return c.Send(p, sendVA, n, root, tag)
 	}
-	sp := c.space()
 	for r := 0; r < c.Size(); r++ {
 		slot := recvVA + mem.VAddr(r*n)
 		if r == root {
-			data, err := sp.Read(sendVA, n)
-			if err != nil {
-				return err
-			}
-			c.dev.Port().Node().Memcpy(p, n)
-			if err := sp.Write(slot, data); err != nil {
+			if err := c.copyLocal(p, slot, sendVA, n); err != nil {
 				return err
 			}
 			continue
@@ -326,16 +342,10 @@ func (c *Comm) Scatter(p *sim.Proc, sendVA mem.VAddr, n int, recvVA mem.VAddr, r
 		_, err := c.Recv(p, recvVA, n, root, tag)
 		return err
 	}
-	sp := c.space()
 	for r := 0; r < c.Size(); r++ {
 		slot := sendVA + mem.VAddr(r*n)
 		if r == root {
-			data, err := sp.Read(slot, n)
-			if err != nil {
-				return err
-			}
-			c.dev.Port().Node().Memcpy(p, n)
-			if err := sp.Write(recvVA, data); err != nil {
+			if err := c.copyLocal(p, recvVA, slot, n); err != nil {
 				return err
 			}
 			continue
@@ -352,14 +362,8 @@ func (c *Comm) Scatter(p *sim.Proc, sendVA mem.VAddr, n int, recvVA mem.VAddr, r
 func (c *Comm) Allgather(p *sim.Proc, sendVA mem.VAddr, n int, recvVA mem.VAddr) error {
 	size := c.Size()
 	rank := c.Rank()
-	sp := c.space()
 	// Own block into place.
-	data, err := sp.Read(sendVA, n)
-	if err != nil {
-		return err
-	}
-	c.dev.Port().Node().Memcpy(p, n)
-	if err := sp.Write(recvVA+mem.VAddr(rank*n), data); err != nil {
+	if err := c.copyLocal(p, recvVA+mem.VAddr(rank*n), sendVA, n); err != nil {
 		return err
 	}
 	if size == 1 {

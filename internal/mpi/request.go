@@ -116,14 +116,8 @@ func Waitall(p *sim.Proc, reqs []*Request) error {
 func (c *Comm) Alltoall(p *sim.Proc, sendVA mem.VAddr, n int, recvVA mem.VAddr) error {
 	size := c.Size()
 	rank := c.Rank()
-	sp := c.space()
 	// Own block.
-	data, err := sp.Read(sendVA+mem.VAddr(rank*n), n)
-	if err != nil {
-		return err
-	}
-	c.dev.Port().Node().Memcpy(p, n)
-	if err := sp.Write(recvVA+mem.VAddr(rank*n), data); err != nil {
+	if err := c.copyLocal(p, recvVA+mem.VAddr(rank*n), sendVA+mem.VAddr(rank*n), n); err != nil {
 		return err
 	}
 	tag := internalTag + 7000

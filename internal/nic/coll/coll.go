@@ -135,9 +135,12 @@ func (pl Plan) Parent(i int) int {
 
 // Children returns the member indices of i's children, in ascending
 // virtual-rank order.
-func (pl Plan) Children(i int) []int {
+func (pl Plan) Children(i int) []int { return pl.AppendChildren(nil, i) }
+
+// AppendChildren appends i's children to out, for a caller that walks
+// them once and has somewhere to put them.
+func (pl Plan) AppendChildren(out []int, i int) []int {
 	v := pl.vrank(i)
-	var out []int
 	if pl.Radix >= 2 {
 		for c := v*pl.Radix + 1; c <= v*pl.Radix+pl.Radix && c < pl.N; c++ {
 			out = append(out, pl.member(c))

@@ -3,6 +3,7 @@ package coll
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -147,5 +148,27 @@ func TestCombineInt(t *testing.T) {
 	Combine(dst, src, OpMin, Int64)
 	if got := int64(binary.LittleEndian.Uint64(dst)); got != -5 {
 		t.Fatalf("int min: got %d", got)
+	}
+}
+
+// AppendChildren is Children into the caller's storage: it appends, and
+// a list that fits allocates nothing.
+func TestAppendChildren(t *testing.T) {
+	for _, pl := range []Plan{Binomial(70, 0), Binomial(13, 5), {N: 20, Root: 3, Radix: 4}} {
+		for i := 0; i < pl.N; i++ {
+			var buf [8]int
+			got := pl.AppendChildren(append(buf[:0], -7), i)
+			if want := pl.Children(i); got[0] != -7 || !slices.Equal(got[1:], want) {
+				t.Fatalf("%+v: AppendChildren(%d) = %v, want -7 then %v", pl, i, got, want)
+			}
+		}
+	}
+	pl := Binomial(70, 0)
+	if n := testing.AllocsPerRun(100, func() {
+		var buf [8]int
+		for range pl.AppendChildren(buf[:0], 0) {
+		}
+	}); n != 0 {
+		t.Fatalf("walking the root's 7 children allocates %v times", n)
 	}
 }

@@ -102,8 +102,13 @@ type SendDesc struct {
 	Tag     uint64
 	Offset  int // RMA: byte offset within the remote open buffer
 
-	// Host-translated mode: physical scatter/gather list.
+	// Host-translated mode: physical scatter/gather list. A buffer that
+	// is physically contiguous — nearly every one — has a one-entry
+	// list, and Seg is where that entry lives: the kernel translates
+	// into Seg[:0] and Segs aliases it, so the list is part of the
+	// descriptor and not an allocation of its own.
 	Segs []mem.Segment
+	Seg  [1]mem.Segment
 	// NIC-translated mode: virtual buffer, resolved on the card.
 	VA    mem.VAddr
 	Space *mem.AddrSpace
@@ -141,6 +146,7 @@ type SendDesc struct {
 type RecvDesc struct {
 	Len   int
 	Segs  []mem.Segment
+	Seg   [1]mem.Segment // inline storage for a one-entry Segs, as in SendDesc
 	VA    mem.VAddr
 	Space *mem.AddrSpace
 }

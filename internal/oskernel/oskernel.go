@@ -234,15 +234,18 @@ func (k *Kernel) CheckRequest(p *sim.Proc, pid int, va mem.VAddr, n int, dstNode
 }
 
 // TranslateAndPin walks the pin-down page table for every page of
-// [va, va+n), charging hit or miss+pin costs, and returns the physical
-// scatter/gather list (adjacent frames merged).
-func (k *Kernel) TranslateAndPin(p *sim.Proc, pid int, space *mem.AddrSpace, va mem.VAddr, n int) ([]mem.Segment, error) {
+// [va, va+n), charging hit or miss+pin costs, and appends the physical
+// scatter/gather list (adjacent frames merged) to segs, which it
+// returns. A caller that passes the descriptor's own inline segment
+// (nic.SendDesc.Seg[:0]) pays no allocation for a physically contiguous
+// buffer; nil gets a fresh list.
+func (k *Kernel) TranslateAndPin(p *sim.Proc, pid int, space *mem.AddrSpace, va mem.VAddr, n int, segs []mem.Segment) ([]mem.Segment, error) {
 	pageSize := int64(k.mem.PageSize())
 	end := int64(va) + int64(n)
 	if n <= 0 {
 		end = int64(va) + 1
 	}
-	var segs []mem.Segment
+	first := len(segs)
 	for addr := int64(va); addr < end; {
 		vpage := addr / pageSize
 		off := addr % pageSize
@@ -268,15 +271,15 @@ func (k *Kernel) TranslateAndPin(p *sim.Proc, pid int, space *mem.AddrSpace, va 
 			chunk = end - addr
 		}
 		pa := base + mem.PAddr(off)
-		if len(segs) > 0 && segs[len(segs)-1].Phys+mem.PAddr(segs[len(segs)-1].Len) == pa {
+		if len(segs) > first && segs[len(segs)-1].Phys+mem.PAddr(segs[len(segs)-1].Len) == pa {
 			segs[len(segs)-1].Len += int(chunk)
 		} else {
 			segs = append(segs, mem.Segment{Phys: pa, Len: int(chunk)})
 		}
 		addr += chunk
 	}
-	if n <= 0 && len(segs) == 1 {
-		segs[0].Len = 0
+	if n <= 0 {
+		segs[first].Len = 0
 	}
 	return segs, nil
 }

@@ -98,7 +98,7 @@ func TestTranslateAndPinCosts(t *testing.T) {
 	va := proc.Space.Alloc(3 * 4096)
 	env.Go("p", func(p *sim.Proc) {
 		start := p.Now()
-		segs, err := k.TranslateAndPin(p, proc.PID, proc.Space, va, 3*4096)
+		segs, err := k.TranslateAndPin(p, proc.PID, proc.Space, va, 3*4096, nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -117,7 +117,7 @@ func TestTranslateAndPinCosts(t *testing.T) {
 		}
 		// Second pass: all hits.
 		start = p.Now()
-		if _, err := k.TranslateAndPin(p, proc.PID, proc.Space, va, 3*4096); err != nil {
+		if _, err := k.TranslateAndPin(p, proc.PID, proc.Space, va, 3*4096, nil); err != nil {
 			t.Error(err)
 		}
 		warm := p.Now() - start
@@ -136,9 +136,49 @@ func TestZeroLengthTranslate(t *testing.T) {
 	proc := k.Spawn()
 	va := proc.Space.Alloc(64)
 	env.Go("p", func(p *sim.Proc) {
-		segs, err := k.TranslateAndPin(p, proc.PID, proc.Space, va, 0)
+		segs, err := k.TranslateAndPin(p, proc.PID, proc.Space, va, 0, nil)
 		if err != nil || len(segs) != 1 || segs[0].Len != 0 {
 			t.Errorf("zero-length = %+v, %v", segs, err)
+		}
+	})
+	env.Run()
+}
+
+// TranslateAndPin appends: a contiguous buffer lands in the storage the
+// caller handed in (a descriptor's inline segment), a discontiguous one
+// spills past it, and entries already in the list are left alone, even
+// one the new range happens to continue.
+func TestTranslateAndPinAppends(t *testing.T) {
+	env, k := newKernel()
+	proc, other := k.Spawn(), k.Spawn()
+	a := proc.Space.Alloc(2 * 4096)
+	other.Space.Alloc(4096) // takes the next frame
+	b := proc.Space.Alloc(4096)
+	env.Go("p", func(p *sim.Proc) {
+		var inline [1]mem.Segment
+		segs, err := k.TranslateAndPin(p, proc.PID, proc.Space, a+100, 8000, inline[:0])
+		if err != nil || len(segs) != 1 || &segs[0] != &inline[0] || segs[0].Len != 8000 {
+			t.Errorf("contiguous range = %+v, %v; want one 8000-byte segment in the caller's array", segs, err)
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			k.TranslateAndPin(p, proc.PID, proc.Space, a, 8192, inline[:0])
+		}); n != 0 {
+			t.Errorf("a warm translation into the caller's segment allocates %v times", n)
+		}
+		// a's two pages and b are adjacent in virtual space only.
+		segs, err = k.TranslateAndPin(p, proc.PID, proc.Space, a, 3*4096, inline[:0])
+		if err != nil || len(segs) != 2 || segs[0].Len != 8192 || segs[1].Len != 4096 {
+			t.Errorf("discontiguous range = %+v, %v; want 8192 + 4096", segs, err)
+		}
+		first := segs[0]
+		segs, err = k.TranslateAndPin(p, proc.PID, proc.Space, b, 0, segs[:1])
+		if err != nil || len(segs) != 2 || segs[0] != first || segs[1].Len != 0 {
+			t.Errorf("zero-length append = %+v, %v", segs, err)
+		}
+		half, _ := proc.Space.Translate(a)
+		segs, err = k.TranslateAndPin(p, proc.PID, proc.Space, a+4096, 4096, []mem.Segment{{Phys: half, Len: 4096}})
+		if err != nil || len(segs) != 2 || segs[0].Len != 4096 || segs[1].Len != 4096 {
+			t.Errorf("append after a physically adjacent entry = %+v, %v; want it left unmerged", segs, err)
 		}
 	})
 	env.Run()
@@ -150,7 +190,7 @@ func TestExitInvalidatesPins(t *testing.T) {
 	va := proc.Space.Alloc(2 * 4096)
 	m := proc.Space.Mem()
 	env.Go("p", func(p *sim.Proc) {
-		if _, err := k.TranslateAndPin(p, proc.PID, proc.Space, va, 2*4096); err != nil {
+		if _, err := k.TranslateAndPin(p, proc.PID, proc.Space, va, 2*4096, nil); err != nil {
 			t.Error(err)
 		}
 	})
@@ -260,7 +300,7 @@ func TestPinTableEviction(t *testing.T) {
 	env.Go("p", func(p *sim.Proc) {
 		pin := func(at mem.VAddr) sim.Time {
 			start := p.Now()
-			if _, err := k.TranslateAndPin(p, proc.PID, proc.Space, at, prof.PageSize); err != nil {
+			if _, err := k.TranslateAndPin(p, proc.PID, proc.Space, at, prof.PageSize, nil); err != nil {
 				t.Error(err)
 			}
 			return p.Now() - start

@@ -148,11 +148,10 @@ func (pt *Port) Register(p *sim.Proc, va mem.VAddr, n int) error {
 		if !pt.proc.Space.Mapped(va, n) {
 			return fmt.Errorf("%w: va %#x", mem.ErrFault, int64(va))
 		}
-		segs, err := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n)
-		if err != nil {
+		// Pinning is the point; the NIC re-translates via its cache.
+		if _, err := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, nil); err != nil {
 			return err
 		}
-		_ = segs // pinning is the point; the NIC re-translates via its cache
 		pt.regions = append(pt.regions, region{va: va, n: n})
 		return nil
 	})
