@@ -511,7 +511,7 @@ type Network struct {
 	obsLayer  string // "fabric:"+name, this fabric's metrics layer
 	endpoints []*Endpoint
 	links     []*link
-	routes    map[[2]int][]int // (src,dst) -> link ids, including injection link
+	routes    [][]int // [src*nodes+dst] -> link ids, injection link first; nil if none, empty for loopback
 	fault     Fault
 	tr        *trace.Tracer
 	pool      *Pool
@@ -540,8 +540,11 @@ type Network struct {
 
 	// obs, when set, receives a per-rail wire_ns transit-time histogram
 	// (injection to final-hop delivery) — the raw series behind the
-	// health engine's rail-divergence rule.
-	obs *obs.Obs
+	// health engine's rail-divergence rule. wireNs is that series, looked
+	// up by the first delivery and not before: a fabric that carried
+	// nothing adds no empty histogram to the registry's snapshots.
+	obs    *obs.Obs
+	wireNs *obs.Histogram
 }
 
 // NewNetwork returns an empty network for n nodes.
@@ -551,7 +554,7 @@ func NewNetwork(env *sim.Env, name string, n int) *Network {
 		name:     name,
 		wireRow:  "wire:" + name,
 		obsLayer: "fabric:" + name,
-		routes:   make(map[[2]int][]int),
+		routes:   make([][]int, n*n),
 		pool:     &Pool{},
 	}
 	net.startFn, net.hopFn, net.grantFn, net.releaseFn = net.start, net.hop, net.grant, net.release
@@ -582,11 +585,32 @@ func (n *Network) AddLink(name string, bw hw.Bps, latency sim.Time) int {
 // the injection link (NIC to first switch); the last delivers to the
 // destination NIC.
 func (n *Network) SetRoute(src, dst int, linkIDs []int) {
-	n.routes[[2]int{src, dst}] = linkIDs
+	i, ok := n.routeSlot(src, dst)
+	if !ok {
+		panic(fmt.Sprintf("fabric %s: route %d->%d on %d nodes", n.name, src, dst, len(n.endpoints)))
+	}
+	if len(linkIDs) == 0 {
+		linkIDs = []int{} // loopback: present, unlike a route never set
+	}
+	n.routes[i] = linkIDs
 }
 
-// Route returns the link ids from src to dst (nil if none).
-func (n *Network) Route(src, dst int) []int { return n.routes[[2]int{src, dst}] }
+// Route returns the link ids from src to dst (nil if none, or if either
+// node is not on the fabric).
+func (n *Network) Route(src, dst int) []int {
+	i, ok := n.routeSlot(src, dst)
+	if !ok {
+		return nil
+	}
+	return n.routes[i]
+}
+
+// routeSlot is where routes keeps (src, dst); ok is false if either
+// node is not on the fabric.
+func (n *Network) routeSlot(src, dst int) (i int, ok bool) {
+	nodes := len(n.endpoints)
+	return src*nodes + dst, uint(src) < uint(nodes) && uint(dst) < uint(nodes)
+}
 
 // Attach implements Fabric.
 func (n *Network) Attach(node int) *Endpoint { return n.endpoints[node] }
@@ -626,7 +650,7 @@ func (n *Network) CollectGauges(set obs.GaugeSet) {
 
 // SetObs attaches an observability bundle; routed deliveries then feed
 // the cluster-wide "fabric:<name>"/wire_ns transit histogram.
-func (n *Network) SetObs(o *obs.Obs) { n.obs = o }
+func (n *Network) SetObs(o *obs.Obs) { n.obs, n.wireNs = o, nil }
 
 // wireOutcome is how a packet's wire span ended.
 type wireOutcome uint8
@@ -771,7 +795,7 @@ func (n *Network) deliver(pkt *Packet, dup bool) {
 // payInjection charges the caller the serialization time on the
 // injection link even though the packet dies: the bits left the NIC.
 func (n *Network) payInjection(p *sim.Proc, src int, pkt *Packet) {
-	if route := n.routes[[2]int{src, pkt.Dst}]; len(route) > 0 {
+	if route := n.Route(src, pkt.Dst); len(route) > 0 {
 		first := n.links[route[0]]
 		first.res.Use(p, 1, hw.TransferTime(pkt.WireSize(), first.bw))
 	}
@@ -798,8 +822,8 @@ func (n *Network) inject(p *sim.Proc, src int, pkt *Packet) {
 			n.duplicated++
 		}
 	}
-	route, ok := n.routes[[2]int{src, pkt.Dst}]
-	if !ok {
+	route := n.Route(src, pkt.Dst)
+	if route == nil {
 		panic(fmt.Sprintf("fabric %s: no route %d->%d", n.name, src, pkt.Dst))
 	}
 	if len(route) == 0 { // loopback: never touches the fabric
@@ -921,6 +945,11 @@ func (n *Network) arrive(id uint32) {
 	// so after the last hop latency the whole packet has arrived (its
 	// serialization was paid once, at injection).
 	n.traceWire(pkt, wireDelivered, f.t0, now)
-	n.obs.Observe(-1, n.obsLayer, "wire_ns", int64(now-f.t0))
+	if n.obs != nil {
+		if n.wireNs == nil {
+			n.wireNs = n.obs.Reg.Histogram(-1, n.obsLayer, "wire_ns")
+		}
+		n.wireNs.Observe(int64(now - f.t0))
+	}
 	n.deliver(pkt, f.dup)
 }

@@ -1,10 +1,12 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"bcl/internal/hw"
+	"bcl/internal/obs"
 	"bcl/internal/sim"
 )
 
@@ -371,5 +373,88 @@ func TestQuickFaultsSpareControlPackets(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRouteTable pins what the dense route table keeps of the map it
+// replaced: a route never set and a node that is not on the fabric are
+// "no route" (nil from Route, the named panic from inject, not an index
+// panic), and a loopback route is present although empty.
+func TestRouteTable(t *testing.T) {
+	net := NewNetwork(sim.NewEnv(1), "test", 3)
+	ab := net.AddLink("a->b", 160*hw.MBps, 500)
+	net.SetRoute(0, 1, []int{ab})
+	net.SetRoute(0, 0, nil)
+	if r := net.Route(0, 1); len(r) != 1 || r[0] != ab {
+		t.Fatalf("Route(0,1) = %v, want [%d]", r, ab)
+	}
+	if r := net.Route(0, 0); r == nil || len(r) != 0 {
+		t.Fatalf("loopback Route(0,0) = %#v, want present and empty", r)
+	}
+	for _, sd := range [][2]int{{0, 2}, {1, 0}, {0, 3}, {0, -1}, {-1, 0}, {7, 7}} {
+		if r := net.Route(sd[0], sd[1]); r != nil {
+			t.Errorf("Route(%d,%d) = %v, want nil", sd[0], sd[1], r)
+		}
+	}
+	for _, dst := range []int{2, 3, -1} {
+		env := sim.NewEnv(1)
+		net := twoNode(env, 160*hw.MBps, 500)
+		env.Go("tx", func(p *sim.Proc) {
+			net.Attach(0).Inject(p, &Packet{Kind: KindData, Src: 0, Dst: dst})
+		})
+		want := fmt.Sprintf("fabric test: no route 0->%d", dst)
+		func() {
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("inject to %d: panic %v, want %q", dst, r, want)
+				}
+			}()
+			env.Run()
+		}()
+		env.Close()
+	}
+}
+
+// TestWireHistogramMadeByFirstDelivery: the fabric keeps its wire_ns
+// histogram instead of looking it up per packet, but the series must
+// still appear in the registry with the first delivery and not before
+// (an idle rail adds nothing to a snapshot), and SetObs must drop the
+// kept one.
+func TestWireHistogramMadeByFirstDelivery(t *testing.T) {
+	env := sim.NewEnv(1)
+	net := twoNode(env, 160*hw.MBps, 500)
+	send := func() {
+		env.Go("tx", func(p *sim.Proc) {
+			net.Attach(0).Inject(p, &Packet{Kind: KindData, Src: 0, Dst: 1})
+		})
+		env.Run()
+	}
+	wire := func(o *obs.Obs) uint64 {
+		for _, h := range o.Snapshot(env.Now()).Hists {
+			if h.Node == -1 && h.Layer == "fabric:test" && h.Name == "wire_ns" {
+				return h.Count
+			}
+		}
+		return 0
+	}
+	a, b := obs.New(), obs.New()
+	net.SetObs(a)
+	if n := len(a.Snapshot(0).Hists); n != 0 {
+		t.Fatalf("%d histograms before any delivery, want 0", n)
+	}
+	send()
+	send()
+	net.SetObs(b)
+	if n := len(b.Snapshot(env.Now()).Hists); n != 0 {
+		t.Fatalf("%d histograms in the second registry before any delivery, want 0", n)
+	}
+	send()
+	if wire(a) != 2 || wire(b) != 1 {
+		t.Fatalf("wire_ns counts %d and %d, want 2 and 1", wire(a), wire(b))
+	}
+	net.SetObs(nil)
+	send()
+	if wire(a) != 2 || wire(b) != 1 {
+		t.Fatalf("wire_ns counts %d and %d after SetObs(nil), want 2 and 1", wire(a), wire(b))
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -266,6 +267,27 @@ func TestSamplerTerminatesAndBounds(t *testing.T) {
 	out := o.TimelineText([]TimelineCol{{Label: "ticks", Layer: "nic", Name: "ticks"}})
 	if !strings.Contains(out, "ticks") {
 		t.Fatalf("timeline:\n%s", out)
+	}
+}
+
+// The sampler re-arms while other events are pending, and a cancelled
+// timer is not one: beside a retransmit timeout that was armed far out
+// and cancelled, the series ends with the first tick after the last
+// event that ran, and Run returns that instant, not the timeout's.
+func TestSamplerIgnoresCancelledTimer(t *testing.T) {
+	o := New()
+	env := sim.NewEnv(1)
+	timeout := env.At(400*sim.Microsecond, func() { t.Error("cancelled timeout fired") })
+	env.At(20*sim.Microsecond, func() { timeout.Cancel() })
+	env.At(250*sim.Microsecond, func() {}) // the last live event
+	o.StartSampler(env, 100*sim.Microsecond, 16)
+	end := env.Run()
+	var at []sim.Time
+	for _, s := range o.Samples() {
+		at = append(at, s.At/sim.Microsecond)
+	}
+	if want := []sim.Time{100, 200, 300}; !slices.Equal(at, want) || end != 300*sim.Microsecond {
+		t.Fatalf("samples at %v µs and Run() = %d ns; want %v and 300000", at, end, want)
 	}
 }
 

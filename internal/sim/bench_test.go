@@ -1,25 +1,53 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// BenchmarkHeapPushPop measures raw event-queue churn: schedule and
-// drain batches of events with scattered timestamps. With the pooled
-// hand-rolled heap this is allocation-free in steady state.
+// BenchmarkHeapPushPop measures one event through the heap, schedule to
+// dispatch, with a fixed number of others pending: each of `pending`
+// callbacks books itself again at a scattered later time, so every pop
+// is followed by one push and the depth never changes (the "hold"
+// model). The simulator's own depths run from 2 (a ping-pong) to 60 (70
+// MPI ranks) once cancelled timers no longer sit in the heap.
+// Allocation-free in steady state.
 func BenchmarkHeapPushPop(b *testing.B) {
+	for _, pending := range []int{4, 64, 1024} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			holdBench(b, pending, func(chain, n uint64) Time { return 1 + Time((chain*37+n*17)%uint64(2*pending)) })
+		})
+	}
+}
+
+// BenchmarkZeroDelayEvent is the same with every event booked for the
+// current instant, as wake-ups and continuations are: four chains, so
+// the FIFO ring holds three entries at each pop.
+func BenchmarkZeroDelayEvent(b *testing.B) {
+	holdBench(b, 4, func(chain, n uint64) Time { return 0 })
+}
+
+// holdBench runs b.N events, chains of them pending at any time; after
+// is how far ahead the n-th event of the run books its chain's next.
+func holdBench(b *testing.B, chains int, after func(chain, n uint64) Time) {
 	e := NewEnv(1)
-	nop := func() {}
-	const batch = 64
+	var n uint64
+	var fn func(chain, _ uint64)
+	fn = func(chain, _ uint64) {
+		if n++; n+uint64(chains) <= uint64(b.N) {
+			e.AtArg(e.Now()+after(chain, n), fn, chain, 0)
+		}
+	}
+	for c := 0; c < min(chains, b.N); c++ {
+		e.AtArg(after(uint64(c), 0), fn, uint64(c), 0)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := e.Now()
-		for j := Time(0); j < batch; j++ {
-			// Scattered offsets exercise sift-up/down, not just FIFO.
-			e.at(base+(j*37)%batch+1, nop)
-		}
-		e.RunUntil(base + batch)
-	}
+	e.Run()
 	b.StopTimer()
+	if n != uint64(b.N) {
+		b.Fatalf("ran %d events, want %d", n, b.N)
+	}
 	hits, misses := e.PoolStats()
 	b.ReportMetric(float64(hits)/float64(hits+misses)*100, "pool-hit-%")
 }

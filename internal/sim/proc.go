@@ -174,7 +174,7 @@ func (p *Proc) Sleep(d Time) {
 		panic(fmt.Sprintf("sim: %s sleeping negative duration %d", p.name, d))
 	}
 	e := p.env
-	if !e.closed && d <= e.deadline-e.now && (len(e.pq) == 0 || e.pq[0].t > e.now+d) {
+	if t, ok := e.q.peek(e.now); !e.closed && d <= e.deadline-e.now && (!ok || t > e.now+d) {
 		// The wake-up would be the very next event executed: take it in
 		// place. This is what scheduling and popping it would have done
 		// to the sequence, the step count and the clock.

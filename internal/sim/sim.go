@@ -37,8 +37,8 @@
 // wake-up would be the very next event does not even book it: it steps
 // the sequence, the step count and the clock as the event would have
 // and returns. Exactly one goroutine runs at any instant and a switch
-// is not an event: the heap alone decides what happens next, so every
-// run with the same inputs produces the identical event order,
+// is not an event: the event queue alone decides what happens next, so
+// every run with the same inputs produces the identical event order,
 // whichever goroutine pops it. It follows that event callbacks run on
 // carrier stacks as well as on the goroutine that called RunUntil.
 //
@@ -58,12 +58,14 @@
 //
 // The hot path is allocation-free in steady state: executed events are
 // recycled through a per-environment pool (Timers detect recycled
-// events through a generation counter), the event heap is a hand-rolled
-// binary heap over concrete *event values (no container/heap interface
-// boxing), arg-carrying events (Env.AtArg) let callers dispatch
-// through a long-lived function value instead of a fresh closure per
-// event, and the blocking primitives keep their buffers and waiter
-// lists in rings or in the waiting Proc itself.
+// events through a generation counter), the event queue is a FIFO ring
+// for events booked at the current instant beside a hand-rolled 4-ary
+// heap of (time, seq, *event) entries that a cancelled timer leaves at
+// once (eventQueue; no container/heap interface boxing), arg-carrying
+// events (Env.AtArg) let callers dispatch through a long-lived function
+// value instead of a fresh closure per event, and the blocking
+// primitives keep their buffers and waiter lists in rings or in the
+// waiting Proc itself.
 package sim
 
 import "fmt"
@@ -84,10 +86,11 @@ const (
 const Forever Time = 1<<63 - 1
 
 // event is a scheduled callback. Events are pooled: after execution
-// (or a cancelled pop) the object returns to the environment's
-// freelist with its generation bumped, so outstanding Timers can tell
-// a live lease from a recycled one without keeping the event alive.
+// (or cancellation) the object returns to the environment's freelist
+// with its generation bumped, so outstanding Timers can tell a live
+// lease from a recycled one without keeping the event alive.
 type event struct {
+	env *Env // set once, when the object is first allocated
 	t   Time
 	seq uint64
 	gen uint64 // bumped on every recycle; Timers snapshot it
@@ -99,8 +102,8 @@ type event struct {
 	argFn func(a, b uint64)
 	a, b  uint64
 
-	index int  // heap index, -1 once popped
-	dead  bool // cancelled
+	index int  // position in the queue's heap; -1 in its ring or in neither
+	dead  bool // cancelled while in the ring (eventQueue)
 }
 
 // Env is a simulation environment: one virtual clock, one event queue,
@@ -111,7 +114,7 @@ type event struct {
 type Env struct {
 	now    Time
 	seq    uint64
-	pq     []*event // binary heap ordered by (t, seq)
+	q      eventQueue
 	closed bool
 	steps  uint64
 	rng    *Rand
@@ -177,67 +180,6 @@ func (e *Env) PoolStats() (hits, misses uint64) { return e.poolHits, e.poolMisse
 // were dropped because the environment was already closed.
 func (e *Env) ClosedSchedules() uint64 { return e.closedSchedules }
 
-// ---------------------------------------------------------- event heap
-
-// evLess orders events by (time, seq). seq is unique, so the order is
-// a strict total order and any correct heap pops the same sequence.
-func evLess(a, b *event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
-
-// heapPush inserts ev, maintaining the heap invariant. Hand-rolled
-// (rather than container/heap) so no event is ever boxed into an
-// interface value on the hot path.
-func (e *Env) heapPush(ev *event) {
-	e.pq = append(e.pq, ev)
-	i := len(e.pq) - 1
-	ev.index = i
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !evLess(e.pq[i], e.pq[parent]) {
-			break
-		}
-		e.pq[i], e.pq[parent] = e.pq[parent], e.pq[i]
-		e.pq[i].index = i
-		e.pq[parent].index = parent
-		i = parent
-	}
-}
-
-// heapPop removes and returns the earliest event.
-func (e *Env) heapPop() *event {
-	top := e.pq[0]
-	n := len(e.pq) - 1
-	e.pq[0] = e.pq[n]
-	e.pq[0].index = 0
-	e.pq[n] = nil
-	e.pq = e.pq[:n]
-	top.index = -1
-	// Sift the moved element down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && evLess(e.pq[l], e.pq[smallest]) {
-			smallest = l
-		}
-		if r < n && evLess(e.pq[r], e.pq[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		e.pq[i], e.pq[smallest] = e.pq[smallest], e.pq[i]
-		e.pq[i].index = i
-		e.pq[smallest].index = smallest
-		i = smallest
-	}
-	return top
-}
-
 // ---------------------------------------------------------- event pool
 
 // alloc returns a clean event, recycling from the pool when possible.
@@ -250,7 +192,7 @@ func (e *Env) alloc() *event {
 		return ev
 	}
 	e.poolMisses++
-	return &event{index: -1}
+	return &event{env: e, index: -1}
 }
 
 // recycle returns an executed or cancelled event to the pool. The
@@ -279,13 +221,27 @@ type Timer struct {
 // Cancel prevents the timer's callback from running. It reports
 // whether the callback was still pending (false if it already ran,
 // was already cancelled, or the environment was closed when the timer
-// was created).
+// was created). A cancelled timer leaves the event queue at once (see
+// eventQueue for the one exception, which is gone before the clock
+// moves): it does not count against Idle and holds no pooled event.
 func (t Timer) Cancel() bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.dead {
+	ev := t.ev
+	if ev == nil || ev.gen != t.gen {
 		return false
 	}
-	t.ev.dead = true
-	return true
+	e := ev.env
+	if e.closed {
+		// Close dropped the queue with this event in it: there is nothing
+		// to take out, only the answer to keep straight.
+		pending := !ev.dead
+		ev.dead = true
+		return pending
+	}
+	removed, recycle := e.q.remove(ev)
+	if recycle {
+		e.recycle(ev)
+	}
+	return removed
 }
 
 // schedule books a pooled event at absolute time t. Callers have
@@ -295,7 +251,7 @@ func (e *Env) schedule(t Time) *event {
 	ev := e.alloc()
 	ev.t = t
 	ev.seq = e.seq
-	e.heapPush(ev)
+	e.q.push(ev, e.now)
 	return ev
 }
 
@@ -369,12 +325,13 @@ func (e *Env) Run() Time { return e.RunUntil(Forever) }
 
 // RunUntil executes events with timestamps <= deadline and returns the
 // virtual time after the last executed event (or deadline if events
-// remain). Events at exactly the deadline do run. A deadline at or
-// before the current time never moves the clock backwards: repeated
-// calls with a non-advancing deadline execute any events at the
-// deadline instant and are otherwise no-ops. A process that is blocked
-// when the deadline is reached resumes, at a later call, exactly where
-// it stopped. RunUntil may not be called from inside the simulation.
+// remain; cancelled timers do not). Events at exactly the deadline do
+// run. A deadline at or before the current time never moves the clock
+// backwards: repeated calls with a non-advancing deadline execute any
+// events at the deadline instant and are otherwise no-ops. A process
+// that is blocked when the deadline is reached resumes, at a later
+// call, exactly where it stopped. RunUntil may not be called from inside
+// the simulation.
 func (e *Env) RunUntil(deadline Time) Time {
 	if e.running {
 		panic("sim: RunUntil called from a process body or an event callback")
@@ -435,23 +392,24 @@ func (e *Env) drive(self *Proc) (woken bool) {
 		defer e.undrive(self)
 	}
 	for e.woken == nil && !e.halt {
-		if len(e.pq) == 0 {
+		t, ok := e.q.peek(e.now)
+		if !ok {
 			e.halt = true
 			break
 		}
-		if e.pq[0].t > e.deadline {
+		if t > e.deadline {
 			if e.deadline > e.now {
 				e.now = e.deadline
 			}
 			e.halt = true
 			break
 		}
-		ev := e.heapPop()
+		ev := e.q.pop(e.now)
 		if ev.dead {
 			e.recycle(ev)
 			continue
 		}
-		e.now = ev.t
+		e.now = t
 		e.steps++
 		// Copy the dispatch fields and recycle before running: the
 		// callback may schedule new events and immediately reuse this
@@ -473,8 +431,9 @@ func (e *Env) drive(self *Proc) (woken bool) {
 	return false
 }
 
-// Idle reports whether no events are pending.
-func (e *Env) Idle() bool { return len(e.pq) == 0 }
+// Idle reports whether no events are pending. A cancelled timer is not
+// pending: it left the queue when it was cancelled.
+func (e *Env) Idle() bool { return e.q.len() == 0 }
 
 // Close terminates the simulation: pending events are dropped, every
 // process parked in a blocking call is unwound (the call panics with a
@@ -491,7 +450,7 @@ func (e *Env) Idle() bool { return len(e.pq) == 0 }
 // carriers are torn down there, before RunUntil returns.
 func (e *Env) Close() {
 	e.closed, e.halt = true, true
-	e.pq, e.pool = nil, nil
+	e.q, e.pool = eventQueue{}, nil
 	if e.running {
 		return // settle calls again from the bottom of the stack
 	}
