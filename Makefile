@@ -131,7 +131,11 @@ reqobs:
 # runs mpi_halo70 at four times the work and requires its peak RSS
 # within 1.5x of the short run's (54 -> 63 MB today): memory must not
 # grow with work done — it did, 116 -> 337 MB, while every host
-# collective mapped fresh simulated pages. CI runs all of it on every
+# collective mapped fresh simulated pages. Between the two it reads
+# allocs_per_op from the same short runs and holds eager_pingpong to 1
+# and mpi_halo70 to 300 objects per op (0.0 and 155 today; 10 and 1 432
+# while every message built its descriptors, journal entry and events on
+# the heap): a count, which repeats exactly. CI runs all of it on every
 # push.
 baseline:
 	$(GO) run ./cmd/bclbench -baseline
@@ -143,8 +147,14 @@ check:
 		cmp "$$f" "baselines/$$(basename "$$f")" || exit 1; \
 	done && echo "baselines reproduce byte for byte" && \
 	for w in $$(cut -d' ' -f1 baselines/HOSTBENCH_model.txt); do \
-		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 2 --trace 0 | sed -n 1p; \
+		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 2 --trace 0 > "$$out/host_$$w.txt" || exit 1; \
+		sed -n 1p "$$out/host_$$w.txt"; \
 	done | diff baselines/HOSTBENCH_model.txt - && echo "host benchmark model lines reproduce" && \
+	allocs() { sed -n '$$s/.*"allocs_per_op":{"value":\([0-9.e+-]*\).*/\1/p' "$$out/host_$$1.txt"; } && \
+	eager=$$(allocs eager_pingpong) && halo=$$(allocs mpi_halo70) && \
+	echo "allocations per op: eager_pingpong $$eager (budget 1), mpi_halo70 $$halo (budget 300)" && \
+	if awk -v e="$$eager" -v h="$$halo" 'BEGIN { exit !(e != "" && h != "" && e <= 1 && h <= 300) }'; \
+	then echo "a message makes no garbage"; else echo "a message makes garbage again"; exit 1; fi && \
 	rss() { $(GO) run ./benchmark --workload mpi_halo70 --seed 1 --seconds $$1 --trace 0 | \
 		sed -n '$$s/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p'; } && \
 	short=$$(rss 2) && long=$$(rss 8) && \

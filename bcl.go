@@ -74,7 +74,7 @@ type (
 	Addr = ibcl.Addr
 	// PortOptions tunes port creation.
 	PortOptions = ibcl.Options
-	// Event is a completion event.
+	// Event is a completion event; the wait calls return it by value.
 	Event = nic.Event
 	// VAddr is a virtual address in a simulated process.
 	VAddr = mem.VAddr

@@ -74,7 +74,7 @@ func TestTryRecvAndPendingInterplay(t *testing.T) {
 	tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 1})
 	a, b := tb.ports[0], tb.ports[1]
 	var firstTry, secondTry bool
-	var viaChannel, viaPlain *nic.Event
+	var viaChannel, viaPlain nic.Event
 	ch := b.CreateChannel()
 	tb.c.Env.Go("b", func(p *sim.Proc) {
 		va := b.Process().Space.Alloc(64)
@@ -100,10 +100,10 @@ func TestTryRecvAndPendingInterplay(t *testing.T) {
 	if firstTry {
 		t.Fatal("TryRecv returned an event before any send")
 	}
-	if viaChannel == nil || viaChannel.Tag != 22 {
+	if viaChannel.Tag != 22 {
 		t.Fatalf("selective wait got %+v", viaChannel)
 	}
-	if !secondTry || viaPlain == nil || viaPlain.Tag != 11 {
+	if !secondTry || viaPlain.Tag != 11 {
 		t.Fatalf("pending event not surfaced: %v %+v", secondTry, viaPlain)
 	}
 }
@@ -157,7 +157,7 @@ func TestIntraOversizedMessageDropped(t *testing.T) {
 }
 
 // events2 exposes the merged receive queue for the timeout probe above.
-func (pt *Port) events2() *sim.Queue[*nic.Event] { return pt.events }
+func (pt *Port) events2() *sim.Queue[nic.Event] { return pt.events }
 
 func TestMappedHelpersOnCtxBuffers(t *testing.T) {
 	// Guards mem plumb-through used across the suite.

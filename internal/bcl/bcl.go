@@ -117,9 +117,9 @@ type Port struct {
 	row   string // "host<node>" or "host<node>[<label>]", the trace row
 
 	nicPort *nic.Port
-	events  *sim.Queue[*nic.Event] // nicPort.RecvEvQ: the NIC and the intra engine both post here
-	sendEvs *sim.Queue[*nic.Event] // nicPort.SendEvQ, likewise
-	pending []*nic.Event           // receive events set aside by selective waits
+	events  *sim.Queue[nic.Event] // nicPort.RecvEvQ: the NIC and the intra engine both post here
+	sendEvs *sim.Queue[nic.Event] // nicPort.SendEvQ, likewise
+	pending []nic.Event           // receive events set aside by selective waits
 
 	intraQ   *sim.Queue[*intraFrag]
 	nextChan int

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bcl/internal/cluster"
+	"bcl/internal/nic"
 	"bcl/internal/sim"
 )
 
@@ -182,6 +183,63 @@ func TestRoundTripEventBudget(t *testing.T) {
 	if swPerTrip > switchBudget {
 		t.Fatalf("%.2f coroutine switches per 0-byte round trip, want at most %d", swPerTrip, switchBudget)
 	}
+}
+
+// TestRoundTripAllocatesNothing: in steady state a 0-byte message costs
+// no heap object between Send and the peer's WaitRecv — the send and
+// receive descriptors come off the NIC's free lists and go back, the
+// journal keeps its entry by value, the two completion events travel
+// by value, and every table on the way is an array. It used to cost
+// five objects a message (ten a round trip).
+func TestRoundTripAllocatesNothing(t *testing.T) {
+	tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 1})
+	a, b := tb.ports[0], tb.ports[1]
+	kick := sim.NewQueue[int](tb.c.Env, "kick", 0)
+	trips := 0
+	serve := func(pt *Port, peer Addr, first bool) func(p *sim.Proc) {
+		return func(p *sim.Proc) {
+			va := pt.Process().Space.Alloc(8)
+			for {
+				if first {
+					kick.Recv(p)
+					if _, err := pt.Send(p, peer, SystemChannel, va, 0, 0); err != nil {
+						t.Error(err)
+					}
+				}
+				ev := pt.WaitRecv(p)
+				if err := pt.ReturnSystemBuffer(p, ev.VA, tb.c.Prof.MaxPacket); err != nil {
+					t.Error(err)
+				}
+				if !first {
+					if _, err := pt.Send(p, peer, SystemChannel, va, 0, 0); err != nil {
+						t.Error(err)
+					}
+				}
+				if pt.WaitSend(p).Type != nic.EvSendDone {
+					t.Error("send failed")
+				}
+				if first {
+					trips++
+				}
+			}
+		}
+	}
+	tb.c.Env.Go("ping", serve(a, b.Addr(), true))
+	tb.c.Env.Go("pong", serve(b, a.Addr(), false))
+	one := func() {
+		kick.Post(1)
+		tb.run(t, sim.Millisecond)
+	}
+	for i := 0; i < 300; i++ { // free lists filled, queues and the done-rings at their working size
+		one()
+	}
+	if allocs := testing.AllocsPerRun(200, one); allocs != 0 {
+		t.Fatalf("a steady 0-byte round trip allocates %.2f objects, want 0", allocs)
+	}
+	if trips != 300+201 {
+		t.Fatalf("%d round trips finished, want %d", trips, 300+201)
+	}
+	tb.assertDrained(t)
 }
 
 // TestWaitRecvTimeout checks the event-loop wait: what an empty poll

@@ -91,6 +91,7 @@ func TestBidirectionalTrafficUnderMixedFaults(t *testing.T) {
 	if st := tb.c.Nodes[1].NIC.Stats(); st.CRCDrops == 0 {
 		t.Fatal("no CRC drops despite corruption")
 	}
+	tb.assertDrained(t) // every posting consumed, every send retired
 }
 
 // TestRMAUnderLoss checks one-sided operations recover from packet

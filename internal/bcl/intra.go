@@ -79,7 +79,7 @@ func (pt *Port) sendIntra(p *sim.Proc, dst Addr, channel int, va mem.VAddr, n in
 		return 0, sendErr
 	}
 	// The send completes once the last chunk is in the shared queue.
-	pt.sendEvs.Post(&nic.Event{
+	pt.sendEvs.Post(nic.Event{
 		Type: nic.EvSendDone, Port: pt.addr.Port, Channel: channel,
 		MsgID: msgID, Len: n, Tag: tag, SrcNode: pt.addr.Node,
 		SrcPort: pt.addr.Port, Stamp: pt.node.Env.Now(),
@@ -96,8 +96,8 @@ func (pt *Port) sendIntra(p *sim.Proc, dst Addr, channel int, va mem.VAddr, n in
 func (pt *Port) intraEngine(p *sim.Proc) {
 	prof := pt.node.Prof
 	type state struct {
-		desc *nic.RecvDesc
-		got  int
+		buf nic.RecvDesc // the consumed posting: where the message lands
+		got int
 	}
 	open := make(map[uint64]*state)
 	for {
@@ -111,47 +111,26 @@ func (pt *Port) intraEngine(p *sim.Proc) {
 			// destination buffer. Rendezvous semantics: wait until the
 			// receiver posts (or a pool buffer frees up).
 			p.Sleep(prof.ShmPoll)
-			var desc *nic.RecvDesc
-			for attempt := 0; attempt < 500; attempt++ {
-				var found bool
-				if f.channel == SystemChannel {
-					desc, found = pt.nicPort.TakeSystemBuffer()
-				} else {
-					desc, found = pt.nicPort.TakeRecv(f.channel)
+			// TakeRecv consumes the posting as an arriving message would,
+			// journal included: the intra-node path delivers without the
+			// NIC seeing it, and the recovery journal must stay honest.
+			var buf nic.RecvDesc
+			found := false
+			for attempt := 0; attempt < 500 && !found; attempt++ {
+				if buf, found = pt.nicPort.TakeRecv(f.channel, f.msgLen); !found {
+					p.Sleep(20 * sim.Microsecond)
 				}
-				if found && f.msgLen <= desc.Len {
-					break
-				}
-				if found {
-					// Too small: put it back where it came from and
-					// drop the message (mirrors the NIC's rejection).
-					if f.channel == SystemChannel {
-						pt.node.NIC.AddSystemBuffer(pt.addr.Port, desc)
-					} else {
-						pt.node.NIC.PostRecv(pt.addr.Port, f.channel, desc)
-					}
-					desc = nil
-					break
-				}
-				p.Sleep(20 * sim.Microsecond)
 			}
-			if desc == nil {
-				continue // message dropped
+			if !found || f.msgLen > buf.Len {
+				continue // nothing posted, or too small (it stays posted): message dropped, as the NIC rejects it
 			}
-			// The intra-node path consumed the posting without the NIC
-			// seeing it; keep the kernel's recovery journal honest.
-			if f.channel == SystemChannel {
-				pt.node.Kernel.ShadowSysConsumed(pt.addr.Port, desc.VA)
-			} else {
-				pt.node.Kernel.ShadowRecvConsumed(pt.addr.Port, f.channel)
-			}
-			st = &state{desc: desc}
+			st = &state{buf: buf}
 			open[f.msgID] = st
 		}
 		// Copy the chunk out of shared memory into the user buffer.
 		pt.node.Memcpy(p, len(f.data))
 		if len(f.data) > 0 {
-			if err := st.desc.Space.Write(st.desc.VA+mem.VAddr(f.offset), f.data); err != nil {
+			if err := st.buf.Space.Write(st.buf.VA+mem.VAddr(f.offset), f.data); err != nil {
 				delete(open, f.msgID)
 				continue
 			}
@@ -159,11 +138,11 @@ func (pt *Port) intraEngine(p *sim.Proc) {
 		st.got++
 		if st.got == f.frags {
 			delete(open, f.msgID)
-			pt.events.Post(&nic.Event{
+			pt.events.Post(nic.Event{
 				Type: nic.EvRecvDone, Port: pt.addr.Port, Channel: f.channel,
 				MsgID: f.msgID, Len: f.msgLen, Tag: f.tag,
 				SrcNode: f.src.Node, SrcPort: f.src.Port,
-				VA: st.desc.VA, Stamp: pt.node.Env.Now(),
+				VA: st.buf.VA, Stamp: pt.node.Env.Now(),
 			})
 		}
 	}

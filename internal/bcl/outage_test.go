@@ -40,6 +40,7 @@ func newOutageTestbed(t *testing.T, fab cluster.FabricKind, nodes int, slots []i
 	default:
 		t.Fatal("setup did not finish")
 	}
+	tb.markBooted()
 	return tb
 }
 
@@ -75,6 +76,7 @@ func TestLinkDownMidStream(t *testing.T) {
 			}
 			data, _ := b.Process().Space.Read(ev.VA, ev.Len)
 			arrivals = append(arrivals, arrival{tag: ev.Tag, data: data})
+			b.ReturnSystemBuffer(p, ev.VA, tb.c.Prof.MaxPacket)
 		}
 	})
 
@@ -84,17 +86,17 @@ func TestLinkDownMidStream(t *testing.T) {
 	sendersDone := false
 	tb.c.Env.Go("tx", func(p *sim.Proc) {
 		va := a.Process().Space.Alloc(size)
-		send := func(i int) *nic.Event {
+		send := func(i int) nic.Event {
 			a.Process().Space.Write(va, mk(i))
 			if _, err := a.Send(p, b.Addr(), SystemChannel, va, size, uint64(i)); err != nil {
 				t.Error(err)
-				return nil
+				return nic.Event{} // type EvRecvDone: no send outcome
 			}
 			return a.WaitSend(p)
 		}
 		// Pre-outage stream.
 		for i := 0; i < 3; i++ {
-			if ev := send(i); ev == nil || ev.Type != nic.EvSendDone {
+			if ev := send(i); ev.Type != nic.EvSendDone {
 				t.Errorf("pre-outage send %d: %+v", i, ev)
 			}
 		}
@@ -102,13 +104,13 @@ func TestLinkDownMidStream(t *testing.T) {
 		outageEnd = p.Now() + outageDur
 		net.LinkDown(1, p.Now(), outageEnd)
 		// This send burns the (short) retry ladder and fails.
-		if ev := send(100); ev == nil || ev.Type != nic.EvSendFailed {
+		if ev := send(100); ev.Type != nic.EvSendFailed {
 			t.Errorf("in-outage send did not fail: %+v", ev)
 		}
 		healthDuringOutage = a.PeerHealthy(1)
 		// The next one must fail fast: the peer is Dead.
 		t0 := p.Now()
-		if ev := send(101); ev == nil || ev.Type != nic.EvSendFailed {
+		if ev := send(101); ev.Type != nic.EvSendFailed {
 			t.Errorf("fail-fast send did not fail: %+v", ev)
 		}
 		fastElapsed = p.Now() - t0
@@ -119,7 +121,7 @@ func TestLinkDownMidStream(t *testing.T) {
 		recoveredAt = p.Now()
 		// Post-recovery stream: byte-identical delivery.
 		for i := 3; i < 5; i++ {
-			if ev := send(i); ev == nil || ev.Type != nic.EvSendDone {
+			if ev := send(i); ev.Type != nic.EvSendDone {
 				t.Errorf("post-recovery send %d: %+v", i, ev)
 			}
 		}

@@ -62,16 +62,17 @@ func (pt *Port) RMAWrite(p *sim.Proc, dst Addr, channel, offset int, va mem.VAdd
 		if cerr := pt.checkOwner(); cerr != nil {
 			return cerr
 		}
-		d := &nic.SendDesc{
-			Kind: nic.DescRMAWrite, MsgID: msgID, SrcPort: pt.addr.Port,
-			DstNode: dst.Node, DstPort: dst.Port, Channel: channel,
-			Len: n, Offset: offset,
-		}
-		var terr error
-		if d.Segs, terr = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, d.Seg[:0]); terr != nil {
+		var seg [1]mem.Segment
+		segs, terr := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, seg[:0])
+		if terr != nil {
 			return terr
 		}
-		p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords, len(d.Segs)))
+		p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords, len(segs)))
+		d := pt.node.NIC.GetSendDesc()
+		d.Kind, d.MsgID, d.SrcPort = nic.DescRMAWrite, msgID, pt.addr.Port
+		d.DstNode, d.DstPort, d.Channel = dst.Node, dst.Port, channel
+		d.Len, d.Offset = n, offset
+		d.Segs = append(d.Seg[:0], segs...)
 		pt.node.NIC.PostSend(p, d)
 		return nil
 	})
@@ -108,6 +109,9 @@ func (pt *Port) RMARead(p *sim.Proc, dst Addr, channel, offset int, va mem.VAddr
 			return cerr
 		}
 		p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords, 1))
+		// A read request is not journaled (a replay would fabricate a
+		// second reply), so nothing promises to retire it across a
+		// firmware crash: its descriptor is the garbage collector's.
 		pt.node.NIC.PostSend(p, &nic.SendDesc{
 			Kind: nic.DescRMARead, MsgID: msgID, SrcPort: pt.addr.Port,
 			DstNode: dst.Node, DstPort: dst.Port, Channel: channel,

@@ -50,22 +50,25 @@ func (pt *Port) Send(p *sim.Proc, dst Addr, channel int, va mem.VAddr, n int, ta
 			if err := pt.checkOwner(); err != nil {
 				return err
 			}
-			d := &nic.SendDesc{
-				Kind: nic.DescData, MsgID: msgID, SrcPort: pt.addr.Port,
-				DstNode: dst.Node, DstPort: dst.Port, Channel: channel,
-				Len: n, Tag: tag,
-				Trace: tid, Born: born,
-			}
-			var err error
+			var (
+				seg  [1]mem.Segment
+				segs []mem.Segment
+				err  error
+			)
 			pt.tr.Do(p, "kernel: pin/translate", host(pt), func() {
-				d.Segs, err = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, d.Seg[:0])
+				segs, err = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, seg[:0])
 			})
 			if err != nil {
 				return err
 			}
 			pt.tr.Do(p, "kernel: PIO descriptor fill", host(pt), func() {
-				p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords, len(d.Segs)))
+				p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords, len(segs)))
 			})
+			d := pt.node.NIC.GetSendDesc()
+			d.Kind, d.MsgID, d.SrcPort = nic.DescData, msgID, pt.addr.Port
+			d.DstNode, d.DstPort, d.Channel = dst.Node, dst.Port, channel
+			d.Len, d.Tag, d.Trace, d.Born = n, tag, tid, born
+			d.Segs = append(d.Seg[:0], segs...)
 			pt.node.NIC.PostSend(p, d)
 			return nil
 		})
@@ -119,16 +122,22 @@ func (pt *Port) PostRecv(p *sim.Proc, channel int, va mem.VAddr, n int) error {
 }
 
 // recvDesc is the kernel half every buffer posting shares: pin and
-// translate [va, va+n) into a fresh receive descriptor, then charge
-// the PIO fill that writes it to the NIC. Runs inside a Trap body.
+// translate [va, va+n), charge the PIO fill that writes the receive
+// descriptor to the NIC, and fill one in from the card's free list.
+// The descriptor is taken last, when nothing can fail any more: the
+// caller hands it to the NIC, which owns it from there. Runs inside a
+// Trap body.
 func (pt *Port) recvDesc(p *sim.Proc, va mem.VAddr, n int) (*nic.RecvDesc, error) {
 	k := pt.node.Kernel
-	d := &nic.RecvDesc{Len: n, VA: va, Space: pt.proc.Space}
-	var err error
-	if d.Segs, err = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, d.Seg[:0]); err != nil {
+	var seg [1]mem.Segment
+	segs, err := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, seg[:0])
+	if err != nil {
 		return nil, err
 	}
-	p.Sleep(k.PIOFillCost(pt.node.Prof.RecvDescWords, len(d.Segs)))
+	p.Sleep(k.PIOFillCost(pt.node.Prof.RecvDescWords, len(segs)))
+	d := pt.node.NIC.GetRecvDesc()
+	d.Len, d.VA, d.Space = n, va, pt.proc.Space
+	d.Segs = append(d.Seg[:0], segs...)
 	return d, nil
 }
 
@@ -200,7 +209,7 @@ func (pt *Port) ReturnSystemBuffers(p *sim.Proc, bufs []SystemBuf) error {
 // completion arrives. The receiving path never enters the kernel: the
 // event was DMAed into user memory by the NIC, and the poll is a pair
 // of cached loads.
-func (pt *Port) WaitRecv(p *sim.Proc) *nic.Event {
+func (pt *Port) WaitRecv(p *sim.Proc) nic.Event {
 	if ev, ok := pt.takePending(); ok {
 		return pt.handOver(ev)
 	}
@@ -211,27 +220,27 @@ func (pt *Port) WaitRecv(p *sim.Proc) *nic.Event {
 // empty poll still costs one completion-poll load). ok reports whether
 // an event arrived. Event-loop layers that own their port block here
 // between timer deadlines.
-func (pt *Port) WaitRecvTimeout(p *sim.Proc, d sim.Time) (*nic.Event, bool) {
+func (pt *Port) WaitRecvTimeout(p *sim.Proc, d sim.Time) (nic.Event, bool) {
 	if ev, ok := pt.takePending(); ok {
 		return pt.handOver(ev), true
 	}
 	ev, ok := pt.events.RecvTimeout(p, d)
 	if !ok {
 		p.Sleep(pt.node.Prof.CompletionPoll)
-		return nil, false
+		return nic.Event{}, false
 	}
 	return pt.decode(p, ev), true
 }
 
 // TryRecv polls once without blocking.
-func (pt *Port) TryRecv(p *sim.Proc) (*nic.Event, bool) {
+func (pt *Port) TryRecv(p *sim.Proc) (nic.Event, bool) {
 	if ev, ok := pt.takePending(); ok {
 		return pt.handOver(ev), true
 	}
 	ev, ok := pt.events.TryRecv()
 	if !ok {
 		p.Sleep(pt.node.Prof.CompletionPoll)
-		return nil, false
+		return nic.Event{}, false
 	}
 	p.Sleep(pt.node.Prof.CompletionPoll + pt.node.Prof.EventDecode)
 	return pt.handOver(ev), true
@@ -242,7 +251,7 @@ func (pt *Port) TryRecv(p *sim.Proc) (*nic.Event, bool) {
 // WaitRecv calls in arrival order). The set-aside list is the port's
 // one demultiplexer; its poll+decode cost is paid when an event is set
 // aside, its receive count when the event is handed over.
-func (pt *Port) WaitRecvChannel(p *sim.Proc, channel int) *nic.Event {
+func (pt *Port) WaitRecvChannel(p *sim.Proc, channel int) nic.Event {
 	for i, ev := range pt.pending {
 		if ev.Channel == channel {
 			pt.pending = append(pt.pending[:i], pt.pending[i+1:]...)
@@ -260,18 +269,18 @@ func (pt *Port) WaitRecvChannel(p *sim.Proc, channel int) *nic.Event {
 }
 
 // takePending pops the oldest event a selective wait set aside.
-func (pt *Port) takePending() (*nic.Event, bool) {
+func (pt *Port) takePending() (nic.Event, bool) {
 	if len(pt.pending) == 0 {
-		return nil, false
+		return nic.Event{}, false
 	}
 	ev := pt.pending[0]
-	pt.pending = pt.pending[1:]
+	pt.pending = pt.pending[:copy(pt.pending, pt.pending[1:])]
 	return ev, true
 }
 
 // decode charges the traced user-space poll+decode of an event fresh
 // off the queue and hands it over.
-func (pt *Port) decode(p *sim.Proc, ev *nic.Event) *nic.Event {
+func (pt *Port) decode(p *sim.Proc, ev nic.Event) nic.Event {
 	pt.tr.DoFlow(p, "user: poll+decode event", host(pt), ev.Trace, func() {
 		p.Sleep(pt.node.Prof.CompletionPoll + pt.node.Prof.EventDecode)
 	})
@@ -280,7 +289,7 @@ func (pt *Port) decode(p *sim.Proc, ev *nic.Event) *nic.Event {
 
 // handOver counts a receive completion at the one point every event
 // passes exactly once: where it is returned to the caller.
-func (pt *Port) handOver(ev *nic.Event) *nic.Event {
+func (pt *Port) handOver(ev nic.Event) nic.Event {
 	pt.received++
 	pt.bytesReceived += uint64(ev.Len)
 	return ev
@@ -288,23 +297,23 @@ func (pt *Port) handOver(ev *nic.Event) *nic.Event {
 
 // WaitSend blocks until the oldest outstanding send completes,
 // returning its completion event (EvSendDone or EvSendFailed).
-func (pt *Port) WaitSend(p *sim.Proc) *nic.Event {
+func (pt *Port) WaitSend(p *sim.Proc) nic.Event {
 	return pt.sendDone(p, pt.sendEvs.Recv(p))
 }
 
 // TryWaitSend polls the send event queue without blocking, charging
 // the completion cost only when an event is consumed. Layers that
 // recycle send buffers by message id use this instead of WaitSend.
-func (pt *Port) TryWaitSend(p *sim.Proc) (*nic.Event, bool) {
+func (pt *Port) TryWaitSend(p *sim.Proc) (nic.Event, bool) {
 	ev, ok := pt.sendEvs.TryRecv()
 	if !ok {
-		return nil, false
+		return nic.Event{}, false
 	}
 	return pt.sendDone(p, ev), true
 }
 
 // sendDone charges the traced user-space handling of a send completion.
-func (pt *Port) sendDone(p *sim.Proc, ev *nic.Event) *nic.Event {
+func (pt *Port) sendDone(p *sim.Proc, ev nic.Event) nic.Event {
 	pt.tr.DoFlow(p, "user: send completion", host(pt), ev.Trace, func() {
 		p.Sleep(pt.node.Prof.SendComplete)
 	})

@@ -47,6 +47,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 	if ready != nPorts {
 		t.Fatal("setup incomplete")
 	}
+	tb.markBooted() // the windows are postings too
 
 	pattern := func(src, round, size int) []byte {
 		b := make([]byte, size)
@@ -143,4 +144,5 @@ func TestSoakMixedWorkload(t *testing.T) {
 	if retx == 0 {
 		t.Error("soak ran without a single retransmission under 5% loss")
 	}
+	tb.assertDrained(t)
 }

@@ -117,7 +117,7 @@ func New(cfg Config) *Cluster {
 	for i := 0; i < cfg.Nodes; i++ {
 		n := node.New(env, cfg.Profile, i, fab, cfg.NIC)
 		n.Obs = o
-		n.NIC.Obs = o
+		n.NIC.SetObs(o)
 		if hf, ok := fab.(*hetero.Fabric); ok {
 			// Dual-rail machines give the NIC's gray-failure detector a
 			// rail-steering lever.

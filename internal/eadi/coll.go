@@ -30,7 +30,7 @@ type CollContext struct {
 
 	combSeq  uint64
 	mcastSeq uint64
-	pending  []*nic.Event
+	pending  []nic.Event
 
 	// LastDead holds the dead-member mask reported by the most recent
 	// combine result, for callers that care about partial completion.
@@ -74,7 +74,7 @@ func (cc *CollContext) MaxPayload() int { return cc.bctx.SlotSize }
 // handleColl routes a CollChannel event: tagged multicast deliveries
 // feed the eager matching path, everything else is stashed for the
 // blocked collective op.
-func (d *Device) handleColl(p *sim.Proc, ev *nic.Event) {
+func (d *Device) handleColl(p *sim.Proc, ev nic.Event) {
 	cc, ok := d.colls[ev.SrcPort] // SrcPort carries the context id
 	if !ok {
 		return
@@ -90,7 +90,7 @@ func (d *Device) handleColl(p *sim.Proc, ev *nic.Event) {
 }
 
 // waitResult blocks until the combine result for seq lands.
-func (cc *CollContext) waitResult(p *sim.Proc, seq uint64) *nic.Event {
+func (cc *CollContext) waitResult(p *sim.Proc, seq uint64) nic.Event {
 	for {
 		for i, ev := range cc.pending {
 			if ev.CollKind == nic.CollEvResult && ev.MsgID == seq {
@@ -105,7 +105,7 @@ func (cc *CollContext) waitResult(p *sim.Proc, seq uint64) *nic.Event {
 
 // waitMcast blocks until an untagged multicast payload from origin
 // lands (collective-op broadcast, not a group eager message).
-func (cc *CollContext) waitMcast(p *sim.Proc, origin int) *nic.Event {
+func (cc *CollContext) waitMcast(p *sim.Proc, origin int) nic.Event {
 	for {
 		for i, ev := range cc.pending {
 			if ev.CollKind == nic.CollEvMcast && ev.Tag == 0 && ev.CollOrigin == origin {
@@ -202,7 +202,7 @@ func (cc *CollContext) McastEager(p *sim.Proc, ctx, tag int, va mem.VAddr, n int
 
 // copyOut moves a landed collective payload from the pinned landing
 // ring into the caller's buffer.
-func (cc *CollContext) copyOut(p *sim.Proc, ev *nic.Event, va mem.VAddr, n int) error {
+func (cc *CollContext) copyOut(p *sim.Proc, ev nic.Event, va mem.VAddr, n int) error {
 	if ev.Len > n {
 		return ErrTruncated
 	}

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"bcl/internal/bcl"
 	"bcl/internal/mem"
@@ -92,6 +93,14 @@ type Device struct {
 	returns    []bcl.SystemBuf      // consumed pool buffers awaiting one batched return
 	colls      map[int]*CollContext // offload contexts by id
 
+	// Matching records the device is done with, for reuse: the
+	// pendingRecv of a blocking receive, whose caller got its answer by
+	// value, and the inMsg of a claimed unexpected message, which keeps
+	// its payload buffer. (A nonblocking receive's record belongs to
+	// the RecvHandle the caller holds, and is never reused.)
+	freeRecvs []*pendingRecv
+	freeMsgs  []*inMsg
+
 	// Stats.
 	EagerSent, EagerRecv uint64
 	RndvSent, RndvRecv   uint64
@@ -133,6 +142,40 @@ type rndvRecv struct {
 	ctx  int
 	size int
 }
+
+// newRecv returns a pendingRecv for a blocking receive; endRecv gives it
+// back once the receive has returned its result.
+func (d *Device) newRecv(src, ctx, tag int, va mem.VAddr, n int) *pendingRecv {
+	var pr *pendingRecv
+	if k := len(d.freeRecvs); k > 0 {
+		pr, d.freeRecvs = d.freeRecvs[k-1], d.freeRecvs[:k-1]
+	} else {
+		pr = new(pendingRecv)
+	}
+	*pr = pendingRecv{src: src, ctx: ctx, tag: tag, va: va, n: n}
+	return pr
+}
+
+func (d *Device) endRecv(pr *pendingRecv) (Status, error) {
+	st, err := pr.status, pr.err
+	d.freeRecvs = append(d.freeRecvs, pr)
+	return st, err
+}
+
+// newMsg returns an inMsg for the unexpected queue, its payload buffer
+// emptied but kept; endMsg gives back one a receive has claimed.
+func (d *Device) newMsg(src, ctx, tag int) *inMsg {
+	var m *inMsg
+	if k := len(d.freeMsgs); k > 0 {
+		m, d.freeMsgs = d.freeMsgs[k-1], d.freeMsgs[:k-1]
+	} else {
+		m = new(inMsg)
+	}
+	*m = inMsg{src: src, ctx: ctx, tag: tag, data: m.data[:0]}
+	return m
+}
+
+func (d *Device) endMsg(m *inMsg) { d.freeMsgs = append(d.freeMsgs, m) }
 
 // NewDevice wraps a BCL port as rank `rank` of the job laid out in
 // addrs.
@@ -291,25 +334,32 @@ func (d *Device) Recv(p *sim.Proc, src, ctx, tag int, va mem.VAddr, n int) (Stat
 			continue
 		}
 		d.unexpected = append(d.unexpected[:i], d.unexpected[i+1:]...)
-		if m.rts != nil {
-			return d.acceptRndv(p, m.rts, m.ctx, m.tag, va, n)
-		}
-		if len(m.data) > n {
-			return Status{}, ErrTruncated
-		}
-		d.port.Node().Memcpy(p, len(m.data))
-		if err := d.port.Process().Space.Write(va, m.data); err != nil {
-			return Status{}, err
-		}
-		d.EagerRecv++
-		return Status{Source: m.src, Tag: m.tag, Len: len(m.data)}, nil
+		return d.claim(p, m, va, n)
 	}
-	pr := &pendingRecv{src: src, ctx: ctx, tag: tag, va: va, n: n}
+	pr := d.newRecv(src, ctx, tag, va, n)
 	d.posted = append(d.posted, pr)
 	for !pr.done {
 		d.progress(p)
 	}
-	return pr.status, pr.err
+	return d.endRecv(pr)
+}
+
+// claim completes a blocking receive from the unexpected message m it
+// matched, and gives m back.
+func (d *Device) claim(p *sim.Proc, m *inMsg, va mem.VAddr, n int) (Status, error) {
+	defer d.endMsg(m)
+	if m.rts != nil {
+		return d.acceptRndv(p, m.rts, m.ctx, m.tag, va, n)
+	}
+	if len(m.data) > n {
+		return Status{}, ErrTruncated
+	}
+	d.port.Node().Memcpy(p, len(m.data))
+	if err := d.port.Process().Space.Write(va, m.data); err != nil {
+		return Status{}, err
+	}
+	d.EagerRecv++
+	return Status{Source: m.src, Tag: m.tag, Len: len(m.data)}, nil
 }
 
 // Probe reports whether a matching message is available without
@@ -343,7 +393,7 @@ func (d *Device) progress(p *sim.Proc) {
 	d.handle(p, d.port.WaitRecv(p))
 }
 
-func (d *Device) handle(p *sim.Proc, ev *nic.Event) {
+func (d *Device) handle(p *sim.Proc, ev nic.Event) {
 	if ev.Type != nic.EvRecvDone {
 		return
 	}
@@ -353,10 +403,12 @@ func (d *Device) handle(p *sim.Proc, ev *nic.Event) {
 		return
 	}
 	// Rendezvous data arriving on its channel (intra-node path)?
-	if rr, ok := d.rndvRecvs[ev.Channel]; ok && ev.Channel != bcl.SystemChannel {
-		delete(d.rndvRecvs, ev.Channel)
-		d.finishRndv(p, rr, ev.Len)
-		return
+	if ev.Channel != bcl.SystemChannel {
+		if rr, ok := d.rndvRecvs[ev.Channel]; ok {
+			delete(d.rndvRecvs, ev.Channel)
+			d.finishRndv(p, rr, ev.Len)
+			return
+		}
 	}
 	kind, ctx, tag, id := unpackTag(ev.Tag)
 	src := d.rankOf(ev.SrcNode, ev.SrcPort)
@@ -390,7 +442,7 @@ func (d *Device) handle(p *sim.Proc, ev *nic.Event) {
 }
 
 // deliverEager matches an arrived eager message or queues it.
-func (d *Device) deliverEager(p *sim.Proc, ev *nic.Event, src, ctx, tag int) {
+func (d *Device) deliverEager(p *sim.Proc, ev nic.Event, src, ctx, tag int) {
 	p.Sleep(matchCost)
 	for i, pr := range d.posted {
 		if pr.ctx != ctx || !matches(pr.src, pr.tag, src, tag) {
@@ -414,12 +466,15 @@ func (d *Device) deliverEager(p *sim.Proc, ev *nic.Event, src, ctx, tag int) {
 	}
 	// Unexpected: copy out so the pool buffer can recycle.
 	d.UnexpectedMsgs++
-	var data []byte
+	m := d.newMsg(src, ctx, tag)
 	if ev.Len > 0 {
-		data, _ = d.port.Process().Space.Read(ev.VA, ev.Len)
+		m.data = slices.Grow(m.data, ev.Len)[:ev.Len]
+		if d.port.Process().Space.ReadInto(ev.VA, m.data) != nil {
+			m.data = m.data[:0] // an unreadable pool buffer delivers an empty message
+		}
 		d.port.Node().Memcpy(p, ev.Len)
 	}
-	d.unexpected = append(d.unexpected, &inMsg{src: src, ctx: ctx, tag: tag, data: data})
+	d.unexpected = append(d.unexpected, m)
 	d.recycle(p, ev)
 }
 
@@ -440,19 +495,22 @@ func (d *Device) deliverRTS(p *sim.Proc, rts *rtsInfo, ctx, tag int) {
 		return
 	}
 	d.UnexpectedMsgs++
-	d.unexpected = append(d.unexpected, &inMsg{src: rts.src, ctx: ctx, tag: tag, rts: rts})
+	m := d.newMsg(rts.src, ctx, tag)
+	m.rts = rts
+	d.unexpected = append(d.unexpected, m)
 }
 
 // acceptRndv handles an RTS found on the unexpected queue by a Recv.
 func (d *Device) acceptRndv(p *sim.Proc, rts *rtsInfo, ctx, tag int, va mem.VAddr, n int) (Status, error) {
-	pr := &pendingRecv{src: rts.src, ctx: ctx, tag: tag, va: va, n: n}
+	pr := d.newRecv(rts.src, ctx, tag, va, n)
 	if _, err := d.acceptRndvInto(p, rts, ctx, tag, pr); err != nil {
+		d.endRecv(pr)
 		return Status{}, err
 	}
 	for !pr.done {
 		d.progress(p)
 	}
-	return pr.status, pr.err
+	return d.endRecv(pr)
 }
 
 // acceptRndvInto arms the data path for a matched RTS and sends CTS.
@@ -493,7 +551,7 @@ func (d *Device) finishRndv(p *sim.Proc, rr *rndvRecv, n int) {
 
 // recycle queues a consumed system-pool buffer and, once a batch has
 // accumulated, returns them all in one kernel trap.
-func (d *Device) recycle(p *sim.Proc, ev *nic.Event) {
+func (d *Device) recycle(p *sim.Proc, ev nic.Event) {
 	if ev.Channel != bcl.SystemChannel {
 		return
 	}

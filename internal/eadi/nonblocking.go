@@ -44,6 +44,7 @@ func (d *Device) PostRecvNB(p *sim.Proc, src, ctx, tag int, va mem.VAddr, n int)
 				pr.err = err
 				pr.done = true
 			}
+			d.endMsg(m)
 			return h
 		}
 		if len(m.data) > n {
@@ -55,6 +56,7 @@ func (d *Device) PostRecvNB(p *sim.Proc, src, ctx, tag int, va mem.VAddr, n int)
 		pr.status = Status{Source: m.src, Tag: m.tag, Len: len(m.data)}
 		pr.done = true
 		d.EagerRecv++
+		d.endMsg(m)
 		return h
 	}
 	d.posted = append(d.posted, pr)

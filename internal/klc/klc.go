@@ -182,7 +182,7 @@ func (l *layer) repost(p *sim.Proc, b *kbuf) {
 // interrupt is the NIC interrupt service routine: one per arrived
 // datagram. It parses the socket header, reassembles, and wakes the
 // receiver when a message completes.
-func (l *layer) interrupt(ev *nic.Event) {
+func (l *layer) interrupt(ev nic.Event) {
 	l.node.Kernel.Interrupt(l.isrName, func(p *sim.Proc) {
 		if ev.Type != nic.EvRecvDone {
 			return // send completions need no kernel action here

@@ -1,7 +1,5 @@
 package mem
 
-import "container/list"
-
 // PinTable is the kernel's pin-down buffer page table: a cache of
 // pinned virtual-to-physical translations keyed by (process, virtual
 // page). On the semi-user-level send path the kernel looks the buffer
@@ -11,37 +9,57 @@ import "container/list"
 // the table is full.
 //
 // This is the paper's argument for kernel-side translation: the host
-// has enough memory for a big table, unlike the NIC's small SRAM.
+// has enough memory for a big table, unlike the NIC's small SRAM. And a
+// big table in a kernel is arrays: index[pid][vpage] names an entry of
+// one arena, and the LRU order is a list threaded through the arena by
+// entry number, so a lookup hashes nothing and a warm table allocates
+// nothing. Both grow on demand, the index to the highest page a process
+// has had pinned and the arena to the most entries ever live.
 type PinTable struct {
 	capacity int
-	entries  map[pinKey]*list.Element
-	lru      *list.List // front = most recent; values are *pinEntry
+	index    [][]int32  // pid -> vpage -> entry number, 0 if not cached
+	entries  []pinEntry // entries[0] is the LRU list's head: next = most recent, prev = least
+	free     int32      // spare entries, chained through next; 0 = none
+	n        int
 
 	hits      uint64
 	misses    uint64
 	evictions uint64
 }
 
-type pinKey struct {
-	pid   int
-	vpage int64
-}
-
 type pinEntry struct {
-	key   pinKey
-	phys  PAddr // physical base of the frame
-	space *AddrSpace
+	pid        int
+	vpage      int64
+	phys       PAddr // physical base of the frame
+	space      *AddrSpace
+	prev, next int32
 }
 
 // NewPinTable returns a pin-down table holding at most capacity page
 // entries (capacity <= 0 means unbounded, as a host-resident table
 // effectively is).
 func NewPinTable(capacity int) *PinTable {
-	return &PinTable{
-		capacity: capacity,
-		entries:  make(map[pinKey]*list.Element),
-		lru:      list.New(),
+	return &PinTable{capacity: capacity, entries: make([]pinEntry, 1)}
+}
+
+// slot returns where the index keeps the entry number of (pid, vpage),
+// nil if the index does not reach that far.
+func (t *PinTable) slot(pid int, vpage int64) *int32 {
+	if uint(pid) >= uint(len(t.index)) || uint64(vpage) >= uint64(len(t.index[pid])) {
+		return nil
 	}
+	return &t.index[pid][vpage]
+}
+
+func (t *PinTable) unlink(e int32) {
+	ent := &t.entries[e]
+	t.entries[ent.prev].next, t.entries[ent.next].prev = ent.next, ent.prev
+}
+
+func (t *PinTable) pushFront(e int32) {
+	first := t.entries[0].next
+	t.entries[e].prev, t.entries[e].next = 0, first
+	t.entries[first].prev, t.entries[0].next = e, e
 }
 
 // Lookup resolves one virtual page of a process's buffer. It returns
@@ -50,11 +68,13 @@ func NewPinTable(capacity int) *PinTable {
 // caller charges the unpin cost on top of the miss). On a miss it
 // walks the page table, pins the frame and caches the translation.
 func (t *PinTable) Lookup(pid int, space *AddrSpace, vpage int64) (pa PAddr, hit, evicted bool, err error) {
-	key := pinKey{pid: pid, vpage: vpage}
-	if el, ok := t.entries[key]; ok {
+	if s := t.slot(pid, vpage); s != nil && *s != 0 {
 		t.hits++
-		t.lru.MoveToFront(el)
-		return el.Value.(*pinEntry).phys, true, false, nil
+		if e := *s; t.entries[0].next != e {
+			t.unlink(e)
+			t.pushFront(e)
+		}
+		return t.entries[*s].phys, true, false, nil
 	}
 	t.misses++
 	pa, err = space.Translate(VAddr(vpage * int64(space.mem.pageSize)))
@@ -64,42 +84,59 @@ func (t *PinTable) Lookup(pid int, space *AddrSpace, vpage int64) (pa PAddr, hit
 	if err := space.mem.PinFrame(pa); err != nil {
 		return 0, false, false, err
 	}
-	if t.capacity > 0 && t.lru.Len() >= t.capacity {
-		t.evictOldest()
+	if t.capacity > 0 && t.n >= t.capacity {
+		t.evictions++
+		t.drop(t.entries[0].prev)
 		evicted = true
 	}
-	el := t.lru.PushFront(&pinEntry{key: key, phys: pa, space: space})
-	t.entries[key] = el
+	e := t.free
+	if e != 0 {
+		t.free = t.entries[e].next
+	} else {
+		t.entries = append(t.entries, pinEntry{})
+		e = int32(len(t.entries) - 1)
+	}
+	t.entries[e] = pinEntry{pid: pid, vpage: vpage, phys: pa, space: space}
+	t.pushFront(e)
+	t.n++
+	// The page translated, so vpage is a mapped page of space: the index
+	// grows no further than the address spaces themselves.
+	if pid >= len(t.index) {
+		t.index = append(t.index, make([][]int32, pid+1-len(t.index))...)
+	}
+	if pages := t.index[pid]; vpage >= int64(len(pages)) {
+		t.index[pid] = append(pages, make([]int32, vpage+1-int64(len(pages)))...)
+	}
+	t.index[pid][vpage] = e
 	return pa, false, evicted, nil
 }
 
-func (t *PinTable) evictOldest() {
-	el := t.lru.Back()
-	if el == nil {
-		return
-	}
-	e := el.Value.(*pinEntry)
-	t.lru.Remove(el)
-	delete(t.entries, e.key)
-	t.evictions++
+// drop removes entry e from the table and unpins its frame.
+func (t *PinTable) drop(e int32) {
+	ent := &t.entries[e]
+	t.unlink(e)
+	t.index[ent.pid][ent.vpage] = 0
 	// Best effort: the frame was pinned by us, so unpin cannot fail.
-	_ = e.space.mem.UnpinFrame(e.phys)
+	_ = ent.space.mem.UnpinFrame(ent.phys)
+	*ent = pinEntry{next: t.free}
+	t.free = e
+	t.n--
 }
 
 // Invalidate drops every entry belonging to pid (process exit),
 // unpinning the frames. It returns how many pages were unpinned.
 func (t *PinTable) Invalidate(pid int) int {
 	dropped := 0
-	for el := t.lru.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*pinEntry)
-		if e.key.pid == pid {
-			t.lru.Remove(el)
-			delete(t.entries, e.key)
-			_ = e.space.mem.UnpinFrame(e.phys)
+	for e := t.entries[0].next; e != 0; {
+		next := t.entries[e].next
+		if t.entries[e].pid == pid {
+			t.drop(e)
 			dropped++
 		}
-		el = next
+		e = next
+	}
+	if uint(pid) < uint(len(t.index)) {
+		t.index[pid] = nil
 	}
 	return dropped
 }
@@ -108,7 +145,7 @@ func (t *PinTable) Invalidate(pid int) int {
 func (t *PinTable) Capacity() int { return t.capacity }
 
 // Len returns the number of cached (pinned) pages.
-func (t *PinTable) Len() int { return t.lru.Len() }
+func (t *PinTable) Len() int { return t.n }
 
 // Stats returns cache hits, misses and evictions.
 func (t *PinTable) Stats() (hits, misses, evictions uint64) {

@@ -89,15 +89,16 @@ func TestCollectivesMapNoPages(t *testing.T) {
 }
 
 // TestHaloIterationAllocationBudget holds the per-message path to what
-// it allocates today. One iteration is the host benchmark's mpi_halo70
-// op on 8 ranks: a 512 B ring exchange and a 1 KB host Allreduce, 8 + 14
-// eager messages. What is left is per message and outside mem: the send
-// descriptor, two completion events, the journal entry, the pending
-// receive and the trap closures.
+// it allocates: nothing. One iteration is the host benchmark's
+// mpi_halo70 op on 8 ranks: a 512 B ring exchange and a 1 KB host
+// Allreduce, 8 + 14 eager messages, some matched by a posted receive
+// and some queued unexpected. It was 138 objects while each message
+// built a send descriptor, a journal entry, two completion events, a
+// receive descriptor and a pending receive.
 func TestHaloIterationAllocationBudget(t *testing.T) {
 	const (
 		ranks  = 8
-		budget = 20 * ranks
+		budget = 0
 	)
 	c, comms := job(t, ranks, spread(ranks))
 	defer c.Env.Close()
@@ -128,16 +129,58 @@ func TestHaloIterationAllocationBudget(t *testing.T) {
 		}
 		c.Env.RunUntil(c.Env.Now() + 2*sim.Millisecond)
 	}
-	for i := 0; i < 20; i++ { // scratch mapped, pages pinned, pools and rings grown
+	for i := 0; i < 40; i++ { // scratch mapped, pages pinned, free lists, queues and done-rings grown
 		one()
 	}
 	allocs := testing.AllocsPerRun(50, one)
 	t.Logf("one 8-rank halo iteration allocates %.1f objects (%.1f per rank)", allocs, allocs/ranks)
-	if done != (20+51)*ranks {
-		t.Fatalf("%d rank iterations finished, want %d", done, (20+51)*ranks)
+	if done != (40+51)*ranks {
+		t.Fatalf("%d rank iterations finished, want %d", done, (40+51)*ranks)
 	}
 	if allocs > budget {
 		t.Fatalf("one 8-rank halo iteration allocates %.1f objects, budget %d", allocs, budget)
+	}
+}
+
+// TestSendrecvAllocatesNothing: a 512 B exchange whose receives are
+// posted before the messages land — Sendrecv's rank order sees to that
+// — allocates no heap object in steady state, from the MPI call down
+// to the firmware and back.
+func TestSendrecvAllocatesNothing(t *testing.T) {
+	c, comms := job(t, 2, spread(2))
+	defer c.Env.Close()
+	kicks := []*sim.Queue[int]{sim.NewQueue[int](c.Env, "kick", 0), sim.NewQueue[int](c.Env, "kick", 0)}
+	done := 0
+	for _, comm := range comms {
+		c.Env.Go("rank", func(p *sim.Proc) {
+			me, sp := comm.Rank(), comm.space()
+			out, in := sp.Alloc(512), sp.Alloc(512)
+			for {
+				kicks[me].Recv(p)
+				if st, err := comm.Sendrecv(p, out, 512, 1-me, 3, in, 512, 1-me, 3); err != nil || st.Len != 512 {
+					t.Errorf("rank %d: %+v, %v", me, st, err)
+				}
+				done++
+			}
+		})
+	}
+	one := func() {
+		kicks[0].Post(1)
+		kicks[1].Post(1)
+		c.Env.RunUntil(c.Env.Now() + sim.Millisecond)
+	}
+	for i := 0; i < 300; i++ {
+		one()
+	}
+	unexpected := comms[0].dev.UnexpectedMsgs + comms[1].dev.UnexpectedMsgs
+	if allocs := testing.AllocsPerRun(200, one); allocs != 0 {
+		t.Fatalf("a steady 512 B Sendrecv exchange allocates %.2f objects, want 0", allocs)
+	}
+	if done != 2*(300+201) {
+		t.Fatalf("%d Sendrecvs finished, want %d", done, 2*(300+201))
+	}
+	if got := comms[0].dev.UnexpectedMsgs + comms[1].dev.UnexpectedMsgs; got != unexpected {
+		t.Fatalf("%d messages found no posted receive", got-unexpected)
 	}
 }
 

@@ -1,8 +1,9 @@
 package nic
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bcl/internal/fabric"
 	"bcl/internal/mem"
@@ -179,16 +180,18 @@ func (n *NIC) CloseCollCtx(id int) {
 		}
 	}
 	for _, seq := range sortedKeys(ctx.ownMsg) {
-		n.retireSend(nil, ctx.ownMsg[seq])
+		n.retireSend(nil, ctx.ownMsg[seq], nil, false)
 	}
 }
 
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	out := make([]uint64, 0, len(m))
+// sortedKeys returns a map's keys in ascending order, so teardown and
+// replay walks of the collective tables stay deterministic.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -295,7 +298,7 @@ func (n *NIC) handleCollPkt(p *sim.Proc, pkt *fabric.Packet) bool {
 	})
 	if !pkt.Verify() {
 		n.stats.CRCDrops++
-		n.Obs.Event(n.env.Now(), n.node, "nic", "crc-drop", pkt.Trace,
+		n.obs.Event(n.env.Now(), n.node, "nic", "crc-drop", pkt.Trace,
 			fmt.Sprintf("src=%d seq=%d coll", pkt.Src, pkt.Seq))
 		return false
 	}
@@ -394,12 +397,12 @@ func (n *NIC) collLocal(p *sim.Proc, j collJob) {
 		return
 	}
 	if !d.NoEvent {
-		n.postEvent(p, d.SrcPort, EvSendDone, d, 0)
+		n.postEvent(p, n.sendEvent(EvSendDone, d))
 	}
 	// Everything except a held release contribution is complete for the
 	// journal once folded/fanned out (collRetireOwn releases the rest).
 	if ctx.ownMsg[d.Coll.Seq] != d.MsgID {
-		n.retireSend(nil, d.MsgID)
+		n.retireSend(nil, d.MsgID, nil, false)
 	}
 }
 
@@ -408,7 +411,7 @@ func (n *NIC) collLocal(p *sim.Proc, j collJob) {
 func (n *NIC) collRetireOwn(ctx *CollCtx, seq uint64) {
 	if mid, ok := ctx.ownMsg[seq]; ok {
 		delete(ctx.ownMsg, seq)
-		n.retireSend(nil, mid)
+		n.retireSend(nil, mid, nil, false)
 	}
 }
 
@@ -418,7 +421,7 @@ func (n *NIC) collRetireOwn(ctx *CollCtx, seq uint64) {
 func (n *NIC) collPacket(p *sim.Proc, pkt *fabric.Packet) {
 	ctx, ok := n.colls[pkt.Coll.Ctx]
 	if !ok {
-		n.Obs.Event(n.env.Now(), n.node, "nic", "coll-unknown-ctx", pkt.Trace,
+		n.obs.Event(n.env.Now(), n.node, "nic", "coll-unknown-ctx", pkt.Trace,
 			fmt.Sprintf("src=%d ctx=%d", pkt.Src, pkt.Coll.Ctx))
 		return
 	}
@@ -506,7 +509,7 @@ func (n *NIC) collContribute(p *sim.Proc, ctx *CollCtx, from int, hdr fabric.Col
 			n.stats.CollDups++
 		} else {
 			n.stats.CollOverlapDrops++
-			n.Obs.Event(n.env.Now(), n.node, "nic", "coll-overlap-drop", traceID,
+			n.obs.Event(n.env.Now(), n.node, "nic", "coll-overlap-drop", traceID,
 				fmt.Sprintf("ctx=%d seq=%d have=%x got=%x", ctx.ID, seq, st.mask, hdr.Mask))
 		}
 		st.dead |= hdr.Dead
@@ -593,7 +596,7 @@ func (n *NIC) collForwardUp(p *sim.Proc, ctx *CollCtx, seq uint64, st *combState
 		}
 	}
 	if target < 0 {
-		n.Obs.Event(n.env.Now(), n.node, "nic", "coll-no-ancestor", st.trace,
+		n.obs.Event(n.env.Now(), n.node, "nic", "coll-no-ancestor", st.trace,
 			fmt.Sprintf("ctx=%d seq=%d", ctx.ID, seq))
 		return
 	}
@@ -657,7 +660,7 @@ func (n *NIC) collRetry(p *sim.Proc, j collJob) {
 		hdr.Dead |= st.dead // share what we learned about dead members
 	}
 	hdr.Origin = ctx.Me
-	n.Obs.Event(n.env.Now(), n.node, "nic", "coll-retry", oc.trace,
+	n.obs.Event(n.env.Now(), n.node, "nic", "coll-retry", oc.trace,
 		fmt.Sprintf("ctx=%d seq=%d round=%d", ctx.ID, j.seq, oc.round))
 	pkt := &fabric.Packet{
 		Kind: fabric.KindCollComb, Channel: CollChannel,
@@ -696,7 +699,7 @@ func (n *NIC) collFail(p *sim.Proc, j collJob) {
 			}
 			pkt.Coll.Dead |= coll.Bit(a)
 		}
-		n.Obs.Event(n.env.Now(), n.node, "nic", "coll-no-ancestor", pkt.Trace,
+		n.obs.Event(n.env.Now(), n.node, "nic", "coll-no-ancestor", pkt.Trace,
 			fmt.Sprintf("ctx=%d seq=%d", ctx.ID, pkt.Coll.Seq))
 		return
 	}
@@ -713,14 +716,14 @@ func (n *NIC) collFail(p *sim.Proc, j collJob) {
 func (n *NIC) collNoteReparent(traceID uint64, ctxID, member int) {
 	now := n.env.Now()
 	n.Tracer.AddFlow("nic: coll reparent", n.where(), traceID, now, now)
-	n.Obs.Event(now, n.node, "nic", "coll-reparent", traceID,
+	n.obs.Event(now, n.node, "nic", "coll-reparent", traceID,
 		fmt.Sprintf("ctx=%d around member %d", ctxID, member))
 }
 
 func (n *NIC) collNoteAdopt(traceID uint64, ctxID, member int) {
 	now := n.env.Now()
 	n.Tracer.AddFlow("nic: coll adopt", n.where(), traceID, now, now)
-	n.Obs.Event(now, n.node, "nic", "coll-adopt", traceID,
+	n.obs.Event(now, n.node, "nic", "coll-adopt", traceID,
 		fmt.Sprintf("ctx=%d member %d", ctxID, member))
 }
 
@@ -801,8 +804,8 @@ func (n *NIC) collSend(p *sim.Proc, ctx *CollCtx, m int, proto *fabric.Packet) {
 // ring and posts the completion event, exactly one bus round trip and
 // one event DMA — the O(1) host cost the offload buys.
 func (n *NIC) collDeliver(p *sim.Proc, ctx *CollCtx, kind uint8, origin int, seq uint64, payload []byte, tag uint64, dead uint64, traceID uint64, born sim.Time) {
-	port, ok := n.ports[ctx.Ports[ctx.Me]]
-	if !ok {
+	port := n.ports.Get(ctx.Ports[ctx.Me])
+	if port == nil {
 		return
 	}
 	slot := ctx.slotFor(origin, seq)
@@ -824,9 +827,9 @@ func (n *NIC) collDeliver(p *sim.Proc, ctx *CollCtx, kind uint8, origin int, seq
 	}
 	n.stats.CollDeliveries++
 	if born > 0 {
-		n.Obs.Observe(n.node, "nic", "coll_latency_ns", int64(n.env.Now()-born))
+		n.obs.Observe(n.node, "nic", "coll_latency_ns", int64(n.env.Now()-born))
 	}
-	ev := &Event{
+	ev := Event{
 		Type: EvRecvDone, Port: ctx.Ports[ctx.Me], Channel: CollChannel,
 		MsgID: seq, Len: len(payload), Tag: tag,
 		SrcNode: ctx.Nodes[origin], SrcPort: ctx.ID,

@@ -23,10 +23,10 @@ func TestDuplicateDeliveredExactlyOnce(t *testing.T) {
 	r.nics[1].PostRecv(2, 1, &RecvDesc{Len: len(payload), Segs: rseg, VA: rva})
 	sendOK := false
 	r.env.Go("send", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 		sendOK = sp.SendEvQ.Recv(p).Type == EvSendDone
 	})
 	deliveries := 0
@@ -79,11 +79,11 @@ func TestRetransmitBackoffEscalates(t *testing.T) {
 	r.nics[1].RegisterPort(2)
 	var failed *Event
 	r.env.Go("send", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
-		failed = sp.SendEvQ.Recv(p)
+		}))
+		failed = evp(sp.SendEvQ.Recv(p))
 	})
 	r.env.RunUntil(sim.Second)
 	if failed == nil || failed.Type != EvSendFailed {
@@ -138,20 +138,20 @@ func TestPeerHealthLifecycle(t *testing.T) {
 	recvOK := false
 	r.env.Go("driver", func(p *sim.Proc) {
 		// 1. Send into the outage: retry exhaustion must fail it.
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
-		firstFail = sp.SendEvQ.Recv(p)
+		}))
+		firstFail = evp(sp.SendEvQ.Recv(p))
 		healthAfterFail = r.nics[0].PeerHealth(1)
 
 		// 2. Second send must fail fast, not burn another ladder.
 		t0 := p.Now()
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 2, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
-		fastFail = sp.SendEvQ.Recv(p)
+		}))
+		fastFail = evp(sp.SendEvQ.Recv(p))
 		fastFailElapsed = p.Now() - t0
 
 		// 3. Wait for probe-driven recovery.
@@ -162,10 +162,10 @@ func TestPeerHealthLifecycle(t *testing.T) {
 
 		// 4. Post-recovery transfer must arrive byte-identical.
 		r.nics[1].PostRecv(2, 1, &RecvDesc{Len: 4096, Segs: rseg, VA: rva})
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 3, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 		if ev := sp.SendEvQ.Recv(p); ev.Type != EvSendDone {
 			t.Errorf("post-recovery send event %v", ev.Type)
 		}
@@ -206,4 +206,61 @@ func TestPeerHealthLifecycle(t *testing.T) {
 	if r.nics[0].PeerHealth(1) != PeerUp {
 		t.Fatalf("final health %v, want UP", r.nics[0].PeerHealth(1))
 	}
+}
+
+// TestFailedSendKeepsItsDescriptor: a message abandoned by retry
+// exhaustion while its later fragments are still coming down the send
+// pipeline is retired — the descriptor no longer counts as in use —
+// but its descriptor must not go round again, because those fragments
+// still read it. The free list poisons what it takes back and the
+// injector panics on poison, so handing this one back fails here.
+func TestFailedSendKeepsItsDescriptor(t *testing.T) {
+	cfg := bclConfig()
+	cfg.MaxRetries = 2
+	r := newRig(t, cfg)
+	r.fab.SetFault(func(env *sim.Env, pkt *fabric.Packet) fabric.Verdict {
+		if pkt.Kind == fabric.KindData && pkt.MsgID == 1 {
+			return fabric.Drop
+		}
+		return fabric.Deliver
+	})
+	big := make([]byte, (r.nics[0].cfg.Window+8)*r.prof.MaxPacket) // the window fills with fragments still to fetch
+	_, bseg := r.pinnedSegs(t, 0, big)
+	_, sseg := r.pinnedSegs(t, 0, []byte("small"))
+	rva, rseg := r.recvBuf(t, 1, 4096)
+	sp := r.nics[0].RegisterPort(1)
+	rp := r.nics[1].RegisterPort(2)
+	var events []EventType
+	r.env.Go("send", func(p *sim.Proc) {
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
+			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
+			Channel: 1, Len: len(big), Segs: bseg,
+		}))
+		events = append(events, sp.SendEvQ.Recv(p).Type)
+		if send, _ := r.nics[0].DescsInUse(); send != 0 {
+			t.Errorf("%d send descriptors in use after the only message failed", send)
+		}
+		// Once probes have re-admitted the peer, a second message takes a
+		// descriptor: not the failed one.
+		for !r.nics[0].PeerHealthy(1) {
+			p.Sleep(sim.Millisecond)
+		}
+		if err := r.nics[1].PostRecv(2, 1, lendRecv(r.nics[1], RecvDesc{Len: 4096, Segs: rseg, VA: rva})); err != nil {
+			t.Error(err)
+		}
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
+			Kind: DescData, MsgID: 2, SrcPort: 1, DstNode: 1, DstPort: 2,
+			Channel: 1, Len: 5, Segs: sseg,
+		}))
+		events = append(events, sp.SendEvQ.Recv(p).Type)
+	})
+	r.env.Go("recv", func(p *sim.Proc) { rp.RecvEvQ.Recv(p) })
+	r.env.RunUntil(sim.Second)
+	if len(events) != 2 || events[0] != EvSendFailed || events[1] != EvSendDone {
+		t.Fatalf("send events = %v, want [SEND-FAILED SEND]", events)
+	}
+	if got, _ := r.space[1].Read(rva, 5); string(got) != "small" {
+		t.Fatalf("second message delivered %q", got)
+	}
+	r.assertDrained(t)
 }

@@ -2,6 +2,7 @@ package nic
 
 import (
 	"fmt"
+	"slices"
 
 	"bcl/internal/fabric"
 	"bcl/internal/mem"
@@ -113,10 +114,11 @@ type txFlow struct {
 	// genuine ACK progress).
 	health     PeerHealth
 	probeTimer sim.Timer
-	// failed records MsgIDs already reported by failFlow so the
-	// fail-fast path does not post a second EvSendFailed for trailing
-	// fragments of the same message.
-	failed map[uint64]bool
+	// failed lists the messages being failed whose trailing fragments
+	// are still to come down the pipeline, so those are suppressed, and
+	// whether failFlow already reported the failure, so the fail-fast
+	// path does not post a second EvSendFailed. A handful at most.
+	failed []failedMsg
 
 	// peerEpoch is the peer firmware's boot epoch as last seen on its
 	// control packets; a jump means the peer rebooted and wiped its
@@ -124,9 +126,12 @@ type txFlow struct {
 	peerEpoch uint32
 	// inflight tracks data/RMA-write messages transmitted toward the
 	// peer but not yet acknowledged/failed, in first-transmit order,
-	// so a rewind can replay them from fragment zero.
-	inflight map[uint64]*SendDesc
-	order    []uint64
+	// so a rewind can replay them from fragment zero. The send window
+	// bounds it, so a message is found by walking it; one retired out of
+	// order leaves a nil descriptor behind until the front reaches it.
+	// inflightN counts the live entries.
+	inflight  ring[inflightMsg]
+	inflightN int
 
 	// Adaptive-RTO estimator state (Config.AdaptiveRTO).
 	srtt      sim.Time // smoothed RTT
@@ -136,11 +141,52 @@ type txFlow struct {
 	grayTimer sim.Timer
 }
 
+type failedMsg struct {
+	id       uint64
+	reported bool
+}
+
+type inflightMsg struct {
+	id uint64
+	d  *SendDesc
+}
+
+// inflightEntry returns the replay-order entry of a message in flight
+// on the flow, nil if it is not (or no longer).
+func (f *txFlow) inflightEntry(msgID uint64) *inflightMsg {
+	for i := 0; i < f.inflight.len(); i++ {
+		if e := f.inflight.at(i); e.id == msgID && e.d != nil {
+			return e
+		}
+	}
+	return nil
+}
+
+// failedIdx returns the index of a message in the failed list, -1 if it
+// is not being failed.
+func (f *txFlow) failedIdx(msgID uint64) int {
+	for i := range f.failed {
+		if f.failed[i].id == msgID {
+			return i
+		}
+	}
+	return -1
+}
+
+// markFailed lists a message as being failed, or updates its entry.
+func (f *txFlow) markFailed(msgID uint64, reported bool) {
+	if i := f.failedIdx(msgID); i >= 0 {
+		f.failed[i].reported = reported
+		return
+	}
+	f.failed = append(f.failed, failedMsg{id: msgID, reported: reported})
+}
+
 // rxFlow is the receiver-side sequencing state from one remote node.
 type rxFlow struct {
 	src    int
 	expect uint64
-	asm    map[uint64]*rxAssembly
+	asm    []*rxAssembly // messages in progress: one per sending port at most, so found by walking
 
 	// srcEpoch is the sender firmware's boot epoch as stamped on its
 	// packets; a jump means the sender rebooted and restarted its
@@ -148,10 +194,40 @@ type rxFlow struct {
 	srcEpoch uint32
 	// done remembers the last rxDoneRing completed message ids so a
 	// journal-replayed message a rebooted sender re-sends is swallowed
-	// (ACKed but not re-delivered) — the exactly-once guarantee.
-	done       map[uint64]bool
-	doneOrder  []uint64
+	// (ACKed but not re-delivered) — the exactly-once guarantee. It is a
+	// ring that grows to rxDoneRing entries and then overwrites the
+	// oldest, at doneNext. doneMax is the highest id ever recorded: ids
+	// from one card only grow, so the id of a new message is above it
+	// and is known not to be in the ring without a look.
+	done       []uint64
+	doneNext   int
+	doneMax    uint64
 	lastResync sim.Time // RESYNC send throttle
+}
+
+// isDone reports whether msgID is among the last rxDoneRing messages
+// completed on the flow.
+func (f *rxFlow) isDone(msgID uint64) bool {
+	if msgID > f.doneMax {
+		return false
+	}
+	for _, id := range f.done {
+		if id == msgID {
+			return true
+		}
+	}
+	return false
+}
+
+// recordDone enters a completed message in the done-ring.
+func (f *rxFlow) recordDone(msgID uint64) {
+	f.doneMax = max(f.doneMax, msgID)
+	if len(f.done) < rxDoneRing {
+		f.done = append(f.done, msgID)
+		return
+	}
+	f.done[f.doneNext] = msgID
+	f.doneNext = (f.doneNext + 1) % rxDoneRing
 }
 
 // rxDoneRing bounds the per-flow completed-message ring. It only needs
@@ -161,6 +237,7 @@ const rxDoneRing = 128
 
 // rxAssembly tracks one in-progress incoming message.
 type rxAssembly struct {
+	msgID      uint64
 	desc       *RecvDesc
 	port       *Port
 	channel    int
@@ -176,8 +253,8 @@ type rxAssembly struct {
 func (n *NIC) where() string { return n.row }
 
 func (n *NIC) flowTo(dst int) *txFlow {
-	f, ok := n.tx[dst]
-	if !ok {
+	f := n.tx.Get(dst)
+	if f == nil {
 		f = &txFlow{dst: dst, window: sim.NewCond(n.env)}
 		f.onTimer = func() {
 			f.timer = sim.Timer{}
@@ -188,16 +265,16 @@ func (n *NIC) flowTo(dst int) *txFlow {
 			n.retxQ.Post(f)
 		}
 		f.onGray = func() { n.grayRestore(f) }
-		n.tx[dst] = f
+		n.tx.Set(dst, f)
 	}
 	return f
 }
 
 func (n *NIC) flowFrom(src int) *rxFlow {
-	f, ok := n.rx[src]
-	if !ok {
-		f = &rxFlow{src: src, asm: make(map[uint64]*rxAssembly)}
-		n.rx[src] = f
+	f := n.rx.Get(src)
+	if f == nil {
+		f = &rxFlow{src: src}
+		n.rx.Set(src, f)
 	}
 	return f
 }
@@ -309,7 +386,7 @@ func (n *NIC) nextFrag(p *sim.Proc) (*sendRing, *SendDesc, int) {
 			continue
 		}
 		if r.cur == nil {
-			r.cur = r.q.pop()
+			r.cur = r.q.pop().d
 			r.fragIdx = 0
 			r.frags = 1
 			if r.cur.Kind != DescRMARead {
@@ -327,7 +404,7 @@ func (n *NIC) nextFrag(p *sim.Proc) (*sendRing, *SendDesc, int) {
 func (n *NIC) finishMsg(r *sendRing) {
 	r.cur = nil
 	if r.closed && !r.hasWork() {
-		n.removeRing(r.port)
+		n.removeRing(r)
 	}
 }
 
@@ -338,15 +415,14 @@ func (n *NIC) finishMsg(r *sendRing) {
 func (n *NIC) pickFIFO() *sendRing {
 	var best *sendRing
 	var bestSeq uint64
-	for _, id := range n.ringOrder {
-		r := n.rings[id]
+	for _, r := range n.ringOrder {
 		if r.cur != nil {
 			return r
 		}
 		if r.q.len() == 0 {
 			continue
 		}
-		if arrival := (*r.q.at(0)).arrival; best == nil || arrival < bestSeq {
+		if arrival := r.q.at(0).arrival; best == nil || arrival < bestSeq {
 			best = r
 			bestSeq = arrival
 		}
@@ -366,7 +442,7 @@ func (n *NIC) pickWRR() *sendRing {
 		if n.rrPos >= len(n.ringOrder) {
 			n.rrPos = 0
 		}
-		r := n.rings[n.ringOrder[n.rrPos]]
+		r := n.ringOrder[n.rrPos]
 		if r.hasWork() && r.credits > 0 {
 			r.credits--
 			n.stats.QoSFrags++
@@ -390,6 +466,10 @@ func (n *NIC) injectEngine(p *sim.Proc) {
 			// journal replay re-issues the message if it still matters.
 			n.dropJob(j)
 			continue
+		}
+		if d.Len < 0 {
+			// Only a free list's poison is negative (under go test).
+			panic(fmt.Sprintf("nic%d: send pipeline holds a descriptor that was retired and recycled", n.node))
 		}
 		if j.err != nil {
 			// Bad host descriptor (fault/unpinned). Surface a send
@@ -580,17 +660,18 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 			n.sram.Release(sram)
 		}
 		if lastFrag {
-			n.retireSend(nil, d.MsgID)
-			if !d.NoEvent {
-				// Fire-and-forget: declare success at injection.
-				n.postEvent(p, d.SrcPort, EvSendDone, d, 0)
+			// Fire-and-forget: declare success at injection.
+			ev, post := n.sendEvent(EvSendDone, d), !d.NoEvent
+			n.retireSend(nil, d.MsgID, d, true)
+			if post {
+				n.postEvent(p, ev)
 			}
 		}
 		return
 	}
 	for flow.unacked.len() >= n.cfg.Window {
 		flow.window.Wait(p)
-		if n.tx[d.DstNode] != flow {
+		if n.tx.Get(d.DstNode) != flow {
 			// The firmware rebooted while we waited for window space:
 			// this fragment belongs to the dead boot epoch; the kernel
 			// journal replay re-issues the message.
@@ -601,7 +682,7 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 			return
 		}
 	}
-	if reported, tracked := flow.failed[pkt.MsgID]; tracked {
+	if i := flow.failedIdx(pkt.MsgID); i >= 0 {
 		// Trailing fragment of a message already being failed:
 		// suppress it (whatever the current health) so the receiver
 		// never sees a partial message resumed mid-stream.
@@ -609,7 +690,8 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 			n.sram.Release(sram)
 		}
 		if lastFrag {
-			delete(flow.failed, pkt.MsgID)
+			reported := flow.failed[i].reported
+			flow.failed = append(flow.failed[:i], flow.failed[i+1:]...)
 			if !reported {
 				n.stats.FastFails++
 				n.failMessage(p, d)
@@ -626,14 +708,11 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 		}
 		if lastFrag {
 			n.stats.FastFails++
-			n.Obs.Event(n.env.Now(), n.node, "nic", "fast-fail", pkt.Trace,
+			n.obs.Event(n.env.Now(), n.node, "nic", "fast-fail", pkt.Trace,
 				fmt.Sprintf("dst=%d msg=%d peer %v", d.DstNode, d.MsgID, flow.health))
 			n.failMessage(p, d)
 		} else {
-			if flow.failed == nil {
-				flow.failed = make(map[uint64]bool)
-			}
-			flow.failed[pkt.MsgID] = false // report deferred to lastFrag
+			flow.markFailed(pkt.MsgID, false) // report deferred to lastFrag
 		}
 		pkt.Release()
 		return
@@ -643,12 +722,9 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 	// acked (and retired) must not resurrect it, or its completion
 	// event would fire twice.
 	if (d.Kind == DescData || d.Kind == DescRMAWrite) && pkt.FragIdx == 0 {
-		if _, live := flow.inflight[pkt.MsgID]; !live {
-			if flow.inflight == nil {
-				flow.inflight = make(map[uint64]*SendDesc)
-			}
-			flow.inflight[pkt.MsgID] = d
-			flow.order = append(flow.order, pkt.MsgID)
+		if flow.inflightEntry(pkt.MsgID) == nil {
+			flow.inflight.push(inflightMsg{id: pkt.MsgID, d: d})
+			flow.inflightN++
 		}
 	}
 	pkt.Seq = flow.nextSeq
@@ -755,7 +831,7 @@ func (n *NIC) wipeUnacked(f *txFlow) {
 func (n *NIC) retxEngine(p *sim.Proc) {
 	for {
 		f := n.retxQ.Recv(p)
-		if n.fwDead || n.tx[f.dst] != f {
+		if n.fwDead || n.tx.Get(f.dst) != f {
 			// Crashed firmware retransmits nothing; a flow replaced by a
 			// reboot is stale and its timer event is void.
 			continue
@@ -787,7 +863,7 @@ func (n *NIC) retxEngine(p *sim.Proc) {
 			// above its current value.
 			n.rttSample(f, n.env.Now()-f.unacked.at(0).sentAt)
 		}
-		n.Obs.Event(n.env.Now(), n.node, "nic", "retx-round",
+		n.obs.Event(n.env.Now(), n.node, "nic", "retx-round",
 			f.unacked.at(0).pkt.Trace,
 			fmt.Sprintf("dst=%d round=%d pkts=%d", f.dst, f.retries, f.unacked.len()))
 		// The round is the window as it stands now: every packet in it
@@ -819,9 +895,6 @@ func (n *NIC) retxEngine(p *sim.Proc) {
 // exhaustion, reporting EvSendFailed once per message, marks the peer
 // Dead and starts the liveness-probe cycle.
 func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
-	if f.failed == nil {
-		f.failed = make(map[uint64]bool)
-	}
 	complete := make(map[uint64]bool) // lastFrag in window: no trailing frags coming
 	first, count := f.unacked.head, f.unacked.len()
 	for i := 0; i < count; i++ {
@@ -844,7 +917,8 @@ func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
 			pd.sram = 0
 		}
 		d, msgID, traceID := pd.desc, pd.pkt.MsgID, pd.pkt.Trace
-		n.retireSend(f, msgID) // abandoned: the journal forgets it
+		ev := n.sendEvent(EvSendFailed, d)
+		n.retireSend(f, msgID, d, false) // abandoned: the journal forgets it
 		if d.OnFail != nil {
 			// Collective forwards: the engine reparents the branch
 			// instead of surfacing a host event.
@@ -857,12 +931,12 @@ func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
 		if !seen[msgID] && !d.NoEvent {
 			seen[msgID] = true
 			if !complete[msgID] {
-				f.failed[msgID] = true // already reported here
+				f.markFailed(msgID, true) // already reported here
 			}
 			n.stats.SendFailures++
-			n.Obs.Event(n.env.Now(), n.node, "nic", "send-failed", traceID,
+			n.obs.Event(n.env.Now(), n.node, "nic", "send-failed", traceID,
 				fmt.Sprintf("dst=%d msg=%d retries exhausted", f.dst, msgID))
-			n.postEvent(p, d.SrcPort, EvSendFailed, d, 0)
+			n.postEvent(p, ev)
 		}
 	}
 	n.wipeUnacked(f)
@@ -874,7 +948,7 @@ func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
 		n.stats.PeerDeaths++
 		now := n.env.Now()
 		n.Tracer.Add("nic: peer dead", n.where(), now, now)
-		n.Obs.Event(now, n.node, "nic", "peer-dead", 0, fmt.Sprintf("dst=%d", f.dst))
+		n.obs.Event(now, n.node, "nic", "peer-dead", 0, fmt.Sprintf("dst=%d", f.dst))
 		n.armProbe(f)
 	}
 	n.wakeWindow(f)
@@ -891,7 +965,7 @@ func (n *NIC) sendProbe(p *sim.Proc, f *txFlow) {
 	f.health = PeerProbing
 	n.cpu.Use(p, 1, n.prof.MCPAckProc)
 	n.stats.Probes++
-	n.Obs.Event(n.env.Now(), n.node, "nic", "probe", 0, fmt.Sprintf("dst=%d", f.dst))
+	n.obs.Event(n.env.Now(), n.node, "nic", "probe", 0, fmt.Sprintf("dst=%d", f.dst))
 	n.ep.Inject(p, n.control(fabric.KindProbe, f.dst, 0, 0))
 	n.armProbe(f)
 }
@@ -903,7 +977,7 @@ func (n *NIC) markPeerUp(f *txFlow) {
 		n.stats.PeerRecoveries++
 		now := n.env.Now()
 		n.Tracer.Add("nic: peer recovered", n.where(), now, now)
-		n.Obs.Event(now, n.node, "nic", "peer-recovered", 0, fmt.Sprintf("dst=%d", f.dst))
+		n.obs.Event(now, n.node, "nic", "peer-recovered", 0, fmt.Sprintf("dst=%d", f.dst))
 	}
 	f.health = PeerUp
 	f.retries = 0
@@ -921,10 +995,11 @@ func (n *NIC) failMessage(p *sim.Proc, d *SendDesc) {
 	}
 	// The failure is surfaced to the host, so the journal must not
 	// resurrect the message after a firmware reboot.
-	n.retireSend(n.tx[d.DstNode], d.MsgID)
-	if !d.NoEvent {
+	ev, post := n.sendEvent(EvSendFailed, d), !d.NoEvent
+	n.retireSend(n.tx.Get(d.DstNode), d.MsgID, d, false)
+	if post {
 		n.stats.SendFailures++
-		n.postEvent(p, d.SrcPort, EvSendFailed, d, 0)
+		n.postEvent(p, ev)
 	}
 }
 
@@ -1006,12 +1081,16 @@ func (n *NIC) handleAck(p *sim.Proc, pkt *fabric.Packet) {
 			// A rewind-replay can put two lastFrag pendings of the same
 			// tracked message in flight; completion is first-wins via
 			// inflight. Untracked kinds (RMA reads, collective forwards)
-			// are never replayed, so they complete unconditionally.
-			tracked := pd.desc.Kind == DescData || pd.desc.Kind == DescRMAWrite
-			_, live := f.inflight[msgID]
-			n.retireSend(f, msgID)
-			if (!tracked || live) && !pd.desc.NoEvent {
-				n.postEvent(p, pd.desc.SrcPort, EvSendDone, pd.desc, 0)
+			// are never replayed, so they complete unconditionally. The
+			// event is composed before the message is retired: retiring
+			// frees the descriptor.
+			d := pd.desc
+			tracked := d.Kind == DescData || d.Kind == DescRMAWrite
+			live := f.inflightEntry(msgID) != nil
+			ev, post := n.sendEvent(EvSendDone, d), (!tracked || live) && !d.NoEvent
+			n.retireSend(f, msgID, d, true)
+			if post {
+				n.postEvent(p, ev)
 			}
 		}
 	}
@@ -1047,7 +1126,7 @@ func (n *NIC) handleData(p *sim.Proc, pkt *fabric.Packet) {
 	})
 	if !pkt.Verify() {
 		n.stats.CRCDrops++
-		n.Obs.Event(n.env.Now(), n.node, "nic", "crc-drop", pkt.Trace,
+		n.obs.Event(n.env.Now(), n.node, "nic", "crc-drop", pkt.Trace,
 			fmt.Sprintf("src=%d seq=%d", pkt.Src, pkt.Seq))
 		return // silence; sender's timer recovers
 	}
@@ -1070,7 +1149,7 @@ func (n *NIC) handleData(p *sim.Proc, pkt *fabric.Packet) {
 			n.maybeResync(p, f)
 			return
 		}
-		if f.done[pkt.MsgID] {
+		if f.isDone(pkt.MsgID) {
 			// A journal replay (sender reboot) or rewind overlap is
 			// re-sending a message we already delivered: swallow it in
 			// sequence — ACK, but never re-deliver. Exactly-once.
@@ -1096,7 +1175,7 @@ func (n *NIC) handleData(p *sim.Proc, pkt *fabric.Packet) {
 	asm, err := n.assemblyFor(p, f, pkt)
 	if err != nil {
 		n.stats.NoBufferDrops++
-		n.Obs.Event(n.env.Now(), n.node, "nic", "no-buffer-drop", pkt.Trace,
+		n.obs.Event(n.env.Now(), n.node, "nic", "no-buffer-drop", pkt.Trace,
 			fmt.Sprintf("src=%d: %v", pkt.Src, err))
 		if n.cfg.Reliable {
 			n.sendNack(p, pkt)
@@ -1145,33 +1224,32 @@ func (n *NIC) handleData(p *sim.Proc, pkt *fabric.Packet) {
 		asm.got++
 	}
 	if asm.got == asm.frags {
-		delete(f.asm, pkt.MsgID)
+		f.asm = slices.DeleteFunc(f.asm, func(a *rxAssembly) bool { return a == asm })
 		n.stats.MsgsReceived++
 		if n.cfg.Reliable {
 			n.markDone(f, pkt.MsgID)
 		}
-		if n.Journal != nil {
-			// The posting is consumed only now that the message is
-			// whole: a crash mid-assembly replays the posting and the
-			// sender's rewind re-delivers into it from fragment zero.
-			switch {
-			case asm.sysBuf:
-				n.Journal.SysConsumed(asm.port.ID, asm.desc.VA)
-			case asm.recvEvent:
-				n.Journal.RecvConsumed(asm.port.ID, asm.channel)
-			}
+		// The posting is consumed only now that the message is whole: a
+		// crash mid-assembly replays the posting and the sender's rewind
+		// re-delivers into it from fragment zero.
+		va := asm.desc.VA
+		if asm.sysBuf || asm.recvEvent { // not an RMA window: those stay registered
+			n.consumed(asm.port, asm.channel, asm.desc)
 		}
-		if pkt.Born > 0 {
-			n.Obs.Observe(n.node, "nic", "msg_latency_ns", int64(n.env.Now()-pkt.Born))
+		asm.desc = nil
+		if pkt.Born > 0 && n.obs != nil {
+			if n.msgLatency == nil {
+				n.msgLatency = n.obs.Reg.Histogram(n.node, "nic", "msg_latency_ns")
+			}
+			n.msgLatency.Observe(int64(n.env.Now() - pkt.Born))
 		}
 		if asm.recvEvent {
-			ev := &Event{
+			n.deliverEvent(p, asm.port, asm.port.RecvEvQ, Event{
 				Type: EvRecvDone, Port: pkt.DstPort, Channel: pkt.Channel,
 				MsgID: pkt.MsgID, Len: pkt.MsgLen, Tag: pkt.Tag,
-				SrcNode: pkt.Src, SrcPort: pkt.SrcPort, VA: asm.desc.VA,
+				SrcNode: pkt.Src, SrcPort: pkt.SrcPort, VA: va,
 				Stamp: n.env.Now(), Trace: pkt.Trace,
-			}
-			n.deliverEvent(p, asm.port, asm.port.RecvEvQ, ev)
+			})
 		}
 		n.asmFree = append(n.asmFree, asm)
 	}
@@ -1200,23 +1278,25 @@ func (n *NIC) newAssembly(frags int) *rxAssembly {
 // assemblyFor finds or creates the assembly record for a message,
 // resolving the target buffer on its first fragment.
 func (n *NIC) assemblyFor(p *sim.Proc, f *rxFlow, pkt *fabric.Packet) (*rxAssembly, error) {
-	if asm, ok := f.asm[pkt.MsgID]; ok {
-		return asm, nil
+	for _, asm := range f.asm {
+		if asm.msgID == pkt.MsgID {
+			return asm, nil
+		}
 	}
 	// Resolving the destination channel state costs firmware time once
 	// per message.
 	n.cpu.Use(p, 1, n.prof.MCPChannelLookup)
-	port, ok := n.ports[pkt.DstPort]
-	if !ok {
+	port := n.ports.Get(pkt.DstPort)
+	if port == nil {
 		return nil, fmt.Errorf("nic%d: port %d not registered", n.node, pkt.DstPort)
 	}
 	asm := n.newAssembly(pkt.Frags)
-	asm.port, asm.channel, asm.recvEvent = port, pkt.Channel, true
+	asm.msgID, asm.port, asm.channel, asm.recvEvent = pkt.MsgID, port, pkt.Channel, true
 
 	switch {
 	case pkt.Kind == fabric.KindRMAWrite:
-		d, okc := port.open[pkt.Channel]
-		if !okc {
+		d := port.open.Get(pkt.Channel)
+		if d == nil {
 			return nil, fmt.Errorf("nic%d: open channel %d not registered", n.node, pkt.Channel)
 		}
 		base := pkt.Offset - pkt.FragIdx*n.prof.MaxPacket // message base offset in remote buffer
@@ -1242,8 +1322,8 @@ func (n *NIC) assemblyFor(p *sim.Proc, f *rxFlow, pkt *fabric.Packet) (*rxAssemb
 		asm.desc = d
 		asm.sysBuf = true
 	default:
-		d, okc := port.normal[pkt.Channel]
-		if !okc {
+		d := port.normal.Get(pkt.Channel)
+		if d == nil {
 			return nil, fmt.Errorf("nic%d: channel %d not armed on port %d", n.node, pkt.Channel, pkt.DstPort)
 		}
 		if pkt.MsgLen > d.Len {
@@ -1251,9 +1331,9 @@ func (n *NIC) assemblyFor(p *sim.Proc, f *rxFlow, pkt *fabric.Packet) (*rxAssemb
 		}
 		asm.desc = d
 		// A normal channel consumes its posting.
-		delete(port.normal, pkt.Channel)
+		port.normal.Set(pkt.Channel, nil)
 	}
-	f.asm[pkt.MsgID] = asm
+	f.asm = append(f.asm, asm)
 	return asm, nil
 }
 
@@ -1261,12 +1341,12 @@ func (n *NIC) assemblyFor(p *sim.Proc, f *rxFlow, pkt *fabric.Packet) (*rxAssemb
 // descriptor over the registered open buffer and queues it to its own
 // send engine. Reports false if the request is invalid.
 func (n *NIC) handleRMARead(p *sim.Proc, pkt *fabric.Packet) bool {
-	port, ok := n.ports[pkt.DstPort]
-	if !ok {
+	port := n.ports.Get(pkt.DstPort)
+	if port == nil {
 		return false
 	}
-	d, ok := port.open[pkt.Channel]
-	if !ok {
+	d := port.open.Get(pkt.Channel)
+	if d == nil {
 		return false
 	}
 	if pkt.Offset < 0 || pkt.Offset+pkt.MsgLen > d.Len {
@@ -1318,23 +1398,26 @@ func (n *NIC) sendNack(p *sim.Proc, cause *fabric.Packet) {
 
 // ------------------------------------------------------------- events
 
-// postEvent builds and delivers a sender-side event for a descriptor.
-func (n *NIC) postEvent(p *sim.Proc, portID int, t EventType, d *SendDesc, ln int) {
-	port, ok := n.ports[portID]
-	if !ok {
-		return
-	}
-	ev := &Event{
-		Type: t, Port: portID, Channel: d.Channel, MsgID: d.MsgID,
+// sendEvent composes the sender-side completion event of a descriptor.
+func (n *NIC) sendEvent(t EventType, d *SendDesc) Event {
+	return Event{
+		Type: t, Port: d.SrcPort, Channel: d.Channel, MsgID: d.MsgID,
 		Len: d.Len, Tag: d.Tag, SrcNode: n.node, SrcPort: d.SrcPort,
 		Stamp: n.env.Now(), Trace: d.Trace,
 	}
-	n.deliverEvent(p, port, port.SendEvQ, ev)
+}
+
+// postEvent delivers a sender-side event to the port that sent the
+// message, if it is still registered.
+func (n *NIC) postEvent(p *sim.Proc, ev Event) {
+	if port := n.ports.Get(ev.Port); port != nil {
+		n.deliverEvent(p, port, port.SendEvQ, ev)
+	}
 }
 
 // deliverEvent charges the completion-path costs and hands the event
 // to the host: DMA into the user event queue, or an interrupt.
-func (n *NIC) deliverEvent(p *sim.Proc, port *Port, q *sim.Queue[*Event], ev *Event) {
+func (n *NIC) deliverEvent(p *sim.Proc, port *Port, q *sim.Queue[Event], ev Event) {
 	n.Tracer.DoFlow(p, "nic: completion event DMA", n.where(), ev.Trace, func() {
 		n.cpu.Use(p, 1, n.prof.MCPEventDMA)
 		n.Bus.Use(p, 1, n.prof.EventBusTime)

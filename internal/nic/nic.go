@@ -23,6 +23,7 @@ package nic
 import (
 	"fmt"
 	"sort"
+	"testing"
 
 	"bcl/internal/fabric"
 	"bcl/internal/hw"
@@ -136,9 +137,13 @@ type SendDesc struct {
 	// the receiving NIC uses it for the end-to-end latency histogram.
 	Born sim.Time
 
-	// arrival is the card-global post order stamp the FIFO arbiter
-	// replays across rings (assigned by postDesc).
-	arrival uint64
+	// owner is the NIC whose free list lent the descriptor (GetSendDesc),
+	// nil for one a caller built itself and nil again once retired.
+	// shared marks a descriptor a rewind or a reboot replay has posted a
+	// second time: two passes of the send pipeline may then hold it at
+	// once, so it is retired like any other but never handed out again.
+	owner  *NIC
+	shared bool
 }
 
 // RecvDesc describes a posted receive buffer (or an open-channel
@@ -149,6 +154,8 @@ type RecvDesc struct {
 	Seg   [1]mem.Segment // inline storage for a one-entry Segs, as in SendDesc
 	VA    mem.VAddr
 	Space *mem.AddrSpace
+
+	pooled bool // lent by a NIC's free list (GetRecvDesc) and not yet back on it
 }
 
 // EventType discriminates completion events.
@@ -214,29 +221,44 @@ const (
 // channel tables.
 type Port struct {
 	ID      int
-	SendEvQ *sim.Queue[*Event]
-	RecvEvQ *sim.Queue[*Event]
+	SendEvQ *sim.Queue[Event]
+	RecvEvQ *sim.Queue[Event]
 
-	normal map[int]*RecvDesc     // posted normal-channel buffers
-	open   map[int]*RecvDesc     // registered open-channel (RMA) buffers
+	nic    *NIC
+	normal sim.Table[*RecvDesc]  // posted normal-channel buffers, by channel
+	open   sim.Table[*RecvDesc]  // registered open-channel (RMA) buffers, by channel
 	system *sim.Queue[*RecvDesc] // pre-posted system-channel pool (FIFO)
 }
 
-// TakeRecv removes and returns the buffer posted on a normal channel.
-// The intra-node delivery path uses it so that local and remote
-// messages consume the same posting.
-func (p *Port) TakeRecv(channel int) (*RecvDesc, bool) {
-	d, ok := p.normal[channel]
-	if ok {
-		delete(p.normal, channel)
+// TakeRecv is receive matching for the intra-node delivery path, which
+// moves a local message without the firmware seeing it: it consumes the
+// posting a message of msgLen bytes on the channel lands in — the next
+// system-pool buffer on channel 0, the armed buffer on a normal one —
+// exactly as an arriving message does (the journal forgets the posting,
+// the descriptor goes back to the free list), so local and remote
+// messages consume the same postings. The buffer is returned by value,
+// without its DMA list. posted is false if there is nothing to take; a
+// posting too short for the message is returned for its Len but stays
+// posted, a system buffer at the back of its pool.
+func (p *Port) TakeRecv(channel, msgLen int) (buf RecvDesc, posted bool) {
+	var d *RecvDesc
+	if channel == 0 {
+		d, posted = p.system.TryRecv()
+	} else if d = p.normal.Get(channel); d != nil {
+		posted = true
 	}
-	return d, ok
-}
-
-// TakeSystemBuffer pops the next system-pool buffer (shared between
-// the firmware and the intra-node path).
-func (p *Port) TakeSystemBuffer() (*RecvDesc, bool) {
-	return p.system.TryRecv()
+	if !posted {
+		return RecvDesc{}, false
+	}
+	buf = RecvDesc{Len: d.Len, VA: d.VA, Space: d.Space}
+	switch {
+	case msgLen <= d.Len:
+		p.normal.Set(channel, nil) // (channel 0 has no entry: its buffer left the pool above)
+		p.nic.consumed(p, channel, d)
+	case channel == 0:
+		p.system.Post(d)
+	}
+	return buf, true
 }
 
 // SystemPoolLen returns the number of free system-pool buffers.
@@ -334,38 +356,50 @@ type NIC struct {
 	fetchQ *sim.Queue[fetchJob]
 	retxQ  *sim.Queue[*txFlow]
 	collQ  *sim.Queue[collJob]
-	ports  map[int]*Port
-	tx     map[int]*txFlow
-	rx     map[int]*rxFlow
+	ports  sim.Table[*Port]   // by port id
+	tx     sim.Table[*txFlow] // by destination node
+	rx     sim.Table[*rxFlow] // by source node
 	colls  map[int]*CollCtx
 	nextID uint64
 
 	// Virtualized per-endpoint send rings. Each registered port owns a
 	// ring; descriptors from unregistered sources (raw NIC callers,
 	// firmware-generated replies whose port closed) land in a control
-	// ring with id ctrlRing. ringOrder keeps ids sorted so every scan of
-	// the ring table is deterministic; sendWork wakes the send engine
-	// when any ring gains a descriptor.
-	rings     map[int]*sendRing
-	ringOrder []int
+	// ring with id ctrlRing. ringOrder holds the rings sorted by id, the
+	// deterministic order every scan takes; sendWork wakes the send
+	// engine when any ring gains a descriptor.
+	rings     sim.Table[*sendRing] // by port id; the control ring is ctrl
+	ctrl      *sendRing
+	ringOrder []*sendRing
 	rrPos     int // WRR arbiter scan position into ringOrder
 	sendWork  *sim.Cond
-	arriveSeq uint64 // card-global post order, stamps SendDesc.arrival
+	arriveSeq uint64 // card-global post order, stamps queuedSend.arrival
+
+	// Descriptor free lists (GetSendDesc, GetRecvDesc) and how many
+	// descriptors each has out.
+	sendFree []*SendDesc
+	recvFree []*RecvDesc
+	sendOut  int
+	recvOut  int
 
 	// InterruptHandler is invoked (in scheduler context) for each
 	// event when Config.Completion == Interrupt. The kernel model
 	// installs it; it must not block — it should schedule work.
-	InterruptHandler func(*Event)
+	InterruptHandler func(Event)
 
 	// Tracer, when set, records firmware stage spans (send processing,
 	// injection, receive processing, completion DMA) for the timeline
 	// figures. A nil tracer records nothing.
 	Tracer *trace.Tracer
 
-	// Obs, when set (the cluster wires it), receives flight-recorder
-	// events for fault-path transitions and the end-to-end message
-	// latency histogram. A nil Obs records nothing.
-	Obs *obs.Obs
+	// obs, when set (SetObs: the cluster wires it), receives
+	// flight-recorder events for fault-path transitions and the
+	// end-to-end message latency histogram; nil records nothing.
+	// msgLatency is that histogram, looked up by the first message
+	// delivered and not before: a NIC that received nothing adds no empty
+	// series to the registry's snapshots.
+	obs        *obs.Obs
+	msgLatency *obs.Histogram
 
 	// Journal, when set (the kernel wires it via AttachNIC), mirrors
 	// the NIC's control-plane state into host memory so a firmware
@@ -422,13 +456,9 @@ func New(env *sim.Env, prof *hw.Profile, cfg Config, node int, ep *fabric.Endpoi
 		Bus:    sim.NewResource(env, fmt.Sprintf("pci%d", node), 1),
 		cpu:    sim.NewResource(env, fmt.Sprintf("lanai%d", node), 1),
 		sram:   sim.NewResource(env, fmt.Sprintf("sram%d", node), prof.NICMemBytes),
-		rings:  make(map[int]*sendRing),
 		fetchQ: sim.NewQueue[fetchJob](env, fmt.Sprintf("nic%d/fetchq", node), 2),
 		retxQ:  sim.NewQueue[*txFlow](env, fmt.Sprintf("nic%d/retxq", node), 0),
 		collQ:  sim.NewQueue[collJob](env, fmt.Sprintf("nic%d/collq", node), 0),
-		ports:  make(map[int]*Port),
-		tx:     make(map[int]*txFlow),
-		rx:     make(map[int]*rxFlow),
 		colls:  make(map[int]*CollCtx),
 		tlb:    newNICTLB(cfg.TLBEntries),
 
@@ -459,6 +489,105 @@ func (n *NIC) SRAMInUse() int { return n.sram.InUse() }
 // NIC on the fabric shares — both zero once the whole fabric is
 // quiescent, which leak tests assert.
 func (n *NIC) PoolInUse() (descriptors, payloads int) { return n.pool.InUse() }
+
+// SetObs attaches an observability bundle: fault-path transitions then
+// go to its flight recorder and message latencies to the cluster-wide
+// "nic"/msg_latency_ns histogram.
+func (n *NIC) SetObs(o *obs.Obs) { n.obs, n.msgLatency = o, nil }
+
+// poisonDescs makes a descriptor going back to a free list unusable
+// instead of merely stale, so a test that reaches one through a
+// reference it should have dropped fails loudly, not by luck.
+var poisonDescs = testing.Testing()
+
+// GetSendDesc hands out a cleared send descriptor from the card's free
+// list. The descriptor is the caller's until it is posted (PostSend);
+// from then on it has one owner, the firmware, which puts it back when
+// the message is retired — acknowledged, failed or abandoned — and at
+// no other point. A caller may still build a SendDesc itself: that one
+// is the garbage collector's and the firmware never reuses it.
+func (n *NIC) GetSendDesc() *SendDesc {
+	var d *SendDesc
+	if k := len(n.sendFree); k > 0 {
+		d, n.sendFree = n.sendFree[k-1], n.sendFree[:k-1]
+	} else {
+		d = new(SendDesc)
+	}
+	*d = SendDesc{owner: n}
+	n.sendOut++
+	return d
+}
+
+// putSendDesc ends a pooled descriptor's life: retired, it is no longer
+// in use, and it goes back on the free list if nothing can still be
+// holding it — reusable is false for a failed message, whose trailing
+// fragments may be in the send pipeline yet, and a shared descriptor
+// may be in a second pass of it. First call wins; descriptors the card
+// did not lend are ignored.
+func (n *NIC) putSendDesc(d *SendDesc, reusable bool) {
+	if d == nil || d.owner != n {
+		return
+	}
+	n.sendOut--
+	if !reusable || d.shared {
+		d.owner = nil
+		return
+	}
+	*d = SendDesc{}
+	if poisonDescs {
+		d.MsgID, d.Len = ^uint64(0), -1
+	}
+	n.sendFree = append(n.sendFree, d)
+}
+
+// GetRecvDesc hands out a cleared receive descriptor from the card's
+// free list, for a buffer about to be posted (PostRecv,
+// AddSystemBuffer, RegisterOpen). Posted, it belongs to the firmware,
+// which puts it back when the message that lands in it is complete and
+// the journal has forgotten the posting, or when its port closes.
+func (n *NIC) GetRecvDesc() *RecvDesc {
+	var d *RecvDesc
+	if k := len(n.recvFree); k > 0 {
+		d, n.recvFree = n.recvFree[k-1], n.recvFree[:k-1]
+	} else {
+		d = new(RecvDesc)
+	}
+	*d = RecvDesc{pooled: true}
+	n.recvOut++
+	return d
+}
+
+func (n *NIC) putRecvDesc(d *RecvDesc) {
+	if d == nil || !d.pooled {
+		return
+	}
+	n.recvOut--
+	*d = RecvDesc{}
+	if poisonDescs {
+		d.Len = -1
+	}
+	n.recvFree = append(n.recvFree, d)
+}
+
+// DescsInUse reports the descriptors out of the card's free lists: send
+// descriptors not yet retired — zero when the card is quiescent — and
+// receive descriptors posted or being filled, which at quiesce is
+// exactly the postings the card holds. Leak tests assert both.
+func (n *NIC) DescsInUse() (send, recv int) { return n.sendOut, n.recvOut }
+
+// consumed ends a posting once the message in it is whole: the journal
+// forgets it (channel 0 is the system pool, matched by address), and
+// the descriptor is free.
+func (n *NIC) consumed(port *Port, channel int, d *RecvDesc) {
+	switch {
+	case n.Journal == nil:
+	case channel == 0:
+		n.Journal.SysConsumed(port.ID, d.VA)
+	default:
+		n.Journal.RecvConsumed(port.ID, channel)
+	}
+	n.putRecvDesc(d)
+}
 
 // Collect publishes every NIC counter into a metrics snapshot under
 // layer "nic". Pull-model: the registry calls this at snapshot time,
@@ -520,8 +649,7 @@ func (n *NIC) Collect(set obs.Set) {
 // health engine derives backlog rules from these.
 func (n *NIC) CollectGauges(set obs.GaugeSet) {
 	depth := 0
-	for _, id := range n.ringOrder {
-		r := n.rings[id]
+	for _, r := range n.ringOrder {
 		depth += r.q.len()
 		if r.cur != nil {
 			depth++
@@ -529,15 +657,19 @@ func (n *NIC) CollectGauges(set obs.GaugeSet) {
 	}
 	set(n.node, "nic", "send_ring_depth", int64(depth))
 	inflight, unacked := 0, 0
-	for _, f := range n.tx {
-		inflight += len(f.inflight)
-		unacked += f.unacked.len()
+	for _, f := range n.tx.All() {
+		if f != nil {
+			inflight += f.inflightN
+			unacked += f.unacked.len()
+		}
 	}
 	set(n.node, "nic", "tx_inflight", int64(inflight))
 	set(n.node, "nic", "tx_unacked", int64(unacked))
 	asm := 0
-	for _, f := range n.rx {
-		asm += len(f.asm)
+	for _, f := range n.rx.All() {
+		if f != nil {
+			asm += len(f.asm)
+		}
 	}
 	set(n.node, "nic", "rx_assemblies", int64(asm))
 	set(n.node, "nic", "sram_in_use", int64(n.sram.InUse()))
@@ -546,7 +678,7 @@ func (n *NIC) CollectGauges(set obs.GaugeSet) {
 // PeerHealth returns the firmware's liveness belief about a remote
 // node (PeerUp if no flow exists yet).
 func (n *NIC) PeerHealth(dst int) PeerHealth {
-	if f, ok := n.tx[dst]; ok {
+	if f := n.tx.Get(dst); f != nil {
 		return f.health
 	}
 	return PeerUp
@@ -573,19 +705,18 @@ func (n *NIC) NextMsgID() uint64 {
 // setup cost before calling (the BCL kernel module does this from the
 // endpoint-allocation ioctl).
 func (n *NIC) RegisterPort(id int) *Port {
-	if _, dup := n.ports[id]; dup {
+	if n.ports.Get(id) != nil {
 		panic(fmt.Sprintf("nic%d: port %d registered twice", n.node, id))
 	}
 	p := &Port{
 		ID:      id,
-		SendEvQ: sim.NewQueue[*Event](n.env, fmt.Sprintf("nic%d/p%d/sendev", n.node, id), 0),
-		RecvEvQ: sim.NewQueue[*Event](n.env, fmt.Sprintf("nic%d/p%d/recvev", n.node, id), 0),
-		normal:  make(map[int]*RecvDesc),
-		open:    make(map[int]*RecvDesc),
+		SendEvQ: sim.NewQueue[Event](n.env, fmt.Sprintf("nic%d/p%d/sendev", n.node, id), 0),
+		RecvEvQ: sim.NewQueue[Event](n.env, fmt.Sprintf("nic%d/p%d/recvev", n.node, id), 0),
+		nic:     n,
 		system:  sim.NewQueue[*RecvDesc](n.env, fmt.Sprintf("nic%d/p%d/syspool", n.node, id), 0),
 	}
-	n.ports[id] = p
-	if r, ok := n.rings[id]; ok {
+	n.ports.Set(id, p)
+	if r := n.rings.Get(id); r != nil {
 		// A previous incarnation is still draining; reuse its ring.
 		r.closed = false
 	} else {
@@ -601,7 +732,7 @@ func (n *NIC) SetPortWeight(id, weight int) {
 	if weight < 1 {
 		weight = 1
 	}
-	if r, ok := n.rings[id]; ok {
+	if r := n.rings.Get(id); r != nil {
 		r.weight = weight
 		if r.credits > weight {
 			r.credits = weight
@@ -613,19 +744,32 @@ func (n *NIC) SetPortWeight(id, weight int) {
 // closed and removed once the firmware has drained any descriptors the
 // process posted before closing.
 func (n *NIC) ClosePort(id int) {
-	delete(n.ports, id)
-	if r, ok := n.rings[id]; ok {
+	if pt := n.ports.Get(id); pt != nil {
+		// The postings die with the port; the descriptors are free.
+		for _, d := range pt.normal.All() {
+			n.putRecvDesc(d)
+		}
+		for _, d := range pt.open.All() {
+			n.putRecvDesc(d)
+		}
+		for d, ok := pt.system.TryRecv(); ok; d, ok = pt.system.TryRecv() {
+			n.putRecvDesc(d)
+		}
+		pt.normal, pt.open = sim.Table[*RecvDesc]{}, sim.Table[*RecvDesc]{}
+		n.ports.Set(id, nil)
+	}
+	if r := n.rings.Get(id); r != nil {
 		r.closed = true
 		if !r.hasWork() {
-			n.removeRing(id)
+			n.removeRing(r)
 		}
 	}
 }
 
 // LookupPort returns the NIC state for a port, if registered.
 func (n *NIC) LookupPort(id int) (*Port, bool) {
-	p, ok := n.ports[id]
-	return p, ok
+	p := n.ports.Get(id)
+	return p, p != nil
 }
 
 // ctrlRing is the ring id descriptors from unregistered source ports
@@ -642,24 +786,37 @@ type sendRing struct {
 	port    int
 	weight  int // WRR: fragments per arbiter round
 	credits int // WRR: fragments left in the current round
-	q       ring[*SendDesc]
+	q       ring[queuedSend]
 	cur     *SendDesc // message currently being fragmented
 	fragIdx int       // next fragment of cur to fetch
 	frags   int       // total fragments of cur
 	closed  bool      // port closed; drain remaining work, then remove
 }
 
+// queuedSend is a posted descriptor waiting in a send ring, with the
+// card-global post order stamp the FIFO arbiter replays across rings.
+// The stamp is the queue's and not the descriptor's, because a replay
+// queues a descriptor a second time.
+type queuedSend struct {
+	d       *SendDesc
+	arrival uint64
+}
+
 // hasWork reports whether the ring has a message in flight or queued.
 func (r *sendRing) hasWork() bool { return r.cur != nil || r.q.len() > 0 }
 
-// addRing creates a ring and splices its id into the sorted scan order.
+// addRing creates a ring and splices it into the sorted scan order.
 func (n *NIC) addRing(id, weight int) *sendRing {
 	r := &sendRing{port: id, weight: weight, credits: weight}
-	n.rings[id] = r
-	pos := sort.SearchInts(n.ringOrder, id)
-	n.ringOrder = append(n.ringOrder, 0)
+	if id == ctrlRing {
+		n.ctrl = r
+	} else {
+		n.rings.Set(id, r)
+	}
+	pos := sort.Search(len(n.ringOrder), func(i int) bool { return n.ringOrder[i].port >= id })
+	n.ringOrder = append(n.ringOrder, nil)
 	copy(n.ringOrder[pos+1:], n.ringOrder[pos:])
-	n.ringOrder[pos] = id
+	n.ringOrder[pos] = r
 	if n.rrPos > pos {
 		n.rrPos++ // keep the WRR scan anchored on the same ring
 	}
@@ -667,10 +824,14 @@ func (n *NIC) addRing(id, weight int) *sendRing {
 }
 
 // removeRing drops a drained ring from the table and scan order.
-func (n *NIC) removeRing(id int) {
-	delete(n.rings, id)
-	for i, rid := range n.ringOrder {
-		if rid == id {
+func (n *NIC) removeRing(r *sendRing) {
+	if r == n.ctrl {
+		n.ctrl = nil
+	} else if n.rings.Get(r.port) == r {
+		n.rings.Set(r.port, nil)
+	}
+	for i, o := range n.ringOrder {
+		if o == r {
 			n.ringOrder = append(n.ringOrder[:i], n.ringOrder[i+1:]...)
 			if n.rrPos > i {
 				n.rrPos--
@@ -685,17 +846,14 @@ func (n *NIC) removeRing(id int) {
 // arrival order, and wakes the send engine. Callable from both process
 // and firmware-callback context.
 func (n *NIC) postDesc(d *SendDesc) {
-	id := ctrlRing
-	if _, ok := n.rings[d.SrcPort]; ok {
-		id = d.SrcPort
-	}
-	r, ok := n.rings[id]
-	if !ok {
-		r = n.addRing(ctrlRing, 1)
+	r := n.rings.Get(d.SrcPort)
+	if r == nil {
+		if r = n.ctrl; r == nil {
+			r = n.addRing(ctrlRing, 1)
+		}
 	}
 	n.arriveSeq++
-	d.arrival = n.arriveSeq
-	r.q.push(d)
+	r.q.push(queuedSend{d: d, arrival: n.arriveSeq})
 	// Journal the posting so a firmware reboot can replay it. RMA read
 	// requests are excluded: replaying one would fabricate a second
 	// reply at the target, and the initiator's reply channel is only
@@ -719,21 +877,24 @@ func (n *NIC) PostSend(p *sim.Proc, d *SendDesc) {
 // be outstanding per channel; rebinding while armed is a protocol
 // error the NIC rejects.
 func (n *NIC) PostRecv(port, channel int, d *RecvDesc) error {
-	pt, ok := n.ports[port]
-	if !ok {
+	pt := n.ports.Get(port)
+	if pt == nil {
+		n.putRecvDesc(d)
 		return fmt.Errorf("nic%d: post recv on unregistered port %d", n.node, port)
 	}
-	if _, armed := pt.normal[channel]; armed {
+	if pt.normal.Get(channel) != nil {
+		n.putRecvDesc(d)
 		return fmt.Errorf("nic%d: port %d channel %d already armed", n.node, port, channel)
 	}
-	pt.normal[channel] = d
+	pt.normal.Set(channel, d)
 	return nil
 }
 
 // AddSystemBuffer appends a buffer to the port's system-channel pool.
 func (n *NIC) AddSystemBuffer(port int, d *RecvDesc) error {
-	pt, ok := n.ports[port]
-	if !ok {
+	pt := n.ports.Get(port)
+	if pt == nil {
+		n.putRecvDesc(d)
 		return fmt.Errorf("nic%d: system buffer on unregistered port %d", n.node, port)
 	}
 	pt.system.Post(d)
@@ -742,11 +903,15 @@ func (n *NIC) AddSystemBuffer(port int, d *RecvDesc) error {
 
 // RegisterOpen binds a buffer to an open (RMA) channel.
 func (n *NIC) RegisterOpen(port, channel int, d *RecvDesc) error {
-	pt, ok := n.ports[port]
-	if !ok {
+	pt := n.ports.Get(port)
+	if pt == nil {
+		n.putRecvDesc(d)
 		return fmt.Errorf("nic%d: open channel on unregistered port %d", n.node, port)
 	}
-	pt.open[channel] = d
+	if old := pt.open.Get(channel); old != d {
+		n.putRecvDesc(old) // a rebinding replaces the old registration
+	}
+	pt.open.Set(channel, d)
 	return nil
 }
 

@@ -50,6 +50,47 @@ func (r *rig) assertDrained(t *testing.T) {
 	if d, b := r.nics[0].PoolInUse(); d != 0 || b != 0 {
 		t.Errorf("packet pool not balanced: %d descriptors, %d payloads outstanding", d, b)
 	}
+	for i, n := range r.nics {
+		// Every posted send was retired, and a receive descriptor still
+		// out is a posting the card still holds.
+		send, recv := n.DescsInUse()
+		posted := 0
+		for _, pt := range n.ports.All() {
+			if pt != nil {
+				for _, d := range append(pt.normal.All(), pt.open.All()...) {
+					if d != nil && d.pooled {
+						posted++
+					}
+				}
+				posted += pt.system.Len()
+			}
+		}
+		if send != 0 || recv != posted {
+			t.Errorf("nic%d descriptors not balanced: %d send descriptors unretired, %d receive descriptors out for %d postings held", i, send, recv, posted)
+		}
+	}
+}
+
+// evp keeps an event a test wants to look at after the run: nil still
+// means "none arrived".
+func evp(ev Event) *Event { return &ev }
+
+// lend fills a descriptor from the card's free list with d and returns
+// it, as the library posts its sends: the tests that post through it
+// run the recycling too, poisoned.
+func lend(n *NIC, d SendDesc) *SendDesc {
+	p := n.GetSendDesc()
+	d.owner = p.owner
+	*p = d
+	return p
+}
+
+// lendRecv is lend for a receive posting.
+func lendRecv(n *NIC, d RecvDesc) *RecvDesc {
+	p := n.GetRecvDesc()
+	d.pooled = true
+	*p = d
+	return p
 }
 
 func bclConfig() Config {
@@ -102,15 +143,15 @@ func TestOneMessageEndToEnd(t *testing.T) {
 
 	var sendDone, recvDone *Event
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: r.nics[0].NextMsgID(), SrcPort: 1,
 			DstNode: 1, DstPort: 2, Channel: 1, Len: len(payload),
 			Tag: 77, Segs: sseg,
-		})
-		sendDone = sp.SendEvQ.Recv(p)
+		}))
+		sendDone = evp(sp.SendEvQ.Recv(p))
 	})
 	r.env.Go("receiver", func(p *sim.Proc) {
-		recvDone = rp.RecvEvQ.Recv(p)
+		recvDone = evp(rp.RecvEvQ.Recv(p))
 	})
 	r.env.RunUntil(10 * sim.Millisecond)
 
@@ -143,13 +184,13 @@ func TestZeroLengthMessage(t *testing.T) {
 	var ev *Event
 	var at sim.Time
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: 0, Segs: sseg[:0],
-		})
+		}))
 	})
 	r.env.Go("receiver", func(p *sim.Proc) {
-		ev = rp.RecvEvQ.Recv(p)
+		ev = evp(rp.RecvEvQ.Recv(p))
 		at = p.Now()
 	})
 	r.env.RunUntil(sim.Millisecond)
@@ -175,10 +216,10 @@ func TestFragmentationLargeMessage(t *testing.T) {
 
 	var done sim.Time
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 	})
 	r.env.Go("receiver", func(p *sim.Proc) {
 		rp.RecvEvQ.Recv(p)
@@ -216,10 +257,10 @@ func TestRetransmitOnDrop(t *testing.T) {
 
 	delivered := false
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 	})
 	r.env.Go("receiver", func(p *sim.Proc) {
 		rp.RecvEvQ.Recv(p)
@@ -252,10 +293,10 @@ func TestRetransmitOnCorruption(t *testing.T) {
 
 	ok := false
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 	})
 	r.env.Go("receiver", func(p *sim.Proc) { rp.RecvEvQ.Recv(p); ok = true })
 	r.env.RunUntil(sim.Second)
@@ -284,10 +325,10 @@ func TestNackWhenChannelNotArmed(t *testing.T) {
 
 	var deliveredAt sim.Time
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 	})
 	r.env.Go("receiver", func(p *sim.Proc) {
 		p.Sleep(300 * sim.Microsecond) // post late
@@ -323,11 +364,11 @@ func TestSendFailedAfterRetriesExhausted(t *testing.T) {
 
 	var ev *Event
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
-		ev = sp.SendEvQ.Recv(p)
+		}))
+		ev = evp(sp.SendEvQ.Recv(p))
 	})
 	r.env.RunUntil(sim.Second)
 	if ev == nil || ev.Type != EvSendFailed {
@@ -353,10 +394,10 @@ func TestSystemChannelPool(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			data := []byte(fmt.Sprintf("msg-%d", i))
 			_, segs := r.pinnedSegs(t, 0, data)
-			r.nics[0].PostSend(p, &SendDesc{
+			r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 				Kind: DescData, MsgID: uint64(i + 1), SrcPort: 1,
 				DstNode: 1, DstPort: 2, Channel: 0, Len: len(data), Segs: segs,
-			})
+			}))
 		}
 	})
 	r.env.Go("receiver", func(p *sim.Proc) {
@@ -365,7 +406,7 @@ func TestSystemChannelPool(t *testing.T) {
 			if !ok {
 				return
 			}
-			events = append(events, ev)
+			events = append(events, &ev)
 		}
 	})
 	r.env.RunUntil(100 * sim.Millisecond)
@@ -395,22 +436,22 @@ func TestOversizeSystemMessageLeavesPoolIntact(t *testing.T) {
 	}
 	send := func(p *sim.Proc, id uint64, data []byte) {
 		_, segs := r.pinnedSegs(t, 0, data)
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: id, SrcPort: 1,
 			DstNode: 1, DstPort: 2, Channel: 0, Len: len(data), Segs: segs,
-		})
+		}))
 	}
 	var failed, fit *Event
 	depthAfterOversize := -1
 	r.env.Go("sender", func(p *sim.Proc) {
 		send(p, 1, make([]byte, 200))
-		failed = sp.SendEvQ.Recv(p)
+		failed = evp(sp.SendEvQ.Recv(p))
 		depthAfterOversize = rp.system.Len()
 		// Retry exhaustion declared the peer dead; a probe revives it.
 		p.Sleep(2 * r.nics[0].probeInterval())
 		send(p, 2, []byte("fits"))
 	})
-	r.env.Go("receiver", func(p *sim.Proc) { fit = rp.RecvEvQ.Recv(p) })
+	r.env.Go("receiver", func(p *sim.Proc) { fit = evp(rp.RecvEvQ.Recv(p)) })
 	r.env.RunUntil(sim.Second)
 
 	if failed == nil || failed.Type != EvSendFailed {
@@ -442,11 +483,11 @@ func TestRMAWrite(t *testing.T) {
 	sp, _ := r.nics[0].LookupPort(1)
 	var ev *Event
 	r.env.Go("initiator", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescRMAWrite, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 5, Len: len(payload), Offset: 1000, Segs: sseg,
-		})
-		ev = sp.SendEvQ.Recv(p)
+		}))
+		ev = evp(sp.SendEvQ.Recv(p))
 	})
 	r.env.RunUntil(10 * sim.Millisecond)
 	if ev == nil || ev.Type != EvSendDone {
@@ -473,11 +514,11 @@ func TestRMAWriteOutOfBoundsRejected(t *testing.T) {
 	_, sseg := r.pinnedSegs(t, 0, payload)
 	var ev *Event
 	r.env.Go("initiator", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescRMAWrite, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 5, Len: len(payload), Offset: 3000, Segs: sseg, // 3000+2048 > 4096
-		})
-		ev = sp.SendEvQ.Recv(p)
+		}))
+		ev = evp(sp.SendEvQ.Recv(p))
 	})
 	r.env.RunUntil(sim.Second)
 	if ev == nil || ev.Type != EvSendFailed {
@@ -504,11 +545,11 @@ func TestRMARead(t *testing.T) {
 	ip, _ := r.nics[0].LookupPort(1)
 	var ev *Event
 	r.env.Go("initiator", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescRMARead, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 5, Len: 3000, Offset: 1234, ReplyChannel: 9,
-		})
-		ev = ip.RecvEvQ.Recv(p)
+		}))
+		ev = evp(ip.RecvEvQ.Recv(p))
 	})
 	r.env.RunUntil(10 * sim.Millisecond)
 	if ev == nil || ev.Type != EvRecvDone || ev.Len != 3000 {
@@ -531,13 +572,13 @@ func TestUnreliableModeSkipsAcks(t *testing.T) {
 	r.nics[1].PostRecv(2, 1, &RecvDesc{Len: 4096, Segs: rseg, VA: rva})
 	var sendEv, recvEv *Event
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
-		sendEv = sp.SendEvQ.Recv(p)
+		}))
+		sendEv = evp(sp.SendEvQ.Recv(p))
 	})
-	r.env.Go("receiver", func(p *sim.Proc) { recvEv = rp.RecvEvQ.Recv(p) })
+	r.env.Go("receiver", func(p *sim.Proc) { recvEv = evp(rp.RecvEvQ.Recv(p)) })
 	r.env.RunUntil(10 * sim.Millisecond)
 	if sendEv == nil || recvEv == nil {
 		t.Fatal("events missing in unreliable mode")
@@ -556,10 +597,10 @@ func TestUnreliableModeSkipsAcks(t *testing.T) {
 	r2.nics[1].PostRecv(2, 1, &RecvDesc{Len: 4096, Segs: rseg2, VA: rva2})
 	got := false
 	r2.env.Go("sender", func(p *sim.Proc) {
-		r2.nics[0].PostSend(p, &SendDesc{
+		r2.nics[0].PostSend(p, lend(r2.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg2,
-		})
+		}))
 	})
 	r2.env.Go("receiver", func(p *sim.Proc) {
 		_, ok := rp2.RecvEvQ.RecvTimeout(p, 50*sim.Millisecond)
@@ -585,10 +626,10 @@ func TestNICTranslatedMode(t *testing.T) {
 
 	done := false
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), VA: sva, Space: r.space[0],
-		})
+		}))
 	})
 	r.env.Go("receiver", func(p *sim.Proc) { rp.RecvEvQ.Recv(p); done = true })
 	r.env.RunUntil(100 * sim.Millisecond)
@@ -615,13 +656,13 @@ func TestInterruptCompletionMode(t *testing.T) {
 	r.nics[1].RegisterPort(2)
 	r.nics[1].PostRecv(2, 1, &RecvDesc{Len: 4096, Segs: rseg, VA: rva})
 	var events []*Event
-	r.nics[1].InterruptHandler = func(ev *Event) { events = append(events, ev) }
-	r.nics[0].InterruptHandler = func(ev *Event) { events = append(events, ev) }
+	r.nics[1].InterruptHandler = func(ev Event) { events = append(events, &ev) }
+	r.nics[0].InterruptHandler = func(ev Event) { events = append(events, &ev) }
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 	})
 	r.env.RunUntil(10 * sim.Millisecond)
 	if len(events) != 2 { // one recv interrupt, one send-done interrupt
@@ -652,11 +693,11 @@ func TestManyMessagesInterleavedPorts(t *testing.T) {
 	r.env.Go("sender", func(p *sim.Proc) {
 		for i := 0; i < msgs; i++ {
 			_, segs := r.pinnedSegs(t, 0, bufs[i].data)
-			r.nics[0].PostSend(p, &SendDesc{
+			r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 				Kind: DescData, MsgID: uint64(i + 1), SrcPort: 1,
 				DstNode: 1, DstPort: 2, Channel: i + 1,
 				Len: len(bufs[i].data), Segs: segs,
-			})
+			}))
 		}
 	})
 	count := 0
@@ -688,16 +729,16 @@ func TestWindowBackpressure(t *testing.T) {
 	r.nics[0].RegisterPort(1)
 	// Destination port never registered: everything is NACKed.
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 	})
 	r.env.RunUntil(5 * sim.Millisecond)
 	st := r.nics[0].Stats()
 	// With window 2, at most 2 distinct sequences are ever in flight;
 	// everything else is retransmission of those two.
-	if got := r.nics[0].tx[1].nextSeq; got > 2 {
+	if got := r.nics[0].tx.Get(1).nextSeq; got > 2 {
 		t.Fatalf("window violated: %d sequences issued", got)
 	}
 	_ = st
@@ -723,10 +764,10 @@ func TestDuplicateSuppression(t *testing.T) {
 	r.nics[1].PostRecv(2, 1, &RecvDesc{Len: 4096, Segs: rseg, VA: rva})
 	deliveries := 0
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 	})
 	r.env.Go("receiver", func(p *sim.Proc) {
 		for {

@@ -2,7 +2,6 @@ package nic
 
 import (
 	"fmt"
-	"sort"
 
 	"bcl/internal/fabric"
 	"bcl/internal/mem"
@@ -54,17 +53,6 @@ type RailSteer interface {
 	PreferAlternate(src, dst int, prefer bool)
 }
 
-// sortedInts returns the keys of an int-keyed map in ascending order,
-// so teardown and replay walks stay deterministic.
-func sortedInts[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // ------------------------------------------------------ crash lifecycle
 
 // CrashFirmware kills the MCP at the current instant: engines stop
@@ -81,9 +69,11 @@ func (n *NIC) CrashFirmware() {
 	n.stats.FwCrashes++
 	now := n.crashedAt
 	n.Tracer.Add("nic: firmware crash", n.where(), now, now)
-	n.Obs.Event(now, n.node, "nic", "nic-crash", 0, fmt.Sprintf("epoch=%d", n.bootEpoch))
-	for _, dst := range sortedInts(n.tx) {
-		f := n.tx[dst]
+	n.obs.Event(now, n.node, "nic", "nic-crash", 0, fmt.Sprintf("epoch=%d", n.bootEpoch))
+	for _, f := range n.tx.All() {
+		if f == nil {
+			continue
+		}
 		f.timer.Cancel()
 		f.timer = sim.Timer{}
 		f.probeTimer.Cancel()
@@ -99,7 +89,7 @@ func (n *NIC) CrashFirmware() {
 			}
 		}
 	}
-	for _, id := range sortedInts(n.colls) {
+	for _, id := range sortedKeys(n.colls) {
 		ctx := n.colls[id]
 		for _, seq := range sortedKeys(ctx.own) {
 			oc := ctx.own[seq]
@@ -151,8 +141,10 @@ func (n *NIC) StartHeartbeat() {
 // after the firmware image reload, then replays its journal, then
 // FinishReboot.
 func (n *NIC) BeginReboot() {
-	for _, dst := range sortedInts(n.tx) {
-		f := n.tx[dst]
+	for _, f := range n.tx.All() {
+		if f == nil {
+			continue
+		}
 		f.timer.Cancel()
 		f.probeTimer.Cancel()
 		f.grayTimer.Cancel()
@@ -161,9 +153,9 @@ func (n *NIC) BeginReboot() {
 		// after waking and bail out (their epoch died with the SRAM).
 		n.wakeWindow(f)
 	}
-	n.tx = make(map[int]*txFlow)
-	n.rx = make(map[int]*rxFlow)
-	for _, id := range sortedInts(n.colls) {
+	n.tx = sim.Table[*txFlow]{}
+	n.rx = sim.Table[*rxFlow]{}
+	for _, id := range sortedKeys(n.colls) {
 		ctx := n.colls[id]
 		for _, seq := range sortedKeys(ctx.combs) {
 			if st := ctx.combs[seq]; st.sram > 0 {
@@ -179,13 +171,15 @@ func (n *NIC) BeginReboot() {
 		}
 	}
 	n.colls = make(map[int]*CollCtx)
-	n.rings = make(map[int]*sendRing)
+	n.rings, n.ctrl = sim.Table[*sendRing]{}, nil
 	n.ringOrder = nil
 	n.rrPos = 0
-	for _, id := range sortedInts(n.ports) {
-		pt := n.ports[id]
-		pt.normal = make(map[int]*RecvDesc)
-		pt.open = make(map[int]*RecvDesc)
+	for _, pt := range n.ports.All() {
+		if pt == nil {
+			continue
+		}
+		pt.normal = sim.Table[*RecvDesc]{}
+		pt.open = sim.Table[*RecvDesc]{}
 		for {
 			if _, ok := pt.system.TryRecv(); !ok {
 				break
@@ -208,10 +202,10 @@ func (n *NIC) FinishReboot() {
 	now := n.env.Now()
 	n.lastBeat = now
 	if n.crashedAt > 0 {
-		n.Obs.Observe(n.node, "nic", "recovery_latency_ns", int64(now-n.crashedAt))
+		n.obs.Observe(n.node, "nic", "recovery_latency_ns", int64(now-n.crashedAt))
 	}
 	n.Tracer.Add("nic: firmware reboot", n.where(), n.crashedAt, now)
-	n.Obs.Event(now, n.node, "nic", "nic-reboot", 0,
+	n.obs.Event(now, n.node, "nic", "nic-reboot", 0,
 		fmt.Sprintf("epoch=%d recovery=%dus", n.bootEpoch, (now-n.crashedAt)/sim.Microsecond))
 	n.sendWork.Broadcast()
 }
@@ -221,10 +215,10 @@ func (n *NIC) FinishReboot() {
 // ReprogramPort restores a port's send ring and WRR weight during the
 // kernel's recovery replay (RegisterPort would reject the live Port).
 func (n *NIC) ReprogramPort(id, weight int) {
-	if _, ok := n.ports[id]; !ok {
+	if n.ports.Get(id) == nil {
 		return
 	}
-	if _, ok := n.rings[id]; !ok {
+	if n.rings.Get(id) == nil {
 		n.addRing(id, 1)
 	}
 	n.SetPortWeight(id, weight)
@@ -236,67 +230,61 @@ func (n *NIC) ReprogramPort(id, weight int) {
 func (n *NIC) RestoreRxDone(src int, ids []uint64) {
 	f := n.flowFrom(src)
 	for _, id := range ids {
-		if f.done == nil {
-			f.done = make(map[uint64]bool)
-		}
-		if !f.done[id] {
-			f.done[id] = true
-			f.doneOrder = append(f.doneOrder, id)
+		if !f.isDone(id) {
+			f.recordDone(id)
 		}
 	}
 }
 
 // RepostSend re-enters a journaled, unretired send descriptor into the
-// send path during recovery replay. The descriptor is cloned so a
-// stale pre-crash pipeline reference can never race the replay.
+// send path during recovery replay.
 func (n *NIC) RepostSend(d *SendDesc) {
-	n.postDesc(cloneDesc(d))
+	n.repost(d)
 }
 
-// cloneDesc shallow-copies a send descriptor for replay; postDesc
-// restamps the arrival order.
-func cloneDesc(d *SendDesc) *SendDesc {
-	c := *d
-	return &c
+// repost queues a descriptor for a second pass of the send pipeline (a
+// rewind or reboot replay). It is the same descriptor — a message has
+// one, whatever happens to it — so a stale reference from the first
+// pass reads the right message; that is also why it is marked shared
+// and will not be reused once retired.
+func (n *NIC) repost(d *SendDesc) {
+	d.shared = true
+	n.postDesc(d)
 }
 
 // retireSend marks a message complete for both the flow's rewind set
-// and the kernel journal. f may be nil (or the message untracked);
-// every completion path funnels through here so completion is
-// first-wins.
-func (n *NIC) retireSend(f *txFlow, msgID uint64) {
-	if f != nil && f.inflight != nil {
-		delete(f.inflight, msgID)
-		// Drop retired ids off the head of the replay order, so it holds
-		// the messages in flight and not every message ever sent. Ids
-		// retired out of order wait behind a live head; the replay skips
-		// them either way.
-		k := 0
-		for k < len(f.order) && f.inflight[f.order[k]] == nil {
-			k++
+// and the kernel journal, and ends the life of its descriptor d (nil
+// for a collective, which is retired by id alone). f may be nil (or the
+// message untracked); every completion path funnels through here so
+// completion is first-wins. sent says the message completed normally —
+// its last fragment acknowledged or, fire-and-forget, injected — so no
+// fragment of it is left in the pipeline and the descriptor can go
+// round again; a failed message's trailing fragments may still be on
+// their way down.
+func (n *NIC) retireSend(f *txFlow, msgID uint64, d *SendDesc, sent bool) {
+	if f != nil {
+		if e := f.inflightEntry(msgID); e != nil {
+			e.d = nil
+			f.inflightN--
 		}
-		if k > 0 {
-			f.order = f.order[:copy(f.order, f.order[k:])]
+		// Drop retired messages off the head of the replay order, so it
+		// holds the messages in flight and not every message ever sent.
+		// Ones retired out of order wait behind a live head; the replay
+		// skips them either way.
+		for f.inflight.len() > 0 && f.inflight.at(0).d == nil {
+			f.inflight.pop()
 		}
 	}
 	if n.Journal != nil {
 		n.Journal.SendRetired(msgID)
 	}
+	n.putSendDesc(d, sent)
 }
 
 // markDone records a completed message in the receiver's done-ring and
 // mirrors it into the kernel journal.
 func (n *NIC) markDone(f *rxFlow, msgID uint64) {
-	if f.done == nil {
-		f.done = make(map[uint64]bool)
-	}
-	f.done[msgID] = true
-	f.doneOrder = append(f.doneOrder, msgID)
-	if len(f.doneOrder) > rxDoneRing {
-		old := f.doneOrder[0]
-		f.doneOrder = f.doneOrder[1:]
-		delete(f.done, old)
-	}
+	f.recordDone(msgID)
 	if n.Journal != nil {
 		n.Journal.MsgDone(f.src, msgID)
 	}
@@ -343,7 +331,7 @@ func (n *NIC) rxEpochAdmit(pkt *fabric.Packet, f *rxFlow) bool {
 		// the done-ring swallows completed ones.
 		f.expect = 0
 		n.stats.EpochResets++
-		n.Obs.Event(n.env.Now(), n.node, "nic", "epoch-reset", pkt.Trace,
+		n.obs.Event(n.env.Now(), n.node, "nic", "epoch-reset", pkt.Trace,
 			fmt.Sprintf("src=%d epoch %d -> %d", f.src, f.srcEpoch, pkt.Epoch))
 	}
 	f.srcEpoch = pkt.Epoch
@@ -366,7 +354,7 @@ func (n *NIC) maybeResync(p *sim.Proc, f *rxFlow) {
 	}
 	f.lastResync = now
 	n.stats.ResyncsSent++
-	n.Obs.Event(now, n.node, "nic", "resync", 0,
+	n.obs.Event(now, n.node, "nic", "resync", 0,
 		fmt.Sprintf("src=%d expect=%d epoch=%d", f.src, f.expect, n.bootEpoch))
 	n.ep.Inject(p, n.control(fabric.KindResync, f.src, f.expect, n.bootEpoch))
 }
@@ -402,8 +390,8 @@ func (n *NIC) resyncFlow(p *sim.Proc, f *txFlow) {
 	n.stats.ResyncRewinds++
 	now := n.env.Now()
 	n.Tracer.Add("nic: epoch resync", n.where(), now, now)
-	n.Obs.Event(now, n.node, "nic", "resync-rewind", 0,
-		fmt.Sprintf("dst=%d epoch=%d msgs=%d", f.dst, f.peerEpoch, len(f.inflight)))
+	n.obs.Event(now, n.node, "nic", "resync-rewind", 0,
+		fmt.Sprintf("dst=%d epoch=%d msgs=%d", f.dst, f.peerEpoch, f.inflightN))
 	f.timer.Cancel()
 	f.timer = sim.Timer{}
 	f.retries = 0
@@ -423,16 +411,11 @@ func (n *NIC) resyncFlow(p *sim.Proc, f *txFlow) {
 	// Re-admit the peer before reposting, or the replay would fail fast
 	// against the Dead belief its own crash produced.
 	n.markPeerUp(f)
-	live := f.order[:0]
-	for _, id := range f.order {
-		d, ok := f.inflight[id]
-		if !ok {
-			continue
+	for i := 0; i < f.inflight.len(); i++ {
+		if d := f.inflight.at(i).d; d != nil {
+			n.repost(d)
 		}
-		live = append(live, id)
-		n.postDesc(cloneDesc(d))
 	}
-	f.order = live
 	for _, pd := range resend {
 		n.collQ.Post(collJob{
 			kind: collJobResend, desc: pd.desc, pkt: pd.pkt,
@@ -489,7 +472,7 @@ func (n *NIC) grayCheck(f *txFlow) {
 	n.stats.GrayFailovers++
 	now := n.env.Now()
 	n.Tracer.Add("nic: gray failover", n.where(), now, now)
-	n.Obs.Event(now, n.node, "nic", "gray-failover", 0,
+	n.obs.Event(now, n.node, "nic", "gray-failover", 0,
 		fmt.Sprintf("dst=%d srtt=%dus base=%dus", f.dst,
 			f.srtt/sim.Microsecond, f.baseRTT/sim.Microsecond))
 	n.Steer.PreferAlternate(n.node, f.dst, true)
@@ -506,6 +489,6 @@ func (n *NIC) grayRestore(f *txFlow) {
 	f.grayOn = false
 	f.srtt, f.rttvar = 0, 0 // re-learn on the restored primary
 	n.Steer.PreferAlternate(n.node, f.dst, false)
-	n.Obs.Event(n.env.Now(), n.node, "nic", "gray-restore", 0,
+	n.obs.Event(n.env.Now(), n.node, "nic", "gray-restore", 0,
 		fmt.Sprintf("dst=%d", f.dst))
 }

@@ -72,10 +72,10 @@ func TestReceiverCrashRecoveryLargeMessage(t *testing.T) {
 
 	sendEvents, recvEvents := 0, 0
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: r.nics[0].NextMsgID(), SrcPort: 1,
 			DstNode: 1, DstPort: 2, Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 		for {
 			ev := sp.SendEvQ.Recv(p)
 			if ev.Type == EvSendFailed {
@@ -155,10 +155,10 @@ func TestDoneRingSwallowsReplayAfterCrash(t *testing.T) {
 
 	sendEvents, recvEvents := 0, 0
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: r.nics[0].NextMsgID(), SrcPort: 1,
 			DstNode: 1, DstPort: 2, Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 		for {
 			ev := sp.SendEvQ.Recv(p)
 			if ev.Type == EvSendFailed {
@@ -221,10 +221,10 @@ func TestSenderCrashJournalReplay(t *testing.T) {
 
 	sendEvents, recvEvents := 0, 0
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: r.nics[0].NextMsgID(), SrcPort: 1,
 			DstNode: 1, DstPort: 2, Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 		for {
 			ev := sp.SendEvQ.Recv(p)
 			if ev.Type == EvSendFailed {
@@ -275,10 +275,10 @@ func TestAdaptiveRTOSamplesAndAdapts(t *testing.T) {
 	r.env.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			r.nics[1].PostRecv(2, 1, &RecvDesc{Len: len(payload), Segs: rseg, VA: rva})
-			r.nics[0].PostSend(p, &SendDesc{
+			r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 				Kind: DescData, MsgID: r.nics[0].NextMsgID(), SrcPort: 1,
 				DstNode: 1, DstPort: 2, Channel: 1, Len: len(payload), Segs: sseg,
-			})
+			}))
 			rp.RecvEvQ.Recv(p)
 			got++
 		}
@@ -303,10 +303,10 @@ func TestAdaptiveRTOSamplesAndAdapts(t *testing.T) {
 	rp2 := r2.nics[1].RegisterPort(2)
 	r2.nics[1].PostRecv(2, 1, &RecvDesc{Len: len(payload), Segs: rseg2, VA: rva2})
 	r2.env.Go("driver", func(p *sim.Proc) {
-		r2.nics[0].PostSend(p, &SendDesc{
+		r2.nics[0].PostSend(p, lend(r2.nics[0], SendDesc{
 			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg2,
-		})
+		}))
 		rp2.RecvEvQ.Recv(p)
 	})
 	r2.env.RunUntil(50 * sim.Millisecond)
@@ -334,10 +334,10 @@ func TestClosePortMidRetransmitDrains(t *testing.T) {
 
 	r.env.Go("sender", func(p *sim.Proc) {
 		for m := 0; m < 3; m++ {
-			r.nics[0].PostSend(p, &SendDesc{
+			r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 				Kind: DescData, MsgID: r.nics[0].NextMsgID(), SrcPort: 1,
 				DstNode: 1, DstPort: 2, Channel: 1, Len: len(payload), Segs: sseg,
-			})
+			}))
 		}
 	})
 	// Close mid-ladder: first retransmit fires at ~400 µs.
@@ -347,10 +347,10 @@ func TestClosePortMidRetransmitDrains(t *testing.T) {
 	if got := r.nics[0].sram.InUse(); got != 0 {
 		t.Fatalf("SRAM leak after close mid-retransmit: %d bytes", got)
 	}
-	if _, ok := r.nics[0].rings[1]; ok {
+	if r.nics[0].rings.Get(1) != nil {
 		t.Fatal("closed port's send ring never drained and removed")
 	}
-	if f, ok := r.nics[0].tx[1]; ok && f.unacked.len() != 0 {
+	if f := r.nics[0].tx.Get(1); f != nil && f.unacked.len() != 0 {
 		t.Fatalf("orphaned window entries after close: %d", f.unacked.len())
 	}
 	for id := range j.sendIdx {
@@ -358,6 +358,7 @@ func TestClosePortMidRetransmitDrains(t *testing.T) {
 			t.Fatalf("journal still holds msg %d after its port closed and retries exhausted", id)
 		}
 	}
+	r.assertDrained(t) // the queued sends' descriptors were retired by the failure path, once each
 }
 
 // TestPeerHealthTransitionTable walks every edge of the Up / Suspect /
@@ -376,10 +377,10 @@ func TestPeerHealthTransitionTable(t *testing.T) {
 	rp := r.nics[1].RegisterPort(2)
 
 	send := func(p *sim.Proc, msgID uint64) {
-		r.nics[0].PostSend(p, &SendDesc{
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: msgID, SrcPort: 1, DstNode: 1, DstPort: 2,
 			Channel: 1, Len: len(payload), Segs: sseg,
-		})
+		}))
 	}
 
 	// Fault control: drop data+ack packets while blocked, deliver

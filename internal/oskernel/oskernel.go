@@ -60,8 +60,8 @@ type Kernel struct {
 	row   string // "kernel<node>", this kernel's trace row
 	mem   *mem.Memory
 	pins  *mem.PinTable
-	procs map[int]*Process
-	eps   map[int]int // NIC endpoint (port id) -> owning PID
+	procs sim.Table[*Process] // by PID
+	eps   sim.Table[int]      // NIC endpoint (port id) -> owning PID
 	next  int
 	stats Stats
 
@@ -78,15 +78,13 @@ func New(env *sim.Env, prof *hw.Profile, node int, m *mem.Memory) *Kernel {
 		cap = 8192
 	}
 	return &Kernel{
-		env:   env,
-		prof:  prof,
-		node:  node,
-		row:   fmt.Sprintf("kernel%d", node),
-		mem:   m,
-		pins:  mem.NewPinTable(cap),
-		procs: make(map[int]*Process),
-		eps:   make(map[int]int),
-		next:  100,
+		env:  env,
+		prof: prof,
+		node: node,
+		row:  fmt.Sprintf("kernel%d", node),
+		mem:  m,
+		pins: mem.NewPinTable(cap),
+		next: 100,
 	}
 }
 
@@ -122,8 +120,8 @@ func (k *Kernel) Collect(set obs.Set) {
 // "kernel": live processes, bound endpoints, pinned pages, and the
 // recovery journal's outstanding records.
 func (k *Kernel) CollectGauges(set obs.GaugeSet) {
-	set(k.node, "kernel", "procs", int64(len(k.procs)))
-	set(k.node, "kernel", "endpoints_bound", int64(len(k.eps)))
+	set(k.node, "kernel", "procs", int64(k.procs.Len()))
+	set(k.node, "kernel", "endpoints_bound", int64(k.eps.Len()))
 	set(k.node, "kernel", "pinned_pages", int64(k.pins.Len()))
 	if k.shadow != nil {
 		ports, recvs, colls, sends := k.shadow.Pending()
@@ -138,7 +136,7 @@ func (k *Kernel) PinTable() *mem.PinTable { return k.pins }
 func (k *Kernel) Spawn() *Process {
 	k.next++
 	p := &Process{PID: k.next, Space: mem.NewAddrSpace(k.mem)}
-	k.procs[p.PID] = p
+	k.procs.Set(p.PID, p)
 	return p
 }
 
@@ -146,15 +144,15 @@ func (k *Kernel) Spawn() *Process {
 // any NIC endpoints it still owns.
 func (k *Kernel) Exit(p *Process) {
 	k.stats.PagesUnpinned += uint64(k.pins.Invalidate(p.PID))
-	for port, pid := range k.eps {
+	for port, pid := range k.eps.All() {
 		if pid == p.PID {
-			delete(k.eps, port)
+			k.eps.Set(port, 0)
 			// Drop the port's journal records too: a recovery replay
 			// after the process is gone must not rebuild its endpoint.
 			k.ShadowClosePort(port)
 		}
 	}
-	delete(k.procs, p.PID)
+	k.procs.Set(p.PID, nil)
 }
 
 // BindEndpoint records a NIC endpoint (virtualized port: send ring +
@@ -162,31 +160,31 @@ func (k *Kernel) Exit(p *Process) {
 // the port-creation ioctl; from then on send-path requests naming the
 // endpoint are admitted only from that process.
 func (k *Kernel) BindEndpoint(pid, port int) error {
-	if _, ok := k.procs[pid]; !ok {
+	if k.procs.Get(pid) == nil {
 		k.stats.SecurityRejects++
 		return fmt.Errorf("%w: pid %d", ErrBadPID, pid)
 	}
-	if owner, taken := k.eps[port]; taken {
+	if owner := k.eps.Get(port); owner != 0 {
 		k.stats.SecurityRejects++
 		return fmt.Errorf("%w: endpoint %d owned by pid %d", ErrNotOwner, port, owner)
 	}
-	k.eps[port] = pid
+	k.eps.Set(port, pid)
 	return nil
 }
 
 // UnbindEndpoint releases an endpoint (port-teardown ioctl).
-func (k *Kernel) UnbindEndpoint(port int) { delete(k.eps, port) }
+func (k *Kernel) UnbindEndpoint(port int) { k.eps.Set(port, 0) }
 
 // EndpointOwner returns the owning PID of an endpoint (0 = unbound).
-func (k *Kernel) EndpointOwner(port int) int { return k.eps[port] }
+func (k *Kernel) EndpointOwner(port int) int { return k.eps.Get(port) }
 
 // CheckEndpointOwner rejects a request naming an endpoint the calling
 // process does not own — the cross-endpoint half of the send-path
 // security check. The cost is part of the SecurityCheck charge paid by
 // CheckRequest; this only validates and counts.
 func (k *Kernel) CheckEndpointOwner(pid, port int) error {
-	owner, bound := k.eps[port]
-	if !bound {
+	owner := k.eps.Get(port)
+	if owner == 0 {
 		k.stats.SecurityRejects++
 		return fmt.Errorf("%w: endpoint %d not bound", ErrBadTarget, port)
 	}
@@ -215,8 +213,8 @@ func (k *Kernel) Trap(p *sim.Proc, body func() error) error {
 // charges the check cost and counts rejects.
 func (k *Kernel) CheckRequest(p *sim.Proc, pid int, va mem.VAddr, n int, dstNode, clusterNodes int) error {
 	p.Sleep(k.prof.SecurityCheck)
-	proc, ok := k.procs[pid]
-	if !ok {
+	proc := k.procs.Get(pid)
+	if proc == nil {
 		k.stats.SecurityRejects++
 		return fmt.Errorf("%w: pid %d", ErrBadPID, pid)
 	}

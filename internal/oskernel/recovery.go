@@ -31,17 +31,21 @@ type sysEntry struct {
 // portShadow mirrors one port's NIC-resident tables.
 type portShadow struct {
 	weight int
-	normal map[int]*nic.RecvDesc // channel -> armed posting
-	opens  map[int]*nic.RecvDesc // channel -> RMA open buffer
-	sys    []sysEntry            // system pool, in posting order
+	normal sim.Table[*nic.RecvDesc] // channel -> armed posting
+	opens  sim.Table[*nic.RecvDesc] // channel -> RMA open buffer
+	// The system pool in posting order is sys[sysHead:]. Consumed
+	// entries leave from the front; the storage is slid back down when an
+	// append would otherwise grow it, so a pool in steady state is a ring.
+	sys     []sysEntry
+	sysHead int
 }
 
-// sendEntry is one journaled send. Entries stay in arrival order so the
-// replay preserves the card-global submission order; retired entries
-// are tombstoned and compacted lazily.
+// sendEntry is one journaled send, held by value: the id is the
+// journal's own copy, so nothing here reads a descriptor after the NIC
+// has retired and recycled it.
 type sendEntry struct {
-	desc *nic.SendDesc
-	done bool
+	id   uint64
+	desc *nic.SendDesc // nil once retired
 }
 
 // shadowDoneRing mirrors the NIC's receive-side done-ring depth; it
@@ -49,119 +53,180 @@ type sendEntry struct {
 // could slip a duplicate past a rebooted receiver.
 const shadowDoneRing = 128
 
+// doneLog is the last shadowDoneRing message ids delivered from one
+// source node; once full, next is the oldest entry and the next to go.
+type doneLog struct {
+	ids  []uint64
+	next int
+}
+
 // NICShadow is the kernel's journal of NIC control-plane state. It
 // implements nic.Journal; all methods are host-memory bookkeeping with
 // zero virtual-time cost (the writes overlap the PIO the caller is
-// already paying).
+// already paying). Like the card's own tables it is arrays: ports,
+// channels and source nodes index tables directly, and the sends are a
+// queue in posting order that is searched from the front, where the
+// send about to retire nearly always is.
 type NICShadow struct {
-	ports     map[int]*portShadow
-	colls     map[int]*nic.CollSpec
-	sends     []*sendEntry
-	sendIdx   map[uint64]*sendEntry
-	doneCount int
-	rxDone    map[int][]uint64 // src node -> delivered msg ids (FIFO ring)
+	ports sim.Table[*portShadow]
+	colls map[int]*nic.CollSpec
+	// The journaled sends in posting order — the card-global submission
+	// order a replay preserves — are sends[sendHead:], liveSends of them
+	// unretired; a retired one waits for the front to reach it or for the
+	// next compaction. maxID is the highest id ever posted: a higher one
+	// is new without a search.
+	sends     []sendEntry
+	sendHead  int
+	liveSends int
+	maxID     uint64
+	rxDone    sim.Table[*doneLog] // by source node
 }
 
 func newNICShadow() *NICShadow {
-	return &NICShadow{
-		ports:   make(map[int]*portShadow),
-		colls:   make(map[int]*nic.CollSpec),
-		sendIdx: make(map[uint64]*sendEntry),
-		rxDone:  make(map[int][]uint64),
-	}
+	return &NICShadow{colls: make(map[int]*nic.CollSpec)}
 }
 
 func (s *NICShadow) port(id int) *portShadow {
-	ps, ok := s.ports[id]
-	if !ok {
-		ps = &portShadow{
-			weight: 1,
-			normal: make(map[int]*nic.RecvDesc),
-			opens:  make(map[int]*nic.RecvDesc),
-		}
-		s.ports[id] = ps
+	ps := s.ports.Get(id)
+	if ps == nil {
+		ps = &portShadow{weight: 1}
+		s.ports.Set(id, ps)
 	}
 	return ps
+}
+
+// findSend returns the journal entry of a message id, retired or not.
+func (s *NICShadow) findSend(msgID uint64) *sendEntry {
+	for i := s.sendHead; i < len(s.sends); i++ {
+		if s.sends[i].id == msgID {
+			return &s.sends[i]
+		}
+	}
+	return nil
 }
 
 // SendPosted implements nic.Journal. Idempotent per MsgID: a rewind
 // replay re-posts the same descriptor and must not duplicate the
 // journal entry.
 func (s *NICShadow) SendPosted(d *nic.SendDesc) {
-	if e, ok := s.sendIdx[d.MsgID]; ok {
-		e.desc = d
+	if d.MsgID > s.maxID {
+		s.maxID = d.MsgID
+	} else if e := s.findSend(d.MsgID); e != nil {
+		// A replay, or a retired send whose trailing re-post must stay
+		// retired. (An id below maxID that is not here is a second port
+		// posting out of id order.)
+		if e.desc != nil {
+			e.desc = d
+		}
 		return
 	}
-	e := &sendEntry{desc: d}
-	s.sends = append(s.sends, e)
-	s.sendIdx[d.MsgID] = e
+	if len(s.sends) == cap(s.sends) && len(s.sends) > s.liveSends {
+		s.compactSends()
+	}
+	s.sends = append(s.sends, sendEntry{id: d.MsgID, desc: d})
+	s.liveSends++
 }
 
 // SendRetired implements nic.Journal.
 func (s *NICShadow) SendRetired(msgID uint64) {
-	e, ok := s.sendIdx[msgID]
-	if !ok || e.done {
-		return
+	if e := s.findSend(msgID); e != nil && e.desc != nil {
+		e.desc = nil
+		s.liveSends--
+		s.popRetired()
 	}
-	e.done = true
-	s.doneCount++
-	if s.doneCount > 64 && s.doneCount > len(s.sends)/2 {
-		live := s.sends[:0]
-		for _, e := range s.sends {
-			if e.done {
-				delete(s.sendIdx, e.desc.MsgID)
-				continue
-			}
+}
+
+// popRetired advances the front of the send queue past retired entries;
+// a queue that empties starts over at the front of its storage, which
+// is every retirement of a process with one send outstanding.
+func (s *NICShadow) popRetired() {
+	for s.sendHead < len(s.sends) && s.sends[s.sendHead].desc == nil {
+		s.sendHead++
+	}
+	if s.sendHead == len(s.sends) {
+		s.sends, s.sendHead = s.sends[:0], 0
+	}
+}
+
+// compactSends slides the unretired sends down to the front of the
+// storage, in order.
+func (s *NICShadow) compactSends() {
+	live := s.sends[:0]
+	for _, e := range s.sends[s.sendHead:] {
+		if e.desc != nil {
 			live = append(live, e)
 		}
-		s.sends = live
-		s.doneCount = 0
 	}
+	clear(s.sends[len(live):])
+	s.sends, s.sendHead = live, 0
 }
 
 // RecvConsumed implements nic.Journal.
 func (s *NICShadow) RecvConsumed(port, channel int) {
-	if ps, ok := s.ports[port]; ok {
-		delete(ps.normal, channel)
+	if ps := s.ports.Get(port); ps != nil {
+		ps.normal.Set(channel, nil)
 	}
 }
 
-// SysConsumed implements nic.Journal. The pool drains FIFO, but the
-// entry is matched by address so an out-of-order intra-node consumption
-// cannot strand the wrong buffer in the journal.
+// SysConsumed implements nic.Journal. The pool drains FIFO, so the
+// entry is nearly always the front one, but it is matched by address so
+// an out-of-order intra-node consumption cannot strand the wrong buffer
+// in the journal.
 func (s *NICShadow) SysConsumed(port int, va mem.VAddr) {
-	ps, ok := s.ports[port]
-	if !ok {
+	ps := s.ports.Get(port)
+	if ps == nil {
 		return
 	}
-	for i, e := range ps.sys {
-		if e.va == va {
-			ps.sys = append(ps.sys[:i], ps.sys[i+1:]...)
-			return
+	for i := ps.sysHead; i < len(ps.sys); i++ {
+		if ps.sys[i].va != va {
+			continue
 		}
+		if i > ps.sysHead {
+			copy(ps.sys[ps.sysHead+1:], ps.sys[ps.sysHead:i])
+		}
+		ps.sys[ps.sysHead] = sysEntry{}
+		ps.sysHead++
+		return
 	}
+}
+
+// sysBuf journals a buffer appended to the port's system pool.
+func (ps *portShadow) sysBuf(e sysEntry) {
+	if len(ps.sys) == cap(ps.sys) && ps.sysHead > 0 {
+		n := copy(ps.sys, ps.sys[ps.sysHead:])
+		clear(ps.sys[n:])
+		ps.sys, ps.sysHead = ps.sys[:n], 0
+	}
+	ps.sys = append(ps.sys, e)
 }
 
 // MsgDone implements nic.Journal: mirror of the receive-side done-ring.
 func (s *NICShadow) MsgDone(src int, msgID uint64) {
-	ring := append(s.rxDone[src], msgID)
-	if len(ring) > shadowDoneRing {
-		ring = ring[1:]
+	l := s.rxDone.Get(src)
+	if l == nil {
+		l = &doneLog{}
+		s.rxDone.Set(src, l)
 	}
-	s.rxDone[src] = ring
+	if len(l.ids) < shadowDoneRing {
+		l.ids = append(l.ids, msgID)
+		return
+	}
+	l.ids[l.next] = msgID
+	l.next = (l.next + 1) % shadowDoneRing
 }
 
 // closePort drops a port's journal records, including any still-queued
 // sends from its ring: after ClosePort nothing of the endpoint may be
 // resurrected by a later replay.
 func (s *NICShadow) closePort(id int) {
-	delete(s.ports, id)
-	for _, e := range s.sends {
-		if !e.done && e.desc.SrcPort == id {
-			e.done = true
-			s.doneCount++
+	s.ports.Set(id, nil)
+	for i := s.sendHead; i < len(s.sends); i++ {
+		if e := &s.sends[i]; e.desc != nil && e.desc.SrcPort == id {
+			e.desc = nil
+			s.liveSends--
 		}
 	}
+	s.popRetired()
 }
 
 // Pending reports the number of live journal records (for tests and
@@ -171,10 +236,12 @@ func (s *NICShadow) Pending() (ports, recvs, colls, sends int) {
 	if s == nil {
 		return
 	}
-	for _, ps := range s.ports {
-		recvs += len(ps.normal) + len(ps.opens) + len(ps.sys)
+	for _, ps := range s.ports.All() {
+		if ps != nil {
+			recvs += ps.normal.Len() + ps.opens.Len() + len(ps.sys) - ps.sysHead
+		}
 	}
-	return len(s.ports), recvs, len(s.colls), len(s.sends) - s.doneCount
+	return s.ports.Len(), recvs, len(s.colls), s.liveSends
 }
 
 // ---------------------------------------------------------------------
@@ -213,22 +280,21 @@ func (k *Kernel) ShadowClosePort(id int) {
 // ShadowPostRecv journals a normal-channel receive posting.
 func (k *Kernel) ShadowPostRecv(port, channel int, d *nic.RecvDesc) {
 	if k.shadow != nil {
-		k.shadow.port(port).normal[channel] = d
+		k.shadow.port(port).normal.Set(channel, d)
 	}
 }
 
 // ShadowSysBuf journals a system-pool buffer.
 func (k *Kernel) ShadowSysBuf(port int, va mem.VAddr, d *nic.RecvDesc) {
 	if k.shadow != nil {
-		ps := k.shadow.port(port)
-		ps.sys = append(ps.sys, sysEntry{va: va, desc: d})
+		k.shadow.port(port).sysBuf(sysEntry{va: va, desc: d})
 	}
 }
 
 // ShadowOpen journals an RMA open-channel binding.
 func (k *Kernel) ShadowOpen(port, channel int, d *nic.RecvDesc) {
 	if k.shadow != nil {
-		k.shadow.port(port).opens[channel] = d
+		k.shadow.port(port).opens.Set(channel, d)
 	}
 }
 
@@ -243,22 +309,6 @@ func (k *Kernel) ShadowColl(s *nic.CollSpec) {
 func (k *Kernel) ShadowCloseColl(id int) {
 	if k.shadow != nil {
 		delete(k.shadow.colls, id)
-	}
-}
-
-// ShadowRecvConsumed marks a posting consumed on the host side (the
-// intra-node path delivers through Port.TakeRecv without the firmware
-// seeing it, so the library must keep the journal honest itself).
-func (k *Kernel) ShadowRecvConsumed(port, channel int) {
-	if k.shadow != nil {
-		k.shadow.RecvConsumed(port, channel)
-	}
-}
-
-// ShadowSysConsumed is the system-pool analogue of ShadowRecvConsumed.
-func (k *Kernel) ShadowSysConsumed(port int, va mem.VAddr) {
-	if k.shadow != nil {
-		k.shadow.SysConsumed(port, va)
 	}
 }
 
@@ -325,39 +375,32 @@ func (k *Kernel) replayNIC(p *sim.Proc, n *nic.NIC) {
 	}
 	start := p.Now()
 	records := uint64(0)
-	portIDs := make([]int, 0, len(s.ports))
-	for id := range s.ports {
-		portIDs = append(portIDs, id)
-	}
-	sort.Ints(portIDs)
-	for _, id := range portIDs {
-		p.Sleep(k.prof.PIOFill(8))
-		n.ReprogramPort(id, s.ports[id].weight)
-		records++
-	}
-	for _, id := range portIDs {
-		ps := s.ports[id]
-		chans := make([]int, 0, len(ps.opens))
-		for c := range ps.opens {
-			chans = append(chans, c)
-		}
-		sort.Ints(chans)
-		for _, c := range chans {
-			p.Sleep(k.prof.PIOFill(k.prof.RecvDescWords))
-			n.RegisterOpen(id, c, ps.opens[c])
+	for id, ps := range s.ports.All() {
+		if ps != nil {
+			p.Sleep(k.prof.PIOFill(8))
+			n.ReprogramPort(id, ps.weight)
 			records++
 		}
-		chans = chans[:0]
-		for c := range ps.normal {
-			chans = append(chans, c)
+	}
+	for id, ps := range s.ports.All() {
+		if ps == nil {
+			continue
 		}
-		sort.Ints(chans)
-		for _, c := range chans {
-			p.Sleep(k.prof.PIOFill(k.prof.RecvDescWords))
-			n.PostRecv(id, c, ps.normal[c])
-			records++
+		for c, d := range ps.opens.All() {
+			if d != nil {
+				p.Sleep(k.prof.PIOFill(k.prof.RecvDescWords))
+				n.RegisterOpen(id, c, d)
+				records++
+			}
 		}
-		for _, e := range ps.sys {
+		for c, d := range ps.normal.All() {
+			if d != nil {
+				p.Sleep(k.prof.PIOFill(k.prof.RecvDescWords))
+				n.PostRecv(id, c, d)
+				records++
+			}
+		}
+		for _, e := range ps.sys[ps.sysHead:] {
 			p.Sleep(k.prof.PIOFill(k.prof.RecvDescWords))
 			n.AddSystemBuffer(id, e.desc)
 			records++
@@ -374,24 +417,20 @@ func (k *Kernel) replayNIC(p *sim.Proc, n *nic.NIC) {
 		n.RegisterCollCtx(spec)
 		records++
 	}
-	srcs := make([]int, 0, len(s.rxDone))
-	for src := range s.rxDone {
-		srcs = append(srcs, src)
-	}
-	sort.Ints(srcs)
-	for _, src := range srcs {
-		ids := s.rxDone[src]
-		p.Sleep(k.prof.PIOFill(2 * len(ids)))
-		n.RestoreRxDone(src, ids)
-		records++
-	}
-	for _, e := range s.sends {
-		if e.done {
-			continue
+	for src, l := range s.rxDone.All() {
+		if l != nil {
+			ids := append(append([]uint64(nil), l.ids[l.next:]...), l.ids[:l.next]...) // oldest first
+			p.Sleep(k.prof.PIOFill(2 * len(ids)))
+			n.RestoreRxDone(src, ids)
+			records++
 		}
-		p.Sleep(k.prof.PIOFill(k.prof.SendDescWords))
-		n.RepostSend(e.desc)
-		records++
+	}
+	for _, e := range s.sends[s.sendHead:] {
+		if e.desc != nil {
+			p.Sleep(k.prof.PIOFill(k.prof.SendDescWords))
+			n.RepostSend(e.desc)
+			records++
+		}
 	}
 	k.stats.ReplayedRecords += records
 	n.Tracer.Add("kernel: replay NIC state", k.row, start, p.Now())

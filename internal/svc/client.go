@@ -493,7 +493,7 @@ func (d *Driver) nextDue(cap sim.Time) sim.Time {
 	return due
 }
 
-func (d *Driver) handle(p *sim.Proc, ev *nic.Event) {
+func (d *Driver) handle(p *sim.Proc, ev nic.Event) {
 	kind, sess, uch, seq := unpackTag(ev.Tag)
 	body := d.ep.read(p, ev)
 	r := newReader(body)
@@ -511,7 +511,7 @@ func (d *Driver) handle(p *sim.Proc, ev *nic.Event) {
 	}
 }
 
-func (d *Driver) connFor(ev *nic.Event) *conn {
+func (d *Driver) connFor(ev nic.Event) *conn {
 	src := bcl.Addr{Node: ev.SrcNode, Port: ev.SrcPort}
 	for _, c := range d.conns {
 		if c.addr == src {
@@ -521,7 +521,7 @@ func (d *Driver) connFor(ev *nic.Event) *conn {
 	return nil
 }
 
-func (d *Driver) onChall(p *sim.Proc, ev *nic.Event, sess uint16, r *reader) {
+func (d *Driver) onChall(p *sim.Proc, ev nic.Event, sess uint16, r *reader) {
 	challenge := r.u64()
 	c := d.connFor(ev)
 	if c == nil || !r.ok || c.state == connUp {
@@ -535,7 +535,7 @@ func (d *Driver) onChall(p *sim.Proc, ev *nic.Event, sess uint16, r *reader) {
 	d.sendAuth(p, c)
 }
 
-func (d *Driver) onAuthOK(p *sim.Proc, ev *nic.Event, sess uint16) {
+func (d *Driver) onAuthOK(p *sim.Proc, ev nic.Event, sess uint16) {
 	c := d.connFor(ev)
 	if c == nil || c.sess != sess || c.state == connUp {
 		return
@@ -635,7 +635,7 @@ func (d *Driver) noteSeen(u *user, key string, ver uint64) {
 
 // onInv applies a server invalidation and always acks it — the ack is
 // what releases the writer's reply on the owning shard.
-func (d *Driver) onInv(p *sim.Proc, ev *nic.Event, sess uint16, invID uint32, r *reader) {
+func (d *Driver) onInv(p *sim.Proc, ev nic.Event, sess uint16, invID uint32, r *reader) {
 	key := r.str()
 	ver := r.u64()
 	if !r.ok {

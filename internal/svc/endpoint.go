@@ -51,7 +51,7 @@ func (e *endpoint) drainSends(p *sim.Proc) {
 	}
 }
 
-func (e *endpoint) noteSendEvent(ev *nic.Event) {
+func (e *endpoint) noteSendEvent(ev nic.Event) {
 	if ev.Type == nic.EvSendFailed {
 		e.sendsFailed++
 	}
@@ -103,7 +103,7 @@ func (e *endpoint) send(p *sim.Proc, dst bcl.Addr, kind uint8, sess, uch uint16,
 // read copies a received message's payload out of the pool buffer and
 // schedules the buffer's return to the NIC (batched: one kernel trap
 // per returnBatch buffers).
-func (e *endpoint) read(p *sim.Proc, ev *nic.Event) []byte {
+func (e *endpoint) read(p *sim.Proc, ev nic.Event) []byte {
 	var body []byte
 	if ev.Len > 0 {
 		body, _ = e.port.Process().Space.Read(ev.VA, ev.Len)

@@ -309,7 +309,7 @@ func (s *Server) nextDue(cap sim.Time) sim.Time {
 	return due
 }
 
-func (s *Server) handle(p *sim.Proc, ev *nic.Event) {
+func (s *Server) handle(p *sim.Proc, ev nic.Event) {
 	kind, sess, uch, seq := unpackTag(ev.Tag)
 	body := s.ep.read(p, ev)
 	src := bcl.Addr{Node: ev.SrcNode, Port: ev.SrcPort}

@@ -216,14 +216,14 @@ func (pt *Port) PostRecv(p *sim.Proc, channel int, va mem.VAddr, n int) error {
 }
 
 // WaitRecv polls the receive event queue.
-func (pt *Port) WaitRecv(p *sim.Proc) *nic.Event {
+func (pt *Port) WaitRecv(p *sim.Proc) nic.Event {
 	ev := pt.nicPort.RecvEvQ.Recv(p)
 	p.Sleep(pt.node.Prof.CompletionPoll + pt.node.Prof.EventDecode)
 	return ev
 }
 
 // WaitSend polls the send event queue.
-func (pt *Port) WaitSend(p *sim.Proc) *nic.Event {
+func (pt *Port) WaitSend(p *sim.Proc) nic.Event {
 	ev := pt.nicPort.SendEvQ.Recv(p)
 	p.Sleep(pt.node.Prof.SendComplete)
 	return ev
