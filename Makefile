@@ -7,7 +7,7 @@ GO ?= go
 # survival, collectives, healthwatch, serve, reqobs): `make chaos SEED=7`.
 SEED ?= 1
 
-.PHONY: all test race short bench hostbench experiments chaos survival collectives metrics profile multitenant healthwatch serve reqobs baseline check examples tools clean
+.PHONY: all test race short fuzz bench hostbench experiments chaos survival collectives metrics profile multitenant healthwatch serve reqobs baseline check examples tools clean
 
 all: test
 
@@ -20,6 +20,16 @@ race:
 
 short:
 	$(GO) test -short ./...
+
+# Native fuzzing: each of the eight fuzz targets searches for 5 s, about
+# 45 s in all (`go test` runs only their seed corpora). A failing input
+# is saved under the package's testdata/fuzz and replays with `go test`.
+# CI runs the same.
+fuzz:
+	@for t in sim:FuzzEventQueue sim:FuzzRing sim:FuzzFreeList mem:FuzzAddrSpaceCopy \
+		mem:FuzzPinTable oskernel:FuzzShadow nic:FuzzDoneRing trace:FuzzCappedTracer; do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \
+	done
 
 # Every benchmark in the repository, once each: the paper reports in the
 # root package and the microbenchmarks under internal/ (the sim kernel's

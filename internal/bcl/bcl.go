@@ -119,7 +119,7 @@ type Port struct {
 	nicPort *nic.Port
 	events  *sim.Queue[nic.Event] // nicPort.RecvEvQ: the NIC and the intra engine both post here
 	sendEvs *sim.Queue[nic.Event] // nicPort.SendEvQ, likewise
-	pending []nic.Event           // receive events set aside by selective waits
+	pending sim.Ring[nic.Event]   // receive events set aside by selective waits
 
 	intraQ   *sim.Queue[*intraFrag]
 	nextChan int

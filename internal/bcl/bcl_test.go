@@ -18,10 +18,9 @@ import (
 
 // testbed is a cluster with one BCL process+port per requested slot.
 type testbed struct {
-	sys       *System
-	c         *cluster.Cluster
-	ports     []*Port
-	bootDescs [][2]int // per node: send, receive descriptors in use after boot
+	sys   *System
+	c     *cluster.Cluster
+	ports []*Port
 }
 
 // newTestbed opens one port on each listed node (a node may appear
@@ -51,51 +50,23 @@ func newTestbed(t *testing.T, fab cluster.FabricKind, nodes int, slots []int) *t
 	default:
 		t.Fatal("setup did not finish")
 	}
-	tb.markBooted()
 	return tb
 }
 
-// descsInUse snapshots every NIC's (send, receive) descriptors in use.
-// Taken once the ports are open and whatever the test posts up front
-// is posted, it is the post-boot value assertDrained holds the
-// quiescent cluster to.
-func descsInUse(c *cluster.Cluster) [][2]int {
-	var out [][2]int
-	for _, nd := range c.Nodes {
-		send, recv := nd.NIC.DescsInUse()
-		out = append(out, [2]int{send, recv})
-	}
-	return out
-}
-
-// markBooted takes the post-boot snapshot. newTestbed calls it; a test
-// that posts buffers of its own before the traffic starts calls it
-// again after.
-func (tb *testbed) markBooted() { tb.bootDescs = descsInUse(tb.c) }
-
 func (tb *testbed) assertDrained(t *testing.T) {
 	t.Helper()
-	assertDrained(t, tb.c, tb.bootDescs)
+	assertDrained(t, tb.c)
 }
 
-// assertDrained checks resource balance at quiesce on every node: no
-// fragment staged in NIC SRAM, no packet descriptor or payload buffer
-// out of the fabric's pool, and the NIC's send and receive descriptors
-// in use back at their post-boot values — every send retired, through
-// whatever crash, rewind or failure; every consumed posting's
-// descriptor freed and, the receivers returning their buffers, taken
-// again.
-func assertDrained(t *testing.T, c *cluster.Cluster, boot [][2]int) {
+// assertDrained checks resource balance at quiesce on every node (see
+// nic.NIC.Drained): every send retired, through whatever crash, rewind
+// or failure; every consumed posting's descriptor freed and, the
+// receivers returning their buffers, taken again.
+func assertDrained(t *testing.T, c *cluster.Cluster) {
 	t.Helper()
 	for i, nd := range c.Nodes {
-		descs, bufs := nd.NIC.PoolInUse()
-		if sram := nd.NIC.SRAMInUse(); sram != 0 || descs != 0 || bufs != 0 {
-			t.Errorf("node %d not drained: %d B of NIC SRAM, %d packet descriptors, %d payloads outstanding",
-				i, sram, descs, bufs)
-		}
-		if send, recv := nd.NIC.DescsInUse(); [2]int{send, recv} != boot[i] {
-			t.Errorf("node %d: %d send / %d receive descriptors in use, %d / %d after boot",
-				i, send, recv, boot[i][0], boot[i][1])
+		if err := nd.NIC.Drained(); err != nil {
+			t.Errorf("node %d: %v", i, err)
 		}
 	}
 }

@@ -40,7 +40,6 @@ func newOutageTestbed(t *testing.T, fab cluster.FabricKind, nodes int, slots []i
 	default:
 		t.Fatal("setup did not finish")
 	}
-	tb.markBooted()
 	return tb
 }
 

@@ -252,10 +252,9 @@ func (pt *Port) TryRecv(p *sim.Proc) (nic.Event, bool) {
 // one demultiplexer; its poll+decode cost is paid when an event is set
 // aside, its receive count when the event is handed over.
 func (pt *Port) WaitRecvChannel(p *sim.Proc, channel int) nic.Event {
-	for i, ev := range pt.pending {
-		if ev.Channel == channel {
-			pt.pending = append(pt.pending[:i], pt.pending[i+1:]...)
-			return pt.handOver(ev)
+	for i := 0; i < pt.pending.Len(); i++ {
+		if pt.pending.At(i).Channel == channel {
+			return pt.handOver(pt.pending.Remove(i))
 		}
 	}
 	for {
@@ -264,18 +263,16 @@ func (pt *Port) WaitRecvChannel(p *sim.Proc, channel int) nic.Event {
 		if ev.Channel == channel {
 			return pt.handOver(ev)
 		}
-		pt.pending = append(pt.pending, ev)
+		pt.pending.Push(ev)
 	}
 }
 
 // takePending pops the oldest event a selective wait set aside.
 func (pt *Port) takePending() (nic.Event, bool) {
-	if len(pt.pending) == 0 {
+	if pt.pending.Len() == 0 {
 		return nic.Event{}, false
 	}
-	ev := pt.pending[0]
-	pt.pending = pt.pending[:copy(pt.pending, pt.pending[1:])]
-	return ev, true
+	return pt.pending.Pop(), true
 }
 
 // decode charges the traced user-space poll+decode of an event fresh

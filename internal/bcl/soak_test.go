@@ -47,7 +47,6 @@ func TestSoakMixedWorkload(t *testing.T) {
 	if ready != nPorts {
 		t.Fatal("setup incomplete")
 	}
-	tb.markBooted() // the windows are postings too
 
 	pattern := func(src, round, size int) []byte {
 		b := make([]byte, size)

@@ -55,7 +55,6 @@ func survivalBed(t *testing.T, fabKind cluster.FabricKind, nicCfg nic.Config) (*
 func TestWatchdogRecoversReceiverCrash(t *testing.T) {
 	c, a, b := survivalBed(t, cluster.Myrinet, DefaultNICConfig())
 	const msgs, size = 8, 2048
-	boot := descsInUse(c)
 	base := c.Env.Now()
 	c.Nodes[1].NIC.CrashAt(base + 2*sim.Millisecond)
 
@@ -112,7 +111,7 @@ func TestWatchdogRecoversReceiverCrash(t *testing.T) {
 	if st := c.Nodes[1].NIC.Stats(); st.NICReboots != 1 {
 		t.Fatalf("nic reboots = %d, want 1", st.NICReboots)
 	}
-	assertDrained(t, c, boot) // the replayed postings' descriptors were consumed once each
+	assertDrained(t, c) // the replayed postings' descriptors were consumed once each
 }
 
 // TestWatchdogRecoversSenderCrash crashes the SENDING NIC mid-stream:
@@ -121,7 +120,6 @@ func TestWatchdogRecoversReceiverCrash(t *testing.T) {
 func TestWatchdogRecoversSenderCrash(t *testing.T) {
 	c, a, b := survivalBed(t, cluster.Myrinet, DefaultNICConfig())
 	const msgs, size = 6, 4096
-	boot := descsInUse(c)
 	base := c.Env.Now()
 	c.Nodes[0].NIC.CrashAt(base + 1500*sim.Microsecond)
 
@@ -175,7 +173,7 @@ func TestWatchdogRecoversSenderCrash(t *testing.T) {
 	if st := c.Nodes[1].NIC.Stats(); st.EpochResets == 0 {
 		t.Fatal("receiver never saw the sender's new boot epoch")
 	}
-	assertDrained(t, c, boot) // the replayed sends' descriptors were retired once each
+	assertDrained(t, c) // the replayed sends' descriptors were retired once each
 }
 
 // TestGrayFailoverSteersToAlternateRail runs ping-pongs over the
@@ -187,7 +185,6 @@ func TestGrayFailoverSteersToAlternateRail(t *testing.T) {
 	cfg := DefaultNICConfig()
 	cfg.AdaptiveRTO = true
 	c, a, b := survivalBed(t, cluster.Hetero, cfg)
-	boot := descsInUse(c)
 	hf := c.Fabric.(*hetero.Fabric)
 	base := c.Env.Now()
 	// Both nodes are in the lower split: their policy rail is Myrinet
@@ -227,7 +224,7 @@ func TestGrayFailoverSteersToAlternateRail(t *testing.T) {
 	if hf.GraySteers() == 0 {
 		t.Fatal("no packets steered onto the alternate rail")
 	}
-	assertDrained(t, c, boot)
+	assertDrained(t, c)
 }
 
 // TestExitMidRetransmitCleansJournal exits a process while its port's
@@ -264,12 +261,9 @@ func TestExitMidRetransmitCleansJournal(t *testing.T) {
 	if sends != 0 {
 		t.Fatalf("journal still holds %d sends after close+exit mid-retransmit", sends)
 	}
-	if got := tb.c.Nodes[0].NIC.SRAMInUse(); got != 0 {
-		t.Fatalf("NIC SRAM leak after exit mid-retransmit: %d bytes", got)
-	}
-	// The closed port's postings are gone and its abandoned sends were
-	// retired by the failure path: the card holds no descriptor at all.
-	if send, recv := tb.c.Nodes[0].NIC.DescsInUse(); send != 0 || recv != 0 {
-		t.Fatalf("%d send / %d receive descriptors in use after close+exit mid-retransmit", send, recv)
+	// No SRAM is held, the closed port's postings are gone and its
+	// abandoned sends were retired by the failure path.
+	if err := tb.c.Nodes[0].NIC.Drained(); err != nil {
+		t.Fatalf("after close+exit mid-retransmit: %v", err)
 	}
 }

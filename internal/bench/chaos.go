@@ -216,24 +216,12 @@ func (r *soakRig) run(prefix string, msgSize, rounds int, pace, horizon sim.Time
 		}
 	}
 	if !res.deadlocked {
-		// Resource balance at quiesce: every send completed, so no NIC may
-		// still hold staged SRAM, a packet descriptor or a payload buffer,
-		// nor a send descriptor; and its receive descriptors are exactly
-		// the buffers left in the port's system pool (the soak posts
-		// nothing else and returns none), whatever was replayed on the way.
+		// Resource balance at quiesce: every send completed, and the soak
+		// posts nothing but the system pool and returns none, whatever was
+		// replayed on the way.
 		for i, nd := range c.Nodes {
-			descs, bufs := nd.NIC.PoolInUse()
-			if sram := nd.NIC.SRAMInUse(); sram != 0 || descs != 0 || bufs != 0 {
-				panic(fmt.Sprintf("%s soak: node %d not drained: %d B of NIC SRAM, %d packet descriptors, %d payloads outstanding",
-					prefix, i, sram, descs, bufs))
-			}
-			pool := 0
-			if np, ok := nd.NIC.LookupPort(ports[i].Addr().Port); ok {
-				pool = np.SystemPoolLen()
-			}
-			if send, recv := nd.NIC.DescsInUse(); send != 0 || recv != pool {
-				panic(fmt.Sprintf("%s soak: node %d descriptors not balanced: %d send descriptors unretired, %d receive descriptors out for %d pool buffers",
-					prefix, i, send, recv, pool))
+			if err := nd.NIC.Drained(); err != nil {
+				panic(fmt.Sprintf("%s soak: node %d: %v", prefix, i, err))
 			}
 		}
 	}

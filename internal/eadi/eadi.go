@@ -98,8 +98,8 @@ type Device struct {
 	// value, and the inMsg of a claimed unexpected message, which keeps
 	// its payload buffer. (A nonblocking receive's record belongs to
 	// the RecvHandle the caller holds, and is never reused.)
-	freeRecvs []*pendingRecv
-	freeMsgs  []*inMsg
+	recvs sim.FreeList[*pendingRecv]
+	msgs  sim.FreeList[*inMsg]
 
 	// Stats.
 	EagerSent, EagerRecv uint64
@@ -146,10 +146,8 @@ type rndvRecv struct {
 // newRecv returns a pendingRecv for a blocking receive; endRecv gives it
 // back once the receive has returned its result.
 func (d *Device) newRecv(src, ctx, tag int, va mem.VAddr, n int) *pendingRecv {
-	var pr *pendingRecv
-	if k := len(d.freeRecvs); k > 0 {
-		pr, d.freeRecvs = d.freeRecvs[k-1], d.freeRecvs[:k-1]
-	} else {
+	pr, ok := d.recvs.Get()
+	if !ok {
 		pr = new(pendingRecv)
 	}
 	*pr = pendingRecv{src: src, ctx: ctx, tag: tag, va: va, n: n}
@@ -158,24 +156,22 @@ func (d *Device) newRecv(src, ctx, tag int, va mem.VAddr, n int) *pendingRecv {
 
 func (d *Device) endRecv(pr *pendingRecv) (Status, error) {
 	st, err := pr.status, pr.err
-	d.freeRecvs = append(d.freeRecvs, pr)
+	d.recvs.Put(pr)
 	return st, err
 }
 
 // newMsg returns an inMsg for the unexpected queue, its payload buffer
 // emptied but kept; endMsg gives back one a receive has claimed.
 func (d *Device) newMsg(src, ctx, tag int) *inMsg {
-	var m *inMsg
-	if k := len(d.freeMsgs); k > 0 {
-		m, d.freeMsgs = d.freeMsgs[k-1], d.freeMsgs[:k-1]
-	} else {
+	m, ok := d.msgs.Get()
+	if !ok {
 		m = new(inMsg)
 	}
 	*m = inMsg{src: src, ctx: ctx, tag: tag, data: m.data[:0]}
 	return m
 }
 
-func (d *Device) endMsg(m *inMsg) { d.freeMsgs = append(d.freeMsgs, m) }
+func (d *Device) endMsg(m *inMsg) { d.msgs.Put(m) }
 
 // NewDevice wraps a BCL port as rank `rank` of the job laid out in
 // addrs.

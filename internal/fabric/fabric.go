@@ -171,37 +171,28 @@ func (b *payload) unref() {
 		panic("fabric: payload released more often than referenced")
 	}
 	if b.refs--; b.refs == 0 {
-		b.pool.bufsOut--
-		b.pool.bufs = append(b.pool.bufs, b)
+		b.pool.bufs.Put(b)
 	}
 }
 
 // Pool recycles packet descriptors and payload buffers for one
 // simulation (every endpoint of a Network shares its pool), so a packet
-// in steady state allocates nothing. The free lists are plain LIFO
-// slices: which object a Get returns depends only on the simulation's
-// own history, so allocation counts repeat exactly and two environments
-// in one process share nothing. A packet that is never released is
+// in steady state allocates nothing. A packet that is never released is
 // simply collected by the GC; a second Release of a descriptor, or of a
 // payload reference, panics.
 type Pool struct {
-	pkts []*Packet
-	bufs []*payload
+	pkts sim.FreeList[*Packet]
+	bufs sim.FreeList[*payload]
 	// bufCap is the capacity new buffers get: the largest payload asked
 	// for so far, so that after warm-up every free buffer fits every
 	// request.
 	bufCap int
-
-	pktsOut, bufsOut int
 }
 
 // desc takes a descriptor off the free list, or makes one; the caller
 // overwrites its stale contents.
 func (pl *Pool) desc() *Packet {
-	pl.pktsOut++
-	if k := len(pl.pkts); k > 0 {
-		p := pl.pkts[k-1]
-		pl.pkts = pl.pkts[:k-1]
+	if p, ok := pl.pkts.Get(); ok {
 		return p
 	}
 	return &Packet{}
@@ -220,20 +211,21 @@ func (pl *Pool) Get(n int) *Packet {
 }
 
 func (pl *Pool) getBuf(n int) *payload {
-	pl.bufsOut++
 	if n > pl.bufCap {
 		pl.bufCap = n
 	}
-	for k := len(pl.bufs); k > 0; k = len(pl.bufs) {
-		b := pl.bufs[k-1]
-		pl.bufs = pl.bufs[:k-1]
+	for {
+		b, ok := pl.bufs.Get()
+		if !ok {
+			return &payload{b: make([]byte, pl.bufCap), refs: 1, pool: pl}
+		}
 		if cap(b.b) >= n {
 			b.refs = 1
 			return b
 		}
 		// Allocated before a larger payload was seen: leave it to the GC.
+		pl.bufs.Abandon()
 	}
-	return &payload{b: make([]byte, pl.bufCap), refs: 1, pool: pl}
 }
 
 // Clone returns a descriptor from the pool that copies src's header and
@@ -254,7 +246,7 @@ func (pl *Pool) Clone(src *Packet) *Packet {
 // InUse reports the descriptors and payload buffers taken from the pool
 // and not yet released — both zero when the simulation is quiescent,
 // which leak tests assert.
-func (pl *Pool) InUse() (descriptors, payloads int) { return pl.pktsOut, pl.bufsOut }
+func (pl *Pool) InUse() (descriptors, payloads int) { return pl.pkts.InUse(), pl.bufs.InUse() }
 
 // Release drops the packet's payload reference and returns a pooled
 // descriptor to its pool. Whoever takes a packet out of the fabric (the
@@ -274,8 +266,7 @@ func (p *Packet) Release() {
 		panic("fabric: packet released twice")
 	}
 	p.free = true
-	pl.pktsOut--
-	pl.pkts = append(pl.pkts, p)
+	pl.pkts.Put(p)
 }
 
 // CopyOut returns a GC-owned copy of the packet that stays valid after
@@ -519,12 +510,12 @@ type Network struct {
 	// Packets past their injection link: a slab of in-flight records,
 	// the free slots in it, and the long-lived callbacks of the transit
 	// event chain (see launch), which carry a slot index in their a word.
-	flights     []flight
-	freeFlights []uint32
-	startFn     func(id, _ uint64)
-	hopFn       func(id, hop uint64)
-	grantFn     func(id, hop uint64)
-	releaseFn   func(link, _ uint64)
+	flights   []flight
+	slots     sim.FreeList[uint32]
+	startFn   func(id, _ uint64)
+	hopFn     func(id, hop uint64)
+	grantFn   func(id, hop uint64)
+	releaseFn func(link, _ uint64)
 
 	nodeOut map[int][]outage // per-node link outage windows
 	allOut  []outage         // whole-fabric (switch/rail) outage windows
@@ -885,11 +876,8 @@ type flight struct {
 // only books the next: event count and sequence numbers are the model
 // clock's contract (Env.Steps, and through it every baseline).
 func (n *Network) launch(f flight) {
-	var id uint32
-	if k := len(n.freeFlights); k > 0 {
-		id = n.freeFlights[k-1]
-		n.freeFlights = n.freeFlights[:k-1]
-	} else {
+	id, ok := n.slots.Get()
+	if !ok {
 		id = uint32(len(n.flights))
 		n.flights = append(n.flights, flight{})
 	}
@@ -930,7 +918,7 @@ func (n *Network) release(link, _ uint64) { n.links[link].res.Release(1) }
 func (n *Network) arrive(id uint32) {
 	f := n.flights[id]
 	n.flights[id] = flight{}
-	n.freeFlights = append(n.freeFlights, id)
+	n.slots.Put(id)
 	pkt, now := f.pkt, n.env.Now()
 	// Outage: a packet arriving at a downed attachment is lost on the
 	// final hop.

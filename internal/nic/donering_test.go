@@ -19,7 +19,7 @@ func (m *doneModel) mark(id uint64) {
 	}
 	m.done[id] = true
 	m.order = append(m.order, id)
-	if len(m.order) > rxDoneRing {
+	if len(m.order) > DoneRing {
 		delete(m.done, m.order[0])
 		m.order = m.order[1:]
 	}
@@ -42,7 +42,7 @@ func (m *doneModel) restore(ids []uint64) {
 // with ids that mostly grow but also fall behind (two ports interleaved
 // by the WRR arbiter, a replay landing late), and reboots, after which
 // a fresh flow is re-seeded by RestoreRxDone from what the kernel
-// journal mirrored — the last rxDoneRing completions, oldest first. As
+// journal mirrored — the last DoneRing completions, oldest first. As
 // on the card, a message completes only if it is not in the ring: one
 // that is gets swallowed before it is assembled. After every step,
 // membership must agree for every id near the ones in play.
@@ -50,7 +50,7 @@ func replayDoneRing(t *testing.T, prog []byte) {
 	t.Helper()
 	n := &NIC{}
 	f, want := n.flowFrom(1), &doneModel{}
-	var journal []uint64 // the kernel's mirror: last rxDoneRing completions
+	var journal []uint64 // the kernel's mirror: last DoneRing completions
 	next := uint64(1)
 	for step := 0; step+1 < len(prog); step += 2 {
 		op, arg := prog[step]%8, uint64(prog[step+1])
@@ -73,7 +73,7 @@ func replayDoneRing(t *testing.T, prog []byte) {
 			if !f.isDone(id) {
 				n.markDone(f, id)
 				want.mark(id)
-				if journal = append(journal, id); len(journal) > rxDoneRing {
+				if journal = append(journal, id); len(journal) > DoneRing {
 					journal = journal[1:]
 				}
 			}
@@ -96,14 +96,14 @@ func replayDoneRing(t *testing.T, prog []byte) {
 				t.Fatalf("step %d (op %d): isDone(%d) = %v, model %v", step/2, op, id, f.isDone(id), want.done[id])
 			}
 		}
-		if len(f.done) > rxDoneRing && op != 7 {
-			t.Fatalf("step %d: ring holds %d ids, bound %d", step/2, len(f.done), rxDoneRing)
+		if f.done.Len() > DoneRing && op != 7 {
+			t.Fatalf("step %d: ring holds %d ids, bound %d", step/2, f.done.Len(), DoneRing)
 		}
 	}
 }
 
 func TestDoneRingMatchesMapModel(t *testing.T) {
-	wrap := make([]byte, 2*3*rxDoneRing) // in-order completions, three times round the ring
+	wrap := make([]byte, 2*3*DoneRing) // in-order completions, three times round the ring
 	replayDoneRing(t, wrap)
 	late := append(append([]byte(nil), wrap[:2*200]...), 4, 100, 4, 150, 4, 3, 6, 0, 4, 100, 0, 0)
 	replayDoneRing(t, late) // ids behind the front, across a reboot
@@ -127,7 +127,7 @@ func BenchmarkDoneRing(b *testing.B) {
 	n := &NIC{}
 	f := n.flowFrom(1)
 	id := uint64(0)
-	for ; id < 4*rxDoneRing; id++ {
+	for ; id < 4*DoneRing; id++ {
 		n.markDone(f, id)
 	}
 	b.ReportAllocs()

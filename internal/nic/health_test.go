@@ -237,13 +237,14 @@ func TestFailedSendKeepsItsDescriptor(t *testing.T) {
 			Channel: 1, Len: len(big), Segs: bseg,
 		}))
 		events = append(events, sp.SendEvQ.Recv(p).Type)
-		if send, _ := r.nics[0].DescsInUse(); send != 0 {
-			t.Errorf("%d send descriptors in use after the only message failed", send)
-		}
-		// Once probes have re-admitted the peer, a second message takes a
-		// descriptor: not the failed one.
+		// Once probes have re-admitted the peer, the failed message has
+		// left nothing behind, and a second message takes a descriptor:
+		// not the failed one.
 		for !r.nics[0].PeerHealthy(1) {
 			p.Sleep(sim.Millisecond)
+		}
+		if err := r.nics[0].Drained(); err != nil {
+			t.Errorf("after the only message failed: %v", err)
 		}
 		if err := r.nics[1].PostRecv(2, 1, lendRecv(r.nics[1], RecvDesc{Len: 4096, Segs: rseg, VA: rva})); err != nil {
 			t.Error(err)

@@ -42,63 +42,11 @@ type pending struct {
 	retx     bool     // retransmitted at least once (Karn: never sample)
 }
 
-// ring is a growable FIFO over a power-of-two circular buffer: the
-// send rings' descriptor queues and the flows' retransmit queues. Once
-// grown to its working size it never allocates, and a popped slot is
-// cleared, so the ring keeps nothing it no longer holds reachable.
-// Entries are numbered by an absolute index that only grows, so a loop
-// that blocks between entries (a retransmit round, failure delivery)
-// can tell whether the entry it is about to touch is still queued.
-type ring[T any] struct {
-	slots []T
-	head  uint64 // absolute index of the oldest entry
-	n     int
-}
-
-func (r *ring[T]) len() int { return r.n }
-
-func (r *ring[T]) slot(abs uint64) *T { return &r.slots[abs&uint64(len(r.slots)-1)] }
-
-// at returns the i-th oldest entry, which must exist.
-func (r *ring[T]) at(i int) *T { return r.slot(r.head + uint64(i)) }
-
-// live returns the entry with absolute index abs, or nil once it has
-// been popped.
-func (r *ring[T]) live(abs uint64) *T {
-	if abs < r.head || abs >= r.head+uint64(r.n) {
-		return nil
-	}
-	return r.slot(abs)
-}
-
-func (r *ring[T]) push(v T) {
-	if r.n == len(r.slots) {
-		old := *r
-		r.slots = make([]T, max(2*len(old.slots), 4))
-		for i := 0; i < r.n; i++ {
-			*r.at(i) = *old.at(i)
-		}
-	}
-	r.n++
-	*r.at(r.n - 1) = v
-}
-
-// pop removes and returns the oldest entry, which must exist.
-func (r *ring[T]) pop() T {
-	var zero T
-	slot := r.at(0)
-	v := *slot
-	*slot = zero
-	r.head++
-	r.n--
-	return v
-}
-
 // txFlow is the sender-side reliability state toward one remote node.
 type txFlow struct {
 	dst     int
 	nextSeq uint64
-	unacked ring[pending] // at most Config.Window packets, oldest first
+	unacked sim.Ring[pending] // at most Config.Window packets, oldest first
 	retries int
 	timer   sim.Timer
 	window  *sim.Cond
@@ -127,11 +75,8 @@ type txFlow struct {
 	// inflight tracks data/RMA-write messages transmitted toward the
 	// peer but not yet acknowledged/failed, in first-transmit order,
 	// so a rewind can replay them from fragment zero. The send window
-	// bounds it, so a message is found by walking it; one retired out of
-	// order leaves a nil descriptor behind until the front reaches it.
-	// inflightN counts the live entries.
-	inflight  ring[inflightMsg]
-	inflightN int
+	// bounds it, so a message is found by walking it.
+	inflight sim.Ring[*SendDesc]
 
 	// Adaptive-RTO estimator state (Config.AdaptiveRTO).
 	srtt      sim.Time // smoothed RTT
@@ -146,20 +91,15 @@ type failedMsg struct {
 	reported bool
 }
 
-type inflightMsg struct {
-	id uint64
-	d  *SendDesc
-}
-
-// inflightEntry returns the replay-order entry of a message in flight
-// on the flow, nil if it is not (or no longer).
-func (f *txFlow) inflightEntry(msgID uint64) *inflightMsg {
-	for i := 0; i < f.inflight.len(); i++ {
-		if e := f.inflight.at(i); e.id == msgID && e.d != nil {
-			return e
+// inflightIdx returns the replay-order position of a message in flight
+// on the flow, -1 if it is not (or no longer).
+func (f *txFlow) inflightIdx(msgID uint64) int {
+	for i := 0; i < f.inflight.Len(); i++ {
+		if (*f.inflight.At(i)).MsgID == msgID {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // failedIdx returns the index of a message in the failed list, -1 if it
@@ -192,27 +132,26 @@ type rxFlow struct {
 	// packets; a jump means the sender rebooted and restarted its
 	// sequence numbering from zero.
 	srcEpoch uint32
-	// done remembers the last rxDoneRing completed message ids so a
+	// done remembers the last DoneRing completed message ids so a
 	// journal-replayed message a rebooted sender re-sends is swallowed
-	// (ACKed but not re-delivered) — the exactly-once guarantee. It is a
-	// ring that grows to rxDoneRing entries and then overwrites the
-	// oldest, at doneNext. doneMax is the highest id ever recorded: ids
-	// from one card only grow, so the id of a new message is above it
-	// and is known not to be in the ring without a look.
-	done       []uint64
-	doneNext   int
+	// (ACKed but not re-delivered) — the exactly-once guarantee; once
+	// full, the oldest makes way for the newest. doneMax is the highest id
+	// ever recorded: ids from one card only grow, so the id of a new
+	// message is above it and is known not to be in the ring without a
+	// look.
+	done       sim.Ring[uint64]
 	doneMax    uint64
 	lastResync sim.Time // RESYNC send throttle
 }
 
-// isDone reports whether msgID is among the last rxDoneRing messages
+// isDone reports whether msgID is among the last DoneRing messages
 // completed on the flow.
 func (f *rxFlow) isDone(msgID uint64) bool {
 	if msgID > f.doneMax {
 		return false
 	}
-	for _, id := range f.done {
-		if id == msgID {
+	for i := 0; i < f.done.Len(); i++ {
+		if *f.done.At(i) == msgID {
 			return true
 		}
 	}
@@ -222,18 +161,14 @@ func (f *rxFlow) isDone(msgID uint64) bool {
 // recordDone enters a completed message in the done-ring.
 func (f *rxFlow) recordDone(msgID uint64) {
 	f.doneMax = max(f.doneMax, msgID)
-	if len(f.done) < rxDoneRing {
-		f.done = append(f.done, msgID)
-		return
-	}
-	f.done[f.doneNext] = msgID
-	f.doneNext = (f.doneNext + 1) % rxDoneRing
+	f.done.PushLast(msgID, DoneRing)
 }
 
-// rxDoneRing bounds the per-flow completed-message ring. It only needs
-// to cover messages that can be simultaneously unretired in the
-// sender's journal, which the send window bounds far below this.
-const rxDoneRing = 128
+// DoneRing is the depth of the per-flow completed-message ring, and of
+// the kernel journal's mirror of it. It only needs to cover messages
+// that can be simultaneously unretired in the sender's journal, which
+// the send window bounds far below this.
+const DoneRing = 128
 
 // rxAssembly tracks one in-progress incoming message.
 type rxAssembly struct {
@@ -386,7 +321,7 @@ func (n *NIC) nextFrag(p *sim.Proc) (*sendRing, *SendDesc, int) {
 			continue
 		}
 		if r.cur == nil {
-			r.cur = r.q.pop().d
+			r.cur = r.q.Pop().d
 			r.fragIdx = 0
 			r.frags = 1
 			if r.cur.Kind != DescRMARead {
@@ -419,10 +354,10 @@ func (n *NIC) pickFIFO() *sendRing {
 		if r.cur != nil {
 			return r
 		}
-		if r.q.len() == 0 {
+		if r.q.Len() == 0 {
 			continue
 		}
-		if arrival := r.q.at(0).arrival; best == nil || arrival < bestSeq {
+		if arrival := r.q.At(0).arrival; best == nil || arrival < bestSeq {
 			best = r
 			bestSeq = arrival
 		}
@@ -669,7 +604,7 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 		}
 		return
 	}
-	for flow.unacked.len() >= n.cfg.Window {
+	for flow.unacked.Len() >= n.cfg.Window {
 		flow.window.Wait(p)
 		if n.tx.Get(d.DstNode) != flow {
 			// The firmware rebooted while we waited for window space:
@@ -722,14 +657,13 @@ func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDes
 	// acked (and retired) must not resurrect it, or its completion
 	// event would fire twice.
 	if (d.Kind == DescData || d.Kind == DescRMAWrite) && pkt.FragIdx == 0 {
-		if flow.inflightEntry(pkt.MsgID) == nil {
-			flow.inflight.push(inflightMsg{id: pkt.MsgID, d: d})
-			flow.inflightN++
+		if flow.inflightIdx(pkt.MsgID) < 0 {
+			flow.inflight.Push(d)
 		}
 	}
 	pkt.Seq = flow.nextSeq
 	flow.nextSeq++
-	flow.unacked.push(pending{
+	flow.unacked.Push(pending{
 		pkt: pkt, desc: d, lastFrag: lastFrag, sram: sram, sentAt: p.Now(),
 	})
 	if flow.timer == (sim.Timer{}) {
@@ -817,8 +751,8 @@ func (n *NIC) wakeWindow(f *txFlow) { f.window.Broadcast() }
 // wipeUnacked empties a flow's retransmit queue, returning the SRAM and
 // the packets it holds.
 func (n *NIC) wipeUnacked(f *txFlow) {
-	for f.unacked.len() > 0 {
-		pd := f.unacked.pop()
+	for f.unacked.Len() > 0 {
+		pd := f.unacked.Pop()
 		if pd.sram > 0 {
 			n.sram.Release(pd.sram)
 		}
@@ -842,7 +776,7 @@ func (n *NIC) retxEngine(p *sim.Proc) {
 			n.sendProbe(p, f)
 			continue
 		}
-		if f.unacked.len() == 0 {
+		if f.unacked.Len() == 0 {
 			continue
 		}
 		f.retries++
@@ -861,22 +795,22 @@ func (n *NIC) retxEngine(p *sim.Proc) {
 			// every packet gets retransmitted before its ACK lands, no
 			// sample is ever clean, and the RTO can never learn an RTT
 			// above its current value.
-			n.rttSample(f, n.env.Now()-f.unacked.at(0).sentAt)
+			n.rttSample(f, n.env.Now()-f.unacked.At(0).sentAt)
 		}
 		n.obs.Event(n.env.Now(), n.node, "nic", "retx-round",
-			f.unacked.at(0).pkt.Trace,
-			fmt.Sprintf("dst=%d round=%d pkts=%d", f.dst, f.retries, f.unacked.len()))
+			f.unacked.At(0).pkt.Trace,
+			fmt.Sprintf("dst=%d round=%d pkts=%d", f.dst, f.retries, f.unacked.Len()))
 		// The round is the window as it stands now: every packet in it
 		// goes out again even if its ACK lands while an earlier one is
 		// being injected. Cloning up front takes the payload references
 		// that keep those bytes alive past such an ACK.
-		first := f.unacked.head
+		first := f.unacked.Head()
 		round := n.retxRound[:0]
-		for i := 0; i < f.unacked.len(); i++ {
-			round = append(round, n.pool.Clone(f.unacked.at(i).pkt))
+		for i := 0; i < f.unacked.Len(); i++ {
+			round = append(round, n.pool.Clone(f.unacked.At(i).pkt))
 		}
 		for i, wire := range round {
-			if pd := f.unacked.live(first + uint64(i)); pd != nil {
+			if pd := f.unacked.Live(first + uint64(i)); pd != nil {
 				pd.retx = true // Karn's rule: an ambiguous ACK never samples
 			}
 			n.Tracer.DoFlow(p, "nic: retransmit", n.where(), wire.Trace, func() {
@@ -896,9 +830,9 @@ func (n *NIC) retxEngine(p *sim.Proc) {
 // Dead and starts the liveness-probe cycle.
 func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
 	complete := make(map[uint64]bool) // lastFrag in window: no trailing frags coming
-	first, count := f.unacked.head, f.unacked.len()
+	first, count := f.unacked.Head(), f.unacked.Len()
 	for i := 0; i < count; i++ {
-		if pd := f.unacked.at(i); pd.lastFrag {
+		if pd := f.unacked.At(i); pd.lastFrag {
 			complete[pd.pkt.MsgID] = true
 		}
 	}
@@ -908,7 +842,7 @@ func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
 		// meanwhile (so the injector keeps seeing it full): an entry an
 		// ACK retired in that time is skipped, and the fields used after
 		// a blocking call are copied out first.
-		pd := f.unacked.live(first + uint64(i))
+		pd := f.unacked.Live(first + uint64(i))
 		if pd == nil {
 			continue
 		}
@@ -1053,7 +987,7 @@ func (n *NIC) handleProbeAck(p *sim.Proc, pkt *fabric.Packet) {
 	if n.noteEpoch(p, f, pkt.Epoch) {
 		return
 	}
-	if f.unacked.len() == 0 {
+	if f.unacked.Len() == 0 {
 		f.nextSeq = pkt.AckSeq
 	}
 	n.markPeerUp(f)
@@ -1066,8 +1000,8 @@ func (n *NIC) handleAck(p *sim.Proc, pkt *fabric.Packet) {
 		return
 	}
 	progress := false
-	for f.unacked.len() > 0 && f.unacked.at(0).pkt.Seq <= pkt.AckSeq {
-		pd := f.unacked.pop()
+	for f.unacked.Len() > 0 && f.unacked.At(0).pkt.Seq <= pkt.AckSeq {
+		pd := f.unacked.Pop()
 		msgID := pd.pkt.MsgID
 		pd.pkt.Release() // the sender's reference: the bytes are delivered
 		progress = true
@@ -1086,7 +1020,7 @@ func (n *NIC) handleAck(p *sim.Proc, pkt *fabric.Packet) {
 			// frees the descriptor.
 			d := pd.desc
 			tracked := d.Kind == DescData || d.Kind == DescRMAWrite
-			live := f.inflightEntry(msgID) != nil
+			live := f.inflightIdx(msgID) >= 0
 			ev, post := n.sendEvent(EvSendDone, d), (!tracked || live) && !d.NoEvent
 			n.retireSend(f, msgID, d, true)
 			if post {
@@ -1099,7 +1033,7 @@ func (n *NIC) handleAck(p *sim.Proc, pkt *fabric.Packet) {
 	}
 	f.timer.Cancel()
 	f.timer = sim.Timer{}
-	if f.unacked.len() > 0 {
+	if f.unacked.Len() > 0 {
 		n.armTimer(f)
 	}
 }
@@ -1111,7 +1045,7 @@ func (n *NIC) handleNack(p *sim.Proc, pkt *fabric.Packet) {
 	if n.noteEpoch(p, f, pkt.Epoch) {
 		return
 	}
-	if f.unacked.len() == 0 {
+	if f.unacked.Len() == 0 {
 		return
 	}
 	// Back off briefly, then go-back-N from the NACKed point; the
@@ -1251,18 +1185,15 @@ func (n *NIC) handleData(p *sim.Proc, pkt *fabric.Packet) {
 				Stamp: n.env.Now(), Trace: pkt.Trace,
 			})
 		}
-		n.asmFree = append(n.asmFree, asm)
+		n.asms.Put(asm)
 	}
 }
 
 // newAssembly returns a cleared assembly record for a message of frags
 // fragments, reusing one a completed message gave back (handleData).
 func (n *NIC) newAssembly(frags int) *rxAssembly {
-	var asm *rxAssembly
-	if k := len(n.asmFree); k > 0 {
-		asm = n.asmFree[k-1]
-		n.asmFree = n.asmFree[:k-1]
-	} else {
+	asm, ok := n.asms.Get()
+	if !ok {
 		asm = &rxAssembly{}
 	}
 	set := asm.gotSet[:0]

@@ -66,8 +66,8 @@ func TestCumulativeAckClearsWindow(t *testing.T) {
 	if !done {
 		t.Fatal("send never completed despite cumulative ACKs")
 	}
-	if r.nics[0].tx.Get(1).unacked.len() != 0 {
-		t.Fatalf("%d packets still unacked", r.nics[0].tx.Get(1).unacked.len())
+	if r.nics[0].tx.Get(1).unacked.Len() != 0 {
+		t.Fatalf("%d packets still unacked", r.nics[0].tx.Get(1).unacked.Len())
 	}
 	// The dropped ACKs may or may not have caused retransmission
 	// (timing); the invariant is full delivery with an empty window.
@@ -278,7 +278,7 @@ func TestFragmentSendAllocations(t *testing.T) {
 	perMsg := func(size int) float64 {
 		s := newStreamRig(t, bclConfig(), size)
 		defer s.env.Close()
-		for i := 0; i < 2*rxDoneRing; i++ { // warm pools, free lists and the done-ring
+		for i := 0; i < 2*DoneRing; i++ { // warm pools, free lists and the done-ring
 			s.one()
 		}
 		return testing.AllocsPerRun(100, s.one)
@@ -306,64 +306,83 @@ func TestReplayOrderStaysBounded(t *testing.T) {
 	if got := s.nics[1].Stats().MsgsReceived; got != 10000 {
 		t.Fatalf("%d messages delivered, want 10000", got)
 	}
-	if f.inflight.len() > s.nics[0].cfg.Window || f.inflightN != 0 {
-		t.Fatalf("after 10000 acked messages: %d entries in the replay order, %d in flight (window %d)",
-			f.inflight.len(), f.inflightN, s.nics[0].cfg.Window)
+	if f.inflight.Len() != 0 {
+		t.Fatalf("after 10000 acked messages: %d entries in the replay order", f.inflight.Len())
 	}
 	s.assertDrained(t)
 }
 
-// TestRing covers the queue behind the send rings and retransmit
-// windows: FIFO order across growth and wrap-around, absolute indices
-// that go stale on pop, and popped slots cleared so the ring keeps
-// nothing it no longer holds reachable.
-func TestRing(t *testing.T) {
-	var r ring[*int]
-	next, want := 0, 0
-	push := func(k int) {
-		for ; k > 0; k-- {
-			v := next
-			r.push(&v)
-			next++
+// TestRetiredSendsLeaveTheReplayOrder: a message retires out of its
+// flow's replay order at once, wherever it stands. One send stays stuck
+// toward a dead peer, in its retry ladder for the whole run, while 10 000
+// sends to another node retire four in flight at a time: each flow's
+// ring ends holding only its live messages, in no more than twice the
+// slots they ever needed. (A ring that kept retired entries behind a
+// live head, or anywhere, until something compacted it grew by one slot
+// a message here.)
+func TestRetiredSendsLeaveTheReplayOrder(t *testing.T) {
+	cfg := bclConfig()
+	cfg.MaxRetries = 1 << 30
+	r := newRigOf(t, cfg, 3)
+	n := r.nics[0]
+	peak := 0
+	r.fab.SetFault(func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
+		if f := n.tx.Get(2); f != nil {
+			peak = max(peak, f.inflight.Len())
+		}
+		if pkt.Dst == 1 {
+			return fabric.Drop
+		}
+		return fabric.Deliver
+	})
+	const msgs, outstanding, bufs = 10000, 4, 8
+	_, sseg := r.pinnedSegs(t, 0, make([]byte, 64))
+	sp := n.RegisterPort(1)
+	r.nics[1].RegisterPort(2)
+	rp := r.nics[2].RegisterPort(2)
+	segs := map[mem.VAddr][]mem.Segment{}
+	for i := 0; i < bufs; i++ {
+		va, seg := r.recvBuf(t, 2, 64)
+		segs[va] = seg
+		if err := r.nics[2].AddSystemBuffer(2, lendRecv(r.nics[2], RecvDesc{Len: 64, Segs: seg, VA: va})); err != nil {
+			t.Fatal(err)
 		}
 	}
-	pop := func(k int) {
-		for ; k > 0; k-- {
-			abs := r.head
-			if got := *r.pop(); got != want {
-				t.Fatalf("popped %d, want %d", got, want)
+	send := func(p *sim.Proc, dst int) {
+		n.PostSend(p, lend(n, SendDesc{
+			Kind: DescData, MsgID: n.NextMsgID(), SrcPort: 1, DstNode: dst, DstPort: 2, Len: 64, Segs: sseg,
+		}))
+	}
+	done := 0
+	r.env.Go("sender", func(p *sim.Proc) {
+		send(p, 1)
+		for i := 0; i < msgs; i++ {
+			if i >= outstanding {
+				sp.SendEvQ.Recv(p)
 			}
-			if r.live(abs) != nil {
-				t.Fatalf("entry %d still live after its pop", abs)
+			send(p, 2)
+		}
+	})
+	r.env.Go("receiver", func(p *sim.Proc) {
+		for ; done < msgs; done++ {
+			ev := rp.RecvEvQ.Recv(p)
+			if err := r.nics[2].AddSystemBuffer(2, lendRecv(r.nics[2], RecvDesc{Len: 64, Segs: segs[ev.VA], VA: ev.VA})); err != nil {
+				t.Error(err)
 			}
-			want++
 		}
+	})
+	r.env.RunUntil(sim.Second)
+	if done != msgs || n.PeerHealth(1) == PeerDead {
+		t.Fatalf("%d of %d messages delivered, peer 1 %v: want all, and the stuck send still retrying", done, msgs, n.PeerHealth(1))
 	}
-	push(3)
-	pop(2)
-	push(9) // grows 4 -> 16 with a wrapped window
-	pop(5)
-	push(11)
-	if r.len() != 16 || len(r.slots) != 16 {
-		t.Fatalf("len %d in %d slots, want a full ring of 16", r.len(), len(r.slots))
+	stuck, live := n.tx.Get(1), n.tx.Get(2)
+	if stuck.inflight.Len() != 1 || live.inflight.Len() != 0 {
+		t.Fatalf("replay orders hold %d and %d messages, want the stuck one and none", stuck.inflight.Len(), live.inflight.Len())
 	}
-	for i := 0; i < r.len(); i++ {
-		if got := **r.at(i); got != want+i {
-			t.Fatalf("at(%d) = %d, want %d", i, got, want+i)
-		}
-		if r.live(r.head+uint64(i)) != r.at(i) {
-			t.Fatalf("live(%d) is not at(%d)", r.head+uint64(i), i)
-		}
+	if c := live.inflight.Cap(); peak < 2 || c > 2*peak {
+		t.Fatalf("the replay order toward the live peer has %d slots for at most %d messages in flight", c, peak)
 	}
-	if r.live(r.head+uint64(r.len())) != nil {
-		t.Fatal("index past the tail reported live")
-	}
-	pop(16)
-	for i, p := range r.slots {
-		if p != nil {
-			t.Fatalf("slot %d still holds a popped entry", i)
-		}
-	}
+	r.env.Close()
 }
 
 // TestFaultHookNeverTouchesRetainedPayload: a hook that scribbles over
@@ -386,8 +405,8 @@ func TestFaultHookNeverTouchesRetainedPayload(t *testing.T) {
 			pkt.Payload[i] ^= 0xff
 		}
 		window := &r.nics[0].tx.Get(1).unacked
-		for i := 0; i < window.len(); i++ {
-			kept := window.at(i).pkt
+		for i := 0; i < window.Len(); i++ {
+			kept := window.At(i).pkt
 			if !bytes.Equal(kept.Payload, payload[kept.Offset:kept.Offset+len(kept.Payload)]) {
 				t.Errorf("retained fragment at offset %d changed under the fault hook", kept.Offset)
 			}

@@ -22,7 +22,9 @@ package nic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"bcl/internal/fabric"
@@ -261,9 +263,6 @@ func (p *Port) TakeRecv(channel, msgLen int) (buf RecvDesc, posted bool) {
 	return buf, true
 }
 
-// SystemPoolLen returns the number of free system-pool buffers.
-func (p *Port) SystemPoolLen() int { return p.system.Len() }
-
 // PeerHealth is the firmware's liveness belief about one destination,
 // driven by the retransmit machinery (see the state machine in mcp.go).
 type PeerHealth uint8
@@ -375,12 +374,9 @@ type NIC struct {
 	sendWork  *sim.Cond
 	arriveSeq uint64 // card-global post order, stamps queuedSend.arrival
 
-	// Descriptor free lists (GetSendDesc, GetRecvDesc) and how many
-	// descriptors each has out.
-	sendFree []*SendDesc
-	recvFree []*RecvDesc
-	sendOut  int
-	recvOut  int
+	// Descriptor free lists (GetSendDesc, GetRecvDesc).
+	sendDescs sim.FreeList[*SendDesc]
+	recvDescs sim.FreeList[*RecvDesc]
 
 	// InterruptHandler is invoked (in scheduler context) for each
 	// event when Config.Completion == Interrupt. The kernel model
@@ -425,10 +421,10 @@ type NIC struct {
 	// Scratch the single-process engines reuse from one call to the
 	// next: the scatter/gather slices of the fetch and receive engines'
 	// resolve calls, the retransmit engine's current round, and the
-	// receive engine's spare assembly records.
+	// receive engine's assembly records of completed messages.
 	fetchSegs, recvSegs []mem.Segment
 	retxRound           []*fabric.Packet
-	asmFree             []*rxAssembly // assembly records of completed messages, for reuse
+	asms                sim.FreeList[*rxAssembly]
 
 	stats Stats
 }
@@ -479,11 +475,6 @@ func (n *NIC) Node() int { return n.node }
 // Stats returns a snapshot of the NIC counters.
 func (n *NIC) Stats() Stats { return n.stats }
 
-// SRAMInUse reports the bytes of NIC SRAM currently held (staging
-// buffers of in-flight fragments and collective slots) — zero when the
-// card is quiescent, which leak tests assert.
-func (n *NIC) SRAMInUse() int { return n.sram.InUse() }
-
 // PoolInUse reports the packet descriptors and payload buffers
 // outstanding from the pool this NIC builds packets from, which every
 // NIC on the fabric shares — both zero once the whole fabric is
@@ -507,14 +498,11 @@ var poisonDescs = testing.Testing()
 // no other point. A caller may still build a SendDesc itself: that one
 // is the garbage collector's and the firmware never reuses it.
 func (n *NIC) GetSendDesc() *SendDesc {
-	var d *SendDesc
-	if k := len(n.sendFree); k > 0 {
-		d, n.sendFree = n.sendFree[k-1], n.sendFree[:k-1]
-	} else {
+	d, ok := n.sendDescs.Get()
+	if !ok {
 		d = new(SendDesc)
 	}
 	*d = SendDesc{owner: n}
-	n.sendOut++
 	return d
 }
 
@@ -528,16 +516,16 @@ func (n *NIC) putSendDesc(d *SendDesc, reusable bool) {
 	if d == nil || d.owner != n {
 		return
 	}
-	n.sendOut--
 	if !reusable || d.shared {
 		d.owner = nil
+		n.sendDescs.Abandon()
 		return
 	}
 	*d = SendDesc{}
 	if poisonDescs {
 		d.MsgID, d.Len = ^uint64(0), -1
 	}
-	n.sendFree = append(n.sendFree, d)
+	n.sendDescs.Put(d)
 }
 
 // GetRecvDesc hands out a cleared receive descriptor from the card's
@@ -546,14 +534,11 @@ func (n *NIC) putSendDesc(d *SendDesc, reusable bool) {
 // which puts it back when the message that lands in it is complete and
 // the journal has forgotten the posting, or when its port closes.
 func (n *NIC) GetRecvDesc() *RecvDesc {
-	var d *RecvDesc
-	if k := len(n.recvFree); k > 0 {
-		d, n.recvFree = n.recvFree[k-1], n.recvFree[:k-1]
-	} else {
+	d, ok := n.recvDescs.Get()
+	if !ok {
 		d = new(RecvDesc)
 	}
 	*d = RecvDesc{pooled: true}
-	n.recvOut++
 	return d
 }
 
@@ -561,19 +546,49 @@ func (n *NIC) putRecvDesc(d *RecvDesc) {
 	if d == nil || !d.pooled {
 		return
 	}
-	n.recvOut--
 	*d = RecvDesc{}
 	if poisonDescs {
 		d.Len = -1
 	}
-	n.recvFree = append(n.recvFree, d)
+	n.recvDescs.Put(d)
 }
 
-// DescsInUse reports the descriptors out of the card's free lists: send
-// descriptors not yet retired — zero when the card is quiescent — and
-// receive descriptors posted or being filled, which at quiesce is
-// exactly the postings the card holds. Leak tests assert both.
-func (n *NIC) DescsInUse() (send, recv int) { return n.sendOut, n.recvOut }
+// Drained reports every resource the card holds that a quiescent card
+// does not, as one error naming each (nil if there is none): NIC SRAM,
+// packet descriptors or payload buffers out of the pool the NICs on a
+// fabric share, send descriptors not yet retired, and receive
+// descriptors out other than the postings the card's port tables hold.
+// Leak tests and soaks end with it.
+func (n *NIC) Drained() error {
+	var held []string
+	if b := n.sram.InUse(); b != 0 {
+		held = append(held, fmt.Sprintf("%d B of SRAM", b))
+	}
+	if d, b := n.pool.InUse(); d != 0 || b != 0 {
+		held = append(held, fmt.Sprintf("%d packet descriptors and %d payloads out of the pool", d, b))
+	}
+	if s := n.sendDescs.InUse(); s != 0 {
+		held = append(held, fmt.Sprintf("%d send descriptors unretired", s))
+	}
+	posted := 0
+	for _, pt := range n.ports.All() {
+		if pt != nil {
+			for _, d := range slices.Concat(pt.normal.All(), pt.open.All()) {
+				if d != nil && d.pooled {
+					posted++
+				}
+			}
+			posted += pt.system.Len()
+		}
+	}
+	if r := n.recvDescs.InUse(); r != posted {
+		held = append(held, fmt.Sprintf("%d receive descriptors out for %d postings held", r, posted))
+	}
+	if held == nil {
+		return nil
+	}
+	return fmt.Errorf("nic%d not drained: %s", n.node, strings.Join(held, ", "))
+}
 
 // consumed ends a posting once the message in it is whole: the journal
 // forgets it (channel 0 is the system pool, matched by address), and
@@ -650,7 +665,7 @@ func (n *NIC) Collect(set obs.Set) {
 func (n *NIC) CollectGauges(set obs.GaugeSet) {
 	depth := 0
 	for _, r := range n.ringOrder {
-		depth += r.q.len()
+		depth += r.q.Len()
 		if r.cur != nil {
 			depth++
 		}
@@ -659,8 +674,8 @@ func (n *NIC) CollectGauges(set obs.GaugeSet) {
 	inflight, unacked := 0, 0
 	for _, f := range n.tx.All() {
 		if f != nil {
-			inflight += f.inflightN
-			unacked += f.unacked.len()
+			inflight += f.inflight.Len()
+			unacked += f.unacked.Len()
 		}
 	}
 	set(n.node, "nic", "tx_inflight", int64(inflight))
@@ -786,7 +801,7 @@ type sendRing struct {
 	port    int
 	weight  int // WRR: fragments per arbiter round
 	credits int // WRR: fragments left in the current round
-	q       ring[queuedSend]
+	q       sim.Ring[queuedSend]
 	cur     *SendDesc // message currently being fragmented
 	fragIdx int       // next fragment of cur to fetch
 	frags   int       // total fragments of cur
@@ -803,7 +818,7 @@ type queuedSend struct {
 }
 
 // hasWork reports whether the ring has a message in flight or queued.
-func (r *sendRing) hasWork() bool { return r.cur != nil || r.q.len() > 0 }
+func (r *sendRing) hasWork() bool { return r.cur != nil || r.q.Len() > 0 }
 
 // addRing creates a ring and splices it into the sorted scan order.
 func (n *NIC) addRing(id, weight int) *sendRing {
@@ -853,7 +868,7 @@ func (n *NIC) postDesc(d *SendDesc) {
 		}
 	}
 	n.arriveSeq++
-	r.q.push(queuedSend{d: d, arrival: n.arriveSeq})
+	r.q.Push(queuedSend{d: d, arrival: n.arriveSeq})
 	// Journal the posting so a firmware reboot can replay it. RMA read
 	// requests are excluded: replaying one would fabricate a second
 	// reply at the target, and the initiator's reply channel is only

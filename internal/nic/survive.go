@@ -263,16 +263,8 @@ func (n *NIC) repost(d *SendDesc) {
 // their way down.
 func (n *NIC) retireSend(f *txFlow, msgID uint64, d *SendDesc, sent bool) {
 	if f != nil {
-		if e := f.inflightEntry(msgID); e != nil {
-			e.d = nil
-			f.inflightN--
-		}
-		// Drop retired messages off the head of the replay order, so it
-		// holds the messages in flight and not every message ever sent.
-		// Ones retired out of order wait behind a live head; the replay
-		// skips them either way.
-		for f.inflight.len() > 0 && f.inflight.at(0).d == nil {
-			f.inflight.pop()
+		if i := f.inflightIdx(msgID); i >= 0 {
+			f.inflight.Remove(i)
 		}
 	}
 	if n.Journal != nil {
@@ -374,7 +366,7 @@ func (n *NIC) handleResync(p *sim.Proc, pkt *fabric.Packet) {
 	// Same epoch: only rewind when our window has genuinely run past
 	// the receiver (a duplicate RESYNC after a completed rewind, or a
 	// lost-RESYNC retry, lands here harmlessly).
-	if f.unacked.len() > 0 && f.unacked.at(0).pkt.Seq > pkt.AckSeq {
+	if f.unacked.Len() > 0 && f.unacked.At(0).pkt.Seq > pkt.AckSeq {
 		n.resyncFlow(p, f)
 	}
 }
@@ -391,13 +383,13 @@ func (n *NIC) resyncFlow(p *sim.Proc, f *txFlow) {
 	now := n.env.Now()
 	n.Tracer.Add("nic: epoch resync", n.where(), now, now)
 	n.obs.Event(now, n.node, "nic", "resync-rewind", 0,
-		fmt.Sprintf("dst=%d epoch=%d msgs=%d", f.dst, f.peerEpoch, f.inflightN))
+		fmt.Sprintf("dst=%d epoch=%d msgs=%d", f.dst, f.peerEpoch, f.inflight.Len()))
 	f.timer.Cancel()
 	f.timer = sim.Timer{}
 	f.retries = 0
 	var resend []pending
-	for f.unacked.len() > 0 {
-		pd := f.unacked.pop()
+	for f.unacked.Len() > 0 {
+		pd := f.unacked.Pop()
 		if pd.desc.Kind == DescCollMcast || pd.desc.Kind == DescCollComb {
 			resend = append(resend, pd) // packet and SRAM ride along to the coll engine
 			continue
@@ -411,10 +403,8 @@ func (n *NIC) resyncFlow(p *sim.Proc, f *txFlow) {
 	// Re-admit the peer before reposting, or the replay would fail fast
 	// against the Dead belief its own crash produced.
 	n.markPeerUp(f)
-	for i := 0; i < f.inflight.len(); i++ {
-		if d := f.inflight.at(i).d; d != nil {
-			n.repost(d)
-		}
+	for i := 0; i < f.inflight.Len(); i++ {
+		n.repost(*f.inflight.At(i))
 	}
 	for _, pd := range resend {
 		n.collQ.Post(collJob{

@@ -350,8 +350,8 @@ func TestClosePortMidRetransmitDrains(t *testing.T) {
 	if r.nics[0].rings.Get(1) != nil {
 		t.Fatal("closed port's send ring never drained and removed")
 	}
-	if f := r.nics[0].tx.Get(1); f != nil && f.unacked.len() != 0 {
-		t.Fatalf("orphaned window entries after close: %d", f.unacked.len())
+	if f := r.nics[0].tx.Get(1); f != nil && f.unacked.Len() != 0 {
+		t.Fatalf("orphaned window entries after close: %d", f.unacked.Len())
 	}
 	for id := range j.sendIdx {
 		if !j.retired[id] {

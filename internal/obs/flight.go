@@ -22,8 +22,8 @@ type Event struct {
 // Recorder is a bounded ring buffer of recent protocol events: cheap
 // enough to leave on, dumped on assertion failures and on demand.
 type Recorder struct {
-	buf   []Event
-	next  int
+	buf   sim.Ring[Event]
+	keep  int
 	total uint64
 }
 
@@ -32,7 +32,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Recorder{buf: make([]Event, 0, capacity)}
+	return &Recorder{keep: capacity}
 }
 
 // Record appends an event, evicting the oldest once full. A nil
@@ -41,13 +41,7 @@ func (r *Recorder) Record(t sim.Time, node int, layer, what string, trace uint64
 	if r == nil {
 		return
 	}
-	e := Event{T: t, Node: node, Layer: layer, What: what, Trace: trace, Detail: detail}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-		r.next = (r.next + 1) % len(r.buf)
-	}
+	r.buf.PushLast(Event{T: t, Node: node, Layer: layer, What: what, Trace: trace, Detail: detail}, r.keep)
 	r.total++
 }
 
@@ -66,20 +60,15 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.total - uint64(len(r.buf))
+	return r.total - uint64(r.buf.Len())
 }
 
 // Events returns the retained events, oldest first.
 func (r *Recorder) Events() []Event {
-	if r == nil || len(r.buf) == 0 {
+	if r == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(r.buf))
-	if len(r.buf) < cap(r.buf) {
-		return append(out, r.buf...)
-	}
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
+	return r.buf.AppendTo(nil)
 }
 
 // Text renders the last n retained events (all of them if n <= 0) as a

@@ -108,9 +108,8 @@ func (e *Engine) alertBundle(r *Rule, tr Transition) *Bundle {
 	for name, pts := range e.series {
 		b.Series[name] = append([]Point(nil), pts...)
 	}
-	if len(e.window) > 0 {
-		oldest, cur := e.window[0], e.window[len(e.window)-1]
-		b.Diff = cur.Snap.Diff(oldest.Snap)
+	if n := e.window.Len(); n > 0 {
+		b.Diff = e.window.At(n - 1).Snap.Diff(e.window.At(0).Snap)
 	}
 	if e.o != nil {
 		b.Flight = flightEvents(e.o.Rec.Events())

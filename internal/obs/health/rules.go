@@ -118,7 +118,7 @@ type Engine struct {
 	SlowLog func(n int) []SlowEntry
 
 	o           *obs.Obs
-	window      []obs.Sample
+	window      sim.Ring[obs.Sample]
 	series      map[string][]Point
 	state       []ruleState
 	transitions []Transition
@@ -152,14 +152,12 @@ func (e *Engine) Step(s obs.Sample) {
 	if e.Window <= 1 {
 		e.Window = 2
 	}
-	if len(e.window) >= e.Window {
-		e.window = append(e.window[:0], e.window[1:]...)
-	}
-	e.window = append(e.window, s)
-	if len(e.window) < 2 {
+	e.window.PushLast(s, e.Window)
+	n := e.window.Len()
+	if n < 2 {
 		return
 	}
-	prev, cur := e.window[len(e.window)-2], e.window[len(e.window)-1]
+	prev, cur := *e.window.At(n - 2), *e.window.At(n - 1)
 	for i, r := range e.Rules {
 		v, bound := r.eval(prev, cur)
 		v, bound = round6(v), round6(bound)

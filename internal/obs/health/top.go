@@ -104,12 +104,12 @@ func nicNodes(s *obs.Snapshot) []int {
 // Frames renders one bcltop frame per evaluated window in the retained
 // history — the "live" view of a finished run, replayed.
 func (e *Engine) Frames() []string {
-	if e == nil || len(e.window) < 2 {
+	if e == nil || e.window.Len() < 2 {
 		return nil
 	}
 	var out []string
-	for i := 1; i < len(e.window); i++ {
-		out = append(out, e.frame(e.window[i-1], e.window[i]))
+	for i := 1; i < e.window.Len(); i++ {
+		out = append(out, e.frame(*e.window.At(i - 1), *e.window.At(i)))
 	}
 	return out
 }
@@ -117,11 +117,12 @@ func (e *Engine) Frames() []string {
 // TopText renders the final bcltop frame plus the tail of the alert
 // log — what a live terminal would show at the end of the run.
 func (e *Engine) TopText() string {
-	if e == nil || len(e.window) < 2 {
+	if e == nil || e.window.Len() < 2 {
 		return "(no samples)\n"
 	}
 	var b strings.Builder
-	b.WriteString(e.frame(e.window[len(e.window)-2], e.window[len(e.window)-1]))
+	n := e.window.Len()
+	b.WriteString(e.frame(*e.window.At(n - 2), *e.window.At(n - 1)))
 	trs := e.Transitions()
 	if len(trs) == 0 {
 		b.WriteString("alerts: none\n")

@@ -35,7 +35,7 @@ type Obs struct {
 	// deterministic.
 	OnSample func(Sample)
 
-	samples    []Sample
+	samples    sim.Ring[Sample]
 	keep       int
 	sampler    sim.Timer
 	samplerEnv *sim.Env
@@ -155,21 +155,18 @@ func (o *Obs) StopSampler() {
 }
 
 func (o *Obs) addSample(s Sample) {
-	if len(o.samples) >= o.keep {
-		o.samples = append(o.samples[:0], o.samples[1:]...)
-	}
-	o.samples = append(o.samples, s)
+	o.samples.PushLast(s, o.keep)
 	if o.OnSample != nil {
 		o.OnSample(s)
 	}
 }
 
-// Samples returns the sampler's time series, oldest first.
+// Samples returns a copy of the sampler's time series, oldest first.
 func (o *Obs) Samples() []Sample {
 	if o == nil {
 		return nil
 	}
-	return o.samples
+	return o.samples.AppendTo(nil)
 }
 
 // TimelineCol names one column of a metrics timeline: a counter summed
@@ -184,7 +181,7 @@ type TimelineCol struct {
 // sample, one column per counter (cumulative values, summed across
 // nodes).
 func (o *Obs) TimelineText(cols []TimelineCol) string {
-	if o == nil || len(o.samples) == 0 {
+	if o == nil || o.samples.Len() == 0 {
 		return "(no samples)\n"
 	}
 	var b strings.Builder
@@ -193,7 +190,7 @@ func (o *Obs) TimelineText(cols []TimelineCol) string {
 		fmt.Fprintf(&b, " %14s", c.Label)
 	}
 	b.WriteByte('\n')
-	for _, s := range o.samples {
+	for _, s := range o.Samples() {
 		fmt.Fprintf(&b, "%8.1fms", float64(s.At)/float64(sim.Millisecond))
 		for _, c := range cols {
 			fmt.Fprintf(&b, " %14d", s.Snap.SumCounter(c.Layer, c.Name))

@@ -33,11 +33,7 @@ type portShadow struct {
 	weight int
 	normal sim.Table[*nic.RecvDesc] // channel -> armed posting
 	opens  sim.Table[*nic.RecvDesc] // channel -> RMA open buffer
-	// The system pool in posting order is sys[sysHead:]. Consumed
-	// entries leave from the front; the storage is slid back down when an
-	// append would otherwise grow it, so a pool in steady state is a ring.
-	sys     []sysEntry
-	sysHead int
+	sys    sim.Ring[sysEntry]       // the system pool, in posting order
 }
 
 // sendEntry is one journaled send, held by value: the id is the
@@ -45,19 +41,7 @@ type portShadow struct {
 // has retired and recycled it.
 type sendEntry struct {
 	id   uint64
-	desc *nic.SendDesc // nil once retired
-}
-
-// shadowDoneRing mirrors the NIC's receive-side done-ring depth; it
-// must be at least as deep as the firmware's ring or a replayed sender
-// could slip a duplicate past a rebooted receiver.
-const shadowDoneRing = 128
-
-// doneLog is the last shadowDoneRing message ids delivered from one
-// source node; once full, next is the oldest entry and the next to go.
-type doneLog struct {
-	ids  []uint64
-	next int
+	desc *nic.SendDesc
 }
 
 // NICShadow is the kernel's journal of NIC control-plane state. It
@@ -70,16 +54,12 @@ type doneLog struct {
 type NICShadow struct {
 	ports sim.Table[*portShadow]
 	colls map[int]*nic.CollSpec
-	// The journaled sends in posting order — the card-global submission
-	// order a replay preserves — are sends[sendHead:], liveSends of them
-	// unretired; a retired one waits for the front to reach it or for the
-	// next compaction. maxID is the highest id ever posted: a higher one
-	// is new without a search.
-	sends     []sendEntry
-	sendHead  int
-	liveSends int
-	maxID     uint64
-	rxDone    sim.Table[*doneLog] // by source node
+	// The unretired sends in posting order: the card-global submission
+	// order a replay preserves. maxID is the highest id ever posted: a
+	// higher one is new without a search.
+	sends  sim.Ring[sendEntry]
+	maxID  uint64
+	rxDone sim.Table[*sim.Ring[uint64]] // by source node: the last nic.DoneRing ids delivered
 }
 
 func newNICShadow() *NICShadow {
@@ -95,14 +75,15 @@ func (s *NICShadow) port(id int) *portShadow {
 	return ps
 }
 
-// findSend returns the journal entry of a message id, retired or not.
-func (s *NICShadow) findSend(msgID uint64) *sendEntry {
-	for i := s.sendHead; i < len(s.sends); i++ {
-		if s.sends[i].id == msgID {
-			return &s.sends[i]
+// findSend returns the position of an unretired send in the queue, -1
+// if there is none.
+func (s *NICShadow) findSend(msgID uint64) int {
+	for i := 0; i < s.sends.Len(); i++ {
+		if s.sends.At(i).id == msgID {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // SendPosted implements nic.Journal. Idempotent per MsgID: a rewind
@@ -111,54 +92,20 @@ func (s *NICShadow) findSend(msgID uint64) *sendEntry {
 func (s *NICShadow) SendPosted(d *nic.SendDesc) {
 	if d.MsgID > s.maxID {
 		s.maxID = d.MsgID
-	} else if e := s.findSend(d.MsgID); e != nil {
-		// A replay, or a retired send whose trailing re-post must stay
-		// retired. (An id below maxID that is not here is a second port
+	} else if i := s.findSend(d.MsgID); i >= 0 {
+		// A replay. (An id below maxID that is not here is a second port
 		// posting out of id order.)
-		if e.desc != nil {
-			e.desc = d
-		}
+		s.sends.At(i).desc = d
 		return
 	}
-	if len(s.sends) == cap(s.sends) && len(s.sends) > s.liveSends {
-		s.compactSends()
-	}
-	s.sends = append(s.sends, sendEntry{id: d.MsgID, desc: d})
-	s.liveSends++
+	s.sends.Push(sendEntry{id: d.MsgID, desc: d})
 }
 
 // SendRetired implements nic.Journal.
 func (s *NICShadow) SendRetired(msgID uint64) {
-	if e := s.findSend(msgID); e != nil && e.desc != nil {
-		e.desc = nil
-		s.liveSends--
-		s.popRetired()
+	if i := s.findSend(msgID); i >= 0 {
+		s.sends.Remove(i)
 	}
-}
-
-// popRetired advances the front of the send queue past retired entries;
-// a queue that empties starts over at the front of its storage, which
-// is every retirement of a process with one send outstanding.
-func (s *NICShadow) popRetired() {
-	for s.sendHead < len(s.sends) && s.sends[s.sendHead].desc == nil {
-		s.sendHead++
-	}
-	if s.sendHead == len(s.sends) {
-		s.sends, s.sendHead = s.sends[:0], 0
-	}
-}
-
-// compactSends slides the unretired sends down to the front of the
-// storage, in order.
-func (s *NICShadow) compactSends() {
-	live := s.sends[:0]
-	for _, e := range s.sends[s.sendHead:] {
-		if e.desc != nil {
-			live = append(live, e)
-		}
-	}
-	clear(s.sends[len(live):])
-	s.sends, s.sendHead = live, 0
 }
 
 // RecvConsumed implements nic.Journal.
@@ -177,42 +124,22 @@ func (s *NICShadow) SysConsumed(port int, va mem.VAddr) {
 	if ps == nil {
 		return
 	}
-	for i := ps.sysHead; i < len(ps.sys); i++ {
-		if ps.sys[i].va != va {
-			continue
+	for i := 0; i < ps.sys.Len(); i++ {
+		if ps.sys.At(i).va == va {
+			ps.sys.Remove(i)
+			return
 		}
-		if i > ps.sysHead {
-			copy(ps.sys[ps.sysHead+1:], ps.sys[ps.sysHead:i])
-		}
-		ps.sys[ps.sysHead] = sysEntry{}
-		ps.sysHead++
-		return
 	}
-}
-
-// sysBuf journals a buffer appended to the port's system pool.
-func (ps *portShadow) sysBuf(e sysEntry) {
-	if len(ps.sys) == cap(ps.sys) && ps.sysHead > 0 {
-		n := copy(ps.sys, ps.sys[ps.sysHead:])
-		clear(ps.sys[n:])
-		ps.sys, ps.sysHead = ps.sys[:n], 0
-	}
-	ps.sys = append(ps.sys, e)
 }
 
 // MsgDone implements nic.Journal: mirror of the receive-side done-ring.
 func (s *NICShadow) MsgDone(src int, msgID uint64) {
 	l := s.rxDone.Get(src)
 	if l == nil {
-		l = &doneLog{}
+		l = &sim.Ring[uint64]{}
 		s.rxDone.Set(src, l)
 	}
-	if len(l.ids) < shadowDoneRing {
-		l.ids = append(l.ids, msgID)
-		return
-	}
-	l.ids[l.next] = msgID
-	l.next = (l.next + 1) % shadowDoneRing
+	l.PushLast(msgID, nic.DoneRing)
 }
 
 // closePort drops a port's journal records, including any still-queued
@@ -220,13 +147,11 @@ func (s *NICShadow) MsgDone(src int, msgID uint64) {
 // resurrected by a later replay.
 func (s *NICShadow) closePort(id int) {
 	s.ports.Set(id, nil)
-	for i := s.sendHead; i < len(s.sends); i++ {
-		if e := &s.sends[i]; e.desc != nil && e.desc.SrcPort == id {
-			e.desc = nil
-			s.liveSends--
+	for i := s.sends.Len() - 1; i >= 0; i-- {
+		if s.sends.At(i).desc.SrcPort == id {
+			s.sends.Remove(i) // the older entries keep their positions
 		}
 	}
-	s.popRetired()
 }
 
 // Pending reports the number of live journal records (for tests and
@@ -238,10 +163,10 @@ func (s *NICShadow) Pending() (ports, recvs, colls, sends int) {
 	}
 	for _, ps := range s.ports.All() {
 		if ps != nil {
-			recvs += ps.normal.Len() + ps.opens.Len() + len(ps.sys) - ps.sysHead
+			recvs += ps.normal.Len() + ps.opens.Len() + ps.sys.Len()
 		}
 	}
-	return s.ports.Len(), recvs, len(s.colls), s.liveSends
+	return s.ports.Len(), recvs, len(s.colls), s.sends.Len()
 }
 
 // ---------------------------------------------------------------------
@@ -287,7 +212,7 @@ func (k *Kernel) ShadowPostRecv(port, channel int, d *nic.RecvDesc) {
 // ShadowSysBuf journals a system-pool buffer.
 func (k *Kernel) ShadowSysBuf(port int, va mem.VAddr, d *nic.RecvDesc) {
 	if k.shadow != nil {
-		k.shadow.port(port).sysBuf(sysEntry{va: va, desc: d})
+		k.shadow.port(port).sys.Push(sysEntry{va: va, desc: d})
 	}
 }
 
@@ -367,7 +292,9 @@ func (k *Kernel) recoverNIC(p *sim.Proc, n *nic.NIC) {
 // must exist before sends), then receive postings (buffers must be
 // armed before replayed peers' traffic lands), then collective
 // contexts, then the receive done-ring, then unretired sends in their
-// original submission order.
+// original submission order. Each queue is replayed as it stood when
+// its turn came: a send or buffer posted while the replay sleeps went
+// to the card already.
 func (k *Kernel) replayNIC(p *sim.Proc, n *nic.NIC) {
 	s := k.shadow
 	if s == nil {
@@ -400,7 +327,7 @@ func (k *Kernel) replayNIC(p *sim.Proc, n *nic.NIC) {
 				records++
 			}
 		}
-		for _, e := range ps.sys[ps.sysHead:] {
+		for _, e := range ps.sys.AppendTo(nil) {
 			p.Sleep(k.prof.PIOFill(k.prof.RecvDescWords))
 			n.AddSystemBuffer(id, e.desc)
 			records++
@@ -419,18 +346,16 @@ func (k *Kernel) replayNIC(p *sim.Proc, n *nic.NIC) {
 	}
 	for src, l := range s.rxDone.All() {
 		if l != nil {
-			ids := append(append([]uint64(nil), l.ids[l.next:]...), l.ids[:l.next]...) // oldest first
+			ids := l.AppendTo(nil) // oldest first
 			p.Sleep(k.prof.PIOFill(2 * len(ids)))
 			n.RestoreRxDone(src, ids)
 			records++
 		}
 	}
-	for _, e := range s.sends[s.sendHead:] {
-		if e.desc != nil {
-			p.Sleep(k.prof.PIOFill(k.prof.SendDescWords))
-			n.RepostSend(e.desc)
-			records++
-		}
+	for _, e := range s.sends.AppendTo(nil) {
+		p.Sleep(k.prof.PIOFill(k.prof.SendDescWords))
+		n.RepostSend(e.desc)
+		records++
 	}
 	k.stats.ReplayedRecords += records
 	n.Tracer.Add("kernel: replay NIC state", k.row, start, p.Now())

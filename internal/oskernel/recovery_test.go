@@ -90,7 +90,7 @@ func (s *shadowModel) SysConsumed(port int, va mem.VAddr) {
 
 func (s *shadowModel) MsgDone(src int, msgID uint64) {
 	ring := append(s.rxDone[src], msgID)
-	if len(ring) > shadowDoneRing {
+	if len(ring) > nic.DoneRing {
 		ring = ring[1:]
 	}
 	s.rxDone[src] = ring
@@ -181,7 +181,7 @@ func replayShadow(t *testing.T, prog []byte) {
 			}
 		case 9, 10: // a buffer joins the system pool
 			e := sysEntry{va: mem.VAddr(4096 * (1 + b%24)), desc: &nic.RecvDesc{}}
-			got.port(port).sysBuf(e)
+			got.port(port).sys.Push(e)
 			want.port(port).sys = append(want.port(port).sys, e)
 		case 11, 12: // a pool buffer is consumed: the front one, or (intra-node) any
 			if ps := want.ports[port]; ps != nil && len(ps.sys) > 0 {
@@ -219,13 +219,11 @@ func replayShadow(t *testing.T, prog []byte) {
 			t.Fatalf("step %d (op %d): Pending ports/recvs/sends = %d/%d/%d, model %d/%d/%d", step/3, op, gp, gr, gs, wp, wr, ws)
 		}
 		var gotSends, wantSends []*nic.SendDesc
-		for _, e := range got.sends[got.sendHead:] {
-			if e.desc != nil {
-				if e.id != e.desc.MsgID {
-					t.Fatalf("step %d: entry id %d holds descriptor of message %d", step/3, e.id, e.desc.MsgID)
-				}
-				gotSends = append(gotSends, e.desc)
+		for _, e := range got.sends.AppendTo(nil) {
+			if e.id != e.desc.MsgID {
+				t.Fatalf("step %d: entry id %d holds descriptor of message %d", step/3, e.id, e.desc.MsgID)
 			}
+			gotSends = append(gotSends, e.desc)
 		}
 		for _, e := range want.sends {
 			if !e.done {
@@ -243,8 +241,8 @@ func replayShadow(t *testing.T, prog []byte) {
 			if gps == nil {
 				continue
 			}
-			if !slices.Equal(gps.sys[gps.sysHead:], wps.sys) {
-				t.Fatalf("step %d (op %d): port %d system pool %v, model %v", step/3, op, id, gps.sys[gps.sysHead:], wps.sys)
+			if sys := gps.sys.AppendTo(nil); !slices.Equal(sys, wps.sys) {
+				t.Fatalf("step %d (op %d): port %d system pool %v, model %v", step/3, op, id, sys, wps.sys)
 			}
 			for c := 0; c <= 5; c++ {
 				if gps.normal.Get(c) != wps.normal[c] || gps.opens.Get(c) != wps.opens[c] {
@@ -255,14 +253,14 @@ func replayShadow(t *testing.T, prog []byte) {
 		for src := range doneID {
 			var ids []uint64
 			if l := got.rxDone.Get(src); l != nil {
-				ids = append(append(ids, l.ids[l.next:]...), l.ids[:l.next]...)
+				ids = l.AppendTo(nil)
 			}
 			if !slices.Equal(ids, want.rxDone[src]) {
 				t.Fatalf("step %d: done-ring of source %d is %v, model %v", step/3, src, ids, want.rxDone[src])
 			}
 		}
 	}
-	if c := cap(got.sends); c > 4*(64+len(inflight)) {
+	if c := got.sends.Cap(); c > 4*(64+len(inflight)) {
 		t.Fatalf("send journal holds %d entries for %d sends in flight", c, len(inflight))
 	}
 }
@@ -289,7 +287,7 @@ func TestShadowMatchesMapModel(t *testing.T) {
 		replayShadow(t, prog)
 	}
 	// The done mirror wraps: more completions than the ring is deep.
-	long := make([]byte, 3*3*shadowDoneRing)
+	long := make([]byte, 3*3*nic.DoneRing)
 	for i := 0; i < len(long); i += 3 {
 		long[i], long[i+1], long[i+2] = 15, byte(i%2), byte(i)
 	}
@@ -302,6 +300,40 @@ func FuzzShadow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) { replayShadow(t, prog) })
 }
 
+// TestRetiredSendsLeaveTheJournal: a retired send leaves the journal's
+// queue at once, wherever it stands. One send stays unretired toward a
+// dead peer while 10 000 sends to another node are posted and retire,
+// four in flight at a time: the queue ends holding only the live sends,
+// in posting order, in no more than twice the slots they ever needed.
+// (A queue that kept retired entries behind the stuck head until
+// something compacted it grew by one slot a send here.)
+func TestRetiredSendsLeaveTheJournal(t *testing.T) {
+	s := newNICShadow()
+	stuck := &nic.SendDesc{MsgID: 1, SrcPort: 1, DstNode: 1}
+	s.SendPosted(stuck)
+	inflight, peak := []*nic.SendDesc{stuck}, 0
+	for id := uint64(2); id < 10002; id++ {
+		d := &nic.SendDesc{MsgID: id, SrcPort: 1, DstNode: 2}
+		s.SendPosted(d)
+		inflight = append(inflight, d)
+		peak = max(peak, s.sends.Len())
+		if len(inflight) == 5 {
+			s.SendRetired(inflight[1].MsgID)
+			inflight = slices.Delete(inflight, 1, 2)
+		}
+	}
+	var got []*nic.SendDesc
+	for _, e := range s.sends.AppendTo(nil) {
+		got = append(got, e.desc)
+	}
+	if !slices.Equal(got, inflight) {
+		t.Fatalf("journal holds %d sends, want the %d live ones in posting order", len(got), len(inflight))
+	}
+	if c := s.sends.Cap(); c > 2*peak {
+		t.Fatalf("journal queue has %d slots for at most %d live sends", c, peak)
+	}
+}
+
 // BenchmarkShadowSendCycle is the journal's share of one message: the
 // send posted and retired, a system buffer consumed and returned, the
 // completion mirrored — with four sends outstanding, as a rank in a
@@ -311,7 +343,7 @@ func BenchmarkShadowSendCycle(b *testing.B) {
 	ps := s.port(1)
 	var bufs [16]nic.RecvDesc
 	for i := range bufs {
-		ps.sysBuf(sysEntry{va: mem.VAddr(4096 * (i + 1)), desc: &bufs[i]})
+		ps.sys.Push(sysEntry{va: mem.VAddr(4096 * (i + 1)), desc: &bufs[i]})
 	}
 	var descs [4]nic.SendDesc
 	id := uint64(0)
@@ -332,6 +364,6 @@ func BenchmarkShadowSendCycle(b *testing.B) {
 		va := mem.VAddr(4096 * (i%len(bufs) + 1))
 		s.SysConsumed(1, va)
 		s.MsgDone(2, id)
-		ps.sysBuf(sysEntry{va: va, desc: buf})
+		ps.sys.Push(sysEntry{va: va, desc: buf})
 	}
 }

@@ -24,7 +24,7 @@ package sim
 // current instant, that is, before the clock moves again.
 type eventQueue struct {
 	heap []heapEntry
-	ring ring[*event]
+	ring Ring[*event]
 	dead int // tombstones in ring
 }
 
@@ -39,12 +39,12 @@ func (a heapEntry) before(b heapEntry) bool {
 }
 
 // len counts the events that will run: tombstones are not among them.
-func (q *eventQueue) len() int { return len(q.heap) + q.ring.len() - q.dead }
+func (q *eventQueue) len() int { return len(q.heap) + q.ring.Len() - q.dead }
 
 // push books ev, whose t and seq are set and whose t is not before now.
 func (q *eventQueue) push(ev *event, now Time) {
 	if ev.t == now {
-		q.ring.push(ev)
+		q.ring.Push(ev)
 		return
 	}
 	q.heap = append(q.heap, heapEntry{})
@@ -56,7 +56,7 @@ func (q *eventQueue) push(ev *event, now Time) {
 // for the heap too: whichever of them holds the next entry, its time is
 // now.
 func (q *eventQueue) peek(now Time) (t Time, ok bool) {
-	if q.ring.len() > 0 {
+	if q.ring.Len() > 0 {
 		return now, true
 	}
 	if len(q.heap) > 0 {
@@ -68,8 +68,8 @@ func (q *eventQueue) peek(now Time) (t Time, ok bool) {
 // pop removes and returns the earliest entry, which must exist. A ring
 // entry comes back as booked, tombstone or not; the caller checks dead.
 func (q *eventQueue) pop(now Time) *event {
-	if q.ring.len() > 0 && (len(q.heap) == 0 || q.heap[0].t > now) {
-		ev := q.ring.pop()
+	if q.ring.Len() > 0 && (len(q.heap) == 0 || q.heap[0].t > now) {
+		ev := q.ring.Pop()
 		if ev.dead {
 			q.dead--
 		}

@@ -3,7 +3,13 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"runtime"
 )
+
+// A program's first garbage collection starts the Go runtime's mark
+// workers, which allocates or not as the scheduler happens to run them.
+// Collecting before anything is simulated makes allocation counts repeat.
+func init() { runtime.GC() }
 
 // killedError is the sentinel panic value used to unwind parked
 // processes when the environment is closed.
@@ -66,18 +72,15 @@ func (e *Env) start(p *Proc) {
 	if p.fn == nil {
 		panic("sim: wake of finished process " + p.name)
 	}
-	var c *carrier
-	if n := len(e.free); n > 0 {
-		c = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
+	c, ok := e.idle.Get()
+	if !ok {
 		c = &carrier{}
 		c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 			c.yield = yield
 			for {
 				c.p.run()
 				c.p.c, c.p = nil, nil
-				e.free = append(e.free, c)
+				e.idle.Put(c)
 				e.switches++
 				if !yield(struct{}{}) {
 					return // Close stopped the carrier

@@ -2,43 +2,6 @@ package sim
 
 import "fmt"
 
-// ring is a growable FIFO over a power-of-two circular buffer. Unlike
-// append plus reslicing from the front, which reallocates whenever the
-// window reaches the end of the backing array, a ring that has grown to
-// its working size never allocates again.
-type ring[T any] struct {
-	buf  []T
-	head int
-	n    int
-}
-
-func (r *ring[T]) len() int { return r.n }
-
-func (r *ring[T]) push(v T) {
-	if r.n == len(r.buf) {
-		grown := make([]T, max(2*len(r.buf), 4))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf, r.head = grown, 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
-	r.n++
-}
-
-// front returns the oldest element, which must exist.
-func (r *ring[T]) front() *T { return &r.buf[r.head] }
-
-// pop removes and returns the oldest element, which must exist.
-func (r *ring[T]) pop() T {
-	var zero T
-	v := r.buf[r.head]
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return v
-}
-
 // Queue is a FIFO message queue between processes. With capacity <= 0
 // the queue is unbounded and Send never blocks; with a positive
 // capacity Send blocks while the queue is full (useful to model
@@ -47,9 +10,9 @@ type Queue[T any] struct {
 	env      *Env
 	name     string
 	cap      int
-	buf      ring[T]
-	recvWait ring[recvWaiter]
-	sendWait ring[sendWaiter[T]]
+	buf      Ring[T]
+	recvWait Ring[recvWaiter]
+	sendWait Ring[sendWaiter[T]]
 
 	// Stats.
 	sent     uint64
@@ -85,7 +48,7 @@ func NewQueue[T any](env *Env, name string, capacity int) *Queue[T] {
 func (q *Queue[T]) Name() string { return q.name }
 
 // Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return q.buf.len() }
+func (q *Queue[T]) Len() int { return q.buf.Len() }
 
 // MaxDepth returns the high-water mark of buffered items.
 func (q *Queue[T]) MaxDepth() int { return q.maxDepth }
@@ -93,16 +56,16 @@ func (q *Queue[T]) MaxDepth() int { return q.maxDepth }
 // Counts returns the totals of items sent and received.
 func (q *Queue[T]) Counts() (sent, received uint64) { return q.sent, q.received }
 
-func (q *Queue[T]) full() bool { return q.cap > 0 && q.buf.len() >= q.cap }
+func (q *Queue[T]) full() bool { return q.cap > 0 && q.buf.Len() >= q.cap }
 
 func (q *Queue[T]) push(v T) {
-	q.buf.push(v)
+	q.buf.Push(v)
 	q.sent++
-	if q.buf.len() > q.maxDepth {
-		q.maxDepth = q.buf.len()
+	if q.buf.Len() > q.maxDepth {
+		q.maxDepth = q.buf.Len()
 	}
-	for q.recvWait.len() > 0 {
-		if w := q.recvWait.pop(); w.live() {
+	for q.recvWait.Len() > 0 {
+		if w := q.recvWait.Pop(); w.live() {
 			w.p.waitGen++
 			q.env.wakeSoon(w.p)
 			break
@@ -114,16 +77,16 @@ func (q *Queue[T]) push(v T) {
 // records at the front are dropped first, so a receiver that keeps
 // timing out on an idle queue does not grow the list.
 func (q *Queue[T]) await(p *Proc) {
-	for q.recvWait.len() > 0 && !q.recvWait.front().live() {
-		q.recvWait.pop()
+	for q.recvWait.Len() > 0 && !q.recvWait.At(0).live() {
+		q.recvWait.Pop()
 	}
-	q.recvWait.push(recvWaiter{p: p, gen: p.waitGen})
+	q.recvWait.Push(recvWaiter{p: p, gen: p.waitGen})
 }
 
 // Send enqueues v, blocking p while the queue is full.
 func (q *Queue[T]) Send(p *Proc, v T) {
 	if q.full() {
-		q.sendWait.push(sendWaiter[T]{p: p, v: v})
+		q.sendWait.Push(sendWaiter[T]{p: p, v: v})
 		p.park()
 		return // our value was pushed by the receiver that freed space
 	}
@@ -153,7 +116,7 @@ func (q *Queue[T]) Post(v T) {
 
 // Recv dequeues the oldest item, blocking p while the queue is empty.
 func (q *Queue[T]) Recv(p *Proc) T {
-	for q.buf.len() == 0 {
+	for q.buf.Len() == 0 {
 		q.await(p)
 		p.park()
 	}
@@ -162,7 +125,7 @@ func (q *Queue[T]) Recv(p *Proc) T {
 
 // TryRecv dequeues if an item is available.
 func (q *Queue[T]) TryRecv() (T, bool) {
-	if q.buf.len() == 0 {
+	if q.buf.Len() == 0 {
 		var zero T
 		return zero, false
 	}
@@ -171,18 +134,18 @@ func (q *Queue[T]) TryRecv() (T, bool) {
 
 // Peek returns the oldest item without dequeuing it.
 func (q *Queue[T]) Peek() (T, bool) {
-	if q.buf.len() == 0 {
+	if q.buf.Len() == 0 {
 		var zero T
 		return zero, false
 	}
-	return *q.buf.front(), true
+	return *q.buf.At(0), true
 }
 
 // RecvTimeout dequeues, giving up after d nanoseconds of virtual time.
 // ok reports whether a value was received.
 func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {
 	deadline := q.env.now + d
-	for q.buf.len() == 0 {
+	for q.buf.Len() == 0 {
 		if q.env.now >= deadline {
 			var zero T
 			return zero, false
@@ -221,10 +184,10 @@ func (p *Proc) recvTimeoutFn() func() {
 }
 
 func (q *Queue[T]) pop() T {
-	v := q.buf.pop()
+	v := q.buf.Pop()
 	q.received++
-	if q.sendWait.len() > 0 {
-		w := q.sendWait.pop()
+	if q.sendWait.Len() > 0 {
+		w := q.sendWait.Pop()
 		q.push(w.v)
 		q.env.wakeSoon(w.p)
 	}

@@ -13,7 +13,7 @@ type Resource struct {
 	name    string
 	cap     int
 	inUse   int
-	waiters ring[resWaiter]
+	waiters Ring[resWaiter]
 
 	// Stats.
 	acquires  uint64
@@ -54,11 +54,11 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if n <= 0 || n > r.cap {
 		panic(fmt.Sprintf("sim: acquire %d of %q (cap %d)", n, r.name, r.cap))
 	}
-	if r.waiters.len() == 0 && r.inUse+n <= r.cap {
+	if r.waiters.Len() == 0 && r.inUse+n <= r.cap {
 		r.grant(n, 0)
 		return
 	}
-	r.waiters.push(resWaiter{p: p, n: n, since: r.env.now})
+	r.waiters.Push(resWaiter{p: p, n: n, since: r.env.now})
 	p.park()
 }
 
@@ -74,7 +74,7 @@ func (r *Resource) AcquireFn(n int, fn func(a, b uint64), a, b uint64) bool {
 	if r.TryAcquire(n) {
 		return true
 	}
-	r.waiters.push(resWaiter{fn: fn, a: a, b: b, n: n, since: r.env.now})
+	r.waiters.Push(resWaiter{fn: fn, a: a, b: b, n: n, since: r.env.now})
 	return false
 }
 
@@ -84,7 +84,7 @@ func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 || n > r.cap {
 		panic(fmt.Sprintf("sim: try-acquire %d of %q (cap %d)", n, r.name, r.cap))
 	}
-	if r.waiters.len() == 0 && r.inUse+n <= r.cap {
+	if r.waiters.Len() == 0 && r.inUse+n <= r.cap {
 		r.grant(n, 0)
 		return true
 	}
@@ -110,8 +110,8 @@ func (r *Resource) Release(n int) {
 	if r.inUse == 0 {
 		r.busyTotal += r.env.now - r.lastBusy
 	}
-	for r.waiters.len() > 0 && r.inUse+r.waiters.front().n <= r.cap {
-		w := r.waiters.pop()
+	for r.waiters.Len() > 0 && r.inUse+r.waiters.At(0).n <= r.cap {
+		w := r.waiters.Pop()
 		r.grant(w.n, r.env.now-w.since)
 		if w.p != nil {
 			r.env.wakeSoon(w.p)
@@ -131,7 +131,7 @@ func (r *Resource) Use(p *Proc, n int, d Time) {
 
 // QueueLen returns the number of queued requests (processes and
 // continuations).
-func (r *Resource) QueueLen() int { return r.waiters.len() }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // Stats returns (acquisitions, total wait time, total busy time).
 // Busy time counts intervals during which at least one unit was held.

@@ -134,14 +134,14 @@ type Env struct {
 	failure  any
 	switches uint64
 
-	// carriers is every coroutine this environment created, free lists
-	// the ones whose last body has returned (see carrier).
+	// carriers is every coroutine this environment created, idle the
+	// ones whose last body has returned (see carrier).
 	carriers []*carrier
-	free     []*carrier
+	idle     FreeList[*carrier]
 
-	// Event pool. poolHits counts allocations served from the
-	// freelist, poolMisses counts fresh heap allocations (PoolStats).
-	pool       []*event
+	// Event pool. poolHits counts allocations served from the free
+	// list, poolMisses counts fresh heap allocations (PoolStats).
+	events     FreeList[*event]
 	poolHits   uint64
 	poolMisses uint64
 
@@ -184,10 +184,7 @@ func (e *Env) ClosedSchedules() uint64 { return e.closedSchedules }
 
 // alloc returns a clean event, recycling from the pool when possible.
 func (e *Env) alloc() *event {
-	if n := len(e.pool); n > 0 {
-		ev := e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
+	if ev, ok := e.events.Get(); ok {
 		e.poolHits++
 		return ev
 	}
@@ -203,7 +200,7 @@ func (e *Env) recycle(ev *event) {
 	ev.a, ev.b = 0, 0
 	ev.dead = false
 	ev.index = -1
-	e.pool = append(e.pool, ev)
+	e.events.Put(ev)
 }
 
 // ---------------------------------------------------------- scheduling
@@ -450,14 +447,14 @@ func (e *Env) Idle() bool { return e.q.len() == 0 }
 // carriers are torn down there, before RunUntil returns.
 func (e *Env) Close() {
 	e.closed, e.halt = true, true
-	e.q, e.pool = eventQueue{}, nil
+	e.q, e.events = eventQueue{}, FreeList[*event]{}
 	if e.running {
 		return // settle calls again from the bottom of the stack
 	}
 	for _, c := range e.carriers {
 		c.stop() // a parked process sees its yield fail and unwinds
 	}
-	e.carriers, e.free = nil, nil
+	e.carriers, e.idle = nil, FreeList[*carrier]{}
 }
 
 // wake gives the CPU to p, whose wake-up event is executing. If p is on

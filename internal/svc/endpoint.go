@@ -18,7 +18,7 @@ type endpoint struct {
 	port    *bcl.Port
 	bufSize int
 
-	freeBufs []mem.VAddr
+	bufs     sim.FreeList[mem.VAddr]
 	inflight map[uint64]mem.VAddr // send msgID -> busy buffer
 	returns  []bcl.SystemBuf      // consumed pool buffers awaiting return
 
@@ -35,7 +35,7 @@ func newEndpoint(p *sim.Proc, port *bcl.Port, sendBufs, bufSize int) *endpoint {
 	}
 	sp := port.Process().Space
 	for i := 0; i < sendBufs; i++ {
-		e.freeBufs = append(e.freeBufs, sp.Alloc(bufSize))
+		e.bufs.Put(sp.Alloc(bufSize))
 	}
 	return e
 }
@@ -57,7 +57,7 @@ func (e *endpoint) noteSendEvent(ev nic.Event) {
 	}
 	if va, ok := e.inflight[ev.MsgID]; ok {
 		delete(e.inflight, ev.MsgID)
-		e.freeBufs = append(e.freeBufs, va)
+		e.bufs.Put(va)
 	}
 }
 
@@ -65,11 +65,10 @@ func (e *endpoint) noteSendEvent(ev nic.Event) {
 // the pool is exhausted (back-pressure from the NIC ring).
 func (e *endpoint) getBuf(p *sim.Proc) mem.VAddr {
 	e.drainSends(p)
-	for len(e.freeBufs) == 0 {
+	for e.bufs.Len() == 0 {
 		e.noteSendEvent(e.port.WaitSend(p))
 	}
-	va := e.freeBufs[len(e.freeBufs)-1]
-	e.freeBufs = e.freeBufs[:len(e.freeBufs)-1]
+	va, _ := e.bufs.Get()
 	return va
 }
 
@@ -85,13 +84,13 @@ func (e *endpoint) send(p *sim.Proc, dst bcl.Addr, kind uint8, sess, uch uint16,
 	va := e.getBuf(p)
 	if len(payload) > 0 {
 		if err := e.port.Process().Space.Write(va, payload); err != nil {
-			e.freeBufs = append(e.freeBufs, va)
+			e.bufs.Put(va)
 			return err
 		}
 	}
 	msgID, err := e.port.Send(p, dst, bcl.SystemChannel, va, len(payload), packTag(kind, sess, uch, seq))
 	if err != nil {
-		e.freeBufs = append(e.freeBufs, va)
+		e.bufs.Put(va)
 		return err
 	}
 	// Intra-node sends complete inline, so their completion may

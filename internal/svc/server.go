@@ -55,8 +55,8 @@ type Server struct {
 
 	// Recently applied transactions: a duplicated COMMIT after apply is
 	// re-acked, never re-applied.
-	applied     map[uint64]struct{}
-	appliedFIFO []uint64
+	applied      map[uint64]struct{}
+	appliedOrder sim.Ring[uint64]
 
 	rng uint64
 
@@ -888,10 +888,7 @@ func (s *Server) ackTxn(p *sim.Proc, coord bcl.Addr, txid uint64) {
 
 func (s *Server) rememberApplied(txid uint64) {
 	s.applied[txid] = struct{}{}
-	s.appliedFIFO = append(s.appliedFIFO, txid)
-	if len(s.appliedFIFO) > appliedCap {
-		old := s.appliedFIFO[0]
-		s.appliedFIFO = s.appliedFIFO[1:]
+	if old, ok := s.appliedOrder.PushLast(txid, appliedCap); ok {
 		delete(s.applied, old)
 	}
 }
