@@ -5,7 +5,9 @@ package bcl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -41,23 +43,143 @@ func TestMachinePingPublicAPI(t *testing.T) {
 	}
 }
 
+// TestMachineOverMesh runs the public API over the two fabrics other
+// than Myrinet: a corner-to-corner BCL message, then verified MPI
+// collectives and a verified MPI Sendrecv ring, one rank per node.
 func TestMachineOverMesh(t *testing.T) {
-	m := NewMachine(MachineConfig{Nodes: 9, Fabric: Mesh})
-	ok := false
-	m.Start(2, []int{0, 8}, func(ctx *Ctx) {
-		buf := ctx.Alloc(32)
-		if ctx.Rank == 0 {
-			ctx.Write(buf, []byte("corner to corner"))
-			ctx.Port.Send(ctx.P, ctx.Peers[1], SystemChannel, buf, 16, 0)
-		} else {
-			ev := ctx.Port.WaitRecv(ctx.P)
-			data, _ := ctx.Read(ev.VA, ev.Len)
-			ok = string(data) == "corner to corner"
+	for _, tc := range []struct {
+		name string
+		cfg  MachineConfig
+	}{
+		{"Mesh", MachineConfig{Nodes: 9, Fabric: Mesh}},
+		{"Hetero", MachineConfig{Nodes: 8, Fabric: Hetero}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMachine(tc.cfg)
+			ok := false
+			m.Start(2, []int{0, tc.cfg.Nodes - 1}, func(ctx *Ctx) {
+				buf := ctx.Alloc(32)
+				if ctx.Rank == 0 {
+					ctx.Write(buf, []byte("corner to corner"))
+					ctx.Port.Send(ctx.P, ctx.Peers[1], SystemChannel, buf, 16, 0)
+				} else {
+					ev := ctx.Port.WaitRecv(ctx.P)
+					data, _ := ctx.Read(ev.VA, ev.Len)
+					ok = string(data) == "corner to corner"
+				}
+			})
+			m.Run()
+			if !ok {
+				t.Fatal("corner-to-corner delivery via public API failed")
+			}
+			t.Run("Collectives", func(t *testing.T) {
+				runCollectives(t, NewMachine(tc.cfg), tc.cfg.Nodes, 32)
+			})
+			t.Run("Ring", func(t *testing.T) {
+				runRing(t, NewMachine(tc.cfg), tc.cfg.Nodes, 8)
+			})
+		})
+	}
+}
+
+// TestMPIOverMyrinet runs the same verified MPI bodies over Myrinet
+// with two ranks per node, so every collective and ring mixes
+// intra-node and inter-node messages.
+func TestMPIOverMyrinet(t *testing.T) {
+	t.Run("Collectives", func(t *testing.T) {
+		runCollectives(t, NewMachine(MachineConfig{Nodes: 4}), 8, 64)
+	})
+	t.Run("Ring", func(t *testing.T) {
+		runRing(t, NewMachine(MachineConfig{Nodes: 3}), 6, 16)
+	})
+}
+
+// roundRobin places rank i on node i mod the node count.
+func roundRobin(m *Machine, ranks int) []int {
+	placement := make([]int, ranks)
+	for i := range placement {
+		placement[i] = i % m.Nodes()
+	}
+	return placement
+}
+
+// runCollectives has every rank contribute rank+1 in each of n doubles
+// to an Allreduce, then Bcast the result from a rotating root, twice,
+// and checks every element on every rank.
+func runCollectives(t *testing.T, m *Machine, ranks, n int) {
+	t.Helper()
+	const iters = 2
+	want := float64(ranks) * float64(ranks+1) / 2
+	done := 0
+	m.StartMPI(ranks, roundRobin(m, ranks), func(p *Proc, comm *MPIComm) {
+		sp := comm.Device().Port().Process().Space
+		send := sp.Alloc(n * 8)
+		recv := sp.Alloc(n * 8)
+		buf := make([]byte, n*8)
+		for e := 0; e < n; e++ {
+			binary.LittleEndian.PutUint64(buf[e*8:], math.Float64bits(float64(comm.Rank()+1)))
 		}
+		sp.Write(send, buf)
+		for it := 0; it < iters; it++ {
+			if err := comm.Allreduce(p, send, recv, n, MPIFloat64, MPISum); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := comm.Bcast(p, recv, n*8, it%comm.Size()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		out, _ := sp.Read(recv, n*8)
+		for e := 0; e < n; e++ {
+			if v := math.Float64frombits(binary.LittleEndian.Uint64(out[e*8:])); v != want {
+				t.Errorf("rank %d element %d = %v, want %v", comm.Rank(), e, v, want)
+				return
+			}
+		}
+		done++
 	})
 	m.Run()
-	if !ok {
-		t.Fatal("mesh delivery via public API failed")
+	if done != ranks {
+		t.Fatalf("%d of %d ranks finished the collectives", done, ranks)
+	}
+}
+
+// runRing passes msgs 1 KB payloads around a ring of the ranks with
+// Sendrecv, and checks each received byte on every rank.
+func runRing(t *testing.T, m *Machine, ranks, msgs int) {
+	t.Helper()
+	const size = 1024
+	done := 0
+	m.StartMPI(ranks, roundRobin(m, ranks), func(p *Proc, comm *MPIComm) {
+		rank := comm.Rank()
+		right, left := (rank+1)%ranks, (rank-1+ranks)%ranks
+		sp := comm.Device().Port().Process().Space
+		sbuf := sp.Alloc(2 * size)
+		rbuf := sp.Alloc(2 * size)
+		payload := make([]byte, size)
+		for i := 0; i < msgs; i++ {
+			for j := range payload {
+				payload[j] = byte(rank + i + j)
+			}
+			sp.Write(sbuf, payload)
+			if _, err := comm.Sendrecv(p, sbuf, size, right, i, rbuf, 2*size, left, i); err != nil {
+				t.Error(err)
+				return
+			}
+			got, _ := sp.Read(rbuf, size)
+			for j := range got {
+				if got[j] != byte(left+i+j) {
+					t.Errorf("rank %d message %d byte %d = %d, want %d", rank, i, j, got[j], byte(left+i+j))
+					return
+				}
+			}
+		}
+		done++
+	})
+	m.Run()
+	if done != ranks {
+		t.Fatalf("%d of %d ranks finished the ring", done, ranks)
 	}
 }
 
@@ -285,27 +407,4 @@ func TestStartPanicsOnBadPlacement(t *testing.T) {
 		}
 	}()
 	m.Start(3, []int{0}, func(ctx *Ctx) {})
-}
-
-func TestStartDSMViaPublicAPI(t *testing.T) {
-	m := NewMachine(MachineConfig{Nodes: 2})
-	vals := make([]uint64, 2)
-	m.StartDSM(2, []int{0, 1}, 8192, func(p *Proc, dsm *DSM) {
-		if dsm.Rank() == 0 {
-			dsm.Acquire(p, 1)
-			dsm.WriteUint64(p, 0, 1234)
-			dsm.Release(p, 1)
-		}
-		dsm.Barrier(p)
-		v, err := dsm.ReadUint64(p, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		vals[dsm.Rank()] = v
-	})
-	m.Run()
-	if vals[0] != 1234 || vals[1] != 1234 {
-		t.Fatalf("DSM values = %v", vals)
-	}
 }

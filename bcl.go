@@ -38,7 +38,6 @@ import (
 	"bcl/internal/cluster"
 	"bcl/internal/eadi"
 	"bcl/internal/hw"
-	"bcl/internal/jiajia"
 	"bcl/internal/mem"
 	"bcl/internal/mpi"
 	"bcl/internal/nic"
@@ -84,8 +83,6 @@ type (
 	MPIComm = mpi.Comm
 	// PVMTask is a task of the mini-PVM over EADI-2.
 	PVMTask = pvm.Task
-	// DSM is a JIAJIA-style shared-virtual-memory instance over BCL.
-	DSM = jiajia.Instance
 	// MPIRequest is a nonblocking MPI operation handle.
 	MPIRequest = mpi.Request
 )
@@ -300,42 +297,6 @@ func (m *Machine) buildDevices(p *sim.Proc, ranks int, placement []int) []*eadi.
 		devs[i] = eadi.NewDevice(pt, i, addrs)
 	}
 	return devs
-}
-
-// StartDSM launches a JIAJIA-style software-DSM job over a shared
-// region of the given size: rank i runs on node placement[i], plus a
-// lock-manager service process on node 0. This is the SVM layer of the
-// DAWNING-3000 software stack (paper Figure 1, reference [8]).
-func (m *Machine) StartDSM(ranks int, placement []int, regionSize int, body func(p *Proc, dsm *DSM)) {
-	if len(placement) != ranks {
-		panic(fmt.Sprintf("bcl: %d ranks but %d placements", ranks, len(placement)))
-	}
-	m.Cluster.Env.Go("dsm/launch", func(p *sim.Proc) {
-		ports := make([]*Port, ranks)
-		for i := 0; i < ranks; i++ {
-			nd := m.Cluster.Nodes[placement[i]]
-			pt, err := m.Sys.Open(p, nd, nd.Kernel.Spawn(), PortOptions{SystemBuffers: 64})
-			if err != nil {
-				panic(fmt.Sprintf("bcl: open port for DSM rank %d: %v", i, err))
-			}
-			ports[i] = pt
-		}
-		mgrNode := m.Cluster.Nodes[0]
-		mgrPort, err := m.Sys.Open(p, mgrNode, mgrNode.Kernel.Spawn(), PortOptions{SystemBuffers: 128})
-		if err != nil {
-			panic(fmt.Sprintf("bcl: open DSM manager port: %v", err))
-		}
-		instances, err := jiajia.Setup(p, ports, mgrPort, regionSize)
-		if err != nil {
-			panic(fmt.Sprintf("bcl: DSM setup: %v", err))
-		}
-		for i := 0; i < ranks; i++ {
-			in := instances[i]
-			m.Cluster.Env.Go(fmt.Sprintf("dsm/rank%d", i), func(rp *sim.Proc) {
-				body(rp, in)
-			})
-		}
-	})
 }
 
 // NewTracer returns a stage tracer to attach with Port.SetTracer (and

@@ -57,8 +57,8 @@ type Profile struct {
 	UnpinPage     sim.Time // unpin one page
 	// PinTableCapacity bounds the kernel's pin-down page table, in
 	// page entries; beyond it the LRU translation is evicted and its
-	// frame unpinned (0 means a default of 8192 entries — the table is
-	// host-resident, but pinned memory is still a finite resource).
+	// frame unpinned (the table is host-resident, but pinned memory is
+	// still a finite resource).
 	PinTableCapacity int
 	CompletionPoll   sim.Time // user polls a completion queue slot
 	EventDecode      sim.Time // user decodes a completion event
@@ -88,37 +88,29 @@ type Profile struct {
 	MCPEventDMA      sim.Time // firmware cost of composing a completion event
 	EventBusTime     sim.Time // bus occupancy DMAing the event record to host
 	MCPAckProc       sim.Time // processing an ACK/NACK
-	MCPCollProc      sim.Time // collective engine per-packet handling (0: MCPPacketProc)
-	MCPCombineProc   sim.Time // combine arithmetic per contribution (0: MCPRecvProc)
-	// CollRetryTimeout paces release-mode combine re-contributions while
-	// the result has not come back (0 means 8x RetransmitTimeout).
-	CollRetryTimeout  sim.Time
-	MaxPacket         int      // payload bytes per wire packet
-	NICMemBytes       int      // NIC SRAM capacity
-	RetransmitTimeout sim.Time // go-back-N retransmit timer (base, first round)
+	MCPCollProc      sim.Time // collective engine per-packet handling
+	MCPCombineProc   sim.Time // combine arithmetic per contribution
+	MaxPacket        int      // payload bytes per wire packet
+	NICMemBytes      int      // NIC SRAM capacity
+	// RetransmitTimeout is the go-back-N retransmit timer's base, first
+	// round. The adaptive RTO is floored at a quarter of it, and
+	// release-mode combine re-contributions start at eight times it.
+	RetransmitTimeout sim.Time
 	// RetransmitBackoffMax caps the exponentially backed-off retransmit
-	// timer (0 means 16x the base timeout).
+	// timer.
 	RetransmitBackoffMax sim.Time
-	// PeerProbeInterval paces liveness probes to a Dead peer (0 means
-	// 4x the base retransmit timeout).
-	PeerProbeInterval sim.Time
-	NICTranslateLook  sim.Time // NIC-resident translation cache lookup (user-level arch)
-	NICTranslateMiss  sim.Time // NIC cache miss: fetch mapping from host
+	PeerProbeInterval    sim.Time // paces liveness probes to a Dead peer
+	NICTranslateLook     sim.Time // NIC-resident translation cache lookup (user-level arch)
+	NICTranslateMiss     sim.Time // NIC cache miss: fetch mapping from host
 
-	// Firmware survivability (all 0-means-default; only consulted when
-	// the kernel watchdog / adaptive RTO features are enabled).
-	MCPHeartbeatInterval sim.Time // firmware refreshes its status word (0: 200 us)
-	WatchdogInterval     sim.Time // kernel polls the heartbeat register (0: 500 us)
-	MCPRebootTime        sim.Time // firmware image reload after a crash (0: 2 ms)
-	// RTOMin floors the Jacobson-style adaptive retransmit timeout so a
-	// burst of fast ACKs cannot collapse the timer into spurious
-	// retransmits (0 means RetransmitTimeout/4).
-	RTOMin sim.Time
-	// GrayRTTFactor: a flow whose smoothed RTT exceeds this multiple of
-	// its best observed RTT is declared gray-degraded (0 means 4).
-	GrayRTTFactor int
-	// GraySteerHold is how long a gray-degraded flow is steered onto the
-	// alternate rail before re-probing the primary (0 means 10 ms).
+	// Firmware survivability (only consulted when the kernel watchdog /
+	// gray-failure steering are enabled).
+	MCPHeartbeatInterval sim.Time // firmware refreshes its status word
+	WatchdogInterval     sim.Time // kernel polls the heartbeat register
+	MCPRebootTime        sim.Time // firmware image reload after a crash
+	// GraySteerHold is how long a gray-degraded flow (smoothed RTT over
+	// four times its best) is steered onto the alternate rail before
+	// re-probing the primary.
 	GraySteerHold sim.Time
 
 	// Link / switch.
@@ -184,9 +176,14 @@ func DAWNING3000() *Profile {
 		NICMemBytes:          1 << 20, // 1 MB LANai SRAM
 		RetransmitTimeout:    400 * sim.Microsecond,
 		RetransmitBackoffMax: 6400 * sim.Microsecond, // 4 doublings of the base
-		PeerProbeInterval:    1600 * sim.Microsecond,
+		PeerProbeInterval:    1600 * sim.Microsecond, // 4x the base
 		NICTranslateLook:     500,
 		NICTranslateMiss:     9000,
+
+		MCPHeartbeatInterval: 200 * sim.Microsecond,
+		WatchdogInterval:     500 * sim.Microsecond,
+		MCPRebootTime:        2 * sim.Millisecond,
+		GraySteerHold:        10 * sim.Millisecond,
 
 		LinkBandwidth: 160 * MBps,
 		SwitchLatency: 300,

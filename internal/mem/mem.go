@@ -35,7 +35,6 @@ type Memory struct {
 	frames    [][]byte // frame number -> page contents
 	pinned    []int32  // frame number -> pin count
 	pinnedNow int64
-	pinnedMax int64
 }
 
 // NewMemory returns an empty physical memory with the given page size.
@@ -122,9 +121,6 @@ func (m *Memory) PinFrame(pa PAddr) error {
 	}
 	if m.pinned[frame] == 0 {
 		m.pinnedNow++
-		if m.pinnedNow > m.pinnedMax {
-			m.pinnedMax = m.pinnedNow
-		}
 	}
 	m.pinned[frame]++
 	return nil
@@ -143,9 +139,8 @@ func (m *Memory) UnpinFrame(pa PAddr) error {
 	return nil
 }
 
-// PinnedPages returns the number of currently pinned frames and the
-// historical maximum.
-func (m *Memory) PinnedPages() (now, max int64) { return m.pinnedNow, m.pinnedMax }
+// PinnedPages returns the number of currently pinned frames.
+func (m *Memory) PinnedPages() int64 { return m.pinnedNow }
 
 // AddrSpace is one process's virtual address space: a page table over
 // a Memory plus a bump allocator. Virtual address 0 is kept unmapped

@@ -195,30 +195,11 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return out
 }
 
-// collProc is the per-packet firmware cost of the collective engine.
-func (n *NIC) collProc() sim.Time {
-	if n.prof.MCPCollProc > 0 {
-		return n.prof.MCPCollProc
-	}
-	return n.prof.MCPPacketProc
-}
-
-// combineProc is the SRAM combine-arithmetic cost per contribution.
-func (n *NIC) combineProc() sim.Time {
-	if n.prof.MCPCombineProc > 0 {
-		return n.prof.MCPCombineProc
-	}
-	return n.prof.MCPRecvProc
-}
-
-// collRetryDelay paces release-mode re-contributions: well above the
-// go-back-N timeout (retries are the healing path, not the fast path),
-// doubling per round, jittered deterministically.
+// collRetryDelay paces release-mode re-contributions: from eight times
+// the go-back-N timeout (retries are the healing path, not the fast
+// path), doubling per round, jittered deterministically.
 func (n *NIC) collRetryDelay(seq uint64, round int) sim.Time {
-	base := n.prof.CollRetryTimeout
-	if base <= 0 {
-		base = 8 * n.prof.RetransmitTimeout
-	}
+	base := 8 * n.prof.RetransmitTimeout
 	d := base
 	for i := 0; i < round && d < 8*base; i++ {
 		d *= 2
@@ -294,7 +275,7 @@ func (n *NIC) collEngine(p *sim.Proc) {
 // it) or dropped.
 func (n *NIC) handleCollPkt(p *sim.Proc, pkt *fabric.Packet) bool {
 	n.Tracer.DoFlow(p, "nic: coll recv", n.where(), pkt.Trace, func() {
-		n.cpu.Use(p, 1, n.collProc())
+		n.cpu.Use(p, 1, n.prof.MCPCollProc)
 	})
 	if !pkt.Verify() {
 		n.stats.CRCDrops++
@@ -338,7 +319,7 @@ func (n *NIC) collLocal(p *sim.Proc, j collJob) {
 		n.failMessage(p, d)
 		return
 	}
-	n.cpu.Use(p, 1, n.collProc())
+	n.cpu.Use(p, 1, n.prof.MCPCollProc)
 	switch d.Kind {
 	case DescCollMcast:
 		n.stats.CollMcasts++
@@ -524,7 +505,7 @@ func (n *NIC) collContribute(p *sim.Proc, ctx *CollCtx, from int, hdr fabric.Col
 		}
 	} else {
 		n.Tracer.DoFlow(p, "nic: coll combine", n.where(), traceID, func() {
-			n.cpu.Use(p, 1, n.combineProc())
+			n.cpu.Use(p, 1, n.prof.MCPCombineProc)
 		})
 		coll.Combine(st.payload, payload, coll.Op(st.hdr.Op), coll.DT(st.hdr.DT))
 	}
@@ -793,7 +774,7 @@ func (n *NIC) collSend(p *sim.Proc, ctx *CollCtx, m int, proto *fabric.Packet) {
 	}
 	n.stats.CollForwards++
 	n.Tracer.DoFlow(p, "nic: coll forward", n.where(), pkt.Trace, func() {
-		n.cpu.Use(p, 1, n.collProc())
+		n.cpu.Use(p, 1, n.prof.MCPCollProc)
 		n.transmit(p, n.flowTo(node), pkt, d, true, sram)
 	})
 }

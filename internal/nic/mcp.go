@@ -692,20 +692,13 @@ func (n *NIC) armTimer(f *txFlow) {
 func (n *NIC) retxDelay(f *txFlow) sim.Time {
 	base := n.prof.RetransmitTimeout
 	ceil := n.prof.RetransmitBackoffMax
-	if ceil <= 0 {
-		ceil = 16 * base
-	}
 	if n.cfg.AdaptiveRTO && f.srtt > 0 {
 		// Jacobson-style RTO replaces the fixed base: srtt + 4*rttvar,
-		// floored so a burst of fast ACKs cannot collapse the timer
-		// into spurious retransmits. The exponential backoff below
-		// still multiplies it per retry round.
+		// floored at a quarter of the base so a burst of fast ACKs
+		// cannot collapse the timer into spurious retransmits. The
+		// exponential backoff below still multiplies it per retry round.
 		rto := f.srtt + 4*f.rttvar
-		floor := n.prof.RTOMin
-		if floor <= 0 {
-			floor = base / 4
-		}
-		if rto < floor {
+		if floor := base / 4; rto < floor {
 			rto = floor
 		}
 		if rto > ceil {
@@ -736,14 +729,6 @@ func detJitter(node, dst, round int, span sim.Time) sim.Time {
 	}
 	x := sim.Splitmix64(uint64(node)<<42 ^ uint64(dst)<<21 ^ uint64(round))
 	return sim.Time(x % uint64(span))
-}
-
-// probeInterval paces liveness probes to a dead peer.
-func (n *NIC) probeInterval() sim.Time {
-	if n.prof.PeerProbeInterval > 0 {
-		return n.prof.PeerProbeInterval
-	}
-	return 4 * n.prof.RetransmitTimeout
 }
 
 func (n *NIC) wakeWindow(f *txFlow) { f.window.Broadcast() }
@@ -891,7 +876,7 @@ func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
 // armProbe schedules the next liveness probe toward a dead peer.
 func (n *NIC) armProbe(f *txFlow) {
 	f.probeTimer.Cancel()
-	f.probeTimer = n.env.After(n.probeInterval(), f.onProbe)
+	f.probeTimer = n.env.After(n.prof.PeerProbeInterval, f.onProbe)
 }
 
 // sendProbe injects one liveness probe and re-arms the probe timer.

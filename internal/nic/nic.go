@@ -75,7 +75,7 @@ type Config struct {
 	// Jacobson-style estimate (srtt + 4*rttvar) fed by per-peer RTT
 	// samples (Karn's rule: retransmitted packets never contribute).
 	// The estimator also detects gray failures — a flow whose smoothed
-	// RTT blows past its baseline by GrayRTTFactor is steered onto the
+	// RTT blows past four times its baseline is steered onto the
 	// alternate rail via the Steer hook when one is wired.
 	AdaptiveRTO bool
 }

@@ -460,7 +460,7 @@ func TestOversizeSystemMessageLeavesPoolIntact(t *testing.T) {
 		failed = evp(sp.SendEvQ.Recv(p))
 		depthAfterOversize = rp.system.Len()
 		// Retry exhaustion declared the peer dead; a probe revives it.
-		p.Sleep(2 * r.nics[0].probeInterval())
+		p.Sleep(2 * r.nics[0].prof.PeerProbeInterval)
 		send(p, 2, []byte("fits"))
 	})
 	r.env.Go("receiver", func(p *sim.Proc) { fit = evp(rp.RecvEvQ.Recv(p)) })

@@ -120,14 +120,10 @@ func (n *NIC) LastHeartbeat() sim.Time { return n.lastBeat }
 // MCP refreshes its status word every MCPHeartbeatInterval; a crashed
 // firmware stops, which is what the kernel watchdog detects.
 func (n *NIC) StartHeartbeat() {
-	interval := n.prof.MCPHeartbeatInterval
-	if interval <= 0 {
-		interval = 200 * sim.Microsecond
-	}
 	n.lastBeat = n.env.Now()
 	n.env.Go(fmt.Sprintf("nic%d/heartbeat", n.node), func(p *sim.Proc) {
 		for {
-			p.Sleep(interval)
+			p.Sleep(n.prof.MCPHeartbeatInterval)
 			if !n.fwDead {
 				n.lastBeat = p.Now()
 			}
@@ -444,18 +440,14 @@ func (n *NIC) rttSample(f *txFlow, s sim.Time) {
 }
 
 // grayCheck trips gray-failure steering: a flow whose smoothed RTT
-// blows past its baseline by GrayRTTFactor is degraded-but-alive (no
-// retry exhaustion, just a collapsing tail), so prefer the alternate
-// rail for a hold period, then restore and re-learn.
+// blows past four times its baseline is degraded-but-alive (no retry
+// exhaustion, just a collapsing tail), so prefer the alternate rail for
+// GraySteerHold, then restore and re-learn.
 func (n *NIC) grayCheck(f *txFlow) {
 	if n.Steer == nil || f.grayOn || f.baseRTT == 0 {
 		return
 	}
-	factor := n.prof.GrayRTTFactor
-	if factor <= 0 {
-		factor = 4
-	}
-	if f.srtt <= f.baseRTT*sim.Time(factor) {
+	if f.srtt <= 4*f.baseRTT {
 		return
 	}
 	f.grayOn = true
@@ -466,11 +458,7 @@ func (n *NIC) grayCheck(f *txFlow) {
 		fmt.Sprintf("dst=%d srtt=%dus base=%dus", f.dst,
 			f.srtt/sim.Microsecond, f.baseRTT/sim.Microsecond))
 	n.Steer.PreferAlternate(n.node, f.dst, true)
-	hold := n.prof.GraySteerHold
-	if hold <= 0 {
-		hold = 10 * sim.Millisecond
-	}
-	f.grayTimer = n.env.After(hold, f.onGray)
+	f.grayTimer = n.env.After(n.prof.GraySteerHold, f.onGray)
 }
 
 // grayRestore ends a steering hold: back to the primary rail.

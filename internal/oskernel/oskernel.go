@@ -73,17 +73,13 @@ type Kernel struct {
 
 // New boots a kernel over the node's physical memory.
 func New(env *sim.Env, prof *hw.Profile, node int, m *mem.Memory) *Kernel {
-	cap := prof.PinTableCapacity
-	if cap <= 0 {
-		cap = 8192
-	}
 	return &Kernel{
 		env:  env,
 		prof: prof,
 		node: node,
 		row:  fmt.Sprintf("kernel%d", node),
 		mem:  m,
-		pins: mem.NewPinTable(cap),
+		pins: mem.NewPinTable(prof.PinTableCapacity),
 		next: 100,
 	}
 }

@@ -195,11 +195,11 @@ func TestExitInvalidatesPins(t *testing.T) {
 		}
 	})
 	env.Run()
-	if now, _ := m.PinnedPages(); now != 2 {
+	if now := m.PinnedPages(); now != 2 {
 		t.Fatalf("pinned before exit = %d", now)
 	}
 	k.Exit(proc)
-	if now, _ := m.PinnedPages(); now != 0 {
+	if now := m.PinnedPages(); now != 0 {
 		t.Fatalf("pinned after exit = %d, want 0", now)
 	}
 }
@@ -328,7 +328,7 @@ func TestPinTableEviction(t *testing.T) {
 	if s.PagesPinned != 4 {
 		t.Fatalf("pages pinned = %d, want 4 (three cold + one re-pin)", s.PagesPinned)
 	}
-	if now, _ := m.PinnedPages(); now > 2 {
+	if now := m.PinnedPages(); now > 2 {
 		t.Fatalf("%d pages pinned, capacity 2", now)
 	}
 }

@@ -247,14 +247,7 @@ func (k *Kernel) StartWatchdog(n *nic.NIC) {
 	if k.shadow == nil || k.snic != n {
 		k.AttachNIC(n)
 	}
-	hb := k.prof.MCPHeartbeatInterval
-	if hb <= 0 {
-		hb = 200 * sim.Microsecond
-	}
-	wd := k.prof.WatchdogInterval
-	if wd <= 0 {
-		wd = 500 * sim.Microsecond
-	}
+	hb, wd := k.prof.MCPHeartbeatInterval, k.prof.WatchdogInterval
 	n.StartHeartbeat()
 	k.env.Go(fmt.Sprintf("kernel%d/watchdog", k.node), func(p *sim.Proc) {
 		for {
@@ -275,11 +268,7 @@ func (k *Kernel) recoverNIC(p *sim.Proc, n *nic.NIC) {
 	k.stats.WatchdogTrips++
 	start := p.Now()
 	n.Tracer.Add("kernel: watchdog trip", k.row, start, start)
-	reboot := k.prof.MCPRebootTime
-	if reboot <= 0 {
-		reboot = 2 * sim.Millisecond
-	}
-	p.Sleep(reboot) // firmware image reload + self-test
+	p.Sleep(k.prof.MCPRebootTime) // firmware image reload + self-test
 	n.BeginReboot()
 	k.replayNIC(p, n)
 	n.FinishReboot()

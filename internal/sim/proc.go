@@ -6,10 +6,28 @@ import (
 	"runtime"
 )
 
+// The simulation never runs two goroutines at once (a process is a
+// coroutine), so a second P would host only the garbage collector's
+// mark workers, and a mark phase would last until the host next ran
+// that thread. Objects allocated during a mark survive it, so the heap
+// then followed the host's load: on a 2-CPU host, bulk_stream's 128 KB
+// buffers kept a 7 MB heap beside an idle CPU and a 16 MB one beside a
+// busy CPU. The simulator therefore takes one P, and drive hands it to
+// the collector every yieldEvery events: coroutine switches never enter
+// the Go scheduler, so without the yield only allocation assists would
+// mark, and a mark phase took 10x longer.
+//
 // A program's first garbage collection starts the Go runtime's mark
 // workers, which allocates or not as the scheduler happens to run them.
 // Collecting before anything is simulated makes allocation counts repeat.
-func init() { runtime.GC() }
+func init() {
+	runtime.GOMAXPROCS(1)
+	runtime.GC()
+}
+
+// yieldEvery is how many events drive runs between two runtime.Gosched
+// calls, about 100 µs of host time.
+const yieldEvery = 1024
 
 // killedError is the sentinel panic value used to unwind parked
 // processes when the environment is closed.

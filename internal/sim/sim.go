@@ -68,7 +68,10 @@
 // waiting Proc itself.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Time is a point on the virtual clock, in nanoseconds.
 type Time = int64
@@ -408,6 +411,9 @@ func (e *Env) drive(self *Proc) (woken bool) {
 		}
 		e.now = t
 		e.steps++
+		if e.steps%yieldEvery == 0 {
+			runtime.Gosched() // let a mark worker run: see yieldEvery
+		}
 		// Copy the dispatch fields and recycle before running: the
 		// callback may schedule new events and immediately reuse this
 		// object. Outstanding Timers see the generation bump.

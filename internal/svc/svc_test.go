@@ -15,7 +15,7 @@ import (
 const tbBufSize = 2048
 
 // fixedGap is a deterministic arrival process for tests (the real
-// generators live in internal/workloads).
+// generators live in internal/workloads/openloop).
 type fixedGap sim.Time
 
 func (g fixedGap) Next() sim.Time { return sim.Time(g) }
