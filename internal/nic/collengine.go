@@ -807,8 +807,11 @@ func (n *NIC) collDeliver(p *sim.Proc, ctx *CollCtx, kind uint8, origin int, seq
 		}
 	}
 	n.stats.CollDeliveries++
-	if born > 0 {
-		n.obs.Observe(n.node, "nic", "coll_latency_ns", int64(n.env.Now()-born))
+	if born > 0 && n.obs != nil {
+		if n.collLatency == nil {
+			n.collLatency = n.obs.Reg.Histogram(n.node, "nic", "coll_latency_ns")
+		}
+		n.collLatency.Observe(int64(n.env.Now() - born))
 	}
 	ev := Event{
 		Type: EvRecvDone, Port: ctx.Ports[ctx.Me], Channel: CollChannel,

@@ -393,9 +393,10 @@ type NIC struct {
 	// end-to-end message latency histogram; nil records nothing.
 	// msgLatency is that histogram, looked up by the first message
 	// delivered and not before: a NIC that received nothing adds no empty
-	// series to the registry's snapshots.
-	obs        *obs.Obs
-	msgLatency *obs.Histogram
+	// series to the registry's snapshots. collLatency is the collective
+	// engine's, looked up the same way.
+	obs                     *obs.Obs
+	msgLatency, collLatency *obs.Histogram
 
 	// Journal, when set (the kernel wires it via AttachNIC), mirrors
 	// the NIC's control-plane state into host memory so a firmware
@@ -484,7 +485,7 @@ func (n *NIC) PoolInUse() (descriptors, payloads int) { return n.pool.InUse() }
 // SetObs attaches an observability bundle: fault-path transitions then
 // go to its flight recorder and message latencies to the cluster-wide
 // "nic"/msg_latency_ns histogram.
-func (n *NIC) SetObs(o *obs.Obs) { n.obs, n.msgLatency = o, nil }
+func (n *NIC) SetObs(o *obs.Obs) { n.obs, n.msgLatency, n.collLatency = o, nil, nil }
 
 // poisonDescs makes a descriptor going back to a free list unusable
 // instead of merely stale, so a test that reaches one through a

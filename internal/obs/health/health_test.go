@@ -24,6 +24,13 @@ func newStepper(rules []*Rule) *stepper {
 	return s
 }
 
+// counter publishes the returned variable as one registry counter.
+func (s *stepper) counter(node int, layer, name string) *uint64 {
+	v := new(uint64)
+	s.r.RegisterCollector(func(set obs.Set) { set(node, layer, name, *v) })
+	return v
+}
+
 func (s *stepper) tick(dt sim.Time) {
 	s.now += dt
 	s.e.Step(obs.Sample{At: s.now, Snap: s.r.Snapshot(s.now)})
@@ -31,16 +38,15 @@ func (s *stepper) tick(dt sim.Time) {
 
 func TestThresholdForSamplesAndResolve(t *testing.T) {
 	s := newStepper([]*Rule{Threshold("drop-rate", Rate("nic", "drops"), 5).ForSamples(2)})
-	c := s.r.Counter(0, "nic", "drops")
+	drops := s.counter(0, "nic", "drops")
 	s.tick(sim.Second) // seeds the window, no evaluation
-	c.Add(10)
+	*drops += 10
 	s.tick(sim.Second) // rate 10/s > 5: consec 1, must NOT fire yet
 	if got := len(s.e.Transitions()); got != 0 {
 		t.Fatalf("fired after one sample with For=2: %d transitions", got)
 	}
-	c.Add(10)
+	*drops += 10
 	s.tick(sim.Second) // consec 2: fires at exactly t=3s
-	c.Add(0)
 	s.tick(sim.Second) // healthy window: resolves at t=4s
 	trs := s.e.Transitions()
 	if len(trs) != 2 {
@@ -119,11 +125,12 @@ func TestGaugeAndDeltaSources(t *testing.T) {
 		Threshold("backlog", GaugeOf("nic", "ring_depth"), 8),
 		Threshold("trips", Delta("kernel", "watchdog_trips"), 0).Crit(),
 	})
-	g := s.r.Gauge(0, "nic", "ring_depth")
-	c := s.r.Counter(1, "kernel", "watchdog_trips")
+	var depth int64
+	s.r.RegisterGaugeCollector(func(set obs.GaugeSet) { set(0, "nic", "ring_depth", depth) })
+	trips := s.counter(1, "kernel", "watchdog_trips")
 	s.tick(sim.Second)
-	g.Set(20)
-	c.Add(1)
+	depth = 20
+	*trips++
 	s.tick(sim.Second)
 	trs := s.e.Transitions()
 	if len(trs) != 2 {
@@ -141,9 +148,9 @@ func TestBundleDeterministicEncodeAndDecode(t *testing.T) {
 	run := func() []byte {
 		s := newStepper([]*Rule{Threshold("x", Rate("nic", "drops"), 1)})
 		s.o.Event(1, 0, "nic", "crash", 7, "detail")
-		c := s.r.Counter(0, "nic", "drops")
+		drops := s.counter(0, "nic", "drops")
 		s.tick(sim.Second)
-		c.Add(100)
+		*drops += 100
 		s.tick(sim.Second)
 		bs := s.e.Bundles()
 		if len(bs) != 1 {
@@ -182,7 +189,7 @@ func TestBundleDeterministicEncodeAndDecode(t *testing.T) {
 
 func TestGateBundle(t *testing.T) {
 	r := obs.NewRegistry()
-	r.Counter(0, "nic", "drops").Add(3)
+	r.RegisterCollector(func(set obs.Set) { set(0, "nic", "drops", 3) })
 	snap := r.Snapshot(55)
 	b := GateBundle("pingpong", int64(snap.At), []string{"latency p50_us 9 outside [1 2]"}, snap, nil)
 	data, err := b.Encode()
@@ -203,9 +210,9 @@ func TestGateBundle(t *testing.T) {
 
 func TestFramesReplayHistoricalFiringState(t *testing.T) {
 	s := newStepper([]*Rule{Threshold("spike", Rate("nic", "msgs_sent"), 5)})
-	c := s.r.Counter(0, "nic", "msgs_sent")
+	sent := s.counter(0, "nic", "msgs_sent")
 	s.tick(sim.Second)
-	c.Add(100)
+	*sent += 100
 	s.tick(sim.Second) // fires here
 	s.tick(sim.Second) // resolves here
 	frames := s.e.Frames()

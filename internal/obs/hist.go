@@ -91,7 +91,9 @@ func (h *Histogram) Count() uint64 {
 // Bucket is one non-empty histogram bucket in a snapshot: Le is the
 // inclusive upper bound in nanoseconds, Count the observations in
 // (Le/2, Le] alone (not cumulative). Ex, when set, is the bucket's
-// exemplar — the trace id of a sample that landed here.
+// exemplar — the trace id of a sample that landed here. Le is always
+// 1<<i for the bucket's index i: point is the only producer of
+// buckets, and merge and sub index by it.
 type Bucket struct {
 	Le    int64     `json:"le"`
 	Count uint64    `json:"count"`
@@ -110,13 +112,17 @@ type HistPoint struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Point snapshots the histogram under a bare cluster-wide key, for
-// callers that track their own histograms outside a registry (e.g. the
-// reqtrace running-quantile estimator).
-func (h *Histogram) Point() HistPoint { return h.point(Key{Node: -1}) }
+// Quantile returns the q-th quantile as HistPoint.Quantile does, for
+// callers that keep their own histogram outside a registry. The
+// buckets are filled into a stack array, so nothing is allocated.
+func (h *Histogram) Quantile(q float64) int64 {
+	var buf [histBuckets]Bucket
+	return h.fill(Key{}, buf[:0]).Quantile(q)
+}
 
-// point snapshots the histogram state under a key.
-func (h *Histogram) point(k Key) HistPoint {
+// fill appends the non-empty buckets, without exemplars, to buf and
+// returns the point holding them.
+func (h *Histogram) fill(k Key, buf []Bucket) HistPoint {
 	p := HistPoint{Key: k}
 	if h == nil || h.count == 0 {
 		return p
@@ -124,12 +130,36 @@ func (h *Histogram) point(k Key) HistPoint {
 	p.Count, p.Sum, p.Min, p.Max = h.count, h.sum, h.min, h.max
 	for i, c := range h.counts {
 		if c > 0 {
-			b := Bucket{Le: int64(1) << i, Count: c}
+			buf = append(buf, Bucket{Le: int64(1) << i, Count: c})
+		}
+	}
+	p.Buckets = buf
+	return p
+}
+
+// point snapshots the histogram state under a key, in one exactly
+// sized bucket slice (and one exemplar slice when any bucket has one).
+func (h *Histogram) point(k Key) HistPoint {
+	if h == nil || h.count == 0 {
+		return HistPoint{Key: k}
+	}
+	n, nex := 0, 0
+	for i, c := range h.counts {
+		if c > 0 {
+			n++
 			if h.ex != nil && h.ex[i].Trace != 0 {
-				e := h.ex[i]
-				b.Ex = &e
+				nex++
 			}
-			p.Buckets = append(p.Buckets, b)
+		}
+	}
+	p := h.fill(k, make([]Bucket, 0, n))
+	if nex > 0 {
+		exs := make([]Exemplar, 0, nex)
+		for j, b := range p.Buckets {
+			if e := h.ex[bits.TrailingZeros64(uint64(b.Le))]; e.Trace != 0 {
+				exs = append(exs, e)
+				p.Buckets[j].Ex = &exs[len(exs)-1]
+			}
 		}
 	}
 	return p
@@ -158,50 +188,49 @@ func (p HistPoint) sub(prev HistPoint) HistPoint {
 	out := p
 	out.Count -= prev.Count
 	out.Sum -= prev.Sum
-	out.Buckets = addBuckets(append([]Bucket(nil), p.Buckets...), prev.Buckets, -1)
+	out.Buckets = addBuckets(p.Buckets, prev.Buckets, -1)
 	return out
 }
 
-// addBuckets merges b into a with the given sign, keeping ascending Le
-// order and dropping empty buckets. Exemplars survive the merge: on
-// addition b's exemplar wins when both buckets carry one (matching
+// addBuckets returns a new slice holding a plus sign × b, in ascending
+// Le order with empty buckets dropped; a and b are left alone. Both
+// fold into one array indexed by bucket. Exemplars survive the merge:
+// on addition b's exemplar wins when both buckets carry one (matching
 // the latest-observation-wins rule of ObserveTrace under the sorted,
 // deterministic merge order); on subtraction the current (a-side)
 // exemplar is kept.
 func addBuckets(a, b []Bucket, sign int64) []Bucket {
-	m := make(map[int64]uint64, len(a)+len(b))
-	ex := make(map[int64]*Exemplar, len(a))
+	var acc [histBuckets]Bucket
 	for _, x := range a {
-		m[x.Le] += x.Count
+		s := &acc[bits.TrailingZeros64(uint64(x.Le))]
+		s.Count += x.Count
 		if x.Ex != nil {
-			ex[x.Le] = x.Ex
+			s.Ex = x.Ex
 		}
 	}
 	for _, x := range b {
+		s := &acc[bits.TrailingZeros64(uint64(x.Le))]
 		if sign < 0 {
-			m[x.Le] -= x.Count
-		} else {
-			m[x.Le] += x.Count
-			if x.Ex != nil {
-				ex[x.Le] = x.Ex
-			}
+			s.Count -= x.Count
+			continue
+		}
+		s.Count += x.Count
+		if x.Ex != nil {
+			s.Ex = x.Ex
 		}
 	}
-	var les []int64
-	for le, c := range m {
-		if c != 0 {
-			les = append(les, le)
+	n := 0
+	for i := range acc {
+		if acc[i].Count != 0 {
+			n++
 		}
 	}
-	// Les are powers of two; sort ascending.
-	for i := 1; i < len(les); i++ {
-		for j := i; j > 0 && les[j] < les[j-1]; j-- {
-			les[j], les[j-1] = les[j-1], les[j]
+	out := make([]Bucket, 0, n)
+	for i, x := range acc {
+		if x.Count != 0 {
+			x.Le = int64(1) << i
+			out = append(out, x)
 		}
-	}
-	out := make([]Bucket, 0, len(les))
-	for _, le := range les {
-		out = append(out, Bucket{Le: le, Count: m[le], Ex: ex[le]})
 	}
 	return out
 }

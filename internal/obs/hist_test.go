@@ -136,7 +136,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 
 // TestExemplarPropagation: traced observations stamp the landing
 // bucket, latest wins, untraced observations allocate nothing, and
-// exemplars survive Point/merge/Sub.
+// exemplars survive point/merge/Sub.
 func TestExemplarPropagation(t *testing.T) {
 	h := &Histogram{}
 	h.Observe(100) // untraced: no exemplar state
@@ -146,7 +146,7 @@ func TestExemplarPropagation(t *testing.T) {
 	h.ObserveTrace(100, 0xabc)
 	h.ObserveTrace(120, 0xdef) // same (64, 128] bucket: latest wins
 	h.ObserveTrace(5000, 0x42)
-	p := h.Point()
+	p := h.point(Key{})
 	var got []Exemplar
 	for _, b := range p.Buckets {
 		if b.Ex != nil {
@@ -163,9 +163,9 @@ func TestExemplarPropagation(t *testing.T) {
 		t.Fatalf("bucket exemplar = %+v", got[1])
 	}
 	// Sub keeps the current side's exemplars.
-	prev := h.Point()
+	prev := h.point(Key{})
 	h.ObserveTrace(110, 0x99)
-	win := h.Point().Sub(prev)
+	win := h.point(Key{}).Sub(prev)
 	found := false
 	for _, b := range win.Buckets {
 		if b.Ex != nil && b.Ex.Trace == 0x99 {

@@ -97,16 +97,6 @@ func (o *Obs) Observe(node int, layer, name string, v int64) {
 	o.Reg.Histogram(node, layer, name).Observe(v)
 }
 
-// ObserveFlow records one value and stamps the landing bucket's
-// exemplar with the causal trace id (no-op exemplar when trace is 0,
-// so untraced runs behave exactly like Observe).
-func (o *Obs) ObserveFlow(node int, layer, name string, v int64, trace uint64) {
-	if o == nil {
-		return
-	}
-	o.Reg.Histogram(node, layer, name).ObserveTrace(v, trace)
-}
-
 // Snapshot captures the registry at the given virtual time.
 func (o *Obs) Snapshot(at sim.Time) *Snapshot {
 	if o == nil {

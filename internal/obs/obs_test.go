@@ -87,11 +87,11 @@ func TestHistogramQuantileClamped(t *testing.T) {
 
 func TestRegistryCollectorsAccumulate(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(0, "nic", "pkts").Add(5)
-	// Two collectors (e.g. two ports on one node) sharing a key must
-	// accumulate, and collectors must combine with push counters.
+	// Collectors (e.g. ports on one node) sharing a key accumulate, also
+	// within one collector.
+	r.RegisterCollector(func(set Set) { set(0, "nic", "pkts", 5) })
 	r.RegisterCollector(func(set Set) { set(0, "nic", "pkts", 10) })
-	r.RegisterCollector(func(set Set) { set(0, "nic", "pkts", 2) })
+	r.RegisterCollector(func(set Set) { set(0, "nic", "pkts", 1); set(0, "nic", "pkts", 1) })
 	s := r.Snapshot(42)
 	if v, ok := s.Counter(0, "nic", "pkts"); !ok || v != 17 {
 		t.Fatalf("pkts = %d, %v", v, ok)
@@ -103,9 +103,11 @@ func TestRegistryCollectorsAccumulate(t *testing.T) {
 
 func TestSnapshotHelpers(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(0, "fabric:myrinet", "drops").Add(3)
-	r.Counter(1, "fabric:mesh", "drops").Add(4)
-	r.Counter(0, "nic", "drops").Add(100)
+	r.RegisterCollector(func(set Set) {
+		set(0, "fabric:myrinet", "drops", 3)
+		set(1, "fabric:mesh", "drops", 4)
+		set(0, "nic", "drops", 100)
+	})
 	s := r.Snapshot(0)
 	if got := s.SumCounterPrefix("fabric:", "drops"); got != 7 {
 		t.Fatalf("prefix sum = %d", got)
@@ -117,12 +119,13 @@ func TestSnapshotHelpers(t *testing.T) {
 
 func TestSnapshotDiff(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter(0, "nic", "pkts")
+	var pkts uint64
+	r.RegisterCollector(func(set Set) { set(0, "nic", "pkts", pkts) })
 	h := r.Histogram(0, "nic", "lat")
-	c.Add(5)
+	pkts += 5
 	h.Observe(100)
 	prev := r.Snapshot(10)
-	c.Add(7)
+	pkts += 7
 	h.Observe(100)
 	h.Observe(3000)
 	d := r.Snapshot(20).Diff(prev)
@@ -143,7 +146,7 @@ func TestSnapshotDeterministicText(t *testing.T) {
 			set(0, "nic", "b", 1)
 			set(0, "kernel", "a", 3)
 		})
-		r.Gauge(0, "nic", "queue").Set(-4)
+		r.RegisterGaugeCollector(func(set GaugeSet) { set(0, "nic", "queue", -4) })
 		r.Histogram(0, "nic", "lat").Observe(900)
 		return r.Snapshot(7)
 	}
@@ -177,10 +180,10 @@ func TestSnapshotDeterministicText(t *testing.T) {
 
 func TestMergeSnapshots(t *testing.T) {
 	r1 := NewRegistry()
-	r1.Counter(0, "nic", "pkts").Add(1)
+	r1.RegisterCollector(func(set Set) { set(0, "nic", "pkts", 1) })
 	r1.Histogram(0, "nic", "lat").Observe(10)
 	r2 := NewRegistry()
-	r2.Counter(0, "nic", "pkts").Add(2)
+	r2.RegisterCollector(func(set Set) { set(0, "nic", "pkts", 2) })
 	r2.Histogram(0, "nic", "lat").Observe(20)
 	m := Merge(r1.Snapshot(5), nil, r2.Snapshot(9))
 	if v, _ := m.Counter(0, "nic", "pkts"); v != 3 {
@@ -243,10 +246,10 @@ func TestSamplerTerminatesAndBounds(t *testing.T) {
 	o := New()
 	env := sim.NewEnv(1)
 	n := 0
+	o.RegisterCollector(func(set Set) { set(0, "nic", "ticks", uint64(n)) })
 	env.Go("work", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			p.Sleep(sim.Millisecond)
-			o.Reg.Counter(0, "nic", "ticks").Inc()
 			n++
 		}
 	})
@@ -294,13 +297,16 @@ func TestSamplerIgnoresCancelledTimer(t *testing.T) {
 func TestTimelineTextMultiColumn(t *testing.T) {
 	o := New()
 	env := sim.NewEnv(1)
-	a := o.Reg.Counter(0, "nic", "sent")
-	b := o.Reg.Counter(1, "nic", "drops")
+	var sent, drops uint64
+	o.RegisterCollector(func(set Set) {
+		set(0, "nic", "sent", sent)
+		set(1, "nic", "drops", drops)
+	})
 	env.Go("work", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			p.Sleep(sim.Millisecond)
-			a.Add(10)
-			b.Add(1)
+			sent += 10
+			drops++
 		}
 	})
 	o.StartSampler(env, sim.Millisecond, 8)
@@ -404,10 +410,10 @@ func TestPrometheusTextEscapingAndHeaders(t *testing.T) {
 	r := NewRegistry()
 	// A layer value with every character the exposition format must
 	// escape: backslash, double quote, newline.
-	r.Counter(0, `we"ird\layer`+"\n", "drops").Add(1)
+	r.RegisterCollector(func(set Set) { set(0, `we"ird\layer`+"\n", "drops", 1) })
 	// A metric name with characters outside [a-zA-Z0-9_:] must be
 	// sanitized in the family name but NOT in the label value.
-	r.Gauge(1, "nic", "queue-depth.max").Set(7)
+	r.RegisterGaugeCollector(func(set GaugeSet) { set(1, "nic", "queue-depth.max", 7) })
 	r.Histogram(0, "nic", "lat").Observe(100)
 	out := r.Snapshot(1).Text()
 	if !strings.Contains(out, `layer="we\"ird\\layer\n"`) {

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,16 +26,16 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s/%s@%d", k.Layer, k.Name, k.Node)
 }
 
-// keyLess orders metrics for deterministic output: by layer, then
+// keyCmp orders metrics for deterministic output: by layer, then
 // name, then node.
-func keyLess(a, b Key) bool {
-	if a.Layer != b.Layer {
-		return a.Layer < b.Layer
+func keyCmp(a, b Key) int {
+	if c := strings.Compare(a.Layer, b.Layer); c != 0 {
+		return c
 	}
-	if a.Name != b.Name {
-		return a.Name < b.Name
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
 	}
-	return a.Node < b.Node
+	return cmp.Compare(a.Node, b.Node)
 }
 
 // Set is the sink a Collector publishes counters into. Repeated calls
@@ -58,70 +60,97 @@ type GaugeSet func(node int, layer, name string, v int64)
 // so the instrumented structures pay nothing between samples.
 type GaugeCollector func(set GaugeSet)
 
-// Counter is a push-model monotonic counter.
-type Counter struct{ v uint64 }
-
-// Add increments the counter. A nil counter is a no-op.
-func (c *Counter) Add(d uint64) {
-	if c != nil {
-		c.v += d
-	}
+// keyTable accumulates one snapshot's collector output. It outlives
+// the snapshot: each key keeps its slot, order lists the slots sorted
+// by key (an insertion per new key, never a sort), and last remembers
+// the slot the i-th set call of the previous snapshot hit. Collectors
+// emit the same keys in the same order from one snapshot to the next,
+// so a set call costs one key compare; a miss binary-searches order.
+type keyTable[V uint64 | int64] struct {
+	slots []keySlot[V]
+	order []int32
+	last  []int32
+	calls int
+	epoch uint64 // slots set in this snapshot carry it
+	live  int    // slots set in this snapshot
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
+type keySlot[V uint64 | int64] struct {
+	key   Key
+	v     V
+	epoch uint64
 }
 
-// Gauge is a push-model instantaneous value.
-type Gauge struct{ v int64 }
+// begin starts a snapshot: every slot reads as absent until set.
+func (t *keyTable[V]) begin() { t.epoch, t.calls, t.live = t.epoch+1, 0, 0 }
 
-// Set stores the value. A nil gauge is a no-op.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v = v
+// add accumulates v under k.
+func (t *keyTable[V]) add(k Key, v V) {
+	if t.calls == len(t.last) {
+		t.last = append(t.last, t.find(k))
+	} else if t.slots[t.last[t.calls]].key != k {
+		t.last[t.calls] = t.find(k)
 	}
+	s := &t.slots[t.last[t.calls]]
+	t.calls++
+	if s.epoch != t.epoch {
+		s.epoch, s.v = t.epoch, 0
+		t.live++
+	}
+	s.v += v
 }
 
-// Add moves the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v += d
+// find returns k's slot, making one on first use.
+func (t *keyTable[V]) find(k Key) int32 {
+	pos, ok := slices.BinarySearchFunc(t.order, k, func(i int32, k Key) int { return keyCmp(t.slots[i].key, k) })
+	if ok {
+		return t.order[pos]
 	}
+	i := int32(len(t.slots))
+	t.slots = append(t.slots, keySlot[V]{key: k})
+	t.order = slices.Insert(t.order, pos, i)
+	return i
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
+// points lists the slots set in this snapshot in key order, in a slice
+// of exactly that size; nil when there are none.
+func points[V uint64 | int64, P any](t *keyTable[V], mk func(Key, V) P) []P {
+	if t.live == 0 {
+		return nil
 	}
-	return g.v
+	out := make([]P, 0, t.live)
+	for _, i := range t.order {
+		if s := &t.slots[i]; s.epoch == t.epoch {
+			out = append(out, mk(s.key, s.v))
+		}
+	}
+	return out
 }
 
 // Registry holds one cluster's metrics. It is single-threaded like the
 // simulator itself; snapshots are deterministic (sorted keys, no map
 // iteration reaches the output).
 type Registry struct {
-	counters        map[Key]*Counter
-	gauges          map[Key]*Gauge
-	hists           map[Key]*Histogram
+	hists           []histEntry // sorted by key
 	collectors      []Collector
 	gaugeCollectors []GaugeCollector
+	counters        keyTable[uint64]
+	gauges          keyTable[int64]
+	set             Set
+	gaugeSet        GaugeSet
+}
+
+type histEntry struct {
+	key Key
+	h   *Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[Key]*Counter),
-		gauges:   make(map[Key]*Gauge),
-		hists:    make(map[Key]*Histogram),
-	}
+	r := &Registry{}
+	r.set = func(node int, layer, name string, v uint64) { r.counters.add(Key{node, layer, name}, v) }
+	r.gaugeSet = func(node int, layer, name string, v int64) { r.gauges.add(Key{node, layer, name}, v) }
+	return r
 }
 
 // RegisterCollector adds a pull-model counter source.
@@ -141,35 +170,6 @@ func (r *Registry) RegisterGaugeCollector(c GaugeCollector) {
 	r.gaugeCollectors = append(r.gaugeCollectors, c)
 }
 
-// Counter returns the named push counter, creating it on first use.
-// Returns nil (safe to use) on a nil registry.
-func (r *Registry) Counter(node int, layer, name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	k := Key{node, layer, name}
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(node int, layer, name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	k := Key{node, layer, name}
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
-}
-
 // Histogram returns the named latency histogram, creating it on first
 // use.
 func (r *Registry) Histogram(node int, layer, name string) *Histogram {
@@ -177,12 +177,11 @@ func (r *Registry) Histogram(node int, layer, name string) *Histogram {
 		return nil
 	}
 	k := Key{node, layer, name}
-	h, ok := r.hists[k]
+	i, ok := slices.BinarySearchFunc(r.hists, k, func(e histEntry, k Key) int { return keyCmp(e.key, k) })
 	if !ok {
-		h = &Histogram{}
-		r.hists[k] = h
+		r.hists = slices.Insert(r.hists, i, histEntry{k, &Histogram{}})
 	}
-	return h
+	return r.hists[i].h
 }
 
 // CounterPoint is one counter in a snapshot.
@@ -198,7 +197,7 @@ type GaugePoint struct {
 }
 
 // Snapshot is an immutable copy of the registry at one virtual
-// instant: sorted counter, gauge and histogram points.
+// instant: counter, gauge and histogram points, each sorted by key.
 type Snapshot struct {
 	At       sim.Time       `json:"at_ns"`
 	Counters []CounterPoint `json:"counters"`
@@ -206,45 +205,30 @@ type Snapshot struct {
 	Hists    []HistPoint    `json:"histograms,omitempty"`
 }
 
-// Snapshot captures the registry: push counters and gauges, collector
-// outputs (accumulated per key), and histogram state.
+// Snapshot captures the registry: collector outputs (accumulated per
+// key; a key no collector sets this time is absent) and histogram
+// state. The snapshot owns its slices.
 func (r *Registry) Snapshot(at sim.Time) *Snapshot {
 	s := &Snapshot{At: at}
 	if r == nil {
 		return s
 	}
-	acc := make(map[Key]uint64, len(r.counters))
-	for k, c := range r.counters {
-		acc[k] += c.Value()
-	}
-	set := func(node int, layer, name string, v uint64) {
-		acc[Key{node, layer, name}] += v
-	}
+	r.counters.begin()
 	for _, c := range r.collectors {
-		c(set)
+		c(r.set)
 	}
-	for k, v := range acc {
-		s.Counters = append(s.Counters, CounterPoint{Key: k, Value: v})
-	}
-	sort.Slice(s.Counters, func(i, j int) bool { return keyLess(s.Counters[i].Key, s.Counters[j].Key) })
-	gacc := make(map[Key]int64, len(r.gauges))
-	for k, g := range r.gauges {
-		gacc[k] += g.Value()
-	}
-	gset := func(node int, layer, name string, v int64) {
-		gacc[Key{node, layer, name}] += v
-	}
+	r.gauges.begin()
 	for _, c := range r.gaugeCollectors {
-		c(gset)
+		c(r.gaugeSet)
 	}
-	for k, v := range gacc {
-		s.Gauges = append(s.Gauges, GaugePoint{Key: k, Value: v})
+	s.Counters = points(&r.counters, func(k Key, v uint64) CounterPoint { return CounterPoint{k, v} })
+	s.Gauges = points(&r.gauges, func(k Key, v int64) GaugePoint { return GaugePoint{k, v} })
+	if len(r.hists) > 0 {
+		s.Hists = make([]HistPoint, len(r.hists))
+		for i, e := range r.hists {
+			s.Hists[i] = e.h.point(e.key)
+		}
 	}
-	sort.Slice(s.Gauges, func(i, j int) bool { return keyLess(s.Gauges[i].Key, s.Gauges[j].Key) })
-	for k, h := range r.hists {
-		s.Hists = append(s.Hists, h.point(k))
-	}
-	sort.Slice(s.Hists, func(i, j int) bool { return keyLess(s.Hists[i].Key, s.Hists[j].Key) })
 	return s
 }
 
@@ -316,24 +300,38 @@ func (s *Snapshot) MergedHist(layer, name string) HistPoint {
 
 // Diff returns a snapshot holding s minus prev, counter-wise and
 // histogram-wise (keys missing from prev count as zero). Gauges keep
-// their current values: an instantaneous reading has no delta.
+// their current values: an instantaneous reading has no delta. Both
+// snapshots are sorted by key, as every snapshot is, so one walk pairs
+// them.
 func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 	d := &Snapshot{At: s.At, Gauges: append([]GaugePoint(nil), s.Gauges...)}
+	j := 0
 	for _, c := range s.Counters {
-		pv, _ := prev.Counter(c.Node, c.Layer, c.Name)
-		d.Counters = append(d.Counters, CounterPoint{Key: c.Key, Value: c.Value - pv})
+		for j < len(prev.Counters) && keyCmp(prev.Counters[j].Key, c.Key) < 0 {
+			j++
+		}
+		if j < len(prev.Counters) && prev.Counters[j].Key == c.Key {
+			c.Value -= prev.Counters[j].Value
+		}
+		d.Counters = append(d.Counters, c)
 	}
+	j = 0
 	for _, h := range s.Hists {
-		d.Hists = append(d.Hists, h.sub(prev.hist(h.Key)))
+		for j < len(prev.Hists) && keyCmp(prev.Hists[j].Key, h.Key) < 0 {
+			j++
+		}
+		var p HistPoint
+		if j < len(prev.Hists) && prev.Hists[j].Key == h.Key {
+			p = prev.Hists[j]
+		}
+		d.Hists = append(d.Hists, h.sub(p))
 	}
 	return d
 }
 
 func (s *Snapshot) hist(k Key) HistPoint {
-	for _, h := range s.Hists {
-		if h.Key == k {
-			return h
-		}
+	if i, ok := slices.BinarySearchFunc(s.Hists, k, func(h HistPoint, k Key) int { return keyCmp(h.Key, k) }); ok {
+		return s.Hists[i]
 	}
 	return HistPoint{Key: k}
 }
@@ -348,45 +346,31 @@ func (s *Snapshot) Hist(node int, layer, name string) HistPoint {
 // histograms merge, At takes the latest.
 func Merge(snaps ...*Snapshot) *Snapshot {
 	out := &Snapshot{}
-	cacc := make(map[Key]uint64)
-	gacc := make(map[Key]int64)
-	hacc := make(map[Key]*HistPoint)
-	var horder []Key
+	var cs keyTable[uint64]
+	var gs keyTable[int64]
+	cs.begin()
+	gs.begin()
 	for _, s := range snaps {
 		if s == nil {
 			continue
 		}
-		if s.At > out.At {
-			out.At = s.At
-		}
+		out.At = max(out.At, s.At)
 		for _, c := range s.Counters {
-			cacc[c.Key] += c.Value
+			cs.add(c.Key, c.Value)
 		}
 		for _, g := range s.Gauges {
-			gacc[g.Key] += g.Value
+			gs.add(g.Key, g.Value)
 		}
 		for _, h := range s.Hists {
-			hp, ok := hacc[h.Key]
+			i, ok := slices.BinarySearchFunc(out.Hists, h.Key, func(p HistPoint, k Key) int { return keyCmp(p.Key, k) })
 			if !ok {
-				hp = &HistPoint{Key: h.Key}
-				hacc[h.Key] = hp
-				horder = append(horder, h.Key)
+				out.Hists = slices.Insert(out.Hists, i, HistPoint{Key: h.Key})
 			}
-			hp.merge(h)
+			out.Hists[i].merge(h)
 		}
 	}
-	for k, v := range cacc {
-		out.Counters = append(out.Counters, CounterPoint{Key: k, Value: v})
-	}
-	sort.Slice(out.Counters, func(i, j int) bool { return keyLess(out.Counters[i].Key, out.Counters[j].Key) })
-	for k, v := range gacc {
-		out.Gauges = append(out.Gauges, GaugePoint{Key: k, Value: v})
-	}
-	sort.Slice(out.Gauges, func(i, j int) bool { return keyLess(out.Gauges[i].Key, out.Gauges[j].Key) })
-	sort.Slice(horder, func(i, j int) bool { return keyLess(horder[i], horder[j]) })
-	for _, k := range horder {
-		out.Hists = append(out.Hists, *hacc[k])
-	}
+	out.Counters = points(&cs, func(k Key, v uint64) CounterPoint { return CounterPoint{k, v} })
+	out.Gauges = points(&gs, func(k Key, v int64) GaugePoint { return GaugePoint{k, v} })
 	return out
 }
 

@@ -102,6 +102,9 @@ type Recorder struct {
 
 	pending map[uint64]*Request // in flight, keyed by flow
 	open    map[uint64]*Request // retained, still accepting trailing spans
+	free    sim.FreeList[*Request]
+
+	userLabels, shardLabels []string // "u0007", "s2": made on first use
 
 	retained []*Request // sampled traces in completion order
 	lat      obs.Histogram
@@ -142,13 +145,29 @@ func (r *Recorder) Begin(flow uint64, kind, key string, user uint16, node, shard
 	if r == nil {
 		return
 	}
-	r.pending[flow] = &Request{
-		Flow: flow, Kind: kind, Key: key, User: user, Node: node, Shard: shard,
-		Arrival: at,
+	req, ok := r.free.Get()
+	if !ok {
+		req = new(Request)
 	}
+	*req = Request{
+		Flow: flow, Kind: kind, Key: key, User: user, Node: node, Shard: shard,
+		Arrival: at, Spans: req.Spans[:0],
+	}
+	r.pending[flow] = req
 	r.byKey.Offer(key)
-	r.byUser.Offer(fmt.Sprintf("u%04d", user))
-	r.byShard.Offer(fmt.Sprintf("s%d", shard))
+	r.byUser.Offer(label(&r.userLabels, "u%04d", int(user)))
+	r.byShard.Offer(label(&r.shardLabels, "s%d", shard))
+}
+
+// label returns fmt.Sprintf(format, i), made once per i into tab.
+func label(tab *[]string, format string, i int) string {
+	if i >= len(*tab) {
+		*tab = append(*tab, make([]string, i+1-len(*tab))...)
+	}
+	if (*tab)[i] == "" {
+		(*tab)[i] = fmt.Sprintf(format, i)
+	}
+	return (*tab)[i]
 }
 
 // Mark attaches one zero-width stage marker to the request's span
@@ -191,6 +210,9 @@ func (r *Recorder) Flag(flow uint64) {
 
 // End closes the request at its reply-consume instant and runs the
 // tail-sampling decision. Returns whether the span tree was retained.
+// A request that is not retained goes back to the free list for the
+// next Begin; a retained one is held by the slow log and bundles, so
+// it is never reused.
 func (r *Recorder) End(flow uint64, at sim.Time, aborted bool) bool {
 	if r == nil {
 		return false
@@ -253,6 +275,11 @@ func (r *Recorder) End(flow uint64, at sim.Time, aborted bool) bool {
 		r.skipped++
 	}
 	r.mix(flow, uint64(req.Latency), retain, req.Why)
+	if retain {
+		r.free.Abandon()
+	} else {
+		r.free.Put(req)
+	}
 	return retain
 }
 
@@ -293,7 +320,7 @@ func (r *Recorder) Threshold() sim.Time {
 	if r == nil || r.lat.Count() == 0 {
 		return 0
 	}
-	return sim.Time(r.cfg.SlowFactor * float64(r.lat.Point().Quantile(r.cfg.Quantile)))
+	return sim.Time(r.cfg.SlowFactor * float64(r.lat.Quantile(r.cfg.Quantile)))
 }
 
 // Done returns the completed-request count.
@@ -501,7 +528,7 @@ func (r *Recorder) SlowLogText(n int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "slow-request log: top %d of %d retained traces (%d requests, %d interesting dropped, est p%g %.2fus)\n",
 		len(reqs), len(r.Retained()), r.Done(), r.Dropped(),
-		r.cfg.Quantile*100, float64(r.lat.Point().Quantile(r.cfg.Quantile))/1000)
+		r.cfg.Quantile*100, float64(r.lat.Quantile(r.cfg.Quantile))/1000)
 	for i, q := range reqs {
 		fmt.Fprintf(&b, "#%-3d %9.2fus  %-4s key=%-8s u%04d node%d shard%d flow=%x  [%s]\n",
 			i+1, float64(q.Latency)/1000, q.Kind, q.Key, q.User, q.Node, q.Shard, q.Flow, q.Why)

@@ -228,3 +228,41 @@ func TestSharesAndHotLine(t *testing.T) {
 		t.Fatalf("hot line:\n%s", line)
 	}
 }
+
+// A request the sampler drops is recycled: after warm-up, Begin, three
+// Marks and End allocate nothing, and the free list lends out exactly
+// the pending requests.
+func TestRecorderUnretainedAllocs(t *testing.T) {
+	r := New(Config{Shards: 3})
+	r.Begin(1, "get", "k1", 7, 0, 1, 0) // stays pending throughout
+	r.Begin(2, "put", "k2", 8, 1, 2, 0)
+	flow := uint64(100)
+	cycle := func() {
+		flow++
+		r.Begin(flow, "get", "k1", 7, 0, 1, 10)
+		r.Mark(flow, "svc-issue", "host0", 11)
+		r.Mark(flow, "svc-exec", "host3", 12)
+		r.Mark(flow, "svc-reply", "host0", 13)
+		if r.End(flow, 20, false) {
+			t.Fatal("a steady request was retained")
+		}
+	}
+	for i := 0; i < 64; i++ { // past the warm-up: Threshold runs too
+		cycle()
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("%v allocations per unretained request", n)
+	}
+	if got := r.free.InUse(); got != len(r.pending) || got != 2 {
+		t.Fatalf("free list lends %d requests, %d pending", got, len(r.pending))
+	}
+	// A retained request is abandoned, not recycled.
+	r.Begin(3, "get", "k1", 7, 0, 1, 0)
+	if !r.End(3, 30, true) || r.free.InUse() != 2 || r.Retained()[0].Flow != 3 {
+		t.Fatalf("retained request: in use %d, retained %+v", r.free.InUse(), r.Retained())
+	}
+	r.Begin(4, "get", "k1", 7, 0, 1, 0)
+	if r.Retained()[0].Flow != 3 {
+		t.Fatal("a retained request was reused")
+	}
+}

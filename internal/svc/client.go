@@ -33,6 +33,9 @@ type Driver struct {
 	row  string // "host<node>", the trace row of this process
 	tr   *trace.Tracer
 	rt   *reqtrace.Recorder
+	// lat is the node's req_latency_ns histogram, looked up by the first
+	// completion: a driver that completed nothing adds no empty series.
+	lat *obs.Histogram
 
 	conns []*conn
 	users []*user
@@ -471,7 +474,10 @@ func (d *Driver) complete(p *sim.Proc, o op, aborted bool) {
 	d.stats.Done++
 	lat := p.Now() - o.arrival
 	d.samples = append(d.samples, lat)
-	d.ep.port.Node().Obs.ObserveFlow(d.node, "svc", "req_latency_ns", int64(lat), o.flow)
+	if ob := d.ep.port.Node().Obs; ob != nil && d.lat == nil {
+		d.lat = ob.Reg.Histogram(d.node, "svc", "req_latency_ns")
+	}
+	d.lat.ObserveTrace(int64(lat), o.flow)
 	d.rt.End(o.flow, p.Now(), aborted)
 }
 
