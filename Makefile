@@ -7,7 +7,7 @@ GO ?= go
 # survival, collectives, healthwatch, serve, reqobs): `make chaos SEED=7`.
 SEED ?= 1
 
-.PHONY: all test race short fuzz bench hostbench experiments chaos survival collectives metrics profile multitenant healthwatch serve reqobs baseline check examples tools clean
+.PHONY: all test race short fuzz bench hostbench experiments chaos survival collectives metrics profile multitenant healthwatch serve reqobs baseline check hostcheck examples tools clean
 
 all: test
 
@@ -130,35 +130,37 @@ reqobs:
 
 # Continuous benchmark gate. `make baseline` (re)writes
 # baselines/BENCH_*.json from a fresh run of the gated experiments;
-# `make check` reruns them, fails on any metric outside its tolerance
-# band, and then requires every fresh artifact to be byte-identical to
-# its committed baseline (the event-order oracle; prints the first file
-# that differs). Last it runs each host-benchmark workload for a moment
-# and diffs the model line it prints first (ops, events executed, model
-# digest: deterministic per seed and size) against
-# baselines/HOSTBENCH_model.txt, which holds the event order on five
-# workloads the baselines do not reach. A change that removes events on
-# purpose regenerates that file with the same loop and says so. Then it
-# runs mpi_halo70 at four times the work and requires its peak RSS
-# within 1.5x of the short run's (54 -> 63 MB today): memory must not
-# grow with work done — it did, 116 -> 337 MB, while every host
-# collective mapped fresh simulated pages. Between the two it reads
-# allocs_per_op from the same short runs and holds eager_pingpong to 1
-# and mpi_halo70 to 300 objects per op (0.0 and 155 today; 10 and 1 432
-# while every message built its descriptors, journal entry and events on
-# the heap): a count, which repeats exactly. CI runs all of it on every
-# push.
+# `make check` reruns them at seed 1 and requires every fresh artifact
+# to equal its committed baseline byte for byte (the event-order
+# oracle). Each gate prints `check <gate> PASS (byte-identical)` or
+# FAIL followed by one `path: baseline -> fresh` line per JSON leaf that
+# moved; all twelve passing ends in "baselines reproduce byte for byte".
+# Then it runs `make hostcheck`. CI runs all of it on every push.
 baseline:
 	$(GO) run ./cmd/bclbench -baseline
 
 check:
+	$(GO) run ./cmd/bclbench -check
+	@$(MAKE) --no-print-directory hostcheck
+
+# The host half of `make check`; CI runs it as is. Each host-benchmark
+# workload runs for a moment and must verify every op; the model line it
+# prints first (ops, events, model digest: deterministic per seed and
+# size) must match baselines/HOSTBENCH_model.txt, the event order on
+# five workloads the baselines do not reach (a change that removes
+# events on purpose regenerates it with the same loop, and says so).
+# allocs_per_op from the same runs holds eager_pingpong to 1 and
+# mpi_halo70 to 300 objects per op, a count that repeats exactly (0.0
+# and 155 today; 10 and 1 432 before messages stopped making garbage),
+# and mpi_halo70 at four times the work must peak within 1.5x of the
+# short run's RSS (54 -> 63 MB today; 116 -> 337 MB while every host
+# collective mapped fresh simulated pages).
+hostcheck:
 	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
-	$(GO) run ./cmd/bclbench -check -out "$$out" && \
-	for f in "$$out"/BENCH_*.json; do \
-		cmp "$$f" "baselines/$$(basename "$$f")" || exit 1; \
-	done && echo "baselines reproduce byte for byte" && \
 	for w in $$(cut -d' ' -f1 baselines/HOSTBENCH_model.txt); do \
 		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 2 --trace 0 > "$$out/host_$$w.txt" || exit 1; \
+		tail -n 1 "$$out/host_$$w.txt" | grep '"correct":true' | grep -q '"failed":0' || \
+			{ echo "$$w: an op failed verification" >&2; tail -n 1 "$$out/host_$$w.txt" >&2; exit 1; }; \
 		sed -n 1p "$$out/host_$$w.txt"; \
 	done | diff baselines/HOSTBENCH_model.txt - && echo "host benchmark model lines reproduce" && \
 	allocs() { sed -n '$$s/.*"allocs_per_op":{"value":\([0-9.e+-]*\).*/\1/p' "$$out/host_$$1.txt"; } && \

@@ -10,8 +10,8 @@
 //	bclbench -metrics pingpong # append the registry snapshot
 //	                           # (Prometheus text + JSON) to each report
 //	bclbench -baseline         # (re)write baselines/BENCH_*.json
-//	bclbench -check            # rerun the gated experiments, compare
-//	                           # against baselines/, exit 1 on regression
+//	bclbench -check            # rerun the gated experiments, exit 1 naming
+//	                           # every JSON leaf that moved from baselines/
 //	bclbench -check -out dir   # also write the fresh artifacts to dir
 //	bclbench -check -postmortem dir
 //	                           # additionally write a bcl-postmortem/v1
@@ -36,9 +36,9 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	seed := flag.Uint64("seed", 1, "fault/traffic-schedule seed for the seeded experiments (marked in -list), also under all, -check and -watch")
+	seed := flag.Uint64("seed", 1, "fault/traffic-schedule seed for the seeded experiments (marked in -list), also under all and -watch; -check and -baseline take only 1, the baselines' seed")
 	metrics := flag.Bool("metrics", false, "print each experiment's metrics registry snapshot (text and JSON)")
-	check := flag.Bool("check", false, "run the gated experiments and compare against committed baselines (exit 1 on regression)")
+	check := flag.Bool("check", false, "run the gated experiments and require each artifact to equal its committed baseline byte for byte (exit 1 naming every moved leaf)")
 	baseline := flag.Bool("baseline", false, "run the gated experiments and (re)write the baselines")
 	dir := flag.String("dir", "baselines", "baseline directory for -check / -baseline")
 	out := flag.String("out", "", "also write fresh BENCH_<name>.json artifacts to this directory")
@@ -46,7 +46,7 @@ func main() {
 	post := flag.String("postmortem", "", "with -check: write POSTMORTEM_<name>.json bundles for failing gates to this directory")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: bclbench [-list] [-seed N] [-metrics] [-out dir] all | <experiment> ...\n")
-		fmt.Fprintf(os.Stderr, "       bclbench [-check | -baseline] [-dir baselines] [-out dir]\n")
+		fmt.Fprintf(os.Stderr, "       bclbench (-check [-postmortem dir] | -baseline) [-dir baselines] [-out dir]   (seed 1 only)\n")
 		fmt.Fprintf(os.Stderr, "experiments: %s\n", strings.Join(bench.IDs(), " "))
 	}
 	flag.Parse()
@@ -92,11 +92,11 @@ func main() {
 		return
 	}
 	if *check || *baseline {
-		if flag.NArg() != 0 {
+		if flag.NArg() != 0 || *check && *baseline || *seed != 1 {
 			flag.Usage()
 			os.Exit(2)
 		}
-		os.Exit(runGate(*check, *dir, *out, *post, *seed))
+		os.Exit(runGate(*check, *dir, *out, *post))
 	}
 	args := flag.Args()
 	if len(args) == 0 {
@@ -123,7 +123,11 @@ func main() {
 		fmt.Print(r.String())
 		fmt.Println(r.Summary)
 		if *out != "" {
-			if err := writeArtifact(*out, r); err != nil {
+			b, err := bench.FromReport(r).Encode()
+			if err == nil {
+				err = writeFile(*out, bench.ArtifactFile(r.Artifact), b)
+			}
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "bclbench: %v\n", err)
 				os.Exit(1)
 			}
@@ -142,41 +146,40 @@ func main() {
 	}
 }
 
-func writeArtifact(dir string, r *bench.Report) error {
+// writeFile writes data to dir/name, creating dir.
+func writeFile(dir, name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	b, err := bench.FromReport(r).Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, bench.ArtifactFile(r.Artifact)), b, 0o644)
+	return os.WriteFile(filepath.Join(dir, name), data, 0o644)
 }
 
-// runGate runs every gated experiment once and either rewrites the
-// baselines (check=false) or compares against them (check=true).
-// Returns the process exit code.
-func runGate(check bool, dir, out, post string, seed uint64) int {
+// runGate runs every gated experiment once at the baselines' seed and
+// either rewrites the baselines (check=false) or requires each fresh
+// artifact to equal its baseline byte for byte (check=true), printing
+// every leaf that moved. Returns the process exit code.
+func runGate(check bool, dir, out, post string) int {
 	failed := false
 	for _, e := range bench.List() {
 		if e.Gate == "" {
 			continue
 		}
-		r := bench.Run(e.ID, seed)
-		fresh := bench.FromReport(r)
-		if out != "" {
-			if err := writeArtifact(out, r); err != nil {
-				fmt.Fprintf(os.Stderr, "bclbench: %v\n", err)
-				return 1
-			}
+		r := bench.Run(e.ID, 1)
+		name := bench.ArtifactFile(e.Gate)
+		b, err := bench.FromReport(r).Encode()
+		if err == nil && out != "" {
+			err = writeFile(out, name, b)
 		}
-		path := filepath.Join(dir, bench.ArtifactFile(e.Gate))
+		if err == nil && !check {
+			err = writeFile(dir, name, b)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bclbench: %v\n", err)
+			return 1
+		}
+		path := filepath.Join(dir, name)
 		if !check {
-			if err := writeArtifact(dir, r); err != nil {
-				fmt.Fprintf(os.Stderr, "bclbench: %v\n", err)
-				return 1
-			}
-			fmt.Printf("baseline %-12s -> %s (%d metrics)\n", e.Gate, path, len(fresh.Metrics))
+			fmt.Printf("baseline %-12s -> %s (%d metrics)\n", e.Gate, path, len(r.Metrics))
 			continue
 		}
 		raw, err := os.ReadFile(path)
@@ -186,27 +189,23 @@ func runGate(check bool, dir, out, post string, seed uint64) int {
 			writePostmortem(post, r, []string{err.Error()})
 			continue
 		}
-		base, err := bench.DecodeArtifact(raw)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bclbench: %s: bad baseline: %v\n", e.Gate, err)
-			failed = true
-			writePostmortem(post, r, []string{err.Error()})
-			continue
-		}
-		bad := bench.Check(fresh, base)
-		if len(bad) == 0 {
-			fmt.Printf("check %-12s PASS (%d metrics within tolerance)\n", e.Gate, len(base.Metrics))
+		moved := bench.Diff(b, raw)
+		if moved == nil {
+			fmt.Printf("check %-12s PASS (byte-identical)\n", e.Gate)
 			continue
 		}
 		failed = true
 		fmt.Printf("check %-12s FAIL\n", e.Gate)
-		for _, m := range bad {
-			fmt.Printf("  regression: %s\n", m)
+		for _, m := range moved {
+			fmt.Printf("  %s\n", m)
 		}
-		writePostmortem(post, r, bad)
+		writePostmortem(post, r, moved)
 	}
 	if failed {
 		return 1
+	}
+	if check {
+		fmt.Println("baselines reproduce byte for byte")
 	}
 	return 0
 }
@@ -219,23 +218,16 @@ func writePostmortem(dir string, r *bench.Report, reasons []string) {
 	if dir == "" {
 		return
 	}
-	atNs := int64(0)
-	if r.Snap != nil {
-		atNs = int64(r.Snap.At)
-	}
-	b := health.GateBundle(r.Artifact, atNs, reasons, r.Snap, r.Flight)
-	data, err := b.Encode()
+	name := "POSTMORTEM_" + r.Artifact + ".json"
+	data, err := health.GateBundle(r.Artifact, int64(r.Snap.At), reasons, r.Snap, r.Flight).Encode()
 	if err == nil {
-		err = os.MkdirAll(dir, 0o755)
-	}
-	if err == nil {
-		err = os.WriteFile(filepath.Join(dir, "POSTMORTEM_"+r.Artifact+".json"), data, 0o644)
+		err = writeFile(dir, name, data)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bclbench: postmortem %s: %v\n", r.Artifact, err)
 		return
 	}
-	fmt.Printf("  postmortem -> %s\n", filepath.Join(dir, "POSTMORTEM_"+r.Artifact+".json"))
+	fmt.Printf("  postmortem -> %s\n", filepath.Join(dir, name))
 }
 
 // faultVocabulary documents every fault injector the seeded

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -14,22 +16,22 @@ import (
 // (for the profiler experiments) the attribution table and LogP fit.
 // Artifacts are deterministic — the simulator is, every map is
 // emitted in sorted key order, and floats are rounded to fixed
-// precision — so a committed BENCH_<name>.json doubles as both a
-// golden file and a regression baseline for `bclbench -check`.
+// precision — so a committed BENCH_<name>.json is a golden file:
+// `bclbench -check` passes only when a fresh run reproduces it byte for
+// byte, and otherwise names every leaf that moved (Diff).
 
 // ArtifactSchema versions the JSON layout. Bump it when a field
-// changes meaning; -check refuses to compare across versions.
+// changes meaning; -check then names the schema line among the leaves
+// that moved.
 const ArtifactSchema = "bcl-bench/v1"
 
 // LatencyDigest summarizes the merged end-to-end message latency
 // histogram (nic/msg_latency_ns across all nodes).
 type LatencyDigest struct {
-	Count uint64  `json:"count"`
-	P50Us float64 `json:"p50_us"`
-	P90Us float64 `json:"p90_us"`
-	P99Us float64 `json:"p99_us"`
-	// P999Us is the P99.9 tail — zero in baselines written before the
-	// field existed, which Check treats as "don't compare".
+	Count  uint64  `json:"count"`
+	P50Us  float64 `json:"p50_us"`
+	P90Us  float64 `json:"p90_us"`
+	P99Us  float64 `json:"p99_us"`
 	P999Us float64 `json:"p999_us,omitempty"`
 	MaxUs  float64 `json:"max_us"`
 }
@@ -68,11 +70,6 @@ type Artifact struct {
 	Latency     *LatencyDigest   `json:"latency,omitempty"`
 	LogP        *LogPDigest      `json:"logp,omitempty"`
 	Attribution []AttributionRow `json:"attribution,omitempty"`
-
-	// exact names the metrics the experiment declared exact when it
-	// emitted them. It is not serialized: Check takes it from the fresh
-	// run, so a decoded baseline needs none.
-	exact map[string]bool
 }
 
 // ArtifactFile returns the artifact filename for a Report.Artifact or
@@ -98,7 +95,6 @@ func FromReport(r *Report) *Artifact {
 		Title:   r.Title,
 		Summary: r.Summary,
 		Metrics: make(map[string]float64, len(r.Metrics)),
-		exact:   r.exactKeys,
 	}
 	for k, v := range r.Metrics {
 		a.Metrics[k] = round6(v)
@@ -148,151 +144,84 @@ func (a *Artifact) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// DecodeArtifact parses a committed baseline.
-func DecodeArtifact(b []byte) (*Artifact, error) {
-	a := &Artifact{}
-	if err := json.Unmarshal(b, a); err != nil {
-		return nil, err
+// Diff compares a fresh artifact's bytes with its committed baseline's.
+// It returns nil exactly when they are equal. Otherwise it returns one
+// line per JSON leaf that differs, in path order, as
+// "path: baseline -> fresh" (metrics.half_rtt_us, counters.nic/sent,
+// attribution[3].us, schema); a key on one side only reads "(absent)"
+// on the other. A side that does not decode gives one line naming the
+// error, and bytes that differ in no value (whitespace, key order,
+// trailing data) give one line saying so.
+func Diff(fresh, base []byte) []string {
+	if bytes.Equal(fresh, base) {
+		return nil
 	}
-	return a, nil
+	var docs [2]any
+	for i, side := range [][]byte{base, fresh} {
+		d := json.NewDecoder(bytes.NewReader(side))
+		d.UseNumber() // compare numbers as the literals the file holds
+		if err := d.Decode(&docs[i]); err != nil {
+			return []string{fmt.Sprintf("%s: cannot decode: %v", [2]string{"baseline", "fresh"}[i], err)}
+		}
+	}
+	var out []string
+	diffWalk("", docs[0], docs[1], &out)
+	if out == nil {
+		out = []string{"layout: every value is equal but the bytes differ (whitespace, key order or trailing data)"}
+	}
+	return out
 }
 
-// ------------------------------------------------- regression checking
+// absent stands for a key or index that one side of a Diff lacks.
+var absent any = struct{ absent bool }{}
 
-// tolerance is one metric's acceptance band.
-type tolerance struct {
-	rel   float64 // relative band around the baseline value
-	abs   float64 // absolute slack added on top
-	exact bool    // must match bit-for-bit (correctness flags)
+// diffWalk appends a line for every leaf under path where base and
+// fresh differ. It descends into a non-empty object or array whose
+// other side has the same kind or is absent; anything else compares as
+// a leaf.
+func diffWalk(path string, base, fresh any, out *[]string) {
+	bm, bObj := base.(map[string]any)
+	fm, fObj := fresh.(map[string]any)
+	if (bObj || base == absent) && (fObj || fresh == absent) && len(bm)+len(fm) > 0 {
+		keys := slices.Concat(slices.Collect(maps.Keys(bm)), slices.Collect(maps.Keys(fm)))
+		slices.Sort(keys)
+		for _, k := range slices.Compact(keys) {
+			diffWalk(strings.TrimPrefix(path+"."+k, "."), member(bm, k), member(fm, k), out)
+		}
+		return
+	}
+	ba, bArr := base.([]any)
+	fa, fArr := fresh.([]any)
+	if (bArr || base == absent) && (fArr || fresh == absent) && len(ba)+len(fa) > 0 {
+		for i := range max(len(ba), len(fa)) {
+			diffWalk(fmt.Sprintf("%s[%d]", path, i), element(ba, i), element(fa, i), out)
+		}
+		return
+	}
+	if b, f := literal(base), literal(fresh); b != f {
+		*out = append(*out, path+": "+b+" -> "+f)
+	}
 }
 
-// tolFor picks the acceptance band for one metric of a fresh run:
-// bit-for-bit if the experiment emitted it as a flag or an exact count,
-// else by the unit its name ends in.
-func (a *Artifact) tolFor(name string) tolerance {
-	if a.exact[name] {
-		return tolerance{exact: true}
+func member(m map[string]any, k string) any {
+	if v, ok := m[k]; ok {
+		return v
 	}
-	switch {
-	case strings.HasSuffix(name, "_us"):
-		// Latencies and overheads: 10% plus 50 ns of slack.
-		return tolerance{rel: 0.10, abs: 0.05}
-	case strings.HasSuffix(name, "_mbps"):
-		return tolerance{rel: 0.10, abs: 0.5}
-	case strings.HasSuffix(name, "_pct"):
-		return tolerance{rel: 0.10, abs: 1.0}
-	default:
-		// Counts, ratios, fitted coefficients.
-		return tolerance{rel: 0.10, abs: 0.5}
-	}
+	return absent
 }
 
-// counterTol is the band for registry counter sums: event counts are
-// deterministic but schedule-sensitive, so allow a wider band.
-var counterTol = tolerance{rel: 0.20, abs: 2}
-
-// checkOne compares one value against its baseline.
-func checkOne(what string, fresh, base float64, tol tolerance) string {
-	if tol.exact {
-		if fresh != base {
-			return fmt.Sprintf("%s: got %g, baseline %g (exact-match metric)", what, fresh, base)
-		}
-		return ""
+func element(a []any, i int) any {
+	if i < len(a) {
+		return a[i]
 	}
-	band := tol.rel*math.Abs(base) + tol.abs
-	if d := math.Abs(fresh - base); d > band {
-		return fmt.Sprintf("%s: got %g, baseline %g (|delta| %.6g > band %.6g)", what, fresh, base, d, band)
-	}
-	return ""
+	return absent
 }
 
-// Check compares a fresh artifact against a committed baseline and
-// returns the list of regressions (empty = pass). Metrics present in
-// the baseline must exist in the fresh run and sit inside their
-// tolerance band; new metrics in the fresh run are allowed (they
-// become part of the baseline when it is regenerated).
-func Check(fresh, base *Artifact) []string {
-	var bad []string
-	if fresh.Schema != base.Schema {
-		return []string{fmt.Sprintf("schema: fresh %q vs baseline %q — regenerate baselines", fresh.Schema, base.Schema)}
+// literal renders a leaf as JSON (numbers as the file wrote them).
+func literal(v any) string {
+	if v == absent {
+		return "(absent)"
 	}
-	if fresh.ID != base.ID {
-		return []string{fmt.Sprintf("id: fresh %q vs baseline %q", fresh.ID, base.ID)}
-	}
-	names := make([]string, 0, len(base.Metrics))
-	for k := range base.Metrics {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fv, ok := fresh.Metrics[k]
-		if !ok {
-			bad = append(bad, fmt.Sprintf("metric %s: missing from fresh run", k))
-			continue
-		}
-		if msg := checkOne("metric "+k, fv, base.Metrics[k], fresh.tolFor(k)); msg != "" {
-			bad = append(bad, msg)
-		}
-	}
-	cnames := make([]string, 0, len(base.Counters))
-	for k := range base.Counters {
-		cnames = append(cnames, k)
-	}
-	sort.Strings(cnames)
-	for _, k := range cnames {
-		fv, ok := fresh.Counters[k]
-		if !ok {
-			bad = append(bad, fmt.Sprintf("counter %s: missing from fresh run", k))
-			continue
-		}
-		if msg := checkOne("counter "+k, fv, base.Counters[k], counterTol); msg != "" {
-			bad = append(bad, msg)
-		}
-	}
-	if base.Latency != nil {
-		if fresh.Latency == nil {
-			bad = append(bad, "latency digest: missing from fresh run")
-		} else {
-			lt := tolerance{rel: 0.10, abs: 0.5}
-			for _, c := range []struct {
-				what        string
-				fresh, base float64
-			}{
-				{"latency p50_us", fresh.Latency.P50Us, base.Latency.P50Us},
-				{"latency p90_us", fresh.Latency.P90Us, base.Latency.P90Us},
-				{"latency p99_us", fresh.Latency.P99Us, base.Latency.P99Us},
-				{"latency max_us", fresh.Latency.MaxUs, base.Latency.MaxUs},
-			} {
-				if msg := checkOne(c.what, c.fresh, c.base, lt); msg != "" {
-					bad = append(bad, msg)
-				}
-			}
-			// Baselines written before the P99.9 field have it at zero;
-			// only compare once the baseline carries a real value.
-			if base.Latency.P999Us != 0 {
-				if msg := checkOne("latency p999_us", fresh.Latency.P999Us, base.Latency.P999Us, lt); msg != "" {
-					bad = append(bad, msg)
-				}
-			}
-		}
-	}
-	if base.LogP != nil {
-		if fresh.LogP == nil {
-			bad = append(bad, "logp digest: missing from fresh run")
-		} else {
-			for _, c := range []struct {
-				what        string
-				fresh, base float64
-			}{
-				{"logp g_us", fresh.LogP.GapUs, base.LogP.GapUs},
-				{"logp G_ns_per_byte", fresh.LogP.GNsPerByte, base.LogP.GNsPerByte},
-				{"logp fit_bw_mbps", fresh.LogP.BandwidthMBps, base.LogP.BandwidthMBps},
-			} {
-				if msg := checkOne(c.what, c.fresh, c.base, tolerance{rel: 0.10, abs: 0.05}); msg != "" {
-					bad = append(bad, msg)
-				}
-			}
-		}
-	}
-	return bad
+	b, _ := json.Marshal(v) // a decoded JSON value always encodes
+	return string(b)
 }

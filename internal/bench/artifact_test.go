@@ -2,8 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -39,22 +43,27 @@ func TestGateSetMatchesBaselines(t *testing.T) {
 	}
 }
 
+// encodeRun runs one experiment at seed 1 and encodes its artifact.
+func encodeRun(t *testing.T, id string) []byte {
+	t.Helper()
+	b, err := FromReport(Run(id, 1)).Encode()
+	if err != nil {
+		t.Fatalf("%s: encode: %v", id, err)
+	}
+	return b
+}
+
 // TestArtifactDeterminism demands byte-identical BENCH_*.json bytes
-// across two same-seed runs of the fast gated experiments (the slow
-// ones — chaos, collectives, scale — carry their own run-twice
-// digest checks inside the experiment).
+// across two same-seed runs of the gated experiments with no double run
+// of their own (pingpong, profile, logp, scale, intrapath).
+// TestMultitenantArtifactDeterminism covers multitenant; the other six
+// (chaos, survival, collectives, healthwatch, serve, reqobs) run twice
+// inside the experiment and surface the comparison as their
+// "deterministic" metric.
 func TestArtifactDeterminism(t *testing.T) {
-	for _, id := range []string{"pingpong", "profile", "logp"} {
-		encode := func() []byte {
-			b, err := FromReport(Run(id, 1)).Encode()
-			if err != nil {
-				t.Fatalf("%s: encode: %v", id, err)
-			}
-			return b
-		}
-		a, b := encode(), encode()
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: artifact bytes differ across same-seed runs:\nrun1:\n%s\nrun2:\n%s", id, a, b)
+	for _, id := range []string{"pingpong", "profile", "logp", "scale", "ablation-intrapath"} {
+		if a, b := encodeRun(t, id), encodeRun(t, id); !bytes.Equal(a, b) {
+			t.Errorf("%s: artifact bytes differ across same-seed runs:\n%s", id, strings.Join(Diff(b, a), "\n"))
 		}
 	}
 }
@@ -105,68 +114,181 @@ func TestProfileAttribution(t *testing.T) {
 	}
 }
 
-// TestCheckPassesOnSelf runs Check(fresh, fresh-as-baseline): a run
-// compared against its own artifact must pass.
-func TestCheckPassesOnSelf(t *testing.T) {
-	r := Run("pingpong", 1)
-	fresh := FromReport(r)
-	raw, err := fresh.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := DecodeArtifact(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad := Check(fresh, base); len(bad) != 0 {
-		t.Fatalf("self-check reported regressions: %v", bad)
+// TestDiffNamesEveryMovedLeaf perturbs the baselines of real pingpong,
+// logp and profile runs: first by amounts the old tolerance bands let
+// through (a metric +5 %, a counter +1, a percentile +0.001, a LogP
+// value, an attribution row), then in fields no band looked at (title,
+// an added key, a removed key, the schema). Diff must name each moved
+// leaf exactly once, with both values, alone or all together in path
+// order.
+func TestDiffNamesEveryMovedLeaf(t *testing.T) {
+	num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+	line := func(path, base, fresh string) []string { return []string{path + ": " + base + " -> " + fresh} }
+	type edit func(base *Artifact) (want []string)
+	for _, tc := range []struct {
+		id    string
+		edits []edit // in the path order of the lines they expect
+	}{
+		{"pingpong", []edit{
+			func(a *Artifact) []string {
+				old := a.Counters["nic/retransmits"]
+				a.Counters["nic/retransmits"]++
+				return line("counters.nic/retransmits", num(old+1), num(old))
+			},
+			func(a *Artifact) []string {
+				old := a.Latency.P50Us
+				a.Latency.P50Us = round6(old + 0.001)
+				return line("latency.p50_us", num(a.Latency.P50Us), num(old))
+			},
+			func(a *Artifact) []string {
+				a.Metrics["added_metric"] = 1
+				return line("metrics.added_metric", "1", "(absent)")
+			},
+			func(a *Artifact) []string {
+				old := a.Metrics["half_rtt_us"]
+				a.Metrics["half_rtt_us"] = round6(old * 1.05)
+				return line("metrics.half_rtt_us", num(a.Metrics["half_rtt_us"]), num(old))
+			},
+			func(a *Artifact) []string {
+				old := a.Metrics["samples"]
+				delete(a.Metrics, "samples")
+				return line("metrics.samples", "(absent)", num(old))
+			},
+			func(a *Artifact) []string {
+				a.Schema = "bcl-bench/v2"
+				return line("schema", `"bcl-bench/v2"`, strconv.Quote(ArtifactSchema))
+			},
+			func(a *Artifact) []string {
+				old := a.Title
+				a.Title = "renamed"
+				return line("title", `"renamed"`, strconv.Quote(old))
+			},
+		}},
+		{"logp", []edit{
+			func(a *Artifact) []string {
+				old := a.LogP.GapUs
+				a.LogP.GapUs = round6(old + 0.001)
+				return line("logp.g_us", num(a.LogP.GapUs), num(old))
+			},
+		}},
+		{"profile", []edit{
+			func(a *Artifact) []string {
+				old := a.Attribution[3].Us
+				a.Attribution[3].Us = round6(old + 0.001)
+				return line("attribution[3].us", num(a.Attribution[3].Us), num(old))
+			},
+		}},
+	} {
+		fresh := encodeRun(t, tc.id)
+		perturb := func(edits ...edit) (base []byte, want []string) {
+			var a Artifact
+			if err := json.Unmarshal(fresh, &a); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range edits {
+				want = append(want, e(&a)...)
+			}
+			base, err := a.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return base, want
+		}
+		if base, _ := perturb(); !bytes.Equal(base, fresh) {
+			t.Fatalf("%s: a decoded and re-encoded artifact is not its own bytes:\n%s", tc.id, strings.Join(Diff(fresh, base), "\n"))
+		}
+		for i, e := range tc.edits {
+			if base, want := perturb(e); !slices.Equal(Diff(fresh, base), want) {
+				t.Errorf("%s edit %d: Diff = %q, want %q", tc.id, i, Diff(fresh, base), want)
+			}
+		}
+		if base, want := perturb(tc.edits...); !slices.Equal(Diff(fresh, base), want) {
+			t.Errorf("%s, every edit at once: Diff = %q, want %q", tc.id, Diff(fresh, base), want)
+		}
 	}
 }
 
-// TestCheckCatchesPerturbation proves the gate trips: perturb one
-// metric beyond its tolerance band, one exact-match flag minimally,
-// and one counter, and Check must flag each.
+// readBaselines returns every committed BENCH_*.json by file name.
+func readBaselines(t *testing.T) map[string][]byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("../../baselines", ArtifactFile("*")))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed baselines: %v", err)
+	}
+	out := make(map[string][]byte, len(files))
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(f)] = b
+	}
+	return out
+}
+
+// TestCheckPassesOnSelf holds the gate's premise on every committed
+// baseline: compared with its own bytes it gives nil, and decoding it
+// and encoding it again reproduces those bytes, so a run that
+// reproduces every value reproduces the file.
+func TestCheckPassesOnSelf(t *testing.T) {
+	for name, b := range readBaselines(t) {
+		if got := Diff(b, b); got != nil {
+			t.Errorf("%s: identical bytes give %q, want nil", name, got)
+		}
+		var a Artifact
+		if err := json.Unmarshal(b, &a); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again, err := a.Encode(); err != nil || !bytes.Equal(again, b) {
+			t.Errorf("%s: decoded and re-encoded bytes differ (err %v):\n%s", name, err, strings.Join(Diff(again, b), "\n"))
+		}
+	}
+}
+
+// TestCheckCatchesPerturbation replays the drift the old tolerance
+// bands passed — BENCH_chaos.json's nic/retransmits counter +3 and
+// BENCH_pingpong.json's half round trip +5 % — on the committed
+// baselines, and checks that Diff names exactly that leaf with both
+// values. A truncated baseline gives one decode-error line, and bytes
+// that differ in no value give one layout line.
 func TestCheckCatchesPerturbation(t *testing.T) {
-	fresh := FromReport(Run("pingpong", 1))
-	reload := func() *Artifact {
-		raw, err := fresh.Encode()
+	num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+	bases := readBaselines(t)
+	for _, tc := range []struct {
+		gate string
+		edit func(a *Artifact) (path string, old, moved float64)
+	}{
+		{"chaos", func(a *Artifact) (string, float64, float64) {
+			old := a.Counters["nic/retransmits"]
+			a.Counters["nic/retransmits"] = old + 3
+			return "counters.nic/retransmits", old, old + 3
+		}},
+		{"pingpong", func(a *Artifact) (string, float64, float64) {
+			old := a.Metrics["half_rtt_us"]
+			a.Metrics["half_rtt_us"] = round6(old * 1.05)
+			return "metrics.half_rtt_us", old, a.Metrics["half_rtt_us"]
+		}},
+	} {
+		fresh := bases[ArtifactFile(tc.gate)]
+		var a Artifact
+		if err := json.Unmarshal(fresh, &a); err != nil {
+			t.Fatalf("%s: %v", tc.gate, err)
+		}
+		path, old, moved := tc.edit(&a)
+		base, err := a.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := DecodeArtifact(raw)
-		if err != nil {
-			t.Fatal(err)
+		want := []string{path + ": " + num(moved) + " -> " + num(old)}
+		if got := Diff(fresh, base); !slices.Equal(got, want) {
+			t.Errorf("%s: Diff = %q, want %q", tc.gate, got, want)
 		}
-		return a
-	}
-
-	base := reload()
-	base.Metrics["half_rtt_us"] *= 1.5 // far outside the 10% band
-	if bad := Check(fresh, base); len(bad) == 0 {
-		t.Error("50% latency regression not flagged")
-	}
-
-	base = reload()
-	base.Metrics["registry_agrees"] = 0 // exact-match flag
-	if bad := Check(fresh, base); len(bad) == 0 {
-		t.Error("exact-match flag drift not flagged")
-	}
-
-	base = reload()
-	base.Counters["nic/msgs_sent"] *= 3
-	if bad := Check(fresh, base); len(bad) == 0 {
-		t.Error("counter drift not flagged")
-	}
-
-	base = reload()
-	base.Metrics["some_new_metric"] = 1 // baseline metric absent from fresh
-	if bad := Check(fresh, base); len(bad) == 0 {
-		t.Error("missing metric not flagged")
-	}
-
-	base = reload()
-	base.Schema = "bcl-bench/v0"
-	if bad := Check(fresh, base); len(bad) == 0 {
-		t.Error("schema mismatch not flagged")
+		got := Diff(fresh, fresh[:len(fresh)/2])
+		if len(got) != 1 || !strings.HasPrefix(got[0], "baseline: cannot decode: ") {
+			t.Errorf("%s: a truncated baseline gives %q, want one decode-error line", tc.gate, got)
+		}
+		if got := Diff(fresh, append(slices.Clip(fresh), '\n')); len(got) != 1 || !strings.HasPrefix(got[0], "layout: ") {
+			t.Errorf("%s: bytes that differ in no value give %q, want one layout line", tc.gate, got)
+		}
 	}
 }

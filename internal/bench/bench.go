@@ -39,10 +39,6 @@ type Report struct {
 	// id of any other. Run sets it.
 	Artifact string
 
-	// exactKeys are the metrics declared exact where they were emitted
-	// (flag, exact): -check compares them bit for bit.
-	exactKeys map[string]bool
-
 	// Snap is the merged registry snapshot over every cluster the
 	// experiment built (captured by Run when the experiment did not set
 	// one itself). Summary is its one-line digest.
@@ -65,29 +61,21 @@ func (r *Report) String() string {
 	return fmt.Sprintf("== %s: %s ==\n%s", r.ID, r.Title, r.Text)
 }
 
-// metric records a key number; -check holds it to a tolerance band
-// around its baseline.
+// metric records a key number; a gated experiment's -check reproduces
+// it byte for byte.
 func (r *Report) metric(k string, v float64) { r.Metrics[k] = v }
 
-// exact records a count that is a correctness indicator: any drift from
-// the baseline is a regression, however small.
-func (r *Report) exact(k string, v float64) {
-	r.Metrics[k] = v
-	r.exactKeys[k] = true
-}
-
-// flag records a pass/fail correctness indicator as 0/1. Flags are
-// always exact, so a new one can never silently get a tolerance band.
+// flag records a pass/fail correctness indicator as 0/1.
 func (r *Report) flag(k string, ok bool) {
 	v := 0.0
 	if ok {
 		v = 1
 	}
-	r.exact(k, v)
+	r.metric(k, v)
 }
 
 func newReport(id, title string) *Report {
-	return &Report{ID: id, Title: title, Metrics: make(map[string]float64), exactKeys: make(map[string]bool)}
+	return &Report{ID: id, Title: title, Metrics: make(map[string]float64)}
 }
 
 // experiments is every experiment in paper order: id, aliases, listing

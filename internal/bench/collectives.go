@@ -328,7 +328,7 @@ func collectives(seed uint64) *Report {
 	}
 	r.metric("fault_drops", float64(fa.drops))
 	r.metric("fault_dups", float64(fa.dups))
-	r.exact("byte_errors", float64(fa.byteErrors))
+	r.metric("byte_errors", float64(fa.byteErrors))
 	r.flag("finished", fa.finished)
 	r.flag("deterministic", deterministic)
 	return r

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -71,76 +70,6 @@ func TestFaultInstallPanicsWithoutLinkDown(t *testing.T) {
 	// anywhere.
 	outage.install(cluster.New(cluster.Config{Nodes: 4, NIC: ibcl.DefaultNICConfig()}))
 	svcFaults{dupEvery: 3}.install(c)
-}
-
-// formerlyListedExact are the 45 names Check used to look up in a
-// name map in artifact.go, before exactness moved to the emission site
-// (flag/exact).
-var formerlyListedExact = []string{
-	"deterministic", "deadlocked", "corrupt", "delivered", "byte_errors",
-	"registry_agrees", "finished",
-	"security_rejects", "teardown_ok", "qos_beats_fifo", "backfill_beats_fifo",
-	"exactly_once", "crc_drops_nonzero", "nic_reboots_nonzero",
-	"adaptive_beats_fixed", "gray_failover_nonzero",
-	"clean_alerts", "fired_crc_spike", "fired_watchdog_trip",
-	"fired_rail_divergence", "bundle_deterministic", "timeline_deterministic",
-	"atomicity_ok", "linearizable_ok", "coherent_caches", "swarm_drained",
-	"dedup_nonzero", "retrans_nonzero", "txn_commits_nonzero",
-	"hot_rule_fired", "hot_rule_silent_baseline", "bundle_has_slowlog",
-	"aborts_all_retained", "slo_all_retained", "chaos_aborts_nonzero",
-	"chaos_slo_nonzero", "budget_respected", "budget_dropped_nonzero",
-	"exemplars_nonzero", "trace_cap_respected", "trace_evictions_nonzero",
-	"slowlog_deterministic", "exemplar_deterministic", "sampling_deterministic",
-	"drained",
-}
-
-// TestExactMetricsStayExact is the proof that moving exactness to the
-// emission site weakened no gate: on every committed baseline, each of
-// the formerly listed names it carries is still compared bit for bit
-// (perturbing the baseline by 1e-6 is a regression), and nothing else
-// became exact (the same perturbation of any other metric passes).
-func TestExactMetricsStayExact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every gated experiment")
-	}
-	listed := make(map[string]bool)
-	for _, name := range formerlyListedExact {
-		listed[name] = true
-	}
-	if len(listed) != 45 {
-		t.Fatalf("the pinned list has %d distinct names, want 45", len(listed))
-	}
-	seen := make(map[string]bool)
-	for _, e := range List() {
-		if e.Gate == "" {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join("../../baselines", ArtifactFile(e.Gate)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := FromReport(seed1()[e.ID])
-		for name := range fresh.Metrics {
-			base, err := DecodeArtifact(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := base.Metrics[name]; !ok {
-				continue
-			}
-			base.Metrics[name] += 1e-6
-			flagged := len(Check(fresh, base)) > 0
-			if flagged != listed[name] {
-				t.Errorf("%s: %s exact = %v, was %v on the parent", e.Gate, name, flagged, listed[name])
-			}
-			seen[name] = seen[name] || listed[name]
-		}
-	}
-	for _, name := range formerlyListedExact {
-		if !seen[name] {
-			t.Errorf("%s is on no baseline: the pin is vacuous for it", name)
-		}
-	}
 }
 
 // TestHealthwatchBannerTripsOnCorruptPayload: riding the shared soak

@@ -367,11 +367,11 @@ func multitenant() *Report {
 	// Every staged attack must be rejected, teardown must unbind, every
 	// submitted job must finish, and the QoS/backfill wins must hold.
 	r.flag("backfill_beats_fifo", bfSpan < fifoSpan)
-	r.exact("security_rejects", float64(rejects))
-	r.exact("byte_errors", float64(byteErrors))
+	r.metric("security_rejects", float64(rejects))
+	r.metric("byte_errors", float64(byteErrors))
 	r.flag("teardown_ok", tornDown)
 	r.flag("registry_agrees", agree && alone.agree && shared.agree && qos.agree)
 	r.flag("deterministic", deterministic)
-	r.exact("finished", float64(finished))
+	r.metric("finished", float64(finished))
 	return r
 }

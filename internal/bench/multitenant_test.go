@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -64,15 +65,7 @@ func TestMultitenantArtifactDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multitenant runs the interference scenarios four times")
 	}
-	encode := func() []byte {
-		b, err := FromReport(Run("multitenant", 1)).Encode()
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		return b
-	}
-	a, b := encode(), encode()
-	if !bytes.Equal(a, b) {
-		t.Errorf("multitenant artifact bytes differ across same-seed runs:\nrun1:\n%s\nrun2:\n%s", a, b)
+	if a, b := encodeRun(t, "multitenant"), encodeRun(t, "multitenant"); !bytes.Equal(a, b) {
+		t.Errorf("multitenant artifact bytes differ across same-seed runs:\n%s", strings.Join(Diff(b, a), "\n"))
 	}
 }

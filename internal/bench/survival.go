@@ -283,9 +283,9 @@ func survival(seed uint64) *Report {
 	r.Snap = a.snap
 
 	// Exactly-once delivery through crash + corruption + gray chaos.
-	r.exact("delivered", float64(a.delivered))
+	r.metric("delivered", float64(a.delivered))
 	r.metric("duplicates", float64(a.duplicates))
-	r.exact("byte_errors", float64(a.corrupt))
+	r.metric("byte_errors", float64(a.corrupt))
 	r.metric("resends", float64(a.resends))
 	a.stats.emit(r)
 	if a.recoveryMaxUs > 0 {
