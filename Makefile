@@ -21,14 +21,14 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Native fuzzing: each of the ten fuzz targets searches for 5 s, about
-# 80 s in all (`go test` runs only their seed corpora). A failing input
-# is saved under the package's testdata/fuzz and replays with `go test`.
-# CI runs the same.
+# Native fuzzing: each of the eleven fuzz targets searches for 5 s,
+# about 90 s in all (`go test` runs only their seed corpora). A failing
+# input is saved under the package's testdata/fuzz and replays with
+# `go test`. CI runs the same.
 fuzz:
 	@for t in sim:FuzzEventQueue sim:FuzzRing sim:FuzzFreeList mem:FuzzAddrSpaceCopy \
 		mem:FuzzPinTable oskernel:FuzzShadow nic:FuzzDoneRing trace:FuzzCappedTracer \
-		obs:FuzzSnapshot obs:FuzzHistBuckets; do \
+		obs:FuzzSnapshot obs:FuzzHistBuckets bench:FuzzDiff; do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \
 	done
 

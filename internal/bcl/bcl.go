@@ -162,18 +162,13 @@ func (s *System) Open(p *sim.Proc, n *node.Node, proc *oskernel.Process, opts Op
 		}
 		// Allocate the virtualized endpoint: bind it to the calling
 		// process (from here on, send-path requests naming it are
-		// admitted only from this PID), program the port control block
-		// into NIC memory, and set the QoS arbitration weight.
+		// admitted only from this PID), then program the port control
+		// block, QoS arbitration weight included, into NIC memory.
 		if err := n.Kernel.BindEndpoint(proc.PID, pt.addr.Port); err != nil {
 			return err
 		}
-		p.Sleep(n.Prof.PIOFill(8))
-		pt.nicPort = n.NIC.RegisterPort(pt.addr.Port)
+		pt.nicPort = n.Kernel.RegisterPort(p, pt.addr.Port, opts.QoSWeight)
 		pt.events, pt.sendEvs = pt.nicPort.RecvEvQ, pt.nicPort.SendEvQ
-		if opts.QoSWeight > 0 {
-			n.NIC.SetPortWeight(pt.addr.Port, opts.QoSWeight)
-		}
-		n.Kernel.ShadowPort(pt.addr.Port, opts.QoSWeight)
 		return nil
 	})
 	if err != nil {
@@ -257,9 +252,7 @@ func (pt *Port) Close(p *sim.Proc) error {
 	delete(pt.sys.ports, pt.addr)
 	pt.intraQ.Post(nil)
 	return pt.node.Kernel.Trap(p, func() error {
-		pt.node.NIC.ClosePort(pt.addr.Port)
-		pt.node.Kernel.UnbindEndpoint(pt.addr.Port)
-		pt.node.Kernel.ShadowClosePort(pt.addr.Port)
+		pt.node.Kernel.ClosePort(pt.addr.Port)
 		return nil
 	})
 }

@@ -80,17 +80,11 @@ func (pt *Port) RegisterColl(p *sim.Proc, id, me int, members []Addr, plan coll.
 			return terr
 		}
 		// Program the context control block: membership, plan, ring.
-		p.Sleep(k.PIOFillCost(pt.node.Prof.RecvDescWords+2*plan.N, len(segs)))
-		spec := &nic.CollSpec{
+		return k.RegisterCollCtx(p, &nic.CollSpec{
 			ID: id, Me: me, Nodes: nodes, Ports: ports, Plan: plan,
 			Landing:  nic.RecvDesc{Len: ringLen, Segs: segs, VA: va, Space: pt.proc.Space},
 			SlotSize: slotSize, Slots: CollSlots,
-		}
-		if rerr := pt.node.NIC.RegisterCollCtx(spec); rerr != nil {
-			return rerr
-		}
-		k.ShadowColl(spec)
-		return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -98,15 +92,14 @@ func (pt *Port) RegisterColl(p *sim.Proc, id, me int, members []Addr, plan coll.
 	return &CollCtx{ID: id, Me: me, Members: members, Plan: plan, LandingVA: va, SlotSize: slotSize}, nil
 }
 
-// CloseColl tears a collective context down on the local NIC.
+// CloseColl tears a collective context this port registered down on
+// the local NIC; another port's context is the kernel's to refuse.
 func (pt *Port) CloseColl(p *sim.Proc, id int) error {
 	if pt.closed {
 		return ErrClosed
 	}
 	return pt.node.Kernel.Trap(p, func() error {
-		pt.node.NIC.CloseCollCtx(id)
-		pt.node.Kernel.ShadowCloseColl(id)
-		return nil
+		return pt.node.Kernel.CloseCollCtx(pt.addr.Port, id)
 	})
 }
 
@@ -169,9 +162,8 @@ func (pt *Port) collPost(p *sim.Proc, kind nic.DescKind, ctx *CollCtx, va mem.VA
 				return err
 			}
 			pt.tr.Do(p, "kernel: PIO descriptor fill", host(pt), func() {
-				p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords+4, len(d.Segs)))
+				k.PostSend(p, d)
 			})
-			pt.node.NIC.PostSend(p, d)
 			return nil
 		})
 	})

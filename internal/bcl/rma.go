@@ -26,21 +26,11 @@ func (pt *Port) RegisterOpen(p *sim.Proc, channel int, va mem.VAddr, n int) erro
 	}
 	k := pt.node.Kernel
 	return k.Trap(p, func() error {
-		if err := k.CheckRequest(p, pt.proc.PID, va, n, pt.addr.Node, pt.sys.Cluster.Size()); err != nil {
-			return err
-		}
-		if err := pt.checkOwner(); err != nil {
-			return err
-		}
 		d, err := pt.recvDesc(p, va, n)
 		if err != nil {
 			return err
 		}
-		if rerr := pt.node.NIC.RegisterOpen(pt.addr.Port, channel, d); rerr != nil {
-			return rerr
-		}
-		k.ShadowOpen(pt.addr.Port, channel, d)
-		return nil
+		return k.RegisterOpen(p, pt.addr.Port, channel, d)
 	})
 }
 
@@ -67,13 +57,12 @@ func (pt *Port) RMAWrite(p *sim.Proc, dst Addr, channel, offset int, va mem.VAdd
 		if terr != nil {
 			return terr
 		}
-		p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords, len(segs)))
 		d := pt.node.NIC.GetSendDesc()
 		d.Kind, d.MsgID, d.SrcPort = nic.DescRMAWrite, msgID, pt.addr.Port
 		d.DstNode, d.DstPort, d.Channel = dst.Node, dst.Port, channel
 		d.Len, d.Offset = n, offset
 		d.Segs = append(d.Seg[:0], segs...)
-		pt.node.NIC.PostSend(p, d)
+		k.PostSend(p, d)
 		return nil
 	})
 	if err != nil {
@@ -108,11 +97,10 @@ func (pt *Port) RMARead(p *sim.Proc, dst Addr, channel, offset int, va mem.VAddr
 		if cerr := pt.checkOwner(); cerr != nil {
 			return cerr
 		}
-		p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords, 1))
-		// A read request is not journaled (a replay would fabricate a
-		// second reply), so nothing promises to retire it across a
-		// firmware crash: its descriptor is the garbage collector's.
-		pt.node.NIC.PostSend(p, &nic.SendDesc{
+		// The kernel does not journal a read request, so nothing promises
+		// to retire it across a firmware crash: its descriptor is the
+		// garbage collector's.
+		k.PostSend(p, &nic.SendDesc{
 			Kind: nic.DescRMARead, MsgID: msgID, SrcPort: pt.addr.Port,
 			DstNode: dst.Node, DstPort: dst.Port, Channel: channel,
 			Len: n, Offset: offset, ReplyChannel: reply,

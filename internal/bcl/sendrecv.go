@@ -61,15 +61,14 @@ func (pt *Port) Send(p *sim.Proc, dst Addr, channel int, va mem.VAddr, n int, ta
 			if err != nil {
 				return err
 			}
-			pt.tr.Do(p, "kernel: PIO descriptor fill", host(pt), func() {
-				p.Sleep(k.PIOFillCost(pt.node.Prof.SendDescWords, len(segs)))
-			})
 			d := pt.node.NIC.GetSendDesc()
 			d.Kind, d.MsgID, d.SrcPort = nic.DescData, msgID, pt.addr.Port
 			d.DstNode, d.DstPort, d.Channel = dst.Node, dst.Port, channel
 			d.Len, d.Tag, d.Trace, d.Born = n, tag, tid, born
 			d.Segs = append(d.Seg[:0], segs...)
-			pt.node.NIC.PostSend(p, d)
+			pt.tr.Do(p, "kernel: PIO descriptor fill", host(pt), func() {
+				k.PostSend(p, d)
+			})
 			return nil
 		})
 	})
@@ -101,40 +100,34 @@ func (pt *Port) PostRecv(p *sim.Proc, channel int, va mem.VAddr, n int) error {
 	var err error
 	pt.tr.Do(p, "kernel: post-recv trap", host(pt), func() {
 		err = k.Trap(p, func() error {
-			if cerr := k.CheckRequest(p, pt.proc.PID, va, n, pt.addr.Node, pt.sys.Cluster.Size()); cerr != nil {
-				return cerr
+			d, derr := pt.recvDesc(p, va, n)
+			if derr != nil {
+				return derr
 			}
-			if cerr := pt.checkOwner(); cerr != nil {
-				return cerr
-			}
-			d, terr := pt.recvDesc(p, va, n)
-			if terr != nil {
-				return terr
-			}
-			if perr := pt.node.NIC.PostRecv(pt.addr.Port, channel, d); perr != nil {
-				return perr
-			}
-			k.ShadowPostRecv(pt.addr.Port, channel, d)
-			return nil
+			return k.PostRecv(p, pt.addr.Port, channel, d)
 		})
 	})
 	return err
 }
 
-// recvDesc is the kernel half every buffer posting shares: pin and
-// translate [va, va+n), charge the PIO fill that writes the receive
-// descriptor to the NIC, and fill one in from the card's free list.
-// The descriptor is taken last, when nothing can fail any more: the
-// caller hands it to the NIC, which owns it from there. Runs inside a
-// Trap body.
+// recvDesc is the kernel half every buffer posting shares before its
+// command: validate the request, pin and translate [va, va+n), and fill
+// in a receive descriptor from the card's free list. The descriptor is
+// taken last, when nothing can fail any more: the command hands it to
+// the NIC, which owns it from there. Runs inside a Trap body.
 func (pt *Port) recvDesc(p *sim.Proc, va mem.VAddr, n int) (*nic.RecvDesc, error) {
 	k := pt.node.Kernel
+	if err := k.CheckRequest(p, pt.proc.PID, va, n, pt.addr.Node, pt.sys.Cluster.Size()); err != nil {
+		return nil, err
+	}
+	if err := pt.checkOwner(); err != nil {
+		return nil, err
+	}
 	var seg [1]mem.Segment
 	segs, err := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, seg[:0])
 	if err != nil {
 		return nil, err
 	}
-	p.Sleep(k.PIOFillCost(pt.node.Prof.RecvDescWords, len(segs)))
 	d := pt.node.NIC.GetRecvDesc()
 	d.Len, d.VA, d.Space = n, va, pt.proc.Space
 	d.Segs = append(d.Seg[:0], segs...)
@@ -146,21 +139,11 @@ func (pt *Port) recvDesc(p *sim.Proc, va mem.VAddr, n int) (*nic.RecvDesc, error
 func (pt *Port) addSystemBuffer(p *sim.Proc, va mem.VAddr, n int) error {
 	k := pt.node.Kernel
 	return k.Trap(p, func() error {
-		if err := k.CheckRequest(p, pt.proc.PID, va, n, pt.addr.Node, pt.sys.Cluster.Size()); err != nil {
-			return err
-		}
-		if err := pt.checkOwner(); err != nil {
-			return err
-		}
 		d, err := pt.recvDesc(p, va, n)
 		if err != nil {
 			return err
 		}
-		if aerr := pt.node.NIC.AddSystemBuffer(pt.addr.Port, d); aerr != nil {
-			return aerr
-		}
-		k.ShadowSysBuf(pt.addr.Port, va, d)
-		return nil
+		return k.AddSystemBuffer(p, pt.addr.Port, d)
 	})
 }
 
@@ -185,21 +168,14 @@ func (pt *Port) ReturnSystemBuffers(p *sim.Proc, bufs []SystemBuf) error {
 	}
 	k := pt.node.Kernel
 	return k.Trap(p, func() error {
-		if err := pt.checkOwner(); err != nil {
-			return err
-		}
 		for _, b := range bufs {
-			if err := k.CheckRequest(p, pt.proc.PID, b.VA, b.Len, pt.addr.Node, pt.sys.Cluster.Size()); err != nil {
-				return err
-			}
 			d, err := pt.recvDesc(p, b.VA, b.Len)
 			if err != nil {
 				return err
 			}
-			if err := pt.node.NIC.AddSystemBuffer(pt.addr.Port, d); err != nil {
+			if err := k.AddSystemBuffer(p, pt.addr.Port, d); err != nil {
 				return err
 			}
-			k.ShadowSysBuf(pt.addr.Port, b.VA, d)
 		}
 		return nil
 	})

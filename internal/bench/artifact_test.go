@@ -292,3 +292,33 @@ func TestCheckCatchesPerturbation(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDiff holds the gate's one comparison to its contract on arbitrary
+// bytes: Diff never panics, returns nil exactly when the two slices are
+// equal, and names at least one line otherwise. Seeded with two real
+// baselines, each against itself, the other and a truncated copy.
+func FuzzDiff(f *testing.F) {
+	var docs [][]byte
+	for _, name := range []string{"pingpong", "chaos"} {
+		b, err := os.ReadFile(filepath.Join("../../baselines", ArtifactFile(name)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		docs = append(docs, b)
+	}
+	a, b := docs[0], docs[1]
+	f.Add(a, a)
+	f.Add(a, b)
+	f.Add(b, b[:len(b)/2])
+	f.Add([]byte(`{"a":[1,{"b":2}]}`), []byte(`{"a":[1,{"b":2.0}]} `))
+	f.Fuzz(func(t *testing.T, fresh, base []byte) {
+		lines := Diff(fresh, base)
+		if bytes.Equal(fresh, base) {
+			if lines != nil {
+				t.Fatalf("equal bytes diff as %q", lines)
+			}
+		} else if len(lines) == 0 {
+			t.Fatal("different bytes diff as nothing")
+		}
+	})
+}

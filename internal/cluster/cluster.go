@@ -124,7 +124,7 @@ func New(cfg Config) *Cluster {
 			n.NIC.Steer = hf
 		}
 		if cfg.Watchdog {
-			n.Kernel.StartWatchdog(n.NIC)
+			n.Kernel.StartWatchdog()
 		}
 		o.RegisterCollector(n.NIC.Collect)
 		o.RegisterCollector(n.Kernel.Collect)

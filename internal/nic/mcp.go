@@ -1284,6 +1284,11 @@ func (n *NIC) handleRMARead(p *sim.Proc, pkt *fabric.Packet) bool {
 		Born:    pkt.Born,
 	}
 	n.postDesc(reply)
+	// No kernel command posted the reply, so the card journals it: a
+	// crash here still replays it.
+	if n.Journal != nil {
+		n.Journal.SendPosted(reply)
+	}
 	return true
 }
 

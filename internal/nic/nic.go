@@ -398,12 +398,13 @@ type NIC struct {
 	obs                     *obs.Obs
 	msgLatency, collLatency *obs.Histogram
 
-	// Journal, when set (the kernel wires it via AttachNIC), mirrors
-	// the NIC's control-plane state into host memory so a firmware
-	// reboot can be replayed — the "NIC as part of the OS" discipline.
-	// Every record originates from a kernel trap or a firmware
-	// completion, so journaling costs no extra virtual time. A nil
-	// Journal records nothing (the NIC is then immortal-or-lossy).
+	// Journal, when set (the kernel wires it via AttachNIC), receives
+	// what the card does to its control-plane state on its own, so a
+	// firmware reboot can be replayed — the "NIC as part of the OS"
+	// discipline. What the host programs, the kernel journals as it
+	// programs it; the card adds only its own actions (consumption,
+	// retirement, the done-ring, fabricated RMA-read replies), at no
+	// extra virtual time. A nil Journal records nothing.
 	Journal Journal
 
 	// Steer, when set, receives gray-failure rail-steering requests
@@ -741,19 +742,23 @@ func (n *NIC) RegisterPort(id int) *Port {
 	return p
 }
 
-// SetPortWeight sets the WRR arbitration weight of a port's send ring:
-// the number of wire fragments the endpoint may inject per arbiter
-// round when Config.QoS is on. Weights below 1 are clamped to 1.
-func (n *NIC) SetPortWeight(id, weight int) {
-	if weight < 1 {
-		weight = 1
+// ReprogramPort programs port id, registering it if it is not, with
+// send-ring WRR weight weight: the wire fragments the endpoint may
+// inject per arbiter round when Config.QoS is on (below 1 means 1). A
+// reboot keeps the Port and its event queues but wipes its ring, which
+// a recovery replay restores here.
+func (n *NIC) ReprogramPort(id, weight int) *Port {
+	pt := n.ports.Get(id)
+	if pt == nil {
+		pt = n.RegisterPort(id)
 	}
-	if r := n.rings.Get(id); r != nil {
-		r.weight = weight
-		if r.credits > weight {
-			r.credits = weight
-		}
+	r := n.rings.Get(id)
+	if r == nil {
+		r = n.addRing(id, 1)
 	}
+	r.weight = max(weight, 1)
+	r.credits = min(r.credits, r.weight)
+	return pt
 }
 
 // ClosePort tears down a port's NIC state. The send ring is marked
@@ -870,21 +875,13 @@ func (n *NIC) postDesc(d *SendDesc) {
 	}
 	n.arriveSeq++
 	r.q.Push(queuedSend{d: d, arrival: n.arriveSeq})
-	// Journal the posting so a firmware reboot can replay it. RMA read
-	// requests are excluded: replaying one would fabricate a second
-	// reply at the target, and the initiator's reply channel is only
-	// armed once (documented limitation — an RMA read in flight across
-	// a firmware crash surfaces as a library-level timeout, not silent
-	// loss).
-	if n.Journal != nil && d.Kind != DescRMARead {
-		n.Journal.SendPosted(d)
-	}
 	n.sendWork.Broadcast()
 }
 
 // PostSend enqueues a send descriptor into the source endpoint's
 // virtualized send ring. The caller has already paid the PIO cost of
-// filling the descriptor.
+// filling the descriptor; the card journals nothing of it (the kernel's
+// own PostSend command does).
 func (n *NIC) PostSend(p *sim.Proc, d *SendDesc) {
 	n.postDesc(d)
 }

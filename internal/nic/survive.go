@@ -16,21 +16,22 @@ import (
 // The design follows the "NIC as part of the OS" discipline: every
 // piece of control-plane state the firmware holds in SRAM (port tables,
 // receive postings, collective contexts, unacknowledged sends) entered
-// it through a kernel trap, so the kernel can journal it in host memory
-// as it flows past — at zero extra virtual time — and replay it into a
-// freshly rebooted firmware. What cannot be replayed from the host
-// (go-back-N window positions, partially assembled messages) is instead
+// it through a kernel command, which journals it in host memory — at
+// zero extra virtual time — for replay into a freshly rebooted
+// firmware. What cannot be replayed from the host (go-back-N window
+// positions, partially assembled messages) is instead
 // re-derived by the epoch protocol: the rebooted NIC stamps a bumped
 // boot epoch on every packet, peers detect the jump, rewind their flows
 // to sequence zero and replay their own in-flight messages, and the
 // receiver's done-ring swallows anything that was already delivered.
 
-// Journal mirrors NIC control-plane state into host memory. The kernel
-// implements it (oskernel.NICShadow); all methods are bookkeeping only
-// and must not block or consume virtual time.
+// Journal receives the changes the card makes to its control-plane
+// state on its own; what the host programs, the kernel journals itself.
+// The kernel implements it (oskernel.NICShadow); all methods are
+// bookkeeping only and must not block or consume virtual time.
 type Journal interface {
-	// SendPosted records a send descriptor entering the card; it may be
-	// called again for the same MsgID on a rewind replay (idempotent).
+	// SendPosted records a send the card fabricated itself (an RMA-read
+	// reply), once per message.
 	SendPosted(d *SendDesc)
 	// SendRetired marks a send complete (acked, failed, or abandoned):
 	// the journal must not replay it after a reboot.
@@ -208,18 +209,6 @@ func (n *NIC) FinishReboot() {
 
 // ------------------------------------------------------- kernel replay
 
-// ReprogramPort restores a port's send ring and WRR weight during the
-// kernel's recovery replay (RegisterPort would reject the live Port).
-func (n *NIC) ReprogramPort(id, weight int) {
-	if n.ports.Get(id) == nil {
-		return
-	}
-	if n.rings.Get(id) == nil {
-		n.addRing(id, 1)
-	}
-	n.SetPortWeight(id, weight)
-}
-
 // RestoreRxDone reloads the done-ring for one source flow from the
 // kernel journal, so replayed sends from a peer are still swallowed
 // after our own reboot wiped the in-SRAM ring.
@@ -232,18 +221,13 @@ func (n *NIC) RestoreRxDone(src int, ids []uint64) {
 	}
 }
 
-// RepostSend re-enters a journaled, unretired send descriptor into the
-// send path during recovery replay.
+// RepostSend queues a descriptor for a second pass of the send pipeline:
+// a rewind, or the kernel's replay of a journaled, unretired send after
+// a reboot. It is the same descriptor — a message has one, whatever
+// happens to it — so a stale reference from the first pass reads the
+// right message; that is also why it is marked shared and will not be
+// reused once retired.
 func (n *NIC) RepostSend(d *SendDesc) {
-	n.repost(d)
-}
-
-// repost queues a descriptor for a second pass of the send pipeline (a
-// rewind or reboot replay). It is the same descriptor — a message has
-// one, whatever happens to it — so a stale reference from the first
-// pass reads the right message; that is also why it is marked shared
-// and will not be reused once retired.
-func (n *NIC) repost(d *SendDesc) {
 	d.shared = true
 	n.postDesc(d)
 }
@@ -400,7 +384,7 @@ func (n *NIC) resyncFlow(p *sim.Proc, f *txFlow) {
 	// against the Dead belief its own crash produced.
 	n.markPeerUp(f)
 	for i := 0; i < f.inflight.Len(); i++ {
-		n.repost(*f.inflight.At(i))
+		n.RepostSend(*f.inflight.At(i))
 	}
 	for _, pd := range resend {
 		n.collQ.Post(collJob{

@@ -10,7 +10,9 @@ import (
 )
 
 // testJournal is a rig-level stand-in for the kernel's NIC shadow: it
-// records just enough to drive a manual recovery replay in tests.
+// records just enough to drive a manual recovery replay in tests. The
+// card journals only what it does on its own; a test playing the
+// kernel journals its sends itself (postJournaled).
 type testJournal struct {
 	sends   []*SendDesc
 	sendIdx map[uint64]int
@@ -27,9 +29,6 @@ func newTestJournal() *testJournal {
 }
 
 func (j *testJournal) SendPosted(d *SendDesc) {
-	if _, ok := j.sendIdx[d.MsgID]; ok {
-		return
-	}
 	j.sendIdx[d.MsgID] = len(j.sends)
 	j.sends = append(j.sends, d)
 }
@@ -38,6 +37,13 @@ func (j *testJournal) RecvConsumed(port, ch int)      {}
 func (j *testJournal) SysConsumed(p int, v mem.VAddr) {}
 func (j *testJournal) MsgDone(src int, msgID uint64) {
 	j.rxDone[src] = append(j.rxDone[src], msgID)
+}
+
+// postJournaled posts d and journals it, as the kernel's PostSend
+// command does.
+func postJournaled(p *sim.Proc, n *NIC, d *SendDesc) {
+	n.PostSend(p, d)
+	n.Journal.SendPosted(d)
 }
 
 // TestReceiverCrashRecoveryLargeMessage crashes the receiver's firmware
@@ -221,7 +227,7 @@ func TestSenderCrashJournalReplay(t *testing.T) {
 
 	sendEvents, recvEvents := 0, 0
 	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
+		postJournaled(p, r.nics[0], lend(r.nics[0], SendDesc{
 			Kind: DescData, MsgID: r.nics[0].NextMsgID(), SrcPort: 1,
 			DstNode: 1, DstPort: 2, Channel: 1, Len: len(payload), Segs: sseg,
 		}))
@@ -334,7 +340,7 @@ func TestClosePortMidRetransmitDrains(t *testing.T) {
 
 	r.env.Go("sender", func(p *sim.Proc) {
 		for m := 0; m < 3; m++ {
-			r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
+			postJournaled(p, r.nics[0], lend(r.nics[0], SendDesc{
 				Kind: DescData, MsgID: r.nics[0].NextMsgID(), SrcPort: 1,
 				DstNode: 1, DstPort: 2, Channel: 1, Len: len(payload), Segs: sseg,
 			}))
@@ -352,6 +358,9 @@ func TestClosePortMidRetransmitDrains(t *testing.T) {
 	}
 	if f := r.nics[0].tx.Get(1); f != nil && f.unacked.Len() != 0 {
 		t.Fatalf("orphaned window entries after close: %d", f.unacked.Len())
+	}
+	if len(j.sendIdx) != 3 {
+		t.Fatalf("journaled %d sends, want 3", len(j.sendIdx))
 	}
 	for id := range j.sendIdx {
 		if !j.retired[id] {

@@ -5,9 +5,11 @@
 // pin-down buffer page table for virtual-to-physical translation, and
 // interrupt dispatch for the kernel-level comparator.
 //
-// The package is deliberately mechanism-only: the BCL kernel module's
-// command set lives in the bcl package, the socket layer of the
-// kernel-level comparator in klc. Both compose the primitives here.
+// The BCL kernel module's NIC commands live here too (commands.go), and
+// the bcl package composes its trap bodies from them; the kernel-level
+// comparator's socket layer lives in klc. The comparators (ulc, amii,
+// bip, klc) program the card directly, as the designs they model do, so
+// their traffic is not journaled.
 package oskernel
 
 import (
@@ -65,8 +67,8 @@ type Kernel struct {
 	next  int
 	stats Stats
 
-	// NIC survivability (recovery.go): the journal shadow of firmware
-	// control-plane state and the card it reprograms after a crash.
+	// The card the NIC commands program (commands.go) and the journal of
+	// what they programmed, replayed after a firmware crash (recovery.go).
 	shadow *NICShadow
 	snic   *nic.NIC
 }
@@ -119,10 +121,8 @@ func (k *Kernel) CollectGauges(set obs.GaugeSet) {
 	set(k.node, "kernel", "procs", int64(k.procs.Len()))
 	set(k.node, "kernel", "endpoints_bound", int64(k.eps.Len()))
 	set(k.node, "kernel", "pinned_pages", int64(k.pins.Len()))
-	if k.shadow != nil {
-		ports, recvs, colls, sends := k.shadow.Pending()
-		set(k.node, "kernel", "journal_records", int64(ports+recvs+colls+sends))
-	}
+	ports, recvs, colls, sends := k.shadow.Pending() // (all 0 before AttachNIC)
+	set(k.node, "kernel", "journal_records", int64(ports+recvs+colls+sends))
 }
 
 // PinTable exposes the pin-down page table (for stats in reports).
@@ -136,16 +136,13 @@ func (k *Kernel) Spawn() *Process {
 	return p
 }
 
-// Exit tears a process down, dropping its pinned pages and releasing
-// any NIC endpoints it still owns.
+// Exit tears a process down, dropping its pinned pages and closing any
+// NIC endpoints it still owns, as the port-teardown ioctl does.
 func (k *Kernel) Exit(p *Process) {
 	k.stats.PagesUnpinned += uint64(k.pins.Invalidate(p.PID))
 	for port, pid := range k.eps.All() {
 		if pid == p.PID {
-			k.eps.Set(port, 0)
-			// Drop the port's journal records too: a recovery replay
-			// after the process is gone must not rebuild its endpoint.
-			k.ShadowClosePort(port)
+			k.ClosePort(port)
 		}
 	}
 	k.procs.Set(p.PID, nil)
@@ -167,9 +164,6 @@ func (k *Kernel) BindEndpoint(pid, port int) error {
 	k.eps.Set(port, pid)
 	return nil
 }
-
-// UnbindEndpoint releases an endpoint (port-teardown ioctl).
-func (k *Kernel) UnbindEndpoint(port int) { k.eps.Set(port, 0) }
 
 // EndpointOwner returns the owning PID of an endpoint (0 = unbound).
 func (k *Kernel) EndpointOwner(port int) int { return k.eps.Get(port) }
@@ -282,11 +276,7 @@ func (k *Kernel) TranslateAndPin(p *sim.Proc, pid int, space *mem.AddrSpace, va 
 // scatter/gather length: the base descriptor words plus two words
 // (address + length) per segment beyond the first.
 func (k *Kernel) PIOFillCost(baseWords, nSegs int) sim.Time {
-	words := baseWords
-	if nSegs > 1 {
-		words += 2 * (nSegs - 1)
-	}
-	return k.prof.PIOFill(words)
+	return k.prof.PIOFill(baseWords + 2*max(nSegs-1, 0))
 }
 
 // Interrupt dispatches a device interrupt: entry cost, handler body,

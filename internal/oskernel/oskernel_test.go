@@ -270,9 +270,9 @@ func TestEndpointOwnership(t *testing.T) {
 	if k.EndpointOwner(1) != a.PID {
 		t.Fatalf("owner = %d, want %d", k.EndpointOwner(1), a.PID)
 	}
-	k.UnbindEndpoint(1)
+	k.ClosePort(1)
 	if k.EndpointOwner(1) != 0 {
-		t.Fatalf("owner after unbind = %d, want 0", k.EndpointOwner(1))
+		t.Fatalf("owner after close = %d, want 0", k.EndpointOwner(1))
 	}
 	if err := k.BindEndpoint(b.PID, 1); err != nil {
 		t.Fatalf("rebind after unbind: %v", err)

@@ -3,19 +3,21 @@
 // recovery path that reboots and reprograms the card.
 //
 // Under the semi-user-level architecture every piece of state the MCP
-// holds in SRAM arrived through a kernel trap (port creation, receive
-// posting, collective registration, send submission), so the kernel is
-// naturally positioned to journal it in host memory as it flows past.
-// The journal is pure bookkeeping — it consumes no virtual time on the
-// fast path — and is replayed into a freshly rebooted firmware at
-// ordinary PIO cost. This is the "NIC as part of the OS" discipline
-// carried to its conclusion: firmware SRAM is a cache of kernel state,
-// and a firmware crash is a cache wipe, not a state loss.
+// holds in SRAM arrived through a kernel command (commands.go: port
+// creation, receive posting, collective registration, send submission),
+// and each command journals what it programmed in host memory. The
+// journal is pure bookkeeping — it consumes no virtual time on the fast
+// path — and is replayed into a freshly rebooted firmware through the
+// commands' own card halves, at the PIO cost of the original
+// programming. This is the "NIC as part of the OS" discipline carried to
+// its conclusion: firmware SRAM is a cache of kernel state, and a
+// firmware crash is a cache wipe, not a state loss.
 package oskernel
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"bcl/internal/mem"
 	"bcl/internal/nic"
@@ -44,21 +46,20 @@ type sendEntry struct {
 	desc *nic.SendDesc
 }
 
-// NICShadow is the kernel's journal of NIC control-plane state. It
-// implements nic.Journal; all methods are host-memory bookkeeping with
-// zero virtual-time cost (the writes overlap the PIO the caller is
-// already paying). Like the card's own tables it is arrays: ports,
-// channels and source nodes index tables directly, and the sends are a
-// queue in posting order that is searched from the front, where the
-// send about to retire nearly always is.
+// NICShadow is the kernel's journal of NIC control-plane state. The
+// kernel's commands write what they programmed; the card reports, as
+// nic.Journal, what it does on its own. All of it is host-memory
+// bookkeeping with zero virtual-time cost (the writes overlap the PIO
+// the command is already paying). Like the card's own tables it is
+// arrays: ports, channels and source nodes index tables directly, and
+// the sends are a queue in posting order that is searched from the
+// front, where the send about to retire nearly always is.
 type NICShadow struct {
 	ports sim.Table[*portShadow]
 	colls map[int]*nic.CollSpec
 	// The unretired sends in posting order: the card-global submission
-	// order a replay preserves. maxID is the highest id ever posted: a
-	// higher one is new without a search.
+	// order a replay preserves.
 	sends  sim.Ring[sendEntry]
-	maxID  uint64
 	rxDone sim.Table[*sim.Ring[uint64]] // by source node: the last nic.DoneRing ids delivered
 }
 
@@ -86,18 +87,11 @@ func (s *NICShadow) findSend(msgID uint64) int {
 	return -1
 }
 
-// SendPosted implements nic.Journal. Idempotent per MsgID: a rewind
-// replay re-posts the same descriptor and must not duplicate the
-// journal entry.
+// SendPosted journals a send entering the card, once per message: from
+// the kernel's PostSend, or from the card for an RMA-read reply it
+// fabricated (nic.Journal). A rewind or a replay reposts the message
+// without journaling it again.
 func (s *NICShadow) SendPosted(d *nic.SendDesc) {
-	if d.MsgID > s.maxID {
-		s.maxID = d.MsgID
-	} else if i := s.findSend(d.MsgID); i >= 0 {
-		// A replay. (An id below maxID that is not here is a second port
-		// posting out of id order.)
-		s.sends.At(i).desc = d
-		return
-	}
 	s.sends.Push(sendEntry{id: d.MsgID, desc: d})
 }
 
@@ -173,8 +167,9 @@ func (s *NICShadow) Pending() (ports, recvs, colls, sends int) {
 // Kernel integration.
 
 // AttachNIC wires the kernel's journal into the node's NIC: from here
-// on every trap that programs the card also updates the shadow, and the
-// watchdog (if started) can reprogram the card after a firmware crash.
+// on every kernel command that programs the card also journals it, and
+// the watchdog (if started) can reprogram the card after a firmware
+// crash.
 func (k *Kernel) AttachNIC(n *nic.NIC) {
 	k.shadow = newNICShadow()
 	k.snic = n
@@ -184,69 +179,13 @@ func (k *Kernel) AttachNIC(n *nic.NIC) {
 // Shadow returns the NIC journal (nil before AttachNIC).
 func (k *Kernel) Shadow() *NICShadow { return k.shadow }
 
-// ShadowPort journals a port registration (and weight changes).
-func (k *Kernel) ShadowPort(id, weight int) {
-	if k.shadow == nil {
-		return
-	}
-	if weight < 1 {
-		weight = 1
-	}
-	k.shadow.port(id).weight = weight
-}
-
-// ShadowClosePort drops a closed port's journal records.
-func (k *Kernel) ShadowClosePort(id int) {
-	if k.shadow != nil {
-		k.shadow.closePort(id)
-	}
-}
-
-// ShadowPostRecv journals a normal-channel receive posting.
-func (k *Kernel) ShadowPostRecv(port, channel int, d *nic.RecvDesc) {
-	if k.shadow != nil {
-		k.shadow.port(port).normal.Set(channel, d)
-	}
-}
-
-// ShadowSysBuf journals a system-pool buffer.
-func (k *Kernel) ShadowSysBuf(port int, va mem.VAddr, d *nic.RecvDesc) {
-	if k.shadow != nil {
-		k.shadow.port(port).sys.Push(sysEntry{va: va, desc: d})
-	}
-}
-
-// ShadowOpen journals an RMA open-channel binding.
-func (k *Kernel) ShadowOpen(port, channel int, d *nic.RecvDesc) {
-	if k.shadow != nil {
-		k.shadow.port(port).opens.Set(channel, d)
-	}
-}
-
-// ShadowColl journals a collective context registration.
-func (k *Kernel) ShadowColl(s *nic.CollSpec) {
-	if k.shadow != nil {
-		k.shadow.colls[s.ID] = s
-	}
-}
-
-// ShadowCloseColl drops a closed collective context.
-func (k *Kernel) ShadowCloseColl(id int) {
-	if k.shadow != nil {
-		delete(k.shadow.colls, id)
-	}
-}
-
-// StartWatchdog attaches the NIC (if not already attached), starts the
-// firmware heartbeat, and spawns the kernel watchdog process. The
-// watchdog polls the MCP's status word over PIO every WatchdogInterval;
-// a heartbeat older than watchdog-interval + heartbeat-interval means
-// the firmware is dead, and the kernel reboots and reprograms it from
-// the journal.
-func (k *Kernel) StartWatchdog(n *nic.NIC) {
-	if k.shadow == nil || k.snic != n {
-		k.AttachNIC(n)
-	}
+// StartWatchdog starts the attached NIC's firmware heartbeat and spawns
+// the kernel watchdog process. The watchdog polls the MCP's status word
+// over PIO every WatchdogInterval; a heartbeat older than
+// watchdog-interval + heartbeat-interval means the firmware is dead, and
+// the kernel reboots and reprograms it from the journal.
+func (k *Kernel) StartWatchdog() {
+	n := k.snic
 	hb, wd := k.prof.MCPHeartbeatInterval, k.prof.WatchdogInterval
 	n.StartHeartbeat()
 	k.env.Go(fmt.Sprintf("kernel%d/watchdog", k.node), func(p *sim.Proc) {
@@ -254,7 +193,7 @@ func (k *Kernel) StartWatchdog(n *nic.NIC) {
 			p.Sleep(wd)
 			p.Sleep(k.prof.PIOReadWord) // read the MCP status word
 			if p.Now()-n.LastHeartbeat() > wd+hb && n.FirmwareDead() {
-				k.recoverNIC(p, n)
+				k.recoverNIC(p)
 			}
 		}
 	})
@@ -264,37 +203,34 @@ func (k *Kernel) StartWatchdog(n *nic.NIC) {
 // image (MCPRebootTime), wipe SRAM (BeginReboot), replay the journal,
 // then bring the card back online under a bumped boot epoch
 // (FinishReboot). Peers heal their flows through the epoch protocol.
-func (k *Kernel) recoverNIC(p *sim.Proc, n *nic.NIC) {
+func (k *Kernel) recoverNIC(p *sim.Proc) {
+	n := k.snic
 	k.stats.WatchdogTrips++
 	start := p.Now()
 	n.Tracer.Add("kernel: watchdog trip", k.row, start, start)
 	p.Sleep(k.prof.MCPRebootTime) // firmware image reload + self-test
 	n.BeginReboot()
-	k.replayNIC(p, n)
+	k.replayNIC(p)
 	n.FinishReboot()
 	k.stats.NICRecoveries++
 	n.Tracer.Add("kernel: NIC recovery", k.row, start, p.Now())
 }
 
-// replayNIC reprograms a wiped firmware from the journal at ordinary
-// PIO cost, in a fixed deterministic order: port tables first (rings
-// must exist before sends), then receive postings (buffers must be
-// armed before replayed peers' traffic lands), then collective
+// replayNIC reprograms a wiped firmware from the journal through the
+// commands' card halves, in a fixed deterministic order: port tables
+// first (rings must exist before sends), then receive postings (buffers
+// must be armed before replayed peers' traffic lands), then collective
 // contexts, then the receive done-ring, then unretired sends in their
 // original submission order. Each queue is replayed as it stood when
 // its turn came: a send or buffer posted while the replay sleeps went
 // to the card already.
-func (k *Kernel) replayNIC(p *sim.Proc, n *nic.NIC) {
+func (k *Kernel) replayNIC(p *sim.Proc) {
 	s := k.shadow
-	if s == nil {
-		return
-	}
 	start := p.Now()
 	records := uint64(0)
 	for id, ps := range s.ports.All() {
 		if ps != nil {
-			p.Sleep(k.prof.PIOFill(8))
-			n.ReprogramPort(id, ps.weight)
+			k.programPort(p, id, ps.weight)
 			records++
 		}
 	}
@@ -304,48 +240,35 @@ func (k *Kernel) replayNIC(p *sim.Proc, n *nic.NIC) {
 		}
 		for c, d := range ps.opens.All() {
 			if d != nil {
-				p.Sleep(k.prof.PIOFill(k.prof.RecvDescWords))
-				n.RegisterOpen(id, c, d)
+				k.programOpen(p, id, c, d)
 				records++
 			}
 		}
 		for c, d := range ps.normal.All() {
 			if d != nil {
-				p.Sleep(k.prof.PIOFill(k.prof.RecvDescWords))
-				n.PostRecv(id, c, d)
+				k.programRecv(p, id, c, d)
 				records++
 			}
 		}
 		for _, e := range ps.sys.AppendTo(nil) {
-			p.Sleep(k.prof.PIOFill(k.prof.RecvDescWords))
-			n.AddSystemBuffer(id, e.desc)
+			k.programSysBuf(p, id, e.desc)
 			records++
 		}
 	}
-	collIDs := make([]int, 0, len(s.colls))
-	for id := range s.colls {
-		collIDs = append(collIDs, id)
-	}
-	sort.Ints(collIDs)
-	for _, id := range collIDs {
-		spec := s.colls[id]
-		p.Sleep(k.prof.PIOFill(k.prof.RecvDescWords + 2*len(spec.Nodes)))
-		n.RegisterCollCtx(spec)
+	for _, id := range slices.Sorted(maps.Keys(s.colls)) {
+		k.programColl(p, s.colls[id])
 		records++
 	}
 	for src, l := range s.rxDone.All() {
 		if l != nil {
-			ids := l.AppendTo(nil) // oldest first
-			p.Sleep(k.prof.PIOFill(2 * len(ids)))
-			n.RestoreRxDone(src, ids)
+			k.restoreDone(p, src, l.AppendTo(nil)) // oldest first
 			records++
 		}
 	}
 	for _, e := range s.sends.AppendTo(nil) {
-		p.Sleep(k.prof.PIOFill(k.prof.SendDescWords))
-		n.RepostSend(e.desc)
+		k.programSend(p, e.desc, true)
 		records++
 	}
 	k.stats.ReplayedRecords += records
-	n.Tracer.Add("kernel: replay NIC state", k.row, start, p.Now())
+	k.snic.Tracer.Add("kernel: replay NIC state", k.row, start, p.Now())
 }

@@ -5,8 +5,10 @@ import (
 	"slices"
 	"testing"
 
+	"bcl/internal/fabric/myrinet"
 	"bcl/internal/mem"
 	"bcl/internal/nic"
+	"bcl/internal/sim"
 )
 
 // shadowModel is the NIC journal as it was before it became arrays:
@@ -45,10 +47,6 @@ func (s *shadowModel) port(id int) *portModel {
 }
 
 func (s *shadowModel) SendPosted(d *nic.SendDesc) {
-	if e, ok := s.sendIdx[d.MsgID]; ok {
-		e.desc = d
-		return
-	}
 	e := &sendModel{desc: d}
 	s.sends = append(s.sends, e)
 	s.sendIdx[d.MsgID] = e
@@ -119,8 +117,8 @@ func (s *shadowModel) Pending() (ports, recvs, colls, sends int) {
 // posting order with the descriptor each would repost, every port's
 // postings and system pool in order, every source's done-ring oldest
 // first — and Pending. Ids are handed out in order and posted when the
-// program says, so two ports post out of id order; a re-post names a
-// send the NIC still has in flight, as a rewind or reboot replay does.
+// program says, so two ports post out of id order. Each message is
+// journaled once: a rewind or a reboot replay reposts it unjournaled.
 func replayShadow(t *testing.T, prog []byte) {
 	t.Helper()
 	got, want := newNICShadow(), newShadowModel()
@@ -134,7 +132,7 @@ func replayShadow(t *testing.T, prog []byte) {
 		op, a, b := prog[step]%16, int(prog[step+1]), int(prog[step+2])
 		port, ch := 1+a%3, 1+b%5
 		switch op {
-		case 0, 1, 2: // take an id; post it at once unless told to hold it back
+		case 0, 1, 2, 4: // take an id; post it at once unless told to hold it back
 			nextID++
 			d := &nic.SendDesc{MsgID: nextID, SrcPort: port}
 			if op == 2 {
@@ -152,14 +150,6 @@ func replayShadow(t *testing.T, prog []byte) {
 				got.SendPosted(d)
 				want.SendPosted(d)
 				inflight = append(inflight, d)
-			}
-		case 4: // replay: the same message in a fresh descriptor
-			if len(inflight) > 0 {
-				i := a % len(inflight)
-				c := *inflight[i]
-				inflight[i] = &c
-				got.SendPosted(&c)
-				want.SendPosted(&c)
 			}
 		case 5, 6, 7: // retire: usually the oldest in flight, sometimes any, sometimes a stale or unknown id
 			id := uint64(a)
@@ -271,7 +261,6 @@ func TestShadowMatchesMapModel(t *testing.T) {
 		prog []byte
 	}{
 		{"post, retire", []byte{0, 0, 0, 5, 0, 1}},
-		{"replay keeps one entry", []byte{0, 0, 0, 4, 0, 0, 4, 0, 0, 5, 0, 1}},
 		{"two ports out of id order", []byte{2, 0, 0, 0, 1, 0, 3, 0, 0, 5, 0, 1, 5, 0, 1}},
 		{"retire behind a live head", []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 7, 2, 1, 7, 1, 1, 5, 0, 1}},
 		{"close with queued sends", []byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 8, 0, 0, 5, 0, 1, 0, 0, 0}},
@@ -295,7 +284,7 @@ func TestShadowMatchesMapModel(t *testing.T) {
 }
 
 func FuzzShadow(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 2, 1, 0, 0, 1, 0, 3, 0, 0, 4, 1, 0, 7, 1, 1, 8, 0, 0, 5, 0, 1})
+	f.Add([]byte{0, 0, 0, 2, 1, 0, 0, 1, 0, 3, 0, 0, 7, 1, 1, 8, 0, 0, 5, 0, 1})
 	f.Add([]byte{9, 0, 1, 9, 0, 2, 12, 0, 1, 11, 0, 0, 15, 0, 0, 15, 0, 1})
 	f.Fuzz(func(t *testing.T, prog []byte) { replayShadow(t, prog) })
 }
@@ -365,5 +354,108 @@ func BenchmarkShadowSendCycle(b *testing.B) {
 		s.SysConsumed(1, va)
 		s.MsgDone(2, id)
 		ps.sys.Push(sysEntry{va: va, desc: buf})
+	}
+}
+
+// newKernelNIC boots a kernel over the card of a one-node Myrinet,
+// attached as a cluster node attaches it.
+func newKernelNIC() (*sim.Env, *Kernel, *nic.NIC) {
+	env, k := newKernel()
+	n := nic.New(env, k.prof, nic.Config{Reliable: true}, 0, myrinet.New(env, k.prof, 1).Attach(0), k.mem)
+	k.AttachNIC(n)
+	return env, k, n
+}
+
+// TestReplayCostsWhatBootCost: recovery programs the card through the
+// commands' card halves, so replaying a port and a receive posting over
+// two frames apart costs the same PIO time as programming them did,
+// segment words included.
+func TestReplayCostsWhatBootCost(t *testing.T) {
+	env, k, n := newKernelNIC()
+	proc, other := k.Spawn(), k.Spawn()
+	va := proc.Space.Alloc(4096)
+	other.Space.Alloc(4096) // takes the next frame
+	proc.Space.Alloc(4096)  // va's virtual neighbour, in a frame apart
+	var boot, replay sim.Time
+	env.Go("p", func(p *sim.Proc) {
+		segs, err := k.TranslateAndPin(p, proc.PID, proc.Space, va, 8192, nil)
+		if err != nil || len(segs) != 2 {
+			t.Errorf("buffer translates to %d segments, %v; want 2", len(segs), err)
+			return
+		}
+		d := n.GetRecvDesc()
+		d.Len, d.VA, d.Space, d.Segs = 8192, va, proc.Space, segs
+		start := p.Now()
+		k.RegisterPort(p, 1, 1)
+		if err := k.PostRecv(p, 1, 1, d); err != nil {
+			t.Error(err)
+		}
+		boot = p.Now() - start
+		n.CrashFirmware()
+		n.BeginReboot()
+		start = p.Now()
+		k.replayNIC(p)
+		replay = p.Now() - start
+		n.FinishReboot()
+	})
+	env.Run()
+	if want := k.prof.PIOFill(8) + k.PIOFillCost(k.prof.RecvDescWords, 2); boot != want {
+		t.Fatalf("programming cost %d, want %d", boot, want)
+	}
+	if replay != boot {
+		t.Fatalf("replay cost %d, programming %d", replay, boot)
+	}
+	if got := k.Stats().ReplayedRecords; got != 2 {
+		t.Fatalf("replayed %d records, want 2", got)
+	}
+	if err := n.Drained(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRejectedCommandsAreNotJournaled: a command journals only what the
+// card accepted. Rebinding an armed channel leaves the journal holding
+// the first posting, and a buffer for an unregistered port or a bad
+// collective context leaves Pending unchanged.
+func TestRejectedCommandsAreNotJournaled(t *testing.T) {
+	env, k, n := newKernelNIC()
+	proc := k.Spawn()
+	va := proc.Space.Alloc(4096)
+	desc := func() *nic.RecvDesc {
+		d := n.GetRecvDesc()
+		d.Len, d.VA, d.Space = 4096, va, proc.Space
+		return d
+	}
+	env.Go("p", func(p *sim.Proc) {
+		k.RegisterPort(p, 1, 1)
+		first := desc()
+		if err := k.PostRecv(p, 1, 1, first); err != nil {
+			t.Error(err)
+			return
+		}
+		ports, recvs, colls, sends := k.Shadow().Pending()
+		if err := k.PostRecv(p, 1, 1, desc()); err == nil {
+			t.Error("rebinding an armed channel was accepted")
+		}
+		if err := k.AddSystemBuffer(p, 9, desc()); err == nil {
+			t.Error("a system buffer for an unregistered port was accepted")
+		}
+		if err := k.RegisterOpen(p, 9, 1, desc()); err == nil {
+			t.Error("an open channel on an unregistered port was accepted")
+		}
+		if err := k.RegisterCollCtx(p, &nic.CollSpec{ID: 1, Nodes: []int{0}, Ports: []int{1}}); err == nil {
+			t.Error("a collective context with no members was accepted")
+		}
+		p2, r2, c2, s2 := k.Shadow().Pending()
+		if p2 != ports || r2 != recvs || c2 != colls || s2 != sends {
+			t.Errorf("Pending %d/%d/%d/%d after rejected commands, was %d/%d/%d/%d", p2, r2, c2, s2, ports, recvs, colls, sends)
+		}
+		if got := k.shadow.ports.Get(1).normal.Get(1); got != first {
+			t.Error("the journal lost the posting the card still holds")
+		}
+	})
+	env.Run()
+	if err := n.Drained(); err != nil {
+		t.Fatal(err)
 	}
 }
