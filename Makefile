@@ -21,12 +21,12 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Native fuzzing: each of the eleven fuzz targets searches for 5 s,
-# about 90 s in all (`go test` runs only their seed corpora). A failing
+# Native fuzzing: each of the twelve fuzz targets searches for 5 s,
+# about 100 s in all (`go test` runs only their seed corpora). A failing
 # input is saved under the package's testdata/fuzz and replays with
 # `go test`. CI runs the same.
 fuzz:
-	@for t in sim:FuzzEventQueue sim:FuzzRing sim:FuzzFreeList mem:FuzzAddrSpaceCopy \
+	@for t in sim:FuzzEventQueue sim:FuzzQueue sim:FuzzRing sim:FuzzFreeList mem:FuzzAddrSpaceCopy \
 		mem:FuzzPinTable oskernel:FuzzShadow nic:FuzzDoneRing trace:FuzzCappedTracer \
 		obs:FuzzSnapshot obs:FuzzHistBuckets bench:FuzzDiff; do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \

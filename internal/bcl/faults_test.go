@@ -198,3 +198,89 @@ func TestManyNodesRandomTraffic(t *testing.T) {
 		t.Fatalf("received %d messages, want %d", total, n*perSender)
 	}
 }
+
+// TestOutOfWindowRMAWriteFailsOnlyItself: an RMA write past the end of
+// a remote window is one tenant's bad request, not a sick peer. The
+// target refuses it for good, so only that write fails; the other
+// tenant's traffic to the same node, sharing the go-back-N flow, all
+// completes and the peer is never declared dead. Retrying the write
+// until the sender gave the node up would fail all 200 sends. The
+// refusal holds when the fabric loses the NACKs that carry it: the
+// write fails exactly once and is never reported done.
+func TestOutOfWindowRMAWriteFailsOnlyItself(t *testing.T) {
+	for _, lost := range []int{0, 3} {
+		t.Run(fmt.Sprintf("lost=%d", lost), func(t *testing.T) { outOfWindowWrite(t, lost) })
+	}
+}
+
+// outOfWindowWrite runs TestOutOfWindowRMAWriteFailsOnlyItself with the
+// fabric dropping the first lost NACKs that refuse a message.
+func outOfWindowWrite(t *testing.T, lost int) {
+	tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 0, 1})
+	tb.c.Fabric.SetFault(func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
+		if pkt.Kind == fabric.KindNack && pkt.MsgID != 0 && lost > 0 {
+			lost--
+			return fabric.Drop
+		}
+		return fabric.Deliver
+	})
+	rogue, victim, target := tb.ports[0], tb.ports[1], tb.ports[2]
+	const window, sends = 4096, 200
+	tb.c.Env.Go("target", func(p *sim.Proc) {
+		if err := target.RegisterOpen(p, 5, target.Process().Space.Alloc(window), window); err != nil {
+			t.Error(err)
+		}
+		for {
+			ev := target.WaitRecv(p)
+			if err := target.ReturnSystemBuffer(p, ev.VA, tb.c.Prof.MaxPacket); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	var rogueDone, rogueFailed int
+	tb.c.Env.Go("rogue", func(p *sim.Proc) {
+		p.Sleep(sim.Millisecond)
+		if _, err := rogue.RMAWrite(p, target.Addr(), 5, 2*window, rogue.Process().Space.Alloc(64), 64); err != nil {
+			t.Error(err)
+			return
+		}
+		for {
+			if rogue.WaitSend(p).Type == nic.EvSendFailed {
+				rogueFailed++
+			} else {
+				rogueDone++
+			}
+		}
+	})
+	var done, failed int
+	tb.c.Env.Go("victim", func(p *sim.Proc) {
+		p.Sleep(sim.Millisecond)
+		va := victim.Process().Space.Alloc(64)
+		for i := 0; i < sends; i++ {
+			if _, err := victim.Send(p, target.Addr(), SystemChannel, va, 64, uint64(i)); err != nil {
+				t.Error(err)
+			}
+		}
+		for i := 0; i < sends; i++ {
+			if victim.WaitSend(p).Type == nic.EvSendFailed {
+				failed++
+			} else {
+				done++
+			}
+		}
+	})
+	tb.run(t, 2*sim.Second)
+	if done != sends || failed != 0 {
+		t.Fatalf("victim: %d sends done, %d failed, want %d and 0", done, failed, sends)
+	}
+	if rogueFailed != 1 || rogueDone != 0 {
+		t.Fatalf("rogue: %d writes failed, %d done, want 1 and 0", rogueFailed, rogueDone)
+	}
+	if st := tb.c.Nodes[0].NIC.Stats(); st.PeerDeaths != 0 || st.SendFailures != 1 {
+		t.Fatalf("node 0 NIC: %d peer deaths, %d send failures, want 0 and 1", st.PeerDeaths, st.SendFailures)
+	}
+	if lost > 0 {
+		t.Fatalf("%d NACKs left to drop: the write was refused fewer times than the test loses", lost)
+	}
+	tb.assertDrained(t)
+}

@@ -55,6 +55,13 @@ type Report struct {
 	// embeds them.
 	Attribution *prof.Profile
 	LogP        *prof.LogGP
+
+	// Events and EventFP are the events executed and their fingerprint
+	// (sim.Env.Fingerprint) over every cluster the experiment built:
+	// summed, and folded in build order. They are the event-order oracle
+	// TestEventOrder holds to a golden, and no part of the artifact.
+	Events  uint64
+	EventFP uint64
 }
 
 func (r *Report) String() string {
@@ -226,9 +233,15 @@ func newCluster(cfg cluster.Config) *cluster.Cluster {
 }
 
 // capture merges the tracked clusters' registries into the report (if
-// the experiment did not attach a snapshot itself) and derives the
-// one-line summary.
+// the experiment did not attach a snapshot itself), derives the
+// one-line summary and records which events the clusters executed.
 func capture(r *Report) {
+	fp := newDigest()
+	for _, c := range built {
+		r.Events += c.Env.Steps()
+		fp.mix(c.Env.Fingerprint())
+	}
+	r.EventFP = uint64(fp)
 	if r.Snap == nil {
 		snaps := make([]*obs.Snapshot, 0, len(built))
 		for _, c := range built {

@@ -12,8 +12,8 @@
 // On the host clock a packet costs no garbage and no process: the
 // descriptor and its payload buffer come from a per-simulation Pool and
 // are shared by reference (see Pool and DESIGN §6, Packet lifetime),
-// and transit past the injection link is a chain of sim.Env.AtArg
-// events over a pooled in-flight record (see Network.launch).
+// and injection and transit are a chain of sim.Env.AtArg events over a
+// pooled in-flight record (see Network.inject and Network.start).
 package fabric
 
 import (
@@ -41,6 +41,7 @@ const (
 	KindCollMcast                   // collective: NIC-forwarded multicast fragment
 	KindCollComb                    // collective: combine contribution toward the root
 	KindResync                      // receiver asks a sender to resynchronize a flow (epoch + expected seq)
+	KindVoid                        // a sequence number the sender withdrew: consumed, never delivered
 	numKinds                        // count of the kinds above
 )
 
@@ -66,6 +67,8 @@ func (k PacketKind) String() string {
 		return "COLL-COMB"
 	case KindResync:
 		return "RESYNC"
+	case KindVoid:
+		return "VOID"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -104,7 +107,7 @@ type Packet struct {
 	// in-flight messages. Zero means "unreliable mode / epoch-unaware".
 	Epoch uint32
 
-	MsgID   uint64 // sender-assigned message id
+	MsgID   uint64 // sender-assigned message id; on a NACK, a message the receiver refuses for good
 	Seq     uint64 // per-flow wire sequence number
 	FragIdx int    // fragment index within the message
 	Frags   int    // total fragments in the message
@@ -404,13 +407,13 @@ type Endpoint struct {
 	RX       *sim.Queue[*Packet]
 	net      *Network
 	pool     *Pool
-	injectFn func(p *sim.Proc, pkt *Packet)
+	injectFn func(pkt *Packet, k func(a, b uint64), a, b uint64) bool
 }
 
 // NewInjectedEndpoint builds an endpoint whose injection path is
 // custom (composite fabrics use it to demultiplex across rails) and
 // whose RX queue and packet pool are supplied by the caller.
-func NewInjectedEndpoint(node int, rx *sim.Queue[*Packet], pool *Pool, inject func(p *sim.Proc, pkt *Packet)) *Endpoint {
+func NewInjectedEndpoint(node int, rx *sim.Queue[*Packet], pool *Pool, inject func(pkt *Packet, k func(a, b uint64), a, b uint64) bool) *Endpoint {
 	return &Endpoint{Node: node, RX: rx, pool: pool, injectFn: inject}
 }
 
@@ -420,16 +423,22 @@ func (ep *Endpoint) Pool() *Pool { return ep.pool }
 
 // Inject sends pkt into the fabric, which owns it from here on: it is
 // delivered to the destination's RX queue or released. The calling
-// process (the NIC send engine) is occupied for the packet's
+// process (a NIC firmware engine) is occupied for the packet's
 // serialization time on the injection link — this is what limits a
 // single sender's bandwidth — after which the packet propagates through
-// the route asynchronously.
+// the route asynchronously. It waits on InjectFn.
 func (ep *Endpoint) Inject(p *sim.Proc, pkt *Packet) {
+	p.Await(func(k func(a, b uint64)) bool { return ep.InjectFn(pkt, k, 0, 0) })
+}
+
+// InjectFn is Inject for event-driven callers: it reports true if the
+// injection finished at once, or runs k(a, b) last in the event that
+// frees the injection link, where an injecting process would wake.
+func (ep *Endpoint) InjectFn(pkt *Packet, k func(a, b uint64), a, b uint64) bool {
 	if ep.injectFn != nil {
-		ep.injectFn(p, pkt)
-		return
+		return ep.injectFn(pkt, k, a, b)
 	}
-	ep.net.inject(p, ep.Node, pkt)
+	return ep.net.inject(ep.Node, pkt, k, a, b)
 }
 
 // Fabric is a network connecting numbered nodes.
@@ -507,15 +516,16 @@ type Network struct {
 	tr        *trace.Tracer
 	pool      *Pool
 
-	// Packets past their injection link: a slab of in-flight records,
-	// the free slots in it, and the long-lived callbacks of the transit
-	// event chain (see launch), which carry a slot index in their a word.
-	flights   []flight
-	slots     sim.FreeList[uint32]
-	startFn   func(id, _ uint64)
-	hopFn     func(id, hop uint64)
-	grantFn   func(id, hop uint64)
-	releaseFn func(link, _ uint64)
+	// Packets from their injection on: a slab of in-flight records, the
+	// free slots in it, and the long-lived callbacks of the injection
+	// (serialize) and transit (start) event chains, which carry a slot
+	// index in their a word.
+	flights        []flight
+	slots          sim.FreeList[uint32]
+	sendFn, sentFn func(id, tx uint64)
+	startFn        func(id, _ uint64)
+	hopFn, grantFn func(id, hop uint64)
+	releaseFn      func(link, _ uint64)
 
 	nodeOut map[int][]outage // per-node link outage windows
 	allOut  []outage         // whole-fabric (switch/rail) outage windows
@@ -548,6 +558,7 @@ func NewNetwork(env *sim.Env, name string, n int) *Network {
 		routes:   make([][]int, n*n),
 		pool:     &Pool{},
 	}
+	net.sendFn, net.sentFn = net.send, net.sent
 	net.startFn, net.hopFn, net.grantFn, net.releaseFn = net.start, net.hop, net.grant, net.release
 	for i := 0; i < n; i++ {
 		net.endpoints = append(net.endpoints, &Endpoint{
@@ -631,7 +642,7 @@ func (n *Network) Collect(set obs.Set) {
 }
 
 // CollectGauges publishes per-node RX queue depths (packets delivered
-// by the fabric but not yet consumed by the NIC's receive engine).
+// by the fabric but not yet taken by the NIC's receive MCP).
 func (n *Network) CollectGauges(set obs.GaugeSet) {
 	l := n.obsLayer
 	for _, ep := range n.endpoints {
@@ -783,86 +794,107 @@ func (n *Network) deliver(pkt *Packet, dup bool) {
 	}
 }
 
-// payInjection charges the caller the serialization time on the
-// injection link even though the packet dies: the bits left the NIC.
-func (n *Network) payInjection(p *sim.Proc, src int, pkt *Packet) {
-	if route := n.Route(src, pkt.Dst); len(route) > 0 {
-		first := n.links[route[0]]
-		first.res.Use(p, 1, hw.TransferTime(pkt.WireSize(), first.bw))
-	}
-}
-
-// inject pushes pkt along its route. The caller holds the sending NIC;
-// it is blocked for the serialization time on the injection link.
-// Intra-node sends (src == dst, no route) deliver directly.
-func (n *Network) inject(p *sim.Proc, src int, pkt *Packet) {
+// inject pushes pkt along its route (Endpoint.InjectFn); intra-node
+// sends (src == dst, no route) deliver directly. A packet lost to a fault
+// or an outage still occupies the injection link: the bits left the NIC.
+func (n *Network) inject(src int, pkt *Packet, k func(a, b uint64), a, b uint64) bool {
 	pkt.Sent = n.env.Now()
-	t0 := pkt.Sent
-	dup := false
+	f := flight{pkt: pkt, t0: pkt.Sent, slow: 1, k: k, ka: a, kb: b}
 	if n.fault != nil {
 		own(pkt)
 		switch n.fault(n.env, pkt) {
 		case Drop:
 			n.dropped++
-			n.payInjection(p, src, pkt)
-			n.traceWire(pkt, wireFaultDrop, t0, n.env.Now())
-			pkt.Release()
-			return
+			f.how, f.route = wireFaultDrop, n.Route(src, pkt.Dst)
+			return n.serialize(f)
 		case Duplicate:
-			dup = true
+			f.dup = true
 			n.duplicated++
 		}
 	}
-	route := n.Route(src, pkt.Dst)
-	if route == nil {
+	if f.route = n.Route(src, pkt.Dst); f.route == nil {
 		panic(fmt.Sprintf("fabric %s: no route %d->%d", n.name, src, pkt.Dst))
 	}
-	if len(route) == 0 { // loopback: never touches the fabric
-		n.deliver(pkt, dup)
-		return
+	if len(f.route) == 0 { // loopback: never touches the fabric
+		n.deliver(pkt, f.dup)
+		return true
 	}
 	// Outage: a packet leaving a downed attachment is lost at the first
 	// hop (the sender still serializes it out).
 	if n.NodeDown(src) {
 		n.dropped++
 		n.outageDrops++
-		n.payInjection(p, src, pkt)
-		n.traceWire(pkt, wireOutageDrop, t0, n.env.Now())
-		pkt.Release()
-		return
+		f.how = wireOutageDrop
+		return n.serialize(f)
 	}
-
 	// Gray-failure windows multiply wire time without losing anything;
 	// the factor is sampled once, at injection.
-	slow := n.slowFactor(src, pkt.Dst)
-	if slow > 1 {
+	if f.slow = sim.Time(n.slowFactor(src, pkt.Dst)); f.slow > 1 {
 		n.slowedPkts++
 	}
-
-	// Serialize onto the injection link: the sender is occupied for the
-	// full packet time (this is the per-NIC bandwidth limit).
-	first := n.links[route[0]]
-	txTime := hw.TransferTime(pkt.WireSize(), first.bw) * sim.Time(slow)
-	first.res.Acquire(p, 1)
-	p.Sleep(txTime)
-	first.res.Release(1)
-
-	// The head is now one hop in; the rest of the route is travelled
-	// asynchronously (cut-through).
-	n.launch(flight{pkt: pkt, route: route, t0: t0, slow: sim.Time(slow), dup: dup})
+	return n.serialize(f)
 }
 
-// flight is one packet between its injection link and its destination.
+// serialize occupies the injection link for the packet's wire time,
+// the per-NIC bandwidth limit (a lost loopback packet has none).
+func (n *Network) serialize(f flight) bool {
+	if len(f.route) == 0 {
+		n.traceWire(f.pkt, f.how, f.t0, n.env.Now())
+		f.pkt.Release()
+		return true
+	}
+	id, ok := n.slots.Get()
+	if !ok {
+		id = uint32(len(n.flights))
+		n.flights = append(n.flights, flight{})
+	}
+	n.flights[id] = f
+	first := n.links[f.route[0]]
+	tx := uint64(hw.TransferTime(f.pkt.WireSize(), first.bw) * f.slow)
+	if first.res.AcquireFn(1, n.sendFn, uint64(id), tx) {
+		n.send(uint64(id), tx)
+	}
+	return false
+}
+
+// send books the end of the injection link's serialization time.
+func (n *Network) send(id, tx uint64) {
+	n.env.AtArg(n.env.Now()+sim.Time(tx), n.sentFn, id, 0)
+}
+
+// sent ends an injection: it frees the link, and the injector goes on.
+func (n *Network) sent(id, _ uint64) {
+	f := &n.flights[id]
+	n.links[f.route[0]].res.Release(1)
+	k, a, b := f.k, f.ka, f.kb
+	f.k = nil
+	if f.how != wireDelivered {
+		n.traceWire(f.pkt, f.how, f.t0, n.env.Now())
+		f.pkt.Release()
+		n.flights[id] = flight{}
+		n.slots.Put(uint32(id))
+	} else {
+		n.env.AtArg(n.env.Now(), n.startFn, id, 0)
+	}
+	k(a, b)
+}
+
+// flight is one packet between its injection and its destination.
 type flight struct {
 	pkt   *Packet
 	route []int
-	t0    sim.Time // injection instant
-	slow  sim.Time // gray-failure factor sampled at injection
-	dup   bool     // the fault hook asked for a second delivery
+	t0    sim.Time    // injection instant
+	slow  sim.Time    // gray-failure factor sampled at injection
+	dup   bool        // the fault hook asked for a second delivery
+	how   wireOutcome // a packet lost at injection: how
+
+	k      func(a, b uint64) // the injector's continuation (Endpoint.InjectFn)
+	ka, kb uint64
 }
 
-// launch starts a packet's transit as a chain of events, each scheduled
-// exactly where a per-packet process would have been woken:
+// A packet's transit past its injection link is a chain of events,
+// each scheduled exactly where a per-packet process would have been
+// woken:
 //
 //	start  now                 books the first hop
 //	hop    +first-link latency the head reaches the next link: acquire
@@ -875,16 +907,6 @@ type flight struct {
 // No event is merged or dropped, the start event included although it
 // only books the next: event count and sequence numbers are the model
 // clock's contract (Env.Steps, and through it every baseline).
-func (n *Network) launch(f flight) {
-	id, ok := n.slots.Get()
-	if !ok {
-		id = uint32(len(n.flights))
-		n.flights = append(n.flights, flight{})
-	}
-	n.flights[id] = f
-	n.env.AtArg(n.env.Now(), n.startFn, uint64(id), 0)
-}
-
 func (n *Network) start(id, _ uint64) {
 	f := &n.flights[id]
 	n.env.AtArg(n.env.Now()+n.links[f.route[0]].lat*f.slow, n.hopFn, id, 1)

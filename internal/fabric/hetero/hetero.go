@@ -99,7 +99,7 @@ func New(env *sim.Env, prof *hw.Profile, n int, policy Policy) *Fabric {
 // newEndpoint builds the composite endpoint for a node over its merged
 // RX queue; packets for either rail are built from rail 0's pool.
 func (f *Fabric) newEndpoint(node int, rx *sim.Queue[*fabric.Packet]) *fabric.Endpoint {
-	return fabric.NewInjectedEndpoint(node, rx, f.rails[0].Attach(node).Pool(), func(p *sim.Proc, pkt *fabric.Packet) {
+	return fabric.NewInjectedEndpoint(node, rx, f.rails[0].Attach(node).Pool(), func(pkt *fabric.Packet, k func(a, b uint64), a, b uint64) bool {
 		rail := f.policy(node, pkt.Dst)
 		if rail < 0 || rail > 1 {
 			panic(fmt.Sprintf("hetero: policy returned rail %d", rail))
@@ -121,7 +121,7 @@ func (f *Fabric) newEndpoint(node int, rx *sim.Queue[*fabric.Packet]) *fabric.En
 				fmt.Sprintf("dst=%d -> %s", pkt.Dst, f.rails[rail].Name()))
 		}
 		f.perRail[rail]++
-		f.rails[rail].Attach(node).Inject(p, pkt)
+		return f.rails[rail].Attach(node).InjectFn(pkt, k, a, b)
 	})
 }
 

@@ -233,7 +233,7 @@ type collJob struct {
 
 // collEngine drains the collective work queue. It is its own firmware
 // process so blocking on a full go-back-N window (or on SRAM) never
-// stalls the receive engine that feeds it.
+// stalls the receive MCP that feeds it.
 func (n *NIC) collEngine(p *sim.Proc) {
 	for {
 		j := n.collQ.Recv(p)
@@ -262,47 +262,20 @@ func (n *NIC) collEngine(p *sim.Proc) {
 			n.collFail(p, j)
 		case collJobResend:
 			// Single-packet by contract; re-enters the rewound window
-			// from collective-engine context so the receive engine never
-			// blocks on window space.
+			// from collective-engine context so the receive MCP never
+			// waits for window space.
 			n.transmit(p, n.flowTo(j.desc.DstNode), j.pkt, j.desc, true, j.sram)
 		}
 	}
 }
 
-// handleCollPkt runs in the receive engine: CRC and go-back-N
-// discipline exactly like data traffic, then hand off to the engine.
-// It reports whether the packet was handed off (the engine then owns
-// it) or dropped.
-func (n *NIC) handleCollPkt(p *sim.Proc, pkt *fabric.Packet) bool {
-	n.Tracer.DoFlow(p, "nic: coll recv", n.where(), pkt.Trace, func() {
-		n.cpu.Use(p, 1, n.prof.MCPCollProc)
-	})
-	if !pkt.Verify() {
-		n.stats.CRCDrops++
-		n.obs.Event(n.env.Now(), n.node, "nic", "crc-drop", pkt.Trace,
-			fmt.Sprintf("src=%d seq=%d coll", pkt.Src, pkt.Seq))
-		return false
+// handleCollPkt runs in the receive MCP, once a collective packet's
+// processing has been charged: CRC and go-back-N discipline exactly
+// like data traffic, then the hand-off to the engine (rxCollAcked).
+func (n *NIC) handleCollPkt() {
+	if f := n.rxInSequence("nic: coll recv", " coll"); f != nil {
+		n.rxAccept(f, rxCollAcked)
 	}
-	f := n.flowFrom(pkt.Src)
-	if n.cfg.Reliable {
-		if !n.rxEpochAdmit(pkt, f) {
-			return false
-		}
-		if pkt.Seq < f.expect {
-			n.stats.SeqDrops++
-			n.sendAck(p, pkt.Src, f.expect-1)
-			return false
-		}
-		if pkt.Seq > f.expect {
-			n.stats.SeqDrops++
-			n.maybeResync(p, f)
-			return false
-		}
-		f.expect++
-		n.sendAck(p, pkt.Src, pkt.Seq)
-	}
-	n.collQ.Post(collJob{kind: collJobPkt, pkt: pkt, epoch: n.bootEpoch})
-	return true
 }
 
 // ----------------------------------------------------------- local ops
@@ -821,6 +794,9 @@ func (n *NIC) collDeliver(p *sim.Proc, ctx *CollCtx, kind uint8, origin int, seq
 		CollKind: kind, CollOrigin: origin, CollDead: dead,
 	}
 	n.Tracer.DoFlow(p, "nic: coll result DMA", n.where(), traceID, func() {
-		n.deliverEvent(p, port, port.RecvEvQ, ev)
+		p.Await(func(k func(a, b uint64)) bool {
+			n.deliverEvent(port.RecvEvQ, ev, k, 0, 0)
+			return false
+		})
 	})
 }

@@ -2,7 +2,6 @@ package nic
 
 import (
 	"fmt"
-	"slices"
 
 	"bcl/internal/fabric"
 	"bcl/internal/mem"
@@ -10,7 +9,7 @@ import (
 )
 
 // This file is the MCP (Message Control Program): the firmware running
-// on the NIC's control processor. Three engines share the card:
+// on the NIC's control processor. Its engines share the card:
 //
 //   - sendEngine drains the send request queue, fetches payload from
 //     host memory by DMA (double-buffered so the fetch of fragment k+1
@@ -18,14 +17,15 @@ import (
 //     and injects — per-message protocol processing plus per-fragment
 //     processing serialise with link injection, which sets the ~146
 //     MB/s plateau the paper measures against the 160 MB/s link.
-//   - recvEngine drains the fabric RX queue: CRC check, go-back-N
-//     sequencing, payload DMA into the posted buffer, cumulative ACKs,
-//     completion events (DMAed to user event queues, or interrupts in
-//     kernel-level mode), and the target side of RMA.
+//   - the receive MCP (recv.go) drains the fabric RX queue: CRC check,
+//     go-back-N sequencing, payload DMA into the posted buffer,
+//     cumulative ACKs, completion events and the target side of RMA.
+//     It runs as events, not as a process.
 //   - retxEngine replays unacknowledged packets when a flow's
 //     retransmission timer fires or a NACK arrives.
+//   - collEngine (collengine.go) runs the collective offload.
 //
-// All three charge their processing to the single LANai processor
+// All of them charge their processing to the single LANai processor
 // resource, so send and receive traffic genuinely contend on the card.
 
 // pending is an unacknowledged transmitted packet retained for
@@ -487,14 +487,21 @@ func (n *NIC) fetchRange(p *sim.Proc, d *SendDesc, lo, ln int) (*fabric.Packet, 
 	if ln == 0 {
 		return pkt, nil
 	}
-	segs, err := n.resolve(p, &n.fetchSegs, d.Segs, d.VA, d.Space, lo, ln)
+	x := &n.fetchXl
+	err := n.resolveStart(x, d.Segs, d.VA, d.Space, lo, ln)
+	for err == nil && x.left > 0 {
+		var cost sim.Time
+		if cost, err = n.translatePage(x); err == nil {
+			n.cpu.Use(p, 1, cost)
+		}
+	}
 	if err != nil {
 		pkt.Release()
 		return nil, err
 	}
 	dmaStart := p.Now()
 	done := 0
-	for _, s := range segs {
+	for _, s := range x.out {
 		n.busDMA(p, s.Len)
 		if err := n.hmem.DMARead(s.Phys, pkt.Payload[done:done+s.Len]); err != nil {
 			pkt.Release()
@@ -506,47 +513,52 @@ func (n *NIC) fetchRange(p *sim.Proc, d *SendDesc, lo, ln int) (*fabric.Packet, 
 	return pkt, nil
 }
 
-// resolve produces the physical segments for byte range [lo, lo+ln) of
-// a buffer, either by slicing the host-translated scatter/gather list
-// or by translating on the card. The result lives in *scratch, the
-// calling engine's own slice, until that engine's next resolve.
-func (n *NIC) resolve(p *sim.Proc, scratch *[]mem.Segment, segs []mem.Segment, va mem.VAddr, space *mem.AddrSpace, lo, ln int) ([]mem.Segment, error) {
-	out := (*scratch)[:0]
+// xlate resolves a byte range into physical segments, out: at once from
+// a host-translated list, or on the card a page at a time (left bytes
+// from addr to go). The fetch engine and the receive MCP keep one each.
+type xlate struct {
+	out   []mem.Segment
+	space *mem.AddrSpace
+	addr  int64
+	left  int
+}
+
+// resolveStart begins resolving [lo, lo+ln) of a buffer into x.
+func (n *NIC) resolveStart(x *xlate, segs []mem.Segment, va mem.VAddr, space *mem.AddrSpace, lo, ln int) error {
+	x.out, x.left = x.out[:0], 0
 	if n.cfg.Translate == HostTranslated || segs != nil {
-		out = appendSegs(out, segs, lo, ln)
-		*scratch = out
-		return out, nil
+		x.out = appendSegs(x.out, segs, lo, ln)
+		return nil
 	}
 	if space == nil {
-		return nil, fmt.Errorf("nic%d: NIC-translated descriptor without address space", n.node)
+		return fmt.Errorf("nic%d: NIC-translated descriptor without address space", n.node)
 	}
-	pageSize := int64(space.Mem().PageSize())
-	addr := int64(va) + int64(lo)
-	left := ln
-	for left > 0 {
-		vpage := addr / pageSize
-		off := addr % pageSize
-		pa, hit, err := n.tlb.lookup(space, vpage)
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			n.stats.TLBHits++
-			n.cpu.Use(p, 1, n.prof.NICTranslateLook)
-		} else {
-			n.stats.TLBMisses++
-			n.cpu.Use(p, 1, n.prof.NICTranslateLook+n.prof.NICTranslateMiss)
-		}
-		chunk := int(pageSize - off)
-		if chunk > left {
-			chunk = left
-		}
-		out = append(out, mem.Segment{Phys: pa + mem.PAddr(off), Len: chunk})
-		addr += int64(chunk)
-		left -= chunk
+	x.space, x.addr, x.left = space, int64(va)+int64(lo), ln
+	return nil
+}
+
+// translatePage looks the next page of x up in the card's translation
+// cache, appends its segment, and returns the lookup's firmware time.
+// The cache is shared: a caller charges it before the next lookup.
+func (n *NIC) translatePage(x *xlate) (sim.Time, error) {
+	pageSize := int64(x.space.Mem().PageSize())
+	off := x.addr % pageSize
+	pa, hit, err := n.tlb.lookup(x.space, x.addr/pageSize)
+	if err != nil {
+		return 0, err
 	}
-	*scratch = out
-	return out, nil
+	cost := n.prof.NICTranslateLook
+	if hit {
+		n.stats.TLBHits++
+	} else {
+		n.stats.TLBMisses++
+		cost += n.prof.NICTranslateMiss
+	}
+	chunk := int(min(pageSize-off, int64(x.left)))
+	x.out = append(x.out, mem.Segment{Phys: pa + mem.PAddr(off), Len: chunk})
+	x.addr += int64(chunk)
+	x.left -= chunk
+	return cost, nil
 }
 
 // sliceSegs cuts the byte range [lo, lo+ln) out of a scatter/gather
@@ -835,6 +847,9 @@ func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
 			n.sram.Release(pd.sram)
 			pd.sram = 0
 		}
+		if pd.pkt.Kind == fabric.KindVoid {
+			continue // withdrawn: its message has failed already
+		}
 		d, msgID, traceID := pd.desc, pd.pkt.MsgID, pd.pkt.Trace
 		ev := n.sendEvent(EvSendFailed, d)
 		n.retireSend(f, msgID, d, false) // abandoned: the journal forgets it
@@ -922,401 +937,6 @@ func (n *NIC) failMessage(p *sim.Proc, d *SendDesc) {
 	}
 }
 
-// ------------------------------------------------------------- receive
-
-func (n *NIC) recvEngine(p *sim.Proc) {
-	for {
-		pkt := n.ep.RX.Recv(p)
-		if n.fwDead {
-			// Crashed firmware receives nothing; the wire drains into
-			// the void and senders' timers recover after the reboot.
-			n.stats.DeadDrops++
-			pkt.Release()
-			continue
-		}
-		n.stats.PacketsRecv++
-		switch pkt.Kind {
-		case fabric.KindAck:
-			n.handleAck(p, pkt)
-		case fabric.KindNack:
-			n.handleNack(p, pkt)
-		case fabric.KindProbe:
-			n.handleProbe(p, pkt)
-		case fabric.KindProbeAck:
-			n.handleProbeAck(p, pkt)
-		case fabric.KindResync:
-			n.handleResync(p, pkt)
-		case fabric.KindData, fabric.KindRMAWrite, fabric.KindRMARead:
-			n.handleData(p, pkt)
-		case fabric.KindCollMcast, fabric.KindCollComb:
-			if n.handleCollPkt(p, pkt) {
-				continue // the collective engine releases it
-			}
-		default:
-			panic(fmt.Sprintf("nic%d: unknown packet kind %v", n.node, pkt.Kind))
-		}
-		// Handled or dropped, this NIC is the packet's last holder: the
-		// descriptor and this reference to the payload go back to the pool.
-		pkt.Release()
-	}
-}
-
-// handleProbeAck re-admits a dead peer and resyncs the go-back-N
-// numbering: abandoned packets consumed sequence numbers the receiver
-// never saw; the probe ACK carries the receiver's next expected
-// sequence (and its boot epoch — a rebooted peer triggers a rewind
-// instead).
-func (n *NIC) handleProbeAck(p *sim.Proc, pkt *fabric.Packet) {
-	n.cpu.Use(p, 1, n.prof.MCPAckProc)
-	f := n.flowTo(pkt.Src)
-	if n.noteEpoch(p, f, pkt.Epoch) {
-		return
-	}
-	if f.unacked.Len() == 0 {
-		f.nextSeq = pkt.AckSeq
-	}
-	n.markPeerUp(f)
-}
-
-func (n *NIC) handleAck(p *sim.Proc, pkt *fabric.Packet) {
-	n.cpu.Use(p, 1, n.prof.MCPAckProc)
-	f := n.flowTo(pkt.Src)
-	if n.noteEpoch(p, f, pkt.Epoch) {
-		return
-	}
-	progress := false
-	for f.unacked.Len() > 0 && f.unacked.At(0).pkt.Seq <= pkt.AckSeq {
-		pd := f.unacked.Pop()
-		msgID := pd.pkt.MsgID
-		pd.pkt.Release() // the sender's reference: the bytes are delivered
-		progress = true
-		if pd.sram > 0 {
-			n.sram.Release(pd.sram)
-		}
-		if n.cfg.AdaptiveRTO && !pd.retx {
-			n.rttSample(f, p.Now()-pd.sentAt)
-		}
-		if pd.lastFrag {
-			// A rewind-replay can put two lastFrag pendings of the same
-			// tracked message in flight; completion is first-wins via
-			// inflight. Untracked kinds (RMA reads, collective forwards)
-			// are never replayed, so they complete unconditionally. The
-			// event is composed before the message is retired: retiring
-			// frees the descriptor.
-			d := pd.desc
-			tracked := d.Kind == DescData || d.Kind == DescRMAWrite
-			live := f.inflightIdx(msgID) >= 0
-			ev, post := n.sendEvent(EvSendDone, d), (!tracked || live) && !d.NoEvent
-			n.retireSend(f, msgID, d, true)
-			if post {
-				n.postEvent(p, ev)
-			}
-		}
-	}
-	if progress {
-		n.markPeerUp(f)
-	}
-	f.timer.Cancel()
-	f.timer = sim.Timer{}
-	if f.unacked.Len() > 0 {
-		n.armTimer(f)
-	}
-}
-
-func (n *NIC) handleNack(p *sim.Proc, pkt *fabric.Packet) {
-	n.cpu.Use(p, 1, n.prof.MCPAckProc)
-	n.stats.NACKs++
-	f := n.flowTo(pkt.Src)
-	if n.noteEpoch(p, f, pkt.Epoch) {
-		return
-	}
-	if f.unacked.Len() == 0 {
-		return
-	}
-	// Back off briefly, then go-back-N from the NACKed point; the
-	// receiver's expected sequence has not advanced.
-	f.timer.Cancel()
-	f.timer = n.env.After(n.prof.RetransmitTimeout/4, f.onTimer)
-}
-
-func (n *NIC) handleData(p *sim.Proc, pkt *fabric.Packet) {
-	n.Tracer.DoFlow(p, "nic: recv processing", n.where(), pkt.Trace, func() {
-		n.cpu.Use(p, 1, n.prof.MCPRecvProc)
-	})
-	if !pkt.Verify() {
-		n.stats.CRCDrops++
-		n.obs.Event(n.env.Now(), n.node, "nic", "crc-drop", pkt.Trace,
-			fmt.Sprintf("src=%d seq=%d", pkt.Src, pkt.Seq))
-		return // silence; sender's timer recovers
-	}
-	f := n.flowFrom(pkt.Src)
-	if n.cfg.Reliable {
-		if !n.rxEpochAdmit(pkt, f) {
-			return
-		}
-		if pkt.Seq < f.expect {
-			// Duplicate of something already delivered: re-ACK.
-			n.stats.SeqDrops++
-			n.sendAck(p, pkt.Src, f.expect-1)
-			return
-		}
-		if pkt.Seq > f.expect {
-			// Gap: go-back-N discards until the sender rewinds. After
-			// OUR reboot the gap is permanent (the sender's window ran
-			// past our restarted numbering), so ask for a rewind.
-			n.stats.SeqDrops++
-			n.maybeResync(p, f)
-			return
-		}
-		if f.isDone(pkt.MsgID) {
-			// A journal replay (sender reboot) or rewind overlap is
-			// re-sending a message we already delivered: swallow it in
-			// sequence — ACK, but never re-deliver. Exactly-once.
-			n.stats.DupMsgDrops++
-			f.expect++
-			n.sendAck(p, pkt.Src, pkt.Seq)
-			return
-		}
-	}
-
-	if pkt.Kind == fabric.KindRMARead {
-		if ok := n.handleRMARead(p, pkt); !ok {
-			n.sendNack(p, pkt)
-			return
-		}
-		if n.cfg.Reliable {
-			f.expect++
-			n.sendAck(p, pkt.Src, pkt.Seq)
-		}
-		return
-	}
-
-	asm, err := n.assemblyFor(p, f, pkt)
-	if err != nil {
-		n.stats.NoBufferDrops++
-		n.obs.Event(n.env.Now(), n.node, "nic", "no-buffer-drop", pkt.Trace,
-			fmt.Sprintf("src=%d: %v", pkt.Src, err))
-		if n.cfg.Reliable {
-			n.sendNack(p, pkt)
-		}
-		return
-	}
-
-	// Copy the payload into the host buffer by DMA.
-	if len(pkt.Payload) > 0 {
-		off := asm.baseOffset + pkt.Offset
-		segs, rerr := n.resolve(p, &n.recvSegs, asm.desc.Segs, asm.desc.VA, asm.desc.Space, off, len(pkt.Payload))
-		if rerr != nil {
-			n.stats.NoBufferDrops++
-			if n.cfg.Reliable {
-				n.sendNack(p, pkt)
-			}
-			return
-		}
-		dmaStart := p.Now()
-		done := 0
-		for _, s := range segs {
-			n.busDMA(p, s.Len)
-			if werr := n.hmem.DMAWrite(s.Phys, pkt.Payload[done:done+s.Len]); werr != nil {
-				n.stats.NoBufferDrops++
-				if n.cfg.Reliable {
-					n.sendNack(p, pkt)
-				}
-				return
-			}
-			done += s.Len
-		}
-		n.Tracer.AddFlow("nic: payload DMA to host", n.where(), pkt.Trace, dmaStart, p.Now())
-	}
-	n.stats.BytesReceived += uint64(len(pkt.Payload))
-
-	if n.cfg.Reliable {
-		f.expect++
-		n.sendAck(p, pkt.Src, pkt.Seq)
-	}
-
-	// Count first receipts only: a rewind-replay from a peer-reboot
-	// resync can overlap fragments the original pipeline already
-	// delivered (same message id, fresh sequence numbers).
-	if pkt.FragIdx >= 0 && pkt.FragIdx < len(asm.gotSet) && !asm.gotSet[pkt.FragIdx] {
-		asm.gotSet[pkt.FragIdx] = true
-		asm.got++
-	}
-	if asm.got == asm.frags {
-		f.asm = slices.DeleteFunc(f.asm, func(a *rxAssembly) bool { return a == asm })
-		n.stats.MsgsReceived++
-		if n.cfg.Reliable {
-			n.markDone(f, pkt.MsgID)
-		}
-		// The posting is consumed only now that the message is whole: a
-		// crash mid-assembly replays the posting and the sender's rewind
-		// re-delivers into it from fragment zero.
-		va := asm.desc.VA
-		if asm.sysBuf || asm.recvEvent { // not an RMA window: those stay registered
-			n.consumed(asm.port, asm.channel, asm.desc)
-		}
-		asm.desc = nil
-		if pkt.Born > 0 && n.obs != nil {
-			if n.msgLatency == nil {
-				n.msgLatency = n.obs.Reg.Histogram(n.node, "nic", "msg_latency_ns")
-			}
-			n.msgLatency.Observe(int64(n.env.Now() - pkt.Born))
-		}
-		if asm.recvEvent {
-			n.deliverEvent(p, asm.port, asm.port.RecvEvQ, Event{
-				Type: EvRecvDone, Port: pkt.DstPort, Channel: pkt.Channel,
-				MsgID: pkt.MsgID, Len: pkt.MsgLen, Tag: pkt.Tag,
-				SrcNode: pkt.Src, SrcPort: pkt.SrcPort, VA: va,
-				Stamp: n.env.Now(), Trace: pkt.Trace,
-			})
-		}
-		n.asms.Put(asm)
-	}
-}
-
-// newAssembly returns a cleared assembly record for a message of frags
-// fragments, reusing one a completed message gave back (handleData).
-func (n *NIC) newAssembly(frags int) *rxAssembly {
-	asm, ok := n.asms.Get()
-	if !ok {
-		asm = &rxAssembly{}
-	}
-	set := asm.gotSet[:0]
-	if cap(set) < frags {
-		set = make([]bool, frags)
-	}
-	set = set[:frags]
-	clear(set)
-	*asm = rxAssembly{frags: frags, gotSet: set}
-	return asm
-}
-
-// assemblyFor finds or creates the assembly record for a message,
-// resolving the target buffer on its first fragment.
-func (n *NIC) assemblyFor(p *sim.Proc, f *rxFlow, pkt *fabric.Packet) (*rxAssembly, error) {
-	for _, asm := range f.asm {
-		if asm.msgID == pkt.MsgID {
-			return asm, nil
-		}
-	}
-	// Resolving the destination channel state costs firmware time once
-	// per message.
-	n.cpu.Use(p, 1, n.prof.MCPChannelLookup)
-	port := n.ports.Get(pkt.DstPort)
-	if port == nil {
-		return nil, fmt.Errorf("nic%d: port %d not registered", n.node, pkt.DstPort)
-	}
-	asm := n.newAssembly(pkt.Frags)
-	asm.msgID, asm.port, asm.channel, asm.recvEvent = pkt.MsgID, port, pkt.Channel, true
-
-	switch {
-	case pkt.Kind == fabric.KindRMAWrite:
-		d := port.open.Get(pkt.Channel)
-		if d == nil {
-			return nil, fmt.Errorf("nic%d: open channel %d not registered", n.node, pkt.Channel)
-		}
-		base := pkt.Offset - pkt.FragIdx*n.prof.MaxPacket // message base offset in remote buffer
-		if base < 0 || base+pkt.MsgLen > d.Len {
-			return nil, fmt.Errorf("nic%d: RMA write out of bounds", n.node)
-		}
-		asm.desc = d
-		asm.recvEvent = false
-		// RMA fragments carry absolute buffer offsets already.
-		asm.baseOffset = 0
-	case pkt.Channel == 0:
-		// Channel 0 is the system channel: grab a pool buffer. The size
-		// check comes before the take: a rejected message is NACKed and
-		// retransmitted, and each retry would otherwise eat a buffer.
-		d, okb := port.system.Peek()
-		if !okb {
-			return nil, fmt.Errorf("nic%d: system pool empty on port %d", n.node, pkt.DstPort)
-		}
-		if pkt.MsgLen > d.Len {
-			return nil, fmt.Errorf("nic%d: message too large for system buffer", n.node)
-		}
-		port.system.TryRecv()
-		asm.desc = d
-		asm.sysBuf = true
-	default:
-		d := port.normal.Get(pkt.Channel)
-		if d == nil {
-			return nil, fmt.Errorf("nic%d: channel %d not armed on port %d", n.node, pkt.Channel, pkt.DstPort)
-		}
-		if pkt.MsgLen > d.Len {
-			return nil, fmt.Errorf("nic%d: message exceeds posted buffer", n.node)
-		}
-		asm.desc = d
-		// A normal channel consumes its posting.
-		port.normal.Set(pkt.Channel, nil)
-	}
-	f.asm = append(f.asm, asm)
-	return asm, nil
-}
-
-// handleRMARead services a read request: it fabricates a send
-// descriptor over the registered open buffer and queues it to its own
-// send engine. Reports false if the request is invalid.
-func (n *NIC) handleRMARead(p *sim.Proc, pkt *fabric.Packet) bool {
-	port := n.ports.Get(pkt.DstPort)
-	if port == nil {
-		return false
-	}
-	d := port.open.Get(pkt.Channel)
-	if d == nil {
-		return false
-	}
-	if pkt.Offset < 0 || pkt.Offset+pkt.MsgLen > d.Len {
-		return false
-	}
-	reply := &SendDesc{
-		Kind:    DescData,
-		MsgID:   n.NextMsgID(),
-		SrcPort: pkt.DstPort,
-		DstNode: pkt.Src,
-		DstPort: pkt.SrcPort,
-		Channel: int(pkt.Tag), // the initiator's reply channel
-		Len:     pkt.MsgLen,
-		Segs:    sliceSegs(d.Segs, pkt.Offset, pkt.MsgLen),
-		VA:      d.VA + mem.VAddr(pkt.Offset),
-		Space:   d.Space,
-		NoEvent: true,
-		Trace:   pkt.Trace, // the reply stays on the initiator's flow
-		Born:    pkt.Born,
-	}
-	n.postDesc(reply)
-	// No kernel command posted the reply, so the card journals it: a
-	// crash here still replays it.
-	if n.Journal != nil {
-		n.Journal.SendPosted(reply)
-	}
-	return true
-}
-
-// handleProbe answers a liveness probe; the reply is what re-admits
-// the prober's flow toward us. It carries our next expected sequence
-// from the prober so the sender can resync its go-back-N epoch.
-func (n *NIC) handleProbe(p *sim.Proc, pkt *fabric.Packet) {
-	n.cpu.Use(p, 1, n.prof.MCPAckProc)
-	n.ep.Inject(p, n.control(fabric.KindProbeAck, pkt.Src, n.flowFrom(pkt.Src).expect, n.bootEpoch))
-}
-
-// control builds a payload-free control packet (ACK, NACK, probe,
-// probe ACK, RESYNC) from the pool. An empty payload's CRC is the zero
-// the descriptor already holds, so there is nothing to seal.
-func (n *NIC) control(kind fabric.PacketKind, dst int, ackSeq uint64, epoch uint32) *fabric.Packet {
-	pkt := n.pool.Get(0)
-	pkt.Kind, pkt.Src, pkt.Dst, pkt.AckSeq, pkt.Epoch = kind, n.node, dst, ackSeq, epoch
-	return pkt
-}
-
-func (n *NIC) sendAck(p *sim.Proc, dst int, seq uint64) {
-	n.ep.Inject(p, n.control(fabric.KindAck, dst, seq, n.bootEpoch))
-}
-
-func (n *NIC) sendNack(p *sim.Proc, cause *fabric.Packet) {
-	n.ep.Inject(p, n.control(fabric.KindNack, cause.Src, cause.Seq, n.bootEpoch))
-}
-
 // ------------------------------------------------------------- events
 
 // sendEvent composes the sender-side completion event of a descriptor.
@@ -1328,27 +948,111 @@ func (n *NIC) sendEvent(t EventType, d *SendDesc) Event {
 	}
 }
 
-// postEvent delivers a sender-side event to the port that sent the
-// message, if it is still registered.
+// postEvent is post for the engines that run as processes.
 func (n *NIC) postEvent(p *sim.Proc, ev Event) {
-	if port := n.ports.Get(ev.Port); port != nil {
-		n.deliverEvent(p, port, port.SendEvQ, ev)
-	}
+	p.Await(func(k func(a, b uint64)) bool { return n.post(ev, k, 0, 0) })
 }
 
-// deliverEvent charges the completion-path costs and hands the event
-// to the host: DMA into the user event queue, or an interrupt.
-func (n *NIC) deliverEvent(p *sim.Proc, port *Port, q *sim.Queue[Event], ev Event) {
-	n.Tracer.DoFlow(p, "nic: completion event DMA", n.where(), ev.Trace, func() {
-		n.cpu.Use(p, 1, n.prof.MCPEventDMA)
-		n.Bus.Use(p, 1, n.prof.EventBusTime)
-	})
+// post delivers a sender-side event to its port and runs k(a, b) once
+// it is posted, or reports true if the port is gone: nothing to wait.
+func (n *NIC) post(ev Event, k func(a, b uint64), a, b uint64) bool {
+	if port := n.ports.Get(ev.Port); port != nil {
+		n.deliverEvent(port.SendEvQ, ev, k, a, b)
+		return false
+	}
+	return true
+}
+
+// delivery is one completion event on its way to the host.
+type delivery struct {
+	hold
+	n      *NIC
+	q      *sim.Queue[Event]
+	ev     Event
+	start  sim.Time
+	k      func(a, b uint64)
+	ka, kb uint64
+}
+
+// deliveries is how many delivery records New readies: one for each
+// activity that delivers, one event at a time — the receive MCP and the
+// inject, retransmit and collective engines. A fifth would allocate.
+const deliveries = 4
+
+// The stages of a delivery (delivery.step).
+const (
+	dvCharged uint64 = iota // the LANai has set up the event DMA
+	dvDone                  // the event has crossed the bus
+)
+
+// addDelivery readies one more delivery record.
+func (n *NIC) addDelivery() {
+	dv := &delivery{n: n}
+	dv.init(n.env, dv.step)
+	n.idleDvs = append(n.idleDvs, dv)
+}
+
+// deliverEvent charges the completion-path costs and hands the event to
+// the host: DMA into the user event queue q, or an interrupt. Then
+// k(a, b) runs, as the last act of the event that finished it.
+func (n *NIC) deliverEvent(q *sim.Queue[Event], ev Event, k func(a, b uint64), a, b uint64) {
+	if len(n.idleDvs) == 0 {
+		n.addDelivery()
+	}
+	dv := n.idleDvs[len(n.idleDvs)-1]
+	n.idleDvs = n.idleDvs[:len(n.idleDvs)-1]
+	dv.q, dv.ev, dv.start, dv.k, dv.ka, dv.kb = q, ev, n.env.Now(), k, a, b
+	dv.use(n.cpu, n.prof.MCPEventDMA, dvCharged)
+}
+
+func (dv *delivery) step(stage, _ uint64) {
+	n := dv.n
+	if stage == dvCharged {
+		dv.use(n.Bus, n.prof.EventBusTime, dvDone)
+		return
+	}
+	n.Tracer.AddFlow("nic: completion event DMA", n.where(), dv.ev.Trace, dv.start, n.env.Now())
 	if n.cfg.Completion == Interrupt {
 		n.stats.Interrupts++
 		if n.InterruptHandler != nil {
-			n.InterruptHandler(ev)
+			n.InterruptHandler(dv.ev)
 		}
-		return
+	} else {
+		dv.q.Post(dv.ev)
 	}
-	q.Post(ev)
+	k, a, b := dv.k, dv.ka, dv.kb
+	dv.q, dv.k = nil, nil
+	n.idleDvs = append(n.idleDvs, dv)
+	k(a, b)
+}
+
+// hold is Resource.Use for a firmware activity that runs as events: its
+// grant (if the resource was busy) and release are one event each, where
+// a process's wake-ups were; then the activity resumes at use's stage.
+type hold struct {
+	env                *sim.Env
+	res                *sim.Resource
+	resume             func(stage, _ uint64)
+	grantFn, releaseFn func(stage, d uint64)
+}
+
+func (h *hold) init(env *sim.Env, resume func(stage, _ uint64)) {
+	h.env, h.resume = env, resume
+	h.grantFn, h.releaseFn = h.grant, h.release
+}
+
+func (h *hold) use(r *sim.Resource, d sim.Time, stage uint64) {
+	h.res = r
+	if r.AcquireFn(1, h.grantFn, stage, uint64(d)) {
+		h.grant(stage, uint64(d))
+	}
+}
+
+func (h *hold) grant(stage, d uint64) {
+	h.env.AtArg(h.env.Now()+sim.Time(d), h.releaseFn, stage, 0)
+}
+
+func (h *hold) release(stage, _ uint64) {
+	h.res.Release(1)
+	h.resume(stage, 0)
 }

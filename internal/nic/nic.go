@@ -420,13 +420,17 @@ type NIC struct {
 
 	tlb *nicTLB
 
-	// Scratch the single-process engines reuse from one call to the
-	// next: the scatter/gather slices of the fetch and receive engines'
-	// resolve calls, the retransmit engine's current round, and the
-	// receive engine's assembly records of completed messages.
-	fetchSegs, recvSegs []mem.Segment
-	retxRound           []*fabric.Packet
-	asms                sim.FreeList[*rxAssembly]
+	// The receive MCP's record (recv.go), and the idle records of
+	// completion events on their way to the host (deliverEvent).
+	rxm     rxMCP
+	idleDvs []*delivery
+
+	// Scratch the firmware reuses from one packet to the next: the fetch
+	// engine's translation, the retransmit engine's current round, and
+	// the assembly records of messages the receive MCP completed.
+	fetchXl   xlate
+	retxRound []*fabric.Packet
+	asms      sim.FreeList[*rxAssembly]
 
 	stats Stats
 }
@@ -463,9 +467,15 @@ func New(env *sim.Env, prof *hw.Profile, cfg Config, node int, ep *fabric.Endpoi
 		bootEpoch: 1,
 	}
 	n.sendWork = sim.NewCond(env)
+	for range deliveries {
+		n.addDelivery()
+	}
+	n.rxm.init(env, n.rxStep)
+	// The receive MCP starts with an event booked between the engines'
+	// start events, not with a call: later sequence numbers depend on it.
 	env.Go(fmt.Sprintf("nic%d/send-engine", node), n.sendEngine)
 	env.Go(fmt.Sprintf("nic%d/inject-engine", node), n.injectEngine)
-	env.Go(fmt.Sprintf("nic%d/recv-engine", node), n.recvEngine)
+	env.AtArg(env.Now(), n.rxm.resume, rxRecv, 0)
 	env.Go(fmt.Sprintf("nic%d/retx-engine", node), n.retxEngine)
 	env.Go(fmt.Sprintf("nic%d/coll-engine", node), n.collEngine)
 	return n

@@ -268,7 +268,7 @@ func (n *NIC) markDone(f *rxFlow, msgID uint64) {
 // (ACK/NACK/probe-ACK) at the sender. Returns true when the packet must
 // be discarded: either it is stale (pre-reboot), or it just triggered a
 // rewind and its sequence numbers belong to the dead epoch.
-func (n *NIC) noteEpoch(p *sim.Proc, f *txFlow, epoch uint32) bool {
+func (n *NIC) noteEpoch(f *txFlow, epoch uint32) bool {
 	if epoch == 0 || epoch == f.peerEpoch {
 		return false
 	}
@@ -280,7 +280,7 @@ func (n *NIC) noteEpoch(p *sim.Proc, f *txFlow, epoch uint32) bool {
 		return true // stale control packet from before the peer's reboot
 	}
 	f.peerEpoch = epoch
-	n.resyncFlow(p, f)
+	n.resyncFlow(f)
 	return true
 }
 
@@ -310,44 +310,44 @@ func (n *NIC) rxEpochAdmit(pkt *fabric.Packet, f *rxFlow) bool {
 	return true
 }
 
-// maybeResync asks a sender to rewind. After OUR reboot the expected
-// sequence restarted at zero, but a sender that never crashed keeps
-// (re)transmitting from its old window, which now looks like a
-// permanent gap. Only a rebooted receiver ever sends RESYNC
-// (bootEpoch > 1), so runs without firmware faults stay packet-for-
-// packet identical to before this protocol existed.
-func (n *NIC) maybeResync(p *sim.Proc, f *rxFlow) {
+// resyncRequest is the RESYNC asking a sender to rewind, or nil if
+// none is due. After OUR reboot the expected sequence restarted at
+// zero, but a sender that never crashed keeps (re)transmitting from its
+// old window, which now looks like a permanent gap. Only a rebooted
+// receiver ever sends RESYNC (bootEpoch > 1), so runs without firmware
+// faults stay packet-for-packet identical to before this protocol
+// existed.
+func (n *NIC) resyncRequest(f *rxFlow) *fabric.Packet {
 	if n.bootEpoch <= 1 || f.srcEpoch == 0 {
-		return
+		return nil
 	}
 	now := n.env.Now()
 	if f.lastResync != 0 && now-f.lastResync < n.prof.RetransmitTimeout/2 {
-		return
+		return nil
 	}
 	f.lastResync = now
 	n.stats.ResyncsSent++
 	n.obs.Event(now, n.node, "nic", "resync", 0,
 		fmt.Sprintf("src=%d expect=%d epoch=%d", f.src, f.expect, n.bootEpoch))
-	n.ep.Inject(p, n.control(fabric.KindResync, f.src, f.expect, n.bootEpoch))
+	return n.control(fabric.KindResync, f.src, f.expect, n.bootEpoch)
 }
 
 // handleResync services a peer's rewind request at the sender.
-func (n *NIC) handleResync(p *sim.Proc, pkt *fabric.Packet) {
-	n.cpu.Use(p, 1, n.prof.MCPAckProc)
+func (n *NIC) handleResync(pkt *fabric.Packet) {
 	f := n.flowTo(pkt.Src)
 	if pkt.Epoch != 0 && pkt.Epoch < f.peerEpoch {
 		return // stale: the peer rebooted again since sending this
 	}
 	if pkt.Epoch != 0 && pkt.Epoch > f.peerEpoch {
 		f.peerEpoch = pkt.Epoch
-		n.resyncFlow(p, f)
+		n.resyncFlow(f)
 		return
 	}
 	// Same epoch: only rewind when our window has genuinely run past
 	// the receiver (a duplicate RESYNC after a completed rewind, or a
 	// lost-RESYNC retry, lands here harmlessly).
 	if f.unacked.Len() > 0 && f.unacked.At(0).pkt.Seq > pkt.AckSeq {
-		n.resyncFlow(p, f)
+		n.resyncFlow(f)
 	}
 }
 
@@ -358,7 +358,7 @@ func (n *NIC) handleResync(p *sim.Proc, pkt *fabric.Packet) {
 // receiver's done-ring and fragment bitmap keep delivery exactly-once);
 // retained collective forwards re-inject their pristine packets via the
 // collective engine.
-func (n *NIC) resyncFlow(p *sim.Proc, f *txFlow) {
+func (n *NIC) resyncFlow(f *txFlow) {
 	n.stats.ResyncRewinds++
 	now := n.env.Now()
 	n.Tracer.Add("nic: epoch resync", n.where(), now, now)

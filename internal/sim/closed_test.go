@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // Scheduling on a closed environment is a documented, counted no-op:
 // the callback never runs, ClosedSchedules advances, and the returned
@@ -79,4 +82,27 @@ func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
 	if !ran {
 		t.Fatalf("stale Timer.Cancel must not kill the recycled event")
 	}
+}
+
+// NewEnv collects once after a Close when the heap is big enough to
+// matter, and not again until the next Close.
+func TestNewEnvCollectsAfterClose(t *testing.T) {
+	cycles := func() uint32 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.NumGC
+	}
+	ballast := make([]byte, 2*minCollect)
+	runtime.GC() // no cycle in progress below
+	NewEnv(1).Close()
+	n := cycles()
+	NewEnv(1)
+	if got := cycles(); got != n+1 {
+		t.Fatalf("NewEnv after Close ran %d collections, want 1", got-n)
+	}
+	NewEnv(1)
+	if got := cycles(); got != n+1 {
+		t.Fatalf("NewEnv with no Close since ran %d collections, want 0", got-n-1)
+	}
+	runtime.KeepAlive(ballast)
 }

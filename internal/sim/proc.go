@@ -53,9 +53,10 @@ type Proc struct {
 	driving bool
 
 	// wakeFn is the one closure allocated per process; every wake-up
-	// (wakeSoon, Sleep, the start event) schedules it through the
-	// pooled event queue, so process handoffs allocate nothing.
-	wakeFn func()
+	// (wakeSoon, Sleep, the start event, a Queue, Resource or Await
+	// continuation) schedules it through the pooled event queue, so
+	// process handoffs allocate nothing.
+	wakeFn func(a, b uint64)
 
 	// Wait state. A process blocks on one primitive at a time, so the
 	// record of that wait lives here instead of in a per-wait
@@ -120,8 +121,8 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // GoAt is Go with an explicit absolute start time.
 func (e *Env) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, fn: fn, done: Signal{env: e}}
-	p.wakeFn = func() { e.wake(p) }
-	e.at(t, p.wakeFn)
+	p.wakeFn = func(uint64, uint64) { e.wake(p) }
+	e.AtArg(t, p.wakeFn, 0, 0)
 	return p
 }
 
@@ -198,14 +199,24 @@ func (p *Proc) Sleep(d Time) {
 	if t, ok := e.q.peek(e.now); !e.closed && d <= e.deadline-e.now && (!ok || t > e.now+d) {
 		// The wake-up would be the very next event executed: take it in
 		// place. This is what scheduling and popping it would have done
-		// to the sequence, the step count and the clock.
+		// to the sequence, the step count, the fingerprint and the clock.
 		e.seq++
-		e.steps++
 		e.now += d
+		e.step(e.now, e.seq)
 		return
 	}
-	e.at(e.now+d, p.wakeFn)
+	e.AtArg(e.now+d, p.wakeFn, 0, 0)
 	p.park()
+}
+
+// Await runs an event-driven operation from a process body: start
+// begins it with p's continuation k and reports whether it finished at
+// once (then k is never called); otherwise p parks until the operation
+// calls k, last, in the event that would have been p's wake-up.
+func (p *Proc) Await(start func(k func(a, b uint64)) bool) {
+	if !start(p.wakeFn) {
+		p.park()
+	}
 }
 
 // SleepUntil blocks until absolute virtual time t (no-op if t has

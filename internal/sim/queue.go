@@ -20,18 +20,19 @@ type Queue[T any] struct {
 	maxDepth int
 }
 
-// recvWaiter records one parked receiver. The record is live while gen
-// is still the process's waitGen. Ending the wait bumps that counter,
-// which arbitrates between a sender's wake-up and a timeout firing at
-// the same timestamp (exactly one of them finds the record live) and
-// leaves a timed-out receiver's record behind as a stale entry for
-// push to skip.
+// recvWaiter records one waiting receiver, resumed by fn(a, b): a parked
+// process's wake-up (p set) or a continuation. A process's record is
+// live while gen is its waitGen; ending the wait bumps that, so a sender
+// and a timeout at one timestamp can't both win, and push skips the
+// record a timed-out receiver left behind.
 type recvWaiter struct {
-	p   *Proc
-	gen uint64
+	p    *Proc
+	gen  uint64
+	fn   func(a, b uint64)
+	a, b uint64
 }
 
-func (w recvWaiter) live() bool { return w.gen == w.p.waitGen }
+func (w recvWaiter) live() bool { return w.p == nil || w.gen == w.p.waitGen }
 
 type sendWaiter[T any] struct {
 	p *Proc
@@ -66,21 +67,23 @@ func (q *Queue[T]) push(v T) {
 	}
 	for q.recvWait.Len() > 0 {
 		if w := q.recvWait.Pop(); w.live() {
-			w.p.waitGen++
-			q.env.wakeSoon(w.p)
+			if w.p != nil {
+				w.p.waitGen++
+			}
+			q.env.AtArg(q.env.now, w.fn, w.a, w.b)
 			break
 		}
 	}
 }
 
-// await records p as a receiver waiting for the next push. Stale
-// records at the front are dropped first, so a receiver that keeps
-// timing out on an idle queue does not grow the list.
-func (q *Queue[T]) await(p *Proc) {
+// await records a receiver waiting for the next push. Stale records at
+// the front are dropped first, so a receiver that keeps timing out on
+// an idle queue does not grow the list.
+func (q *Queue[T]) await(w recvWaiter) {
 	for q.recvWait.Len() > 0 && !q.recvWait.At(0).live() {
 		q.recvWait.Pop()
 	}
-	q.recvWait.Push(recvWaiter{p: p, gen: p.waitGen})
+	q.recvWait.Push(w)
 }
 
 // Send enqueues v, blocking p while the queue is full.
@@ -117,10 +120,22 @@ func (q *Queue[T]) Post(v T) {
 // Recv dequeues the oldest item, blocking p while the queue is empty.
 func (q *Queue[T]) Recv(p *Proc) T {
 	for q.buf.Len() == 0 {
-		q.await(p)
+		q.await(recvWaiter{p: p, gen: p.waitGen, fn: p.wakeFn})
 		p.park()
 	}
 	return q.pop()
+}
+
+// RecvFn is Recv for event-driven callers: it dequeues a buffered item,
+// or queues fn(a, b) in line with waiting processes and reports false.
+// The push that serves it runs fn from the one event a parked
+// receiver's wake-up would have been, and fn calls RecvFn again.
+func (q *Queue[T]) RecvFn(fn func(a, b uint64), a, b uint64) (T, bool) {
+	v, ok := q.TryRecv()
+	if !ok {
+		q.await(recvWaiter{fn: fn, a: a, b: b})
+	}
+	return v, ok
 }
 
 // TryRecv dequeues if an item is available.
@@ -150,7 +165,7 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {
 			var zero T
 			return zero, false
 		}
-		q.await(p)
+		q.await(recvWaiter{p: p, gen: p.waitGen, fn: p.wakeFn})
 		p.armedGen, p.timedOut = p.waitGen, false
 		timer := q.env.At(deadline, p.recvTimeoutFn())
 		p.park()

@@ -22,10 +22,9 @@ type Resource struct {
 	lastBusy  Time
 }
 
-// resWaiter is one queued request: a parked process (p set) or a
-// continuation fn(a, b) (p nil).
+// resWaiter is one queued request: the continuation fn(a, b) its grant
+// schedules, which for a parked process is its wake-up.
 type resWaiter struct {
-	p     *Proc
 	fn    func(a, b uint64)
 	a, b  uint64
 	n     int
@@ -51,15 +50,7 @@ func (r *Resource) InUse() int { return r.inUse }
 
 // Acquire blocks p until n units are available and takes them.
 func (r *Resource) Acquire(p *Proc, n int) {
-	if n <= 0 || n > r.cap {
-		panic(fmt.Sprintf("sim: acquire %d of %q (cap %d)", n, r.name, r.cap))
-	}
-	if r.waiters.Len() == 0 && r.inUse+n <= r.cap {
-		r.grant(n, 0)
-		return
-	}
-	r.waiters.Push(resWaiter{p: p, n: n, since: r.env.now})
-	p.park()
+	p.Await(func(k func(a, b uint64)) bool { return r.AcquireFn(n, k, 0, 0) })
 }
 
 // AcquireFn is Acquire for event-driven callers. If n units are free
@@ -82,7 +73,7 @@ func (r *Resource) AcquireFn(n int, fn func(a, b uint64), a, b uint64) bool {
 // it succeeded. It never blocks and never jumps the waiter queue.
 func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 || n > r.cap {
-		panic(fmt.Sprintf("sim: try-acquire %d of %q (cap %d)", n, r.name, r.cap))
+		panic(fmt.Sprintf("sim: acquire %d of %q (cap %d)", n, r.name, r.cap))
 	}
 	if r.waiters.Len() == 0 && r.inUse+n <= r.cap {
 		r.grant(n, 0)
@@ -113,11 +104,7 @@ func (r *Resource) Release(n int) {
 	for r.waiters.Len() > 0 && r.inUse+r.waiters.At(0).n <= r.cap {
 		w := r.waiters.Pop()
 		r.grant(w.n, r.env.now-w.since)
-		if w.p != nil {
-			r.env.wakeSoon(w.p)
-		} else {
-			r.env.AtArg(r.env.now, w.fn, w.a, w.b)
-		}
+		r.env.AtArg(r.env.now, w.fn, w.a, w.b)
 	}
 }
 

@@ -42,6 +42,15 @@
 // whichever goroutine pops it. It follows that event callbacks run on
 // carrier stacks as well as on the goroutine that called RunUntil.
 //
+// Not everything that waits is a process. A state machine leaves a
+// long-lived continuation func(a, b uint64) with Resource.AcquireFn or
+// Queue.RecvFn, in line with parked processes, or books it with
+// Env.AtArg; it runs from the one event a parked process's wake-up
+// would have been, so it moves no event and switches nothing. The
+// fabric moves every packet this way, and the NIC's receive MCP takes
+// every packet off the wire so; processes reach the same operations
+// through Proc.Await.
+//
 // Carriers are recycled: a process takes one at its first wake and
 // returns it when its body ends, so an environment holds as many
 // goroutines as it ever had processes alive at once, however many it
@@ -71,6 +80,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 )
 
 // Time is a point on the virtual clock, in nanoseconds.
@@ -120,6 +130,7 @@ type Env struct {
 	q      eventQueue
 	closed bool
 	steps  uint64
+	fp     uint64 // Fingerprint
 	rng    *Rand
 
 	// The driving stack (package comment). deadline is the current
@@ -155,9 +166,25 @@ type Env struct {
 
 // NewEnv returns an environment with the clock at zero and the given
 // RNG seed (the seed fully determines any randomized model behaviour).
+//
+// After a Close, NewEnv first collects garbage if the heap holds at
+// least the runtime's smallest goal. Otherwise a program that builds
+// one machine after another peaked by the collector's timing: a mark
+// just before the closed machine went out of use carried it into the
+// next cycle, doubling that goal (svc_observed read 28 or 39 MB).
 func NewEnv(seed uint64) *Env {
-	return &Env{rng: NewRand(seed)}
+	if closedSinceNewEnv.Swap(false) {
+		var m runtime.MemStats
+		if runtime.ReadMemStats(&m); m.HeapAlloc >= minCollect {
+			runtime.GC()
+		}
+	}
+	return &Env{rng: NewRand(seed), fp: fpBasis}
 }
+
+var closedSinceNewEnv atomic.Bool // set by Close, cleared by NewEnv
+
+const minCollect = 4 << 20 // the Go runtime's smallest heap goal
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
@@ -167,6 +194,20 @@ func (e *Env) Rand() *Rand { return e.rng }
 
 // Steps reports how many events have been executed so far.
 func (e *Env) Steps() uint64 { return e.steps }
+
+// Fingerprint folds the ordering key (time, sequence number) of every
+// event executed so far into 64 bits, in order: runs with one
+// fingerprint executed the same events in the same order, up to a hash
+// collision.
+func (e *Env) Fingerprint() uint64 { return e.fp }
+
+const fpBasis, fpPrime = 0xcbf29ce484222325, 0x100000001b3 // FNV-1a, 64-bit
+
+// step counts one executed event and folds its ordering key.
+func (e *Env) step(t Time, seq uint64) {
+	e.steps++
+	e.fp = ((e.fp^uint64(t))*fpPrime ^ seq) * fpPrime
+}
 
 // Switches reports how many coroutine switches (into a carrier or back
 // out of one) the environment has made so far. It is at most twice the
@@ -275,28 +316,15 @@ func (e *Env) At(t Time, fn func()) Timer {
 	return Timer{ev: ev, gen: ev.gen}
 }
 
-// at is At without the Timer allocation, for internal callers that
-// never cancel (process wake-ups).
-func (e *Env) at(t Time, fn func()) {
-	if e.closed {
-		e.closedSchedules++
-		return
-	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
-	}
-	e.schedule(t).fn = fn
-}
-
 // AtArg schedules an arg-carrying event: at time t, fn(a, b) runs.
 // Passing a long-lived function value (a field initialized once, not a
 // fresh closure) makes the call allocation-free — the two words ride
 // in the pooled event itself. This is the scheduling form for hot
 // paths that are run-to-completion state machines rather than
 // sequential programs: the fabric moves every packet as a chain of
-// AtArg events (fabric.Network.launch), and Resource.AcquireFn resumes
-// a queued continuation the same way. Closed environments drop the
-// event exactly like At.
+// AtArg events (fabric.Network), and Resource.AcquireFn and Queue.RecvFn
+// resume a queued continuation the same way. Closed environments drop
+// the event exactly like At.
 func (e *Env) AtArg(t Time, fn func(a, b uint64), a, b uint64) {
 	if e.closed {
 		e.closedSchedules++
@@ -410,7 +438,7 @@ func (e *Env) drive(self *Proc) (woken bool) {
 			continue
 		}
 		e.now = t
-		e.steps++
+		e.step(t, ev.seq)
 		if e.steps%yieldEvery == 0 {
 			runtime.Gosched() // let a mark worker run: see yieldEvery
 		}
@@ -453,6 +481,7 @@ func (e *Env) Idle() bool { return e.q.len() == 0 }
 // carriers are torn down there, before RunUntil returns.
 func (e *Env) Close() {
 	e.closed, e.halt = true, true
+	closedSinceNewEnv.Store(true)
 	e.q, e.events = eventQueue{}, FreeList[*event]{}
 	if e.running {
 		return // settle calls again from the bottom of the stack
@@ -487,5 +516,5 @@ func (e *Env) wake(p *Proc) {
 // wake closure is created once per process, so the handoff itself
 // allocates nothing beyond the pooled event.
 func (e *Env) wakeSoon(p *Proc) {
-	e.at(e.now, p.wakeFn)
+	e.AtArg(e.now, p.wakeFn, 0, 0)
 }
