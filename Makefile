@@ -21,14 +21,14 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Native fuzzing: each of the twelve fuzz targets searches for 5 s,
-# about 100 s in all (`go test` runs only their seed corpora). A failing
+# Native fuzzing: each of the thirteen fuzz targets searches for 5 s,
+# about 110 s in all (`go test` runs only their seed corpora). A failing
 # input is saved under the package's testdata/fuzz and replays with
 # `go test`. CI runs the same.
 fuzz:
 	@for t in sim:FuzzEventQueue sim:FuzzQueue sim:FuzzRing sim:FuzzFreeList mem:FuzzAddrSpaceCopy \
 		mem:FuzzPinTable oskernel:FuzzShadow nic:FuzzDoneRing trace:FuzzCappedTracer \
-		obs:FuzzSnapshot obs:FuzzHistBuckets bench:FuzzDiff; do \
+		obs:FuzzSnapshot obs:FuzzHistBuckets obs/health:FuzzDecodeBundle bench:FuzzDiff; do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \
 	done
 
@@ -50,8 +50,7 @@ experiments:
 	$(GO) run ./cmd/bclbench all
 
 # Deterministic chaos soak: seeded outage schedule over a dual-rail
-# cluster; the report runs the simulation twice and checks the digests
-# match. Override the schedule with SEED=<n>.
+# cluster. Override the schedule with SEED=<n>.
 chaos:
 	$(GO) run ./cmd/bclbench -seed $(SEED) chaos
 
@@ -59,16 +58,15 @@ chaos:
 # watchdog (journal replay + epoch resync, exactly-once delivery),
 # random bit corruption caught by the per-fragment CRC, and a gray
 # slow-rail window where the adaptive RTO must beat fixed backoff on
-# the P99.9 tail. Runs twice, digests must match. Override the crash
-# schedule with SEED=<n>; the crash flow trace shows one message
-# crossing a firmware reboot.
+# the P99.9 tail. Override the crash schedule with SEED=<n>; the crash
+# flow trace shows one message crossing a firmware reboot.
 survival:
 	$(GO) run ./cmd/bclbench -seed $(SEED) survival
 	$(GO) run ./cmd/bcltrace -crash
 
 # NIC-offloaded collectives: host vs offload latency/trap table at
-# 2-64 ranks, the seeded fault soak (run twice, digests must match),
-# and the causal flow trace of one offloaded broadcast + barrier.
+# 2-64 ranks, the seeded fault soak, and the causal flow trace of one
+# offloaded broadcast + barrier.
 collectives:
 	$(GO) run ./cmd/bclbench -seed $(SEED) collectives
 	$(GO) run ./cmd/bcltrace -coll
@@ -96,10 +94,9 @@ multitenant:
 
 # Cluster health engine: the healthwatch gauntlet (clean phase must
 # fire zero alerts; the fault phase must fire crc-spike, watchdog-trip
-# and rail-divergence at byte-identical virtual times across a double
-# run), the bcltop replay of the fault phase, and the pretty-printed
-# postmortem bundle of its first alert. Override the fault schedule
-# with SEED=<n>.
+# and rail-divergence), the bcltop replay of the fault phase, and the
+# pretty-printed postmortem bundle of its first alert. Override the
+# fault schedule with SEED=<n>.
 healthwatch:
 	$(GO) run ./cmd/bclbench -seed $(SEED) healthwatch
 	$(GO) run ./cmd/bclbench -seed $(SEED) -watch
@@ -108,9 +105,9 @@ healthwatch:
 # Service tier: the sharded RPC/KV store with sessions, client caches
 # and presumed-abort 2PC under an open-loop swarm of simulated users —
 # baseline throughput/tail, QoS-vs-FIFO under a stream hog, and the
-# seeded chaos phase (duplicates + link outage + firmware crash, run
-# twice, digests must match), plus the causal flow trace of one
-# cross-shard transaction. Override the fault schedule with SEED=<n>.
+# seeded chaos phase (duplicates + link outage + firmware crash), plus
+# the causal flow trace of one cross-shard transaction. Override the
+# fault schedule with SEED=<n>.
 serve:
 	$(GO) run ./cmd/bclbench -seed $(SEED) serve
 	$(GO) run ./cmd/bcltrace -rpc
@@ -119,10 +116,9 @@ serve:
 # request traces with forced retention of aborts/retransmits/SLO
 # violations, histogram exemplars in the OpenMetrics dump, space-saving
 # heavy-hitter sketches driving the hot-shard-divergence rule, and the
-# deterministic slow-request log — every phase run twice, digests must
-# match), the bcltop replay of the hot-key phase, and the ranked
-# slow-request log of the chaos phase. Override the fault schedule
-# with SEED=<n>.
+# deterministic slow-request log), the bcltop replay of the hot-key
+# phase, and the ranked slow-request log of the chaos phase. Override
+# the fault schedule with SEED=<n>.
 reqobs:
 	$(GO) run ./cmd/bclbench -seed $(SEED) reqobs
 	$(GO) run ./cmd/bclbench -seed $(SEED) -watch reqobs
@@ -131,8 +127,9 @@ reqobs:
 # Continuous benchmark gate. `make baseline` (re)writes
 # baselines/BENCH_*.json from a fresh run of the gated experiments;
 # `make check` reruns them at seed 1 and requires every fresh artifact
-# to equal its committed baseline byte for byte (the event-order
-# oracle). Each gate prints `check <gate> PASS (byte-identical)` or
+# to equal its committed baseline byte for byte. Each artifact carries
+# the events its experiment executed and their fingerprint (events,
+# event_fp), so this is also the event-order oracle of the twelve. Each gate prints `check <gate> PASS (byte-identical)` or
 # FAIL followed by one `path: baseline -> fresh` line per JSON leaf that
 # moved; all twelve passing ends in "baselines reproduce byte for byte".
 # Then it runs `make hostcheck`. CI runs all of it on every push.

@@ -11,14 +11,16 @@ import (
 )
 
 // The benchmark artifact is the machine-readable face of a Report: a
-// schema'd JSON document holding the experiment's key metrics, a
-// cluster-wide counter digest, the end-to-end latency percentiles and
-// (for the profiler experiments) the attribution table and LogP fit.
-// Artifacts are deterministic — the simulator is, every map is
-// emitted in sorted key order, and floats are rounded to fixed
-// precision — so a committed BENCH_<name>.json is a golden file:
-// `bclbench -check` passes only when a fresh run reproduces it byte for
-// byte, and otherwise names every leaf that moved (Diff).
+// schema'd JSON document holding the count and fingerprint of the
+// events the experiment executed, its key metrics, a cluster-wide
+// counter digest, the end-to-end latency percentiles and (for the
+// profiler experiments) the attribution table and LogP fit. Artifacts
+// are deterministic — the simulator is, every map is emitted in sorted
+// key order, and floats are rounded to fixed precision — so a committed
+// BENCH_<name>.json is a golden file: `bclbench -check` passes only
+// when a fresh run reproduces it byte for byte, and otherwise names
+// every leaf that moved (Diff). Two same-seed runs compared the same
+// way are the determinism check (TestArtifactDeterminism).
 
 // ArtifactSchema versions the JSON layout. Bump it when a field
 // changes meaning; -check then names the schema line among the leaves
@@ -60,6 +62,13 @@ type Artifact struct {
 	Title   string `json:"title"`
 	Summary string `json:"summary"`
 
+	// Events and EventFP are Report.Events and Report.EventFP: which
+	// events the run executed, so a same-seed rerun that reorders even
+	// one of them moves a leaf. The fingerprint is 16 hex digits, since
+	// a JSON number (float64) cannot hold 64 bits.
+	Events  uint64 `json:"events"`
+	EventFP string `json:"event_fp"`
+
 	// Metrics are the experiment's key numbers (Report.Metrics).
 	Metrics map[string]float64 `json:"metrics"`
 
@@ -94,6 +103,8 @@ func FromReport(r *Report) *Artifact {
 		ID:      r.ID,
 		Title:   r.Title,
 		Summary: r.Summary,
+		Events:  r.Events,
+		EventFP: fmt.Sprintf("%016x", r.EventFP),
 		Metrics: make(map[string]float64, len(r.Metrics)),
 	}
 	for k, v := range r.Metrics {

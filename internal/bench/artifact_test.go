@@ -43,28 +43,56 @@ func TestGateSetMatchesBaselines(t *testing.T) {
 	}
 }
 
-// encodeRun runs one experiment at seed 1 and encodes its artifact.
-func encodeRun(t *testing.T, id string) []byte {
+// encode encodes a report's artifact.
+func encode(t *testing.T, r *Report) []byte {
 	t.Helper()
-	b, err := FromReport(Run(id, 1)).Encode()
+	b, err := FromReport(r).Encode()
 	if err != nil {
-		t.Fatalf("%s: encode: %v", id, err)
+		t.Fatalf("%s: encode: %v", r.ID, err)
 	}
 	return b
 }
 
-// TestArtifactDeterminism demands byte-identical BENCH_*.json bytes
-// across two same-seed runs of the gated experiments with no double run
-// of their own (pingpong, profile, logp, scale, intrapath).
-// TestMultitenantArtifactDeterminism covers multitenant; the other six
-// (chaos, survival, collectives, healthwatch, serve, reqobs) run twice
-// inside the experiment and surface the comparison as their
-// "deterministic" metric.
+// encodeRun runs one experiment at seed 1 and encodes its artifact.
+func encodeRun(t *testing.T, id string) []byte {
+	t.Helper()
+	return encode(t, Run(id, 1))
+}
+
+// TestArtifactDeterminism is the same-seed check: every gated
+// experiment at seed 1 (seed1's sweep is the first run) and every
+// seeded one at seed 7 (seed7's) runs again, and the two artifacts —
+// events and event_fp included — must be the same bytes and the two
+// reports the same text. A failure names every moved leaf and the
+// first line of text that differs. Under -short only the five cheap
+// gates (the unseeded ones but multitenant) run, twice each.
+// Multitenant's comparison is TestMultitenantArtifactDeterminism.
 func TestArtifactDeterminism(t *testing.T) {
-	for _, id := range []string{"pingpong", "profile", "logp", "scale", "ablation-intrapath"} {
-		if a, b := encodeRun(t, id), encodeRun(t, id); !bytes.Equal(a, b) {
-			t.Errorf("%s: artifact bytes differ across same-seed runs:\n%s", id, strings.Join(Diff(b, a), "\n"))
+	for _, e := range List() {
+		switch {
+		case e.Gate == "" || e.ID == "multitenant":
+			// not gated, or TestMultitenantArtifactDeterminism's
+		case testing.Short():
+			if !e.Seeded {
+				sameRun(t, 1, Run(e.ID, 1), Run(e.ID, 1))
+			}
+		default:
+			sameRun(t, 1, seed1()[e.ID], Run(e.ID, 1))
+			if e.Seeded {
+				sameRun(t, 7, seed7()[e.ID], Run(e.ID, 7))
+			}
 		}
+	}
+}
+
+// sameRun compares two runs of one experiment at one seed.
+func sameRun(t *testing.T, seed uint64, first, again *Report) {
+	t.Helper()
+	if moved := Diff(encode(t, again), encode(t, first)); moved != nil {
+		t.Errorf("%s seed %d: same seed, different artifact:\n  %s", first.ID, seed, strings.Join(moved, "\n  "))
+	}
+	if d := lineDiff("first", first.String()+first.Summary, "again", again.String()+again.Summary); d != nil {
+		t.Errorf("%s seed %d: same seed, different text at %s", first.ID, seed, d[0])
 	}
 }
 

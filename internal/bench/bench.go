@@ -58,8 +58,9 @@ type Report struct {
 
 	// Events and EventFP are the events executed and their fingerprint
 	// (sim.Env.Fingerprint) over every cluster the experiment built:
-	// summed, and folded in build order. They are the event-order oracle
-	// TestEventOrder holds to a golden, and no part of the artifact.
+	// summed, and folded in build order. The artifact carries both;
+	// TestEventOrder holds every experiment's to a golden at seeds 1, 7
+	// and 42.
 	Events  uint64
 	EventFP uint64
 }
@@ -285,8 +286,9 @@ func mbps(bytes int, d sim.Time) float64 {
 	return float64(bytes) / (float64(d) / float64(sim.Second)) / 1e6
 }
 
-// digest is the word-at-a-time FNV-1a fold behind every same-seed
-// determinism check.
+// digest is a word-at-a-time FNV-1a fold: of the clusters' event
+// fingerprints into Report.EventFP, and of exemplar sets into reqobs's
+// digest32.
 type digest uint64
 
 func newDigest() digest { return 0xcbf29ce484222325 }
@@ -319,9 +321,6 @@ func readCounters(s *obs.Snapshot, rows []counterRow) counters {
 	}
 	return c
 }
-
-// equal reports whether two reads of one row table agree.
-func (c counters) equal(o counters) bool { return slices.Equal(c.vals, o.vals) }
 
 func (c counters) get(name string) uint64 {
 	for i, row := range c.rows {

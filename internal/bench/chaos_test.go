@@ -2,15 +2,12 @@ package bench
 
 import "testing"
 
-// TestChaosDeterministic runs the seeded soak (which internally runs
-// the simulation twice) and demands: same-seed runs are bit-identical,
-// every message arrives exactly once and intact, and nothing
-// deadlocks — with the full fault machinery demonstrably exercised.
+// TestChaosDeterministic runs the seeded soak and demands: every
+// message arrives exactly once and intact, and nothing deadlocks — with
+// the full fault machinery demonstrably exercised. (That a same-seed
+// rerun is the same execution is TestArtifactDeterminism's check.)
 func TestChaosDeterministic(t *testing.T) {
 	r := chaos(1)
-	if r.Metrics["deterministic"] != 1 {
-		t.Fatal("two same-seed chaos runs diverged")
-	}
 	if r.Metrics["deadlocked"] != 0 {
 		t.Fatal("chaos soak deadlocked")
 	}
@@ -36,20 +33,22 @@ func TestChaosDeterministic(t *testing.T) {
 }
 
 // TestChaosSeedsVary: different seeds produce different fault
-// schedules (and so, almost surely, different digests) — the knob is
+// schedules, and so different executions (event_fp) — the knob is
 // real.
 func TestChaosSeedsVary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
 	}
-	a, b := chaosRun(2), chaosRun(3)
-	if a.digest == b.digest {
-		t.Fatal("seeds 2 and 3 produced identical digests")
+	a, b := FromReport(Run("chaos", 2)), FromReport(Run("chaos", 3))
+	if a.EventFP == b.EventFP {
+		t.Fatalf("seeds 2 and 3 executed the same events (event_fp %s)", a.EventFP)
 	}
-	if a.deadlocked || b.deadlocked {
-		t.Fatal("soak deadlocked")
-	}
-	if a.corrupt != 0 || b.corrupt != 0 {
-		t.Fatal("corrupt payloads under alternate seeds")
+	for _, x := range []*Artifact{a, b} {
+		if x.Metrics["deadlocked"] != 0 {
+			t.Fatalf("%s: soak deadlocked", x.Title)
+		}
+		if x.Metrics["corrupt"] != 0 {
+			t.Fatalf("%s: corrupt payloads", x.Title)
+		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // latency at 2..64 nodes, host kernel traps per collective (the
 // offload's architectural win: O(1) traps per collective instead of
 // O(log n) per rank), and a seeded fault soak over the offloaded
-// paths whose digest must be bit-identical across same-seed runs.
+// paths that must deliver every byte.
 
 // collPayload is the bcast/reduce payload (fits one packet, so the
 // offloaded path is eligible).
@@ -146,7 +146,6 @@ const (
 
 // collFaultResult is one seeded soak over the offloaded collectives.
 type collFaultResult struct {
-	digest     digest
 	byteErrors int
 	drops      int
 	dups       int
@@ -158,8 +157,8 @@ type collFaultResult struct {
 
 // collFaultRun plays a seeded drop/duplicate schedule against the
 // collective packet kinds while 8 offloaded ranks run rounds of
-// bcast + allreduce, then folds every rank's received bytes and
-// reduction results into an order-independent-of-arrival digest.
+// bcast + allreduce, then verifies every rank's received bytes and
+// reduction results.
 func collFaultRun(seed uint64) *collFaultResult {
 	res := &collFaultResult{}
 	c, comms := collRig(collFaultNodes, true, seed)
@@ -182,7 +181,6 @@ func collFaultRun(seed uint64) *collFaultResult {
 	bcastGot := make([][]byte, n*collFaultRounds) // [round*n+rank]
 	allredGot := make([]uint64, n*collFaultRounds)
 	doneRanks := make([]bool, n)
-	doneAt := make([]sim.Time, n)
 	for i := range comms {
 		r := i
 		c.Env.Go(fmt.Sprintf("fault%d", r), func(p *sim.Proc) {
@@ -214,7 +212,6 @@ func collFaultRun(seed uint64) *collFaultResult {
 				allredGot[round*n+r] = binary.LittleEndian.Uint64(out)
 			}
 			doneRanks[r] = true
-			doneAt[r] = p.Now()
 		})
 	}
 	c.Env.RunUntil(c.Env.Now() + 30*sim.Second)
@@ -224,11 +221,6 @@ func collFaultRun(seed uint64) *collFaultResult {
 			res.finished = false
 		}
 	}
-	// Verify bytes, then fold content AND trajectory (fault schedule,
-	// per-rank completion times) into the digest in fixed (round, rank)
-	// order: correct bytes alone would match across different seeds, so
-	// the determinism check would be vacuous without the timing.
-	h := newDigest()
 	for round := 0; round < collFaultRounds; round++ {
 		root := round % n
 		wantRed := uint64(0)
@@ -246,19 +238,12 @@ func collFaultRun(seed uint64) *collFaultResult {
 					res.byteErrors++
 					break
 				}
-				h.mix(uint64(bb))
 			}
 			if allredGot[round*n+r] != wantRed {
 				res.byteErrors++
 			}
-			h.mix(allredGot[round*n+r])
 		}
 	}
-	h.mix(uint64(res.byteErrors), uint64(res.drops), uint64(res.dups))
-	for _, at := range doneAt {
-		h.mix(uint64(at))
-	}
-	res.digest = h
 	snap := c.Obs.Snapshot(c.Env.Now())
 	res.retries = snap.SumCounter("nic", "retransmits") + snap.SumCounter("nic", "coll_retries")
 	res.forwards = snap.SumCounter("nic", "coll_forwards")
@@ -268,7 +253,7 @@ func collFaultRun(seed uint64) *collFaultResult {
 
 // collectives measures host vs NIC-offloaded collectives at
 // 2..64 nodes and soaks the offloaded paths under a seeded fault
-// schedule — twice, demanding bit-identical digests.
+// schedule.
 func collectives(seed uint64) *Report {
 	r := newReport("collectives", fmt.Sprintf("NIC-offloaded collectives vs host algorithms (seed %d)", seed))
 	var b strings.Builder
@@ -292,23 +277,18 @@ func collectives(seed uint64) *Report {
 	b.WriteString("(receivers poll pure user-level); barrier/reduce need one per rank,\n")
 	b.WriteString("independent of fan-in — vs O(log n) send traps per rank on the host path.\n")
 
-	// Seeded fault soak over the offloaded paths, run twice. The report
-	// snapshot is run 1's — the same snapshot every counter in the text
-	// below comes from, so the one-line digest and the JSON artifact
-	// cannot drift from the prose (the harness would otherwise merge
-	// both soak runs and all the measurement clusters above).
+	// Seeded fault soak over the offloaded paths. The report snapshot is
+	// the soak's — the same snapshot every counter in the text below
+	// comes from, so the one-line digest and the JSON artifact cannot
+	// drift from the prose (the harness would otherwise merge all the
+	// measurement clusters above into it).
 	fa := collFaultRun(seed)
-	fb := collFaultRun(seed)
 	r.Snap = fa.snap
-	deterministic := fa.digest == fb.digest && fa.drops == fb.drops &&
-		fa.dups == fb.dups && fa.byteErrors == fb.byteErrors
 	fmt.Fprintf(&b, "\nfault soak: %d ranks, %d rounds of offloaded bcast(%dB)+allreduce\n",
 		collFaultNodes, collFaultRounds, collFaultBytes)
 	fmt.Fprintf(&b, "schedule:   dropped %d, duplicated %d collective packets\n", fa.drops, fa.dups)
 	fmt.Fprintf(&b, "recovery:   %d retransmit/retry events, %d NIC tree forwards\n", fa.retries, fa.forwards)
 	fmt.Fprintf(&b, "integrity:  %d byte errors, finished: %v\n", fa.byteErrors, fa.finished)
-	fmt.Fprintf(&b, "digest:     %016x (run 1) / %016x (run 2) -> deterministic: %v\n",
-		fa.digest, fb.digest, deterministic)
 
 	r.Text = b.String()
 	for _, rw := range rows {
@@ -330,7 +310,6 @@ func collectives(seed uint64) *Report {
 	r.metric("fault_dups", float64(fa.dups))
 	r.metric("byte_errors", float64(fa.byteErrors))
 	r.flag("finished", fa.finished)
-	r.flag("deterministic", deterministic)
 	return r
 }
 

@@ -2,17 +2,13 @@ package bench
 
 import "testing"
 
-// TestCollectivesGolden runs the full collectives experiment (the
-// fault soak inside it runs twice) and pins the acceptance properties:
-// same-seed runs digest identically, faulted collectives finish with
+// TestCollectivesGolden runs the full collectives experiment and pins
+// the acceptance properties: faulted collectives finish with
 // byte-correct results, the 32-node offloaded barrier beats the host
 // dissemination, and the trap counts show the O(1)-per-root /
 // one-per-rank offload shape instead of the host's per-round traps.
 func TestCollectivesGolden(t *testing.T) {
 	r := collectives(1)
-	if r.Metrics["deterministic"] != 1 {
-		t.Fatal("two same-seed collective fault soaks diverged")
-	}
 	if r.Metrics["finished"] != 1 {
 		t.Fatal("fault soak did not finish")
 	}

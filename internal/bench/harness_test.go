@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"regexp"
 	"strings"
@@ -21,6 +22,38 @@ var seed1 = sync.OnceValue(func() map[string]*Report {
 	}
 	return byID
 })
+
+// seed7 is one run of every seeded experiment at seed 7, shared by the
+// event-order golden and the same-seed check (read-only).
+var seed7 = sync.OnceValue(func() map[string]*Report {
+	byID := make(map[string]*Report)
+	for _, e := range List() {
+		if e.Seeded {
+			byID[e.ID] = Run(e.ID, 7)
+		}
+	}
+	return byID
+})
+
+// lineDiff lists every line at which x and y differ, one-based, as
+// "line N:\n  <xName> <x's line>\n  <yName> <y's line>", with
+// "(absent)" past the end of either.
+func lineDiff(xName, x, yName, y string) []string {
+	xs, ys := strings.Split(x, "\n"), strings.Split(y, "\n")
+	at := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "(absent)"
+	}
+	var out []string
+	for i := range max(len(xs), len(ys)) {
+		if a, b := at(xs, i), at(ys, i); a != b {
+			out = append(out, fmt.Sprintf("line %d:\n  %s %s\n  %s %s", i+1, xName, a, yName, b))
+		}
+	}
+	return out
+}
 
 // mustPanic runs f and returns what it panicked with.
 func mustPanic(t *testing.T, what string, f func()) (msg string) {
@@ -78,16 +111,16 @@ func TestFaultInstallPanicsWithoutLinkDown(t *testing.T) {
 // committed artifact is untouched).
 func TestHealthwatchBannerTripsOnCorruptPayload(t *testing.T) {
 	const banner = "*** HEALTHWATCH GAUNTLET FAILED ***"
-	x, y := runHealthWatchOnce(1), runHealthWatchOnce(1)
-	clean := healthWatchReport(1, x, y)
+	cl, fa := healthRun(1, false), healthRun(1, true)
+	clean := healthWatchReport(1, cl, fa)
 	if strings.Contains(clean.Text, banner) {
 		t.Fatalf("seed-1 gauntlet failed:\n%s", clean.Text)
 	}
-	if x.clean.corrupt != 0 || x.faulty.corrupt != 0 {
-		t.Fatalf("soak payloads arrived damaged: clean %d, fault %d", x.clean.corrupt, x.faulty.corrupt)
+	if cl.corrupt != 0 || fa.corrupt != 0 {
+		t.Fatalf("soak payloads arrived damaged: clean %d, fault %d", cl.corrupt, fa.corrupt)
 	}
-	x.faulty.corrupt = 1
-	damaged := healthWatchReport(1, x, y)
+	fa.corrupt = 1
+	damaged := healthWatchReport(1, cl, fa)
 	if !strings.Contains(damaged.Text, banner) {
 		t.Fatalf("a corrupt soak payload did not raise the banner:\n%s", damaged.Text)
 	}

@@ -31,9 +31,10 @@ import (
 // timestamp, and the first firing must emit a bcl-postmortem/v1
 // bundle.
 //
-// The whole experiment runs twice; the alert timelines and the bundle
-// bytes must match bit for bit — alerts ride the virtual clock, so
-// "when did it fire" is reproducible evidence, not a race.
+// Alerts ride the virtual clock, so "when did it fire" is reproducible
+// evidence, not a race. The event fingerprint does not cover bytes
+// rendered on the host, so the artifact carries the alert timelines
+// and the bundle as one digest32.
 
 const (
 	hwRounds  = 8
@@ -107,41 +108,24 @@ func healthRun(seed uint64, fault bool) *hwResult {
 	return res
 }
 
-// hwOnce runs both phases for one seed.
-type hwOnce struct {
-	clean  *hwResult
-	faulty *hwResult
-	digest uint64
-}
-
-func runHealthWatchOnce(seed uint64) *hwOnce {
-	o := &hwOnce{clean: healthRun(seed, false), faulty: healthRun(seed, true)}
-	h := fnv.New64a()
-	for _, r := range []*hwResult{o.clean, o.faulty} {
-		h.Write([]byte(r.timeline))
-		h.Write(r.bundle)
-		fmt.Fprintf(h, "|%d|%d|%v", r.delivered, r.resends, r.deadlocked)
-	}
-	o.digest = h.Sum64()
-	return o
-}
-
-// healthWatch runs the two-phase healthwatch experiment TWICE
-// and checks the alert timelines and postmortem bundles are
-// byte-identical.
+// healthWatch runs the two-phase healthwatch experiment.
 func healthWatch(seed uint64) *Report {
-	return healthWatchReport(seed, runHealthWatchOnce(seed), runHealthWatchOnce(seed))
+	return healthWatchReport(seed, healthRun(seed, false), healthRun(seed, true))
 }
 
-// healthWatchReport renders the verdict over the double run x, y.
-func healthWatchReport(seed uint64, x, y *hwOnce) *Report {
+// healthWatchReport renders the verdict over the clean and fault
+// phases.
+func healthWatchReport(seed uint64, cl, fa *hwResult) *Report {
 	r := newReport("healthwatch", fmt.Sprintf("Cluster health engine: clean silence, fault alerts, postmortems (seed %d)", seed))
 
-	timelineOK := x.clean.timeline == y.clean.timeline && x.faulty.timeline == y.faulty.timeline
-	bundleOK := string(x.faulty.bundle) == string(y.faulty.bundle) && len(x.faulty.bundle) > 0
-	deterministic := x.digest == y.digest && timelineOK && bundleOK
+	h := fnv.New64a()
+	for _, ph := range []*hwResult{cl, fa} {
+		h.Write([]byte(ph.timeline))
+		h.Write(ph.bundle)
+		fmt.Fprintf(h, "|%d|%d|%v", ph.delivered, ph.resends, ph.deadlocked)
+	}
+	sum := h.Sum64()
 
-	cl, fa := x.clean, x.faulty
 	total := soakNodes * (soakNodes - 1) * hwRounds
 	cleanSilent := len(cl.transitions) == 0
 	deadlocked := cl.deadlocked || fa.deadlocked
@@ -173,9 +157,8 @@ func healthWatchReport(seed uint64, x, y *hwOnce) *Report {
 		fmt.Fprintf(&sb, "\nfirst postmortem: %s kind=%s trigger=%s at %.3fms, %d bytes\n",
 			b.Schema, b.Kind, b.Trigger.Rule, float64(b.AtNs)/float64(sim.Millisecond), len(fa.bundle))
 	}
-	fmt.Fprintf(&sb, "\ndigest: %016x (run 1) / %016x (run 2) -> deterministic: %v\n",
-		x.digest, y.digest, deterministic)
-	if !cleanSilent || deadlocked || corrupt > 0 || !deterministic {
+	fmt.Fprintf(&sb, "\ndigest: %016x\n", sum)
+	if !cleanSilent || deadlocked || corrupt > 0 {
 		sb.WriteString("\n*** HEALTHWATCH GAUNTLET FAILED ***\n")
 	}
 	r.Text = sb.String()
@@ -189,16 +172,16 @@ func healthWatchReport(seed uint64, x, y *hwOnce) *Report {
 	r.metric("fault_bundles", float64(fa.bundles))
 	r.metric("bundle_bytes", float64(len(fa.bundle)))
 
-	// The clean phase must stay silent, the fault phase must fire the
-	// expected rules, and the alert timeline and bundle bytes must be
-	// identical across the double run.
+	// The alert timelines and bundle bytes, as the low 32 bits of their
+	// fold (a float64 metric cannot hold 64).
+	r.metric("digest32", float64(uint32(sum)))
+
+	// The clean phase must stay silent and the fault phase must fire the
+	// expected rules.
 	r.metric("clean_alerts", float64(len(cl.transitions)))
 	r.flag("fired_crc_spike", fa.fired["crc-spike"] > 0)
 	r.flag("fired_watchdog_trip", fa.fired["watchdog-trip"] > 0)
 	r.flag("fired_rail_divergence", fa.fired["rail-divergence"] > 0)
-	r.flag("timeline_deterministic", timelineOK)
-	r.flag("bundle_deterministic", bundleOK)
-	r.flag("deterministic", deterministic)
 	r.flag("deadlocked", deadlocked)
 	return r
 }

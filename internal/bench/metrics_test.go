@@ -163,7 +163,4 @@ func TestChaosReportsFromRegistry(t *testing.T) {
 	if !strings.Contains(r.Text, "fault-counter timeline") {
 		t.Fatalf("report missing timeline:\n%s", r.Text)
 	}
-	if r.Metrics["deterministic"] != 1 {
-		t.Fatalf("chaos soak nondeterministic:\n%s", r.Text)
-	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 
 	ibcl "bcl/internal/bcl"
@@ -19,7 +20,7 @@ import (
 // tier instrumented end to end with the reqtrace recorder — tail-
 // sampled span trees, histogram exemplars, space-saving heavy-hitter
 // sketches and the ranked slow-request log — gated on retention
-// guarantees and byte-level determinism.
+// guarantees.
 //
 //   (a) baseline: a uniform open-loop mix; the discretionary sampler
 //       retains only slow-relative-to-the-running-quantile traces and
@@ -31,9 +32,11 @@ import (
 //   (c) chaos: bursty arrivals, duplicated packets, a shard link
 //       outage and contended transactions — every aborted and every
 //       >SLO request must be retained (zero forced drops) while the
-//       retained set stays within budget;
-//   (d) determinism: every phase runs twice; slow-request logs,
-//       exemplar sets and sampling decisions must be byte-identical.
+//       retained set stays within budget.
+//
+// The event fingerprint does not cover bytes rendered on the host, so
+// the artifact carries the three phases' slow-request logs, exemplar
+// sets and sampling decisions as one digest32.
 
 // reqobsCfg is one instrumented service-tier scenario.
 type reqobsCfg struct {
@@ -276,29 +279,25 @@ func reqObs(seed uint64) *Report {
 
 	base := reqobsBaseCfg(seed)
 	b1 := runReqObs(base)
-	b2 := runReqObs(base)
 
 	hot := reqobsHotCfg(seed)
 	h1 := runReqObs(hot)
-	h2 := runReqObs(hot)
 
 	chaosCfg := reqobsChaosCfg(seed)
 	dup, outAt, outDur := chaosCfg.dupEvery, chaosCfg.outAt, chaosCfg.outDur
 	c1 := runReqObs(chaosCfg)
-	c2 := runReqObs(chaosCfg)
 
-	sameSlow := b1.slowLog == b2.slowLog && h1.slowLog == h2.slowLog && c1.slowLog == c2.slowLog
-	sameEx := b1.exemplarDigest == b2.exemplarDigest &&
-		h1.exemplarDigest == h2.exemplarDigest && c1.exemplarDigest == c2.exemplarDigest
-	sameSamp := b1.samplingDigest == b2.samplingDigest &&
-		h1.samplingDigest == h2.samplingDigest && c1.samplingDigest == c2.samplingDigest
+	h := fnv.New64a()
+	for _, ph := range []*reqobsRes{b1, h1, c1} {
+		h.Write([]byte(ph.slowLog))
+		fmt.Fprintf(h, "|%016x|%016x", uint64(ph.exemplarDigest), ph.samplingDigest)
+	}
 
-	allAborts := c1.forced == 0 && c1.retainedAbort == int(c1.abortsSeen) &&
-		c2.forced == 0 && c2.retainedAbort == int(c2.abortsSeen)
-	allSLO := c1.retainedSLO == int(c1.sloSeen) && c2.retainedSLO == int(c2.sloSeen)
+	allAborts := c1.forced == 0 && c1.retainedAbort == int(c1.abortsSeen)
+	allSLO := c1.retainedSLO == int(c1.sloSeen)
 	inBudget := b1.retained <= base.rec.Budget && h1.retained <= hot.rec.Budget &&
 		c1.retained <= chaosCfg.rec.Budget
-	drained := b1.drained && h1.drained && c1.drained && c2.drained
+	drained := b1.drained && h1.drained && c1.drained
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "baseline: %d shards, %d users, Poisson mean %.0f us over %d ms\n",
@@ -318,10 +317,8 @@ func reqObs(seed uint64) *Report {
 	fmt.Fprintf(&sb, "\nevery abort retained: %v\n", allAborts)
 	fmt.Fprintf(&sb, "every SLO breach retained: %v\n", allSLO)
 	fmt.Fprintf(&sb, "retained set within budget: %v\n", inBudget)
-	fmt.Fprintf(&sb, "slow logs byte-identical across double runs: %v\n", sameSlow)
-	fmt.Fprintf(&sb, "exemplar sets identical across double runs: %v\n", sameEx)
-	fmt.Fprintf(&sb, "sampling decisions identical across double runs: %v\n", sameSamp)
-	fmt.Fprintf(&sb, "\nchaos slow-request log (run 1):\n%s", c1.slowLog)
+	fmt.Fprintf(&sb, "slow-log/exemplar/sampling digest: %016x\n", h.Sum64())
+	fmt.Fprintf(&sb, "\nchaos slow-request log:\n%s", c1.slowLog)
 	r.Text = sb.String()
 
 	r.metric("reqs", float64(b1.done))
@@ -338,10 +335,9 @@ func reqObs(seed uint64) *Report {
 	r.metric("chaos_slo_seen", float64(c1.sloSeen))
 	r.metric("chaos_retained", float64(c1.retained))
 	r.metric("chaos_exemplars", float64(c1.exemplarCount))
-	// Sampling must retain every abort and SLO breach within budget, the
-	// hot-shard rule must fire on the skewed phase only, and slow logs,
-	// exemplar sets and sampling decisions must be byte-identical across
-	// double runs.
+	r.metric("digest32", float64(uint32(h.Sum64())))
+	// Sampling must retain every abort and SLO breach within budget, and
+	// the hot-shard rule must fire on the skewed phase only.
 	r.flag("hot_rule_fired", h1.hotFired > 0)
 	r.flag("hot_rule_silent_baseline", b1.hotFired == 0)
 	r.flag("bundle_has_slowlog", h1.bundleSlow)
@@ -354,11 +350,7 @@ func reqObs(seed uint64) *Report {
 	r.flag("exemplars_nonzero", c1.exemplarCount > 0 && c1.annotations > 0)
 	r.flag("trace_cap_respected", c1.traceSpans <= chaosCfg.traceCap)
 	r.flag("trace_evictions_nonzero", c1.traceDropped > 0)
-	r.flag("slowlog_deterministic", sameSlow)
-	r.flag("exemplar_deterministic", sameEx)
-	r.flag("sampling_deterministic", sameSamp)
 	r.flag("linearizable_ok", b1.violations == 0 && h1.violations == 0)
 	r.flag("drained", drained)
-	r.flag("deterministic", sameSlow && sameEx && sameSamp)
 	return r
 }

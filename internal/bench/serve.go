@@ -28,9 +28,7 @@ import (
 //   (c) chaos: duplicated packets, a shard link outage and a shard NIC
 //       firmware crash (watchdog on, health engine attached) — zero
 //       linearizable-read violations, zero half-applied transaction
-//       pairs, caches coherent at quiesce;
-//   (d) determinism: phase (c) twice with the same seed must produce
-//       byte-identical samples, counters and stores.
+//       pairs, caches coherent at quiesce.
 
 // ------------------------------------------------ the shared service world
 //
@@ -224,21 +222,19 @@ type serveCfg struct {
 
 // serveRes is everything a scenario run exposes to the report.
 type serveRes struct {
-	samples        []sim.Time
 	p50, p99, p999 sim.Time
 	reqsPerSec     float64
 
-	issued, done, retrans uint64
-	hits, misses          uint64
-	violations, aborts    uint64
-	committed, dedup      uint64
+	done, retrans      uint64
+	hits, misses       uint64
+	violations, aborts uint64
+	committed, dedup   uint64
 
 	atomicity   bool // every txn pair byte-identical across shards
 	coherent    bool // every cached entry matches its shard's version
 	drained     bool
 	sloAlerts   int
 	abortAlerts int
-	digest      digest
 }
 
 // runServe builds a fresh cluster, starts the shard servers, drives
@@ -298,19 +294,19 @@ func runServe(cfg serveCfg) *serveRes {
 
 	servers, ring := w.servers, w.ring
 	res := &serveRes{atomicity: true, coherent: true, drained: w.drained()}
+	var samples []sim.Time
 	for _, d := range w.drivers {
 		if d == nil {
 			continue
 		}
 		st := d.Stats()
-		res.issued += st.Issued
 		res.done += st.Done
 		res.retrans += st.Retransmits
 		res.hits += st.CacheHits
 		res.misses += st.Misses
 		res.violations += st.Violations
 		res.aborts += st.TxnAborts
-		res.samples = append(res.samples, d.Samples()...)
+		samples = append(samples, d.Samples()...)
 		// Coherence at quiesce: every cached version must equal the
 		// owning shard's committed version.
 		for key, ver := range d.CacheSnapshot() {
@@ -333,9 +329,9 @@ func runServe(cfg serveCfg) *serveRes {
 			res.atomicity = false
 		}
 	}
-	res.p50 = quantileNS(res.samples, 0.50)
-	res.p99 = quantileNS(res.samples, 0.99)
-	res.p999 = quantileNS(res.samples, 0.999)
+	res.p50 = quantileNS(samples, 0.50)
+	res.p99 = quantileNS(samples, 0.99)
+	res.p999 = quantileNS(samples, 0.999)
 	if cfg.window > 0 {
 		res.reqsPerSec = float64(res.done) / (float64(cfg.window) / float64(sim.Second))
 	}
@@ -343,7 +339,6 @@ func runServe(cfg serveCfg) *serveRes {
 		res.sloAlerts = c.Health.FiredCount("svc-slo-burn")
 		res.abortAlerts = c.Health.FiredCount("txn-abort-rate")
 	}
-	res.digest = serveDigest(res, w)
 	return res
 }
 
@@ -359,27 +354,6 @@ func crossShardPairs(ring *svc.Ring, n int) (pa, pb []string) {
 		}
 	}
 	return pa, pb
-}
-
-// serveDigest fingerprints a run: every latency sample in completion
-// order, the aggregate counters, and the committed bytes of every
-// transaction pair.
-func serveDigest(res *serveRes, w *svcWorld) digest {
-	h := newDigest()
-	for _, s := range res.samples {
-		h.mix(uint64(s))
-	}
-	h.mix(res.issued, res.done, res.hits, res.misses, res.committed, res.aborts)
-	for i := range w.pa {
-		for _, key := range []string{w.pa[i], w.pb[i]} {
-			val, ver := w.servers[w.ring.Shard(key)].Peek(key)
-			h.mix(ver)
-			for _, b := range val {
-				h.mix(uint64(b))
-			}
-		}
-	}
-	return h
 }
 
 // serveSchedule derives the chaos phase's fault schedule from the
@@ -425,8 +399,7 @@ func serve(seed uint64) *Report {
 	qos := runServe(intf)
 
 	// Chaos: duplicates + a shard link outage + a shard firmware crash
-	// under the watchdog, health engine attached. Twice, for the
-	// determinism gate.
+	// under the watchdog, health engine attached.
 	dup, outAt, outDur, crashAt := serveSchedule(seed)
 	chaosCfg := serveCfg{
 		shards: 3, driverNodes: 2, seed: seed, pairs: 12,
@@ -443,15 +416,12 @@ func serve(seed uint64) *Report {
 		},
 	}
 	chaos := runServe(chaosCfg)
-	chaos2 := runServe(chaosCfg)
-	deterministic := chaos.digest == chaos2.digest &&
-		chaos.p999 == chaos2.p999 && chaos.committed == chaos2.committed
 
-	okAll := baseline.atomicity && chaos.atomicity && chaos2.atomicity
+	okAll := baseline.atomicity && chaos.atomicity
 	linAll := baseline.violations == 0 && fifo.violations == 0 && qos.violations == 0 &&
-		chaos.violations == 0 && chaos2.violations == 0
-	cohAll := baseline.coherent && fifo.coherent && qos.coherent && chaos.coherent && chaos2.coherent
-	drainedAll := baseline.drained && fifo.drained && qos.drained && chaos.drained && chaos2.drained
+		chaos.violations == 0
+	cohAll := baseline.coherent && fifo.coherent && qos.coherent && chaos.coherent
+	drainedAll := baseline.drained && fifo.drained && qos.drained && chaos.drained
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "baseline: %d shards, %d driver nodes x %d users, Poisson mean %.0f us, pareto 16..1024 B\n",
@@ -474,7 +444,6 @@ func serve(seed uint64) *Report {
 	fmt.Fprintf(&b, "linearizable reads (0 monotonic/RYW violations): %v\n", linAll)
 	fmt.Fprintf(&b, "coherent caches at quiesce: %v\n", cohAll)
 	fmt.Fprintf(&b, "all requests answered (open loop drained): %v\n", drainedAll)
-	fmt.Fprintf(&b, "deterministic across same-seed double run: %v\n", deterministic)
 	r.Text = b.String()
 
 	r.metric("reqs", float64(baseline.done))
@@ -503,6 +472,5 @@ func serve(seed uint64) *Report {
 	r.flag("dedup_nonzero", chaos.dedup > 0)
 	r.flag("retrans_nonzero", chaos.retrans > 0)
 	r.flag("txn_commits_nonzero", chaos.committed > 0)
-	r.flag("deterministic", deterministic)
 	return r
 }
