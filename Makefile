@@ -21,14 +21,14 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Native fuzzing: each of the thirteen fuzz targets searches for 5 s,
-# about 110 s in all (`go test` runs only their seed corpora). A failing
+# Native fuzzing: each of the fourteen fuzz targets searches for 5 s,
+# about 120 s in all (`go test` runs only their seed corpora). A failing
 # input is saved under the package's testdata/fuzz and replays with
 # `go test`. CI runs the same.
 fuzz:
 	@for t in sim:FuzzEventQueue sim:FuzzQueue sim:FuzzRing sim:FuzzFreeList mem:FuzzAddrSpaceCopy \
 		mem:FuzzPinTable oskernel:FuzzShadow nic:FuzzDoneRing trace:FuzzCappedTracer \
-		obs:FuzzSnapshot obs:FuzzHistBuckets obs/health:FuzzDecodeBundle bench:FuzzDiff; do \
+		obs:FuzzSnapshot obs:FuzzHistBuckets obs/health:FuzzDecodeBundle bench:FuzzDiff svc:FuzzReader; do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \
 	done
 
@@ -147,9 +147,11 @@ check:
 # five workloads the baselines do not reach (a change that removes
 # events on purpose regenerates it with the same loop, and says so).
 # allocs_per_op from the same runs holds eager_pingpong to 1 and
-# mpi_halo70 to 300 objects per op, a count that repeats exactly (0.0
+# mpi_halo70 to 300 objects per op, a count that repeats exactly (0.001
 # and 155 today; 10 and 1 432 before messages stopped making garbage),
-# and mpi_halo70 at four times the work must peak within 1.5x of the
+# and svc_openloop to 0.65 objects per request (0.44 today; 19.4 before
+# frames, bodies and retired service records were reused), and
+# mpi_halo70 at four times the work must peak within 1.5x of the
 # short run's RSS (54 -> 63 MB today; 116 -> 337 MB while every host
 # collective mapped fresh simulated pages).
 hostcheck:
@@ -165,6 +167,10 @@ hostcheck:
 	echo "allocations per op: eager_pingpong $$eager (budget 1), mpi_halo70 $$halo (budget 300)" && \
 	if awk -v e="$$eager" -v h="$$halo" 'BEGIN { exit !(e != "" && h != "" && e <= 1 && h <= 300) }'; \
 	then echo "a message makes no garbage"; else echo "a message makes garbage again"; exit 1; fi && \
+	svc=$$(allocs svc_openloop) && \
+	echo "allocations per request: svc_openloop $$svc (budget 0.65)" && \
+	if awk -v s="$$svc" 'BEGIN { exit !(s != "" && s <= 0.65) }'; \
+	then echo "a request makes no garbage"; else echo "a request makes garbage again"; exit 1; fi && \
 	rss() { $(GO) run ./benchmark --workload mpi_halo70 --seed 1 --seconds $$1 --trace 0 | \
 		sed -n '$$s/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p'; } && \
 	short=$$(rss 2) && long=$$(rss 8) && \

@@ -122,6 +122,7 @@ type Port struct {
 	pending sim.Ring[nic.Event]   // receive events set aside by selective waits
 
 	intraQ   *sim.Queue[*intraFrag]
+	fragFree sim.FreeList[*intraFrag] // fragments bound for this port, retired
 	nextChan int
 	closed   bool
 
@@ -178,19 +179,26 @@ func (s *System) Open(p *sim.Proc, n *node.Node, proc *oskernel.Process, opts Op
 
 	// Publish the library-level counters into the cluster registry.
 	// Ports are not closed during the runs we snapshot, so the collector
-	// outliving a Close only re-reports final values.
+	// outliving a Close only re-reports final values. A labeled port
+	// also reports them under the "job" layer, keyed by the owning
+	// job's label (per-tenant attribution; the names are made here, not
+	// per snapshot).
+	var job [4]string
+	if pt.label != "" {
+		for i, c := range [...]string{"sent", "received", "bytes_sent", "bytes_received"} {
+			job[i] = pt.label + "/" + c
+		}
+	}
 	n.Obs.RegisterCollector(func(set obs.Set) {
 		set(pt.addr.Node, "bcl", "sent", pt.sent)
 		set(pt.addr.Node, "bcl", "received", pt.received)
 		set(pt.addr.Node, "bcl", "bytes_sent", pt.bytesSent)
 		set(pt.addr.Node, "bcl", "bytes_received", pt.bytesReceived)
 		if pt.label != "" {
-			// Per-tenant attribution: an extra copy of the counters
-			// under the "job" layer, keyed by the owning job's label.
-			set(pt.addr.Node, "job", pt.label+"/sent", pt.sent)
-			set(pt.addr.Node, "job", pt.label+"/received", pt.received)
-			set(pt.addr.Node, "job", pt.label+"/bytes_sent", pt.bytesSent)
-			set(pt.addr.Node, "job", pt.label+"/bytes_received", pt.bytesReceived)
+			set(pt.addr.Node, "job", job[0], pt.sent)
+			set(pt.addr.Node, "job", job[1], pt.received)
+			set(pt.addr.Node, "job", job[2], pt.bytesSent)
+			set(pt.addr.Node, "job", job[3], pt.bytesReceived)
 		}
 	})
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bcl/internal/cluster"
+	"bcl/internal/mem"
 	"bcl/internal/nic"
 	"bcl/internal/sim"
 )
@@ -239,6 +240,84 @@ func TestRoundTripAllocatesNothing(t *testing.T) {
 	}
 	if trips != 300+201 {
 		t.Fatalf("%d round trips finished, want %d", trips, 300+201)
+	}
+	tb.assertDrained(t)
+}
+
+// TestIntraRoundTripAllocatesNothing is the intra-node path's
+// counterpart: two ports on one node bounce a 20 KB message, three
+// shared-memory chunks, into posted buffers. Once the fragment free
+// list and the engines' assembly tables are warm, a round trip
+// allocates nothing, and the last message still arrives intact.
+func TestIntraRoundTripAllocatesNothing(t *testing.T) {
+	tb := newTestbed(t, cluster.Myrinet, 1, []int{0, 0})
+	a, b := tb.ports[0], tb.ports[1]
+	const n = 20 << 10
+	want := make([]byte, n)
+	tb.c.Env.Rand().Fill(want)
+	kick := sim.NewQueue[int](tb.c.Env, "kick", 0)
+	trips := 0
+	var landed mem.VAddr // b's receive buffer
+	serve := func(pt, peer *Port, first bool) func(p *sim.Proc) {
+		return func(p *sim.Proc) {
+			sp := pt.Process().Space
+			out, in := sp.Alloc(n), sp.Alloc(n)
+			if err := sp.Write(out, want); err != nil {
+				t.Error(err)
+			}
+			if !first {
+				landed = in
+			}
+			ch := pt.CreateChannel() // 1 on both ports
+			post := func() {
+				if err := pt.PostRecv(p, ch, in, n); err != nil {
+					t.Error(err)
+				}
+			}
+			send := func() {
+				if _, err := pt.Send(p, peer.Addr(), ch, out, n, 0); err != nil {
+					t.Error(err)
+				}
+			}
+			post()
+			for {
+				if first {
+					kick.Recv(p)
+					send()
+				}
+				if ev := pt.WaitRecv(p); ev.Len != n {
+					t.Errorf("received %d bytes, want %d", ev.Len, n)
+				}
+				post()
+				if !first {
+					send()
+				}
+				if pt.WaitSend(p).Type != nic.EvSendDone {
+					t.Error("send failed")
+				}
+				if first {
+					trips++
+				}
+			}
+		}
+	}
+	tb.c.Env.Go("ping", serve(a, b, true))
+	tb.c.Env.Go("pong", serve(b, a, false))
+	one := func() {
+		kick.Post(1)
+		tb.run(t, sim.Millisecond)
+	}
+	for i := 0; i < 300; i++ {
+		one()
+	}
+	if allocs := testing.AllocsPerRun(200, one); allocs != 0 {
+		t.Fatalf("a steady intra-node round trip allocates %.2f objects, want 0", allocs)
+	}
+	if trips != 300+201 {
+		t.Fatalf("%d round trips finished, want %d", trips, 300+201)
+	}
+	if got, _ := b.Process().Space.Read(landed, n); string(got) != string(want) {
+		t.Fatal("the last message landed corrupted")
 	}
 	tb.assertDrained(t)
 }

@@ -2,6 +2,7 @@ package bcl
 
 import (
 	"fmt"
+	"slices"
 
 	"bcl/internal/mem"
 	"bcl/internal/nic"
@@ -19,7 +20,9 @@ import (
 // appears anywhere on this path.
 
 // intraFrag is one shared-memory chunk in flight between two local
-// processes.
+// processes. The sender takes it off the receiving port's fragFree and
+// reads the chunk into its data buffer; the receiving engine puts it
+// back once the chunk is copied out.
 type intraFrag struct {
 	src     Addr
 	channel int
@@ -57,22 +60,24 @@ func (pt *Port) sendIntra(p *sim.Proc, dst Addr, channel int, va mem.VAddr, n in
 			if hi > n {
 				hi = n
 			}
-			var data []byte
-			if hi > lo {
-				var err error
-				data, err = pt.proc.Space.Read(va+mem.VAddr(lo), hi-lo)
-				if err != nil {
-					sendErr = err
-					return
-				}
+			f, ok := dstPort.fragFree.Get()
+			if !ok {
+				f = new(intraFrag)
+			}
+			*f = intraFrag{
+				src: pt.addr, channel: channel, msgID: msgID, tag: tag,
+				seq: i, frags: frags, msgLen: n, offset: lo,
+				data: slices.Grow(f.data[:0], hi-lo)[:hi-lo],
+			}
+			if err := pt.proc.Space.ReadInto(va+mem.VAddr(lo), f.data); err != nil {
+				dstPort.fragFree.Put(f)
+				sendErr = err
+				return
 			}
 			// The copy into the shared region contends on the memory
 			// system with the receiver's copy out of it.
 			pt.node.Memcpy(p, hi-lo)
-			dstPort.intraQ.Send(p, &intraFrag{
-				src: pt.addr, channel: channel, msgID: msgID, tag: tag,
-				seq: i, frags: frags, msgLen: n, offset: lo, data: data,
-			})
+			dstPort.intraQ.Send(p, f)
 		}
 	})
 	if sendErr != nil {
@@ -89,61 +94,69 @@ func (pt *Port) sendIntra(p *sim.Proc, dst Addr, channel int, va mem.VAddr, n in
 	return msgID, nil
 }
 
+// intraAsm is one message's assembly on the receiving side, held by
+// value in the engine's table.
+type intraAsm struct {
+	buf nic.RecvDesc // the consumed posting: where the message lands
+	got int
+}
+
 // intraEngine is the receiving half: one process per port draining the
 // shared-memory queue into posted buffers and raising completion
 // events on the port's receive event queue. A nil fragment (posted by
 // Close) ends it.
 func (pt *Port) intraEngine(p *sim.Proc) {
-	prof := pt.node.Prof
-	type state struct {
-		buf nic.RecvDesc // the consumed posting: where the message lands
-		got int
-	}
-	open := make(map[uint64]*state)
+	open := make(map[uint64]intraAsm)
 	for {
 		f := pt.intraQ.Recv(p)
 		if f == nil {
 			return
 		}
-		st, ok := open[f.msgID]
-		if !ok {
-			// First fragment: notice the message and resolve the
-			// destination buffer. Rendezvous semantics: wait until the
-			// receiver posts (or a pool buffer frees up).
-			p.Sleep(prof.ShmPoll)
-			// TakeRecv consumes the posting as an arriving message would,
-			// journal included: the intra-node path delivers without the
-			// NIC seeing it, and the recovery journal must stay honest.
-			var buf nic.RecvDesc
-			found := false
-			for attempt := 0; attempt < 500 && !found; attempt++ {
-				if buf, found = pt.nicPort.TakeRecv(f.channel, f.msgLen); !found {
-					p.Sleep(20 * sim.Microsecond)
-				}
-			}
-			if !found || f.msgLen > buf.Len {
-				continue // nothing posted, or too small (it stays posted): message dropped, as the NIC rejects it
-			}
-			st = &state{buf: buf}
-			open[f.msgID] = st
-		}
-		// Copy the chunk out of shared memory into the user buffer.
-		pt.node.Memcpy(p, len(f.data))
-		if len(f.data) > 0 {
-			if err := st.buf.Space.Write(st.buf.VA+mem.VAddr(f.offset), f.data); err != nil {
-				delete(open, f.msgID)
-				continue
+		pt.land(p, f, open)
+		pt.fragFree.Put(f)
+	}
+}
+
+// land copies one fragment out of shared memory into its message's
+// buffer and raises the completion when it was the last.
+func (pt *Port) land(p *sim.Proc, f *intraFrag, open map[uint64]intraAsm) {
+	st, ok := open[f.msgID]
+	if !ok {
+		// First fragment: notice the message and resolve the
+		// destination buffer. Rendezvous semantics: wait until the
+		// receiver posts (or a pool buffer frees up).
+		p.Sleep(pt.node.Prof.ShmPoll)
+		// TakeRecv consumes the posting as an arriving message would,
+		// journal included: the intra-node path delivers without the
+		// NIC seeing it, and the recovery journal must stay honest.
+		found := false
+		for attempt := 0; attempt < 500 && !found; attempt++ {
+			if st.buf, found = pt.nicPort.TakeRecv(f.channel, f.msgLen); !found {
+				p.Sleep(20 * sim.Microsecond)
 			}
 		}
-		st.got++
-		if st.got == f.frags {
-			delete(open, f.msgID)
-			pt.events.Post(nic.Event{
-				Type: nic.EvRecvDone, Port: pt.addr.Port, Channel: f.channel,
-				MsgID: f.msgID, Len: f.msgLen, Tag: f.tag,
-				SrcNode: f.src.Node, SrcPort: f.src.Port,
-				VA: st.buf.VA, Stamp: pt.node.Env.Now(),
-			})
+		if !found || f.msgLen > st.buf.Len {
+			return // nothing posted, or too small (it stays posted): message dropped, as the NIC rejects it
 		}
 	}
+	// Copy the chunk out of shared memory into the user buffer.
+	pt.node.Memcpy(p, len(f.data))
+	if len(f.data) > 0 {
+		if err := st.buf.Space.Write(st.buf.VA+mem.VAddr(f.offset), f.data); err != nil {
+			delete(open, f.msgID)
+			return
+		}
+	}
+	st.got++
+	if st.got < f.frags {
+		open[f.msgID] = st
+		return
+	}
+	delete(open, f.msgID)
+	pt.events.Post(nic.Event{
+		Type: nic.EvRecvDone, Port: pt.addr.Port, Channel: f.channel,
+		MsgID: f.msgID, Len: f.msgLen, Tag: f.tag,
+		SrcNode: f.src.Node, SrcPort: f.src.Port,
+		VA: st.buf.VA, Stamp: pt.node.Env.Now(),
+	})
 }

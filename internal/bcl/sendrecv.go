@@ -161,7 +161,8 @@ type SystemBuf struct {
 
 // ReturnSystemBuffers returns several consumed pool buffers in a
 // single kernel trap, amortizing the crossing cost over the batch (the
-// kernel module's return command accepts a vector).
+// kernel module's return command accepts a vector). bufs is not kept:
+// the caller may refill it as soon as the call returns.
 func (pt *Port) ReturnSystemBuffers(p *sim.Proc, bufs []SystemBuf) error {
 	if len(bufs) == 0 {
 		return nil

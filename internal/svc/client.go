@@ -2,6 +2,7 @@ package svc
 
 import (
 	"fmt"
+	"slices"
 
 	"bcl/internal/bcl"
 	"bcl/internal/nic"
@@ -38,13 +39,16 @@ type Driver struct {
 	lat *obs.Histogram
 
 	conns []*conn
-	users []*user
+	users []user
 
-	pending  map[uint64]*pendingReq // packTag(0,sess,uch,seq) -> req
-	pendList []*pendingReq
+	pending  map[uint64]*request // packTag(0,sess,uch,seq) -> req
+	pendList []*request
+	reqFree  sim.FreeList[*request]
 
-	cache  map[string]*cacheEntry
-	invVer map[string]uint64 // highest invalidated version per key
+	cache  map[string]cacheEntry
+	invVer map[string]uint64  // highest invalidated version per key
+	seen   map[seenKey]uint64 // highest version each user has seen per key
+	names  names              // the keys invalidations name
 
 	keys    []string
 	nextArr sim.Time
@@ -116,11 +120,15 @@ type conn struct {
 }
 
 type user struct {
-	idx      uint16
-	queue    []op
-	busy     bool
-	seq      uint32
-	lastSeen map[string]uint64
+	idx        uint16
+	head, tail *request // queued requests, oldest first
+	busy       bool
+	seq        uint32
+}
+
+type seenKey struct {
+	user uint16
+	key  string
 }
 
 type op struct {
@@ -132,9 +140,15 @@ type op struct {
 	flow    uint64
 }
 
-type pendingReq struct {
-	u       *user
+// request is one op from its arrival to its answer: queued behind its
+// user's earlier ones (next), then on the wire under a retransmit timer
+// with its encoded body kept for resends. Records come off reqFree at
+// arrival and go back once the op completes; op.val and payload keep
+// their capacity.
+type request struct {
 	op      op
+	u       *user
+	next    *request
 	shard   int
 	sess    uint16
 	seq     uint32
@@ -144,9 +158,12 @@ type pendingReq struct {
 	done    bool
 }
 
+// cacheEntry is one cached key. An invalidated entry is kept, stale,
+// so the next fill reuses its value buffer.
 type cacheEntry struct {
-	val []byte
-	ver uint64
+	val   []byte
+	ver   uint64
+	stale bool
 }
 
 // NewDriver attaches a driver to an opened BCL port; start it with
@@ -172,9 +189,11 @@ func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driv
 		env:     port.Node().Env,
 		node:    port.Addr().Node,
 		row:     fmt.Sprintf("host%d", port.Addr().Node),
-		pending: make(map[uint64]*pendingReq),
-		cache:   make(map[string]*cacheEntry),
+		pending: make(map[uint64]*request),
+		cache:   make(map[string]cacheEntry),
 		invVer:  make(map[string]uint64),
+		seen:    make(map[seenKey]uint64),
+		names:   make(names),
 		nextArr: cfg.Start,
 		genOn:   cfg.Arrivals != nil,
 		rng:     sim.Splitmix64(cfg.Seed ^ 0xd1e5c0de),
@@ -187,8 +206,9 @@ func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driv
 	for i := range d.keys {
 		d.keys[i] = fmt.Sprintf("k%05d", i)
 	}
-	for i := 0; i < cfg.Users; i++ {
-		d.users = append(d.users, &user{idx: uint16(i), lastSeen: make(map[string]uint64)})
+	d.users = make([]user, cfg.Users)
+	for i := range d.users {
+		d.users[i].idx = uint16(i)
 	}
 	for sh, addr := range cfg.Shards {
 		d.conns = append(d.conns, &conn{
@@ -232,8 +252,8 @@ func (d *Driver) Drained() bool {
 	if len(d.pending) != 0 {
 		return false
 	}
-	for _, u := range d.users {
-		if u.busy || len(u.queue) != 0 {
+	for i := range d.users {
+		if u := &d.users[i]; u.busy || u.head != nil {
 			return false
 		}
 	}
@@ -245,7 +265,9 @@ func (d *Driver) Drained() bool {
 func (d *Driver) CacheSnapshot() map[string]uint64 {
 	out := make(map[string]uint64, len(d.cache))
 	for k, e := range d.cache {
-		out[k] = e.ver
+		if !e.stale {
+			out[k] = e.ver
+		}
 	}
 	return out
 }
@@ -280,14 +302,14 @@ func (d *Driver) startConns(p *sim.Proc) {
 }
 
 func (d *Driver) sendHello(p *sim.Proc, c *conn) {
-	pay := putStr(nil, d.cfg.UserName)
+	pay := putStr(d.ep.frame(), d.cfg.UserName)
 	pay = putU64(pay, c.nonce)
 	_ = d.ep.send(p, c.addr, kindHello, 0, 0, 0, pay)
 }
 
 func (d *Driver) sendAuth(p *sim.Proc, c *conn) {
 	resp := authResponse(c.challenge, userSecret(d.cfg.UserName, d.cfg.AuthSeed))
-	_ = d.ep.send(p, c.addr, kindAuth, c.sess, 0, 0, putU64(nil, resp))
+	_ = d.ep.send(p, c.addr, kindAuth, c.sess, 0, 0, putU64(d.ep.frame(), resp))
 }
 
 // generate drains the arrival clock: every arrival due by now becomes
@@ -302,9 +324,12 @@ func (d *Driver) generate(p *sim.Proc, now sim.Time) {
 			d.genOn = false
 			return
 		}
-		o := d.makeOp(d.nextArr)
-		u := d.users[int(d.rand()%uint64(len(d.users)))]
-		u.queue = append(u.queue, o)
+		r := take(&d.reqFree)
+		*r = request{op: op{val: r.op.val[:0]}, payload: r.payload[:0]}
+		o := &r.op
+		d.makeOp(o, d.nextArr)
+		u := &d.users[int(d.rand()%uint64(len(d.users)))]
+		u.push(r)
 		if d.rt != nil && o.flow != 0 {
 			d.rt.Begin(o.flow, kindName(o.kind), o.key, u.idx, d.node,
 				d.cfg.Ring.Shard(o.key), o.arrival)
@@ -317,11 +342,10 @@ func (d *Driver) generate(p *sim.Proc, now sim.Time) {
 	}
 }
 
-// makeOp rolls the op mix: get / put / txn with deterministic keys and
-// deterministically patterned values.
-func (d *Driver) makeOp(arrival sim.Time) op {
+// makeOp rolls the op mix into o: get / put / txn with deterministic
+// keys and deterministically patterned values.
+func (d *Driver) makeOp(o *op, arrival sim.Time) {
 	roll := float64(d.rand()%1_000_000) / 1_000_000
-	var o op
 	o.arrival = arrival
 	if d.tr != nil {
 		d.flowSeq++
@@ -338,7 +362,7 @@ func (d *Driver) makeOp(arrival sim.Time) op {
 		i := int(d.rand() % uint64(len(d.cfg.PairA)))
 		o.key = d.cfg.PairA[i]
 		o.keyB = d.cfg.PairB[i]
-		o.val = d.makeVal(&o)
+		o.val = d.makeVal(o)
 	default:
 		o.kind = kindPut
 		if len(d.keys) == 0 {
@@ -347,14 +371,13 @@ func (d *Driver) makeOp(arrival sim.Time) op {
 			break
 		}
 		o.key = d.keys[int(d.rand()%uint64(len(d.keys)))]
-		o.val = d.makeVal(&o)
+		o.val = d.makeVal(o)
 	}
 	if d.cfg.HotFrac > 0 && o.kind != kindTxn && len(d.keys) > 0 {
 		if float64(d.rand()%1_000_000)/1_000_000 < d.cfg.HotFrac {
 			o.key = d.keys[0]
 		}
 	}
-	return o
 }
 
 // kindName renders an op kind for the request-trace records.
@@ -370,9 +393,10 @@ func kindName(kind uint8) string {
 	return fmt.Sprintf("k%d", kind)
 }
 
-// makeVal draws the value for o, whose keys are already chosen,
-// clamped so that every message carrying it fits one system buffer: a
-// request longer than the shards' pool buffers can never be accepted.
+// makeVal draws the value for o, whose keys are already chosen, into
+// o's value buffer, clamped so that every message carrying it fits one
+// system buffer: a request longer than the shards' pool buffers can
+// never be accepted.
 func (d *Driver) makeVal(o *op) []byte {
 	n := 8
 	if d.cfg.Sizes != nil {
@@ -390,7 +414,7 @@ func (d *Driver) makeVal(o *op) []byte {
 	if n < 1 {
 		n = 1
 	}
-	val := make([]byte, n)
+	val := slices.Grow(o.val[:0], n)[:n]
 	seed := d.rand()
 	for i := range val {
 		if i&7 == 0 {
@@ -405,14 +429,15 @@ func (d *Driver) makeVal(o *op) []byte {
 // the driver cache when fresh; everything else goes on the wire with a
 // retransmit timer.
 func (d *Driver) issueNext(p *sim.Proc, u *user) {
-	for len(u.queue) > 0 {
-		o := u.queue[0]
-		u.queue = u.queue[1:]
+	for req := u.head; req != nil; req = u.head {
+		o := &req.op
 		if o.kind == kindGet {
-			if e, ok := d.cache[o.key]; ok {
+			if e, ok := d.cache[o.key]; ok && !e.stale {
 				d.stats.CacheHits++
 				d.checkRead(u, o.key, e.ver, o.flow)
-				d.complete(p, o, false)
+				u.pop()
+				d.complete(p, *o, false)
+				d.reqFree.Put(req)
 				continue
 			}
 			d.stats.Misses++
@@ -420,23 +445,41 @@ func (d *Driver) issueNext(p *sim.Proc, u *user) {
 		shard := d.cfg.Ring.Shard(o.key)
 		c := d.conns[shard]
 		if c.state != connUp {
-			// Session still handshaking: requeue and wait for AuthOK.
-			u.queue = append([]op{o}, u.queue...)
+			// Session still handshaking: the op stays at the head of
+			// the queue until AuthOK.
 			return
 		}
+		u.pop()
 		u.seq++
 		u.busy = true
-		req := &pendingReq{
-			u: u, op: o, shard: shard, sess: c.sess, seq: u.seq,
-			payload: d.encodeOp(o), rto: d.cfg.RTO,
-			nextAt: p.Now() + d.cfg.RTO,
-		}
+		req.u, req.shard, req.sess, req.seq = u, shard, c.sess, u.seq
+		req.payload = encodeOp(req.payload, o)
+		req.rto, req.nextAt = d.cfg.RTO, p.Now()+d.cfg.RTO
 		d.pending[reqKey(c.sess, u.idx, u.seq)] = req
 		d.pendList = append(d.pendList, req)
 		d.traceFlow(p, o.flow, "svc: request issue")
 		_ = d.ep.send(p, c.addr, o.kind, c.sess, u.idx, u.seq, req.payload)
 		d.traceFlow(p, o.flow, "svc: bcl sent")
 		return
+	}
+}
+
+// push queues r behind the user's other requests.
+func (u *user) push(r *request) {
+	if u.tail == nil {
+		u.head = r
+	} else {
+		u.tail.next = r
+	}
+	u.tail = r
+}
+
+// pop unlinks the user's head request.
+func (u *user) pop() {
+	r := u.head
+	u.head, r.next = r.next, nil
+	if u.head == nil {
+		u.tail = nil
 	}
 }
 
@@ -449,8 +492,9 @@ func reqKey(sess uint16, uch uint16, seq uint32) uint64 {
 // 2-byte length prefixes.
 const txnFraming = 8 + 1 + 4*2
 
-func (d *Driver) encodeOp(o op) []byte {
-	pay := putU64(nil, o.flow)
+// encodeOp encodes o's request body into b.
+func encodeOp(b []byte, o *op) []byte {
+	pay := putU64(b, o.flow)
 	switch o.kind {
 	case kindGet:
 		pay = putStr(pay, o.key)
@@ -548,8 +592,8 @@ func (d *Driver) onAuthOK(p *sim.Proc, ev nic.Event, sess uint16) {
 	}
 	c.state = connUp
 	// Users whose head-of-line op waited on this shard can go now.
-	for _, u := range d.users {
-		if !u.busy && len(u.queue) > 0 {
+	for i := range d.users {
+		if u := &d.users[i]; !u.busy && u.head != nil {
 			d.issueNext(p, u)
 		}
 	}
@@ -582,7 +626,7 @@ func (d *Driver) onReply(p *sim.Proc, sess, uch uint16, seq uint32, r *reader) {
 			if ver >= d.invVer[o.key] {
 				d.cacheStore(o.key, val, ver)
 			}
-		} else if req.u.lastSeen[o.key] > 0 {
+		} else if d.seen[seenKey{req.u.idx, o.key}] > 0 {
 			// The user has seen this key; NotFound un-happens a write.
 			d.stats.Violations++
 			d.rt.Flag(o.flow)
@@ -610,23 +654,22 @@ func (d *Driver) onReply(p *sim.Proc, sess, uch uint16, seq uint32, r *reader) {
 	d.issueNext(p, req.u)
 }
 
+// cacheStore installs a copy of val as key's cached version ver.
 func (d *Driver) cacheStore(key string, val []byte, ver uint64) {
-	if e, ok := d.cache[key]; ok {
-		if ver <= e.ver {
-			return
-		}
-		e.val = append(e.val[:0], val...)
-		e.ver = ver
+	e, ok := d.cache[key]
+	if ok && !e.stale && ver <= e.ver {
 		return
 	}
-	d.cache[key] = &cacheEntry{val: append([]byte(nil), val...), ver: ver}
+	e.val = append(e.val[:0], val...)
+	e.ver, e.stale = ver, false
+	d.cache[key] = e
 }
 
 // checkRead enforces per-user monotonic reads / read-your-writes: a
 // read must never return an older version than the user has observed.
 // A breach flags the flow so its trace is force-retained.
 func (d *Driver) checkRead(u *user, key string, ver uint64, flow uint64) {
-	if ver < u.lastSeen[key] {
+	if ver < d.seen[seenKey{u.idx, key}] {
 		d.stats.Violations++
 		d.rt.Flag(flow)
 	}
@@ -634,24 +677,26 @@ func (d *Driver) checkRead(u *user, key string, ver uint64, flow uint64) {
 }
 
 func (d *Driver) noteSeen(u *user, key string, ver uint64) {
-	if ver > u.lastSeen[key] {
-		u.lastSeen[key] = ver
+	if k := (seenKey{u.idx, key}); ver > d.seen[k] {
+		d.seen[k] = ver
 	}
 }
 
 // onInv applies a server invalidation and always acks it — the ack is
 // what releases the writer's reply on the owning shard.
 func (d *Driver) onInv(p *sim.Proc, ev nic.Event, sess uint16, invID uint32, r *reader) {
-	key := r.str()
+	kb := r.bytes()
 	ver := r.u64()
 	if !r.ok {
 		return
 	}
+	key := d.names.intern(kb)
 	if ver > d.invVer[key] {
 		d.invVer[key] = ver
 	}
-	if e, ok := d.cache[key]; ok && e.ver < ver {
-		delete(d.cache, key)
+	if e, ok := d.cache[key]; ok && !e.stale && e.ver < ver {
+		e.stale = true
+		d.cache[key] = e
 		d.stats.InvsApplied++
 	}
 	c := d.connFor(ev)
@@ -679,6 +724,7 @@ func (d *Driver) runTimers(p *sim.Proc) {
 	live := d.pendList[:0]
 	for _, r := range d.pendList {
 		if r.done {
+			d.reqFree.Put(r)
 			continue
 		}
 		if now >= r.nextAt {

@@ -13,7 +13,11 @@ import (
 // loop blocks in port.WaitRecvTimeout; nothing else receives on the
 // port): a pool of reusable send buffers (a buffer is busy until its
 // send completion drains — the NIC may still DMA or retransmit from
-// it), and batched return of consumed receive pool buffers.
+// it), batched return of consumed receive pool buffers, and the two
+// host buffers every message passes through — one outgoing frame is
+// encoded into out, one received body is read into body. Neither is
+// ever handed out for keeps: a frame lives until the next frame call,
+// a body until the next read.
 type endpoint struct {
 	port    *bcl.Port
 	bufSize int
@@ -21,6 +25,9 @@ type endpoint struct {
 	bufs     sim.FreeList[mem.VAddr]
 	inflight map[uint64]mem.VAddr // send msgID -> busy buffer
 	returns  []bcl.SystemBuf      // consumed pool buffers awaiting return
+
+	out  []byte // the frame being encoded (cap bufSize: a frame never outgrows it)
+	body []byte // the last body read (bufSize long, the pool buffers' size)
 
 	sendsFailed uint64
 }
@@ -32,6 +39,9 @@ func newEndpoint(p *sim.Proc, port *bcl.Port, sendBufs, bufSize int) *endpoint {
 		port:     port,
 		bufSize:  bufSize,
 		inflight: make(map[uint64]mem.VAddr),
+		returns:  make([]bcl.SystemBuf, 0, returnBatch),
+		out:      make([]byte, 0, bufSize),
+		body:     make([]byte, bufSize),
 	}
 	sp := port.Process().Space
 	for i := 0; i < sendBufs; i++ {
@@ -72,6 +82,10 @@ func (e *endpoint) getBuf(p *sim.Proc) mem.VAddr {
 	return va
 }
 
+// frame returns the endpoint's encode buffer, emptied. The frame built
+// in it is valid until the next call: send it, or copy what is kept.
+func (e *endpoint) frame() []byte { return e.out[:0] }
+
 // send frames and transmits one service message: the header rides the
 // tag, the payload is copied into a pool-owned send buffer. A payload
 // longer than a buffer is refused: the peer's pool buffers are the same
@@ -99,13 +113,17 @@ func (e *endpoint) send(p *sim.Proc, dst bcl.Addr, kind uint8, sess, uch uint16,
 	return nil
 }
 
-// read copies a received message's payload out of the pool buffer and
-// schedules the buffer's return to the NIC (batched: one kernel trap
-// per returnBatch buffers).
+// read copies a received message's payload out of the pool buffer into
+// the endpoint's body buffer and schedules the pool buffer's return to
+// the NIC (batched: one kernel trap per returnBatch buffers). The body
+// is valid until the next read: a handler copies what it keeps.
 func (e *endpoint) read(p *sim.Proc, ev nic.Event) []byte {
-	var body []byte
-	if ev.Len > 0 {
-		body, _ = e.port.Process().Space.Read(ev.VA, ev.Len)
+	if ev.Len > len(e.body) { // a port whose pool buffers outsize bufSize
+		e.body = make([]byte, ev.Len)
+	}
+	body := e.body[:ev.Len]
+	if e.port.Process().Space.ReadInto(ev.VA, body) != nil {
+		body = nil
 	}
 	e.returns = append(e.returns, bcl.SystemBuf{VA: ev.VA, Len: e.bufSize})
 	if len(e.returns) >= returnBatch {
@@ -118,7 +136,16 @@ func (e *endpoint) flushReturns(p *sim.Proc) {
 	if len(e.returns) == 0 {
 		return
 	}
-	bufs := e.returns
-	e.returns = nil
-	_ = e.port.ReturnSystemBuffers(p, bufs)
+	_ = e.port.ReturnSystemBuffers(p, e.returns)
+	e.returns = e.returns[:0]
+}
+
+// take returns a record off a free list, or a new one when the list is
+// empty. The caller sets every field; buffers it finds there keep their
+// capacity for reuse.
+func take[T any](l *sim.FreeList[*T]) *T {
+	if v, ok := l.Get(); ok {
+		return v
+	}
+	return new(T)
 }

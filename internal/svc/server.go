@@ -33,8 +33,9 @@ type Server struct {
 	tr   *trace.Tracer
 	rt   *reqtrace.Recorder
 
-	store map[string]*entry
+	store map[string]entry
 	locks map[string]uint64 // key -> txid holding a prepare lock
+	names names             // every key a kept record names
 
 	sessions   map[uint16]*session
 	helloIndex map[helloKey]uint16
@@ -45,6 +46,15 @@ type Server struct {
 	invs    []*invState
 	invByID map[uint32]*invState
 	nextInv uint32
+
+	// Retired records, reused: a record goes back once nothing can
+	// reach it (a group when it fires, the others when runTimers drops
+	// them from their table).
+	invFree   sim.FreeList[*invState]
+	groupFree sim.FreeList[*invGroup]
+	coordFree sim.FreeList[*cTxn]
+	partFree  sim.FreeList[*cPart]
+	stageFree sim.FreeList[*pTxn]
 
 	coord     map[uint64]*cTxn
 	coordList []*cTxn
@@ -110,25 +120,40 @@ const (
 type session struct {
 	id        uint16
 	client    bcl.Addr
+	nonce     uint64 // with client, the session's helloIndex key
 	user      string
 	state     uint8
 	challenge uint64
-	lastReply map[uint16]*replyCache // per user channel
-	inProg    map[uint16]uint32      // user channel -> seq being executed
+	lastReply map[uint16]replyCache // per user channel
+	inProg    map[uint16]uint32     // user channel -> seq being executed
 }
 
+// replyCache is a user channel's last reply, kept as its fields: only a
+// get's value is copied, into the buffer the channel's previous reply
+// left.
 type replyCache struct {
-	seq     uint32
-	payload []byte
+	seq    uint32
+	flow   uint64
+	status byte
+	ver    uint64
+	val    []byte
 }
 
-// invGroup gathers the invalidations one write fanned out; fire runs
-// when the last ack lands (the write's reply is withheld until then,
-// which is what makes the cache tier coherent: an acknowledged write
-// means no client cache still serves an older version).
+// invGroup gathers the invalidations one write fanned out; fire sends
+// the write's answer when the last ack lands (it is withheld until
+// then, which is what makes the cache tier coherent: an acknowledged
+// write means no client cache still serves an older version). The
+// answer is a put's reply to se, or a committed transaction's ack to
+// its coordinator.
 type invGroup struct {
 	waiting int
-	fire    func(p *sim.Proc)
+	flow    uint64
+	se      *session // put: the writer, answered on (uch, seq)
+	uch     uint16
+	seq     uint32
+	ver     uint64
+	coord   bcl.Addr // commit (se nil): the coordinator to ack
+	txid    uint64
 }
 
 type invState struct {
@@ -146,6 +171,31 @@ type invState struct {
 type txOp struct {
 	key string
 	val []byte
+}
+
+// writeSet reads a write set's op count and walks that many (key,
+// value) pairs, so r.ok says whether the set is whole; ops is a reader
+// at the first pair, to read the set again.
+func writeSet(r *reader) (nops int, ops reader) {
+	nops = int(r.byte())
+	ops = *r
+	for i := 0; i < nops && r.ok; i++ {
+		r.bytes()
+		r.bytes()
+	}
+	return nops, ops
+}
+
+// keepOp appends (key, a copy of val) to ops, reusing the value buffer
+// a retired op left in that slot.
+func keepOp(ops []txOp, key string, val []byte) []txOp {
+	n := len(ops)
+	if n == cap(ops) {
+		ops = append(ops, txOp{})
+	}
+	ops = ops[:n+1]
+	ops[n].key, ops[n].val = key, append(ops[n].val[:0], val...)
+	return ops
 }
 
 // cTxn is coordinator-side transaction state (presumed abort: it is
@@ -168,21 +218,23 @@ type cTxn struct {
 type cPart struct {
 	shard   int
 	addr    bcl.Addr
-	ops     []txOp
 	voted   bool
 	vote    bool
 	acked   bool
-	payload []byte // prebuilt PREPARE body for retransmission
+	payload []byte // the PREPARE body, kept for retransmission
 }
 
+// prepareCount is the offset of the op count in a PREPARE body, after
+// the txid and the flow id.
+const prepareCount = 16
+
 // pTxn is participant-side staged state between PREPARE and the
-// decision.
+// decision; only a YES voter stages one.
 type pTxn struct {
 	txid      uint64
 	coord     bcl.Addr
 	flow      uint64
 	ops       []txOp
-	vote      bool
 	inquireAt sim.Time
 	rto       sim.Time
 	done      bool
@@ -208,8 +260,9 @@ func NewServer(p *sim.Proc, port *bcl.Port, bufSize int, cfg ServerConfig) *Serv
 		row:        fmt.Sprintf("host%d", port.Addr().Node),
 		tr:         port.Tracer(),
 		rt:         cfg.ReqObs,
-		store:      make(map[string]*entry),
+		store:      make(map[string]entry),
 		locks:      make(map[string]uint64),
+		names:      make(names),
 		sessions:   make(map[uint16]*session),
 		helloIndex: make(map[helloKey]uint16),
 		interest:   make(map[string][]uint16),
@@ -347,7 +400,7 @@ func (s *Server) handle(p *sim.Proc, ev nic.Event) {
 // ------------------------------------------------------ session + auth
 
 func (s *Server) onHello(p *sim.Proc, src bcl.Addr, r *reader) {
-	user := r.str()
+	user := r.bytes()
 	nonce := r.u64()
 	if !r.ok {
 		s.stats.dropped++
@@ -360,15 +413,15 @@ func (s *Server) onHello(p *sim.Proc, src bcl.Addr, r *reader) {
 		id = s.nextSess
 		s.helloIndex[hk] = id
 		s.sessions[id] = &session{
-			id: id, client: src, user: user, state: sessChallenged,
-			challenge: s.rand(),
-			lastReply: make(map[uint16]*replyCache),
+			id: id, client: src, nonce: nonce, user: string(user),
+			state: sessChallenged, challenge: s.rand(),
+			lastReply: make(map[uint16]replyCache),
 			inProg:    make(map[uint16]uint32),
 		}
 	}
 	se := s.sessions[id]
 	// (Re)send the challenge — a duplicated HELLO gets the same one.
-	s.sendTo(p, src, kindChall, id, 0, 0, putU64(nil, se.challenge))
+	s.sendTo(p, src, kindChall, id, 0, 0, putU64(s.ep.frame(), se.challenge))
 }
 
 func (s *Server) onAuth(p *sim.Proc, src bcl.Addr, sessID uint16, r *reader) {
@@ -385,7 +438,10 @@ func (s *Server) onAuth(p *sim.Proc, src bcl.Addr, sessID uint16, r *reader) {
 	}
 	if authResponse(se.challenge, userSecret(se.user, s.cfg.AuthSeed)) != resp {
 		s.stats.authFail++
+		// Forget the session whole: a later HELLO with the same nonce
+		// opens a fresh one, as a first HELLO would.
 		delete(s.sessions, sessID)
+		delete(s.helloIndex, helloKey{client: se.client, nonce: se.nonce})
 		s.sendTo(p, src, kindAuthFail, sessID, 0, 0, nil)
 		return
 	}
@@ -408,9 +464,9 @@ func (s *Server) established(sessID uint16) *session {
 // reply is replayed) or is still executing (the in-flight state
 // machine will answer it).
 func (s *Server) dedup(p *sim.Proc, se *session, uch uint16, seq uint32) bool {
-	if rc := se.lastReply[uch]; rc != nil && rc.seq == seq {
+	if rc, ok := se.lastReply[uch]; ok && rc.seq == seq {
 		s.stats.dedupReplays++
-		s.sendTo(p, se.client, kindReply, se.id, uch, seq, rc.payload)
+		s.sendTo(p, se.client, kindReply, se.id, uch, seq, replyFrame(s.ep.frame(), rc.flow, rc.status, rc.ver, rc.val))
 		return true
 	}
 	if cur, busy := se.inProg[uch]; busy && cur == seq {
@@ -421,11 +477,22 @@ func (s *Server) dedup(p *sim.Proc, se *session, uch uint16, seq uint32) bool {
 
 // reply records the outcome for the (session, user channel) and sends
 // it; retransmitted requests replay it from the record.
-func (s *Server) reply(p *sim.Proc, se *session, uch uint16, seq uint32, payload []byte) {
-	se.lastReply[uch] = &replyCache{seq: seq, payload: payload}
+func (s *Server) reply(p *sim.Proc, se *session, uch uint16, seq uint32, flow uint64, status byte, ver uint64, val []byte) {
+	rc := se.lastReply[uch]
+	rc.seq, rc.flow, rc.status, rc.ver = seq, flow, status, ver
+	rc.val = append(rc.val[:0], val...)
+	se.lastReply[uch] = rc
 	delete(se.inProg, uch)
 	s.stats.replies++
-	s.sendTo(p, se.client, kindReply, se.id, uch, seq, payload)
+	s.sendTo(p, se.client, kindReply, se.id, uch, seq, replyFrame(s.ep.frame(), flow, status, ver, val))
+}
+
+// replyFrame encodes a request's outcome into b.
+func replyFrame(b []byte, flow uint64, status byte, ver uint64, val []byte) []byte {
+	b = putU64(b, flow)
+	b = append(b, status)
+	b = putU64(b, ver)
+	return putBytes(b, val)
 }
 
 // ------------------------------------------------------------ KV plane
@@ -439,26 +506,20 @@ func (s *Server) onGet(p *sim.Proc, sessID, uch uint16, seq uint32, r *reader) {
 		return
 	}
 	flow := r.u64()
-	key := r.str()
+	key := r.bytes()
 	if !r.ok {
 		s.stats.dropped++
 		return
 	}
 	s.stats.reqGet++
-	pay := putU64(nil, flow)
-	if e, ok := s.store[key]; ok {
+	status, ver, val := byte(StatusNotFound), uint64(0), []byte(nil)
+	if e, ok := s.store[string(key)]; ok {
 		s.trace(p, flow, "svc: get serve")
 		// The reply is a cache fill: remember who holds a copy.
-		s.addInterest(key, se.id)
-		pay = append(pay, StatusOK)
-		pay = putU64(pay, e.ver)
-		pay = putBytes(pay, e.val)
-	} else {
-		pay = append(pay, StatusNotFound)
-		pay = putU64(pay, 0)
-		pay = putBytes(pay, nil)
+		s.addInterest(s.names.intern(key), se.id)
+		status, ver, val = StatusOK, e.ver, e.val
 	}
-	s.reply(p, se, uch, seq, pay)
+	s.reply(p, se, uch, seq, flow, status, ver, val)
 }
 
 func (s *Server) onPut(p *sim.Proc, sessID, uch uint16, seq uint32, r *reader) {
@@ -470,52 +531,61 @@ func (s *Server) onPut(p *sim.Proc, sessID, uch uint16, seq uint32, r *reader) {
 		return
 	}
 	flow := r.u64()
-	key := r.str()
+	kb := r.bytes()
 	val := r.bytes()
 	if !r.ok {
 		s.stats.dropped++
 		return
 	}
 	s.stats.reqPut++
-	if _, locked := s.locks[key]; locked {
+	if _, locked := s.locks[string(kb)]; locked {
 		// A prepared transaction owns the key; the client retries.
 		s.stats.putConflicts++
-		pay := putU64(nil, flow)
-		pay = append(pay, StatusConflict)
-		pay = putU64(pay, 0)
-		pay = putBytes(pay, nil)
-		s.reply(p, se, uch, seq, pay)
+		s.reply(p, se, uch, seq, flow, StatusConflict, 0, nil)
 		return
 	}
+	key := s.names.intern(kb)
 	s.trace(p, flow, "svc: put apply")
 	ver := s.apply(key, val)
-	// Build the reply now, send it once every invalidation is acked.
-	pay := putU64(nil, flow)
-	pay = append(pay, StatusOK)
-	pay = putU64(pay, ver)
-	pay = putBytes(pay, nil)
+	// The reply goes once every invalidation is acked.
 	se.inProg[uch] = seq
-	g := &invGroup{fire: func(p *sim.Proc) {
-		s.trace(p, flow, "svc: put reply")
-		s.reply(p, se, uch, seq, pay)
-	}}
+	g := take(&s.groupFree)
+	*g = invGroup{flow: flow, se: se, uch: uch, seq: seq, ver: ver}
 	s.invalidate(p, key, ver, se.id, g)
 	// The writer's own cache now holds the new value.
 	s.addInterest(key, se.id)
 	if g.waiting == 0 {
-		g.fire(p)
+		s.fire(p, g)
 	}
 }
 
-// apply writes a key and bumps its version.
-func (s *Server) apply(key string, val []byte) uint64 {
-	e, ok := s.store[key]
-	if !ok {
-		e = &entry{}
-		s.store[key] = e
+// fire sends a write's withheld answer and retires its group.
+func (s *Server) fire(p *sim.Proc, g *invGroup) {
+	if g.se != nil {
+		s.trace(p, g.flow, "svc: put reply")
+		s.reply(p, g.se, g.uch, g.seq, g.flow, StatusOK, g.ver, nil)
+	} else {
+		s.trace(p, g.flow, "svc: txn ack")
+		s.ackTxn(p, g.coord, g.txid)
 	}
+	s.groupFree.Put(g)
+}
+
+// settle counts one of g's invalidations as done; the last fires g.
+func (s *Server) settle(p *sim.Proc, g *invGroup) {
+	g.waiting--
+	if g.waiting == 0 {
+		s.fire(p, g)
+	}
+}
+
+// apply writes a copy of val under key (kept, so interned) and bumps
+// its version.
+func (s *Server) apply(key string, val []byte) uint64 {
+	e := s.store[key]
 	e.val = append(e.val[:0], val...)
 	e.ver++
+	s.store[key] = e
 	return e.ver
 }
 
@@ -537,7 +607,9 @@ func (s *Server) invalidate(p *sim.Proc, key string, ver uint64, writer uint16, 
 	if len(holders) == 0 {
 		return
 	}
-	delete(s.interest, key)
+	// Emptied, not deleted: the set keeps its capacity. Nothing adds to
+	// it before the loop below is done.
+	s.interest[key] = holders[:0]
 	for _, id := range holders {
 		if id == writer {
 			continue
@@ -547,7 +619,8 @@ func (s *Server) invalidate(p *sim.Proc, key string, ver uint64, writer uint16, 
 			continue
 		}
 		s.nextInv++
-		iv := &invState{
+		iv := take(&s.invFree)
+		*iv = invState{
 			id: s.nextInv, key: key, ver: ver, sess: id, client: se.client,
 			group: g, nextAt: p.Now() + s.cfg.RTO, rto: s.cfg.RTO,
 		}
@@ -560,7 +633,7 @@ func (s *Server) invalidate(p *sim.Proc, key string, ver uint64, writer uint16, 
 }
 
 func (s *Server) sendInv(p *sim.Proc, iv *invState) {
-	pay := putStr(nil, iv.key)
+	pay := putStr(s.ep.frame(), iv.key)
 	pay = putU64(pay, iv.ver)
 	s.sendTo(p, iv.client, kindInv, iv.sess, 0, iv.id, pay)
 }
@@ -573,11 +646,7 @@ func (s *Server) onInvAck(p *sim.Proc, invID uint32) {
 	iv.done = true
 	delete(s.invByID, invID)
 	s.stats.invAcks++
-	g := iv.group
-	g.waiting--
-	if g.waiting == 0 && g.fire != nil {
-		g.fire(p)
-	}
+	s.settle(p, iv.group)
 }
 
 // ---------------------------------------------------- 2PC: coordinator
@@ -591,47 +660,45 @@ func (s *Server) onTxn(p *sim.Proc, sessID, uch uint16, seq uint32, r *reader) {
 		return
 	}
 	flow := r.u64()
-	nops := int(r.byte())
-	var ops []txOp
-	for i := 0; i < nops && r.ok; i++ {
-		key := r.str()
-		val := r.bytes()
-		ops = append(ops, txOp{key: key, val: append([]byte(nil), val...)})
-	}
-	if !r.ok || len(ops) == 0 {
+	nops, ops := writeSet(r)
+	if !r.ok || nops == 0 {
 		s.stats.dropped++
 		return
 	}
 	s.stats.reqTxn++
 	s.trace(p, flow, "svc: txn begin (coordinator)")
 	s.nextTxn++
-	t := &cTxn{
+	t := take(&s.coordFree)
+	*t = cTxn{
 		txid: uint64(s.cfg.Index)<<48 | s.nextTxn,
 		sess: sessID, uch: uch, seq: seq, flow: flow,
+		parts:  t.parts[:0],
 		nextAt: p.Now() + s.cfg.RTO, rto: s.cfg.RTO,
 	}
-	// Partition the write set by shard, in shard order so the fan-out
-	// is deterministic.
-	byShard := make(map[int]*cPart)
-	for _, op := range ops {
-		sh := s.cfg.Ring.Shard(op.key)
-		cp, ok := byShard[sh]
-		if !ok {
-			cp = &cPart{shard: sh, addr: s.cfg.Shards[sh]}
-			byShard[sh] = cp
+	// Partition the write set by shard, parts in the order their shards
+	// first appear so the fan-out is deterministic; each op goes
+	// straight into its part's PREPARE body.
+	for i := 0; i < nops; i++ {
+		key := ops.bytes()
+		val := ops.bytes()
+		sh := s.cfg.Ring.Shard(s.names.intern(key))
+		var cp *cPart
+		for _, q := range t.parts {
+			if q.shard == sh {
+				cp = q
+				break
+			}
+		}
+		if cp == nil {
+			cp = take(&s.partFree)
+			pay := putU64(cp.payload[:0], t.txid)
+			pay = putU64(pay, t.flow)
+			*cp = cPart{shard: sh, addr: s.cfg.Shards[sh], payload: append(pay, 0)}
 			t.parts = append(t.parts, cp)
 		}
-		cp.ops = append(cp.ops, op)
-	}
-	for _, cp := range t.parts {
-		pay := putU64(nil, t.txid)
-		pay = putU64(pay, t.flow)
-		pay = append(pay, byte(len(cp.ops)))
-		for _, op := range cp.ops {
-			pay = putStr(pay, op.key)
-			pay = putBytes(pay, op.val)
-		}
-		cp.payload = pay
+		cp.payload = putBytes(cp.payload, key)
+		cp.payload = putBytes(cp.payload, val)
+		cp.payload[prepareCount]++
 	}
 	se.inProg[uch] = seq
 	s.coord[t.txid] = t
@@ -676,17 +743,13 @@ func (s *Server) decideAbort(p *sim.Proc, t *cTxn) {
 	s.trace(p, t.flow, "svc: txn abort (coordinator)")
 	s.stats.txnAborted++
 	for _, cp := range t.parts {
-		pay := putU64(nil, t.txid)
+		pay := putU64(s.ep.frame(), t.txid)
 		pay = putU64(pay, t.flow)
 		s.sendTo(p, cp.addr, kindAbort, 0, 0, 0, pay)
 	}
 	delete(s.coord, t.txid)
 	if se, ok := s.sessions[t.sess]; ok {
-		pay := putU64(nil, t.flow)
-		pay = append(pay, StatusAborted)
-		pay = putU64(pay, 0)
-		pay = putBytes(pay, nil)
-		s.reply(p, se, t.uch, t.seq, pay)
+		s.reply(p, se, t.uch, t.seq, t.flow, StatusAborted, 0, nil)
 	}
 }
 
@@ -702,7 +765,7 @@ func (s *Server) decideCommit(p *sim.Proc, t *cTxn) {
 }
 
 func (s *Server) sendCommit(p *sim.Proc, t *cTxn, cp *cPart) {
-	pay := putU64(nil, t.txid)
+	pay := putU64(s.ep.frame(), t.txid)
 	pay = putU64(pay, t.flow)
 	s.sendTo(p, cp.addr, kindCommit, 0, 0, 0, pay)
 }
@@ -729,11 +792,7 @@ func (s *Server) onTxnAck(p *sim.Proc, src bcl.Addr, r *reader) {
 	s.stats.txnCommitted++
 	s.trace(p, t.flow, "svc: txn committed (all acks)")
 	if se, ok := s.sessions[t.sess]; ok {
-		pay := putU64(nil, t.flow)
-		pay = append(pay, StatusOK)
-		pay = putU64(pay, 0)
-		pay = putBytes(pay, nil)
-		s.reply(p, se, t.uch, t.seq, pay)
+		s.reply(p, se, t.uch, t.seq, t.flow, StatusOK, 0, nil)
 	}
 }
 
@@ -760,7 +819,7 @@ func (s *Server) onInquire(p *sim.Proc, src bcl.Addr, r *reader) {
 		return
 	}
 	// Unknown transaction: by presumption, it aborted.
-	pay := putU64(nil, txid)
+	pay := putU64(s.ep.frame(), txid)
 	pay = putU64(pay, 0)
 	s.sendTo(p, src, kindAbort, 0, 0, 0, pay)
 }
@@ -770,59 +829,51 @@ func (s *Server) onInquire(p *sim.Proc, src bcl.Addr, r *reader) {
 func (s *Server) onPrepare(p *sim.Proc, src bcl.Addr, r *reader) {
 	txid := r.u64()
 	flow := r.u64()
-	nops := int(r.byte())
-	var ops []txOp
-	for i := 0; i < nops && r.ok; i++ {
-		key := r.str()
-		val := r.bytes()
-		ops = append(ops, txOp{key: key, val: append([]byte(nil), val...)})
-	}
+	nops, ops := writeSet(r)
 	if !r.ok {
 		s.stats.dropped++
 		return
 	}
 	if _, done := s.applied[txid]; done {
 		// Already committed here: the duplicate PREPARE crossed our ack.
-		s.voteYes(p, src, txid)
+		s.sendVote(p, src, txid, true)
 		return
 	}
-	if st, ok := s.staged[txid]; ok {
-		// Duplicate PREPARE: re-send the recorded vote.
-		s.sendVote(p, src, txid, st.vote)
+	if _, ok := s.staged[txid]; ok {
+		// Duplicate PREPARE: re-send the recorded (YES) vote.
+		s.sendVote(p, src, txid, true)
 		return
 	}
 	// Fresh PREPARE: lockable iff no other transaction holds any key.
-	vote := true
-	for _, op := range ops {
-		if holder, locked := s.locks[op.key]; locked && holder != txid {
-			vote = false
-			break
+	scan := ops
+	for i := 0; i < nops; i++ {
+		key := scan.bytes()
+		scan.bytes()
+		if holder, locked := s.locks[string(key)]; locked && holder != txid {
+			s.stats.votesNo++
+			s.trace(p, flow, "svc: vote NO (lock conflict)")
+			s.sendVote(p, src, txid, false)
+			return
 		}
 	}
-	st := &pTxn{
-		txid: txid, coord: src, flow: flow, ops: ops, vote: vote,
+	st := take(&s.stageFree)
+	*st = pTxn{
+		txid: txid, coord: src, flow: flow, ops: st.ops[:0],
 		inquireAt: p.Now() + 4*s.cfg.RTO, rto: s.cfg.RTO,
 	}
-	if vote {
-		for _, op := range ops {
-			s.locks[op.key] = txid
-		}
-		s.staged[txid] = st
-		s.stagedList = append(s.stagedList, st)
-		s.trace(p, flow, "svc: prepared (participant)")
-	} else {
-		s.stats.votesNo++
-		s.trace(p, flow, "svc: vote NO (lock conflict)")
+	for i := 0; i < nops; i++ {
+		key := s.names.intern(ops.bytes())
+		st.ops = keepOp(st.ops, key, ops.bytes())
+		s.locks[key] = txid
 	}
-	s.sendVote(p, src, txid, vote)
-}
-
-func (s *Server) voteYes(p *sim.Proc, coord bcl.Addr, txid uint64) {
-	s.sendVote(p, coord, txid, true)
+	s.staged[txid] = st
+	s.stagedList = append(s.stagedList, st)
+	s.trace(p, flow, "svc: prepared (participant)")
+	s.sendVote(p, src, txid, true)
 }
 
 func (s *Server) sendVote(p *sim.Proc, coord bcl.Addr, txid uint64, yes bool) {
-	pay := putU64(nil, txid)
+	pay := putU64(s.ep.frame(), txid)
 	b := byte(0)
 	if yes {
 		b = 1
@@ -852,17 +903,15 @@ func (s *Server) onCommit(p *sim.Proc, src bcl.Addr, r *reader) {
 	// Apply every op, release the locks, fan out invalidations; the
 	// ack is withheld until the caches are clean, so a committed
 	// transaction is never visible as stale data anywhere.
-	g := &invGroup{fire: func(p *sim.Proc) {
-		s.trace(p, flow, "svc: txn ack")
-		s.ackTxn(p, src, txid)
-	}}
+	g := take(&s.groupFree)
+	*g = invGroup{flow: flow, coord: src, txid: txid}
 	for _, op := range st.ops {
 		delete(s.locks, op.key)
 		ver := s.apply(op.key, op.val)
 		s.invalidate(p, op.key, ver, 0, g)
 	}
 	if g.waiting == 0 {
-		g.fire(p)
+		s.fire(p, g)
 	}
 }
 
@@ -883,7 +932,7 @@ func (s *Server) onAbort(p *sim.Proc, r *reader) {
 }
 
 func (s *Server) ackTxn(p *sim.Proc, coord bcl.Addr, txid uint64) {
-	s.sendTo(p, coord, kindTxnAck, 0, 0, 0, putU64(nil, txid))
+	s.sendTo(p, coord, kindTxnAck, 0, 0, 0, putU64(s.ep.frame(), txid))
 }
 
 func (s *Server) rememberApplied(txid uint64) {
@@ -897,26 +946,24 @@ func (s *Server) rememberApplied(txid uint64) {
 
 // runTimers drives every retransmission and the participant inquiry
 // deadline. Tables are scanned in insertion order; finished entries
-// are compacted away.
+// are compacted away, and their records go back on the free lists.
 func (s *Server) runTimers(p *sim.Proc) {
 	now := p.Now()
 
 	live := s.invs[:0]
 	for _, iv := range s.invs {
 		if iv.done {
+			s.invFree.Put(iv)
 			continue
 		}
 		if now >= iv.nextAt {
-			// The session may have died; fire the group rather than
+			// The session may have died; settle the group rather than
 			// retry into the void.
 			if _, ok := s.sessions[iv.sess]; !ok {
 				iv.done = true
 				delete(s.invByID, iv.id)
-				g := iv.group
-				g.waiting--
-				if g.waiting == 0 && g.fire != nil {
-					g.fire(p)
-				}
+				s.settle(p, iv.group)
+				s.invFree.Put(iv)
 				continue
 			}
 			s.stats.invRetrans++
@@ -931,6 +978,10 @@ func (s *Server) runTimers(p *sim.Proc) {
 	liveC := s.coordList[:0]
 	for _, t := range s.coordList {
 		if t.done {
+			for _, cp := range t.parts {
+				s.partFree.Put(cp)
+			}
+			s.coordFree.Put(t)
 			continue
 		}
 		if now >= t.nextAt {
@@ -958,10 +1009,11 @@ func (s *Server) runTimers(p *sim.Proc) {
 	liveS := s.stagedList[:0]
 	for _, st := range s.stagedList {
 		if st.done {
+			s.stageFree.Put(st)
 			continue
 		}
 		if now >= st.inquireAt {
-			s.sendTo(p, st.coord, kindInquire, 0, 0, 0, putU64(nil, st.txid))
+			s.sendTo(p, st.coord, kindInquire, 0, 0, 0, putU64(s.ep.frame(), st.txid))
 			st.rto = backoff(st.rto, s.cfg.RTO)
 			st.inquireAt = now + st.rto
 		}

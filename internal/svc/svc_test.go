@@ -25,11 +25,13 @@ type fixedSize int
 func (s fixedSize) Next() int { return int(s) }
 
 // tier is a running service deployment: `shards` server nodes followed
-// by one driver node.
+// by one driver node, which addDriver can give more drivers.
 type tier struct {
 	c       *cluster.Cluster
+	sys     *bcl.System
 	servers []*Server
 	driver  *Driver
+	others  []*Driver // added by addDriver
 	ring    *Ring
 }
 
@@ -42,7 +44,7 @@ func buildTier(t *testing.T, ccfg cluster.Config, shards int, dcfg DriverConfig)
 	ccfg.NIC = bcl.DefaultNICConfig()
 	c := cluster.New(ccfg)
 	sys := bcl.NewSystem(c)
-	tr := &tier{c: c, ring: NewRing(shards, 64)}
+	tr := &tier{c: c, sys: sys, ring: NewRing(shards, 64)}
 
 	done := false
 	c.Env.Go("setup", func(p *sim.Proc) {
@@ -88,6 +90,34 @@ func buildTier(t *testing.T, ccfg cluster.Config, shards int, dcfg DriverConfig)
 		t.Fatal("setup did not finish")
 	}
 	return tr
+}
+
+// addDriver opens one more driver port on the driver node, wired to the
+// same shards, and starts its loop. A second driver holds sessions of
+// its own, so writes invalidate the first one's cache and vice versa.
+func (tr *tier) addDriver(t *testing.T, dcfg DriverConfig) *Driver {
+	t.Helper()
+	var d *Driver
+	tr.c.Env.Go("setup-driver", func(p *sim.Proc) {
+		nd := tr.c.Nodes[len(tr.servers)]
+		pt, err := tr.sys.Open(p, nd, nd.Kernel.Spawn(), bcl.Options{SystemBuffers: 128, SystemBufSize: tbBufSize})
+		if err != nil {
+			t.Errorf("open driver: %v", err)
+			return
+		}
+		for _, s := range tr.servers {
+			dcfg.Shards = append(dcfg.Shards, s.Addr())
+		}
+		dcfg.Ring, dcfg.AuthSeed = tr.ring, 0xa0a0
+		d = NewDriver(p, pt, tbBufSize, dcfg)
+		tr.c.Env.Go("driver", d.Run)
+	})
+	tr.c.Env.RunUntil(tr.c.Env.Now() + 10*sim.Millisecond)
+	if d == nil {
+		t.Fatal("driver setup did not finish")
+	}
+	tr.others = append(tr.others, d)
+	return d
 }
 
 // runDrained advances the clock until the driver drains, then settles
@@ -149,13 +179,18 @@ func (tr *tier) checkAtomicity(t *testing.T, pa, pb []string) (committedPairs in
 }
 
 // checkCoherence verifies every driver cache entry matches the owning
-// shard's committed version exactly.
+// shard's committed version exactly, bytes included: a cache that kept
+// a message buffer instead of a copy holds another message's bytes.
 func (tr *tier) checkCoherence(t *testing.T) {
 	t.Helper()
-	for key, ver := range tr.driver.CacheSnapshot() {
-		_, want := tr.peek(key)
-		if ver != want {
-			t.Errorf("cache incoherent: %s cached v%d, store v%d", key, ver, want)
+	for _, d := range append([]*Driver{tr.driver}, tr.others...) {
+		for key, ver := range d.CacheSnapshot() {
+			val, want := tr.peek(key)
+			if ver != want {
+				t.Errorf("cache incoherent: %s cached v%d, store v%d", key, ver, want)
+			} else if got := d.cache[key].val; string(got) != string(val) {
+				t.Errorf("cache corrupt: %s v%d holds %d bytes unlike the store's %d", key, ver, len(got), len(val))
+			}
 		}
 	}
 }
@@ -461,5 +496,172 @@ func TestSamplesDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("sample %d differs: %d vs %d", i, a[i], b[i])
 		}
+	}
+}
+
+// TestRequestAllocationBudget: once a tier is warm — every user has
+// touched its state, the free lists hold what the traffic keeps in
+// flight — a request allocates nothing, whatever it is: a get served
+// from the cache or a shard, a put and the invalidations it fans out
+// to the other driver, a cross-shard transaction with its PREPAREs,
+// votes, commits and acks (the coordinator's messages to its own shard
+// take the intra-node path). Before frames and bodies had endpoint
+// buffers and retired records went back on free lists, a request made
+// about 20 objects.
+func TestRequestAllocationBudget(t *testing.T) {
+	ring := NewRing(3, 64)
+	pa, pb := crossShardPairs(ring, 6)
+	dcfg := DriverConfig{
+		Users: 32, Seed: 23, Keys: 24,
+		Arrivals: fixedGap(160 * sim.Microsecond), Sizes: fixedSize(200),
+		GetFrac: 0.5, TxnFrac: 0.2, PairA: pa, PairB: pb,
+		Start: sim.Millisecond, Duration: 10 * sim.Second,
+	}
+	tr := buildTier(t, cluster.Config{}, 3, dcfg)
+	dcfg.Seed, dcfg.UserName = 24, "bob"
+	tr.addDriver(t, dcfg)
+	window := func() { tr.c.Env.RunUntil(tr.c.Env.Now() + 10*sim.Millisecond) }
+	for i := 0; i < 30; i++ {
+		window()
+	}
+	count := func() (done, committed, invs uint64) {
+		for _, d := range append([]*Driver{tr.driver}, tr.others...) {
+			done += d.Stats().Done
+		}
+		for _, s := range tr.servers {
+			c, _, i := s.Stats()
+			committed, invs = committed+c, invs+i
+		}
+		return
+	}
+	done0, committed0, invs0 := count()
+	allocs := testing.AllocsPerRun(50, window)
+	done, committed, invs := count()
+	t.Logf("%.0f objects per window of %.1f requests (%d commits, %d invalidations in %d requests)",
+		allocs, float64(done-done0)/51, committed-committed0, invs-invs0, done-done0)
+	if allocs != 0 {
+		t.Fatalf("a warm window of %.1f requests allocates %.0f objects, want 0", float64(done-done0)/51, allocs)
+	}
+	if committed == committed0 || invs == invs0 {
+		t.Fatal("the measured windows committed no transaction or sent no invalidation")
+	}
+	tr.checkCoherence(t)
+	tr.checkAtomicity(t, pa, pb)
+}
+
+// TestHelloAfterFailedAuth: a session that fails authentication is
+// forgotten whole, so the same HELLO arriving again (a duplicate that
+// lost the race with the AUTH, or a retry) opens a fresh session with
+// a fresh challenge instead of finding an index entry for a deleted
+// session.
+func TestHelloAfterFailedAuth(t *testing.T) {
+	tr := buildTier(t, cluster.Config{}, 1, DriverConfig{Users: 1, Seed: 3})
+	srv := tr.servers[0]
+	src := tr.driver.ep.port.Addr() // the driver ignores what it did not ask for
+	hello := putU64(putStr(nil, "mallory"), 42)
+	var first, second uint16
+	tr.c.Env.Go("mallory", func(p *sim.Proc) {
+		srv.onHello(p, src, newReader(hello))
+		first = srv.helloIndex[helloKey{client: src, nonce: 42}]
+		wrong := authResponse(srv.sessions[first].challenge, userSecret("mallory", srv.cfg.AuthSeed)) + 1
+		srv.onAuth(p, src, first, newReader(putU64(nil, wrong)))
+		srv.onHello(p, src, newReader(hello))
+		second = srv.helloIndex[helloKey{client: src, nonce: 42}]
+	})
+	tr.c.Env.RunUntil(tr.c.Env.Now() + sim.Millisecond)
+	if srv.stats.authFail != 1 {
+		t.Fatalf("%d failed authentications, want 1", srv.stats.authFail)
+	}
+	if se := srv.sessions[second]; second == first || se == nil || se.state != sessChallenged {
+		t.Fatalf("the HELLO after the failed AUTH got session %d (first was %d), want a fresh challenged one", second, first)
+	}
+}
+
+// TestServerSurvivesAnyMessageOrder feeds one shard seeded random
+// sequences of every message kind, well-formed and truncated, from
+// three sources, over a small space of sessions, user channels,
+// sequence numbers, transaction ids and keys, so that messages meet
+// each other in every order: duplicates, answers before questions,
+// AUTH before HELLO, a HELLO after a failed AUTH. No order may make a
+// server panic.
+func TestServerSurvivesAnyMessageOrder(t *testing.T) {
+	tr := buildTier(t, cluster.Config{}, 2, DriverConfig{Users: 1, Seed: 3})
+	srv := tr.servers[0]
+	srcs := []bcl.Addr{tr.driver.ep.port.Addr(), tr.servers[0].Addr(), tr.servers[1].Addr()}
+	keys := []string{"a", "b", "k00001"}
+	kinds := []uint8{kindHello, kindAuth, kindGet, kindPut, kindTxn, kindInvAck,
+		kindPrepare, kindVote, kindCommit, kindAbort, kindTxnAck, kindInquire}
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := seed
+		pick := func(n int) int {
+			rng = sim.Splitmix64(rng)
+			return int(rng % uint64(n))
+		}
+		tr.c.Env.Go("chaos", func(p *sim.Proc) {
+			for i := 0; i < 400; i++ {
+				src := srcs[pick(len(srcs))]
+				sess, uch, seq := uint16(pick(4)), uint16(pick(3)), uint32(pick(4))
+				txid := uint64(pick(3))
+				var b []byte
+				kind := kinds[pick(len(kinds))]
+				switch kind {
+				case kindHello:
+					b = putU64(putStr(nil, "swarm"), uint64(pick(2)))
+				case kindAuth:
+					resp := uint64(pick(2))
+					if se := srv.sessions[sess]; se != nil && pick(2) == 0 {
+						resp = authResponse(se.challenge, userSecret(se.user, srv.cfg.AuthSeed))
+					}
+					b = putU64(nil, resp)
+				case kindGet:
+					b = putStr(putU64(nil, 0), keys[pick(len(keys))])
+				case kindPut:
+					b = putBytes(putStr(putU64(nil, 0), keys[pick(len(keys))]), []byte("v"))
+				case kindTxn, kindPrepare:
+					if kind == kindPrepare {
+						b = putU64(nil, txid)
+					}
+					b = append(putU64(b, 0), 2)
+					for j := 0; j < 2; j++ {
+						b = putBytes(putStr(b, keys[pick(len(keys))]), []byte("w"))
+					}
+				case kindVote:
+					b = append(putU64(nil, txid), byte(pick(2)))
+				default:
+					b = putU64(putU64(nil, txid), 0)
+				}
+				b = b[:len(b)-pick(2)*pick(len(b)+1)] // half the time, a truncation
+				r := newReader(b)
+				switch kind {
+				case kindHello:
+					srv.onHello(p, src, r)
+				case kindAuth:
+					srv.onAuth(p, src, sess, r)
+				case kindGet:
+					srv.onGet(p, sess, uch, seq, r)
+				case kindPut:
+					srv.onPut(p, sess, uch, seq, r)
+				case kindTxn:
+					srv.onTxn(p, sess, uch, seq, r)
+				case kindInvAck:
+					srv.onInvAck(p, seq)
+				case kindPrepare:
+					srv.onPrepare(p, src, r)
+				case kindVote:
+					srv.onVote(p, src, r)
+				case kindCommit:
+					srv.onCommit(p, src, r)
+				case kindAbort:
+					srv.onAbort(p, r)
+				case kindTxnAck:
+					srv.onTxnAck(p, src, r)
+				case kindInquire:
+					srv.onInquire(p, src, r)
+				}
+				srv.runTimers(p)
+				p.Sleep(sim.Time(pick(50)) * sim.Microsecond)
+			}
+		})
+		tr.c.Env.RunUntil(tr.c.Env.Now() + 50*sim.Millisecond)
 	}
 }

@@ -100,7 +100,9 @@ func putStr(b []byte, s string) []byte {
 }
 
 // reader walks a payload; it reports truncation through ok so
-// malformed messages are dropped, never panicked on.
+// malformed messages are dropped, never panicked on. A string field is
+// read with bytes: its bytes alias the payload, and a handler makes a
+// string only of what it keeps (see names).
 type reader struct {
 	b  []byte
 	ok bool
@@ -134,8 +136,6 @@ func (r *reader) bytes() []byte {
 	return v
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
-
 func (r *reader) byte() byte {
 	if len(r.b) < 1 {
 		r.ok = false
@@ -144,6 +144,20 @@ func (r *reader) byte() byte {
 	v := r.b[0]
 	r.b = r.b[1:]
 	return v
+}
+
+// names interns the keys bodies carry. Looking a key up by a body's
+// bytes (m[string(b)]) makes no string; a key becomes a string once,
+// the first time something keeps it.
+type names map[string]string
+
+func (n names) intern(b []byte) string {
+	if s, ok := n[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	n[s] = s
+	return s
 }
 
 // hashKey is FNV-1a over the key bytes.
