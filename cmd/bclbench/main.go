@@ -230,21 +230,21 @@ func writePostmortem(dir string, r *bench.Report, reasons []string) {
 	fmt.Printf("  postmortem -> %s\n", filepath.Join(dir, name))
 }
 
-// faultVocabulary documents every fault injector the seeded
+// faultVocabulary documents the fault vocabulary the seeded
 // experiments draw from (the authoritative description lives on
-// fabric.Fault). -list prints it so the vocabulary is discoverable
+// fabric.Schedule). -list prints it so the vocabulary is discoverable
 // without reading source.
 const faultVocabulary = `
-fault injectors (chaos / survival schedules, seeded by -seed N):
-  per-packet hooks        Fabric.SetFault: DropEvery(n), DuplicateEvery(n),
-                          CorruptEvery(n); RandomLoss(p), RandomCorrupt(p)
-                          (probabilistic, seeded RNG -> reproducible)
-  outage windows          Network.LinkDown(node, from, to), AllDown(from, to):
-                          crash-stop, every packet in the window is lost
-  gray (slow) windows     Network.SlowLink(node, from, to, factor),
-                          AllSlow(from, to, factor), hetero RailSlow(rail, ...):
-                          latency multiplied, nothing lost -- degraded but alive
-  firmware crashes        (*nic.NIC).CrashAt(t) / CrashFirmware(): MCP dies and
-                          SRAM state is wiped until the kernel watchdog reboots
-                          the NIC and replays its journal (cluster Watchdog: true)
+faults are data: one fabric.Schedule per phase, armed by (*cluster.Cluster).Install
+(seeded by -seed N; a malformed entry panics at Install, naming it):
+  packet rules            Rule{Kind, K | Every | P, Do: Drop|Duplicate|Corrupt, Rail}:
+                          the K-th, every n-th, or (seeded RNG) each matching
+                          packet with probability p; one rail or every rail
+  outage windows          Window{Node | AllNodes, Rail, From, To}: crash-stop,
+                          every packet touching the component is lost
+  gray (slow) windows     Window{..., Slow: factor}: latency multiplied,
+                          nothing lost -- degraded but alive
+  firmware crashes        Crash{Node, At}: MCP dies and SRAM state is wiped
+                          until the kernel watchdog reboots the NIC and replays
+                          its journal (cluster Watchdog: true)
 `

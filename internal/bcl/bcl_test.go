@@ -485,7 +485,7 @@ func TestWorksOverMeshFabric(t *testing.T) {
 func TestReliableUnderPacketLoss(t *testing.T) {
 	tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 1})
 	// Install loss after setup so port registration isn't affected.
-	tb.c.Fabric.SetFault(fabric.RandomLoss(0.15))
+	tb.c.Install(fabric.Schedule{Rules: []fabric.Rule{{P: 0.15, Do: fabric.Drop}}})
 	a, b := tb.ports[0], tb.ports[1]
 	const n = 64 * 1024
 	payload := make([]byte, n)

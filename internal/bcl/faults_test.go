@@ -23,18 +23,10 @@ func TestBidirectionalTrafficUnderMixedFaults(t *testing.T) {
 	// can phase-lock with the deterministic retransmission schedule and
 	// starve a flow past its retry budget, which is not the behaviour
 	// under test here.
-	tb.c.Fabric.SetFault(func(env *sim.Env, pkt *fabric.Packet) fabric.Verdict {
-		if pkt.Kind != fabric.KindData {
-			return fabric.Deliver
-		}
-		if len(pkt.Payload) > 0 && env.Rand().Bool(0.08) {
-			pkt.Payload[0] ^= 0x55 // corrupt: CRC will catch it
-		}
-		if env.Rand().Bool(0.08) { // drop
-			return fabric.Drop
-		}
-		return fabric.Deliver
-	})
+	tb.c.Install(fabric.Schedule{Rules: []fabric.Rule{
+		{P: 0.08, Do: fabric.Corrupt}, // the CRC will catch it
+		{P: 0.08, Do: fabric.Drop},
+	}})
 	a, b := tb.ports[0], tb.ports[1]
 	const msgs = 10
 	const size = 20 * 1024
@@ -98,7 +90,7 @@ func TestBidirectionalTrafficUnderMixedFaults(t *testing.T) {
 // loss like two-sided ones do.
 func TestRMAUnderLoss(t *testing.T) {
 	tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 1})
-	tb.c.Fabric.SetFault(fabric.DropEvery(4))
+	tb.c.Install(fabric.Schedule{Rules: []fabric.Rule{{Every: 4, Do: fabric.Drop}}})
 	a, b := tb.ports[0], tb.ports[1]
 	const winSize = 32 * 1024
 	ready := false
@@ -217,6 +209,7 @@ func TestOutOfWindowRMAWriteFailsOnlyItself(t *testing.T) {
 // fabric dropping the first lost NACKs that refuse a message.
 func outOfWindowWrite(t *testing.T, lost int) {
 	tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 0, 1})
+	// A hook, not a Schedule: no other caller filters on a message id.
 	tb.c.Fabric.SetFault(func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if pkt.Kind == fabric.KindNack && pkt.MsgID != 0 && lost > 0 {
 			lost--

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"bcl/internal/cluster"
+	"bcl/internal/fabric"
 	"bcl/internal/fabric/hetero"
-	"bcl/internal/fabric/myrinet"
 	"bcl/internal/nic"
 	"bcl/internal/sim"
 )
@@ -49,7 +49,6 @@ func newOutageTestbed(t *testing.T, fab cluster.FabricKind, nodes int, slots []i
 // the window; and the post-recovery transfer is byte-identical.
 func TestLinkDownMidStream(t *testing.T) {
 	tb := newOutageTestbed(t, cluster.Myrinet, 2, []int{0, 1})
-	net := tb.c.Fabric.(*myrinet.Fabric)
 	a, b := tb.ports[0], tb.ports[1]
 	const size = 2048
 	const outageDur = 30 * sim.Millisecond
@@ -101,7 +100,7 @@ func TestLinkDownMidStream(t *testing.T) {
 		}
 		// Take node 1's link down mid-stream.
 		outageEnd = p.Now() + outageDur
-		net.LinkDown(1, p.Now(), outageEnd)
+		tb.c.Install(fabric.Schedule{Windows: []fabric.Window{{Node: 1, From: p.Now(), To: outageEnd}}})
 		// This send burns the (short) retry ladder and fails.
 		if ev := send(100); ev.Type != nic.EvSendFailed {
 			t.Errorf("in-outage send did not fail: %+v", ev)
@@ -205,7 +204,7 @@ func TestHeteroRailFailover(t *testing.T) {
 		myrBefore, meshBefore = hf.RailCounts()
 		// Kill the Myrinet rail; traffic must complete over the mesh.
 		outageEnd := p.Now() + 20*sim.Millisecond
-		hf.RailDown(0, p.Now(), outageEnd)
+		tb.c.Install(fabric.Schedule{Windows: []fabric.Window{{Node: fabric.AllNodes, Rail: fabric.OnRail(0), From: p.Now(), To: outageEnd}}})
 		if !send() {
 			t.Error("send during rail outage failed despite surviving rail")
 		}

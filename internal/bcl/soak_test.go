@@ -22,7 +22,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	tb := newTestbed(t, cluster.Myrinet, 3, []int{0, 0, 1, 1, 2, 2})
-	tb.c.Fabric.SetFault(fabric.RandomLoss(0.05))
+	tb.c.Install(fabric.Schedule{Rules: []fabric.Rule{{P: 0.05, Do: fabric.Drop}}})
 	const (
 		nPorts  = 6
 		rounds  = 40

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bcl/internal/cluster"
+	"bcl/internal/fabric"
 	"bcl/internal/fabric/hetero"
 	"bcl/internal/hw"
 	"bcl/internal/nic"
@@ -56,7 +57,7 @@ func TestWatchdogRecoversReceiverCrash(t *testing.T) {
 	c, a, b := survivalBed(t, cluster.Myrinet, DefaultNICConfig())
 	const msgs, size = 8, 2048
 	base := c.Env.Now()
-	c.Nodes[1].NIC.CrashAt(base + 2*sim.Millisecond)
+	c.Install(fabric.Schedule{Crashes: []fabric.Crash{{Node: 1, At: base + 2*sim.Millisecond}}})
 
 	payload := make([]byte, size)
 	c.Env.Rand().Fill(payload)
@@ -121,7 +122,7 @@ func TestWatchdogRecoversSenderCrash(t *testing.T) {
 	c, a, b := survivalBed(t, cluster.Myrinet, DefaultNICConfig())
 	const msgs, size = 6, 4096
 	base := c.Env.Now()
-	c.Nodes[0].NIC.CrashAt(base + 1500*sim.Microsecond)
+	c.Install(fabric.Schedule{Crashes: []fabric.Crash{{Node: 0, At: base + 1500*sim.Microsecond}}})
 
 	payload := make([]byte, size)
 	c.Env.Rand().Fill(payload)
@@ -189,7 +190,7 @@ func TestGrayFailoverSteersToAlternateRail(t *testing.T) {
 	base := c.Env.Now()
 	// Both nodes are in the lower split: their policy rail is Myrinet
 	// (rail 0). Degrade it for a long window mid-run.
-	hf.RailSlow(0, base+3*sim.Millisecond, base+80*sim.Millisecond, 24)
+	c.Install(fabric.Schedule{Windows: []fabric.Window{{Node: fabric.AllNodes, Rail: fabric.OnRail(0), From: base + 3*sim.Millisecond, To: base + 80*sim.Millisecond, Slow: 24}}})
 
 	const rounds, size = 120, 1024
 	done := 0
@@ -234,9 +235,7 @@ func TestGrayFailoverSteersToAlternateRail(t *testing.T) {
 func TestExitMidRetransmitCleansJournal(t *testing.T) {
 	tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 1})
 	a, b := tb.ports[0], tb.ports[1]
-	tb.c.Fabric.(interface {
-		LinkDown(node int, from, to sim.Time)
-	}).LinkDown(1, tb.c.Env.Now(), tb.c.Env.Now()+100*sim.Millisecond)
+	tb.c.Install(fabric.Schedule{Windows: []fabric.Window{{Node: 1, From: tb.c.Env.Now(), To: tb.c.Env.Now() + 100*sim.Millisecond}}})
 
 	const size = 8 * 1024
 	tb.c.Env.Go("doomed", func(p *sim.Proc) {

@@ -207,7 +207,7 @@ func ChromeJSON(id string) ([]byte, error) {
 	case "fig5", "fig6", "fig7":
 		tr, _, _ = tracedMessage(0, nil)
 	case "flowtrace":
-		tr, _, _ = tracedMessage(0, dropFirstTracedData())
+		tr, _, _ = tracedMessage(0, dropFirstData)
 	case "collflow":
 		tr = collFlowTraced()
 	case "crashflow":

@@ -7,7 +7,6 @@ import (
 	ibcl "bcl/internal/bcl"
 	"bcl/internal/cluster"
 	"bcl/internal/fabric"
-	"bcl/internal/fabric/hetero"
 	"bcl/internal/nic"
 	"bcl/internal/obs"
 	"bcl/internal/sim"
@@ -87,10 +86,7 @@ type soakResult struct {
 // share: a 4-node dual-rail cluster with one BCL port per node, booted
 // and sampled on the virtual clock, ready for the caller's fault
 // schedule.
-type soakRig struct {
-	*rig
-	hf *hetero.Fabric
-}
+type soakRig struct{ *rig }
 
 // newSoakRig builds the rig; cfg supplies what the soaks differ in (NIC
 // config, profile, seed, watchdog, health engine). tr, if non-nil, is
@@ -104,10 +100,7 @@ func newSoakRig(cfg cluster.Config, tr *trace.Tracer, period sim.Time, depth int
 	if tr != nil {
 		c.SetTracer(tr)
 	}
-	r := &soakRig{
-		rig: newRig(c, oneRankPerNode(soakNodes), ibcl.Options{SystemBuffers: 64}, 20*sim.Millisecond),
-		hf:  c.Fabric.(*hetero.Fabric),
-	}
+	r := &soakRig{newRig(c, oneRankPerNode(soakNodes), ibcl.Options{SystemBuffers: 64}, 20*sim.Millisecond)}
 	c.Obs.StartSampler(c.Env, period, depth)
 	return r
 }
@@ -225,34 +218,34 @@ func chaosRun(seed uint64) *chaosResult {
 	cfg := ibcl.DefaultNICConfig()
 	cfg.MaxRetries = 4 // peer death in ~6 ms of virtual time
 	rig := newSoakRig(cluster.Config{NIC: cfg, Seed: seed}, nil, 20*sim.Millisecond, 32)
-	c, hf := rig.c, rig.hf
+	c := rig.c
 
-	// Seeded fault schedule: six outage windows in [20ms, 200ms).
+	// Seeded fault schedule: six outage windows in [20ms, 200ms), and
+	// background packet loss on the primary rail for retransmit spice.
 	res := &chaosResult{}
+	faults := fabric.Schedule{Rules: []fabric.Rule{{P: 0.02, Do: fabric.Drop, Rail: fabric.OnRail(0)}}}
 	sched := seed
 	for i := 0; i < 6; i++ {
 		kind := sim.SplitmixNext(&sched) % 4
-		node := int(sim.SplitmixNext(&sched) % soakNodes)
-		start := c.Env.Now() + sim.Time(sim.SplitmixNext(&sched)%uint64(180*sim.Millisecond))
-		dur := 4*sim.Millisecond + sim.Time(sim.SplitmixNext(&sched)%uint64(8*sim.Millisecond))
+		w := fabric.Window{Node: int(sim.SplitmixNext(&sched) % soakNodes)}
+		w.From = c.Env.Now() + sim.Time(sim.SplitmixNext(&sched)%uint64(180*sim.Millisecond))
+		w.To = w.From + 4*sim.Millisecond + sim.Time(sim.SplitmixNext(&sched)%uint64(8*sim.Millisecond))
 		switch kind {
 		case 0: // Myrinet link cut: failover keeps the node reachable.
-			hf.Rail(0).LinkDown(node, start, start+dur)
+			w.Rail = fabric.OnRail(0)
 		case 1: // mesh link cut.
-			hf.Rail(1).LinkDown(node, start, start+dur)
+			w.Rail = fabric.OnRail(1)
 		case 2: // whole-rail outage.
-			hf.RailDown(int(sim.SplitmixNext(&sched)%2), start, start+dur)
+			w.Node, w.Rail = fabric.AllNodes, fabric.OnRail(int(sim.SplitmixNext(&sched)%2))
 		case 3: // both rails: the node is unreachable, peers mark it
 			// Dead. Long enough for senders to burn a retry ladder
 			// inside the window, so deaths actually happen.
-			dur += 16 * sim.Millisecond
-			hf.Rail(0).LinkDown(node, start, start+dur)
-			hf.Rail(1).LinkDown(node, start, start+dur)
+			w.To += 16 * sim.Millisecond
 		}
-		res.outages++
+		faults.Windows = append(faults.Windows, w)
 	}
-	// Background packet loss on the primary rail for retransmit spice.
-	hf.Rail(0).SetFault(fabric.RandomLoss(0.02))
+	res.outages = len(faults.Windows)
+	c.Install(faults)
 
 	res.soakResult = rig.run("chaos", chaosMsgSize, chaosRounds, soakPace, 2*sim.Second, func(wait sim.Time) {
 		res.recoveries++

@@ -163,6 +163,7 @@ func collFaultRun(seed uint64) *collFaultResult {
 	res := &collFaultResult{}
 	c, comms := collRig(collFaultNodes, true, seed)
 	sched := seed
+	// A hook, not a Schedule: it draws from its own splitmix stream.
 	c.Fabric.SetFault(func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if pkt.Kind != fabric.KindCollMcast && pkt.Kind != fabric.KindCollComb {
 			return fabric.Deliver

@@ -10,6 +10,9 @@ import (
 
 	ibcl "bcl/internal/bcl"
 	"bcl/internal/cluster"
+	"bcl/internal/fabric"
+	"bcl/internal/fabric/hetero"
+	"bcl/internal/hw"
 	"bcl/internal/sim"
 )
 
@@ -88,21 +91,40 @@ func TestRigPanicsOnFailedOpen(t *testing.T) {
 	}
 }
 
-// TestFaultInstallPanicsWithoutLinkDown: the hetero composite has no
-// fabric-wide LinkDown, so a scheduled shard outage cannot be injected
-// there. The installer must refuse, not run the "chaos" phase clean.
-func TestFaultInstallPanicsWithoutLinkDown(t *testing.T) {
-	outage := svcFaults{outNode: 1, outAt: sim.Millisecond, outDur: sim.Millisecond}
-	c := cluster.New(cluster.Config{Nodes: 4, Fabric: cluster.Hetero, NIC: ibcl.DefaultNICConfig()})
-	msg := mustPanic(t, "install on a fabric without LinkDown", func() { outage.install(c) })
-	if !strings.Contains(msg, "LinkDown") {
-		t.Fatalf("panic does not say what is missing: %q", msg)
+// TestScheduleInstallsOnEveryFabric: one installer arms a schedule on
+// every fabric. serve's chaos schedule takes shard 1 down for exactly
+// its window on Myrinet, the mesh and the dual-rail composite (both
+// rails); a window on one rail of the composite leaves the node up and
+// its traffic fails over to the other.
+func TestScheduleInstallsOnEveryFabric(t *testing.T) {
+	faults := serveSchedule(1)
+	out := faults.Windows[0]
+	for _, kind := range []cluster.FabricKind{cluster.Myrinet, cluster.Mesh, cluster.Hetero} {
+		c := cluster.New(cluster.Config{Nodes: 5, Fabric: kind, NIC: ibcl.DefaultNICConfig()})
+		c.Install(faults)
+		for _, at := range []sim.Time{out.From - 1, out.From, out.To - 1, out.To} {
+			c.Env.RunUntil(at)
+			if want := at >= out.From && at < out.To; c.Fabric.NodeDown(1) != want {
+				t.Errorf("%s at %d ns: NodeDown(1) = %v, want %v (window [%d, %d))", kind, at, !want, want, out.From, out.To)
+			}
+		}
+		c.Env.Close()
 	}
-	// The same schedule installs on the switched fabric the service
-	// experiments run on, and a schedule without an outage installs
-	// anywhere.
-	outage.install(cluster.New(cluster.Config{Nodes: 4, NIC: ibcl.DefaultNICConfig()}))
-	svcFaults{dupEvery: 3}.install(c)
+
+	env := sim.NewEnv(1)
+	defer env.Close()
+	hf := hetero.New(env, hw.DAWNING3000(), 4, nil)
+	hf.Install(fabric.Schedule{Windows: []fabric.Window{{Node: 1, Rail: fabric.OnRail(0), To: sim.Millisecond}}})
+	env.Go("tx", func(p *sim.Proc) {
+		if hf.NodeDown(1) {
+			t.Error("a one-rail window took node 1 down on the composite")
+		}
+		hf.Attach(0).Inject(p, &fabric.Packet{Kind: fabric.KindData, Src: 0, Dst: 1})
+	})
+	env.Run()
+	if hf.Failovers() == 0 || hf.Attach(1).RX.Len() != 1 {
+		t.Fatalf("%d failovers, %d packets delivered; want the packet failed over to the mesh", hf.Failovers(), hf.Attach(1).RX.Len())
+	}
 }
 
 // TestHealthwatchBannerTripsOnCorruptPayload: riding the shared soak

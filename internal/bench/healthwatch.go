@@ -63,7 +63,7 @@ func healthRun(seed uint64, fault bool) *hwResult {
 	rig := newSoakRig(cluster.Config{
 		Profile: survProfile(), NIC: ibcl.DefaultNICConfig(), Seed: seed, Watchdog: true, Health: true,
 	}, trace.New(), 5*sim.Millisecond, 64)
-	c, hf := rig.c, rig.hf
+	c := rig.c
 	base := c.Env.Now()
 
 	if fault {
@@ -72,12 +72,14 @@ func healthRun(seed uint64, fault bool) *hwResult {
 		sched := seed ^ 0x9e3779b97f4a7c15
 		node := int(sim.SplitmixNext(&sched) % soakNodes)
 		at := base + 25*sim.Millisecond + sim.Time(sim.SplitmixNext(&sched)%uint64(8*sim.Millisecond))
-		c.Nodes[node].NIC.CrashAt(at)
 		// Bit flips on the Myrinet rail: crc-spike must see the drops.
-		hf.Rail(0).SetFault(fabric.RandomCorrupt(0.05))
 		// A gray window: the Myrinet rail runs 64x slow but alive, so its
 		// windowed P99 wire time diverges from the mesh rail's.
-		hf.RailSlow(0, base+50*sim.Millisecond, base+80*sim.Millisecond, 64)
+		c.Install(fabric.Schedule{
+			Rules:   []fabric.Rule{{P: 0.05, Do: fabric.Corrupt, Rail: fabric.OnRail(0)}},
+			Windows: []fabric.Window{{Node: fabric.AllNodes, Rail: fabric.OnRail(0), From: base + 50*sim.Millisecond, To: base + 80*sim.Millisecond, Slow: 64}},
+			Crashes: []fabric.Crash{{Node: node, At: at}},
+		})
 	}
 
 	// Traffic spans ~70 ms; the horizon leaves room for retransmit

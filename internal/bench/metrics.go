@@ -85,26 +85,17 @@ func pingPong() *Report {
 	return r
 }
 
-// dropFirstTracedData is a one-shot fault that drops the first traced
-// DATA packet it sees, so the sender's retransmit timer must fire once
-// before delivery and the flow contains the retransmission.
-func dropFirstTracedData() fabric.Fault {
-	dropped := false
-	return func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
-		if !dropped && pkt.Kind == fabric.KindData && pkt.Trace != 0 {
-			dropped = true
-			return fabric.Drop
-		}
-		return fabric.Deliver
-	}
-}
+// dropFirstData drops the first DATA packet after it is installed —
+// the measured message's, so the sender's retransmit timer must fire
+// once before delivery and the flow contains the retransmission.
+var dropFirstData = &fabric.Schedule{Rules: []fabric.Rule{{K: 1, Do: fabric.Drop}}}
 
 // flowTrace reports the causal flow timeline of one message whose
 // first DATA packet the fabric dropped: compose, trap, NIC send,
 // wire, retransmit, receive, completion — all under one trace id.
 func flowTrace() *Report {
 	r := newReport("flowtrace", "Causal flow trace of one message (forced retransmission)")
-	tr, o, oneWay := tracedMessage(0, dropFirstTracedData())
+	tr, o, oneWay := tracedMessage(0, dropFirstData)
 	flows := tr.Flows()
 	retx := 0
 	wire := 0
@@ -161,7 +152,7 @@ func crashFlowTracedMessage() (*trace.Tracer, *obs.Obs, sim.Time) {
 		// Kill the receiving firmware 40 us into the transfer: several
 		// fragments are gone with the NIC's SRAM, the rest hit a dead
 		// card. Recovery is the watchdog's job.
-		c.Nodes[1].NIC.CrashAt(p.Now() + 40*sim.Microsecond)
+		c.Install(fabric.Schedule{Crashes: []fabric.Crash{{Node: 1, At: p.Now() + 40*sim.Microsecond}}})
 		sentAt = p.Now()
 		a.Send(p, b.Addr(), ch, va, size, 7)
 		a.WaitSend(p)

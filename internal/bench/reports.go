@@ -159,10 +159,9 @@ func overheads() *Report {
 // tracedMessage runs one warm eager send of n payload bytes on the
 // system channel with tracers attached only for the measured message,
 // and returns the shared tracer, the cluster's observability bundle
-// and the total one-way time. A non-nil fault is installed on the
-// fabric together with the tracers, so it acts on the measured message
-// alone.
-func tracedMessage(n int, fault fabric.Fault) (*trace.Tracer, *obs.Obs, sim.Time) {
+// and the total one-way time. Non-nil faults are installed together
+// with the tracers, so they act on the measured message alone.
+func tracedMessage(n int, faults *fabric.Schedule) (*trace.Tracer, *obs.Obs, sim.Time) {
 	rg := bclPair(hw.DAWNING3000(), false)
 	a, b := rg.ports[0], rg.ports[1]
 	tr := trace.New()
@@ -178,8 +177,8 @@ func tracedMessage(n int, fault fabric.Fault) (*trace.Tracer, *obs.Obs, sim.Time
 		a.SetTracer(tr)
 		b.SetTracer(tr)
 		rg.c.SetTracer(tr)
-		if fault != nil {
-			rg.c.Fabric.SetFault(fault)
+		if faults != nil {
+			rg.c.Install(*faults)
 		}
 		sentAt = p.Now()
 		a.Send(p, b.Addr(), ibcl.SystemChannel, va, n, 0)

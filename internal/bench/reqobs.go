@@ -7,6 +7,7 @@ import (
 
 	ibcl "bcl/internal/bcl"
 	"bcl/internal/cluster"
+	"bcl/internal/fabric"
 	"bcl/internal/hw"
 	"bcl/internal/obs"
 	"bcl/internal/obs/health"
@@ -45,7 +46,7 @@ type reqobsCfg struct {
 	pairs  int
 	swarmCfg
 	hotFrac float64
-	svcFaults
+	faults  fabric.Schedule
 
 	rec      reqtrace.Config
 	traceCap int // span cap of the shared trace.Tracer
@@ -99,7 +100,7 @@ func runReqObs(cfg reqobsCfg) *reqobsRes {
 	c.Health.SlowLog = func(n int) []health.SlowEntry { return reqobsSlowEntries(rec, n) }
 
 	w := newSvcWorld(c, cfg.shards, cfg.pairs, 1)
-	cfg.svcFaults.install(c)
+	c.Install(cfg.faults)
 	w.bootShards(ibcl.Options{SystemBuffers: 256, Tracer: tr}, svc.ServerConfig{Seed: cfg.seed, ReqObs: rec})
 
 	c.Env.Go("reqobs-driver", func(p *sim.Proc) {
@@ -194,13 +195,16 @@ func exemplarDigest(s *obs.Snapshot) (digest, int) {
 }
 
 // reqobsSchedule derives the chaos fault schedule from the seed.
-func reqobsSchedule(seed uint64) (dup int, outAt, outDur sim.Time) {
+func reqobsSchedule(seed uint64) fabric.Schedule {
 	x := seed ^ 0x0b5e55ab1e
 	next := func() uint64 { return sim.SplitmixNext(&x) }
-	dup = 4 + int(next()%4)                                           // every 4th..7th packet
-	outAt = 14*sim.Millisecond + sim.Time(next()%3)*sim.Millisecond   // 14..16 ms
-	outDur = sim.Millisecond + sim.Time(next()%2)*500*sim.Microsecond // 1..1.5 ms
-	return
+	dup := 4 + int(next()%4)                                           // every 4th..7th packet
+	outAt := 14*sim.Millisecond + sim.Time(next()%3)*sim.Millisecond   // 14..16 ms
+	outDur := sim.Millisecond + sim.Time(next()%2)*500*sim.Microsecond // 1..1.5 ms
+	return fabric.Schedule{
+		Rules:   []fabric.Rule{{Every: dup, Do: fabric.Duplicate}},
+		Windows: []fabric.Window{{Node: 1, From: outAt, To: outAt + outDur}},
+	}
 }
 
 // reqobsBaseCfg is the baseline phase: a near-uniform open-loop mix.
@@ -243,7 +247,6 @@ func reqobsHotCfg(seed uint64) reqobsCfg {
 // packets, a shard link outage and contended cross-shard transactions,
 // with a hard SLO.
 func reqobsChaosCfg(seed uint64) reqobsCfg {
-	dup, outAt, outDur := reqobsSchedule(seed)
 	return reqobsCfg{
 		shards: 3, seed: seed, pairs: 4,
 		swarmCfg: swarmCfg{
@@ -251,7 +254,7 @@ func reqobsChaosCfg(seed uint64) reqobsCfg {
 			start: 10 * sim.Millisecond, window: 12 * sim.Millisecond,
 			getFrac: 0.5, txnFrac: 0.25, keys: 256,
 		},
-		svcFaults: svcFaults{dupEvery: dup, outNode: 1, outAt: outAt, outDur: outDur},
+		faults: reqobsSchedule(seed),
 		rec: reqtrace.Config{
 			Budget: 160, SlowFactor: 2.0, Quantile: 0.99,
 			SLO: 10 * sim.Millisecond, Warmup: 32, Shards: 3, TopK: 8,
@@ -284,7 +287,7 @@ func reqObs(seed uint64) *Report {
 	h1 := runReqObs(hot)
 
 	chaosCfg := reqobsChaosCfg(seed)
-	dup, outAt, outDur := chaosCfg.dupEvery, chaosCfg.outAt, chaosCfg.outDur
+	dup, out := chaosCfg.faults.Rules[0].Every, chaosCfg.faults.Windows[0]
 	c1 := runReqObs(chaosCfg)
 
 	h := fnv.New64a()
@@ -309,7 +312,7 @@ func reqObs(seed uint64) *Report {
 	fmt.Fprintf(&sb, "  hot key share %d%%  hot shard share %d%%  hot-shard alerts %d  dropped %d  bundle slow-log %v\n",
 		h1.hotKeyShare, h1.hotShardShare, h1.hotFired, h1.dropped, h1.bundleSlow)
 	fmt.Fprintf(&sb, "\nchaos (seed %d): bursty, dup every %d pkts, shard%d dark %.0f-%.0fms, SLO %.0fus\n",
-		seed, dup, chaosCfg.outNode, us(outAt)/1000, us(outAt+outDur)/1000, us(chaosCfg.rec.SLO))
+		seed, dup, out.Node, us(out.From)/1000, us(out.To)/1000, us(chaosCfg.rec.SLO))
 	fmt.Fprintf(&sb, "  %d reqs  p99.9 %8.2f us  retrans %d  aborts seen %d (retained %d)  slo seen %d (retained %d)\n",
 		c1.done, us(c1.p999), c1.retrans, c1.abortsSeen, c1.retainedAbort, c1.sloSeen, c1.retainedSLO)
 	fmt.Fprintf(&sb, "  retained %d/%d  forced drops %d  exemplars %d (%d annotated)  tracer %d spans (%d evicted)\n",

@@ -101,37 +101,6 @@ func (w *svcWorld) bootShards(opts ibcl.Options, scfg svc.ServerConfig) {
 	}
 }
 
-// svcFaults is the fault schedule of a service chaos phase.
-type svcFaults struct {
-	dupEvery  int      // duplicate every nth packet (0 = off)
-	outNode   int      // shard node for the link outage (with outDur > 0)
-	outAt     sim.Time // outage start
-	outDur    sim.Time // outage length (0 = no outage)
-	crashNode int      // shard node whose NIC firmware crashes
-	crashAt   sim.Time // crash instant (0 = no crash)
-}
-
-// install arms the schedule on c. A fabric that cannot take the outage
-// is a harness bug and panics: skipping it would let the chaos phase
-// run clean and still report green.
-func (f svcFaults) install(c *cluster.Cluster) {
-	if f.dupEvery > 0 {
-		c.Fabric.SetFault(fabric.DuplicateEvery(f.dupEvery))
-	}
-	if f.outDur > 0 {
-		ld, ok := c.Fabric.(interface {
-			LinkDown(node int, from, to sim.Time)
-		})
-		if !ok {
-			panic(fmt.Sprintf("bench: fabric %s has no LinkDown: the scheduled shard outage cannot be injected", c.Fabric.Name()))
-		}
-		ld.LinkDown(f.outNode, f.outAt, f.outAt+f.outDur)
-	}
-	if f.crashAt > 0 {
-		c.Nodes[f.crashNode].NIC.CrashAt(f.crashAt)
-	}
-}
-
 // swarmCfg is the open-loop traffic one driver generates: a swarm of
 // simulated users, the arrival process, the op mix over the keyspace
 // and the measurement window.
@@ -217,7 +186,7 @@ type serveCfg struct {
 
 	watchdog bool
 	health   bool
-	svcFaults
+	faults   fabric.Schedule
 }
 
 // serveRes is everything a scenario run exposes to the report.
@@ -250,7 +219,7 @@ func runServe(cfg serveCfg) *serveRes {
 		c.Obs.StartSampler(c.Env, 5*sim.Millisecond, 64)
 	}
 	w := newSvcWorld(c, cfg.shards, cfg.pairs, cfg.driverNodes)
-	cfg.svcFaults.install(c)
+	c.Install(cfg.faults)
 	w.bootShards(ibcl.Options{SystemBuffers: 256}, svc.ServerConfig{Seed: cfg.seed})
 
 	// The swarm rides the gang scheduler: one rank per driver node,
@@ -357,16 +326,19 @@ func crossShardPairs(ring *svc.Ring, n int) (pa, pb []string) {
 }
 
 // serveSchedule derives the chaos phase's fault schedule from the
-// seed: which nth packet duplicates, when the shard link goes dark
-// and for how long, and when the other shard's firmware dies.
-func serveSchedule(seed uint64) (dup int, outAt, outDur, crashAt sim.Time) {
+// seed: which nth packet duplicates, when shard 1's link goes dark and
+// for how long, and when shard 2's firmware dies.
+func serveSchedule(seed uint64) fabric.Schedule {
 	x := seed
 	next := func() uint64 { return sim.SplitmixNext(&x) }
-	dup = 3 + int(next()%5)                                         // every 3rd..7th packet
-	outAt = 8*sim.Millisecond + sim.Time(next()%6)*sim.Millisecond  // 8..13 ms
-	outDur = 3*sim.Millisecond + sim.Time(next()%3)*sim.Millisecond // 3..5 ms
-	crashAt = 16*sim.Millisecond + sim.Time(next()%5)*sim.Millisecond
-	return
+	dup := 3 + int(next()%5)                                         // every 3rd..7th packet
+	outAt := 8*sim.Millisecond + sim.Time(next()%6)*sim.Millisecond  // 8..13 ms
+	outDur := 3*sim.Millisecond + sim.Time(next()%3)*sim.Millisecond // 3..5 ms
+	return fabric.Schedule{
+		Rules:   []fabric.Rule{{Every: dup, Do: fabric.Duplicate}},
+		Windows: []fabric.Window{{Node: 1, From: outAt, To: outAt + outDur}},
+		Crashes: []fabric.Crash{{Node: 2, At: 16*sim.Millisecond + sim.Time(next()%5)*sim.Millisecond}},
+	}
 }
 
 // serve is the gated service-tier experiment.
@@ -400,7 +372,7 @@ func serve(seed uint64) *Report {
 
 	// Chaos: duplicates + a shard link outage + a shard firmware crash
 	// under the watchdog, health engine attached.
-	dup, outAt, outDur, crashAt := serveSchedule(seed)
+	faults := serveSchedule(seed)
 	chaosCfg := serveCfg{
 		shards: 3, driverNodes: 2, seed: seed, pairs: 12,
 		swarmCfg: swarmCfg{
@@ -408,12 +380,7 @@ func serve(seed uint64) *Report {
 			start: 10 * sim.Millisecond, window: 25 * sim.Millisecond,
 			getFrac: 0.5, txnFrac: 0.2, keys: serveKeys,
 		},
-		watchdog: true, health: true,
-		svcFaults: svcFaults{
-			dupEvery: dup,
-			outNode:  1, outAt: outAt, outDur: outDur,
-			crashNode: 2, crashAt: crashAt,
-		},
+		watchdog: true, health: true, faults: faults,
 	}
 	chaos := runServe(chaosCfg)
 
@@ -435,7 +402,7 @@ func serve(seed uint64) *Report {
 	fmt.Fprintf(&b, "  %-18s p99 %8.2f us   p99.9 %8.2f us\n", "strict FIFO:", us(fifo.p99), us(fifo.p999))
 	fmt.Fprintf(&b, "  %-18s p99 %8.2f us   p99.9 %8.2f us   (weights 8:1)\n", "QoS WRR:", us(qos.p99), us(qos.p999))
 	fmt.Fprintf(&b, "\nchaos (seed %d): dup every %d pkts, shard1 link dark %.0f-%.0fms, shard2 firmware crash @%.0fms\n",
-		seed, dup, us(outAt)/1000, us(outAt+outDur)/1000, us(crashAt)/1000)
+		seed, faults.Rules[0].Every, us(faults.Windows[0].From)/1000, us(faults.Windows[0].To)/1000, us(faults.Crashes[0].At)/1000)
 	fmt.Fprintf(&b, "  %d reqs  p99.9 %8.2f us  retransmits %d  dedup replays %d\n",
 		chaos.done, us(chaos.p999), chaos.retrans, chaos.dedup)
 	fmt.Fprintf(&b, "  txns committed %d aborted %d; slo-burn alerts %d, txn-abort alerts %d\n",

@@ -89,9 +89,16 @@ func survRun(seed uint64) *survResult {
 	rig := newSoakRig(cluster.Config{
 		Profile: survProfile(), NIC: cfg, Seed: seed, Watchdog: true,
 	}, nil, 20*sim.Millisecond, 32)
-	c, hf := rig.c, rig.hf
+	c := rig.c
 	base := c.Env.Now()
 
+	// Silent corruption on the Myrinet rail: the per-fragment CRC must
+	// catch every flip and retransmission must heal it. A gray window on
+	// top: the policy rail runs 8x slow mid-soak.
+	faults := fabric.Schedule{
+		Rules:   []fabric.Rule{{P: 0.015, Do: fabric.Corrupt, Rail: fabric.OnRail(0)}},
+		Windows: []fabric.Window{{Node: fabric.AllNodes, Rail: fabric.OnRail(0), From: base + 60*sim.Millisecond, To: base + 95*sim.Millisecond, Slow: 8}},
+	}
 	// Seeded crash schedule: three staggered firmware crashes, far
 	// enough apart that each recovery (~1.5 ms) finishes long before
 	// the next crash lands.
@@ -101,13 +108,9 @@ func survRun(seed uint64) *survResult {
 		node := int(sim.SplitmixNext(&sched) % soakNodes)
 		at := base + 25*sim.Millisecond + sim.Time(k)*45*sim.Millisecond +
 			sim.Time(sim.SplitmixNext(&sched)%uint64(15*sim.Millisecond))
-		c.Nodes[node].NIC.CrashAt(at)
+		faults.Crashes = append(faults.Crashes, fabric.Crash{Node: node, At: at})
 	}
-	// Silent corruption on the Myrinet rail: the per-fragment CRC must
-	// catch every flip and retransmission must heal it.
-	hf.Rail(0).SetFault(fabric.RandomCorrupt(0.015))
-	// A gray window on top: the policy rail runs 8x slow mid-soak.
-	hf.RailSlow(0, base+60*sim.Millisecond, base+95*sim.Millisecond, 8)
+	c.Install(faults)
 
 	// Recovery is supposed to keep every send succeeding; the rig's
 	// wait-and-resend arm is a backstop that (if ever taken) shows up in
@@ -162,7 +165,7 @@ func grayRun(seed uint64, adaptive bool) *grayResult {
 	// nothing lost — for a 60 ms window a seeded jitter into the run.
 	sched := seed ^ 0x6a09e667f3bcc909
 	start := base + 20*sim.Millisecond + sim.Time(sim.SplitmixNext(&sched)%uint64(8*sim.Millisecond))
-	hf.RailSlow(0, start, start+60*sim.Millisecond, 24)
+	c.Install(fabric.Schedule{Windows: []fabric.Window{{Node: fabric.AllNodes, Rail: fabric.OnRail(0), From: start, To: start + 60*sim.Millisecond, Slow: 24}}})
 
 	res := &grayResult{}
 	durations := make([]sim.Time, 0, grayRounds)

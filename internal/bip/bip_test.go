@@ -73,7 +73,7 @@ func TestVeryLowLatency(t *testing.T) {
 
 func TestNoErrorCorrection(t *testing.T) {
 	c, a, b := setup(t)
-	c.Fabric.SetFault(fabric.CorruptEvery(1))
+	c.Install(fabric.Schedule{Rules: []fabric.Rule{{Every: 1, Do: fabric.Corrupt}}})
 	delivered := false
 	c.Env.Go("a", func(p *sim.Proc) {
 		va := a.Process().Space.Alloc(64)

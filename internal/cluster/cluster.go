@@ -152,5 +152,21 @@ func (c *Cluster) SetTracer(tr *trace.Tracer) {
 	}
 }
 
+// Install arms a fault schedule: its rules and windows on the fabric,
+// then each crash, in list order, as an event on its node's NIC. It
+// panics, naming the entry, on anything the machine cannot run, before
+// anything is armed.
+func (c *Cluster) Install(s fabric.Schedule) {
+	for i, cr := range s.Crashes {
+		if uint(cr.Node) >= uint(len(c.Nodes)) {
+			panic(fmt.Sprintf("cluster: schedule crash %d %+v: node %d is not on a %d-node machine", i, cr, cr.Node, len(c.Nodes)))
+		}
+	}
+	c.Fabric.Install(fabric.Schedule{Rules: s.Rules, Windows: s.Windows})
+	for _, cr := range s.Crashes {
+		c.Nodes[cr.Node].NIC.CrashAt(cr.At)
+	}
+}
+
 // Size returns the node count.
 func (c *Cluster) Size() int { return len(c.Nodes) }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"bcl/internal/fabric"
@@ -93,7 +94,7 @@ func TestSeedDeterminism(t *testing.T) {
 		c := New(Config{Nodes: 2, Seed: 7, NIC: nic.Config{
 			Translate: nic.HostTranslated, Completion: nic.UserEventQueue, Reliable: true,
 		}})
-		c.Fabric.SetFault(fabric.RandomLoss(0.5))
+		c.Install(fabric.Schedule{Rules: []fabric.Rule{{P: 0.5, Do: fabric.Drop}}})
 		kproc := c.Nodes[1].Kernel.Spawn()
 		va := kproc.Space.Alloc(4096)
 		segs, _ := kproc.Space.Segments(va, 4096)
@@ -128,4 +129,94 @@ func TestSeedDeterminism(t *testing.T) {
 	if r1 != r2 || p1 != p2 {
 		t.Fatalf("same-seed runs diverged: %d/%d vs %d/%d", r1, p1, r2, p2)
 	}
+}
+
+// TestInstallRejectsMalformedSchedules: a schedule the machine cannot
+// run panics at Install, naming the entry, with nothing armed — not as
+// an outage that never happens or a divide by zero at the first packet.
+func TestInstallRejectsMalformedSchedules(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fab  FabricKind
+		bad  func(s *fabric.Schedule)
+		want string
+	}{
+		{"window node out of range", Myrinet, func(s *fabric.Schedule) {
+			s.Windows = append(s.Windows, fabric.Window{Node: 99, To: sim.Millisecond})
+		}, "window 1 {Node:99"},
+		{"window node negative", Mesh, func(s *fabric.Schedule) {
+			s.Windows = append(s.Windows, fabric.Window{Node: -2, To: sim.Millisecond})
+		}, "window 1 {Node:-2"},
+		{"window rail out of range", Hetero, func(s *fabric.Schedule) {
+			s.Windows = append(s.Windows, fabric.Window{Node: 1, Rail: fabric.OnRail(2), To: sim.Millisecond})
+		}, "window 1"},
+		{"rule rail on a single-rail fabric", Myrinet, func(s *fabric.Schedule) {
+			s.Rules = append(s.Rules, fabric.Rule{Every: 2, Do: fabric.Drop, Rail: fabric.OnRail(1)})
+		}, "rule 1"},
+		{"crash node out of range", Myrinet, func(s *fabric.Schedule) {
+			s.Crashes = append(s.Crashes, fabric.Crash{Node: 4, At: sim.Millisecond})
+		}, "crash 1 {Node:4"},
+		{"inverted window", Myrinet, func(s *fabric.Schedule) {
+			s.Windows = append(s.Windows, fabric.Window{Node: 1, From: 2 * sim.Millisecond, To: sim.Millisecond})
+		}, "window 1"},
+		{"empty window", Hetero, func(s *fabric.Schedule) {
+			s.Windows = append(s.Windows, fabric.Window{Node: fabric.AllNodes, From: sim.Millisecond, To: sim.Millisecond})
+		}, "window 1"},
+		{"slow factor 1", Myrinet, func(s *fabric.Schedule) {
+			s.Windows = append(s.Windows, fabric.Window{Node: 1, To: sim.Millisecond, Slow: 1})
+		}, "window 1"},
+		{"slow factor negative", Myrinet, func(s *fabric.Schedule) {
+			s.Windows = append(s.Windows, fabric.Window{Node: 1, To: sim.Millisecond, Slow: -4})
+		}, "window 1"},
+		{"Every 0", Myrinet, func(s *fabric.Schedule) {
+			s.Rules = append(s.Rules, fabric.Rule{Every: 0, Do: fabric.Drop})
+		}, "rule 1"},
+		{"Every negative", Myrinet, func(s *fabric.Schedule) {
+			s.Rules = append(s.Rules, fabric.Rule{Every: -3, Do: fabric.Duplicate})
+		}, "rule 1"},
+		{"K negative", Hetero, func(s *fabric.Schedule) {
+			s.Rules = append(s.Rules, fabric.Rule{K: -1, Do: fabric.Drop})
+		}, "rule 1"},
+		{"two triggers", Myrinet, func(s *fabric.Schedule) {
+			s.Rules = append(s.Rules, fabric.Rule{K: 1, Every: 2, Do: fabric.Drop})
+		}, "rule 1"},
+		{"p above 1", Myrinet, func(s *fabric.Schedule) {
+			s.Rules = append(s.Rules, fabric.Rule{P: 1.5, Do: fabric.Drop})
+		}, "rule 1"},
+		{"p negative", Myrinet, func(s *fabric.Schedule) {
+			s.Rules = append(s.Rules, fabric.Rule{P: -0.1, Do: fabric.Corrupt})
+		}, "rule 1"},
+		{"no verdict", Myrinet, func(s *fabric.Schedule) {
+			s.Rules = append(s.Rules, fabric.Rule{Every: 2})
+		}, "rule 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Config{Nodes: 4, Fabric: tc.fab})
+			// Valid entries ahead of the bad one: none may be armed.
+			s := fabric.Schedule{
+				Rules:   []fabric.Rule{{P: 1, Do: fabric.Drop}},
+				Windows: []fabric.Window{{Node: 0, To: sim.Millisecond}},
+				Crashes: []fabric.Crash{{Node: 0, At: sim.Microsecond}},
+			}
+			tc.bad(&s)
+			msg := func() (msg string) {
+				defer func() { msg, _ = recover().(string) }()
+				c.Install(s)
+				return ""
+			}()
+			if !strings.Contains(msg, tc.want) {
+				t.Fatalf("Install panicked with %q, want it to name %q", msg, tc.want)
+			}
+			c.Env.RunUntil(10 * sim.Microsecond)
+			if c.Fabric.NodeDown(0) || c.Nodes[0].NIC.FirmwareDead() {
+				t.Fatal("a rejected schedule armed its valid entries")
+			}
+		})
+	}
+	// The valid entries alone install.
+	New(Config{Nodes: 4, Fabric: Hetero}).Install(fabric.Schedule{
+		Rules:   []fabric.Rule{{P: 1, Do: fabric.Drop, Rail: fabric.OnRail(1)}},
+		Windows: []fabric.Window{{Node: fabric.AllNodes, Rail: fabric.OnRail(0), To: sim.Millisecond, Slow: 2}},
+		Crashes: []fabric.Crash{{Node: 3, At: sim.Microsecond}},
+	})
 }

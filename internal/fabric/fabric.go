@@ -292,6 +292,7 @@ const (
 	Deliver   Verdict = iota // forward the packet normally
 	Drop                     // lose the packet in the fabric
 	Duplicate                // deliver the packet twice (switch misbehaviour)
+	Corrupt                  // a Rule's action: damage the payload, then deliver
 )
 
 // Fault is a fault-injection hook. It may mutate the packet (corrupt
@@ -300,105 +301,11 @@ const (
 // anyone else still references before the call — so corruption reaches
 // the wire copy only, never a sender's retained retransmission bytes.
 //
-// The full fault vocabulary of the simulator (also listed by
-// `bclbench -list`) spans three mechanisms:
-//
-//   - Per-packet Fault hooks, installed with Fabric.SetFault: DropEvery,
-//     DuplicateEvery, CorruptEvery (deterministic counters), RandomLoss
-//     and RandomCorrupt (probabilistic, driven by the seeded env RNG so
-//     runs stay reproducible).
-//   - Virtual-time windows on the Network: LinkDown(node, from, to) and
-//     AllDown(from, to) lose every packet touching the downed component
-//     (crash-stop outages); SlowLink(node, from, to, factor) and
-//     AllSlow(from, to, factor) multiply serialization and hop latency
-//     without losing anything (gray failure / degraded rail).
-//   - NIC-level injectors outside the fabric: (*nic.NIC).CrashAt(t) /
-//     CrashFirmware() kill the MCP firmware at a virtual instant, wiping
-//     all NIC SRAM state until the kernel watchdog reboots and replays
-//     it.
-//
-// Every probabilistic injector draws from the simulation's seeded RNG:
-// the same -seed reproduces the same fault schedule bit-for-bit.
+// A fault is data: a Schedule (packet rules, outage and gray-failure
+// windows, firmware crashes; also listed by `bclbench -list`) compiles
+// its rules into one Fault per rail. Fabric.SetFault installs a bare
+// hook, for the callers that observe packets rather than inject faults.
 type Fault func(env *sim.Env, pkt *Packet) Verdict
-
-// DropEvery returns a Fault dropping every nth data packet.
-func DropEvery(n int) Fault {
-	count := 0
-	return func(_ *sim.Env, pkt *Packet) Verdict {
-		if pkt.Kind != KindData {
-			return Deliver
-		}
-		count++
-		if count%n == 0 {
-			return Drop
-		}
-		return Deliver
-	}
-}
-
-// CorruptEvery returns a Fault flipping a byte in every nth data
-// packet with a non-empty payload.
-func CorruptEvery(n int) Fault {
-	count := 0
-	return func(_ *sim.Env, pkt *Packet) Verdict {
-		if pkt.Kind != KindData || len(pkt.Payload) == 0 {
-			return Deliver
-		}
-		count++
-		if count%n == 0 {
-			pkt.Payload[0] ^= 0xff
-		}
-		return Deliver
-	}
-}
-
-// DuplicateEvery returns a Fault duplicating every nth data packet:
-// the fabric delivers two copies, exercising receiver-side dedup.
-func DuplicateEvery(n int) Fault {
-	count := 0
-	return func(_ *sim.Env, pkt *Packet) Verdict {
-		if pkt.Kind != KindData {
-			return Deliver
-		}
-		count++
-		if count%n == 0 {
-			return Duplicate
-		}
-		return Deliver
-	}
-}
-
-// RandomCorrupt returns a Fault flipping one random payload bit in
-// data packets with probability p, using the environment's
-// deterministic RNG. A single bit flip is always detected by the
-// per-fragment CRC-32, so the receiver drops the fragment (counted as
-// crc_drops) and the go-back-N retransmit path heals it end-to-end.
-func RandomCorrupt(p float64) Fault {
-	return func(env *sim.Env, pkt *Packet) Verdict {
-		if pkt.Kind != KindData || len(pkt.Payload) == 0 {
-			return Deliver
-		}
-		if env.Rand().Bool(p) {
-			bit := env.Rand().Intn(len(pkt.Payload) * 8)
-			pkt.Payload[bit/8] ^= 1 << (bit % 8)
-		}
-		return Deliver
-	}
-}
-
-// RandomLoss returns a Fault dropping data packets with probability p,
-// using the environment's deterministic RNG.
-func RandomLoss(p float64) Fault {
-	return func(env *sim.Env, pkt *Packet) Verdict {
-		if pkt.Kind != KindData {
-			return Deliver
-		}
-		if env.Rand().Bool(p) {
-			return Drop
-		}
-		return Deliver
-	}
-}
 
 // Endpoint is a fabric attachment point for one NIC: an inbound packet
 // queue plus the outbound injection path.
@@ -449,6 +356,9 @@ type Fabric interface {
 	Nodes() int
 	// SetFault installs a fault-injection hook (nil clears it).
 	SetFault(f Fault)
+	// Install arms a schedule's rules (replacing the hook when it has
+	// any) and windows; it panics on a malformed entry or a crash.
+	Install(s Schedule)
 	// NodeDown reports whether the node's fabric attachment is inside
 	// an outage window at the current virtual time.
 	NodeDown(node int) bool
@@ -469,37 +379,6 @@ type link struct {
 	res  *sim.Resource
 	bw   hw.Bps
 	lat  sim.Time // propagation + switch cut-through latency at this hop
-}
-
-// outage is one closed-open virtual-time window [from, to) during
-// which a component is down.
-type outage struct{ from, to sim.Time }
-
-func downAt(ws []outage, t sim.Time) bool {
-	for _, w := range ws {
-		if t >= w.from && t < w.to {
-			return true
-		}
-	}
-	return false
-}
-
-// slowdown is one closed-open virtual-time window [from, to) during
-// which a component is degraded: alive, but serialization and hop
-// latency are multiplied by factor (gray failure).
-type slowdown struct {
-	from, to sim.Time
-	factor   int64
-}
-
-func slowAt(ws []slowdown, t sim.Time) int64 {
-	f := int64(1)
-	for _, w := range ws {
-		if t >= w.from && t < w.to && w.factor > f {
-			f = w.factor
-		}
-	}
-	return f
 }
 
 // Network is the generic routed-fabric engine. Concrete topologies add
@@ -527,11 +406,7 @@ type Network struct {
 	hopFn, grantFn func(id, hop uint64)
 	releaseFn      func(link, _ uint64)
 
-	nodeOut map[int][]outage // per-node link outage windows
-	allOut  []outage         // whole-fabric (switch/rail) outage windows
-
-	nodeSlow map[int][]slowdown // per-node degraded-link windows
-	allSlow  []slowdown         // whole-fabric degraded windows
+	windows []Window // outage and gray-failure windows, checked
 
 	delivered   uint64
 	dropped     uint64
@@ -626,6 +501,15 @@ func (n *Network) Name() string { return n.name }
 // SetFault implements Fabric.
 func (n *Network) SetFault(f Fault) { n.fault = f }
 
+// Install implements Fabric.
+func (n *Network) Install(s Schedule) {
+	hooks, windows := s.PerRail(len(n.endpoints), 1)
+	if hooks[0] != nil {
+		n.fault = hooks[0]
+	}
+	n.windows = append(n.windows, windows[0]...)
+}
+
 // SetTracer implements Fabric: wire-time spans land on the
 // "wire:<name>" row.
 func (n *Network) SetTracer(tr *trace.Tracer) { n.tr = tr }
@@ -681,52 +565,16 @@ func (n *Network) traceWire(pkt *Packet, how wireOutcome, start, end sim.Time) {
 	n.tr.AddFlow(wireStages[pkt.Kind][how], n.wireRow, pkt.Trace, start, end)
 }
 
-// LinkDown schedules an outage of node's fabric attachment over the
-// virtual-time window [from, to): every packet entering or leaving the
-// node in that window is lost in the fabric.
-func (n *Network) LinkDown(node int, from, to sim.Time) {
-	if n.nodeOut == nil {
-		n.nodeOut = make(map[int][]outage)
-	}
-	n.nodeOut[node] = append(n.nodeOut[node], outage{from, to})
-}
-
-// AllDown schedules a whole-fabric outage (switch or rail failure)
-// over [from, to): no packet survives the fabric in that window.
-func (n *Network) AllDown(from, to sim.Time) {
-	n.allOut = append(n.allOut, outage{from, to})
-}
-
 // NodeDown implements Fabric: true while node's attachment (or the
 // whole fabric) is inside an outage window.
 func (n *Network) NodeDown(node int) bool {
 	now := n.env.Now()
-	return downAt(n.allOut, now) || downAt(n.nodeOut[node], now)
-}
-
-// SlowLink schedules a gray failure of node's fabric attachment over
-// [from, to): packets entering or leaving the node in that window pay
-// factor times the normal serialization and hop latency, but nothing
-// is lost. This models a degraded-but-alive rail (flaky transceiver,
-// congested uplink) — the failure mode crash-stop outage windows
-// cannot express.
-func (n *Network) SlowLink(node int, from, to sim.Time, factor int) {
-	if factor < 1 {
-		factor = 1
+	for _, w := range n.windows {
+		if w.Slow == 0 && w.covers(node, now) {
+			return true
+		}
 	}
-	if n.nodeSlow == nil {
-		n.nodeSlow = make(map[int][]slowdown)
-	}
-	n.nodeSlow[node] = append(n.nodeSlow[node], slowdown{from, to, int64(factor)})
-}
-
-// AllSlow schedules a whole-fabric gray failure over [from, to): every
-// packet pays factor times the normal wire time in that window.
-func (n *Network) AllSlow(from, to sim.Time, factor int) {
-	if factor < 1 {
-		factor = 1
-	}
-	n.allSlow = append(n.allSlow, slowdown{from, to, int64(factor)})
+	return false
 }
 
 // slowFactor returns the latency multiplier in effect right now for a
@@ -734,12 +582,11 @@ func (n *Network) AllSlow(from, to sim.Time, factor int) {
 // window wins; the factor is sampled once at injection time.
 func (n *Network) slowFactor(src, dst int) int64 {
 	now := n.env.Now()
-	f := slowAt(n.allSlow, now)
-	if nf := slowAt(n.nodeSlow[src], now); nf > f {
-		f = nf
-	}
-	if nf := slowAt(n.nodeSlow[dst], now); nf > f {
-		f = nf
+	f := int64(1)
+	for _, w := range n.windows {
+		if int64(w.Slow) > f && (w.covers(src, now) || w.covers(dst, now)) {
+			f = int64(w.Slow)
+		}
 	}
 	return f
 }
@@ -753,10 +600,6 @@ func (n *Network) OutageDrops() uint64 { return n.outageDrops }
 
 // Duplicated returns how many packets the fault hook duplicated.
 func (n *Network) Duplicated() uint64 { return n.duplicated }
-
-// SlowedPkts returns how many packets traversed the fabric inside a
-// gray-failure (slow) window.
-func (n *Network) SlowedPkts() uint64 { return n.slowedPkts }
 
 // own gives pkt a payload nobody else references, so a fault hook may
 // corrupt it: a pooled buffer someone else also holds (the sender's

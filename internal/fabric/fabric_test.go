@@ -165,7 +165,7 @@ func TestContentionOnSharedLink(t *testing.T) {
 func TestFaultDrop(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := twoNode(env, 160*hw.MBps, 100)
-	net.SetFault(DropEvery(2))
+	net.Install(Schedule{Rules: []Rule{{Every: 2, Do: Drop}}})
 	received := 0
 	env.Go("rx", func(p *sim.Proc) {
 		for {
@@ -195,7 +195,7 @@ func TestFaultDrop(t *testing.T) {
 func TestFaultCorrupt(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := twoNode(env, 160*hw.MBps, 100)
-	net.SetFault(CorruptEvery(3))
+	net.Install(Schedule{Rules: []Rule{{Every: 3, Do: Corrupt}}})
 	bad := 0
 	env.Go("rx", func(p *sim.Proc) {
 		for i := 0; i < 9; i++ {
@@ -222,7 +222,7 @@ func TestRandomLossDeterministic(t *testing.T) {
 	run := func() uint64 {
 		env := sim.NewEnv(99)
 		net := twoNode(env, 160*hw.MBps, 100)
-		net.SetFault(RandomLoss(0.3))
+		net.Install(Schedule{Rules: []Rule{{P: 0.3, Do: Drop}}})
 		env.Go("tx", func(p *sim.Proc) {
 			for i := 0; i < 100; i++ {
 				pkt := &Packet{Kind: KindData, Src: 0, Dst: 1}
@@ -252,7 +252,7 @@ func TestRandomLossDeterministic(t *testing.T) {
 func TestFaultDuplicate(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := twoNode(env, 160*hw.MBps, 100)
-	net.SetFault(DuplicateEvery(3))
+	net.Install(Schedule{Rules: []Rule{{Every: 3, Do: Duplicate}}})
 	received := 0
 	env.Go("rx", func(p *sim.Proc) {
 		for {
@@ -283,7 +283,7 @@ func TestOutageWindow(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := twoNode(env, 160*hw.MBps, 100)
 	// Node 1's attachment is down for [1ms, 2ms).
-	net.LinkDown(1, sim.Millisecond, 2*sim.Millisecond)
+	net.Install(Schedule{Windows: []Window{{Node: 1, From: sim.Millisecond, To: 2 * sim.Millisecond}}})
 	var got []byte
 	env.Go("rx", func(p *sim.Proc) {
 		for {
@@ -327,7 +327,7 @@ func TestOutageWindow(t *testing.T) {
 func TestAllDownDropsEverything(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := twoNode(env, 160*hw.MBps, 100)
-	net.AllDown(0, sim.Millisecond)
+	net.Install(Schedule{Windows: []Window{{Node: AllNodes, From: 0, To: sim.Millisecond}}})
 	received := 0
 	env.Go("rx", func(p *sim.Proc) {
 		for {
@@ -353,8 +353,8 @@ func TestAllDownDropsEverything(t *testing.T) {
 	}
 }
 
-// Property: ACK/NACK packets pass through any fault hook untouched
-// (the built-in hooks only target data packets).
+// Property: ACK/NACK packets pass untouched through every rule on the
+// default kind (data packets).
 func TestQuickFaultsSpareControlPackets(t *testing.T) {
 	f := func(nRaw uint8, kindRaw uint8) bool {
 		n := int(nRaw%5) + 2
@@ -363,9 +363,10 @@ func TestQuickFaultsSpareControlPackets(t *testing.T) {
 			kind = KindNack
 		}
 		env := sim.NewEnv(uint64(nRaw))
-		for _, fault := range []Fault{DropEvery(n), CorruptEvery(n), DuplicateEvery(n), RandomLoss(0.9)} {
+		for _, r := range []Rule{{Every: n, Do: Drop}, {Every: n, Do: Corrupt}, {Every: n, Do: Duplicate}, {P: 0.9, Do: Drop}} {
+			hooks, _ := Schedule{Rules: []Rule{r}}.PerRail(2, 1)
 			pkt := &Packet{Kind: kind, Payload: []byte{42}}
-			if fault(env, pkt) != Deliver || pkt.Payload[0] != 42 {
+			if hooks[0](env, pkt) != Deliver || pkt.Payload[0] != 42 {
 				return false
 			}
 		}

@@ -42,22 +42,11 @@ func SplitAt(split int) Policy {
 	}
 }
 
-// Rail is one physical network of the composite: a Fabric whose
-// outages and gray-failure (slow) windows can be scheduled (both
-// myrinet and mesh satisfy it through the embedded *fabric.Network).
-type Rail interface {
-	fabric.Fabric
-	LinkDown(node int, from, to sim.Time)
-	AllDown(from, to sim.Time)
-	SlowLink(node int, from, to sim.Time, factor int)
-	AllSlow(from, to sim.Time, factor int)
-}
-
 // Fabric is the composite network.
 type Fabric struct {
 	env       *sim.Env
 	policy    Policy
-	rails     [2]Rail
+	rails     [2]*fabric.Network // 0 Myrinet, 1 mesh
 	endpoints []*fabric.Endpoint
 
 	// Obs, when set (the cluster wires it), records rail failovers in
@@ -81,8 +70,7 @@ func New(env *sim.Env, prof *hw.Profile, n int, policy Policy) *Fabric {
 		policy = SplitAt(n / 2)
 	}
 	f := &Fabric{env: env, policy: policy}
-	f.rails[0] = myrinet.New(env, prof, n)
-	f.rails[1] = mesh.New(env, prof, n)
+	f.rails = [2]*fabric.Network{myrinet.New(env, prof, n).Network, mesh.New(env, prof, n).Network}
 	for node := 0; node < n; node++ {
 		// Both rails deliver straight into the node's one RX queue; the
 		// NIC above sees one stream (two physical ports feeding one
@@ -145,6 +133,19 @@ func (f *Fabric) SetFault(hook fabric.Fault) {
 	f.rails[1].SetFault(hook)
 }
 
+// Install implements fabric.Fabric: a rule or window on one rail arms
+// that rail alone, one on every rail arms both, and a rule on both
+// rails keeps one counter, as one hook given to SetFault does.
+func (f *Fabric) Install(s fabric.Schedule) {
+	hooks, windows := s.PerRail(len(f.endpoints), len(f.rails))
+	for r, rail := range f.rails {
+		if hooks[r] != nil {
+			rail.SetFault(hooks[r])
+		}
+		rail.Install(fabric.Schedule{Windows: windows[r]})
+	}
+}
+
 // SetTracer attaches the tracer to both rails, so each physical
 // network gets its own "wire:<name>" row.
 func (f *Fabric) SetTracer(tr *trace.Tracer) {
@@ -179,10 +180,8 @@ func (f *Fabric) CollectGauges(set obs.GaugeSet) {
 		}
 		set(node, layer, name, v)
 	}
-	for r := 0; r < 2; r++ {
-		if gc, ok := f.rails[r].(interface{ CollectGauges(obs.GaugeSet) }); ok {
-			gc.CollectGauges(railSet)
-		}
+	for _, rail := range f.rails {
+		rail.CollectGauges(railSet)
 	}
 }
 
@@ -191,10 +190,8 @@ func (f *Fabric) CollectGauges(set obs.GaugeSet) {
 // transit histogram (the health engine's rail-divergence inputs).
 func (f *Fabric) SetObs(o *obs.Obs) {
 	f.Obs = o
-	for r := 0; r < 2; r++ {
-		if so, ok := f.rails[r].(interface{ SetObs(*obs.Obs) }); ok {
-			so.SetObs(o)
-		}
+	for _, rail := range f.rails {
+		rail.SetObs(o)
 	}
 }
 
@@ -202,15 +199,6 @@ func (f *Fabric) SetObs(o *obs.Obs) {
 // only when BOTH rails have lost it (otherwise failover still routes).
 func (f *Fabric) NodeDown(node int) bool {
 	return f.rails[0].NodeDown(node) && f.rails[1].NodeDown(node)
-}
-
-// Rail exposes one physical network (0 = Myrinet, 1 = mesh) so tests
-// and the chaos harness can schedule rail-local outages.
-func (f *Fabric) Rail(r int) Rail { return f.rails[r] }
-
-// RailDown schedules a whole-rail outage over [from, to).
-func (f *Fabric) RailDown(r int, from, to sim.Time) {
-	f.rails[r].AllDown(from, to)
 }
 
 // RailCounts reports how many packets each rail carried.
@@ -221,12 +209,6 @@ func (f *Fabric) RailCounts() (myrinetPkts, meshPkts uint64) {
 // Failovers reports how many packets were rerouted off their policy
 // rail because of an outage.
 func (f *Fabric) Failovers() uint64 { return f.failovers }
-
-// RailSlow schedules a whole-rail gray failure (latency multiplier)
-// over [from, to).
-func (f *Fabric) RailSlow(r int, from, to sim.Time, factor int) {
-	f.rails[r].AllSlow(from, to, factor)
-}
 
 // PreferAlternate implements the NIC's gray-failure steering hook
 // (nic.RailSteer): while prefer is set for (src, dst), packets between

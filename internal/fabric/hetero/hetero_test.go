@@ -57,7 +57,7 @@ func TestFailoverToSurvivingRail(t *testing.T) {
 	env := sim.NewEnv(1)
 	f := New(env, hw.DAWNING3000(), 4, func(src, dst int) int { return 0 }) // everything prefers Myrinet
 	const outageEnd = 2 * sim.Millisecond
-	f.RailDown(0, 0, outageEnd)
+	f.Install(fabric.Schedule{Windows: []fabric.Window{{Node: fabric.AllNodes, Rail: fabric.OnRail(0), To: outageEnd}}})
 	delivered := 0
 	env.Go("rx", func(p *sim.Proc) {
 		for {

@@ -22,8 +22,10 @@ import (
 func transitScenario() string {
 	env := sim.NewEnv(3)
 	f := mesh.New(env, hw.DAWNING3000(), 9)
-	f.SetFault(fabric.DuplicateEvery(7))
-	f.SlowLink(1, 40*sim.Microsecond, 120*sim.Microsecond, 3)
+	f.Install(fabric.Schedule{
+		Rules:   []fabric.Rule{{Every: 7, Do: fabric.Duplicate}},
+		Windows: []fabric.Window{{Node: 1, From: 40 * sim.Microsecond, To: 120 * sim.Microsecond, Slow: 3}},
+	})
 
 	var log strings.Builder
 	for node := 0; node < 9; node++ {

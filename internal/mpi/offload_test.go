@@ -11,7 +11,6 @@ import (
 	"bcl/internal/cluster"
 	"bcl/internal/eadi"
 	"bcl/internal/fabric"
-	"bcl/internal/fabric/myrinet"
 	"bcl/internal/nic"
 	"bcl/internal/sim"
 	"bcl/internal/trace"
@@ -210,6 +209,7 @@ func TestOffloadFaultDropDup(t *testing.T) {
 	const n = 8
 	c, comms := collJob(t, n, bcl.DefaultNICConfig())
 	count := 0
+	// A hook, not a Schedule: one counter over two kinds, firing at two phases.
 	c.Fabric.SetFault(func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if pkt.Kind != fabric.KindCollMcast && pkt.Kind != fabric.KindCollComb {
 			return fabric.Deliver
@@ -288,7 +288,7 @@ func TestOffloadInteriorDeath(t *testing.T) {
 	// Node 1's fabric attachment dies shortly after the first (healthy)
 	// barrier; the second barrier runs against the dead interior node.
 	deathAt := c.Env.Now() + 20*sim.Millisecond
-	c.Fabric.(*myrinet.Fabric).LinkDown(1, deathAt, sim.Time(1<<62))
+	c.Install(fabric.Schedule{Windows: []fabric.Window{{Node: 1, From: deathAt, To: sim.Time(1 << 62)}}})
 
 	done := make([]bool, n)
 	for i := range comms {

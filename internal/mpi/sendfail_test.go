@@ -6,7 +6,7 @@ import (
 	"bcl/internal/bcl"
 	"bcl/internal/cluster"
 	"bcl/internal/eadi"
-	"bcl/internal/fabric/myrinet"
+	"bcl/internal/fabric"
 	"bcl/internal/sim"
 )
 
@@ -51,7 +51,7 @@ func faultJob(t *testing.T, nodes int, slots []int) (*cluster.Cluster, []*Comm) 
 func TestSendFailedPropagatesBlocking(t *testing.T) {
 	c, comms := faultJob(t, 2, []int{0, 1})
 	// Permanent (for this test) outage of the peer node.
-	c.Fabric.(*myrinet.Fabric).LinkDown(1, 0, 100*sim.Second)
+	c.Install(fabric.Schedule{Windows: []fabric.Window{{Node: 1, To: 100 * sim.Second}}})
 
 	small := make([]byte, 64)                // eager path
 	large := make([]byte, eadi.EagerLimit*4) // rendezvous path (RTS fails)
@@ -92,7 +92,7 @@ func TestSendFailedPropagatesBlocking(t *testing.T) {
 // Isend posts, and the failure is reported by Wait as an error.
 func TestSendFailedPropagatesNonblocking(t *testing.T) {
 	c, comms := faultJob(t, 2, []int{0, 1})
-	c.Fabric.(*myrinet.Fabric).LinkDown(1, 0, 100*sim.Second)
+	c.Install(fabric.Schedule{Windows: []fabric.Window{{Node: 1, To: 100 * sim.Second}}})
 
 	payload := make([]byte, 128)
 	var waitErr error

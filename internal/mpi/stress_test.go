@@ -95,7 +95,7 @@ func TestRandomP2POracle(t *testing.T) {
 // indistinguishable from a clean fabric.
 func TestCollectivesUnderPacketLoss(t *testing.T) {
 	c, comms := job(t, 4, []int{0, 1, 2, 3})
-	c.Fabric.SetFault(fabric.RandomLoss(0.15))
+	c.Install(fabric.Schedule{Rules: []fabric.Rule{{P: 0.15, Do: fabric.Drop}}})
 	payload := make([]byte, 9000)
 	c.Env.Rand().Fill(payload)
 	results := make([][]byte, len(comms))

@@ -13,7 +13,7 @@ import (
 // receiver deliver the message exactly once, discarding the copies.
 func TestDuplicateDeliveredExactlyOnce(t *testing.T) {
 	r := newRig(t, bclConfig())
-	r.fab.SetFault(fabric.DuplicateEvery(2))
+	r.fab.Install(fabric.Schedule{Rules: []fabric.Rule{{Every: 2, Do: fabric.Duplicate}}})
 	payload := make([]byte, 20*1024) // 5 fragments
 	r.env.Rand().Fill(payload)
 	_, sseg := r.pinnedSegs(t, 0, payload)
@@ -66,6 +66,7 @@ func TestRetransmitBackoffEscalates(t *testing.T) {
 	cfg.MaxRetries = 4
 	r := newRig(t, cfg)
 	var attempts []sim.Time
+	// A hook, not a Schedule: it observes when each attempt left.
 	r.fab.SetFault(func(env *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if pkt.Kind == fabric.KindData {
 			attempts = append(attempts, env.Now())
@@ -123,7 +124,7 @@ func TestPeerHealthLifecycle(t *testing.T) {
 	cfg.MaxRetries = 3
 	r := newRig(t, cfg)
 	const outageEnd = 20 * sim.Millisecond
-	r.fab.LinkDown(1, 0, outageEnd)
+	r.fab.Install(fabric.Schedule{Windows: []fabric.Window{{Node: 1, To: outageEnd}}})
 
 	payload := []byte("after the storm")
 	_, sseg := r.pinnedSegs(t, 0, payload)
@@ -218,6 +219,7 @@ func TestFailedSendKeepsItsDescriptor(t *testing.T) {
 	cfg := bclConfig()
 	cfg.MaxRetries = 2
 	r := newRig(t, cfg)
+	// A hook, not a Schedule: no other caller filters on a message id.
 	r.fab.SetFault(func(env *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if pkt.Kind == fabric.KindData && pkt.MsgID == 1 {
 			return fabric.Drop

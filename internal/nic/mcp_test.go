@@ -38,14 +38,7 @@ func TestCumulativeAckClearsWindow(t *testing.T) {
 	// Drop several ACKs; a single later cumulative ACK must clear all
 	// the earlier pending entries at once.
 	r := newRig(t, bclConfig())
-	dropped := 0
-	r.fab.SetFault(func(env *sim.Env, pkt *fabric.Packet) fabric.Verdict {
-		if pkt.Kind == fabric.KindAck && dropped < 4 {
-			dropped++
-			return fabric.Drop
-		}
-		return fabric.Deliver
-	})
+	r.fab.Install(dropFirst(fabric.KindAck, 4))
 	payload := make([]byte, 24*1024) // 6 fragments
 	_, sseg := r.pinnedSegs(t, 0, payload)
 	rva, rseg := r.recvBuf(t, 1, len(payload))
@@ -77,14 +70,7 @@ func TestRetransmitTimerRearmsAcrossMessages(t *testing.T) {
 	// Black-hole only the FIRST data packet; everything after (including
 	// the go-back-N recovery) flows. The message must still arrive.
 	r := newRig(t, bclConfig())
-	first := true
-	r.fab.SetFault(func(env *sim.Env, pkt *fabric.Packet) fabric.Verdict {
-		if pkt.Kind == fabric.KindData && first {
-			first = false
-			return fabric.Drop
-		}
-		return fabric.Deliver
-	})
+	r.fab.Install(dropFirst(fabric.KindData, 1))
 	payload := []byte("recovered by timer")
 	_, sseg := r.pinnedSegs(t, 0, payload)
 	rva, rseg := r.recvBuf(t, 1, 4096)
@@ -193,6 +179,7 @@ func TestFlowSequenceMonotonic(t *testing.T) {
 	// destination across messages and kinds.
 	r := newRig(t, bclConfig())
 	var seqs []uint64
+	// A hook, not a Schedule: it observes every wire sequence number.
 	r.fab.SetFault(func(env *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if pkt.Kind == fabric.KindData || pkt.Kind == fabric.KindRMAWrite {
 			seqs = append(seqs, pkt.Seq)
@@ -326,6 +313,7 @@ func TestRetiredSendsLeaveTheReplayOrder(t *testing.T) {
 	r := newRigOf(t, cfg, 3)
 	n := r.nics[0]
 	peak := 0
+	// A hook, not a Schedule: it reads NIC internals (the flow's depth).
 	r.fab.SetFault(func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if f := n.tx.Get(2); f != nil {
 			peak = max(peak, f.inflight.Len())
@@ -396,6 +384,7 @@ func TestFaultHookNeverTouchesRetainedPayload(t *testing.T) {
 	payload := make([]byte, 24*1024) // 6 fragments
 	r.env.Rand().Fill(payload)
 	scribbled, checked := 0, 0
+	// A hook, not a Schedule: it reads NIC internals (retained fragments).
 	r.fab.SetFault(func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if pkt.Kind != fabric.KindData || scribbled >= 40 {
 			return fabric.Deliver

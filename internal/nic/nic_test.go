@@ -258,7 +258,7 @@ func TestFragmentationLargeMessage(t *testing.T) {
 
 func TestRetransmitOnDrop(t *testing.T) {
 	r := newRig(t, bclConfig())
-	r.fab.SetFault(fabric.DropEvery(3))
+	r.fab.Install(fabric.Schedule{Rules: []fabric.Rule{{Every: 3, Do: fabric.Drop}}})
 	payload := make([]byte, 40*1024)
 	r.env.Rand().Fill(payload)
 	_, sseg := r.pinnedSegs(t, 0, payload)
@@ -294,7 +294,7 @@ func TestRetransmitOnDrop(t *testing.T) {
 
 func TestRetransmitOnCorruption(t *testing.T) {
 	r := newRig(t, bclConfig())
-	r.fab.SetFault(fabric.CorruptEvery(4))
+	r.fab.Install(fabric.Schedule{Rules: []fabric.Rule{{Every: 4, Do: fabric.Corrupt}}})
 	payload := make([]byte, 32*1024)
 	r.env.Rand().Fill(payload)
 	_, sseg := r.pinnedSegs(t, 0, payload)
@@ -368,7 +368,7 @@ func TestNackWhenChannelNotArmed(t *testing.T) {
 
 func TestSendFailedAfterRetriesExhausted(t *testing.T) {
 	r := newRig(t, Config{Translate: HostTranslated, Completion: UserEventQueue, Reliable: true, MaxRetries: 3})
-	r.fab.SetFault(fabric.RandomLoss(1.0)) // black hole
+	r.fab.Install(fabric.Schedule{Rules: []fabric.Rule{{P: 1, Do: fabric.Drop}}}) // black hole
 	payload := []byte("doomed")
 	_, sseg := r.pinnedSegs(t, 0, payload)
 	sp := r.nics[0].RegisterPort(1)
@@ -601,7 +601,7 @@ func TestUnreliableModeSkipsAcks(t *testing.T) {
 	}
 	// And a dropped packet is simply lost.
 	r2 := newRig(t, cfg)
-	r2.fab.SetFault(fabric.DropEvery(1))
+	r2.fab.Install(fabric.Schedule{Rules: []fabric.Rule{{Every: 1, Do: fabric.Drop}}})
 	_, sseg2 := r2.pinnedSegs(t, 0, payload)
 	rva2, rseg2 := r2.recvBuf(t, 1, 4096)
 	r2.nics[0].RegisterPort(1)
@@ -760,14 +760,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	// Drop ACKs so the sender retransmits data the receiver already
 	// has; the receiver must not deliver twice.
 	r := newRig(t, bclConfig())
-	acksDropped := 0
-	r.fab.SetFault(func(env *sim.Env, pkt *fabric.Packet) fabric.Verdict {
-		if pkt.Kind == fabric.KindAck && acksDropped < 3 {
-			acksDropped++
-			return fabric.Drop
-		}
-		return fabric.Deliver
-	})
+	r.fab.Install(dropFirst(fabric.KindAck, 3))
 	payload := []byte("once only")
 	_, sseg := r.pinnedSegs(t, 0, payload)
 	rva, rseg := r.recvBuf(t, 1, 4096)
@@ -808,4 +801,13 @@ func TestWhereLabelIsPrecomputed(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = r.nics[1].where() }); n != 0 {
 		t.Fatalf("where() allocates %v times per call", n)
 	}
+}
+
+// dropFirst is a schedule losing the first n packets of kind.
+func dropFirst(kind fabric.PacketKind, n int) fabric.Schedule {
+	var s fabric.Schedule
+	for k := 1; k <= n; k++ {
+		s.Rules = append(s.Rules, fabric.Rule{Kind: kind, K: k, Do: fabric.Drop})
+	}
+	return s
 }

@@ -213,6 +213,7 @@ func TestCorruptCollectivePacketIsDropped(t *testing.T) {
 func TestResyncRewindsAWindowThatRanPast(t *testing.T) {
 	r := newRig(t, bclConfig())
 	dropping := true
+	// A hook, not a Schedule: the test switches it off mid-run.
 	r.fab.SetFault(func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if dropping && pkt.Kind == fabric.KindData {
 			return fabric.Drop
@@ -268,6 +269,7 @@ func TestResyncRewindsAWindowThatRanPast(t *testing.T) {
 func TestRewindResendsCollectiveForwards(t *testing.T) {
 	r := newRig(t, bclConfig())
 	dropColl := false
+	// A hook, not a Schedule: the test switches it on mid-run.
 	r.fab.SetFault(func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if dropColl && pkt.Kind == fabric.KindCollMcast {
 			return fabric.Drop
@@ -496,6 +498,7 @@ func TestRefusedRMAWriteSuppressesItsTail(t *testing.T) {
 // receive events.
 func refusedWrite(t *testing.T, fault fabric.Fault) (r *rig, evs map[uint64][]EventType, recvs int) {
 	r = newRig(t, bclConfig())
+	// A hook, not a Schedule: the callers' hooks count drops or react to a NACK.
 	r.fab.SetFault(fault)
 	sp := r.nics[0].RegisterPort(1)
 	rp := r.nics[1].RegisterPort(2)

@@ -134,6 +134,7 @@ func TestDoneRingSwallowsReplayAfterCrash(t *testing.T) {
 	// Lose every ACK from the receiver until recovery time, so the
 	// delivery completes at the host but the sender keeps retransmitting.
 	dropAcks := true
+	// A hook, not a Schedule: recovery switches it off mid-run.
 	r.fab.SetFault(func(env *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if dropAcks && pkt.Kind == fabric.KindAck && pkt.Src == 1 {
 			return fabric.Drop
@@ -331,7 +332,7 @@ func TestClosePortMidRetransmitDrains(t *testing.T) {
 	r := newRig(t, cfg)
 	j := newTestJournal()
 	r.nics[0].Journal = j
-	r.fab.LinkDown(1, 0, 40*sim.Millisecond)
+	r.fab.Install(fabric.Schedule{Windows: []fabric.Window{{Node: 1, To: 40 * sim.Millisecond}}})
 
 	payload := make([]byte, 8*1024)
 	_, sseg := r.pinnedSegs(t, 0, payload)
@@ -392,9 +393,9 @@ func TestPeerHealthTransitionTable(t *testing.T) {
 		}))
 	}
 
-	// Fault control: drop data+ack packets while blocked, deliver
-	// otherwise. (A Fault hook, not LinkDown, so probes are also lost —
-	// exercising Probing->Probing self-loops during the outage.)
+	// Fault control: drop every packet while blocked, probes included —
+	// exercising Probing->Probing self-loops during the outage. A hook,
+	// not a Schedule: the test switches it on and off mid-run.
 	blocked := false
 	r.fab.SetFault(func(env *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if blocked {

@@ -307,7 +307,7 @@ func TestTxnSurvivesDuplicates(t *testing.T) {
 		GetFrac: 0.3, TxnFrac: 0.4, PairA: pa, PairB: pb,
 		Start: sim.Millisecond, Duration: 25 * sim.Millisecond,
 	})
-	tr.c.Fabric.SetFault(fabric.DuplicateEvery(5))
+	tr.c.Install(fabric.Schedule{Rules: []fabric.Rule{{Every: 5, Do: fabric.Duplicate}}})
 	tr.runDrained(t, 400*sim.Millisecond)
 	if got := tr.checkAtomicity(t, pa, pb); got == 0 {
 		t.Fatal("no transaction committed under duplication")
@@ -331,13 +331,7 @@ func TestTxnSurvivesOutage(t *testing.T) {
 		Start: sim.Millisecond, Duration: 30 * sim.Millisecond,
 		RTO: 500 * sim.Microsecond,
 	})
-	ld, ok := tr.c.Fabric.(interface {
-		LinkDown(node int, from, to sim.Time)
-	})
-	if !ok {
-		t.Fatal("fabric has no LinkDown")
-	}
-	ld.LinkDown(1, 8*sim.Millisecond, 12*sim.Millisecond)
+	tr.c.Install(fabric.Schedule{Windows: []fabric.Window{{Node: 1, From: 8 * sim.Millisecond, To: 12 * sim.Millisecond}}})
 	tr.runDrained(t, 600*sim.Millisecond)
 	if got := tr.checkAtomicity(t, pa, pb); got == 0 {
 		t.Fatal("no transaction committed across the outage")
@@ -362,7 +356,7 @@ func TestTxnSurvivesFirmwareCrash(t *testing.T) {
 		Start: sim.Millisecond, Duration: 30 * sim.Millisecond,
 		RTO: 500 * sim.Microsecond,
 	})
-	tr.c.Nodes[2].NIC.CrashAt(10 * sim.Millisecond)
+	tr.c.Install(fabric.Schedule{Crashes: []fabric.Crash{{Node: 2, At: 10 * sim.Millisecond}}})
 	tr.runDrained(t, 600*sim.Millisecond)
 	if got := tr.checkAtomicity(t, pa, pb); got == 0 {
 		t.Fatal("no transaction committed across the firmware crash")
@@ -422,7 +416,7 @@ func TestServiceDeterministic(t *testing.T) {
 			GetFrac: 0.4, TxnFrac: 0.3, PairA: pa, PairB: pb,
 			Start: sim.Millisecond, Duration: 20 * sim.Millisecond,
 		})
-		tr.c.Fabric.SetFault(fabric.DuplicateEvery(9))
+		tr.c.Install(fabric.Schedule{Rules: []fabric.Rule{{Every: 9, Do: fabric.Duplicate}}})
 		tr.runDrained(t, 400*sim.Millisecond)
 		return digestTier(tr)
 	}
