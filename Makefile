@@ -127,12 +127,19 @@ reqobs:
 # Continuous benchmark gate. `make baseline` (re)writes
 # baselines/BENCH_*.json from a fresh run of the gated experiments;
 # `make check` reruns them at seed 1 and requires every fresh artifact
-# to equal its committed baseline byte for byte. Each artifact carries
-# the events its experiment executed and their fingerprint (events,
-# event_fp), so this is also the event-order oracle of the twelve. Each gate prints `check <gate> PASS (byte-identical)` or
-# FAIL followed by one `path: baseline -> fresh` line per JSON leaf that
-# moved; all twelve passing ends in "baselines reproduce byte for byte".
-# Then it runs `make hostcheck`. CI runs all of it on every push.
+# to equal its committed baseline byte for byte and every verdict to
+# pass. Each artifact carries the events its experiment executed and
+# their fingerprint (events, event_fp), so this is also the event-order
+# oracle of the twelve. Each gate prints `check <gate> PASS
+# (byte-identical)` or FAIL followed by one `path: baseline -> fresh`
+# line per JSON leaf that moved and one `verdict <name>: fail` line per
+# failing verdict; all twelve passing prints "baselines reproduce byte
+# for byte". Then the sweep: the six seeded experiments at seeds 2..32
+# must fail exactly the lines of baselines/KNOWN_RED.txt, each red line
+# printed once ("sweep: seeds 2..32 fail exactly the N lines of …"; an
+# unlisted red line or a listed one that no longer fails is a FAIL).
+# About 30 s. Then it runs `make hostcheck`. CI runs all of it on every
+# push.
 baseline:
 	$(GO) run ./cmd/bclbench -baseline
 

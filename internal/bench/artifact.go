@@ -25,7 +25,7 @@ import (
 // ArtifactSchema versions the JSON layout. Bump it when a field
 // changes meaning; -check then names the schema line among the leaves
 // that moved.
-const ArtifactSchema = "bcl-bench/v1"
+const ArtifactSchema = "bcl-bench/v2"
 
 // LatencyDigest summarizes the merged end-to-end message latency
 // histogram (nic/msg_latency_ns across all nodes).
@@ -72,6 +72,10 @@ type Artifact struct {
 	// Metrics are the experiment's key numbers (Report.Metrics).
 	Metrics map[string]float64 `json:"metrics"`
 
+	// Verdicts maps each of Report.Verdicts to what it reads: pass,
+	// fail or unjudged.
+	Verdicts map[string]string `json:"verdicts,omitempty"`
+
 	// Counters digests the registry snapshot: cluster-wide sums keyed
 	// "layer/name".
 	Counters map[string]float64 `json:"counters,omitempty"`
@@ -84,6 +88,16 @@ type Artifact struct {
 // ArtifactFile returns the artifact filename for a Report.Artifact or
 // Info.Gate name.
 func ArtifactFile(name string) string { return "BENCH_" + name + ".json" }
+
+// KnownRedFile, in the baseline directory, is the ledger of known
+// failures: a line "<experiment> <seed> <verdict>" for every verdict a
+// seeded experiment fails at a seed in SweepFirst..SweepLast, grouped
+// under "# item N: …" comments naming the ROADMAP item that owns them.
+// `bclbench -check` requires the sweep to fail exactly these lines.
+const KnownRedFile = "KNOWN_RED.txt"
+
+// The sweep's seeds; seed 1, the baselines', must fail nothing.
+const SweepFirst, SweepLast = 2, 32
 
 // round6 fixes float metrics at micro precision so artifacts are
 // byte-stable, and squashes non-finite values (JSON has no NaN/Inf).
@@ -106,9 +120,14 @@ func FromReport(r *Report) *Artifact {
 		Events:  r.Events,
 		EventFP: fmt.Sprintf("%016x", r.EventFP),
 		Metrics: make(map[string]float64, len(r.Metrics)),
+
+		Verdicts: make(map[string]string, len(r.Verdicts)),
 	}
 	for k, v := range r.Metrics {
 		a.Metrics[k] = round6(v)
+	}
+	for _, v := range r.Verdicts {
+		a.Verdicts[v.Name] = r.Outcome(v.Name)
 	}
 	if r.Snap != nil {
 		a.Counters = make(map[string]float64)

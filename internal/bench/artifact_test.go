@@ -183,8 +183,8 @@ func TestDiffNamesEveryMovedLeaf(t *testing.T) {
 				return line("metrics.samples", "(absent)", num(old))
 			},
 			func(a *Artifact) []string {
-				a.Schema = "bcl-bench/v2"
-				return line("schema", `"bcl-bench/v2"`, strconv.Quote(ArtifactSchema))
+				a.Schema = "bcl-bench/v0"
+				return line("schema", `"bcl-bench/v0"`, strconv.Quote(ArtifactSchema))
 			},
 			func(a *Artifact) []string {
 				old := a.Title

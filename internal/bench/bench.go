@@ -34,6 +34,10 @@ type Report struct {
 	Text    string
 	Metrics map[string]float64
 
+	// Verdicts are the experiment's pass/fail invariants, in report
+	// order. String renders them and the artifact stores them.
+	Verdicts []Verdict
+
 	// Artifact names the report's benchmark artifact,
 	// BENCH_<Artifact>.json: the gate name of a gated experiment, the
 	// id of any other. Run sets it.
@@ -66,20 +70,71 @@ type Report struct {
 }
 
 func (r *Report) String() string {
-	return fmt.Sprintf("== %s: %s ==\n%s", r.ID, r.Title, r.Text)
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s: %s ==\n%s", r.ID, r.Title, r.Text)
+	if len(r.Verdicts) > 0 {
+		b.WriteString("\nverdicts:\n")
+	}
+	for _, v := range r.Verdicts {
+		out := r.Outcome(v.Name)
+		if out == Unjudged {
+			out += " (needs " + v.Needs + ")"
+		}
+		fmt.Fprintf(&b, "  %-26s %s\n", v.Name, out)
+	}
+	return b.String()
 }
 
 // metric records a key number; a gated experiment's -check reproduces
 // it byte for byte.
 func (r *Report) metric(k string, v float64) { r.Metrics[k] = v }
 
-// flag records a pass/fail correctness indicator as 0/1.
-func (r *Report) flag(k string, ok bool) {
-	v := 0.0
-	if ok {
-		v = 1
+// Verdict is one pass/fail invariant of a report; OK means it holds.
+// Needs names an earlier verdict of the same report that this one
+// presupposes (a check read at quiesce needs the world to have
+// drained): while that one does not pass, this one is unjudged rather
+// than passing or failing.
+type Verdict struct {
+	Name  string
+	OK    bool
+	Needs string
+}
+
+// What a verdict reads (Outcome).
+const Pass, Fail, Unjudged = "pass", "fail", "unjudged"
+
+// verdict records an invariant with no prerequisite.
+func (r *Report) verdict(name string, ok bool) {
+	r.Verdicts = append(r.Verdicts, Verdict{Name: name, OK: ok})
+}
+
+// Outcome returns what the named verdict reads, "" if the report has
+// none by that name.
+func (r *Report) Outcome(name string) string {
+	for _, v := range r.Verdicts {
+		switch {
+		case v.Name != name:
+		case v.Needs != "" && r.Outcome(v.Needs) != Pass:
+			return Unjudged
+		case v.OK:
+			return Pass
+		default:
+			return Fail
+		}
 	}
-	r.metric(k, v)
+	return ""
+}
+
+// Failing returns the names of the verdicts that fail, in report
+// order; an unjudged verdict is not among them.
+func (r *Report) Failing() []string {
+	var out []string
+	for _, v := range r.Verdicts {
+		if r.Outcome(v.Name) == Fail {
+			out = append(out, v.Name)
+		}
+	}
+	return out
 }
 
 func newReport(id, title string) *Report {
@@ -320,15 +375,6 @@ func readCounters(s *obs.Snapshot, rows []counterRow) counters {
 		c.vals[i] = s.SumCounter(row.layer, row.name)
 	}
 	return c
-}
-
-func (c counters) get(name string) uint64 {
-	for i, row := range c.rows {
-		if row.name == name {
-			return c.vals[i]
-		}
-	}
-	panic("bench: counter " + name + " is not in the row table")
 }
 
 // text renders the labelled rows as report lines.

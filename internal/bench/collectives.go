@@ -289,7 +289,7 @@ func collectives(seed uint64) *Report {
 		collFaultNodes, collFaultRounds, collFaultBytes)
 	fmt.Fprintf(&b, "schedule:   dropped %d, duplicated %d collective packets\n", fa.drops, fa.dups)
 	fmt.Fprintf(&b, "recovery:   %d retransmit/retry events, %d NIC tree forwards\n", fa.retries, fa.forwards)
-	fmt.Fprintf(&b, "integrity:  %d byte errors, finished: %v\n", fa.byteErrors, fa.finished)
+	fmt.Fprintf(&b, "integrity:  %d byte errors\n", fa.byteErrors)
 
 	r.Text = b.String()
 	for _, rw := range rows {
@@ -310,7 +310,8 @@ func collectives(seed uint64) *Report {
 	r.metric("fault_drops", float64(fa.drops))
 	r.metric("fault_dups", float64(fa.dups))
 	r.metric("byte_errors", float64(fa.byteErrors))
-	r.flag("finished", fa.finished)
+	r.verdict("finished", fa.finished)
+	r.verdict("no_byte_errors", fa.byteErrors == 0)
 	return r
 }
 

@@ -3,18 +3,13 @@ package bench
 import "testing"
 
 // TestCollectivesGolden runs the full collectives experiment and pins
-// the acceptance properties: faulted collectives finish with
-// byte-correct results, the 32-node offloaded barrier beats the host
+// the acceptance properties beyond its verdicts (TestVerdicts: faulted
+// collectives finish with byte-correct results): the seed-1 schedule
+// hits collective packets, the 32-node offloaded barrier beats the host
 // dissemination, and the trap counts show the O(1)-per-root /
 // one-per-rank offload shape instead of the host's per-round traps.
 func TestCollectivesGolden(t *testing.T) {
 	r := collectives(1)
-	if r.Metrics["finished"] != 1 {
-		t.Fatal("fault soak did not finish")
-	}
-	if r.Metrics["byte_errors"] != 0 {
-		t.Fatalf("%v byte errors under the seeded fault schedule", r.Metrics["byte_errors"])
-	}
 	if r.Metrics["fault_drops"] == 0 || r.Metrics["fault_dups"] == 0 {
 		t.Fatal("seed-1 schedule exercised no drops/dups on collective packets")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -127,28 +128,27 @@ func TestScheduleInstallsOnEveryFabric(t *testing.T) {
 	}
 }
 
-// TestHealthwatchBannerTripsOnCorruptPayload: riding the shared soak
-// gave healthwatch payload verification; a damaged payload must raise
-// the FAILED banner (and only the banner: no metric moves, so the
-// committed artifact is untouched).
-func TestHealthwatchBannerTripsOnCorruptPayload(t *testing.T) {
-	const banner = "*** HEALTHWATCH GAUNTLET FAILED ***"
+// TestHealthwatchVerdictTripsOnCorruptPayload: riding the shared soak
+// gave healthwatch payload verification; a damaged payload must fail
+// the no_corrupt_payload verdict, and only it: no other verdict and no
+// metric moves.
+func TestHealthwatchVerdictTripsOnCorruptPayload(t *testing.T) {
 	cl, fa := healthRun(1, false), healthRun(1, true)
 	clean := healthWatchReport(1, cl, fa)
-	if strings.Contains(clean.Text, banner) {
-		t.Fatalf("seed-1 gauntlet failed:\n%s", clean.Text)
+	if f := clean.Failing(); f != nil {
+		t.Fatalf("seed-1 gauntlet fails %v:\n%s", f, clean)
 	}
 	if cl.corrupt != 0 || fa.corrupt != 0 {
 		t.Fatalf("soak payloads arrived damaged: clean %d, fault %d", cl.corrupt, fa.corrupt)
 	}
 	fa.corrupt = 1
 	damaged := healthWatchReport(1, cl, fa)
-	if !strings.Contains(damaged.Text, banner) {
-		t.Fatalf("a corrupt soak payload did not raise the banner:\n%s", damaged.Text)
+	if f := damaged.Failing(); !slices.Equal(f, []string{"no_corrupt_payload"}) {
+		t.Fatalf("a corrupt soak payload fails %q, want [no_corrupt_payload]:\n%s", f, damaged)
 	}
 	for k, v := range clean.Metrics {
 		if damaged.Metrics[k] != v {
-			t.Errorf("metric %s moved %v -> %v: the banner condition must not touch the artifact", k, v, damaged.Metrics[k])
+			t.Errorf("metric %s moved %v -> %v: only the verdict may", k, v, damaged.Metrics[k])
 		}
 	}
 }

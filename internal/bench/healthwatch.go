@@ -130,8 +130,6 @@ func healthWatchReport(seed uint64, cl, fa *hwResult) *Report {
 
 	total := soakNodes * (soakNodes - 1) * hwRounds
 	cleanSilent := len(cl.transitions) == 0
-	deadlocked := cl.deadlocked || fa.deadlocked
-	corrupt := cl.corrupt + fa.corrupt
 	mustFire := []string{"crc-spike", "watchdog-trip", "rail-divergence"}
 
 	var sb strings.Builder
@@ -160,9 +158,6 @@ func healthWatchReport(seed uint64, cl, fa *hwResult) *Report {
 			b.Schema, b.Kind, b.Trigger.Rule, float64(b.AtNs)/float64(sim.Millisecond), len(fa.bundle))
 	}
 	fmt.Fprintf(&sb, "\ndigest: %016x\n", sum)
-	if !cleanSilent || deadlocked || corrupt > 0 {
-		sb.WriteString("\n*** HEALTHWATCH GAUNTLET FAILED ***\n")
-	}
 	r.Text = sb.String()
 	r.Snap = fa.snap
 
@@ -181,10 +176,12 @@ func healthWatchReport(seed uint64, cl, fa *hwResult) *Report {
 	// The clean phase must stay silent and the fault phase must fire the
 	// expected rules.
 	r.metric("clean_alerts", float64(len(cl.transitions)))
-	r.flag("fired_crc_spike", fa.fired["crc-spike"] > 0)
-	r.flag("fired_watchdog_trip", fa.fired["watchdog-trip"] > 0)
-	r.flag("fired_rail_divergence", fa.fired["rail-divergence"] > 0)
-	r.flag("deadlocked", deadlocked)
+	r.verdict("clean_silent", cleanSilent)
+	r.verdict("fired_crc_spike", fa.fired["crc-spike"] > 0)
+	r.verdict("fired_watchdog_trip", fa.fired["watchdog-trip"] > 0)
+	r.verdict("fired_rail_divergence", fa.fired["rail-divergence"] > 0)
+	r.verdict("no_deadlock", !cl.deadlocked && !fa.deadlocked)
+	r.verdict("no_corrupt_payload", cl.corrupt+fa.corrupt == 0)
 	return r
 }
 

@@ -58,14 +58,9 @@ func pingPong() *Report {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d ping-pong rounds, 64B payload: half-RTT %.2f µs\n\n", iters, us(halfRTT))
-	if len(mismatches) == 0 {
-		b.WriteString("registry vs nic.Stats: all counters agree on both nodes\n")
-	} else {
-		b.WriteString("registry vs nic.Stats: MISMATCH\n")
-		for _, m := range mismatches {
-			fmt.Fprintf(&b, "  %s\n", m)
-		}
+	fmt.Fprintf(&b, "%d ping-pong rounds, 64B payload: half-RTT %.2f µs\n", iters, us(halfRTT))
+	for _, m := range mismatches {
+		fmt.Fprintf(&b, "registry vs nic.Stats mismatch: %s\n", m)
 	}
 	h := snap.MergedHist("nic", "msg_latency_ns")
 	fmt.Fprintf(&b, "\nend-to-end latency histogram: %d observations, p50 ~ %.1f µs, p99 ~ %.1f µs\n",
@@ -79,7 +74,7 @@ func pingPong() *Report {
 	}))
 	r.Text = b.String()
 	r.metric("half_rtt_us", us(halfRTT))
-	r.flag("registry_agrees", len(mismatches) == 0)
+	r.verdict("registry_agrees", len(mismatches) == 0)
 	r.metric("hist_count", float64(h.Count))
 	r.metric("samples", float64(len(rg.c.Obs.Samples())))
 	return r

@@ -9,12 +9,10 @@ import (
 // TestPingPongRegistryAgrees is the acceptance check for the metrics
 // registry: the snapshot's NIC counters must equal nic.Stats for the
 // same run (the experiment cross-checks them field by field and
-// reports the verdict as a metric).
+// reports the verdict registry_agrees, which TestVerdicts judges), and
+// the snapshot, histogram, sampler and summary must all be populated.
 func TestPingPongRegistryAgrees(t *testing.T) {
 	r := Run("pingpong", 1)
-	if r.Metrics["registry_agrees"] != 1 {
-		t.Fatalf("registry disagrees with nic.Stats:\n%s", r.Text)
-	}
 	if r.Metrics["hist_count"] == 0 {
 		t.Fatal("latency histogram recorded no observations")
 	}

@@ -334,8 +334,6 @@ func multitenant() *Report {
 	fmt.Fprintf(&b, "  backfill:    %8.2f ms  (backfills %d)\n", us(bfSpan)/1000, bfStats.Backfills)
 	fmt.Fprintf(&b, "\nisolation: %d kernel security rejects (bad VA, foreign endpoint, rebind), %d byte errors\n",
 		rejects, byteErrors)
-	fmt.Fprintf(&b, "endpoint teardown on close: %v; registry agrees with kernel/scheduler stats: %v\n",
-		tornDown, agree && alone.agree && shared.agree && qos.agree)
 	r.Text = b.String()
 
 	r.metric("p50_alone_us", us(alone.p50))
@@ -345,17 +343,19 @@ func multitenant() *Report {
 	r.metric("p50_qos_us", us(qos.p50))
 	r.metric("p99_qos_us", us(qos.p99))
 	r.metric("qos_frags", float64(qos.qosFrags))
-	r.flag("qos_beats_fifo", qos.p99 < shared.p99)
+	r.verdict("qos_beats_fifo", qos.p99 < shared.p99)
 	r.metric("makespan_fifo_us", us(fifoSpan))
 	r.metric("makespan_backfill_us", us(bfSpan))
 	r.metric("backfills", float64(bfStats.Backfills))
 	// Every staged attack must be rejected, teardown must unbind, every
 	// submitted job must finish, and the QoS/backfill wins must hold.
-	r.flag("backfill_beats_fifo", bfSpan < fifoSpan)
+	r.verdict("backfill_beats_fifo", bfSpan < fifoSpan)
 	r.metric("security_rejects", float64(rejects))
 	r.metric("byte_errors", float64(byteErrors))
-	r.flag("teardown_ok", tornDown)
-	r.flag("registry_agrees", agree && alone.agree && shared.agree && qos.agree)
+	r.verdict("attacks_rejected", rejects == 3)
+	r.verdict("no_byte_errors", byteErrors == 0)
+	r.verdict("teardown_ok", tornDown)
+	r.verdict("registry_agrees", agree && alone.agree && shared.agree && qos.agree)
 	r.metric("finished", float64(finished))
 	return r
 }

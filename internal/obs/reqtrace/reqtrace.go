@@ -9,12 +9,14 @@
 // Tail-based sampling keeps full span trees only for requests that
 // are forced-interesting (aborted, retransmitted, linearizability-
 // flagged, or above the SLO) or discretionary-slow (latency above
-// SlowFactor × a running quantile estimate), under a hard Budget.
-// Forced traces are always retained — at full budget they evict the
-// oldest discretionary trace; discretionary traces beyond the budget
-// are dropped and counted. Everything runs on the virtual clock in
-// the single-threaded simulator, so two same-seed runs produce
-// byte-identical slow logs, exemplar sets and sampling decisions.
+// SlowFactor × a running quantile estimate), under a hard Budget. The
+// classes rank abort > slo > flagged > retrans > slow: at full budget a
+// forced trace evicts the oldest retained trace of the lowest rank
+// below its own, and is dropped only when none ranks below it;
+// discretionary traces beyond the budget are dropped. Both count.
+// Everything runs on the virtual clock in the single-threaded
+// simulator, so two same-seed runs produce byte-identical slow logs,
+// exemplar sets and sampling decisions.
 //
 // The package sits beside health: it imports only obs, trace and sim.
 package reqtrace
@@ -22,6 +24,7 @@ package reqtrace
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 
@@ -92,7 +95,12 @@ type Request struct {
 	Flagged bool         `json:"flagged,omitempty"`
 	Why     string       `json:"why,omitempty"`
 	Spans   []trace.Span `json:"spans,omitempty"`
+
+	rank int // of its highest retention class
 }
+
+// The forced classes' ranks; a slow-only trace ranks 0.
+const rankRetrans, rankFlagged, rankSLO, rankAbort = 1, 2, 3, 4
 
 // Recorder assembles, samples and ranks request traces. A nil
 // *Recorder is valid everywhere and records nothing, so the svc hot
@@ -113,7 +121,7 @@ type Recorder struct {
 	sampled    uint64
 	skipped    uint64 // completed uninteresting, tree discarded by design
 	dropped    uint64 // interesting but lost to the budget
-	forcedDrop uint64 // forced-class traces lost to the budget (gates demand 0)
+	forcedDrop uint64 // forced-class traces lost to the budget
 	abortsSeen uint64
 	sloSeen    uint64
 
@@ -233,16 +241,20 @@ func (r *Recorder) End(flow uint64, at sim.Time, aborted bool) bool {
 	forced := false
 	if aborted {
 		why, forced = append(why, "abort"), true
+		req.rank = rankAbort
 		r.abortsSeen++
 	}
 	if req.Retrans > 0 {
 		why, forced = append(why, "retrans"), true
+		req.rank = max(req.rank, rankRetrans)
 	}
 	if req.Flagged {
 		why, forced = append(why, "flagged"), true
+		req.rank = max(req.rank, rankFlagged)
 	}
 	if r.cfg.SLO > 0 && req.Latency > r.cfg.SLO {
 		why, forced = append(why, "slo"), true
+		req.rank = max(req.rank, rankSLO)
 		r.sloSeen++
 	}
 	if !forced && r.lat.Count() >= uint64(r.cfg.Warmup) {
@@ -256,7 +268,7 @@ func (r *Recorder) End(flow uint64, at sim.Time, aborted bool) bool {
 	retain := len(why) > 0
 	if retain && len(r.retained) >= r.cfg.Budget {
 		if forced {
-			if !r.evictDiscretionary() {
+			if !r.evictBelow(req.rank) {
 				retain = false
 				r.forcedDrop++
 			}
@@ -283,19 +295,23 @@ func (r *Recorder) End(flow uint64, at sim.Time, aborted bool) bool {
 	return retain
 }
 
-// evictDiscretionary removes the oldest discretionary ("slow"-only)
-// trace to make room for a forced one. Returns false when every
-// retained trace is itself forced.
-func (r *Recorder) evictDiscretionary() bool {
+// evictBelow removes the oldest retained trace of the lowest rank
+// below rank, to make room for a forced trace of that rank. Returns
+// false when none ranks below it.
+func (r *Recorder) evictBelow(rank int) bool {
+	at := -1
 	for i, q := range r.retained {
-		if q.Why == "slow" {
-			delete(r.open, q.Flow)
-			r.retained = append(r.retained[:i], r.retained[i+1:]...)
-			r.dropped++
-			return true
+		if q.rank < rank && (at < 0 || q.rank < r.retained[at].rank) {
+			at = i
 		}
 	}
-	return false
+	if at < 0 {
+		return false
+	}
+	delete(r.open, r.retained[at].Flow)
+	r.retained = append(r.retained[:at], r.retained[at+1:]...)
+	r.dropped++
+	return true
 }
 
 // mix folds one sampling decision into the running fnv-64a digest.
@@ -349,8 +365,8 @@ func (r *Recorder) Dropped() uint64 {
 }
 
 // ForcedDrops returns how many forced-class traces (abort, retransmit,
-// flagged, >SLO) could not be retained — zero whenever the budget is
-// sized to the workload, and asserted zero by the reqobs gate.
+// flagged, >SLO) could not be retained: zero whenever the budget is
+// sized to the workload.
 func (r *Recorder) ForcedDrops() uint64 {
 	if r == nil {
 		return 0
@@ -383,12 +399,12 @@ func (r *Recorder) Retained() []*Request {
 }
 
 // RetainedWhy counts currently retained traces whose retention reasons
-// include the given one.
-func (r *Recorder) RetainedWhy(why string) int {
+// include any of the given ones.
+func (r *Recorder) RetainedWhy(whys ...string) int {
 	n := 0
 	for _, q := range r.Retained() {
 		for _, w := range strings.Split(q.Why, ",") {
-			if w == why {
+			if slices.Contains(whys, w) {
 				n++
 				break
 			}

@@ -143,6 +143,54 @@ func TestBudgetEvictsDiscretionaryForForced(t *testing.T) {
 	}
 }
 
+// TestForcedTraceEvictsLowerRank: with the budget full of
+// retransmit-only traces, an abort (or an SLO breach) still evicts the
+// oldest trace of the lowest rank below its own; a forced trace is
+// dropped only when nothing retained ranks below it.
+func TestForcedTraceEvictsLowerRank(t *testing.T) {
+	r := New(Config{Budget: 3, SLO: 100})
+	retrans := func(flow uint64) bool {
+		r.Begin(flow, "put", "k", 1, 0, 0, 0)
+		r.Retransmit(flow)
+		return r.End(flow, 10, false)
+	}
+	for f := uint64(1); f <= 3; f++ {
+		if !retrans(f) {
+			t.Fatalf("retransmitted flow %d not retained", f)
+		}
+	}
+	if retrans(4) || r.ForcedDrops() != 1 {
+		t.Fatalf("a fourth retransmit-only trace was retained (forced drops %d)", r.ForcedDrops())
+	}
+	if !endAt(r, 5, 10, true) {
+		t.Fatal("an abort was dropped from a budget full of retransmit-only traces")
+	}
+	if !endAt(r, 6, 500, false) {
+		t.Fatal("an SLO breach was dropped from a budget holding retransmit-only traces")
+	}
+	if !endAt(r, 7, 10, true) {
+		t.Fatal("an abort did not evict the last retransmit-only trace")
+	}
+	var flows []uint64
+	for _, q := range r.Retained() {
+		flows = append(flows, q.Flow)
+	}
+	if len(flows) != 3 || flows[0] != 5 || flows[1] != 6 || flows[2] != 7 || r.Dropped() != 4 {
+		t.Fatalf("retained flows %v, dropped %d; want [5 6 7], and flow 4 plus three evictions dropped", flows, r.Dropped())
+	}
+	if r.RetainedWhy("abort", "slo") != 3 || r.RetainedWhy("retrans") != 0 {
+		t.Fatalf("RetainedWhy: abort or slo %d, retrans %d; want 3, 0", r.RetainedWhy("abort", "slo"), r.RetainedWhy("retrans"))
+	}
+	// The SLO breach is now the lowest rank: an abort takes its place,
+	// and the budget is full of aborts.
+	if !endAt(r, 8, 10, true) || r.RetainedWhy("abort") != 3 || r.RetainedWhy("slo") != 0 {
+		t.Fatalf("abort over an SLO breach: %d aborts and %d SLO breaches retained", r.RetainedWhy("abort"), r.RetainedWhy("slo"))
+	}
+	if endAt(r, 9, 10, true) || r.ForcedDrops() != 2 {
+		t.Fatalf("an abort was retained beyond a budget of aborts (forced drops %d)", r.ForcedDrops())
+	}
+}
+
 func TestMarksAttachToPendingAndRetained(t *testing.T) {
 	r := New(Config{Budget: 4})
 	r.Begin(1, "txn", "pa0", 2, 3, 1, 100)
