@@ -1,11 +1,13 @@
 package health
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"bcl/internal/obs"
@@ -146,55 +148,80 @@ func flightEvents(evs []obs.Event) []FlightEvent {
 }
 
 // WorstFlows ranks the tracer's flows by retransmit count, then
-// duration, then id, and dumps the top n with their spans — "which
-// messages suffered most" in one glance.
+// duration, then hex id as text, and dumps the top n with their spans
+// — "which messages suffered most" in one glance. A sorted index groups
+// the spans by flow; only the n worst get an id string and a span list.
 func WorstFlows(t *trace.Tracer, n int) []Flow {
 	if t == nil || n <= 0 {
 		return nil
 	}
-	// One pass groups the spans by flow, flows in first-span order.
-	var flows []Flow
-	index := make(map[uint64]int)
-	for _, s := range t.Spans {
-		if s.Flow == 0 {
-			continue
+	idx := make([]int32, 0, len(t.Spans))
+	for i, s := range t.Spans {
+		if s.Flow != 0 {
+			idx = append(idx, int32(i))
 		}
-		i, ok := index[s.Flow]
-		if !ok {
-			i = len(flows)
-			index[s.Flow] = i
-			node, msg := trace.IDParts(s.Flow)
-			flows = append(flows, Flow{ID: fmt.Sprintf("%x", s.Flow), Node: node, Msg: msg})
-		}
-		f := &flows[i]
-		if strings.Contains(s.Stage, "retransmit") {
-			f.Retx++
-		}
-		f.Spans = append(f.Spans, FlowSpan{Stage: s.Stage, Where: s.Where,
-			StartNs: int64(s.Start), EndNs: int64(s.End)})
 	}
-	for i := range flows {
-		f := &flows[i]
-		slices.SortStableFunc(f.Spans, func(a, b FlowSpan) int { return cmp.Compare(a.StartNs, b.StartNs) })
-		var hi int64
-		for _, s := range f.Spans {
-			hi = max(hi, s.EndNs)
-		}
-		f.DurNs = hi - f.Spans[0].StartNs
-	}
-	sort.SliceStable(flows, func(i, j int) bool {
-		if flows[i].Retx != flows[j].Retx {
-			return flows[i].Retx > flows[j].Retx
-		}
-		if flows[i].DurNs != flows[j].DurNs {
-			return flows[i].DurNs > flows[j].DurNs
-		}
-		return flows[i].ID < flows[j].ID
+	// By flow, then in recording order.
+	slices.SortFunc(idx, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(t.Spans[a].Flow, t.Spans[b].Flow), cmp.Compare(a, b))
 	})
-	if len(flows) > n {
-		flows = flows[:n]
+	worst := make([]flowRank, 0, min(n, len(idx)))
+	for lo := 0; lo < len(idx); {
+		f := flowRank{id: t.Spans[idx[lo]].Flow, lo: lo}
+		start, end := t.Spans[idx[lo]].Start, sim.Time(0)
+		for f.hi = lo; f.hi < len(idx) && t.Spans[idx[f.hi]].Flow == f.id; f.hi++ {
+			s := &t.Spans[idx[f.hi]]
+			if strings.Contains(s.Stage, "retransmit") {
+				f.retx++
+			}
+			start, end = min(start, s.Start), max(end, s.End)
+		}
+		f.dur, lo = int64(end-start), f.hi
+		// Keep the n worst by insertion, worst first.
+		if i := sort.Search(len(worst), func(i int) bool { return f.worse(&worst[i]) }); i < n {
+			worst = slices.Insert(worst[:min(len(worst), n-1)], i, f)
+		}
+	}
+	if len(worst) == 0 {
+		return nil
+	}
+	flows := make([]Flow, len(worst))
+	for i, w := range worst {
+		node, msg := trace.IDParts(w.id)
+		f := Flow{ID: strconv.FormatUint(w.id, 16), Node: node, Msg: msg, Retx: w.retx, DurNs: w.dur,
+			Spans: make([]FlowSpan, 0, w.hi-w.lo)}
+		for _, j := range idx[w.lo:w.hi] {
+			s := &t.Spans[j]
+			f.Spans = append(f.Spans, FlowSpan{Stage: s.Stage, Where: s.Where, StartNs: int64(s.Start), EndNs: int64(s.End)})
+		}
+		slices.SortStableFunc(f.Spans, func(a, b FlowSpan) int { return cmp.Compare(a.StartNs, b.StartNs) })
+		flows[i] = f
 	}
 	return flows
+}
+
+// flowRank is one flow as WorstFlows ranks it: its spans are
+// idx[lo:hi], dur runs from the first start to the last end (or 0,
+// whichever is later).
+type flowRank struct {
+	id     uint64
+	retx   int
+	dur    int64
+	lo, hi int
+}
+
+// worse reports whether f ranks before o: more retransmits, then
+// longer, then the smaller hex id as text ("100" before "ff"), read
+// through stack buffers.
+func (f *flowRank) worse(o *flowRank) bool {
+	if f.retx != o.retx {
+		return f.retx > o.retx
+	}
+	if f.dur != o.dur {
+		return f.dur > o.dur
+	}
+	var a, b [16]byte
+	return bytes.Compare(strconv.AppendUint(a[:0], f.id, 16), strconv.AppendUint(b[:0], o.id, 16)) < 0
 }
 
 // Encode renders the bundle as canonical indented JSON (trailing

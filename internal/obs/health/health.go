@@ -114,9 +114,11 @@ func (s Source) Eval(prev, cur obs.Sample) float64 {
 	case SrcGauge:
 		return float64(s.gaugeSum(cur.Snap))
 	case SrcQuantile:
-		return float64(s.window(prev.Snap, cur.Snap).Quantile(s.Q))
+		var buf obs.HistBuf
+		return float64(cur.Snap.Window(prev.Snap, s.Layer, s.Name, &buf).Quantile(s.Q))
 	case SrcBadFrac:
-		return fracAbove(s.window(prev.Snap, cur.Snap), s.BoundNs)
+		var buf obs.HistBuf
+		return fracAbove(cur.Snap.Window(prev.Snap, s.Layer, s.Name, &buf), s.BoundNs)
 	}
 	return 0
 }
@@ -139,12 +141,6 @@ func (s Source) gaugeSum(sn *obs.Snapshot) int64 {
 		}
 	}
 	return t
-}
-
-// window returns the histogram observations recorded in (prev, cur],
-// merged across all nodes of the layer.
-func (s Source) window(prev, cur *obs.Snapshot) obs.HistPoint {
-	return cur.MergedHist(s.Layer, s.Name).Sub(prev.MergedHist(s.Layer, s.Name))
 }
 
 // fracAbove estimates the fraction of observations above bound from

@@ -1,6 +1,12 @@
 package health
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -277,5 +283,156 @@ func TestWorstFlowsGroupsAndRanks(t *testing.T) {
 	}
 	if WorstFlows(trace.New(), 3) != nil || WorstFlows(nil, 3) != nil || WorstFlows(tr, 0) != nil {
 		t.Fatal("empty, nil or n=0 must yield nil")
+	}
+}
+
+// oldWorstFlows is the WorstFlows that formatted every flow's hex id,
+// grouped every span and sorted every flow to keep n, kept verbatim as
+// the model TestWorstFlowsMatchesModel checks against.
+func oldWorstFlows(t *trace.Tracer, n int) []Flow {
+	if t == nil || n <= 0 {
+		return nil
+	}
+	// One pass groups the spans by flow, flows in first-span order.
+	var flows []Flow
+	index := make(map[uint64]int)
+	for _, s := range t.Spans {
+		if s.Flow == 0 {
+			continue
+		}
+		i, ok := index[s.Flow]
+		if !ok {
+			i = len(flows)
+			index[s.Flow] = i
+			node, msg := trace.IDParts(s.Flow)
+			flows = append(flows, Flow{ID: fmt.Sprintf("%x", s.Flow), Node: node, Msg: msg})
+		}
+		f := &flows[i]
+		if strings.Contains(s.Stage, "retransmit") {
+			f.Retx++
+		}
+		f.Spans = append(f.Spans, FlowSpan{Stage: s.Stage, Where: s.Where,
+			StartNs: int64(s.Start), EndNs: int64(s.End)})
+	}
+	for i := range flows {
+		f := &flows[i]
+		slices.SortStableFunc(f.Spans, func(a, b FlowSpan) int { return cmp.Compare(a.StartNs, b.StartNs) })
+		var hi int64
+		for _, s := range f.Spans {
+			hi = max(hi, s.EndNs)
+		}
+		f.DurNs = hi - f.Spans[0].StartNs
+	}
+	sort.SliceStable(flows, func(i, j int) bool {
+		if flows[i].Retx != flows[j].Retx {
+			return flows[i].Retx > flows[j].Retx
+		}
+		if flows[i].DurNs != flows[j].DurNs {
+			return flows[i].DurNs > flows[j].DurNs
+		}
+		return flows[i].ID < flows[j].ID
+	})
+	if len(flows) > n {
+		flows = flows[:n]
+	}
+	return flows
+}
+
+// randomTracer records spans on flows drawn from a small set that holds
+// 0xff and 0x100 (the ids whose text order, "100" < "ff", is not their
+// numeric order), with few distinct durations and retransmit counts so
+// that ranks tie often, plus flowless spans.
+func randomTracer(rng *rand.Rand, spans int) *trace.Tracer {
+	ids := []uint64{0xff, 0x100, 0xf, 0x10, trace.ID(0, 9), trace.ID(3, 0xff), 1<<63 | 5}
+	stages := []string{"send", "wire", "nic: retransmit", "recv"}
+	tr := trace.New()
+	for i := 0; i < spans; i++ {
+		var flow uint64
+		if rng.Intn(6) != 0 {
+			flow = ids[rng.Intn(len(ids))]
+		}
+		start := sim.Time(rng.Intn(4) * 10)
+		tr.AddFlow(stages[rng.Intn(len(stages))], "host0", flow, start, start+sim.Time(rng.Intn(3)*5))
+	}
+	return tr
+}
+
+// WorstFlows must return exactly what the old group-format-sort body
+// returned, on random tracers full of ties. Breaking the id tie
+// numerically instead of as text turns this red: 0x100 ranks before
+// 0xff.
+func TestWorstFlowsMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 2000; round++ {
+		tr := randomTracer(rng, rng.Intn(24))
+		for _, n := range []int{1, 2, 3, 10} {
+			if got, want := WorstFlows(tr, n), oldWorstFlows(tr, n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d, n=%d:\n got %+v\nwant %+v", round, n, got, want)
+			}
+		}
+	}
+	tr := trace.New()
+	tr.AddFlow("send", "host0", 0xff, 0, 10)
+	tr.AddFlow("send", "host0", 0x100, 0, 10)
+	if got := WorstFlows(tr, 1); len(got) != 1 || got[0].ID != "100" {
+		t.Fatalf("tie between 0xff and 0x100 = %+v, want 100 first", got)
+	}
+}
+
+// Only the winners get an id string and a span list: ranking 1 000
+// flows costs the allocations of ranking 10.
+func TestWorstFlowsAllocs(t *testing.T) {
+	allocs := func(flows int) float64 {
+		tr := trace.NewCapped(4096)
+		for i := 0; i < 4096; i++ {
+			f := trace.ID(i%8, uint64(i%flows))
+			tr.AddFlow("send", "host0", f, sim.Time(i), sim.Time(i+i%7))
+		}
+		return testing.AllocsPerRun(20, func() { WorstFlows(tr, 3) })
+	}
+	few, many := allocs(10), allocs(1000)
+	t.Logf("WorstFlows(3) over 4096 spans: %v allocations for 10 flows, %v for 1000", few, many)
+	if many > few {
+		t.Fatalf("1000 flows cost %v allocations, 10 flows %v", many, few)
+	}
+}
+
+// A steady registry that fires no rule: after the window fills, Step
+// evaluates all of DefaultRules (windowed quantiles and burn rates over
+// merged histograms included) without allocating.
+func TestStepAllocs(t *testing.T) {
+	s := newStepper(DefaultRules())
+	for n := 0; n < 4; n++ {
+		for _, c := range []string{"msgs_sent", "retransmits", "crc_drops"} {
+			v := s.counter(n, "nic", c)
+			*v = uint64(n)
+		}
+	}
+	hists := []*obs.Histogram{
+		s.r.Histogram(0, "nic", "msg_latency_ns"), s.r.Histogram(1, "nic", "msg_latency_ns"),
+		s.r.Histogram(0, "svc", "req_latency_ns"),
+		s.r.Histogram(-1, "fabric:myrinet", "wire_ns"), s.r.Histogram(-1, "fabric:nwrc-mesh", "wire_ns"),
+	}
+	var snaps []obs.Sample
+	for i := 0; i < 200; i++ {
+		for j, h := range hists {
+			h.ObserveTrace(int64(1000+100*j+i%50), uint64(i+1))
+		}
+		at := sim.Time(i+1) * 2 * sim.Millisecond
+		snaps = append(snaps, obs.Sample{At: at, Snap: s.r.Snapshot(at)})
+	}
+	next := 0
+	step := func() { s.e.Step(snaps[next]); next++ }
+	for next < 80 {
+		step()
+	}
+	if got := testing.AllocsPerRun(100, step); got != 0 {
+		t.Fatalf("%v allocations per Step", got)
+	}
+	if len(s.e.Transitions()) != 0 {
+		t.Fatalf("a steady registry fired: %+v", s.e.Transitions())
+	}
+	if pts := s.e.Series("rail-divergence"); len(pts) == 0 || pts[len(pts)-1].V == 0 {
+		t.Fatalf("rail-divergence read no window: %+v", pts)
 	}
 }

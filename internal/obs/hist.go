@@ -1,6 +1,9 @@
 package obs
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // histBuckets is the bucket count of the log2 histogram: bucket i
 // holds values in (2^(i-1), 2^i] nanoseconds (bucket 0 holds v <= 1),
@@ -137,13 +140,12 @@ func (h *Histogram) fill(k Key, buf []Bucket) HistPoint {
 	return p
 }
 
-// point snapshots the histogram state under a key, in one exactly
-// sized bucket slice (and one exemplar slice when any bucket has one).
-func (h *Histogram) point(k Key) HistPoint {
+// size returns how many buckets a snapshot of the histogram holds,
+// and how many of them carry an exemplar.
+func (h *Histogram) size() (n, nex int) {
 	if h == nil || h.count == 0 {
-		return HistPoint{Key: k}
+		return 0, 0
 	}
-	n, nex := 0, 0
 	for i, c := range h.counts {
 		if c > 0 {
 			n++
@@ -152,64 +154,47 @@ func (h *Histogram) point(k Key) HistPoint {
 			}
 		}
 	}
-	p := h.fill(k, make([]Bucket, 0, n))
-	if nex > 0 {
-		exs := make([]Exemplar, 0, nex)
-		for j, b := range p.Buckets {
-			if e := h.ex[bits.TrailingZeros64(uint64(b.Le))]; e.Trace != 0 {
-				exs = append(exs, e)
-				p.Buckets[j].Ex = &exs[len(exs)-1]
-			}
+	return n, nex
+}
+
+// pointInto snapshots the histogram state under a key. Its buckets are
+// carved from the front of *bs and its exemplars appended to *exs, both
+// sized beforehand from size, so every point of one snapshot shares a
+// bucket array and an exemplar array.
+func (h *Histogram) pointInto(k Key, bs *[]Bucket, exs *[]Exemplar) HistPoint {
+	p := h.fill(k, (*bs)[:0])
+	n := len(p.Buckets)
+	p.Buckets, *bs = p.Buckets[:n:n], (*bs)[n:]
+	if h.ex == nil {
+		return p
+	}
+	for j, b := range p.Buckets {
+		if e := h.ex[bits.TrailingZeros64(uint64(b.Le))]; e.Trace != 0 {
+			*exs = append(*exs, e)
+			p.Buckets[j].Ex = &(*exs)[len(*exs)-1]
 		}
 	}
 	return p
 }
 
-// merge folds another point into this one (same metric, different
-// node, or successive runs).
-func (p *HistPoint) merge(o HistPoint) {
-	if o.Count == 0 {
-		return
-	}
-	if p.Count == 0 || o.Min < p.Min {
-		p.Min = o.Min
-	}
-	if o.Max > p.Max {
-		p.Max = o.Max
-	}
-	p.Count += o.Count
-	p.Sum += o.Sum
-	p.Buckets = addBuckets(p.Buckets, o.Buckets, 1)
+// HistBuf holds the buckets of one folded histogram point; see
+// Snapshot.Window.
+type HistBuf [histBuckets]Bucket
+
+// fold sums histogram points in one array indexed by bucket (Le is
+// always 1<<i): the one code path of merge, Sub, MergedHist and Window.
+// On addition the added point's exemplar wins a bucket both carry (the
+// latest-observation-wins rule of ObserveTrace, under the sorted merge
+// order); on subtraction the bucket keeps its own.
+type fold struct {
+	p   HistPoint // all but Buckets
+	acc [histBuckets]Bucket
 }
 
-// sub subtracts a previous point (for Diff). Min/Max keep the current
-// values: extremes have no meaningful delta.
-func (p HistPoint) sub(prev HistPoint) HistPoint {
-	out := p
-	out.Count -= prev.Count
-	out.Sum -= prev.Sum
-	out.Buckets = addBuckets(p.Buckets, prev.Buckets, -1)
-	return out
-}
-
-// addBuckets returns a new slice holding a plus sign × b, in ascending
-// Le order with empty buckets dropped; a and b are left alone. Both
-// fold into one array indexed by bucket. Exemplars survive the merge:
-// on addition b's exemplar wins when both buckets carry one (matching
-// the latest-observation-wins rule of ObserveTrace under the sorted,
-// deterministic merge order); on subtraction the current (a-side)
-// exemplar is kept.
-func addBuckets(a, b []Bucket, sign int64) []Bucket {
-	var acc [histBuckets]Bucket
-	for _, x := range a {
-		s := &acc[bits.TrailingZeros64(uint64(x.Le))]
-		s.Count += x.Count
-		if x.Ex != nil {
-			s.Ex = x.Ex
-		}
-	}
-	for _, x := range b {
-		s := &acc[bits.TrailingZeros64(uint64(x.Le))]
+// add folds the buckets bs in with the given sign.
+func (f *fold) add(bs []Bucket, sign int64) {
+	for _, x := range bs {
+		s := &f.acc[bits.TrailingZeros64(uint64(x.Le))]
 		if sign < 0 {
 			s.Count -= x.Count
 			continue
@@ -219,20 +204,74 @@ func addBuckets(a, b []Bucket, sign int64) []Bucket {
 			s.Ex = x.Ex
 		}
 	}
-	n := 0
-	for i := range acc {
-		if acc[i].Count != 0 {
-			n++
-		}
+}
+
+// merge folds o in (same metric, different node, or successive runs).
+func (f *fold) merge(o HistPoint) {
+	if o.Count == 0 {
+		return
 	}
-	out := make([]Bucket, 0, n)
-	for i, x := range acc {
+	if f.p.Count == 0 || o.Min < f.p.Min {
+		f.p.Min = o.Min
+	}
+	if o.Max > f.p.Max {
+		f.p.Max = o.Max
+	}
+	f.p.Count += o.Count
+	f.p.Sum += o.Sum
+	f.add(o.Buckets, 1)
+}
+
+// sub takes a previous point out. Min/Max keep the current values:
+// extremes have no meaningful delta.
+func (f *fold) sub(prev HistPoint) {
+	f.p.Count -= prev.Count
+	f.p.Sum -= prev.Sum
+	f.add(prev.Buckets, -1)
+}
+
+// point returns the folded point, its non-empty buckets in ascending
+// Le order written over buf.
+func (f *fold) point(buf []Bucket) HistPoint {
+	p := f.p
+	p.Buckets = buf[:0]
+	for i, x := range f.acc {
 		if x.Count != 0 {
 			x.Le = int64(1) << i
-			out = append(out, x)
+			p.Buckets = append(p.Buckets, x)
 		}
 	}
-	return out
+	return p
+}
+
+// owned returns the folded point in a bucket slice of its own.
+func (f *fold) owned() HistPoint {
+	var buf HistBuf
+	p := f.p
+	p.Buckets = slices.Clone(f.point(buf[:0]).Buckets)
+	return p
+}
+
+// merge folds another point into this one.
+func (p *HistPoint) merge(o HistPoint) {
+	if o.Count == 0 {
+		return
+	}
+	f := fold{p: *p}
+	f.add(p.Buckets, 1)
+	f.merge(o)
+	*p = f.owned()
+}
+
+// Sub returns p minus prev (the observations recorded between two
+// snapshots of the same histogram), for windowed quantiles and Diff;
+// p and prev are left alone. Min/Max keep the current values: extremes
+// have no meaningful delta.
+func (p HistPoint) Sub(prev HistPoint) HistPoint {
+	f := fold{p: p}
+	f.add(p.Buckets, 1)
+	f.sub(prev)
+	return f.owned()
 }
 
 // Quantile returns the q-th quantile in nanoseconds (0 on an empty
@@ -291,8 +330,3 @@ func (p HistPoint) P99() int64 { return p.Quantile(0.99) }
 // P999 is the interpolated 99.9th percentile — the headline tail metric
 // of the multitenant and survival experiments.
 func (p HistPoint) P999() int64 { return p.Quantile(0.999) }
-
-// Sub returns p minus prev (the observations recorded between two
-// snapshots of the same histogram), for windowed quantiles. Min/Max
-// keep the current values: extremes have no meaningful delta.
-func (p HistPoint) Sub(prev HistPoint) HistPoint { return p.sub(prev) }

@@ -2,6 +2,14 @@ package obs
 
 import "testing"
 
+// point snapshots one histogram as Registry.Snapshot does, in a bucket
+// and an exemplar array of its own.
+func (h *Histogram) point(k Key) HistPoint {
+	n, nex := h.size()
+	bs, exs := make([]Bucket, n), make([]Exemplar, 0, nex)
+	return h.pointInto(k, &bs, &exs)
+}
+
 // TestQuantileInterpolation: observations spread across buckets give
 // interpolated (not bucket-upper-bound) quantiles.
 func TestQuantileInterpolation(t *testing.T) {

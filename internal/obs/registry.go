@@ -224,9 +224,15 @@ func (r *Registry) Snapshot(at sim.Time) *Snapshot {
 	s.Counters = points(&r.counters, func(k Key, v uint64) CounterPoint { return CounterPoint{k, v} })
 	s.Gauges = points(&r.gauges, func(k Key, v int64) GaugePoint { return GaugePoint{k, v} })
 	if len(r.hists) > 0 {
+		nb, nex := 0, 0
+		for _, e := range r.hists {
+			n, x := e.h.size()
+			nb, nex = nb+n, nex+x
+		}
+		bs, exs := make([]Bucket, nb), make([]Exemplar, 0, nex) // size 0 allocates nothing
 		s.Hists = make([]HistPoint, len(r.hists))
 		for i, e := range r.hists {
-			s.Hists[i] = e.h.point(e.key)
+			s.Hists[i] = e.h.pointInto(e.key, &bs, &exs)
 		}
 	}
 	return s
@@ -289,13 +295,36 @@ func (s *Snapshot) SumCounterPrefix(prefix, name string) uint64 {
 // MergedHist merges the named histogram across all nodes of a layer
 // (for cluster-wide quantiles). Returns a zero point if absent.
 func (s *Snapshot) MergedHist(layer, name string) HistPoint {
-	out := HistPoint{Key: Key{Node: -1, Layer: layer, Name: name}}
+	var f fold
+	s.foldHist(&f, layer, name, 1)
+	return f.owned()
+}
+
+// Window returns s.MergedHist(layer, name).Sub(prev.MergedHist(layer,
+// name)), the observations recorded between the two snapshots, folded
+// in one pass with its buckets written into buf: a caller keeping buf
+// on its stack allocates nothing.
+func (s *Snapshot) Window(prev *Snapshot, layer, name string, buf *HistBuf) HistPoint {
+	var f fold
+	s.foldHist(&f, layer, name, 1)
+	prev.foldHist(&f, layer, name, -1)
+	return f.point(buf[:0])
+}
+
+// foldHist adds (sign > 0) or subtracts every point of the named
+// histogram across all nodes of a layer into f.
+func (s *Snapshot) foldHist(f *fold, layer, name string, sign int64) {
+	f.p.Key = Key{Node: -1, Layer: layer, Name: name}
 	for _, h := range s.Hists {
-		if h.Layer == layer && h.Name == name {
-			out.merge(h)
+		if h.Layer != layer || h.Name != name {
+			continue
+		}
+		if sign > 0 {
+			f.merge(h)
+		} else {
+			f.sub(h)
 		}
 	}
-	return out
 }
 
 // Diff returns a snapshot holding s minus prev, counter-wise and
@@ -324,7 +353,7 @@ func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 		if j < len(prev.Hists) && prev.Hists[j].Key == h.Key {
 			p = prev.Hists[j]
 		}
-		d.Hists = append(d.Hists, h.sub(p))
+		d.Hists = append(d.Hists, h.Sub(p))
 	}
 	return d
 }

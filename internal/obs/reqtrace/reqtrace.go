@@ -112,8 +112,6 @@ type Recorder struct {
 	open    map[uint64]*Request // retained, still accepting trailing spans
 	free    sim.FreeList[*Request]
 
-	userLabels, shardLabels []string // "u0007", "s2": made on first use
-
 	retained []*Request // sampled traces in completion order
 	lat      obs.Histogram
 
@@ -125,9 +123,9 @@ type Recorder struct {
 	abortsSeen uint64
 	sloSeen    uint64
 
-	byKey   *TopK
-	byUser  *TopK
-	byShard *TopK
+	byKey   *Sketch[string]
+	byUser  *Sketch[uint16] // rendered "u0007"
+	byShard *Sketch[int]    // rendered "s2"
 
 	digest uint64 // running fnv over every sampling decision
 }
@@ -139,9 +137,9 @@ func New(cfg Config) *Recorder {
 		cfg:     cfg,
 		pending: make(map[uint64]*Request),
 		open:    make(map[uint64]*Request),
-		byKey:   NewTopK(cfg.TopK),
-		byUser:  NewTopK(cfg.TopK),
-		byShard: NewTopK(cfg.TopK),
+		byKey:   NewSketch(cfg.TopK, func(k string) string { return k }),
+		byUser:  NewSketch(cfg.TopK, func(u uint16) string { return fmt.Sprintf("u%04d", u) }),
+		byShard: NewSketch(cfg.TopK, func(s int) string { return fmt.Sprintf("s%d", s) }),
 		digest:  1469598103934665603, // fnv-64a offset basis
 	}
 }
@@ -163,19 +161,8 @@ func (r *Recorder) Begin(flow uint64, kind, key string, user uint16, node, shard
 	}
 	r.pending[flow] = req
 	r.byKey.Offer(key)
-	r.byUser.Offer(label(&r.userLabels, "u%04d", int(user)))
-	r.byShard.Offer(label(&r.shardLabels, "s%d", shard))
-}
-
-// label returns fmt.Sprintf(format, i), made once per i into tab.
-func label(tab *[]string, format string, i int) string {
-	if i >= len(*tab) {
-		*tab = append(*tab, make([]string, i+1-len(*tab))...)
-	}
-	if (*tab)[i] == "" {
-		(*tab)[i] = fmt.Sprintf(format, i)
-	}
-	return (*tab)[i]
+	r.byUser.Offer(user)
+	r.byShard.Offer(shard)
 }
 
 // Mark attaches one zero-width stage marker to the request's span
@@ -429,22 +416,6 @@ func (r *Recorder) TopKeys() []HH {
 		return nil
 	}
 	return r.byKey.Top()
-}
-
-// TopUsers returns the per-user heavy-hitter candidates.
-func (r *Recorder) TopUsers() []HH {
-	if r == nil {
-		return nil
-	}
-	return r.byUser.Top()
-}
-
-// TopShards returns the per-shard heavy-hitter candidates.
-func (r *Recorder) TopShards() []HH {
-	if r == nil {
-		return nil
-	}
-	return r.byShard.Top()
 }
 
 // HotLine renders a one-line heavy-hitter summary for the bcltop live

@@ -6,92 +6,93 @@ import (
 	"strings"
 )
 
-// HH is one heavy-hitter candidate reported by a TopK sketch. Count is
-// the estimated hit count; the true count lies in [Count-Err, Count].
-// An entry with Count-Err above every evicted competitor is a
-// guaranteed heavy hitter.
+// HH is one heavy-hitter candidate reported by a Sketch. Key is the
+// candidate's rendered label; Count is the estimated hit count; the
+// true count lies in [Count-Err, Count]. An entry with Count-Err above
+// every evicted competitor is a guaranteed heavy hitter.
 type HH struct {
 	Key   string `json:"key"`
 	Count uint64 `json:"count"`
 	Err   uint64 `json:"err"`
 }
 
-// TopK is a space-saving top-K sketch (Metwally et al.): it tracks at
-// most k candidate keys in O(k) space. A hit on a tracked key bumps
-// its counter; a hit on an untracked key evicts the minimum-count
-// candidate and inherits its count as the new entry's error bound.
-// Eviction scans the candidate slice in insertion order and takes the
-// first minimum, so the sketch is fully deterministic for a
-// deterministic input stream.
-type TopK struct {
+// Sketch is a space-saving top-k sketch (Metwally et al.) over keys of
+// any comparable type: it tracks at most k candidate keys in O(k)
+// space. A hit on a tracked key bumps its counter; a hit on an
+// untracked key evicts the minimum-count candidate and inherits its
+// count as the new entry's error bound. Eviction takes the first
+// minimum in insertion order, so the sketch is fully deterministic for
+// a deterministic input stream.
+//
+// k is small (8 by default), so one scan of the candidates finds both a
+// tracked key and the eviction victim, and the sketch keeps no index.
+// A key becomes text only when Top or Line renders it, so offering a
+// key allocates nothing.
+type Sketch[K comparable] struct {
 	k       int
-	entries []hhEntry
-	index   map[string]int // key -> position in entries
+	entries []hhEntry[K]
+	render  func(K) string
 	total   uint64
 }
 
-type hhEntry struct {
-	key   string
+type hhEntry[K comparable] struct {
+	key   K
 	count uint64
 	err   uint64
 }
 
-// NewTopK returns a sketch tracking at most k candidates (k < 1 is
-// clamped to 1).
-func NewTopK(k int) *TopK {
-	if k < 1 {
-		k = 1
-	}
-	return &TopK{k: k, index: make(map[string]int, k)}
+// NewSketch returns a sketch tracking at most k candidates (k < 1 is
+// clamped to 1), labelled by render when reported.
+func NewSketch[K comparable](k int, render func(K) string) *Sketch[K] {
+	k = max(k, 1)
+	return &Sketch[K]{k: k, entries: make([]hhEntry[K], 0, k), render: render}
 }
 
 // Offer feeds one hit on key into the sketch. Nil-safe.
-func (t *TopK) Offer(key string) {
-	if t == nil {
+func (s *Sketch[K]) Offer(key K) {
+	if s == nil {
 		return
 	}
-	t.total++
-	if i, ok := t.index[key]; ok {
-		t.entries[i].count++
-		return
-	}
-	if len(t.entries) < t.k {
-		t.index[key] = len(t.entries)
-		t.entries = append(t.entries, hhEntry{key: key, count: 1})
-		return
-	}
-	// Replace the minimum-count candidate (first minimum in slice
-	// order — deterministic); its count becomes the newcomer's error
-	// bound, preserving the space-saving overestimate invariant.
+	s.total++
 	min := 0
-	for i := 1; i < len(t.entries); i++ {
-		if t.entries[i].count < t.entries[min].count {
+	for i := range s.entries {
+		e := &s.entries[i]
+		if e.key == key {
+			e.count++
+			return
+		}
+		if e.count < s.entries[min].count {
 			min = i
 		}
 	}
-	old := t.entries[min]
-	delete(t.index, old.key)
-	t.index[key] = min
-	t.entries[min] = hhEntry{key: key, count: old.count + 1, err: old.count}
+	if len(s.entries) < s.k {
+		s.entries = append(s.entries, hhEntry[K]{key: key, count: 1})
+		return
+	}
+	// Replace the minimum-count candidate; its count becomes the
+	// newcomer's error bound, preserving the space-saving overestimate
+	// invariant.
+	old := s.entries[min].count
+	s.entries[min] = hhEntry[K]{key: key, count: old + 1, err: old}
 }
 
 // Total returns the number of hits offered.
-func (t *TopK) Total() uint64 {
-	if t == nil {
+func (s *Sketch[K]) Total() uint64 {
+	if s == nil {
 		return 0
 	}
-	return t.total
+	return s.total
 }
 
 // Top returns the candidates ranked by estimated count descending
-// (ties broken by key ascending for deterministic output).
-func (t *TopK) Top() []HH {
-	if t == nil {
+// (ties broken by rendered label ascending for deterministic output).
+func (s *Sketch[K]) Top() []HH {
+	if s == nil {
 		return nil
 	}
-	out := make([]HH, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, HH{Key: e.key, Count: e.count, Err: e.err})
+	out := make([]HH, 0, len(s.entries))
+	for _, e := range s.entries {
+		out = append(out, HH{Key: s.render(e.key), Count: e.count, Err: e.err})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
@@ -104,21 +105,21 @@ func (t *TopK) Top() []HH {
 
 // SharePct returns the top candidate's estimated share of the whole
 // stream, in integer percent (0 on an empty sketch).
-func (t *TopK) SharePct() int64 {
-	if t == nil || t.total == 0 {
+func (s *Sketch[K]) SharePct() int64 {
+	if s == nil || s.total == 0 {
 		return 0
 	}
-	top := t.Top()
-	if len(top) == 0 {
-		return 0
+	var top uint64
+	for _, e := range s.entries {
+		top = max(top, e.count)
 	}
-	return int64(top[0].Count * 100 / t.total)
+	return int64(top * 100 / s.total)
 }
 
 // Line renders the first n candidates as a compact one-line summary
 // ("k0042×913±0 k0007×112×…") for the bcltop live view.
-func (t *TopK) Line(n int) string {
-	top := t.Top()
+func (s *Sketch[K]) Line(n int) string {
+	top := s.Top()
 	if len(top) > n {
 		top = top[:n]
 	}

@@ -127,6 +127,16 @@ func oldSub(p, prev HistPoint) HistPoint {
 	return out
 }
 
+func oldMergedHist(s *Snapshot, layer, name string) HistPoint {
+	out := HistPoint{Key: Key{Node: -1, Layer: layer, Name: name}}
+	for _, h := range s.Hists {
+		if h.Layer == layer && h.Name == name {
+			oldMerge(&out, h)
+		}
+	}
+	return out
+}
+
 func oldDiff(s, prev *Snapshot) *Snapshot {
 	d := &Snapshot{At: s.At, Gauges: append([]GaugePoint(nil), s.Gauges...)}
 	for _, c := range s.Counters {
@@ -351,22 +361,51 @@ func samePoint(t *testing.T, what string, got, want HistPoint) {
 	}
 }
 
-// FuzzHistBuckets checks point, merge, sub and both Quantiles against
-// the old point and map-based addBuckets, on three histograms filled
-// from the input (a third of them traced).
+// snapOf is a snapshot of the histograms as nodes 0.. of nic/lat, plus
+// one point of another metric that windows must leave out.
+func snapOf(hs []Histogram) *Snapshot {
+	s := &Snapshot{}
+	for i := range hs {
+		s.Hists = append(s.Hists, hs[i].point(Key{Node: i, Layer: "nic", Name: "lat"}))
+	}
+	return s
+}
+
+// FuzzHistBuckets checks point, merge, sub, both Quantiles and Window
+// against the old point and map-based addBuckets, on three histograms
+// filled from the input (a third of them traced). Window, the one fold
+// of cur − prev, must equal the old MergedHist(cur).Sub(MergedHist(prev))
+// between a snapshot halfway through the input and one at its end.
 func FuzzHistBuckets(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 4, 2, 200, 0, 77, 1, 255})
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hs [3]Histogram
+		var half *Snapshot
 		for i := 0; i+1 < len(data); i += 2 {
+			if i == len(data)/4*2 {
+				half = snapOf(hs[:])
+			}
 			sel, v := data[i], data[i+1]
 			var tr uint64
 			if sel%3 == 0 {
 				tr = uint64(i + 1)
 			}
 			hs[int(sel)%3].ObserveTrace(int64(v)<<(sel%50), tr)
+		}
+		if half == nil {
+			half = snapOf(hs[:])
+		}
+		end := snapOf(hs[:])
+		var other Histogram
+		other.ObserveTrace(7, 9)
+		end.Hists = append(end.Hists, other.point(Key{Node: 0, Layer: "nic", Name: "other"}))
+		for _, w := range [][2]*Snapshot{{end, half}, {end, end}, {half, half}, {end, &Snapshot{}}} {
+			var buf HistBuf
+			samePoint(t, "window", w[0].Window(w[1], "nic", "lat", &buf),
+				oldSub(oldMergedHist(w[0], "nic", "lat"), oldMergedHist(w[1], "nic", "lat")))
+			samePoint(t, "merged", w[0].MergedHist("nic", "lat"), oldMergedHist(w[0], "nic", "lat"))
 		}
 		var cur, old [3]HistPoint
 		for i := range hs {
@@ -389,7 +428,7 @@ func FuzzHistBuckets(f *testing.F) {
 			samePoint(t, "sub of a superset", cur[i].Sub(m), oldSub(old[i], mo))
 		}
 		before := fmt.Sprint(cur)
-		cur[0].sub(cur[1])
+		cur[0].Sub(cur[1])
 		if fmt.Sprint(cur) != before {
 			t.Fatal("sub changed its operands")
 		}
@@ -436,7 +475,8 @@ func shapedRegistry(nc, ng, nh int) *Registry {
 }
 
 // A steady-state snapshot allocates the Snapshot, its three slices and
-// one bucket slice per non-empty histogram, however many keys it has.
+// one bucket array its histograms share, however many keys and
+// histograms it has (untraced: no exemplar array).
 func TestSnapshotSteadyStateAllocs(t *testing.T) {
 	for _, shape := range [][3]int{{36, 5, 2}, {360, 55, 8}} {
 		r := shapedRegistry(shape[0], shape[1], shape[2])
@@ -444,12 +484,19 @@ func TestSnapshotSteadyStateAllocs(t *testing.T) {
 		r.Snapshot(0)
 		at := sim.Time(0)
 		got := testing.AllocsPerRun(20, func() { at++; r.Snapshot(at) })
-		if want := float64(1 + 3 + shape[2]); got != want {
+		if want := float64(1 + 3 + 1); got != want {
 			t.Errorf("shape %v: %v allocations per snapshot, want %v", shape, got, want)
 		}
 		s := r.Snapshot(at + 1)
 		if len(s.Counters) != shape[0] || len(s.Gauges) != shape[1] || len(s.Hists) != shape[2]+1 {
 			t.Fatalf("shape %v: snapshot has %d/%d/%d points", shape, len(s.Counters), len(s.Gauges), len(s.Hists))
+		}
+		// The points share one array: each is capped at its own end, so
+		// an append to one cannot write into the next.
+		for _, h := range s.Hists {
+			if cap(h.Buckets) != len(h.Buckets) {
+				t.Fatalf("shape %v: %v holds %d buckets in a slice of capacity %d", shape, h.Key, len(h.Buckets), cap(h.Buckets))
+			}
 		}
 	}
 }
