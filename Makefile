@@ -187,13 +187,18 @@ hostcheck:
 	if awk -v s="$$short" -v l="$$long" 'BEGIN { exit !(s > 0 && l <= 1.5 * s) }'; \
 	then echo "peak RSS is flat in work done"; else echo "peak RSS grows with work done"; exit 1; fi
 
-# Every example, run: each panics on a wrong result, so a non-zero exit
-# is a failed check, not only a failed build. CI runs the same.
+# Every example, run and checked: each panics on a wrong result, and its
+# stdout (virtual times, deterministic) must equal the committed
+# examples/<name>/stdout.golden byte for byte. A change that moves an
+# example's output on purpose rewrites that file and says so. CI runs
+# the same.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/stencil
-	$(GO) run ./examples/masterworker
-	$(GO) run ./examples/rma
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	for e in quickstart stencil masterworker rma; do \
+		$(GO) run ./examples/$$e > "$$out" || { echo "examples/$$e failed" >&2; exit 1; }; \
+		diff examples/$$e/stdout.golden "$$out" || { echo "examples/$$e: stdout differs from stdout.golden" >&2; exit 1; }; \
+		echo "examples/$$e: stdout matches stdout.golden"; \
+	done
 
 tools:
 	$(GO) run ./cmd/bcltrace

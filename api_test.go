@@ -399,12 +399,44 @@ func TestStartWithOptionsSmallPool(t *testing.T) {
 	}
 }
 
+// TestStartPanicsOnBadPlacement: every launcher rejects a placement
+// that does not fit the job or the machine when it is called, before
+// anything runs — not later, from inside Run.
 func TestStartPanicsOnBadPlacement(t *testing.T) {
-	m := NewMachine(MachineConfig{Nodes: 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched placement accepted")
+	starts := []struct {
+		name  string
+		start func(m *Machine, ranks int, place []int)
+	}{
+		{"Start", func(m *Machine, n int, place []int) { m.Start(n, place, func(*Ctx) {}) }},
+		{"StartMPI", func(m *Machine, n int, place []int) { m.StartMPI(n, place, func(*Proc, *MPIComm) {}) }},
+		{"StartPVM", func(m *Machine, n int, place []int) { m.StartPVM(n, place, func(*Proc, *PVMTask) {}) }},
+	}
+	bad := []struct {
+		name  string
+		ranks int
+		place []int
+	}{
+		{"short", 3, []int{0}},
+		{"out of range", 2, []int{0, 5}},
+		{"negative", 2, []int{-1, 1}},
+	}
+	for _, st := range starts {
+		for _, b := range bad {
+			t.Run(st.name+"/"+b.name, func(t *testing.T) {
+				m := NewMachine(MachineConfig{Nodes: 2})
+				defer m.Cluster.Env.Close()
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s(%d, %v) accepted the placement", st.name, b.ranks, b.place)
+						}
+					}()
+					st.start(m, b.ranks, b.place)
+				}()
+				if m.Run() != 0 {
+					t.Fatal("a rejected job ran")
+				}
+			})
 		}
-	}()
-	m.Start(3, []int{0}, func(ctx *Ctx) {})
+	}
 }

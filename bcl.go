@@ -213,33 +213,15 @@ func (c *Ctx) Read(va VAddr, n int) ([]byte, error) {
 // placement[i]. Each body runs in its own simulated process with an
 // open port. Call Run (or RunFor) afterwards to execute.
 func (m *Machine) Start(ranks int, placement []int, body func(ctx *Ctx)) {
-	m.start(ranks, placement, PortOptions{SystemBuffers: 64}, body)
+	m.StartWithOptions(ranks, placement, PortOptions{SystemBuffers: 64}, body)
 }
 
 // StartWithOptions is Start with explicit port options.
 func (m *Machine) StartWithOptions(ranks int, placement []int, opts PortOptions, body func(ctx *Ctx)) {
-	m.start(ranks, placement, opts, body)
-}
-
-func (m *Machine) start(ranks int, placement []int, opts PortOptions, body func(ctx *Ctx)) {
-	if len(placement) != ranks {
-		panic(fmt.Sprintf("bcl: %d ranks but %d placements", ranks, len(placement)))
-	}
-	m.Cluster.Env.Go("bcl/launch", func(p *sim.Proc) {
-		ports := make([]*Port, ranks)
-		peers := make([]Addr, ranks)
-		for i := 0; i < ranks; i++ {
-			nd := m.Cluster.Nodes[placement[i]]
-			proc := nd.Kernel.Spawn()
-			pt, err := m.Sys.Open(p, nd, proc, opts)
-			if err != nil {
-				panic(fmt.Sprintf("bcl: open port for rank %d: %v", i, err))
-			}
-			ports[i] = pt
-			peers[i] = pt.Addr()
-		}
-		for i := 0; i < ranks; i++ {
-			ctx := &Ctx{Rank: i, Port: ports[i], Peers: peers, M: m}
+	m.launch("bcl", ranks, placement, opts, func(ports []*Port) {
+		peers := ibcl.Addrs(ports)
+		for i, pt := range ports {
+			ctx := &Ctx{Rank: i, Port: pt, Peers: peers, M: m}
 			m.Cluster.Env.Go(fmt.Sprintf("rank%d", i), func(rp *sim.Proc) {
 				ctx.P = rp
 				body(ctx)
@@ -248,13 +230,38 @@ func (m *Machine) start(ranks int, placement []int, opts PortOptions, body func(
 	})
 }
 
+// launch checks the placement now, so a bad call fails here and not
+// inside Run, then boots the job from process kind+"/launch": it opens
+// rank i's port on node placement[i] and hands the ports to start,
+// which starts the ranks.
+func (m *Machine) launch(kind string, ranks int, placement []int, opts PortOptions, start func(ports []*Port)) {
+	if len(placement) != ranks {
+		panic(fmt.Sprintf("bcl: %d ranks but %d placements", ranks, len(placement)))
+	}
+	for i, n := range placement {
+		if n < 0 || n >= m.Nodes() {
+			panic(fmt.Sprintf("bcl: rank %d placed on node %d of a %d-node machine", i, n, m.Nodes()))
+		}
+	}
+	m.Cluster.Env.Go(kind+"/launch", func(p *sim.Proc) {
+		ports, err := m.Sys.OpenJob(p, placement, opts)
+		if err != nil {
+			panic(err.Error())
+		}
+		start(ports)
+	})
+}
+
+// eadiPort is the port of an MPI rank or PVM task: eager messages
+// land in its system buffers whole.
+var eadiPort = PortOptions{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit}
+
 // StartMPI launches an MPI job: rank i runs on node placement[i] with
 // a world communicator.
 func (m *Machine) StartMPI(ranks int, placement []int, body func(p *Proc, comm *MPIComm)) {
-	m.Cluster.Env.Go("mpi/launch", func(p *sim.Proc) {
-		devs := m.buildDevices(p, ranks, placement)
-		for i := 0; i < ranks; i++ {
-			comm := mpi.World(devs[i])
+	m.launch("mpi", ranks, placement, eadiPort, func(ports []*Port) {
+		for i, dev := range eadi.Job(ports) {
+			comm := mpi.World(dev)
 			m.Cluster.Env.Go(fmt.Sprintf("mpi/rank%d", i), func(rp *sim.Proc) {
 				body(rp, comm)
 			})
@@ -265,38 +272,14 @@ func (m *Machine) StartMPI(ranks int, placement []int, body func(p *Proc, comm *
 // StartPVM launches a PVM virtual machine: task i runs on node
 // placement[i].
 func (m *Machine) StartPVM(tasks int, placement []int, body func(p *Proc, task *PVMTask)) {
-	m.Cluster.Env.Go("pvm/launch", func(p *sim.Proc) {
-		devs := m.buildDevices(p, tasks, placement)
-		for i := 0; i < tasks; i++ {
-			tk := pvm.NewTask(devs[i])
+	m.launch("pvm", tasks, placement, eadiPort, func(ports []*Port) {
+		for i, dev := range eadi.Job(ports) {
+			tk := pvm.NewTask(dev)
 			m.Cluster.Env.Go(fmt.Sprintf("pvm/task%d", i), func(rp *sim.Proc) {
 				body(rp, tk)
 			})
 		}
 	})
-}
-
-func (m *Machine) buildDevices(p *sim.Proc, ranks int, placement []int) []*eadi.Device {
-	if len(placement) != ranks {
-		panic(fmt.Sprintf("bcl: %d ranks but %d placements", ranks, len(placement)))
-	}
-	ports := make([]*Port, ranks)
-	addrs := make([]Addr, ranks)
-	for i := 0; i < ranks; i++ {
-		nd := m.Cluster.Nodes[placement[i]]
-		proc := nd.Kernel.Spawn()
-		pt, err := m.Sys.Open(p, nd, proc, PortOptions{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-		if err != nil {
-			panic(fmt.Sprintf("bcl: open port for rank %d: %v", i, err))
-		}
-		ports[i] = pt
-		addrs[i] = pt.Addr()
-	}
-	devs := make([]*eadi.Device, ranks)
-	for i, pt := range ports {
-		devs[i] = eadi.NewDevice(pt, i, addrs)
-	}
-	return devs
 }
 
 // NewTracer returns a stage tracer to attach with Port.SetTracer (and

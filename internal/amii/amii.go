@@ -237,13 +237,3 @@ func (e *Endpoint) Poll(p *sim.Proc) {
 		e.request(p, Addr{Node: ev.SrcNode, Port: ev.SrcPort}, creditHandler, 0, 0, nil)
 	}
 }
-
-// TryPoll services one event if present, reporting whether it did.
-func (e *Endpoint) TryPoll(p *sim.Proc) bool {
-	if e.nicPort.RecvEvQ.Len() == 0 {
-		p.Sleep(e.node.Prof.CompletionPoll)
-		return false
-	}
-	e.Poll(p)
-	return true
-}

@@ -175,7 +175,6 @@ func (s *System) Open(p *sim.Proc, n *node.Node, proc *oskernel.Process, opts Op
 	if err != nil {
 		return nil, err
 	}
-	s.ports[pt.addr] = pt
 
 	// Publish the library-level counters into the cluster registry.
 	// Ports are not closed during the runs we snapshot, so the collector
@@ -209,6 +208,10 @@ func (s *System) Open(p *sim.Proc, n *node.Node, proc *oskernel.Process, opts Op
 			return nil, err
 		}
 	}
+
+	// The port is open: visible to intra-node senders and counted by
+	// Boot from here on.
+	s.ports[pt.addr] = pt
 
 	// Intra-node delivery engine: the port's one process. It posts its
 	// completions into the NIC port's event queues, so intra-node and

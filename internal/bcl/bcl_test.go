@@ -27,30 +27,20 @@ type testbed struct {
 // twice to get two processes on the same node).
 func newTestbed(t *testing.T, fab cluster.FabricKind, nodes int, slots []int) *testbed {
 	t.Helper()
-	c := cluster.New(cluster.Config{Nodes: nodes, Fabric: fab, NIC: DefaultNICConfig()})
+	return bootTestbed(t, cluster.Config{Nodes: nodes, Fabric: fab, NIC: DefaultNICConfig()}, slots, Options{SystemBuffers: 64})
+}
+
+// bootTestbed builds the cluster cfg describes and opens one port per
+// slot with opts, booted by 10 ms.
+func bootTestbed(t *testing.T, cfg cluster.Config, slots []int, opts Options) *testbed {
+	t.Helper()
+	c := cluster.New(cfg)
 	sys := NewSystem(c)
-	tb := &testbed{sys: sys, c: c}
-	done := make(chan struct{})
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for _, n := range slots {
-			nd := c.Nodes[n]
-			proc := nd.Kernel.Spawn()
-			pt, err := sys.Open(p, nd, proc, Options{SystemBuffers: 64})
-			if err != nil {
-				t.Errorf("open on node %d: %v", n, err)
-				return
-			}
-			tb.ports = append(tb.ports, pt)
-		}
-		close(done)
-	})
-	c.Env.RunUntil(10 * sim.Millisecond)
-	select {
-	case <-done:
-	default:
-		t.Fatal("setup did not finish")
+	ports, err := sys.Boot(slots, opts, 10*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return tb
+	return &testbed{sys: sys, c: c, ports: ports}
 }
 
 func (tb *testbed) assertDrained(t *testing.T) {
@@ -514,26 +504,8 @@ func TestReliableUnderPacketLoss(t *testing.T) {
 }
 
 func TestSystemPoolReturn(t *testing.T) {
-	c := cluster.New(cluster.Config{Nodes: 2, NIC: DefaultNICConfig()})
-	sys := NewSystem(c)
-	var a, b *Port
-	setup := make(chan struct{})
-	c.Env.Go("setup", func(p *sim.Proc) {
-		pa := c.Nodes[0].Kernel.Spawn()
-		pb := c.Nodes[1].Kernel.Spawn()
-		var err error
-		a, err = sys.Open(p, c.Nodes[0], pa, Options{SystemBuffers: 2})
-		if err != nil {
-			t.Error(err)
-		}
-		b, err = sys.Open(p, c.Nodes[1], pb, Options{SystemBuffers: 2})
-		if err != nil {
-			t.Error(err)
-		}
-		close(setup)
-	})
-	c.Env.RunUntil(10 * sim.Millisecond)
-	<-setup
+	tb := bootTestbed(t, cluster.Config{Nodes: 2, NIC: DefaultNICConfig()}, []int{0, 1}, Options{SystemBuffers: 2})
+	c, a, b := tb.c, tb.ports[0], tb.ports[1]
 	received := 0
 	c.Env.Go("a", func(p *sim.Proc) {
 		va := a.Process().Space.Alloc(64)

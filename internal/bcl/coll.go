@@ -37,13 +37,6 @@ type CollCtx struct {
 	SlotSize  int
 }
 
-// SlotVA returns the landing address a delivery event's payload was
-// DMAed to (also present in Event.VA; exposed for tests).
-func (c *CollCtx) SlotVA(origin int, seq uint64) mem.VAddr {
-	slot := (origin*31 + int(seq%1024)) % CollSlots
-	return c.LandingVA + mem.VAddr(slot*c.SlotSize)
-}
-
 // RegisterColl programs a collective context into the local NIC: it
 // pins a landing ring and hands the membership and tree plan to the
 // firmware. Every member must register the same id, members and plan

@@ -17,30 +17,7 @@ func newOutageTestbed(t *testing.T, fab cluster.FabricKind, nodes int, slots []i
 	t.Helper()
 	cfg := DefaultNICConfig()
 	cfg.MaxRetries = 3
-	c := cluster.New(cluster.Config{Nodes: nodes, Fabric: fab, NIC: cfg})
-	sys := NewSystem(c)
-	tb := &testbed{sys: sys, c: c}
-	done := make(chan struct{})
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for _, n := range slots {
-			nd := c.Nodes[n]
-			proc := nd.Kernel.Spawn()
-			pt, err := sys.Open(p, nd, proc, Options{SystemBuffers: 64})
-			if err != nil {
-				t.Errorf("open on node %d: %v", n, err)
-				return
-			}
-			tb.ports = append(tb.ports, pt)
-		}
-		close(done)
-	})
-	c.Env.RunUntil(10 * sim.Millisecond)
-	select {
-	case <-done:
-	default:
-		t.Fatal("setup did not finish")
-	}
-	return tb
+	return bootTestbed(t, cluster.Config{Nodes: nodes, Fabric: fab, NIC: cfg}, slots, Options{SystemBuffers: 64})
 }
 
 // TestLinkDownMidStream is the component-outage acceptance test: a

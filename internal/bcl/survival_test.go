@@ -21,31 +21,10 @@ func survivalBed(t *testing.T, fabKind cluster.FabricKind, nicCfg nic.Config) (*
 	prof.MCPHeartbeatInterval = 100 * sim.Microsecond
 	prof.WatchdogInterval = 300 * sim.Microsecond
 	prof.MCPRebootTime = 1 * sim.Millisecond
-	c := cluster.New(cluster.Config{
+	tb := bootTestbed(t, cluster.Config{
 		Nodes: 2, Fabric: fabKind, Profile: prof, NIC: nicCfg, Watchdog: true,
-	})
-	sys := NewSystem(c)
-	var a, b *Port
-	done := make(chan struct{})
-	c.Env.Go("setup", func(p *sim.Proc) {
-		pa := c.Nodes[0].Kernel.Spawn()
-		pb := c.Nodes[1].Kernel.Spawn()
-		var err error
-		if a, err = sys.Open(p, c.Nodes[0], pa, Options{SystemBuffers: 16}); err != nil {
-			t.Error(err)
-		}
-		if b, err = sys.Open(p, c.Nodes[1], pb, Options{SystemBuffers: 16}); err != nil {
-			t.Error(err)
-		}
-		close(done)
-	})
-	c.Env.RunUntil(10 * sim.Millisecond)
-	select {
-	case <-done:
-	default:
-		t.Fatal("setup did not finish")
-	}
-	return c, a, b
+	}, []int{0, 1}, Options{SystemBuffers: 16})
+	return tb.c, tb.ports[0], tb.ports[1]
 }
 
 // TestWatchdogRecoversReceiverCrash streams messages through a

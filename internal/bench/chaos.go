@@ -71,7 +71,7 @@ func chaosTag(src, dst, round int) uint64 {
 	return uint64(src)<<32 | uint64(round)<<8 | uint64(dst)
 }
 
-// soakResult is what one soakRig run counts, whatever faults it ran
+// soakResult is what one soak run counts, whatever faults it ran
 // under.
 type soakResult struct {
 	delivered  int  // distinct messages received
@@ -81,36 +81,33 @@ type soakResult struct {
 	deadlocked bool // some sender never finished
 }
 
-// soakRig is the workload the chaos, survival and healthwatch soaks
+// newSoakRig builds the rig the chaos, survival and healthwatch soaks
 // share: a 4-node dual-rail cluster with one BCL port per node, booted
 // and sampled on the virtual clock, ready for the caller's fault
-// schedule.
-type soakRig struct{ *rig }
-
-// newSoakRig builds the rig; cfg supplies what the soaks differ in (NIC
-// config, profile, seed, watchdog, health engine). tr, if non-nil, is
-// attached cluster-wide before boot. The metrics sampler takes one
-// registry snapshot every period of virtual time into a ring depth
-// deep, so the report can show the fault counters advancing through
-// the fault windows.
-func newSoakRig(cfg cluster.Config, tr *trace.Tracer, period sim.Time, depth int) *soakRig {
+// schedule. cfg supplies what the soaks differ in (NIC config,
+// profile, seed, watchdog, health engine). tr, if non-nil, is attached
+// cluster-wide before boot. The metrics sampler takes one registry
+// snapshot every period of virtual time into a ring depth deep, so the
+// report can show the fault counters advancing through the fault
+// windows.
+func newSoakRig(cfg cluster.Config, tr *trace.Tracer, period sim.Time, depth int) *rig {
 	cfg.Nodes, cfg.Fabric = soakNodes, cluster.Hetero
 	c := newCluster(cfg)
 	if tr != nil {
 		c.SetTracer(tr)
 	}
-	r := &soakRig{newRig(c, oneRankPerNode(soakNodes), ibcl.Options{SystemBuffers: 64}, 20*sim.Millisecond)}
+	r := newRig(c, oneRankPerNode(soakNodes), ibcl.Options{SystemBuffers: 64}, 20*sim.Millisecond)
 	c.Obs.StartSampler(c.Env, period, depth)
 	return r
 }
 
-// run soaks the rig for horizon with paced all-to-all traffic: rounds
+// soak runs the rig for horizon with paced all-to-all traffic: rounds
 // of one msgSize message to every peer, pace apart. Senders treat
 // EvSendFailed as transient — wait for the peer-health machine to
 // re-admit the destination, then resend (at-least-once; onResend, if
 // non-nil, is told how long the wait was). Receivers verify every
 // byte and deduplicate by tag. Processes are named prefix-rx<i>/-tx<i>.
-func (r *soakRig) run(prefix string, msgSize, rounds int, pace, horizon sim.Time, onResend func(wait sim.Time)) soakResult {
+func (r *rig) soak(prefix string, msgSize, rounds int, pace, horizon sim.Time, onResend func(wait sim.Time)) soakResult {
 	c, ports := r.c, r.ports
 	var res soakResult
 
@@ -246,7 +243,7 @@ func chaosRun(seed uint64) *chaosResult {
 	res.outages = len(faults.Windows)
 	c.Install(faults)
 
-	res.soakResult = rig.run("chaos", chaosMsgSize, chaosRounds, soakPace, 2*sim.Second, func(wait sim.Time) {
+	res.soakResult = rig.soak("chaos", chaosMsgSize, chaosRounds, soakPace, 2*sim.Second, func(wait sim.Time) {
 		res.recoveries++
 		res.recSum += wait
 		if wait > res.recMax {

@@ -85,7 +85,7 @@ func healthRun(seed uint64, fault bool) *hwResult {
 	// Traffic spans ~70 ms; the horizon leaves room for retransmit
 	// stragglers and lets the rule series settle back to healthy.
 	res := &hwResult{fired: make(map[string]int)}
-	res.soakResult = rig.run("hw", hwMsgSize, hwRounds, hwPace, 120*sim.Millisecond, nil)
+	res.soakResult = rig.soak("hw", hwMsgSize, hwRounds, hwPace, 120*sim.Millisecond, nil)
 
 	eng := c.Health
 	res.transitions = append(res.transitions, eng.Transitions()...)

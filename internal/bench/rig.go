@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	ibcl "bcl/internal/bcl"
 	"bcl/internal/cluster"
 	"bcl/internal/eadi"
@@ -32,15 +30,11 @@ type rig struct {
 // be unified: fault schedules are offsets from Env.Now() after boot.
 func newRig(c *cluster.Cluster, place []int, opts ibcl.Options, boot sim.Time) *rig {
 	r := attach(c)
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for _, n := range place {
-			r.ports = append(r.ports, r.open(p, n, opts))
-		}
-	})
-	c.Env.RunUntil(boot)
-	if len(r.ports) != len(place) {
-		panic(fmt.Sprintf("bench: rig opened %d of %d ports by %v", len(r.ports), len(place), boot))
+	ports, err := r.sys.Boot(place, opts, boot)
+	if err != nil {
+		panic("bench: " + err.Error())
 	}
+	r.ports = ports
 	return r
 }
 
@@ -52,12 +46,11 @@ func attach(c *cluster.Cluster) *rig { return &rig{c: c, sys: ibcl.NewSystem(c)}
 // a harness bug: it panics here, naming the port, instead of
 // surfacing as a nil dereference somewhere inside the experiment.
 func (r *rig) open(p *sim.Proc, n int, opts ibcl.Options) *ibcl.Port {
-	nd := r.c.Nodes[n]
-	pt, err := r.sys.Open(p, nd, nd.Kernel.Spawn(), opts)
+	ports, err := r.sys.OpenJob(p, []int{n}, opts)
 	if err != nil {
-		panic(fmt.Sprintf("bench: open port %q on node %d: %v", opts.Label, n, err))
+		panic("bench: " + err.Error())
 	}
-	return pt
+	return ports[0]
 }
 
 // pairRig is the two-port rig of the point-to-point measurements: 64
@@ -84,15 +77,7 @@ func bclPair(prof *hw.Profile, intra bool) *rig {
 // communicators and PVM tasks are built on.
 func mpiWorld(cfg cluster.Config, place []int, boot sim.Time) (*cluster.Cluster, []*eadi.Device) {
 	rg := newRig(newCluster(cfg), place, ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit}, boot)
-	addrs := make([]ibcl.Addr, len(rg.ports))
-	for i, pt := range rg.ports {
-		addrs[i] = pt.Addr()
-	}
-	devs := make([]*eadi.Device, len(rg.ports))
-	for i, pt := range rg.ports {
-		devs[i] = eadi.NewDevice(pt, i, addrs)
-	}
-	return rg.c, devs
+	return rg.c, eadi.Job(rg.ports)
 }
 
 // mpiComms is mpiWorld as MPI_COMM_WORLD, one communicator per rank.

@@ -57,31 +57,23 @@ type svcWorld struct {
 }
 
 func newSvcWorld(c *cluster.Cluster, shards, pairs, drivers int) *svcWorld {
-	w := &svcWorld{
-		rig: attach(c), ring: svc.NewRing(shards, 64),
-		servers: make([]*svc.Server, shards), drivers: make([]*svc.Driver, drivers),
-	}
-	w.pa, w.pb = crossShardPairs(w.ring, pairs)
+	w := &svcWorld{rig: attach(c), ring: svc.NewRing(shards, 64), drivers: make([]*svc.Driver, drivers)}
+	w.pa, w.pb = w.ring.CrossPairs(pairs)
 	return w
 }
 
-// startShards opens every shard's port, then starts the servers: plain
+// startShards boots the shard servers from the setup process p: plain
 // processes (they are the service itself, not a scheduled tenant).
-// scfg carries what the experiments differ in (seed, request recorder);
-// it runs inside a setup process.
+// scfg carries what the experiments differ in (seed, request recorder).
 func (w *svcWorld) startShards(p *sim.Proc, opts ibcl.Options, scfg svc.ServerConfig) {
-	opts.SystemBufSize = svcBufSize
-	var ports []*ibcl.Port
-	for i := range w.servers {
-		pt := w.open(p, i, opts)
-		ports = append(ports, pt)
-		w.addrs = append(w.addrs, pt.Addr())
+	scfg.Ring, scfg.AuthSeed = w.ring, 0xbc1
+	servers, err := svc.StartShards(p, w.sys, opts, svcBufSize, scfg)
+	if err != nil {
+		panic("bench: " + err.Error())
 	}
-	scfg.Shards, scfg.Ring, scfg.AuthSeed = w.addrs, w.ring, 0xbc1
-	for i, pt := range ports {
-		scfg.Index = i
-		w.servers[i] = svc.NewServer(p, pt, svcBufSize, scfg)
-		w.c.Env.Go(fmt.Sprintf("shard%d", i), w.servers[i].Run)
+	w.servers = servers
+	for _, s := range servers {
+		w.addrs = append(w.addrs, s.Addr())
 	}
 }
 
@@ -309,20 +301,6 @@ func runServe(cfg serveCfg) *serveRes {
 		res.abortAlerts = c.Health.FiredCount("txn-abort-rate")
 	}
 	return res
-}
-
-// crossShardPairs builds transaction key pairs whose halves live on
-// different shards, so every transaction exercises 2PC.
-func crossShardPairs(ring *svc.Ring, n int) (pa, pb []string) {
-	for i := 0; len(pa) < n; i++ {
-		a := fmt.Sprintf("pa%04d", i)
-		b := fmt.Sprintf("pb%04d", i)
-		if ring.Shard(a) != ring.Shard(b) {
-			pa = append(pa, a)
-			pb = append(pb, b)
-		}
-	}
-	return pa, pb
 }
 
 // serveSchedule derives the chaos phase's fault schedule from the

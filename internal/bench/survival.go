@@ -116,7 +116,7 @@ func survRun(seed uint64) *survResult {
 	// the resends metric and, via duplicates, breaks exactly_once. The
 	// workload spans ~175 ms; 400 ms leaves room for stragglers and
 	// keeps the fault window inside the timeline ring.
-	res.soakResult = rig.run("surv", survMsgSize, survRounds, soakPace, 400*sim.Millisecond, nil)
+	res.soakResult = rig.soak("surv", survMsgSize, survRounds, soakPace, 400*sim.Millisecond, nil)
 
 	res.snap = c.Obs.Snapshot(c.Env.Now())
 	res.stats = readCounters(res.snap, survCounterRows)

@@ -196,6 +196,16 @@ func NewDevice(port *bcl.Port, rank int, addrs []bcl.Addr) *Device {
 	return d
 }
 
+// Job wraps the ports of one job as its devices: rank i on ports[i].
+func Job(ports []*bcl.Port) []*Device {
+	addrs := bcl.Addrs(ports)
+	devs := make([]*Device, len(ports))
+	for i, pt := range ports {
+		devs[i] = NewDevice(pt, i, addrs)
+	}
+	return devs
+}
+
 // Rank returns this device's rank.
 func (d *Device) Rank() int { return d.rank }
 

@@ -10,36 +10,16 @@ import (
 	"bcl/internal/sim"
 )
 
-// world builds one EADI device per slot (slot value = node index).
-func world(t *testing.T, nodes int, slots []int) (*cluster.Cluster, []*Device) {
+// world builds one EADI device per slot (slot value = node index) on a
+// cluster seeded with seed.
+func world(t *testing.T, seed uint64, nodes int, slots []int) (*cluster.Cluster, []*Device) {
 	t.Helper()
-	c := cluster.New(cluster.Config{Nodes: nodes, NIC: bcl.DefaultNICConfig()})
-	sys := bcl.NewSystem(c)
-	ports := make([]*bcl.Port, len(slots))
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i, n := range slots {
-			proc := c.Nodes[n].Kernel.Spawn()
-			pt, err := sys.Open(p, c.Nodes[n], proc, bcl.Options{SystemBuffers: 64, SystemBufSize: EagerLimit})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ports[i] = pt
-		}
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	addrs := make([]bcl.Addr, len(slots))
-	for i, pt := range ports {
-		if pt == nil {
-			t.Fatal("setup failed")
-		}
-		addrs[i] = pt.Addr()
+	c := cluster.New(cluster.Config{Nodes: nodes, Seed: seed, NIC: bcl.DefaultNICConfig()})
+	ports, err := bcl.NewSystem(c).Boot(slots, bcl.Options{SystemBuffers: 64, SystemBufSize: EagerLimit}, 20*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
 	}
-	devs := make([]*Device, len(slots))
-	for i, pt := range ports {
-		devs[i] = NewDevice(pt, i, addrs)
-	}
-	return c, devs
+	return c, Job(ports)
 }
 
 func alloc(d *Device, data []byte) mem.VAddr {
@@ -49,7 +29,7 @@ func alloc(d *Device, data []byte) mem.VAddr {
 }
 
 func TestEagerMatchByTag(t *testing.T) {
-	c, devs := world(t, 2, []int{0, 1})
+	c, devs := world(t, 1, 2, []int{0, 1})
 	a, b := devs[0], devs[1]
 	c.Env.Go("a", func(p *sim.Proc) {
 		a.Send(p, 1, 0, 7, alloc(a, []byte("seven")), 5)
@@ -85,7 +65,7 @@ func TestEagerMatchByTag(t *testing.T) {
 }
 
 func TestRendezvousLargeInterNode(t *testing.T) {
-	c, devs := world(t, 2, []int{0, 1})
+	c, devs := world(t, 1, 2, []int{0, 1})
 	a, b := devs[0], devs[1]
 	const n = 100 * 1024
 	payload := make([]byte, n)
@@ -115,7 +95,7 @@ func TestRendezvousLargeInterNode(t *testing.T) {
 }
 
 func TestRendezvousIntraNodeUsesShm(t *testing.T) {
-	c, devs := world(t, 1, []int{0, 0})
+	c, devs := world(t, 1, 1, []int{0, 0})
 	a, b := devs[0], devs[1]
 	const n = 64 * 1024
 	payload := make([]byte, n)
@@ -146,7 +126,7 @@ func TestRendezvousIntraNodeUsesShm(t *testing.T) {
 
 func TestUnexpectedRendezvous(t *testing.T) {
 	// RTS arrives before the receive is posted.
-	c, devs := world(t, 2, []int{0, 1})
+	c, devs := world(t, 1, 2, []int{0, 1})
 	a, b := devs[0], devs[1]
 	const n = 32 * 1024
 	payload := make([]byte, n)
@@ -182,7 +162,7 @@ func TestUnexpectedRendezvous(t *testing.T) {
 }
 
 func TestTruncationError(t *testing.T) {
-	c, devs := world(t, 2, []int{0, 1})
+	c, devs := world(t, 1, 2, []int{0, 1})
 	a, b := devs[0], devs[1]
 	var err error
 	c.Env.Go("a", func(p *sim.Proc) {
@@ -200,7 +180,7 @@ func TestTruncationError(t *testing.T) {
 }
 
 func TestProbe(t *testing.T) {
-	c, devs := world(t, 2, []int{0, 1})
+	c, devs := world(t, 1, 2, []int{0, 1})
 	a, b := devs[0], devs[1]
 	var before, after bool
 	var st Status
@@ -225,7 +205,7 @@ func TestProbe(t *testing.T) {
 func TestManyMessagesStressPoolRecycling(t *testing.T) {
 	// More eager messages than pool buffers: the batched returns must
 	// keep the pool alive.
-	c, devs := world(t, 2, []int{0, 1})
+	c, devs := world(t, 1, 2, []int{0, 1})
 	a, b := devs[0], devs[1]
 	const msgs = 300
 	sum := 0

@@ -11,7 +11,7 @@ import (
 )
 
 func TestSendEagerNBRejectsOversize(t *testing.T) {
-	c, devs := world(t, 2, []int{0, 1})
+	c, devs := world(t, 1, 2, []int{0, 1})
 	var err error
 	c.Env.Go("p", func(p *sim.Proc) {
 		va := devs[0].Port().Process().Space.Alloc(EagerLimit + 1)
@@ -24,7 +24,7 @@ func TestSendEagerNBRejectsOversize(t *testing.T) {
 }
 
 func TestPostRecvNBImmediateEagerMatch(t *testing.T) {
-	c, devs := world(t, 2, []int{0, 1})
+	c, devs := world(t, 1, 2, []int{0, 1})
 	a, b := devs[0], devs[1]
 	matched := false
 	c.Env.Go("a", func(p *sim.Proc) {
@@ -59,7 +59,7 @@ func TestPostRecvNBImmediateEagerMatch(t *testing.T) {
 }
 
 func TestPostRecvNBTruncationFromUnexpected(t *testing.T) {
-	c, devs := world(t, 2, []int{0, 1})
+	c, devs := world(t, 1, 2, []int{0, 1})
 	a, b := devs[0], devs[1]
 	var herr error
 	c.Env.Go("a", func(p *sim.Proc) {
@@ -84,7 +84,7 @@ func TestPostRecvNBTruncationFromUnexpected(t *testing.T) {
 }
 
 func TestDeviceAccessors(t *testing.T) {
-	c, devs := world(t, 2, []int{0, 1})
+	c, devs := world(t, 1, 2, []int{0, 1})
 	_ = c
 	if devs[0].Rank() != 0 || devs[1].Rank() != 1 {
 		t.Fatal("ranks wrong")
@@ -98,7 +98,7 @@ func TestDeviceAccessors(t *testing.T) {
 }
 
 func TestFlushReturnsEmptyNoop(t *testing.T) {
-	c, devs := world(t, 2, []int{0, 1})
+	c, devs := world(t, 1, 2, []int{0, 1})
 	c.Env.Go("p", func(p *sim.Proc) {
 		before := p.Now()
 		devs[0].flushReturns(p) // nothing queued: free
@@ -136,7 +136,7 @@ func TestTagPackingRoundTrip(t *testing.T) {
 // and both senders would have written into one channel.
 func TestRendezvousHeadersSurvivePendingEagerSends(t *testing.T) {
 	const backlog = 32
-	c, devs := world(t, 3, []int{0, 1, 2})
+	c, devs := world(t, 1, 3, []int{0, 1, 2})
 	b := devs[1]
 	senders := []struct {
 		dev     *Device
@@ -214,7 +214,7 @@ func TestRendezvousHeadersSurvivePendingEagerSends(t *testing.T) {
 func TestFaultingEagerDeliveryChargesNoMemcpy(t *testing.T) {
 	const n = 1000
 	finished := func(mapped bool) (sim.Time, error) {
-		c, devs := world(t, 2, []int{0, 1})
+		c, devs := world(t, 1, 2, []int{0, 1})
 		a, b := devs[0], devs[1]
 		c.Env.Go("a", func(p *sim.Proc) {
 			p.Sleep(sim.Millisecond) // the receive is posted first

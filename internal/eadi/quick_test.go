@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"bcl/internal/bcl"
-	"bcl/internal/cluster"
 	"bcl/internal/sim"
 )
 
@@ -19,7 +17,7 @@ func TestQuickMatchingPermutation(t *testing.T) {
 		if n == 0 || n > 6 {
 			return true
 		}
-		c, devs := worldQ(seed, 2, []int{0, 1})
+		c, devs := world(t, seed, 2, []int{0, 1})
 		a, b := devs[0], devs[1]
 		// Message i: tag i, size alternates eager/rendezvous.
 		payloads := make([][]byte, n)
@@ -78,34 +76,4 @@ func TestQuickMatchingPermutation(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// worldQ is the test-world builder parameterized by seed.
-func worldQ(seed uint64, nodes int, slots []int) (*cluster.Cluster, []*Device) {
-	if seed == 0 {
-		seed = 1
-	}
-	c := cluster.New(cluster.Config{Nodes: nodes, Seed: seed, NIC: bcl.DefaultNICConfig()})
-	sys := bcl.NewSystem(c)
-	ports := make([]*bcl.Port, len(slots))
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i, n := range slots {
-			proc := c.Nodes[n].Kernel.Spawn()
-			pt, err := sys.Open(p, c.Nodes[n], proc, bcl.Options{SystemBuffers: 64, SystemBufSize: EagerLimit})
-			if err != nil {
-				panic(err)
-			}
-			ports[i] = pt
-		}
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	addrs := make([]bcl.Addr, len(slots))
-	for i, pt := range ports {
-		addrs[i] = pt.Addr()
-	}
-	devs := make([]*Device, len(slots))
-	for i, pt := range ports {
-		devs[i] = NewDevice(pt, i, addrs)
-	}
-	return c, devs
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"bcl/internal/cluster"
-	"bcl/internal/hw"
 	"bcl/internal/mem"
 	"bcl/internal/nic"
 	"bcl/internal/node"
@@ -356,9 +355,4 @@ func (sk *Socket) Recv(p *sim.Proc, va mem.VAddr, n int) (int, Addr, error) {
 		return 0, Addr{}, err
 	}
 	return m.length, m.src, nil
-}
-
-// datagramTime is exported for tests: the ideal per-datagram wire time.
-func datagramTime(prof *hw.Profile, payload int) sim.Time {
-	return hw.TransferTime(payload+HeaderBytes, prof.LinkBandwidth)
 }

@@ -141,9 +141,6 @@ func (t *PinTable) Invalidate(pid int) int {
 	return dropped
 }
 
-// Capacity returns the table's entry bound (0 = unbounded).
-func (t *PinTable) Capacity() int { return t.capacity }
-
 // Len returns the number of cached (pinned) pages.
 func (t *PinTable) Len() int { return t.n }
 

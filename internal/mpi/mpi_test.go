@@ -16,31 +16,21 @@ import (
 // job builds an MPI world with one rank per slot (slot = node index).
 func job(t *testing.T, nodes int, slots []int) (*cluster.Cluster, []*Comm) {
 	t.Helper()
-	c := cluster.New(cluster.Config{Nodes: nodes, NIC: bcl.DefaultNICConfig()})
-	sys := bcl.NewSystem(c)
-	ports := make([]*bcl.Port, len(slots))
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i, n := range slots {
-			proc := c.Nodes[n].Kernel.Spawn()
-			pt, err := sys.Open(p, c.Nodes[n], proc, bcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ports[i] = pt
-		}
-	})
-	c.Env.RunUntil(50 * sim.Millisecond)
-	addrs := make([]bcl.Addr, len(slots))
-	for i, pt := range ports {
-		if pt == nil {
-			t.Fatal("setup failed")
-		}
-		addrs[i] = pt.Addr()
+	return jobOn(t, cluster.Config{Nodes: nodes, NIC: bcl.DefaultNICConfig()}, slots)
+}
+
+// jobOn builds an MPI world on a cluster built from cfg, one rank per
+// slot (slot = node index).
+func jobOn(t *testing.T, cfg cluster.Config, slots []int) (*cluster.Cluster, []*Comm) {
+	t.Helper()
+	c := cluster.New(cfg)
+	ports, err := bcl.NewSystem(c).Boot(slots, bcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit}, 50*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
 	}
 	comms := make([]*Comm, len(slots))
-	for i, pt := range ports {
-		comms[i] = World(eadi.NewDevice(pt, i, addrs))
+	for i, dev := range eadi.Job(ports) {
+		comms[i] = World(dev)
 	}
 	return c, comms
 }

@@ -20,32 +20,11 @@ import (
 // collective offload context attached to every communicator.
 func collJob(t *testing.T, n int, nicCfg nic.Config) (*cluster.Cluster, []*Comm) {
 	t.Helper()
-	c := cluster.New(cluster.Config{Nodes: n, NIC: nicCfg})
-	sys := bcl.NewSystem(c)
-	ports := make([]*bcl.Port, n)
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			proc := c.Nodes[i].Kernel.Spawn()
-			pt, err := sys.Open(p, c.Nodes[i], proc, bcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ports[i] = pt
-		}
-	})
-	c.Env.RunUntil(50 * sim.Millisecond)
-	addrs := make([]bcl.Addr, n)
-	for i, pt := range ports {
-		if pt == nil {
-			t.Fatal("setup failed")
-		}
-		addrs[i] = pt.Addr()
+	place := make([]int, n)
+	for i := range place {
+		place[i] = i
 	}
-	comms := make([]*Comm, n)
-	for i, pt := range ports {
-		comms[i] = World(eadi.NewDevice(pt, i, addrs))
-	}
+	c, comms := jobOn(t, cluster.Config{Nodes: n, NIC: nicCfg}, place)
 	// Register the offload context on every NIC before any collective
 	// can inject: a packet arriving at an unregistered context is
 	// dropped by the firmware.

@@ -16,33 +16,7 @@ func faultJob(t *testing.T, nodes int, slots []int) (*cluster.Cluster, []*Comm) 
 	t.Helper()
 	cfg := bcl.DefaultNICConfig()
 	cfg.MaxRetries = 3
-	c := cluster.New(cluster.Config{Nodes: nodes, NIC: cfg})
-	sys := bcl.NewSystem(c)
-	ports := make([]*bcl.Port, len(slots))
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i, n := range slots {
-			proc := c.Nodes[n].Kernel.Spawn()
-			pt, err := sys.Open(p, c.Nodes[n], proc, bcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ports[i] = pt
-		}
-	})
-	c.Env.RunUntil(50 * sim.Millisecond)
-	addrs := make([]bcl.Addr, len(slots))
-	for i, pt := range ports {
-		if pt == nil {
-			t.Fatal("setup failed")
-		}
-		addrs[i] = pt.Addr()
-	}
-	comms := make([]*Comm, len(slots))
-	for i, pt := range ports {
-		comms[i] = World(eadi.NewDevice(pt, i, addrs))
-	}
-	return c, comms
+	return jobOn(t, cluster.Config{Nodes: nodes, NIC: cfg}, slots)
 }
 
 // TestSendFailedPropagatesBlocking proves EvSendFailed surfaces as an

@@ -109,10 +109,6 @@ func (n *NIC) CrashAt(t sim.Time) {
 // FirmwareDead reports whether the MCP is currently crashed.
 func (n *NIC) FirmwareDead() bool { return n.fwDead }
 
-// BootEpoch returns the current firmware boot epoch (1 = never
-// rebooted).
-func (n *NIC) BootEpoch() uint32 { return n.bootEpoch }
-
 // LastHeartbeat returns the last instant the firmware refreshed its
 // status word; the kernel watchdog reads it over PIO.
 func (n *NIC) LastHeartbeat() sim.Time { return n.lastBeat }

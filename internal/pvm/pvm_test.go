@@ -13,30 +13,13 @@ import (
 func vm(t *testing.T, nodes int, slots []int) (*cluster.Cluster, []*Task) {
 	t.Helper()
 	c := cluster.New(cluster.Config{Nodes: nodes, NIC: bcl.DefaultNICConfig()})
-	sys := bcl.NewSystem(c)
-	ports := make([]*bcl.Port, len(slots))
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i, n := range slots {
-			proc := c.Nodes[n].Kernel.Spawn()
-			pt, err := sys.Open(p, c.Nodes[n], proc, bcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ports[i] = pt
-		}
-	})
-	c.Env.RunUntil(50 * sim.Millisecond)
-	addrs := make([]bcl.Addr, len(slots))
-	for i, pt := range ports {
-		if pt == nil {
-			t.Fatal("setup failed")
-		}
-		addrs[i] = pt.Addr()
+	ports, err := bcl.NewSystem(c).Boot(slots, bcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit}, 50*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
 	}
 	tasks := make([]*Task, len(slots))
-	for i, pt := range ports {
-		tasks[i] = NewTask(eadi.NewDevice(pt, i, addrs))
+	for i, dev := range eadi.Job(ports) {
+		tasks[i] = NewTask(dev)
 	}
 	return c, tasks
 }

@@ -17,7 +17,6 @@ type Queue[T any] struct {
 	// Stats.
 	sent     uint64
 	received uint64
-	maxDepth int
 }
 
 // recvWaiter records one waiting receiver, resumed by fn(a, b): a parked
@@ -51,9 +50,6 @@ func (q *Queue[T]) Name() string { return q.name }
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return q.buf.Len() }
 
-// MaxDepth returns the high-water mark of buffered items.
-func (q *Queue[T]) MaxDepth() int { return q.maxDepth }
-
 // Counts returns the totals of items sent and received.
 func (q *Queue[T]) Counts() (sent, received uint64) { return q.sent, q.received }
 
@@ -62,9 +58,6 @@ func (q *Queue[T]) full() bool { return q.cap > 0 && q.buf.Len() >= q.cap }
 func (q *Queue[T]) push(v T) {
 	q.buf.Push(v)
 	q.sent++
-	if q.buf.Len() > q.maxDepth {
-		q.maxDepth = q.buf.Len()
-	}
 	for q.recvWait.Len() > 0 {
 		if w := q.recvWait.Pop(); w.live() {
 			if w.p != nil {

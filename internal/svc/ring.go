@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"fmt"
 	"sort"
 
 	"bcl/internal/sim"
@@ -46,6 +47,20 @@ func NewRing(shards, vnodes int) *Ring {
 
 // Shards returns the number of shards on the ring.
 func (r *Ring) Shards() int { return r.shards }
+
+// CrossPairs returns n transaction key pairs whose two keys land on
+// different shards, so every transaction over a pair runs 2PC.
+func (r *Ring) CrossPairs(n int) (pa, pb []string) {
+	for i := 0; len(pa) < n; i++ {
+		a := fmt.Sprintf("pa%04d", i)
+		b := fmt.Sprintf("pb%04d", i)
+		if r.Shard(a) != r.Shard(b) {
+			pa = append(pa, a)
+			pb = append(pb, b)
+		}
+	}
+	return pa, pb
+}
 
 // Shard returns the shard owning a key.
 func (r *Ring) Shard(key string) int {

@@ -242,6 +242,31 @@ type pTxn struct {
 
 const appliedCap = 2048
 
+// StartShards boots the service's shards from the setup process p:
+// for each shard of cfg.Ring it opens a port on the node of the same
+// index, with opts and bufSize-byte system buffers, then starts that
+// shard's server as process "shard<i>". cfg carries what the shards
+// share; StartShards fills in Index and Shards.
+func StartShards(p *sim.Proc, sys *bcl.System, opts bcl.Options, bufSize int, cfg ServerConfig) ([]*Server, error) {
+	place := make([]int, cfg.Ring.Shards())
+	for i := range place {
+		place[i] = i
+	}
+	opts.SystemBufSize = bufSize
+	ports, err := sys.OpenJob(p, place, opts)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Shards = bcl.Addrs(ports)
+	servers := make([]*Server, len(ports))
+	for i, pt := range ports {
+		cfg.Index = i
+		servers[i] = NewServer(p, pt, bufSize, cfg)
+		sys.Cluster.Env.Go(fmt.Sprintf("shard%d", i), servers[i].Run)
+	}
+	return servers, nil
+}
+
 // NewServer attaches a shard server to an opened BCL port. The port's
 // system pool should be generously sized (64+ buffers); the caller
 // starts the loop with env.Go(..., srv.Run).

@@ -49,40 +49,21 @@ func buildTier(t *testing.T, ccfg cluster.Config, shards int, dcfg DriverConfig)
 	done := false
 	c.Env.Go("setup", func(p *sim.Proc) {
 		opts := bcl.Options{SystemBuffers: 128, SystemBufSize: tbBufSize}
-		var addrs []bcl.Addr
-		var ports []*bcl.Port
-		for i := 0; i < shards; i++ {
-			nd := c.Nodes[i]
-			pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), opts)
-			if err != nil {
-				t.Errorf("open shard %d: %v", i, err)
-				return
-			}
-			ports = append(ports, pt)
-			addrs = append(addrs, pt.Addr())
-		}
-		for i, pt := range ports {
-			srv := NewServer(p, pt, tbBufSize, ServerConfig{
-				Index: i, Shards: addrs, Ring: tr.ring,
-				AuthSeed: 0xa0a0, Seed: 7,
-			})
-			tr.servers = append(tr.servers, srv)
-			c.Env.Go(fmt.Sprintf("shard%d", i), srv.Run)
-		}
-		nd := c.Nodes[shards]
-		pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), opts)
+		servers, err := StartShards(p, sys, opts, tbBufSize, ServerConfig{Ring: tr.ring, AuthSeed: 0xa0a0, Seed: 7})
 		if err != nil {
-			t.Errorf("open driver: %v", err)
+			t.Error(err)
 			return
 		}
-		dcfg.Shards = addrs
-		dcfg.Ring = tr.ring
-		dcfg.AuthSeed = 0xa0a0
+		tr.servers = servers
+		ports, err := sys.OpenJob(p, []int{shards}, opts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		if dcfg.UserName == "" {
 			dcfg.UserName = "alice"
 		}
-		tr.driver = NewDriver(p, pt, tbBufSize, dcfg)
-		c.Env.Go("driver", tr.driver.Run)
+		tr.driver = tr.newDriver(p, ports[0], dcfg)
 		done = true
 	})
 	c.Env.RunUntil(10 * sim.Millisecond)
@@ -92,6 +73,18 @@ func buildTier(t *testing.T, ccfg cluster.Config, shards int, dcfg DriverConfig)
 	return tr
 }
 
+// newDriver wires dcfg to the tier's shards, attaches a driver to pt
+// and starts its loop.
+func (tr *tier) newDriver(p *sim.Proc, pt *bcl.Port, dcfg DriverConfig) *Driver {
+	for _, s := range tr.servers {
+		dcfg.Shards = append(dcfg.Shards, s.Addr())
+	}
+	dcfg.Ring, dcfg.AuthSeed = tr.ring, 0xa0a0
+	d := NewDriver(p, pt, tbBufSize, dcfg)
+	tr.c.Env.Go("driver", d.Run)
+	return d
+}
+
 // addDriver opens one more driver port on the driver node, wired to the
 // same shards, and starts its loop. A second driver holds sessions of
 // its own, so writes invalidate the first one's cache and vice versa.
@@ -99,18 +92,12 @@ func (tr *tier) addDriver(t *testing.T, dcfg DriverConfig) *Driver {
 	t.Helper()
 	var d *Driver
 	tr.c.Env.Go("setup-driver", func(p *sim.Proc) {
-		nd := tr.c.Nodes[len(tr.servers)]
-		pt, err := tr.sys.Open(p, nd, nd.Kernel.Spawn(), bcl.Options{SystemBuffers: 128, SystemBufSize: tbBufSize})
+		ports, err := tr.sys.OpenJob(p, []int{len(tr.servers)}, bcl.Options{SystemBuffers: 128, SystemBufSize: tbBufSize})
 		if err != nil {
-			t.Errorf("open driver: %v", err)
+			t.Error(err)
 			return
 		}
-		for _, s := range tr.servers {
-			dcfg.Shards = append(dcfg.Shards, s.Addr())
-		}
-		dcfg.Ring, dcfg.AuthSeed = tr.ring, 0xa0a0
-		d = NewDriver(p, pt, tbBufSize, dcfg)
-		tr.c.Env.Go("driver", d.Run)
+		d = tr.newDriver(p, ports[0], dcfg)
 	})
 	tr.c.Env.RunUntil(tr.c.Env.Now() + 10*sim.Millisecond)
 	if d == nil {
@@ -136,20 +123,6 @@ func (tr *tier) runDrained(t *testing.T, horizon sim.Time) {
 			tr.c.Env.Now(), st.Issued, st.Done, len(tr.driver.pending))
 	}
 	tr.c.Env.RunUntil(tr.c.Env.Now() + 20*sim.Millisecond)
-}
-
-// crossShardPairs builds n transaction key pairs whose two keys land
-// on different shards.
-func crossShardPairs(ring *Ring, n int) (pa, pb []string) {
-	for i := 0; len(pa) < n; i++ {
-		a := fmt.Sprintf("pa%04d", i)
-		b := fmt.Sprintf("pb%04d", i)
-		if ring.Shard(a) != ring.Shard(b) {
-			pa = append(pa, a)
-			pb = append(pb, b)
-		}
-	}
-	return pa, pb
 }
 
 func (tr *tier) peek(key string) ([]byte, uint64) {
@@ -226,7 +199,7 @@ func TestKVSessionsAndCache(t *testing.T) {
 
 func TestTxnCommitAtomic(t *testing.T) {
 	ring := NewRing(3, 64)
-	pa, pb := crossShardPairs(ring, 8)
+	pa, pb := ring.CrossPairs(8)
 	tr := buildTier(t, cluster.Config{}, 3, DriverConfig{
 		Users: 32, Seed: 5, Keys: 20,
 		Arrivals: fixedGap(25 * sim.Microsecond), Sizes: fixedSize(48),
@@ -260,7 +233,7 @@ func TestTxnCommitAtomic(t *testing.T) {
 // prepare-lock conflict.
 func TestOversizeTxnValuesClamped(t *testing.T) {
 	ring := NewRing(3, 64)
-	pa, pb := crossShardPairs(ring, 8)
+	pa, pb := ring.CrossPairs(8)
 	tr := buildTier(t, cluster.Config{}, 3, DriverConfig{
 		Users: 1, Seed: 5,
 		Arrivals: fixedGap(100 * sim.Microsecond), Sizes: fixedSize(tbBufSize / 2),
@@ -300,7 +273,7 @@ func TestOversizeTxnValuesClamped(t *testing.T) {
 // weight.
 func TestTxnSurvivesDuplicates(t *testing.T) {
 	ring := NewRing(3, 64)
-	pa, pb := crossShardPairs(ring, 6)
+	pa, pb := ring.CrossPairs(6)
 	tr := buildTier(t, cluster.Config{}, 3, DriverConfig{
 		Users: 32, Seed: 9, Keys: 20,
 		Arrivals: fixedGap(30 * sim.Microsecond), Sizes: fixedSize(48),
@@ -323,7 +296,7 @@ func TestTxnSurvivesDuplicates(t *testing.T) {
 // must finish every transaction without a half-applied pair.
 func TestTxnSurvivesOutage(t *testing.T) {
 	ring := NewRing(3, 64)
-	pa, pb := crossShardPairs(ring, 6)
+	pa, pb := ring.CrossPairs(6)
 	tr := buildTier(t, cluster.Config{}, 3, DriverConfig{
 		Users: 24, Seed: 13, Keys: 16,
 		Arrivals: fixedGap(40 * sim.Microsecond), Sizes: fixedSize(48),
@@ -348,7 +321,7 @@ func TestTxnSurvivesOutage(t *testing.T) {
 // the crash swallowed.
 func TestTxnSurvivesFirmwareCrash(t *testing.T) {
 	ring := NewRing(3, 64)
-	pa, pb := crossShardPairs(ring, 6)
+	pa, pb := ring.CrossPairs(6)
 	tr := buildTier(t, cluster.Config{Watchdog: true}, 3, DriverConfig{
 		Users: 24, Seed: 17, Keys: 16,
 		Arrivals: fixedGap(40 * sim.Microsecond), Sizes: fixedSize(48),
@@ -409,7 +382,7 @@ func digestTier(tr *tier) uint64 {
 func TestServiceDeterministic(t *testing.T) {
 	run := func() uint64 {
 		ring := NewRing(3, 64)
-		pa, pb := crossShardPairs(ring, 6)
+		pa, pb := ring.CrossPairs(6)
 		tr := buildTier(t, cluster.Config{Seed: 3}, 3, DriverConfig{
 			Users: 32, Seed: 21, Keys: 24,
 			Arrivals: fixedGap(30 * sim.Microsecond), Sizes: fixedSize(56),
@@ -504,7 +477,7 @@ func TestSamplesDeterministic(t *testing.T) {
 // about 20 objects.
 func TestRequestAllocationBudget(t *testing.T) {
 	ring := NewRing(3, 64)
-	pa, pb := crossShardPairs(ring, 6)
+	pa, pb := ring.CrossPairs(6)
 	dcfg := DriverConfig{
 		Users: 32, Seed: 23, Keys: 24,
 		Arrivals: fixedGap(160 * sim.Microsecond), Sizes: fixedSize(200),

@@ -84,9 +84,6 @@ func NewBursty(seed uint64, quiet, burst sim.Time, quietLen, burstLen int) *Burs
 	}
 }
 
-// InBurst reports whether the generator is currently inside a burst.
-func (g *Bursty) InBurst() bool { return g.inBurst }
-
 // Next returns the gap to the next arrival.
 func (g *Bursty) Next() sim.Time {
 	if g.inBurst {
