@@ -155,11 +155,18 @@ check:
 # events on purpose regenerates it with the same loop, and says so).
 # allocs_per_op from the same runs holds eager_pingpong to 1 and
 # mpi_halo70 to 300 objects per op, a count that repeats exactly (0.001
-# and 155 today; 10 and 1 432 before messages stopped making garbage),
-# and svc_openloop to 0.65 objects per request (0.44 today; 19.4 before
-# frames, bodies and retired service records were reused), svc_observed
-# to 1.5 (1.03 today; 4.21 while request labels, histogram folds, share
-# reads and WorstFlows made garbage per request or sample), and
+# and 155 today; 10 and 1 432 before messages stopped making garbage;
+# what is left of mpi_halo70's, 140 objects and 107 520 B per op, is the
+# harness's own copies, two Space.Reads per rank, not world
+# construction, as bulk_stream's one object per op is its 128 KB
+# ctx.Read), and svc_openloop to 0.65 objects per request (0.44 today;
+# 19.4 before frames, bodies and retired service records were reused),
+# svc_observed to 1.5 (1.03 today; 4.21 while request labels, histogram
+# folds, share reads and WorstFlows made garbage per request or sample).
+# One more svc_observed run at --seconds 6, long enough (about 120
+# sampler ticks) for the 64-deep sample ring to wrap, holds it to 640
+# allocated bytes per request (551 today; 736 while every tick built a
+# fresh registry snapshot instead of refilling the one it evicts). And
 # mpi_halo70 at four times the work must peak within 1.5x of the
 # short run's RSS (54 -> 63 MB today; 116 -> 337 MB while every host
 # collective mapped fresh simulated pages).
@@ -180,6 +187,13 @@ hostcheck:
 	echo "allocations per request: svc_openloop $$svc (budget 0.65), svc_observed $$observed (budget 1.5)" && \
 	if awk -v s="$$svc" -v o="$$observed" 'BEGIN { exit !(s != "" && o != "" && s <= 0.65 && o <= 1.5) }'; \
 	then echo "a request makes no garbage"; else echo "a request makes garbage again"; exit 1; fi && \
+	$(GO) run ./benchmark --workload svc_observed --seed 1 --seconds 6 --trace 0 > "$$out/observed6.txt" && \
+	{ tail -n 1 "$$out/observed6.txt" | grep '"correct":true' | grep -q '"failed":0' || \
+		{ echo "svc_observed at --seconds 6: an op failed verification" >&2; tail -n 1 "$$out/observed6.txt" >&2; exit 1; }; } && \
+	bytes=$$(sed -n '$$s/.*"alloc_bytes_per_op":{"value":\([0-9.e+-]*\).*/\1/p' "$$out/observed6.txt") && \
+	echo "allocated bytes per request: svc_observed $$bytes at --seconds 6 (budget 640)" && \
+	if awk -v b="$$bytes" 'BEGIN { exit !(b != "" && b <= 640) }'; \
+	then echo "the sampler refills what it evicts"; else echo "the sampler makes garbage again"; exit 1; fi && \
 	rss() { $(GO) run ./benchmark --workload mpi_halo70 --seed 1 --seconds $$1 --trace 0 | \
 		sed -n '$$s/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p'; } && \
 	short=$$(rss 2) && long=$$(rss 8) && \

@@ -65,7 +65,7 @@ func pingPong() *Report {
 	h := snap.MergedHist("nic", "msg_latency_ns")
 	fmt.Fprintf(&b, "\nend-to-end latency histogram: %d observations, p50 ~ %.1f µs, p99 ~ %.1f µs\n",
 		h.Count, float64(h.P50())/1000, float64(h.P99())/1000)
-	fmt.Fprintf(&b, "\nsampler timeline (%d samples on the virtual clock):\n", len(rg.c.Obs.Samples()))
+	fmt.Fprintf(&b, "\nsampler timeline (%d samples on the virtual clock):\n", rg.c.Obs.NumSamples())
 	b.WriteString(rg.c.Obs.TimelineText([]obs.TimelineCol{
 		{Label: "msgs_sent", Layer: "nic", Name: "msgs_sent"},
 		{Label: "packets_sent", Layer: "nic", Name: "packets_sent"},
@@ -76,7 +76,7 @@ func pingPong() *Report {
 	r.metric("half_rtt_us", us(halfRTT))
 	r.verdict("registry_agrees", len(mismatches) == 0)
 	r.metric("hist_count", float64(h.Count))
-	r.metric("samples", float64(len(rg.c.Obs.Samples())))
+	r.metric("samples", float64(rg.c.Obs.NumSamples()))
 	return r
 }
 

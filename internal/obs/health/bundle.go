@@ -110,8 +110,8 @@ func (e *Engine) alertBundle(r *Rule, tr Transition) *Bundle {
 	for name, pts := range e.series {
 		b.Series[name] = append([]Point(nil), pts...)
 	}
-	if n := e.window.Len(); n > 0 {
-		b.Diff = e.window.At(n - 1).Snap.Diff(e.window.At(0).Snap)
+	if n := e.o.NumSamples(); n > 0 {
+		b.Diff = e.o.SampleAt(n - 1).Snap.Diff(e.o.SampleAt(0).Snap)
 	}
 	if e.o != nil {
 		b.Flight = flightEvents(e.o.Rec.Events())

@@ -15,18 +15,24 @@ import (
 	"bcl/internal/trace"
 )
 
-// stepper feeds an engine synthetic sampler ticks from one registry,
-// the way the cluster sampler would.
+// stepper drives an engine the way a cluster does: its Obs samples
+// the registry once a second of virtual time, into a series of
+// stepperDepth, and every tick runs the engine.
 type stepper struct {
 	r   *obs.Registry
 	e   *Engine
 	o   *obs.Obs
-	now sim.Time
+	env *sim.Env
 }
 
+const stepperDepth = 64
+
 func newStepper(rules []*Rule) *stepper {
-	s := &stepper{r: obs.NewRegistry(), e: NewEngine(rules), o: obs.New()}
-	s.e.Attach(s.o)
+	o := obs.New()
+	s := &stepper{r: o.Reg, e: NewEngine(rules), o: o, env: sim.NewEnv(1)}
+	s.e.Attach(o)
+	s.env.At(sim.Forever-1, func() {}) // keeps the sampler armed
+	o.StartSampler(s.env, sim.Second, stepperDepth)
 	return s
 }
 
@@ -37,23 +43,21 @@ func (s *stepper) counter(node int, layer, name string) *uint64 {
 	return v
 }
 
-func (s *stepper) tick(dt sim.Time) {
-	s.now += dt
-	s.e.Step(obs.Sample{At: s.now, Snap: s.r.Snapshot(s.now)})
-}
+// tick runs the next sampler tick.
+func (s *stepper) tick() { s.env.RunUntil(s.env.Now() + sim.Second) }
 
 func TestThresholdForSamplesAndResolve(t *testing.T) {
 	s := newStepper([]*Rule{Threshold("drop-rate", Rate("nic", "drops"), 5).ForSamples(2)})
 	drops := s.counter(0, "nic", "drops")
-	s.tick(sim.Second) // seeds the window, no evaluation
+	s.tick() // seeds the window, no evaluation
 	*drops += 10
-	s.tick(sim.Second) // rate 10/s > 5: consec 1, must NOT fire yet
+	s.tick() // rate 10/s > 5: consec 1, must NOT fire yet
 	if got := len(s.e.Transitions()); got != 0 {
 		t.Fatalf("fired after one sample with For=2: %d transitions", got)
 	}
 	*drops += 10
-	s.tick(sim.Second) // consec 2: fires at exactly t=3s
-	s.tick(sim.Second) // healthy window: resolves at t=4s
+	s.tick() // consec 2: fires at exactly t=3s
+	s.tick() // healthy window: resolves at t=4s
 	trs := s.e.Transitions()
 	if len(trs) != 2 {
 		t.Fatalf("transitions = %+v", trs)
@@ -83,12 +87,12 @@ func TestDivergenceBoundTracksReference(t *testing.T) {
 		2, 10000)})
 	ha := s.r.Histogram(-1, "fabric:a", "wire_ns")
 	hb := s.r.Histogram(-1, "fabric:b", "wire_ns")
-	s.tick(sim.Second)
+	s.tick()
 	for i := 0; i < 8; i++ { // both rails healthy and similar
 		ha.Observe(1000)
 		hb.Observe(1000)
 	}
-	s.tick(sim.Second)
+	s.tick()
 	if len(s.e.Transitions()) != 0 {
 		t.Fatalf("diverged while similar: %+v", s.e.Transitions())
 	}
@@ -96,7 +100,7 @@ func TestDivergenceBoundTracksReference(t *testing.T) {
 		ha.Observe(100000)
 		hb.Observe(1000)
 	}
-	s.tick(sim.Second)
+	s.tick()
 	trs := s.e.Transitions()
 	if len(trs) != 1 || !trs[0].Firing {
 		t.Fatalf("transitions = %+v", trs)
@@ -111,12 +115,12 @@ func TestBurnRateScalesByBudget(t *testing.T) {
 	// window blowing the bound is a 5x burn.
 	s := newStepper([]*Rule{BurnRate("slo", "nic", "lat_ns", 10000, 0.9, 2)})
 	h := s.r.Histogram(0, "nic", "lat_ns")
-	s.tick(sim.Second)
+	s.tick()
 	for i := 0; i < 4; i++ {
 		h.Observe(1000)
 		h.Observe(1000000)
 	}
-	s.tick(sim.Second)
+	s.tick()
 	trs := s.e.Transitions()
 	if len(trs) != 1 || !trs[0].Firing {
 		t.Fatalf("transitions = %+v", trs)
@@ -134,10 +138,10 @@ func TestGaugeAndDeltaSources(t *testing.T) {
 	var depth int64
 	s.r.RegisterGaugeCollector(func(set obs.GaugeSet) { set(0, "nic", "ring_depth", depth) })
 	trips := s.counter(1, "kernel", "watchdog_trips")
-	s.tick(sim.Second)
+	s.tick()
 	depth = 20
 	*trips++
-	s.tick(sim.Second)
+	s.tick()
 	trs := s.e.Transitions()
 	if len(trs) != 2 {
 		t.Fatalf("transitions = %+v", trs)
@@ -155,9 +159,9 @@ func TestBundleDeterministicEncodeAndDecode(t *testing.T) {
 		s := newStepper([]*Rule{Threshold("x", Rate("nic", "drops"), 1)})
 		s.o.Event(1, 0, "nic", "crash", 7, "detail")
 		drops := s.counter(0, "nic", "drops")
-		s.tick(sim.Second)
+		s.tick()
 		*drops += 100
-		s.tick(sim.Second)
+		s.tick()
 		bs := s.e.Bundles()
 		if len(bs) != 1 {
 			t.Fatalf("bundles = %d", len(bs))
@@ -217,10 +221,10 @@ func TestGateBundle(t *testing.T) {
 func TestFramesReplayHistoricalFiringState(t *testing.T) {
 	s := newStepper([]*Rule{Threshold("spike", Rate("nic", "msgs_sent"), 5)})
 	sent := s.counter(0, "nic", "msgs_sent")
-	s.tick(sim.Second)
+	s.tick()
 	*sent += 100
-	s.tick(sim.Second) // fires here
-	s.tick(sim.Second) // resolves here
+	s.tick() // fires here
+	s.tick() // resolves here
 	frames := s.e.Frames()
 	if len(frames) != 2 {
 		t.Fatalf("frames = %d", len(frames))
@@ -397,9 +401,10 @@ func TestWorstFlowsAllocs(t *testing.T) {
 	}
 }
 
-// A steady registry that fires no rule: after the window fills, Step
-// evaluates all of DefaultRules (windowed quantiles and burn rates over
-// merged histograms included) without allocating.
+// A steady registry that fires no rule: once the sampler's series is
+// full, a tick refills the sample it evicts and the engine evaluates
+// all of DefaultRules (windowed quantiles and burn rates over merged
+// histograms included) without allocating.
 func TestStepAllocs(t *testing.T) {
 	s := newStepper(DefaultRules())
 	for n := 0; n < 4; n++ {
@@ -413,26 +418,79 @@ func TestStepAllocs(t *testing.T) {
 		s.r.Histogram(0, "svc", "req_latency_ns"),
 		s.r.Histogram(-1, "fabric:myrinet", "wire_ns"), s.r.Histogram(-1, "fabric:nwrc-mesh", "wire_ns"),
 	}
-	var snaps []obs.Sample
-	for i := 0; i < 200; i++ {
+	i := 0
+	tick := func() {
 		for j, h := range hists {
 			h.ObserveTrace(int64(1000+100*j+i%50), uint64(i+1))
 		}
-		at := sim.Time(i+1) * 2 * sim.Millisecond
-		snaps = append(snaps, obs.Sample{At: at, Snap: s.r.Snapshot(at)})
+		i++
+		s.tick()
 	}
-	next := 0
-	step := func() { s.e.Step(snaps[next]); next++ }
-	for next < 80 {
-		step()
+	for i < 2*stepperDepth {
+		tick()
 	}
-	if got := testing.AllocsPerRun(100, step); got != 0 {
-		t.Fatalf("%v allocations per Step", got)
+	if got := testing.AllocsPerRun(100, tick); got != 0 {
+		t.Fatalf("%v allocations per tick", got)
+	}
+	if n := s.o.NumSamples(); n != stepperDepth {
+		t.Fatalf("the series holds %d samples, want %d", n, stepperDepth)
 	}
 	if len(s.e.Transitions()) != 0 {
 		t.Fatalf("a steady registry fired: %+v", s.e.Transitions())
 	}
-	if pts := s.e.Series("rail-divergence"); len(pts) == 0 || pts[len(pts)-1].V == 0 {
-		t.Fatalf("rail-divergence read no window: %+v", pts)
+	if pts := s.e.Series("rail-divergence"); len(pts) != stepperDepth || pts[len(pts)-1].V == 0 {
+		t.Fatalf("rail-divergence read no window, or kept %d points: %+v", len(pts), pts)
+	}
+}
+
+// Nothing outside the sampler's series points into a snapshot the
+// sampler refills: a Diff and a Merge of two samples, and the bundle an
+// alert emits, read byte for byte the same after their source samples
+// were refilled 3 × depth times with other exemplars.
+func TestResultsOutliveRefilledSamples(t *testing.T) {
+	s := newStepper([]*Rule{Threshold("spike", Rate("nic", "msgs_sent"), 5)})
+	sent := s.counter(0, "nic", "msgs_sent")
+	h := s.r.Histogram(0, "nic", "msg_latency_ns")
+	id := uint64(0)
+	tick := func() {
+		for v := int64(1); v < 1<<20; v *= 4 { // a new exemplar in ten buckets
+			id++
+			h.ObserveTrace(v, id)
+		}
+		s.tick()
+	}
+	for i := 0; i < stepperDepth; i++ {
+		tick()
+	}
+	*sent += 100
+	tick() // the alert fires on a full series
+	if len(s.e.Bundles()) != 1 {
+		t.Fatalf("%d bundles, want 1", len(s.e.Bundles()))
+	}
+	n := s.o.NumSamples()
+	first, last := s.o.SampleAt(0).Snap, s.o.SampleAt(n-1).Snap
+	results := []func() ([]byte, error){
+		last.Diff(first).JSON,
+		obs.Merge(first, last).JSON,
+		s.e.Bundles()[0].Encode,
+	}
+	var want []string
+	for _, r := range results {
+		data, err := r()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), "trace_id") {
+			t.Fatalf("result %d carries no exemplar, so cannot show one changing:\n%s", len(want), data)
+		}
+		want = append(want, string(data))
+	}
+	for i := 0; i < 3*stepperDepth; i++ {
+		tick()
+	}
+	for i, r := range results {
+		if data, _ := r(); string(data) != want[i] {
+			t.Errorf("result %d changed after its sources were refilled:\n got %s\nwant %s", i, data, want[i])
+		}
 	}
 }

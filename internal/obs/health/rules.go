@@ -99,16 +99,15 @@ type ruleState struct {
 	firing bool
 }
 
-// Engine evaluates a rule set against the sampler stream. Hook it up
-// with Attach (or feed it Samples directly via Step). All state lives
-// on the virtual clock: same samples in, same alerts out.
+// Engine evaluates a rule set against the sampler stream of the Obs it
+// is attached to, reading its samples from the sampler's own series.
+// All state lives on the virtual clock: same samples in, same alerts
+// out.
 type Engine struct {
 	Rules []*Rule
 	// Tracer, when set, lets postmortem bundles include the flow spans
 	// of the worst-offending messages.
 	Tracer *trace.Tracer
-	// Window bounds the retained sample/series history (default 64).
-	Window int
 	// Hot, when set, appends a heavy-hitter summary line to every
 	// bcltop frame (typically a reqtrace.Recorder's HotLine; the
 	// sketch state is live, not replayed).
@@ -118,7 +117,6 @@ type Engine struct {
 	SlowLog func(n int) []SlowEntry
 
 	o           *obs.Obs
-	window      sim.Ring[obs.Sample]
 	series      map[string][]Point
 	state       []ruleState
 	transitions []Transition
@@ -129,40 +127,36 @@ type Engine struct {
 func NewEngine(rules []*Rule) *Engine {
 	return &Engine{
 		Rules:  rules,
-		Window: 64,
 		series: make(map[string][]Point),
 		state:  make([]ruleState, len(rules)),
 	}
 }
 
-// Attach hooks the engine onto the observability bundle's sampler (and
-// remembers it so bundles can dump the flight recorder).
+// Attach hooks the engine onto the observability bundle's sampler,
+// whose series is then the engine's sample history.
 func (e *Engine) Attach(o *obs.Obs) {
 	if e == nil || o == nil {
 		return
 	}
 	e.o = o
-	o.OnSample = e.Step
+	o.OnSample = e.step
 }
 
-// Step feeds one sample. The first sample only seeds the window; every
-// later one evaluates all rules against the window since its
-// predecessor.
-func (e *Engine) Step(s obs.Sample) {
-	if e.Window <= 1 {
-		e.Window = 2
-	}
-	e.window.PushLast(s, e.Window)
-	n := e.window.Len()
+// step evaluates all rules against the window between the sampler's
+// newest sample cur and its predecessor; the first sample only seeds
+// the window. Each rule's series keeps as many points as the sampler
+// keeps samples.
+func (e *Engine) step(cur obs.Sample) {
+	n := e.o.NumSamples()
 	if n < 2 {
 		return
 	}
-	prev, cur := *e.window.At(n - 2), *e.window.At(n - 1)
+	prev := e.o.SampleAt(n - 2)
 	for i, r := range e.Rules {
 		v, bound := r.eval(prev, cur)
 		v, bound = round6(v), round6(bound)
 		pts := append(e.series[r.Name], Point{AtNs: int64(cur.At), V: v, Bound: bound})
-		if len(pts) > e.Window {
+		if len(pts) > n {
 			pts = append(pts[:0], pts[1:]...)
 		}
 		e.series[r.Name] = pts

@@ -101,15 +101,15 @@ func nicNodes(s *obs.Snapshot) []int {
 	return out
 }
 
-// Frames renders one bcltop frame per evaluated window in the retained
-// history — the "live" view of a finished run, replayed.
+// Frames renders one bcltop frame per evaluated window in the sampler's
+// retained series — the "live" view of a finished run, replayed.
 func (e *Engine) Frames() []string {
-	if e == nil || e.window.Len() < 2 {
+	if e == nil || e.o.NumSamples() < 2 {
 		return nil
 	}
 	var out []string
-	for i := 1; i < e.window.Len(); i++ {
-		out = append(out, e.frame(*e.window.At(i - 1), *e.window.At(i)))
+	for i := 1; i < e.o.NumSamples(); i++ {
+		out = append(out, e.frame(e.o.SampleAt(i-1), e.o.SampleAt(i)))
 	}
 	return out
 }
@@ -117,12 +117,12 @@ func (e *Engine) Frames() []string {
 // TopText renders the final bcltop frame plus the tail of the alert
 // log — what a live terminal would show at the end of the run.
 func (e *Engine) TopText() string {
-	if e == nil || e.window.Len() < 2 {
+	if e == nil || e.o.NumSamples() < 2 {
 		return "(no samples)\n"
 	}
 	var b strings.Builder
-	n := e.window.Len()
-	b.WriteString(e.frame(*e.window.At(n - 2), *e.window.At(n - 1)))
+	n := e.o.NumSamples()
+	b.WriteString(e.frame(e.o.SampleAt(n-2), e.o.SampleAt(n-1)))
 	trs := e.Transitions()
 	if len(trs) == 0 {
 		b.WriteString("alerts: none\n")

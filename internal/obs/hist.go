@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // histBuckets is the bucket count of the log2 histogram: bucket i
 // holds values in (2^(i-1), 2^i] nanoseconds (bucket 0 holds v <= 1),
@@ -185,7 +182,8 @@ type HistBuf [histBuckets]Bucket
 // always 1<<i): the one code path of merge, Sub, MergedHist and Window.
 // On addition the added point's exemplar wins a bucket both carry (the
 // latest-observation-wins rule of ObserveTrace, under the sorted merge
-// order); on subtraction the bucket keeps its own.
+// order); on subtraction the bucket keeps its own. A folded point never
+// points into its sources, which the sampler may refill.
 type fold struct {
 	p   HistPoint // all but Buckets
 	acc [histBuckets]Bucket
@@ -231,25 +229,39 @@ func (f *fold) sub(prev HistPoint) {
 }
 
 // point returns the folded point, its non-empty buckets in ascending
-// Le order written over buf.
-func (f *fold) point(buf []Bucket) HistPoint {
+// Le order written over bs. Their exemplars are copied over exs, which
+// must have room for all of them; a nil exs drops them.
+func (f *fold) point(bs []Bucket, exs []Exemplar) HistPoint {
 	p := f.p
-	p.Buckets = buf[:0]
+	p.Buckets = bs[:0]
 	for i, x := range f.acc {
 		if x.Count != 0 {
 			x.Le = int64(1) << i
+			if x.Ex != nil && exs != nil {
+				exs = append(exs, *x.Ex)
+				x.Ex = &exs[len(exs)-1]
+			} else {
+				x.Ex = nil
+			}
 			p.Buckets = append(p.Buckets, x)
 		}
 	}
 	return p
 }
 
-// owned returns the folded point in a bucket slice of its own.
+// owned returns the folded point in bucket and exemplar arrays of its
+// own.
 func (f *fold) owned() HistPoint {
-	var buf HistBuf
-	p := f.p
-	p.Buckets = slices.Clone(f.point(buf[:0]).Buckets)
-	return p
+	n, nex := 0, 0
+	for _, x := range f.acc {
+		if x.Count != 0 {
+			n++
+			if x.Ex != nil {
+				nex++
+			}
+		}
+	}
+	return f.point(make([]Bucket, 0, n), make([]Exemplar, 0, nex))
 }
 
 // merge folds another point into this one.

@@ -110,7 +110,8 @@ func (o *Obs) Snapshot(at sim.Time) *Snapshot {
 // (the oldest of `keep` samples is dropped on overflow). The sampler
 // re-arms only while other events are still pending, so an Env.Run()
 // that would otherwise drain to idle still terminates: once the
-// simulation has nothing left to do, the series is complete.
+// simulation has nothing left to do, the series is complete. A tick on
+// a full series refills the snapshot of the sample it evicts.
 func (o *Obs) StartSampler(env *sim.Env, every sim.Time, keep int) {
 	if o == nil || env == nil || every <= 0 {
 		return
@@ -123,7 +124,15 @@ func (o *Obs) StartSampler(env *sim.Env, every sim.Time, keep int) {
 	o.samplerEnv = env
 	var tick func()
 	tick = func() {
-		o.addSample(Sample{At: env.Now(), Snap: o.Reg.Snapshot(env.Now())})
+		var s Sample
+		if o.samples.Len() >= o.keep {
+			s = o.samples.Pop() // its snapshot is refilled, not replaced
+		}
+		s.At, s.Snap = env.Now(), o.Reg.SnapshotInto(s.Snap, env.Now())
+		o.samples.Push(s)
+		if o.OnSample != nil {
+			o.OnSample(s)
+		}
 		if env.Idle() {
 			// Nothing else is scheduled: re-arming would keep the event
 			// queue non-empty forever.
@@ -144,20 +153,31 @@ func (o *Obs) StopSampler() {
 	o.sampler = sim.Timer{}
 }
 
-func (o *Obs) addSample(s Sample) {
-	o.samples.PushLast(s, o.keep)
-	if o.OnSample != nil {
-		o.OnSample(s)
-	}
-}
-
-// Samples returns a copy of the sampler's time series, oldest first.
+// Samples returns a deep copy of the sampler's time series, oldest
+// first: nothing the sampler does later changes it.
 func (o *Obs) Samples() []Sample {
 	if o == nil {
 		return nil
 	}
-	return o.samples.AppendTo(nil)
+	out := o.samples.AppendTo(nil)
+	for i := range out {
+		out[i].Snap = Merge(out[i].Snap) // a merge of one is a copy
+	}
+	return out
 }
+
+// NumSamples returns how many samples the series holds.
+func (o *Obs) NumSamples() int {
+	if o == nil {
+		return 0
+	}
+	return o.samples.Len()
+}
+
+// SampleAt returns the i-th oldest sample of the series, which must
+// exist. The sampler refills its snapshot when it evicts it; a Diff,
+// Merge or Window of it owns its storage.
+func (o *Obs) SampleAt(i int) Sample { return *o.samples.At(i) }
 
 // TimelineCol names one column of a metrics timeline: a counter summed
 // across all nodes of the given layer.
@@ -180,7 +200,8 @@ func (o *Obs) TimelineText(cols []TimelineCol) string {
 		fmt.Fprintf(&b, " %14s", c.Label)
 	}
 	b.WriteByte('\n')
-	for _, s := range o.Samples() {
+	for i := 0; i < o.samples.Len(); i++ {
+		s := o.samples.At(i)
 		fmt.Fprintf(&b, "%8.1fms", float64(s.At)/float64(sim.Millisecond))
 		for _, c := range cols {
 			fmt.Fprintf(&b, " %14d", s.Snap.SumCounter(c.Layer, c.Name))

@@ -112,19 +112,28 @@ func (t *keyTable[V]) find(k Key) int32 {
 	return i
 }
 
-// points lists the slots set in this snapshot in key order, in a slice
-// of exactly that size; nil when there are none.
-func points[V uint64 | int64, P any](t *keyTable[V], mk func(Key, V) P) []P {
+// points lists the slots set in this snapshot in key order, refilling
+// dst, which grows only when there are more of them; nil when there are
+// none.
+func points[V uint64 | int64, P any](t *keyTable[V], dst []P, mk func(Key, V) P) []P {
 	if t.live == 0 {
 		return nil
 	}
-	out := make([]P, 0, t.live)
+	out := refill(dst, t.live)
 	for _, i := range t.order {
 		if s := &t.slots[i]; s.epoch == t.epoch {
 			out = append(out, mk(s.key, s.v))
 		}
 	}
 	return out
+}
+
+// refill returns dst emptied, or an exact-size slice if it lacks room.
+func refill[T any](dst []T, n int) []T {
+	if cap(dst) < n {
+		return make([]T, 0, n)
+	}
+	return dst[:0]
 }
 
 // Registry holds one cluster's metrics. It is single-threaded like the
@@ -196,21 +205,38 @@ type GaugePoint struct {
 	Value int64 `json:"value"`
 }
 
-// Snapshot is an immutable copy of the registry at one virtual
-// instant: counter, gauge and histogram points, each sorted by key.
+// Snapshot is a copy of the registry at one virtual instant: counter,
+// gauge and histogram points, each sorted by key. Nothing changes it but
+// a SnapshotInto that is handed it to refill.
 type Snapshot struct {
 	At       sim.Time       `json:"at_ns"`
 	Counters []CounterPoint `json:"counters"`
 	Gauges   []GaugePoint   `json:"gauges,omitempty"`
 	Hists    []HistPoint    `json:"histograms,omitempty"`
+
+	// The arrays Hists' buckets and exemplars live in, kept for refills.
+	buckets   []Bucket
+	exemplars []Exemplar
 }
 
 // Snapshot captures the registry: collector outputs (accumulated per
 // key; a key no collector sets this time is absent) and histogram
 // state. The snapshot owns its slices.
-func (r *Registry) Snapshot(at sim.Time) *Snapshot {
-	s := &Snapshot{At: at}
+func (r *Registry) Snapshot(at sim.Time) *Snapshot { return r.SnapshotInto(nil, at) }
+
+// SnapshotInto is Snapshot written over s (a fresh snapshot when s is
+// nil) and returned: each of its slices, and the bucket and exemplar
+// arrays its histograms share, is refilled in place and grows only when
+// the registry has more keys, buckets or exemplars than it held. So
+// whatever still points into s sees the new values; the sampler
+// refills only the sample its ring evicts.
+func (r *Registry) SnapshotInto(s *Snapshot, at sim.Time) *Snapshot {
+	if s == nil {
+		s = &Snapshot{}
+	}
+	s.At = at
 	if r == nil {
+		s.Counters, s.Gauges, s.Hists = nil, nil, nil
 		return s
 	}
 	r.counters.begin()
@@ -221,19 +247,22 @@ func (r *Registry) Snapshot(at sim.Time) *Snapshot {
 	for _, c := range r.gaugeCollectors {
 		c(r.gaugeSet)
 	}
-	s.Counters = points(&r.counters, func(k Key, v uint64) CounterPoint { return CounterPoint{k, v} })
-	s.Gauges = points(&r.gauges, func(k Key, v int64) GaugePoint { return GaugePoint{k, v} })
-	if len(r.hists) > 0 {
-		nb, nex := 0, 0
-		for _, e := range r.hists {
-			n, x := e.h.size()
-			nb, nex = nb+n, nex+x
-		}
-		bs, exs := make([]Bucket, nb), make([]Exemplar, 0, nex) // size 0 allocates nothing
-		s.Hists = make([]HistPoint, len(r.hists))
-		for i, e := range r.hists {
-			s.Hists[i] = e.h.pointInto(e.key, &bs, &exs)
-		}
+	s.Counters = points(&r.counters, s.Counters, func(k Key, v uint64) CounterPoint { return CounterPoint{k, v} })
+	s.Gauges = points(&r.gauges, s.Gauges, func(k Key, v int64) GaugePoint { return GaugePoint{k, v} })
+	if len(r.hists) == 0 {
+		s.Hists = nil
+		return s
+	}
+	nb, nex := 0, 0
+	for _, e := range r.hists {
+		n, x := e.h.size()
+		nb, nex = nb+n, nex+x
+	}
+	s.buckets, s.exemplars = refill(s.buckets, nb)[:nb], refill(s.exemplars, nex)
+	bs, exs := s.buckets, s.exemplars
+	s.Hists = refill(s.Hists, len(r.hists))
+	for _, e := range r.hists {
+		s.Hists = append(s.Hists, e.h.pointInto(e.key, &bs, &exs))
 	}
 	return s
 }
@@ -301,14 +330,16 @@ func (s *Snapshot) MergedHist(layer, name string) HistPoint {
 }
 
 // Window returns s.MergedHist(layer, name).Sub(prev.MergedHist(layer,
-// name)), the observations recorded between the two snapshots, folded
-// in one pass with its buckets written into buf: a caller keeping buf
-// on its stack allocates nothing.
+// name)) without exemplars, the observations recorded between the two
+// snapshots, folded in one pass with its buckets written into buf: a
+// caller keeping buf on its stack allocates nothing. A windowed
+// quantile needs no exemplar, and a window that carries none cannot
+// point into a snapshot the sampler refills.
 func (s *Snapshot) Window(prev *Snapshot, layer, name string, buf *HistBuf) HistPoint {
 	var f fold
 	s.foldHist(&f, layer, name, 1)
 	prev.foldHist(&f, layer, name, -1)
-	return f.point(buf[:0])
+	return f.point(buf[:0], nil)
 }
 
 // foldHist adds (sign > 0) or subtracts every point of the named
@@ -398,8 +429,8 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 			out.Hists[i].merge(h)
 		}
 	}
-	out.Counters = points(&cs, func(k Key, v uint64) CounterPoint { return CounterPoint{k, v} })
-	out.Gauges = points(&gs, func(k Key, v int64) GaugePoint { return GaugePoint{k, v} })
+	out.Counters = points(&cs, nil, func(k Key, v uint64) CounterPoint { return CounterPoint{k, v} })
+	out.Gauges = points(&gs, nil, func(k Key, v int64) GaugePoint { return GaugePoint{k, v} })
 	return out
 }
 

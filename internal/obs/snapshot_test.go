@@ -235,7 +235,10 @@ type fuzzEmit struct {
 // permutations, duplicates — change between snapshots. Every snapshot,
 // its Text, its Diff against the previous one and the Merge of the two
 // must equal the old map-and-sort code's, and no snapshot may change
-// after it was taken.
+// after it was taken. A SnapshotInto over whatever an earlier snapshot
+// of this registry or of an empty one left (more or fewer keys, buckets
+// and exemplars) must equal the fresh snapshot, and one of the empty
+// registry must hold nil slices.
 func FuzzSnapshot(f *testing.F) {
 	f.Add([]byte{2, 3, 2, 3, 7, 1, 4, 0, 0, 5, 1, 9, 4, 0, 3, 1, 12, 40, 4, 0})
 	f.Add([]byte{0, 7, 1, 7, 1, 200, 4, 0, 2, 7, 2, 7, 7, 5, 4, 0, 8, 2, 4, 0, 3, 2, 4, 0})
@@ -266,10 +269,22 @@ func FuzzSnapshot(f *testing.F) {
 		var kept []*Snapshot
 		var keptJSON []string
 		var prev, prevOld *Snapshot
+		var reuse [3]*Snapshot // refilled in turn, picked by the clock
 		check := func(at sim.Time) {
 			s, o := r.Snapshot(at), oldSnapshot(at, cs, gs, model)
 			if got, want := mustJSON(t, s), mustJSON(t, o); got != want {
 				t.Fatalf("snapshot\n got %s\nwant %s", got, want)
+			}
+			i, j := int(at)%3, int(at/3)%3
+			reuse[i] = r.SnapshotInto(reuse[i], at)
+			if got, want := mustJSON(t, reuse[i]), mustJSON(t, s); got != want {
+				t.Fatalf("refilled snapshot\n got %s\nwant %s", got, want)
+			}
+			if i != j {
+				reuse[j] = NewRegistry().SnapshotInto(reuse[j], at)
+				if got, want := mustJSON(t, reuse[j]), mustJSON(t, &Snapshot{At: at}); got != want {
+					t.Fatalf("empty registry refilled a snapshot\n got %s\nwant %s", got, want)
+				}
 			}
 			if s.Text() != o.Text() {
 				t.Fatalf("text\n got %s\nwant %s", s.Text(), o.Text())
@@ -371,11 +386,22 @@ func snapOf(hs []Histogram) *Snapshot {
 	return s
 }
 
+// withoutExemplars returns p with buckets of its own that carry no
+// exemplar.
+func withoutExemplars(p HistPoint) HistPoint {
+	p.Buckets = append([]Bucket(nil), p.Buckets...)
+	for i := range p.Buckets {
+		p.Buckets[i].Ex = nil
+	}
+	return p
+}
+
 // FuzzHistBuckets checks point, merge, sub, both Quantiles and Window
 // against the old point and map-based addBuckets, on three histograms
 // filled from the input (a third of them traced). Window, the one fold
 // of cur − prev, must equal the old MergedHist(cur).Sub(MergedHist(prev))
-// between a snapshot halfway through the input and one at its end.
+// without its exemplars between a snapshot halfway through the input
+// and one at its end.
 func FuzzHistBuckets(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 4, 2, 200, 0, 77, 1, 255})
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9})
@@ -404,7 +430,7 @@ func FuzzHistBuckets(f *testing.F) {
 		for _, w := range [][2]*Snapshot{{end, half}, {end, end}, {half, half}, {end, &Snapshot{}}} {
 			var buf HistBuf
 			samePoint(t, "window", w[0].Window(w[1], "nic", "lat", &buf),
-				oldSub(oldMergedHist(w[0], "nic", "lat"), oldMergedHist(w[1], "nic", "lat")))
+				withoutExemplars(oldSub(oldMergedHist(w[0], "nic", "lat"), oldMergedHist(w[1], "nic", "lat"))))
 			samePoint(t, "merged", w[0].MergedHist("nic", "lat"), oldMergedHist(w[0], "nic", "lat"))
 		}
 		var cur, old [3]HistPoint
@@ -476,7 +502,8 @@ func shapedRegistry(nc, ng, nh int) *Registry {
 
 // A steady-state snapshot allocates the Snapshot, its three slices and
 // one bucket array its histograms share, however many keys and
-// histograms it has (untraced: no exemplar array).
+// histograms it has (untraced: no exemplar array); a refill allocates
+// nothing.
 func TestSnapshotSteadyStateAllocs(t *testing.T) {
 	for _, shape := range [][3]int{{36, 5, 2}, {360, 55, 8}} {
 		r := shapedRegistry(shape[0], shape[1], shape[2])
@@ -486,6 +513,11 @@ func TestSnapshotSteadyStateAllocs(t *testing.T) {
 		got := testing.AllocsPerRun(20, func() { at++; r.Snapshot(at) })
 		if want := float64(1 + 3 + 1); got != want {
 			t.Errorf("shape %v: %v allocations per snapshot, want %v", shape, got, want)
+		}
+		// Refilling a snapshot of the same registry allocates nothing.
+		reuse := r.Snapshot(at)
+		if got := testing.AllocsPerRun(20, func() { at++; r.SnapshotInto(reuse, at) }); got != 0 {
+			t.Errorf("shape %v: %v allocations per refill, want 0", shape, got)
 		}
 		s := r.Snapshot(at + 1)
 		if len(s.Counters) != shape[0] || len(s.Gauges) != shape[1] || len(s.Hists) != shape[2]+1 {
@@ -502,11 +534,22 @@ func TestSnapshotSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkRegistrySnapshot takes one snapshot of the shape the
-// svc_observed sampler sees: 360 counters, 55 gauges, 8 histograms.
+// svc_observed sampler sees: 360 counters, 55 gauges, 8 histograms,
+// fresh and refilled over the last one (0 allocs/op).
 func BenchmarkRegistrySnapshot(b *testing.B) {
-	r := shapedRegistry(360, 55, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Snapshot(sim.Time(i))
-	}
+	b.Run("fresh", func(b *testing.B) {
+		r := shapedRegistry(360, 55, 8)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Snapshot(sim.Time(i))
+		}
+	})
+	b.Run("reuse", func(b *testing.B) {
+		r := shapedRegistry(360, 55, 8)
+		s := r.Snapshot(0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.SnapshotInto(s, sim.Time(i))
+		}
+	})
 }
