@@ -45,12 +45,17 @@ type Driver struct {
 	pendList []*request
 	reqFree  sim.FreeList[*request]
 
-	cache  map[string]cacheEntry
-	invVer map[string]uint64  // highest invalidated version per key
-	seen   map[seenKey]uint64 // highest version each user has seen per key
-	names  names              // the keys invalidations name
+	// keys is the key table: every key the driver can name, by index —
+	// the Keys get/put keys first (or "k" alone when Keys is 0), then the
+	// transaction pairs'. An op carries indexes; kidOf resolves the key
+	// an invalidation names.
+	keys  []keyState
+	kidOf map[string]uint32
+	pairs [][2]uint32 // PairA[i], PairB[i]
+	// seen is the highest version each user has seen per key, under
+	// userKey(user, key index).
+	seen map[uint64]uint64
 
-	keys    []string
 	nextArr sim.Time
 	genOn   bool
 	rng     uint64
@@ -126,15 +131,13 @@ type user struct {
 	seq        uint32
 }
 
-type seenKey struct {
-	user uint16
-	key  string
-}
+// userKey packs (user, key index) into one seen key.
+func userKey(user uint16, key uint32) uint64 { return uint64(user)<<32 | uint64(key) }
 
 type op struct {
-	kind    uint8 // kindGet / kindPut / kindTxn
-	key     string
-	keyB    string // second key for transactions
+	kind    uint8  // kindGet / kindPut / kindTxn
+	key     uint32 // key-table index
+	keyB    uint32 // second key for transactions
 	val     []byte
 	arrival sim.Time
 	flow    uint64
@@ -158,12 +161,17 @@ type request struct {
 	done    bool
 }
 
-// cacheEntry is one cached key. An invalidated entry is kept, stale,
-// so the next fill reuses its value buffer.
-type cacheEntry struct {
-	val   []byte
-	ver   uint64
-	stale bool
+// keyState is one key of the table: its name and owning shard, fixed
+// at construction, its cache entry and the highest version an
+// invalidation has named for it. An invalidated entry keeps its value
+// buffer, no longer cached, so the next fill reuses it.
+type keyState struct {
+	name   string
+	shard  int
+	val    []byte
+	ver    uint64 // the cached version, while cached
+	inv    uint64
+	cached bool
 }
 
 // NewDriver attaches a driver to an opened BCL port; start it with
@@ -190,10 +198,8 @@ func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driv
 		node:    port.Addr().Node,
 		row:     fmt.Sprintf("host%d", port.Addr().Node),
 		pending: make(map[uint64]*request),
-		cache:   make(map[string]cacheEntry),
-		invVer:  make(map[string]uint64),
-		seen:    make(map[seenKey]uint64),
-		names:   make(names),
+		kidOf:   make(map[string]uint32),
+		seen:    make(map[uint64]uint64),
 		nextArr: cfg.Start,
 		genOn:   cfg.Arrivals != nil,
 		rng:     sim.Splitmix64(cfg.Seed ^ 0xd1e5c0de),
@@ -202,9 +208,14 @@ func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driv
 		d.tr = port.Tracer()
 		d.rt = cfg.ReqObs
 	}
-	d.keys = make([]string, cfg.Keys)
-	for i := range d.keys {
-		d.keys[i] = fmt.Sprintf("k%05d", i)
+	for i := range cfg.Keys {
+		d.index(fmt.Sprintf("k%05d", i))
+	}
+	if cfg.Keys == 0 {
+		d.index("k")
+	}
+	for i, a := range cfg.PairA {
+		d.pairs = append(d.pairs, [2]uint32{d.index(a), d.index(cfg.PairB[i])})
 	}
 	d.users = make([]user, cfg.Users)
 	for i := range d.users {
@@ -228,6 +239,17 @@ func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driv
 		set(node, "svc", "invs_applied", d.stats.InvsApplied)
 	})
 	return d
+}
+
+// index returns key's place in the key table, adding it if new.
+func (d *Driver) index(key string) uint32 {
+	if i, ok := d.kidOf[key]; ok {
+		return i
+	}
+	i := uint32(len(d.keys))
+	d.keys = append(d.keys, keyState{name: key, shard: d.cfg.Ring.Shard(key)})
+	d.kidOf[key] = i
+	return i
 }
 
 func (d *Driver) rand() uint64 {
@@ -263,10 +285,10 @@ func (d *Driver) Drained() bool {
 // CacheSnapshot returns the cached version of every key the driver
 // currently holds (bench coherence verification).
 func (d *Driver) CacheSnapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(d.cache))
-	for k, e := range d.cache {
-		if !e.stale {
-			out[k] = e.ver
+	out := make(map[string]uint64, len(d.keys))
+	for i := range d.keys {
+		if k := &d.keys[i]; k.cached {
+			out[k.name] = k.ver
 		}
 	}
 	return out
@@ -331,8 +353,8 @@ func (d *Driver) generate(p *sim.Proc, now sim.Time) {
 		u := &d.users[int(d.rand()%uint64(len(d.users)))]
 		u.push(r)
 		if d.rt != nil && o.flow != 0 {
-			d.rt.Begin(o.flow, kindName(o.kind), o.key, u.idx, d.node,
-				d.cfg.Ring.Shard(o.key), o.arrival)
+			k := &d.keys[o.key]
+			d.rt.Begin(o.flow, kindName(o.kind), k.name, u.idx, d.node, k.shard, o.arrival)
 		}
 		d.stats.Issued++
 		if !u.busy {
@@ -343,7 +365,8 @@ func (d *Driver) generate(p *sim.Proc, now sim.Time) {
 }
 
 // makeOp rolls the op mix into o: get / put / txn with deterministic
-// keys and deterministically patterned values.
+// keys and deterministically patterned values. The get/put keys are the
+// table's first cfg.Keys; without any, every such op reads key 0, "k".
 func (d *Driver) makeOp(o *op, arrival sim.Time) {
 	roll := float64(d.rand()%1_000_000) / 1_000_000
 	o.arrival = arrival
@@ -354,28 +377,27 @@ func (d *Driver) makeOp(o *op, arrival sim.Time) {
 		o.flow = 1<<63 | uint64(d.node)<<40 | d.flowSeq
 	}
 	switch {
-	case roll < d.cfg.GetFrac && len(d.keys) > 0:
+	case roll < d.cfg.GetFrac && d.cfg.Keys > 0:
 		o.kind = kindGet
-		o.key = d.keys[int(d.rand()%uint64(len(d.keys)))]
-	case roll < d.cfg.GetFrac+d.cfg.TxnFrac && len(d.cfg.PairA) > 0:
+		o.key = uint32(d.rand() % uint64(d.cfg.Keys))
+	case roll < d.cfg.GetFrac+d.cfg.TxnFrac && len(d.pairs) > 0:
 		o.kind = kindTxn
-		i := int(d.rand() % uint64(len(d.cfg.PairA)))
-		o.key = d.cfg.PairA[i]
-		o.keyB = d.cfg.PairB[i]
+		pair := d.pairs[int(d.rand()%uint64(len(d.pairs)))]
+		o.key, o.keyB = pair[0], pair[1]
 		o.val = d.makeVal(o)
 	default:
 		o.kind = kindPut
-		if len(d.keys) == 0 {
+		if d.cfg.Keys == 0 {
 			o.kind = kindGet
-			o.key = "k"
+			o.key = 0
 			break
 		}
-		o.key = d.keys[int(d.rand()%uint64(len(d.keys)))]
+		o.key = uint32(d.rand() % uint64(d.cfg.Keys))
 		o.val = d.makeVal(o)
 	}
-	if d.cfg.HotFrac > 0 && o.kind != kindTxn && len(d.keys) > 0 {
+	if d.cfg.HotFrac > 0 && o.kind != kindTxn && d.cfg.Keys > 0 {
 		if float64(d.rand()%1_000_000)/1_000_000 < d.cfg.HotFrac {
-			o.key = d.keys[0]
+			o.key = 0
 		}
 	}
 }
@@ -406,7 +428,7 @@ func (d *Driver) makeVal(o *op) []byte {
 	max := d.ep.bufSize - 96
 	if o.kind == kindTxn {
 		// The request carries the value once per key (encodeOp).
-		max = (d.ep.bufSize - txnFraming - len(o.key) - len(o.keyB)) / 2
+		max = (d.ep.bufSize - txnFraming - len(d.keys[o.key].name) - len(d.keys[o.keyB].name)) / 2
 	}
 	if n > max {
 		n = max
@@ -431,10 +453,11 @@ func (d *Driver) makeVal(o *op) []byte {
 func (d *Driver) issueNext(p *sim.Proc, u *user) {
 	for req := u.head; req != nil; req = u.head {
 		o := &req.op
+		k := &d.keys[o.key]
 		if o.kind == kindGet {
-			if e, ok := d.cache[o.key]; ok && !e.stale {
+			if k.cached {
 				d.stats.CacheHits++
-				d.checkRead(u, o.key, e.ver, o.flow)
+				d.checkRead(u, o.key, k.ver, o.flow)
 				u.pop()
 				d.complete(p, *o, false)
 				d.reqFree.Put(req)
@@ -442,8 +465,7 @@ func (d *Driver) issueNext(p *sim.Proc, u *user) {
 			}
 			d.stats.Misses++
 		}
-		shard := d.cfg.Ring.Shard(o.key)
-		c := d.conns[shard]
+		c := d.conns[k.shard]
 		if c.state != connUp {
 			// Session still handshaking: the op stays at the head of
 			// the queue until AuthOK.
@@ -452,8 +474,8 @@ func (d *Driver) issueNext(p *sim.Proc, u *user) {
 		u.pop()
 		u.seq++
 		u.busy = true
-		req.u, req.shard, req.sess, req.seq = u, shard, c.sess, u.seq
-		req.payload = encodeOp(req.payload, o)
+		req.u, req.shard, req.sess, req.seq = u, k.shard, c.sess, u.seq
+		req.payload = d.encodeOp(req.payload, o)
 		req.rto, req.nextAt = d.cfg.RTO, p.Now()+d.cfg.RTO
 		d.pending[reqKey(c.sess, u.idx, u.seq)] = req
 		d.pendList = append(d.pendList, req)
@@ -493,19 +515,20 @@ func reqKey(sess uint16, uch uint16, seq uint32) uint64 {
 const txnFraming = 8 + 1 + 4*2
 
 // encodeOp encodes o's request body into b.
-func encodeOp(b []byte, o *op) []byte {
+func (d *Driver) encodeOp(b []byte, o *op) []byte {
 	pay := putU64(b, o.flow)
+	key := d.keys[o.key].name
 	switch o.kind {
 	case kindGet:
-		pay = putStr(pay, o.key)
+		pay = putStr(pay, key)
 	case kindPut:
-		pay = putStr(pay, o.key)
+		pay = putStr(pay, key)
 		pay = putBytes(pay, o.val)
 	case kindTxn:
 		pay = append(pay, 2)
-		pay = putStr(pay, o.key)
+		pay = putStr(pay, key)
 		pay = putBytes(pay, o.val)
-		pay = putStr(pay, o.keyB)
+		pay = putStr(pay, d.keys[o.keyB].name)
 		pay = putBytes(pay, o.val)
 	}
 	return pay
@@ -615,6 +638,7 @@ func (d *Driver) onReply(p *sim.Proc, sess, uch uint16, seq uint32, r *reader) {
 	delete(d.pending, reqKey(sess, uch, seq))
 	d.traceFlow(p, flow, "svc: reply consume")
 	o := req.op
+	k := &d.keys[o.key]
 	aborted := false
 	switch o.kind {
 	case kindGet:
@@ -623,10 +647,10 @@ func (d *Driver) onReply(p *sim.Proc, sess, uch uint16, seq uint32, r *reader) {
 			// Poison guard: only cache a fill at least as new as the
 			// newest invalidation seen for the key — an INV that raced
 			// this reply marks it stale before it ever lands.
-			if ver >= d.invVer[o.key] {
-				d.cacheStore(o.key, val, ver)
+			if ver >= k.inv {
+				d.cacheStore(k, val, ver)
 			}
-		} else if d.seen[seenKey{req.u.idx, o.key}] > 0 {
+		} else if d.seen[userKey(req.u.idx, o.key)] > 0 {
 			// The user has seen this key; NotFound un-happens a write.
 			d.stats.Violations++
 			d.rt.Flag(o.flow)
@@ -636,8 +660,8 @@ func (d *Driver) onReply(p *sim.Proc, sess, uch uint16, seq uint32, r *reader) {
 			d.noteSeen(req.u, o.key, ver)
 			// The server registered our interest in the new version;
 			// install it so the cache matches that belief.
-			if ver >= d.invVer[o.key] {
-				d.cacheStore(o.key, o.val, ver)
+			if ver >= k.inv {
+				d.cacheStore(k, o.val, ver)
 			}
 		}
 		// StatusConflict: a prepared transaction owned the key. The
@@ -654,50 +678,48 @@ func (d *Driver) onReply(p *sim.Proc, sess, uch uint16, seq uint32, r *reader) {
 	d.issueNext(p, req.u)
 }
 
-// cacheStore installs a copy of val as key's cached version ver.
-func (d *Driver) cacheStore(key string, val []byte, ver uint64) {
-	e, ok := d.cache[key]
-	if ok && !e.stale && ver <= e.ver {
+// cacheStore installs a copy of val as k's cached version ver.
+func (d *Driver) cacheStore(k *keyState, val []byte, ver uint64) {
+	if k.cached && ver <= k.ver {
 		return
 	}
-	e.val = append(e.val[:0], val...)
-	e.ver, e.stale = ver, false
-	d.cache[key] = e
+	k.val = append(k.val[:0], val...)
+	k.ver, k.cached = ver, true
 }
 
 // checkRead enforces per-user monotonic reads / read-your-writes: a
 // read must never return an older version than the user has observed.
 // A breach flags the flow so its trace is force-retained.
-func (d *Driver) checkRead(u *user, key string, ver uint64, flow uint64) {
-	if ver < d.seen[seenKey{u.idx, key}] {
+func (d *Driver) checkRead(u *user, key uint32, ver uint64, flow uint64) {
+	if ver < d.seen[userKey(u.idx, key)] {
 		d.stats.Violations++
 		d.rt.Flag(flow)
 	}
 	d.noteSeen(u, key, ver)
 }
 
-func (d *Driver) noteSeen(u *user, key string, ver uint64) {
-	if k := (seenKey{u.idx, key}); ver > d.seen[k] {
+func (d *Driver) noteSeen(u *user, key uint32, ver uint64) {
+	if k := userKey(u.idx, key); ver > d.seen[k] {
 		d.seen[k] = ver
 	}
 }
 
 // onInv applies a server invalidation and always acks it — the ack is
-// what releases the writer's reply on the owning shard.
+// what releases the writer's reply on the owning shard. A key outside
+// the table is one this driver never cached: acked, nothing to apply.
 func (d *Driver) onInv(p *sim.Proc, ev nic.Event, sess uint16, invID uint32, r *reader) {
 	kb := r.bytes()
 	ver := r.u64()
 	if !r.ok {
 		return
 	}
-	key := d.names.intern(kb)
-	if ver > d.invVer[key] {
-		d.invVer[key] = ver
-	}
-	if e, ok := d.cache[key]; ok && !e.stale && e.ver < ver {
-		e.stale = true
-		d.cache[key] = e
-		d.stats.InvsApplied++
+	if i, ok := d.kidOf[string(kb)]; ok {
+		k := &d.keys[i]
+		k.inv = max(k.inv, ver)
+		if k.cached && k.ver < ver {
+			k.cached = false
+			d.stats.InvsApplied++
+		}
 	}
 	c := d.connFor(ev)
 	if c != nil {

@@ -130,13 +130,13 @@ type session struct {
 
 // replyCache is a user channel's last reply, kept as its fields: only a
 // get's value is copied, into the buffer the channel's previous reply
-// left.
+// left. The fields are ordered widest first, 48 bytes with no padding.
 type replyCache struct {
-	seq    uint32
 	flow   uint64
-	status byte
 	ver    uint64
 	val    []byte
+	seq    uint32
+	status byte
 }
 
 // invGroup gathers the invalidations one write fanned out; fire sends
