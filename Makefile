@@ -173,8 +173,10 @@ check:
 # while every tick built a fresh registry snapshot instead of refilling
 # the one it evicts). And
 # mpi_halo70 at four times the work must peak within 1.5x of the
-# short run's RSS (54 -> 63 MB today; 116 -> 337 MB while every host
-# collective mapped fresh simulated pages).
+# short run's RSS (116 -> 337 MB while every host collective mapped
+# fresh simulated pages), and at --seconds 8 to 45 MB: 33-35 -> 36-38 MB
+# today, 41-47 -> 50-56 MB while every simulated frame stored its whole
+# 4 KB page instead of the lower half it is written in.
 hostcheck:
 	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
 	for w in $$(cut -d' ' -f1 baselines/HOSTBENCH_model.txt); do \
@@ -207,9 +209,11 @@ hostcheck:
 	rss() { $(GO) run ./benchmark --workload mpi_halo70 --seed 1 --seconds $$1 --trace 0 | \
 		sed -n '$$s/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p'; } && \
 	short=$$(rss 2) && long=$$(rss 8) && \
-	echo "mpi_halo70 peak RSS: $$short MB at --seconds 2, $$long MB at --seconds 8" && \
+	echo "mpi_halo70 peak RSS: $$short MB at --seconds 2, $$long MB at --seconds 8 (budget 45)" && \
 	if awk -v s="$$short" -v l="$$long" 'BEGIN { exit !(s > 0 && l <= 1.5 * s) }'; \
-	then echo "peak RSS is flat in work done"; else echo "peak RSS grows with work done"; exit 1; fi
+	then echo "peak RSS is flat in work done"; else echo "peak RSS grows with work done"; exit 1; fi && \
+	if awk -v l="$$long" 'BEGIN { exit !(l > 0 && l <= 45) }'; \
+	then echo "a simulated frame stores the half it uses"; else echo "simulated frames store whole pages again"; exit 1; fi
 
 # Every example, run and checked: each panics on a wrong result, and its
 # stdout (virtual times, deterministic) must equal the committed

@@ -360,9 +360,13 @@ func (d *Device) claim(p *sim.Proc, m *inMsg, va mem.VAddr, n int) (Status, erro
 	if len(m.data) > n {
 		return Status{}, ErrTruncated
 	}
-	d.port.Node().Memcpy(p, len(m.data))
-	if err := d.port.Process().Space.Write(va, m.data); err != nil {
-		return Status{}, err
+	if len(m.data) > 0 {
+		// As in PostRecvNB and deliverEager, an empty message moves
+		// no bytes and charges no copy.
+		d.port.Node().Memcpy(p, len(m.data))
+		if err := d.port.Process().Space.Write(va, m.data); err != nil {
+			return Status{}, err
+		}
 	}
 	d.EagerRecv++
 	return Status{Source: m.src, Tag: m.tag, Len: len(m.data)}, nil

@@ -244,3 +244,49 @@ func TestFaultingEagerDeliveryChargesNoMemcpy(t *testing.T) {
 		t.Fatalf("mapped receive done at %d, faulting at %d: difference %d, want one Memcpy (%d)", okAt, faultAt, okAt-faultAt, memcpy)
 	}
 }
+
+// A zero-length message waiting on the unexpected queue is claimed
+// alike by a blocking Recv and by PostRecvNB + WaitRecvNB: no copy is
+// charged and the buffer is not touched, so even a null buffer
+// receives it.
+func TestZeroLengthUnexpectedRecvMatchesNonblocking(t *testing.T) {
+	claim := func(blocking bool) (Status, sim.Time, error) {
+		c, devs := world(t, 1, 2, []int{0, 1})
+		a, b := devs[0], devs[1]
+		c.Env.Go("a", func(p *sim.Proc) {
+			a.Send(p, 1, 0, 7, alloc(a, nil), 0)
+		})
+		var st Status
+		var took sim.Time
+		var err error
+		c.Env.Go("b", func(p *sim.Proc) {
+			for {
+				if _, ok := b.Probe(p, AnySource, 0, AnyTag); ok {
+					break
+				}
+				p.Sleep(10 * sim.Microsecond)
+			}
+			start := p.Now()
+			if blocking {
+				st, err = b.Recv(p, 0, 0, 7, 0, 0)
+			} else {
+				st, err = b.WaitRecvNB(p, b.PostRecvNB(p, 0, 0, 7, 0, 0))
+			}
+			took = p.Now() - start
+		})
+		c.Env.RunUntil(sim.Second)
+		return st, took, err
+	}
+	st, took, err := claim(true)
+	nbSt, nbTook, nbErr := claim(false)
+	if err != nil || nbErr != nil {
+		t.Fatalf("errors = %v (Recv), %v (PostRecvNB); want nil", err, nbErr)
+	}
+	want := Status{Source: 0, Tag: 7, Len: 0}
+	if st != want || nbSt != want {
+		t.Fatalf("status = %+v (Recv), %+v (PostRecvNB); want %+v", st, nbSt, want)
+	}
+	if took != nbTook {
+		t.Fatalf("Recv took %d, PostRecvNB + WaitRecvNB %d; want the same", took, nbTook)
+	}
+}

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -310,74 +311,118 @@ func TestQuickSegmentsCoverage(t *testing.T) {
 	}
 }
 
+// model is the reference the AddrSpace tests judge against: a page
+// table (an AddrSpace used only for Alloc, unmapping and Segments) over
+// a flat array of whole pages standing for physical memory, which only
+// refRead and refWrite touch. It shares no storage with Memory, so a
+// storage bug cannot agree with it by construction.
+type model struct {
+	as   *AddrSpace
+	phys []byte
+}
+
+func newModel(pageSize int) *model { return &model{as: NewAddrSpace(NewMemory(pageSize))} }
+
+func (m *model) alloc(n int) VAddr {
+	va := m.as.Alloc(n)
+	m.phys = append(m.phys, make([]byte, len(m.as.mem.frames)*m.as.mem.pageSize-len(m.phys))...)
+	return va
+}
+
 // refRead and refWrite are AddrSpace.Read and Write as they were while
 // they went through Segments: translate the whole range into a
 // scatter/gather list, then move the bytes segment by segment. Kept
 // here as the model ReadInto, Write and Copy must match.
-func refRead(a *AddrSpace, va VAddr, n int) ([]byte, error) {
-	buf := make([]byte, n)
-	segs, err := a.Segments(va, n)
+func refRead(m *model, va VAddr, n int) ([]byte, error) {
+	segs, err := m.as.Segments(va, n)
 	if err != nil {
 		return nil, err
 	}
-	done := 0
+	buf := make([]byte, 0, n)
 	for _, s := range segs {
-		if err := a.mem.ReadPhys(s.Phys, buf[done:done+s.Len]); err != nil {
-			return nil, err
-		}
-		done += s.Len
+		buf = append(buf, m.phys[s.Phys:s.Phys+PAddr(s.Len)]...)
 	}
 	return buf, nil
 }
 
-func refWrite(a *AddrSpace, va VAddr, buf []byte) error {
-	segs, err := a.Segments(va, len(buf))
+func refWrite(m *model, va VAddr, buf []byte) error {
+	segs, err := m.as.Segments(va, len(buf))
 	if err != nil {
 		return err
 	}
-	done := 0
 	for _, s := range segs {
-		if err := a.mem.WritePhys(s.Phys, buf[done:done+s.Len]); err != nil {
-			return err
-		}
-		done += s.Len
+		buf = buf[copy(m.phys[s.Phys:s.Phys+PAddr(s.Len)], buf):]
 	}
 	return nil
 }
 
 // refCopy is what every Copy call site did before Copy existed.
-func refCopy(a *AddrSpace, dst, src VAddr, n int) error {
-	buf, err := refRead(a, src, n)
+func refCopy(m *model, dst, src VAddr, n int) error {
+	buf, err := refRead(m, src, n)
 	if err != nil {
 		return err
 	}
-	return refWrite(a, dst, buf)
+	return refWrite(m, dst, buf)
 }
 
-// holedSpace maps pages 1..9 of a 64-byte-page space, filled with a
-// pattern, and unmaps page 5: [64,320) and [384,640) are mapped.
-func holedSpace() *AddrSpace {
-	as := NewAddrSpace(NewMemory(64))
+// holed maps pages 1..9 of a 64-byte-page space and unmaps page 5:
+// [64,320) and [384,640) are mapped. Pages 1..5 are filled with a
+// pattern before the unmap, so their frames hold the whole page; pages
+// 6..9 only in their lower halves, so their frames never grew. It
+// returns the space and an identical model.
+func holed() (*AddrSpace, *model) {
+	as, m := NewAddrSpace(NewMemory(64)), newModel(64)
 	as.Alloc(9 * 64)
-	pattern := make([]byte, 9*64)
-	for i := range pattern {
-		pattern[i] = byte(i*5 + 1)
+	m.alloc(9 * 64)
+	fill := func(va VAddr, n int) {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(int(va)*5 + i*5 + 1)
+		}
+		if err := as.Write(va, data); err != nil {
+			panic(err)
+		}
+		refWrite(m, va, data)
 	}
-	if err := as.Write(64, pattern); err != nil {
-		panic(err)
+	fill(64, 5*64)
+	for page := VAddr(6); page <= 9; page++ {
+		fill(page*64, 32)
 	}
-	as.table[5] = -1
-	return as
+	as.table[5], m.as.table[5] = -1, -1
+	return as, m
 }
 
-func sameFrames(t *testing.T, what string, got, want *AddrSpace) {
+// samePages compares every frame's page, zero-extended past its
+// storage, with the model's, and checks each frame stores half its page
+// or all of it.
+func samePages(t *testing.T, what string, got *AddrSpace, want *model) {
+	t.Helper()
+	ps := got.mem.pageSize
+	if len(got.mem.frames)*ps != len(want.phys) {
+		t.Fatalf("%s: %d frames, model %d", what, len(got.mem.frames), len(want.phys)/ps)
+	}
+	page := make([]byte, ps)
+	for i, stored := range got.mem.frames {
+		if len(stored) != ps/2 && len(stored) != ps {
+			t.Fatalf("%s: frame %d stores %d bytes of a %d-byte page", what, i, len(stored), ps)
+		}
+		clear(page[copy(page, stored):])
+		if w := want.phys[i*ps : (i+1)*ps]; !bytes.Equal(page, w) {
+			t.Fatalf("%s: frame %d differs from the model\n got %x\nwant %x", what, i, page, w)
+		}
+	}
+}
+
+// sameStorage compares the frames' storage itself, length and bytes:
+// what a faulting Write or Copy must leave exactly as it was.
+func sameStorage(t *testing.T, what string, got, want *AddrSpace) {
 	t.Helper()
 	if len(got.mem.frames) != len(want.mem.frames) {
-		t.Fatalf("%s: %d frames, model %d", what, len(got.mem.frames), len(want.mem.frames))
+		t.Fatalf("%s: %d frames, want %d", what, len(got.mem.frames), len(want.mem.frames))
 	}
-	for i := range want.mem.frames {
-		if !bytes.Equal(got.mem.frames[i], want.mem.frames[i]) {
-			t.Fatalf("%s: frame %d differs from the model\n got %x\nwant %x", what, i, got.mem.frames[i], want.mem.frames[i])
+	for i, w := range want.mem.frames {
+		if g := got.mem.frames[i]; len(g) != len(w) || !bytes.Equal(g, w) {
+			t.Fatalf("%s: frame %d stores %d bytes %x, want %d bytes %x", what, i, len(g), g, len(w), w)
 		}
 	}
 }
@@ -392,41 +437,53 @@ func sameErr(t *testing.T, what string, got, want error) {
 	}
 }
 
-// Page crossings, unaligned ends, zero lengths and every way a range
-// can touch an unmapped page, each against the Segments-based model on
-// an identical space. A faulting Write or Copy must leave every frame
-// as it was, which the model does by translating before it writes.
+// readWriteCopyCases are ranges over holed's space: page crossings,
+// unaligned ends, zero lengths, every way a range can touch an unmapped
+// page, and ranges around the half of a page where a frame's storage
+// ends until it grows (pages 6..9; 416 is page 6's half, 608 page 9's).
+var readWriteCopyCases = []struct {
+	name     string
+	dst, src VAddr
+	n        int
+	fault    bool
+}{
+	{"inside one page", 70, 400, 20, false},
+	{"one whole page", 64, 384, 64, false},
+	{"across a boundary, unaligned both ends", 100, 420, 90, false},
+	{"four pages", 65, 386, 191, false},
+	{"different page phases", 65, 447, 60, false},
+	{"ends exactly at a page end", 120, 400, 8, false},
+	{"zero length, mapped", 64, 384, 0, false},
+	{"zero length, dst at the hole", 320, 64, 0, true},
+	{"zero length, src at the null page", 64, 0, 0, true},
+	{"zero length, src past the break", 64, 640, 0, true},
+	{"dst runs into the hole", 300, 384, 100, true},
+	{"dst spans the hole, mapped on both sides", 310, 64, 100, true},
+	{"src spans the hole", 64, 310, 100, true},
+	{"dst starts in the hole", 330, 64, 10, true},
+	{"src runs past the break", 64, 630, 16, true},
+	{"src negative", 64, -8, 16, true},
+	{"overlap, dst above src", 80, 64, 150, false},
+	{"overlap, dst below src", 64, 80, 150, false},
+	{"overlap by one byte", 163, 64, 100, false},
+	{"dst == src", 70, 70, 120, false},
+	{"write ends exactly at the half", 400, 70, 16, false},
+	{"write one byte past the half", 400, 70, 17, false},
+	{"read across the half of a frame that never grew", 80, 400, 40, false},
+	{"copy from a frame that never grew into one that did", 70, 390, 50, false},
+	{"copy from a frame that grew into one that never did", 390, 70, 50, false},
+	{"overlapping copy across the half", 420, 400, 40, false},
+	{"faulting write across the half", 600, 70, 50, true},
+	{"faulting copy from the hole across the half", 400, 330, 30, true},
+}
+
+// Each case against the Segments-based model on an identical space. A
+// faulting Write or Copy must leave every frame's storage as it was,
+// not only its bytes.
 func TestReadIntoWriteCopyMatchModel(t *testing.T) {
-	cases := []struct {
-		name     string
-		dst, src VAddr
-		n        int
-		fault    bool
-	}{
-		{"inside one page", 70, 400, 20, false},
-		{"one whole page", 64, 384, 64, false},
-		{"across a boundary, unaligned both ends", 100, 420, 90, false},
-		{"four pages", 65, 386, 191, false},
-		{"different page phases", 65, 447, 60, false},
-		{"ends exactly at a page end", 120, 400, 8, false},
-		{"zero length, mapped", 64, 384, 0, false},
-		{"zero length, dst at the hole", 320, 64, 0, true},
-		{"zero length, src at the null page", 64, 0, 0, true},
-		{"zero length, src past the break", 64, 640, 0, true},
-		{"dst runs into the hole", 300, 384, 100, true},
-		{"dst spans the hole, mapped on both sides", 310, 64, 100, true},
-		{"src spans the hole", 64, 310, 100, true},
-		{"dst starts in the hole", 330, 64, 10, true},
-		{"src runs past the break", 64, 630, 16, true},
-		{"src negative", 64, -8, 16, true},
-		{"overlap, dst above src", 80, 64, 150, false},
-		{"overlap, dst below src", 64, 80, 150, false},
-		{"overlap by one byte", 163, 64, 100, false},
-		{"dst == src", 70, 70, 120, false},
-	}
-	for _, tc := range cases {
+	for _, tc := range readWriteCopyCases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, want := holedSpace(), holedSpace()
+			got, want := holed()
 
 			// ReadInto and Read of the source range.
 			wantBytes, wantErr := refRead(want, tc.src, tc.n)
@@ -446,22 +503,114 @@ func TestReadIntoWriteCopyMatchModel(t *testing.T) {
 			}
 			gotErr, wantErr := got.Write(tc.dst, data), refWrite(want, tc.dst, data)
 			sameErr(t, "Write", gotErr, wantErr)
-			sameFrames(t, "after Write", got, want)
+			samePages(t, "after Write", got, want)
+			fresh, _ := holed()
 			if gotErr != nil {
-				sameFrames(t, "after a faulting Write", got, holedSpace())
+				sameStorage(t, "after a faulting Write", got, fresh)
 			}
 
 			// Copy, from the same starting state.
-			got, want = holedSpace(), holedSpace()
+			got, want = holed()
 			gotErr, wantErr = got.Copy(tc.dst, tc.src, tc.n), refCopy(want, tc.dst, tc.src, tc.n)
 			sameErr(t, "Copy", gotErr, wantErr)
 			if (gotErr != nil) != tc.fault {
 				t.Fatalf("Copy error = %v, want fault %v", gotErr, tc.fault)
 			}
-			sameFrames(t, "after Copy", got, want)
+			samePages(t, "after Copy", got, want)
 			if tc.fault {
-				sameFrames(t, "after a faulting Copy", got, holedSpace())
+				sameStorage(t, "after a faulting Copy", got, fresh)
 			}
+		})
+	}
+}
+
+// A fresh frame stores the lower half of its page. A write ending at
+// the half leaves it so; the first byte past the half gives the frame
+// the whole page, once, keeping what the half held. Reads, DMA reads of
+// the unwritten upper half included, return zeros there and grow
+// nothing, and DMA still needs a pin.
+func TestFrameStoresHalfUntilWrittenPast(t *testing.T) {
+	const ps = 4096
+	m := NewMemory(ps)
+	as := NewAddrSpace(m)
+	va := as.Alloc(2 * ps)
+	f := as.table[int64(va)/ps]
+	stored := func(frame int64) int { return len(m.frames[frame]) }
+	if stored(f) != ps/2 || stored(f+1) != ps/2 {
+		t.Fatalf("fresh frames store %d and %d bytes, want %d", stored(f), stored(f+1), ps/2)
+	}
+	if err := as.Write(va+ps/2-8, []byte("lowhalf!")); err != nil {
+		t.Fatal(err)
+	}
+	if stored(f) != ps/2 {
+		t.Fatalf("a write ending at the half grew the frame to %d bytes", stored(f))
+	}
+	if b, _ := as.Read(va+ps/2-8, 16); !bytes.Equal(b, append([]byte("lowhalf!"), make([]byte, 8)...)) {
+		t.Fatalf("read across the half = %q, want the low bytes then zeros", b)
+	}
+	if stored(f) != ps/2 {
+		t.Fatal("a read past the half grew the frame")
+	}
+	if err := as.Write(va+ps/2, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if stored(f) != ps || stored(f+1) != ps/2 {
+		t.Fatalf("after one byte past the half: frames store %d and %d bytes, want %d and %d", stored(f), stored(f+1), ps, ps/2)
+	}
+	grown := &m.frames[f][0]
+	if err := as.Write(va+ps-4, []byte("abcd")); err != nil || &m.frames[f][0] != grown {
+		t.Fatalf("a second write past the half grew the frame again (err %v)", err)
+	}
+	if b, _ := as.Read(va+ps/2-8, 9); !bytes.Equal(b, []byte("lowhalf!\x01")) {
+		t.Fatalf("growing lost the lower half: %q", b)
+	}
+
+	pa, _ := as.Translate(va + ps)
+	upper := pa + ps/2
+	out := []byte("not zero")
+	if err := m.DMARead(upper, out); !errors.Is(err, ErrNotPinned) {
+		t.Fatalf("DMARead of an unpinned frame = %v, want ErrNotPinned", err)
+	}
+	if err := m.PinFrame(pa); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DMARead(upper, out); err != nil || !bytes.Equal(out, make([]byte, len(out))) {
+		t.Fatalf("DMARead of the unwritten upper half = %q, %v; want zeros", out, err)
+	}
+	if stored(f+1) != ps/2 {
+		t.Fatal("a DMA read grew the frame")
+	}
+	if err := m.DMAWrite(upper, []byte("dma")); err != nil || stored(f+1) != ps {
+		t.Fatalf("a DMA write past the half left the frame at %d bytes (err %v)", stored(f+1), err)
+	}
+}
+
+func BenchmarkAddrSpaceReadWrite(b *testing.B) {
+	for _, n := range []int{64, 1 << 10, 16 << 10} {
+		as := NewAddrSpace(NewMemory(4096))
+		src, dst := as.Alloc(n), as.Alloc(n)
+		buf := bytes.Repeat([]byte{0xa5}, n)
+		as.Write(src, buf) // a source holds data: 16 KB grows its frames, 64 B and 1 KB stay in the lower half
+		perKB := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(float64(n)/1024), "ns/KB")
+		}
+		b.Run(fmt.Sprintf("Read/%dB", n), func(b *testing.B) {
+			for range b.N {
+				as.Read(src, n)
+			}
+			perKB(b)
+		})
+		b.Run(fmt.Sprintf("Write/%dB", n), func(b *testing.B) {
+			for range b.N {
+				as.Write(dst, buf)
+			}
+			perKB(b)
+		})
+		b.Run(fmt.Sprintf("Copy/%dB", n), func(b *testing.B) {
+			for range b.N {
+				as.Copy(dst, src, n)
+			}
+			perKB(b)
 		})
 	}
 }
@@ -485,7 +634,7 @@ const (
 func checkCopyAgainstModel(t *testing.T, ops []byte) {
 	t.Helper()
 	const ps = 64
-	got, want := NewAddrSpace(NewMemory(ps)), NewAddrSpace(NewMemory(ps))
+	got, want := NewAddrSpace(NewMemory(ps)), newModel(ps)
 	var fill byte
 	next := func() (byte, bool) {
 		if len(ops) == 0 {
@@ -512,7 +661,7 @@ func checkCopyAgainstModel(t *testing.T, ops []byte) {
 				continue
 			}
 			n := int(b)%(3*ps) + 1
-			if a, b := got.Alloc(n), want.Alloc(n); a != b {
+			if a, b := got.Alloc(n), want.alloc(n); a != b {
 				t.Fatalf("step %d: Alloc(%d) = %#x, model %#x", step, n, a, b)
 			}
 		case opWrite:
@@ -551,9 +700,9 @@ func checkCopyAgainstModel(t *testing.T, ops []byte) {
 				return
 			}
 			page := int(b) % len(got.table)
-			got.table[page], want.table[page] = -1, -1
+			got.table[page], want.as.table[page] = -1, -1
 		}
-		sameFrames(t, "after the step", got, want)
+		samePages(t, "after the step", got, want)
 	}
 }
 
@@ -574,9 +723,29 @@ func TestAddrSpaceCopyMatchesModel(t *testing.T) {
 	}
 }
 
+// holedOps is a readWriteCopyCases case as fuzz ops: holed's layout
+// (its pattern aside), then a Write to dst and a Copy from src. Every
+// address the case names is below the break plus a page, so addr()
+// reads it back unwrapped.
+func holedOps(dst, src VAddr, n int) []byte {
+	ops := []byte{opAlloc, 191, opAlloc, 191, opAlloc, 191, // pages 1..9
+		opWrite, 0, 64, 255, opWrite, 1, 63, 65} // pages 1..5 whole
+	for va := 384; va < 640; va += 64 {
+		ops = append(ops, opWrite, byte(va>>8), byte(va), 32) // lower halves of 6..9
+	}
+	return append(ops, opUnmap, 5,
+		opWrite, byte(dst>>8), byte(dst), byte(n),
+		opCopy, byte(dst>>8), byte(dst), byte(src>>8), byte(src), byte(n))
+}
+
 func FuzzAddrSpaceCopy(f *testing.F) {
 	for _, tc := range addrSpaceCopyCases {
 		f.Add(tc.ops)
+	}
+	for _, tc := range readWriteCopyCases {
+		if tc.src >= 0 { // the op encoding has no negative address
+			f.Add(holedOps(tc.dst, tc.src, tc.n))
+		}
 	}
 	f.Fuzz(checkCopyAgainstModel)
 }
