@@ -21,13 +21,13 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Native fuzzing: each of the fifteen fuzz targets searches for 5 s,
-# about 130 s in all (`go test` runs only their seed corpora). A failing
+# Native fuzzing: each of the sixteen fuzz targets searches for 5 s,
+# about 140 s in all (`go test` runs only their seed corpora). A failing
 # input is saved under the package's testdata/fuzz and replays with
 # `go test`. CI runs the same.
 fuzz:
 	@for t in sim:FuzzEventQueue sim:FuzzQueue sim:FuzzRing sim:FuzzFreeList mem:FuzzAddrSpaceCopy \
-		mem:FuzzPinTable oskernel:FuzzShadow nic:FuzzDoneRing trace:FuzzCappedTracer \
+		mem:FuzzPinTable oskernel:FuzzShadow nic/gbn:FuzzDoneRing nic/gbn:FuzzGoBackN trace:FuzzCappedTracer \
 		obs:FuzzSnapshot obs:FuzzHistBuckets obs/health:FuzzDecodeBundle bench:FuzzDiff svc:FuzzReader fabric:FuzzScheduleMatchesInjectors; do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \
 	done

@@ -8,6 +8,7 @@ import (
 	"bcl/internal/fabric"
 	"bcl/internal/mem"
 	"bcl/internal/nic/coll"
+	"bcl/internal/nic/gbn"
 	"bcl/internal/sim"
 )
 
@@ -168,19 +169,15 @@ func (n *NIC) CloseCollCtx(id int) {
 	}
 	delete(n.colls, id)
 	for _, seq := range sortedKeys(ctx.combs) {
-		if st := ctx.combs[seq]; st.sram > 0 {
-			n.sram.Release(st.sram)
-		}
+		n.releaseSRAM(ctx.combs[seq].sram)
 	}
 	for _, seq := range sortedKeys(ctx.own) {
 		oc := ctx.own[seq]
 		oc.timer.Cancel()
-		if oc.sram > 0 {
-			n.sram.Release(oc.sram)
-		}
+		n.releaseSRAM(oc.sram)
 	}
 	for _, seq := range sortedKeys(ctx.ownMsg) {
-		n.retireSend(nil, ctx.ownMsg[seq], nil, false)
+		n.retireSend(ctx.ownMsg[seq], nil, false)
 	}
 }
 
@@ -204,7 +201,7 @@ func (n *NIC) collRetryDelay(seq uint64, round int) sim.Time {
 	for i := 0; i < round && d < 8*base; i++ {
 		d *= 2
 	}
-	return d + detJitter(n.node, int(seq%1024), round, d/4)
+	return d + gbn.Jitter(n.node, int(seq%1024), round, d/4)
 }
 
 // ------------------------------------------------------------ plumbing
@@ -240,9 +237,7 @@ func (n *NIC) collEngine(p *sim.Proc) {
 		if n.fwDead || j.epoch != n.bootEpoch {
 			// Queued under a boot epoch that has since crashed: the
 			// context state it references was wiped with the SRAM.
-			if j.sram > 0 {
-				n.sram.Release(j.sram)
-			}
+			n.releaseSRAM(j.sram)
 			if j.kind == collJobPkt {
 				j.pkt.Release()
 			}
@@ -286,9 +281,7 @@ func (n *NIC) collLocal(p *sim.Proc, j collJob) {
 	d := j.desc
 	ctx, ok := n.colls[d.Coll.Ctx]
 	if !ok || d.Len > n.prof.MaxPacket {
-		if j.sram > 0 {
-			n.sram.Release(j.sram)
-		}
+		n.releaseSRAM(j.sram)
 		n.failMessage(p, d)
 		return
 	}
@@ -314,9 +307,7 @@ func (n *NIC) collLocal(p *sim.Proc, j collJob) {
 			// the distribution tree.
 			n.collFanout(p, ctx, proto, []int{ctx.Plan.Root})
 		}
-		if j.sram > 0 {
-			n.sram.Release(j.sram)
-		}
+		n.releaseSRAM(j.sram)
 	case DescCollComb:
 		hdr := d.Coll
 		hdr.Origin = ctx.Me
@@ -337,16 +328,14 @@ func (n *NIC) collLocal(p *sim.Proc, j collJob) {
 					payload: j.payload, sram: j.sram,
 				}
 				n.armCollRetry(ctx, hdr.Seq)
-			} else if j.sram > 0 {
-				n.sram.Release(j.sram)
+			} else {
+				n.releaseSRAM(j.sram)
 			}
-		} else if j.sram > 0 {
-			n.sram.Release(j.sram)
+		} else {
+			n.releaseSRAM(j.sram)
 		}
 	default:
-		if j.sram > 0 {
-			n.sram.Release(j.sram)
-		}
+		n.releaseSRAM(j.sram)
 		n.failMessage(p, d)
 		return
 	}
@@ -356,7 +345,7 @@ func (n *NIC) collLocal(p *sim.Proc, j collJob) {
 	// Everything except a held release contribution is complete for the
 	// journal once folded/fanned out (collRetireOwn releases the rest).
 	if ctx.ownMsg[d.Coll.Seq] != d.MsgID {
-		n.retireSend(nil, d.MsgID, nil, false)
+		n.retireSend(d.MsgID, nil, false)
 	}
 }
 
@@ -365,7 +354,7 @@ func (n *NIC) collLocal(p *sim.Proc, j collJob) {
 func (n *NIC) collRetireOwn(ctx *CollCtx, seq uint64) {
 	if mid, ok := ctx.ownMsg[seq]; ok {
 		delete(ctx.ownMsg, seq)
-		n.retireSend(nil, mid, nil, false)
+		n.retireSend(mid, nil, false)
 	}
 }
 
@@ -408,15 +397,11 @@ func (n *NIC) collRelease(p *sim.Proc, ctx *CollCtx, pkt *fabric.Packet) {
 	seq := pkt.Coll.Seq
 	if oc, ok := ctx.own[seq]; ok {
 		oc.timer.Cancel()
-		if oc.sram > 0 {
-			n.sram.Release(oc.sram)
-		}
+		n.releaseSRAM(oc.sram)
 		delete(ctx.own, seq)
 	}
 	if st, ok := ctx.combs[seq]; ok {
-		if st.sram > 0 {
-			n.sram.Release(st.sram)
-		}
+		n.releaseSRAM(st.sram)
 		delete(ctx.combs, seq)
 	}
 	if ctx.done[seq] == nil {
@@ -515,9 +500,7 @@ func (n *NIC) collAdvance(p *sim.Proc, ctx *CollCtx, seq uint64, st *combState) 
 			}
 			n.collFanout(p, ctx, proto, pl.Children(ctx.Me))
 		}
-		if st.sram > 0 {
-			n.sram.Release(st.sram)
-		}
+		n.releaseSRAM(st.sram)
 		delete(ctx.combs, seq)
 		return
 	}

@@ -5,6 +5,7 @@ import (
 
 	"bcl/internal/fabric"
 	"bcl/internal/mem"
+	"bcl/internal/nic/gbn"
 	"bcl/internal/sim"
 )
 
@@ -28,147 +29,40 @@ import (
 // All of them charge their processing to the single LANai processor
 // resource, so send and receive traffic genuinely contend on the card.
 
-// pending is an unacknowledged transmitted packet retained for
-// retransmission. pkt is the pristine descriptor; every transmission
-// puts a pool clone of it on the wire, which shares the payload by
-// reference (a fault hook corrupts a private copy, see fabric.Fault),
-// so in-fabric corruption cannot damage the retained bytes.
+// pending is what the NIC keeps with a packet in a flow's window: the
+// pristine packet (every transmission puts a pool clone of it on the
+// wire, sharing the payload by reference; a fault hook corrupts a private
+// copy, see fabric.Fault, so the retained bytes stay intact) and its SRAM.
 type pending struct {
-	pkt      *fabric.Packet
-	desc     *SendDesc
-	lastFrag bool
-	sram     int
-	sentAt   sim.Time // first transmission instant (RTT sampling)
-	retx     bool     // retransmitted at least once (Karn: never sample)
+	pkt  *fabric.Packet
+	sram int
 }
 
-// txFlow is the sender-side reliability state toward one remote node.
+// txFlow is the sender side of the reliable protocol toward one remote
+// node: the go-back-N core's decisions (gbn.Sender), and the timers and
+// waiters that carry them out.
 type txFlow struct {
-	dst     int
-	nextSeq uint64
-	unacked sim.Ring[pending] // at most Config.Window packets, oldest first
-	retries int
-	timer   sim.Timer
-	window  *sim.Cond
+	gbn.Sender[*SendDesc, pending]
+	dst                          int
+	timer, probeTimer, grayTimer sim.Timer
+	window                       *sim.Cond
 
 	// Timer callbacks, built once per flow so arming a timer (once per
 	// ACK) allocates nothing: onTimer queues a retransmit round, onProbe
 	// the next liveness probe, onGray ends a rail-steering hold.
 	onTimer, onProbe, onGray func()
-
-	// Peer-health state machine: Up -> Suspect on the first retransmit
-	// round, Suspect -> Dead on retry exhaustion, Dead -> Probing once
-	// liveness probes start, Probing -> Up on a probe ACK (or any
-	// genuine ACK progress).
-	health     PeerHealth
-	probeTimer sim.Timer
-	// failed lists the messages being failed whose trailing fragments
-	// are still to come down the pipeline, so those are suppressed, and
-	// whether failFlow already reported the failure, so the fail-fast
-	// path does not post a second EvSendFailed. A handful at most.
-	failed []failedMsg
-
-	// peerEpoch is the peer firmware's boot epoch as last seen on its
-	// control packets; a jump means the peer rebooted and wiped its
-	// receive state, so this flow rewinds and replays (resyncFlow).
-	peerEpoch uint32
-	// inflight tracks data/RMA-write messages transmitted toward the
-	// peer but not yet acknowledged/failed, in first-transmit order,
-	// so a rewind can replay them from fragment zero. The send window
-	// bounds it, so a message is found by walking it.
-	inflight sim.Ring[*SendDesc]
-
-	// Adaptive-RTO estimator state (Config.AdaptiveRTO).
-	srtt      sim.Time // smoothed RTT
-	rttvar    sim.Time // mean deviation
-	baseRTT   sim.Time // best RTT observed (gray-failure baseline)
-	grayOn    bool     // currently steered onto the alternate rail
-	grayTimer sim.Timer
 }
 
-type failedMsg struct {
-	id       uint64
-	reported bool
-}
-
-// inflightIdx returns the replay-order position of a message in flight
-// on the flow, -1 if it is not (or no longer).
-func (f *txFlow) inflightIdx(msgID uint64) int {
-	for i := 0; i < f.inflight.Len(); i++ {
-		if (*f.inflight.At(i)).MsgID == msgID {
-			return i
-		}
-	}
-	return -1
-}
-
-// failedIdx returns the index of a message in the failed list, -1 if it
-// is not being failed.
-func (f *txFlow) failedIdx(msgID uint64) int {
-	for i := range f.failed {
-		if f.failed[i].id == msgID {
-			return i
-		}
-	}
-	return -1
-}
-
-// markFailed lists a message as being failed, or updates its entry.
-func (f *txFlow) markFailed(msgID uint64, reported bool) {
-	if i := f.failedIdx(msgID); i >= 0 {
-		f.failed[i].reported = reported
-		return
-	}
-	f.failed = append(f.failed, failedMsg{id: msgID, reported: reported})
-}
-
-// rxFlow is the receiver-side sequencing state from one remote node.
+// rxFlow is the receiver side from one remote node.
 type rxFlow struct {
-	src    int
-	expect uint64
-	asm    []*rxAssembly // messages in progress: one per sending port at most, so found by walking
-
-	// srcEpoch is the sender firmware's boot epoch as stamped on its
-	// packets; a jump means the sender rebooted and restarted its
-	// sequence numbering from zero.
-	srcEpoch uint32
-	// done remembers the last DoneRing completed message ids so a
-	// journal-replayed message a rebooted sender re-sends is swallowed
-	// (ACKed but not re-delivered) — the exactly-once guarantee; once
-	// full, the oldest makes way for the newest. doneMax is the highest id
-	// ever recorded: ids from one card only grow, so the id of a new
-	// message is above it and is known not to be in the ring without a
-	// look.
-	done       sim.Ring[uint64]
-	doneMax    uint64
-	lastResync sim.Time // RESYNC send throttle
+	gbn.Receiver
+	src int
+	asm []*rxAssembly // messages in progress: one per sending port at most, so found by walking
 }
 
-// isDone reports whether msgID is among the last DoneRing messages
-// completed on the flow.
-func (f *rxFlow) isDone(msgID uint64) bool {
-	if msgID > f.doneMax {
-		return false
-	}
-	for i := 0; i < f.done.Len(); i++ {
-		if *f.done.At(i) == msgID {
-			return true
-		}
-	}
-	return false
-}
-
-// recordDone enters a completed message in the done-ring.
-func (f *rxFlow) recordDone(msgID uint64) {
-	f.doneMax = max(f.doneMax, msgID)
-	f.done.PushLast(msgID, DoneRing)
-}
-
-// DoneRing is the depth of the per-flow completed-message ring, and of
-// the kernel journal's mirror of it. It only needs to cover messages
-// that can be simultaneously unretired in the sender's journal, which
-// the send window bounds far below this.
-const DoneRing = 128
+// DoneRing is the depth of a flow's ring of delivered messages, and of
+// the kernel journal's mirror of it.
+const DoneRing = gbn.DoneRing
 
 // rxAssembly tracks one in-progress incoming message.
 type rxAssembly struct {
@@ -190,7 +84,7 @@ func (n *NIC) where() string { return n.row }
 func (n *NIC) flowTo(dst int) *txFlow {
 	f := n.tx.Get(dst)
 	if f == nil {
-		f = &txFlow{dst: dst, window: sim.NewCond(n.env)}
+		f = &txFlow{Sender: gbn.NewSender[*SendDesc, pending](&n.gbn, dst, n.Steer != nil), dst: dst, window: sim.NewCond(n.env)}
 		f.onTimer = func() {
 			f.timer = sim.Timer{}
 			n.retxQ.Post(f)
@@ -208,7 +102,7 @@ func (n *NIC) flowTo(dst int) *txFlow {
 func (n *NIC) flowFrom(src int) *rxFlow {
 	f := n.rx.Get(src)
 	if f == nil {
-		f = &rxFlow{src: src}
+		f = &rxFlow{Receiver: gbn.NewReceiver(&n.gbn), src: src}
 		n.rx.Set(src, f)
 	}
 	return f
@@ -232,12 +126,17 @@ type fetchJob struct {
 	epoch    uint32 // boot epoch the fragment was staged under
 }
 
+// releaseSRAM returns b bytes of NIC buffer memory, if any.
+func (n *NIC) releaseSRAM(b int) {
+	if b > 0 {
+		n.sram.Release(b)
+	}
+}
+
 // dropJob releases what a staged fragment holds when the injector
 // discards it.
 func (n *NIC) dropJob(j fetchJob) {
-	if j.sram > 0 {
-		n.sram.Release(j.sram)
-	}
+	n.releaseSRAM(j.sram)
 	if j.pkt != nil {
 		j.pkt.Release()
 	}
@@ -597,92 +496,60 @@ func appendSegs(out, segs []mem.Segment, lo, ln int) []mem.Segment {
 }
 
 // transmit runs the reliability window and injects the packet. It
-// takes over pkt: the flow's retransmit queue keeps it until the ACK,
-// and every path that does not queue it releases it.
+// takes over pkt: the flow's window keeps it until the ACK, and every
+// path that does not queue it releases it.
 func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDesc, lastFrag bool, sram int) {
 	pkt.Epoch = n.bootEpoch
 	if !n.cfg.Reliable {
 		n.inject(p, pkt)
-		if sram > 0 {
-			n.sram.Release(sram)
-		}
+		n.releaseSRAM(sram)
 		if lastFrag {
 			// Fire-and-forget: declare success at injection.
 			ev, post := n.sendEvent(EvSendDone, d), !d.NoEvent
-			n.retireSend(nil, d.MsgID, d, true)
+			n.retireSend(d.MsgID, d, true)
 			if post {
 				n.postEvent(p, ev)
 			}
 		}
 		return
 	}
-	for flow.unacked.Len() >= n.cfg.Window {
+	for flow.Full() {
 		flow.window.Wait(p)
 		if n.tx.Get(d.DstNode) != flow {
 			// The firmware rebooted while we waited for window space:
 			// this fragment belongs to the dead boot epoch; the kernel
 			// journal replay re-issues the message.
-			if sram > 0 {
-				n.sram.Release(sram)
-			}
+			n.releaseSRAM(sram)
 			pkt.Release()
 			return
 		}
 	}
-	if i := flow.failedIdx(pkt.MsgID); i >= 0 {
-		// Trailing fragment of a message already being failed:
-		// suppress it (whatever the current health) so the receiver
-		// never sees a partial message resumed mid-stream.
-		if sram > 0 {
-			n.sram.Release(sram)
+	seq, v := flow.Send(sendEntry{
+		MsgID: pkt.MsgID, Msg: d, P: pending{pkt, sram}, Last: lastFrag,
+		Tracked: d.Kind == DescData || d.Kind == DescRMAWrite,
+	}, pkt.FragIdx == 0, p.Now())
+	if v == gbn.Sent {
+		pkt.Seq = seq
+		if flow.timer == (sim.Timer{}) {
+			n.armTimer(flow)
 		}
-		if lastFrag {
-			reported := flow.failed[i].reported
-			flow.failed = append(flow.failed[:i], flow.failed[i+1:]...)
-			if !reported {
-				n.stats.FastFails++
-				n.failMessage(p, d)
-			}
-		}
-		pkt.Release()
+		n.inject(p, n.pool.Clone(pkt))
 		return
 	}
-	if flow.health == PeerDead || flow.health == PeerProbing {
-		// Fail fast: don't burn a full retry ladder against a peer the
-		// firmware already believes is gone. Probes re-admit it.
-		if sram > 0 {
-			n.sram.Release(sram)
-		}
-		if lastFrag {
-			n.stats.FastFails++
+	n.releaseSRAM(sram)
+	if v == gbn.Fail || v == gbn.FailFast {
+		n.stats.FastFails++
+		if v == gbn.FailFast {
 			n.obs.Event(n.env.Now(), n.node, "nic", "fast-fail", pkt.Trace,
-				fmt.Sprintf("dst=%d msg=%d peer %v", d.DstNode, d.MsgID, flow.health))
-			n.failMessage(p, d)
-		} else {
-			flow.markFailed(pkt.MsgID, false) // report deferred to lastFrag
+				fmt.Sprintf("dst=%d msg=%d peer %v", d.DstNode, d.MsgID, flow.Health()))
 		}
-		pkt.Release()
-		return
+		n.failMessage(p, d)
 	}
-	// Track the message for rewind replay, on fragment zero only: a
-	// trailing fragment still in the pipeline after the message was
-	// acked (and retired) must not resurrect it, or its completion
-	// event would fire twice.
-	if (d.Kind == DescData || d.Kind == DescRMAWrite) && pkt.FragIdx == 0 {
-		if flow.inflightIdx(pkt.MsgID) < 0 {
-			flow.inflight.Push(d)
-		}
-	}
-	pkt.Seq = flow.nextSeq
-	flow.nextSeq++
-	flow.unacked.Push(pending{
-		pkt: pkt, desc: d, lastFrag: lastFrag, sram: sram, sentAt: p.Now(),
-	})
-	if flow.timer == (sim.Timer{}) {
-		n.armTimer(flow)
-	}
-	n.inject(p, n.pool.Clone(pkt))
+	pkt.Release()
 }
+
+// sendEntry is a packet in a flow's window.
+type sendEntry = gbn.Entry[*SendDesc, pending]
 
 // inject pushes one packet into the fabric, counting it.
 func (n *NIC) inject(p *sim.Proc, pkt *fabric.Packet) {
@@ -692,69 +559,31 @@ func (n *NIC) inject(p *sim.Proc, pkt *fabric.Packet) {
 }
 
 func (n *NIC) armTimer(f *txFlow) {
-	f.timer.Cancel()
-	f.timer = n.env.After(n.retxDelay(f), f.onTimer)
-}
-
-// retxDelay is the adaptive retransmit timeout: the base value for the
-// first round, then exponential backoff capped at RetransmitBackoffMax,
-// with deterministic jitter to de-synchronise competing flows. The
-// jitter is a hash of (node, dst, round) rather than an env.Rand()
-// draw so arming a timer never perturbs the shared RNG stream.
-func (n *NIC) retxDelay(f *txFlow) sim.Time {
-	base := n.prof.RetransmitTimeout
-	ceil := n.prof.RetransmitBackoffMax
-	if n.cfg.AdaptiveRTO && f.srtt > 0 {
-		// Jacobson-style RTO replaces the fixed base: srtt + 4*rttvar,
-		// floored at a quarter of the base so a burst of fast ACKs
-		// cannot collapse the timer into spurious retransmits. The
-		// exponential backoff below still multiplies it per retry round.
-		rto := f.srtt + 4*f.rttvar
-		if floor := base / 4; rto < floor {
-			rto = floor
-		}
-		if rto > ceil {
-			rto = ceil
-		}
-		base = rto
+	d, adapted, backedOff := f.RTO()
+	if adapted {
 		n.stats.RTOAdapted++
 	}
-	d := base
-	for i := 0; i < f.retries && d < ceil; i++ {
-		d *= 2
-	}
-	if d > ceil {
-		d = ceil
-	}
-	if f.retries > 0 {
+	if backedOff {
 		n.stats.Backoffs++
-		d += detJitter(n.node, f.dst, f.retries, d/4)
 	}
-	return d
+	f.timer.Cancel()
+	f.timer = n.env.After(d, f.onTimer)
 }
 
-// detJitter hashes (node, dst, round) into [0, span) — splitmix64
-// finaliser, fully deterministic.
-func detJitter(node, dst, round int, span sim.Time) sim.Time {
-	if span <= 0 {
-		return 0
-	}
-	x := sim.Splitmix64(uint64(node)<<42 ^ uint64(dst)<<21 ^ uint64(round))
-	return sim.Time(x % uint64(span))
-}
-
-func (n *NIC) wakeWindow(f *txFlow) { f.window.Broadcast() }
-
-// wipeUnacked empties a flow's retransmit queue, returning the SRAM and
-// the packets it holds.
-func (n *NIC) wipeUnacked(f *txFlow) {
-	for f.unacked.Len() > 0 {
-		pd := f.unacked.Pop()
-		if pd.sram > 0 {
-			n.sram.Release(pd.sram)
+// wipe empties a flow's window, returning the SRAM and the packets it
+// holds, except that a rewind keeps the collective forwards (packet and
+// SRAM) for the collective engine to send again.
+func (n *NIC) wipe(f *txFlow, rewind bool) (kept []sendEntry) {
+	for w := f.Window(); w.Len() > 0; {
+		e := w.Pop()
+		if rewind && (e.Msg.Kind == DescCollMcast || e.Msg.Kind == DescCollComb) {
+			kept = append(kept, e)
+			continue
 		}
-		pd.pkt.Release()
+		n.releaseSRAM(e.P.sram)
+		e.P.pkt.Release()
 	}
+	return kept
 }
 
 // ---------------------------------------------------------- retransmit
@@ -767,125 +596,101 @@ func (n *NIC) retxEngine(p *sim.Proc) {
 			// reboot is stale and its timer event is void.
 			continue
 		}
-		if f.health == PeerDead || f.health == PeerProbing {
+		switch v, note := f.Timeout(n.env.Now()); v {
+		case gbn.Probe:
 			// The probe timer routes through this queue so probes are
 			// injected from process context.
-			n.sendProbe(p, f)
-			continue
-		}
-		if f.unacked.Len() == 0 {
-			continue
-		}
-		f.retries++
-		if f.retries > n.cfg.MaxRetries {
+			n.cpu.Use(p, 1, n.prof.MCPAckProc)
+			n.stats.Probes++
+			n.obs.Event(n.env.Now(), n.node, "nic", "probe", 0, fmt.Sprintf("dst=%d", f.dst))
+			n.ep.Inject(p, n.control(fabric.KindProbe, f.dst, 0, 0))
+			n.armProbe(f)
+		case gbn.GiveUp:
 			n.failFlow(p, f)
-			continue
+		case gbn.Resend:
+			n.rtt(f, note)
+			n.resend(p, f)
 		}
-		if f.health == PeerUp {
-			f.health = PeerSuspect
-		}
-		if n.cfg.AdaptiveRTO {
-			// A timeout is itself RTT evidence: the oldest unacked
-			// packet has waited this long without an ACK, so the true
-			// RTT is at least that (when the peer is alive). Without
-			// this, Karn's rule starves the estimator on a gray rail —
-			// every packet gets retransmitted before its ACK lands, no
-			// sample is ever clean, and the RTO can never learn an RTT
-			// above its current value.
-			n.rttSample(f, n.env.Now()-f.unacked.At(0).sentAt)
-		}
-		n.obs.Event(n.env.Now(), n.node, "nic", "retx-round",
-			f.unacked.At(0).pkt.Trace,
-			fmt.Sprintf("dst=%d round=%d pkts=%d", f.dst, f.retries, f.unacked.Len()))
-		// The round is the window as it stands now: every packet in it
-		// goes out again even if its ACK lands while an earlier one is
-		// being injected. Cloning up front takes the payload references
-		// that keep those bytes alive past such an ACK.
-		first := f.unacked.Head()
-		round := n.retxRound[:0]
-		for i := 0; i < f.unacked.Len(); i++ {
-			round = append(round, n.pool.Clone(f.unacked.At(i).pkt))
-		}
-		for i, wire := range round {
-			if pd := f.unacked.Live(first + uint64(i)); pd != nil {
-				pd.retx = true // Karn's rule: an ambiguous ACK never samples
-			}
-			n.Tracer.DoFlow(p, "nic: retransmit", n.where(), wire.Trace, func() {
-				n.cpu.Use(p, 1, n.prof.MCPPacketProc)
-				n.stats.Retransmits++
-				n.inject(p, wire)
-			})
-			round[i] = nil
-		}
-		n.retxRound = round[:0]
-		n.armTimer(f)
 	}
+}
+
+// resend injects a retransmit round: the window as it stands now. Every
+// packet in it goes out again even if its ACK lands while an earlier one
+// is being injected; cloning up front takes the payload references that
+// keep those bytes alive past such an ACK.
+func (n *NIC) resend(p *sim.Proc, f *txFlow) {
+	w := f.Window()
+	n.obs.Event(n.env.Now(), n.node, "nic", "retx-round", w.At(0).P.pkt.Trace,
+		fmt.Sprintf("dst=%d round=%d pkts=%d", f.dst, f.Retries(), w.Len()))
+	first := w.Head()
+	round := n.retxRound[:0]
+	for i := 0; i < w.Len(); i++ {
+		e := w.At(i)
+		wire := n.pool.Clone(e.P.pkt)
+		if e.Void {
+			wire.Kind = fabric.KindVoid
+		}
+		round = append(round, wire)
+	}
+	for i, wire := range round {
+		f.Resending(first + uint64(i))
+		n.Tracer.DoFlow(p, "nic: retransmit", n.where(), wire.Trace, func() {
+			n.cpu.Use(p, 1, n.prof.MCPPacketProc)
+			n.stats.Retransmits++
+			n.inject(p, wire)
+		})
+		round[i] = nil
+	}
+	n.retxRound = round[:0]
+	n.armTimer(f)
 }
 
 // failFlow abandons every in-flight message on a flow after retry
 // exhaustion, reporting EvSendFailed once per message, marks the peer
 // Dead and starts the liveness-probe cycle.
 func (n *NIC) failFlow(p *sim.Proc, f *txFlow) {
-	complete := make(map[uint64]bool) // lastFrag in window: no trailing frags coming
-	first, count := f.unacked.Head(), f.unacked.Len()
-	for i := 0; i < count; i++ {
-		if pd := f.unacked.At(i); pd.lastFrag {
-			complete[pd.pkt.MsgID] = true
-		}
-	}
-	seen := make(map[uint64]bool)
-	for i := 0; i < count; i++ {
+	w := f.Window()
+	for abs, end := w.Head(), w.Head()+uint64(w.Len()); abs < end; abs++ {
 		// Delivering a failure event blocks, and the window stays queued
 		// meanwhile (so the injector keeps seeing it full): an entry an
 		// ACK retired in that time is skipped, and the fields used after
 		// a blocking call are copied out first.
-		pd := f.unacked.Live(first + uint64(i))
-		if pd == nil {
+		e := w.Live(abs)
+		if e == nil {
 			continue
 		}
-		if pd.sram > 0 {
-			n.sram.Release(pd.sram)
-			pd.sram = 0
-		}
-		if pd.pkt.Kind == fabric.KindVoid {
+		n.releaseSRAM(e.P.sram)
+		e.P.sram = 0
+		if e.Void {
 			continue // withdrawn: its message has failed already
 		}
-		d, msgID, traceID := pd.desc, pd.pkt.MsgID, pd.pkt.Trace
+		d, msgID, traceID := e.Msg, e.MsgID, e.P.pkt.Trace
 		ev := n.sendEvent(EvSendFailed, d)
-		n.retireSend(f, msgID, d, false) // abandoned: the journal forgets it
-		if d.OnFail != nil {
+		n.retireSend(msgID, d, false) // abandoned: the journal forgets it
+		switch {
+		case !f.Abandon(e, d.OnFail != nil || !d.NoEvent):
+		case d.OnFail != nil:
 			// Collective forwards: the engine reparents the branch
 			// instead of surfacing a host event.
-			if !seen[msgID] {
-				seen[msgID] = true
-				d.OnFail()
-			}
-			continue
-		}
-		if !seen[msgID] && !d.NoEvent {
-			seen[msgID] = true
-			if !complete[msgID] {
-				f.markFailed(msgID, true) // already reported here
-			}
+			d.OnFail()
+		default:
 			n.stats.SendFailures++
 			n.obs.Event(n.env.Now(), n.node, "nic", "send-failed", traceID,
 				fmt.Sprintf("dst=%d msg=%d retries exhausted", f.dst, msgID))
 			n.postEvent(p, ev)
 		}
 	}
-	n.wipeUnacked(f)
-	f.retries = 0
+	n.wipe(f, false)
 	f.timer.Cancel()
 	f.timer = sim.Timer{}
-	if f.health != PeerDead && f.health != PeerProbing {
-		f.health = PeerDead
+	if f.Down() {
 		n.stats.PeerDeaths++
 		now := n.env.Now()
 		n.Tracer.Add("nic: peer dead", n.where(), now, now)
 		n.obs.Event(now, n.node, "nic", "peer-dead", 0, fmt.Sprintf("dst=%d", f.dst))
 		n.armProbe(f)
 	}
-	n.wakeWindow(f)
+	f.window.Broadcast()
 }
 
 // armProbe schedules the next liveness probe toward a dead peer.
@@ -894,30 +699,19 @@ func (n *NIC) armProbe(f *txFlow) {
 	f.probeTimer = n.env.After(n.prof.PeerProbeInterval, f.onProbe)
 }
 
-// sendProbe injects one liveness probe and re-arms the probe timer.
-func (n *NIC) sendProbe(p *sim.Proc, f *txFlow) {
-	f.health = PeerProbing
-	n.cpu.Use(p, 1, n.prof.MCPAckProc)
-	n.stats.Probes++
-	n.obs.Event(n.env.Now(), n.node, "nic", "probe", 0, fmt.Sprintf("dst=%d", f.dst))
-	n.ep.Inject(p, n.control(fabric.KindProbe, f.dst, 0, 0))
-	n.armProbe(f)
-}
-
-// markPeerUp re-admits a peer after liveness evidence (probe ACK or
-// genuine go-back-N progress).
-func (n *NIC) markPeerUp(f *txFlow) {
-	if f.health == PeerDead || f.health == PeerProbing {
+// peerUp carries out a peer's re-admission after liveness evidence (an
+// ACK's progress, a probe ACK, a rewind); recovered says it was Dead or
+// Probing.
+func (n *NIC) peerUp(f *txFlow, recovered bool) {
+	if recovered {
 		n.stats.PeerRecoveries++
 		now := n.env.Now()
 		n.Tracer.Add("nic: peer recovered", n.where(), now, now)
 		n.obs.Event(now, n.node, "nic", "peer-recovered", 0, fmt.Sprintf("dst=%d", f.dst))
 	}
-	f.health = PeerUp
-	f.retries = 0
 	f.probeTimer.Cancel()
 	f.probeTimer = sim.Timer{}
-	n.wakeWindow(f)
+	f.window.Broadcast()
 }
 
 // failMessage reports a send failure detected before injection (bad
@@ -930,7 +724,10 @@ func (n *NIC) failMessage(p *sim.Proc, d *SendDesc) {
 	// The failure is surfaced to the host, so the journal must not
 	// resurrect the message after a firmware reboot.
 	ev, post := n.sendEvent(EvSendFailed, d), !d.NoEvent
-	n.retireSend(n.tx.Get(d.DstNode), d.MsgID, d, false)
+	if f := n.tx.Get(d.DstNode); f != nil {
+		f.Forget(d.MsgID)
+	}
+	n.retireSend(d.MsgID, d, false)
 	if post {
 		n.stats.SendFailures++
 		n.postEvent(p, ev)

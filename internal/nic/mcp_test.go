@@ -59,8 +59,8 @@ func TestCumulativeAckClearsWindow(t *testing.T) {
 	if !done {
 		t.Fatal("send never completed despite cumulative ACKs")
 	}
-	if r.nics[0].tx.Get(1).unacked.Len() != 0 {
-		t.Fatalf("%d packets still unacked", r.nics[0].tx.Get(1).unacked.Len())
+	if r.nics[0].tx.Get(1).Window().Len() != 0 {
+		t.Fatalf("%d packets still unacked", r.nics[0].tx.Get(1).Window().Len())
 	}
 	// The dropped ACKs may or may not have caused retransmission
 	// (timing); the invariant is full delivery with an empty window.
@@ -293,8 +293,8 @@ func TestReplayOrderStaysBounded(t *testing.T) {
 	if got := s.nics[1].Stats().MsgsReceived; got != 10000 {
 		t.Fatalf("%d messages delivered, want 10000", got)
 	}
-	if f.inflight.Len() != 0 {
-		t.Fatalf("after 10000 acked messages: %d entries in the replay order", f.inflight.Len())
+	if f.Flights().Len() != 0 {
+		t.Fatalf("after 10000 acked messages: %d entries in the replay order", f.Flights().Len())
 	}
 	s.assertDrained(t)
 }
@@ -316,7 +316,7 @@ func TestRetiredSendsLeaveTheReplayOrder(t *testing.T) {
 	// A hook, not a Schedule: it reads NIC internals (the flow's depth).
 	r.fab.SetFault(func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
 		if f := n.tx.Get(2); f != nil {
-			peak = max(peak, f.inflight.Len())
+			peak = max(peak, f.Flights().Len())
 		}
 		if pkt.Dst == 1 {
 			return fabric.Drop
@@ -364,10 +364,10 @@ func TestRetiredSendsLeaveTheReplayOrder(t *testing.T) {
 		t.Fatalf("%d of %d messages delivered, peer 1 %v: want all, and the stuck send still retrying", done, msgs, n.PeerHealth(1))
 	}
 	stuck, live := n.tx.Get(1), n.tx.Get(2)
-	if stuck.inflight.Len() != 1 || live.inflight.Len() != 0 {
-		t.Fatalf("replay orders hold %d and %d messages, want the stuck one and none", stuck.inflight.Len(), live.inflight.Len())
+	if stuck.Flights().Len() != 1 || live.Flights().Len() != 0 {
+		t.Fatalf("replay orders hold %d and %d messages, want the stuck one and none", stuck.Flights().Len(), live.Flights().Len())
 	}
-	if c := live.inflight.Cap(); peak < 2 || c > 2*peak {
+	if c := live.Flights().Cap(); peak < 2 || c > 2*peak {
 		t.Fatalf("the replay order toward the live peer has %d slots for at most %d messages in flight", c, peak)
 	}
 	r.env.Close()
@@ -393,9 +393,9 @@ func TestFaultHookNeverTouchesRetainedPayload(t *testing.T) {
 		for i := range pkt.Payload {
 			pkt.Payload[i] ^= 0xff
 		}
-		window := &r.nics[0].tx.Get(1).unacked
+		window := r.nics[0].tx.Get(1).Window()
 		for i := 0; i < window.Len(); i++ {
-			kept := window.At(i).pkt
+			kept := window.At(i).P.pkt
 			if !bytes.Equal(kept.Payload, payload[kept.Offset:kept.Offset+len(kept.Payload)]) {
 				t.Errorf("retained fragment at offset %d changed under the fault hook", kept.Offset)
 			}

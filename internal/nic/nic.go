@@ -30,6 +30,7 @@ import (
 	"bcl/internal/fabric"
 	"bcl/internal/hw"
 	"bcl/internal/mem"
+	"bcl/internal/nic/gbn"
 	"bcl/internal/obs"
 	"bcl/internal/sim"
 	"bcl/internal/trace"
@@ -263,31 +264,17 @@ func (p *Port) TakeRecv(channel, msgLen int) (buf RecvDesc, posted bool) {
 	return buf, true
 }
 
-// PeerHealth is the firmware's liveness belief about one destination,
-// driven by the retransmit machinery (see the state machine in mcp.go).
-type PeerHealth uint8
+// PeerHealth is the firmware's liveness belief about one destination
+// (see the state machine in package gbn).
+type PeerHealth = gbn.Health
 
 // Peer health states.
 const (
-	PeerUp      PeerHealth = iota // flowing normally
-	PeerSuspect                   // at least one retransmit round outstanding
-	PeerDead                      // retry exhaustion; sends fail fast
-	PeerProbing                   // dead, with liveness probes in flight
+	PeerUp      = gbn.Up
+	PeerSuspect = gbn.Suspect
+	PeerDead    = gbn.Dead
+	PeerProbing = gbn.Probing
 )
-
-func (h PeerHealth) String() string {
-	switch h {
-	case PeerUp:
-		return "UP"
-	case PeerSuspect:
-		return "SUSPECT"
-	case PeerDead:
-		return "DEAD"
-	case PeerProbing:
-		return "PROBING"
-	}
-	return fmt.Sprintf("health(%d)", uint8(h))
-}
 
 // Stats aggregates NIC counters for tables and assertions.
 type Stats struct {
@@ -347,6 +334,7 @@ type NIC struct {
 	ep   *fabric.Endpoint
 	pool *fabric.Pool // ep's packet pool: every packet this NIC builds comes from it
 	hmem *mem.Memory
+	gbn  gbn.Config // what its flows' go-back-N cores share
 
 	// Shared device resources.
 	Bus    *sim.Resource // PCI bus (host side shares it for PIO)
@@ -463,6 +451,10 @@ func New(env *sim.Env, prof *hw.Profile, cfg Config, node int, ep *fabric.Endpoi
 		collQ:  sim.NewQueue[collJob](env, fmt.Sprintf("nic%d/collq", node), 0),
 		colls:  make(map[int]*CollCtx),
 		tlb:    newNICTLB(cfg.TLBEntries),
+		gbn: gbn.Config{
+			Node: node, Window: cfg.Window, MaxRetries: cfg.MaxRetries, Adaptive: cfg.AdaptiveRTO,
+			RTO: prof.RetransmitTimeout, BackoffMax: prof.RetransmitBackoffMax,
+		},
 
 		bootEpoch: 1,
 	}
@@ -686,8 +678,8 @@ func (n *NIC) CollectGauges(set obs.GaugeSet) {
 	inflight, unacked := 0, 0
 	for _, f := range n.tx.All() {
 		if f != nil {
-			inflight += f.inflight.Len()
-			unacked += f.unacked.Len()
+			inflight += f.Flights().Len()
+			unacked += f.Window().Len()
 		}
 	}
 	set(n.node, "nic", "tx_inflight", int64(inflight))
@@ -706,7 +698,7 @@ func (n *NIC) CollectGauges(set obs.GaugeSet) {
 // node (PeerUp if no flow exists yet).
 func (n *NIC) PeerHealth(dst int) PeerHealth {
 	if f := n.tx.Get(dst); f != nil {
-		return f.health
+		return f.Health()
 	}
 	return PeerUp
 }
@@ -717,9 +709,6 @@ func (n *NIC) PeerHealthy(dst int) bool {
 	h := n.PeerHealth(dst)
 	return h == PeerUp || h == PeerSuspect
 }
-
-// Profile returns the timing profile the NIC uses.
-func (n *NIC) Profile() *hw.Profile { return n.prof }
 
 // NextMsgID hands out a card-unique message id.
 func (n *NIC) NextMsgID() uint64 {

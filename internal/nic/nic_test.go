@@ -750,7 +750,7 @@ func TestWindowBackpressure(t *testing.T) {
 	st := r.nics[0].Stats()
 	// With window 2, at most 2 distinct sequences are ever in flight;
 	// everything else is retransmission of those two.
-	if got := r.nics[0].tx.Get(1).nextSeq; got > 2 {
+	if got := r.nics[0].tx.Get(1).NextSeq(); got > 2 {
 		t.Fatalf("window violated: %d sequences issued", got)
 	}
 	_ = st

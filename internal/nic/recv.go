@@ -8,6 +8,7 @@ import (
 	"bcl/internal/fabric"
 	"bcl/internal/hw"
 	"bcl/internal/mem"
+	"bcl/internal/nic/gbn"
 	"bcl/internal/sim"
 )
 
@@ -129,7 +130,7 @@ func (n *NIC) rxInject(ctl *fabric.Packet, stage uint64) {
 func (n *NIC) rxAccept(f *rxFlow, stage uint64) {
 	var ack *fabric.Packet
 	if n.cfg.Reliable {
-		f.expect++
+		f.Accept()
 		ack = n.control(fabric.KindAck, n.rxm.pkt.Src, n.rxm.pkt.Seq, n.bootEpoch)
 	}
 	n.rxInject(ack, stage)
@@ -177,12 +178,18 @@ func (n *NIC) handleControl() {
 	case fabric.KindProbe:
 		// The reply re-admits the prober's flow toward us, and carries
 		// our next expected sequence from it for the sender's resync.
-		n.rxInject(n.control(fabric.KindProbeAck, pkt.Src, n.flowFrom(pkt.Src).expect, n.bootEpoch), rxDone)
+		n.rxInject(n.control(fabric.KindProbeAck, pkt.Src, n.flowFrom(pkt.Src).Expect(), n.bootEpoch), rxDone)
 		return
 	case fabric.KindProbeAck:
-		n.handleProbeAck(pkt)
+		// A dead peer is back: resume at the sequence it expects, which
+		// abandoned packets ran past (a rebooted one rewinds instead).
+		if f := n.flowTo(pkt.Src); !n.noteEpoch(f, pkt.Epoch) {
+			n.peerUp(f, f.ProbeAck(pkt.AckSeq))
+		}
 	case fabric.KindResync:
-		n.handleResync(pkt)
+		if f := n.flowTo(pkt.Src); f.Resync(pkt.Epoch, pkt.AckSeq) {
+			n.resyncFlow(f)
+		}
 	}
 	n.rxDone()
 }
@@ -191,39 +198,32 @@ func (n *NIC) handleControl() {
 // waiting out each completion it posts.
 func (n *NIC) ackRetire() {
 	r := &n.rxm
-	f, pkt := r.tf, r.pkt
-	for f.unacked.Len() > 0 && f.unacked.At(0).pkt.Seq <= pkt.AckSeq {
-		pd := f.unacked.Pop()
-		msgID := pd.pkt.MsgID
-		pd.pkt.Release() // the sender's reference: the bytes are delivered
+	f := r.tf
+	for {
+		e, note, ok := f.Ack(r.pkt.AckSeq, n.env.Now())
+		if !ok {
+			break
+		}
+		e.P.pkt.Release() // the sender's reference: the bytes are delivered
 		r.progress = true
-		if pd.sram > 0 {
-			n.sram.Release(pd.sram)
-		}
-		if n.cfg.AdaptiveRTO && !pd.retx {
-			n.rttSample(f, n.env.Now()-pd.sentAt)
-		}
-		if pd.lastFrag {
-			// A rewind-replay can put two lastFrag pendings of a tracked
-			// message in flight: completion is first-wins via inflight.
-			// Untracked kinds (RMA reads, collective forwards) are never
-			// replayed. Retiring frees the descriptor: compose first.
-			d := pd.desc
-			tracked := d.Kind == DescData || d.Kind == DescRMAWrite
-			live := f.inflightIdx(msgID) >= 0
-			ev, post := n.sendEvent(EvSendDone, d), (!tracked || live) && !d.NoEvent
-			n.retireSend(f, msgID, d, true)
+		n.releaseSRAM(e.P.sram)
+		n.rtt(f, note)
+		if e.Last {
+			// Retiring frees the descriptor: compose first.
+			d := e.Msg
+			ev, post := n.sendEvent(EvSendDone, d), note&gbn.Complete != 0 && !d.NoEvent
+			n.retireSend(e.MsgID, d, true)
 			if post && !n.post(ev, r.resume, rxAckPosted, 0) {
 				return
 			}
 		}
 	}
 	if r.progress {
-		n.markPeerUp(f)
+		n.peerUp(f, f.PeerUp())
 	}
 	f.timer.Cancel()
 	f.timer = sim.Timer{}
-	if f.unacked.Len() > 0 {
+	if f.Window().Len() > 0 {
 		n.armTimer(f)
 	}
 	n.rxDone()
@@ -239,49 +239,27 @@ func (n *NIC) ackRetire() {
 func (n *NIC) handleNack(pkt *fabric.Packet) (ev Event, post bool) {
 	n.stats.NACKs++
 	f := n.flowTo(pkt.Src)
-	if n.noteEpoch(f, pkt.Epoch) || f.unacked.Len() == 0 {
+	if n.noteEpoch(f, pkt.Epoch) {
+		return
+	}
+	v, d := f.Nack(pkt.MsgID)
+	if v == gbn.Idle {
 		return
 	}
 	// Back off briefly, then go-back-N from the NACKed point; the
 	// receiver's expected sequence has not advanced.
 	f.timer.Cancel()
 	f.timer = n.env.After(n.prof.RetransmitTimeout/4, f.onTimer)
-	i := f.inflightIdx(pkt.MsgID)
-	if pkt.MsgID == 0 || i < 0 {
-		return // retransmit, or a refusal already acted on
-	}
-	d := *f.inflight.At(i)
-	sent := false // its last fragment is on the wire already
-	for j := 0; j < f.unacked.Len(); j++ {
-		if pd := f.unacked.At(j); pd.desc == d {
-			pd.pkt.Kind = fabric.KindVoid
-			sent = sent || pd.lastFrag
-		}
-	}
-	if !sent {
-		f.markFailed(d.MsgID, true)
+	if v != gbn.Refuse {
+		return
 	}
 	ev, post = n.sendEvent(EvSendFailed, d), !d.NoEvent
-	n.retireSend(f, d.MsgID, d, false)
+	n.retireSend(d.MsgID, d, false)
 	n.obs.Event(n.env.Now(), n.node, "nic", "send-refused", d.Trace, fmt.Sprintf("dst=%d msg=%d", f.dst, d.MsgID))
 	if post {
 		n.stats.SendFailures++
 	}
 	return ev, post
-}
-
-// handleProbeAck re-admits a dead peer and resyncs the go-back-N
-// numbering to the receiver's next expected sequence, which abandoned
-// packets ran past (a rebooted peer's epoch triggers a rewind instead).
-func (n *NIC) handleProbeAck(pkt *fabric.Packet) {
-	f := n.flowTo(pkt.Src)
-	if n.noteEpoch(f, pkt.Epoch) {
-		return
-	}
-	if f.unacked.Len() == 0 {
-		f.nextSeq = pkt.AckSeq
-	}
-	n.markPeerUp(f)
 }
 
 // rxInSequence checks the CRC of the data or collective fragment in
@@ -300,22 +278,33 @@ func (n *NIC) rxInSequence(stage, what string) *rxFlow {
 		return nil
 	}
 	f := n.flowFrom(pkt.Src)
-	switch {
-	case !n.cfg.Reliable:
+	if !n.cfg.Reliable {
 		return f
-	case !n.rxEpochAdmit(pkt, f):
+	}
+	// Only a rebooted receiver asks for a rewind, so runs without firmware
+	// faults stay packet-for-packet identical to before RESYNC existed.
+	v, from := f.Arrive(pkt.Seq, pkt.Epoch, n.bootEpoch > 1, n.env.Now())
+	if from != 0 {
+		n.stats.EpochResets++
+		n.obs.Event(n.env.Now(), n.node, "nic", "epoch-reset", pkt.Trace,
+			fmt.Sprintf("src=%d epoch %d -> %d", f.src, from, pkt.Epoch))
+	}
+	if v == gbn.Accept {
+		return f
+	}
+	n.stats.SeqDrops++
+	switch v {
+	case gbn.Stale:
 		n.rxDone()
-	case pkt.Seq < f.expect:
-		// Duplicate of something already delivered: re-ACK.
-		n.stats.SeqDrops++
-		n.rxInject(n.control(fabric.KindAck, pkt.Src, f.expect-1, n.bootEpoch), rxDone)
-	case pkt.Seq > f.expect:
-		// Gap: go-back-N discards until the sender rewinds. After OUR
-		// reboot the gap is permanent, so ask for a rewind.
-		n.stats.SeqDrops++
-		n.rxInject(n.resyncRequest(f), rxDone)
-	default:
-		return f
+	case gbn.Dup: // delivered already: re-ACK
+		n.rxInject(n.control(fabric.KindAck, pkt.Src, f.Expect()-1, n.bootEpoch), rxDone)
+	case gbn.Gap: // go-back-N discards until the sender rewinds
+		n.rxDone()
+	case gbn.Resync: // after OUR reboot the gap is permanent: ask for a rewind
+		n.stats.ResyncsSent++
+		n.obs.Event(n.env.Now(), n.node, "nic", "resync", 0,
+			fmt.Sprintf("src=%d expect=%d epoch=%d", f.src, f.Expect(), n.bootEpoch))
+		n.rxInject(n.control(fabric.KindResync, f.src, f.Expect(), n.bootEpoch), rxDone)
 	}
 	return nil
 }
@@ -332,7 +321,7 @@ func (n *NIC) handleData() {
 	switch {
 	case pkt.Kind == fabric.KindVoid:
 		n.rxAccept(f, rxDone)
-	case n.cfg.Reliable && f.isDone(pkt.MsgID):
+	case n.cfg.Reliable && f.Done(pkt.MsgID):
 		// A journal replay or rewind overlap re-sends a delivered
 		// message: swallow it in sequence, never re-deliver.
 		n.stats.DupMsgDrops++

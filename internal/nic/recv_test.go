@@ -95,8 +95,8 @@ func TestStaleEpochsAreDiscarded(t *testing.T) {
 	if st.NACKs != 2 || st.ResyncRewinds != 1 || st.PeerRecoveries != 0 {
 		t.Fatalf("sender: %d NACKs, %d rewinds, %d recoveries, want 2, 1, 0", st.NACKs, st.ResyncRewinds, st.PeerRecoveries)
 	}
-	if f := r.nics[0].tx.Get(2); f.nextSeq != 0 || f.peerEpoch != 3 {
-		t.Fatalf("flow to node 2: next seq %d, peer epoch %d; the stale probe-ACK must not move it", f.nextSeq, f.peerEpoch)
+	if f := r.nics[0].tx.Get(2); f.NextSeq() != 0 || f.PeerEpoch() != 3 {
+		t.Fatalf("flow to node 2: next seq %d, peer epoch %d; the stale probe-ACK must not move it", f.NextSeq(), f.PeerEpoch())
 	}
 }
 
@@ -122,8 +122,8 @@ func TestBadRMAReadRequestsAreNacked(t *testing.T) {
 	if got := r.nics[0].Stats().NACKs; got != 3 {
 		t.Fatalf("requester got %d NACKs, want 3", got)
 	}
-	if f := r.nics[1].rx.Get(0); f.expect != 0 {
-		t.Fatalf("target expects sequence %d, want 0: a refused request is not consumed", f.expect)
+	if f := r.nics[1].rx.Get(0); f.Expect() != 0 {
+		t.Fatalf("target expects sequence %d, want 0: a refused request is not consumed", f.Expect())
 	}
 	if got := r.nics[1].Stats().MsgsSent; got != 0 {
 		t.Fatalf("target sent %d replies, want none", got)

@@ -3,8 +3,8 @@ package nic
 import (
 	"fmt"
 
-	"bcl/internal/fabric"
 	"bcl/internal/mem"
+	"bcl/internal/nic/gbn"
 	"bcl/internal/sim"
 )
 
@@ -81,10 +81,9 @@ func (n *NIC) CrashFirmware() {
 		f.probeTimer = sim.Timer{}
 		f.grayTimer.Cancel()
 		f.grayTimer = sim.Timer{}
-		if f.grayOn {
+		if f.SteerOff() {
 			// The steering preference is firmware state; the fabric-side
 			// entry would otherwise outlive the estimator that set it.
-			f.grayOn = false
 			if n.Steer != nil {
 				n.Steer.PreferAlternate(n.node, f.dst, false)
 			}
@@ -141,26 +140,22 @@ func (n *NIC) BeginReboot() {
 		f.timer.Cancel()
 		f.probeTimer.Cancel()
 		f.grayTimer.Cancel()
-		n.wipeUnacked(f)
+		n.wipe(f, false)
 		// Window waiters blocked on the dead flow re-check flow identity
 		// after waking and bail out (their epoch died with the SRAM).
-		n.wakeWindow(f)
+		f.window.Broadcast()
 	}
 	n.tx = sim.Table[*txFlow]{}
 	n.rx = sim.Table[*rxFlow]{}
 	for _, id := range sortedKeys(n.colls) {
 		ctx := n.colls[id]
 		for _, seq := range sortedKeys(ctx.combs) {
-			if st := ctx.combs[seq]; st.sram > 0 {
-				n.sram.Release(st.sram)
-			}
+			n.releaseSRAM(ctx.combs[seq].sram)
 		}
 		for _, seq := range sortedKeys(ctx.own) {
 			oc := ctx.own[seq]
 			oc.timer.Cancel()
-			if oc.sram > 0 {
-				n.sram.Release(oc.sram)
-			}
+			n.releaseSRAM(oc.sram)
 		}
 	}
 	n.colls = make(map[int]*CollCtx)
@@ -209,12 +204,7 @@ func (n *NIC) FinishReboot() {
 // kernel journal, so replayed sends from a peer are still swallowed
 // after our own reboot wiped the in-SRAM ring.
 func (n *NIC) RestoreRxDone(src int, ids []uint64) {
-	f := n.flowFrom(src)
-	for _, id := range ids {
-		if !f.isDone(id) {
-			f.recordDone(id)
-		}
-	}
+	n.flowFrom(src).Restore(ids)
 }
 
 // RepostSend queues a descriptor for a second pass of the send pipeline:
@@ -228,21 +218,15 @@ func (n *NIC) RepostSend(d *SendDesc) {
 	n.postDesc(d)
 }
 
-// retireSend marks a message complete for both the flow's rewind set
-// and the kernel journal, and ends the life of its descriptor d (nil
-// for a collective, which is retired by id alone). f may be nil (or the
-// message untracked); every completion path funnels through here so
-// completion is first-wins. sent says the message completed normally —
-// its last fragment acknowledged or, fire-and-forget, injected — so no
-// fragment of it is left in the pipeline and the descriptor can go
-// round again; a failed message's trailing fragments may still be on
-// their way down.
-func (n *NIC) retireSend(f *txFlow, msgID uint64, d *SendDesc, sent bool) {
-	if f != nil {
-		if i := f.inflightIdx(msgID); i >= 0 {
-			f.inflight.Remove(i)
-		}
-	}
+// retireSend marks a message complete for the kernel journal and ends
+// the life of its descriptor d (nil for a collective, which is retired
+// by id alone); every completion path funnels through here once the
+// flow's core has let the message go. sent says the message completed
+// normally — its last fragment acknowledged or, fire-and-forget,
+// injected — so no fragment of it is left in the pipeline and the
+// descriptor can go round again; a failed message's trailing fragments
+// may still be on their way down.
+func (n *NIC) retireSend(msgID uint64, d *SendDesc, sent bool) {
 	if n.Journal != nil {
 		n.Journal.SendRetired(msgID)
 	}
@@ -252,7 +236,7 @@ func (n *NIC) retireSend(f *txFlow, msgID uint64, d *SendDesc, sent bool) {
 // markDone records a completed message in the receiver's done-ring and
 // mirrors it into the kernel journal.
 func (n *NIC) markDone(f *rxFlow, msgID uint64) {
-	f.recordDone(msgID)
+	f.Record(msgID)
 	if n.Journal != nil {
 		n.Journal.MsgDone(f.src, msgID)
 	}
@@ -260,91 +244,18 @@ func (n *NIC) markDone(f *rxFlow, msgID uint64) {
 
 // ------------------------------------------------------ epoch protocol
 
-// noteEpoch processes the peer boot epoch stamped on a control packet
-// (ACK/NACK/probe-ACK) at the sender. Returns true when the packet must
-// be discarded: either it is stale (pre-reboot), or it just triggered a
-// rewind and its sequence numbers belong to the dead epoch.
+// noteEpoch carries out what the peer boot epoch stamped on a control
+// packet (ACK, NACK, probe-ACK) decides at the sender, and reports
+// whether the packet must be discarded: it is stale (pre-reboot), or it
+// rewound the flow and its sequence numbers belong to the dead epoch.
 func (n *NIC) noteEpoch(f *txFlow, epoch uint32) bool {
-	if epoch == 0 || epoch == f.peerEpoch {
+	switch f.Epoch(epoch) {
+	case gbn.Fresh:
 		return false
-	}
-	if f.peerEpoch == 0 {
-		f.peerEpoch = epoch
-		return false
-	}
-	if epoch < f.peerEpoch {
-		return true // stale control packet from before the peer's reboot
-	}
-	f.peerEpoch = epoch
-	n.resyncFlow(f)
-	return true
-}
-
-// rxEpochAdmit processes the sender boot epoch stamped on an in-order
-// delivery packet at the receiver. Returns false when the packet is
-// stale and must be dropped; a newer epoch resets the flow's numbering
-// (the sender rebooted and restarted from sequence zero).
-func (n *NIC) rxEpochAdmit(pkt *fabric.Packet, f *rxFlow) bool {
-	if pkt.Epoch == 0 || pkt.Epoch == f.srcEpoch {
-		return true
-	}
-	if pkt.Epoch < f.srcEpoch {
-		n.stats.SeqDrops++
-		return false
-	}
-	if f.srcEpoch != 0 {
-		// In-progress assemblies and the done-ring survive the reset:
-		// the rebooted sender's journal replay re-delivers partially
-		// assembled messages from fragment zero (the bitmap dedups) and
-		// the done-ring swallows completed ones.
-		f.expect = 0
-		n.stats.EpochResets++
-		n.obs.Event(n.env.Now(), n.node, "nic", "epoch-reset", pkt.Trace,
-			fmt.Sprintf("src=%d epoch %d -> %d", f.src, f.srcEpoch, pkt.Epoch))
-	}
-	f.srcEpoch = pkt.Epoch
-	return true
-}
-
-// resyncRequest is the RESYNC asking a sender to rewind, or nil if
-// none is due. After OUR reboot the expected sequence restarted at
-// zero, but a sender that never crashed keeps (re)transmitting from its
-// old window, which now looks like a permanent gap. Only a rebooted
-// receiver ever sends RESYNC (bootEpoch > 1), so runs without firmware
-// faults stay packet-for-packet identical to before this protocol
-// existed.
-func (n *NIC) resyncRequest(f *rxFlow) *fabric.Packet {
-	if n.bootEpoch <= 1 || f.srcEpoch == 0 {
-		return nil
-	}
-	now := n.env.Now()
-	if f.lastResync != 0 && now-f.lastResync < n.prof.RetransmitTimeout/2 {
-		return nil
-	}
-	f.lastResync = now
-	n.stats.ResyncsSent++
-	n.obs.Event(now, n.node, "nic", "resync", 0,
-		fmt.Sprintf("src=%d expect=%d epoch=%d", f.src, f.expect, n.bootEpoch))
-	return n.control(fabric.KindResync, f.src, f.expect, n.bootEpoch)
-}
-
-// handleResync services a peer's rewind request at the sender.
-func (n *NIC) handleResync(pkt *fabric.Packet) {
-	f := n.flowTo(pkt.Src)
-	if pkt.Epoch != 0 && pkt.Epoch < f.peerEpoch {
-		return // stale: the peer rebooted again since sending this
-	}
-	if pkt.Epoch != 0 && pkt.Epoch > f.peerEpoch {
-		f.peerEpoch = pkt.Epoch
-		n.resyncFlow(f)
-		return
-	}
-	// Same epoch: only rewind when our window has genuinely run past
-	// the receiver (a duplicate RESYNC after a completed rewind, or a
-	// lost-RESYNC retry, lands here harmlessly).
-	if f.unacked.Len() > 0 && f.unacked.At(0).pkt.Seq > pkt.AckSeq {
+	case gbn.Rewind:
 		n.resyncFlow(f)
 	}
+	return true
 }
 
 // resyncFlow rewinds a sender flow after its peer's firmware rebooted:
@@ -359,84 +270,42 @@ func (n *NIC) resyncFlow(f *txFlow) {
 	now := n.env.Now()
 	n.Tracer.Add("nic: epoch resync", n.where(), now, now)
 	n.obs.Event(now, n.node, "nic", "resync-rewind", 0,
-		fmt.Sprintf("dst=%d epoch=%d msgs=%d", f.dst, f.peerEpoch, f.inflight.Len()))
+		fmt.Sprintf("dst=%d epoch=%d msgs=%d", f.dst, f.PeerEpoch(), f.Flights().Len()))
 	f.timer.Cancel()
 	f.timer = sim.Timer{}
-	f.retries = 0
-	var resend []pending
-	for f.unacked.Len() > 0 {
-		pd := f.unacked.Pop()
-		if pd.desc.Kind == DescCollMcast || pd.desc.Kind == DescCollComb {
-			resend = append(resend, pd) // packet and SRAM ride along to the coll engine
-			continue
-		}
-		if pd.sram > 0 {
-			n.sram.Release(pd.sram)
-		}
-		pd.pkt.Release()
+	resend := n.wipe(f, true)
+	n.peerUp(f, f.Rewind())
+	for i := 0; i < f.Flights().Len(); i++ {
+		n.RepostSend(f.Flights().At(i).Msg)
 	}
-	f.nextSeq = 0
-	// Re-admit the peer before reposting, or the replay would fail fast
-	// against the Dead belief its own crash produced.
-	n.markPeerUp(f)
-	for i := 0; i < f.inflight.Len(); i++ {
-		n.RepostSend(*f.inflight.At(i))
-	}
-	for _, pd := range resend {
+	for _, e := range resend {
 		n.collQ.Post(collJob{
-			kind: collJobResend, desc: pd.desc, pkt: pd.pkt,
-			sram: pd.sram, epoch: n.bootEpoch,
+			kind: collJobResend, desc: e.Msg, pkt: e.P.pkt,
+			sram: e.P.sram, epoch: n.bootEpoch,
 		})
 	}
 }
 
 // --------------------------------------------- adaptive RTO / gray RTT
 
-// rttSample folds one Karn-clean RTT sample into the flow's Jacobson
-// estimator and checks the gray-failure trip wire.
-func (n *NIC) rttSample(f *txFlow, s sim.Time) {
-	if s <= 0 {
+// rtt counts an RTT sample the core took and carries out a gray trip:
+// a flow whose smoothed RTT blew past four times its baseline is
+// degraded but alive (no retry exhaustion, just a collapsing tail), so
+// it prefers the alternate rail for GraySteerHold, then restores and
+// re-learns.
+func (n *NIC) rtt(f *txFlow, note gbn.Note) {
+	if note&gbn.Sampled != 0 {
+		n.stats.RTTSamples++
+	}
+	if note&gbn.GrayTrip == 0 {
 		return
 	}
-	n.stats.RTTSamples++
-	if f.baseRTT == 0 || (s < f.baseRTT && !f.grayOn) {
-		// Best observed RTT is the gray baseline; frozen while steered
-		// so the (possibly faster) alternate rail cannot redefine the
-		// primary's baseline.
-		f.baseRTT = s
-	}
-	if f.srtt == 0 {
-		f.srtt = s
-		f.rttvar = s / 2
-	} else {
-		diff := s - f.srtt
-		if diff < 0 {
-			diff = -diff
-		}
-		f.rttvar += (diff - f.rttvar) / 4
-		f.srtt += (s - f.srtt) / 8
-	}
-	n.grayCheck(f)
-}
-
-// grayCheck trips gray-failure steering: a flow whose smoothed RTT
-// blows past four times its baseline is degraded-but-alive (no retry
-// exhaustion, just a collapsing tail), so prefer the alternate rail for
-// GraySteerHold, then restore and re-learn.
-func (n *NIC) grayCheck(f *txFlow) {
-	if n.Steer == nil || f.grayOn || f.baseRTT == 0 {
-		return
-	}
-	if f.srtt <= 4*f.baseRTT {
-		return
-	}
-	f.grayOn = true
 	n.stats.GrayFailovers++
 	now := n.env.Now()
 	n.Tracer.Add("nic: gray failover", n.where(), now, now)
+	srtt, best := f.RTT()
 	n.obs.Event(now, n.node, "nic", "gray-failover", 0,
-		fmt.Sprintf("dst=%d srtt=%dus base=%dus", f.dst,
-			f.srtt/sim.Microsecond, f.baseRTT/sim.Microsecond))
+		fmt.Sprintf("dst=%d srtt=%dus base=%dus", f.dst, srtt/sim.Microsecond, best/sim.Microsecond))
 	n.Steer.PreferAlternate(n.node, f.dst, true)
 	f.grayTimer = n.env.After(n.prof.GraySteerHold, f.onGray)
 }
@@ -444,8 +313,7 @@ func (n *NIC) grayCheck(f *txFlow) {
 // grayRestore ends a steering hold: back to the primary rail.
 func (n *NIC) grayRestore(f *txFlow) {
 	f.grayTimer = sim.Timer{}
-	f.grayOn = false
-	f.srtt, f.rttvar = 0, 0 // re-learn on the restored primary
+	f.GrayOver()
 	n.Steer.PreferAlternate(n.node, f.dst, false)
 	n.obs.Event(n.env.Now(), n.node, "nic", "gray-restore", 0,
 		fmt.Sprintf("dst=%d", f.dst))

@@ -357,8 +357,8 @@ func TestClosePortMidRetransmitDrains(t *testing.T) {
 	if r.nics[0].rings.Get(1) != nil {
 		t.Fatal("closed port's send ring never drained and removed")
 	}
-	if f := r.nics[0].tx.Get(1); f != nil && f.unacked.Len() != 0 {
-		t.Fatalf("orphaned window entries after close: %d", f.unacked.Len())
+	if f := r.nics[0].tx.Get(1); f != nil && f.Window().Len() != 0 {
+		t.Fatalf("orphaned window entries after close: %d", f.Window().Len())
 	}
 	if len(j.sendIdx) != 3 {
 		t.Fatalf("journaled %d sends, want 3", len(j.sendIdx))
