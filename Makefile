@@ -21,14 +21,14 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Native fuzzing: each of the sixteen fuzz targets searches for 5 s,
-# about 140 s in all (`go test` runs only their seed corpora). A failing
+# Native fuzzing: each of the seventeen fuzz targets searches for 5 s,
+# about 160 s in all (`go test` runs only their seed corpora). A failing
 # input is saved under the package's testdata/fuzz and replays with
 # `go test`. CI runs the same.
 fuzz:
 	@for t in sim:FuzzEventQueue sim:FuzzQueue sim:FuzzRing sim:FuzzFreeList mem:FuzzAddrSpaceCopy \
 		mem:FuzzPinTable oskernel:FuzzShadow nic/gbn:FuzzDoneRing nic/gbn:FuzzGoBackN trace:FuzzCappedTracer \
-		obs:FuzzSnapshot obs:FuzzHistBuckets obs/health:FuzzDecodeBundle bench:FuzzDiff svc:FuzzReader fabric:FuzzScheduleMatchesInjectors; do \
+		obs:FuzzSnapshot obs:FuzzHistBuckets obs/health:FuzzDecodeBundle bench:FuzzDiff svc:FuzzReader svc/txn:FuzzTwoPC fabric:FuzzScheduleMatchesInjectors; do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \
 	done
 
@@ -159,10 +159,11 @@ check:
 # what is left of mpi_halo70's, 140 objects and 107 520 B per op, is the
 # harness's own copies, two Space.Reads per rank, not world
 # construction, as bulk_stream's one object per op is its 128 KB
-# ctx.Read), and svc_openloop to 0.65 objects per request (0.44 today;
+# ctx.Read), and svc_openloop to 0.48 objects per request (0.41 today;
 # 19.4 before frames, bodies and retired service records were reused),
-# svc_observed to 1.5 (1.03 today; 4.21 while request labels, histogram
-# folds, share reads and WorstFlows made garbage per request or sample).
+# svc_observed to 1.1 (0.94 today; 4.21 while request labels, histogram
+# folds, share reads and WorstFlows made garbage per request or sample),
+# so that a 2PC or reply-cache core that allocates per request fails.
 # The same svc_openloop run is held to 310 allocated bytes per request,
 # nearly all of it tables growing in each fresh epoch (270-280 today;
 # 348-353 while the driver keyed its seen versions by (user, key name) in
@@ -192,8 +193,8 @@ hostcheck:
 	if awk -v e="$$eager" -v h="$$halo" 'BEGIN { exit !(e != "" && h != "" && e <= 1 && h <= 300) }'; \
 	then echo "a message makes no garbage"; else echo "a message makes garbage again"; exit 1; fi && \
 	svc=$$(allocs svc_openloop) && observed=$$(allocs svc_observed) && \
-	echo "allocations per request: svc_openloop $$svc (budget 0.65), svc_observed $$observed (budget 1.5)" && \
-	if awk -v s="$$svc" -v o="$$observed" 'BEGIN { exit !(s != "" && o != "" && s <= 0.65 && o <= 1.5) }'; \
+	echo "allocations per request: svc_openloop $$svc (budget 0.48), svc_observed $$observed (budget 1.1)" && \
+	if awk -v s="$$svc" -v o="$$observed" 'BEGIN { exit !(s != "" && o != "" && s <= 0.48 && o <= 1.1) }'; \
 	then echo "a request makes no garbage"; else echo "a request makes garbage again"; exit 1; fi && \
 	openb=$$(bytes "$$out/host_svc_openloop.txt") && \
 	echo "allocated bytes per request: svc_openloop $$openb (budget 310)" && \

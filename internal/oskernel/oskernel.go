@@ -86,9 +86,6 @@ func New(env *sim.Env, prof *hw.Profile, node int, m *mem.Memory) *Kernel {
 	}
 }
 
-// Env returns the simulation environment.
-func (k *Kernel) Env() *sim.Env { return k.env }
-
 // Profile returns the timing profile.
 func (k *Kernel) Profile() *hw.Profile { return k.prof }
 

@@ -136,6 +136,15 @@ func (l *FreeList[T]) Put(v T) {
 	l.free = append(l.free, v)
 }
 
+// Take returns a record off l, or a new one when l is empty. The caller
+// sets every field; buffers it finds there keep their capacity for reuse.
+func Take[T any](l *FreeList[*T]) *T {
+	if v, ok := l.Get(); ok {
+		return v
+	}
+	return new(T)
+}
+
 // Abandon ends the use of an object that must not be reused.
 func (l *FreeList[T]) Abandon() { l.inUse-- }
 

@@ -9,6 +9,7 @@ import (
 	"bcl/internal/obs"
 	"bcl/internal/obs/reqtrace"
 	"bcl/internal/sim"
+	"bcl/internal/svc/txn"
 	"bcl/internal/trace"
 )
 
@@ -346,7 +347,7 @@ func (d *Driver) generate(p *sim.Proc, now sim.Time) {
 			d.genOn = false
 			return
 		}
-		r := take(&d.reqFree)
+		r := sim.Take(&d.reqFree)
 		*r = request{op: op{val: r.op.val[:0]}, payload: r.payload[:0]}
 		o := &r.op
 		d.makeOp(o, d.nextArr)
@@ -740,7 +741,7 @@ func (d *Driver) runTimers(p *sim.Proc) {
 		} else {
 			d.sendAuth(p, c)
 		}
-		c.rto = backoff(c.rto, d.cfg.RTO)
+		c.rto = txn.Backoff(c.rto, d.cfg.RTO)
 		c.nextAt = now + c.rto
 	}
 	live := d.pendList[:0]
@@ -755,7 +756,7 @@ func (d *Driver) runTimers(p *sim.Proc) {
 			d.traceFlow(p, r.op.flow, "svc: request retransmit")
 			c := d.conns[r.shard]
 			_ = d.ep.send(p, c.addr, r.op.kind, r.sess, r.u.idx, r.seq, r.payload)
-			r.rto = backoff(r.rto, d.cfg.RTO)
+			r.rto = txn.Backoff(r.rto, d.cfg.RTO)
 			r.nextAt = now + r.rto
 		}
 		live = append(live, r)

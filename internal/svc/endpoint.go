@@ -139,13 +139,3 @@ func (e *endpoint) flushReturns(p *sim.Proc) {
 	_ = e.port.ReturnSystemBuffers(p, e.returns)
 	e.returns = e.returns[:0]
 }
-
-// take returns a record off a free list, or a new one when the list is
-// empty. The caller sets every field; buffers it finds there keep their
-// capacity for reuse.
-func take[T any](l *sim.FreeList[*T]) *T {
-	if v, ok := l.Get(); ok {
-		return v
-	}
-	return new(T)
-}

@@ -8,6 +8,7 @@ import (
 	"bcl/internal/obs"
 	"bcl/internal/obs/reqtrace"
 	"bcl/internal/sim"
+	"bcl/internal/svc/txn"
 	"bcl/internal/trace"
 )
 
@@ -23,7 +24,8 @@ import (
 // Every handler is idempotent — duplicates re-send the recorded
 // answer — and every outbound protocol message sits on a retransmit
 // timer until acknowledged, except ABORT, which presumed-abort lets us
-// send exactly once and forget.
+// send exactly once and forget. The 2PC halves and the reply caches are
+// package txn's, which decides; the server carries its verdicts out.
 type Server struct {
 	cfg  ServerConfig
 	ep   *endpoint
@@ -34,8 +36,7 @@ type Server struct {
 	rt   *reqtrace.Recorder
 
 	store map[string]entry
-	locks map[string]uint64 // key -> txid holding a prepare lock
-	names names             // every key a kept record names
+	names names // every key a kept record names
 
 	sessions   map[uint16]*session
 	helloIndex map[helloKey]uint16
@@ -47,26 +48,14 @@ type Server struct {
 	invByID map[uint32]*invState
 	nextInv uint32
 
-	// Retired records, reused: a record goes back once nothing can
-	// reach it (a group when it fires, the others when runTimers drops
-	// them from their table).
+	// Retired records, reused: a group goes back when it fires, an
+	// invalidation when runTimers drops it from its table.
 	invFree   sim.FreeList[*invState]
 	groupFree sim.FreeList[*invGroup]
-	coordFree sim.FreeList[*cTxn]
-	partFree  sim.FreeList[*cPart]
-	stageFree sim.FreeList[*pTxn]
 
-	coord     map[uint64]*cTxn
-	coordList []*cTxn
-	nextTxn   uint64
-
-	staged     map[uint64]*pTxn
-	stagedList []*pTxn
-
-	// Recently applied transactions: a duplicated COMMIT after apply is
-	// re-acked, never re-applied.
-	applied      map[uint64]struct{}
-	appliedOrder sim.Ring[uint64]
+	co   txn.Coordinator[bcl.Addr]
+	part txn.Participant[bcl.Addr]
+	ops  [4]txn.Op // backs a write set being read: up to four ops make no garbage
 
 	rng uint64
 
@@ -124,19 +113,7 @@ type session struct {
 	user      string
 	state     uint8
 	challenge uint64
-	lastReply map[uint16]replyCache // per user channel
-	inProg    map[uint16]uint32     // user channel -> seq being executed
-}
-
-// replyCache is a user channel's last reply, kept as its fields: only a
-// get's value is copied, into the buffer the channel's previous reply
-// left. The fields are ordered widest first, 48 bytes with no padding.
-type replyCache struct {
-	flow   uint64
-	ver    uint64
-	val    []byte
-	seq    uint32
-	status byte
+	cache     txn.Cache
 }
 
 // invGroup gathers the invalidations one write fanned out; fire sends
@@ -168,79 +145,19 @@ type invState struct {
 	done   bool
 }
 
-type txOp struct {
-	key string
-	val []byte
-}
-
-// writeSet reads a write set's op count and walks that many (key,
-// value) pairs, so r.ok says whether the set is whole; ops is a reader
-// at the first pair, to read the set again.
-func writeSet(r *reader) (nops int, ops reader) {
-	nops = int(r.byte())
-	ops = *r
-	for i := 0; i < nops && r.ok; i++ {
-		r.bytes()
-		r.bytes()
+// readOps reads a write set, its op count then that many (key, value)
+// pairs, appending them to ops; r.ok says whether the set is whole. The
+// ops alias r's bytes.
+func readOps(r *reader, ops []txn.Op) []txn.Op {
+	for n := int(r.byte()); len(ops) < n && r.ok; {
+		ops = append(ops, txn.Op{Key: r.bytes(), Val: r.bytes()})
 	}
-	return nops, ops
-}
-
-// keepOp appends (key, a copy of val) to ops, reusing the value buffer
-// a retired op left in that slot.
-func keepOp(ops []txOp, key string, val []byte) []txOp {
-	n := len(ops)
-	if n == cap(ops) {
-		ops = append(ops, txOp{})
-	}
-	ops = ops[:n+1]
-	ops[n].key, ops[n].val = key, append(ops[n].val[:0], val...)
 	return ops
-}
-
-// cTxn is coordinator-side transaction state (presumed abort: it is
-// deleted the moment an abort is decided; only commits are remembered
-// until every participant acks).
-type cTxn struct {
-	txid    uint64
-	sess    uint16
-	uch     uint16
-	seq     uint32
-	flow    uint64
-	parts   []*cPart
-	decided bool
-	commit  bool
-	done    bool
-	nextAt  sim.Time
-	rto     sim.Time
-}
-
-type cPart struct {
-	shard   int
-	addr    bcl.Addr
-	voted   bool
-	vote    bool
-	acked   bool
-	payload []byte // the PREPARE body, kept for retransmission
 }
 
 // prepareCount is the offset of the op count in a PREPARE body, after
 // the txid and the flow id.
 const prepareCount = 16
-
-// pTxn is participant-side staged state between PREPARE and the
-// decision; only a YES voter stages one.
-type pTxn struct {
-	txid      uint64
-	coord     bcl.Addr
-	flow      uint64
-	ops       []txOp
-	inquireAt sim.Time
-	rto       sim.Time
-	done      bool
-}
-
-const appliedCap = 2048
 
 // StartShards boots the service's shards from the setup process p:
 // for each shard of cfg.Ring it opens a port on the node of the same
@@ -277,6 +194,7 @@ func NewServer(p *sim.Proc, port *bcl.Port, bufSize int, cfg ServerConfig) *Serv
 	if cfg.Tick == 0 {
 		cfg.Tick = 100 * sim.Microsecond
 	}
+	nm := make(names)
 	s := &Server{
 		cfg:        cfg,
 		ep:         newEndpoint(p, port, 64, bufSize),
@@ -286,15 +204,13 @@ func NewServer(p *sim.Proc, port *bcl.Port, bufSize int, cfg ServerConfig) *Serv
 		tr:         port.Tracer(),
 		rt:         cfg.ReqObs,
 		store:      make(map[string]entry),
-		locks:      make(map[string]uint64),
-		names:      make(names),
+		names:      nm,
 		sessions:   make(map[uint16]*session),
 		helloIndex: make(map[helloKey]uint16),
 		interest:   make(map[string][]uint16),
 		invByID:    make(map[uint32]*invState),
-		coord:      make(map[uint64]*cTxn),
-		staged:     make(map[uint64]*pTxn),
-		applied:    make(map[uint64]struct{}),
+		co:         txn.NewCoordinator[bcl.Addr](cfg.Index, cfg.RTO),
+		part:       txn.NewParticipant[bcl.Addr](cfg.RTO, nm),
 		rng:        sim.Splitmix64(cfg.Seed ^ uint64(cfg.Index)<<32),
 	}
 	node := s.node
@@ -374,17 +290,7 @@ func (s *Server) nextDue(cap sim.Time) sim.Time {
 			due = iv.nextAt
 		}
 	}
-	for _, t := range s.coordList {
-		if !t.done && t.nextAt < due {
-			due = t.nextAt
-		}
-	}
-	for _, t := range s.stagedList {
-		if !t.done && t.inquireAt < due {
-			due = t.inquireAt
-		}
-	}
-	return due
+	return s.part.NextDue(s.co.NextDue(due))
 }
 
 func (s *Server) handle(p *sim.Proc, ev nic.Event) {
@@ -439,9 +345,7 @@ func (s *Server) onHello(p *sim.Proc, src bcl.Addr, r *reader) {
 		s.helloIndex[hk] = id
 		s.sessions[id] = &session{
 			id: id, client: src, nonce: nonce, user: string(user),
-			state: sessChallenged, challenge: s.rand(),
-			lastReply: make(map[uint16]replyCache),
-			inProg:    make(map[uint16]uint32),
+			state: sessChallenged, challenge: s.rand(), cache: txn.NewCache(),
 		}
 	}
 	se := s.sessions[id]
@@ -474,40 +378,30 @@ func (s *Server) onAuth(p *sim.Proc, src bcl.Addr, sessID uint16, r *reader) {
 	s.sendTo(p, src, kindAuthOK, sessID, 0, 0, nil)
 }
 
-// established resolves a request's session, dropping unauthenticated
-// traffic.
-func (s *Server) established(sessID uint16) *session {
+// request resolves a request's session when the request is to be
+// executed. It drops unauthenticated traffic, and a request its session's
+// cache answered (a replay of the recorded reply) or holds in progress.
+func (s *Server) request(p *sim.Proc, sessID, uch uint16, seq uint32) *session {
 	se, ok := s.sessions[sessID]
 	if !ok || se.state != sessUp {
 		s.stats.dropped++
 		return nil
 	}
-	return se
-}
-
-// dedup returns true when a request was already executed (the recorded
-// reply is replayed) or is still executing (the in-flight state
-// machine will answer it).
-func (s *Server) dedup(p *sim.Proc, se *session, uch uint16, seq uint32) bool {
-	if rc, ok := se.lastReply[uch]; ok && rc.seq == seq {
+	switch rc, v := se.cache.Lookup(uch, seq); v {
+	case txn.Replay:
 		s.stats.dedupReplays++
-		s.sendTo(p, se.client, kindReply, se.id, uch, seq, replyFrame(s.ep.frame(), rc.flow, rc.status, rc.ver, rc.val))
-		return true
+		s.sendTo(p, se.client, kindReply, se.id, uch, seq, replyFrame(s.ep.frame(), rc.Flow, rc.Status, rc.Ver, rc.Val))
+		return nil
+	case txn.Drop:
+		return nil
 	}
-	if cur, busy := se.inProg[uch]; busy && cur == seq {
-		return true
-	}
-	return false
+	return se
 }
 
 // reply records the outcome for the (session, user channel) and sends
 // it; retransmitted requests replay it from the record.
 func (s *Server) reply(p *sim.Proc, se *session, uch uint16, seq uint32, flow uint64, status byte, ver uint64, val []byte) {
-	rc := se.lastReply[uch]
-	rc.seq, rc.flow, rc.status, rc.ver = seq, flow, status, ver
-	rc.val = append(rc.val[:0], val...)
-	se.lastReply[uch] = rc
-	delete(se.inProg, uch)
+	se.cache.Record(uch, seq, flow, status, ver, val)
 	s.stats.replies++
 	s.sendTo(p, se.client, kindReply, se.id, uch, seq, replyFrame(s.ep.frame(), flow, status, ver, val))
 }
@@ -523,11 +417,8 @@ func replyFrame(b []byte, flow uint64, status byte, ver uint64, val []byte) []by
 // ------------------------------------------------------------ KV plane
 
 func (s *Server) onGet(p *sim.Proc, sessID, uch uint16, seq uint32, r *reader) {
-	se := s.established(sessID)
+	se := s.request(p, sessID, uch, seq)
 	if se == nil {
-		return
-	}
-	if s.dedup(p, se, uch, seq) {
 		return
 	}
 	flow := r.u64()
@@ -541,18 +432,15 @@ func (s *Server) onGet(p *sim.Proc, sessID, uch uint16, seq uint32, r *reader) {
 	if e, ok := s.store[string(key)]; ok {
 		s.trace(p, flow, "svc: get serve")
 		// The reply is a cache fill: remember who holds a copy.
-		s.addInterest(s.names.intern(key), se.id)
+		s.addInterest(s.names.Intern(key), se.id)
 		status, ver, val = StatusOK, e.ver, e.val
 	}
 	s.reply(p, se, uch, seq, flow, status, ver, val)
 }
 
 func (s *Server) onPut(p *sim.Proc, sessID, uch uint16, seq uint32, r *reader) {
-	se := s.established(sessID)
+	se := s.request(p, sessID, uch, seq)
 	if se == nil {
-		return
-	}
-	if s.dedup(p, se, uch, seq) {
 		return
 	}
 	flow := r.u64()
@@ -563,18 +451,18 @@ func (s *Server) onPut(p *sim.Proc, sessID, uch uint16, seq uint32, r *reader) {
 		return
 	}
 	s.stats.reqPut++
-	if _, locked := s.locks[string(kb)]; locked {
+	if s.part.Locked(kb) {
 		// A prepared transaction owns the key; the client retries.
 		s.stats.putConflicts++
 		s.reply(p, se, uch, seq, flow, StatusConflict, 0, nil)
 		return
 	}
-	key := s.names.intern(kb)
+	key := s.names.Intern(kb)
 	s.trace(p, flow, "svc: put apply")
 	ver := s.apply(key, val)
 	// The reply goes once every invalidation is acked.
-	se.inProg[uch] = seq
-	g := take(&s.groupFree)
+	se.cache.Begin(uch, seq)
+	g := sim.Take(&s.groupFree)
 	*g = invGroup{flow: flow, se: se, uch: uch, seq: seq, ver: ver}
 	s.invalidate(p, key, ver, se.id, g)
 	// The writer's own cache now holds the new value.
@@ -644,7 +532,7 @@ func (s *Server) invalidate(p *sim.Proc, key string, ver uint64, writer uint16, 
 			continue
 		}
 		s.nextInv++
-		iv := take(&s.invFree)
+		iv := sim.Take(&s.invFree)
 		*iv = invState{
 			id: s.nextInv, key: key, ver: ver, sess: id, client: se.client,
 			group: g, nextAt: p.Now() + s.cfg.RTO, rto: s.cfg.RTO,
@@ -677,147 +565,76 @@ func (s *Server) onInvAck(p *sim.Proc, invID uint32) {
 // ---------------------------------------------------- 2PC: coordinator
 
 func (s *Server) onTxn(p *sim.Proc, sessID, uch uint16, seq uint32, r *reader) {
-	se := s.established(sessID)
+	se := s.request(p, sessID, uch, seq)
 	if se == nil {
 		return
 	}
-	if s.dedup(p, se, uch, seq) {
-		return
-	}
 	flow := r.u64()
-	nops, ops := writeSet(r)
-	if !r.ok || nops == 0 {
+	ops := readOps(r, s.ops[:0])
+	if !r.ok || len(ops) == 0 {
 		s.stats.dropped++
 		return
 	}
 	s.stats.reqTxn++
 	s.trace(p, flow, "svc: txn begin (coordinator)")
-	s.nextTxn++
-	t := take(&s.coordFree)
-	*t = cTxn{
-		txid: uint64(s.cfg.Index)<<48 | s.nextTxn,
-		sess: sessID, uch: uch, seq: seq, flow: flow,
-		parts:  t.parts[:0],
-		nextAt: p.Now() + s.cfg.RTO, rto: s.cfg.RTO,
-	}
+	t := s.co.Begin(sessID, uch, seq, flow, p.Now())
 	// Partition the write set by shard, parts in the order their shards
 	// first appear so the fan-out is deterministic; each op goes
 	// straight into its part's PREPARE body.
-	for i := 0; i < nops; i++ {
-		key := ops.bytes()
-		val := ops.bytes()
-		sh := s.cfg.Ring.Shard(s.names.intern(key))
-		var cp *cPart
-		for _, q := range t.parts {
-			if q.shard == sh {
-				cp = q
-				break
-			}
+	for _, op := range ops {
+		cp, fresh := s.co.Join(t, s.cfg.Shards[s.cfg.Ring.Shard(s.names.Intern(op.Key))])
+		if fresh {
+			cp.Body = append(putU64(putU64(cp.Body, t.ID), flow), 0)
 		}
-		if cp == nil {
-			cp = take(&s.partFree)
-			pay := putU64(cp.payload[:0], t.txid)
-			pay = putU64(pay, t.flow)
-			*cp = cPart{shard: sh, addr: s.cfg.Shards[sh], payload: append(pay, 0)}
-			t.parts = append(t.parts, cp)
-		}
-		cp.payload = putBytes(cp.payload, key)
-		cp.payload = putBytes(cp.payload, val)
-		cp.payload[prepareCount]++
+		cp.Body = putBytes(putBytes(cp.Body, op.Key), op.Val)
+		cp.Body[prepareCount]++
 	}
-	se.inProg[uch] = seq
-	s.coord[t.txid] = t
-	s.coordList = append(s.coordList, t)
-	for _, cp := range t.parts {
+	se.cache.Begin(uch, seq)
+	for _, cp := range t.Parts {
 		s.stats.prepares++
-		s.sendTo(p, cp.addr, kindPrepare, 0, 0, 0, cp.payload)
+		s.sendTo(p, cp.To, kindPrepare, 0, 0, 0, cp.Body)
 	}
 }
 
 func (s *Server) onVote(p *sim.Proc, src bcl.Addr, r *reader) {
 	txid := r.u64()
 	yes := r.byte() == 1
-	t, ok := s.coord[txid]
-	if !ok || !r.ok || t.decided {
+	if !r.ok {
 		return
 	}
-	for _, cp := range t.parts {
-		if cp.addr == src {
-			cp.voted, cp.vote = true, yes
+	switch t, v := s.co.Vote(txid, src, yes, p.Now()); v {
+	case txn.Abort:
+		s.trace(p, t.Flow, "svc: txn abort (coordinator)")
+		s.stats.txnAborted++
+		for _, cp := range t.Parts {
+			s.sendTxn(p, cp.To, kindAbort, t.ID, t.Flow)
+		}
+		s.answer(p, t, StatusAborted)
+	case txn.Commit:
+		s.trace(p, t.Flow, "svc: txn commit decision")
+		for _, cp := range t.Parts {
+			s.sendTxn(p, cp.To, kindCommit, t.ID, t.Flow)
 		}
 	}
-	all := true
-	for _, cp := range t.parts {
-		if !cp.voted {
-			all = false
-		} else if !cp.vote {
-			s.decideAbort(p, t)
-			return
-		}
-	}
-	if all {
-		s.decideCommit(p, t)
-	}
-}
-
-// decideAbort is the presumed-abort fast path: tell everyone once,
-// answer the client, and forget. Participants that miss the ABORT will
-// inquire and read the abort from our silence.
-func (s *Server) decideAbort(p *sim.Proc, t *cTxn) {
-	t.decided, t.commit, t.done = true, false, true
-	s.trace(p, t.flow, "svc: txn abort (coordinator)")
-	s.stats.txnAborted++
-	for _, cp := range t.parts {
-		pay := putU64(s.ep.frame(), t.txid)
-		pay = putU64(pay, t.flow)
-		s.sendTo(p, cp.addr, kindAbort, 0, 0, 0, pay)
-	}
-	delete(s.coord, t.txid)
-	if se, ok := s.sessions[t.sess]; ok {
-		s.reply(p, se, t.uch, t.seq, t.flow, StatusAborted, 0, nil)
-	}
-}
-
-// decideCommit records the commit (it must be remembered until every
-// participant acks) and starts the phase-two fan-out.
-func (s *Server) decideCommit(p *sim.Proc, t *cTxn) {
-	t.decided, t.commit = true, true
-	t.nextAt = p.Now() + t.rto
-	s.trace(p, t.flow, "svc: txn commit decision")
-	for _, cp := range t.parts {
-		s.sendCommit(p, t, cp)
-	}
-}
-
-func (s *Server) sendCommit(p *sim.Proc, t *cTxn, cp *cPart) {
-	pay := putU64(s.ep.frame(), t.txid)
-	pay = putU64(pay, t.flow)
-	s.sendTo(p, cp.addr, kindCommit, 0, 0, 0, pay)
 }
 
 func (s *Server) onTxnAck(p *sim.Proc, src bcl.Addr, r *reader) {
 	txid := r.u64()
-	t, ok := s.coord[txid]
-	if !ok || !r.ok || !t.commit {
+	if !r.ok {
 		return
 	}
-	for _, cp := range t.parts {
-		if cp.addr == src {
-			cp.acked = true
-		}
+	if t, v := s.co.Ack(txid, src); v == txn.Committed {
+		s.stats.txnCommitted++
+		s.trace(p, t.Flow, "svc: txn committed (all acks)")
+		s.answer(p, t, StatusOK)
 	}
-	for _, cp := range t.parts {
-		if !cp.acked {
-			return
-		}
-	}
-	// Fully applied everywhere: answer the client and forget the txn.
-	t.done = true
-	delete(s.coord, t.txid)
-	s.stats.txnCommitted++
-	s.trace(p, t.flow, "svc: txn committed (all acks)")
-	if se, ok := s.sessions[t.sess]; ok {
-		s.reply(p, se, t.uch, t.seq, t.flow, StatusOK, 0, nil)
+}
+
+// answer replies to a decided transaction's client, if its session
+// still exists.
+func (s *Server) answer(p *sim.Proc, t *txn.Txn[bcl.Addr], status byte) {
+	if se, ok := s.sessions[t.Sess]; ok {
+		s.reply(p, se, t.Ch, t.Seq, t.Flow, status, 0, nil)
 	}
 }
 
@@ -826,27 +643,17 @@ func (s *Server) onInquire(p *sim.Proc, src bcl.Addr, r *reader) {
 	if !r.ok {
 		return
 	}
-	if t, ok := s.coord[txid]; ok {
-		if t.commit {
-			for _, cp := range t.parts {
-				if cp.addr == src {
-					s.sendCommit(p, t, cp)
-					return
-				}
-			}
-		}
-		// Known but undecided: stay silent. Presumed abort licenses
-		// aborting only FORGOTTEN transactions — answering ABORT here
-		// would unstage a YES voter that the commit decision still
-		// counts on, and its later COMMIT would be acked blind without
-		// ever applying (a half-applied pair). The participant keeps
-		// its stage and inquires again after backoff.
-		return
+	switch t, v := s.co.Inquire(txid, src); v {
+	case txn.Commit:
+		s.sendTxn(p, src, kindCommit, txid, t.Flow)
+	case txn.Abort:
+		s.sendTxn(p, src, kindAbort, txid, 0)
 	}
-	// Unknown transaction: by presumption, it aborted.
-	pay := putU64(s.ep.frame(), txid)
-	pay = putU64(pay, 0)
-	s.sendTo(p, src, kindAbort, 0, 0, 0, pay)
+}
+
+// sendTxn sends a decision, COMMIT or ABORT, as (txid, flow).
+func (s *Server) sendTxn(p *sim.Proc, dst bcl.Addr, kind uint8, txid, flow uint64) {
+	s.sendTo(p, dst, kind, 0, 0, 0, putU64(putU64(s.ep.frame(), txid), flow))
 }
 
 // ---------------------------------------------------- 2PC: participant
@@ -854,57 +661,21 @@ func (s *Server) onInquire(p *sim.Proc, src bcl.Addr, r *reader) {
 func (s *Server) onPrepare(p *sim.Proc, src bcl.Addr, r *reader) {
 	txid := r.u64()
 	flow := r.u64()
-	nops, ops := writeSet(r)
+	ops := readOps(r, s.ops[:0])
 	if !r.ok {
 		s.stats.dropped++
 		return
 	}
-	if _, done := s.applied[txid]; done {
-		// Already committed here: the duplicate PREPARE crossed our ack.
-		s.sendVote(p, src, txid, true)
-		return
+	yes := byte(1)
+	switch s.part.Prepare(txid, src, flow, ops, p.Now()) {
+	case txn.VoteNo:
+		s.stats.votesNo++
+		s.trace(p, flow, "svc: vote NO (lock conflict)")
+		yes = 0
+	case txn.Staged:
+		s.trace(p, flow, "svc: prepared (participant)")
 	}
-	if _, ok := s.staged[txid]; ok {
-		// Duplicate PREPARE: re-send the recorded (YES) vote.
-		s.sendVote(p, src, txid, true)
-		return
-	}
-	// Fresh PREPARE: lockable iff no other transaction holds any key.
-	scan := ops
-	for i := 0; i < nops; i++ {
-		key := scan.bytes()
-		scan.bytes()
-		if holder, locked := s.locks[string(key)]; locked && holder != txid {
-			s.stats.votesNo++
-			s.trace(p, flow, "svc: vote NO (lock conflict)")
-			s.sendVote(p, src, txid, false)
-			return
-		}
-	}
-	st := take(&s.stageFree)
-	*st = pTxn{
-		txid: txid, coord: src, flow: flow, ops: st.ops[:0],
-		inquireAt: p.Now() + 4*s.cfg.RTO, rto: s.cfg.RTO,
-	}
-	for i := 0; i < nops; i++ {
-		key := s.names.intern(ops.bytes())
-		st.ops = keepOp(st.ops, key, ops.bytes())
-		s.locks[key] = txid
-	}
-	s.staged[txid] = st
-	s.stagedList = append(s.stagedList, st)
-	s.trace(p, flow, "svc: prepared (participant)")
-	s.sendVote(p, src, txid, true)
-}
-
-func (s *Server) sendVote(p *sim.Proc, coord bcl.Addr, txid uint64, yes bool) {
-	pay := putU64(s.ep.frame(), txid)
-	b := byte(0)
-	if yes {
-		b = 1
-	}
-	pay = append(pay, b)
-	s.sendTo(p, coord, kindVote, 0, 0, 0, pay)
+	s.sendTo(p, src, kindVote, 0, 0, 0, append(putU64(s.ep.frame(), txid), yes))
 }
 
 func (s *Server) onCommit(p *sim.Proc, src bcl.Addr, r *reader) {
@@ -913,27 +684,20 @@ func (s *Server) onCommit(p *sim.Proc, src bcl.Addr, r *reader) {
 	if !r.ok {
 		return
 	}
-	st, ok := s.staged[txid]
-	if !ok {
-		// Already applied (duplicate) or long evicted: ack again. The
-		// coordinator never sends COMMIT to a shard that did not vote
-		// YES, so a blind ack can only confirm old news.
+	st, v := s.part.Commit(txid)
+	if v == txn.Ack {
 		s.ackTxn(p, src, txid)
 		return
 	}
-	st.done = true
-	delete(s.staged, txid)
-	s.rememberApplied(txid)
 	s.trace(p, flow, "svc: commit apply (participant)")
-	// Apply every op, release the locks, fan out invalidations; the
-	// ack is withheld until the caches are clean, so a committed
-	// transaction is never visible as stale data anywhere.
-	g := take(&s.groupFree)
+	// Apply every op and fan out invalidations; the ack is withheld
+	// until the caches are clean, so a committed transaction is never
+	// visible as stale data anywhere.
+	g := sim.Take(&s.groupFree)
 	*g = invGroup{flow: flow, coord: src, txid: txid}
-	for _, op := range st.ops {
-		delete(s.locks, op.key)
-		ver := s.apply(op.key, op.val)
-		s.invalidate(p, op.key, ver, 0, g)
+	for _, op := range st.Ops {
+		ver := s.apply(op.Key, op.Val)
+		s.invalidate(p, op.Key, ver, 0, g)
 	}
 	if g.waiting == 0 {
 		s.fire(p, g)
@@ -941,18 +705,8 @@ func (s *Server) onCommit(p *sim.Proc, src bcl.Addr, r *reader) {
 }
 
 func (s *Server) onAbort(p *sim.Proc, r *reader) {
-	txid := r.u64()
-	st, ok := s.staged[txid]
-	if !ok {
-		return
-	}
-	st.done = true
-	delete(s.staged, txid)
-	s.trace(p, st.flow, "svc: abort (participant)")
-	for _, op := range st.ops {
-		if s.locks[op.key] == txid {
-			delete(s.locks, op.key)
-		}
+	if st, v := s.part.Abort(r.u64()); v == txn.Release {
+		s.trace(p, st.Flow, "svc: abort (participant)")
 	}
 }
 
@@ -960,18 +714,12 @@ func (s *Server) ackTxn(p *sim.Proc, coord bcl.Addr, txid uint64) {
 	s.sendTo(p, coord, kindTxnAck, 0, 0, 0, putU64(s.ep.frame(), txid))
 }
 
-func (s *Server) rememberApplied(txid uint64) {
-	s.applied[txid] = struct{}{}
-	if old, ok := s.appliedOrder.PushLast(txid, appliedCap); ok {
-		delete(s.applied, old)
-	}
-}
-
 // --------------------------------------------------------------- timers
 
 // runTimers drives every retransmission and the participant inquiry
 // deadline. Tables are scanned in insertion order; finished entries
 // are compacted away, and their records go back on the free lists.
+// The 2PC halves say which deadlines passed and what each resends.
 func (s *Server) runTimers(p *sim.Proc) {
 	now := p.Now()
 
@@ -993,67 +741,27 @@ func (s *Server) runTimers(p *sim.Proc) {
 			}
 			s.stats.invRetrans++
 			s.sendInv(p, iv)
-			iv.rto = backoff(iv.rto, s.cfg.RTO)
+			iv.rto = txn.Backoff(iv.rto, s.cfg.RTO)
 			iv.nextAt = now + iv.rto
 		}
 		live = append(live, iv)
 	}
 	s.invs = live
 
-	liveC := s.coordList[:0]
-	for _, t := range s.coordList {
-		if t.done {
-			for _, cp := range t.parts {
-				s.partFree.Put(cp)
+	s.co.Due(now, func(t *txn.Txn[bcl.Addr]) {
+		s.stats.txnRetrans++
+		for _, cp := range t.Parts {
+			switch t.Resend(cp) {
+			case txn.Prepare:
+				s.sendTo(p, cp.To, kindPrepare, 0, 0, 0, cp.Body)
+			case txn.Commit:
+				s.sendTxn(p, cp.To, kindCommit, t.ID, t.Flow)
 			}
-			s.coordFree.Put(t)
-			continue
 		}
-		if now >= t.nextAt {
-			s.stats.txnRetrans++
-			if !t.decided {
-				for _, cp := range t.parts {
-					if !cp.voted {
-						s.sendTo(p, cp.addr, kindPrepare, 0, 0, 0, cp.payload)
-					}
-				}
-			} else if t.commit {
-				for _, cp := range t.parts {
-					if !cp.acked {
-						s.sendCommit(p, t, cp)
-					}
-				}
-			}
-			t.rto = backoff(t.rto, s.cfg.RTO)
-			t.nextAt = now + t.rto
-		}
-		liveC = append(liveC, t)
-	}
-	s.coordList = liveC
-
-	liveS := s.stagedList[:0]
-	for _, st := range s.stagedList {
-		if st.done {
-			s.stageFree.Put(st)
-			continue
-		}
-		if now >= st.inquireAt {
-			s.sendTo(p, st.coord, kindInquire, 0, 0, 0, putU64(s.ep.frame(), st.txid))
-			st.rto = backoff(st.rto, s.cfg.RTO)
-			st.inquireAt = now + st.rto
-		}
-		liveS = append(liveS, st)
-	}
-	s.stagedList = liveS
-}
-
-// backoff doubles an RTO up to 16x the base.
-func backoff(cur, base sim.Time) sim.Time {
-	next := cur * 2
-	if max := base * 16; next > max {
-		next = max
-	}
-	return next
+	})
+	s.part.Due(now, func(st *txn.Stage[bcl.Addr]) {
+		s.sendTo(p, st.Coord, kindInquire, 0, 0, 0, putU64(s.ep.frame(), st.Txid))
+	})
 }
 
 // sendTo transmits one service message, swallowing transport errors:

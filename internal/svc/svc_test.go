@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -529,7 +530,7 @@ func answer(p *sim.Proc, d *Driver, uch uint16, kind uint8, key uint32, status b
 	u := &d.users[uch]
 	u.seq++
 	u.busy = true
-	req := take(&d.reqFree)
+	req := sim.Take(&d.reqFree)
 	*req = request{op: op{kind: kind, key: key}, u: u, sess: 1, seq: u.seq}
 	d.pending[reqKey(1, uch, u.seq)] = req
 	d.pendList = append(d.pendList, req)
@@ -606,7 +607,7 @@ func TestInvalidationOutsideKeyTable(t *testing.T) {
 	tr.c.Env.Go("invalidate", func(p *sim.Proc) {
 		se := srv.sessions[d.conns[0].sess]
 		srv.addInterest(outside, se.id)
-		g := take(&srv.groupFree)
+		g := sim.Take(&srv.groupFree)
 		*g = invGroup{se: se, uch: 0, seq: 1<<seqBits - 1, ver: 9}
 		srv.invalidate(p, outside, 9, 0, g)
 		if g.waiting != 1 {
@@ -627,6 +628,53 @@ func TestInvalidationOutsideKeyTable(t *testing.T) {
 			t.Errorf("%s moved: cached %v v%d inv %d -> cached %v v%d inv %d",
 				k.name, b.cached, b.ver, b.inv, k.cached, k.ver, k.inv)
 		}
+	}
+}
+
+// TestDuplicateGetReplaysTheRecord: a GET duplicated after its key was
+// overwritten gets the reply its first copy got, the version and bytes
+// recorded then, counted as one replay, and the key's interest list
+// stays as the write left it. Executed again, it would answer the newer
+// version and put the reader's session back on the list.
+func TestDuplicateGetReplaysTheRecord(t *testing.T) {
+	tr := buildTier(t, cluster.Config{}, 1, DriverConfig{Users: 1, Seed: 3})
+	other := tr.addDriver(t, DriverConfig{Users: 1, Seed: 4, UserName: "bob"})
+	srv := tr.servers[0]
+	rd, wr := srv.sessions[tr.driver.conns[0].sess], srv.sessions[other.conns[0].sess]
+	if rd == nil || wr == nil || rd.state != sessUp || wr.state != sessUp || rd == wr {
+		t.Fatal("the two drivers hold no established sessions of their own")
+	}
+	const key, uch, seq = "k", 3, 1<<seqBits - 1 // a channel and seq neither driver uses
+	srv.apply(key, []byte("first"))
+	get := putStr(putU64(nil, 0), key)
+	var interest []uint16
+	var replays uint64
+	var frame *reader
+	tr.c.Env.Go("reads", func(p *sim.Proc) {
+		srv.onGet(p, rd.id, uch, seq, newReader(get))
+		srv.onPut(p, wr.id, uch, seq, newReader(putBytes(putStr(putU64(nil, 0), key), []byte("second"))))
+		p.Sleep(2 * sim.Millisecond) // the reader acks the invalidation
+		interest, replays = append([]uint16(nil), srv.interest[key]...), srv.stats.dedupReplays
+		srv.onGet(p, rd.id, uch, seq, newReader(get))
+		frame = newReader(srv.ep.out[:cap(srv.ep.out)]) // what the shard sent last
+	})
+	tr.c.Env.RunUntil(tr.c.Env.Now() + 5*sim.Millisecond)
+	if val, ver := srv.Peek(key); ver != 2 || string(val) != "second" {
+		t.Fatalf("%s is v%d %q, want the write's v2", key, ver, val)
+	}
+	if frame == nil {
+		t.Fatal("the reads did not finish")
+	}
+	frame.u64()
+	status, ver, val := frame.byte(), frame.u64(), frame.bytes()
+	if !frame.ok || status != StatusOK || ver != 1 || string(val) != "first" {
+		t.Errorf("the duplicate got status %d, v%d %q, want the recorded OK, v1 \"first\"", status, ver, val)
+	}
+	if srv.stats.dedupReplays != replays+1 {
+		t.Errorf("%d replays, want 1", srv.stats.dedupReplays-replays)
+	}
+	if got := srv.interest[key]; len(interest) != 1 || interest[0] != wr.id || !slices.Equal(got, interest) {
+		t.Errorf("interest in %s: %v after the write, %v after the duplicate; want [%d] both times", key, interest, got, wr.id)
 	}
 }
 

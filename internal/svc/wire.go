@@ -151,7 +151,7 @@ func (r *reader) byte() byte {
 // the first time something keeps it.
 type names map[string]string
 
-func (n names) intern(b []byte) string {
+func (n names) Intern(b []byte) string {
 	if s, ok := n[string(b)]; ok {
 		return s
 	}
