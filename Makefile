@@ -128,18 +128,20 @@ reqobs:
 # baselines/BENCH_*.json from a fresh run of the gated experiments;
 # `make check` reruns them at seed 1 and requires every fresh artifact
 # to equal its committed baseline byte for byte and every verdict to
-# pass. Each artifact carries the events its experiment executed and
-# their fingerprint (events, event_fp), so this is also the event-order
-# oracle of the twelve. Each gate prints `check <gate> PASS
-# (byte-identical)` or FAIL followed by one `path: baseline -> fresh`
-# line per JSON leaf that moved and one `verdict <name>: fail` line per
-# failing verdict; all twelve passing prints "baselines reproduce byte
-# for byte". Then the sweep: the six seeded experiments at seeds 2..32
-# must fail exactly the lines of baselines/KNOWN_RED.txt, each red line
-# printed once ("sweep: seeds 2..32 fail exactly the N lines of …"; an
-# unlisted red line or a listed one that no longer fails is a FAIL).
-# About 30 s. Then it runs `make hostcheck`. CI runs all of it on every
-# push.
+# pass. Each artifact carries two oracles: the events its experiment
+# executed and their fingerprint (events, event_fp: how the host
+# scheduled the model), and model_fp (what the model did: its packets,
+# completions and final counters). Each gate prints `check <gate> PASS
+# (byte-identical)` or `FAIL: model moved` / `FAIL: model untouched
+# (only events, event_fp moved)`, followed by one `path: baseline ->
+# fresh` line per JSON leaf that moved and one `verdict <name>: fail`
+# line per failing verdict; all twelve passing prints "baselines
+# reproduce byte for byte". Then the sweep: the six seeded experiments
+# at seeds 2..32 must fail exactly the lines of baselines/KNOWN_RED.txt,
+# each red line printed once ("sweep: seeds 2..32 fail exactly the N
+# lines of …"; an unlisted red line or a listed one that no longer fails
+# is a FAIL). About 30 s. Then it runs `make hostcheck`. CI runs all of
+# it on every push.
 baseline:
 	$(GO) run ./cmd/bclbench -baseline
 
@@ -153,31 +155,14 @@ check:
 # size) must match baselines/HOSTBENCH_model.txt, the event order on
 # five workloads the baselines do not reach (a change that removes
 # events on purpose regenerates it with the same loop, and says so).
-# allocs_per_op from the same runs holds eager_pingpong to 1 and
-# mpi_halo70 to 300 objects per op, a count that repeats exactly (0.001
-# and 155 today; 10 and 1 432 before messages stopped making garbage;
-# what is left of mpi_halo70's, 140 objects and 107 520 B per op, is the
-# harness's own copies, two Space.Reads per rank, not world
-# construction, as bulk_stream's one object per op is its 128 KB
-# ctx.Read), and svc_openloop to 0.48 objects per request (0.41 today;
-# 19.4 before frames, bodies and retired service records were reused),
-# svc_observed to 1.1 (0.94 today; 4.21 while request labels, histogram
-# folds, share reads and WorstFlows made garbage per request or sample),
-# so that a 2PC or reply-cache core that allocates per request fails.
-# The same svc_openloop run is held to 310 allocated bytes per request,
-# nearly all of it tables growing in each fresh epoch (270-280 today;
-# 348-353 while the driver keyed its seen versions by (user, key name) in
-# 32-byte slots and each shard's reply records were padded to 56 bytes).
-# One more svc_observed run at --seconds 6, long enough (about 120 sampler ticks)
-# for the 64-deep sample ring to wrap, holds it to 530 allocated bytes
-# per request (486-491 today; 551-582 before the driver's key table, 736
-# while every tick built a fresh registry snapshot instead of refilling
-# the one it evicts). And
-# mpi_halo70 at four times the work must peak within 1.5x of the
-# short run's RSS (116 -> 337 MB while every host collective mapped
-# fresh simulated pages), and at --seconds 8 to 45 MB: 33-35 -> 36-38 MB
-# today, 41-47 -> 50-56 MB while every simulated frame stored its whole
-# 4 KB page instead of the lower half it is written in.
+# Budgets, from the same runs (objects and bytes per op repeat exactly;
+# CHANGES.md keeps their history): eager_pingpong at most 1 object per
+# op and mpi_halo70 at most 300; svc_openloop at most 0.48 objects and
+# 310 bytes per request and svc_observed at most 1.1 objects, so that a
+# 2PC or reply-cache core that allocates per request fails; svc_observed
+# at --seconds 6, long enough for the 64-deep sample ring to wrap, at
+# most 530 bytes per request; mpi_halo70's peak RSS at --seconds 8
+# within 1.5x of --seconds 2's, and at most 45 MB.
 hostcheck:
 	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
 	for w in $$(cut -d' ' -f1 baselines/HOSTBENCH_model.txt); do \

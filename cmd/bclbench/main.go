@@ -12,7 +12,9 @@
 //	bclbench -baseline         # (re)write baselines/BENCH_*.json
 //	bclbench -check            # rerun the gated experiments, exit 1 naming every
 //	                           # JSON leaf that moved from baselines/ and failing
-//	                           # verdict; sweep seeds 2..32 against KNOWN_RED.txt
+//	                           # verdict, each failing gate labelled "model moved"
+//	                           # or "model untouched (only events, event_fp moved)";
+//	                           # sweep seeds 2..32 against KNOWN_RED.txt
 //	bclbench -check -out dir   # also write the fresh artifacts to dir
 //	bclbench -check -postmortem dir
 //	                           # additionally write a bcl-postmortem/v1
@@ -201,7 +203,7 @@ func runGate(check bool, dir, out, post string) int {
 			continue
 		}
 		failed = true
-		fmt.Printf("check %-12s FAIL\n", e.Gate)
+		fmt.Printf("check %-12s FAIL: %s\n", e.Gate, bench.Classify(moved))
 		for _, m := range moved {
 			fmt.Printf("  %s\n", m)
 		}

@@ -268,9 +268,6 @@ func (pt *Port) Close(p *sim.Proc) error {
 	})
 }
 
-// Label returns the owning job's label ("" if the port is unlabeled).
-func (pt *Port) Label() string { return pt.label }
-
 // Stats returns message and byte counters.
 func (pt *Port) Stats() (sent, received, bytesSent, bytesReceived uint64) {
 	return pt.sent, pt.received, pt.bytesSent, pt.bytesReceived

@@ -64,10 +64,13 @@ type Artifact struct {
 
 	// Events and EventFP are Report.Events and Report.EventFP: which
 	// events the run executed, so a same-seed rerun that reorders even
-	// one of them moves a leaf. The fingerprint is 16 hex digits, since
+	// one of them moves a leaf. ModelFP is Report.ModelFP: what the
+	// model did, which a change that only reschedules events leaves
+	// alone (see Classify). Fingerprints are 16 hex digits, since
 	// a JSON number (float64) cannot hold 64 bits.
 	Events  uint64 `json:"events"`
 	EventFP string `json:"event_fp"`
+	ModelFP string `json:"model_fp"`
 
 	// Metrics are the experiment's key numbers (Report.Metrics).
 	Metrics map[string]float64 `json:"metrics"`
@@ -119,6 +122,7 @@ func FromReport(r *Report) *Artifact {
 		Summary: r.Summary,
 		Events:  r.Events,
 		EventFP: fmt.Sprintf("%016x", r.EventFP),
+		ModelFP: fmt.Sprintf("%016x", r.ModelFP),
 		Metrics: make(map[string]float64, len(r.Metrics)),
 
 		Verdicts: make(map[string]string, len(r.Verdicts)),
@@ -200,6 +204,26 @@ func Diff(fresh, base []byte) []string {
 		out = []string{"layout: every value is equal but the bytes differ (whitespace, key order or trailing data)"}
 	}
 	return out
+}
+
+// The two labels Classify gives a failing gate.
+const (
+	modelUntouched = "model untouched (only events, event_fp moved)"
+	modelMoved     = "model moved"
+)
+
+// Classify labels a failing gate by its lines (Diff's, plus -check's
+// "verdict <name>: fail"): modelUntouched when every line names the
+// events or event_fp leaf, so the run did what the baseline says and
+// only the scheduling of its events changed; modelMoved otherwise,
+// model_fp, a metric, a counter or a verdict included.
+func Classify(moved []string) string {
+	for _, m := range moved {
+		if !strings.HasPrefix(m, "events: ") && !strings.HasPrefix(m, "event_fp: ") {
+			return modelMoved
+		}
+	}
+	return modelUntouched
 }
 
 // absent stands for a key or index that one side of a Diff lacks.

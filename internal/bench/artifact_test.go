@@ -321,6 +321,54 @@ func TestCheckCatchesPerturbation(t *testing.T) {
 	}
 }
 
+// TestClassify labels -check's lines for a failing gate, made by Diff
+// from the committed pingpong baseline: a move of events and event_fp
+// alone leaves the model untouched; any other moved leaf, model_fp
+// first, or a failing verdict, a layout or a decode line, moves it.
+func TestClassify(t *testing.T) {
+	base := readBaselines(t)[ArtifactFile("pingpong")]
+	moved := func(edits ...func(a *Artifact)) []string {
+		var a Artifact
+		if err := json.Unmarshal(base, &a); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range edits {
+			e(&a)
+		}
+		fresh, err := a.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Diff(fresh, base)
+	}
+	events := func(a *Artifact) { a.Events++ }
+	eventFP := func(a *Artifact) { a.EventFP = "0123456789abcdef" }
+	for _, lines := range [][]string{moved(events), moved(eventFP), moved(events, eventFP)} {
+		if got := Classify(lines); got != modelUntouched {
+			t.Errorf("Classify(%q) = %q, want %q", lines, got, modelUntouched)
+		}
+	}
+	for name, other := range map[string]func(a *Artifact){
+		"model_fp": func(a *Artifact) { a.ModelFP = "0123456789abcdef" },
+		"metric":   func(a *Artifact) { a.Metrics["half_rtt_us"]++ },
+		"counter":  func(a *Artifact) { a.Counters["nic/retransmits"]++ },
+		"latency":  func(a *Artifact) { a.Latency.P99Us++ },
+		"summary":  func(a *Artifact) { a.Summary += " " },
+		"verdict":  func(a *Artifact) { a.Verdicts["fresh"] = Fail },
+	} {
+		for _, lines := range [][]string{moved(other), moved(events, eventFP, other)} {
+			if got := Classify(lines); got != modelMoved {
+				t.Errorf("%s: Classify(%q) = %q, want %q", name, lines, got, modelMoved)
+			}
+		}
+	}
+	for _, line := range []string{"verdict no_loss: fail", "layout: every value is equal but the bytes differ (whitespace, key order or trailing data)", "baseline: cannot decode: EOF"} {
+		if got := Classify(append(moved(events), line)); got != modelMoved {
+			t.Errorf("Classify(events, %q) = %q, want %q", line, got, modelMoved)
+		}
+	}
+}
+
 // FuzzDiff holds the gate's one comparison to its contract on arbitrary
 // bytes: Diff never panics, returns nil exactly when the two slices are
 // equal, and names at least one line otherwise. Seeded with two real

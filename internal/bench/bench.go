@@ -62,11 +62,15 @@ type Report struct {
 
 	// Events and EventFP are the events executed and their fingerprint
 	// (sim.Env.Fingerprint) over every cluster the experiment built:
-	// summed, and folded in build order. The artifact carries both;
-	// TestEventOrder holds every experiment's to a golden at seeds 1, 7
-	// and 42.
+	// summed, and folded in build order. ModelFP folds, in the same
+	// order, what those clusters' models did
+	// (cluster.ModelFingerprint): the packets, the completions and the
+	// final registry snapshot, whatever order the scheduler ran the
+	// events in. The artifact carries all three; TestEventOrder holds
+	// every experiment's to a golden at seeds 1, 7 and 42.
 	Events  uint64
 	EventFP uint64
+	ModelFP uint64
 }
 
 func (r *Report) String() string {
@@ -292,12 +296,13 @@ func newCluster(cfg cluster.Config) *cluster.Cluster {
 // the experiment did not attach a snapshot itself), derives the
 // one-line summary and records which events the clusters executed.
 func capture(r *Report) {
-	fp := newDigest()
+	fp, model := newDigest(), sim.FPBasis
 	for _, c := range built {
 		r.Events += c.Env.Steps()
 		fp.mix(c.Env.Fingerprint())
+		model = sim.Mix(model, c.ModelFingerprint())
 	}
-	r.EventFP = uint64(fp)
+	r.EventFP, r.ModelFP = uint64(fp), model
 	if r.Snap == nil {
 		snaps := make([]*obs.Snapshot, 0, len(built))
 		for _, c := range built {

@@ -9,11 +9,11 @@ import (
 
 // eventOrder renders one line per experiment run: every experiment at
 // seed 1, then each seeded one at seeds 7 and 42, with the events its
-// clusters executed and their fingerprint.
+// clusters executed, their fingerprint and the model fingerprint.
 func eventOrder() string {
 	var b strings.Builder
 	line := func(r *Report, seed uint64) {
-		fmt.Fprintf(&b, "%s seed=%d events=%d fp=%016x\n", r.ID, seed, r.Events, r.EventFP)
+		fmt.Fprintf(&b, "%s seed=%d events=%d fp=%016x model=%016x\n", r.ID, seed, r.Events, r.EventFP, r.ModelFP)
 	}
 	for _, id := range IDs() {
 		line(seed1()[id], 1)
@@ -28,14 +28,16 @@ func eventOrder() string {
 	return b.String()
 }
 
-// TestEventOrder is the event-order oracle: which events every
-// experiment executes, and in which order, must match
-// testdata/event_order.golden line for line. The fingerprint folds the
-// (time, sequence) key of every event executed. The twelve baselines
-// carry the same events and event_fp for the gated experiments at seed
-// 1; this golden adds the ungated ones and seeds 7 and 42. A change
-// that moves events on purpose regenerates the file from the fresh
-// lines this test prints, and says which lines moved and why.
+// TestEventOrder holds both oracles: which events every experiment
+// executes, and in which order, and what its model did must match
+// testdata/event_order.golden line for line. fp folds the (time,
+// sequence) key of every event executed; model= is Report.ModelFP. The
+// twelve baselines carry the same events, event_fp and model_fp for
+// the gated experiments at seed 1; this golden adds the ungated ones
+// and seeds 7 and 42. A change that moves events on purpose
+// regenerates the file from the fresh lines this test prints, and says
+// which lines moved and why; one that claims the model untouched moves
+// no model= field.
 func TestEventOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")

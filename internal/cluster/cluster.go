@@ -4,6 +4,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"bcl/internal/fabric"
@@ -166,6 +167,31 @@ func (c *Cluster) Install(s fabric.Schedule) {
 	for _, cr := range s.Crashes {
 		c.Nodes[cr.Node].NIC.CrashAt(cr.At)
 	}
+}
+
+// ModelFingerprint folds what the model did: node by node, the NIC's
+// completion log and then the fabric's packet log, and last the final
+// registry snapshot's JSON, eight bytes to a word. Per-node logs keep
+// the order of same-instant events on different nodes, which only the
+// scheduler decides, out of it, so a change that reorders or merges
+// events without changing a packet, a completion or a counter leaves
+// it alone; Env.Fingerprint is the oracle that notices such a change.
+func (c *Cluster) ModelFingerprint() uint64 {
+	h := sim.FPBasis
+	for i, n := range c.Nodes {
+		h = sim.Mix(sim.Mix(h, n.NIC.ModelFP()), c.Fabric.ModelFP(i))
+	}
+	js, err := c.Obs.Snapshot(c.Env.Now()).JSON()
+	if err != nil {
+		panic(err) // a snapshot holds only numbers and strings
+	}
+	h = sim.Mix(h, uint64(len(js)))
+	for ; len(js) >= 8; js = js[8:] {
+		h = sim.Mix(h, binary.LittleEndian.Uint64(js))
+	}
+	var tail [8]byte
+	copy(tail[:], js)
+	return sim.Mix(h, binary.LittleEndian.Uint64(tail[:]))
 }
 
 // Size returns the node count.

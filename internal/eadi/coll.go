@@ -56,17 +56,8 @@ func NewCollContext(p *sim.Proc, d *Device, id, root, radix int) (*CollContext, 
 	return cc, nil
 }
 
-// Close tears the context down on the local NIC.
-func (cc *CollContext) Close(p *sim.Proc) error {
-	delete(cc.dev.colls, cc.bctx.ID)
-	return cc.dev.port.CloseColl(p, cc.bctx.ID)
-}
-
 // Root returns the member index the context's tree is rooted at.
 func (cc *CollContext) Root() int { return cc.bctx.Plan.Root }
-
-// Size returns the number of members.
-func (cc *CollContext) Size() int { return cc.bctx.Plan.N }
 
 // MaxPayload is the largest payload one offloaded collective carries.
 func (cc *CollContext) MaxPayload() int { return cc.bctx.SlotSize }

@@ -315,6 +315,32 @@ type Endpoint struct {
 	net      *Network
 	pool     *Pool
 	injectFn func(pkt *Packet, k func(a, b uint64), a, b uint64) bool
+
+	// model is this node's packet log on this network (Fabric.ModelFP):
+	// every packet injected here and delivered here, in order, folded by
+	// logPacket. A composite endpoint's rails keep it instead.
+	model uint64
+}
+
+// What a packet record says happened: the fault verdict at injection,
+// or a delivery (of the packet, or of a duplicate's second copy).
+const (
+	logDelivered = uint64(Corrupt) + 1 + iota
+	logDuplicateCopy
+)
+
+// logPacket folds one packet record into the endpoint's model log:
+// time, source, destination, kind, what happened, fragment, sequence,
+// ACK sequence, message id, epoch, payload length and CRC. The rail is
+// the log's: each network keeps its own. Six words, each one sim.Mix
+// (an xor, a multiply and a rotate), nothing allocated.
+func (ep *Endpoint) logPacket(t sim.Time, pkt *Packet, what uint64) {
+	h := sim.Mix(ep.model, uint64(t))
+	h = sim.Mix(h, uint64(uint16(pkt.Src))|uint64(uint16(pkt.Dst))<<16|uint64(pkt.Kind)<<32|what<<40|uint64(uint16(pkt.FragIdx))<<48)
+	h = sim.Mix(h, pkt.Seq^pkt.AckSeq<<32)
+	h = sim.Mix(h, pkt.MsgID)
+	h = sim.Mix(h, uint64(pkt.Epoch)|uint64(len(pkt.Payload))<<32)
+	ep.model = sim.Mix(h, uint64(pkt.CRC))
 }
 
 // NewInjectedEndpoint builds an endpoint whose injection path is
@@ -371,6 +397,11 @@ type Fabric interface {
 	// Collect publishes the fabric's packet counters into a metrics
 	// snapshot (obs.Collector shape).
 	Collect(set obs.Set)
+	// ModelFP returns the fold of every packet the node injected (with
+	// its fault verdict) and every packet delivered to it, in the order
+	// the model produced them: one model log per rail, folded in rail
+	// order.
+	ModelFP(node int) uint64
 }
 
 // link is one directed physical channel.
@@ -510,6 +541,9 @@ func (n *Network) Install(s Schedule) {
 	n.windows = append(n.windows, windows[0]...)
 }
 
+// ModelFP implements Fabric.
+func (n *Network) ModelFP(node int) uint64 { return n.endpoints[node].model }
+
 // SetTracer implements Fabric: wire-time spans land on the
 // "wire:<name>" row.
 func (n *Network) SetTracer(tr *trace.Tracer) { n.tr = tr }
@@ -624,16 +658,18 @@ func own(pkt *Packet) {
 // deliver posts pkt, and for a duplicated packet a second descriptor
 // sharing its payload, to the destination's RX queue.
 func (n *Network) deliver(pkt *Packet, dup bool) {
-	rx := n.endpoints[pkt.Dst].RX
+	ep, now := n.endpoints[pkt.Dst], n.env.Now()
 	n.delivered++
-	rx.Post(pkt)
+	ep.logPacket(now, pkt, logDelivered)
+	ep.RX.Post(pkt)
 	if dup {
 		pl := pkt.pool
 		if pl == nil {
 			pl = n.pool
 		}
 		n.delivered++
-		rx.Post(pl.Clone(pkt))
+		ep.logPacket(now, pkt, logDuplicateCopy)
+		ep.RX.Post(pl.Clone(pkt))
 	}
 }
 
@@ -643,17 +679,20 @@ func (n *Network) deliver(pkt *Packet, dup bool) {
 func (n *Network) inject(src int, pkt *Packet, k func(a, b uint64), a, b uint64) bool {
 	pkt.Sent = n.env.Now()
 	f := flight{pkt: pkt, t0: pkt.Sent, slow: 1, k: k, ka: a, kb: b}
+	v := Deliver
 	if n.fault != nil {
 		own(pkt)
-		switch n.fault(n.env, pkt) {
-		case Drop:
-			n.dropped++
-			f.how, f.route = wireFaultDrop, n.Route(src, pkt.Dst)
-			return n.serialize(f)
-		case Duplicate:
-			f.dup = true
-			n.duplicated++
-		}
+		v = n.fault(n.env, pkt)
+	}
+	n.endpoints[src].logPacket(pkt.Sent, pkt, uint64(v))
+	switch v {
+	case Drop:
+		n.dropped++
+		f.how, f.route = wireFaultDrop, n.Route(src, pkt.Dst)
+		return n.serialize(f)
+	case Duplicate:
+		f.dup = true
+		n.duplicated++
 	}
 	if f.route = n.Route(src, pkt.Dst); f.route == nil {
 		panic(fmt.Sprintf("fabric %s: no route %d->%d", n.name, src, pkt.Dst))
@@ -747,9 +786,12 @@ type flight struct {
 //	                           and the next hop at +link latency
 //	hop    ...                 with no link left: outage check, deliver
 //
-// No event is merged or dropped, the start event included although it
-// only books the next: event count and sequence numbers are the model
-// clock's contract (Env.Steps, and through it every baseline).
+// No event is merged or dropped: the start event, which only books the
+// next, is kept for event_fp alone (Env.Fingerprint, and through it
+// every baseline's events and event_fp). What the model did, the
+// packets and completions model_fp folds, does not depend on it, so a
+// change that merges it away is judged by model_fp, with events and
+// event_fp regenerated (ROADMAP item 20).
 func (n *Network) start(id, _ uint64) {
 	f := &n.flights[id]
 	n.env.AtArg(n.env.Now()+n.links[f.route[0]].lat*f.slow, n.hopFn, id, 1)

@@ -195,6 +195,11 @@ func (f *Fabric) SetObs(o *obs.Obs) {
 	}
 }
 
+// ModelFP implements fabric.Fabric: rail 0's packet log, then rail 1's.
+func (f *Fabric) ModelFP(node int) uint64 {
+	return sim.Mix(sim.Mix(sim.FPBasis, f.rails[0].ModelFP(node)), f.rails[1].ModelFP(node))
+}
+
 // NodeDown implements fabric.Fabric: a node is down for the composite
 // only when BOTH rails have lost it (otherwise failover still routes).
 func (f *Fabric) NodeDown(node int) bool {

@@ -38,9 +38,6 @@ const (
 	Int64
 )
 
-// Size returns the element size in bytes.
-func (d DT) Size() int { return 8 }
-
 // Combine folds src into dst element-wise: dst[i] = dst[i] (op)
 // src[i], little-endian, over min(len(dst), len(src)) bytes rounded
 // down to whole elements. The arithmetic is real — the firmware

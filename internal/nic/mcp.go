@@ -789,6 +789,13 @@ func (n *NIC) addDelivery() {
 	n.idleDvs = append(n.idleDvs, dv)
 }
 
+// ModelFP returns the fold of every completion event the NIC handed to
+// its host, sender's and receiver's alike, in the order they landed:
+// time, node, port, source node and port, type, channel, length, tag
+// and message id. The message id tells apart two completions that
+// differ in nothing else, so a swapped pair moves the log.
+func (n *NIC) ModelFP() uint64 { return n.model }
+
 // deliverEvent charges the completion-path costs and hands the event to
 // the host: DMA into the user event queue q, or an interrupt. Then
 // k(a, b) runs, as the last act of the event that finished it.
@@ -808,7 +815,14 @@ func (dv *delivery) step(stage, _ uint64) {
 		dv.use(n.Bus, n.prof.EventBusTime, dvDone)
 		return
 	}
-	n.Tracer.AddFlow("nic: completion event DMA", n.where(), dv.ev.Trace, dv.start, n.env.Now())
+	now, ev := n.env.Now(), &dv.ev
+	n.Tracer.AddFlow("nic: completion event DMA", n.where(), ev.Trace, dv.start, now)
+	h := sim.Mix(n.model, uint64(now))
+	h = sim.Mix(h, uint64(uint16(n.node))|uint64(uint16(ev.Port))<<16|uint64(uint16(ev.SrcNode))<<32|uint64(uint16(ev.SrcPort))<<48)
+	h = sim.Mix(h, uint64(ev.Type)|uint64(uint32(ev.Channel))<<32)
+	h = sim.Mix(h, uint64(ev.Len))
+	h = sim.Mix(h, ev.Tag)
+	n.model = sim.Mix(h, ev.MsgID)
 	if n.cfg.Completion == Interrupt {
 		n.stats.Interrupts++
 		if n.InterruptHandler != nil {

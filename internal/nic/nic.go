@@ -413,6 +413,10 @@ type NIC struct {
 	rxm     rxMCP
 	idleDvs []*delivery
 
+	// model is the node's completion log (ModelFP): every completion
+	// event that reached the host, in order, folded by delivery.step.
+	model uint64
+
 	// Scratch the firmware reuses from one packet to the next: the fetch
 	// engine's translation, the retransmit engine's current round, and
 	// the assembly records of messages the receive MCP completed.

@@ -31,8 +31,6 @@ const (
 	SrcRate SourceKind = iota
 	// SrcDelta is the raw counter-sum increase across the window.
 	SrcDelta
-	// SrcTotal is the cumulative counter sum at the current sample.
-	SrcTotal
 	// SrcGauge is the instantaneous gauge sum at the current sample.
 	SrcGauge
 	// SrcQuantile is a quantile (in nanoseconds) of the histogram
@@ -61,9 +59,6 @@ func Rate(layer, name string) Source { return Source{Kind: SrcRate, Layer: layer
 // Delta derives the windowed increase of a counter summed across nodes.
 func Delta(layer, name string) Source { return Source{Kind: SrcDelta, Layer: layer, Name: name} }
 
-// Total derives the cumulative counter sum.
-func Total(layer, name string) Source { return Source{Kind: SrcTotal, Layer: layer, Name: name} }
-
 // GaugeOf derives the instantaneous gauge sum across nodes.
 func GaugeOf(layer, name string) Source { return Source{Kind: SrcGauge, Layer: layer, Name: name} }
 
@@ -85,8 +80,6 @@ func (s Source) String() string {
 		return "rate(" + m + ")/s"
 	case SrcDelta:
 		return "delta(" + m + ")"
-	case SrcTotal:
-		return "total(" + m + ")"
 	case SrcGauge:
 		return "gauge(" + m + ")"
 	case SrcQuantile:
@@ -109,8 +102,6 @@ func (s Source) Eval(prev, cur obs.Sample) float64 {
 		return float64(s.counterSum(cur.Snap)-s.counterSum(prev.Snap)) / dt
 	case SrcDelta:
 		return float64(s.counterSum(cur.Snap) - s.counterSum(prev.Snap))
-	case SrcTotal:
-		return float64(s.counterSum(cur.Snap))
 	case SrcGauge:
 		return float64(s.gaugeSum(cur.Snap))
 	case SrcQuantile:

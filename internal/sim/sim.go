@@ -79,6 +79,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 )
@@ -208,6 +209,19 @@ func (e *Env) step(t Time, seq uint64) {
 	e.steps++
 	e.fp = ((e.fp^uint64(t))*fpPrime ^ seq) * fpPrime
 }
+
+// FPBasis is the value a fingerprint folded with Mix starts from.
+const FPBasis uint64 = fpBasis
+
+// Mix folds one word into a fingerprint: an xor and a multiply by the
+// 64-bit FNV prime, as the event fingerprint does, then a rotation, so
+// that a change in a word's high bits reaches the low bits of the
+// result too (a product's high bits never reach its low ones). Each
+// step is a bijection in h and in w: one changed word always changes
+// the result, and two words swapped change it but for a collision.
+// The model logs (fabric.Endpoint, nic.NIC) and everything folding
+// them fold with it.
+func Mix(h, w uint64) uint64 { return bits.RotateLeft64((h^w)*fpPrime, 29) }
 
 // Switches reports how many coroutine switches (into a carrier or back
 // out of one) the environment has made so far. It is at most twice the

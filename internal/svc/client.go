@@ -84,7 +84,6 @@ type DriverConfig struct {
 	Start    sim.Time // first arrival
 	Duration sim.Time // arrival window length
 	RTO      sim.Time
-	Tick     sim.Time
 	Trace    bool // tag requests with causal flow ids
 	// HotFrac redirects this fraction of get/put arrivals onto the
 	// first key — a deterministic hot-key skew for heavy-hitter and
@@ -182,9 +181,6 @@ type keyState struct {
 func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driver {
 	if cfg.RTO == 0 {
 		cfg.RTO = 400 * sim.Microsecond
-	}
-	if cfg.Tick == 0 {
-		cfg.Tick = 100 * sim.Microsecond
 	}
 	if cfg.Users < 1 {
 		cfg.Users = 1
@@ -301,7 +297,7 @@ func (d *Driver) Run(p *sim.Proc) {
 	for {
 		now := p.Now()
 		d.generate(p, now)
-		wake := d.nextDue(now + d.cfg.Tick)
+		wake := d.nextDue(now + tick)
 		dur := wake - now
 		if dur < sim.Microsecond {
 			dur = sim.Microsecond

@@ -84,7 +84,6 @@ type ServerConfig struct {
 	AuthSeed uint64   // shared credential seed (see userSecret)
 	Seed     uint64   // challenge RNG seed
 	RTO      sim.Time // initial service-level retransmit timeout
-	Tick     sim.Time // max event-loop sleep
 	// ReqObs mirrors every flow-stage marker into the request-level
 	// observability recorder (the client side opens the records).
 	ReqObs *reqtrace.Recorder
@@ -99,6 +98,10 @@ type helloKey struct {
 	client bcl.Addr
 	nonce  uint64
 }
+
+// tick is the longest a shard's or a driver's event loop sleeps with
+// nothing due.
+const tick = 100 * sim.Microsecond
 
 // Session auth states.
 const (
@@ -191,9 +194,6 @@ func NewServer(p *sim.Proc, port *bcl.Port, bufSize int, cfg ServerConfig) *Serv
 	if cfg.RTO == 0 {
 		cfg.RTO = 300 * sim.Microsecond
 	}
-	if cfg.Tick == 0 {
-		cfg.Tick = 100 * sim.Microsecond
-	}
 	nm := make(names)
 	s := &Server{
 		cfg:        cfg,
@@ -266,7 +266,7 @@ func (s *Server) rand() uint64 {
 func (s *Server) Run(p *sim.Proc) {
 	for {
 		now := p.Now()
-		wake := s.nextDue(now + s.cfg.Tick)
+		wake := s.nextDue(now + tick)
 		d := wake - now
 		if d < sim.Microsecond {
 			d = sim.Microsecond

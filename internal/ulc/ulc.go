@@ -127,9 +127,6 @@ func (pt *Port) Addr() Addr { return pt.addr }
 // process, so exposing it is faithful, not a layering leak.
 func (pt *Port) NicPort() *nic.Port { return pt.nicPort }
 
-// Node returns the hosting node.
-func (pt *Port) Node() *node.Node { return pt.node }
-
 // Process returns the owning process.
 func (pt *Port) Process() *oskernel.Process { return pt.proc }
 

@@ -141,18 +141,3 @@ func (g *BoundedPareto) Next() int {
 	x := math.Pow(g.loA-u*(g.loA-g.hiA), -1/g.alpha)
 	return int(x)
 }
-
-// FixedGap is a degenerate arrival process with a constant
-// inter-arrival time — the closed-form baseline the stochastic
-// generators are compared against, and the right tool when an
-// experiment wants an exact op count.
-type FixedGap sim.Time
-
-// Next returns the constant gap.
-func (g FixedGap) Next() sim.Time { return sim.Time(g) }
-
-// FixedSize is a degenerate size generator returning a constant.
-type FixedSize int
-
-// Next returns the constant size.
-func (s FixedSize) Next() int { return int(s) }
