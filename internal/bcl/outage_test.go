@@ -137,11 +137,25 @@ func TestLinkDownMidStream(t *testing.T) {
 }
 
 // TestHeteroRailFailover kills the Myrinet rail and proves BCL traffic
-// completes over the mesh rail (RailCounts shift), then returns to
-// Myrinet after recovery.
+// completes over the mesh rail (the per-rail packet counters shift),
+// then returns to Myrinet after recovery.
 func TestHeteroRailFailover(t *testing.T) {
 	tb := newTestbed(t, cluster.Hetero, 8, []int{0, 2})
 	hf := tb.c.Fabric.(*hetero.Fabric)
+	counters := func() (myrinet, mesh, failovers uint64) {
+		hf.Collect(func(_ int, layer, name string, v uint64) {
+			switch {
+			case layer != "fabric:hetero":
+			case name == "myrinet_pkts":
+				myrinet = v
+			case name == "mesh_pkts":
+				mesh = v
+			case name == "failovers":
+				failovers = v
+			}
+		})
+		return
+	}
 	a, b := tb.ports[0], tb.ports[1] // both in the Myrinet half
 	const size = 4096
 	payload := make([]byte, size)
@@ -178,21 +192,20 @@ func TestHeteroRailFailover(t *testing.T) {
 		if !send() {
 			t.Error("baseline send failed")
 		}
-		myrBefore, meshBefore = hf.RailCounts()
+		myrBefore, meshBefore, _ = counters()
 		// Kill the Myrinet rail; traffic must complete over the mesh.
 		outageEnd := p.Now() + 20*sim.Millisecond
 		tb.c.Install(fabric.Schedule{Windows: []fabric.Window{{Node: fabric.AllNodes, Rail: fabric.OnRail(0), From: p.Now(), To: outageEnd}}})
 		if !send() {
 			t.Error("send during rail outage failed despite surviving rail")
 		}
-		myrDuring, meshDuring = hf.RailCounts()
-		failDuring = hf.Failovers()
+		myrDuring, meshDuring, failDuring = counters()
 		// After recovery the policy rail carries traffic again.
 		p.SleepUntil(outageEnd + sim.Millisecond)
 		if !send() {
 			t.Error("post-recovery send failed")
 		}
-		myrAfter, meshAfter = hf.RailCounts()
+		myrAfter, meshAfter, _ = counters()
 		done = true
 	})
 	tb.run(t, sim.Second)

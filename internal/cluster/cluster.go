@@ -47,11 +47,6 @@ type Config struct {
 	// rebooted and reprogrammed from the kernel's journal.
 	Watchdog bool
 
-	// RecorderCap sizes the flight recorder (events retained); <= 0
-	// keeps the 256 default so committed baselines survive. Evictions
-	// are visible as the obs/rec_dropped counter either way.
-	RecorderCap int
-
 	// Health attaches the cluster health engine (health.DefaultRules)
 	// to the sampler: start one with Obs.StartSampler and alerts,
 	// timelines and postmortem bundles appear on Cluster.Health.
@@ -103,7 +98,7 @@ func New(cfg Config) *Cluster {
 	default:
 		panic(fmt.Sprintf("cluster: unknown fabric %q", cfg.Fabric))
 	}
-	o := obs.NewSized(cfg.RecorderCap)
+	o := obs.New()
 	c := &Cluster{Env: env, Prof: cfg.Profile, Fabric: fab, Obs: o}
 	o.RegisterCollector(fab.Collect)
 	if so, ok := fab.(interface{ SetObs(*obs.Obs) }); ok {

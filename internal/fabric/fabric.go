@@ -625,16 +625,6 @@ func (n *Network) slowFactor(src, dst int) int64 {
 	return f
 }
 
-// Stats returns delivered and dropped packet counts.
-func (n *Network) Stats() (delivered, dropped uint64) { return n.delivered, n.dropped }
-
-// OutageDrops returns how many packets were lost to outage windows
-// (a subset of the dropped count).
-func (n *Network) OutageDrops() uint64 { return n.outageDrops }
-
-// Duplicated returns how many packets the fault hook duplicated.
-func (n *Network) Duplicated() uint64 { return n.duplicated }
-
 // own gives pkt a payload nobody else references, so a fault hook may
 // corrupt it: a pooled buffer someone else also holds (the sender's
 // retransmit queue) is copied into a fresh one, and a GC-owned payload,

@@ -10,6 +10,16 @@ import (
 	"bcl/internal/sim"
 )
 
+// counter reads one of net's counters as a snapshot does, through Collect.
+func counter(net *Network, name string) (v uint64) {
+	net.Collect(func(_ int, _, n string, x uint64) {
+		if n == name {
+			v = x
+		}
+	})
+	return v
+}
+
 // twoNode builds the smallest useful network: two nodes joined by one
 // switchless pair of directed links.
 func twoNode(env *sim.Env, bw hw.Bps, lat sim.Time) *Network {
@@ -186,7 +196,7 @@ func TestFaultDrop(t *testing.T) {
 	if received != 5 {
 		t.Fatalf("received %d packets, want 5 (every 2nd dropped)", received)
 	}
-	delivered, dropped := net.Stats()
+	delivered, dropped := counter(net, "delivered"), counter(net, "dropped")
 	if delivered != 5 || dropped != 5 {
 		t.Fatalf("stats = %d/%d, want 5/5", delivered, dropped)
 	}
@@ -237,8 +247,7 @@ func TestRandomLossDeterministic(t *testing.T) {
 			}
 		})
 		env.Run()
-		_, dropped := net.Stats()
-		return dropped
+		return counter(net, "dropped")
 	}
 	a, b := run(), run()
 	if a != b {
@@ -274,8 +283,8 @@ func TestFaultDuplicate(t *testing.T) {
 	if received != 12 {
 		t.Fatalf("received %d packets, want 12 (every 3rd duplicated)", received)
 	}
-	if net.Duplicated() != 3 {
-		t.Fatalf("duplicated = %d, want 3", net.Duplicated())
+	if d := counter(net, "duplicated"); d != 3 {
+		t.Fatalf("duplicated = %d, want 3", d)
 	}
 }
 
@@ -319,8 +328,8 @@ func TestOutageWindow(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("delivered payloads %v, want [1 3]", got)
 	}
-	if net.OutageDrops() != 1 {
-		t.Fatalf("outage drops = %d, want 1", net.OutageDrops())
+	if d := counter(net, "outage_drops"); d != 1 {
+		t.Fatalf("outage drops = %d, want 1", d)
 	}
 }
 
@@ -348,8 +357,8 @@ func TestAllDownDropsEverything(t *testing.T) {
 	if received != 0 {
 		t.Fatalf("%d packets survived a whole-fabric outage", received)
 	}
-	if net.OutageDrops() != 4 {
-		t.Fatalf("outage drops = %d, want 4", net.OutageDrops())
+	if d := counter(net, "outage_drops"); d != 4 {
+		t.Fatalf("outage drops = %d, want 4", d)
 	}
 }
 

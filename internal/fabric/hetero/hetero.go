@@ -206,15 +206,6 @@ func (f *Fabric) NodeDown(node int) bool {
 	return f.rails[0].NodeDown(node) && f.rails[1].NodeDown(node)
 }
 
-// RailCounts reports how many packets each rail carried.
-func (f *Fabric) RailCounts() (myrinetPkts, meshPkts uint64) {
-	return f.perRail[0], f.perRail[1]
-}
-
-// Failovers reports how many packets were rerouted off their policy
-// rail because of an outage.
-func (f *Fabric) Failovers() uint64 { return f.failovers }
-
 // PreferAlternate implements the NIC's gray-failure steering hook
 // (nic.RailSteer): while prefer is set for (src, dst), packets between
 // the pair ride the non-policy rail. The NIC's per-peer RTT estimator

@@ -39,10 +39,21 @@ func TestRailSelection(t *testing.T) {
 	if lowGot != 1 || highGot != 2-1 || crossGot+highGot != 2 {
 		t.Fatalf("deliveries: low=%d high=%d cross=%d", lowGot, highGot, crossGot)
 	}
-	myr, msh := f.RailCounts()
+	myr, msh := counter(f, "myrinet_pkts"), counter(f, "mesh_pkts")
 	if myr != 2 || msh != 1 {
 		t.Fatalf("rail counts = %d/%d, want 2 myrinet + 1 mesh", myr, msh)
 	}
+}
+
+// counter reads one of the composite's routing counters as a snapshot
+// does, through Collect.
+func counter(f *Fabric, name string) (v uint64) {
+	f.Collect(func(_ int, layer, n string, x uint64) {
+		if layer == "fabric:hetero" && n == name {
+			v = x
+		}
+	})
+	return v
 }
 
 func TestHeteroName(t *testing.T) {
@@ -84,12 +95,12 @@ func TestFailoverToSurvivingRail(t *testing.T) {
 	if delivered != 2 {
 		t.Fatalf("delivered %d packets, want 2", delivered)
 	}
-	myr, msh := f.RailCounts()
+	myr, msh := counter(f, "myrinet_pkts"), counter(f, "mesh_pkts")
 	if myr != 1 || msh != 1 {
 		t.Fatalf("rail counts = %d/%d, want 1 myrinet + 1 mesh", myr, msh)
 	}
-	if f.Failovers() != 1 {
-		t.Fatalf("failovers = %d, want 1", f.Failovers())
+	if n := counter(f, "failovers"); n != 1 {
+		t.Fatalf("failovers = %d, want 1", n)
 	}
 }
 

@@ -48,15 +48,11 @@ type Sample struct {
 }
 
 // New returns an empty observability bundle with a 256-event flight
-// recorder.
-func New() *Obs { return NewSized(0) }
-
-// NewSized returns an observability bundle whose flight recorder keeps
-// recCap events (<= 0 keeps the 256 default). The recorder's eviction
-// count is published as the cluster-wide obs/rec_dropped counter so a
-// truncated post-mortem dump is visible as such.
-func NewSized(recCap int) *Obs {
-	o := &Obs{Reg: NewRegistry(), Rec: NewRecorder(recCap)}
+// recorder. The recorder's eviction count is published as the
+// cluster-wide obs/rec_dropped counter so a truncated post-mortem dump
+// is visible as such.
+func New() *Obs {
+	o := &Obs{Reg: NewRegistry(), Rec: NewRecorder(0)}
 	o.Reg.RegisterCollector(func(set Set) {
 		set(-1, "obs", "rec_events", o.Rec.Total())
 		set(-1, "obs", "rec_dropped", o.Rec.Dropped())

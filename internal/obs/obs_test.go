@@ -386,7 +386,8 @@ func TestOnSampleHookSeesEveryTick(t *testing.T) {
 }
 
 func TestRecorderDroppedCounter(t *testing.T) {
-	o := NewSized(4)
+	o := New()
+	o.Rec = NewRecorder(4) // the collector reads o.Rec when it collects
 	for i := 0; i < 10; i++ {
 		o.Event(sim.Time(i), i, "nic", "ev", 0, "")
 	}
