@@ -21,15 +21,17 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Native fuzzing: each of the seventeen fuzz targets searches for 5 s,
-# about 160 s in all (`go test` runs only their seed corpora). A failing
-# input is saved under the package's testdata/fuzz and replays with
-# `go test`. CI runs the same.
+# Native fuzzing: every fuzz target in the module searches for 5 s
+# (`go test` runs only their seed corpora). The targets are found in
+# the test sources (`go test -list '^Fuzz'`), so a new one is searched
+# without being listed here. A failing input is saved under the
+# package's testdata/fuzz and replays with `go test`. CI runs the same.
 fuzz:
-	@for t in sim:FuzzEventQueue sim:FuzzQueue sim:FuzzRing sim:FuzzFreeList mem:FuzzAddrSpaceCopy \
-		mem:FuzzPinTable oskernel:FuzzShadow nic/gbn:FuzzDoneRing nic/gbn:FuzzGoBackN trace:FuzzCappedTracer \
-		obs:FuzzSnapshot obs:FuzzHistBuckets obs/health:FuzzDecodeBundle bench:FuzzDiff svc:FuzzReader svc/txn:FuzzTwoPC fabric:FuzzScheduleMatchesInjectors; do \
-		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \
+	@targets=$$($(GO) test -list '^Fuzz' ./... | awk '$$1 ~ /^Fuzz/ {n[++k] = $$1} \
+		$$1 == "ok" {for (i = 1; i <= k; i++) print $$2, n[i]; k = 0} $$1 == "FAIL" {bad = 1} END {exit bad}') || exit 1; \
+	test -n "$$targets" || { echo "make fuzz: no fuzz targets found"; exit 1; }; \
+	echo "$$targets" | while read pkg target; do \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s $$pkg || exit 1; \
 	done
 
 # Every benchmark in the repository, once each: the paper reports in the

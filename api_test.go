@@ -9,6 +9,9 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"bcl/internal/hw"
+	"bcl/internal/trace"
 )
 
 func TestMachinePingPublicAPI(t *testing.T) {
@@ -249,9 +252,8 @@ func TestStartPVMRoundTrip(t *testing.T) {
 
 func TestTracerViaPublicAPI(t *testing.T) {
 	m := NewMachine(MachineConfig{Nodes: 2})
-	tr := NewTracer()
-	m.TraceNIC(0, tr)
-	m.TraceNIC(1, tr)
+	tr := trace.New()
+	m.TraceAll(tr)
 	m.Start(2, []int{0, 1}, func(ctx *Ctx) {
 		ctx.Port.SetTracer(tr)
 		buf := ctx.Alloc(16)
@@ -295,25 +297,8 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestRunForAdvancesPartially(t *testing.T) {
-	m := NewMachine(MachineConfig{Nodes: 2})
-	done := false
-	m.Start(1, []int{0}, func(ctx *Ctx) {
-		ctx.P.Sleep(5 * Millisecond)
-		done = true
-	})
-	m.RunFor(1 * Millisecond)
-	if done {
-		t.Fatal("RunFor overshot")
-	}
-	m.Run()
-	if !done {
-		t.Fatal("Run did not finish the work")
-	}
-}
-
 func TestProfileVariants(t *testing.T) {
-	prof := DAWNING3000()
+	prof := hw.DAWNING3000()
 	prof.LinkBandwidth *= 2
 	m := NewMachine(MachineConfig{Nodes: 2, Profile: prof})
 	if m.Node(0).Prof.LinkBandwidth != prof.LinkBandwidth {
@@ -393,7 +378,7 @@ func TestStartWithOptionsSmallPool(t *testing.T) {
 			}
 		}
 	})
-	m.RunFor(80 * Millisecond)
+	m.Cluster.Env.RunUntil(m.Now() + 80*Millisecond)
 	if delivered != 2 {
 		t.Fatalf("delivered %d with a 2-buffer pool, want 2", delivered)
 	}

@@ -139,10 +139,6 @@ const (
 	Hetero = cluster.Hetero
 )
 
-// DAWNING3000 returns the calibrated hardware profile of the paper's
-// testbed.
-func DAWNING3000() *Profile { return hw.DAWNING3000() }
-
 // MachineConfig describes the simulated cluster.
 type MachineConfig struct {
 	Nodes   int                // default 2
@@ -179,9 +175,6 @@ func (m *Machine) Now() Time { return m.Cluster.Env.Now() }
 // final virtual time.
 func (m *Machine) Run() Time { return m.Cluster.Env.Run() }
 
-// RunFor advances virtual time by d.
-func (m *Machine) RunFor(d Time) Time { return m.Cluster.Env.RunUntil(m.Cluster.Env.Now() + d) }
-
 // Node returns node i (for stats and advanced use).
 func (m *Machine) Node(i int) *node.Node { return m.Cluster.Nodes[i] }
 
@@ -211,7 +204,7 @@ func (c *Ctx) Read(va VAddr, n int) ([]byte, error) {
 
 // Start launches ranks BCL processes; rank i runs on node
 // placement[i]. Each body runs in its own simulated process with an
-// open port. Call Run (or RunFor) afterwards to execute.
+// open port. Call Run afterwards to execute.
 func (m *Machine) Start(ranks int, placement []int, body func(ctx *Ctx)) {
 	m.StartWithOptions(ranks, placement, PortOptions{SystemBuffers: 64}, body)
 }
@@ -281,13 +274,6 @@ func (m *Machine) StartPVM(tasks int, placement []int, body func(p *Proc, task *
 		}
 	})
 }
-
-// NewTracer returns a stage tracer to attach with Port.SetTracer (and
-// Machine.TraceNIC for firmware stages).
-func NewTracer() *Tracer { return trace.New() }
-
-// TraceNIC attaches a tracer to node i's NIC firmware.
-func (m *Machine) TraceNIC(i int, tr *Tracer) { m.Cluster.Nodes[i].NIC.Tracer = tr }
 
 // TraceAll attaches a tracer to every NIC and the fabric, so traced
 // messages carry flow spans across host, NIC and wire rows (see

@@ -124,8 +124,7 @@ func TestPortStatsCount(t *testing.T) {
 		}
 	})
 	tb.run(t, 10*sim.Millisecond)
-	sent, _, bytesSent, _ := a.Stats()
-	_, recvd, _, bytesRecvd := b.Stats()
+	sent, bytesSent, recvd, bytesRecvd := a.sent, a.bytesSent, b.received, b.bytesReceived
 	if sent != 3 || recvd != 3 || bytesSent != 300 || bytesRecvd != 300 {
 		t.Fatalf("stats = %d/%d %d/%d", sent, recvd, bytesSent, bytesRecvd)
 	}

@@ -268,11 +268,6 @@ func (pt *Port) Close(p *sim.Proc) error {
 	})
 }
 
-// Stats returns message and byte counters.
-func (pt *Port) Stats() (sent, received, bytesSent, bytesReceived uint64) {
-	return pt.sent, pt.received, pt.bytesSent, pt.bytesReceived
-}
-
 // lookup finds a port in the registry.
 func (s *System) lookup(a Addr) (*Port, bool) {
 	pt, ok := s.ports[a]

@@ -85,17 +85,6 @@ func (pt *Port) RegisterColl(p *sim.Proc, id, me int, members []Addr, plan coll.
 	return &CollCtx{ID: id, Me: me, Members: members, Plan: plan, LandingVA: va, SlotSize: slotSize}, nil
 }
 
-// CloseColl tears a collective context this port registered down on
-// the local NIC; another port's context is the kernel's to refuse.
-func (pt *Port) CloseColl(p *sim.Proc, id int) error {
-	if pt.closed {
-		return ErrClosed
-	}
-	return pt.node.Kernel.Trap(p, func() error {
-		return pt.node.Kernel.CloseCollCtx(pt.addr.Port, id)
-	})
-}
-
 // CollMcast injects a tree multicast: ONE trap, after which the NICs
 // replicate the payload down the context's tree from SRAM. seq must
 // increase per origin member. Completion of the local injection is

@@ -60,8 +60,8 @@ func TestSetAsideEventsAreCounted(t *testing.T) {
 	if len(order) != 2 || order[0] != ch || order[1] != SystemChannel {
 		t.Fatalf("events on channels %v, want [%d %d]", order, ch, SystemChannel)
 	}
-	if _, received, _, bytes := rx.Stats(); received != 2 || bytes != 16 {
-		t.Fatalf("Stats() received=%d bytes=%d, want 2/16", received, bytes)
+	if rx.received != 2 || rx.bytesReceived != 16 {
+		t.Fatalf("received=%d bytes=%d, want 2/16", rx.received, rx.bytesReceived)
 	}
 }
 
@@ -107,7 +107,9 @@ func TestPortOwnsOneProcess(t *testing.T) {
 	phases := []func(p *sim.Proc){func(*sim.Proc) {}, open, closePort, open, closePort}
 	c.Env.Go("app", func(p *sim.Proc) {
 		for i, phase := range phases {
-			p.SleepUntil(sim.Time(i) * 10 * sim.Millisecond)
+			if d := sim.Time(i)*10*sim.Millisecond - p.Now(); d > 0 {
+				p.Sleep(d)
+			}
 			phase(p)
 		}
 		p.Sleep(sim.Second)
@@ -356,8 +358,8 @@ func TestWaitRecvTimeout(t *testing.T) {
 		if got, want := p.Now()-t0, prof.CompletionPoll+prof.EventDecode; got != want {
 			t.Errorf("arrival took %d ns, want %d (poll + decode)", got, want)
 		}
-		if _, received, _, bytes := rx.Stats(); received != 1 || bytes != 8 {
-			t.Errorf("after one arrival Stats() received=%d bytes=%d, want 1/8", received, bytes)
+		if rx.received != 1 || rx.bytesReceived != 8 {
+			t.Errorf("after one arrival received=%d bytes=%d, want 1/8", rx.received, rx.bytesReceived)
 		}
 
 		// Tag 2 is set aside by the selective wait for tag 3; tag 4 then
@@ -382,8 +384,8 @@ func TestWaitRecvTimeout(t *testing.T) {
 				t.Errorf("set-aside event cost %d ns, want 0", p.Now()-t0)
 			}
 		}
-		if _, received, _, bytes := rx.Stats(); received != 4 || bytes != 32 {
-			t.Errorf("Stats() received=%d bytes=%d, want 4/32", received, bytes)
+		if rx.received != 4 || rx.bytesReceived != 32 {
+			t.Errorf("received=%d bytes=%d, want 4/32", rx.received, rx.bytesReceived)
 		}
 		done = true
 	})

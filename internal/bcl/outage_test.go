@@ -201,7 +201,7 @@ func TestHeteroRailFailover(t *testing.T) {
 		}
 		myrDuring, meshDuring, failDuring = counters()
 		// After recovery the policy rail carries traffic again.
-		p.SleepUntil(outageEnd + sim.Millisecond)
+		p.Sleep(outageEnd + sim.Millisecond - p.Now())
 		if !send() {
 			t.Error("post-recovery send failed")
 		}

@@ -232,12 +232,8 @@ func TestExitMidRetransmitCleansJournal(t *testing.T) {
 	})
 	tb.run(t, 200*sim.Millisecond)
 
-	ports, recvs, colls, sends := tb.c.Nodes[0].Kernel.Shadow().Pending()
-	if ports != 0 || recvs != 0 || colls != 0 {
-		t.Fatalf("journal still holds ports=%d recvs=%d colls=%d after exit", ports, recvs, colls)
-	}
-	if sends != 0 {
-		t.Fatalf("journal still holds %d sends after close+exit mid-retransmit", sends)
+	if n := journalRecords(tb.c.Nodes[0].Kernel); n != 0 {
+		t.Fatalf("journal still holds %d records (ports, postings, contexts or sends) after close+exit mid-retransmit", n)
 	}
 	// No SRAM is held, the closed port's postings are gone and its
 	// abandoned sends were retired by the failure path.

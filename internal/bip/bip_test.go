@@ -82,7 +82,8 @@ func TestNoErrorCorrection(t *testing.T) {
 		a.Send(p, b.Addr(), ulc.SystemChannel, va, 6, 0)
 	})
 	c.Env.Go("b", func(p *sim.Proc) {
-		if _, ok := b.NicPort().RecvEvQ.RecvTimeout(p, 10*sim.Millisecond); ok {
+		np, _ := c.Nodes[b.Addr().Node].NIC.LookupPort(b.Addr().Port)
+		if _, ok := np.RecvEvQ.RecvTimeout(p, 10*sim.Millisecond); ok {
 			delivered = true
 		}
 	})

@@ -41,7 +41,7 @@ func TestPostRecvNBImmediateEagerMatch(t *testing.T) {
 		}
 		buf := b.Port().Process().Space.Alloc(64)
 		h := b.PostRecvNB(p, 0, 0, 4, buf, 64)
-		if !h.Done() {
+		if !h.pr.done {
 			t.Error("posting against a queued eager message did not complete immediately")
 			return
 		}

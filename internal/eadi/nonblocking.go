@@ -19,9 +19,6 @@ type RecvHandle struct {
 	pr *pendingRecv
 }
 
-// Done reports completion without driving progress.
-func (h *RecvHandle) Done() bool { return h.pr.done }
-
 // Status returns the result of a completed receive.
 func (h *RecvHandle) Status() (Status, error) { return h.pr.status, h.pr.err }
 

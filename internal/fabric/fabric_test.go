@@ -313,12 +313,12 @@ func TestOutageWindow(t *testing.T) {
 		if net.NodeDown(1) {
 			t.Error("node 1 down before the window")
 		}
-		p.SleepUntil(sim.Millisecond + 1)
+		p.Sleep(sim.Millisecond + 1 - p.Now())
 		if !net.NodeDown(1) {
 			t.Error("node 1 not down inside the window")
 		}
 		send(p, 2) // during: lost
-		p.SleepUntil(3 * sim.Millisecond)
+		p.Sleep(3*sim.Millisecond - p.Now())
 		if net.NodeDown(1) {
 			t.Error("node 1 still down after the window")
 		}

@@ -88,7 +88,7 @@ func TestFailoverToSurvivingRail(t *testing.T) {
 		if f.NodeDown(0) {
 			t.Error("composite reports node down while one rail survives")
 		}
-		p.SleepUntil(outageEnd + 1)
+		p.Sleep(outageEnd + 1 - p.Now())
 		send() // after recovery: back on Myrinet
 	})
 	env.Run()

@@ -112,20 +112,3 @@ func sign(v int) int {
 	}
 	return 1
 }
-
-// Coord returns the grid coordinates of a node.
-func (f *Fabric) Coord(node int) (x, y int) { return node % f.X, node / f.X }
-
-// Hops returns the Manhattan hop count between two nodes.
-func (f *Fabric) Hops(a, b int) int {
-	ax, ay := f.Coord(a)
-	bx, by := f.Coord(b)
-	return abs(ax-bx) + abs(ay-by)
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

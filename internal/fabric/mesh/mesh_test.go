@@ -15,11 +15,8 @@ func TestGridShape(t *testing.T) {
 	if f.X != 4 || f.Y != 3 {
 		t.Fatalf("grid = %dx%d for 10 nodes, want 4x3", f.X, f.Y)
 	}
-	if x, y := f.Coord(7); x != 3 || y != 1 {
-		t.Fatalf("coord(7) = (%d,%d), want (3,1)", x, y)
-	}
-	if f.Hops(0, 7) != 4 {
-		t.Fatalf("hops(0,7) = %d, want 4", f.Hops(0, 7))
+	if got := len(f.Route(0, 7)); got != 4+2 { // (0,0) -> (3,1)
+		t.Fatalf("route 0->7 has %d links, want 4 hops + injection + ejection", got)
 	}
 }
 
@@ -159,7 +156,8 @@ func TestQuickRouteLengths(t *testing.T) {
 					}
 					continue
 				}
-				if len(route) != fab.Hops(s, d)+2 {
+				sx, sy, dx, dy := s%fab.X, s/fab.X, d%fab.X, d/fab.X
+				if len(route) != max(sx-dx, dx-sx)+max(sy-dy, dy-sy)+2 {
 					return false
 				}
 			}

@@ -20,7 +20,6 @@ const SwitchPorts = 8
 // Fabric is a Myrinet network.
 type Fabric struct {
 	*fabric.Network
-	switches int
 }
 
 // New builds a fabric for n nodes using the timing constants in prof.
@@ -32,10 +31,9 @@ func New(env *sim.Env, prof *hw.Profile, n int) *Fabric {
 	f := &Fabric{Network: net}
 
 	if n <= SwitchPorts {
-		f.switches = 1
 		buildSingleSwitch(net, prof, n)
 	} else {
-		buildTree(f, net, prof, n)
+		buildTree(net, prof, n)
 	}
 	// Loopback routes (same node) are empty: the NIC short-circuits.
 	for i := 0; i < n; i++ {
@@ -43,9 +41,6 @@ func New(env *sim.Env, prof *hw.Profile, n int) *Fabric {
 	}
 	return f
 }
-
-// Switches returns the number of switches in the topology.
-func (f *Fabric) Switches() int { return f.switches }
 
 // buildSingleSwitch wires n nodes to one crossbar.
 func buildSingleSwitch(net *fabric.Network, prof *hw.Profile, n int) {
@@ -67,10 +62,9 @@ func buildSingleSwitch(net *fabric.Network, prof *hw.Profile, n int) {
 
 // buildTree wires leaf switches (7 nodes + 1 uplink each) under a
 // spine switch.
-func buildTree(f *Fabric, net *fabric.Network, prof *hw.Profile, n int) {
+func buildTree(net *fabric.Network, prof *hw.Profile, n int) {
 	perLeaf := SwitchPorts - 1
 	leaves := (n + perLeaf - 1) / perLeaf
-	f.switches = leaves + 1
 	leafOf := func(node int) int { return node / perLeaf }
 
 	up := make([]int, n)

@@ -46,10 +46,9 @@ var ErrNotPinned = errors.New("mem: DMA to unpinned frame")
 // every buffer pool's allocation there: either raises the service
 // workloads' allocations per request.
 type Memory struct {
-	pageSize  int
-	frames    [][]byte // frame number -> stored page prefix: half or all of it
-	pinned    []int32  // frame number -> pin count
-	pinnedNow int64
+	pageSize int
+	frames   [][]byte // frame number -> stored page prefix: half or all of it
+	pinned   []int32  // frame number -> pin count
 }
 
 // NewMemory returns an empty physical memory with the given page size.
@@ -101,12 +100,9 @@ func (m *Memory) store(frame int64, off, n int) []byte {
 	return page[off : off+n]
 }
 
-// ReadPhys copies len(buf) bytes starting at physical address pa into
-// buf. All touched frames must exist.
-func (m *Memory) ReadPhys(pa PAddr, buf []byte) error { return m.physOp(pa, buf, false, false) }
-
-// DMARead is ReadPhys but requires every touched frame to be pinned,
-// as real DMA does.
+// DMARead copies len(buf) bytes starting at physical address pa into
+// buf. Every touched frame must exist and be pinned, as real DMA
+// requires.
 func (m *Memory) DMARead(pa PAddr, buf []byte) error { return m.physOp(pa, buf, true, false) }
 
 // DMAWrite copies buf into physical memory starting at pa. Every
@@ -142,9 +138,6 @@ func (m *Memory) PinFrame(pa PAddr) error {
 	if !ok {
 		return fmt.Errorf("%w: phys %#x", ErrFault, int64(pa))
 	}
-	if m.pinned[frame] == 0 {
-		m.pinnedNow++
-	}
 	m.pinned[frame]++
 	return nil
 }
@@ -156,14 +149,8 @@ func (m *Memory) UnpinFrame(pa PAddr) error {
 		return fmt.Errorf("mem: unpin of unpinned frame %d", frame)
 	}
 	m.pinned[frame]--
-	if m.pinned[frame] == 0 {
-		m.pinnedNow--
-	}
 	return nil
 }
-
-// PinnedPages returns the number of currently pinned frames.
-func (m *Memory) PinnedPages() int64 { return m.pinnedNow }
 
 // AddrSpace is one process's virtual address space: a page table over
 // a Memory plus a bump allocator. Virtual address 0 is kept unmapped
@@ -370,14 +357,4 @@ func (a *AddrSpace) Copy(dst, src VAddr, n int) error {
 		done += kt
 	}
 	return nil
-}
-
-// Pages returns the count of virtual pages spanned by [va, va+n).
-func (a *AddrSpace) Pages(va VAddr, n int) int {
-	if n <= 0 {
-		return 1
-	}
-	first := int64(va) / int64(a.mem.pageSize)
-	last := (int64(va) + int64(n) - 1) / int64(a.mem.pageSize)
-	return int(last - first + 1)
 }

@@ -21,10 +21,6 @@ type PinTable struct {
 	entries  []pinEntry // entries[0] is the LRU list's head: next = most recent, prev = least
 	free     int32      // spare entries, chained through next; 0 = none
 	n        int
-
-	hits      uint64
-	misses    uint64
-	evictions uint64
 }
 
 type pinEntry struct {
@@ -69,14 +65,12 @@ func (t *PinTable) pushFront(e int32) {
 // walks the page table, pins the frame and caches the translation.
 func (t *PinTable) Lookup(pid int, space *AddrSpace, vpage int64) (pa PAddr, hit, evicted bool, err error) {
 	if s := t.slot(pid, vpage); s != nil && *s != 0 {
-		t.hits++
 		if e := *s; t.entries[0].next != e {
 			t.unlink(e)
 			t.pushFront(e)
 		}
 		return t.entries[*s].phys, true, false, nil
 	}
-	t.misses++
 	pa, err = space.Translate(VAddr(vpage * int64(space.mem.pageSize)))
 	if err != nil {
 		return 0, false, false, err
@@ -85,7 +79,6 @@ func (t *PinTable) Lookup(pid int, space *AddrSpace, vpage int64) (pa PAddr, hit
 		return 0, false, false, err
 	}
 	if t.capacity > 0 && t.n >= t.capacity {
-		t.evictions++
 		t.drop(t.entries[0].prev)
 		evicted = true
 	}
@@ -143,8 +136,3 @@ func (t *PinTable) Invalidate(pid int) int {
 
 // Len returns the number of cached (pinned) pages.
 func (t *PinTable) Len() int { return t.n }
-
-// Stats returns cache hits, misses and evictions.
-func (t *PinTable) Stats() (hits, misses, evictions uint64) {
-	return t.hits, t.misses, t.evictions
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bcl/internal/mem"
+	"bcl/internal/oskernel"
 	"bcl/internal/sim"
 )
 
@@ -66,14 +67,14 @@ func TestCollectivesMapNoPages(t *testing.T) {
 			for i := 0; i < warmup; i++ {
 				round()
 			}
-			probe, pins, pinned := sp.Alloc(1), k.PinTable().Len(), k.Stats().PagesPinned
+			probe, pins, pinned := sp.Alloc(1), pinTableLen(k), k.Stats().PagesPinned
 			for i := 0; i < rounds; i++ {
 				round()
 			}
 			if mapped := mappedSince(sp, probe); mapped != 0 {
 				t.Errorf("rank %d: %d rounds mapped %d pages", me, rounds, mapped)
 			}
-			if got := k.PinTable().Len(); got != pins {
+			if got := pinTableLen(k); got != pins {
 				t.Errorf("rank %d: pin-down table grew %d -> %d entries", me, pins, got)
 			}
 			if got := k.Stats().PagesPinned; got != pinned {
@@ -228,4 +229,15 @@ func TestReductionScratchGrows(t *testing.T) {
 	if finished != ranks {
 		t.Fatalf("%d of %d ranks finished", finished, ranks)
 	}
+}
+
+// pinTableLen reads the entries of k's pin-down table from its gauges.
+func pinTableLen(k *oskernel.Kernel) int64 {
+	var n int64
+	k.CollectGauges(func(_ int, _, name string, v int64) {
+		if name == "pinned_pages" {
+			n = v
+		}
+	})
+	return n
 }

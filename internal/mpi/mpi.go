@@ -81,9 +81,6 @@ func (c *Comm) Dup(ctx int) *Comm { return &Comm{dev: c.dev, ctx: ctx, coll: c.c
 // one packet, falling back to the host algorithms otherwise.
 func (c *Comm) AttachColl(cc *eadi.CollContext) { c.coll = cc }
 
-// Coll returns the attached offload context (nil when none).
-func (c *Comm) Coll() *eadi.CollContext { return c.coll }
-
 // Rank returns the caller's rank.
 func (c *Comm) Rank() int { return c.dev.Rank() }
 

@@ -41,7 +41,7 @@ func collJob(t *testing.T, n int, nicCfg nic.Config) (*cluster.Cluster, []*Comm)
 	}
 	c.Env.RunUntil(c.Env.Now() + 10*sim.Millisecond)
 	for i := range comms {
-		if comms[i].Coll() == nil {
+		if comms[i].coll == nil {
 			t.Fatal("collective context registration failed")
 		}
 	}
@@ -176,7 +176,7 @@ func TestOffloadBcastReduceAllreduce(t *testing.T) {
 	// copies, so every pooled descriptor and payload is back. (SRAM is
 	// not asserted: the engine never frees a non-release combine's state
 	// on the non-root members, which is outside the packet path.)
-	if descs, bufs := c.Nodes[0].NIC.PoolInUse(); descs != 0 || bufs != 0 {
+	if descs, bufs := c.Fabric.Attach(0).Pool().InUse(); descs != 0 || bufs != 0 {
 		t.Errorf("packet pool not balanced: %d descriptors, %d payloads outstanding", descs, bufs)
 	}
 }
@@ -287,7 +287,7 @@ func TestOffloadInteriorDeath(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if dead := comms[r].Coll().LastDead; dead&(1<<1) == 0 {
+			if dead := comms[r].coll.LastDead; dead&(1<<1) == 0 {
 				t.Errorf("rank %d: dead mask %b missing member 1", r, dead)
 			}
 			done[r] = true

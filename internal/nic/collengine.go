@@ -160,27 +160,6 @@ func (n *NIC) RegisterCollCtx(s *CollSpec) error {
 	return nil
 }
 
-// CloseCollCtx tears a context down, freeing SRAM and timers. Pending
-// state is walked in sorted order so teardown stays deterministic.
-func (n *NIC) CloseCollCtx(id int) {
-	ctx, ok := n.colls[id]
-	if !ok {
-		return
-	}
-	delete(n.colls, id)
-	for _, seq := range sortedKeys(ctx.combs) {
-		n.releaseSRAM(ctx.combs[seq].sram)
-	}
-	for _, seq := range sortedKeys(ctx.own) {
-		oc := ctx.own[seq]
-		oc.timer.Cancel()
-		n.releaseSRAM(oc.sram)
-	}
-	for _, seq := range sortedKeys(ctx.ownMsg) {
-		n.retireSend(ctx.ownMsg[seq], nil, false)
-	}
-}
-
 // sortedKeys returns a map's keys in ascending order, so teardown and
 // replay walks of the collective tables stay deterministic.
 func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {

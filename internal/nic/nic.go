@@ -61,7 +61,6 @@ type Config struct {
 	Reliable   bool
 	Window     int // go-back-N window (packets); 0 means default 32
 	MaxRetries int // timeouts before a message is failed; 0 means default 10
-	TLBEntries int // NIC translation cache size (NICTranslated); 0 means 256
 
 	// QoS enables weighted-round-robin arbitration of the send DMA
 	// across per-endpoint rings, at wire-fragment granularity: each
@@ -435,9 +434,6 @@ func New(env *sim.Env, prof *hw.Profile, cfg Config, node int, ep *fabric.Endpoi
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = 10
 	}
-	if cfg.TLBEntries == 0 {
-		cfg.TLBEntries = 256
-	}
 	n := &NIC{
 		env:    env,
 		prof:   prof,
@@ -454,7 +450,7 @@ func New(env *sim.Env, prof *hw.Profile, cfg Config, node int, ep *fabric.Endpoi
 		retxQ:  sim.NewQueue[*txFlow](env, fmt.Sprintf("nic%d/retxq", node), 0),
 		collQ:  sim.NewQueue[collJob](env, fmt.Sprintf("nic%d/collq", node), 0),
 		colls:  make(map[int]*CollCtx),
-		tlb:    newNICTLB(cfg.TLBEntries),
+		tlb:    newNICTLB(),
 		gbn: gbn.Config{
 			Node: node, Window: cfg.Window, MaxRetries: cfg.MaxRetries, Adaptive: cfg.AdaptiveRTO,
 			RTO: prof.RetransmitTimeout, BackoffMax: prof.RetransmitBackoffMax,
@@ -477,17 +473,8 @@ func New(env *sim.Env, prof *hw.Profile, cfg Config, node int, ep *fabric.Endpoi
 	return n
 }
 
-// Node returns the node id this NIC serves.
-func (n *NIC) Node() int { return n.node }
-
 // Stats returns a snapshot of the NIC counters.
 func (n *NIC) Stats() Stats { return n.stats }
-
-// PoolInUse reports the packet descriptors and payload buffers
-// outstanding from the pool this NIC builds packets from, which every
-// NIC on the fabric shares — both zero once the whole fabric is
-// quiescent, which leak tests assert.
-func (n *NIC) PoolInUse() (descriptors, payloads int) { return n.pool.InUse() }
 
 // SetObs attaches an observability bundle: fault-path transitions then
 // go to its flight recorder and message latencies to the cluster-wide

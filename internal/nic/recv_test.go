@@ -11,6 +11,7 @@ import (
 	"bcl/internal/hw"
 	"bcl/internal/mem"
 	"bcl/internal/nic/coll"
+	"bcl/internal/obs"
 	"bcl/internal/sim"
 )
 
@@ -402,6 +403,8 @@ func TestUnreliableReceiveSendsNothingBack(t *testing.T) {
 	r.arrive(0, 1, read)
 	r.arrive(50*sim.Microsecond, 1, crafted(fabric.KindData, 0, 1, 0, 0, []byte("unarmed")))
 	r.arrive(100*sim.Microsecond, 1, crafted(fabric.KindCollMcast, 0, 1, 0, 0, nil))
+	o := obs.New() // the engine records the packet of a context it does not hold
+	r.nics[1].SetObs(o)
 	r.env.RunUntil(sim.Millisecond)
 	if got, _ := r.space[0].Read(rva, len(content)); !bytes.Equal(got, content) {
 		t.Fatalf("read reply holds %q", got)
@@ -410,8 +413,14 @@ func TestUnreliableReceiveSendsNothingBack(t *testing.T) {
 	if st.NoBufferDrops != 1 || st.PacketsSent != 1 {
 		t.Fatalf("receiver: %d no-buffer drops, %d packets sent, want 1 and 1 (the read reply)", st.NoBufferDrops, st.PacketsSent)
 	}
-	if sent, _ := r.nics[1].collQ.Counts(); sent != 1 {
-		t.Fatalf("%d packets handed to the collective engine, want 1", sent)
+	engine := 0
+	for _, ev := range o.Rec.Events() {
+		if ev.Node == 1 && ev.What == "coll-unknown-ctx" {
+			engine++
+		}
+	}
+	if engine != 1 {
+		t.Fatalf("%d packets reached the collective engine, want 1", engine)
 	}
 }
 

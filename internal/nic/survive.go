@@ -174,7 +174,7 @@ func (n *NIC) BeginReboot() {
 			}
 		}
 	}
-	n.tlb = newNICTLB(n.cfg.TLBEntries)
+	n.tlb = newNICTLB()
 	// nextID survives: message ids are allocated by the host library
 	// (NextMsgID from trap context), so a reboot must not reuse ids the
 	// receivers' done-rings still remember.

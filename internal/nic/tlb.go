@@ -12,13 +12,12 @@ import (
 // exactly the paper's argument against NIC-side translation on
 // large-memory SMP nodes.
 type nicTLB struct {
-	capacity int
-	entries  map[tlbKey]*list.Element
-	lru      *list.List
-
-	hits   uint64
-	misses uint64
+	entries map[tlbKey]*list.Element
+	lru     *list.List
 }
+
+// tlbEntries is the translation cache's size in pages.
+const tlbEntries = 256
 
 type tlbKey struct {
 	space *mem.AddrSpace
@@ -30,12 +29,8 @@ type tlbEntry struct {
 	phys mem.PAddr
 }
 
-func newNICTLB(capacity int) *nicTLB {
-	return &nicTLB{
-		capacity: capacity,
-		entries:  make(map[tlbKey]*list.Element),
-		lru:      list.New(),
-	}
+func newNICTLB() *nicTLB {
+	return &nicTLB{entries: make(map[tlbKey]*list.Element), lru: list.New()}
 }
 
 // lookup resolves one virtual page, reporting whether it hit the
@@ -44,16 +39,14 @@ func newNICTLB(capacity int) *nicTLB {
 func (t *nicTLB) lookup(space *mem.AddrSpace, vpage int64) (mem.PAddr, bool, error) {
 	key := tlbKey{space: space, vpage: vpage}
 	if el, ok := t.entries[key]; ok {
-		t.hits++
 		t.lru.MoveToFront(el)
 		return el.Value.(*tlbEntry).phys, true, nil
 	}
-	t.misses++
 	pa, err := space.Translate(mem.VAddr(vpage * int64(space.Mem().PageSize())))
 	if err != nil {
 		return 0, false, err
 	}
-	if t.lru.Len() >= t.capacity {
+	if t.lru.Len() >= tlbEntries {
 		oldest := t.lru.Back()
 		t.lru.Remove(oldest)
 		delete(t.entries, oldest.Value.(*tlbEntry).key)

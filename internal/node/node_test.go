@@ -23,14 +23,14 @@ func TestNodeAssembly(t *testing.T) {
 	if n.Mem == nil || n.Kernel == nil || n.NIC == nil {
 		t.Fatal("node missing components")
 	}
-	if n.CPUs.Cap() != 4 {
-		t.Fatalf("CPUs = %d, DAWNING node is 4-way", n.CPUs.Cap())
+	// A DAWNING node is 4-way: four CPUs are granted at once, a fifth
+	// waits.
+	held := func(a, b uint64) {}
+	if !n.CPUs.AcquireFn(4, held, 0, 0) || n.CPUs.AcquireFn(1, held, 0, 0) {
+		t.Fatal("CPUs: want 4 granted at once and a fifth queued")
 	}
 	if n.Mem.PageSize() != 4096 {
 		t.Fatalf("page size = %d", n.Mem.PageSize())
-	}
-	if n.Kernel.Node() != 0 || n.NIC.Node() != 0 {
-		t.Fatal("component node ids inconsistent")
 	}
 }
 

@@ -11,12 +11,12 @@ import (
 // a post-mortem (retransmit round, peer death, rail failover, send
 // failure, CRC drop, ...).
 type Event struct {
-	T      sim.Time
-	Node   int // -1 for cluster-wide events
-	Layer  string
-	What   string
-	Trace  uint64 // causal trace id, 0 if not tied to one message
-	Detail string
+	T      sim.Time `json:"t_ns"`
+	Node   int      `json:"node"` // -1 for cluster-wide events
+	Layer  string   `json:"layer"`
+	What   string   `json:"what"`
+	Trace  uint64   `json:"trace,omitempty"` // causal trace id, 0 if not tied to one message
+	Detail string   `json:"detail,omitempty"`
 }
 
 // Recorder is a bounded ring buffer of recent protocol events: cheap

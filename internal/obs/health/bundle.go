@@ -18,16 +18,6 @@ import (
 // BundleSchema identifies the postmortem bundle format.
 const BundleSchema = "bcl-postmortem/v1"
 
-// FlightEvent is one flight-recorder entry serialized into a bundle.
-type FlightEvent struct {
-	TNs    int64  `json:"t_ns"`
-	Node   int    `json:"node"`
-	Layer  string `json:"layer"`
-	What   string `json:"what"`
-	Trace  uint64 `json:"trace,omitempty"`
-	Detail string `json:"detail,omitempty"`
-}
-
 // FlowSpan is one trace span of an offending flow.
 type FlowSpan struct {
 	Stage   string `json:"stage"`
@@ -89,7 +79,7 @@ type Bundle struct {
 	Alerts  []Transition       `json:"alerts,omitempty"`
 	Series  map[string][]Point `json:"series,omitempty"`
 	Diff    *obs.Snapshot      `json:"window_diff,omitempty"`
-	Flight  []FlightEvent      `json:"flight,omitempty"`
+	Flight  []obs.Event        `json:"flight,omitempty"`
 	Flows   []Flow             `json:"flows,omitempty"`
 	Slow    []SlowEntry        `json:"slow_requests,omitempty"`
 }
@@ -114,7 +104,7 @@ func (e *Engine) alertBundle(r *Rule, tr Transition) *Bundle {
 		b.Diff = e.o.SampleAt(n - 1).Snap.Diff(e.o.SampleAt(0).Snap)
 	}
 	if e.o != nil {
-		b.Flight = flightEvents(e.o.Rec.Events())
+		b.Flight = e.o.Rec.Events()
 	}
 	b.Flows = WorstFlows(e.Tracer, 3)
 	if e.SlowLog != nil {
@@ -134,17 +124,8 @@ func GateBundle(id string, atNs int64, reasons []string, snap *obs.Snapshot, fli
 		AtNs:    atNs,
 		Reasons: append([]string(nil), reasons...),
 		Diff:    snap,
-		Flight:  flightEvents(flight),
+		Flight:  flight,
 	}
-}
-
-func flightEvents(evs []obs.Event) []FlightEvent {
-	out := make([]FlightEvent, 0, len(evs))
-	for _, e := range evs {
-		out = append(out, FlightEvent{TNs: int64(e.T), Node: e.Node, Layer: e.Layer,
-			What: e.What, Trace: e.Trace, Detail: e.Detail})
-	}
-	return out
 }
 
 // WorstFlows ranks the tracer's flows by retransmit count, then
@@ -319,7 +300,7 @@ func (b *Bundle) Text() string {
 				where = fmt.Sprintf("n%d", e.Node)
 			}
 			fmt.Fprintf(&w, "%10.3fms %-4s %-16s %-16s %s\n",
-				float64(e.TNs)/float64(sim.Millisecond), where, e.Layer, e.What, e.Detail)
+				float64(e.T)/float64(sim.Millisecond), where, e.Layer, e.What, e.Detail)
 		}
 	}
 	for _, f := range b.Flows {

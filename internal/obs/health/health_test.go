@@ -245,7 +245,7 @@ func TestTimelineTextEmpty(t *testing.T) {
 	if e.TimelineText() != "(no alerts)\n" {
 		t.Fatalf("timeline = %q", e.TimelineText())
 	}
-	if e.FiredCount("") != 0 || len(e.Firing()) != 0 {
+	if e.FiredCount("") != 0 || len(e.Transitions()) != 0 {
 		t.Fatal("fresh engine not silent")
 	}
 }

@@ -199,20 +199,6 @@ func (e *Engine) Bundles() []*Bundle {
 	return e.bundles
 }
 
-// Firing returns the names of currently firing rules, in rule order.
-func (e *Engine) Firing() []string {
-	if e == nil {
-		return nil
-	}
-	var out []string
-	for i, r := range e.Rules {
-		if e.state[i].firing {
-			out = append(out, r.Name)
-		}
-	}
-	return out
-}
-
 // Series returns the retained derived series of one rule.
 func (e *Engine) Series(rule string) []Point {
 	if e == nil {

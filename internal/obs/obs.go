@@ -149,19 +149,6 @@ func (o *Obs) StopSampler() {
 	o.sampler = sim.Timer{}
 }
 
-// Samples returns a deep copy of the sampler's time series, oldest
-// first: nothing the sampler does later changes it.
-func (o *Obs) Samples() []Sample {
-	if o == nil {
-		return nil
-	}
-	out := o.samples.AppendTo(nil)
-	for i := range out {
-		out[i].Snap = Merge(out[i].Snap) // a merge of one is a copy
-	}
-	return out
-}
-
 // NumSamples returns how many samples the series holds.
 func (o *Obs) NumSamples() int {
 	if o == nil {

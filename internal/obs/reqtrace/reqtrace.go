@@ -410,14 +410,6 @@ func (r *Recorder) Digest() uint64 {
 	return r.digest
 }
 
-// TopKeys returns the per-key heavy-hitter candidates.
-func (r *Recorder) TopKeys() []HH {
-	if r == nil {
-		return nil
-	}
-	return r.byKey.Top()
-}
-
 // HotLine renders a one-line heavy-hitter summary for the bcltop live
 // view.
 func (r *Recorder) HotLine() string {

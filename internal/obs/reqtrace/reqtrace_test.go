@@ -26,7 +26,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		r.AbortsSeen() != 0 || r.SLOSeen() != 0 || r.Digest() != 0 || r.Threshold() != 0 {
 		t.Fatal("nil recorder returned data")
 	}
-	if r.Retained() != nil || r.TopKeys() != nil || r.SlowLog(5) != nil {
+	if r.Retained() != nil || r.SlowLog(5) != nil {
 		t.Fatal("nil recorder returned slices")
 	}
 	if r.HotLine() != "" {

@@ -76,14 +76,6 @@ func (s *Sketch[K]) Offer(key K) {
 	s.entries[min] = hhEntry[K]{key: key, count: old + 1, err: old}
 }
 
-// Total returns the number of hits offered.
-func (s *Sketch[K]) Total() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.total
-}
-
 // Top returns the candidates ranked by estimated count descending
 // (ties broken by rendered label ascending for deterministic output).
 func (s *Sketch[K]) Top() []HH {

@@ -18,8 +18,8 @@ func TestTopKExactBelowCapacity(t *testing.T) {
 		s.Offer(k)
 	}
 	top := s.Top()
-	if len(top) != 3 || s.Total() != 6 {
-		t.Fatalf("top = %+v total = %d", top, s.Total())
+	if len(top) != 3 || s.total != 6 {
+		t.Fatalf("top = %+v total = %d", top, s.total)
 	}
 	// Exact counts, zero error, count-desc/key-asc order.
 	want := []HH{{"a", 3, 0}, {"b", 2, 0}, {"c", 1, 0}}
@@ -115,7 +115,7 @@ func TestTopKOverestimateNeverUndercounts(t *testing.T) {
 func TestTopKLineAndNil(t *testing.T) {
 	var s *Sketch[string]
 	s.Offer("x")
-	if s.Total() != 0 || s.Top() != nil || s.SharePct() != 0 {
+	if s.Top() != nil || s.SharePct() != 0 {
 		t.Fatal("nil sketch returned data")
 	}
 	if strSketch(0).k != 1 {

@@ -1,8 +1,6 @@
 package oskernel
 
 import (
-	"fmt"
-
 	"bcl/internal/nic"
 	"bcl/internal/sim"
 )
@@ -96,20 +94,6 @@ func (k *Kernel) RegisterCollCtx(p *sim.Proc, s *nic.CollSpec) error {
 func (k *Kernel) programColl(p *sim.Proc, s *nic.CollSpec) error {
 	p.Sleep(k.PIOFillCost(k.prof.RecvDescWords+2*len(s.Nodes), len(s.Landing.Segs)))
 	return k.snic.RegisterCollCtx(s)
-}
-
-// CloseCollCtx tears collective context id down for the process owning
-// port. A context registered from another port is not the caller's to
-// close: ErrNotOwner, counted as a security reject. Teardown is not
-// PIO-costed.
-func (k *Kernel) CloseCollCtx(port, id int) error {
-	if s := k.shadow.colls[id]; s != nil && s.Ports[s.Me] != port {
-		k.stats.SecurityRejects++
-		return fmt.Errorf("%w: collective context %d registered by port %d, caller port %d", ErrNotOwner, id, s.Ports[s.Me], port)
-	}
-	k.snic.CloseCollCtx(id)
-	delete(k.shadow.colls, id)
-	return nil
 }
 
 // PostSend queues d on its source port's send ring. Every send but an

@@ -86,12 +86,6 @@ func New(env *sim.Env, prof *hw.Profile, node int, m *mem.Memory) *Kernel {
 	}
 }
 
-// Profile returns the timing profile.
-func (k *Kernel) Profile() *hw.Profile { return k.prof }
-
-// Node returns the node id.
-func (k *Kernel) Node() int { return k.node }
-
 // Stats returns a snapshot of kernel counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 
@@ -121,9 +115,6 @@ func (k *Kernel) CollectGauges(set obs.GaugeSet) {
 	ports, recvs, colls, sends := k.shadow.Pending() // (all 0 before AttachNIC)
 	set(k.node, "kernel", "journal_records", int64(ports+recvs+colls+sends))
 }
-
-// PinTable exposes the pin-down page table (for stats in reports).
-func (k *Kernel) PinTable() *mem.PinTable { return k.pins }
 
 // Spawn creates a process with a fresh address space.
 func (k *Kernel) Spawn() *Process {

@@ -18,7 +18,7 @@ func newKernel() (*sim.Env, *Kernel) {
 
 func TestTrapChargesAndCounts(t *testing.T) {
 	env, k := newKernel()
-	prof := k.Profile()
+	prof := k.prof
 	var inKernelAt, afterAt sim.Time
 	env.Go("p", func(p *sim.Proc) {
 		start := p.Now()
@@ -93,7 +93,7 @@ func TestCheckRequestValidation(t *testing.T) {
 
 func TestTranslateAndPinCosts(t *testing.T) {
 	env, k := newKernel()
-	prof := k.Profile()
+	prof := k.prof
 	proc := k.Spawn()
 	va := proc.Space.Alloc(3 * 4096)
 	env.Go("p", func(p *sim.Proc) {
@@ -184,6 +184,19 @@ func TestTranslateAndPinAppends(t *testing.T) {
 	env.Run()
 }
 
+// pinnedPages counts the pinned frames under n pages of space from va:
+// DMA reads only a pinned frame.
+func pinnedPages(m *mem.Memory, space *mem.AddrSpace, va mem.VAddr, n int) int {
+	pinned := 0
+	for i := range n {
+		pa, err := space.Translate(va + mem.VAddr(i*m.PageSize()))
+		if err == nil && m.DMARead(pa, make([]byte, 1)) == nil {
+			pinned++
+		}
+	}
+	return pinned
+}
+
 func TestExitInvalidatesPins(t *testing.T) {
 	env, k := newKernel()
 	proc := k.Spawn()
@@ -195,18 +208,18 @@ func TestExitInvalidatesPins(t *testing.T) {
 		}
 	})
 	env.Run()
-	if now := m.PinnedPages(); now != 2 {
+	if now := pinnedPages(m, proc.Space, va, 2); now != 2 {
 		t.Fatalf("pinned before exit = %d", now)
 	}
 	k.Exit(proc)
-	if now := m.PinnedPages(); now != 0 {
+	if now := pinnedPages(m, proc.Space, va, 2); now != 0 {
 		t.Fatalf("pinned after exit = %d, want 0", now)
 	}
 }
 
 func TestPIOFillCostScalesWithSegments(t *testing.T) {
 	_, k := newKernel()
-	prof := k.Profile()
+	prof := k.prof
 	one := k.PIOFillCost(15, 1)
 	three := k.PIOFillCost(15, 3)
 	if one != 15*prof.PIOWriteWord {
@@ -219,7 +232,7 @@ func TestPIOFillCostScalesWithSegments(t *testing.T) {
 
 func TestInterruptDispatch(t *testing.T) {
 	env, k := newKernel()
-	prof := k.Profile()
+	prof := k.prof
 	var handlerAt, doneAt sim.Time
 	k.Interrupt("test-isr", func(p *sim.Proc) {
 		handlerAt = p.Now()
@@ -328,7 +341,7 @@ func TestPinTableEviction(t *testing.T) {
 	if s.PagesPinned != 4 {
 		t.Fatalf("pages pinned = %d, want 4 (three cold + one re-pin)", s.PagesPinned)
 	}
-	if now := m.PinnedPages(); now > 2 {
+	if now := pinnedPages(m, proc.Space, va, 3); now > 2 {
 		t.Fatalf("%d pages pinned, capacity 2", now)
 	}
 }

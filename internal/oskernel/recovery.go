@@ -176,9 +176,6 @@ func (k *Kernel) AttachNIC(n *nic.NIC) {
 	n.Journal = k.shadow
 }
 
-// Shadow returns the NIC journal (nil before AttachNIC).
-func (k *Kernel) Shadow() *NICShadow { return k.shadow }
-
 // StartWatchdog starts the attached NIC's firmware heartbeat and spawns
 // the kernel watchdog process. The watchdog polls the MCP's status word
 // over PIO every WatchdogInterval; a heartbeat older than

@@ -433,7 +433,7 @@ func TestRejectedCommandsAreNotJournaled(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		ports, recvs, colls, sends := k.Shadow().Pending()
+		ports, recvs, colls, sends := k.shadow.Pending()
 		if err := k.PostRecv(p, 1, 1, desc()); err == nil {
 			t.Error("rebinding an armed channel was accepted")
 		}
@@ -446,7 +446,7 @@ func TestRejectedCommandsAreNotJournaled(t *testing.T) {
 		if err := k.RegisterCollCtx(p, &nic.CollSpec{ID: 1, Nodes: []int{0}, Ports: []int{1}}); err == nil {
 			t.Error("a collective context with no members was accepted")
 		}
-		p2, r2, c2, s2 := k.Shadow().Pending()
+		p2, r2, c2, s2 := k.shadow.Pending()
 		if p2 != ports || r2 != recvs || c2 != colls || s2 != sends {
 			t.Errorf("Pending %d/%d/%d/%d after rejected commands, was %d/%d/%d/%d", p2, r2, c2, s2, ports, recvs, colls, sends)
 		}

@@ -385,9 +385,6 @@ func (s *Scheduler) WaitAll(p *sim.Proc) {
 	}
 }
 
-// Jobs returns every submission in id order.
-func (s *Scheduler) Jobs() []*Job { return s.jobs }
-
 // Stats returns a snapshot of the scheduler counters.
 func (s *Scheduler) Stats() Stats { return s.stats }
 

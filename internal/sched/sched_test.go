@@ -145,7 +145,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		run(env, s)
 		var started, finished []sim.Time
-		for _, j := range s.Jobs() {
+		for _, j := range s.jobs {
 			started = append(started, j.Started)
 			finished = append(finished, j.Finished)
 		}

@@ -43,6 +43,15 @@ func nestedOrderProgram(seed uint64) (string, uint64, *Env) {
 	res := []*Resource{NewResource(env, "r1", 1), NewResource(env, "r2", 2)}
 	cond := NewCond(env)
 	var timers []Timer
+	// trySend enqueues v if q has room, reporting whether it did: the
+	// drop of a hardware queue that never blocks.
+	trySend := func(q *Queue[int], v int) bool {
+		if q.full() {
+			return false
+		}
+		q.Post(v)
+		return true
+	}
 
 	// done logs one completed operation of p; it blocked iff an event ran
 	// since the operation began.
@@ -52,7 +61,7 @@ func nestedOrderProgram(seed uint64) (string, uint64, *Env) {
 			star = "*"
 			resumed++
 		}
-		fmt.Fprintf(&log, "%d %s %d %s%s\n", p.Now(), p.Name(), i, what, star)
+		fmt.Fprintf(&log, "%d %s %d %s%s\n", p.Now(), p.name, i, what, star)
 	}
 
 	// Event-driven users of the resources: a continuation holds a unit
@@ -117,7 +126,7 @@ func nestedOrderProgram(seed uint64) (string, uint64, *Env) {
 	worker = func(p *Proc) {
 		resumed++
 		n := ops
-		if strings.HasPrefix(p.Name(), "c") {
+		if strings.HasPrefix(p.name, "c") {
 			n = 3 // a child: short-lived, its carrier goes round again
 		}
 		for i := 0; i < n; i++ {
@@ -134,17 +143,17 @@ func nestedOrderProgram(seed uint64) (string, uint64, *Env) {
 				q := queues[rng.Intn(3)]
 				v := rng.Intn(1000)
 				q.Send(p, v)
-				done(p, i, before, fmt.Sprintf("send %s %d", q.Name(), v))
+				done(p, i, before, fmt.Sprintf("send %s %d", q.name, v))
 			case 4:
 				q := queues[rng.Intn(4)]
 				v := rng.Intn(1000)
-				ok := q.TrySend(v)
-				done(p, i, before, fmt.Sprintf("trysend %s %d %v", q.Name(), v, ok))
+				ok := trySend(q, v)
+				done(p, i, before, fmt.Sprintf("trysend %s %d %v", q.name, v, ok))
 			case 5, 6:
 				q := queues[rng.Intn(4)]
 				d := Time(rng.Intn(40))
 				v, ok := q.RecvTimeout(p, d)
-				done(p, i, before, fmt.Sprintf("recvt %s %d %d %v", q.Name(), d, v, ok))
+				done(p, i, before, fmt.Sprintf("recvt %s %d %d %v", q.name, d, v, ok))
 			case 7:
 				if p.Now() >= horizon {
 					break // the ticker has stopped; nobody would post
@@ -153,10 +162,10 @@ func nestedOrderProgram(seed uint64) (string, uint64, *Env) {
 				done(p, i, before, fmt.Sprintf("recv qU %d", v))
 			case 8:
 				r := res[rng.Intn(2)]
-				units := 1 + rng.Intn(r.Cap())
+				units := 1 + rng.Intn(r.cap)
 				d := Time(rng.Intn(12))
 				r.Use(p, units, d)
-				done(p, i, before, fmt.Sprintf("use %s %d %d", r.Name(), units, d))
+				done(p, i, before, fmt.Sprintf("use %s %d %d", r.name, units, d))
 			case 9:
 				id, b := uint64(rng.Intn(1000)), uint64(rng.Intn(1000))
 				now := res[b%2].AcquireFn(1, held, id, b)
@@ -183,7 +192,7 @@ func nestedOrderProgram(seed uint64) (string, uint64, *Env) {
 				if join {
 					p.Join(c.Done())
 				}
-				done(p, i, before, fmt.Sprintf("spawn %s join=%v", c.Name(), join))
+				done(p, i, before, fmt.Sprintf("spawn %s join=%v", c.name, join))
 			case 13:
 				if len(timers) > 0 && rng.Bool(0.5) {
 					k := rng.Intn(len(timers))
@@ -192,7 +201,7 @@ func nestedOrderProgram(seed uint64) (string, uint64, *Env) {
 				}
 				k, d := len(timers), Time(rng.Intn(60))
 				timers = append(timers, env.After(d, func() {
-					fmt.Fprintf(&log, "%d timer%d fired %v\n", env.Now(), k, queues[2].TrySend(k))
+					fmt.Fprintf(&log, "%d timer%d fired %v\n", env.Now(), k, trySend(queues[2], k))
 				}))
 				done(p, i, before, fmt.Sprintf("arm timer%d %d", k, d))
 			}

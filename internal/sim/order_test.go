@@ -18,7 +18,7 @@ func orderScenario() string {
 	env := NewEnv(7)
 	var log strings.Builder
 	mark := func(p *Proc, step string) {
-		fmt.Fprintf(&log, "%d %s %s\n", p.Now(), p.Name(), step)
+		fmt.Fprintf(&log, "%d %s %s\n", p.Now(), p.name, step)
 	}
 
 	// Zero-length sleeps: three procs at t=0, each yielding twice.

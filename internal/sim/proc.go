@@ -155,12 +155,6 @@ func (p *Proc) run() {
 	returned = true
 }
 
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the process name (for traces and diagnostics).
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
@@ -217,15 +211,6 @@ func (p *Proc) Await(start func(k func(a, b uint64)) bool) {
 	if !start(p.wakeFn) {
 		p.park()
 	}
-}
-
-// SleepUntil blocks until absolute virtual time t (no-op if t has
-// passed).
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.env.now {
-		return
-	}
-	p.Sleep(t - p.env.now)
 }
 
 // Join blocks until the given signal fires. It returns immediately if

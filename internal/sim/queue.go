@@ -13,10 +13,6 @@ type Queue[T any] struct {
 	buf      Ring[T]
 	recvWait Ring[recvWaiter]
 	sendWait Ring[sendWaiter[T]]
-
-	// Stats.
-	sent     uint64
-	received uint64
 }
 
 // recvWaiter records one waiting receiver, resumed by fn(a, b): a parked
@@ -44,20 +40,13 @@ func NewQueue[T any](env *Env, name string, capacity int) *Queue[T] {
 	return &Queue[T]{env: env, name: name, cap: capacity}
 }
 
-// Name returns the queue's name.
-func (q *Queue[T]) Name() string { return q.name }
-
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return q.buf.Len() }
-
-// Counts returns the totals of items sent and received.
-func (q *Queue[T]) Counts() (sent, received uint64) { return q.sent, q.received }
 
 func (q *Queue[T]) full() bool { return q.cap > 0 && q.buf.Len() >= q.cap }
 
 func (q *Queue[T]) push(v T) {
 	q.buf.Push(v)
-	q.sent++
 	for q.recvWait.Len() > 0 {
 		if w := q.recvWait.Pop(); w.live() {
 			if w.p != nil {
@@ -89,20 +78,9 @@ func (q *Queue[T]) Send(p *Proc, v T) {
 	q.push(v)
 }
 
-// TrySend enqueues v if there is room, reporting success. It never
-// blocks; on a full bounded queue it returns false (models hardware
-// queues that drop or NACK).
-func (q *Queue[T]) TrySend(v T) bool {
-	if q.full() {
-		return false
-	}
-	q.push(v)
-	return true
-}
-
 // Post enqueues from non-process context (an event callback). It
 // panics if the queue is bounded and full; bounded queues fed from
-// callbacks should use TrySend and model the drop.
+// callbacks should check Len first and model the drop.
 func (q *Queue[T]) Post(v T) {
 	if q.full() {
 		panic(fmt.Sprintf("sim: Post to full bounded queue %q", q.name))
@@ -193,7 +171,6 @@ func (p *Proc) recvTimeoutFn() func() {
 
 func (q *Queue[T]) pop() T {
 	v := q.buf.Pop()
-	q.received++
 	if q.sendWait.Len() > 0 {
 		w := q.sendWait.Pop()
 		q.push(w.v)

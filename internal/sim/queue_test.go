@@ -103,9 +103,6 @@ func TestCloseDropsPendingContinuation(t *testing.T) {
 	if ran != 0 {
 		t.Fatalf("%d continuations ran after Close", ran)
 	}
-	if n := env.ClosedSchedules(); n != 1 {
-		t.Fatalf("%d schedules dropped after Close, want 1", n)
-	}
 }
 
 // TestAwaitTakesTheWakeUpsPlace: a process waiting on an event-driven
@@ -131,7 +128,7 @@ func TestAwaitTakesTheWakeUpsPlace(t *testing.T) {
 	s1, f1, l1 := run(func(p *Proc, d Time) { p.Sleep(d) })
 	s2, f2, l2 := run(func(p *Proc, d Time) {
 		p.Await(func(k func(a, b uint64)) bool {
-			p.Env().AtArg(p.Now()+d, k, 0, 0)
+			p.env.AtArg(p.Now()+d, k, 0, 0)
 			return false
 		})
 	})

@@ -39,12 +39,6 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 	return &Resource{env: env, name: name, cap: capacity}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
-// Cap returns the resource capacity.
-func (r *Resource) Cap() int { return r.cap }
-
 // InUse returns the units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
@@ -115,10 +109,6 @@ func (r *Resource) Use(p *Proc, n int, d Time) {
 	p.Sleep(d)
 	r.Release(n)
 }
-
-// QueueLen returns the number of queued requests (processes and
-// continuations).
-func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // Stats returns (acquisitions, total wait time, total busy time).
 // Busy time counts intervals during which at least one unit was held.

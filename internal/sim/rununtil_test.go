@@ -137,15 +137,15 @@ func TestRunUntilBoundaryWithNestedStack(t *testing.T) {
 	for i, d := range []Time{100, 101, 250} {
 		procs = append(procs, e.Go(string(rune('a'+i)), func(p *Proc) {
 			p.Sleep(d)
-			mark(p.Name(), "woke")
+			mark(p.name, "woke")
 			p.Sleep(10)
-			mark(p.Name(), "done")
+			mark(p.name, "done")
 		}))
 	}
 	e.At(50, func() {
 		for _, p := range procs {
 			if !p.driving {
-				t.Errorf("%s is not on the driving stack at t=50", p.Name())
+				t.Errorf("%s is not on the driving stack at t=50", p.name)
 			}
 		}
 		mark("event", "ran")
@@ -168,7 +168,7 @@ func TestRunUntilBoundaryWithNestedStack(t *testing.T) {
 	}
 	for _, p := range procs {
 		if p.driving {
-			t.Fatalf("%s is still on the driving stack after RunUntil returned", p.Name())
+			t.Fatalf("%s is still on the driving stack after RunUntil returned", p.name)
 		}
 	}
 	// A repeated, a smaller and a zero-length deadline change nothing.

@@ -159,10 +159,6 @@ type Env struct {
 	events     FreeList[*event]
 	poolHits   uint64
 	poolMisses uint64
-
-	// closedSchedules counts At/After/AtArg calls that arrived after
-	// Close: each is a documented no-op (see At).
-	closedSchedules uint64
 }
 
 // NewEnv returns an environment with the clock at zero and the given
@@ -233,10 +229,6 @@ func (e *Env) Switches() uint64 { return e.switches }
 // state hits dominate: the pool high-water mark is the peak number of
 // simultaneously pending events.
 func (e *Env) PoolStats() (hits, misses uint64) { return e.poolHits, e.poolMisses }
-
-// ClosedSchedules reports how many schedule calls (At / After / AtArg)
-// were dropped because the environment was already closed.
-func (e *Env) ClosedSchedules() uint64 { return e.closedSchedules }
 
 // ---------------------------------------------------------- event pool
 
@@ -312,14 +304,13 @@ func (e *Env) schedule(t Time) *event {
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: the model has a bug. Scheduling on a closed environment is
-// an explicit no-op — the callback is dropped, the ClosedSchedules
-// counter advances, and the returned Timer's Cancel reports false —
+// an explicit no-op — the callback is dropped and the returned
+// Timer's Cancel reports false —
 // mirroring how After still panics on a negative delay even when the
 // environment is closed (a bad duration is a model bug regardless of
 // lifecycle; a late schedule during teardown is not).
 func (e *Env) At(t Time, fn func()) Timer {
 	if e.closed {
-		e.closedSchedules++
 		return Timer{}
 	}
 	if t < e.now {
@@ -341,7 +332,6 @@ func (e *Env) At(t Time, fn func()) Timer {
 // the event exactly like At.
 func (e *Env) AtArg(t Time, fn func(a, b uint64), a, b uint64) {
 	if e.closed {
-		e.closedSchedules++
 		return
 	}
 	if t < e.now {

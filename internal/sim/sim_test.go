@@ -80,13 +80,9 @@ func TestProcSleep(t *testing.T) {
 		times = append(times, p.Now())
 		p.Sleep(0)
 		times = append(times, p.Now())
-		p.SleepUntil(500)
-		times = append(times, p.Now())
-		p.SleepUntil(100) // in the past: no-op
-		times = append(times, p.Now())
 	})
 	env.Run()
-	want := []Time{0, 100, 100, 500, 500}
+	want := []Time{0, 100, 100}
 	if fmt.Sprint(times) != fmt.Sprint(want) {
 		t.Fatalf("times = %v, want %v", times, want)
 	}
@@ -201,8 +197,8 @@ func TestResourceAcquireFnSharesTheFIFO(t *testing.T) {
 		}
 	}
 	env.RunUntil(4)
-	if link.QueueLen() != 4 {
-		t.Fatalf("%d requests queued, want 4", link.QueueLen())
+	if link.waiters.Len() != 4 {
+		t.Fatalf("%d requests queued, want 4", link.waiters.Len())
 	}
 	// From here on: per holder one release event (or one sleep wake-up)
 	// and one grant event — 4 grants, 4 releases, 1 release of fn0.
@@ -305,10 +301,6 @@ func TestQueueBasics(t *testing.T) {
 	if fmt.Sprint(got) != "[1 2 3]" {
 		t.Fatalf("got %v", got)
 	}
-	s, r := q.Counts()
-	if s != 3 || r != 3 {
-		t.Fatalf("counts = %d/%d", s, r)
-	}
 }
 
 func TestQueueBounded(t *testing.T) {
@@ -332,14 +324,14 @@ func TestQueueBounded(t *testing.T) {
 		t.Fatalf("third send completed at %d, want 100", sendDone)
 	}
 	// Queue now holds [2 3]: full again.
-	if q.TrySend(9) {
-		t.Fatal("TrySend succeeded on full queue")
+	if !q.full() {
+		t.Fatal("a queue of 2 holding 2 is not full")
 	}
 	if v, ok := q.TryRecv(); !ok || v != 2 {
 		t.Fatalf("TryRecv = %d,%v, want 2,true", v, ok)
 	}
-	if !q.TrySend(9) {
-		t.Fatal("TrySend failed with room available")
+	if q.full() {
+		t.Fatal("the queue is full with room available")
 	}
 }
 

@@ -83,8 +83,7 @@ type DriverConfig struct {
 	PairB    []string
 	Start    sim.Time // first arrival
 	Duration sim.Time // arrival window length
-	RTO      sim.Time
-	Trace    bool // tag requests with causal flow ids
+	Trace    bool     // tag requests with causal flow ids
 	// HotFrac redirects this fraction of get/put arrivals onto the
 	// first key — a deterministic hot-key skew for heavy-hitter and
 	// hot-shard scenarios. Zero leaves the uniform mix (and the
@@ -174,14 +173,14 @@ type keyState struct {
 	cached bool
 }
 
+// driverRTO is a driver's initial service-level retransmit timeout.
+const driverRTO = 400 * sim.Microsecond
+
 // NewDriver attaches a driver to an opened BCL port; start it with
 // env.Go(..., d.Run). Arrivals begin at cfg.Start and stop after
 // cfg.Duration; the driver then drains its outstanding requests and
 // keeps servicing invalidations forever.
 func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driver {
-	if cfg.RTO == 0 {
-		cfg.RTO = 400 * sim.Microsecond
-	}
 	if cfg.Users < 1 {
 		cfg.Users = 1
 	}
@@ -221,7 +220,7 @@ func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driv
 	for sh, addr := range cfg.Shards {
 		d.conns = append(d.conns, &conn{
 			shard: sh, addr: addr, state: connHello,
-			nonce: d.rand(), rto: cfg.RTO,
+			nonce: d.rand(), rto: driverRTO,
 		})
 	}
 	node := d.node
@@ -473,7 +472,7 @@ func (d *Driver) issueNext(p *sim.Proc, u *user) {
 		u.busy = true
 		req.u, req.shard, req.sess, req.seq = u, k.shard, c.sess, u.seq
 		req.payload = d.encodeOp(req.payload, o)
-		req.rto, req.nextAt = d.cfg.RTO, p.Now()+d.cfg.RTO
+		req.rto, req.nextAt = driverRTO, p.Now()+driverRTO
 		d.pending[reqKey(c.sess, u.idx, u.seq)] = req
 		d.pendList = append(d.pendList, req)
 		d.traceFlow(p, o.flow, "svc: request issue")
@@ -600,7 +599,7 @@ func (d *Driver) onChall(p *sim.Proc, ev nic.Event, sess uint16, r *reader) {
 	c.sess = sess
 	c.challenge = challenge
 	c.state = connAuth
-	c.rto = d.cfg.RTO
+	c.rto = driverRTO
 	c.nextAt = p.Now() + c.rto
 	d.sendAuth(p, c)
 }
@@ -737,7 +736,7 @@ func (d *Driver) runTimers(p *sim.Proc) {
 		} else {
 			d.sendAuth(p, c)
 		}
-		c.rto = txn.Backoff(c.rto, d.cfg.RTO)
+		c.rto = txn.Backoff(c.rto, driverRTO)
 		c.nextAt = now + c.rto
 	}
 	live := d.pendList[:0]
@@ -752,7 +751,7 @@ func (d *Driver) runTimers(p *sim.Proc) {
 			d.traceFlow(p, r.op.flow, "svc: request retransmit")
 			c := d.conns[r.shard]
 			_ = d.ep.send(p, c.addr, r.op.kind, r.sess, r.u.idx, r.seq, r.payload)
-			r.rto = txn.Backoff(r.rto, d.cfg.RTO)
+			r.rto = txn.Backoff(r.rto, driverRTO)
 			r.nextAt = now + r.rto
 		}
 		live = append(live, r)

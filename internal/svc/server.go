@@ -81,9 +81,8 @@ type ServerConfig struct {
 	Index    int        // this shard's index in Shards
 	Shards   []bcl.Addr // every shard's port address, in index order
 	Ring     *Ring
-	AuthSeed uint64   // shared credential seed (see userSecret)
-	Seed     uint64   // challenge RNG seed
-	RTO      sim.Time // initial service-level retransmit timeout
+	AuthSeed uint64 // shared credential seed (see userSecret)
+	Seed     uint64 // challenge RNG seed
 	// ReqObs mirrors every flow-stage marker into the request-level
 	// observability recorder (the client side opens the records).
 	ReqObs *reqtrace.Recorder
@@ -187,13 +186,13 @@ func StartShards(p *sim.Proc, sys *bcl.System, opts bcl.Options, bufSize int, cf
 	return servers, nil
 }
 
+// serverRTO is a shard's initial service-level retransmit timeout.
+const serverRTO = 300 * sim.Microsecond
+
 // NewServer attaches a shard server to an opened BCL port. The port's
 // system pool should be generously sized (64+ buffers); the caller
 // starts the loop with env.Go(..., srv.Run).
 func NewServer(p *sim.Proc, port *bcl.Port, bufSize int, cfg ServerConfig) *Server {
-	if cfg.RTO == 0 {
-		cfg.RTO = 300 * sim.Microsecond
-	}
 	nm := make(names)
 	s := &Server{
 		cfg:        cfg,
@@ -209,8 +208,8 @@ func NewServer(p *sim.Proc, port *bcl.Port, bufSize int, cfg ServerConfig) *Serv
 		helloIndex: make(map[helloKey]uint16),
 		interest:   make(map[string][]uint16),
 		invByID:    make(map[uint32]*invState),
-		co:         txn.NewCoordinator[bcl.Addr](cfg.Index, cfg.RTO),
-		part:       txn.NewParticipant[bcl.Addr](cfg.RTO, nm),
+		co:         txn.NewCoordinator[bcl.Addr](cfg.Index, serverRTO),
+		part:       txn.NewParticipant[bcl.Addr](serverRTO, nm),
 		rng:        sim.Splitmix64(cfg.Seed ^ uint64(cfg.Index)<<32),
 	}
 	node := s.node
@@ -535,7 +534,7 @@ func (s *Server) invalidate(p *sim.Proc, key string, ver uint64, writer uint16, 
 		iv := sim.Take(&s.invFree)
 		*iv = invState{
 			id: s.nextInv, key: key, ver: ver, sess: id, client: se.client,
-			group: g, nextAt: p.Now() + s.cfg.RTO, rto: s.cfg.RTO,
+			group: g, nextAt: p.Now() + serverRTO, rto: serverRTO,
 		}
 		g.waiting++
 		s.invs = append(s.invs, iv)
@@ -741,7 +740,7 @@ func (s *Server) runTimers(p *sim.Proc) {
 			}
 			s.stats.invRetrans++
 			s.sendInv(p, iv)
-			iv.rto = txn.Backoff(iv.rto, s.cfg.RTO)
+			iv.rto = txn.Backoff(iv.rto, serverRTO)
 			iv.nextAt = now + iv.rto
 		}
 		live = append(live, iv)

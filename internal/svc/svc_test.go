@@ -309,7 +309,6 @@ func TestTxnSurvivesOutage(t *testing.T) {
 		Arrivals: fixedGap(40 * sim.Microsecond), Sizes: fixedSize(48),
 		GetFrac: 0.2, TxnFrac: 0.5, PairA: pa, PairB: pb,
 		Start: sim.Millisecond, Duration: 30 * sim.Millisecond,
-		RTO: 500 * sim.Microsecond,
 	})
 	tr.c.Install(fabric.Schedule{Windows: []fabric.Window{{Node: 1, From: 8 * sim.Millisecond, To: 12 * sim.Millisecond}}})
 	tr.runDrained(t, 600*sim.Millisecond)
@@ -334,7 +333,6 @@ func TestTxnSurvivesFirmwareCrash(t *testing.T) {
 		Arrivals: fixedGap(40 * sim.Microsecond), Sizes: fixedSize(48),
 		GetFrac: 0.2, TxnFrac: 0.5, PairA: pa, PairB: pb,
 		Start: sim.Millisecond, Duration: 30 * sim.Millisecond,
-		RTO: 500 * sim.Microsecond,
 	})
 	tr.c.Install(fabric.Schedule{Crashes: []fabric.Crash{{Node: 2, At: 10 * sim.Millisecond}}})
 	tr.runDrained(t, 600*sim.Millisecond)

@@ -95,14 +95,6 @@ func (t *Tracer) SetCap(n int) {
 	}
 }
 
-// Cap returns the configured span bound (0 = unbounded).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return t.cap
-}
-
 // Dropped returns how many spans were evicted to honor the cap.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {

@@ -279,8 +279,8 @@ func TestChromeTraceDeterministic(t *testing.T) {
 
 func TestCappedTracerEvictsOldest(t *testing.T) {
 	tr := NewCapped(3)
-	if tr.Cap() != 3 {
-		t.Fatalf("cap = %d", tr.Cap())
+	if tr.cap != 3 {
+		t.Fatalf("cap = %d", tr.cap)
 	}
 	for i := 0; i < 5; i++ {
 		tr.Add("s", "x", sim.Time(i), sim.Time(i+1))
@@ -316,7 +316,7 @@ func TestSetCapShrinkAndUnbound(t *testing.T) {
 	// Nil safety.
 	var nilTr *Tracer
 	nilTr.SetCap(5)
-	if nilTr.Cap() != 0 || nilTr.Dropped() != 0 {
+	if nilTr.Dropped() != 0 {
 		t.Fatal("nil tracer cap state")
 	}
 }
@@ -383,9 +383,9 @@ func checkAgainstModel(t *testing.T, ops []byte) {
 			tr.AddFlow(s.Stage, s.Where, s.Flow, s.Start, s.End)
 			ref.addFlow(s)
 		}
-		if tr.Cap() != ref.cap || tr.Dropped() != ref.dropped || len(tr.Spans) != len(ref.spans) {
+		if tr.cap != ref.cap || tr.Dropped() != ref.dropped || len(tr.Spans) != len(ref.spans) {
 			t.Fatalf("step %d (op %#x): cap/dropped/len = %d/%d/%d, model %d/%d/%d",
-				i, ops[i], tr.Cap(), tr.Dropped(), len(tr.Spans), ref.cap, ref.dropped, len(ref.spans))
+				i, ops[i], tr.cap, tr.Dropped(), len(tr.Spans), ref.cap, ref.dropped, len(ref.spans))
 		}
 		for j := range ref.spans {
 			if tr.Spans[j] != ref.spans[j] {

@@ -122,11 +122,6 @@ func (s *System) Open(p *sim.Proc, n *node.Node, proc *oskernel.Process, sysBuff
 // Addr returns the port address.
 func (pt *Port) Addr() Addr { return pt.addr }
 
-// NicPort exposes the NIC-side port state (event queues) — in the
-// user-level architecture this hardware state is mapped into the
-// process, so exposing it is faithful, not a layering leak.
-func (pt *Port) NicPort() *nic.Port { return pt.nicPort }
-
 // Process returns the owning process.
 func (pt *Port) Process() *oskernel.Process { return pt.proc }
 

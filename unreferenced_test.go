@@ -9,45 +9,66 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// reproducedAPI lists the functions outside tests that no Go file
-// calls yet and that stay anyway, each with its reason.
-var reproducedAPI = map[string]string{
-	"bcl/internal/pvm.(*Task).GetInstance": "PVM's pvm_getinst, reproduced API",
-	"bcl/internal/pvm.(*Task).RecvRaw":     "PVM's raw receive, reproduced API",
-	"bcl.(*Machine).FlightRecorder":        "public API named in DESIGN §8",
+// keptUncalled lists the functions outside tests that no non-test Go
+// file references and that stay anyway, each with its reason: (a) API
+// the paper layers (BCL, EADI-2, MPI, PVM), or (b) an instrument a
+// named test reads that the package exposes no other way.
+var keptUncalled = map[string]string{
+	"bcl.(*Machine).FlightRecorder":          "(a) public API named in DESIGN §8",
+	"bcl/internal/mpi.(*Comm).Allgather":     "(a) MPI_Allgather",
+	"bcl/internal/mpi.(*Comm).Alltoall":      "(a) MPI_Alltoall",
+	"bcl/internal/mpi.(*Comm).Dup":           "(a) MPI_Comm_dup",
+	"bcl/internal/mpi.(*Comm).Gather":        "(a) MPI_Gather",
+	"bcl/internal/mpi.(*Comm).Irecv":         "(a) MPI_Irecv",
+	"bcl/internal/mpi.(*Comm).Isend":         "(a) MPI_Isend",
+	"bcl/internal/mpi.(*Comm).Scatter":       "(a) MPI_Scatter",
+	"bcl/internal/mpi.(*Request).Test":       "(a) MPI_Test",
+	"bcl/internal/mpi.Waitall":               "(a) MPI_Waitall",
+	"bcl/internal/pvm.(*Task).Barrier":       "(a) pvm_barrier over the whole machine",
+	"bcl/internal/pvm.(*Task).GetInstance":   "(a) pvm_getinst",
+	"bcl/internal/pvm.(*Task).GroupBarrier":  "(a) pvm_barrier",
+	"bcl/internal/pvm.(*Task).GroupBcast":    "(a) pvm_bcast",
+	"bcl/internal/pvm.(*Task).GroupSize":     "(a) pvm_gsize",
+	"bcl/internal/pvm.(*Task).JoinGroup":     "(a) pvm_joingroup",
+	"bcl/internal/pvm.(*Task).Mcast":         "(a) pvm_mcast",
+	"bcl/internal/pvm.(*Task).RecvRaw":       "(a) PVM's raw receive",
+	"bcl/internal/pvm.(*Task).UseColl":       "(a) PVM's counterpart of mpi.(*Comm).AttachColl: its group operations over the NIC offload",
+	"bcl/internal/oskernel.(*Kernel).Exit":   "(a) the BCL kernel module's process teardown (DESIGN §7), the one caller of mem.(*PinTable).Invalidate",
+	"bcl/internal/sim.(*Env).Switches":       "(b) TestSwitchesPerEventBudget's coroutine switches per event",
+	"bcl/internal/sim.(*Proc).Done":          "(b) the process-exit signal kernel_test.go and the nested_order/order goldens join on",
+	"bcl/internal/sim.(*Proc).Join":          "(b) the blocking join of kernel_test.go and the nested_order/order goldens",
+	"bcl/internal/sim.NewSignal":             "(b) the free-standing signal of edge_test.go and the nested_order golden",
+	"bcl/internal/sim.(*Signal).Fired":       "(b) kernel_test.go's and edge_test.go's check that a process finished or a signal fired",
+	"bcl/internal/sim.(*Ring).Cap":           "(b) the slot count TestRetiredSendsLeaveTheReplayOrder and TestShadowMatchesMapModel bound: a ring behind a stuck head stays small",
+	"bcl/internal/nic/gbn.(*Sender).NextSeq": "(b) the flow's next sequence, which TestWindowBackpressure and TestStaleEpochsAreDiscarded read once the window has emptied",
+	"bcl/internal/ulc.(*Port).SendUnchecked": "(b) the protection-gap demonstrator of TestUnregisteredBufferRejectedByLibraryOnly (ROADMAP item 10)",
 }
 
 // TestEveryFunctionIsReferenced: a function or method declared outside
-// tests must be referenced by some Go file of the module other than at
-// its declaration, tests included, or be listed in reproducedAPI. The
-// module is type-checked (go/types, imports from the compiler's export
-// data, `go list -export`), so a method counts as referenced only
-// through its own receiver type: a call of another type's method of
-// the same name does not count. A method may also be called through an
-// interface, so it counts as referenced when its type is named
-// somewhere other than in its methods' receivers and implements an
-// interface with a method of that name: one the module names or spells
-// out, or one declared by a package it imports (fmt.Stringer, say).
+// tests must be referenced by some non-test Go file of the module
+// (commands, examples and the benchmark included) other than at its
+// declaration, or be listed in keptUncalled: a function only tests call
+// is kept for tests alone. The module's non-test files are type-checked
+// (go/types, imports from the compiler's export data, `go list
+// -export`), so a method counts as referenced only through its own
+// receiver type: a call of another type's method of the same name does
+// not count. A method may also be called through an interface, so it
+// counts as referenced when its type is named somewhere other than in
+// its methods' receivers and implements an interface with a method of
+// that name: one the module names or spells out, or one declared by a
+// package it imports (fmt.Stringer, say).
 func TestEveryFunctionIsReferenced(t *testing.T) {
 	mod := goList(t, "./...")
-	extra := map[string]bool{} // what test files import from outside the module
-	for _, p := range mod {
-		for _, path := range slices.Concat(p.TestImports, p.XTestImports) {
-			extra[path] = true
-		}
-	}
 	exports := map[string]string{}
-	for _, p := range goList(t, append([]string{"-export", "-deps", "./..."}, slices.Sorted(maps.Keys(extra))...)...) {
+	for _, p := range goList(t, "-export", "-deps", "./...") {
 		exports[p.ImportPath] = p.Export
 	}
 	fset := token.NewFileSet()
@@ -60,9 +81,12 @@ func TestEveryFunctionIsReferenced(t *testing.T) {
 	ifaces := map[*types.Interface]bool{}
 	for _, p := range mod {
 		files := parseFiles(t, fset, p.Dir, p.GoFiles)
-		tests := parseFiles(t, fset, p.Dir, p.TestGoFiles)
 		info := newInfo()
-		pkg := check(fset, p.ImportPath, gc, slices.Concat(files, tests), info)
+		conf := types.Config{Importer: gc}
+		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, f := range files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -76,14 +100,8 @@ func TestEveryFunctionIsReferenced(t *testing.T) {
 				}
 			}
 		}
-		uses(slices.Concat(files, tests), info, used, live)
+		uses(files, info, used, live)
 		collectInterfaces(info, ifaces)
-		if len(p.XTestGoFiles) > 0 {
-			xtests, xinfo := parseFiles(t, fset, p.Dir, p.XTestGoFiles), newInfo()
-			check(fset, p.ImportPath+"_test", self{pkg, gc}, xtests, xinfo)
-			uses(xtests, xinfo, used, live)
-			collectInterfaces(xinfo, ifaces)
-		}
 		for _, imp := range pkg.Imports() {
 			for _, name := range imp.Scope().Names() {
 				if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok && !isGeneric(tn.Type()) {
@@ -101,36 +119,35 @@ func TestEveryFunctionIsReferenced(t *testing.T) {
 
 	var unreferenced []string
 	for q := range checked {
-		_, allowed := reproducedAPI[q]
+		_, kept := keptUncalled[q]
 		switch {
-		case !used[q] && !allowed:
+		case !used[q] && !kept:
 			unreferenced = append(unreferenced, q)
-		case used[q] && allowed:
-			t.Errorf("%s is referenced now: remove it from reproducedAPI", q)
+		case used[q] && kept:
+			t.Errorf("%s is referenced outside tests now: remove it from keptUncalled", q)
 		}
 	}
 	sort.Strings(unreferenced)
 	for _, q := range unreferenced {
-		t.Errorf("%s is referenced by no Go file: delete it, or list it in reproducedAPI with a reason", q)
+		t.Errorf("%s is referenced by no non-test Go file: delete it, or list it in keptUncalled with a reason", q)
 	}
-	for q := range reproducedAPI {
+	for q := range keptUncalled {
 		if !checked[q] {
-			t.Errorf("reproducedAPI lists %s, which is not declared", q)
+			t.Errorf("keptUncalled lists %s, which is not declared", q)
 		}
 	}
 }
 
 // listed is the part of `go list -json` the check reads.
 type listed struct {
-	ImportPath, Dir, Export            string
-	GoFiles, TestGoFiles, XTestGoFiles []string
-	TestImports, XTestImports          []string
+	ImportPath, Dir, Export string
+	GoFiles                 []string
 }
 
 // goList runs `go list -json` over args.
 func goList(t *testing.T, args ...string) []listed {
 	t.Helper()
-	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles,TestImports,XTestImports"}, args...)...)
+	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,Export,GoFiles"}, args...)...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -163,31 +180,6 @@ func parseFiles(t *testing.T, fset *token.FileSet, dir string, names []string) [
 
 func newInfo() *types.Info {
 	return &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-}
-
-// check type-checks one package. Errors are ignored: the module builds,
-// and the only ones possible come from an external test package seeing
-// its package under test twice, from source (with the in-package test
-// files) and from export data through another import; they leave every
-// identifier resolved.
-func check(fset *token.FileSet, path string, imp types.Importer, files []*ast.File, info *types.Info) *types.Package {
-	conf := types.Config{Importer: imp, Error: func(error) {}}
-	pkg, _ := conf.Check(path, fset, files, info)
-	return pkg
-}
-
-// self imports the package under test from source, for its external
-// test package, and everything else through the export data.
-type self struct {
-	pkg *types.Package
-	types.Importer
-}
-
-func (s self) Import(path string) (*types.Package, error) {
-	if path == s.pkg.Path() {
-		return s.pkg, nil
-	}
-	return s.Importer.Import(path)
 }
 
 // uses records the functions info's identifiers reference, and the
