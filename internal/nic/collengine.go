@@ -238,7 +238,9 @@ func (n *NIC) collEngine(p *sim.Proc) {
 			// Single-packet by contract; re-enters the rewound window
 			// from collective-engine context so the receive MCP never
 			// waits for window space.
-			n.transmit(p, n.flowTo(j.desc.DstNode), j.pkt, j.desc, true, j.sram)
+			p.Await(func(k func(a, b uint64)) bool {
+				return n.transmit(n.flowTo(j.desc.DstNode), j.pkt, j.desc, true, j.sram, k, 0, 0)
+			})
 		}
 	}
 }
@@ -261,7 +263,7 @@ func (n *NIC) collLocal(p *sim.Proc, j collJob) {
 	ctx, ok := n.colls[d.Coll.Ctx]
 	if !ok || d.Len > n.prof.MaxPacket {
 		n.releaseSRAM(j.sram)
-		n.failMessage(p, d)
+		p.Await(func(k func(a, b uint64)) bool { return n.failMessage(d, k, 0, 0) })
 		return
 	}
 	n.cpu.Use(p, 1, n.prof.MCPCollProc)
@@ -315,7 +317,7 @@ func (n *NIC) collLocal(p *sim.Proc, j collJob) {
 		}
 	default:
 		n.releaseSRAM(j.sram)
-		n.failMessage(p, d)
+		p.Await(func(k func(a, b uint64)) bool { return n.failMessage(d, k, 0, 0) })
 		return
 	}
 	if !d.NoEvent {
@@ -710,7 +712,7 @@ func (n *NIC) collSend(p *sim.Proc, ctx *CollCtx, m int, proto *fabric.Packet) {
 	n.stats.CollForwards++
 	n.Tracer.DoFlow(p, "nic: coll forward", n.where(), pkt.Trace, func() {
 		n.cpu.Use(p, 1, n.prof.MCPCollProc)
-		n.transmit(p, n.flowTo(node), pkt, d, true, sram)
+		p.Await(func(k func(a, b uint64)) bool { return n.transmit(n.flowTo(node), pkt, d, true, sram, k, 0, 0) })
 	})
 }
 
@@ -734,7 +736,11 @@ func (n *NIC) collDeliver(p *sim.Proc, ctx *CollCtx, kind uint8, origin int, seq
 		segs := sliceSegs(ctx.Landing.Segs, off, ln)
 		done := 0
 		for _, s := range segs {
-			n.busDMA(p, s.Len)
+			p.Await(func(k func(a, b uint64)) bool {
+				n.collBus.resume = k
+				n.busDMA(&n.collBus, s.Len, 0)
+				return false
+			})
 			if err := n.hmem.DMAWrite(s.Phys, payload[done:done+s.Len]); err != nil {
 				return
 			}

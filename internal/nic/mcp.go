@@ -12,19 +12,28 @@ import (
 // This file is the MCP (Message Control Program): the firmware running
 // on the NIC's control processor. Its engines share the card:
 //
-//   - sendEngine drains the send request queue, fetches payload from
-//     host memory by DMA (double-buffered so the fetch of fragment k+1
-//     overlaps the injection of fragment k), packetises, seals a CRC,
-//     and injects — per-message protocol processing plus per-fragment
-//     processing serialise with link injection, which sets the ~146
-//     MB/s plateau the paper measures against the 160 MB/s link.
+//   - the send MCP drains the send request queue in two engines: the
+//     fetch engine (fetchNext) arbitrates across the send rings and
+//     fetches payload from host memory by DMA, and the inject engine
+//     (injectNext) packetises, seals a CRC and injects. fetchQ between
+//     them double-buffers, so the fetch of fragment k+1 overlaps the
+//     injection of fragment k — per-message protocol processing plus
+//     per-fragment processing serialise with link injection, which sets
+//     the ~146 MB/s plateau the paper measures against the 160 MB/s
+//     link.
 //   - the receive MCP (recv.go) drains the fabric RX queue: CRC check,
 //     go-back-N sequencing, payload DMA into the posted buffer,
 //     cumulative ACKs, completion events and the target side of RMA.
-//     It runs as events, not as a process.
 //   - retxEngine replays unacknowledged packets when a flow's
 //     retransmission timer fires or a NACK arrives.
 //   - collEngine (collengine.go) runs the collective offload.
+//
+// The fetch, inject and receive engines run as events, as the LANai's
+// single event loop does: each is a state machine whose every wait is
+// one event booked where a blocked process's wake-up would be. The
+// retransmit and collective engines are processes; they reach the
+// operations the event-driven engines share (transmit, inject, busDMA,
+// failMessage, post) through Proc.Await.
 //
 // All of them charge their processing to the single LANai processor
 // resource, so send and receive traffic genuinely contend on the card.
@@ -110,6 +119,10 @@ func (n *NIC) flowFrom(src int) *rxFlow {
 
 // ---------------------------------------------------------------- send
 
+// The send MCP's waits — work to fetch, LANai or bus time, SRAM, room
+// in or a fragment from fetchQ, window room, the injection link, an
+// event's delivery — each resume its engine at the stage they name.
+
 // fetchJob is one fragment staged in NIC SRAM, flowing from the fetch
 // engine to the injection engine. The two engines form a pipeline so
 // the host-DMA fetch of fragment (or message) k+1 overlaps the link
@@ -142,16 +155,66 @@ func (n *NIC) dropJob(j fetchJob) {
 	}
 }
 
-func (n *NIC) sendEngine(p *sim.Proc) {
-	// The fetch half: arbitrate across the per-endpoint send rings,
-	// stage payload fragments into SRAM by host DMA, hand them to the
-	// injector. With QoS off the arbiter replays strict cross-ring
-	// arrival order one whole message at a time (single-tenant
-	// behaviour); with QoS on it grants wire fragments under weighted
-	// round-robin so endpoints share the DMA engine proportionally.
+// txFetch is the fetch engine's record: the fragment in hand, from the
+// arbiter's grant to its hand-off to the injector.
+type txFetch struct {
+	hold
+	r     *sendRing // the ring it was granted from
+	job   fetchJob  // the fragment, as it is staged
+	xl    xlate     // where its payload is, and the translation on the way there
+	seg   int       // the next segment to DMA
+	done  int       // the payload bytes DMAed so far
+	start sim.Time  // when the DMA began
+}
+
+// The stages a wait resumes the fetch engine at (fetchStep).
+const (
+	fxWork   uint64 = iota // work may have been posted, or the firmware rebooted
+	fxXlated               // one page's translation charged
+	fxDMAed                // one segment's bus time passed
+	fxStaged               // the fragment's SRAM granted
+	fxQueued               // the fragment is in fetchQ
+)
+
+// fetchStep resumes the fetch engine after a wait.
+func (n *NIC) fetchStep(stage, _ uint64) {
+	switch stage {
+	case fxWork:
+	case fxXlated, fxDMAed:
+		if !n.fetchPayload(stage) {
+			return
+		}
+	case fxStaged:
+		if !n.fetchQueue() {
+			return
+		}
+	case fxQueued:
+		n.fetchQueued()
+	default:
+		panic(fmt.Sprintf("nic%d: fetch stage %d", n.node, stage))
+	}
+	n.fetchNext()
+}
+
+// fetchNext is the fetch half of the send pipeline: it arbitrates
+// across the per-endpoint send rings, stages payload fragments into
+// SRAM by host DMA and hands them to the injector, fragment after
+// fragment until one has to wait, or waits for work. With QoS off the
+// arbiter replays strict cross-ring arrival order one whole message at
+// a time (single-tenant behaviour); with QoS on it grants wire
+// fragments under weighted round-robin so endpoints share the DMA
+// engine proportionally.
+func (n *NIC) fetchNext() {
+	f := &n.txf
 	for {
-		r, d, idx := n.nextFrag(p)
-		epoch := n.bootEpoch // staging epoch: a crash mid-fetch voids the job
+		r, d, idx := n.nextFrag()
+		if r == nil {
+			// Crashed firmware fetches nothing; FinishReboot broadcasts.
+			n.sendWork.WaitFn(f.resume, fxWork, 0)
+			return
+		}
+		// The staging epoch: a crash mid-fetch voids the job.
+		f.r, f.job = r, fetchJob{desc: d, fragIdx: idx, frags: r.frags, epoch: n.bootEpoch}
 		if idx == 0 {
 			n.stats.MsgsSent++
 			if d.Born == 0 {
@@ -159,78 +222,137 @@ func (n *NIC) sendEngine(p *sim.Proc) {
 				// that did not inherit a birth time) are born at
 				// dequeue, so the latency histogram covers every
 				// architecture.
-				d.Born = p.Now()
+				d.Born = n.env.Now()
 			}
 		}
-		if d.Kind == DescRMARead {
-			// A read request is a single control packet: no payload.
-			n.fetchQ.Send(p, fetchJob{desc: d, frags: 1, lastFrag: true, epoch: epoch})
-			n.finishMsg(r)
-			continue
-		}
-		lo := idx * n.prof.MaxPacket
-		hi := lo + n.prof.MaxPacket
-		if hi > d.Len {
-			hi = d.Len
-		}
-		if hi < lo {
-			hi = lo
-		}
-		pkt, err := n.fetchRange(p, d, lo, hi-lo)
-		sram := 0
-		if pkt != nil {
-			sram = len(pkt.Payload)
-		}
-		if sram > 0 {
-			n.sram.Acquire(p, sram)
-		}
-		last := idx == r.frags-1
-		n.fetchQ.Send(p, fetchJob{
-			desc: d, fragIdx: idx, frags: r.frags, pkt: pkt,
-			sram: sram, lastFrag: last, err: err, epoch: epoch,
-		})
-		if err != nil || last {
-			// A fetch error abandons the rest of the message (the
-			// injector surfaces the failure).
-			n.finishMsg(r)
+		if !n.fetch() {
+			return
 		}
 	}
 }
 
-// nextFrag blocks until some ring has work, picks the ring the active
-// arbitration policy grants, and returns the next fragment of its
-// in-service message. The ring's fragment cursor is advanced; the
-// caller must finishMsg once the message's last (or failing) fragment
+// nextFrag picks the ring the active arbitration policy grants and
+// returns the next fragment of its in-service message, or a nil ring if
+// there is nothing to fetch. The ring's fragment cursor is advanced;
+// fetchQueued retires the message once its last (or failing) fragment
 // has been handed to the injector.
-func (n *NIC) nextFrag(p *sim.Proc) (*sendRing, *SendDesc, int) {
-	for {
-		if n.fwDead {
-			// Crashed firmware fetches nothing; FinishReboot broadcasts.
-			n.sendWork.Wait(p)
-			continue
-		}
-		var r *sendRing
-		if n.cfg.QoS {
-			r = n.pickWRR()
-		} else {
-			r = n.pickFIFO()
-		}
-		if r == nil {
-			n.sendWork.Wait(p)
-			continue
-		}
-		if r.cur == nil {
-			r.cur = r.q.Pop().d
-			r.fragIdx = 0
-			r.frags = 1
-			if r.cur.Kind != DescRMARead {
-				r.frags = n.prof.Packets(r.cur.Len)
-			}
-		}
-		idx := r.fragIdx
-		r.fragIdx++
-		return r, r.cur, idx
+func (n *NIC) nextFrag() (*sendRing, *SendDesc, int) {
+	if n.fwDead {
+		return nil, nil, 0
 	}
+	var r *sendRing
+	if n.cfg.QoS {
+		r = n.pickWRR()
+	} else {
+		r = n.pickFIFO()
+	}
+	if r == nil {
+		return nil, nil, 0
+	}
+	if r.cur == nil {
+		r.cur = r.q.Pop().d
+		r.fragIdx = 0
+		r.frags = 1
+		if r.cur.Kind != DescRMARead {
+			r.frags = n.prof.Packets(r.cur.Len)
+		}
+	}
+	idx := r.fragIdx
+	r.fragIdx++
+	return r, r.cur, idx
+}
+
+// fetch starts staging the fragment in hand and reports whether it is
+// in fetchQ already. A read request is a single control packet: no
+// payload. A data fragment's bytes are DMAed from host memory into the
+// payload of a pooled packet — the buffer they stay in until the
+// receiving NIC has DMAed them out — charging bus time (and, in
+// NIC-translated mode, translation cache costs).
+func (n *NIC) fetch() bool {
+	f := &n.txf
+	d := f.job.desc
+	if d.Kind == DescRMARead {
+		return n.fetchQueue()
+	}
+	lo := f.job.fragIdx * n.prof.MaxPacket
+	hi := max(min(lo+n.prof.MaxPacket, d.Len), lo)
+	f.job.pkt = n.pool.Get(hi - lo)
+	if hi == lo {
+		return n.fetched()
+	}
+	f.job.err = n.resolveStart(&f.xl, d.Segs, d.VA, d.Space, lo, hi-lo)
+	return n.fetchPayload(fxXlated)
+}
+
+// fetchPayload translates the payload a page at a time (fxXlated),
+// DMAs it a segment at a time, bus time then bytes (fxDMAed), and
+// stages it. A payload whose bytes cannot be fetched is dropped, and
+// the fragment goes on with the error, which the injector surfaces.
+func (n *NIC) fetchPayload(stage uint64) bool {
+	f := &n.txf
+	switch {
+	case f.job.err != nil:
+	case stage == fxDMAed:
+		s := f.xl.out[f.seg]
+		if f.job.err = n.hmem.DMARead(s.Phys, f.job.pkt.Payload[f.done:f.done+s.Len]); f.job.err == nil {
+			f.seg++
+			f.done += s.Len
+		}
+	case f.xl.left > 0:
+		var cost sim.Time
+		if cost, f.job.err = n.translatePage(&f.xl); f.job.err == nil {
+			f.use(n.cpu, cost, fxXlated)
+			return false
+		}
+	default: // resolved: the DMA starts
+		f.seg, f.done, f.start = 0, 0, n.env.Now()
+	}
+	if f.job.err != nil {
+		f.job.pkt.Release()
+		f.job.pkt = nil
+		return n.fetched()
+	}
+	if f.seg < len(f.xl.out) {
+		n.busDMA(&f.hold, f.xl.out[f.seg].Len, fxDMAed)
+		return false
+	}
+	n.Tracer.AddFlow("nic: host DMA fetch", n.where(), f.job.desc.Trace, f.start, n.env.Now())
+	return n.fetched()
+}
+
+// fetched takes SRAM for the fetched payload, then queues it.
+func (n *NIC) fetched() bool {
+	f := &n.txf
+	if f.job.pkt != nil {
+		f.job.sram = len(f.job.pkt.Payload)
+	}
+	if f.job.sram > 0 && !n.sram.AcquireFn(f.job.sram, f.resume, fxStaged, 0) {
+		return false
+	}
+	return n.fetchQueue()
+}
+
+// fetchQueue hands the staged fragment to the injector, once fetchQ has
+// room.
+func (n *NIC) fetchQueue() bool {
+	f := &n.txf
+	f.job.lastFrag = f.job.fragIdx == f.r.frags-1
+	if !n.fetchQ.SendFn(f.job, f.resume, fxQueued, 0) {
+		return false
+	}
+	n.fetchQueued()
+	return true
+}
+
+// fetchQueued retires the ring's message once its last fragment is with
+// the injector. A fetch error abandons the rest of the message (the
+// injector surfaces the failure).
+func (n *NIC) fetchQueued() {
+	f := &n.txf
+	if f.job.err != nil || f.job.lastFrag {
+		n.finishMsg(f.r)
+	}
+	f.r, f.job = nil, fetchJob{}
 }
 
 // finishMsg retires a ring's in-service message and reaps the ring if
@@ -288,83 +410,161 @@ func (n *NIC) pickWRR() *sendRing {
 	return nil
 }
 
-// injectEngine is the injection half of the send pipeline.
-func (n *NIC) injectEngine(p *sim.Proc) {
-	skipMsg := uint64(0) // message being dropped after a fetch error
-	for {
-		j := n.fetchQ.Recv(p)
-		d := j.desc
-		if n.fwDead || j.epoch != n.bootEpoch {
-			// Staged under a boot epoch that has since crashed: the
-			// fragment's SRAM was already wiped conceptually; the kernel
-			// journal replay re-issues the message if it still matters.
-			n.dropJob(j)
-			continue
+// txInject is the inject engine's record: the fragment in hand, from
+// fetchQ to the link.
+type txInject struct {
+	hold
+	j       fetchJob
+	flow    *txFlow  // the flow it goes out on
+	start   sim.Time // when the open span began
+	trace   uint64   // the open span's flow
+	skipMsg uint64   // message being dropped after a fetch error
+}
+
+// The stages a wait resumes the inject engine at (injectStep).
+const (
+	ixRecv        uint64 = iota // a fragment may be in fetchQ
+	ixReadCharged               // read request: its processing charged
+	ixCharged                   // data fragment: its processing charged
+	ixSent                      // data fragment: transmitted
+	ixDone                      // the fragment is handled
+)
+
+// injectStep resumes the inject engine after a wait.
+func (n *NIC) injectStep(stage, _ uint64) {
+	switch stage {
+	case ixRecv, ixDone:
+	case ixReadCharged:
+		if !n.injectRead() {
+			return
 		}
-		if d.Len < 0 {
-			// Only a free list's poison is negative (under go test).
-			panic(fmt.Sprintf("nic%d: send pipeline holds a descriptor that was retired and recycled", n.node))
+	case ixCharged:
+		if !n.injectData() {
+			return
 		}
-		if j.err != nil {
-			// Bad host descriptor (fault/unpinned). Surface a send
-			// failure; the kernel path validates before posting, so
-			// this fires mainly for the user-level architecture.
-			n.dropJob(j)
-			skipMsg = d.MsgID
-			n.failMessage(p, d)
-			continue
-		}
-		if d.MsgID == skipMsg && d.MsgID != 0 {
-			n.dropJob(j)
-			continue
-		}
-		if d.Kind == DescCollMcast || d.Kind == DescCollComb {
-			if j.fragIdx != 0 {
-				// Collective payloads are single-packet by contract (the
-				// library validates); drop stray fragments defensively.
-				n.dropJob(j)
-				continue
-			}
-			// Hand the staged payload (and its SRAM accounting) to the
-			// collective engine: from here on the message fans out over
-			// the tree without re-touching host memory. The engine keeps
-			// and shares payloads for as long as a collective runs, so it
-			// gets a GC-owned copy, not the pooled buffer.
-			payload := append([]byte(nil), j.pkt.Payload...)
-			j.pkt.Release()
-			n.collQ.Post(collJob{kind: collJobLocal, desc: d, payload: payload, sram: j.sram, epoch: n.bootEpoch})
-			continue
-		}
-		flow := n.flowTo(d.DstNode)
-		pkt := j.pkt
-		if d.Kind == DescRMARead {
-			n.cpu.Use(p, 1, n.prof.MCPSendProc)
-			pkt = n.pool.Get(0)
-			pkt.Kind, pkt.Frags, pkt.Offset = fabric.KindRMARead, 1, d.Offset
-			pkt.Tag = uint64(d.ReplyChannel)
-			n.stamp(pkt, d)
-			n.transmit(p, flow, pkt, d, true, 0)
-			continue
-		}
-		cost := n.prof.MCPPacketProc
-		stage := "nic: packet processing"
-		if j.fragIdx == 0 {
-			cost = n.prof.MCPDescFetch + n.prof.MCPSendProc
-			stage = "nic: send proc (reliable protocol)"
-		}
-		n.Tracer.DoFlow(p, stage, n.where(), d.Trace, func() { n.cpu.Use(p, 1, cost) })
-		pkt.Kind = fabric.KindData
-		if d.Kind == DescRMAWrite {
-			pkt.Kind = fabric.KindRMAWrite
-		}
-		pkt.FragIdx, pkt.Frags = j.fragIdx, j.frags
-		pkt.Offset = d.Offset + j.fragIdx*n.prof.MaxPacket
-		pkt.Tag = d.Tag
-		n.stamp(pkt, d)
-		n.Tracer.DoFlow(p, "nic: inject to network", n.where(), d.Trace, func() {
-			n.transmit(p, flow, pkt, d, j.lastFrag, j.sram)
-		})
+	case ixSent:
+		n.injectSent()
+	default:
+		panic(fmt.Sprintf("nic%d: inject stage %d", n.node, stage))
 	}
+	n.injectNext()
+}
+
+// injectNext is the injection half of the send pipeline: it takes
+// fragment after fragment from fetchQ until one has to wait, or waits
+// for one.
+func (n *NIC) injectNext() {
+	i := &n.txi
+	i.j, i.flow = fetchJob{}, nil
+	for {
+		j, ok := n.fetchQ.RecvFn(i.resume, ixRecv, 0)
+		if !ok || !n.injectJob(j) {
+			return
+		}
+	}
+}
+
+// injectJob starts on a fragment and reports whether it is handled
+// already.
+func (n *NIC) injectJob(j fetchJob) bool {
+	i := &n.txi
+	d := j.desc
+	if n.fwDead || j.epoch != n.bootEpoch {
+		// Staged under a boot epoch that has since crashed: the
+		// fragment's SRAM was already wiped conceptually; the kernel
+		// journal replay re-issues the message if it still matters.
+		n.dropJob(j)
+		return true
+	}
+	if d.Len < 0 {
+		// Only a free list's poison is negative (under go test).
+		panic(fmt.Sprintf("nic%d: send pipeline holds a descriptor that was retired and recycled", n.node))
+	}
+	if j.err != nil {
+		// Bad host descriptor (fault/unpinned). Surface a send
+		// failure; the kernel path validates before posting, so
+		// this fires mainly for the user-level architecture.
+		n.dropJob(j)
+		i.skipMsg = d.MsgID
+		return n.failMessage(d, i.resume, ixDone, 0)
+	}
+	if d.MsgID == i.skipMsg && d.MsgID != 0 {
+		n.dropJob(j)
+		return true
+	}
+	if d.Kind == DescCollMcast || d.Kind == DescCollComb {
+		if j.fragIdx != 0 {
+			// Collective payloads are single-packet by contract (the
+			// library validates); drop stray fragments defensively.
+			n.dropJob(j)
+			return true
+		}
+		// Hand the staged payload (and its SRAM accounting) to the
+		// collective engine: from here on the message fans out over
+		// the tree without re-touching host memory. The engine keeps
+		// and shares payloads for as long as a collective runs, so it
+		// gets a GC-owned copy, not the pooled buffer.
+		payload := append([]byte(nil), j.pkt.Payload...)
+		j.pkt.Release()
+		n.collQ.Post(collJob{kind: collJobLocal, desc: d, payload: payload, sram: j.sram, epoch: n.bootEpoch})
+		return true
+	}
+	i.j, i.flow = j, n.flowTo(d.DstNode)
+	if d.Kind == DescRMARead {
+		i.use(n.cpu, n.prof.MCPSendProc, ixReadCharged)
+		return false
+	}
+	cost := n.prof.MCPPacketProc
+	if j.fragIdx == 0 {
+		cost = n.prof.MCPDescFetch + n.prof.MCPSendProc
+	}
+	i.start, i.trace = n.env.Now(), d.Trace
+	i.use(n.cpu, cost, ixCharged)
+	return false
+}
+
+// injectRead transmits a read request, its processing charged.
+func (n *NIC) injectRead() bool {
+	i := &n.txi
+	d := i.j.desc
+	pkt := n.pool.Get(0)
+	pkt.Kind, pkt.Frags, pkt.Offset = fabric.KindRMARead, 1, d.Offset
+	pkt.Tag = uint64(d.ReplyChannel)
+	n.stamp(pkt, d)
+	return n.transmit(i.flow, pkt, d, true, 0, i.resume, ixDone, 0)
+}
+
+// injectData packetises a data fragment, its processing charged, and
+// transmits it.
+func (n *NIC) injectData() bool {
+	i := &n.txi
+	j, d := &i.j, i.j.desc
+	stage := "nic: packet processing"
+	if j.fragIdx == 0 {
+		stage = "nic: send proc (reliable protocol)"
+	}
+	n.Tracer.AddFlow(stage, n.where(), i.trace, i.start, n.env.Now())
+	pkt := j.pkt
+	pkt.Kind = fabric.KindData
+	if d.Kind == DescRMAWrite {
+		pkt.Kind = fabric.KindRMAWrite
+	}
+	pkt.FragIdx, pkt.Frags = j.fragIdx, j.frags
+	pkt.Offset = d.Offset + j.fragIdx*n.prof.MaxPacket
+	pkt.Tag = d.Tag
+	n.stamp(pkt, d)
+	i.start, i.trace = n.env.Now(), d.Trace
+	if !n.transmit(i.flow, pkt, d, j.lastFrag, j.sram, i.resume, ixSent, 0) {
+		return false
+	}
+	n.injectSent()
+	return true
+}
+
+// injectSent closes a data fragment's injection span.
+func (n *NIC) injectSent() {
+	i := &n.txi
+	n.Tracer.AddFlow("nic: inject to network", n.where(), i.trace, i.start, n.env.Now())
 }
 
 // stamp fills in the header fields every packet of a message takes
@@ -375,41 +575,6 @@ func (n *NIC) stamp(pkt *fabric.Packet, d *SendDesc) {
 	pkt.MsgID, pkt.MsgLen = d.MsgID, d.Len
 	pkt.Trace, pkt.Born = d.Trace, d.Born
 	pkt.Seal()
-}
-
-// fetchRange DMAs [lo, lo+ln) of the descriptor's buffer from host
-// memory into the payload of a pooled packet — the buffer the bytes
-// stay in until the receiving NIC has DMAed them out — charging bus
-// time (and, in NIC-translated mode, translation cache costs).
-func (n *NIC) fetchRange(p *sim.Proc, d *SendDesc, lo, ln int) (*fabric.Packet, error) {
-	pkt := n.pool.Get(ln)
-	if ln == 0 {
-		return pkt, nil
-	}
-	x := &n.fetchXl
-	err := n.resolveStart(x, d.Segs, d.VA, d.Space, lo, ln)
-	for err == nil && x.left > 0 {
-		var cost sim.Time
-		if cost, err = n.translatePage(x); err == nil {
-			n.cpu.Use(p, 1, cost)
-		}
-	}
-	if err != nil {
-		pkt.Release()
-		return nil, err
-	}
-	dmaStart := p.Now()
-	done := 0
-	for _, s := range x.out {
-		n.busDMA(p, s.Len)
-		if err := n.hmem.DMARead(s.Phys, pkt.Payload[done:done+s.Len]); err != nil {
-			pkt.Release()
-			return nil, err
-		}
-		done += s.Len
-	}
-	n.Tracer.AddFlow("nic: host DMA fetch", n.where(), d.Trace, dmaStart, p.Now())
-	return pkt, nil
 }
 
 // xlate resolves a byte range into physical segments, out: at once from
@@ -497,65 +662,153 @@ func appendSegs(out, segs []mem.Segment, lo, ln int) []mem.Segment {
 
 // transmit runs the reliability window and injects the packet. It
 // takes over pkt: the flow's window keeps it until the ACK, and every
-// path that does not queue it releases it.
-func (n *NIC) transmit(p *sim.Proc, flow *txFlow, pkt *fabric.Packet, d *SendDesc, lastFrag bool, sram int) {
+// path that does not queue it releases it. It reports true if it is
+// done at once, or runs k(a, b) last in the event that finishes it.
+func (n *NIC) transmit(flow *txFlow, pkt *fabric.Packet, d *SendDesc, lastFrag bool, sram int, k func(a, b uint64), a, b uint64) bool {
 	pkt.Epoch = n.bootEpoch
-	if !n.cfg.Reliable {
-		n.inject(p, pkt)
-		n.releaseSRAM(sram)
-		if lastFrag {
-			// Fire-and-forget: declare success at injection.
-			ev, post := n.sendEvent(EvSendDone, d), !d.NoEvent
-			n.retireSend(d.MsgID, d, true)
-			if post {
-				n.postEvent(p, ev)
-			}
-		}
-		return
+	if len(n.idleTms) == 0 {
+		n.addTransmission()
 	}
-	for flow.Full() {
-		flow.window.Wait(p)
-		if n.tx.Get(d.DstNode) != flow {
+	t := n.idleTms[len(n.idleTms)-1]
+	n.idleTms = n.idleTms[:len(n.idleTms)-1]
+	t.flow, t.pkt, t.d, t.last, t.sram, t.k, t.ka, t.kb = flow, pkt, d, lastFrag, sram, k, a, b
+	var done bool
+	if !n.cfg.Reliable {
+		done = n.inject(pkt, t.stepFn, tmInjected, 0) && t.injected()
+	} else {
+		done = t.send()
+	}
+	if done {
+		t.free()
+	}
+	return done
+}
+
+// transmission is one packet on its way through transmit: what a
+// transmitting process's stack held across the window wait, the
+// injection and the completion it may post.
+type transmission struct {
+	n      *NIC
+	flow   *txFlow
+	pkt    *fabric.Packet
+	d      *SendDesc
+	last   bool
+	sram   int
+	k      func(a, b uint64)
+	ka, kb uint64
+	stepFn func(stage, _ uint64)
+}
+
+// transmissions is how many transmission records New readies: one for
+// each engine that transmits, one packet at a time — the inject and
+// collective engines. A third would allocate.
+const transmissions = 2
+
+// The stages of a transmission (transmission.step).
+const (
+	tmWindow   uint64 = iota // reliable: the window may have room
+	tmInjected               // fire-and-forget: the link has the packet
+	tmFailed                 // refused: the message's failure is posted
+	tmDone                   // the packet is handled
+)
+
+// addTransmission readies one more transmission record.
+func (n *NIC) addTransmission() {
+	t := &transmission{n: n}
+	t.stepFn = t.step
+	n.idleTms = append(n.idleTms, t)
+}
+
+// free returns the record to the NIC's idle list.
+func (t *transmission) free() {
+	t.flow, t.pkt, t.d, t.k = nil, nil, nil, nil
+	t.n.idleTms = append(t.n.idleTms, t)
+}
+
+func (t *transmission) step(stage, _ uint64) {
+	n := t.n
+	switch stage {
+	case tmWindow:
+		if n.tx.Get(t.d.DstNode) != t.flow {
 			// The firmware rebooted while we waited for window space:
 			// this fragment belongs to the dead boot epoch; the kernel
 			// journal replay re-issues the message.
-			n.releaseSRAM(sram)
-			pkt.Release()
+			n.releaseSRAM(t.sram)
+			t.pkt.Release()
+		} else if !t.send() {
 			return
 		}
+	case tmInjected:
+		if !t.injected() {
+			return
+		}
+	case tmFailed:
+		t.pkt.Release()
+	case tmDone:
+	default:
+		panic(fmt.Sprintf("nic%d: transmit stage %d", n.node, stage))
+	}
+	k, a, b := t.k, t.ka, t.kb
+	t.free()
+	k(a, b)
+}
+
+// injected finishes a fire-and-forget packet once the link has it: the
+// last fragment declares its message a success.
+func (t *transmission) injected() bool {
+	n, d := t.n, t.d
+	n.releaseSRAM(t.sram)
+	if !t.last {
+		return true
+	}
+	ev, post := n.sendEvent(EvSendDone, d), !d.NoEvent
+	n.retireSend(d.MsgID, d, true)
+	return !post || n.post(ev, t.stepFn, tmDone, 0)
+}
+
+// send puts the packet into its flow's window once there is room, and
+// injects a copy; a message the flow refuses fails.
+func (t *transmission) send() bool {
+	n, flow, pkt, d := t.n, t.flow, t.pkt, t.d
+	if flow.Full() {
+		flow.window.WaitFn(t.stepFn, tmWindow, 0)
+		return false
 	}
 	seq, v := flow.Send(sendEntry{
-		MsgID: pkt.MsgID, Msg: d, P: pending{pkt, sram}, Last: lastFrag,
+		MsgID: pkt.MsgID, Msg: d, P: pending{pkt, t.sram}, Last: t.last,
 		Tracked: d.Kind == DescData || d.Kind == DescRMAWrite,
-	}, pkt.FragIdx == 0, p.Now())
+	}, pkt.FragIdx == 0, n.env.Now())
 	if v == gbn.Sent {
 		pkt.Seq = seq
 		if flow.timer == (sim.Timer{}) {
 			n.armTimer(flow)
 		}
-		n.inject(p, n.pool.Clone(pkt))
-		return
+		return n.inject(n.pool.Clone(pkt), t.stepFn, tmDone, 0)
 	}
-	n.releaseSRAM(sram)
+	n.releaseSRAM(t.sram)
 	if v == gbn.Fail || v == gbn.FailFast {
 		n.stats.FastFails++
 		if v == gbn.FailFast {
 			n.obs.Event(n.env.Now(), n.node, "nic", "fast-fail", pkt.Trace,
 				fmt.Sprintf("dst=%d msg=%d peer %v", d.DstNode, d.MsgID, flow.Health()))
 		}
-		n.failMessage(p, d)
+		if !n.failMessage(d, t.stepFn, tmFailed, 0) {
+			return false
+		}
 	}
 	pkt.Release()
+	return true
 }
 
 // sendEntry is a packet in a flow's window.
 type sendEntry = gbn.Entry[*SendDesc, pending]
 
-// inject pushes one packet into the fabric, counting it.
-func (n *NIC) inject(p *sim.Proc, pkt *fabric.Packet) {
+// inject pushes one packet into the fabric, counting it. It reports
+// true if the link took it at once, or runs k(a, b) once it has.
+func (n *NIC) inject(pkt *fabric.Packet, k func(a, b uint64), a, b uint64) bool {
 	n.stats.PacketsSent++
 	n.stats.BytesSent += uint64(len(pkt.Payload))
-	n.ep.Inject(p, pkt)
+	return n.ep.InjectFn(pkt, k, a, b)
 }
 
 func (n *NIC) armTimer(f *txFlow) {
@@ -637,7 +890,7 @@ func (n *NIC) resend(p *sim.Proc, f *txFlow) {
 		n.Tracer.DoFlow(p, "nic: retransmit", n.where(), wire.Trace, func() {
 			n.cpu.Use(p, 1, n.prof.MCPPacketProc)
 			n.stats.Retransmits++
-			n.inject(p, wire)
+			p.Await(func(k func(a, b uint64)) bool { return n.inject(wire, k, 0, 0) })
 		})
 		round[i] = nil
 	}
@@ -715,11 +968,12 @@ func (n *NIC) peerUp(f *txFlow, recovered bool) {
 }
 
 // failMessage reports a send failure detected before injection (bad
-// descriptor) or a fail-fast rejection.
-func (n *NIC) failMessage(p *sim.Proc, d *SendDesc) {
+// descriptor) or a fail-fast rejection. It reports true if that is done
+// at once, or runs k(a, b) once the failure event is posted.
+func (n *NIC) failMessage(d *SendDesc, k func(a, b uint64), a, b uint64) bool {
 	if d.OnFail != nil {
 		d.OnFail()
-		return
+		return true
 	}
 	// The failure is surfaced to the host, so the journal must not
 	// resurrect the message after a firmware reboot.
@@ -728,10 +982,11 @@ func (n *NIC) failMessage(p *sim.Proc, d *SendDesc) {
 		f.Forget(d.MsgID)
 	}
 	n.retireSend(d.MsgID, d, false)
-	if post {
-		n.stats.SendFailures++
-		n.postEvent(p, ev)
+	if !post {
+		return true
 	}
+	n.stats.SendFailures++
+	return n.post(ev, k, a, b)
 }
 
 // ------------------------------------------------------------- events

@@ -470,3 +470,76 @@ func TestLatencyHistogramMadeByFirstMessage(t *testing.T) {
 		t.Fatalf("msg_latency_ns counts %d and %d after SetObs(nil), want 2 and 1", latency(a), latency(b))
 	}
 }
+
+// TestFetchWaitsForSRAM: with SRAM for two fragments, the fetch engine
+// stages a fragment only once an ACK has freed the space a sent one
+// held, and the message still arrives whole.
+func TestFetchWaitsForSRAM(t *testing.T) {
+	r := newRig(t, bclConfig())
+	n := r.nics[0]
+	n.sram = sim.NewResource(r.env, "sram0", 2*r.prof.MaxPacket)
+	payload := make([]byte, 8*r.prof.MaxPacket)
+	r.env.Rand().Fill(payload)
+	_, sseg := r.pinnedSegs(t, 0, payload)
+	rva, rseg := r.recvBuf(t, 1, len(payload))
+	n.RegisterPort(1)
+	rp := r.nics[1].RegisterPort(2)
+	r.nics[1].PostRecv(2, 1, &RecvDesc{Len: len(payload), Segs: rseg, VA: rva})
+	r.env.Go("send", func(p *sim.Proc) {
+		n.PostSend(p, lend(n, SendDesc{
+			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
+			Channel: 1, Len: len(payload), Segs: sseg,
+		}))
+	})
+	var got *Event
+	r.env.Go("recv", func(p *sim.Proc) { got = evp(rp.RecvEvQ.Recv(p)) })
+	r.env.RunUntil(100 * sim.Millisecond)
+	if got == nil || got.Len != len(payload) {
+		t.Fatalf("receive event %+v, want one of %d bytes", got, len(payload))
+	}
+	if b, _ := r.space[1].Read(rva, len(payload)); !bytes.Equal(b, payload) {
+		t.Fatal("payload mismatch")
+	}
+	if _, wait, _ := n.sram.Stats(); wait == 0 {
+		t.Fatal("the fetch engine never waited for SRAM")
+	}
+	r.assertDrained(t)
+}
+
+// TestWindowWaitVoidedByReboot: a fragment waiting for window space when
+// the firmware reboots belongs to the dead boot epoch; it gives back its
+// SRAM and packet, and so do the fragments staged behind it.
+func TestWindowWaitVoidedByReboot(t *testing.T) {
+	cfg := bclConfig()
+	cfg.Window = 2
+	r := newRig(t, cfg)
+	n := r.nics[0]
+	payload := make([]byte, 6*r.prof.MaxPacket)
+	_, sseg := r.pinnedSegs(t, 0, payload)
+	n.RegisterPort(1)
+	r.nics[1].CrashFirmware() // nothing is ACKed: the window fills
+	r.env.Go("send", func(p *sim.Proc) {
+		n.PostSend(p, &SendDesc{
+			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
+			Channel: 1, Len: len(payload), Segs: sseg,
+		})
+	})
+	r.env.RunUntil(sim.Millisecond)
+	if !n.flowTo(1).Full() || len(n.idleTms) != transmissions-1 {
+		t.Fatalf("window full %v, %d of %d transmissions idle; want a full window and one waiting",
+			n.flowTo(1).Full(), len(n.idleTms), transmissions)
+	}
+	n.CrashFirmware()
+	n.BeginReboot()
+	n.FinishReboot()
+	r.env.RunUntil(2 * sim.Millisecond)
+	if len(n.idleTms) != transmissions {
+		t.Fatalf("%d of %d transmissions idle after the reboot", len(n.idleTms), transmissions)
+	}
+	if b := n.sram.InUse(); b != 0 {
+		t.Fatalf("%d B of SRAM held after the reboot", b)
+	}
+	if d, b := n.pool.InUse(); d != 0 || b != 0 {
+		t.Fatalf("%d packet descriptors and %d payloads out after the reboot", d, b)
+	}
+}

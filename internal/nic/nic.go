@@ -407,19 +407,25 @@ type NIC struct {
 
 	tlb *nicTLB
 
-	// The receive MCP's record (recv.go), and the idle records of
-	// completion events on their way to the host (deliverEvent).
+	// The MCP engines that run as events: the receive MCP (recv.go) and
+	// the send MCP's fetch and inject engines (mcp.go), a record each;
+	// the idle records of packets on their way through transmit and of
+	// completion events on their way to the host (deliverEvent); and the
+	// bus hold the collective engine's payload DMAs wait on.
 	rxm     rxMCP
+	txf     txFetch
+	txi     txInject
+	idleTms []*transmission
 	idleDvs []*delivery
+	collBus hold
 
 	// model is the node's completion log (ModelFP): every completion
 	// event that reached the host, in order, folded by delivery.step.
 	model uint64
 
-	// Scratch the firmware reuses from one packet to the next: the fetch
-	// engine's translation, the retransmit engine's current round, and
-	// the assembly records of messages the receive MCP completed.
-	fetchXl   xlate
+	// Scratch the firmware reuses from one packet to the next: the
+	// retransmit engine's current round, and the assembly records of
+	// messages the receive MCP completed.
 	retxRound []*fabric.Packet
 	asms      sim.FreeList[*rxAssembly]
 
@@ -459,14 +465,21 @@ func New(env *sim.Env, prof *hw.Profile, cfg Config, node int, ep *fabric.Endpoi
 		bootEpoch: 1,
 	}
 	n.sendWork = sim.NewCond(env)
+	for range transmissions {
+		n.addTransmission()
+	}
 	for range deliveries {
 		n.addDelivery()
 	}
+	n.txf.init(env, n.fetchStep)
+	n.txi.init(env, n.injectStep)
 	n.rxm.init(env, n.rxStep)
-	// The receive MCP starts with an event booked between the engines'
-	// start events, not with a call: later sequence numbers depend on it.
-	env.Go(fmt.Sprintf("nic%d/send-engine", node), n.sendEngine)
-	env.Go(fmt.Sprintf("nic%d/inject-engine", node), n.injectEngine)
+	n.collBus.init(env, nil)
+	// The event-driven engines start with events booked before the
+	// processes' start events, not with calls: later sequence numbers
+	// depend on them.
+	env.AtArg(env.Now(), n.txf.resume, fxWork, 0)
+	env.AtArg(env.Now(), n.txi.resume, ixRecv, 0)
 	env.AtArg(env.Now(), n.rxm.resume, rxRecv, 0)
 	env.Go(fmt.Sprintf("nic%d/retx-engine", node), n.retxEngine)
 	env.Go(fmt.Sprintf("nic%d/coll-engine", node), n.collEngine)
@@ -918,9 +931,9 @@ func (n *NIC) RegisterOpen(port, channel int, d *RecvDesc) error {
 	return nil
 }
 
-// busDMA occupies the PCI bus for a DMA of n bytes (plus engine setup)
-// and returns after the transfer time has elapsed.
-func (n *NIC) busDMA(p *sim.Proc, bytes int) {
-	d := n.prof.DMASetup + hw.TransferTime(bytes, n.prof.PCIBandwidth)
-	n.Bus.Use(p, 1, d)
+// busDMA occupies the PCI bus for a DMA of bytes (plus engine setup) on
+// behalf of h's activity, which resumes at stage once the transfer time
+// has elapsed.
+func (n *NIC) busDMA(h *hold, bytes int, stage uint64) {
+	h.use(n.Bus, n.prof.DMASetup+hw.TransferTime(bytes, n.prof.PCIBandwidth), stage)
 }

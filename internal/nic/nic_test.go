@@ -624,10 +624,13 @@ func TestUnreliableModeSkipsAcks(t *testing.T) {
 	}
 }
 
-func TestNICTranslatedMode(t *testing.T) {
+// translatedPasses sends one buffer of pages pages twice from NIC 0 in
+// NIC-translated mode, checking each delivery byte for byte, and returns
+// the sending NIC's TLB misses in each pass.
+func translatedPasses(t *testing.T, pages int) (first, second uint64) {
+	t.Helper()
 	cfg := Config{Translate: NICTranslated, Completion: UserEventQueue, Reliable: true}
 	r := newRig(t, cfg)
-	const pages = tlbEntries + 1 // thrashes the TLB
 	payload := make([]byte, pages*4096)
 	r.env.Rand().Fill(payload)
 	// User-level mode: the library registers (pins) memory itself.
@@ -635,27 +638,57 @@ func TestNICTranslatedMode(t *testing.T) {
 	rva, _ := r.recvBuf(t, 1, len(payload))
 	r.nics[0].RegisterPort(1)
 	rp := r.nics[1].RegisterPort(2)
-	r.nics[1].PostRecv(2, 1, &RecvDesc{Len: len(payload), VA: rva, Space: r.space[1]})
+	var misses [2]uint64
+	for pass := range misses {
+		if err := r.space[1].Write(rva, make([]byte, len(payload))); err != nil {
+			t.Fatal(err)
+		}
+		r.nics[1].PostRecv(2, 1, &RecvDesc{Len: len(payload), VA: rva, Space: r.space[1]})
+		before := r.nics[0].Stats().TLBMisses
+		done := false
+		r.env.Go("sender", func(p *sim.Proc) {
+			r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
+				Kind: DescData, MsgID: uint64(pass + 1), SrcPort: 1, DstNode: 1, DstPort: 2,
+				Channel: 1, Len: len(payload), VA: sva, Space: r.space[0],
+			}))
+		})
+		r.env.Go("receiver", func(p *sim.Proc) { rp.RecvEvQ.Recv(p); done = true })
+		r.env.RunUntil(r.env.Now() + 100*sim.Millisecond)
+		if !done {
+			t.Fatalf("pass %d: NIC-translated message not delivered", pass+1)
+		}
+		got, _ := r.space[1].Read(rva, len(payload))
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("pass %d: NIC-translated payload mismatch", pass+1)
+		}
+		misses[pass] = r.nics[0].Stats().TLBMisses - before
+	}
+	return misses[0], misses[1]
+}
 
-	done := false
-	r.env.Go("sender", func(p *sim.Proc) {
-		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
-			Kind: DescData, MsgID: 1, SrcPort: 1, DstNode: 1, DstPort: 2,
-			Channel: 1, Len: len(payload), VA: sva, Space: r.space[0],
-		}))
-	})
-	r.env.Go("receiver", func(p *sim.Proc) { rp.RecvEvQ.Recv(p); done = true })
-	r.env.RunUntil(100 * sim.Millisecond)
-	if !done {
-		t.Fatal("NIC-translated message not delivered")
+// TestNICTranslatedMode: a working set one page larger than the TLB
+// thrashes its LRU, so the second pass over it misses on every page
+// again, not only the cold first one.
+func TestNICTranslatedMode(t *testing.T) {
+	const pages = tlbEntries + 1
+	first, second := translatedPasses(t, pages)
+	if first < pages {
+		t.Fatalf("TLB misses = %d on the first pass, want >= %d (one per page)", first, pages)
 	}
-	got, _ := r.space[1].Read(rva, len(payload))
-	if !bytes.Equal(got, payload) {
-		t.Fatal("NIC-translated payload mismatch")
+	if second < pages {
+		t.Fatalf("TLB misses = %d on the second pass, want >= %d: a working set past the TLB thrashes it", second, pages)
 	}
-	st := r.nics[0].Stats()
-	if st.TLBMisses < pages {
-		t.Fatalf("TLB misses = %d on the sending NIC, want >= %d (one per page)", st.TLBMisses, pages)
+}
+
+// TestNICTranslatedWorkingSetFits is TestNICTranslatedMode's control: a
+// working set the size of the TLB misses on its first pass only.
+func TestNICTranslatedWorkingSetFits(t *testing.T) {
+	first, second := translatedPasses(t, tlbEntries)
+	if first < tlbEntries {
+		t.Fatalf("TLB misses = %d on the first pass, want >= %d (one per page)", first, tlbEntries)
+	}
+	if second != 0 {
+		t.Fatalf("TLB misses = %d on the second pass, want 0: the working set fits the TLB", second)
 	}
 }
 

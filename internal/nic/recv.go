@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"bcl/internal/fabric"
-	"bcl/internal/hw"
 	"bcl/internal/mem"
 	"bcl/internal/nic/gbn"
 	"bcl/internal/sim"
@@ -391,8 +390,7 @@ func (n *NIC) dataLand(stage uint64) {
 		r.seg, r.done, r.start = 0, 0, n.env.Now()
 	}
 	if r.seg < len(r.xl.out) {
-		d := n.prof.DMASetup + hw.TransferTime(r.xl.out[r.seg].Len, n.prof.PCIBandwidth)
-		r.use(n.Bus, d, rxDMAed)
+		n.busDMA(&r.hold, r.xl.out[r.seg].Len, rxDMAed)
 		return
 	}
 	if len(pkt.Payload) > 0 {

@@ -355,10 +355,11 @@ func TestRewindResendsCollectiveForwards(t *testing.T) {
 	}
 }
 
-// TestNICRunsFourProcesses: the send, inject, retransmit and collective
-// engines are processes, a goroutine each for as long as the simulation
-// lives; the receive MCP is events and holds none.
-func TestNICRunsFourProcesses(t *testing.T) {
+// TestNICRunsTwoProcesses: the retransmit and collective engines are
+// processes, a goroutine each for as long as the simulation lives; the
+// receive MCP and the send MCP's fetch and inject engines are events
+// and hold none.
+func TestNICRunsTwoProcesses(t *testing.T) {
 	carriers := func() int {
 		buf := make([]byte, 1<<20)
 		for {
@@ -375,8 +376,8 @@ func TestNICRunsFourProcesses(t *testing.T) {
 	before := carriers()
 	New(env, prof, bclConfig(), 0, fab.Attach(0), mem.NewMemory(prof.PageSize))
 	env.RunUntil(sim.Millisecond)
-	if n := carriers() - before; n != 4 {
-		t.Fatalf("a NIC runs %d processes, want 4", n)
+	if n := carriers() - before; n != 2 {
+		t.Fatalf("a NIC runs %d processes, want 2", n)
 	}
 }
 

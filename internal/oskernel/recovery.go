@@ -137,10 +137,16 @@ func (s *NICShadow) MsgDone(src int, msgID uint64) {
 }
 
 // closePort drops a port's journal records, including any still-queued
-// sends from its ring: after ClosePort nothing of the endpoint may be
-// resurrected by a later replay.
+// sends from its ring and the collective contexts whose local member it
+// is: after ClosePort nothing of the endpoint may be resurrected by a
+// later replay.
 func (s *NICShadow) closePort(id int) {
 	s.ports.Set(id, nil)
+	for cid, c := range s.colls {
+		if c.Ports[c.Me] == id {
+			delete(s.colls, cid)
+		}
+	}
 	for i := s.sends.Len() - 1; i >= 0; i-- {
 		if s.sends.At(i).desc.SrcPort == id {
 			s.sends.Remove(i) // the older entries keep their positions

@@ -8,6 +8,7 @@ import (
 	"bcl/internal/fabric/myrinet"
 	"bcl/internal/mem"
 	"bcl/internal/nic"
+	"bcl/internal/nic/coll"
 	"bcl/internal/sim"
 )
 
@@ -458,4 +459,51 @@ func TestRejectedCommandsAreNotJournaled(t *testing.T) {
 	if err := n.Drained(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestClosedPortLeavesTheJournal: closing a port drops the collective
+// contexts whose local member it is along with its tables, so
+// journal_records is back at its value before the port opened, and the
+// watchdog's recovery after a firmware crash programs no context for
+// the endpoint.
+func TestClosedPortLeavesTheJournal(t *testing.T) {
+	env, k, n := newKernelNIC()
+	proc := k.Spawn()
+	va := proc.Space.Alloc(4096)
+	records := func() (got int64) {
+		k.CollectGauges(func(_ int, _, name string, v int64) {
+			if name == "journal_records" {
+				got = v
+			}
+		})
+		return got
+	}
+	spec := &nic.CollSpec{
+		ID: 7, Me: 0, Nodes: []int{0}, Ports: []int{1}, Plan: coll.Binomial(1, 0),
+		Landing: nic.RecvDesc{Len: 4096, VA: va, Space: proc.Space}, SlotSize: 64, Slots: 4,
+	}
+	env.Go("p", func(p *sim.Proc) {
+		before := records()
+		k.RegisterPort(p, 1, 1)
+		if err := k.RegisterCollCtx(p, spec); err != nil {
+			t.Error(err)
+			return
+		}
+		if got := records(); got != before+2 {
+			t.Errorf("journal_records %d with a port and a context, want %d", got, before+2)
+		}
+		k.ClosePort(1)
+		if got := records(); got != before {
+			t.Errorf("journal_records %d after ClosePort, want %d as before the port opened", got, before)
+		}
+		n.CrashFirmware()
+		k.recoverNIC(p)
+		if got := k.Stats().ReplayedRecords; got != 0 {
+			t.Errorf("the recovery replayed %d records of a closed port", got)
+		}
+		if err := n.RegisterCollCtx(spec); err != nil {
+			t.Errorf("the recovery programmed the closed port's context: %v", err)
+		}
+	})
+	env.Run()
 }

@@ -556,7 +556,7 @@ func TestQueueChurnAllocatesNothing(t *testing.T) {
 	}
 
 	// Eight processes parked on a condition; a round is one Broadcast
-	// (eight wakeSoon events in the ring) and the window that runs them.
+	// (eight wake-up events in the ring) and the window that runs them.
 	c := NewCond(e)
 	woken := 0
 	for i := 0; i < 8; i++ {

@@ -53,17 +53,17 @@ type Proc struct {
 	driving bool
 
 	// wakeFn is the one closure allocated per process; every wake-up
-	// (wakeSoon, Sleep, the start event, a Queue, Resource or Await
-	// continuation) schedules it through the pooled event queue, so
+	// (wakeSoon, Sleep, the start event, a Queue, Cond, Resource or
+	// Await continuation) schedules it through the pooled event queue, so
 	// process handoffs allocate nothing.
 	wakeFn func(a, b uint64)
 
 	// Wait state. A process blocks on one primitive at a time, so the
 	// record of that wait lives here instead of in a per-wait
-	// allocation. next links the process into a Signal's or Cond's
-	// waiter list. waitGen numbers Queue receive waits: whoever ends
-	// one (a sender or the timeout) bumps it, which both claims the
-	// wake-up and turns the queue's record of the wait stale.
+	// allocation. next links the process into a Signal's waiter list.
+	// waitGen numbers Queue receive waits: whoever ends one (a sender or
+	// the timeout) bumps it, which both claims the wake-up and turns the
+	// queue's record of the wait stale.
 	// timeoutFn is RecvTimeout's timer callback, built on first use;
 	// armedGen is the wait it guards and timedOut its verdict.
 	next      *Proc
@@ -243,11 +243,20 @@ func (l *waitList) wakeAll(e *Env) {
 }
 
 // Cond parks processes until a broadcast, like sync.Cond without the
-// lock (the simulation is single-threaded). Waiters must re-check
-// their predicate in a loop.
+// lock (the simulation is single-threaded); WaitFn queues a
+// continuation instead of a process. Both kinds of waiter share one
+// FIFO and are woken in the order they joined it. Waiters must
+// re-check their predicate in a loop.
 type Cond struct {
 	env     *Env
-	waiters waitList
+	waiters Ring[condWaiter]
+}
+
+// condWaiter is one queued waiter: the continuation fn(a, b) the next
+// Broadcast books, which for a parked process is its wake-up.
+type condWaiter struct {
+	fn   func(a, b uint64)
+	a, b uint64
 }
 
 // NewCond returns a condition bound to env.
@@ -255,12 +264,26 @@ func NewCond(env *Env) *Cond { return &Cond{env: env} }
 
 // Wait parks p until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters.add(p)
+	c.WaitFn(p.wakeFn, 0, 0)
 	p.park()
 }
 
-// Broadcast wakes every currently parked waiter.
-func (c *Cond) Broadcast() { c.waiters.wakeAll(c.env) }
+// WaitFn is Wait for event-driven callers: fn(a, b) runs from the one
+// event the next Broadcast books for it, where a parked process's
+// wake-up would be. Pass a long-lived function value and, once the
+// waiter ring has grown to its working size, the call allocates
+// nothing.
+func (c *Cond) WaitFn(fn func(a, b uint64), a, b uint64) {
+	c.waiters.Push(condWaiter{fn: fn, a: a, b: b})
+}
+
+// Broadcast wakes every current waiter, in the order they joined.
+func (c *Cond) Broadcast() {
+	for c.waiters.Len() > 0 {
+		w := c.waiters.Pop()
+		c.env.AtArg(c.env.now, w.fn, w.a, w.b)
+	}
+}
 
 // Signal is a one-shot broadcast event: processes Wait on it, Fire
 // releases all current and future waiters.

@@ -29,9 +29,13 @@ type recvWaiter struct {
 
 func (w recvWaiter) live() bool { return w.p == nil || w.gen == w.p.waitGen }
 
+// sendWaiter records one sender waiting for room, with its value:
+// the pop that makes room pushes v and schedules fn(a, b), a parked
+// process's wake-up or a continuation.
 type sendWaiter[T any] struct {
-	p *Proc
-	v T
+	fn   func(a, b uint64)
+	a, b uint64
+	v    T
 }
 
 // NewQueue returns a queue bound to env. capacity <= 0 means
@@ -70,12 +74,23 @@ func (q *Queue[T]) await(w recvWaiter) {
 
 // Send enqueues v, blocking p while the queue is full.
 func (q *Queue[T]) Send(p *Proc, v T) {
+	if !q.SendFn(v, p.wakeFn, 0, 0) {
+		p.park() // our value was pushed by the receiver that freed space
+	}
+}
+
+// SendFn is Send for event-driven callers: it enqueues v and reports
+// true, or, while the queue is full, queues v with fn(a, b) in line
+// with blocked processes and reports false. The receive that makes room
+// pushes v and runs fn from the one event a blocked sender's wake-up
+// would have been.
+func (q *Queue[T]) SendFn(v T, fn func(a, b uint64), a, b uint64) bool {
 	if q.full() {
-		q.sendWait.Push(sendWaiter[T]{p: p, v: v})
-		p.park()
-		return // our value was pushed by the receiver that freed space
+		q.sendWait.Push(sendWaiter[T]{fn: fn, a: a, b: b, v: v})
+		return false
 	}
 	q.push(v)
+	return true
 }
 
 // Post enqueues from non-process context (an event callback). It
@@ -174,7 +189,7 @@ func (q *Queue[T]) pop() T {
 	if q.sendWait.Len() > 0 {
 		w := q.sendWait.Pop()
 		q.push(w.v)
-		q.env.wakeSoon(w.p)
+		q.env.AtArg(q.env.now, w.fn, w.a, w.b)
 	}
 	return v
 }

@@ -55,6 +55,90 @@ func TestRecvFnSharesTheLineWithProcesses(t *testing.T) {
 	}
 }
 
+// TestSendFnSharesTheLineWithProcesses: on a full bounded queue,
+// blocked senders and queued continuations are one FIFO; each receive
+// that makes room pushes the next waiter's value and resumes that
+// waiter from one event.
+func TestSendFnSharesTheLineWithProcesses(t *testing.T) {
+	env := NewEnv(1)
+	q := NewQueue[int](env, "q", 1)
+	q.Post(0)
+	var got []string
+	fn := func(a, _ uint64) { got = append(got, fmt.Sprintf("fn%d@%d", a, env.Now())) }
+	for i := 1; i <= 4; i++ {
+		if i%2 == 1 {
+			env.GoAt(Time(i), fmt.Sprintf("p%d", i), func(p *Proc) {
+				q.Send(p, i*10)
+				got = append(got, fmt.Sprintf("p%d@%d", i, p.Now()))
+			})
+		} else {
+			env.At(Time(i), func() {
+				if q.SendFn(i*10, fn, uint64(i), 0) {
+					t.Errorf("fn%d sent into a full queue", i)
+				}
+			})
+		}
+	}
+	env.RunUntil(10)
+	var vals []int
+	env.GoAt(15, "receiver", func(p *Proc) {
+		for range 5 {
+			vals = append(vals, q.Recv(p))
+		}
+	})
+	before := env.Steps()
+	env.RunUntil(20)
+	if fmt.Sprint(vals) != "[0 10 20 30 40]" {
+		t.Fatalf("received %v, want [0 10 20 30 40]", vals)
+	}
+	if want := "[p1@15 fn2@15 p3@15 fn4@15]"; fmt.Sprint(got) != want {
+		t.Fatalf("resumed %v, want %s", got, want)
+	}
+	if n := env.Steps() - before; n != 5 {
+		t.Fatalf("%d events to receive and resume four senders, want 5", n)
+	}
+	if !q.SendFn(50, fn, 9, 0) || q.Len() != 1 {
+		t.Fatal("SendFn into an empty queue did not enqueue inline")
+	}
+}
+
+// TestCondWaitFnSharesTheLineWithProcesses: parked processes and
+// continuations wait on one Cond in one FIFO. A Broadcast wakes each
+// from one event, in the order they joined, and only those that were
+// waiting when it was called.
+func TestCondWaitFnSharesTheLineWithProcesses(t *testing.T) {
+	env := NewEnv(1)
+	c := NewCond(env)
+	var got []string
+	fn := func(a, _ uint64) { got = append(got, fmt.Sprintf("fn%d@%d", a, env.Now())) }
+	for i := 1; i <= 4; i++ {
+		if i%2 == 1 {
+			env.GoAt(Time(i), fmt.Sprintf("p%d", i), func(p *Proc) {
+				c.Wait(p)
+				got = append(got, fmt.Sprintf("p%d@%d", i, p.Now()))
+			})
+		} else {
+			env.At(Time(i), func() { c.WaitFn(fn, uint64(i), 0) })
+		}
+	}
+	env.RunUntil(10)
+	before := env.Steps()
+	env.At(15, func() {
+		c.Broadcast()
+		c.WaitFn(fn, 9, 0) // joins after the broadcast: stays queued
+	})
+	env.RunUntil(20)
+	if want := "[p1@15 fn2@15 p3@15 fn4@15]"; fmt.Sprint(got) != want {
+		t.Fatalf("woke %v, want %s", got, want)
+	}
+	if n := env.Steps() - before; n != 5 {
+		t.Fatalf("%d events to broadcast to four waiters, want 5", n)
+	}
+	if c.waiters.Len() != 1 {
+		t.Fatalf("%d waiters left, want the one that joined after the broadcast", c.waiters.Len())
+	}
+}
+
 // TestRecvFnSkipsStaleTimeoutRecords: a receiver that timed out leaves
 // its record in the line; the next item goes past it to the
 // continuation behind it.

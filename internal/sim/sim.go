@@ -43,13 +43,14 @@
 // carrier stacks as well as on the goroutine that called RunUntil.
 //
 // Not everything that waits is a process. A state machine leaves a
-// long-lived continuation func(a, b uint64) with Resource.AcquireFn or
-// Queue.RecvFn, in line with parked processes, or books it with
-// Env.AtArg; it runs from the one event a parked process's wake-up
-// would have been, so it moves no event and switches nothing. The
-// fabric moves every packet this way, and the NIC's receive MCP takes
-// every packet off the wire so; processes reach the same operations
-// through Proc.Await.
+// long-lived continuation func(a, b uint64) with Resource.AcquireFn,
+// Queue.RecvFn, Queue.SendFn or Cond.WaitFn, in line with parked
+// processes, or books it with Env.AtArg; it runs from the one event a
+// parked process's wake-up would have been, so it moves no event and
+// switches nothing. The fabric moves every packet this way, and three
+// NIC firmware engines run so: the receive MCP, and the send MCP's
+// fetch and inject engines. Processes reach the same operations through
+// Proc.Await.
 //
 // Carriers are recycled: a process takes one at its first wake and
 // returns it when its body ends, so an environment holds as many
@@ -327,9 +328,9 @@ func (e *Env) At(t Time, fn func()) Timer {
 // in the pooled event itself. This is the scheduling form for hot
 // paths that are run-to-completion state machines rather than
 // sequential programs: the fabric moves every packet as a chain of
-// AtArg events (fabric.Network), and Resource.AcquireFn and Queue.RecvFn
-// resume a queued continuation the same way. Closed environments drop
-// the event exactly like At.
+// AtArg events (fabric.Network), and Resource.AcquireFn, Queue.RecvFn,
+// Queue.SendFn and Cond.WaitFn resume a queued continuation the same
+// way. Closed environments drop the event exactly like At.
 func (e *Env) AtArg(t Time, fn func(a, b uint64), a, b uint64) {
 	if e.closed {
 		return
