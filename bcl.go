@@ -186,7 +186,6 @@ type Ctx struct {
 	P     *Proc
 	Port  *Port
 	Peers []Addr
-	M     *Machine
 }
 
 // Alloc maps n bytes in the process's address space.
@@ -214,7 +213,7 @@ func (m *Machine) StartWithOptions(ranks int, placement []int, opts PortOptions,
 	m.launch("bcl", ranks, placement, opts, func(ports []*Port) {
 		peers := ibcl.Addrs(ports)
 		for i, pt := range ports {
-			ctx := &Ctx{Rank: i, Port: pt, Peers: peers, M: m}
+			ctx := &Ctx{Rank: i, Port: pt, Peers: peers}
 			m.Cluster.Env.Go(fmt.Sprintf("rank%d", i), func(rp *sim.Proc) {
 				ctx.P = rp
 				body(ctx)

@@ -56,18 +56,16 @@ type Handler func(p *sim.Proc, src Addr, arg uint64, offset int, data []byte)
 
 // System is the per-cluster AM instance.
 type System struct {
-	Cluster *cluster.Cluster
-	nextID  []int
+	nextID []int
 }
 
 // NewSystem attaches AM to a cluster built with NICConfig().
 func NewSystem(c *cluster.Cluster) *System {
-	return &System{Cluster: c, nextID: make([]int, c.Size())}
+	return &System{nextID: make([]int, c.Size())}
 }
 
 // Endpoint is one process's AM endpoint.
 type Endpoint struct {
-	sys      *System
 	node     *node.Node
 	proc     *oskernel.Process
 	addr     Addr
@@ -85,7 +83,6 @@ func (s *System) Open(p *sim.Proc, nd *node.Node, proc *oskernel.Process, nStagi
 	}
 	s.nextID[nd.ID]++
 	e := &Endpoint{
-		sys:     s,
 		node:    nd,
 		proc:    proc,
 		addr:    Addr{Node: nd.ID, Port: s.nextID[nd.ID]},

@@ -28,13 +28,10 @@ const CollSlots = 8
 
 // CollCtx is the library handle for one registered collective context.
 type CollCtx struct {
-	ID      int
-	Me      int
-	Members []Addr
-	Plan    coll.Plan
-
-	LandingVA mem.VAddr // base of the pinned landing ring
-	SlotSize  int
+	ID       int
+	Me       int
+	Plan     coll.Plan
+	SlotSize int
 }
 
 // RegisterColl programs a collective context into the local NIC: it
@@ -82,7 +79,7 @@ func (pt *Port) RegisterColl(p *sim.Proc, id, me int, members []Addr, plan coll.
 	if err != nil {
 		return nil, err
 	}
-	return &CollCtx{ID: id, Me: me, Members: members, Plan: plan, LandingVA: va, SlotSize: slotSize}, nil
+	return &CollCtx{ID: id, Me: me, Plan: plan, SlotSize: slotSize}, nil
 }
 
 // CollMcast injects a tree multicast: ONE trap, after which the NICs

@@ -157,7 +157,7 @@ func TestRoundTripEventBudget(t *testing.T) {
 					}
 				}
 				ev := pt.WaitRecv(p)
-				if err := pt.ReturnSystemBuffer(p, ev.VA, tb.c.Prof.MaxPacket); err != nil {
+				if err := pt.ReturnSystemBuffer(p, ev.VA, tb.c.Nodes[0].Prof.MaxPacket); err != nil {
 					t.Error(err)
 				}
 				if !first {
@@ -211,7 +211,7 @@ func TestRoundTripAllocatesNothing(t *testing.T) {
 					}
 				}
 				ev := pt.WaitRecv(p)
-				if err := pt.ReturnSystemBuffer(p, ev.VA, tb.c.Prof.MaxPacket); err != nil {
+				if err := pt.ReturnSystemBuffer(p, ev.VA, tb.c.Nodes[0].Prof.MaxPacket); err != nil {
 					t.Error(err)
 				}
 				if !first {
@@ -330,7 +330,7 @@ func TestIntraRoundTripAllocatesNothing(t *testing.T) {
 func TestWaitRecvTimeout(t *testing.T) {
 	tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 1})
 	rx, tx := tb.ports[0], tb.ports[1]
-	prof := tb.c.Prof
+	prof := tb.c.Nodes[0].Prof
 	ch := rx.CreateChannel()
 	done := false
 	tb.c.Env.Go("flow", func(p *sim.Proc) {

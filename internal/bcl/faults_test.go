@@ -225,7 +225,7 @@ func outOfWindowWrite(t *testing.T, lost int) {
 		}
 		for {
 			ev := target.WaitRecv(p)
-			if err := target.ReturnSystemBuffer(p, ev.VA, tb.c.Prof.MaxPacket); err != nil {
+			if err := target.ReturnSystemBuffer(p, ev.VA, tb.c.Nodes[0].Prof.MaxPacket); err != nil {
 				t.Error(err)
 			}
 		}

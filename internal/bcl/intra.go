@@ -15,9 +15,9 @@ import (
 // port's delivery engine copies them out into the posted buffer —
 // two memcpys, pipelined chunk by chunk so they overlap in time, but
 // contending on the node's memory system, which caps the plateau near
-// half the raw memcpy bandwidth (the paper's 391 vs ~800 MB/s). A
-// sequence number per fragment preserves ordering. No kernel trap
-// appears anywhere on this path.
+// half the raw memcpy bandwidth (the paper's 391 vs ~800 MB/s). The
+// receiving port's intraQ is a FIFO, so fragments arrive in the order
+// they were sent. No kernel trap appears anywhere on this path.
 
 // intraFrag is one shared-memory chunk in flight between two local
 // processes. The sender takes it off the receiving port's fragFree and
@@ -28,7 +28,6 @@ type intraFrag struct {
 	channel int
 	msgID   uint64
 	tag     uint64
-	seq     int
 	frags   int
 	msgLen  int
 	offset  int
@@ -66,7 +65,7 @@ func (pt *Port) sendIntra(p *sim.Proc, dst Addr, channel int, va mem.VAddr, n in
 			}
 			*f = intraFrag{
 				src: pt.addr, channel: channel, msgID: msgID, tag: tag,
-				seq: i, frags: frags, msgLen: n, offset: lo,
+				frags: frags, msgLen: n, offset: lo,
 				data: slices.Grow(f.data[:0], hi-lo)[:hi-lo],
 			}
 			if err := pt.proc.Space.ReadInto(va+mem.VAddr(lo), f.data); err != nil {
@@ -87,7 +86,7 @@ func (pt *Port) sendIntra(p *sim.Proc, dst Addr, channel int, va mem.VAddr, n in
 	pt.sendEvs.Post(nic.Event{
 		Type: nic.EvSendDone, Port: pt.addr.Port, Channel: channel,
 		MsgID: msgID, Len: n, Tag: tag, SrcNode: pt.addr.Node,
-		SrcPort: pt.addr.Port, Stamp: pt.node.Env.Now(),
+		SrcPort: pt.addr.Port,
 	})
 	pt.sent++
 	pt.bytesSent += uint64(n)
@@ -157,6 +156,6 @@ func (pt *Port) land(p *sim.Proc, f *intraFrag, open map[uint64]intraAsm) {
 		Type: nic.EvRecvDone, Port: pt.addr.Port, Channel: f.channel,
 		MsgID: f.msgID, Len: f.msgLen, Tag: f.tag,
 		SrcNode: f.src.Node, SrcPort: f.src.Port,
-		VA: st.buf.VA, Stamp: pt.node.Env.Now(),
+		VA: st.buf.VA,
 	})
 }

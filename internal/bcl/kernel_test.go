@@ -121,7 +121,7 @@ func TestBatchedReturnSurvivesCrash(t *testing.T) {
 			var bufs []SystemBuf
 			for i := 0; i < pool; i++ {
 				ev := b.WaitRecv(p)
-				bufs = append(bufs, SystemBuf{VA: ev.VA, Len: c.Prof.MaxPacket})
+				bufs = append(bufs, SystemBuf{VA: ev.VA, Len: c.Nodes[0].Prof.MaxPacket})
 				delivered++
 			}
 			if err := b.ReturnSystemBuffers(p, bufs); err != nil {

@@ -29,7 +29,7 @@ func modelPingPong(t *testing.T, prof *hw.Profile, noise bool) *cluster.Cluster 
 					}
 				}
 				ev := pt.WaitRecv(p)
-				if err := pt.ReturnSystemBuffer(p, ev.VA, tb.c.Prof.MaxPacket); err != nil {
+				if err := pt.ReturnSystemBuffer(p, ev.VA, tb.c.Nodes[0].Prof.MaxPacket); err != nil {
 					t.Error(err)
 				}
 				if !first {

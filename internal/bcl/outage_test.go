@@ -51,7 +51,7 @@ func TestLinkDownMidStream(t *testing.T) {
 			}
 			data, _ := b.Process().Space.Read(ev.VA, ev.Len)
 			arrivals = append(arrivals, arrival{tag: ev.Tag, data: data})
-			b.ReturnSystemBuffer(p, ev.VA, tb.c.Prof.MaxPacket)
+			b.ReturnSystemBuffer(p, ev.VA, tb.c.Nodes[0].Prof.MaxPacket)
 		}
 	})
 
@@ -110,7 +110,7 @@ func TestLinkDownMidStream(t *testing.T) {
 	if healthDuringOutage {
 		t.Error("peer still healthy after retry exhaustion")
 	}
-	if fastElapsed >= tb.c.Prof.RetransmitTimeout {
+	if fastElapsed >= tb.c.Nodes[0].Prof.RetransmitTimeout {
 		t.Errorf("fail-fast took %d ns, slower than one retransmit timeout", fastElapsed)
 	}
 	if recoveredAt <= outageEnd {

@@ -227,7 +227,7 @@ func Classify(moved []string) string {
 }
 
 // absent stands for a key or index that one side of a Diff lacks.
-var absent any = struct{ absent bool }{}
+var absent any = struct{}{}
 
 // diffWalk appends a line for every leaf under path where base and
 // fresh differ. It descends into a non-empty object or array whose

@@ -116,8 +116,8 @@ func collReduceOp(p *sim.Proc, cm *mpi.Comm, rank int) {
 
 // collPoint measures the three collectives at size n in one mode.
 type collPoint struct {
-	barrier, bcast, reduce                sim.Time
-	barrierTraps, bcastTraps, reduceTraps uint64
+	barrier, bcast, reduce   sim.Time
+	barrierTraps, bcastTraps uint64
 }
 
 func collMeasure(n int, offload bool, seed uint64) collPoint {
@@ -132,7 +132,7 @@ func collMeasure(n int, offload bool, seed uint64) collPoint {
 	var pt collPoint
 	pt.barrier, pt.barrierTraps = collWave(c, comms, collBarrierOp)
 	pt.bcast, pt.bcastTraps = collWave(c, comms, collBcastOp)
-	pt.reduce, pt.reduceTraps = collWave(c, comms, collReduceOp)
+	pt.reduce, _ = collWave(c, comms, collReduceOp)
 	return pt
 }
 

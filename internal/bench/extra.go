@@ -22,15 +22,14 @@ func fabrics() *Report {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-22s %14s %16s\n", "fabric", "0B latency", "128KB bandwidth")
 	type result struct {
-		name string
-		lat  sim.Time
-		bw   float64
+		lat sim.Time
+		bw  float64
 	}
 	var results []result
 	for _, fk := range []cluster.FabricKind{cluster.Myrinet, cluster.Mesh, cluster.Hetero} {
 		lat := fabricPair(fk).pair().warmLatency(0)
 		bw := fabricPair(fk).pair().stream(131072, 8)
-		results = append(results, result{string(fk), lat, bw})
+		results = append(results, result{lat, bw})
 		fmt.Fprintf(&b, "%-22s %12.2fus %12.1fMB/s\n", string(fk), us(lat), bw)
 	}
 	fmt.Fprintf(&b, "\nidentical BCL code on every fabric; latency differs only by hop\ncount and bandwidth stays link-limited.\n")

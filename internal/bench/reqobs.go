@@ -56,8 +56,8 @@ type reqobsCfg struct {
 
 // reqobsRes is everything one run exposes to the report.
 type reqobsRes struct {
-	done, aborts, retrans, violations uint64
-	p999                              sim.Time
+	done, retrans, violations uint64
+	p999                      sim.Time
 
 	sampled, dropped, forced   uint64
 	retained                   int
@@ -67,7 +67,6 @@ type reqobsRes struct {
 
 	hotKeyShare, hotShardShare int64
 	hotFired                   int
-	anyFired                   int
 	bundleSlow                 bool
 
 	slowLog        string
@@ -116,7 +115,6 @@ func runReqObs(cfg reqobsCfg) *reqobsRes {
 	res := &reqobsRes{drained: w.drained()}
 	st := driver.Stats()
 	res.done = st.Done
-	res.aborts = st.TxnAborts
 	res.retrans = st.Retransmits
 	res.violations = st.Violations
 	res.p999 = quantileNS(driver.Samples(), 0.999)
@@ -136,7 +134,6 @@ func runReqObs(cfg reqobsCfg) *reqobsRes {
 	res.hotKeyShare = rec.KeyShare()
 	res.hotShardShare = rec.ShardShare()
 	res.hotFired = c.Health.FiredCount("hot-shard-divergence")
-	res.anyFired = c.Health.FiredCount("")
 	for _, b := range c.Health.Bundles() {
 		if len(b.Slow) > 0 {
 			res.bundleSlow = true

@@ -24,14 +24,13 @@ func scale() *Report {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%8s %14s %16s\n", "ranks", "barrier", "allreduce(1KB)")
 	type point struct {
-		n       int
 		barrier sim.Time
 		allred  sim.Time
 	}
 	var pts []point
 	for _, n := range []int{4, 8, 16, 32, 70} {
 		bt, at := collectiveTimes(n)
-		pts = append(pts, point{n: n, barrier: bt, allred: at})
+		pts = append(pts, point{barrier: bt, allred: at})
 		fmt.Fprintf(&b, "%8d %12.1fus %14.1fus\n", n, us(bt), us(at))
 	}
 	// Fit sanity: cost at 70 ranks should be within ~2x of

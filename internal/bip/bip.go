@@ -49,7 +49,6 @@ func NICConfig() nic.Config {
 // machine), but less pipelined bulk handling.
 func Profile() *hw.Profile {
 	p := hw.DAWNING3000().Clone()
-	p.Name = "DAWNING-3000/bip"
 	p.MCPSendProc = 2200   // no reliable-protocol processing
 	p.MCPPacketProc = 6000 // weaker fragment pipelining
 	p.MCPRecvProc = 800

@@ -56,7 +56,6 @@ type Config struct {
 // Cluster is a running simulated machine.
 type Cluster struct {
 	Env    *sim.Env
-	Prof   *hw.Profile
 	Fabric fabric.Fabric
 	Nodes  []*node.Node
 
@@ -99,7 +98,7 @@ func New(cfg Config) *Cluster {
 		panic(fmt.Sprintf("cluster: unknown fabric %q", cfg.Fabric))
 	}
 	o := obs.New()
-	c := &Cluster{Env: env, Prof: cfg.Profile, Fabric: fab, Obs: o}
+	c := &Cluster{Env: env, Fabric: fab, Obs: o}
 	o.RegisterCollector(fab.Collect)
 	if so, ok := fab.(interface{ SetObs(*obs.Obs) }); ok {
 		// Single-rail networks feed their wire_ns histogram; hetero

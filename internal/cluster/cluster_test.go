@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bcl/internal/fabric"
+	"bcl/internal/hw"
 	"bcl/internal/nic"
 	"bcl/internal/sim"
 )
@@ -17,8 +18,8 @@ func TestDefaults(t *testing.T) {
 	if c.Fabric.Name() != "myrinet" {
 		t.Fatalf("default fabric = %s", c.Fabric.Name())
 	}
-	if c.Prof == nil || c.Prof.Name != "DAWNING-3000" {
-		t.Fatal("default profile missing")
+	if *c.Nodes[0].Prof != *hw.DAWNING3000() {
+		t.Fatal("default profile is not DAWNING-3000")
 	}
 	for i, nd := range c.Nodes {
 		if nd.ID != i || nd.NIC == nil || nd.Kernel == nil || nd.Mem == nil {

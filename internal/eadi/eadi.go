@@ -139,7 +139,6 @@ type rndvRecv struct {
 	recv *pendingRecv
 	src  int
 	tag  int
-	ctx  int
 	size int
 }
 
@@ -539,7 +538,7 @@ func (d *Device) acceptRndvInto(p *sim.Proc, rts *rtsInfo, ctx, tag int, pr *pen
 	if err != nil {
 		return nil, err
 	}
-	rr := &rndvRecv{recv: pr, src: rts.src, tag: tag, ctx: ctx, size: rts.size}
+	rr := &rndvRecv{recv: pr, src: rts.src, tag: tag, size: rts.size}
 	d.rndvRecvs[ch] = rr
 	// CTS carries the channel id in its payload.
 	if _, err := d.port.Send(p, srcAddr, bcl.SystemChannel, d.header(uint64(ch)), 8,

@@ -406,10 +406,9 @@ type Fabric interface {
 
 // link is one directed physical channel.
 type link struct {
-	name string
-	res  *sim.Resource
-	bw   hw.Bps
-	lat  sim.Time // propagation + switch cut-through latency at this hop
+	res *sim.Resource
+	bw  hw.Bps
+	lat sim.Time // propagation + switch cut-through latency at this hop
 }
 
 // Network is the generic routed-fabric engine. Concrete topologies add
@@ -478,13 +477,12 @@ func NewNetwork(env *sim.Env, name string, n int) *Network {
 }
 
 // AddLink registers a directed link and returns its id.
-func (n *Network) AddLink(name string, bw hw.Bps, latency sim.Time) int {
+func (n *Network) AddLink(bw hw.Bps, latency sim.Time) int {
 	id := len(n.links)
 	n.links = append(n.links, &link{
-		name: name,
-		res:  sim.NewResource(n.env, name, 1),
-		bw:   bw,
-		lat:  latency,
+		res: sim.NewResource(n.env, n.wireRow, 1),
+		bw:  bw,
+		lat: latency,
 	})
 	return id
 }

@@ -24,8 +24,8 @@ func counter(net *Network, name string) (v uint64) {
 // switchless pair of directed links.
 func twoNode(env *sim.Env, bw hw.Bps, lat sim.Time) *Network {
 	n := NewNetwork(env, "test", 2)
-	ab := n.AddLink("a->b", bw, lat)
-	ba := n.AddLink("b->a", bw, lat)
+	ab := n.AddLink(bw, lat)
+	ba := n.AddLink(bw, lat)
 	n.SetRoute(0, 1, []int{ab})
 	n.SetRoute(1, 0, []int{ba})
 	n.SetRoute(0, 0, nil)
@@ -130,8 +130,8 @@ func TestContentionOnSharedLink(t *testing.T) {
 	bw := 100 * hw.MBps
 	var up, down [4]int
 	for i := 0; i < 4; i++ {
-		up[i] = n.AddLink("up", bw, 0)
-		down[i] = n.AddLink("down", bw, 0)
+		up[i] = n.AddLink(bw, 0)
+		down[i] = n.AddLink(bw, 0)
 	}
 	for s := 0; s < 4; s++ {
 		for d := 0; d < 4; d++ {
@@ -392,7 +392,7 @@ func TestQuickFaultsSpareControlPackets(t *testing.T) {
 // panic), and a loopback route is present although empty.
 func TestRouteTable(t *testing.T) {
 	net := NewNetwork(sim.NewEnv(1), "test", 3)
-	ab := net.AddLink("a->b", 160*hw.MBps, 500)
+	ab := net.AddLink(160*hw.MBps, 500)
 	net.SetRoute(0, 1, []int{ab})
 	net.SetRoute(0, 0, nil)
 	if r := net.Route(0, 1); len(r) != 1 || r[0] != ab {

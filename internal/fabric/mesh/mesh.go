@@ -20,7 +20,6 @@ const ChannelBandwidth = 160 * hw.MBps
 // Fabric is an X-by-Y nwrc mesh. Node i sits at (i % X, i / X).
 type Fabric struct {
 	*fabric.Network
-	X, Y int
 }
 
 // New builds a mesh covering n nodes as close to square as possible.
@@ -39,7 +38,7 @@ func NewGrid(env *sim.Env, prof *hw.Profile, x, y, n int) *Fabric {
 		panic(fmt.Sprintf("mesh: %d nodes do not fit %dx%d", n, x, y))
 	}
 	net := fabric.NewNetwork(env, "nwrc-mesh", n)
-	f := &Fabric{Network: net, X: x, Y: y}
+	f := &Fabric{Network: net}
 
 	hop := prof.WireLatency + routerLatency(prof)
 
@@ -47,13 +46,13 @@ func NewGrid(env *sim.Env, prof *hw.Profile, x, y, n int) *Fabric {
 	up := make([]int, n)
 	down := make([]int, n)
 	for i := 0; i < n; i++ {
-		up[i] = net.AddLink(fmt.Sprintf("n%d->r%d", i, i), ChannelBandwidth, hop)
-		down[i] = net.AddLink(fmt.Sprintf("r%d->n%d", i, i), ChannelBandwidth, prof.WireLatency)
+		up[i] = net.AddLink(ChannelBandwidth, hop)
+		down[i] = net.AddLink(ChannelBandwidth, prof.WireLatency)
 	}
 	// Directed links between adjacent routers, keyed by (from,to).
 	grid := make(map[[2]int]int)
 	addDir := func(a, b int) {
-		grid[[2]int{a, b}] = net.AddLink(fmt.Sprintf("r%d->r%d", a, b), ChannelBandwidth, hop)
+		grid[[2]int{a, b}] = net.AddLink(ChannelBandwidth, hop)
 	}
 	at := func(cx, cy int) int { return cy*x + cx }
 	// Routers exist at every grid position, even positions with no

@@ -12,8 +12,12 @@ import (
 func TestGridShape(t *testing.T) {
 	env := sim.NewEnv(1)
 	f := New(env, hw.DAWNING3000(), 10)
-	if f.X != 4 || f.Y != 3 {
-		t.Fatalf("grid = %dx%d for 10 nodes, want 4x3", f.X, f.Y)
+	// On a 4x3 grid node 3 ends row 0 and node 9 sits at (1,2).
+	if got := len(f.Route(0, 3)); got != 3+2 {
+		t.Fatalf("route 0->3 has %d links, want 3 hops + injection + ejection", got)
+	}
+	if got := len(f.Route(0, 9)); got != 3+2 {
+		t.Fatalf("route 0->9 has %d links, want 3 hops + injection + ejection", got)
 	}
 	if got := len(f.Route(0, 7)); got != 4+2 { // (0,0) -> (3,1)
 		t.Fatalf("route 0->7 has %d links, want 4 hops + injection + ejection", got)
@@ -39,11 +43,7 @@ func TestPartialLastRowTransit(t *testing.T) {
 	// node 3 (0,1) -> node 2 (2,0) goes X-first through empty (1,1),
 	// (2,1) routers.
 	env := sim.NewEnv(1)
-	f := New(env, hw.DAWNING3000(), 4)
-	if f.X != 2 {
-		// New() picks the square-ish grid; force the interesting shape.
-		f = NewGrid(env, hw.DAWNING3000(), 3, 2, 4)
-	}
+	f := NewGrid(env, hw.DAWNING3000(), 3, 2, 4)
 	route := f.Route(3, 2)
 	if len(route) == 0 {
 		t.Fatal("no route 3->2")
@@ -156,7 +156,7 @@ func TestQuickRouteLengths(t *testing.T) {
 					}
 					continue
 				}
-				sx, sy, dx, dy := s%fab.X, s/fab.X, d%fab.X, d/fab.X
+				sx, sy, dx, dy := s%x, s/x, d%x, d/x
 				if len(route) != max(sx-dx, dx-sx)+max(sy-dy, dy-sy)+2 {
 					return false
 				}

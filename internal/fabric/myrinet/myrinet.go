@@ -7,8 +7,6 @@
 package myrinet
 
 import (
-	"fmt"
-
 	"bcl/internal/fabric"
 	"bcl/internal/hw"
 	"bcl/internal/sim"
@@ -47,8 +45,8 @@ func buildSingleSwitch(net *fabric.Network, prof *hw.Profile, n int) {
 	up := make([]int, n)   // node -> switch
 	down := make([]int, n) // switch -> node
 	for i := 0; i < n; i++ {
-		up[i] = net.AddLink(fmt.Sprintf("n%d->sw0", i), prof.LinkBandwidth, prof.WireLatency+prof.SwitchLatency)
-		down[i] = net.AddLink(fmt.Sprintf("sw0->n%d", i), prof.LinkBandwidth, prof.WireLatency)
+		up[i] = net.AddLink(prof.LinkBandwidth, prof.WireLatency+prof.SwitchLatency)
+		down[i] = net.AddLink(prof.LinkBandwidth, prof.WireLatency)
 	}
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
@@ -70,15 +68,14 @@ func buildTree(net *fabric.Network, prof *hw.Profile, n int) {
 	up := make([]int, n)
 	down := make([]int, n)
 	for i := 0; i < n; i++ {
-		l := leafOf(i)
-		up[i] = net.AddLink(fmt.Sprintf("n%d->leaf%d", i, l), prof.LinkBandwidth, prof.WireLatency+prof.SwitchLatency)
-		down[i] = net.AddLink(fmt.Sprintf("leaf%d->n%d", l, i), prof.LinkBandwidth, prof.WireLatency)
+		up[i] = net.AddLink(prof.LinkBandwidth, prof.WireLatency+prof.SwitchLatency)
+		down[i] = net.AddLink(prof.LinkBandwidth, prof.WireLatency)
 	}
 	leafUp := make([]int, leaves)
 	leafDown := make([]int, leaves)
 	for l := 0; l < leaves; l++ {
-		leafUp[l] = net.AddLink(fmt.Sprintf("leaf%d->spine", l), prof.LinkBandwidth, prof.WireLatency+prof.SwitchLatency)
-		leafDown[l] = net.AddLink(fmt.Sprintf("spine->leaf%d", l), prof.LinkBandwidth, prof.WireLatency+prof.SwitchLatency)
+		leafUp[l] = net.AddLink(prof.LinkBandwidth, prof.WireLatency+prof.SwitchLatency)
+		leafDown[l] = net.AddLink(prof.LinkBandwidth, prof.WireLatency+prof.SwitchLatency)
 	}
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {

@@ -38,8 +38,6 @@ func TransferTime(n int, b Bps) sim.Time {
 // Profile is the complete set of hardware and OS cost constants for
 // one node/fabric generation.
 type Profile struct {
-	Name string
-
 	// Node shape.
 	CPUsPerNode int // 4-way SMP on DAWNING-3000
 	PageSize    int // bytes
@@ -70,16 +68,14 @@ type Profile struct {
 	KernelProtoProc  sim.Time // kernel protocol processing per datagram (kernel-level path)
 
 	// PCI bus.
-	PIOWriteWord  sim.Time // programmed-IO write of one 32-bit word to NIC
-	PIOReadWord   sim.Time // programmed-IO read of one 32-bit word from NIC
-	DMASetup      sim.Time // host<->NIC DMA engine programming
-	PCIBandwidth  Bps      // sustained DMA bandwidth over the bus
-	DoorbellWrite sim.Time // single PIO doorbell strike
+	PIOWriteWord sim.Time // programmed-IO write of one 32-bit word to NIC
+	PIOReadWord  sim.Time // programmed-IO read of one 32-bit word from NIC
+	DMASetup     sim.Time // host<->NIC DMA engine programming
+	PCIBandwidth Bps      // sustained DMA bandwidth over the bus
 
 	// NIC / firmware (MCP).
 	SendDescWords    int      // descriptor words PIO-filled per send request
 	RecvDescWords    int      // descriptor words per receive posting
-	MCPPollGap       sim.Time // firmware main-loop iteration when idle
 	MCPDescFetch     sim.Time // NIC reads+parses a send descriptor from its queue
 	MCPSendProc      sim.Time // per-message send processing incl. reliable proto
 	MCPPacketProc    sim.Time // per-packet processing (CRC, header) on source
@@ -129,7 +125,6 @@ type Profile struct {
 // DAWNING3000 returns the calibrated profile for the paper's testbed.
 func DAWNING3000() *Profile {
 	return &Profile{
-		Name:        "DAWNING-3000",
 		CPUsPerNode: 4,
 		PageSize:    4096,
 
@@ -153,15 +148,13 @@ func DAWNING3000() *Profile {
 		SyscallCopy:      180 * MBps,
 		KernelProtoProc:  12000,
 
-		PIOWriteWord:  240,
-		PIOReadWord:   980,
-		DMASetup:      700,
-		PCIBandwidth:  264 * MBps,
-		DoorbellWrite: 240,
+		PIOWriteWord: 240,
+		PIOReadWord:  980,
+		DMASetup:     700,
+		PCIBandwidth: 264 * MBps,
 
 		SendDescWords:        15,
 		RecvDescWords:        8,
-		MCPPollGap:           200,
 		MCPDescFetch:         700,
 		MCPSendProc:          5650,
 		MCPPacketProc:        2450,
@@ -209,7 +202,6 @@ func (p *Profile) Clone() *Profile {
 // "a faster CPU will reduce these overheads" ablation.
 func (p *Profile) ScaleCPU(factor float64) *Profile {
 	q := p.Clone()
-	q.Name = p.Name + "-cpu"
 	s := func(t sim.Time) sim.Time { return sim.Time(float64(t) * factor) }
 	q.UserCompose = s(p.UserCompose)
 	q.UserPostRecv = s(p.UserPostRecv)
@@ -231,10 +223,8 @@ func (p *Profile) ScaleCPU(factor float64) *Profile {
 // the I/O performance heavily" ablation.
 func (p *Profile) ScalePIO(factor float64) *Profile {
 	q := p.Clone()
-	q.Name = p.Name + "-pio"
 	q.PIOWriteWord = sim.Time(float64(p.PIOWriteWord) * factor)
 	q.PIOReadWord = sim.Time(float64(p.PIOReadWord) * factor)
-	q.DoorbellWrite = sim.Time(float64(p.DoorbellWrite) * factor)
 	return q
 }
 

@@ -83,7 +83,6 @@ type layer struct {
 	sys     *System
 	node    *node.Node
 	kspace  *mem.AddrSpace // kernel address space for sk_buffs
-	port    *nic.Port
 	sockets map[int]*Socket
 	kbufs   map[mem.VAddr]*kbuf
 	nextSk  int
@@ -128,7 +127,7 @@ func newLayer(s *System, nd *node.Node) *layer {
 		mtu:     nd.Prof.MaxPacket - HeaderBytes,
 		isrName: fmt.Sprintf("klc%d/isr", nd.ID),
 	}
-	l.port = nd.NIC.RegisterPort(KernelPort)
+	nd.NIC.RegisterPort(KernelPort)
 	// Preposted kernel receive ring: pinned sk_buffs on the NIC's
 	// system channel.
 	bufSize := nd.Prof.MaxPacket

@@ -54,7 +54,7 @@ func TestSendFailedPropagatesBlocking(t *testing.T) {
 	if fastErr == nil {
 		t.Fatal("fail-fast send returned nil error")
 	}
-	if fastElapsed >= c.Prof.RetransmitTimeout {
+	if fastElapsed >= c.Nodes[0].Prof.RetransmitTimeout {
 		t.Fatalf("fail-fast send took %d ns, slower than one retransmit timeout", fastElapsed)
 	}
 	if st := c.Nodes[0].NIC.Stats(); st.SendFailures == 0 || st.FastFails == 0 {

@@ -477,7 +477,7 @@ func (n *NIC) injectJob(j fetchJob) bool {
 		return true
 	}
 	if d.Len < 0 {
-		// Only a free list's poison is negative (under go test).
+		// Only a free list's poison is negative.
 		panic(fmt.Sprintf("nic%d: send pipeline holds a descriptor that was retired and recycled", n.node))
 	}
 	if j.err != nil {
@@ -996,7 +996,7 @@ func (n *NIC) sendEvent(t EventType, d *SendDesc) Event {
 	return Event{
 		Type: t, Port: d.SrcPort, Channel: d.Channel, MsgID: d.MsgID,
 		Len: d.Len, Tag: d.Tag, SrcNode: n.node, SrcPort: d.SrcPort,
-		Stamp: n.env.Now(), Trace: d.Trace,
+		Trace: d.Trace,
 	}
 }
 

@@ -442,7 +442,7 @@ func (n *NIC) dataAcked() {
 		Type: EvRecvDone, Port: pkt.DstPort, Channel: pkt.Channel,
 		MsgID: pkt.MsgID, Len: pkt.MsgLen, Tag: pkt.Tag,
 		SrcNode: pkt.Src, SrcPort: pkt.SrcPort, VA: va,
-		Stamp: n.env.Now(), Trace: pkt.Trace,
+		Trace: pkt.Trace,
 	}, r.resume, rxDone, 0)
 }
 

@@ -17,7 +17,6 @@ package health
 
 import (
 	"fmt"
-	"strings"
 
 	"bcl/internal/obs"
 )
@@ -42,12 +41,10 @@ const (
 )
 
 // Source names one derived series: a (layer, name) metric plus the
-// derivation to apply. Layer is matched exactly, or as a prefix when
-// Prefix is set (so "fabric:" aggregates all rails of a composite).
+// derivation to apply. Layer is matched exactly.
 type Source struct {
 	Kind    SourceKind
 	Layer   string
-	Prefix  bool
 	Name    string
 	Q       float64 // quantile for SrcQuantile
 	BoundNs int64   // SLO bound for SrcBadFrac
@@ -99,11 +96,11 @@ func (s Source) Eval(prev, cur obs.Sample) float64 {
 		if dt <= 0 {
 			return 0
 		}
-		return float64(s.counterSum(cur.Snap)-s.counterSum(prev.Snap)) / dt
+		return float64(cur.Snap.SumCounter(s.Layer, s.Name)-prev.Snap.SumCounter(s.Layer, s.Name)) / dt
 	case SrcDelta:
-		return float64(s.counterSum(cur.Snap) - s.counterSum(prev.Snap))
+		return float64(cur.Snap.SumCounter(s.Layer, s.Name) - prev.Snap.SumCounter(s.Layer, s.Name))
 	case SrcGauge:
-		return float64(s.gaugeSum(cur.Snap))
+		return float64(cur.Snap.SumGauge(s.Layer, s.Name))
 	case SrcQuantile:
 		var buf obs.HistBuf
 		return float64(cur.Snap.Window(prev.Snap, s.Layer, s.Name, &buf).Quantile(s.Q))
@@ -112,26 +109,6 @@ func (s Source) Eval(prev, cur obs.Sample) float64 {
 		return fracAbove(cur.Snap.Window(prev.Snap, s.Layer, s.Name, &buf), s.BoundNs)
 	}
 	return 0
-}
-
-func (s Source) counterSum(sn *obs.Snapshot) uint64 {
-	if s.Prefix {
-		return sn.SumCounterPrefix(s.Layer, s.Name)
-	}
-	return sn.SumCounter(s.Layer, s.Name)
-}
-
-func (s Source) gaugeSum(sn *obs.Snapshot) int64 {
-	if !s.Prefix {
-		return sn.SumGauge(s.Layer, s.Name)
-	}
-	var t int64
-	for _, g := range sn.Gauges {
-		if strings.HasPrefix(g.Layer, s.Layer) && g.Name == s.Name {
-			t += g.Value
-		}
-	}
-	return t
 }
 
 // fracAbove estimates the fraction of observations above bound from

@@ -35,10 +35,9 @@ type Obs struct {
 	// deterministic.
 	OnSample func(Sample)
 
-	samples    sim.Ring[Sample]
-	keep       int
-	sampler    sim.Timer
-	samplerEnv *sim.Env
+	samples sim.Ring[Sample]
+	keep    int
+	sampler sim.Timer
 }
 
 // Sample is one sampler tick: the registry state at a virtual instant.
@@ -117,7 +116,6 @@ func (o *Obs) StartSampler(env *sim.Env, every sim.Time, keep int) {
 	}
 	o.StopSampler()
 	o.keep = keep
-	o.samplerEnv = env
 	var tick func()
 	tick = func() {
 		var s Sample

@@ -117,7 +117,6 @@ type Recorder struct {
 
 	done       uint64
 	sampled    uint64
-	skipped    uint64 // completed uninteresting, tree discarded by design
 	dropped    uint64 // interesting but lost to the budget
 	forcedDrop uint64 // forced-class traces lost to the budget
 	abortsSeen uint64
@@ -270,8 +269,6 @@ func (r *Recorder) End(flow uint64, at sim.Time, aborted bool) bool {
 		r.sampled++
 	case len(why) > 0:
 		r.dropped++
-	default:
-		r.skipped++
 	}
 	r.mix(flow, uint64(req.Latency), retain, req.Why)
 	if retain {

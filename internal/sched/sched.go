@@ -115,10 +115,9 @@ type Stats struct {
 
 // Scheduler is one cluster's job admission engine.
 type Scheduler struct {
-	env          *sim.Env
-	nodes        int
-	slotsPerNode int
-	backfill     bool
+	env      *sim.Env
+	nodes    int
+	backfill bool
 
 	free  []int // free slots per node
 	queue []*Job
@@ -138,13 +137,12 @@ func New(env *sim.Env, nodes, slotsPerNode int, backfill bool) *Scheduler {
 		panic("sched: need at least one node and one slot")
 	}
 	s := &Scheduler{
-		env:          env,
-		nodes:        nodes,
-		slotsPerNode: slotsPerNode,
-		backfill:     backfill,
-		free:         make([]int, nodes),
-		work:         sim.NewCond(env),
-		idle:         sim.NewCond(env),
+		env:      env,
+		nodes:    nodes,
+		backfill: backfill,
+		free:     make([]int, nodes),
+		work:     sim.NewCond(env),
+		idle:     sim.NewCond(env),
 	}
 	for i := range s.free {
 		s.free[i] = slotsPerNode

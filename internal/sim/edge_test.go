@@ -92,7 +92,7 @@ func TestEnvAfterNegativePanics(t *testing.T) {
 
 func TestSignalFireFromCallback(t *testing.T) {
 	env := NewEnv(1)
-	sig := NewSignal(env)
+	sig := new(Signal)
 	var woke Time
 	env.Go("waiter", func(p *Proc) {
 		sig.Wait(p)

@@ -455,7 +455,7 @@ func TestBlockingPrimitivesDoNotAllocate(t *testing.T) {
 			// outlast the measured windows.
 			sigs := make([]*Signal, 0, 4096)
 			for i := 0; i < cap(sigs); i++ {
-				sigs = append(sigs, NewSignal(env))
+				sigs = append(sigs, new(Signal))
 			}
 			env.Go("sig-waiter", func(p *Proc) {
 				for _, s := range sigs {

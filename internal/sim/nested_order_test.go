@@ -180,7 +180,7 @@ func nestedOrderProgram(seed uint64) (string, uint64, *Env) {
 				cond.Wait(p)
 				done(p, i, before, "cond")
 			case 11:
-				s := NewSignal(env)
+				s := new(Signal)
 				d := Time(rng.Intn(25))
 				env.After(d, s.Fire)
 				p.Join(s)

@@ -51,26 +51,25 @@ type Proc struct {
 	// is, while it is on the driving stack: a wake-up that finds it set
 	// needs no switch.
 	driving bool
+	// timedOut is RecvTimeout's verdict (below).
+	timedOut bool
 
 	// wakeFn is the one closure allocated per process; every wake-up
-	// (wakeSoon, Sleep, the start event, a Queue, Cond, Resource or
-	// Await continuation) schedules it through the pooled event queue, so
+	// (Sleep, the start event, a Queue, Cond, Resource or Await
+	// continuation) schedules it through the pooled event queue, so
 	// process handoffs allocate nothing.
 	wakeFn func(a, b uint64)
 
 	// Wait state. A process blocks on one primitive at a time, so the
 	// record of that wait lives here instead of in a per-wait
-	// allocation. next links the process into a Signal's waiter list.
-	// waitGen numbers Queue receive waits: whoever ends one (a sender or
-	// the timeout) bumps it, which both claims the wake-up and turns the
-	// queue's record of the wait stale.
+	// allocation. waitGen numbers Queue receive waits: whoever ends one
+	// (a sender or the timeout) bumps it, which both claims the wake-up
+	// and turns the queue's record of the wait stale.
 	// timeoutFn is RecvTimeout's timer callback, built on first use;
 	// armedGen is the wait it guards and timedOut its verdict.
-	next      *Proc
 	waitGen   uint64
 	timeoutFn func()
 	armedGen  uint64
-	timedOut  bool
 }
 
 // carrier is a coroutine that runs process bodies, one after another.
@@ -120,7 +119,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 
 // GoAt is Go with an explicit absolute start time.
 func (e *Env) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, fn: fn, done: Signal{env: e}}
+	p := &Proc{env: e, name: name, fn: fn}
 	p.wakeFn = func(uint64, uint64) { e.wake(p) }
 	e.AtArg(t, p.wakeFn, 0, 0)
 	return p
@@ -163,7 +162,7 @@ func (p *Proc) Now() Time { return p.env.now }
 func (p *Proc) Done() *Signal { return &p.done }
 
 // park blocks the process until something wakes it. Whatever parks the
-// process is responsible for arranging the wake-up (via env.wakeSoon
+// process is responsible for arranging the wake-up (booking p.wakeFn,
 // or env.wake from an event callback). A parked process drives the
 // event loop itself; it yields only when the next thing to happen
 // belongs to a lower level of the driving stack, and is then switched
@@ -217,31 +216,6 @@ func (p *Proc) Await(start func(k func(a, b uint64)) bool) {
 // the signal has already fired.
 func (p *Proc) Join(s *Signal) { s.Wait(p) }
 
-// waitList is a FIFO of parked processes linked through Proc.next, so
-// joining and leaving it allocates nothing.
-type waitList struct{ head, tail *Proc }
-
-func (l *waitList) add(p *Proc) {
-	if l.tail == nil {
-		l.head = p
-	} else {
-		l.tail.next = p
-	}
-	l.tail = p
-}
-
-// wakeAll empties the list, scheduling a wake-up for each process in
-// the order they joined.
-func (l *waitList) wakeAll(e *Env) {
-	for p := l.head; p != nil; {
-		next := p.next
-		p.next = nil
-		e.wakeSoon(p)
-		p = next
-	}
-	l.head, l.tail = nil, nil
-}
-
 // Cond parks processes until a broadcast, like sync.Cond without the
 // lock (the simulation is single-threaded); WaitFn queues a
 // continuation instead of a process. Both kinds of waiter share one
@@ -286,26 +260,29 @@ func (c *Cond) Broadcast() {
 }
 
 // Signal is a one-shot broadcast event: processes Wait on it, Fire
-// releases all current and future waiters.
+// releases all current and future waiters. The zero value is an unfired
+// signal. Its waiters queue on a Cond it borrows from the environment
+// for as long as it has any, so a fresh signal allocates nothing.
 type Signal struct {
-	env     *Env
+	waiters *Cond
 	fired   bool
-	waiters waitList
 }
-
-// NewSignal returns an unfired signal bound to env.
-func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Fire releases all waiters. Firing twice is a no-op.
+// Fire releases all waiters, booking their wake-ups in the order they
+// joined. Firing twice is a no-op.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
-	s.waiters.wakeAll(s.env)
+	if c := s.waiters; c != nil {
+		s.waiters = nil
+		c.Broadcast()
+		c.env.signalConds.Put(c)
+	}
 }
 
 // Wait blocks p until the signal fires.
@@ -313,6 +290,9 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	s.waiters.add(p)
-	p.park()
+	if s.waiters == nil {
+		s.waiters = Take(&p.env.signalConds)
+		s.waiters.env = p.env
+	}
+	s.waiters.Wait(p)
 }

@@ -155,6 +155,9 @@ type Env struct {
 	carriers []*carrier
 	idle     FreeList[*carrier]
 
+	// signalConds are the Conds signals with waiters borrow (Signal).
+	signalConds FreeList[*Cond]
+
 	// Event pool. poolHits counts allocations served from the free
 	// list, poolMisses counts fresh heap allocations (PoolStats).
 	events     FreeList[*event]
@@ -513,13 +516,4 @@ func (e *Env) wake(p *Proc) {
 	}
 	e.switches++
 	p.c.next()
-}
-
-// wakeSoon schedules p to be woken by a fresh event at the current
-// time. This is how primitives hand the CPU to an unblocked process:
-// through the event queue, preserving deterministic FIFO order. The
-// wake closure is created once per process, so the handoff itself
-// allocates nothing beyond the pooled event.
-func (e *Env) wakeSoon(p *Proc) {
-	e.AtArg(e.now, p.wakeFn, 0, 0)
 }

@@ -104,7 +104,7 @@ func TestProcJoin(t *testing.T) {
 
 func TestSignalBroadcast(t *testing.T) {
 	env := NewEnv(1)
-	sig := NewSignal(env)
+	sig := new(Signal)
 	woken := 0
 	for i := 0; i < 3; i++ {
 		env.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
@@ -124,7 +124,7 @@ func TestSignalBroadcast(t *testing.T) {
 	// Waiting after the fact returns immediately.
 	late := false
 	env2 := NewEnv(1)
-	sig2 := NewSignal(env2)
+	sig2 := new(Signal)
 	sig2.Fire()
 	env2.Go("late", func(p *Proc) { sig2.Wait(p); late = true })
 	env2.Run()

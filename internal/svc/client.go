@@ -30,7 +30,6 @@ type Sizes interface{ Next() int }
 type Driver struct {
 	cfg  DriverConfig
 	ep   *endpoint
-	env  *sim.Env
 	node int
 	row  string // "host<node>", the trace row of this process
 	tr   *trace.Tracer
@@ -113,7 +112,6 @@ const (
 )
 
 type conn struct {
-	shard     int
 	addr      bcl.Addr
 	state     uint8
 	sess      uint16
@@ -162,12 +160,11 @@ type request struct {
 
 // keyState is one key of the table: its name and owning shard, fixed
 // at construction, its cache entry and the highest version an
-// invalidation has named for it. An invalidated entry keeps its value
-// buffer, no longer cached, so the next fill reuses it.
+// invalidation has named for it. The cache keeps a key's version, not
+// its value: a hit is judged by the version it returns.
 type keyState struct {
 	name   string
 	shard  int
-	val    []byte
 	ver    uint64 // the cached version, while cached
 	inv    uint64
 	cached bool
@@ -190,7 +187,6 @@ func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driv
 	d := &Driver{
 		cfg:     cfg,
 		ep:      newEndpoint(p, port, 64, bufSize),
-		env:     port.Node().Env,
 		node:    port.Addr().Node,
 		row:     fmt.Sprintf("host%d", port.Addr().Node),
 		pending: make(map[uint64]*request),
@@ -217,9 +213,9 @@ func NewDriver(p *sim.Proc, port *bcl.Port, bufSize int, cfg DriverConfig) *Driv
 	for i := range d.users {
 		d.users[i].idx = uint16(i)
 	}
-	for sh, addr := range cfg.Shards {
+	for _, addr := range cfg.Shards {
 		d.conns = append(d.conns, &conn{
-			shard: sh, addr: addr, state: connHello,
+			addr: addr, state: connHello,
 			nonce: d.rand(), rto: driverRTO,
 		})
 	}
@@ -626,7 +622,7 @@ func (d *Driver) onReply(p *sim.Proc, sess, uch uint16, seq uint32, r *reader) {
 	flow := r.u64()
 	status := r.byte()
 	ver := r.u64()
-	val := r.bytes()
+	r.bytes() // the value, which the version-only cache does not keep
 	if !r.ok {
 		return
 	}
@@ -644,7 +640,7 @@ func (d *Driver) onReply(p *sim.Proc, sess, uch uint16, seq uint32, r *reader) {
 			// newest invalidation seen for the key — an INV that raced
 			// this reply marks it stale before it ever lands.
 			if ver >= k.inv {
-				d.cacheStore(k, val, ver)
+				d.cacheStore(k, ver)
 			}
 		} else if d.seen[userKey(req.u.idx, o.key)] > 0 {
 			// The user has seen this key; NotFound un-happens a write.
@@ -657,7 +653,7 @@ func (d *Driver) onReply(p *sim.Proc, sess, uch uint16, seq uint32, r *reader) {
 			// The server registered our interest in the new version;
 			// install it so the cache matches that belief.
 			if ver >= k.inv {
-				d.cacheStore(k, o.val, ver)
+				d.cacheStore(k, ver)
 			}
 		}
 		// StatusConflict: a prepared transaction owned the key. The
@@ -674,12 +670,11 @@ func (d *Driver) onReply(p *sim.Proc, sess, uch uint16, seq uint32, r *reader) {
 	d.issueNext(p, req.u)
 }
 
-// cacheStore installs a copy of val as k's cached version ver.
-func (d *Driver) cacheStore(k *keyState, val []byte, ver uint64) {
+// cacheStore installs version ver as k's cached one.
+func (d *Driver) cacheStore(k *keyState, ver uint64) {
 	if k.cached && ver <= k.ver {
 		return
 	}
-	k.val = append(k.val[:0], val...)
 	k.ver, k.cached = ver, true
 }
 

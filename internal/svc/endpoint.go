@@ -28,8 +28,6 @@ type endpoint struct {
 
 	out  []byte // the frame being encoded (cap bufSize: a frame never outgrows it)
 	body []byte // the last body read (bufSize long, the pool buffers' size)
-
-	sendsFailed uint64
 }
 
 const returnBatch = 8
@@ -62,9 +60,6 @@ func (e *endpoint) drainSends(p *sim.Proc) {
 }
 
 func (e *endpoint) noteSendEvent(ev nic.Event) {
-	if ev.Type == nic.EvSendFailed {
-		e.sendsFailed++
-	}
 	if va, ok := e.inflight[ev.MsgID]; ok {
 		delete(e.inflight, ev.MsgID)
 		e.bufs.Put(va)

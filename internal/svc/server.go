@@ -29,7 +29,6 @@ import (
 type Server struct {
 	cfg  ServerConfig
 	ep   *endpoint
-	env  *sim.Env
 	node int
 	row  string // "host<node>", the trace row of this process
 	tr   *trace.Tracer
@@ -197,7 +196,6 @@ func NewServer(p *sim.Proc, port *bcl.Port, bufSize int, cfg ServerConfig) *Serv
 	s := &Server{
 		cfg:        cfg,
 		ep:         newEndpoint(p, port, 64, bufSize),
-		env:        port.Node().Env,
 		node:       port.Addr().Node,
 		row:        fmt.Sprintf("host%d", port.Addr().Node),
 		tr:         port.Tracer(),

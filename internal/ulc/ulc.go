@@ -54,19 +54,17 @@ type Addr struct {
 
 // System is the per-cluster ULC instance.
 type System struct {
-	Cluster *cluster.Cluster
-	nextID  []int
+	nextID []int
 }
 
 // NewSystem attaches the user-level library to a cluster built with
 // NICConfig().
 func NewSystem(c *cluster.Cluster) *System {
-	return &System{Cluster: c, nextID: make([]int, c.Size())}
+	return &System{nextID: make([]int, c.Size())}
 }
 
 // Port is one process's user-level endpoint.
 type Port struct {
-	sys      *System
 	node     *node.Node
 	proc     *oskernel.Process
 	addr     Addr
@@ -89,7 +87,6 @@ func (s *System) Open(p *sim.Proc, n *node.Node, proc *oskernel.Process, sysBuff
 	}
 	s.nextID[n.ID]++
 	pt := &Port{
-		sys:      s,
 		node:     n,
 		proc:     proc,
 		addr:     Addr{Node: n.ID, Port: s.nextID[n.ID]},

@@ -110,7 +110,6 @@ func (g *Bursty) Next() sim.Time {
 type BoundedPareto struct {
 	r     olRand
 	alpha float64
-	lo    float64
 	// loA and hiA are lo^-alpha and hi^-alpha, precomputed for the
 	// inverse-CDF draw.
 	loA, hiA float64
@@ -129,7 +128,6 @@ func NewBoundedPareto(seed uint64, lo, hi int, alpha float64) *BoundedPareto {
 	return &BoundedPareto{
 		r:     olRand{s: seed},
 		alpha: alpha,
-		lo:    float64(lo),
 		loA:   math.Pow(float64(lo), -alpha),
 		hiA:   math.Pow(float64(hi), -alpha),
 	}

@@ -25,8 +25,11 @@ var outputs = []struct{ golden, cmd string }{
 	{"testdata/bcltrace-chrome.golden", "bcltrace -chrome"},
 	{"testdata/bcltrace-flow.golden", "bcltrace -flow"},
 	{"testdata/bcltrace-coll.golden", "bcltrace -coll"},
+	{"testdata/bcltrace-coll-chrome.golden", "bcltrace -coll -chrome"},
 	{"testdata/bcltrace-crash.golden", "bcltrace -crash"},
+	{"testdata/bcltrace-crash-chrome.golden", "bcltrace -crash -chrome"},
 	{"testdata/bcltrace-rpc.golden", "bcltrace -rpc"},
+	{"testdata/bcltrace-rpc-chrome.golden", "bcltrace -rpc -chrome"},
 	{"testdata/bcltrace-prof.golden", "bcltrace -prof"},
 	{"testdata/bcltrace-health.golden", "bcltrace -health"},
 	{"testdata/bcltrace-slow-seed1.golden", "bcltrace -slow -seed 1"},
