@@ -288,8 +288,8 @@ func writePostmortem(dir, name string, r *bench.Report, reasons []string) {
 const faultVocabulary = `
 faults are data: one fabric.Schedule per phase, armed by (*cluster.Cluster).Install
 (seeded by -seed N; a malformed entry panics at Install, naming it):
-  packet rules            Rule{Kind, K | Every | P, Do: Drop|Duplicate|Corrupt, Rail}:
-                          the K-th, every n-th, or (seeded RNG) each matching
+  packet rules            Rule{K | Every | P, Do: Drop|Duplicate|Corrupt, Rail}:
+                          the K-th, every n-th, or (seeded RNG) each data
                           packet with probability p; one rail or every rail
   outage windows          Window{Node | AllNodes, Rail, From, To}: crash-stop,
                           every packet touching the component is lost

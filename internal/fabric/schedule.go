@@ -18,7 +18,7 @@ type Schedule struct {
 	Crashes []Crash
 }
 
-// Rule acts on the packets of one kind. Its trigger is exactly one of K
+// Rule acts on data packets (KindData). Its trigger is exactly one of K
 // (the K-th matching packet), Every (every Every-th) or P (each matching
 // packet with probability P, one env RNG draw per packet). Every rule
 // counts and draws on every packet it matches, whatever the others
@@ -27,7 +27,6 @@ type Schedule struct {
 // drawn one flips one random bit (a second draw). A rule on every rail
 // keeps one counter across all of them.
 type Rule struct {
-	Kind     PacketKind // the zero value is KindData
 	K, Every int
 	P        float64
 	Do       Verdict // Drop, Duplicate or Corrupt
@@ -152,7 +151,7 @@ type rule struct {
 // fires counts or draws for one packet and reports whether the rule
 // acts on it.
 func (r *rule) fires(env *sim.Env, pkt *Packet) bool {
-	if pkt.Kind != r.Kind || r.Do == Corrupt && len(pkt.Payload) == 0 {
+	if pkt.Kind != KindData || r.Do == Corrupt && len(pkt.Payload) == 0 {
 		return false
 	}
 	if r.P > 0 {

@@ -38,7 +38,7 @@ func TestCumulativeAckClearsWindow(t *testing.T) {
 	// Drop several ACKs; a single later cumulative ACK must clear all
 	// the earlier pending entries at once.
 	r := newRig(t, bclConfig())
-	r.fab.Install(dropFirst(fabric.KindAck, 4))
+	r.fab.SetFault(dropFirst(fabric.KindAck, 4))
 	payload := make([]byte, 24*1024) // 6 fragments
 	_, sseg := r.pinnedSegs(t, 0, payload)
 	rva, rseg := r.recvBuf(t, 1, len(payload))
@@ -70,7 +70,7 @@ func TestRetransmitTimerRearmsAcrossMessages(t *testing.T) {
 	// Black-hole only the FIRST data packet; everything after (including
 	// the go-back-N recovery) flows. The message must still arrive.
 	r := newRig(t, bclConfig())
-	r.fab.Install(dropFirst(fabric.KindData, 1))
+	r.fab.SetFault(dropFirst(fabric.KindData, 1))
 	payload := []byte("recovered by timer")
 	_, sseg := r.pinnedSegs(t, 0, payload)
 	rva, rseg := r.recvBuf(t, 1, 4096)

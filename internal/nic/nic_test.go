@@ -794,7 +794,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	// Drop ACKs so the sender retransmits data the receiver already
 	// has; the receiver must not deliver twice.
 	r := newRig(t, bclConfig())
-	r.fab.Install(dropFirst(fabric.KindAck, 3))
+	r.fab.SetFault(dropFirst(fabric.KindAck, 3))
 	payload := []byte("once only")
 	_, sseg := r.pinnedSegs(t, 0, payload)
 	rva, rseg := r.recvBuf(t, 1, 4096)
@@ -837,11 +837,13 @@ func TestWhereLabelIsPrecomputed(t *testing.T) {
 	}
 }
 
-// dropFirst is a schedule losing the first n packets of kind.
-func dropFirst(kind fabric.PacketKind, n int) fabric.Schedule {
-	var s fabric.Schedule
-	for k := 1; k <= n; k++ {
-		s.Rules = append(s.Rules, fabric.Rule{Kind: kind, K: k, Do: fabric.Drop})
+// dropFirst is a fault hook losing the first n packets of kind.
+func dropFirst(kind fabric.PacketKind, n int) fabric.Fault {
+	return func(_ *sim.Env, pkt *fabric.Packet) fabric.Verdict {
+		if pkt.Kind != kind || n == 0 {
+			return fabric.Deliver
+		}
+		n--
+		return fabric.Drop
 	}
-	return s
 }
