@@ -78,7 +78,7 @@ type Profile struct {
 	RecvDescWords    int      // descriptor words per receive posting
 	MCPDescFetch     sim.Time // NIC reads+parses a send descriptor from its queue
 	MCPSendProc      sim.Time // per-message send processing incl. reliable proto
-	MCPPacketProc    sim.Time // per-packet processing (CRC, header) on source
+	MCPPacketProc    sim.Time // per-packet processing (CRC, header) on source, whatever the polynomial: the host computes CRC-32C, which it has in hardware
 	MCPRecvProc      sim.Time // per-packet processing on destination
 	MCPChannelLookup sim.Time // per-message channel-state resolution at destination
 	MCPEventDMA      sim.Time // firmware cost of composing a completion event

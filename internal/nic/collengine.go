@@ -117,11 +117,19 @@ type CollCtx struct {
 	fseen map[mkey]bool   // multicast forwarded to the children
 	rseen map[uint64]bool // release result delivered
 	rfwd  map[uint64]bool // release result forwarded
-	// ownMsg maps a release-mode combine seq to the journaled MsgID of
-	// the local contribution descriptor. The journal holds it until the
-	// result returns, so a firmware crash between contribution and
-	// release replays the contribution instead of stalling the barrier.
-	ownMsg map[uint64]uint64
+	// ownMsg maps a release-mode combine seq to the journaled local
+	// contribution. The journal holds it until the result returns, so a
+	// firmware crash between contribution and release replays the
+	// contribution instead of stalling the barrier.
+	ownMsg map[uint64]heldSend
+}
+
+// heldSend is a local contribution the journal holds: its message id,
+// and its descriptor once collLocal is done with it (nil before), which
+// goes back to the card's free list when the hold ends.
+type heldSend struct {
+	msgID uint64
+	desc  *SendDesc
 }
 
 // freeColl frees what a collective context taken off the card holds:
@@ -169,7 +177,7 @@ func (n *NIC) RegisterCollCtx(s *CollSpec) error {
 		fseen:    make(map[mkey]bool),
 		rseen:    make(map[uint64]bool),
 		rfwd:     make(map[uint64]bool),
-		ownMsg:   make(map[uint64]uint64),
+		ownMsg:   make(map[uint64]heldSend),
 	}
 	return nil
 }
@@ -231,8 +239,13 @@ func (n *NIC) collEngine(p *sim.Proc) {
 		j := n.collQ.Recv(p)
 		if j.kind == collJobDrop {
 			// Whatever the epoch: a reboot frees only the contexts still
-			// on the card, and no later job can reach this one.
+			// on the card, and no later job can reach this one. Its held
+			// contributions end too: the kernel's journal dropped them
+			// with the port's sends.
 			n.freeColl(j.ctx)
+			for _, seq := range sortedKeys(j.ctx.ownMsg) {
+				n.collRetireOwn(j.ctx, seq)
+			}
 			continue
 		}
 		if n.fwDead || j.epoch != n.bootEpoch {
@@ -316,10 +329,10 @@ func (n *NIC) collLocal(p *sim.Proc, j collJob) {
 		hdr.Origin = ctx.Me
 		hdr.Mask = coll.Bit(ctx.Me)
 		hdr.Dead = 0
-		if hdr.Release && ctx.ownMsg[hdr.Seq] == 0 && ctx.done[hdr.Seq] == nil {
+		if hdr.Release && ctx.ownMsg[hdr.Seq].msgID == 0 && ctx.done[hdr.Seq] == nil {
 			// Hold the journal record until the result returns: a
 			// firmware crash in between replays the contribution.
-			ctx.ownMsg[hdr.Seq] = d.MsgID
+			ctx.ownMsg[hdr.Seq] = heldSend{msgID: d.MsgID}
 		}
 		n.collContribute(p, ctx, ctx.Me, hdr, j.payload, d.Tag, d.Trace, d.Born)
 		if hdr.Release && ctx.Me != ctx.Plan.Root {
@@ -346,18 +359,22 @@ func (n *NIC) collLocal(p *sim.Proc, j collJob) {
 		n.postEvent(p, n.sendEvent(EvSendDone, d))
 	}
 	// Everything except a held release contribution is complete for the
-	// journal once folded/fanned out (collRetireOwn releases the rest).
-	if ctx.ownMsg[d.Coll.Seq] != d.MsgID {
-		n.retireSend(d.MsgID, nil, false)
+	// journal once folded/fanned out. A held one leaves its descriptor
+	// to collRetireOwn; a hold that ended while this job ran (the root
+	// completing on its own contribution) left it here.
+	if ctx.ownMsg[d.Coll.Seq].msgID == d.MsgID {
+		ctx.ownMsg[d.Coll.Seq] = heldSend{msgID: d.MsgID, desc: d}
+	} else {
+		n.retireSend(d.MsgID, d, true)
 	}
 }
 
 // collRetireOwn releases the journal hold on a release-mode combine's
 // local contribution once its result has arrived (or the context dies).
 func (n *NIC) collRetireOwn(ctx *CollCtx, seq uint64) {
-	if mid, ok := ctx.ownMsg[seq]; ok {
+	if h, ok := ctx.ownMsg[seq]; ok {
 		delete(ctx.ownMsg, seq)
-		n.retireSend(mid, nil, false)
+		n.retireSend(h.msgID, h.desc, true)
 	}
 }
 

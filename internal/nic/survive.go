@@ -211,13 +211,13 @@ func (n *NIC) RepostSend(d *SendDesc) {
 }
 
 // retireSend marks a message complete for the kernel journal and ends
-// the life of its descriptor d (nil for a collective, which is retired
-// by id alone); every completion path funnels through here once the
-// flow's core has let the message go. sent says the message completed
-// normally — its last fragment acknowledged or, fire-and-forget,
-// injected — so no fragment of it is left in the pipeline and the
-// descriptor can go round again; a failed message's trailing fragments
-// may still be on their way down.
+// the life of its descriptor d (nil for a held collective contribution
+// whose job is still running, which then retires d itself); every
+// completion path funnels through here once the flow's core has let
+// the message go. sent says the message completed normally — its last
+// fragment acknowledged or, fire-and-forget, injected — so no fragment
+// of it is left in the pipeline and the descriptor can go round again;
+// a failed message's trailing fragments may still be on their way down.
 func (n *NIC) retireSend(msgID uint64, d *SendDesc, sent bool) {
 	if n.Journal != nil {
 		n.Journal.SendRetired(msgID)

@@ -2,6 +2,7 @@ package nic
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"bcl/internal/fabric"
@@ -374,9 +375,11 @@ func TestClosePortMidRetransmitDrains(t *testing.T) {
 
 // closeCollRig registers context 7 on port 1 of two nodes and posts
 // node 1's release-mode contribution, to a root that never contributes:
-// node 1 then holds SRAM and a retry timer for it. It returns node 1's
-// spec, to register the context again once the port has closed.
-func closeCollRig(t *testing.T) (*rig, *CollSpec) {
+// node 1 then holds SRAM and a retry timer for it. The descriptor is
+// unpooled, as the library posts a collective one, unless lent says to
+// take it from the card's free list. It returns node 1's spec, to
+// register the context again once the port has closed.
+func closeCollRig(t *testing.T, lent bool) (*rig, *CollSpec) {
 	r := newRig(t, bclConfig())
 	const slots, slotSize = 4, 64
 	spec := func(me int) *CollSpec {
@@ -395,11 +398,15 @@ func closeCollRig(t *testing.T) (*rig, *CollSpec) {
 	}
 	_, seg := r.pinnedSegs(t, 1, make([]byte, 16))
 	r.env.Go("member", func(p *sim.Proc) {
-		// Unpooled, as the library posts a collective descriptor.
-		r.nics[1].PostSend(p, &SendDesc{
+		d := SendDesc{
 			Kind: DescCollComb, MsgID: r.nics[1].NextMsgID(), SrcPort: 1, Channel: CollChannel,
 			Len: 16, Segs: seg, Coll: CollHdr{Ctx: 7, Seq: 1, Op: uint8(coll.OpSum), DT: uint8(coll.Int64), Release: true},
-		})
+		}
+		if lent {
+			r.nics[1].PostSend(p, lend(r.nics[1], d))
+		} else {
+			r.nics[1].PostSend(p, &d)
+		}
 	})
 	return r, member
 }
@@ -409,7 +416,18 @@ func closeCollRig(t *testing.T) (*rig, *CollSpec) {
 // waits on the root; context 7 then registers again and the card holds
 // nothing.
 func TestClosePortDropsCollContexts(t *testing.T) {
-	r, member := closeCollRig(t)
+	closePortDropsCollContexts(t, false)
+}
+
+// TestClosePortReturnsLentCollDescriptor is TestClosePortDropsCollContexts
+// with the contribution's descriptor taken from the card's free list:
+// the hold on it ends with the context, and the descriptor goes back.
+func TestClosePortReturnsLentCollDescriptor(t *testing.T) {
+	closePortDropsCollContexts(t, true)
+}
+
+func closePortDropsCollContexts(t *testing.T, lent bool) {
+	r, member := closeCollRig(t, lent)
 	n := r.nics[1]
 	r.env.At(sim.Millisecond, func() {
 		if n.sram.InUse() == 0 {
@@ -427,6 +445,51 @@ func TestClosePortDropsCollContexts(t *testing.T) {
 	}
 }
 
+// TestReleaseCombineReturnsLentDescriptors: both contributions of a
+// release-mode combine come from the card's free list and go back to
+// it. The root contributes last, so its hold ends while its own
+// collective job still reads the descriptor; node 1's hold ends when
+// the result comes back down.
+func TestReleaseCombineReturnsLentDescriptors(t *testing.T) {
+	r, _ := closeCollRig(t, true)
+	_, seg := r.pinnedSegs(t, 0, make([]byte, 16))
+	r.env.Go("root", func(p *sim.Proc) {
+		p.Sleep(100 * sim.Microsecond)
+		r.nics[0].PostSend(p, lend(r.nics[0], SendDesc{
+			Kind: DescCollComb, MsgID: r.nics[0].NextMsgID(), SrcPort: 1, Channel: CollChannel,
+			Len: 16, Segs: seg, Coll: CollHdr{Ctx: 7, Seq: 1, Op: uint8(coll.OpSum), DT: uint8(coll.Int64), Release: true},
+		}))
+	})
+	results, sent := make([]int, 2), make([]int, 2)
+	for i, n := range r.nics {
+		pt, _ := n.LookupPort(1)
+		r.env.Go(fmt.Sprintf("host%d", i), func(p *sim.Proc) {
+			for {
+				if ev := pt.RecvEvQ.Recv(p); ev.CollKind == CollEvResult {
+					results[i]++
+				}
+			}
+		})
+		r.env.Go(fmt.Sprintf("host%d/sends", i), func(p *sim.Proc) {
+			for {
+				if ev := pt.SendEvQ.Recv(p); ev.Type == EvSendDone && ev.Port == 1 {
+					sent[i]++
+				}
+			}
+		})
+	}
+	r.env.RunUntil(20 * sim.Millisecond)
+	if results[0] != 1 || results[1] != 1 || sent[0] != 1 || sent[1] != 1 {
+		t.Fatalf("results %v and send completions %v per node, want one of each", results, sent)
+	}
+	for _, n := range r.nics {
+		if held := len(n.colls[7].ownMsg); held != 0 {
+			t.Errorf("nic%d still holds %d contributions", n.node, held)
+		}
+	}
+	r.assertDrained(t)
+}
+
 // TestClosePortDuringCollCharge: port 1 closes, and context 7 registers
 // again, while the collective engine charges MCPCollProc for node 1's
 // contribution. The engine finishes that job on the dropped context;
@@ -434,7 +497,7 @@ func TestClosePortDropsCollContexts(t *testing.T) {
 func TestClosePortDuringCollCharge(t *testing.T) {
 	// The charge ends where the engine records the contribution's
 	// journal hold (ownMsg): find that instant on a first run.
-	r, _ := closeCollRig(t)
+	r, _ := closeCollRig(t, false)
 	var end sim.Time
 	for ; len(r.nics[1].colls[7].ownMsg) == 0; end += 10 {
 		if end > sim.Millisecond {
@@ -442,7 +505,7 @@ func TestClosePortDuringCollCharge(t *testing.T) {
 		}
 		r.env.RunUntil(end)
 	}
-	r, member := closeCollRig(t)
+	r, member := closeCollRig(t, false)
 	n := r.nics[1]
 	r.env.RunUntil(end - n.prof.MCPCollProc/2)
 	if len(n.colls[7].ownMsg) != 0 || n.sram.InUse() == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
+	"time"
 )
 
 // The simulation never runs two goroutines at once (a process is a
@@ -20,9 +21,15 @@ import (
 // A program's first garbage collection starts the Go runtime's mark
 // workers, which allocates or not as the scheduler happens to run them.
 // Collecting before anything is simulated makes allocation counts repeat.
+// So does one sleep: the P's timer heap is allocated by its first timer,
+// which would otherwise be the background scavenger's first sleep, at
+// whatever collection first leaves it memory to return (16 B that landed
+// in half of eager_pingpong's timed regions once one 8 KB table less was
+// allocated before them).
 func init() {
 	runtime.GOMAXPROCS(1)
 	runtime.GC()
+	time.Sleep(time.Microsecond)
 }
 
 // yieldEvery is how many events drive runs between two runtime.Gosched
