@@ -130,28 +130,58 @@ func TestPortStatsCount(t *testing.T) {
 	}
 }
 
+// TestIntraOversizedMessageDropped: an intra-node message the receiver
+// is not ready for is dropped whole, as the NIC rejects it, and the
+// next message lands. Larger than the posted buffer, it must not
+// overflow it (the posting stays for the next message). With nothing
+// posted for its first fragment's 10 ms of polling, none of its later
+// fragments may take the posting made after that give-up: the message
+// after it needs it.
 func TestIntraOversizedMessageDropped(t *testing.T) {
-	// An intra-node message larger than the posted buffer must be
-	// rejected (mirroring the NIC's bounds check), not overflow it.
-	tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 0})
-	a, b := tb.ports[0], tb.ports[1]
-	got := false
-	ch := b.CreateChannel()
-	tb.c.Env.Go("b", func(p *sim.Proc) {
-		va := b.Process().Space.Alloc(256)
-		b.PostRecv(p, ch, va, 256)
-		_, got = b.events2().RecvTimeout(p, 20*sim.Millisecond)
-	})
-	tb.c.Env.Go("a", func(p *sim.Proc) {
-		va := a.Process().Space.Alloc(1024)
-		p.Sleep(100 * sim.Microsecond)
-		if _, err := a.Send(p, b.Addr(), ch, va, 1024, 0); err != nil {
-			t.Error(err)
-		}
-	})
-	tb.run(t, 100*sim.Millisecond)
-	if got {
-		t.Fatal("oversized intra-node message was delivered")
+	for _, tc := range []struct {
+		name         string
+		first, post  int      // bytes of the dropped message and of the one posting
+		postAt, next sim.Time // when the posting is made, when the next message is sent
+	}{
+		{"larger than the posting", 1024, 256, 0, 30 * sim.Millisecond},
+		{"nothing posted in time", 24 << 10, 24 << 10, 11 * sim.Millisecond, 30 * sim.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 0})
+			a, b := tb.ports[0], tb.ports[1]
+			ch := b.CreateChannel()
+			var evs []nic.Event
+			tb.c.Env.Go("b", func(p *sim.Proc) {
+				p.Sleep(tc.postAt)
+				if err := b.PostRecv(p, ch, b.Process().Space.Alloc(tc.post), tc.post); err != nil {
+					t.Error(err)
+				}
+				for {
+					ev, ok := b.events2().RecvTimeout(p, 50*sim.Millisecond)
+					if !ok {
+						return
+					}
+					evs = append(evs, ev)
+				}
+			})
+			var second uint64
+			tb.c.Env.Go("a", func(p *sim.Proc) {
+				va := a.Process().Space.Alloc(tc.first)
+				p.Sleep(100 * sim.Microsecond)
+				if _, err := a.Send(p, b.Addr(), ch, va, tc.first, 0); err != nil {
+					t.Error(err)
+				}
+				p.Sleep(tc.next - p.Now())
+				var err error
+				if second, err = a.Send(p, b.Addr(), ch, va, tc.post, 1); err != nil {
+					t.Error(err)
+				}
+			})
+			tb.run(t, 100*sim.Millisecond)
+			if len(evs) != 1 || evs[0].MsgID != second || evs[0].Len != tc.post {
+				t.Fatalf("receive events %+v, want only the second message (id %d, %d B)", evs, second, tc.post)
+			}
+		})
 	}
 }
 

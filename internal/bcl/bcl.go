@@ -34,6 +34,7 @@ import (
 	"fmt"
 
 	"bcl/internal/cluster"
+	"bcl/internal/mem"
 	"bcl/internal/nic"
 	"bcl/internal/node"
 	"bcl/internal/obs"
@@ -130,6 +131,9 @@ type Port struct {
 	sent, received uint64
 	bytesSent      uint64
 	bytesReceived  uint64
+
+	sysBufSize int         // bytes of each system-channel pool buffer
+	returns    []mem.VAddr // consumed pool buffers awaiting one batched return
 }
 
 // Open creates the port for a process (each process creates exactly
@@ -144,14 +148,16 @@ func (s *System) Open(p *sim.Proc, n *node.Node, proc *oskernel.Process, opts Op
 	}
 	s.nextID[n.ID]++
 	pt := &Port{
-		sys:      s,
-		node:     n,
-		proc:     proc,
-		addr:     Addr{Node: n.ID, Port: s.nextID[n.ID]},
-		tr:       opts.Tracer,
-		label:    opts.Label,
-		intraQ:   sim.NewQueue[*intraFrag](n.Env, "bcl/intra", 0),
-		nextChan: 1,
+		sys:        s,
+		node:       n,
+		proc:       proc,
+		addr:       Addr{Node: n.ID, Port: s.nextID[n.ID]},
+		tr:         opts.Tracer,
+		label:      opts.Label,
+		sysBufSize: opts.SystemBufSize,
+		returns:    make([]mem.VAddr, 0, returnBatch),
+		intraQ:     sim.NewQueue[*intraFrag](n.Env, "bcl/intra", 0),
+		nextChan:   1,
 	}
 	pt.row = fmt.Sprintf("host%d", n.ID)
 	if pt.label != "" {

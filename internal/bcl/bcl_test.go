@@ -11,6 +11,7 @@ import (
 	"bcl/internal/fabric"
 	"bcl/internal/mem"
 	"bcl/internal/nic"
+	"bcl/internal/nic/coll"
 	"bcl/internal/oskernel"
 	"bcl/internal/sim"
 	"bcl/internal/trace"
@@ -305,35 +306,71 @@ func TestSecurityRejectsInKernel(t *testing.T) {
 // send-path security check: a process forging requests that name an
 // endpoint bound to ANOTHER process (here, by fielding them through
 // the victim's port with its own PID) must be turned away by the
-// kernel's ownership check, with nothing reaching the wire — even
-// though its buffer is perfectly valid in its own address space.
+// kernel's ownership check — even though its buffer is perfectly valid
+// in its own address space. Every trap on the port makes the one check:
+// each row is rejected once, with nothing on the wire and, the
+// descriptor being taken last, no descriptor held (NIC.Drained).
 func TestCrossEndpointSendRejected(t *testing.T) {
-	tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 1})
-	victim, peer := tb.ports[0], tb.ports[1]
-	kern := tb.c.Nodes[0].Kernel
-	before := kern.Stats().SecurityRejects
-	wireBefore := tb.c.Nodes[0].NIC.Stats().MsgsSent
-	intruder := kern.Spawn()
-	var sendErr, recvErr error
-	tb.c.Env.Go("intruder", func(p *sim.Proc) {
-		forged := *victim
-		forged.proc = intruder
-		va := intruder.Space.Alloc(64)
-		_, sendErr = forged.Send(p, peer.Addr(), SystemChannel, va, 64, 0)
-		recvErr = forged.PostRecv(p, 1, va, 64)
-	})
-	tb.run(t, sim.Millisecond)
-	if !errors.Is(sendErr, oskernel.ErrNotOwner) {
-		t.Fatalf("forged send error = %v, want ErrNotOwner", sendErr)
-	}
-	if !errors.Is(recvErr, oskernel.ErrNotOwner) {
-		t.Fatalf("forged post-recv error = %v, want ErrNotOwner", recvErr)
-	}
-	if got := kern.Stats().SecurityRejects - before; got != 2 {
-		t.Fatalf("security rejects = %d, want 2", got)
-	}
-	if st := tb.c.Nodes[0].NIC.Stats(); st.MsgsSent != wireBefore {
-		t.Fatalf("NIC sent %d messages from forged requests", st.MsgsSent-wireBefore)
+	ctx := &CollCtx{ID: 7, Plan: coll.Binomial(2, 0)}
+	for _, tc := range []struct {
+		name string
+		call func(p *sim.Proc, forged *Port, peer Addr, va mem.VAddr) error
+	}{
+		{"Send", func(p *sim.Proc, forged *Port, peer Addr, va mem.VAddr) error {
+			_, err := forged.Send(p, peer, SystemChannel, va, 64, 0)
+			return err
+		}},
+		{"PostRecv", func(p *sim.Proc, forged *Port, peer Addr, va mem.VAddr) error {
+			return forged.PostRecv(p, 1, va, 64)
+		}},
+		{"RMAWrite", func(p *sim.Proc, forged *Port, peer Addr, va mem.VAddr) error {
+			_, err := forged.RMAWrite(p, peer, 1, 0, va, 64)
+			return err
+		}},
+		{"RMARead", func(p *sim.Proc, forged *Port, peer Addr, va mem.VAddr) error {
+			return forged.RMARead(p, peer, 1, 0, va, 64)
+		}},
+		{"CollMcast", func(p *sim.Proc, forged *Port, peer Addr, va mem.VAddr) error {
+			_, err := forged.CollMcast(p, ctx, 1, va, 64, 0)
+			return err
+		}},
+		{"CollCombine", func(p *sim.Proc, forged *Port, peer Addr, va mem.VAddr) error {
+			_, err := forged.CollCombine(p, ctx, 1, va, 64, coll.OpSum, coll.Float64, true)
+			return err
+		}},
+		{"RegisterColl", func(p *sim.Proc, forged *Port, peer Addr, va mem.VAddr) error {
+			_, err := forged.RegisterColl(p, ctx.ID, 0, []Addr{forged.Addr(), peer}, ctx.Plan)
+			return err
+		}},
+		{"RegisterOpen", func(p *sim.Proc, forged *Port, peer Addr, va mem.VAddr) error {
+			return forged.RegisterOpen(p, 1, va, 64)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 1})
+			victim, peer := tb.ports[0], tb.ports[1]
+			kern, card := tb.c.Nodes[0].Kernel, tb.c.Nodes[0].NIC
+			tb.assertDrained(t)
+			before, wireBefore := kern.Stats().SecurityRejects, card.Stats().MsgsSent
+			intruder := kern.Spawn()
+			err := errors.New("the forged request never returned")
+			tb.c.Env.Go("intruder", func(p *sim.Proc) {
+				forged := *victim
+				forged.proc = intruder
+				err = tc.call(p, &forged, peer.Addr(), intruder.Space.Alloc(64))
+			})
+			tb.run(t, sim.Millisecond)
+			if !errors.Is(err, oskernel.ErrNotOwner) {
+				t.Fatalf("forged request error = %v, want ErrNotOwner", err)
+			}
+			if got := kern.Stats().SecurityRejects - before; got != 1 {
+				t.Fatalf("security rejects = %d, want 1", got)
+			}
+			if got := card.Stats().MsgsSent - wireBefore; got != 0 {
+				t.Fatalf("NIC sent %d messages from a forged request", got)
+			}
+			tb.assertDrained(t)
+		})
 	}
 }
 
@@ -530,26 +567,57 @@ func TestSystemPoolReturn(t *testing.T) {
 	}
 }
 
+// TestTracerRecordsStages: a data send and an RMA write take the one
+// send trap, so each records the same four host stages, its trap span
+// on its own message's flow.
 func TestTracerRecordsStages(t *testing.T) {
 	tb := newTestbed(t, cluster.Myrinet, 2, []int{0, 1})
 	a, b := tb.ports[0], tb.ports[1]
-	tr := a.Tracer()
-	if tr == nil {
-		a.SetTracer(trace.New())
-		tr = a.Tracer()
-	}
+	tr := trace.New()
+	a.SetTracer(tr)
+	var ids []uint64
 	tb.c.Env.Go("a", func(p *sim.Proc) {
+		window := b.Process().Space.Alloc(64)
+		if err := b.RegisterOpen(p, 3, window, 64); err != nil {
+			t.Error(err)
+			return
+		}
 		va := a.Process().Space.Alloc(16)
-		a.Send(p, b.Addr(), SystemChannel, va, 16, 0)
+		sent, err := a.Send(p, b.Addr(), SystemChannel, va, 16, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		written, err := a.RMAWrite(p, b.Addr(), 3, 0, va, 16)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ids = []uint64{sent, written}
 	})
-	tb.c.Env.Go("b", func(p *sim.Proc) { b.WaitRecv(p) })
 	tb.run(t, sim.Millisecond)
-	order, totals := tr.Totals()
-	if len(order) < 2 {
-		t.Fatalf("tracer recorded %d stages", len(order))
+	stages := map[string]int{}
+	flows := map[uint64]bool{}
+	for _, s := range tr.Spans {
+		if s.Where == host(a) {
+			stages[s.Stage]++
+		}
+		if s.Stage == "kernel: trap+check+translate+fill" {
+			flows[s.Flow] = true
+		}
 	}
-	if totals["kernel: trap+check+translate+fill"] == 0 {
-		t.Fatal("kernel stage missing from trace")
+	for _, st := range []string{"user: compose request", "kernel: trap+check+translate+fill", "kernel: pin/translate", "kernel: PIO descriptor fill"} {
+		if stages[st] != 2 {
+			t.Errorf("stage %q recorded %d times on %s, want 2 (send and RMA write): %v", st, stages[st], host(a), stages)
+		}
+	}
+	for _, id := range ids {
+		if !flows[trace.ID(a.Addr().Node, id)] {
+			t.Errorf("message %d has no trap span on its flow", id)
+		}
+	}
+	if len(ids) != 2 {
+		t.Fatal("the send and the RMA write did not both post")
 	}
 }
 

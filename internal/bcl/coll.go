@@ -7,7 +7,6 @@ import (
 	"bcl/internal/nic"
 	"bcl/internal/nic/coll"
 	"bcl/internal/sim"
-	"bcl/internal/trace"
 )
 
 // Collective offload surface. A collective context programs the NIC's
@@ -59,10 +58,7 @@ func (pt *Port) RegisterColl(p *sim.Proc, id, me int, members []Addr, plan coll.
 	}
 	k := pt.node.Kernel
 	err := k.Trap(p, func() error {
-		if cerr := k.CheckRequest(p, pt.proc.PID, va, ringLen, pt.addr.Node, pt.sys.Cluster.Size()); cerr != nil {
-			return cerr
-		}
-		if cerr := pt.checkOwner(); cerr != nil {
+		if cerr := pt.checkPort(p, va, ringLen, pt.addr.Node); cerr != nil {
 			return cerr
 		}
 		segs, terr := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, ringLen, nil)
@@ -88,7 +84,7 @@ func (pt *Port) RegisterColl(p *sim.Proc, id, me int, members []Addr, plan coll.
 // reported on the send event queue (WaitSend); deliveries land at
 // every other member as CollEvMcast events on CollChannel.
 func (pt *Port) CollMcast(p *sim.Proc, ctx *CollCtx, seq uint64, va mem.VAddr, n int, tag uint64) (uint64, error) {
-	return pt.collPost(p, nic.DescCollMcast, ctx, va, n, tag,
+	return pt.collPost(p, nic.DescCollMcast, va, n, tag,
 		nic.CollHdr{Ctx: ctx.ID, Seq: seq, Origin: ctx.Me})
 }
 
@@ -98,58 +94,18 @@ func (pt *Port) CollMcast(p *sim.Proc, ctx *CollCtx, seq uint64, va mem.VAddr, n
 // the root multicasts the combined result back down and every member
 // receives a CollEvResult event; otherwise only the root does.
 func (pt *Port) CollCombine(p *sim.Proc, ctx *CollCtx, seq uint64, va mem.VAddr, n int, op coll.Op, dt coll.DT, release bool) (uint64, error) {
-	return pt.collPost(p, nic.DescCollComb, ctx, va, n, 0,
+	return pt.collPost(p, nic.DescCollComb, va, n, 0,
 		nic.CollHdr{Ctx: ctx.ID, Seq: seq, Origin: ctx.Me, Op: uint8(op), DT: uint8(dt), Release: release})
 }
 
-// collPost is the shared single-trap injection path for collective
-// descriptors: validate, translate/pin, PIO-fill, post.
-func (pt *Port) collPost(p *sim.Proc, kind nic.DescKind, ctx *CollCtx, va mem.VAddr, n int, tag uint64, hdr nic.CollHdr) (uint64, error) {
+// collPost injects one collective descriptor through the send trap,
+// after the one check of its own: the payload fits one packet.
+func (pt *Port) collPost(p *sim.Proc, kind nic.DescKind, va mem.VAddr, n int, tag uint64, hdr nic.CollHdr) (uint64, error) {
 	if pt.closed {
 		return 0, ErrClosed
 	}
 	if n < 0 || n > pt.node.Prof.MaxPacket {
 		return 0, fmt.Errorf("bcl: collective payload %d exceeds one packet (%d)", n, pt.node.Prof.MaxPacket)
 	}
-	born := p.Now()
-	pt.tr.Do(p, "user: compose request", host(pt), func() {
-		p.Sleep(pt.node.Prof.UserCompose)
-	})
-	msgID := pt.node.NIC.NextMsgID()
-	tid := trace.ID(pt.addr.Node, msgID)
-	k := pt.node.Kernel
-	var trapErr error
-	pt.tr.DoFlow(p, "kernel: trap+check+translate+fill", host(pt), tid, func() {
-		trapErr = k.Trap(p, func() error {
-			if err := k.CheckRequest(p, pt.proc.PID, va, n, pt.addr.Node, pt.sys.Cluster.Size()); err != nil {
-				return err
-			}
-			if err := pt.checkOwner(); err != nil {
-				return err
-			}
-			d := &nic.SendDesc{
-				Kind: kind, MsgID: msgID, SrcPort: pt.addr.Port,
-				DstNode: pt.addr.Node, DstPort: pt.addr.Port, Channel: CollChannel,
-				Len: n, Tag: tag, Coll: hdr,
-				Trace: tid, Born: born,
-			}
-			var err error
-			pt.tr.Do(p, "kernel: pin/translate", host(pt), func() {
-				d.Segs, err = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, d.Seg[:0])
-			})
-			if err != nil {
-				return err
-			}
-			pt.tr.Do(p, "kernel: PIO descriptor fill", host(pt), func() {
-				k.PostSend(p, d)
-			})
-			return nil
-		})
-	})
-	if trapErr != nil {
-		return 0, trapErr
-	}
-	pt.sent++
-	pt.bytesSent += uint64(n)
-	return msgID, nil
+	return pt.trapSend(p, &sendReq{kind: kind, dst: pt.addr, channel: CollChannel, va: va, n: n, tag: tag, coll: hdr})
 }

@@ -94,10 +94,11 @@ func (pt *Port) sendIntra(p *sim.Proc, dst Addr, channel int, va mem.VAddr, n in
 }
 
 // intraAsm is one message's assembly on the receiving side, held by
-// value in the engine's table.
+// value in the engine's table until its last fragment.
 type intraAsm struct {
-	buf nic.RecvDesc // the consumed posting: where the message lands
-	got int
+	buf     nic.RecvDesc // the consumed posting: where the message lands
+	got     int
+	dropped bool // nothing posted, too small, or a copy faulted: the rest is discarded
 }
 
 // intraEngine is the receiving half: one process per port draining the
@@ -117,7 +118,9 @@ func (pt *Port) intraEngine(p *sim.Proc) {
 }
 
 // land copies one fragment out of shared memory into its message's
-// buffer and raises the completion when it was the last.
+// buffer and raises the completion when it was the last. A dropped
+// message stays in open until its last fragment, so no later fragment
+// of it takes a posting meant for the next message.
 func (pt *Port) land(p *sim.Proc, f *intraFrag, open map[uint64]intraAsm) {
 	st, ok := open[f.msgID]
 	if !ok {
@@ -134,17 +137,14 @@ func (pt *Port) land(p *sim.Proc, f *intraFrag, open map[uint64]intraAsm) {
 				p.Sleep(20 * sim.Microsecond)
 			}
 		}
-		if !found || f.msgLen > st.buf.Len {
-			return // nothing posted, or too small (it stays posted): message dropped, as the NIC rejects it
-		}
+		// Nothing posted, or too small (it stays posted): the message is
+		// dropped, as the NIC rejects it.
+		st.dropped = !found || f.msgLen > st.buf.Len
 	}
-	// Copy the chunk out of shared memory into the user buffer.
-	pt.node.Memcpy(p, len(f.data))
-	if len(f.data) > 0 {
-		if err := st.buf.Space.Write(st.buf.VA+mem.VAddr(f.offset), f.data); err != nil {
-			delete(open, f.msgID)
-			return
-		}
+	if !st.dropped {
+		// Copy the chunk out of shared memory into the user buffer.
+		pt.node.Memcpy(p, len(f.data))
+		st.dropped = len(f.data) > 0 && st.buf.Space.Write(st.buf.VA+mem.VAddr(f.offset), f.data) != nil
 	}
 	st.got++
 	if st.got < f.frags {
@@ -152,6 +152,9 @@ func (pt *Port) land(p *sim.Proc, f *intraFrag, open map[uint64]intraAsm) {
 		return
 	}
 	delete(open, f.msgID)
+	if st.dropped {
+		return
+	}
 	pt.events.Post(nic.Event{
 		Type: nic.EvRecvDone, Port: pt.addr.Port, Channel: f.channel,
 		MsgID: f.msgID, Len: f.msgLen, Tag: f.tag,

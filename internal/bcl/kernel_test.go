@@ -99,10 +99,10 @@ func TestExitClosesThePort(t *testing.T) {
 	}
 }
 
-// TestBatchedReturnSurvivesCrash: buffers given back in one batched
-// trap are journaled like any other, so a firmware crash after the
-// return does not shrink the rebuilt system pool. The receiver's whole
-// pool is consumed, returned in one batch, the NIC crashes and the
+// TestBatchedReturnSurvivesCrash: buffers given back in a batched trap
+// are journaled like any other, so a firmware crash after the return
+// does not shrink the rebuilt system pool. The receiver's whole pool is
+// consumed and recycled, two full batches, the NIC crashes and the
 // watchdog recovers it, and a second pool's worth of messages must all
 // land.
 func TestBatchedReturnSurvivesCrash(t *testing.T) {
@@ -118,15 +118,17 @@ func TestBatchedReturnSurvivesCrash(t *testing.T) {
 					return
 				}
 			}
-			var bufs []SystemBuf
+			traps := c.Nodes[1].Kernel.Stats().Traps
 			for i := 0; i < pool; i++ {
 				ev := b.WaitRecv(p)
-				bufs = append(bufs, SystemBuf{VA: ev.VA, Len: c.Nodes[0].Prof.MaxPacket})
+				if err := b.RecycleSystemBuffer(p, ev.VA); err != nil {
+					t.Errorf("batched return: %v", err)
+					return
+				}
 				delivered++
 			}
-			if err := b.ReturnSystemBuffers(p, bufs); err != nil {
-				t.Errorf("batched return: %v", err)
-				return
+			if got := c.Nodes[1].Kernel.Stats().Traps - traps; got != pool/returnBatch {
+				t.Errorf("%d buffers returned in %d traps, want %d", pool, got, pool/returnBatch)
 			}
 			if round == 0 {
 				c.Nodes[1].NIC.CrashFirmware()

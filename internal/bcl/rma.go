@@ -42,35 +42,7 @@ func (pt *Port) RMAWrite(p *sim.Proc, dst Addr, channel, offset int, va mem.VAdd
 	if pt.closed {
 		return 0, ErrClosed
 	}
-	p.Sleep(pt.node.Prof.UserCompose)
-	msgID := pt.node.NIC.NextMsgID()
-	k := pt.node.Kernel
-	err := k.Trap(p, func() error {
-		if cerr := k.CheckRequest(p, pt.proc.PID, va, n, dst.Node, pt.sys.Cluster.Size()); cerr != nil {
-			return cerr
-		}
-		if cerr := pt.checkOwner(); cerr != nil {
-			return cerr
-		}
-		var seg [1]mem.Segment
-		segs, terr := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, seg[:0])
-		if terr != nil {
-			return terr
-		}
-		d := pt.node.NIC.GetSendDesc()
-		d.Kind, d.MsgID, d.SrcPort = nic.DescRMAWrite, msgID, pt.addr.Port
-		d.DstNode, d.DstPort, d.Channel = dst.Node, dst.Port, channel
-		d.Len, d.Offset = n, offset
-		d.Segs = append(d.Seg[:0], segs...)
-		k.PostSend(p, d)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	pt.sent++
-	pt.bytesSent += uint64(n)
-	return msgID, nil
+	return pt.trapSend(p, &sendReq{kind: nic.DescRMAWrite, dst: dst, channel: channel, offset: offset, va: va, n: n})
 }
 
 // RMARead reads n bytes at the given offset of the remote open channel
@@ -91,10 +63,7 @@ func (pt *Port) RMARead(p *sim.Proc, dst Addr, channel, offset int, va mem.VAddr
 	msgID := pt.node.NIC.NextMsgID()
 	k := pt.node.Kernel
 	err := k.Trap(p, func() error {
-		if cerr := k.CheckRequest(p, pt.proc.PID, va, n, dst.Node, pt.sys.Cluster.Size()); cerr != nil {
-			return cerr
-		}
-		if cerr := pt.checkOwner(); cerr != nil {
+		if cerr := pt.checkPort(p, va, n, dst.Node); cerr != nil {
 			return cerr
 		}
 		// The kernel does not journal a read request, so nothing promises

@@ -30,54 +30,92 @@ func (pt *Port) Send(p *sim.Proc, dst Addr, channel int, va mem.VAddr, n int, ta
 	if channel < 0 {
 		return 0, ErrBadChannel
 	}
-	born := p.Now()
+	if dst.Node == pt.addr.Node {
+		pt.compose(p)
+		return pt.sendIntra(p, dst, channel, va, n, tag)
+	}
+	return pt.trapSend(p, &sendReq{kind: nic.DescData, dst: dst, channel: channel, va: va, n: n, tag: tag})
+}
+
+// sendReq is one send-side request as the library composes it: the
+// descriptor's kind-specific fields and the user buffer [va, va+n).
+type sendReq struct {
+	kind               nic.DescKind
+	dst                Addr
+	channel, offset, n int
+	va                 mem.VAddr
+	tag                uint64
+	coll               nic.CollHdr
+}
+
+// compose charges the user-space composition of a request.
+func (pt *Port) compose(p *sim.Proc) {
 	pt.tr.Do(p, "user: compose request", host(pt), func() {
 		p.Sleep(pt.node.Prof.UserCompose)
 	})
-	if dst.Node == pt.addr.Node {
-		return pt.sendIntra(p, dst, channel, va, n, tag)
-	}
+}
 
+// trapSend is the one send trap Send, RMAWrite and the collective posts
+// share: compose the request, mint its message id and trace id, trap
+// into the kernel, which checks the request, pins and translates the
+// buffer and PIO-fills the descriptor onto the NIC, and count the send.
+func (pt *Port) trapSend(p *sim.Proc, r *sendReq) (uint64, error) {
+	born := p.Now()
+	pt.compose(p)
 	msgID := pt.node.NIC.NextMsgID()
 	tid := trace.ID(pt.addr.Node, msgID)
 	k := pt.node.Kernel
-	var trapErr error
+	var err error
 	pt.tr.DoFlow(p, "kernel: trap+check+translate+fill", host(pt), tid, func() {
-		trapErr = k.Trap(p, func() error {
-			if err := k.CheckRequest(p, pt.proc.PID, va, n, dst.Node, pt.sys.Cluster.Size()); err != nil {
-				return err
+		err = k.Trap(p, func() error {
+			d, derr := pt.sendDesc(p, r)
+			if derr != nil {
+				return derr
 			}
-			if err := pt.checkOwner(); err != nil {
-				return err
+			d.MsgID, d.Trace = msgID, tid
+			if r.kind != nic.DescRMAWrite { // a write keeps the card's dequeue stamp in msg_latency_ns
+				d.Born = born
 			}
-			var (
-				seg  [1]mem.Segment
-				segs []mem.Segment
-				err  error
-			)
-			pt.tr.Do(p, "kernel: pin/translate", host(pt), func() {
-				segs, err = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, seg[:0])
-			})
-			if err != nil {
-				return err
-			}
-			d := pt.node.NIC.GetSendDesc()
-			d.Kind, d.MsgID, d.SrcPort = nic.DescData, msgID, pt.addr.Port
-			d.DstNode, d.DstPort, d.Channel = dst.Node, dst.Port, channel
-			d.Len, d.Tag, d.Trace, d.Born = n, tag, tid, born
-			d.Segs = append(d.Seg[:0], segs...)
 			pt.tr.Do(p, "kernel: PIO descriptor fill", host(pt), func() {
 				k.PostSend(p, d)
 			})
 			return nil
 		})
 	})
-	if trapErr != nil {
-		return 0, trapErr
+	if err != nil {
+		return 0, err
 	}
 	pt.sent++
-	pt.bytesSent += uint64(n)
+	pt.bytesSent += uint64(r.n)
 	return msgID, nil
+}
+
+// sendDesc is the kernel half of the send trap, as recvDesc is of a
+// posting: check the request, pin and translate the buffer, and fill in
+// a send descriptor from the card's free list. The descriptor is taken
+// last, when nothing can fail any more. Runs inside a Trap body.
+func (pt *Port) sendDesc(p *sim.Proc, r *sendReq) (*nic.SendDesc, error) {
+	if err := pt.checkPort(p, r.va, r.n, r.dst.Node); err != nil {
+		return nil, err
+	}
+	k := pt.node.Kernel
+	var (
+		seg  [1]mem.Segment
+		segs []mem.Segment
+		err  error
+	)
+	pt.tr.Do(p, "kernel: pin/translate", host(pt), func() {
+		segs, err = k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, r.va, r.n, seg[:0])
+	})
+	if err != nil {
+		return nil, err
+	}
+	d := pt.node.NIC.GetSendDesc()
+	d.Kind, d.SrcPort = r.kind, pt.addr.Port
+	d.DstNode, d.DstPort, d.Channel = r.dst.Node, r.dst.Port, r.channel
+	d.Len, d.Offset, d.Tag, d.Coll = r.n, r.offset, r.tag, r.coll
+	d.Segs = append(d.Seg[:0], segs...)
+	return d, nil
 }
 
 // PostRecv binds a user buffer to a normal channel (rendezvous: the
@@ -116,13 +154,10 @@ func (pt *Port) PostRecv(p *sim.Proc, channel int, va mem.VAddr, n int) error {
 // taken last, when nothing can fail any more: the command hands it to
 // the NIC, which owns it from there. Runs inside a Trap body.
 func (pt *Port) recvDesc(p *sim.Proc, va mem.VAddr, n int) (*nic.RecvDesc, error) {
+	if err := pt.checkPort(p, va, n, pt.addr.Node); err != nil {
+		return nil, err
+	}
 	k := pt.node.Kernel
-	if err := k.CheckRequest(p, pt.proc.PID, va, n, pt.addr.Node, pt.sys.Cluster.Size()); err != nil {
-		return nil, err
-	}
-	if err := pt.checkOwner(); err != nil {
-		return nil, err
-	}
 	var seg [1]mem.Segment
 	segs, err := k.TranslateAndPin(p, pt.proc.PID, pt.proc.Space, va, n, seg[:0])
 	if err != nil {
@@ -153,24 +188,33 @@ func (pt *Port) ReturnSystemBuffer(p *sim.Proc, va mem.VAddr, n int) error {
 	return pt.addSystemBuffer(p, va, n)
 }
 
-// SystemBuf names one pool buffer in a batched return.
-type SystemBuf struct {
-	VA  mem.VAddr
-	Len int
+// returnBatch is how many consumed pool buffers RecycleSystemBuffer
+// queues before one kernel trap returns them all.
+const returnBatch = 8
+
+// RecycleSystemBuffer queues a consumed pool buffer for return to the
+// system channel. Once returnBatch buffers are queued, one kernel trap
+// returns them all, amortizing the crossing cost over the batch (the
+// kernel module's return command accepts a vector).
+func (pt *Port) RecycleSystemBuffer(p *sim.Proc, va mem.VAddr) error {
+	pt.returns = append(pt.returns, va)
+	if len(pt.returns) < returnBatch {
+		return nil
+	}
+	return pt.FlushSystemBuffers(p)
 }
 
-// ReturnSystemBuffers returns several consumed pool buffers in a
-// single kernel trap, amortizing the crossing cost over the batch (the
-// kernel module's return command accepts a vector). bufs is not kept:
-// the caller may refill it as soon as the call returns.
-func (pt *Port) ReturnSystemBuffers(p *sim.Proc, bufs []SystemBuf) error {
-	if len(bufs) == 0 {
+// FlushSystemBuffers returns every queued pool buffer in one trap; with
+// none queued it costs nothing. An event loop calls it when it finds
+// nothing to receive, so a quiet port does not sit on its buffers.
+func (pt *Port) FlushSystemBuffers(p *sim.Proc) error {
+	if len(pt.returns) == 0 {
 		return nil
 	}
 	k := pt.node.Kernel
-	return k.Trap(p, func() error {
-		for _, b := range bufs {
-			d, err := pt.recvDesc(p, b.VA, b.Len)
+	err := k.Trap(p, func() error {
+		for _, va := range pt.returns {
+			d, err := pt.recvDesc(p, va, pt.sysBufSize)
 			if err != nil {
 				return err
 			}
@@ -180,6 +224,8 @@ func (pt *Port) ReturnSystemBuffers(p *sim.Proc, bufs []SystemBuf) error {
 		}
 		return nil
 	})
+	pt.returns = pt.returns[:0]
+	return err
 }
 
 // WaitRecv blocks polling the receive event queue until a message
@@ -316,10 +362,15 @@ func (pt *Port) DrainSendEvents(p *sim.Proc) (done, failed int) {
 // host labels this port's process in trace spans.
 func host(pt *Port) string { return pt.row }
 
-// checkOwner is the cross-endpoint half of the kernel's send-path
-// security check: the calling process must still own this port's NIC
-// endpoint. Runs inside a Trap body; the cost is part of the
-// SecurityCheck charge CheckRequest already paid.
-func (pt *Port) checkOwner() error {
-	return pt.node.Kernel.CheckEndpointOwner(pt.proc.PID, pt.addr.Port)
+// checkPort is the kernel's check of every request a trap on this port
+// makes: the request itself (PID, buffer [va, va+n), target node), then
+// its cross-endpoint half — the calling process must still own this
+// port's NIC endpoint (part of the SecurityCheck charge CheckRequest
+// pays). Runs inside a Trap body.
+func (pt *Port) checkPort(p *sim.Proc, va mem.VAddr, n, dstNode int) error {
+	k := pt.node.Kernel
+	if err := k.CheckRequest(p, pt.proc.PID, va, n, dstNode, pt.sys.Cluster.Size()); err != nil {
+		return err
+	}
+	return k.CheckEndpointOwner(pt.proc.PID, pt.addr.Port)
 }

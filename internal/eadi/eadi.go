@@ -41,10 +41,6 @@ const EagerLimit = 4096
 // rmaChunk is the RMA write granularity of the rendezvous data path.
 const rmaChunk = 16384
 
-// returnBatch is how many consumed pool buffers accumulate before one
-// kernel trap returns them all.
-const returnBatch = 8
-
 // Matching costs (library CPU), calibrated so MPI-over-BCL lands at
 // the paper's 23.7 µs inter-node / 6.3 µs intra-node.
 const (
@@ -90,7 +86,6 @@ type Device struct {
 	nextID     int
 	hdrs       mem.VAddr            // one page of 8-byte rendezvous header slots
 	nextHdr    int                  // next slot of hdrs, round-robin
-	returns    []bcl.SystemBuf      // consumed pool buffers awaiting one batched return
 	colls      map[int]*CollContext // offload contexts by id
 
 	// Matching records the device is done with, for reuse: the
@@ -558,27 +553,13 @@ func (d *Device) finishRndv(p *sim.Proc, rr *rndvRecv, n int) {
 	rr.recv.done = true
 }
 
-// recycle queues a consumed system-pool buffer and, once a batch has
-// accumulated, returns them all in one kernel trap.
+// recycle gives a consumed system-pool buffer back to the port, which
+// returns a full batch of them in one kernel trap. A refused return
+// only leaves the pool smaller; the device has no better answer.
 func (d *Device) recycle(p *sim.Proc, ev nic.Event) {
-	if ev.Channel != bcl.SystemChannel {
-		return
+	if ev.Channel == bcl.SystemChannel {
+		_ = d.port.RecycleSystemBuffer(p, ev.VA)
 	}
-	d.returns = append(d.returns, bcl.SystemBuf{VA: ev.VA, Len: EagerLimit})
-	if len(d.returns) < returnBatch {
-		return
-	}
-	d.flushReturns(p)
-}
-
-// flushReturns returns every queued pool buffer in one trap (the BCL
-// kernel module accepts a vector of buffers).
-func (d *Device) flushReturns(p *sim.Proc) {
-	if len(d.returns) == 0 {
-		return
-	}
-	d.port.ReturnSystemBuffers(p, d.returns)
-	d.returns = d.returns[:0]
 }
 
 // hdrSlots is how many rendezvous headers the header page holds, used

@@ -101,7 +101,7 @@ func TestFlushReturnsEmptyNoop(t *testing.T) {
 	c, devs := world(t, 1, 2, []int{0, 1})
 	c.Env.Go("p", func(p *sim.Proc) {
 		before := p.Now()
-		devs[0].flushReturns(p) // nothing queued: free
+		devs[0].Port().FlushSystemBuffers(p) // nothing queued: free
 		if p.Now() != before {
 			t.Error("empty flush charged time")
 		}

@@ -301,7 +301,7 @@ func (d *Driver) Run(p *sim.Proc) {
 		if ok {
 			d.handle(p, ev)
 		} else {
-			d.ep.flushReturns(p)
+			_ = d.ep.port.FlushSystemBuffers(p)
 		}
 		d.ep.drainSends(p)
 		d.runTimers(p)

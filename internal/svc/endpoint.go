@@ -13,31 +13,26 @@ import (
 // loop blocks in port.WaitRecvTimeout; nothing else receives on the
 // port): a pool of reusable send buffers (a buffer is busy until its
 // send completion drains — the NIC may still DMA or retransmit from
-// it), batched return of consumed receive pool buffers, and the two
-// host buffers every message passes through — one outgoing frame is
-// encoded into out, one received body is read into body. Neither is
-// ever handed out for keeps: a frame lives until the next frame call,
-// a body until the next read.
+// it), and the two host buffers every message passes through — one
+// outgoing frame is encoded into out, one received body is read into
+// body. Neither is ever handed out for keeps: a frame lives until the
+// next frame call, a body until the next read.
 type endpoint struct {
 	port    *bcl.Port
 	bufSize int
 
 	bufs     sim.FreeList[mem.VAddr]
 	inflight map[uint64]mem.VAddr // send msgID -> busy buffer
-	returns  []bcl.SystemBuf      // consumed pool buffers awaiting return
 
 	out  []byte // the frame being encoded (cap bufSize: a frame never outgrows it)
 	body []byte // the last body read (bufSize long, the pool buffers' size)
 }
-
-const returnBatch = 8
 
 func newEndpoint(p *sim.Proc, port *bcl.Port, sendBufs, bufSize int) *endpoint {
 	e := &endpoint{
 		port:     port,
 		bufSize:  bufSize,
 		inflight: make(map[uint64]mem.VAddr),
-		returns:  make([]bcl.SystemBuf, 0, returnBatch),
 		out:      make([]byte, 0, bufSize),
 		body:     make([]byte, bufSize),
 	}
@@ -109,9 +104,10 @@ func (e *endpoint) send(p *sim.Proc, dst bcl.Addr, kind uint8, sess, uch uint16,
 }
 
 // read copies a received message's payload out of the pool buffer into
-// the endpoint's body buffer and schedules the pool buffer's return to
-// the NIC (batched: one kernel trap per returnBatch buffers). The body
-// is valid until the next read: a handler copies what it keeps.
+// the endpoint's body buffer and gives the pool buffer back to the port,
+// which returns a full batch in one kernel trap (a refused return only
+// leaves the pool smaller). The body is valid until the next read: a
+// handler copies what it keeps.
 func (e *endpoint) read(p *sim.Proc, ev nic.Event) []byte {
 	if ev.Len > len(e.body) { // a port whose pool buffers outsize bufSize
 		e.body = make([]byte, ev.Len)
@@ -120,17 +116,6 @@ func (e *endpoint) read(p *sim.Proc, ev nic.Event) []byte {
 	if e.port.Process().Space.ReadInto(ev.VA, body) != nil {
 		body = nil
 	}
-	e.returns = append(e.returns, bcl.SystemBuf{VA: ev.VA, Len: e.bufSize})
-	if len(e.returns) >= returnBatch {
-		e.flushReturns(p)
-	}
+	_ = e.port.RecycleSystemBuffer(p, ev.VA)
 	return body
-}
-
-func (e *endpoint) flushReturns(p *sim.Proc) {
-	if len(e.returns) == 0 {
-		return
-	}
-	_ = e.port.ReturnSystemBuffers(p, e.returns)
-	e.returns = e.returns[:0]
 }

@@ -272,7 +272,7 @@ func (s *Server) Run(p *sim.Proc) {
 		if ok {
 			s.handle(p, ev)
 		} else {
-			s.ep.flushReturns(p)
+			_ = s.ep.port.FlushSystemBuffers(p)
 		}
 		s.ep.drainSends(p)
 		s.runTimers(p)
