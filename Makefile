@@ -7,7 +7,7 @@ GO ?= go
 # survival, collectives, healthwatch, serve, reqobs): `make chaos SEED=7`.
 SEED ?= 1
 
-.PHONY: all test race short fuzz bench hostbench experiments chaos survival collectives metrics profile multitenant healthwatch serve reqobs baseline check tools clean
+.PHONY: all test race short fuzz bench hostbench experiments chaos survival collectives metrics profile multitenant healthwatch serve reqobs baseline check lines tools clean
 
 all: test
 
@@ -150,6 +150,14 @@ baseline:
 
 check:
 	$(GO) run ./cmd/bclbench -check
+
+# Non-test Go lines per package (a subpackage on its own line) and the
+# repository total, counted as ROADMAP's size table counts them: the
+# tracked `*.go` files minus `_test.go`, by `wc -l`.
+lines:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs wc -l | awk '$$2 != "total" { \
+		d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 tools:
 	$(GO) run ./cmd/bcltrace

@@ -13,37 +13,27 @@ import (
 )
 
 // This file is the collective offload engine: a fifth firmware engine
-// that turns one host trap into a whole tree collective. Two descriptor
-// kinds drive it:
+// that turns one host trap into a whole tree collective. A
+// DescCollMcast payload is replicated down the context's distribution
+// tree from NIC SRAM, so host memory is touched once at the origin and
+// once at each receiver. A DescCollComb payload is folded up a
+// combining tree (sum/min/max over real bytes); the root DMAs the
+// result and, in release mode, multicasts it back down, which is how
+// barriers open. coll.Member makes every decision of that protocol, and
+// the engine carries them out on its process (collCarry). Collective
+// packets ride the go-back-N flows, so per-branch retransmission, CRC
+// checking and peer health come for free.
 //
-//   - DescCollMcast injects a payload the NICs replicate down the
-//     context's distribution tree. Every hop forwards from NIC SRAM —
-//     host memory is touched exactly twice per member pair: the DMA
-//     fetch at the origin and the DMA landing at each receiver.
-//   - DescCollComb contributes a payload to a combining tree: each NIC
-//     folds its children's contributions (sum/min/max over real bytes)
-//     in SRAM and forwards a single aggregate to its parent. The root
-//     DMAs a completion event (and, in release mode, multicasts the
-//     result back down, which is how barriers open).
-//
-// Collective packets ride the existing go-back-N flows, so per-branch
-// retransmission, CRC checking and peer health come for free. On top
-// of that the engine adds tree-level fault handling: a branch whose
-// member is Dead is routed around — the member's children are adopted
-// by the forwarding NIC (multicast) or the aggregate is re-routed to
-// the next live ancestor (combine), with the member recorded in the
-// packet's Dead mask so the root can complete without it. Release-mode
-// combines additionally retain each member's own contribution and
-// re-offer it straight to the root on a backoff timer until the result
-// arrives, which heals aggregates lost inside a dying interior NIC.
-//
-// Semantics under faults: an interior member's death is healed by
-// adoption; a dead leaf correctly blocks a barrier (its arrival can
-// never be certified); a dead root is not supported (choose a healthy
-// root at context creation). Non-release combines (plain Reduce) rely
-// on go-back-N only — an interior death after the ACK but before the
-// merge can lose the aggregate, so fault-prone callers should use
-// release mode (Allreduce/Barrier semantics).
+// Semantics under faults, which coll's FuzzCollective checks: an
+// interior member's death is healed by adoption (its children receive
+// from the forwarding NIC, an aggregate goes to the next live ancestor)
+// and, in release mode, by each member re-offering its own contribution
+// to the root until the result arrives; a dead leaf blocks a barrier
+// (its arrival can never be certified); a dead root is not supported
+// (choose a healthy root at context creation). Non-release combines
+// (plain Reduce) rely on go-back-N only: an interior death after the
+// ACK but before the merge can lose the aggregate, so fault-prone
+// callers should use release mode (Allreduce/Barrier semantics).
 
 // CollSpec describes one collective context as the host registers it.
 type CollSpec struct {
@@ -60,89 +50,39 @@ type CollSpec struct {
 	Slots    int
 }
 
-// mkey identifies one multicast instance: sequence numbers are
-// per-origin.
-type mkey struct {
-	origin int
-	seq    uint64
-}
-
-// combState is one in-progress combine at this member.
-type combState struct {
-	hdr     fabric.CollHdr // op/dt/release as fixed by the first contribution
-	tag     uint64
-	trace   uint64
-	born    sim.Time
-	payload []byte // running aggregate, in SRAM
-	sram    int
-	mask    uint64 // members folded into payload
-	dead    uint64 // members learned dead
-	sent    uint64 // coverage at the (single) upward forward, 0 if none
-}
-
-// ownContrib is a member's pristine contribution, retained in release
-// mode so it can be re-offered to the root until the result returns.
-type ownContrib struct {
-	hdr     fabric.CollHdr
-	tag     uint64
-	trace   uint64
-	born    sim.Time
-	payload []byte
-	sram    int
-	timer   sim.Timer
-	round   int
-}
-
-// combDone records a completed combine so stragglers are answered
-// instead of reopening state. At the root of a release-mode combine it
-// keeps the result bytes (host-side copy; SRAM is freed) so a late
-// retrier can be re-released directly.
-type combDone struct {
-	hdr     fabric.CollHdr
-	tag     uint64
-	trace   uint64
-	born    sim.Time
-	dead    uint64
-	payload []byte
-}
-
-// CollCtx is the NIC-resident state of one collective context.
+// CollCtx is the NIC-resident state of one collective context: its
+// spec, the protocol core's records (coll.Member) and the journal holds.
 type CollCtx struct {
 	CollSpec
-
-	combs map[uint64]*combState
-	own   map[uint64]*ownContrib
-	done  map[uint64]*combDone
-	mseen map[mkey]bool   // multicast delivered to this host
-	fseen map[mkey]bool   // multicast forwarded to the children
-	rseen map[uint64]bool // release result delivered
-	rfwd  map[uint64]bool // release result forwarded
+	core *coll.Member
 	// ownMsg maps a release-mode combine seq to the journaled local
 	// contribution. The journal holds it until the result returns, so a
 	// firmware crash between contribution and release replays the
 	// contribution instead of stalling the barrier.
-	ownMsg map[uint64]heldSend
+	ownMsg map[uint64]*heldSend
 }
 
 // heldSend is a local contribution the journal holds: its message id,
-// and its descriptor once collLocal is done with it (nil before), which
-// goes back to the card's free list when the hold ends.
+// its descriptor once collLocal is done with it (nil before), which
+// goes back to the card's free list when the hold ends, and the timer
+// of its next re-offer to the root.
 type heldSend struct {
 	msgID uint64
 	desc  *SendDesc
+	timer sim.Timer
 }
 
 // freeColl frees what a collective context taken off the card holds:
-// the SRAM of its aggregates and retained contributions comes back, and
-// their retry timers stop.
+// the SRAM of its records comes back, and their retry timers stop.
 func (n *NIC) freeColl(ctx *CollCtx) {
-	for _, seq := range sortedKeys(ctx.combs) {
-		n.releaseSRAM(ctx.combs[seq].sram)
-	}
-	for _, seq := range sortedKeys(ctx.own) {
-		oc := ctx.own[seq]
-		oc.timer.Cancel()
-		n.releaseSRAM(oc.sram)
+	n.releaseSRAM(ctx.core.SRAM())
+	ctx.disarm()
+}
+
+// disarm stops the context's retry timers.
+func (c *CollCtx) disarm() {
+	for _, seq := range sortedKeys(c.ownMsg) {
+		c.ownMsg[seq].timer.Cancel()
 	}
 }
 
@@ -170,14 +110,8 @@ func (n *NIC) RegisterCollCtx(s *CollSpec) error {
 	}
 	n.colls[s.ID] = &CollCtx{
 		CollSpec: *s,
-		combs:    make(map[uint64]*combState),
-		own:      make(map[uint64]*ownContrib),
-		done:     make(map[uint64]*combDone),
-		mseen:    make(map[mkey]bool),
-		fseen:    make(map[mkey]bool),
-		rseen:    make(map[uint64]bool),
-		rfwd:     make(map[uint64]bool),
-		ownMsg:   make(map[uint64]heldSend),
+		core:     coll.NewMember(s.Plan, s.Me),
+		ownMsg:   make(map[uint64]*heldSend),
 	}
 	return nil
 }
@@ -235,6 +169,7 @@ type collJob struct {
 // process so blocking on a full go-back-N window (or on SRAM) never
 // stalls the receive MCP that feeds it.
 func (n *NIC) collEngine(p *sim.Proc) {
+	a := &collCarry{n: n, p: p}
 	for {
 		j := n.collQ.Recv(p)
 		if j.kind == collJobDrop {
@@ -259,16 +194,28 @@ func (n *NIC) collEngine(p *sim.Proc) {
 		}
 		switch j.kind {
 		case collJobLocal:
-			n.collLocal(p, j)
+			n.collLocal(a, j)
 		case collJobPkt:
-			// Whatever the engine keeps of the packet (a forward down the
-			// tree) is a CopyOut, so the wire descriptor ends here.
-			n.collPacket(p, j.pkt)
+			// Whatever the core keeps of the packet (a forward down the
+			// tree, an aggregate) is a copy, so the wire descriptor ends here.
+			if !a.on(j.pkt.Coll.Ctx) {
+				n.obs.Event(n.env.Now(), n.node, "nic", "coll-unknown-ctx", j.pkt.Trace,
+					fmt.Sprintf("src=%d ctx=%d", j.pkt.Src, j.pkt.Coll.Ctx))
+			} else {
+				if j.pkt.Kind == fabric.KindCollComb {
+					n.stats.CollCombines++
+				}
+				a.ctx.core.Receive(a, j.pkt)
+			}
 			j.pkt.Release()
 		case collJobRetry:
-			n.collRetry(p, j)
+			if a.on(j.ctxID) {
+				a.ctx.core.Retry(a, j.seq)
+			}
 		case collJobFail:
-			n.collFail(p, j)
+			if a.on(j.ctxID) {
+				a.ctx.core.Failed(a, j.member, j.pkt)
+			}
 		case collJobResend:
 			// Single-packet by contract; re-enters the rewound window
 			// from collective-engine context so the receive MCP never
@@ -289,81 +236,32 @@ func (n *NIC) handleCollPkt() {
 	}
 }
 
-// ----------------------------------------------------------- local ops
-
 // collLocal services a host-injected collective descriptor whose
 // payload the fetch engine already staged into SRAM.
-func (n *NIC) collLocal(p *sim.Proc, j collJob) {
+func (n *NIC) collLocal(a *collCarry, j collJob) {
 	d := j.desc
-	ctx, ok := n.colls[d.Coll.Ctx]
-	if !ok || d.Len > n.prof.MaxPacket {
+	if !a.on(d.Coll.Ctx) || d.Len > n.prof.MaxPacket {
 		n.releaseSRAM(j.sram)
-		p.Await(func(k func(a, b uint64)) bool { return n.failMessage(d, k, 0, 0) })
+		a.p.Await(func(k func(a, b uint64)) bool { return n.failMessage(d, k, 0, 0) })
 		return
 	}
-	n.cpu.Use(p, 1, n.prof.MCPCollProc)
-	switch d.Kind {
-	case DescCollMcast:
+	n.cpu.Use(a.p, 1, n.prof.MCPCollProc)
+	pkt := &fabric.Packet{Kind: fabric.KindCollComb, Coll: d.Coll, Payload: j.payload,
+		Tag: d.Tag, Trace: d.Trace, Born: d.Born, MsgID: d.MsgID}
+	if d.Kind == DescCollMcast {
 		n.stats.CollMcasts++
-		hdr := d.Coll
-		hdr.Origin = ctx.Me
-		// The origin already holds the data: pre-mark delivery so the
-		// tree copy that loops back is forward-only here.
-		ctx.mseen[mkey{hdr.Origin, hdr.Seq}] = true
-		proto := &fabric.Packet{
-			Kind: fabric.KindCollMcast, Channel: CollChannel,
-			Frags: 1, MsgLen: len(j.payload), Tag: d.Tag,
-			Coll: hdr, Payload: j.payload, Trace: d.Trace, Born: d.Born,
-		}
-		if ctx.Me == ctx.Plan.Root {
-			ctx.fseen[mkey{hdr.Origin, hdr.Seq}] = true
-			n.collFanout(p, ctx, proto, ctx.Plan.Children(ctx.Me))
-		} else {
-			// Non-root origin: hand the message to the root, which owns
-			// the distribution tree.
-			n.collFanout(p, ctx, proto, []int{ctx.Plan.Root})
-		}
-		n.releaseSRAM(j.sram)
-	case DescCollComb:
-		hdr := d.Coll
-		hdr.Origin = ctx.Me
-		hdr.Mask = coll.Bit(ctx.Me)
-		hdr.Dead = 0
-		if hdr.Release && ctx.ownMsg[hdr.Seq].msgID == 0 && ctx.done[hdr.Seq] == nil {
-			// Hold the journal record until the result returns: a
-			// firmware crash in between replays the contribution.
-			ctx.ownMsg[hdr.Seq] = heldSend{msgID: d.MsgID}
-		}
-		n.collContribute(p, ctx, ctx.Me, hdr, j.payload, d.Tag, d.Trace, d.Born)
-		if hdr.Release && ctx.Me != ctx.Plan.Root {
-			// Retain the pristine contribution for the healing path; the
-			// SRAM held for the fetch transfers to it.
-			if _, dup := ctx.own[hdr.Seq]; !dup && ctx.done[hdr.Seq] == nil {
-				ctx.own[hdr.Seq] = &ownContrib{
-					hdr: hdr, tag: d.Tag, trace: d.Trace, born: d.Born,
-					payload: j.payload, sram: j.sram,
-				}
-				n.armCollRetry(ctx, hdr.Seq)
-			} else {
-				n.releaseSRAM(j.sram)
-			}
-		} else {
-			n.releaseSRAM(j.sram)
-		}
-	default:
-		n.releaseSRAM(j.sram)
-		p.Await(func(k func(a, b uint64)) bool { return n.failMessage(d, k, 0, 0) })
-		return
+		pkt.Kind = fabric.KindCollMcast
 	}
+	a.ctx.core.Post(a, pkt, j.sram)
 	if !d.NoEvent {
-		n.postEvent(p, n.sendEvent(EvSendDone, d))
+		n.postEvent(a.p, n.sendEvent(EvSendDone, d))
 	}
 	// Everything except a held release contribution is complete for the
 	// journal once folded/fanned out. A held one leaves its descriptor
 	// to collRetireOwn; a hold that ended while this job ran (the root
 	// completing on its own contribution) left it here.
-	if ctx.ownMsg[d.Coll.Seq].msgID == d.MsgID {
-		ctx.ownMsg[d.Coll.Seq] = heldSend{msgID: d.MsgID, desc: d}
+	if h := a.ctx.ownMsg[d.Coll.Seq]; h != nil && h.msgID == d.MsgID {
+		h.desc = d
 	} else {
 		n.retireSend(d.MsgID, d, true)
 	}
@@ -378,354 +276,91 @@ func (n *NIC) collRetireOwn(ctx *CollCtx, seq uint64) {
 	}
 }
 
-// --------------------------------------------------------- wire events
+// ---------------------------------------------------------- carry-out
 
-// collPacket services one collective packet off the wire.
-func (n *NIC) collPacket(p *sim.Proc, pkt *fabric.Packet) {
-	ctx, ok := n.colls[pkt.Coll.Ctx]
-	if !ok {
-		n.obs.Event(n.env.Now(), n.node, "nic", "coll-unknown-ctx", pkt.Trace,
-			fmt.Sprintf("src=%d ctx=%d", pkt.Src, pkt.Coll.Ctx))
-		return
-	}
-	if pkt.Kind == fabric.KindCollComb {
-		n.stats.CollCombines++
-		n.collContribute(p, ctx, pkt.Coll.Origin, pkt.Coll, pkt.Payload, pkt.Tag, pkt.Trace, pkt.Born)
-		return
-	}
-	if pkt.Coll.Release {
-		n.collRelease(p, ctx, pkt)
-		return
-	}
-	// Data multicast: deliver to this host, then fan out.
-	k := mkey{pkt.Coll.Origin, pkt.Coll.Seq}
-	if !ctx.mseen[k] {
-		ctx.mseen[k] = true
-		n.collDeliver(p, ctx, CollEvMcast, pkt.Coll.Origin, pkt.Coll.Seq,
-			pkt.Payload, pkt.Tag, pkt.Coll.Dead, pkt.Trace, pkt.Born)
-	} else {
-		n.stats.CollDups++
-	}
-	if !ctx.fseen[k] {
-		ctx.fseen[k] = true
-		n.collFanout(p, ctx, pkt, ctx.Plan.Children(ctx.Me))
+// collCarry carries out the core's decisions (coll.Acts) on the engine's
+// process, for the context of the job in hand.
+type collCarry struct {
+	n   *NIC
+	p   *sim.Proc
+	ctx *CollCtx
+}
+
+// on points the carry-out at context id and reports whether it is on
+// the card.
+func (a *collCarry) on(id int) bool {
+	a.ctx = a.n.colls[id]
+	return a.ctx != nil
+}
+
+func (a *collCarry) Healthy(m int) bool { return a.n.PeerHealthy(a.ctx.Nodes[m]) }
+
+func (a *collCarry) Hold(b int) {
+	if b > 0 {
+		a.n.sram.Acquire(a.p, b)
 	}
 }
 
-// collRelease services a combine result coming back down the tree.
-func (n *NIC) collRelease(p *sim.Proc, ctx *CollCtx, pkt *fabric.Packet) {
-	seq := pkt.Coll.Seq
-	if oc, ok := ctx.own[seq]; ok {
-		oc.timer.Cancel()
-		n.releaseSRAM(oc.sram)
-		delete(ctx.own, seq)
-	}
-	if st, ok := ctx.combs[seq]; ok {
-		n.releaseSRAM(st.sram)
-		delete(ctx.combs, seq)
-	}
-	if ctx.done[seq] == nil {
-		ctx.done[seq] = &combDone{hdr: pkt.Coll, tag: pkt.Tag, trace: pkt.Trace, born: pkt.Born, dead: pkt.Coll.Dead}
-	}
-	n.collRetireOwn(ctx, seq)
-	if !ctx.rseen[seq] {
-		ctx.rseen[seq] = true
-		n.collDeliver(p, ctx, CollEvResult, pkt.Coll.Origin, seq,
-			pkt.Payload, pkt.Tag, pkt.Coll.Dead, pkt.Trace, pkt.Born)
-	} else {
-		n.stats.CollDups++
-	}
-	if !ctx.rfwd[seq] {
-		ctx.rfwd[seq] = true
-		n.collFanout(p, ctx, pkt, ctx.Plan.Children(ctx.Me))
-	}
+func (a *collCarry) Free(b int) { a.n.releaseSRAM(b) }
+
+func (a *collCarry) Fold(traceID uint64) {
+	a.n.Tracer.DoFlow(a.p, "nic: coll combine", a.n.where(), traceID, func() {
+		a.n.cpu.Use(a.p, 1, a.n.prof.MCPCombineProc)
+	})
 }
 
-// ------------------------------------------------------------- combine
+func (a *collCarry) Keep(seq, msgID uint64) { a.ctx.ownMsg[seq] = &heldSend{msgID: msgID} }
 
-// collContribute folds one contribution (local or off the wire) into
-// the combine state for its sequence. Only disjoint coverage is folded:
-// a subset is a retransmit-style duplicate; a partial overlap cannot be
-// separated from already-folded bytes and is dropped defensively.
-func (n *NIC) collContribute(p *sim.Proc, ctx *CollCtx, from int, hdr fabric.CollHdr, payload []byte, tag uint64, traceID uint64, born sim.Time) {
-	seq := hdr.Seq
-	if dn, ok := ctx.done[seq]; ok {
-		n.stats.CollDups++
-		if ctx.Me == ctx.Plan.Root && dn.hdr.Release && from != ctx.Me {
-			// A straggler still re-offering its contribution missed the
-			// release: answer it directly from the retained result.
-			n.collSendRelease(p, ctx, seq, dn, from)
-		}
-		return
-	}
-	st, ok := ctx.combs[seq]
-	if !ok {
-		st = &combState{hdr: hdr, tag: tag, trace: traceID, born: born}
-		ctx.combs[seq] = st
-	}
-	if st.mask&hdr.Mask != 0 {
-		if hdr.Mask&^st.mask == 0 {
-			n.stats.CollDups++
-		} else {
-			n.stats.CollOverlapDrops++
-			n.obs.Event(n.env.Now(), n.node, "nic", "coll-overlap-drop", traceID,
-				fmt.Sprintf("ctx=%d seq=%d have=%x got=%x", ctx.ID, seq, st.mask, hdr.Mask))
-		}
-		st.dead |= hdr.Dead
-		n.collAdvance(p, ctx, seq, st)
-		return
-	}
-	if st.payload == nil {
-		st.payload = append([]byte(nil), payload...)
-		st.sram = len(st.payload)
-		if st.sram > 0 {
-			n.sram.Acquire(p, st.sram)
-		}
-	} else {
-		n.Tracer.DoFlow(p, "nic: coll combine", n.where(), traceID, func() {
-			n.cpu.Use(p, 1, n.prof.MCPCombineProc)
-		})
-		coll.Combine(st.payload, payload, coll.Op(st.hdr.Op), coll.DT(st.hdr.DT))
-	}
-	st.mask |= hdr.Mask
-	st.dead |= hdr.Dead
-	n.collAdvance(p, ctx, seq, st)
-}
+func (a *collCarry) Retire(seq uint64) { a.n.collRetireOwn(a.ctx, seq) }
 
-// collAdvance checks whether a combine can progress: completion at the
-// root, or the single upward forward elsewhere.
-func (n *NIC) collAdvance(p *sim.Proc, ctx *CollCtx, seq uint64, st *combState) {
-	pl := ctx.Plan
-	full := pl.FullMask()
-	if ctx.Me == pl.Root {
-		if (st.mask|st.dead)&full != full {
-			return
-		}
-		dn := &combDone{hdr: st.hdr, tag: st.tag, trace: st.trace, born: st.born, dead: st.dead}
-		dn.hdr.Dead = st.dead
-		if st.hdr.Release {
-			dn.payload = append([]byte(nil), st.payload...)
-		}
-		ctx.done[seq] = dn
-		n.collRetireOwn(ctx, seq)
-		n.collDeliver(p, ctx, CollEvResult, ctx.Me, seq, st.payload, st.tag, st.dead, st.trace, st.born)
-		if st.hdr.Release {
-			ctx.rseen[seq] = true
-			ctx.rfwd[seq] = true
-			proto := &fabric.Packet{
-				Kind: fabric.KindCollMcast, Channel: CollChannel,
-				Frags: 1, MsgLen: len(dn.payload), Tag: st.tag,
-				Coll:    fabric.CollHdr{Ctx: ctx.ID, Seq: seq, Origin: ctx.Me, Dead: st.dead, Op: st.hdr.Op, DT: st.hdr.DT, Release: true},
-				Payload: dn.payload, Trace: st.trace, Born: st.born,
-			}
-			n.collFanout(p, ctx, proto, pl.Children(ctx.Me))
-		}
-		n.releaseSRAM(st.sram)
-		delete(ctx.combs, seq)
-		return
-	}
-	if st.sent != 0 {
-		return // forward-once; the healing path re-offers single bits
-	}
-	need := pl.SubtreeMask(ctx.Me) &^ st.dead
-	if st.mask&need != need {
-		return
-	}
-	n.collForwardUp(p, ctx, seq, st)
-}
-
-// collForwardUp sends this member's aggregate to its first live
-// ancestor, recording any dead ancestors skipped on the way.
-func (n *NIC) collForwardUp(p *sim.Proc, ctx *CollCtx, seq uint64, st *combState) {
-	hdr := st.hdr
-	hdr.Seq = seq
-	hdr.Origin = ctx.Me
-	target := -1
-	for _, a := range ctx.Plan.Ancestors(ctx.Me) {
-		if st.dead&coll.Bit(a) == 0 && n.PeerHealthy(ctx.Nodes[a]) {
-			target = a
-			break
-		}
-		if st.dead&coll.Bit(a) == 0 {
-			st.dead |= coll.Bit(a)
-			n.stats.CollReparents++
-			n.collNoteReparent(st.trace, ctx.ID, a)
-		}
-	}
-	if target < 0 {
-		n.obs.Event(n.env.Now(), n.node, "nic", "coll-no-ancestor", st.trace,
-			fmt.Sprintf("ctx=%d seq=%d", ctx.ID, seq))
-		return
-	}
-	hdr.Mask = st.mask
-	hdr.Dead = st.dead
-	st.sent = st.mask
-	pkt := &fabric.Packet{
-		Kind: fabric.KindCollComb, Channel: CollChannel,
-		Frags: 1, MsgLen: len(st.payload), Tag: st.tag,
-		Coll: hdr, Payload: append([]byte(nil), st.payload...),
-		Trace: st.trace, Born: st.born,
-	}
-	n.collSend(p, ctx, target, pkt)
-}
-
-// collSendRelease re-sends a completed release result directly to one
-// member (a straggler that missed the tree distribution).
-func (n *NIC) collSendRelease(p *sim.Proc, ctx *CollCtx, seq uint64, dn *combDone, to int) {
-	pkt := &fabric.Packet{
-		Kind: fabric.KindCollMcast, Channel: CollChannel,
-		Frags: 1, MsgLen: len(dn.payload), Tag: dn.tag,
-		Coll:    fabric.CollHdr{Ctx: ctx.ID, Seq: seq, Origin: ctx.Plan.Root, Dead: dn.dead, Op: dn.hdr.Op, DT: dn.hdr.DT, Release: true},
-		Payload: dn.payload, Trace: dn.trace, Born: dn.born,
-	}
-	n.collSend(p, ctx, to, pkt)
-}
-
-// ------------------------------------------------- retries & reparents
-
-// armCollRetry schedules the next release-mode re-contribution for a
-// sequence this member still awaits a result for.
-func (n *NIC) armCollRetry(ctx *CollCtx, seq uint64) {
-	oc := ctx.own[seq]
-	if oc == nil || oc.round >= 16 {
-		return // give up pacing; the collective is unrecoverable anyway
-	}
-	id := ctx.ID
-	oc.timer = n.env.After(n.collRetryDelay(seq, oc.round), func() {
-		oc.timer = sim.Timer{}
+func (a *collCarry) Arm(seq uint64, round int) {
+	n, id := a.n, a.ctx.ID
+	a.ctx.ownMsg[seq].timer = n.env.After(n.collRetryDelay(seq, round), func() {
 		n.collQ.Post(collJob{kind: collJobRetry, ctxID: id, seq: seq, epoch: n.bootEpoch})
 	})
 }
 
-// collRetry re-offers this member's own contribution straight to the
-// root. Single-bit masks can never partially overlap, so the healing
-// path composes safely with whatever aggregates survived.
-func (n *NIC) collRetry(p *sim.Proc, j collJob) {
-	ctx, ok := n.colls[j.ctxID]
-	if !ok {
-		return
-	}
-	oc := ctx.own[j.seq]
-	if oc == nil {
-		return // result arrived in the meantime
-	}
-	oc.round++
-	n.stats.CollRetries++
-	hdr := oc.hdr
-	hdr.Mask = coll.Bit(ctx.Me)
-	if st := ctx.combs[j.seq]; st != nil {
-		hdr.Dead |= st.dead // share what we learned about dead members
-	}
-	hdr.Origin = ctx.Me
-	n.obs.Event(n.env.Now(), n.node, "nic", "coll-retry", oc.trace,
-		fmt.Sprintf("ctx=%d seq=%d round=%d", ctx.ID, j.seq, oc.round))
-	pkt := &fabric.Packet{
-		Kind: fabric.KindCollComb, Channel: CollChannel,
-		Frags: 1, MsgLen: len(oc.payload), Tag: oc.tag,
-		Coll: hdr, Payload: append([]byte(nil), oc.payload...),
-		Trace: oc.trace, Born: oc.born,
-	}
-	n.collSend(p, ctx, ctx.Plan.Root, pkt)
-	n.armCollRetry(ctx, j.seq)
-}
+func (a *collCarry) Disarm(seq uint64) { a.ctx.ownMsg[seq].timer.Cancel() }
 
-// collFail services a forward whose underlying flow was declared dead:
-// the tree heals around the member.
-func (n *NIC) collFail(p *sim.Proc, j collJob) {
-	ctx, ok := n.colls[j.ctxID]
-	if !ok {
-		return
-	}
-	pkt := j.pkt
-	n.stats.CollReparents++
-	n.collNoteReparent(pkt.Trace, ctx.ID, j.member)
-	pkt = pkt.CopyOut()
-	pkt.Coll.Dead |= coll.Bit(j.member)
-	if pkt.Kind == fabric.KindCollComb {
-		// Upward path: re-route the aggregate to the next live ancestor.
-		if ctx.done[pkt.Coll.Seq] != nil {
-			return
-		}
-		if st := ctx.combs[pkt.Coll.Seq]; st != nil {
-			st.dead |= coll.Bit(j.member)
-		}
-		for _, a := range ctx.Plan.Ancestors(ctx.Me) {
-			if pkt.Coll.Dead&coll.Bit(a) == 0 && n.PeerHealthy(ctx.Nodes[a]) {
-				n.collSend(p, ctx, a, pkt)
-				return
-			}
-			pkt.Coll.Dead |= coll.Bit(a)
-		}
-		n.obs.Event(n.env.Now(), n.node, "nic", "coll-no-ancestor", pkt.Trace,
-			fmt.Sprintf("ctx=%d seq=%d", ctx.ID, pkt.Coll.Seq))
-		return
-	}
-	// Downward path (multicast or release): adopt the dead member's
-	// children so its whole subtree still receives the message.
-	children := ctx.Plan.Children(j.member)
-	n.stats.CollAdoptions += uint64(len(children))
-	for _, c := range children {
-		n.collNoteAdopt(pkt.Trace, ctx.ID, c)
-	}
-	n.collFanout(p, ctx, pkt, children)
-}
-
-func (n *NIC) collNoteReparent(traceID uint64, ctxID, member int) {
-	now := n.env.Now()
-	n.Tracer.AddFlow("nic: coll reparent", n.where(), traceID, now, now)
-	n.obs.Event(now, n.node, "nic", "coll-reparent", traceID,
-		fmt.Sprintf("ctx=%d around member %d", ctxID, member))
-}
-
-func (n *NIC) collNoteAdopt(traceID uint64, ctxID, member int) {
-	now := n.env.Now()
-	n.Tracer.AddFlow("nic: coll adopt", n.where(), traceID, now, now)
-	n.obs.Event(now, n.node, "nic", "coll-adopt", traceID,
-		fmt.Sprintf("ctx=%d member %d", ctxID, member))
-}
-
-// --------------------------------------------------------- forwarding
-
-// collFanout forwards a downward packet to a set of members, routing
-// around any it already believes dead.
-func (n *NIC) collFanout(p *sim.Proc, ctx *CollCtx, proto *fabric.Packet, members []int) {
-	for _, m := range members {
-		if m == ctx.Me {
-			continue
-		}
-		if proto.Coll.Dead&coll.Bit(m) != 0 || !n.PeerHealthy(ctx.Nodes[m]) {
-			// Known-dead member: adopt its children immediately.
-			pkt := proto.CopyOut()
-			if pkt.Coll.Dead&coll.Bit(m) == 0 {
-				pkt.Coll.Dead |= coll.Bit(m)
-				n.stats.CollReparents++
-				n.collNoteReparent(pkt.Trace, ctx.ID, m)
-			}
-			children := ctx.Plan.Children(m)
-			n.stats.CollAdoptions += uint64(len(children))
-			for _, c := range children {
-				n.collNoteAdopt(pkt.Trace, ctx.ID, c)
-			}
-			n.collFanout(p, ctx, pkt, children)
-			continue
-		}
-		n.collSend(p, ctx, m, proto)
+func (a *collCarry) Note(k coll.Note, pkt *fabric.Packet, x uint64) {
+	n, now, h := a.n, a.n.env.Now(), pkt.Coll
+	switch k {
+	case coll.Dup:
+		n.stats.CollDups++
+	case coll.Overlap:
+		n.stats.CollOverlapDrops++
+		n.obs.Event(now, n.node, "nic", "coll-overlap-drop", pkt.Trace,
+			fmt.Sprintf("ctx=%d seq=%d have=%x got=%x", h.Ctx, h.Seq, x, h.Mask))
+	case coll.Reparent:
+		n.stats.CollReparents++
+		n.Tracer.AddFlow("nic: coll reparent", n.where(), pkt.Trace, now, now)
+		n.obs.Event(now, n.node, "nic", "coll-reparent", pkt.Trace,
+			fmt.Sprintf("ctx=%d around member %d", h.Ctx, x))
+	case coll.Adopt:
+		n.stats.CollAdoptions++
+		n.Tracer.AddFlow("nic: coll adopt", n.where(), pkt.Trace, now, now)
+		n.obs.Event(now, n.node, "nic", "coll-adopt", pkt.Trace, fmt.Sprintf("ctx=%d member %d", h.Ctx, x))
+	case coll.NoAncestor:
+		n.obs.Event(now, n.node, "nic", "coll-no-ancestor", pkt.Trace, fmt.Sprintf("ctx=%d seq=%d", h.Ctx, h.Seq))
+	case coll.Retried:
+		n.stats.CollRetries++
+		n.obs.Event(now, n.node, "nic", "coll-retry", pkt.Trace,
+			fmt.Sprintf("ctx=%d seq=%d round=%d", h.Ctx, h.Seq, x))
 	}
 }
 
-// collSend transmits one collective packet to a member over the
-// reliable flow, retaining it for retransmission like any message. A
-// flow failure reparents instead of surfacing a host event. What is
-// retained is a GC-owned copy of proto's header sharing its payload
-// (the engine never mutates a payload once it is on a packet), so it
-// outlives the pooled wire packet proto may be.
-func (n *NIC) collSend(p *sim.Proc, ctx *CollCtx, m int, proto *fabric.Packet) {
+// Send transmits one collective packet to a member over the reliable
+// flow, retaining it for retransmission like any message. A flow
+// failure goes back to the core (coll.Member.Failed), not to the host.
+// What is retained is a GC-owned copy of proto's header sharing its
+// payload (the core never mutates a payload once it is on a packet), so
+// it outlives the pooled wire packet proto may be.
+func (a *collCarry) Send(m int, proto *fabric.Packet) {
+	n, p, ctx := a.n, a.p, a.ctx
 	node := ctx.Nodes[m]
 	pkt := proto.CopyOut()
-	pkt.Src = n.node
-	pkt.Dst = node
-	pkt.SrcPort = ctx.Ports[ctx.Me]
-	pkt.DstPort = ctx.Ports[m]
+	pkt.Src, pkt.Dst, pkt.SrcPort, pkt.DstPort = n.node, node, ctx.Ports[ctx.Me], ctx.Ports[m]
+	pkt.Channel, pkt.Frags, pkt.MsgLen = CollChannel, 1, len(pkt.Payload)
 	pkt.MsgID = n.NextMsgID()
 	pkt.Seal()
 	sram := len(pkt.Payload)
@@ -737,15 +372,13 @@ func (n *NIC) collSend(p *sim.Proc, ctx *CollCtx, m int, proto *fabric.Packet) {
 		kind = DescCollComb
 	}
 	ctxID := ctx.ID
-	member := m
-	failPkt := pkt
 	d := &SendDesc{
 		Kind: kind, MsgID: pkt.MsgID, SrcPort: pkt.SrcPort,
 		DstNode: node, DstPort: pkt.DstPort, Channel: CollChannel,
 		Len: len(pkt.Payload), Tag: pkt.Tag, Coll: pkt.Coll,
 		NoEvent: true, Trace: pkt.Trace, Born: pkt.Born,
 		OnFail: func() {
-			n.collQ.Post(collJob{kind: collJobFail, ctxID: ctxID, member: member, pkt: failPkt, epoch: n.bootEpoch})
+			n.collQ.Post(collJob{kind: collJobFail, ctxID: ctxID, member: m, pkt: pkt, epoch: n.bootEpoch})
 		},
 	}
 	n.stats.CollForwards++
@@ -755,52 +388,49 @@ func (n *NIC) collSend(p *sim.Proc, ctx *CollCtx, m int, proto *fabric.Packet) {
 	})
 }
 
-// ------------------------------------------------------------ delivery
-
-// collDeliver DMAs a collective payload into the context's landing
-// ring and posts the completion event, exactly one bus round trip and
-// one event DMA — the O(1) host cost the offload buys.
-func (n *NIC) collDeliver(p *sim.Proc, ctx *CollCtx, kind uint8, origin int, seq uint64, payload []byte, tag uint64, dead uint64, traceID uint64, born sim.Time) {
+// Deliver DMAs a collective payload into the context's landing ring and
+// posts the completion event, exactly one bus round trip and one event
+// DMA — the O(1) host cost the offload buys.
+func (a *collCarry) Deliver(pkt *fabric.Packet, result bool) {
+	n, p, ctx, h := a.n, a.p, a.ctx, pkt.Coll
 	port := n.ports.Get(ctx.Ports[ctx.Me])
 	if port == nil {
 		return
 	}
-	slot := ctx.slotFor(origin, seq)
-	off := slot * ctx.SlotSize
-	ln := len(payload)
-	if ln > ctx.SlotSize {
-		ln = ctx.SlotSize
-	}
-	if ln > 0 {
-		segs := sliceSegs(ctx.Landing.Segs, off, ln)
+	off := ctx.slotFor(h.Origin, h.Seq) * ctx.SlotSize
+	if ln := min(len(pkt.Payload), ctx.SlotSize); ln > 0 {
 		done := 0
-		for _, s := range segs {
+		for _, s := range sliceSegs(ctx.Landing.Segs, off, ln) {
 			p.Await(func(k func(a, b uint64)) bool {
 				n.collBus.resume = k
 				n.busDMA(&n.collBus, s.Len, 0)
 				return false
 			})
-			if err := n.hmem.DMAWrite(s.Phys, payload[done:done+s.Len]); err != nil {
+			if err := n.hmem.DMAWrite(s.Phys, pkt.Payload[done:done+s.Len]); err != nil {
 				return
 			}
 			done += s.Len
 		}
 	}
 	n.stats.CollDeliveries++
-	if born > 0 && n.obs != nil {
+	if pkt.Born > 0 && n.obs != nil {
 		if n.collLatency == nil {
 			n.collLatency = n.obs.Reg.Histogram(n.node, "nic", "coll_latency_ns")
 		}
-		n.collLatency.Observe(int64(n.env.Now() - born))
+		n.collLatency.Observe(int64(n.env.Now() - pkt.Born))
+	}
+	kind := CollEvMcast
+	if result {
+		kind = CollEvResult
 	}
 	ev := Event{
 		Type: EvRecvDone, Port: ctx.Ports[ctx.Me], Channel: CollChannel,
-		MsgID: seq, Len: len(payload), Tag: tag,
-		SrcNode: ctx.Nodes[origin], SrcPort: ctx.ID,
-		VA: ctx.Landing.VA + mem.VAddr(off), Trace: traceID,
-		CollKind: kind, CollOrigin: origin, CollDead: dead,
+		MsgID: h.Seq, Len: len(pkt.Payload), Tag: pkt.Tag,
+		SrcNode: ctx.Nodes[h.Origin], SrcPort: ctx.ID,
+		VA: ctx.Landing.VA + mem.VAddr(off), Trace: pkt.Trace,
+		CollKind: kind, CollOrigin: h.Origin, CollDead: h.Dead,
 	}
-	n.Tracer.DoFlow(p, "nic: coll result DMA", n.where(), traceID, func() {
+	n.Tracer.DoFlow(p, "nic: coll result DMA", n.where(), pkt.Trace, func() {
 		p.Await(func(k func(a, b uint64)) bool {
 			n.deliverEvent(port.RecvEvQ, ev, k, 0, 0)
 			return false

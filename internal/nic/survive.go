@@ -90,12 +90,7 @@ func (n *NIC) CrashFirmware() {
 		}
 	}
 	for _, id := range sortedKeys(n.colls) {
-		ctx := n.colls[id]
-		for _, seq := range sortedKeys(ctx.own) {
-			oc := ctx.own[seq]
-			oc.timer.Cancel()
-			oc.timer = sim.Timer{}
-		}
+		n.colls[id].disarm()
 	}
 }
 
